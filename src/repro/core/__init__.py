@@ -28,9 +28,10 @@ from repro.core.cache import CachedDecision, DecisionCache
 from repro.core.controller import ControllerConfig, IdentPPController
 from repro.core.delegation import DelegationGrant, DelegationManager
 from repro.core.interception import AugmentationRule, InterceptionPolicy, StaticAnswer
-from repro.core.lifecycle import ExpiryHeap, LifecycleService
+from repro.core.lifecycle import LifecycleService
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.core.policy_engine import PolicyDecision, PolicyEngine
+from repro.netsim.events import ExpiryHeap
 
 __all__ = [
     "AuditLog",

@@ -14,7 +14,7 @@ affected cache lines.
 The cache's lifetime story is explicit: TTL-expired entries are evicted
 lazily on lookup *and* eagerly by :meth:`DecisionCache.expire` (driven
 by the :class:`~repro.core.lifecycle.LifecycleService` through an
-:class:`~repro.core.lifecycle.ExpiryHeap`, so a sweep costs
+:class:`~repro.netsim.events.ExpiryHeap`, so a sweep costs
 ``O(expired log n)`` rather than a scan).  An optional ``capacity``
 bounds the entry count with LRU eviction, which is what lets a
 controller survive adversarial flow churn with a fixed memory budget.
@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.lifecycle import ExpiryHeap
 from repro.identpp.flowspec import FlowSpec
+from repro.netsim.events import ExpiryHeap
 from repro.pf.state import StateTable
 
 #: Default lifetime of a cached controller decision, in seconds.

@@ -45,7 +45,7 @@ from repro.core.cache import DecisionCache
 from repro.core.interception import InterceptionPolicy
 from repro.core.lifecycle import LifecycleService
 from repro.core.policy_engine import PolicyDecision, PolicyEngine
-from repro.identpp.client import QueryClient, QueryInterceptor, QueryOutcome
+from repro.identpp.client import QueryClient, QueryInterceptor
 from repro.identpp.engine import QueryEngine
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import DEFAULT_QUERY_KEYS, IDENT_PP_PORT, IdentQuery, IdentResponse
@@ -78,11 +78,14 @@ class PathInstall:
     switches: tuple[str, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class DecisionTask:
     """One punted flow's trip through the continuation-scheduled pipeline.
 
-    A punt no longer runs as one synchronous call chain; it advances
+    The task is the flow's whole pending state — its buffered punts,
+    its arrival, its fail-closed deadline event and its query outcomes
+    — and ``controller._pending`` maps each undecided flow to its task.
+    A punt does not run as one synchronous call chain; it advances
     through schedulable stages, each entered by its own event:
 
     * ``wait`` — (serial core only) queued for the loop, queries not
@@ -91,8 +94,8 @@ class DecisionTask:
     * ``queued`` — answers in, waiting for the serialized eval loop;
     * ``eval`` — occupying the policy-eval stage.
 
-    ``arrival`` doubles as the punt's generation token: any stage whose
-    task no longer matches ``_inflight[flow]`` (the deadline failed the
+    The task object is also the punt's generation token: a continuation
+    whose task is no longer ``_pending[flow]`` (the deadline failed the
     punt closed, a failover exported it, or a re-punt superseded it)
     discards itself instead of advancing.
     """
@@ -100,10 +103,23 @@ class DecisionTask:
     flow: FlowSpec
     arrival: float
     switch: OpenFlowSwitch
+    #: The buffered PacketIns awaiting this decision (one per punting switch).
+    punts: list
     stage: str = "query"
     outcomes: list = field(default_factory=list)
     #: When the last endpoint answer landed (0.0 until then).
     ready_at: float = 0.0
+    #: The armed one-shot fail-closed deadline (``None``: uncovered, the
+    #: lifecycle sweep backstops the flow instead).
+    deadline: Optional[Event] = None
+
+    def documents(self) -> tuple:
+        """Return the ``(@src, @dst)`` response documents the policy evaluates."""
+        outcomes = self.outcomes
+        return (
+            outcomes[0].document if outcomes else None,
+            outcomes[1].document if len(outcomes) > 1 else None,
+        )
 
 
 class SerialDecisionQueue:
@@ -118,6 +134,12 @@ class SerialDecisionQueue:
     recurrence), while heterogeneous traces are now served in *ready*
     order rather than punt order, and superseded punts no longer occupy
     phantom slots.
+
+    *When* a task joins decides what the loop serializes.  The async
+    core submits it once its answers are in, so only the eval holds the
+    loop; the serial core submits it at the punt (stage ``wait``), so
+    the loop is held across the query round-trips too — the same
+    pipeline at concurrency 1.
     """
 
     def __init__(self, controller: "IdentPPController") -> None:
@@ -128,10 +150,9 @@ class SerialDecisionQueue:
         self.served = 0
         self.max_depth = 0
 
-    @property
-    def busy(self) -> bool:
-        """Return ``True`` while a task occupies the loop."""
-        return self._current is not None
+    def holds(self, task: DecisionTask) -> bool:
+        """Return whether ``task`` is the one occupying the loop."""
+        return self._current is task
 
     def depth(self) -> int:
         """Return queued plus in-service tasks."""
@@ -151,22 +172,24 @@ class SerialDecisionQueue:
                 # The loop froze with the process; restart() resumes it.
                 return
             task = self._queue.popleft()
-            if controller._inflight.get(task.flow) is not task:
+            if controller._is_stale(task, where="serial queue"):
                 # Superseded while queued (deadline fired, failover
                 # exported the flow, or a re-punt started a fresh
                 # pipeline): skip without occupying the loop — a real
                 # queue serves no phantom work.
-                controller._report_stale_continuation(task, where="serial queue")
                 continue
             self._current = task
-            service = controller._service_time(task)
-            if controller.sim is not None:
-                self._event = controller.sim.schedule(
-                    service, self._finish, task, label=f"{controller.name}:decide"
-                )
+            if task.stage == "wait":
+                # Serial core: the loop blocks on the round-trips;
+                # _answers_ready hands the task back to evaluate().
+                controller._dispatch_queries(task)
             else:
-                self._finish(task)
+                self.evaluate(task)
             return
+
+    def evaluate(self, task: DecisionTask) -> None:
+        """Occupy the loop for the policy evaluation of the task holding it."""
+        self._event = self._controller._enter_eval(task, self._finish)
 
     def _finish(self, task: DecisionTask) -> None:
         self._current = None
@@ -220,15 +243,18 @@ class ControllerConfig:
 
     The decision-core knobs pick how punts traverse the pipeline:
 
-    * ``decision_core`` — ``"async"`` (the default) runs each punt as a
-      chain of continuations on the simulator: queries are dispatched
-      immediately and the loop is yielded, each endpoint answer arrives
-      as its own event, and only policy eval can serialize.  Thousands
-      of round-trips overlap, so daemon latency sets flow-setup latency
-      but not throughput.  ``"serial"`` models the naive synchronous
-      controller: one punt is serviced end to end (queries *and* eval)
-      before the next starts, so daemon latency sums across punts — the
-      baseline the overlap bench measures the async core against.
+    * ``decision_core`` — *when* a punt takes the serialized loop, over
+      one and the same continuation pipeline.  ``"async"`` (the default)
+      dispatches a punt's queries immediately and yields: each endpoint
+      answer arrives as its own event, and only policy eval can
+      serialize (with ``serialize_decisions``).  Thousands of
+      round-trips overlap, so daemon latency sets flow-setup latency
+      but not throughput.  ``"serial"`` is that pipeline at concurrency
+      1 — the naive synchronous controller: a punt takes the loop
+      *before* its queries go out and holds it until its eval ends, so
+      daemon latency sums across punts.  It is the configuration the
+      overlap bench measures the async core against, not a second
+      code path.
     * ``nonblocking_inbox`` — queue switch→controller messages and
       drain them from a scheduled event instead of handling them inside
       the channel's delivery call (see
@@ -338,23 +364,19 @@ class IdentPPController(Controller):
         self.peer_interceptors: list[QueryInterceptor] = []
         self.flow_setup_latency = Histogram(f"{name}.flow_setup_latency")
         self.query_latency = Histogram(f"{name}.query_latency")
-        self._pending: dict[FlowSpec, list[PacketIn]] = {}
-        # When each pending flow was first punted, and the one-shot
-        # fail-closed deadline event armed for it.
-        self._pending_since: dict[FlowSpec, float] = {}
-        self._pending_deadline_events: dict[FlowSpec, Event] = {}
+        # The one per-flow table: every punted, undecided flow's
+        # DecisionTask (buffered punts, arrival, deadline event, stage,
+        # outcomes), in arrival order.  Populated at the punt, drained by
+        # _pop_pending; a task no longer in here is stale.
+        self._pending: dict[FlowSpec, DecisionTask] = {}
         self._cookie_counter = itertools.count(1)
-        # Decisions whose ident++ responses are in but not yet evaluated;
+        # Tasks whose eval slot elapsed but are not yet evaluated;
         # everything ready at the same simulated instant is flushed through
         # one PolicyEngine.decide_batch() call.
-        self._decision_queue: list[tuple] = []
+        self._decision_queue: list[DecisionTask] = []
         self._flush_scheduled = False
-        # Punts mid-pipeline: queries in flight, queued for the serial
-        # loop, or inside their eval slot.  Always a subset of
-        # ``_pending``; a failover export drains both together.
-        self._inflight: dict[FlowSpec, DecisionTask] = {}
-        # The serialized stage (policy eval, plus queries under the
-        # serial core) as a real event-scheduled queue.
+        # The serialized stage (policy eval, plus the query round-trips
+        # under the serial core) as a real event-scheduled queue.
         self._serial = SerialDecisionQueue(self)
         self.policy_errors = 0
         self.pending_expired = 0
@@ -404,7 +426,7 @@ class IdentPPController(Controller):
             self.lifecycle.register(
                 "subscriptions",
                 self.query_engine.demote_idle,
-                self.query_engine.demotable_count,
+                self.query_engine.subscription_count,
                 self.query_engine.next_demotion,
             )
         self.attach(topology.sim)
@@ -498,44 +520,42 @@ class IdentPPController(Controller):
             )
             return
 
-        if flow in self._pending:
+        task = self._pending.get(flow)
+        if task is not None:
             # Another switch punted the same flow while queries are in
             # flight; remember the buffered packet and answer it when the
             # decision lands.
-            self._pending[flow].append(message)
+            task.punts.append(message)
             return
-        self._pending[flow] = [message]
-        self._pending_since[flow] = arrival
-        if self.sim is not None and self.config.pending_deadline > 0:
-            # Fail-closed backstop: if the decision is lost (an exception
-            # mid-pipeline, a dropped event), this fires and drops the
-            # buffered packets instead of stranding the flow forever.  A
-            # completed decision cancels it, so the common path never pays.
-            self._pending_deadline_events[flow] = self.sim.schedule(
-                self.config.pending_deadline,
-                self._pending_deadline_fired,
-                flow,
-                label=f"{self.name}:pending-deadline",
-            )
+        task = DecisionTask(flow=flow, arrival=arrival, switch=message.switch, punts=[message])
+        self._pending[flow] = task
+        # Fail-closed backstop: if the decision is lost (an exception
+        # mid-pipeline, a dropped event), this fires and drops the
+        # buffered packets instead of stranding the flow forever.  A
+        # completed decision cancels it, so the common path never pays.
+        task.deadline = self._arm_deadline(flow)
         self.lifecycle.kick()
         if self.config.identity_plane == "push":
             self._note_punt_for_promotion(flow, message.switch, arrival)
 
-        task = DecisionTask(flow=flow, arrival=arrival, switch=message.switch)
-        self._inflight[flow] = task
         if self.config.decision_core == "serial":
-            # Baseline synchronous controller: the loop services one
-            # punt end to end — queries *and* eval — before the next
-            # starts, so daemon latency sums across concurrent punts.
+            # Concurrency 1: the punt takes the loop before its queries
+            # go out and holds it through eval, so daemon latency sums
+            # across concurrent punts.
             task.stage = "wait"
             self._serial.submit(task)
-            return
-        # Async core: dispatch the endpoint queries now and yield the
-        # loop.  Each answer arrives as its own scheduled event; the
-        # gather barrier fires _answers_ready at the instant the last
-        # one lands, so thousands of round-trips overlap in flight.
-        Future.gather(self._dispatch_queries_async(flow, message.switch)).add_done_callback(
-            lambda outcomes, task=task: self._answers_ready(task, outcomes)
+        else:
+            self._dispatch_queries(task)
+
+    def _arm_deadline(self, flow: FlowSpec) -> Optional[Event]:
+        """Schedule the one-shot fail-closed deadline for a pending flow."""
+        if self.sim is None or self.config.pending_deadline <= 0:
+            return None
+        return self.sim.schedule(
+            self.config.pending_deadline,
+            self._pending_deadline_fired,
+            flow,
+            label=f"{self.name}:pending-deadline",
         )
 
     def _note_punt_for_promotion(
@@ -560,35 +580,30 @@ class IdentPPController(Controller):
             if engine.subscribe_host(ip, from_node=switch, now=arrival):
                 del self._push_punt_counts[ip]
 
-    def _query_endpoints(self, flow: FlowSpec, switch: OpenFlowSwitch) -> list[QueryOutcome]:
-        """Issue the ident++ queries for a flow (both ends, or source only).
+    def _dispatch_queries(self, task: DecisionTask) -> None:
+        """Send the task's endpoint queries and yield the loop.
+
+        Each answer arrives as its own scheduled event; the gather
+        barrier fires :meth:`_answers_ready` at the instant the last
+        one lands, so thousands of round-trips overlap in flight.
+        """
+        task.stage = "query"
+        Future.gather(self._dispatch_queries_async(task.flow, task.switch)).add_done_callback(
+            lambda outcomes: self._answers_ready(task, outcomes)
+        )
+
+    def _dispatch_queries_async(self, flow: FlowSpec, switch: OpenFlowSwitch) -> list[Future]:
+        """Dispatch the ident++ queries for a flow (both ends, or source only).
 
         Queries go through the :class:`QueryEngine`, so with a non-zero
         ``query_cache_ttl`` a hot endpoint's answer is fetched once and
         shared: repeat punts hit the cache, concurrent punts coalesce
         onto the one outstanding query, and daemon-less hosts cost one
-        timeout per TTL.  With the default TTL of ``0`` the engine is a
-        pass-through and every punt queries fresh.
-        """
-        interceptors = tuple(self.peer_interceptors)
-        if self.config.query_both_ends:
-            src_outcome, dst_outcome = self.query_engine.query_both_ends(
-                flow, from_node=switch, keys=self.config.query_keys, interceptors=interceptors
-            )
-            return [src_outcome, dst_outcome]
-        src_outcome = self.query_engine.query(
-            flow, "src", from_node=switch, keys=self.config.query_keys, interceptors=interceptors
-        )
-        return [src_outcome]
-
-    def _dispatch_queries_async(self, flow: FlowSpec, switch: OpenFlowSwitch) -> list[Future]:
-        """Dispatch the ident++ queries for a flow; answers arrive as events.
-
-        The async twin of :meth:`_query_endpoints`: the same engine
-        semantics (cache hits, coalescing onto in-flight round-trips,
-        negative caching), but each endpoint's answer completes its own
-        :class:`~repro.netsim.events.Future` at the instant it lands
-        instead of being charged as one opaque blocking delay.
+        timeout per TTL (with the default TTL of ``0`` the engine is a
+        pass-through and every punt queries fresh).  Each endpoint's
+        answer completes its own :class:`~repro.netsim.events.Future`
+        at the instant it lands instead of being charged as one opaque
+        blocking delay.
         """
         interceptors = tuple(self.peer_interceptors)
         if self.config.query_both_ends:
@@ -613,55 +628,54 @@ class IdentPPController(Controller):
         """
         task.outcomes = list(outcomes)
         task.ready_at = self.now
-        query_cost = QueryClient.combined_latency(task.outcomes)
-        self.query_latency.observe(query_cost)
+        self.query_latency.observe(QueryClient.combined_latency(task.outcomes))
+        if self._serial.holds(task):
+            # Serial core: the loop waited on these answers.  It pays
+            # the eval and is released by the completion event whatever
+            # became of the punt meanwhile — a halted or superseded
+            # task must not wedge the loop it occupies.
+            self._serial.evaluate(task)
+            return
         if self.halted:
             # The crash froze this decision mid-flight; the flow stays
             # in ``_pending`` for the failover monitor to export.
             return
-        if self._inflight.get(task.flow) is not task:
-            self._report_stale_continuation(task, where="answer arrival")
+        if self._is_stale(task, where="answer arrival"):
             return
         if self.config.serialize_decisions:
             task.stage = "queued"
             self._serial.submit(task)
             return
+        self._enter_eval(task, self._eval_step)
+
+    def _enter_eval(self, task: DecisionTask, done) -> Optional[Event]:
+        """Start the task's policy-eval slot; ``done(task)`` runs when it elapses."""
         task.stage = "eval"
-        if self.sim is not None:
-            self.sim.schedule(
-                self.config.policy_eval_delay, self._eval_step, task,
-                label=f"{self.name}:decide",
-            )
-        else:
-            self._eval_step(task)
+        if self.sim is None:
+            done(task)
+            return None
+        return self.sim.schedule(
+            self.config.policy_eval_delay, done, task, label=f"{self.name}:decide"
+        )
 
     def _eval_step(self, task: DecisionTask) -> None:
         """Continuation: the policy-eval slot elapsed; hand over for batching."""
-        self._complete_decision(task.flow, task.outcomes, task.arrival)
+        self._complete_decision(task)
 
-    # ------------------------------------------------------------------
-    # Sanitizer hooks (silent discards become findings when enabled)
-    # ------------------------------------------------------------------
+    def _is_stale(self, task: DecisionTask, *, where: str) -> bool:
+        """Return whether ``task`` was superseded — the one generation check.
 
-    def _report_stale(self, flow: FlowSpec, arrival: float, *, where: str) -> None:
-        """File a stale-continuation finding when a sanitizer is attached.
-
-        The discard itself is *correct* — the punt was failed closed,
-        exported by a failover, or superseded by a re-punt — but a
-        scenario that silently races its own deadlines is usually a
-        mis-tuned scenario, so under ``Simulator(sanitize=True)`` each
-        discard is reported instead of vanishing.
+        A continuation may only advance the task still registered for
+        its flow.  Anything else means the punt was already resolved
+        without it: its deadline failed it closed, a failover handed it
+        to a successor, or the flow was re-punted and runs its own fresh
+        pipeline (whose query outcomes this task's are stale against).
+        Discarding is *correct*, but a scenario that silently races its
+        own deadlines is usually a mis-tuned scenario, so under
+        ``Simulator(sanitize=True)`` each discard is also reported.
         """
-        sim = self.sim
-        if sim is not None and sim.sanitizer is not None:
-            sim.sanitizer.report(
-                KIND_STALE_CONTINUATION,
-                f"{self.name}: {where} continuation for {flow} "
-                f"(punt generation t={arrival:g}) found its task superseded",
-            )
-
-    def _report_stale_continuation(self, task: DecisionTask, *, where: str) -> None:
-        """Task-object form of :meth:`_report_stale` (adds the stage)."""
+        if self._pending.get(task.flow) is task:
+            return False
         sim = self.sim
         if sim is not None and sim.sanitizer is not None:
             sim.sanitizer.report(
@@ -670,32 +684,10 @@ class IdentPPController(Controller):
                 f"(punt generation t={task.arrival:g}, stage={task.stage}) "
                 f"found its task superseded",
             )
+        return True
 
-    def _service_time(self, task: DecisionTask) -> float:
-        """Return how long ``task`` occupies the serialized loop.
-
-        Under the async core the queries already ran; only the eval
-        occupies the loop.  Under the serial core the loop performs the
-        blocking query round-trip itself, so the punt holds it for the
-        queries *plus* the eval — the collapse the overlap bench shows.
-        """
-        if task.stage == "wait":
-            task.outcomes = self._query_endpoints(task.flow, task.switch)
-            query_cost = QueryClient.combined_latency(task.outcomes)
-            self.query_latency.observe(query_cost)
-            task.ready_at = self.now
-            task.stage = "eval"
-            return query_cost + self.config.policy_eval_delay
-        task.stage = "eval"
-        return self.config.policy_eval_delay
-
-    def _complete_decision(
-        self,
-        flow: FlowSpec,
-        outcomes: Sequence[QueryOutcome],
-        arrival: float,
-    ) -> None:
-        """Queue a flow whose eval slot elapsed for (batched) evaluation.
+    def _complete_decision(self, task: DecisionTask) -> None:
+        """Queue a task whose eval slot elapsed for (batched) evaluation.
 
         The tail of the continuation pipeline (reached from
         :meth:`_eval_step` once the answers are in and the eval delay —
@@ -708,18 +700,9 @@ class IdentPPController(Controller):
             # The crash froze this decision mid-flight; the flow stays in
             # ``_pending`` for the failover monitor to export.
             return
-        if self._pending_since.get(flow) != arrival:
-            # The punt this decision answers was already resolved
-            # without us: its deadline failed it closed, or a failover
-            # handed it to a successor.  Matching on the punt arrival —
-            # not mere pending presence — also discards us when the flow
-            # was re-punted meanwhile: this decision's query outcomes are
-            # stale, and the re-punt runs its own fresh pipeline.
-            self._report_stale(flow, arrival, where="eval completion")
+        if self._is_stale(task, where="eval completion"):
             return
-        src_doc = outcomes[0].document if outcomes else None
-        dst_doc = outcomes[1].document if len(outcomes) > 1 else None
-        self._decision_queue.append((flow, src_doc, dst_doc, outcomes, arrival))
+        self._decision_queue.append(task)
         if self.sim is not None:
             if not self._flush_scheduled:
                 self._flush_scheduled = True
@@ -735,22 +718,13 @@ class IdentPPController(Controller):
         queue, self._decision_queue = self._decision_queue, []
         # A same-instant deadline (or a failover export) may have
         # resolved a queued flow between ready and flush — deciding it
-        # again would double-program the datapath — and a resolved-then-
-        # re-punted flow must be decided by its own fresh pipeline, not
-        # this stale one (the punt arrival identifies the generation).
-        live = []
-        for entry in queue:
-            if self._pending_since.get(entry[0]) == entry[4]:
-                live.append(entry)
-            else:
-                self._report_stale(entry[0], entry[4], where="decision flush")
-        queue = live
+        # again would double-program the datapath.
+        queue = [task for task in queue if not self._is_stale(task, where="decision flush")]
         if not queue:
             return
+        items = [(task.flow, *task.documents()) for task in queue]
         try:
-            decisions = self.policy.decide_batch(
-                [(flow, src_doc, dst_doc) for flow, src_doc, dst_doc, _, _ in queue]
-            )
+            decisions = self.policy.decide_batch(items)
         except PFError:
             # One mis-evaluating flow must not poison the burst: fall back
             # to per-flow decisions so every other flow still completes.
@@ -758,21 +732,20 @@ class IdentPPController(Controller):
             # packets are dropped and the error is audited — rather than
             # re-raising, which would leak their pending entries and
             # blackhole the flows permanently.
-            for entry in queue:
-                flow, src_doc, dst_doc = entry[0], entry[1], entry[2]
+            for task, item in zip(queue, items):
                 try:
-                    decision = self.policy.decide(flow, src_doc, dst_doc)
+                    decision = self.policy.decide(*item)
                 except PFError as error:
-                    self._fail_closed(entry, error)
+                    self._fail_closed(task, error)
                     continue
-                self._finish_decision(entry, decision)
+                self._finish_decision(task, decision)
             return
-        for entry, decision in zip(queue, decisions):
-            self._finish_decision(entry, decision)
+        for task, decision in zip(queue, decisions):
+            self._finish_decision(task, decision)
 
-    def _finish_decision(self, entry: tuple, decision: PolicyDecision) -> None:
+    def _finish_decision(self, task: DecisionTask, decision: PolicyDecision) -> None:
         """Cache, install and audit one evaluated decision."""
-        flow, _, _, outcomes, arrival = entry
+        flow = task.flow
         cookie = f"{self.name}:decision-{next(self._cookie_counter)}"
         self.cache.store(
             flow,
@@ -786,26 +759,25 @@ class IdentPPController(Controller):
         self._apply_verdict_to_datapath(
             flow, pending, decision.is_pass, cookie, keep_state=decision.keep_state
         )
-        query_cost = QueryClient.combined_latency(outcomes)
-        self.flow_setup_latency.observe(self.now - arrival)
+        query_cost = QueryClient.combined_latency(task.outcomes)
+        self.flow_setup_latency.observe(self.now - task.arrival)
         self._audit_decision(decision, cookie, query_cost)
         self.lifecycle.kick()
 
-    def _fail_closed(self, entry: tuple, error: PFError) -> None:
+    def _fail_closed(self, task: DecisionTask, error: PFError) -> None:
         """Resolve an erroring flow as an audited drop (``rule_origin="error"``).
 
         The block is cached with the normal TTL so a chatty erroring flow
         does not re-trigger the failure on every packet, yet gets
         re-evaluated once the administrator fixes the policy.
         """
-        flow, _, _, _, arrival = entry
         self.policy_errors += 1
         self._resolve_fail_closed(
-            flow,
+            task.flow,
             f"policy evaluation failed: {error}",
             cache_rule_text=f"error: {error}",
         )
-        self.flow_setup_latency.observe(self.now - arrival)
+        self.flow_setup_latency.observe(self.now - task.arrival)
         self.lifecycle.kick()
 
     def _resolve_fail_closed(
@@ -838,59 +810,59 @@ class IdentPPController(Controller):
     def _pop_pending(self, flow: FlowSpec) -> list[PacketIn]:
         """Claim a flow's buffered punts, disarming its fail-closed deadline.
 
-        Also retires the flow's in-flight pipeline task: any of its
-        still-scheduled continuations (a query answer on the wire, a
-        queued eval) will find the task superseded and discard itself.
+        Retiring the task from the table is what supersedes it: any of
+        its still-scheduled continuations (a query answer on the wire,
+        a queued eval) will find it stale and discard itself.
         """
-        self._pending_since.pop(flow, None)
-        self._inflight.pop(flow, None)
-        deadline = self._pending_deadline_events.pop(flow, None)
-        if deadline is not None:
-            deadline.cancel()
-        return self._pending.pop(flow, [])
+        task = self._pending.pop(flow, None)
+        if task is None:
+            return []
+        if task.deadline is not None:
+            task.deadline.cancel()
+        return task.punts
 
     def _pending_deadline_fired(self, flow: FlowSpec) -> None:
-        """One-shot deadline: the decision for ``flow`` never arrived."""
+        """The decision for ``flow`` never arrived: fail it closed.
+
+        Fired by the flow's own one-shot deadline event, or by the
+        lifecycle sweep for a flow whose event is missing.
+        """
         if self.halted:
             # A dead controller cannot fail a flow closed; the pending
             # entry must survive for the failover handoff, where the
             # successor arms its own deadline.
             return
         if flow in self._pending:
-            self._expire_pending_flow(flow)
+            # No decision is cached: a decision event that still fires
+            # for the flow later finds its task retired and is discarded
+            # (it must not override this resolution), and the next punt
+            # re-runs the pipeline from scratch.
+            self.pending_expired += 1
+            self._resolve_fail_closed(
+                flow, "pending decision deadline exceeded; failing closed"
+            )
 
-    def _uncovered_pending_count(self) -> int:
-        """O(1) probe: how many pending flows have no armed deadline event.
+    def _uncovered_pending(self) -> list[DecisionTask]:
+        """Return pending tasks with no armed one-shot deadline event.
 
-        Every armed one-shot deadline covers exactly one pending flow
-        (both tables are populated at punt and drained together by
-        ``_pop_pending``), so the uncovered population is just the size
-        difference of the two tables.  The lifecycle service probes this
-        on every sweep-scheduling decision; the full scan below only
-        runs when this says there is something to reclaim.
+        Every punt normally arms its own deadline, so this is empty
+        unless the event is missing (sim-less operation, a reset that
+        dropped the queue); the lifecycle service probes it per sweep.
         """
         if self.config.pending_deadline <= 0:
-            return 0
-        return len(self._pending_since) - len(self._pending_deadline_events)
-
-    def _uncovered_pending(self) -> list[FlowSpec]:
-        """Return pending flows with no armed one-shot deadline event."""
-        if self.config.pending_deadline <= 0:
             return []
-        return [
-            flow for flow in self._pending_since
-            if flow not in self._pending_deadline_events
-        ]
+        return [task for task in self._pending.values() if task.deadline is None]
+
+    def _uncovered_pending_count(self) -> int:
+        """Return how many pending flows only the lifecycle sweep can fail closed."""
+        return len(self._uncovered_pending())
 
     def _next_pending_deadline(self) -> Optional[float]:
         """Return when the oldest *uncovered* pending punt hits its deadline."""
-        if self._uncovered_pending_count() <= 0:
-            return None
         uncovered = self._uncovered_pending()
         if not uncovered:
             return None
-        since = min(self._pending_since[flow] for flow in uncovered)
-        return since + self.config.pending_deadline
+        return min(task.arrival for task in uncovered) + self.config.pending_deadline
 
     def _expire_stale_pending(self, now: float) -> int:
         """Lifecycle sweep: fail-close uncovered pending flows past their deadline."""
@@ -898,24 +870,12 @@ class IdentPPController(Controller):
             return 0
         deadline = self.config.pending_deadline
         stale = [
-            flow for flow in self._uncovered_pending()
-            if now - self._pending_since[flow] > deadline
+            task.flow for task in self._uncovered_pending()
+            if now - task.arrival > deadline
         ]
         for flow in stale:
-            self._expire_pending_flow(flow)
+            self._pending_deadline_fired(flow)
         return len(stale)
-
-    def _expire_pending_flow(self, flow: FlowSpec) -> None:
-        """Drop a stranded flow's buffered packets and audit the failure.
-
-        No decision is cached, and a decision event that still fires for
-        the flow later is discarded (it must not override the fail-closed
-        resolution): the next punt re-runs the pipeline from scratch.
-        """
-        self.pending_expired += 1
-        self._resolve_fail_closed(
-            flow, "pending decision deadline exceeded; failing closed"
-        )
 
     def _audit_decision(self, decision: PolicyDecision, cookie: str, query_cost: float) -> None:
         for principal in decision.principals:
@@ -1234,9 +1194,10 @@ class IdentPPController(Controller):
     def export_pending(self) -> list[tuple[FlowSpec, list[PacketIn]]]:
         """Hand over every in-flight punted flow (failover handoff).
 
-        Pops the whole pending table — buffered PacketIns, arrival times
-        and armed fail-closed deadlines — and returns ``(flow, punts)``
-        pairs in arrival order so a successor can adopt them.  Flows
+        Pops the whole pending table — each task with its buffered
+        PacketIns and armed fail-closed deadline — and returns
+        ``(flow, punts)`` pairs in arrival order (the table's own order)
+        so a successor can adopt them.  Flows
         frozen *mid-decision* — queries dispatched but answers still on
         the wire, or queued for the serial loop — are pending too, so
         they export with everything else; their orphaned continuations
@@ -1245,14 +1206,11 @@ class IdentPPController(Controller):
         pending entries: the successor re-runs the pipeline from the
         punt.
         """
-        flows = sorted(self._pending_since, key=self._pending_since.__getitem__)
-        flows += [flow for flow in self._pending if flow not in self._pending_since]
-        exported = [(flow, self._pop_pending(flow)) for flow in flows]
+        exported = [(flow, self._pop_pending(flow)) for flow in list(self._pending)]
         self._decision_queue.clear()
         self._flush_scheduled = False
         # The handed-off work no longer occupies this decision loop; a
         # restored shard must not serialize new punts behind it.
-        self._inflight.clear()
         self._serial.reset()
         return exported
 
@@ -1261,8 +1219,8 @@ class IdentPPController(Controller):
         return list(self._pending)
 
     def inflight_count(self) -> int:
-        """Return how many punts are mid-pipeline (query/queued/eval stage)."""
-        return len(self._inflight)
+        """Return how many punts are mid-pipeline (wait/query/queued/eval stage)."""
+        return len(self._pending)
 
     def pending_depth(self) -> int:
         """Return how many flows await a decision (telemetry probe tap)."""
@@ -1289,17 +1247,10 @@ class IdentPPController(Controller):
         # still-queued (non-superseded) work and revived punts are
         # served again instead of stalling behind a dead service slot.
         self._serial.restart()
-        if self.sim is not None and self.config.pending_deadline > 0:
-            for flow in self._pending:
-                stale = self._pending_deadline_events.pop(flow, None)
-                if stale is not None:
-                    stale.cancel()
-                self._pending_deadline_events[flow] = self.sim.schedule(
-                    self.config.pending_deadline,
-                    self._pending_deadline_fired,
-                    flow,
-                    label=f"{self.name}:pending-deadline",
-                )
+        for task in self._pending.values():
+            if task.deadline is not None:
+                task.deadline.cancel()
+            task.deadline = self._arm_deadline(task.flow)
         for message in self.take_halted_messages():
             self.handle_message(message)
         self.lifecycle.kick()
@@ -1435,7 +1386,7 @@ class IdentPPController(Controller):
             "query_engine": self.query_engine.stats(),
             "lifecycle": self.lifecycle.stats(),
             "pending_flows": len(self._pending),
-            "inflight_decisions": len(self._inflight),
+            "inflight_decisions": len(self._pending),
             "serial_queue": {
                 "depth": self._serial.depth(),
                 "max_depth": self._serial.max_depth,

@@ -9,67 +9,27 @@ than their TTLs expire, so without an explicit lifecycle the working set
 grows without bound and a long-running controller eventually holds state
 for millions of dead flows.
 
-This module provides the two pieces that keep state bounded:
+Two pieces keep state bounded:
 
-* :class:`ExpiryHeap` — a lazily-invalidated min-heap of deadlines, so
-  sweeping a cache costs ``O(expired log n)`` instead of a full scan;
+* :class:`~repro.netsim.events.ExpiryHeap` — a lazily-invalidated
+  min-heap of deadlines, so sweeping a cache costs ``O(expired log n)``
+  instead of a full scan (it lives beside the simulator clock so the
+  query engine, a layer below this package, shares it);
 * :class:`LifecycleService` — a sweep scheduler that periodically runs
-  every registered reclaimer (decision cache, state table, per-switch
-  flow tables, stale pending punts) while there is state left to
-  reclaim, then goes quiet so the event queue can drain.
+  every registered reclaimer (decision cache, query engine, state
+  table, per-switch flow tables, stale pending punts) while there is
+  state left to reclaim, then goes quiet so the event queue can drain.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, Iterator, Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.events import RepeatingEvent, Simulator
 
 #: How often the lifecycle sweeps when enabled, seconds of simulated time.
 DEFAULT_SWEEP_INTERVAL = 1.0
-
-
-class ExpiryHeap:
-    """A min-heap of ``(due, key, token)`` deadlines with lazy invalidation.
-
-    Owners push a deadline whenever they (re)insert an entry; a refreshed
-    or replaced entry simply pushes a new deadline and leaves the old one
-    in the heap.  :meth:`pop_due` therefore yields *candidates*: the
-    owner must check the entry is still the one the deadline was pushed
-    for (the ``token``, typically the decision cookie) before evicting.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, tuple[object, object]]] = []
-        # Insertion-order tiebreaker keeps equal-deadline pops deterministic.
-        self._seq = itertools.count()
-
-    def push(self, due: float, key: object, token: object = None) -> None:
-        """Register that ``key`` (qualified by ``token``) expires at ``due``."""
-        heapq.heappush(self._heap, (due, next(self._seq), (key, token)))
-
-    def pop_due(self, now: float) -> Iterator[tuple[object, object]]:
-        """Yield and remove every ``(key, token)`` whose deadline has passed."""
-        heap = self._heap
-        while heap and heap[0][0] <= now:
-            _, _, payload = heapq.heappop(heap)
-            yield payload
-
-    def next_due(self) -> Optional[float]:
-        """Return the earliest pending deadline (stale ones included)."""
-        return self._heap[0][0] if self._heap else None
-
-    def clear(self) -> None:
-        """Drop all deadlines."""
-        self._heap.clear()
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class LifecycleService:

@@ -53,25 +53,22 @@ opt in via ``ControllerConfig.query_cache_ttl``.
 *subscribed* hosts: instead of pulling on every miss and aging answers
 out by TTL, the engine registers standing interest with the host's
 daemon (wire-v2 SUBSCRIBE, capability-negotiated — a legacy daemon
-refuses and the pull path above applies untouched) and keeps the host's
-shareable destination answers in a **resident store**.  Resident
-answers are authoritative-until-delta: they never expire, punts on them
-are served synchronously with **zero** daemon round-trips, and when the
-daemon pushes a serial-numbered :class:`IdentDelta` the engine drops
-and proactively *re-primes* each resident answer off the punt path — so
-convergence after an identity change costs the first post-change punt
-nothing, where the TTL plane charges it a full round trip.
-Unsubscribed hosts keep the PR 5 semantics above exactly.
+refuses and the pull path above applies untouched).  Pull versus push
+is then only the **expiry policy** an entry is stored under: a
+subscribed host's shareable destination answers are *resident* —
+``expires_at`` is :data:`UNTIL_DELTA`, so they carry no deadline, punts
+on them are served synchronously with **zero** daemon round-trips, and
+when the daemon pushes a serial-numbered :class:`IdentDelta` the engine
+proactively *re-primes* each one off the punt path — so convergence
+after an identity change costs the first post-change punt nothing,
+where the TTL policy charges it a full round trip.  Everything else
+(the one store, the one lookup, coalescing, invalidation) is shared.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 from repro.identpp.client import (
     QueryClient,
@@ -88,7 +85,7 @@ from repro.identpp.wire import (
     ROLE_DESTINATION,
     ROLE_SOURCE,
 )
-from repro.netsim.events import Future
+from repro.netsim.events import ExpiryHeap, Future
 
 #: Default TTL benchmarks/workloads use when they enable the engine.
 DEFAULT_QUERY_CACHE_TTL = 30.0
@@ -96,6 +93,10 @@ DEFAULT_QUERY_CACHE_TTL = 30.0
 #: Default idle window after which a subscribed host is demoted back to
 #: the pull plane by the lifecycle sweeper.
 DEFAULT_PUSH_IDLE_DEMOTE = 30.0
+
+#: ``expires_at`` of an entry stored under the until-delta policy: a
+#: subscribed host's resident answer has no deadline at all.
+UNTIL_DELTA = float("inf")
 
 
 @dataclass
@@ -105,7 +106,9 @@ class CacheEntry:
     ``ready_at`` is when the underlying query completes: before it the
     entry is *in flight* (lookups coalesce onto it, charged the
     remaining wait), after it the entry is a plain cache hit until
-    ``expires_at``.
+    ``expires_at`` — a TTL deadline, or :data:`UNTIL_DELTA` for a
+    subscribed host's *resident* answer, which only a pushed delta,
+    a demotion or a failover export ever removes.
     """
 
     key: tuple
@@ -123,16 +126,17 @@ class CacheEntry:
     #: so the entry must be re-proven.
     unreachable: bool = False
     topology_epoch: int = -1
-    hits: int = 0
     #: Continuations parked on an in-flight entry by the async query
     #: path: ``(future, prepared outcome)`` pairs completed together by
     #: one arrival event when the underlying answer lands at
     #: ``ready_at`` — N coalesced punts cost one event, not N timers.
+    #: Non-empty exactly while that shared event is pending.
     waiters: list = field(default_factory=list)
-    #: Whether the shared arrival event for :attr:`waiters` is armed.
-    #: Stays ``True`` after it fires: past ``ready_at`` lookups are
-    #: plain hits and never enlist.
-    arrival_armed: bool = False
+
+    @property
+    def resident(self) -> bool:
+        """Return whether the entry is held until-delta rather than by TTL."""
+        return self.expires_at == UNTIL_DELTA
 
 
 @dataclass
@@ -154,8 +158,6 @@ class PushSubscription:
     subscribed_at: float
     last_hit: float
     from_node: object = None
-    deltas_applied: int = 0
-    duplicate_deltas: int = 0
 
 
 class QueryEngine:
@@ -189,24 +191,29 @@ class QueryEngine:
         #: the controller can reset that host's promotion counter (a
         #: demoted host must re-earn residency from fresh punt history).
         self.on_demote: Optional[Callable[[str], None]] = None
+        #: The one answer store.  Pull versus push is the expiry policy
+        #: an entry carries (TTL deadline | :data:`UNTIL_DELTA`), not a
+        #: second table, so a lookup is one ``dict.get``.
         self._entries: dict[tuple, CacheEntry] = {}
-        # Lazily-invalidated min-heap of (expires_at, seq, key) so TTL
-        # sweeps and deadline queries cost O(log n), not a full scan
-        # (same pattern as core.lifecycle.ExpiryHeap; the entries dict
-        # stays the source of truth, stale heap records are skipped).
-        self._deadlines: list[tuple[float, int, tuple]] = []
-        self._seq = itertools.count()
-        # Daemons already carrying one of our invalidation listeners:
-        # host IP → (daemon, listener), the daemon held strongly — a
-        # *replaced* daemon on the same host compares non-identical and
-        # gets a fresh subscription (an id()-based set could alias after
-        # GC) — and the listener kept so it can be unregistered again.
+        # Host IP -> the keys of its entries, in fill order (a dict, not
+        # a set: delta refreshes walk it, and their order reaches the
+        # event stream).  Makes per-host invalidation, promotion and
+        # export cost O(that host's entries), and tells the one removal
+        # path when the host's last entry left.
+        self._by_host: dict[str, dict[tuple, None]] = {}
+        # How many entries are resident; the rest carry a deadline in
+        # ``_expiry`` (pushed with the deadline itself as the token, so
+        # a promoted, refreshed or replaced entry's old record is stale).
+        self._until_delta = 0
+        self._expiry = ExpiryHeap()
+        # Daemons carrying one of our invalidation listeners: host IP →
+        # (daemon, listener), hooked for exactly as long as the engine
+        # holds an entry or a subscription for the host.  The daemon is
+        # held strongly — a *replaced* daemon on the same host compares
+        # non-identical and gets a fresh listener (an id()-based set
+        # could alias after GC) — and the listener kept so it can be
+        # unregistered again.
         self._subscribed: dict[str, tuple[object, Callable[[str], None]]] = {}
-        #: The resident store: never-expiring authoritative answers for
-        #: subscribed hosts, keyed like :attr:`_entries` but *not* in
-        #: the deadline heap (resident answers are dropped by deltas and
-        #: demotion, never by a TTL sweep).
-        self._resident: dict[tuple, CacheEntry] = {}
         #: Standing subscriptions by host IP.
         self._subs: dict[str, PushSubscription] = {}
         #: Daemons that refused our SUBSCRIBE (legacy, wire v1), keyed
@@ -257,44 +264,63 @@ class QueryEngine:
         Queries carrying interceptors bypass the cache: interception is
         a per-query decision (§3.4) a warm entry must not pre-empt.
         """
-        if not self.enabled:
+        if self._bypasses_cache(interceptors):
             return self.client.query(
                 flow, role, from_node=from_node, keys=keys, interceptors=interceptors
             )
-        if interceptors:
-            self.interceptor_bypasses += 1
-            return self.client.query(
+        return self._lookup(flow, role, from_node, keys, self._now(now))[0]
+
+    def query_async(
+        self,
+        flow: FlowSpec,
+        role: str,
+        *,
+        from_node=None,
+        keys: Optional[Sequence[str]] = None,
+        interceptors: Sequence[QueryInterceptor] = (),
+        now: Optional[float] = None,
+    ) -> Future:
+        """Dispatch one endpoint query; the answer arrives as a scheduled event.
+
+        The outcome is the one :meth:`query` returns (same lookup, same
+        counters); this method only chooses *when* the
+        :class:`~repro.netsim.events.Future` carrying it completes:
+
+        * a warm hit (or negative hit) completes immediately — a cached
+          answer costs zero simulated time;
+        * an answer still on the wire (a coalescing lookup, or the miss
+          that filled the entry) parks its continuation on the entry's
+          waiter list; the one shared arrival event completes every
+          waiter when the underlying round-trip lands;
+        * a miss that cached nothing completes at
+          ``now + outcome.latency``.
+
+        This is what lets the controller overlap thousands of in-flight
+        round-trips instead of charging each as one opaque delay.
+        """
+        if self._bypasses_cache(interceptors):
+            return self.client.query_async(
                 flow, role, from_node=from_node, keys=keys, interceptors=interceptors
             )
         now = self._now(now)
-        key = self._key(flow, role, keys)
-        resident = self._resident.get(key)
-        if resident is not None:
-            # Subscribed host: the resident answer is authoritative and
-            # costs zero round trips (or, mid-refresh, the remainder of
-            # the delta-triggered re-prime already in flight).
-            outcome = self._serve(resident, flow, role, keys, now)
-            if not outcome.coalesced:
-                self._note_resident_hit(resident, now)
-            return outcome
-        entry = self._entries.get(key)
-        if entry is not None and not self._valid(entry, now):
-            del self._entries[key]
-            self.expirations += 1
-            entry = None
-        if entry is not None and entry.flow_scoped and entry.outcome.query.flow != flow:
-            # Another flow's flow-scoped answer: this flow must query
-            # fresh (the entry stays valid for its own flow's re-punts,
-            # though a refill under the same key replaces it).
-            entry = None
-        if entry is not None:
-            return self._serve(entry, flow, role, keys, now)
-        self.misses += 1
-        outcome = self.client.query(
-            flow, role, from_node=from_node, keys=keys, interceptors=interceptors
-        )
-        self._fill(key, outcome, now)
-        return outcome
+        outcome, in_flight = self._lookup(flow, role, from_node, keys, now)
+        future = Future()
+        sim = self.client.topology.sim
+        if sim is None or outcome.latency <= 0:
+            future.set_result(outcome)
+        elif in_flight is not None:
+            if not in_flight.waiters:
+                sim.schedule(
+                    in_flight.ready_at - now, self._arrival_fired, in_flight,
+                    label="identpp:answer-shared",
+                )
+            in_flight.waiters.append((future, outcome))
+        else:
+            sim.schedule(
+                outcome.latency, future.set_result, outcome,
+                label=f"identpp:answer:{role}",
+            )
+        return future
 
     def query_both_ends(
         self,
@@ -312,103 +338,7 @@ class QueryEngine:
         querier → destination, and the source-side query walks them
         reversed.
         """
-        toward_source, toward_destination = per_role_interceptors(interceptors)
-        src_outcome = self.query(
-            flow, ROLE_SOURCE, from_node=from_node, keys=keys,
-            interceptors=toward_source, now=now,
-        )
-        dst_outcome = self.query(
-            flow, ROLE_DESTINATION, from_node=from_node, keys=keys,
-            interceptors=toward_destination, now=now,
-        )
-        return src_outcome, dst_outcome
-
-    # ------------------------------------------------------------------
-    # Async queries (continuation-scheduled decision core)
-    # ------------------------------------------------------------------
-
-    def query_async(
-        self,
-        flow: FlowSpec,
-        role: str,
-        *,
-        from_node=None,
-        keys: Optional[Sequence[str]] = None,
-        interceptors: Sequence[QueryInterceptor] = (),
-        now: Optional[float] = None,
-    ) -> Future:
-        """Dispatch one endpoint query; the answer arrives as a scheduled event.
-
-        Same cache semantics (and the same counters) as :meth:`query`,
-        but the result is delivered through a
-        :class:`~repro.netsim.events.Future` completing at the instant
-        the answer is really available:
-
-        * a warm hit (or negative hit) completes immediately — a cached
-          answer costs zero simulated time;
-        * a coalescing lookup parks its continuation on the in-flight
-          entry's waiter list; the one shared arrival event completes
-          every waiter when the underlying round-trip lands;
-        * a miss issues the real query and completes at
-          ``now + outcome.latency``.
-
-        This is what lets the controller overlap thousands of in-flight
-        round-trips instead of charging each as one opaque delay.
-        """
-        if not self.enabled:
-            return self.client.query_async(
-                flow, role, from_node=from_node, keys=keys, interceptors=interceptors
-            )
-        if interceptors:
-            self.interceptor_bypasses += 1
-            return self.client.query_async(
-                flow, role, from_node=from_node, keys=keys, interceptors=interceptors
-            )
-        future = Future()
-        now = self._now(now)
-        key = self._key(flow, role, keys)
-        resident = self._resident.get(key)
-        if resident is not None:
-            outcome = self._serve(resident, flow, role, keys, now)
-            if outcome.coalesced:
-                self._enlist(resident, future, outcome, now)
-            else:
-                self._note_resident_hit(resident, now)
-                future.set_result(outcome)
-            return future
-        entry = self._entries.get(key)
-        if entry is not None and not self._valid(entry, now):
-            del self._entries[key]
-            self.expirations += 1
-            entry = None
-        if entry is not None and entry.flow_scoped and entry.outcome.query.flow != flow:
-            entry = None
-        if entry is not None:
-            outcome = self._serve(entry, flow, role, keys, now)
-            if outcome.coalesced:
-                self._enlist(entry, future, outcome, now)
-            else:
-                future.set_result(outcome)
-            return future
-        self.misses += 1
-        outcome = self.client.query(
-            flow, role, from_node=from_node, keys=keys, interceptors=interceptors
-        )
-        self._fill(key, outcome, now)
-        entry = self._entries.get(key) or self._resident.get(key)
-        sim = self.client.topology.sim
-        if entry is not None and sim is not None and entry.ready_at > now:
-            # The filler waits on the very entry it created, through the
-            # same waiter list any coalescing punt joins.
-            self._enlist(entry, future, outcome, now)
-        elif sim is not None and outcome.latency > 0:
-            sim.schedule(
-                outcome.latency, future.set_result, outcome,
-                label=f"identpp:answer:{role}",
-            )
-        else:
-            future.set_result(outcome)
-        return future
+        return self._both_ends(self.query, flow, from_node, keys, interceptors, now)
 
     def query_both_ends_async(
         self,
@@ -426,30 +356,68 @@ class QueryEngine:
         the caller can react to the faster answer without waiting for
         the slower one.
         """
-        toward_source, toward_destination = per_role_interceptors(interceptors)
-        src_future = self.query_async(
-            flow, ROLE_SOURCE, from_node=from_node, keys=keys,
-            interceptors=toward_source, now=now,
-        )
-        dst_future = self.query_async(
-            flow, ROLE_DESTINATION, from_node=from_node, keys=keys,
-            interceptors=toward_destination, now=now,
-        )
-        return src_future, dst_future
+        return self._both_ends(self.query_async, flow, from_node, keys, interceptors, now)
 
-    def _enlist(self, entry: CacheEntry, future: Future, outcome: QueryOutcome, now: float) -> None:
-        """Park a continuation on an in-flight entry's waiter list."""
-        sim = self.client.topology.sim
-        if sim is None or entry.ready_at <= now:
-            future.set_result(outcome)
-            return
-        entry.waiters.append((future, outcome))
-        if not entry.arrival_armed:
-            entry.arrival_armed = True
-            sim.schedule(
-                entry.ready_at - now, self._arrival_fired, entry,
-                label="identpp:answer-shared",
-            )
+    @staticmethod
+    def _both_ends(ask, flow, from_node, keys, interceptors, now) -> tuple:
+        toward_source, toward_destination = per_role_interceptors(interceptors)
+        return (
+            ask(
+                flow, ROLE_SOURCE, from_node=from_node, keys=keys,
+                interceptors=toward_source, now=now,
+            ),
+            ask(
+                flow, ROLE_DESTINATION, from_node=from_node, keys=keys,
+                interceptors=toward_destination, now=now,
+            ),
+        )
+
+    def _bypasses_cache(self, interceptors: Sequence[QueryInterceptor]) -> bool:
+        """Return whether a query passes straight through to the client."""
+        if not self.enabled:
+            return True
+        if interceptors:
+            self.interceptor_bypasses += 1
+            return True
+        return False
+
+    def _lookup(
+        self, flow: FlowSpec, role: str, from_node, keys: Optional[Sequence[str]], now: float
+    ) -> tuple[QueryOutcome, Optional[CacheEntry]]:
+        """Decide one query against the store: hit, negative hit, coalesce or miss.
+
+        The single place cache semantics live.  Returns the outcome
+        and, when its answer is still on the wire at ``now`` (the lookup
+        coalesced, or it missed and its fill was cached), the entry
+        whose arrival it waits on.
+        """
+        key = self._key(flow, role, keys)
+        entry = self._entries.get(key)
+        if entry is not None and not self._valid(entry, now):
+            self._discard(key)
+            self.expirations += 1
+            entry = None
+        if entry is not None and entry.flow_scoped and entry.outcome.query.flow != flow:
+            # Another flow's flow-scoped answer: this flow must query
+            # fresh (the entry stays valid for its own flow's re-punts,
+            # though a refill under the same key replaces it).
+            entry = None
+        if entry is None:
+            self.misses += 1
+            outcome = self.client.query(flow, role, from_node=from_node, keys=keys)
+            entry = self._fill(key, outcome, now)
+        else:
+            outcome = self._serve(entry, flow, role, keys, now)
+            if entry.resident and not outcome.coalesced:
+                # Subscribed host: the authoritative answer cost zero
+                # round trips; the hit also refreshes its idle clock.
+                self.resident_hits += 1
+                sub = self._subs.get(entry.host_ip)
+                if sub is not None:
+                    sub.last_hit = now
+        if entry is not None and entry.ready_at <= now:
+            entry = None
+        return outcome, entry
 
     def _arrival_fired(self, entry: CacheEntry) -> None:
         """The shared answer landed: complete every parked continuation.
@@ -513,122 +481,132 @@ class QueryEngine:
         now: float,
     ) -> QueryOutcome:
         """Build the outcome a cached (or in-flight) entry answers with."""
-        entry.hits += 1
-        query = IdentQuery(
-            flow=flow,
-            target_role=role,
-            keys=tuple(keys) if keys is not None else self.client.default_keys,
-        )
-        template = entry.outcome
-        if entry.ready_at > now:
-            # The underlying query is still outstanding: coalesce onto
-            # it.  This punt waits only for the remainder, and the one
-            # real round-trip serves everyone.
+        # While the underlying query is still outstanding the lookup
+        # coalesces onto it: this punt waits only for the remainder, and
+        # the one real round-trip serves everyone.
+        in_flight = entry.ready_at > now
+        if in_flight:
             self.coalesced += 1
-            return QueryOutcome(
-                query=query,
-                response=template.response,
-                latency=entry.ready_at - now,
-                answered_by=template.answered_by,
-                timed_out=template.timed_out,
-                unreachable=template.unreachable,
-                coalesced=True,
-                augmented_by=list(template.augmented_by),
-            )
-        if entry.negative:
+        elif entry.negative:
             self.negative_hits += 1
-            return QueryOutcome(
-                query=query,
-                response=None,
-                latency=0.0,
-                timed_out=True,
-                unreachable=template.unreachable,
-                cached=True,
-            )
-        self.hits += 1
+        else:
+            self.hits += 1
+        template = entry.outcome
         return QueryOutcome(
-            query=query,
+            query=IdentQuery(
+                flow=flow,
+                target_role=role,
+                keys=tuple(keys) if keys is not None else self.client.default_keys,
+            ),
             response=template.response,
-            latency=0.0,
+            latency=entry.ready_at - now if in_flight else 0.0,
             answered_by=template.answered_by,
-            cached=True,
+            timed_out=template.timed_out,
+            unreachable=template.unreachable,
+            cached=not in_flight,
+            coalesced=in_flight,
             augmented_by=list(template.augmented_by),
         )
 
-    def _fill(self, key: tuple, outcome: QueryOutcome, now: float) -> None:
-        """Remember a fresh outcome (and subscribe to its invalidation)."""
+    def _fill(self, key: tuple, outcome: QueryOutcome, now: float) -> Optional[CacheEntry]:
+        """Remember a fresh outcome under the expiry policy its host has earned.
+
+        Returns the stored entry, or ``None`` when the outcome is not
+        cacheable (intercepted, or its kind of TTL is off).
+        """
         if outcome.intercepted:
-            return
+            return None
         host_ip = key[0]
         ready_at = now + outcome.latency
+        daemon, flow_scoped = None, False
         if outcome.timed_out:
             if self.negative_ttl <= 0.0:
-                return
+                return None
             expires_at = ready_at + self.negative_ttl
-            self._entries[key] = CacheEntry(
+        else:
+            if self.ttl <= 0.0 and not self.push:
+                return None
+            daemon = getattr(self.client.topology.node_for_ip(host_ip), "identpp_daemon", None)
+            # Source answers name the one process that opened the flow,
+            # and a destination answer may carry flow-published pairs or
+            # a per-connection worker's identity: such entries serve only
+            # their own flow.  A listener's flow-independent answer shares.
+            flow_scoped = (
+                outcome.query.target_role == ROLE_SOURCE
+                or daemon is None
+                or not daemon.answer_is_shareable(outcome.query)
+            )
+            if self.push and not flow_scoped and host_ip in self._subs:
+                # Subscribed host: the fresh shareable answer is resident
+                # — authoritative until the daemon pushes a delta.
+                expires_at = UNTIL_DELTA
+                self.resident_fills += 1
+            elif self.ttl > 0.0:
+                expires_at = ready_at + self.ttl
+            else:
+                return None
+        entry = self._store(
+            CacheEntry(
                 key=key,
                 host_ip=host_ip,
                 outcome=outcome,
                 ready_at=ready_at,
                 expires_at=expires_at,
-                negative=True,
+                negative=outcome.timed_out,
+                flow_scoped=flow_scoped,
                 unreachable=outcome.unreachable,
                 topology_epoch=self.client.topology.mutation_epoch,
             )
-            heapq.heappush(self._deadlines, (expires_at, next(self._seq), key))
-            return
-        if self.ttl <= 0.0 and not self.push:
-            return
-        daemon = getattr(self.client.topology.node_for_ip(host_ip), "identpp_daemon", None)
-        # Source answers name the one process that opened the flow, and
-        # a destination answer may carry flow-published pairs or a
-        # per-connection worker's identity: such entries serve only
-        # their own flow.  A listener's flow-independent answer shares.
-        flow_scoped = (
-            outcome.query.target_role == ROLE_SOURCE
-            or daemon is None
-            or not daemon.answer_is_shareable(outcome.query)
         )
-        if self.push and not flow_scoped and host_ip in self._subs:
-            # Subscribed host: the fresh shareable answer becomes
-            # *resident* — authoritative until the daemon pushes a
-            # delta, never TTL-expired, kept out of the deadline heap.
-            self._resident[key] = CacheEntry(
-                key=key,
-                host_ip=host_ip,
-                outcome=outcome,
-                ready_at=ready_at,
-                expires_at=float("inf"),
-            )
-            self.resident_fills += 1
-            self._subscribe(host_ip, daemon)
-            return
-        if self.ttl <= 0.0:
-            return
-        expires_at = ready_at + self.ttl
-        self._entries[key] = CacheEntry(
-            key=key,
-            host_ip=host_ip,
-            outcome=outcome,
-            ready_at=ready_at,
-            expires_at=expires_at,
-            flow_scoped=flow_scoped,
-        )
-        heapq.heappush(self._deadlines, (expires_at, next(self._seq), key))
         if daemon is not None:
-            self._subscribe(host_ip, daemon)
+            self._listen(host_ip, daemon)
+        return entry
 
-    def _note_resident_hit(self, entry: CacheEntry, now: float) -> None:
-        """Count one resident-store hit and refresh the host's idle clock."""
-        self.resident_hits += 1
-        sub = self._subs.get(entry.host_ip)
-        if sub is not None:
-            sub.last_hit = now
+    def _store(self, entry: CacheEntry) -> CacheEntry:
+        """The one insertion path; an entry under the same key is replaced."""
+        replaced = self._entries.get(entry.key)
+        if replaced is not None and replaced.resident:
+            self._until_delta -= 1
+        self._entries[entry.key] = entry
+        self._by_host.setdefault(entry.host_ip, {})[entry.key] = None
+        if entry.resident:
+            self._until_delta += 1
+        else:
+            self._expiry.push(entry.expires_at, entry.key, entry.expires_at)
+        return entry
 
-    def _subscribe(self, host_ip: str, daemon) -> None:
+    def _discard(self, key: tuple) -> None:
+        """The one removal path: expiry, invalidation, demotion and export.
+
+        Dropping a host's last entry also drops the engine's hold on
+        that host's daemon (see :meth:`_release_host`).
+        """
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return
+        if entry.resident:
+            self._until_delta -= 1
+        keys = self._by_host[entry.host_ip]
+        del keys[key]
+        if not keys:
+            del self._by_host[entry.host_ip]
+            self._release_host(entry.host_ip)
+
+    def _deadline_live(self, key: tuple, due: float) -> bool:
+        """Return whether a heap record still names its entry's deadline."""
+        entry = self._entries.get(key)
+        return entry is not None and entry.expires_at == due
+
+    def _held_until_delta(self, host_ip: str) -> list[CacheEntry]:
+        """Return one host's resident entries, in fill order."""
+        entries = self._entries
+        return [
+            entries[key] for key in self._by_host.get(host_ip, ()) if entries[key].resident
+        ]
+
+    def _listen(self, host_ip: str, daemon) -> None:
         """Hook this engine into the answering daemon's invalidation fan-out."""
-        ip = str(host_ip)
-        current = self._subscribed.get(ip)
+        current = self._subscribed.get(host_ip)
         if current is not None and current[0] is daemon:
             return
         if current is not None:
@@ -636,21 +614,29 @@ class QueryEngine:
             # so it cannot strand a listener on the dead daemon.
             current[0].remove_invalidation_listener(current[1])
 
-        def listener(reason: str, _ip=ip) -> None:
+        def listener(reason: str, _ip=host_ip) -> None:
             self.invalidate_host(_ip, reason)
 
-        self._subscribed[ip] = (daemon, listener)
+        self._subscribed[host_ip] = (daemon, listener)
         daemon.add_invalidation_listener(listener)
 
-    def _unlisten(self, host_ip: str) -> None:
-        """Unregister this engine's invalidation listener from one daemon."""
-        record = self._subscribed.pop(str(host_ip), None)
+    def _release_host(self, host_ip: str) -> None:
+        """Unhook the invalidation listener once nothing is held for a host.
+
+        The listener's lifetime is "the engine holds any entry or
+        subscription for this host": while either exists a daemon event
+        must reach us, and once neither does the daemon must not keep a
+        reference to this engine (nor we to the daemon).
+        """
+        if host_ip in self._by_host or host_ip in self._subs:
+            return
+        record = self._subscribed.pop(host_ip, None)
         if record is not None:
             daemon, listener = record
             daemon.remove_invalidation_listener(listener)
 
     # ------------------------------------------------------------------
-    # Push plane: standing subscriptions + the resident store
+    # Push plane: standing subscriptions + the until-delta policy
     # ------------------------------------------------------------------
 
     def subscribe_host(
@@ -682,9 +668,7 @@ class QueryEngine:
             # no longer attached to the host.  Close the dead
             # subscription (and its now-unauthoritative answers) and
             # negotiate with the new daemon from scratch.
-            existing.daemon.unsubscribe(self.name)
-            self._drop_resident(ip)
-            del self._subs[ip]
+            self._close_subscription(ip)
         if self._push_refused.get(ip) is daemon:
             return False
         if (
@@ -710,23 +694,23 @@ class QueryEngine:
             from_node=from_node,
         )
         self.subscriptions_opened += 1
-        self._subscribe(ip, daemon)
+        self._listen(ip, daemon)
         # Shareable answers fetched just before the promotion are still
         # authoritative — any daemon event since their fill would have
-        # dropped them through the invalidation listener — so upgrade
-        # them in place.  The flash-crowd case depends on this: the hot
-        # answer usually fills on the punt *before* the one that trips
-        # the promotion threshold, and without the upgrade the first
-        # steady-state wave would pay one more TTL round-trip.
-        for key, entry in list(self._entries.items()):
-            if entry.host_ip != ip or entry.negative or entry.flow_scoped:
+        # dropped them through the invalidation listener — so their
+        # expiry policy is upgraded in place (the old deadline record in
+        # the heap goes stale).  The flash-crowd case depends on this:
+        # the hot answer usually fills on the punt *before* the one that
+        # trips the promotion threshold, and without the upgrade the
+        # first steady-state wave would pay one more TTL round-trip.
+        for key in self._by_host.get(ip, ()):
+            entry = self._entries[key]
+            if entry.negative or entry.flow_scoped:
                 continue
-            if now >= entry.expires_at:
-                continue
-            del self._entries[key]
-            entry.expires_at = float("inf")
-            self._resident[key] = entry
-            self.resident_fills += 1
+            if now < entry.expires_at < UNTIL_DELTA:
+                entry.expires_at = UNTIL_DELTA
+                self._until_delta += 1
+                self.resident_fills += 1
         return True
 
     def unsubscribe_host(self, host_ip) -> bool:
@@ -741,25 +725,23 @@ class QueryEngine:
         existed.
         """
         ip = str(host_ip)
-        sub = self._subs.pop(ip, None)
-        if sub is None:
+        if self._close_subscription(ip) is None:
             return False
-        sub.daemon.unsubscribe(self.name)
-        self._drop_resident(ip)
-        if not any(entry.host_ip == ip for entry in self._entries.values()):
-            self._unlisten(ip)
         self.subscriptions_closed += 1
         if self.on_demote is not None:
             self.on_demote(ip)
         return True
 
-    def _drop_resident(self, host_ip: str) -> int:
-        """Evict one host's resident answers; returns how many."""
-        ip = str(host_ip)
-        stale = [key for key, entry in self._resident.items() if entry.host_ip == ip]
-        for key in stale:
-            del self._resident[key]
-        return len(stale)
+    def _close_subscription(self, host_ip: str) -> Optional[PushSubscription]:
+        """Cancel one host's delta sink and end the residency of its answers."""
+        sub = self._subs.pop(host_ip, None)
+        if sub is None:
+            return None
+        sub.daemon.unsubscribe(self.name)
+        for entry in self._held_until_delta(host_ip):
+            self._discard(entry.key)
+        self._release_host(host_ip)
+        return sub
 
     def _on_delta(self, delta: IdentDelta) -> None:
         """Apply one pushed delta: drop + proactively re-prime residents.
@@ -774,16 +756,14 @@ class QueryEngine:
             return
         if delta.serial <= sub.serial:
             self.duplicate_deltas += 1
-            sub.duplicate_deltas += 1
             return
         sub.serial = delta.serial
-        sub.deltas_applied += 1
         self.deltas_applied += 1
         now = self._now(None)
-        for entry in [e for e in self._resident.values() if e.host_ip == sub.host_ip]:
-            self._refresh_resident(sub, entry, now)
+        for entry in self._held_until_delta(sub.host_ip):
+            self._reprime(sub, entry, now)
 
-    def _refresh_resident(
+    def _reprime(
         self, sub: PushSubscription, entry: CacheEntry, now: float
     ) -> None:
         """Replace one resident answer off the punt path.
@@ -810,14 +790,16 @@ class QueryEngine:
             or daemon is None
             or not daemon.answer_is_shareable(outcome.query)
         ):
-            self._resident.pop(entry.key, None)
+            self._discard(entry.key)
             return
-        self._resident[entry.key] = CacheEntry(
-            key=entry.key,
-            host_ip=entry.host_ip,
-            outcome=outcome,
-            ready_at=now + outcome.latency,
-            expires_at=float("inf"),
+        self._store(
+            CacheEntry(
+                key=entry.key,
+                host_ip=entry.host_ip,
+                outcome=outcome,
+                ready_at=now + outcome.latency,
+                expires_at=UNTIL_DELTA,
+            )
         )
 
     def demote_idle(self, now: float) -> int:
@@ -832,10 +814,6 @@ class QueryEngine:
         for ip in idle:
             self.unsubscribe_host(ip)
         return len(idle)
-
-    def demotable_count(self) -> int:
-        """Return how many subscriptions a sweep could ever demote."""
-        return len(self._subs)
 
     def next_demotion(self) -> Optional[float]:
         """Return the earliest instant a subscription can go idle-demoted."""
@@ -856,20 +834,16 @@ class QueryEngine:
         Returns one record per subscription — host, last applied delta
         serial, the querying node and the resident entries — in the
         shape :meth:`adopt_push_state` consumes on the successor shard.
-        The dying engine's delta sinks and invalidation listeners are
-        all unregistered, so re-homing never leaves a daemon streaming
-        deltas at a dead shard.
+        The dying engine's delta sinks are all cancelled, so re-homing
+        never leaves a daemon streaming deltas at a dead shard; a host's
+        invalidation listener goes with them unless TTL entries for the
+        host stay behind — those must keep hearing the daemon, or a
+        revived shard would serve them stale.
         """
         records: list[dict] = []
         for ip in list(self._subs):
-            sub = self._subs.pop(ip)
-            sub.daemon.unsubscribe(self.name)
-            entries = [
-                self._resident.pop(key)
-                for key, entry in list(self._resident.items())
-                if entry.host_ip == ip
-            ]
-            self._unlisten(ip)
+            entries = self._held_until_delta(ip)
+            sub = self._close_subscription(ip)
             records.append(
                 {
                     "host_ip": ip,
@@ -889,7 +863,7 @@ class QueryEngine:
         answers install verbatim (no deltas were lost, and the serial
         guard in :meth:`_on_delta` rejects any replayed ones); if the
         serials diverged, the answers are conservatively re-primed
-        through :meth:`_refresh_resident`, so the successor is resident
+        through :meth:`_reprime`, so the successor is resident
         — or resident-in-flight — before the re-punted backlog arrives.
         Returns how many subscriptions were adopted.
         """
@@ -912,10 +886,9 @@ class QueryEngine:
                 # transfer: its futures belong to decision tasks that
                 # were exported separately (or died with the shard).
                 entry.waiters = []
-                entry.arrival_armed = False
-                self._resident[entry.key] = entry
+                self._store(entry)
                 if not fresh:
-                    self._refresh_resident(sub, entry, now)
+                    self._reprime(sub, entry, now)
         return adopted
 
     # ------------------------------------------------------------------
@@ -937,68 +910,47 @@ class QueryEngine:
         ``Controller.quarantine_host`` does.
         """
         ip = str(host_ip)
-        stale = [key for key, entry in self._entries.items() if entry.host_ip == ip]
-        for key in stale:
-            del self._entries[key]
-        removed = len(stale)
-        if ip not in self._subs:
-            removed += self._drop_resident(ip)
+        subscribed = ip in self._subs
+        removed = 0
+        for key in list(self._by_host.get(ip, ())):
+            if subscribed and self._entries[key].resident:
+                continue
+            self._discard(key)
+            removed += 1
         self.invalidation_events += 1
         self.invalidated_entries += removed
-        return removed
-
-    def clear(self) -> int:
-        """Drop every entry (TTL and resident); returns how many were removed.
-
-        Subscriptions stay open: the next punt on a subscribed host
-        re-primes its resident answers.
-        """
-        removed = len(self._entries) + len(self._resident)
-        self._entries.clear()
-        self._resident.clear()
-        self._deadlines.clear()
         return removed
 
     def expire(self, now: float) -> int:
         """Reclaim entries past their TTL (lifecycle-sweep hook).
 
         Heap-driven: costs ``O(expired log n)``, not a full scan.
-        Popped deadlines whose entry was already invalidated, refreshed
-        or lookup-expired are skipped (lazy invalidation).
+        Popped deadlines whose entry was already invalidated, promoted,
+        refreshed or lookup-expired are skipped (lazy invalidation).
         """
         removed = 0
-        heap = self._deadlines
-        while heap and heap[0][0] <= now:
-            due, _, key = heapq.heappop(heap)
-            entry = self._entries.get(key)
-            if entry is not None and entry.expires_at == due:
-                del self._entries[key]
+        for key, due in self._expiry.pop_due(now):
+            if self._deadline_live(key, due):
+                self._discard(key)
                 removed += 1
         self.expirations += removed
         return removed
 
     def expirable_count(self) -> int:
         """Return how many entries a sweep could ever reclaim."""
-        return len(self._entries)
+        return len(self)
 
     def next_expiry(self) -> Optional[float]:
         """Return the earliest live entry deadline (lifecycle scheduling hook)."""
-        heap = self._deadlines
-        while heap:
-            due, _, key = heap[0]
-            entry = self._entries.get(key)
-            if entry is None or entry.expires_at != due:
-                heapq.heappop(heap)
-                continue
-            return due
-        return None
+        return self._expiry.next_due(self._deadline_live)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Return how many entries carry a TTL deadline (resident ones excluded)."""
+        return len(self._entries) - self._until_delta
 
     def lookups(self) -> int:
         """Return how many queries were requested through the engine."""
@@ -1046,7 +998,7 @@ class QueryEngine:
 
         return {
             "enabled": self.enabled,
-            "entries": len(self._entries),
+            "entries": len(self),
             "lookups": total,
             "hits": self.hits,
             "misses": self.misses,
@@ -1062,7 +1014,7 @@ class QueryEngine:
             "ttl": self.ttl,
             "negative_ttl": self.negative_ttl,
             "push": self.push,
-            "resident_entries": len(self._resident),
+            "resident_entries": self._until_delta,
             "subscriptions": len(self._subs),
             "resident_hits": self.resident_hits,
             "resident_fills": self.resident_fills,
@@ -1079,5 +1031,5 @@ class QueryEngine:
     def __repr__(self) -> str:
         return (
             f"QueryEngine({self.name!r}, ttl={self.ttl}, "
-            f"entries={len(self._entries)})"
+            f"entries={len(self)})"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.exceptions import SimulationError
 from repro.netsim.sanitizer import SimulationSanitizer
@@ -181,6 +181,58 @@ class RepeatingEvent:
         self.fires += 1
         if self.callback() and not self._cancelled:
             self.start()
+
+
+class ExpiryHeap:
+    """A min-heap of ``(due, key, token)`` deadlines with lazy invalidation.
+
+    Owners push a deadline whenever they (re)insert an entry; a refreshed
+    or replaced entry simply pushes a new deadline and leaves the old one
+    in the heap.  :meth:`pop_due` therefore yields *candidates*: the
+    owner must check the entry is still the one the deadline was pushed
+    for (the ``token``, typically the decision cookie) before evicting.
+    """
+
+    __slots__ = ("_heap", "_seq")
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, tuple[object, object]]] = []
+        # Insertion-order tiebreaker keeps equal-deadline pops deterministic.
+        self._seq = itertools.count()
+
+    def push(self, due: float, key: object, token: object = None) -> None:
+        """Register that ``key`` (qualified by ``token``) expires at ``due``."""
+        heapq.heappush(self._heap, (due, next(self._seq), (key, token)))
+
+    def pop_due(self, now: float) -> Iterator[tuple[object, object]]:
+        """Yield and remove every ``(key, token)`` whose deadline has passed."""
+        heap = self._heap
+        while heap and heap[0][0] <= now:
+            _, _, payload = heapq.heappop(heap)
+            yield payload
+
+    def next_due(
+        self, is_live: Optional[Callable[[object, object], bool]] = None
+    ) -> Optional[float]:
+        """Return the earliest pending deadline.
+
+        Without ``is_live`` stale deadlines are included (a sweep woken
+        by one is a harmless no-op).  With it, leading records whose
+        ``is_live(key, token)`` is false are discarded first, so the
+        answer is the earliest deadline of an entry that still exists.
+        """
+        heap = self._heap
+        if is_live is not None:
+            while heap and not is_live(*heap[0][2]):
+                heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def clear(self) -> None:
+        """Drop all deadlines."""
+        self._heap.clear()
+
+    def __len__(self) -> int:
+        return len(self._heap)
 
 
 class Simulator:

@@ -209,9 +209,9 @@ class TestFailover:
         net.cluster.kill(owner)
         net.run(0.5)
         assert net.cluster.repunted_flows == 1
-        deadline_events = net.cluster.replicas[successor]._pending_deadline_events
-        if net.cluster.replicas[successor].pending_flows():
-            assert flow in deadline_events
+        adopter = net.cluster.replicas[successor]
+        if adopter.pending_flows():
+            assert adopter._pending[flow].deadline is not None
         net.stop_monitoring()
         net.run()
         assert net.cluster.pending_total() == 0
@@ -522,3 +522,75 @@ class TestPushSubscriptionRehoming:
         assert int(daemon.queries_answered.value) == answered_before
         net.run()
         assert_zero_loss(net, flows)
+
+    def test_restored_shard_does_not_serve_a_stale_ttl_answer(self):
+        # Cache coherence across kill -> fail_over -> restore: the
+        # victim's subscription is exported, but the TTL entries it
+        # keeps for the same host must still hear the daemon, or the
+        # revived shard decides a re-punt on the pre-change answer.
+        client_ip = "192.168.0.10"
+        net = build_network(
+            controller_config=ControllerConfig(
+                identity_plane="push",
+                push_promote_punts=1,
+                query_cache_ttl=30.0,
+                # Short decision/flow-entry lifetimes so the same
+                # 5-tuple is punted and decided again after the restore.
+                decision_ttl=0.2,
+                idle_timeout=0.2,
+            )
+        )
+        net.set_policy({
+            "00-default.control": (
+                "block all\n"
+                "pass from any to any port 80 keep state\n"
+                "pass from any to any port 8080 with eq(@src[os-patch], MS08-067)\n"
+            ),
+        })
+        client, server = net.host("client"), net.host("server")
+        daemon = net.daemon("server")
+        # The victim must not be the server's identity owner: resync
+        # re-subscribes the owner on restore, which would re-hook the
+        # listener and mask the leak.
+        identity_owner = net.cluster.shard_map.owner_of_key(identity_key(self.SERVER_IP))
+        victim = next(n for n in sorted(net.cluster.replicas) if n != identity_owner)
+
+        def flow_owned_by_victim(host, app, user, dst_ip, dst_port):
+            for _ in range(256):
+                packet, _, _ = host.open_flow(app, user, dst_ip, dst_port, send=False)
+                if net.cluster.shard_map.owner(FlowSpec.from_packet(packet)) == victim:
+                    return packet
+            raise AssertionError("no flow hashed to the victim shard")
+
+        # One punt toward the server promotes it on the victim...
+        client.transmit(flow_owned_by_victim(client, "http", "alice", self.SERVER_IP, 80))
+        net.run(0.5)
+        engine = net.cluster.replicas[victim].query_engine
+        assert engine.is_subscribed(self.SERVER_IP)
+        # ...and a flow *from* the server leaves a flow-scoped TTL entry
+        # keyed on the subscribed host (blocked: the fact is not set yet).
+        packet = flow_owned_by_victim(server, "http", "root", client_ip, 8080)
+        flow = FlowSpec.from_packet(packet)
+        server.transmit(packet)
+        net.run(0.5)
+        records = net.cluster.replicas[victim].audit.records()
+        assert [r.action for r in records if r.flow == flow] == ["block"]
+
+        net.start_monitoring()
+        net.cluster.kill(victim)
+        net.run(1.0)
+        net.stop_monitoring()
+        assert net.cluster.failovers == 1
+        assert not engine.is_subscribed(self.SERVER_IP)
+        net.cluster.restore(victim)
+        assert not engine.is_subscribed(self.SERVER_IP)
+
+        daemon.set_host_fact("os-patch", "MS08-067")
+        server.transmit(packet)
+        net.run(0.5)
+        records = net.cluster.replicas[victim].audit.records()
+        assert [r.action for r in records if r.flow == flow and not r.cached] == [
+            "block", "pass",
+        ]
+        net.run()
+        assert net.cluster.pending_total() == 0

@@ -4,7 +4,7 @@ Covers the serialized decision loop as a *real* event-scheduled queue
 (the closed-form regression against the old ``_busy_until`` arithmetic),
 the serial-baseline core, the engine's async query path (immediate hits,
 coalesced waiters, scheduled misses), the opt-in non-blocking controller
-inbox, the O(1) uncovered-pending probe, and the failover guarantee that
+inbox, the uncovered-pending probe, and the failover guarantee that
 flows dying *between* query dispatch and answer arrival are re-punted to
 a successor exactly once.
 """
@@ -277,14 +277,15 @@ class TestUncoveredPendingProbe:
         open_flows(net, 3)
         net.run(0.0003)  # punts delivered, queries in flight
         controller = net.controller
-        assert len(controller._pending_since) == 3
+        assert controller.pending_depth() == 3
         assert controller._uncovered_pending_count() == len(controller._uncovered_pending()) == 0
         # Tamper with one armed deadline the way the churn test's chaos
         # harness does: the probe must notice exactly what the scan sees.
-        flow = next(iter(controller._pending_deadline_events))
-        controller._pending_deadline_events.pop(flow).cancel()
+        task = next(iter(controller._pending.values()))
+        task.deadline.cancel()
+        task.deadline = None
         assert controller._uncovered_pending_count() == 1
-        assert controller._uncovered_pending() == [flow]
+        assert controller._uncovered_pending() == [task]
         net.run()
         assert controller._uncovered_pending_count() == 0
 
@@ -315,7 +316,7 @@ class TestMidQueryKillFailover:
         dead = net.cluster.replicas[owner]
         assert dead.pending_flows() == [flow]
         assert dead.inflight_count() == 1
-        [task] = dead._inflight.values()
+        [task] = dead._pending.values()
         assert task.stage == "query"  # answers genuinely still in flight
 
         net.start_monitoring()

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core import ExpiryHeap
 from repro.core.cache import DecisionCache
 from repro.core.controller import ControllerConfig
-from repro.core.lifecycle import ExpiryHeap, LifecycleService
+from repro.core.lifecycle import LifecycleService
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.events import Simulator
@@ -254,7 +255,7 @@ class TestFailClosedPuntPipeline:
             network_flow_state(net), {"pending": 0, "buffered": 0}
         )
         assert bounded.passed, bounded.violations
-        assert controller._pending_deadline_events == {}
+        assert controller.pending_flows() == []
         errors = [r for r in controller.audit.records() if r.rule_origin == "error"]
         assert len(errors) == 1
         assert errors[0].action == "block"
@@ -296,10 +297,11 @@ class TestFailClosedPuntPipeline:
         controller._complete_decision = lambda *args, **kwargs: None  # decision lost
         net.host("client").open_flow("http", "alice", "192.168.1.1", 80)
         net.run(duration=0.1)
-        (flow,) = controller._pending
+        (task,) = controller._pending.values()
         # Simulate the event being lost: cancel and forget it.
-        controller._pending_deadline_events.pop(flow).cancel()
-        assert controller._uncovered_pending() == [flow]
+        task.deadline.cancel()
+        task.deadline = None
+        assert controller._uncovered_pending() == [task]
         assert controller._next_pending_deadline() is not None
         swept = controller.lifecycle.sweep(net.topology.sim.now + 1.0)
         assert swept["pending"] == 1
@@ -309,7 +311,7 @@ class TestFailClosedPuntPipeline:
         net = build_network()
         net.send_flow("client", "http", "alice", "192.168.1.1", 80)
         controller = net.controller
-        assert controller._pending_deadline_events == {}
+        assert controller.pending_flows() == [] and controller.inflight_count() == 0
         assert controller.pending_expired == 0
 
 

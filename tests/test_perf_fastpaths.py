@@ -232,30 +232,34 @@ class TestControllerFlushIsolation:
                 self._decision_queue = []
                 self._flush_scheduled = False
                 self.halted = False
-                # The real flush skips flows whose punt generation no
-                # longer matches; here every queued flow is current.
-                self._pending_since = {}
+                self.sim = None
+                # The real flush skips tasks superseded in the pending
+                # table; here every queued task is current.
+                self._pending = {}
                 self.finished = []
                 self.failed_closed = []
 
-            def _finish_decision(self, entry, decision):
-                self.finished.append((entry[0], decision.action))
+            def _finish_decision(self, task, decision):
+                self.finished.append((task.flow, decision.action))
 
-            def _fail_closed(self, entry, error):
-                self.failed_closed.append((entry[0], error))
+            def _fail_closed(self, task, error):
+                self.failed_closed.append((task.flow, error))
 
             _flush_decisions = _real._flush_decisions
+            _is_stale = _real._is_stale
+
+        from repro.core.controller import DecisionTask
 
         controller = FakeController(engine)
         good_a = FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1000, 80)
         bad = FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1001, 81)
         good_b = FlowSpec.tcp("1.1.1.1", "2.2.2.3", 1002, 80)
-        controller._decision_queue = [
-            (good_a, None, None, [], 0.0),
-            (bad, None, None, [], 0.0),
-            (good_b, None, None, [], 0.0),
+        tasks = [
+            DecisionTask(flow=flow, arrival=0.0, switch=None, punts=[])
+            for flow in (good_a, bad, good_b)
         ]
-        controller._pending_since = {good_a: 0.0, bad: 0.0, good_b: 0.0}
+        controller._decision_queue = list(tasks)
+        controller._pending = {task.flow: task for task in tasks}
         from repro.exceptions import PFEvalError
 
         controller._flush_decisions()

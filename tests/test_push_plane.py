@@ -28,7 +28,7 @@ from repro.identpp.wire import (
 )
 from repro.workloads.invariants import check_bounded_state, network_flow_state
 
-from tests.test_query_engine import build_world, flow_to_server
+from tests.test_query_engine import both_entry_points, build_world, flow_to_server
 
 POLICY = {"00.control": "block all\npass from any to any port 80 keep state\n"}
 
@@ -178,13 +178,14 @@ def make_engine(topo, *, ttl=5.0, push=True, **kwargs):
 
 
 class TestEnginePush:
-    def test_promotion_upgrades_fresh_ttl_entries_in_place(self):
+    @both_entry_points
+    def test_promotion_upgrades_fresh_ttl_entries_in_place(self, ask):
         # The hot answer usually fills *before* the punt that trips the
         # promotion threshold: subscribing must upgrade it, or the next
         # steady-state punt pays one more TTL round-trip.
         topo, switch, _, server, daemon = build_world()
         engine = make_engine(topo)
-        engine.query(flow_to_server(), "dst", from_node=switch)
+        ask(engine, flow_to_server(), "dst", from_node=switch)
         assert int(daemon.queries_answered.value) == 1
         assert engine.stats()["resident_entries"] == 0
 
@@ -193,19 +194,20 @@ class TestEnginePush:
         assert engine.stats()["resident_entries"] == 1
 
         topo.sim.run(until=topo.sim.now + 1.0)  # let the fill's round trip land
-        outcome = engine.query(flow_to_server(41000), "dst", from_node=switch)
+        outcome = ask(engine, flow_to_server(41000), "dst", from_node=switch)
         assert outcome.succeeded()
         assert engine.resident_hits == 1
         assert int(daemon.queries_answered.value) == 1  # no new round trip
 
-    def test_resident_answers_never_expire_by_ttl(self):
+    @both_entry_points
+    def test_resident_answers_never_expire_by_ttl(self, ask):
         topo, switch, _, server, daemon = build_world()
         engine = make_engine(topo, ttl=0.5)
         assert engine.subscribe_host(server.ip) is True
-        engine.query(flow_to_server(), "dst", from_node=switch)
+        ask(engine, flow_to_server(), "dst", from_node=switch)
         assert int(daemon.queries_answered.value) == 1
         topo.sim.run(until=topo.sim.now + 10.0)
-        engine.query(flow_to_server(41000), "dst", from_node=switch)
+        ask(engine, flow_to_server(41000), "dst", from_node=switch)
         assert int(daemon.queries_answered.value) == 1
         assert engine.resident_hits == 1
 
@@ -232,15 +234,23 @@ class TestEnginePush:
         assert engine.subscribe_host(client.ip) is False
         assert engine.subscription_count() == 1
 
-    def test_delta_refreshes_resident_and_duplicates_are_dropped(self):
+    @both_entry_points
+    def test_delta_refreshes_resident_and_duplicates_are_dropped(self, ask):
         topo, switch, _, server, daemon = build_world()
         engine = make_engine(topo)
         assert engine.subscribe_host(server.ip) is True
-        engine.query(flow_to_server(), "dst", from_node=switch)
+        ask(engine, flow_to_server(), "dst", from_node=switch)
         topo.sim.run(until=topo.sim.now + 1.0)  # let the fill's round trip land
         assert engine.stats()["resident_entries"] == 1
 
         daemon.set_host_fact("os-patch", "MS08-067")
+        # A punt landing mid-refresh coalesces onto the re-prime the
+        # delta already put on the wire — never the pre-delta answer,
+        # and not counted as a resident hit until it has arrived.
+        mid = ask(engine, flow_to_server(40500), "dst", from_node=switch)
+        assert mid.coalesced and 0 < mid.latency
+        assert mid.response.document.latest("os-patch") == "MS08-067"
+        assert engine.resident_hits == 0
         topo.sim.run(until=topo.sim.now + 1.0)
         sub = engine._subs[str(server.ip)]
         assert sub.serial == daemon.delta_serial
@@ -248,7 +258,7 @@ class TestEnginePush:
         assert engine.stats()["resident_entries"] == 1
         # The refreshed resident answer carries the new fact — punts
         # converge without a daemon round trip on the punt path.
-        outcome = engine.query(flow_to_server(41000), "dst", from_node=switch)
+        outcome = ask(engine, flow_to_server(41000), "dst", from_node=switch)
         assert outcome.response.document.latest("os-patch") == "MS08-067"
 
         # A replayed delta (serial already applied) is a no-op.
@@ -275,6 +285,23 @@ class TestEnginePush:
         assert len(daemon._invalidation_listeners) == 0
         assert engine.stats()["resident_entries"] == 0
         assert engine.unsubscribe_host(server.ip) is False
+
+        # The same holds when a host's last TTL entry leaves by expiry:
+        # through the sweep...
+        pull = make_engine(topo, ttl=5.0, push=False)
+        pull.query(flow_to_server(), "dst", from_node=switch, now=0.0)
+        assert len(daemon._invalidation_listeners) == 1
+        assert pull.expire(now=100.0) == 1
+        assert len(daemon._invalidation_listeners) == 0
+        assert pull._subscribed == {}
+        # ...or through a lookup that finds it expired (the refill
+        # hooks a fresh listener; invalidating it unhooks again).
+        pull.query(flow_to_server(), "dst", from_node=switch, now=200.0)
+        pull.query(flow_to_server(41000), "dst", from_node=switch, now=300.0)
+        assert pull.expirations == 2 and len(pull) == 1
+        assert len(daemon._invalidation_listeners) == 1
+        assert pull.invalidate_host(server.ip) == 1
+        assert len(daemon._invalidation_listeners) == 0
 
     def test_idle_demotion_sweeps_only_idle_subscriptions(self):
         topo, switch, _, server, daemon = build_world()
@@ -343,6 +370,32 @@ class TestEnginePush:
         outcome = second.query(flow_to_server(41000), "dst", from_node=switch)
         assert outcome.response.document.latest("os-patch") == "MS08-067"
         assert second._subs[str(server.ip)].serial == daemon.delta_serial
+
+    def test_export_keeps_hearing_the_daemon_for_ttl_entries_left_behind(self):
+        # Cache coherence across failover: exporting the subscription
+        # must not unhook the invalidation listener while TTL entries
+        # for the host stay behind, or a restored shard serves them
+        # stale after the daemon changed.
+        topo, switch, client, server, daemon = build_world()
+        engine = make_engine(topo, ttl=30.0)
+        assert engine.subscribe_host(server.ip) is True
+        # A flow-scoped TTL entry keyed on the subscribed host: the
+        # server is this flow's *source*, and source answers never go
+        # resident.
+        reverse = FlowSpec.tcp(server.ip, client.ip, 80, 40000)
+        first = engine.query(reverse, "src", from_node=switch)
+        assert first.succeeded() and len(engine) == 1
+
+        records = engine.export_push_state()
+        assert [r["host_ip"] for r in records] == [server.ip]
+        assert daemon.subscriber_count() == 0
+        assert len(daemon._invalidation_listeners) == 1  # the TTL entry's
+
+        daemon.set_host_fact("os-patch", "MS08-067")
+        topo.sim.run(until=topo.sim.now + 1.0)
+        again = engine.query(reverse, "src", from_node=switch)
+        assert not again.cached
+        assert again.document.latest("os-patch") == "MS08-067"
 
 
 # ----------------------------------------------------------------------

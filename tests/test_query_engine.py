@@ -78,6 +78,57 @@ class NamedInterceptor:
 
 
 # ----------------------------------------------------------------------
+# Entry-point parity: ``query`` and ``query_async`` are one lookup
+# ----------------------------------------------------------------------
+
+
+def _ask_sync(engine, *args, **kwargs):
+    return engine.query(*args, **kwargs)
+
+
+def _ask_async(engine, *args, **kwargs):
+    future = engine.query_async(*args, **kwargs)
+    engine.client.topology.sim.run()  # deliver the answer event, if any
+    return future.result()
+
+
+def both_entry_points(test):
+    """Run one cache-state test through ``query`` and through ``query_async``.
+
+    The test issues its lookups as ``ask(engine, flow, role, ...)``, so
+    the entry point is one more input to the same assertions.  Beyond
+    those, the two runs must agree on every outcome field and on every
+    engine counter: the async path may only choose *when* an answer is
+    delivered, never what it is or what it counts as.
+    """
+
+    def run_both(self):
+        runs = []
+        for entry_point in (_ask_sync, _ask_async):
+            outcomes, engines = [], []
+
+            def ask(engine, *args, **kwargs):
+                outcome = entry_point(engine, *args, **kwargs)
+                outcomes.append((
+                    outcome.response.to_payload() if outcome.response else None,
+                    round(outcome.latency, 9), outcome.answered_by,
+                    outcome.intercepted, outcome.timed_out, outcome.unreachable,
+                    outcome.cached, outcome.coalesced, tuple(outcome.augmented_by),
+                ))
+                if engine not in engines:
+                    engines.append(engine)
+                return outcome
+
+            test(self, ask)
+            runs.append((outcomes, [engine.stats() for engine in engines]))
+        assert runs[0] == runs[1]
+
+    run_both.__name__ = test.__name__
+    run_both.__doc__ = test.__doc__
+    return run_both
+
+
+# ----------------------------------------------------------------------
 # Satellite bugfixes in the query client
 # ----------------------------------------------------------------------
 
@@ -146,33 +197,35 @@ class TestPerRoleInterceptorOrdering:
 
 
 class TestEngineCache:
-    def test_disabled_engine_is_pure_passthrough(self):
+    @both_entry_points
+    def test_disabled_engine_is_pure_passthrough(self, ask):
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=0.0)
         assert not engine.enabled
         for port in (40000, 40001):
-            outcome = engine.query(flow_to_server(port), "dst", from_node=switch)
+            outcome = ask(engine, flow_to_server(port), "dst", from_node=switch)
             assert outcome.succeeded() and not outcome.cached
         assert int(daemon.queries_answered.value) == 2
         assert engine.stats()["lookups"] == 0
 
-    def test_hit_after_ready_and_miss_after_ttl(self):
+    @both_entry_points
+    def test_hit_after_ready_and_miss_after_ttl(self, ask):
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=10.0)
-        first = engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        first = ask(engine, flow_to_server(40000), "dst", from_node=switch, now=0.0)
         assert first.succeeded() and not first.cached
         ready = first.latency
         # A different flow to the same server:port after the answer
         # "arrived" is a hit: zero latency, no daemon contact.
-        hit = engine.query(
-            flow_to_server(41000), "dst", from_node=switch, now=ready + 0.1
+        hit = ask(
+            engine, flow_to_server(41000), "dst", from_node=switch, now=ready + 0.1
         )
         assert hit.cached and hit.latency == 0.0
         assert hit.document.latest("name") == "httpd"
         assert int(daemon.queries_answered.value) == 1
         # Past the TTL the entry is gone and the daemon is re-asked.
-        miss = engine.query(
-            flow_to_server(42000), "dst", from_node=switch, now=ready + 11.0
+        miss = ask(
+            engine, flow_to_server(42000), "dst", from_node=switch, now=ready + 11.0
         )
         assert not miss.cached
         assert int(daemon.queries_answered.value) == 2
@@ -180,7 +233,8 @@ class TestEngineCache:
         assert stats["hits"] == 1 and stats["misses"] == 2
         assert stats["expirations"] >= 1
 
-    def test_source_entries_do_not_leak_across_flows(self):
+    @both_entry_points
+    def test_source_entries_do_not_leak_across_flows(self, ask):
         # Source answers are keyed on the ephemeral source port: two
         # different flows from the same client must not share one.
         topo, switch, client_host, _, _ = build_world()
@@ -189,72 +243,76 @@ class TestEngineCache:
         p1, _, _ = client_host.open_flow("http", "alice", "192.168.1.1", 80, send=False)
         p2, _, _ = client_host.open_flow("skype", "alice", "192.168.1.1", 80, send=False)
         f1, f2 = FlowSpec.from_packet(p1), FlowSpec.from_packet(p2)
-        o1 = engine.query(f1, "src", from_node=switch, now=0.0)
-        o2 = engine.query(f2, "src", from_node=switch, now=1.0)
+        o1 = ask(engine, f1, "src", from_node=switch, now=0.0)
+        o2 = ask(engine, f2, "src", from_node=switch, now=1.0)
         assert o1.document.latest("name") == "http"
         assert o2.document.latest("name") == "skype"
         assert not o2.cached
         assert int(client_daemon.queries_answered.value) == 2
 
-    def test_intercepted_answers_are_not_cached(self):
+    @both_entry_points
+    def test_intercepted_answers_are_not_cached(self, ask):
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=10.0)
         interceptor = NamedInterceptor("edge")
-        first = engine.query(
-            flow_to_server(40000), "dst", from_node=switch,
+        first = ask(
+            engine, flow_to_server(40000), "dst", from_node=switch,
             interceptors=[interceptor], now=0.0,
         )
         assert first.intercepted
         assert len(engine) == 0
         # Without the interceptor the daemon is asked fresh.
-        second = engine.query(flow_to_server(40001), "dst", from_node=switch, now=0.0)
+        second = ask(engine, flow_to_server(40001), "dst", from_node=switch, now=0.0)
         assert not second.cached and second.answered_by == "server"
 
-    def test_interceptors_bypass_a_warm_cache(self):
+    @both_entry_points
+    def test_interceptors_bypass_a_warm_cache(self, ask):
         # Interception is a per-query decision (§3.4): a warm entry must
         # not pre-empt an on-path controller's chance to answer.
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=100.0)
-        engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        ask(engine, flow_to_server(40000), "dst", from_node=switch, now=0.0)
         assert len(engine) == 1
-        outcome = engine.query(
-            flow_to_server(41000), "dst", from_node=switch,
+        outcome = ask(
+            engine, flow_to_server(41000), "dst", from_node=switch,
             interceptors=[NamedInterceptor("edge")], now=1.0,
         )
         assert outcome.intercepted and not outcome.cached
         assert outcome.document.latest("answered-by") == "edge"
         assert engine.stats()["interceptor_bypasses"] == 1
 
-    def test_flow_specific_dst_answer_is_not_shared_across_flows(self):
+    @both_entry_points
+    def test_flow_specific_dst_answer_is_not_shared_across_flows(self, ask):
         # The app published pairs for one specific flow: that flow's
         # answer is flow-scoped and must not decide other flows.
         topo, switch, _, server, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=100.0)
         flow_a, flow_b = flow_to_server(40000), flow_to_server(41000)
         daemon.runtime.publish_for_flow(flow_a, {"authorized": "yes"})
-        first = engine.query(flow_a, "dst", from_node=switch, now=0.0)
+        first = ask(engine, flow_a, "dst", from_node=switch, now=0.0)
         assert first.document.latest("authorized") == "yes"
         # Same-flow re-punt may reuse the flow-scoped entry...
-        repunt = engine.query(flow_a, "dst", from_node=switch, now=1.0)
+        repunt = ask(engine, flow_a, "dst", from_node=switch, now=1.0)
         assert repunt.cached
         assert int(daemon.queries_answered.value) == 1
         # ...but a different flow queries fresh and never sees A's pair.
-        other = engine.query(flow_b, "dst", from_node=switch, now=2.0)
+        other = ask(engine, flow_b, "dst", from_node=switch, now=2.0)
         assert not other.cached
         assert other.document.latest("authorized") is None
         assert int(daemon.queries_answered.value) == 2
 
 
 class TestEngineCoalescing:
-    def test_concurrent_punts_share_one_outstanding_query(self):
+    @both_entry_points
+    def test_concurrent_punts_share_one_outstanding_query(self, ask):
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=10.0)
-        first = engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        first = ask(engine, flow_to_server(40000), "dst", from_node=switch, now=0.0)
         ready = first.latency
         # While the first query is "in flight", every punt coalesces:
         # same answer, charged only the remaining wait.
-        later = engine.query(
-            flow_to_server(41000), "dst", from_node=switch, now=ready / 2
+        later = ask(
+            engine, flow_to_server(41000), "dst", from_node=switch, now=ready / 2
         )
         assert later.coalesced
         assert later.latency == pytest.approx(ready / 2)
@@ -265,31 +323,33 @@ class TestEngineCoalescing:
 
 
 class TestEngineNegativeCache:
-    def test_daemonless_host_costs_one_timeout_per_ttl(self):
+    @both_entry_points
+    def test_daemonless_host_costs_one_timeout_per_ttl(self, ask):
         topo, switch, _, _, _ = build_world(server_daemon=False, serve=None)
         qc = QueryClient(topo)
         engine = QueryEngine(qc, ttl=10.0)
-        first = engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        first = ask(engine, flow_to_server(40000), "dst", from_node=switch, now=0.0)
         assert first.timed_out and first.latency == qc.timeout
         # Within the TTL every further flow pays nothing.
-        hit = engine.query(
-            flow_to_server(41000), "dst", from_node=switch, now=qc.timeout + 0.01
+        hit = ask(
+            engine, flow_to_server(41000), "dst", from_node=switch, now=qc.timeout + 0.01
         )
         assert hit.timed_out and hit.cached and hit.latency == 0.0
         assert int(qc.queries_timed_out.value) == 1
         assert engine.stats()["negative_hits"] == 1
         # Past the TTL the host is probed again.
-        again = engine.query(flow_to_server(42000), "dst", from_node=switch, now=20.0)
+        again = ask(engine, flow_to_server(42000), "dst", from_node=switch, now=20.0)
         assert again.timed_out and not again.cached
         assert int(qc.queries_timed_out.value) == 2
 
-    def test_negative_entry_coalesces_while_in_flight(self):
+    @both_entry_points
+    def test_negative_entry_coalesces_while_in_flight(self, ask):
         topo, switch, _, _, _ = build_world(server_daemon=False, serve=None)
         qc = QueryClient(topo)
         engine = QueryEngine(qc, ttl=10.0)
-        engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
-        shared = engine.query(
-            flow_to_server(41000), "dst", from_node=switch, now=qc.timeout / 2
+        ask(engine, flow_to_server(40000), "dst", from_node=switch, now=0.0)
+        shared = ask(
+            engine, flow_to_server(41000), "dst", from_node=switch, now=qc.timeout / 2
         )
         assert shared.timed_out and shared.coalesced
         assert shared.latency == pytest.approx(qc.timeout / 2)

@@ -7,6 +7,9 @@ plus the double-run determinism regression over the queryload and
 decision-core bench scenarios.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.controller import ControllerConfig
@@ -21,6 +24,7 @@ from repro.netsim.sanitizer import (
     shadow_replay,
 )
 from repro.workloads.determinism import (
+    DETERMINISM_SEED,
     DeterminismGate,
     decision_core_scenario,
     queryload_scenario,
@@ -230,10 +234,20 @@ class TestDeterminismRegression:
         )
 
     def test_gate_summary_records_seed_and_verdict(self):
-        payload = DeterminismGate(seed=11).as_dict()
-        assert payload["seed"] == 11
+        # The full-size gate at the committed seed, pinned to the hashes
+        # in BENCH_results.json: a refactor that changes the event
+        # stream fails here instead of only failing to be noticed.
+        committed = json.loads(
+            (Path(__file__).resolve().parent.parent / "BENCH_results.json").read_text()
+        )["results"]["determinism_double_run"]
+        payload = DeterminismGate().as_dict()
+        assert payload["seed"] == DETERMINISM_SEED == committed["seed"]
         assert payload["all_identical"] is True
         for name in ("decision_core", "queryload"):
             entry = payload[name]
             assert entry["identical"] is True
-            assert entry["first"]["trace_hash"] == entry["second"]["trace_hash"]
+            assert (
+                entry["first"]["trace_hash"]
+                == entry["second"]["trace_hash"]
+                == committed[name]["first"]["trace_hash"]
+            )
