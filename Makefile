@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-experiments soak soak_cluster soak_fabric soak_queries soak_push soak_async soak_telemetry matrix docs_check lint determinism
+.PHONY: test bench bench-experiments soak soak_cluster soak_fabric soak_queries soak_push soak_async soak_telemetry matrix docs_check lint determinism perf perf_smoke
 
 test:
 	$(PYTHON) -m pytest -q
@@ -41,6 +41,14 @@ lint:
 
 determinism:
 	$(PYTHON) -m repro.workloads.determinism
+
+# The wall-clock benchmark of BENCHMARK.json (perf/README.md).  The smoke
+# run exits non-zero on any failed op or cross-repeat mismatch.
+perf:
+	python3 perf/run.py
+
+perf_smoke:
+	python3 perf/run.py --workload punt_unique --seconds 2
 
 bench-experiments:
 	$(PYTHON) -m pytest benchmarks/bench_*.py --benchmark-only -s

@@ -66,6 +66,10 @@ from repro.workloads.telemetry import (  # noqa: E402
     TelemetryOverheadBench,
 )
 
+#: A punt's table work may cost at most this much more beside 4096
+#: resident entries than beside 128.
+FLOW_TABLE_CHURN_CEILING = 1.5
+
 RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_results.json")
 
 
@@ -179,6 +183,37 @@ def bench_flow_table(results: dict) -> None:
     packet = Packet.tcp("10.0.17.1", "10.1.0.1", 40017, 80)
     results["flow_table_lookup_repeat"] = _timeit(lambda: table.lookup(packet, now=0.0))
     results["packet_wire_size"] = _timeit(packet.wire_size)
+    for resident in (128, 4096):
+        results[f"flow_table_churn_{resident}"] = _timeit(_flow_table_churn(resident))
+
+
+def _flow_table_churn(resident: int):
+    """One punted flow's table work beside ``resident`` timed entries.
+
+    install -> miss lookup -> cookie-scoped delete -> expire, the four
+    operations a punt costs the switch; none may depend on table size.
+    """
+    table = FlowTable()
+    for i in range(resident):
+        match = Match.from_five_tuple(f"10.0.{i >> 8}.{i & 255}", "10.1.0.1", 6, 1024 + i, 80)
+        table.install(
+            make_entry(match, [OutputAction(1)], idle_timeout=60.0, cookie=f"resident-{i}"),
+            now=0.0,
+        )
+    entry = make_entry(
+        Match.from_five_tuple("192.168.0.1", "10.1.0.1", 6, 40000, 80),
+        [OutputAction(1)], idle_timeout=60.0, cookie="churn",
+    )
+    stranger = Packet.tcp("192.168.0.2", "10.1.0.1", 40000, 80)
+    everything = Match()
+
+    def iteration() -> None:
+        table.install(entry, now=1.0)
+        table.lookup(stranger, now=1.0)
+        table.remove(everything, cookie="churn")
+        table.expire(1.0)
+
+    return iteration
 
 
 def bench_flow_generator(results: dict) -> None:
@@ -324,6 +359,11 @@ def main() -> int:
             / results["policy_eval_interpreted_2000"]["ops_per_sec"],
             1,
         ),
+        "flow_table_churn_4096_vs_128": round(
+            results["flow_table_churn_128"]["ops_per_sec"]
+            / results["flow_table_churn_4096"]["ops_per_sec"],
+            2,
+        ),
         "soak_state_bounded": results["soak_churn_100k"]["bounded_within_2x"],
         "soak_fail_closed": results["soak_fail_closed_probe"]["failed_closed"],
         "cluster_speedup_4_shards": results["cluster_scale_1_to_4"]["speedup"],
@@ -386,6 +426,12 @@ def main() -> int:
     print(f"wrote {os.path.relpath(RESULTS_PATH)}")
     if derived["compiled_speedup_2000_rules"] < 5.0:
         print("FAIL: compiled speedup at 2000 rules below the 5x acceptance floor")
+        return 1
+    if derived["flow_table_churn_4096_vs_128"] > FLOW_TABLE_CHURN_CEILING:
+        print(
+            f"FAIL: flow-table churn costs more than {FLOW_TABLE_CHURN_CEILING:g}x as much "
+            f"beside 4096 resident entries as beside 128 (an operation walks the table)"
+        )
         return 1
     if not derived["soak_state_bounded"]:
         print("FAIL: churn soak left unbounded flow state (see soak_churn_100k.violations)")

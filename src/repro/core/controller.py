@@ -448,9 +448,10 @@ class IdentPPController(Controller):
         self.lifecycle.register(
             f"flow_table:{switch.name}",
             switch.sweep_expired,
-            switch.flow_table.expirable_count,
+            switch.reclaimable_entries,
             switch.flow_table.next_deadline,
         )
+        switch.add_recovery_listener(self.lifecycle.kick)
         return channel
 
     @property

@@ -227,6 +227,17 @@ class ExpiryHeap:
                 heapq.heappop(heap)
         return heap[0][0] if heap else None
 
+    def retain(self, is_live: Callable[[object, object], bool]) -> None:
+        """Drop every record whose ``is_live(key, token)`` is false.
+
+        Lazy invalidation leaves a dead entry's record in the heap until
+        its deadline passes; an owner whose entries die long before they
+        are due calls this once dead records outnumber live ones, so the
+        heap stays proportional to what it tracks (O(n), amortised).
+        """
+        self._heap[:] = [record for record in self._heap if is_live(*record[2])]
+        heapq.heapify(self._heap)
+
     def clear(self) -> None:
         """Drop all deadlines."""
         self._heap.clear()

@@ -9,10 +9,13 @@ E11 measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.exceptions import FlowTableError
+from repro.netsim.events import ExpiryHeap
 from repro.netsim.packet import Packet
 from repro.openflow.actions import Action
 from repro.openflow.match import Match
@@ -80,12 +83,65 @@ class FlowEntry:
         )
 
 
+#: What a non-IP frame carries in the protocol and port places of its header.
+_NO_TRANSPORT = (None, None, None)
+_installation_order = attrgetter("sequence")
+
+
+def _masked_key_getter(shape: tuple[int, ...]) -> Callable[[tuple], object]:
+    """Return ``values -> the values at the indexes in shape`` (hashable)."""
+    return itemgetter(*shape) if shape else _no_fields
+
+
+def _no_fields(_values: tuple) -> tuple:
+    return ()
+
+
+def _deadline(entry: FlowEntry) -> Optional[float]:
+    """Return the earliest moment ``entry`` can expire (``None``: never)."""
+    due: Optional[float] = None
+    if entry.hard_timeout:
+        due = entry.installed_at + entry.hard_timeout
+    if entry.idle_timeout:
+        idle_due = entry.last_used_at + entry.idle_timeout
+        if due is None or idle_due < due:
+            due = idle_due
+    return due
+
+
 class FlowTable:
-    """The flow table of one switch."""
+    """The flow table of one switch.
+
+    Every entry is held once, in ``_by_sequence`` (installation order),
+    and found through indexes, so nothing a packet or a flow does costs
+    a walk over the table:
+
+    * ``_by_cookie`` maps a decision's cookie to the entries it
+      installed: a cookie-scoped delete touches only its victims.
+    * ``_shapes`` is a tuple-space search.  Entries whose match is plain
+      equality are grouped by *shape* (which fields they constrain) and,
+      within a shape, hashed on the values of those fields; a lookup
+      masks the packet header once per live shape and probes.  A match
+      on a CIDR prefix cannot be hashed on the packet's address; those
+      wait in ``_prefixed``, keyed by the match itself, and a lookup
+      tries each of them (few in every workload).  Either way a bucket
+      holds the entries of one identical match, one per priority, so the
+      same probe finds the entry an install must replace.
+    * ``_deadlines`` holds one ``(deadline, sequence)`` record per live
+      entry that carries a timeout, never later than the entry's real
+      deadline, so :meth:`expire` looks only at entries that may be due.
+      A record is a hint: :meth:`FlowEntry.is_expired` alone decides.
+
+    ``now`` follows the simulator clock and must not run backwards
+    between calls (an idle deadline may only move later).
+    """
 
     #: Exact-match cache entries kept before wholesale clearing; bounds the
     #: memory a long simulation with high flow churn can pin.
     EXACT_CACHE_LIMIT = 8192
+    #: Dead deadline records tolerated beyond one per live record before
+    #: the heap is rebuilt without them.
+    STALE_DEADLINE_SLACK = 64
 
     def __init__(self, name: str = "flow-table", capacity: Optional[int] = None) -> None:
         self.name = name
@@ -95,15 +151,21 @@ class FlowTable:
         #: controller's path unwinder hears about evictions exactly like
         #: timeouts (OpenFlow's OFPFF_SEND_FLOW_REM semantics).
         self.evict_listener: Optional[Callable[[FlowEntry], None]] = None
-        self._entries: list[FlowEntry] = []
         self._sequence = 0
-        # header-tuple -> best entry from a previous full scan; valid until
+        # sequence -> entry; sequences only grow, so this is also the
+        # table in installation order.
+        self._by_sequence: dict[int, FlowEntry] = {}
+        self._by_cookie: dict[str, dict[int, FlowEntry]] = {}
+        # shape -> (masked-key getter, masked key -> bucket)
+        self._shapes: dict[tuple[int, ...], tuple[Callable[[tuple], object], dict]] = {}
+        self._prefixed: dict[Match, list[FlowEntry]] = {}
+        # (deadline, sequence) records with the deadline repeated as the
+        # token, so a record can be told from its entry's current one.
+        self._deadlines = ExpiryHeap()
+        self._expirable = 0
+        # header-tuple -> best entry from a previous search; valid until
         # the table is modified (any install/remove/evict/expiry clears it).
         self._exact_cache: dict[tuple, FlowEntry] = {}
-        # (match, priority) -> entry, so installs replace duplicates in
-        # O(1) instead of scanning the table (install() keeps the pair
-        # unique, so the index can never alias two live entries).
-        self._same_index: dict[tuple[Match, int], FlowEntry] = {}
         self.lookups = 0
         self.hits = 0
         self.misses = 0
@@ -125,20 +187,20 @@ class FlowTable:
         If the table has a capacity limit and is full, the least recently
         used entry is evicted.
         """
-        existing = self._find_same(entry.match, entry.priority)
-        if existing is not None:
-            if not replace:
-                raise FlowTableError(f"duplicate flow entry: {entry.match}")
-            self._entries.remove(existing)
-        if self.capacity is not None and len(self._entries) >= self.capacity:
+        for existing in self._bucket(entry.match):
+            if existing.priority == entry.priority:
+                if not replace:
+                    raise FlowTableError(f"duplicate flow entry: {entry.match}")
+                self._unlink(existing)
+                break
+        if self.capacity is not None and len(self._by_sequence) >= self.capacity:
             self._evict_lru()
         self._exact_cache.clear()
         self._sequence += 1
         entry.sequence = self._sequence
         entry.installed_at = now
         entry.last_used_at = now
-        self._entries.append(entry)
-        self._same_index[(entry.match, entry.priority)] = entry
+        self._link(entry)
         return entry
 
     def remove(
@@ -152,47 +214,131 @@ class FlowTable:
         additionally restricts the delete to entries carrying it (the
         OpenFlow 1.1+ cookie filter the path unwinder uses).  Returns
         the number removed.
+
+        Only the covering delete without a cookie has to search: it tests
+        one match per bucket of every shape that constrains at least the
+        fields ``match`` does.
         """
-        if strict:
-            victims = [e for e in self._entries if e.match == match]
-        else:
-            victims = [e for e in self._entries if match.covers(e.match)]
         if cookie is not None:
-            victims = [e for e in victims if e.cookie == cookie]
+            scoped = self._by_cookie.get(cookie, {}).values()
+            if strict:
+                victims = [e for e in scoped if e.match == match]
+            elif match.shape:
+                victims = [e for e in scoped if match.covers(e.match)]
+            else:
+                victims = list(scoped)
+        elif strict:
+            victims = list(self._bucket(match))
+        else:
+            victims = self._covered_by(match)
         if victims:
             self._discard(victims)
         return len(victims)
 
     def remove_by_cookie(self, cookie: str) -> int:
         """Remove every entry with the given cookie (used for policy revocation)."""
-        victims = [e for e in self._entries if e.cookie == cookie]
+        victims = list(self._by_cookie.get(cookie, {}).values())
         if victims:
             self._discard(victims)
         return len(victims)
 
     def clear(self) -> None:
         """Remove all entries."""
-        self._entries.clear()
+        self._by_sequence.clear()
+        self._by_cookie.clear()
+        self._shapes.clear()
+        self._prefixed.clear()
+        self._deadlines.clear()
+        self._expirable = 0
         self._exact_cache.clear()
-        self._same_index.clear()
 
-    def _find_same(self, match: Match, priority: int) -> Optional[FlowEntry]:
-        return self._same_index.get((match, priority))
+    def _link(self, entry: FlowEntry) -> None:
+        """File a freshly sequenced entry under every index."""
+        sequence, match = entry.sequence, entry.match
+        self._by_sequence[sequence] = entry
+        scoped = self._by_cookie.get(entry.cookie)
+        if scoped is None:
+            scoped = self._by_cookie[entry.cookie] = {}
+        scoped[sequence] = entry
+        buckets, key = self._home(match, create=True)
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [entry]
+        else:
+            bucket.append(entry)
+        due = _deadline(entry)
+        if due is not None:
+            self._expirable += 1
+            self._deadlines.push(due, sequence, due)
+            if len(self._deadlines) > 2 * self._expirable + self.STALE_DEADLINE_SLACK:
+                self._deadlines.retain(lambda sequence, _due: sequence in self._by_sequence)
+
+    def _unlink(self, entry: FlowEntry) -> None:
+        """Take ``entry`` (this object, not an equal one) out of every index.
+
+        Its deadline record stays behind and is skipped once it surfaces:
+        no later entry can carry the same sequence.
+        """
+        sequence, match = entry.sequence, entry.match
+        del self._by_sequence[sequence]
+        scoped = self._by_cookie[entry.cookie]
+        del scoped[sequence]
+        if not scoped:
+            del self._by_cookie[entry.cookie]
+        buckets, key = self._home(match)
+        bucket = buckets.pop(key)
+        if len(bucket) > 1:
+            buckets[key] = [e for e in bucket if e is not entry]
+        elif not buckets and not match.has_prefix:
+            del self._shapes[match.shape]
+        if entry.idle_timeout or entry.hard_timeout:
+            self._expirable -= 1
 
     def _discard(self, victims: Sequence[FlowEntry]) -> None:
-        """Drop ``victims`` from the table, keeping both indexes in sync."""
-        gone = {id(e) for e in victims}
-        self._entries = [e for e in self._entries if id(e) not in gone]
+        """Drop ``victims`` from the table, keeping every index in sync."""
         for entry in victims:
-            key = (entry.match, entry.priority)
-            if self._same_index.get(key) is entry:
-                del self._same_index[key]
+            self._unlink(entry)
         self._exact_cache.clear()
 
+    def _home(self, match: Match, *, create: bool = False) -> tuple[dict, object]:
+        """Return the mapping that holds ``match``'s bucket, and its key there."""
+        if match.has_prefix:
+            return self._prefixed, match
+        shape = self._shapes.get(match.shape)
+        if shape is None:
+            if not create:
+                return {}, None  # no entry has this shape: nowhere
+            shape = self._shapes[match.shape] = (_masked_key_getter(match.shape), {})
+        key_of, buckets = shape
+        return buckets, key_of(match.field_values)
+
+    def _bucket(self, match: Match) -> Sequence[FlowEntry]:
+        """Return the entries whose match equals ``match`` (one per priority)."""
+        buckets, key = self._home(match)
+        return buckets.get(key, ())
+
+    def _covered_by(self, match: Match) -> list[FlowEntry]:
+        """Return the entries whose match is covered by ``match``."""
+        if not match.shape:
+            return list(self._by_sequence.values())
+        victims: list[FlowEntry] = []
+        for prefixed, bucket in self._prefixed.items():
+            if match.covers(prefixed):
+                victims += bucket
+        constrained = set(match.shape)
+        for shape, (_, buckets) in self._shapes.items():
+            # An entry wildcarding a field ``match`` constrains matches
+            # packets ``match`` does not, so its whole shape is skipped.
+            if constrained.issubset(shape):
+                for bucket in buckets.values():
+                    if match.covers(bucket[0].match):
+                        victims += bucket
+        return victims
+
     def _evict_lru(self) -> None:
-        if not self._entries:
+        if not self._by_sequence:
             return
-        victim = min(self._entries, key=lambda e: (e.last_used_at, e.sequence))
+        victim = min(self._by_sequence.values(), key=lambda e: (e.last_used_at, e.sequence))
         self._discard([victim])
         self.evictions += 1
         if self.evict_listener is not None:
@@ -209,13 +355,14 @@ class FlowTable:
         installation, which mirrors hardware behaviour closely enough for
         the experiments.  Returns ``None`` on a table miss.
 
-        An exact-match hash cache short-circuits the priority scan for
-        repeat packets of the same flow: the winning entry of a previous
-        scan is keyed on the packet's full header tuple and stays valid
-        until the table is modified (every mutation clears the cache), so
-        the fast path can never disagree with the scan.
+        An exact-match hash cache short-circuits the search for repeat
+        packets of the same flow: the winning entry of a previous search
+        is keyed on the packet's full header tuple and stays valid until
+        the table is modified (every mutation clears the cache), so the
+        fast path can never disagree with the search.
         """
         self.lookups += 1
+        # In MATCH_FIELDS order, so a shape's getter masks it like a match.
         packet_key = (
             in_port,
             packet.eth_src,
@@ -235,20 +382,30 @@ class FlowTable:
                 self.hits += 1
                 cached.record_use(packet, now)
                 return cached
-            # The cached winner expired; rescan (a lower-ranked entry may
-            # now be the best match).
+            # The cached winner expired; search again (a lower-ranked
+            # entry may now be the best match).
             del self._exact_cache[packet_key]
+        # Match.matches refuses a constrained protocol or port on a non-IP
+        # frame whatever the frame carries there; no constrained field is
+        # None, so None in those places refuses the same entries.
+        header = packet_key if packet.is_ip() else packet_key[:7] + _NO_TRANSPORT
+        candidates: list[FlowEntry] = []
+        for key_of, buckets in self._shapes.values():
+            bucket = buckets.get(key_of(header))
+            if bucket is not None:
+                candidates += bucket
+        for prefixed, bucket in self._prefixed.items():
+            if prefixed.matches(packet, in_port):
+                candidates += bucket
         best: Optional[FlowEntry] = None
-        best_key = None
-        for entry in self._entries:
+        best_rank = None
+        for entry in candidates:
             if entry.is_expired(now):
                 continue
-            if not entry.match.matches(packet, in_port):
-                continue
-            key = (entry.priority, entry.match.specificity(), -entry.sequence)
-            if best_key is None or key > best_key:
+            rank = (entry.priority, len(entry.match.shape), -entry.sequence)
+            if best_rank is None or rank > best_rank:
                 best = entry
-                best_key = key
+                best_rank = rank
         if best is None:
             self.misses += 1
             return None
@@ -260,9 +417,28 @@ class FlowTable:
         return best
 
     def expire(self, now: float) -> list[FlowEntry]:
-        """Remove and return entries whose timeouts have elapsed."""
-        expired = [e for e in self._entries if e.is_expired(now)]
+        """Remove and return entries whose timeouts have elapsed, oldest first."""
+        deadlines = self._deadlines
+        due = deadlines.next_due()
+        if due is None:
+            return []
+        # is_expired subtracts where a deadline adds, so the two can
+        # disagree by a rounding step: draw candidates two floats wide.
+        horizon = math.nextafter(math.nextafter(now, math.inf), math.inf)
+        if due > horizon:
+            return []
+        expired: list[FlowEntry] = []
+        alive: list[FlowEntry] = []
+        for sequence, _ in deadlines.pop_due(horizon):
+            entry = self._by_sequence.get(sequence)
+            if entry is not None:
+                (expired if entry.is_expired(now) else alive).append(entry)
+        for entry in alive:
+            # Traffic refreshed the idle timer (or rounding spared it).
+            due = _deadline(entry)
+            deadlines.push(due, entry.sequence, due)
         if expired:
+            expired.sort(key=_installation_order)
             self._discard(expired)
             self.expirations += len(expired)
         return expired
@@ -275,18 +451,18 @@ class FlowTable:
         """Iterate over entries in priority (then recency) order."""
         return iter(
             sorted(
-                self._entries,
+                self._by_sequence.values(),
                 key=lambda e: (-e.priority, -e.match.specificity(), e.sequence),
             )
         )
 
     def find(self, predicate: Callable[[FlowEntry], bool]) -> list[FlowEntry]:
         """Return entries satisfying ``predicate``."""
-        return [entry for entry in self._entries if predicate(entry)]
+        return [entry for entry in self._by_sequence.values() if predicate(entry)]
 
     def expirable_count(self) -> int:
         """Return how many entries carry a timeout a future sweep could reclaim."""
-        return sum(1 for e in self._entries if e.idle_timeout or e.hard_timeout)
+        return self._expirable
 
     def next_deadline(self) -> Optional[float]:
         """Return the earliest moment any entry can expire (``None`` when none can).
@@ -295,19 +471,23 @@ class FlowTable:
         traffic that keeps refreshing an entry makes this a lower bound —
         exactly what a sweep scheduler needs (waking early is a no-op).
         """
-        earliest: Optional[float] = None
-        for entry in self._entries:
-            candidates = []
-            if entry.hard_timeout:
-                candidates.append(entry.installed_at + entry.hard_timeout)
-            if entry.idle_timeout:
-                candidates.append(entry.last_used_at + entry.idle_timeout)
-            if not candidates:
-                continue
-            due = min(candidates)
-            if earliest is None or due < earliest:
-                earliest = due
-        return earliest
+        return self._deadlines.next_due(self._settle_deadline)
+
+    def _settle_deadline(self, sequence: int, due: float) -> bool:
+        """Tell ``next_due`` whether a record is its entry's current deadline.
+
+        A record traffic has since outdated is re-filed under the entry's
+        current (later) deadline before ``next_due`` drops it, so the
+        answer is exact and the entry keeps exactly one record.
+        """
+        entry = self._by_sequence.get(sequence)
+        if entry is None:
+            return False
+        current = _deadline(entry)
+        if current <= due:
+            return True
+        self._deadlines.push(current, sequence, current)
+        return False
 
     def hit_rate(self) -> float:
         """Return hits / lookups (0.0 when no lookups happened)."""
@@ -318,7 +498,7 @@ class FlowTable:
     def stats(self) -> dict[str, float]:
         """Return a summary dictionary used by benchmark E11."""
         return {
-            "entries": float(len(self._entries)),
+            "entries": float(len(self._by_sequence)),
             "lookups": float(self.lookups),
             "hits": float(self.hits),
             "misses": float(self.misses),
@@ -329,10 +509,10 @@ class FlowTable:
         }
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._by_sequence)
 
     def __contains__(self, match: Match) -> bool:
-        return any(entry.match == match for entry in self._entries)
+        return isinstance(match, Match) and bool(self._bucket(match))
 
 
 def make_entry(

@@ -35,6 +35,15 @@ class Match:
         nw_src / nw_dst: IPv4 source / destination, exact address or CIDR prefix.
         nw_proto: IP protocol number.
         tp_src / tp_dst: Transport source / destination port.
+
+    A match is immutable, so three views of it are worked out once, at
+    construction, for the code that asks per flow-table entry:
+
+        field_values: The ten (normalised) values in :data:`MATCH_FIELDS` order.
+        shape: Indexes into :data:`MATCH_FIELDS` of the constrained fields,
+            ascending — the wildcard pattern the flow table buckets by.
+        has_prefix: ``True`` when ``nw_src`` or ``nw_dst`` is a CIDR prefix,
+            i.e. when matching is not plain equality on the constrained fields.
     """
 
     in_port: Optional[int] = None
@@ -49,14 +58,23 @@ class Match:
     tp_dst: Optional[int] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dl_src", _normalize_mac(self.dl_src))
-        object.__setattr__(self, "dl_dst", _normalize_mac(self.dl_dst))
-        object.__setattr__(self, "nw_src", _normalize_ip(self.nw_src))
-        object.__setattr__(self, "nw_dst", _normalize_ip(self.nw_dst))
-        for name in ("tp_src", "tp_dst"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value <= 0xFFFF:
-                raise MatchError(f"{name} out of range: {value}")
+        for name, port in (("tp_src", self.tp_src), ("tp_dst", self.tp_dst)):
+            if port is not None and not 0 <= port <= 0xFFFF:
+                raise MatchError(f"{name} out of range: {port}")
+        dl_src, dl_dst = _normalize_mac(self.dl_src), _normalize_mac(self.dl_dst)
+        nw_src, nw_dst = _normalize_ip(self.nw_src), _normalize_ip(self.nw_dst)
+        values = (
+            self.in_port, dl_src, dl_dst, self.dl_type, self.vlan_id,
+            nw_src, nw_dst, self.nw_proto, self.tp_src, self.tp_dst,
+        )
+        # frozen=True guards attribute assignment, not the instance dict:
+        # one write stores the normalised fields and the derived views.
+        self.__dict__.update(
+            dl_src=dl_src, dl_dst=dl_dst, nw_src=nw_src, nw_dst=nw_dst,
+            field_values=values,
+            shape=tuple([i for i, value in enumerate(values) if value is not None]),
+            has_prefix=isinstance(nw_src, IPv4Network) or isinstance(nw_dst, IPv4Network),
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -125,32 +143,25 @@ class Match:
 
     def specificity(self) -> int:
         """Return how many fields are constrained (used to break priority ties)."""
-        count = 0
-        for field_def in fields(self):
-            if getattr(self, field_def.name) is not None:
-                count += 1
-        return count
+        return len(self.shape)
 
     def is_exact(self) -> bool:
         """Return ``True`` when every field is constrained (no wildcards)."""
-        return self.specificity() == len(fields(self))
+        return len(self.shape) == len(MATCH_FIELDS)
 
     def covers(self, other: "Match") -> bool:
         """Return ``True`` if every packet matching ``other`` also matches ``self``.
 
         Used when removing overlapping entries from a flow table.
         """
-        for field_def in fields(self):
-            mine = getattr(self, field_def.name)
-            theirs = getattr(other, field_def.name)
-            if mine is None:
-                continue
-            if theirs is None:
+        mine, theirs = self.field_values, other.field_values
+        for index in self.shape:
+            if theirs[index] is None:
                 return False
-            if field_def.name in ("nw_src", "nw_dst"):
-                if not _ip_field_covers(mine, theirs):
+            if index in _IP_FIELD_INDEXES:
+                if not _ip_field_covers(mine[index], theirs[index]):
                     return False
-            elif mine != theirs:
+            elif mine[index] != theirs[index]:
                 return False
         return True
 
@@ -159,12 +170,14 @@ class Match:
         return (self.nw_src, self.nw_dst, self.nw_proto, self.tp_src, self.tp_dst)
 
     def __str__(self) -> str:
-        parts = []
-        for field_def in fields(self):
-            value = getattr(self, field_def.name)
-            if value is not None:
-                parts.append(f"{field_def.name}={value}")
+        parts = [f"{MATCH_FIELDS[i]}={self.field_values[i]}" for i in self.shape]
         return "Match(" + ", ".join(parts) + ")" if parts else "Match(*)"
+
+
+#: The ten match fields in declaration order; :attr:`Match.shape` and
+#: :attr:`Match.field_values` index into it.
+MATCH_FIELDS: tuple[str, ...] = tuple(field_def.name for field_def in fields(Match))
+_IP_FIELD_INDEXES = frozenset(MATCH_FIELDS.index(name) for name in ("nw_src", "nw_dst"))
 
 
 def _normalize_mac(value: object) -> Optional[MACAddress]:

@@ -83,6 +83,7 @@ class OpenFlowSwitch(Node):
         self.trace = trace
         self.compromised = False
         self.failed = False
+        self._recovery_listeners: list[Callable[[], None]] = []
         self._buffered: dict[int, tuple[Packet, int]] = {}
         self.punts = Counter(f"{name}.punts")
         self.drops = Counter(f"{name}.drops")
@@ -221,6 +222,20 @@ class OpenFlowSwitch(Node):
         for entry in expired:
             self._notify_removed(entry)
         return len(expired)
+
+    def reclaimable_entries(self) -> int:
+        """Return how many entries a future :meth:`sweep_expired` could remove.
+
+        Zero while failed: a dead switch sweeps nothing, so its timed
+        entries must not keep a sweep scheduler polling (an unbounded
+        ``Simulator.run()`` would never drain).  :meth:`recover` tells the
+        schedulers when there is something to sweep again.
+        """
+        return 0 if self.failed else self.flow_table.expirable_count()
+
+    def add_recovery_listener(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` whenever the switch comes back from :meth:`fail`."""
+        self._recovery_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Datapath
@@ -377,8 +392,12 @@ class OpenFlowSwitch(Node):
         whose timeouts elapsed meanwhile expire on the next packet or
         sweep, and the resulting ``FlowRemoved`` messages let the
         controller unwind any path state still referencing this hop.
+        Sweep schedulers that went quiet over the dead switch are woken,
+        so an idle network still gets that sweep.
         """
         self.failed = False
+        for listener in self._recovery_listeners:
+            listener()
 
     def _record(self, event: str, packet: Packet, note: str = "") -> None:
         if self.trace is not None:

@@ -67,6 +67,14 @@ class TestExpiryHeap:
         heap.clear()
         assert len(heap) == 0 and heap.next_due() is None
 
+    def test_retain_drops_dead_records_and_keeps_the_order(self):
+        heap = ExpiryHeap()
+        for due, key in ((5.0, "e"), (1.0, "a"), (4.0, "d"), (2.0, "b"), (3.0, "c")):
+            heap.push(due, key, due)
+        heap.retain(lambda key, token: key in "bde" and token >= 2.0)
+        assert len(heap) == 3
+        assert list(heap.pop_due(10.0)) == [("b", 2.0), ("d", 4.0), ("e", 5.0)]
+
 
 class TestDecisionCacheLifecycle:
     def flow(self, port=1000):
@@ -376,6 +384,41 @@ class TestLifecycleSweepsNetwork:
         assert stats["reclaimed_total"] > 0
         assert stats["reclaimable_entries"] == 0
         assert not controller.lifecycle.scheduled
+
+    def test_failed_switch_does_not_keep_the_sweeper_polling(self):
+        config = ControllerConfig(
+            decision_ttl=0.2, idle_timeout=0.2, lifecycle_interval=0.1,
+            pending_deadline=1.0,
+        )
+        net = build_network(config=config)
+        controller = net.controller
+        controller.cache.state_table.timeout = 0.2
+        net.host("client").open_flow("http", "alice", "192.168.1.1", 80)
+        net.run(duration=0.05)
+        dead = net.switches["sw-left"]
+        assert dead.flow_table.expirable_count() > 0
+        dead.fail()
+        # A dead switch sweeps nothing, so its timed entries must not
+        # count as reclaimable: the run has to drain.  (Bounded, so the
+        # regression is a failed assert rather than a hung suite.)
+        net.run(max_events=2000)
+        sim = net.topology.sim
+        assert sim.pending() == 0
+        assert not controller.lifecycle.scheduled
+        assert dead.reclaimable_entries() == 0
+        held = len(dead.flow_table)
+        assert held > 0  # frozen as they were at failure time
+
+        # Power back on long after the timeouts: the recovery re-arms the
+        # sweep, which reclaims the overdue entries and says so.
+        net.run(duration=5.0)
+        notified_before = dead.flow_removed.value
+        dead.recover()
+        assert controller.lifecycle.scheduled
+        net.run(max_events=2000)
+        assert sim.pending() == 0
+        assert len(dead.flow_table) == 0
+        assert dead.flow_removed.value == notified_before + held
 
     def test_summary_reports_lifecycle_sections(self):
         net = build_network()
