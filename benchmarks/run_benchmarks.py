@@ -25,8 +25,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from repro.core.cache import DecisionCache  # noqa: E402
 from repro.core.policy_engine import PolicyEngine  # noqa: E402
+from repro.hosts.applications import standard_applications  # noqa: E402
+from repro.hosts.endhost import EndHost  # noqa: E402
+from repro.identpp.daemon import IdentPPDaemon  # noqa: E402
 from repro.identpp.flowspec import FlowSpec  # noqa: E402
 from repro.identpp.keyvalue import ResponseDocument  # noqa: E402
+from repro.identpp.wire import IdentQuery  # noqa: E402
 from repro.netsim.packet import Packet  # noqa: E402
 from repro.openflow.actions import OutputAction  # noqa: E402
 from repro.openflow.flow_table import FlowTable, make_entry  # noqa: E402
@@ -69,6 +73,10 @@ from repro.workloads.telemetry import (  # noqa: E402
 #: A punt's table work may cost at most this much more beside 4096
 #: resident entries than beside 128.
 FLOW_TABLE_CHURN_CEILING = 1.5
+
+#: One ident++ answer may cost at most this much more on a host holding
+#: 4096 connected sockets than on one holding 16.
+DAEMON_ANSWER_CEILING = 1.5
 
 RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_results.json")
 
@@ -216,6 +224,36 @@ def _flow_table_churn(resident: int):
     return iteration
 
 
+def bench_daemon_answer(results: dict) -> None:
+    for sockets in (16, 4096):
+        results[f"daemon_answer_sockets_{sockets}"] = _timeit(_daemon_answer(sockets))
+
+
+def _daemon_answer(sockets: int):
+    """One source-side answer, read flat, on a host holding ``sockets`` connections.
+
+    What each end of a punt costs the identity plane: find the owning
+    process, assemble the document, flatten it for the policy.  The
+    queried connection sits in the middle of the table, so a scan would
+    pay for half of it.
+    """
+    host = EndHost("client", "10.0.0.1")
+    host.install_all(standard_applications())
+    host.add_user("alice", ("users", "staff"))
+    daemon = IdentPPDaemon(host, host_facts={"os-patch": "MS08-067"})
+    flows = [
+        FlowSpec.from_packet(host.open_flow("http", "alice", "10.1.0.1", 80, send=False)[0])
+        for _ in range(sockets)
+    ]
+    query = IdentQuery(flow=flows[len(flows) // 2], target_role="src")
+
+    def iteration() -> None:
+        response, _ = daemon.query_local(query)
+        response.document.as_flat_dict()
+
+    return iteration
+
+
 def bench_flow_generator(results: dict) -> None:
     templates = [
         FlowTemplate(
@@ -320,6 +358,7 @@ def main() -> int:
     bench_policy_engine(results)
     bench_decision_cache(results)
     bench_flow_table(results)
+    bench_daemon_answer(results)
     bench_flow_generator(results)
     print("running churn soak ...")
     bench_churn_soak(results)
@@ -362,6 +401,11 @@ def main() -> int:
         "flow_table_churn_4096_vs_128": round(
             results["flow_table_churn_128"]["ops_per_sec"]
             / results["flow_table_churn_4096"]["ops_per_sec"],
+            2,
+        ),
+        "daemon_answer_4096_vs_16": round(
+            results["daemon_answer_sockets_16"]["ops_per_sec"]
+            / results["daemon_answer_sockets_4096"]["ops_per_sec"],
             2,
         ),
         "soak_state_bounded": results["soak_churn_100k"]["bounded_within_2x"],
@@ -431,6 +475,12 @@ def main() -> int:
         print(
             f"FAIL: flow-table churn costs more than {FLOW_TABLE_CHURN_CEILING:g}x as much "
             f"beside 4096 resident entries as beside 128 (an operation walks the table)"
+        )
+        return 1
+    if derived["daemon_answer_4096_vs_16"] > DAEMON_ANSWER_CEILING:
+        print(
+            f"FAIL: an ident++ answer costs more than {DAEMON_ANSWER_CEILING:g}x as much on a "
+            f"host holding 4096 sockets as on one holding 16 (a lookup walks the socket table)"
         )
         return 1
     if not derived["soak_state_bounded"]:

@@ -7,7 +7,9 @@ sockets, and :meth:`SocketTable.lookup_flow` answers "which process owns
 this flow?" for both the sending side (connected socket matches the
 4-tuple) and the receiving side (connected socket *or* a listening
 socket on the destination port — "a destination that has yet to accept a
-connection").
+connection").  The table files every socket under the endpoint key a
+flow would name it by, so a lookup is a hash probe, not a walk over the
+host's connections.
 """
 
 from __future__ import annotations
@@ -50,51 +52,17 @@ class Socket:
         """Return ``True`` if the local port is in the privileged range (< 1024)."""
         return 0 < self.local_port < PRIVILEGED_PORT_LIMIT
 
-    def matches_local_flow(
-        self,
-        ip_src: IPv4Address,
-        ip_dst: IPv4Address,
-        proto: int,
-        tp_src: int,
-        tp_dst: int,
-    ) -> bool:
-        """Return ``True`` if this socket is the *source* endpoint of the flow."""
-        if self.proto != proto:
-            return False
-        if self.is_listening:
-            # A server replying on an accepted connection: local port is
-            # the flow's source port.
-            return self.local_ip == ip_src and self.local_port == tp_src
-        return (
-            self.local_ip == ip_src
-            and self.local_port == tp_src
-            and self.remote_ip == ip_dst
-            and self.remote_port == tp_dst
-        )
-
-    def matches_remote_flow(
-        self,
-        ip_src: IPv4Address,
-        ip_dst: IPv4Address,
-        proto: int,
-        tp_src: int,
-        tp_dst: int,
-    ) -> bool:
-        """Return ``True`` if this socket is the *destination* endpoint of the flow."""
-        if self.proto != proto:
-            return False
-        if self.is_listening:
-            return self.local_ip == ip_dst and self.local_port == tp_dst
-        return (
-            self.local_ip == ip_dst
-            and self.local_port == tp_dst
-            and self.remote_ip == ip_src
-            and self.remote_port == tp_src
-        )
-
     def __str__(self) -> str:
         remote = f"{self.remote_ip}:{self.remote_port}" if not self.is_listening else "*:*"
         return f"{self.local_ip}:{self.local_port} <-> {remote} (pid {self.process.pid})"
+
+
+def _endpoint_key(socket: Socket) -> tuple:
+    """Return the index key: ``(proto, local port, remote ip, remote port)``.
+
+    A listening socket's remote half is ``(None, 0)``.
+    """
+    return (socket.proto, socket.local_port, socket.remote_ip, socket.remote_port)
 
 
 class SocketTable:
@@ -102,7 +70,15 @@ class SocketTable:
 
     def __init__(self, host_ip: IPv4Address) -> None:
         self.host_ip = IPv4Address(host_ip)
-        self._sockets: list[Socket] = []
+        # Every socket, in insertion order, under ``id(socket)`` (the
+        # table holds the socket, so the id cannot be reused while it is
+        # a key); a dict so ``close`` deletes without a scan.
+        self._sockets: dict[int, Socket] = {}
+        # ``_endpoint_key(socket)`` -> the sockets sharing that key, in
+        # insertion order.  A flow names its owner's key exactly, so
+        # ``lookup_flow``, ``find_listener`` and ``close`` each touch one
+        # bucket however many connections the host holds.
+        self._by_endpoint: dict[tuple, list[Socket]] = {}
         self._next_ephemeral = EPHEMERAL_PORT_BASE
         # Which flow a 5-tuple resolves to depends on the socket set; a
         # mutation means previously computed owners may be stale.  The
@@ -141,8 +117,7 @@ class SocketTable:
         if self.find_listener(port, proto) is not None:
             raise SocketError(f"port {port}/{proto} already in use")
         socket = Socket(proto=proto, local_ip=self.host_ip, local_port=port, process=process)
-        self._sockets.append(socket)
-        self._changed()
+        self._add(socket)
         return socket
 
     def connect(
@@ -169,16 +144,25 @@ class SocketTable:
             remote_ip=IPv4Address(remote_ip),
             remote_port=remote_port,
         )
-        self._sockets.append(socket)
-        self._changed()
+        self._add(socket)
         return socket
 
+    def _add(self, socket: Socket) -> None:
+        self._sockets[id(socket)] = socket
+        self._by_endpoint.setdefault(_endpoint_key(socket), []).append(socket)
+        self._changed()
+
     def close(self, socket: Socket) -> None:
-        """Remove a socket from the table."""
+        """Remove a socket from the table (the first one equal to ``socket``)."""
+        key = _endpoint_key(socket)
+        bucket = self._by_endpoint.get(key, [])
         try:
-            self._sockets.remove(socket)
+            stored = bucket.pop(bucket.index(socket))
         except ValueError as exc:
             raise SocketError(f"socket not in table: {socket}") from exc
+        if not bucket:
+            del self._by_endpoint[key]
+        del self._sockets[id(stored)]
         self._changed()
 
     def _allocate_ephemeral_port(self) -> int:
@@ -194,11 +178,8 @@ class SocketTable:
 
     def find_listener(self, port: int, proto: int | str = IP_PROTO_TCP) -> Optional[Socket]:
         """Return the listening socket on ``port``/``proto``, if any."""
-        proto = proto_number(proto)
-        for socket in self._sockets:
-            if socket.is_listening and socket.local_port == port and socket.proto == proto:
-                return socket
-        return None
+        bucket = self._by_endpoint.get((proto_number(proto), port, None, 0))
+        return bucket[0] if bucket else None
 
     def lookup_flow(
         self,
@@ -217,17 +198,22 @@ class SocketTable:
         that an accepted connection resolves to the worker process rather
         than the listener.
         """
-        ip_src = IPv4Address(ip_src)
-        ip_dst = IPv4Address(ip_dst)
         proto = proto_number(proto)
-        matcher = Socket.matches_remote_flow if as_destination else Socket.matches_local_flow
-        best: Optional[Socket] = None
-        for socket in self._sockets:
-            if matcher(socket, ip_src, ip_dst, proto, tp_src, tp_dst):
-                if not socket.is_listening:
-                    return socket
-                best = best or socket
-        return best
+        if as_destination:
+            local_ip, local_port, remote_ip, remote_port = ip_dst, tp_dst, ip_src, tp_src
+        else:
+            local_ip, local_port, remote_ip, remote_port = ip_src, tp_src, ip_dst, tp_dst
+        if not isinstance(local_ip, IPv4Address):
+            local_ip = IPv4Address(local_ip)
+        if not isinstance(remote_ip, IPv4Address):
+            remote_ip = IPv4Address(remote_ip)
+        # Every socket in the table is bound to the host's own address.
+        if local_ip != self.host_ip:
+            return None
+        bucket = self._by_endpoint.get(
+            (proto, local_port, remote_ip, remote_port)
+        ) or self._by_endpoint.get((proto, local_port, None, 0))
+        return bucket[0] if bucket else None
 
     def process_for_flow(
         self,
@@ -247,7 +233,7 @@ class SocketTable:
 
     def sockets(self) -> Iterator[Socket]:
         """Iterate over all sockets."""
-        return iter(list(self._sockets))
+        return iter(list(self._sockets.values()))
 
     def __len__(self) -> int:
         return len(self._sockets)

@@ -9,7 +9,7 @@ account database.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.exceptions import UserError
 
@@ -75,12 +75,21 @@ class UserDatabase:
         self._groups: dict[str, Group] = {}
         self._next_uid = 1000
         self._next_gid = 1000
+        # Group membership is reported as ``groupID`` in ident++ answers;
+        # the daemon listens here so controller-side caches drop answers
+        # assembled before a membership change.
+        self._change_listeners: list[Callable[[], None]] = []
         # Every host has a superuser and a system account out of the box,
         # mirroring the paper's Figure 8 "system" principal.
         self.add_group("root", gid=0)
         self.add_group("system", gid=1)
         self.add_user("root", uid=0, groups=["root"])
         self.add_user("system", uid=1, groups=["system"], privileged=True)
+
+    def add_change_listener(self, listener: Callable[[], None]) -> None:
+        """Register a callback fired after a user's group membership changes."""
+        if listener not in self._change_listeners:
+            self._change_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Groups
@@ -161,7 +170,11 @@ class UserDatabase:
         """Add an existing user to a group (creating the group if needed)."""
         user = self.user(user_name)
         self.add_group(group_name)
+        if group_name in user.groups:
+            return
         user.groups.add(group_name)
+        for listener in list(self._change_listeners):
+            listener()
 
     def members_of(self, group_name: str) -> list[User]:
         """Return all users belonging to ``group_name``."""

@@ -37,6 +37,12 @@ from repro.netsim.topology import Topology
 #: What a query costs when the target never answers (seconds).
 DEFAULT_QUERY_TIMEOUT = 0.05
 
+#: Event label of an answer's arrival, per queried role.
+_ANSWER_LABELS = {
+    ROLE_SOURCE: f"identpp:answer:{ROLE_SOURCE}",
+    ROLE_DESTINATION: f"identpp:answer:{ROLE_DESTINATION}",
+}
+
 
 class QueryInterceptor(Protocol):
     """The interface on-path controllers implement to intercept ident++ traffic."""
@@ -236,7 +242,7 @@ class QueryClient:
         else:
             sim.schedule(
                 outcome.latency, future.set_result, outcome,
-                label=f"identpp:answer:{role}",
+                label=_ANSWER_LABELS[role],
             )
         return future
 

@@ -25,6 +25,7 @@ wire format requires.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Optional
 
 from repro.exceptions import IdentPPError, QueryError
@@ -53,6 +54,9 @@ from repro.netsim.statistics import Counter
 #: Time the daemon takes to assemble one response (process lookup +
 #: config file reads), charged to flow-setup latency.
 DEFAULT_PROCESSING_DELAY = 500e-6
+
+#: Invalidation reason for a socket opening or closing.
+SOCKET_TABLE_CHANGED = "socket-table"
 
 
 class RuntimeKeyRegistry:
@@ -156,6 +160,13 @@ class IdentPPDaemon:
         #: controller re-subscribing after failover can tell from the
         #: ack's serial whether it missed deltas during the gap.
         self.delta_serial = 0
+        # The flow-independent part of an answer, built once per identity
+        # and handed out as copies: (user name, executable path) -> (what
+        # the base section was built from, its pairs), and executable path
+        # -> the configuration sections.  Holds no Process (they churn);
+        # ``notify_invalidation`` drops both.
+        self._base_memo: dict[Optional[tuple[str, str]], tuple[tuple, list, Optional[int]]] = {}
+        self._config_memo: dict[str, list[KeyValueSection]] = {}
         # Register on TCP 783 so queries arriving over the network reach us.
         host.register_service(IDENT_PP_PORT, self._service_handler)
         # Make the daemon discoverable by the query client / controllers.
@@ -163,6 +174,8 @@ class IdentPPDaemon:
         # A socket gaining or losing an owner changes which process a
         # 5-tuple resolves to, which changes the answer.
         host.sockets.add_change_listener(self._on_socket_change)
+        # So does the owning user's group membership.
+        host.users.add_change_listener(self._on_user_change)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -227,6 +240,11 @@ class IdentPPDaemon:
         carrying the new serial.
         """
         self.delta_serial += 1
+        if reason != SOCKET_TABLE_CHANGED:
+            # Which process owns a flow is looked up per query; a socket
+            # opening or closing changes nothing the memo holds.
+            self._base_memo.clear()
+            self._config_memo.clear()
         for listener in list(self._invalidation_listeners):
             listener(reason)
         if self._delta_subscribers:
@@ -238,7 +256,10 @@ class IdentPPDaemon:
                 deliver(delta)
 
     def _on_socket_change(self) -> None:
-        self.notify_invalidation("socket-table")
+        self.notify_invalidation(SOCKET_TABLE_CHANGED)
+
+    def _on_user_change(self) -> None:
+        self.notify_invalidation("user-table")
 
     # ------------------------------------------------------------------
     # Push subscriptions (wire version 2)
@@ -350,8 +371,41 @@ class IdentPPDaemon:
         return socket is None or socket.is_listening
 
     def _base_section(self, process: Optional[Process]) -> KeyValueSection:
-        """Build the OS-derived section (user, group, application identity, host facts)."""
-        section = KeyValueSection(source=f"{self.host.name}:daemon")
+        """Return the OS-derived section (user, group, application identity, host facts).
+
+        Built once per (user, application) and copied per answer with
+        the process's own ``pid``.  Users and applications are plain
+        mutable objects with no change hook (a trojaned binary is just
+        new ``contents``), so a memo entry is trusted only while what it
+        was built from still compares equal.
+        """
+        if process is None:
+            key, built_from = None, ()
+        else:
+            user, app = process.user, process.application
+            key = (user.name, app.path)
+            built_from = (
+                user.groups, app.name, app.version, app.vendor, app.app_type,
+                app.contents, app.extra_keys,
+            )
+        entry = self._base_memo.get(key)
+        if entry is None or entry[0] != built_from:
+            pairs = list(self._build_base_section(process).pairs)
+            # ``pid`` is the one pair that differs between two processes
+            # of one (user, application); the daemon's own comes first.
+            pid_at = pairs.index(("pid", str(process.pid))) if process is not None else None
+            # Shallow copies: the strings are shared, the groups set and
+            # the extra-keys dict become the memo's own, so a later
+            # in-place change to either shows up as a difference.
+            entry = self._base_memo[key] = (tuple(map(copy.copy, built_from)), pairs, pid_at)
+        _, pairs, pid_at = entry
+        section = KeyValueSection(pairs=pairs, source=f"{self.host.name}:daemon")
+        if pid_at is not None:
+            section.pairs[pid_at] = ("pid", str(process.pid))
+        return section
+
+    def _build_base_section(self, process: Optional[Process]) -> KeyValueSection:
+        section = KeyValueSection()
         if process is None:
             section.add("responder", self.host.name)
             section.add("no-process", "true")
@@ -368,13 +422,16 @@ class IdentPPDaemon:
 
     def _config_sections(self, process: Optional[Process]) -> list[KeyValueSection]:
         """Return the configuration-file sections that apply to the owning process."""
-        sections: list[KeyValueSection] = []
         if process is None:
-            return sections
+            return []
         path = process.exe_path
-        sections.extend(self.system_config.sections_for_path(path))
-        sections.extend(self.user_config.sections_for_path(path))
-        return sections
+        sections = self._config_memo.get(path)
+        if sections is None:
+            sections = self._config_memo[path] = (
+                self.system_config.sections_for_path(path)
+                + self.user_config.sections_for_path(path)
+            )
+        return [section.copy() for section in sections]
 
     # ------------------------------------------------------------------
     # Network-facing entry points

@@ -526,7 +526,10 @@ class QueryEngine:
         else:
             if self.ttl <= 0.0 and not self.push:
                 return None
-            daemon = getattr(self.client.topology.node_for_ip(host_ip), "identpp_daemon", None)
+            daemon = getattr(
+                self.client.topology.node_for_ip(outcome.query.target_ip),
+                "identpp_daemon", None,
+            )
             # Source answers name the one process that opened the flow,
             # and a destination answer may carry flow-published pairs or
             # a per-connection worker's identity: such entries serve only

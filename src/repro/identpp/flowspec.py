@@ -25,9 +25,23 @@ class FlowSpec:
     dst_port: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "src_ip", IPv4Address(self.src_ip))
-        object.__setattr__(self, "dst_ip", IPv4Address(self.dst_ip))
-        object.__setattr__(self, "proto", proto_number(self.proto))
+        # Fields that already have their final type (a flow read off a
+        # packet, a reversed flow) are kept as they are.
+        if type(self.src_ip) is not IPv4Address:
+            object.__setattr__(self, "src_ip", IPv4Address(self.src_ip))
+        if type(self.dst_ip) is not IPv4Address:
+            object.__setattr__(self, "dst_ip", IPv4Address(self.dst_ip))
+        if type(self.proto) is not int:
+            object.__setattr__(self, "proto", proto_number(self.proto))
+        # A flow keys the pending table, the answer store, the decision
+        # cache and the audit ledger: hash the 5-tuple once, not per probe.
+        object.__setattr__(
+            self, "_hash",
+            hash((self.src_ip, self.dst_ip, self.proto, self.src_port, self.dst_port)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     # Construction

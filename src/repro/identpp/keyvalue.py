@@ -28,6 +28,40 @@ from repro.exceptions import WireFormatError
 CONCAT_SEPARATOR = " "
 
 
+class _TrackedPairs(list):
+    """A ``pairs`` list that counts its own mutations.
+
+    ``KeyValueSection.pairs`` is a public list and callers do append to
+    it directly, so the section's key index cannot rely on
+    :meth:`KeyValueSection.add` being the only writer: it records the
+    ``version`` it was built from and is rebuilt once the list moved on.
+    """
+
+    __slots__ = ("version",)
+
+    def __init__(self, items=()) -> None:
+        super().__init__(items)
+        self.version = 0
+
+
+def _counting(name: str):
+    mutate = getattr(list, name)
+
+    def method(self, *args, **kwargs):
+        self.version += 1
+        return mutate(self, *args, **kwargs)
+
+    method.__name__ = name
+    return method
+
+
+for _name in (
+    "append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse",
+    "__setitem__", "__delitem__", "__iadd__", "__imul__",
+):
+    setattr(_TrackedPairs, _name, _counting(_name))
+
+
 @dataclass
 class KeyValueSection:
     """One section of a response: an ordered list of key/value pairs.
@@ -37,10 +71,21 @@ class KeyValueSection:
     where the section came from ("daemon", "user", "app:/usr/bin/skype",
     "controller:branch-b") — it is not part of the wire format but makes
     audit logs and tests much clearer.
+
+    Lookups read a ``{key: last value}`` index (first-appearance key
+    order) that is rebuilt whenever ``pairs`` was mutated or replaced,
+    so a lookup costs one dict read however long the section is.
     """
 
     pairs: list[tuple[str, str]] = field(default_factory=list)
     source: str = ""
+    # (the pairs list the index was built from, its version then, the index)
+    _indexed: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "pairs" and type(value) is not _TrackedPairs:
+            value = _TrackedPairs(value)
+        object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, mapping: dict[str, str], source: str = "") -> "KeyValueSection":
@@ -54,29 +99,30 @@ class KeyValueSection:
             raise WireFormatError("empty key in key-value section")
         self.pairs.append((key, str(value).strip()))
 
+    def _index(self) -> dict[str, str]:
+        """Return the shared ``{key: last value}`` index, rebuilding it when stale."""
+        pairs = self.pairs
+        built_from, version, index = self._indexed
+        if built_from is not pairs or version != pairs.version:
+            index = dict(pairs)
+            self._indexed = (pairs, pairs.version, index)
+        return index
+
     def get(self, key: str) -> Optional[str]:
         """Return the last value recorded for ``key`` in this section, or ``None``."""
-        result = None
-        for existing_key, value in self.pairs:
-            if existing_key == key:
-                result = value
-        return result
+        return self._index().get(key)
 
     def keys(self) -> list[str]:
         """Return the distinct keys in first-appearance order."""
-        seen: list[str] = []
-        for key, _ in self.pairs:
-            if key not in seen:
-                seen.append(key)
-        return seen
+        return list(self._index())
 
     def as_dict(self) -> dict[str, str]:
         """Return the section as a dict (later duplicates win)."""
-        return {key: value for key, value in self.pairs}
+        return dict(self._index())
 
     def copy(self) -> "KeyValueSection":
         """Return a deep-enough copy of the section."""
-        return KeyValueSection(pairs=list(self.pairs), source=self.source)
+        return KeyValueSection(pairs=_TrackedPairs(self.pairs), source=self.source)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -131,7 +177,8 @@ class ResponseDocument:
         """Return the most recently added value for ``key`` (``@src[key]`` semantics).
 
         "Indexing the dictionaries will give the latest value added to
-        the response" (§3.3) — i.e. the last section wins.
+        the response" (§3.3) — i.e. the last section wins.  One index
+        read per section, newest first.
         """
         for section in reversed(self.sections):
             value = section.get(key)
@@ -141,33 +188,31 @@ class ResponseDocument:
 
     def concatenated(self, key: str, separator: str = CONCAT_SEPARATOR) -> str:
         """Return all values for ``key`` joined in section order (``*@src[key]`` semantics)."""
-        values = []
-        for section in self.sections:
-            value = section.get(key)
-            if value is not None:
-                values.append(value)
-        return separator.join(values)
+        return separator.join(self.all_values(key))
 
     def all_values(self, key: str) -> list[str]:
         """Return every value recorded for ``key`` in section order."""
-        return [section.get(key) for section in self.sections if section.get(key) is not None]
+        values = [section.get(key) for section in self.sections]
+        return [value for value in values if value is not None]
 
     def keys(self) -> list[str]:
         """Return every distinct key across all sections, in first-appearance order."""
-        seen: list[str] = []
-        for section in self.sections:
-            for key in section.keys():
-                if key not in seen:
-                    seen.append(key)
-        return seen
+        return list(self.as_flat_dict())
 
     def has_key(self, key: str) -> bool:
         """Return ``True`` if any section carries ``key``."""
         return self.latest(key) is not None
 
     def as_flat_dict(self) -> dict[str, str]:
-        """Return a {key: latest value} dictionary (the ``@src``/``@dst`` view)."""
-        return {key: self.latest(key) for key in self.keys()}
+        """Return a {key: latest value} dictionary (the ``@src``/``@dst`` view).
+
+        One ordered pass: keys in first-appearance order, the last
+        section (and within it the last duplicate) supplying the value.
+        """
+        flat: dict[str, str] = {}
+        for section in self.sections:
+            flat.update(section.pairs)
+        return flat
 
     def section_count(self) -> int:
         """Return the number of sections."""

@@ -36,13 +36,23 @@ class IPv4Address:
     3232246304
     >>> str(IPv4Address(3232246304))
     '192.168.42.32'
+
+    An address hashes like its integer value, so it finds (and is found
+    by) the equal ``int`` in sets and dicts.  Comparing with a
+    dotted-quad *string* is equality only: ``IPv4Address("10.0.0.1") ==
+    "10.0.0.1"`` holds but the two hash differently, so convert strings
+    before using them as keys beside addresses.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_text")
 
     def __init__(self, address: IPv4Like) -> None:
+        # The dotted-quad text is rendered on first use and then kept
+        # (cache keys and log lines ask for it once per lookup).
+        self._text = None
         if isinstance(address, IPv4Address):
             self._value = address._value
+            self._text = address._text
         elif isinstance(address, int):
             if not 0 <= address < 2**32:
                 raise AddressError(f"IPv4 integer out of range: {address}")
@@ -100,19 +110,22 @@ class IPv4Address:
         return self in IPv4Network("224.0.0.0/4")
 
     def __str__(self) -> str:
-        return ".".join(str(octet) for octet in self.octets())
+        text = self._text
+        if text is None:
+            text = self._text = ".".join(str(octet) for octet in self.octets())
+        return text
 
     def __repr__(self) -> str:
         return f"IPv4Address({str(self)!r})"
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (str, int)):
-            try:
-                other = IPv4Address(other)
-            except AddressError:
-                return NotImplemented
         if isinstance(other, IPv4Address):
             return self._value == other._value
+        if isinstance(other, (str, int)):
+            try:
+                return self._value == IPv4Address(other)._value
+            except AddressError:
+                return NotImplemented
         return NotImplemented
 
     def __lt__(self, other: "IPv4Address") -> bool:
@@ -121,7 +134,7 @@ class IPv4Address:
         return self._value < other._value
 
     def __hash__(self) -> int:
-        return hash(("IPv4Address", self._value))
+        return hash(self._value)
 
     def __int__(self) -> int:
         return self._value

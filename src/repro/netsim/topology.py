@@ -43,6 +43,9 @@ class Topology:
         # install resolves one path per decision, so repeat pairs are the
         # hot case.
         self._path_cache: dict[tuple[str, str], list[str]] = {}
+        # (source, target) name pair -> summed link latency of that path;
+        # same lifetime as the path it was summed over.
+        self._latency_cache: dict[tuple[str, str], float] = {}
         # Bumped on every connectivity mutation.  Derived caches (the
         # path cache here, the query client's mean-link-latency) key on
         # this instead of sizes: removing one link and adding another
@@ -98,7 +101,9 @@ class Topology:
 
     def node_for_ip(self, address: IPv4Address | str) -> Optional[Node]:
         """Return the node owning ``address``, or ``None``."""
-        return self._ip_to_node.get(IPv4Address(address))
+        if not isinstance(address, IPv4Address):
+            address = IPv4Address(address)
+        return self._ip_to_node.get(address)
 
     def registered_ips(self) -> dict[IPv4Address, Node]:
         """Return a copy of the IP → node index."""
@@ -159,6 +164,7 @@ class Topology:
         """Record a connectivity change: bump the epoch, drop derived caches."""
         self._mutation_epoch += 1
         self._path_cache.clear()
+        self._latency_cache.clear()
 
     @property
     def mutation_epoch(self) -> int:
@@ -260,13 +266,17 @@ class Topology:
 
     def path_latency(self, source: Node | str, target: Node | str) -> float:
         """Return the sum of link latencies along the shortest path."""
-        path = self.shortest_path(source, target)
-        total = 0.0
-        for left, right in zip(path, path[1:]):
-            link = self.link_between(left, right)
-            if link is None:
-                raise TopologyError(f"missing link between {left.name} and {right.name}")
-            total += link.latency
+        key = (self._resolve(source).name, self._resolve(target).name)
+        total = self._latency_cache.get(key)
+        if total is None:
+            path = self.shortest_path(source, target)
+            total = 0.0
+            for left, right in zip(path, path[1:]):
+                link = self.link_between(left, right)
+                if link is None:
+                    raise TopologyError(f"missing link between {left.name} and {right.name}")
+                total += link.latency
+            self._latency_cache[key] = total
         return total
 
     def egress_port(self, node: Node | str, toward: Node | str) -> Port:

@@ -176,6 +176,10 @@ class Rule:
     keep_state: bool = False
     origin: str = ""
     line: int = 0
+    # (the fields the text was rendered from, the text): every decision
+    # is audited and cached under its rule's text, so it is rendered once
+    # and kept for as long as those fields still compare equal.
+    _rendered: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_pass(self) -> bool:
@@ -188,6 +192,15 @@ class Rule:
         return self.action == ACTION_BLOCK
 
     def __str__(self) -> str:
+        rendered_from = (
+            self.action, self.quick, self.src, self.dst, self.conditions, self.keep_state,
+        )
+        rendered = self._rendered
+        if rendered is None or rendered[0] != rendered_from:
+            rendered = self._rendered = (rendered_from, self._render())
+        return rendered[1]
+
+    def _render(self) -> str:
         parts = [self.action]
         if self.quick:
             parts.append("quick")

@@ -97,6 +97,18 @@ class TestRuleSemantics:
         assert analyze_source("c = Counter(name='served')\n", rules) == []
         assert analyze_source("c = Counter()\n", rules)
 
+    def test_r8_only_the_owner_touches_the_raw_store(self):
+        rules = [rules_by_id()["R8"]]
+        peek = "def n(table):\n    return len(table._sockets)\n"
+        scan = "def f(s, k):\n    return [v for key, v in reversed(s.pairs) if key == k]\n"
+        assert analyze_source(peek, rules, rel_path="src/repro/identpp/daemon.py")
+        assert analyze_source(peek, rules, rel_path="src/repro/hosts/sockets.py") == []
+        assert analyze_source(scan, rules, rel_path="src/repro/pf/evaluator.py")
+        assert analyze_source(scan, rules, rel_path="src/repro/identpp/keyvalue.py") == []
+        # Passing the list on, appending to it or indexing it scans nothing.
+        handed_on = "def g(s):\n    s.pairs.append(('k', 'v'))\n    return dict(s.pairs), s.pairs[0]\n"
+        assert analyze_source(handed_on, rules, rel_path="src/repro/core/interception.py") == []
+
 
 class TestSuppression:
     def test_inline_disable_suppresses_only_named_rule(self):

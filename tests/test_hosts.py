@@ -1,16 +1,20 @@
 """Tests for the end-host substrate: users, applications, processes, sockets, EndHost."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.exceptions import HostError, ProcessError, SocketError, UserError
 from repro.hosts.applications import Application, ApplicationRegistry, standard_applications
 from repro.hosts.endhost import EndHost
 from repro.hosts.processes import ProcessTable
-from repro.hosts.sockets import SocketTable
+from repro.hosts.sockets import EPHEMERAL_PORT_BASE, Socket, SocketTable
 from repro.hosts.users import UserDatabase
+from repro.netsim.addresses import IPv4Address
 from repro.netsim.events import Simulator
 from repro.netsim.links import Link
 from repro.netsim.packet import Packet
+from tests.reference_identity import ReferenceSocketTable
 
 
 class TestUsers:
@@ -226,6 +230,128 @@ class TestSockets:
         self.table.close(socket)
         with pytest.raises(SocketError):
             self.table.close(socket)
+
+
+def _describe_socket(socket):
+    if socket is None:
+        return None
+    return (
+        socket.proto, str(socket.local_ip), socket.local_port,
+        str(socket.remote_ip), socket.remote_port, socket.process.pid,
+    )
+
+
+_HOST_IP = "192.168.0.10"
+_IPS = st.sampled_from([_HOST_IP, "192.168.1.1", "192.168.1.2", "10.9.9.9"])
+_PROTOS = st.sampled_from(["tcp", "udp", 6, 17])
+# Few enough ports that listeners, explicit local ports (accepted
+# connections) and wrapped-around ephemeral ports keep colliding.
+_PORTS = st.sampled_from([22, 80, 8080, EPHEMERAL_PORT_BASE, EPHEMERAL_PORT_BASE + 1, 0xFFFF])
+_PROCESSES = st.integers(min_value=0, max_value=3)
+
+
+class SocketTableDifferential(RuleBasedStateMachine):
+    """Drive the indexed socket table and the linear oracle with the same calls."""
+
+    @initialize(near_wrap=st.booleans())
+    def build(self, near_wrap):
+        db = UserDatabase()
+        alice = db.add_user("alice")
+        app = Application(name="httpd", path="/usr/sbin/httpd")
+        processes = ProcessTable()
+        self.processes = [
+            processes.spawn(user, app) for user in (db.user("root"), alice, alice, db.user("system"))
+        ]
+        self.tables = (SocketTable(_HOST_IP), ReferenceSocketTable(_HOST_IP))
+        if near_wrap:
+            for table in self.tables:
+                table._next_ephemeral = 0xFFFE
+
+    def both(self, call):
+        """Apply ``call`` to each table; a refusal counts as a result."""
+        results = []
+        for table in self.tables:
+            try:
+                results.append(call(table))
+            except SocketError as exc:
+                results.append(("raised", str(exc)))
+        assert results[0] == results[1]
+        return results[0]
+
+    @rule(process=_PROCESSES, port=st.one_of(_PORTS, st.sampled_from([0, 70000])), proto=_PROTOS)
+    def listen(self, process, port, proto):
+        self.both(lambda table: _describe_socket(
+            table.listen(self.processes[process], port, proto)
+        ))
+
+    @rule(
+        process=_PROCESSES, remote_ip=_IPS, remote_port=_PORTS, proto=_PROTOS,
+        local_port=st.one_of(st.none(), _PORTS),
+    )
+    def connect(self, process, remote_ip, remote_port, proto, local_port):
+        self.both(lambda table: _describe_socket(table.connect(
+            self.processes[process], remote_ip, remote_port, proto, local_port=local_port
+        )))
+
+    @precondition(lambda self: len(self.tables[1]) > 0)
+    @rule(pick=st.integers(min_value=0), by_equal_copy=st.booleans())
+    def close(self, pick, by_equal_copy):
+        def close_nth(table):
+            sockets = list(table.sockets())
+            socket = sockets[pick % len(sockets)]
+            if by_equal_copy:
+                # close() removes the first socket *equal* to its argument.
+                socket = Socket(
+                    socket.proto, socket.local_ip, socket.local_port, socket.process,
+                    socket.remote_ip, socket.remote_port,
+                )
+            table.close(socket)
+        self.both(close_nth)
+
+    @rule(process=_PROCESSES, port=_PORTS)
+    def close_stranger(self, process, port):
+        stranger = Socket(6, IPv4Address(_HOST_IP), port, self.processes[process])
+        present = stranger in self.tables[1].sockets()
+        outcome = self.both(lambda table: table.close(stranger))
+        assert present or outcome[0] == "raised"
+
+    @rule(
+        ip_src=_IPS, ip_dst=_IPS, proto=_PROTOS, tp_src=_PORTS, tp_dst=_PORTS,
+        as_destination=st.booleans(),
+    )
+    def lookup(self, ip_src, ip_dst, proto, tp_src, tp_dst, as_destination):
+        self.both(lambda table: _describe_socket(table.lookup_flow(
+            ip_src, ip_dst, proto, tp_src, tp_dst, as_destination=as_destination
+        )))
+
+    @precondition(lambda self: len(self.tables[1]) > 0)
+    @rule(pick=st.integers(min_value=0), as_destination=st.booleans())
+    def lookup_resident(self, pick, as_destination):
+        # A flow some socket really is an endpoint of (or, for a
+        # listener, would accept from 10.9.9.9:22).
+        sockets = self.tables[1].sockets()
+        socket = sockets[pick % len(sockets)]
+        remote = (socket.remote_ip or IPv4Address("10.9.9.9"), socket.remote_port or 22)
+        local = (socket.local_ip, socket.local_port)
+        (ip_src, tp_src), (ip_dst, tp_dst) = (remote, local) if as_destination else (local, remote)
+        found = self.both(lambda table: _describe_socket(table.lookup_flow(
+            ip_src, ip_dst, socket.proto, tp_src, tp_dst, as_destination=as_destination
+        )))
+        assert found is not None
+
+    @invariant()
+    def same_observable_state(self):
+        self.both(len)
+        self.both(lambda table: [_describe_socket(socket) for socket in table.sockets()])
+        for proto in (6, 17):
+            for port in (22, 80, 8080, EPHEMERAL_PORT_BASE, 0xFFFF):
+                self.both(lambda table: _describe_socket(table.find_listener(port, proto)))
+
+
+SocketTableDifferential.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestSocketTableDifferential = SocketTableDifferential.TestCase
 
 
 class TestEndHost:

@@ -1,5 +1,8 @@
 """Tests for the ident++ daemon, its configuration files and the query client."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.exceptions import DaemonConfigError, QueryError
@@ -154,6 +157,151 @@ class TestDaemonAnswers:
         host = make_host()
         IdentPPDaemon(host)
         assert getattr(host, "identpp_daemon", None) is not None
+
+
+USER_OVERRIDE_CONFIG = """\
+@app /usr/bin/skype {
+version : 999
+}
+"""
+
+
+def _skype_process(host):
+    return next(p for p in host.processes if p.application.name == "skype")
+
+
+def _spoof_then_stop(host, daemon):
+    daemon.spoof_responses({"userID": "system"})
+    daemon.answer(IdentQuery(flow=_skype_flow(host), target_role="src"))
+    daemon.spoof_responses(None)
+
+
+def _skype_flow(host):
+    socket = next(s for s in host.sockets.sockets() if not s.is_listening)
+    return FlowSpec.tcp(host.ip, socket.remote_ip, socket.local_port, socket.remote_port)
+
+
+def _trojan_in_place(host, daemon):
+    _skype_process(host).application.contents = "trojaned image"
+
+
+def _new_version_in_place(host, daemon):
+    _skype_process(host).application.version = "211"
+
+
+def _replace_application(host, daemon):
+    process = _skype_process(host)
+    process.application = process.application.tampered_copy()
+
+
+#: name -> (change applied to a host whose daemon already answered, does
+#: the honest answer differ afterwards)
+IDENTITY_CHANGES = {
+    "config-load-system": (lambda host, daemon: daemon.load_system_config(USER_OVERRIDE_CONFIG), True),
+    "config-load-user": (lambda host, daemon: daemon.load_user_config(USER_OVERRIDE_CONFIG), True),
+    "host-fact": (lambda host, daemon: daemon.set_host_fact("os-patch", "MS08-067"), True),
+    "spoofed-on": (lambda host, daemon: daemon.spoof_responses({"userID": "system"}), True),
+    "spoofed-off": (_spoof_then_stop, False),
+    "runtime-publish": (
+        lambda host, daemon: daemon.runtime.publish_for_process(
+            _skype_process(host), {"window": "main"}
+        ),
+        True,
+    ),
+    "user-table": (lambda host, daemon: host.users.add_to_group("alice", "research"), True),
+    "groups-mutated-directly": (
+        lambda host, daemon: host.users.user("alice").groups.discard("staff"), True,
+    ),
+    "mark-compromised": (lambda host, daemon: host.mark_compromised(), False),
+    "trojaned-contents": (_trojan_in_place, True),
+    "trojaned-version": (_new_version_in_place, True),
+    "replaced-application": (_replace_application, True),
+}
+
+
+class TestAnswerMemo:
+    """The memoised part of an answer is never staler than a from-scratch build."""
+
+    def answered_host(self, *, warm):
+        """A host running skype; with ``warm`` its daemon has already answered."""
+        host = make_host()
+        daemon = IdentPPDaemon(host, host_facts={"os-name": "linux"})
+        daemon.load_system_config(SKYPE_CONFIG)
+        host.open_flow("skype", "alice", "192.168.1.1", 5060, send=False)
+        query = IdentQuery(flow=_skype_flow(host), target_role="src")
+        before = daemon.answer(query).document.to_body() if warm else None
+        return host, daemon, query, before
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_CHANGES))
+    def test_answer_after_a_change_equals_a_from_scratch_build(self, name):
+        change, answer_differs = IDENTITY_CHANGES[name]
+        host, daemon, query, before = self.answered_host(warm=True)
+        change(host, daemon)
+        after = daemon.answer(query).document
+        # The same history on a daemon that never answered before the change.
+        cold_host, cold_daemon, cold_query, _ = self.answered_host(warm=False)
+        change(cold_host, cold_daemon)
+        from_scratch = cold_daemon.answer(cold_query).document
+        assert after.to_body() == from_scratch.to_body()
+        assert after.sources() == from_scratch.sources()
+        assert (after.to_body() != before) == answer_differs
+
+    def test_trojaned_binary_changes_exe_hash_in_the_very_next_answer(self):
+        host, daemon, query, _ = self.answered_host(warm=True)
+        honest = daemon.answer(query).document.latest("exe-hash")
+        _trojan_in_place(host, daemon)
+        trojaned = daemon.answer(query).document.latest("exe-hash")
+        _replace_application(host, daemon)
+        replaced = daemon.answer(query).document.latest("exe-hash")
+        assert len({honest, trojaned, replaced}) == 3
+        assert replaced == _skype_process(host).application.exe_hash
+
+    def test_two_processes_of_one_user_and_application_report_their_own_pid(self):
+        host = make_host()
+        daemon = IdentPPDaemon(host)
+        answers = []
+        for _ in range(2):
+            packet, _, process = host.open_flow("skype", "alice", "192.168.1.1", 5060, send=False)
+            document = daemon.answer(
+                IdentQuery(flow=FlowSpec.from_packet(packet), target_role="src")
+            ).document
+            answers.append((document.latest("pid"), str(process.pid), document))
+        assert answers[0][0] == answers[0][1] != answers[1][1] == answers[1][0]
+        first, second = (answer[2].as_flat_dict() for answer in answers)
+        assert {key for key in first if first[key] != second[key]} == {"pid"}
+
+    def test_mutating_a_returned_answer_leaves_the_next_one_unchanged(self):
+        host, daemon, query, before = self.answered_host(warm=True)
+        document = daemon.answer(query).document
+        document.augment({"userID": "forged"}, source="interceptor")
+        for section in document.sections:
+            section.add("name", "forged")
+            section.pairs[0] = ("responder", "forged")
+            section.source = "forged"
+        again = daemon.answer(query).document
+        assert again.to_body() == before
+        assert "forged" not in again.sources()
+
+    def test_memo_holds_no_process(self):
+        host = make_host()
+        host.add_user("bob", ("users",))
+        daemon = IdentPPDaemon(host)
+        reaped = []
+        for cycle in range(10_000):
+            user, app = (("alice", "skype"), ("bob", "http"), ("alice", "http"))[cycle % 3]
+            packet, socket, process = host.open_flow(app, user, "192.168.1.1", 80, send=False)
+            document = daemon.answer(
+                IdentQuery(flow=FlowSpec.from_packet(packet), target_role="src")
+            ).document
+            assert document.latest("pid") == str(process.pid)
+            assert document.latest("userID") == user
+            host.sockets.close(socket)
+            host.processes.kill(process.pid)
+            reaped.append(weakref.ref(process))
+            del packet, socket, process, document
+        assert len(daemon._base_memo) == 3
+        gc.collect()
+        assert not any(ref() is not None for ref in reaped)
 
 
 class TestQueryClient:

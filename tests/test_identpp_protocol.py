@@ -1,7 +1,8 @@
 """Tests for the ident++ protocol: flow specs, key/value documents, wire format."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.exceptions import WireFormatError
 from repro.identpp.flowspec import FlowSpec
@@ -15,6 +16,7 @@ from repro.identpp.wire import (
     parse_response_payload,
 )
 from repro.netsim.packet import Packet
+from tests.reference_identity import ReferenceDocument
 
 
 class TestFlowSpec:
@@ -36,6 +38,14 @@ class TestFlowSpec:
         a = FlowSpec.tcp("10.0.0.1", "10.0.0.2", 1, 2)
         b = FlowSpec.tcp("10.0.0.1", "10.0.0.2", 1, 2)
         assert a == b and len({a, b}) == 1
+
+    def test_hash_is_the_same_however_the_flow_was_spelled(self):
+        from_text = FlowSpec("10.0.0.1", "10.0.0.2", "tcp", 1234, 80)
+        from_packet = FlowSpec.from_packet(Packet.tcp("10.0.0.1", "10.0.0.2", 1234, 80))
+        there_and_back = from_text.reversed().reversed()
+        assert hash(from_text) == hash(from_packet) == hash(there_and_back)
+        assert {from_text: "pending"}[from_packet] == "pending"
+        assert hash(from_text) != hash(from_text.reversed())
 
     def test_udp_constructor(self):
         assert FlowSpec.udp("1.1.1.1", "2.2.2.2", 53, 53).proto_name() == "udp"
@@ -121,6 +131,120 @@ class TestKeyValueSections:
         document.add_section(pairs)
         restored = ResponseDocument.from_body(document.to_body())
         assert restored.as_flat_dict() == {k: v for k, v in pairs.items()}
+
+
+# Few keys, so duplicates within a section and overrides across sections
+# are the common case; values survive the body format unchanged.
+_KEYS = st.sampled_from(["userID", "name", "version", "req-sig", "x"])
+_VALUES = st.text(alphabet="ab 01", max_size=5).map(str.strip)
+_PAIRS = st.lists(st.tuples(_KEYS, _VALUES), max_size=6)
+_PICK = st.integers(min_value=0)
+
+
+class DocumentDifferential(RuleBasedStateMachine):
+    """Edit a document and a list-of-lists model alike; the oracle reads the model."""
+
+    @initialize(sections=st.lists(_PAIRS, max_size=3))
+    def build(self, sections):
+        self.document = ResponseDocument([KeyValueSection(pairs=list(p)) for p in sections if p])
+        self.model = [list(pairs) for pairs in sections if pairs]
+
+    def has_sections(self):
+        return bool(self.model)
+
+    @rule(pairs=_PAIRS, as_dict=st.booleans())
+    def add_section(self, pairs, as_dict):
+        if as_dict:
+            pairs = list(dict(pairs).items())
+            self.document.add_section(dict(pairs), source="dict")
+        else:
+            self.document.add_section(KeyValueSection(pairs=list(pairs)), source="section")
+        if pairs:
+            self.model.append(list(pairs))
+
+    @rule(pairs=_PAIRS)
+    def augment(self, pairs):
+        self.document.augment(dict(pairs), source="controller")
+        if pairs:
+            self.model.append(list(dict(pairs).items()))
+
+    @precondition(has_sections)
+    @rule(pick=_PICK, key=_KEYS, value=_VALUES, direct=st.booleans())
+    def append_pair(self, pick, key, value, direct):
+        index = pick % len(self.model)
+        section = self.document.sections[index]
+        if direct:
+            section.pairs.append((key, value))
+        else:
+            section.add(key, f"  {value} ")
+        self.model[index].append((key, value))
+
+    @precondition(has_sections)
+    @rule(pick=_PICK, where=_PICK, key=_KEYS, value=_VALUES)
+    def overwrite_pair(self, pick, where, key, value):
+        index = pick % len(self.model)
+        where %= len(self.model[index])
+        self.document.sections[index].pairs[where] = (key, value)
+        self.model[index][where] = (key, value)
+
+    @precondition(has_sections)
+    @rule(pick=_PICK, pairs=_PAIRS.filter(bool), how=st.sampled_from(["assign", "extend", "pop"]))
+    def rewrite_pairs(self, pick, pairs, how):
+        index = pick % len(self.model)
+        section = self.document.sections[index]
+        if how == "assign":
+            section.pairs = list(pairs)
+            self.model[index] = list(pairs)
+        elif how == "extend":
+            section.pairs += pairs
+            self.model[index] += pairs
+        elif len(self.model[index]) > 1:
+            section.pairs.pop()
+            self.model[index].pop()
+
+    @precondition(has_sections)
+    @rule(pick=_PICK)
+    def drop_section(self, pick):
+        index = pick % len(self.model)
+        del self.document.sections[index]
+        del self.model[index]
+
+    @rule()
+    def continue_with_copy(self):
+        original, self.document = self.document, self.document.copy()
+        self.document.augment({"x": "copy-only"})
+        assert original.to_body() == _body(self.model)
+        self.model.append([("x", "copy-only")])
+
+    @rule()
+    def round_trip_through_body(self):
+        self.document = ResponseDocument.from_body(self.document.to_body())
+
+    @invariant()
+    def reads_agree(self):
+        oracle = ReferenceDocument(self.model)
+        flat = self.document.as_flat_dict()
+        assert flat == oracle.as_flat_dict()
+        assert list(flat) == self.document.keys() == oracle.keys()
+        assert self.document.to_body() == _body(self.model)
+        for key in ("userID", "name", "version", "req-sig", "x", "absent"):
+            assert self.document.latest(key) == oracle.latest(key)
+            assert self.document.has_key(key) == (oracle.latest(key) is not None)
+            assert self.document.concatenated(key) == oracle.concatenated(key)
+            assert self.document.concatenated(key, "|") == oracle.concatenated(key, "|")
+        for section, pairs in zip(self.document.sections, self.model):
+            assert section.keys() == list(dict(pairs))
+            assert section.as_dict() == dict(pairs)
+
+
+def _body(model):
+    return "\n\n".join("\n".join(f"{k}: {v}" for k, v in pairs) for pairs in model)
+
+
+DocumentDifferential.TestCase.settings = settings(
+    max_examples=80, stateful_step_count=30, deadline=None
+)
+TestDocumentDifferential = DocumentDifferential.TestCase
 
 
 class TestWireFormat:

@@ -39,6 +39,27 @@ class TestIPv4Address:
         table = {IPv4Address("10.0.0.1"): "host"}
         assert table[IPv4Address("10.0.0.1")] == "host"
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_property_hashes_like_its_integer(self, value):
+        # __eq__ accepts ints, so sets and dicts must find either by the other.
+        address = IPv4Address(value)
+        assert hash(address) == hash(value)
+        assert address in {value} and value in {address}
+        assert {value: "host"}[address] == "host" == {address: "host"}[value]
+
+    def test_string_comparison_is_equality_only(self):
+        # Documented on the class: equal to its dotted quad, but hashed
+        # like its integer, so a str key does not find an address.
+        address = IPv4Address("10.0.0.1")
+        assert address == "10.0.0.1"
+        assert address not in {"10.0.0.1"}
+        assert address in {IPv4Address("10.0.0.1")}
+
+    def test_text_is_rendered_once_and_survives_copies(self):
+        address = IPv4Address(3232246304)
+        assert str(address) is str(address) == "192.168.42.32"
+        assert str(IPv4Address(address)) is str(address)
+
     def test_addition(self):
         assert IPv4Address("10.0.0.1") + 5 == IPv4Address("10.0.0.6")
 

@@ -64,6 +64,20 @@ class TestTopology:
         topo, hub, leaves = star_topology()
         assert topo.path_latency(leaves[0], leaves[1]) == pytest.approx(2e-3)
 
+    def test_path_latency_follows_connectivity_changes(self):
+        topo, hub, leaves = star_topology()
+        assert topo.path_latency(leaves[0], leaves[1]) == pytest.approx(2e-3)
+        # A shortcut, then its removal: the remembered sum must not outlive
+        # the path it was summed over.
+        topo.add_link(leaves[0], leaves[1], latency=1e-4)
+        assert topo.path_latency(leaves[0], leaves[1]) == pytest.approx(1e-4)
+        assert topo.path_latency(leaves[0].name, leaves[1].name) == pytest.approx(1e-4)
+        topo.remove_link(leaves[0], leaves[1])
+        assert topo.path_latency(leaves[0], leaves[1]) == pytest.approx(2e-3)
+        topo.remove_link(hub, leaves[1])
+        with pytest.raises(TopologyError):
+            topo.path_latency(leaves[0], leaves[1])
+
     def test_egress_port(self):
         topo, hub, leaves = star_topology()
         port = topo.egress_port(hub, leaves[1])

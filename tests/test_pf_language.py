@@ -139,6 +139,15 @@ class TestParserStatements:
         reparsed = parse_ruleset(str(rule)).rules()[0]
         assert str(reparsed) == str(rule)
 
+    def test_rule_text_is_rendered_once_and_follows_edits(self):
+        rule = parse_ruleset("pass from <lan> to any port 80 with eq(@src[name], http)").rules()[0]
+        text = str(rule)
+        assert str(rule) is text
+        rule.keep_state = True
+        assert str(rule) == text + " keep state"
+        rule.keep_state = False
+        assert str(rule) == text
+
     @given(st.sampled_from(["pass", "block"]), st.sampled_from(["", "quick "]),
            st.sampled_from(["all", "from any to any", "from <lan> to !<lan>"]),
            st.sampled_from(["", " keep state"]))

@@ -433,6 +433,20 @@ class TestEngineInvalidation:
         daemon.load_system_config("@app /usr/sbin/httpd {\nextra : yes\n}")
         self.assert_requeries(engine, switch, daemon)
 
+    def test_group_membership_change_invalidates(self):
+        engine, switch, server, daemon = self.warm()
+        cached = engine.query(flow_to_server(40001), "dst", from_node=switch, now=400.0)
+        assert cached.cached and cached.document.latest("groupID") == "root"
+        server.users.add_to_group("root", "wheel")
+        assert len(engine) == 0
+        fresh = engine.query(flow_to_server(49000), "dst", from_node=switch, now=500.0)
+        assert not fresh.cached
+        assert int(daemon.queries_answered.value) == 2
+        assert fresh.document.latest("groupID") == "root wheel"
+        # Re-adding a member changes nothing and tells nobody.
+        server.users.add_to_group("root", "wheel")
+        assert len(engine) == 1
+
     def test_invalidation_is_per_host(self):
         topo, switch, client_host, server, server_daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=1000.0)

@@ -7,6 +7,7 @@ from tools.analysis.rules.r4_blocking_callback import BlockingCallbackRule
 from tools.analysis.rules.r5_mutable_defaults import MutableDefaultsRule
 from tools.analysis.rules.r6_metric_names import MetricNamesRule
 from tools.analysis.rules.r7_engine_facade import EngineFacadeRule
+from tools.analysis.rules.r8_identity_index import IdentityIndexRule
 
 #: Every rule, in id order — the default rule set of ``run_lint.py``.
 ALL_RULES = (
@@ -17,6 +18,7 @@ ALL_RULES = (
     MutableDefaultsRule(),
     MetricNamesRule(),
     EngineFacadeRule(),
+    IdentityIndexRule(),
 )
 
 
@@ -35,4 +37,5 @@ __all__ = [
     "MutableDefaultsRule",
     "MetricNamesRule",
     "EngineFacadeRule",
+    "IdentityIndexRule",
 ]

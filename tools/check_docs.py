@@ -37,6 +37,7 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
         "## Paper-section → module map",
         "## Package dependency order",
         "## Life of a punted flow (multi-hop edition)",
+        "### Identity answer path",
         "## Query engine",
         "## Identity plane (push)",
         "## Decision core",
@@ -65,6 +66,7 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
         "### R5 — no mutable defaults, no anonymous counters",
         "### R6 — histograms and rate counters must be named",
         "### R7 — ident++ queries must go through the QueryEngine facade",
+        "### R8 — identity lookups must use the socket and key indexes",
         "## Suppression",
         "## The runtime sanitizer",
     ],
