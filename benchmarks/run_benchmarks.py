@@ -31,10 +31,13 @@ from repro.identpp.daemon import IdentPPDaemon  # noqa: E402
 from repro.identpp.flowspec import FlowSpec  # noqa: E402
 from repro.identpp.keyvalue import ResponseDocument  # noqa: E402
 from repro.identpp.wire import IdentQuery  # noqa: E402
+from repro.netsim.events import Simulator  # noqa: E402
 from repro.netsim.packet import Packet  # noqa: E402
+from repro.netsim.topology import Topology  # noqa: E402
 from repro.openflow.actions import OutputAction  # noqa: E402
 from repro.openflow.flow_table import FlowTable, make_entry  # noqa: E402
 from repro.openflow.match import Match  # noqa: E402
+from repro.openflow.switch import OpenFlowSwitch  # noqa: E402
 from repro.pf.evaluator import PolicyEvaluator  # noqa: E402
 from repro.pf.parser import parse_ruleset  # noqa: E402
 from repro.workloads.churn import ChurnConfig, ChurnSoak, error_probe  # noqa: E402
@@ -78,6 +81,10 @@ FLOW_TABLE_CHURN_CEILING = 1.5
 #: 4096 connected sockets than on one holding 16.
 DAEMON_ANSWER_CEILING = 1.5
 
+#: A scheduled event may cost at most this much more when nine in ten
+#: are cancelled long before their time than when every one fires.
+EVENT_LOOP_CANCELLED_CEILING = 1.5
+
 RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_results.json")
 
 
@@ -99,6 +106,13 @@ def _timeit(fn, *, min_seconds: float = 0.2, max_iterations: int = 200_000) -> d
         "iterations": iterations,
         "seconds": round(elapsed, 4),
     }
+
+
+def _per_item(timing: dict, batch: int) -> dict:
+    """Report a batched iteration's throughput per item, not per batch."""
+    timing["ops_per_sec"] = round(timing["ops_per_sec"] * batch, 1)
+    timing["iterations"] = timing["iterations"] * batch
+    return timing
 
 
 def _e10b_policy(rule_count: int) -> PolicyEvaluator:
@@ -134,11 +148,7 @@ def bench_policy_evaluator(results: dict) -> None:
     def run_batch() -> None:
         evaluator.evaluate_batch(batch)
 
-    timing = _timeit(run_batch, min_seconds=0.2)
-    # report per-evaluation throughput, not per-batch
-    timing["ops_per_sec"] = round(timing["ops_per_sec"] * len(batch), 1)
-    timing["iterations"] = timing["iterations"] * len(batch)
-    results["policy_eval_batch_2000"] = timing
+    results["policy_eval_batch_2000"] = _per_item(_timeit(run_batch), len(batch))
     stats = evaluator.stats()
     results["policy_eval_index_stats"] = {
         "indexed_rules": stats["indexed_rules"],
@@ -160,10 +170,7 @@ def bench_policy_engine(results: dict) -> None:
     def run_batch() -> None:
         engine.decide_batch(items)
 
-    timing = _timeit(run_batch, min_seconds=0.2)
-    timing["ops_per_sec"] = round(timing["ops_per_sec"] * len(items), 1)
-    timing["iterations"] = timing["iterations"] * len(items)
-    results["engine_decide_batch_figure2"] = timing
+    results["engine_decide_batch_figure2"] = _per_item(_timeit(run_batch), len(items))
 
 
 def bench_decision_cache(results: dict) -> None:
@@ -254,6 +261,73 @@ def _daemon_answer(sockets: int):
     return iteration
 
 
+#: Events one event-loop iteration schedules; packets one hop iteration sends.
+_LOOP_BATCH = 1000
+_HOP_BATCH = 200
+
+
+def bench_event_loop(results: dict) -> None:
+    """Scheduled events per second: all firing, and nine in ten cancelled."""
+    results["event_loop_clean"] = _per_item(_timeit(_event_loop(0)), _LOOP_BATCH)
+    results["event_loop_90pct_cancelled"] = _per_item(_timeit(_event_loop(9)), _LOOP_BATCH)
+    results["packet_hop"] = _per_item(_timeit(_packet_hops()), 2 * _HOP_BATCH)
+
+
+def _event_loop(cancelled_tenths: int):
+    """Schedule a batch of no-op events and run the simulator over them.
+
+    ``cancelled_tenths`` of every ten are the pending-deadline pattern: a
+    backstop armed whole seconds ahead and cancelled at once.  Their
+    records must not pile up in the heap, and dropping them must not
+    cost more than firing them would.
+    """
+    sim = Simulator()
+
+    def noop() -> None:
+        pass
+
+    def iteration() -> None:
+        for index in range(_LOOP_BATCH):
+            if index % 10 < cancelled_tenths:
+                sim.schedule(5.0, noop, label="backstop").cancel()
+            else:
+                sim.schedule(1e-3, noop, label="work")
+        sim.run(until=sim.now + 1e-3)
+
+    return iteration
+
+
+def _packet_hops():
+    """Packets of an established flow across host -- switch -- host.
+
+    Two hops per packet, each the whole per-hop path: ``Node.send``,
+    ``Link.transmit``, one event, ``Port.deliver``, and at the switch a
+    flow-table hit, two trace records and the forward.
+    """
+    topo = Topology("hop")
+    switch = topo.add_node(OpenFlowSwitch("sw", trace=topo.trace))
+    client = topo.add_node(EndHost("client", "10.0.0.1"))
+    server = topo.add_node(EndHost("server", "10.0.0.2"))
+    topo.add_link(client, switch)
+    topo.add_link(server, switch)
+    switch.flow_table.install(make_entry(Match(tp_dst=80), [OutputAction(2)]))
+    packets = [
+        Packet.tcp("10.0.0.1", "10.0.0.2", 40000, 80, payload_size=size)
+        for size in (64, 1400)
+    ]
+
+    def iteration() -> None:
+        for index in range(_HOP_BATCH):
+            client.transmit(packets[index % 2])
+        topo.run()
+        # The trace and the delivery log are append-only by design.
+        topo.trace.clear()
+        server.delivered.clear()
+        server.delivered_times.clear()
+
+    return iteration
+
+
 def bench_flow_generator(results: dict) -> None:
     templates = [
         FlowTemplate(
@@ -279,10 +353,7 @@ def bench_flow_generator(results: dict) -> None:
         for batch in generator.batches(128, 32):
             engine.decide_batch([(flow, None, None) for _, flow in batch])
 
-    timing = _timeit(decide_generated_batches, min_seconds=0.2)
-    timing["ops_per_sec"] = round(timing["ops_per_sec"] * 128, 1)
-    timing["iterations"] = timing["iterations"] * 128
-    results["generator_to_engine_batches"] = timing
+    results["generator_to_engine_batches"] = _per_item(_timeit(decide_generated_batches), 128)
 
 
 def bench_churn_soak(results: dict) -> None:
@@ -359,6 +430,7 @@ def main() -> int:
     bench_decision_cache(results)
     bench_flow_table(results)
     bench_daemon_answer(results)
+    bench_event_loop(results)
     bench_flow_generator(results)
     print("running churn soak ...")
     bench_churn_soak(results)
@@ -407,6 +479,16 @@ def main() -> int:
             results["daemon_answer_sockets_16"]["ops_per_sec"]
             / results["daemon_answer_sockets_4096"]["ops_per_sec"],
             2,
+        ),
+        "event_loop_cancelled_vs_clean": round(
+            results["event_loop_clean"]["ops_per_sec"]
+            / results["event_loop_90pct_cancelled"]["ops_per_sec"],
+            2,
+        ),
+        "soak_async_events_per_wall_s": round(
+            results["soak_async_decisions"]["events"]
+            / results["soak_async_decisions"]["wall_seconds"],
+            1,
         ),
         "soak_state_bounded": results["soak_churn_100k"]["bounded_within_2x"],
         "soak_fail_closed": results["soak_fail_closed_probe"]["failed_closed"],
@@ -481,6 +563,12 @@ def main() -> int:
         print(
             f"FAIL: an ident++ answer costs more than {DAEMON_ANSWER_CEILING:g}x as much on a "
             f"host holding 4096 sockets as on one holding 16 (a lookup walks the socket table)"
+        )
+        return 1
+    if derived["event_loop_cancelled_vs_clean"] > EVENT_LOOP_CANCELLED_CEILING:
+        print(
+            f"FAIL: a scheduled event costs more than {EVENT_LOOP_CANCELLED_CEILING:g}x as much "
+            f"with nine in ten cancelled as with all firing (dead records pile up in the heap)"
         )
         return 1
     if not derived["soak_state_bounded"]:

@@ -548,15 +548,24 @@ class IdentPPController(Controller):
         else:
             self._dispatch_queries(task)
 
+    def _relabel(self) -> None:
+        super()._relabel()
+        name = self.name
+        self._pending_deadline_label = f"{name}:pending-deadline"
+        self._decide_label = f"{name}:decide"
+        self._decide_flush_label = f"{name}:decide-flush"
+
     def _arm_deadline(self, flow: FlowSpec) -> Optional[Event]:
         """Schedule the one-shot fail-closed deadline for a pending flow."""
         if self.sim is None or self.config.pending_deadline <= 0:
             return None
+        if self.name is not self._labelled_name:
+            self._relabel()
         return self.sim.schedule(
             self.config.pending_deadline,
             self._pending_deadline_fired,
             flow,
-            label=f"{self.name}:pending-deadline",
+            label=self._pending_deadline_label,
         )
 
     def _note_punt_for_promotion(
@@ -655,8 +664,10 @@ class IdentPPController(Controller):
         if self.sim is None:
             done(task)
             return None
+        if self.name is not self._labelled_name:
+            self._relabel()
         return self.sim.schedule(
-            self.config.policy_eval_delay, done, task, label=f"{self.name}:decide"
+            self.config.policy_eval_delay, done, task, label=self._decide_label
         )
 
     def _eval_step(self, task: DecisionTask) -> None:
@@ -707,7 +718,9 @@ class IdentPPController(Controller):
         if self.sim is not None:
             if not self._flush_scheduled:
                 self._flush_scheduled = True
-                self.sim.schedule(0.0, self._flush_decisions, label=f"{self.name}:decide-flush")
+                if self.name is not self._labelled_name:
+                    self._relabel()
+                self.sim.schedule(0.0, self._flush_decisions, label=self._decide_flush_label)
         else:
             self._flush_decisions()
 

@@ -110,9 +110,9 @@ class LifecycleService:
         if not self.enabled or self.scheduled:
             return
         if self._ticker is None:
-            self._ticker = self._sim.schedule_repeating(
-                self.interval, self._tick, label=f"{self.name}:sweep"
-            )
+            # Formatted once per ticker: the repeating event keeps it.
+            label = f"{self.name}:sweep"
+            self._ticker = self._sim.schedule_repeating(self.interval, self._tick, label=label)
         else:
             # _tick may have stretched the delay toward a far deadline;
             # a fresh kick means fresh state, so restart at the base rate.

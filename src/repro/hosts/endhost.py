@@ -190,8 +190,8 @@ class EndHost(Node):
 
     def transmit(self, packet: Packet) -> bool:
         """Send a packet out of the host's (first wired) uplink port."""
-        for port in self.ports():
-            if port.is_wired:
+        for port in self._ports.values():
+            if port.link is not None:
                 return self.send(packet, port)
         return False
 
@@ -208,15 +208,16 @@ class EndHost(Node):
         Packets not addressed to this host's IP are dropped (hosts do not
         forward).
         """
-        super().receive(packet, in_port)
+        self.packets_received.increment()  # all Node.receive does, without the super() call
         if not packet.is_ip() or packet.ip_dst != self.ip:
             return
         handler = self._services.get((packet.ip_proto, packet.tp_dst))
         if handler is not None:
             handler(packet, self)
             return
+        sim = self.sim
         self.delivered.append(packet)
-        self.delivered_times.append(self.now)
+        self.delivered_times.append(sim.now if sim is not None else 0.0)
         self.delivered_bytes.increment(packet.wire_size())
 
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.netsim.topology import Topology
 DEFAULT_QUERY_TIMEOUT = 0.05
 
 #: Event label of an answer's arrival, per queried role.
-_ANSWER_LABELS = {
+ANSWER_LABELS = {
     ROLE_SOURCE: f"identpp:answer:{ROLE_SOURCE}",
     ROLE_DESTINATION: f"identpp:answer:{ROLE_DESTINATION}",
 }
@@ -242,7 +242,7 @@ class QueryClient:
         else:
             sim.schedule(
                 outcome.latency, future.set_result, outcome,
-                label=_ANSWER_LABELS[role],
+                label=ANSWER_LABELS[role],
             )
         return future
 

@@ -167,6 +167,9 @@ class IdentPPDaemon:
         # ``notify_invalidation`` drops both.
         self._base_memo: dict[Optional[tuple[str, str]], tuple[tuple, list, Optional[int]]] = {}
         self._config_memo: dict[str, list[KeyValueSection]] = {}
+        # Event label of a reply sent over the network, per host name.
+        self._labelled_name: Optional[str] = None
+        self._reply_label = ""
         # Register on TCP 783 so queries arriving over the network reach us.
         host.register_service(IDENT_PP_PORT, self._service_handler)
         # Make the daemon discoverable by the query client / controllers.
@@ -452,7 +455,12 @@ class IdentPPDaemon:
         reply = response.to_packet(packet)
         delay = self.processing_delay
         if host.sim is not None:
-            host.sim.schedule(delay, host.transmit, reply, label=f"identpp-reply:{host.name}")
+            name = host.name
+            if name is not self._labelled_name:
+                # One label per host name, not one per reply.
+                self._labelled_name = name
+                self._reply_label = f"identpp-reply:{name}"
+            host.sim.schedule(delay, host.transmit, reply, label=self._reply_label)
         else:
             host.transmit(reply)
 

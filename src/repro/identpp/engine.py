@@ -71,6 +71,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.identpp.client import (
+    ANSWER_LABELS,
     QueryClient,
     QueryInterceptor,
     QueryOutcome,
@@ -318,7 +319,7 @@ class QueryEngine:
         else:
             sim.schedule(
                 outcome.latency, future.set_result, outcome,
-                label=f"identpp:answer:{role}",
+                label=ANSWER_LABELS[role],
             )
         return future
 

@@ -9,32 +9,68 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Any, Callable, Iterator, Optional
 
 from repro.exceptions import SimulationError
 from repro.netsim.sanitizer import SimulationSanitizer
 
 
-@dataclass(order=True)
+@total_ordering
 class Event:
     """A scheduled callback.
 
     Events compare by ``(time, seq)``; the callback and its arguments are
-    excluded from the ordering.
+    excluded from the ordering.  While the event sits in a simulator's
+    queue it remembers that simulator, so :meth:`cancel` can tell the
+    queue it now holds one more dead record.
     """
 
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    kwargs: dict = field(compare=False, default_factory=dict)
-    cancelled: bool = field(compare=False, default=False)
-    label: str = field(compare=False, default="")
+    __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled", "label", "_sim")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[..., None],
+        args: tuple = (),
+        kwargs: Optional[dict] = None,
+        cancelled: bool = False,
+        label: str = "",
+        _sim: "Optional[Simulator]" = None,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.kwargs = {} if kwargs is None else kwargs
+        self.cancelled = cancelled
+        self.label = label
+        self._sim = _sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice is harmless."""
+        if self.cancelled:
+            return
         self.cancelled = True
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._note_cancelled()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        return (self.time, self.seq) == (other.time, other.seq)
+
+    def __lt__(self, other: "Event") -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        return (self.time, self.seq) < (other.time, other.seq)
+
+    def __repr__(self) -> str:
+        state = ", cancelled" if self.cancelled else ""
+        return f"Event(time={self.time!r}, seq={self.seq}, label={self.label!r}{state})"
 
 
 class Future:
@@ -278,10 +314,14 @@ class Simulator:
         perturb_ties: bool = False,
     ) -> None:
         self._now = float(start_time)
-        # Heap of (time, tie_key, event): the explicit tie key lets the
-        # sanitizer's shadow replay flip same-instant service order
-        # without touching Event's own (time, seq) ordering contract.
+        # Heap of (time, tie_key, event) records, one per scheduled
+        # event: the explicit tie key lets the sanitizer's shadow replay
+        # flip same-instant service order without touching Event's own
+        # (time, seq) ordering contract, and keeps heap comparisons on
+        # floats and ints (an Event is never compared by the heap).
         self._queue: list[tuple[float, int, Event]] = []
+        # Cancelled events whose record is still in the heap.
+        self._dead = 0
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -324,7 +364,7 @@ class Simulator:
         return self.sanitizer
 
     def pending(self) -> int:
-        """Return the number of events still queued (including cancelled ones)."""
+        """Return the number of queued records (cancelled ones included until compacted)."""
         return len(self._queue)
 
     # ------------------------------------------------------------------
@@ -342,19 +382,17 @@ class Simulator:
         """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now.
 
         Returns the :class:`Event`, which the caller may :meth:`Event.cancel`.
-        A negative delay raises :class:`~repro.exceptions.SimulationError`.
+        A delay that is not ``>= 0`` (negative, or NaN) raises
+        :class:`~repro.exceptions.SimulationError`.  This is the only way
+        onto the queue: the sanitizer and external tracing both rely on
+        seeing every event here.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = Event(
-            time=self._now + delay,
-            seq=next(self._seq),
-            callback=callback,
-            args=args,
-            kwargs=kwargs,
-            label=label,
-        )
-        heapq.heappush(self._queue, (event.time, self._tie_sign * event.seq, event))
+        time = self._now + delay
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args, kwargs, False, label, self)
+        heapq.heappush(self._queue, (time, self._tie_sign * seq, event))
         return event
 
     def schedule_at(
@@ -397,59 +435,93 @@ class Simulator:
         Returns ``None`` when the queue is empty.  Cancelled events are
         skipped silently.
         """
-        while self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            if event.time < self._now:
-                raise SimulationError("event queue corrupted: time went backwards")
-            self._now = event.time
-            self._events_processed += 1
-            if self.sanitizer is not None:
-                self.sanitizer.on_event(event)
-            event.callback(*event.args, **event.kwargs)
-            return event
-        return None
+        return self._drain(None, 1)[1]
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run until the queue drains, ``until`` seconds of simulated time, or ``max_events``.
 
         Returns the number of events processed by this call.  Nested calls
         to :meth:`run` are rejected to avoid re-entrancy bugs in node
-        callbacks.
+        callbacks.  An ``until`` earlier than :attr:`now` fires nothing
+        and leaves the clock where it is: simulated time never rewinds.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        processed = 0
         try:
-            while self._queue:
-                if max_events is not None and processed >= max_events:
-                    break
-                next_event = self._peek()
-                if next_event is None:
-                    break
-                if until is not None and next_event.time > until:
-                    self._now = until
-                    break
-                if self.step() is not None:
-                    processed += 1
+            return self._drain(until, max_events)[0]
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._queue:
-            self._now = until
-        return processed
 
-    def _peek(self) -> Optional[Event]:
-        """Return the earliest non-cancelled event without firing it."""
-        while self._queue and self._queue[0][2].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0][2] if self._queue else None
+    def _drain(
+        self, until: float | None, max_events: int | None
+    ) -> tuple[int, Optional[Event]]:
+        """Fire events in order; return how many fired and the last one.
+
+        The one event loop: each heap record is looked at once at the
+        head and popped once.  Stops after ``max_events``, at the first
+        live event later than ``until``, or at an empty queue; in the
+        last two cases the clock moves up to ``until`` (never back).
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        processed = 0
+        event = None
+        while queue:
+            if max_events is not None and processed >= max_events:
+                break
+            time, _, head = queue[0]
+            if head.cancelled:
+                pop(queue)
+                self._dead -= 1
+                continue
+            if until is not None and time > until:
+                if self._now < until:
+                    self._now = until
+                break
+            pop(queue)
+            if time < self._now:
+                raise SimulationError("event queue corrupted: time went backwards")
+            event = head
+            event._sim = None
+            self._now = time
+            self._events_processed += 1
+            processed += 1
+            if self.sanitizer is not None:
+                self.sanitizer.on_event(event)
+            if event.kwargs:
+                event.callback(*event.args, **event.kwargs)
+            else:
+                event.callback(*event.args)
+        if until is not None and not queue and self._now < until:
+            self._now = until
+        return processed, event
+
+    def _note_cancelled(self) -> None:
+        """Count one more dead record; compact once they outnumber live ones.
+
+        A cancelled event otherwise keeps its record until its time
+        comes (a pending-deadline backstop cancelled milliseconds after
+        its punt would sit there for whole virtual seconds), so the heap
+        would track everything ever cancelled instead of what is
+        pending.  Compaction is in place and O(n), amortised O(1) per
+        cancel; the ``(time, tie_key)`` prefix of the surviving records
+        is untouched, so service order is too.
+        """
+        self._dead += 1
+        queue = self._queue
+        if 2 * self._dead > len(queue):
+            queue[:] = [record for record in queue if not record[2].cancelled]
+            heapq.heapify(queue)
+            self._dead = 0
 
     def reset(self) -> None:
         """Clear the queue and rewind the clock to zero."""
         if self._running:
             raise SimulationError("cannot reset a running simulator")
+        for _, _, event in self._queue:
+            event._sim = None
         self._queue.clear()
+        self._dead = 0
         self._now = 0.0
         self._events_processed = 0

@@ -55,6 +55,8 @@ class Link:
         self.latency = latency
         self.bandwidth = bandwidth
         self.name = name or f"{port_a.name}<->{port_b.name}"
+        self._labelled_name: Optional[str] = None
+        self._deliver_label = ""
         self.loss_filter = loss_filter
         self.up = True
         self.tx_packets = Counter(f"{self.name}.tx_packets")
@@ -87,13 +89,6 @@ class Link:
     # Transmission
     # ------------------------------------------------------------------
 
-    def transfer_delay(self, packet: Packet) -> float:
-        """Return the total one-way delay for ``packet`` on this link."""
-        serialization = 0.0
-        if self.bandwidth is not None:
-            serialization = packet.wire_size() * 8.0 / self.bandwidth
-        return self.latency + serialization
-
     def transmit(self, packet: Packet, from_port: Port) -> None:
         """Send a packet from one endpoint toward the other.
 
@@ -105,19 +100,23 @@ class Link:
         if not self.up or (self.loss_filter is not None and self.loss_filter(packet)):
             self.dropped_packets.increment()
             return
+        size = packet.wire_size()
         self.tx_packets.increment()
-        self.tx_bytes.increment(packet.wire_size())
+        self.tx_bytes.increment(size)
         sim: Optional[Simulator] = destination.node.sim or from_port.node.sim
         if sim is None:
             raise SimulationError(
                 f"link {self.name} cannot deliver: neither endpoint is attached to a simulator"
             )
-        sim.schedule(
-            self.transfer_delay(packet),
-            destination.deliver,
-            packet,
-            label=f"deliver:{self.name}",
-        )
+        name = self.name
+        if name is not self._labelled_name:
+            # One label per link name, not one per packet.
+            self._labelled_name = name
+            self._deliver_label = f"deliver:{name}"
+        delay = self.latency
+        if self.bandwidth is not None:
+            delay += size * 8.0 / self.bandwidth
+        sim.schedule(delay, destination.deliver, packet, label=self._deliver_label)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

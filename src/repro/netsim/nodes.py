@@ -62,9 +62,10 @@ class Port:
         """
         self.tx_packets.increment()
         self.tx_bytes.increment(packet.wire_size())
-        if self.link is None:
+        link = self.link
+        if link is None:
             return False
-        self.link.transmit(packet, self)
+        link.transmit(packet, self)
         return True
 
     def deliver(self, packet: Packet) -> None:
@@ -118,12 +119,16 @@ class Node:
 
     def add_port(self, number: int | None = None, name: str = "") -> Port:
         """Create a new port.  Port numbers default to the next free integer starting at 1."""
+        highest = max(self._ports, default=0)
         if number is None:
-            number = max(self._ports, default=0) + 1
+            number = highest + 1
         if number in self._ports:
             raise PortError(f"node {self.name} already has port {number}")
         port = Port(self, number, name)
         self._ports[number] = port
+        if number < highest:
+            # Kept in port-number order, so nothing sorts per packet.
+            self._ports = dict(sorted(self._ports.items()))
         return port
 
     def port(self, number: int) -> Port:
@@ -135,8 +140,7 @@ class Node:
 
     def ports(self) -> Iterator[Port]:
         """Iterate over ports in port-number order."""
-        for number in sorted(self._ports):
-            yield self._ports[number]
+        return iter(tuple(self._ports.values()))
 
     def port_count(self) -> int:
         """Return the number of ports on this node."""

@@ -100,19 +100,29 @@ class Packet:
     metadata: dict[str, Any] = field(default_factory=dict)
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
+    #: Memo of :meth:`wire_size`.  A class-level default, not a dataclass
+    #: field: ``copy()`` / ``replace()`` never carry a measured size across.
+    _wire_size = None
+
     def __post_init__(self) -> None:
-        self.eth_src = MACAddress(self.eth_src)
-        self.eth_dst = MACAddress(self.eth_dst)
-        if self.ip_src is not None:
-            self.ip_src = IPv4Address(self.ip_src)
-        if self.ip_dst is not None:
-            self.ip_dst = IPv4Address(self.ip_dst)
+        # Address objects are immutable values: one that already has the
+        # right type is kept, not copied (a host stamps its own MAC and
+        # IP on every packet it sends).
+        if self.eth_src.__class__ is not MACAddress:
+            self.eth_src = MACAddress(self.eth_src)
+        if self.eth_dst.__class__ is not MACAddress:
+            self.eth_dst = MACAddress(self.eth_dst)
+        ip_src, ip_dst = self.ip_src, self.ip_dst
+        if ip_src is not None and ip_src.__class__ is not IPv4Address:
+            self.ip_src = IPv4Address(ip_src)
+        if ip_dst is not None and ip_dst.__class__ is not IPv4Address:
+            self.ip_dst = IPv4Address(ip_dst)
         if isinstance(self.ip_proto, str):
             self.ip_proto = proto_number(self.ip_proto)
-        for name in ("tp_src", "tp_dst"):
-            value = getattr(self, name)
-            if not 0 <= int(value) <= 0xFFFF:
-                raise PacketError(f"{name} out of range: {value}")
+        if not 0 <= int(self.tp_src) <= 0xFFFF:
+            raise PacketError(f"tp_src out of range: {self.tp_src}")
+        if not 0 <= int(self.tp_dst) <= 0xFFFF:
+            raise PacketError(f"tp_dst out of range: {self.tp_dst}")
         if not 0 <= self.vlan_id <= 0xFFF:
             raise PacketError(f"vlan_id out of range: {self.vlan_id}")
 
@@ -205,9 +215,9 @@ class Packet:
         and ``reply_template()`` build fresh packets, so the cache never
         leaks across mutations made through those paths).
         """
-        cached = self.__dict__.get("_wire_size")
-        if cached is not None:
-            return cached
+        size = self._wire_size
+        if size is not None:
+            return size
         size = _ETH_HEADER_LEN
         if self.vlan_id:
             size += _VLAN_TAG_LEN

@@ -10,14 +10,14 @@ that).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro.netsim.packet import Packet
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One observed packet.
+class TraceRecord(NamedTuple):
+    """One observed packet (immutable; a tuple, so a record costs one
+    small allocation on the per-hop path that appends two of them).
 
     Attributes:
         time: Simulated time of the observation.

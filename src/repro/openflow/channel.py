@@ -49,6 +49,13 @@ class ControllerChannel:
         # collide across channels and make the stats unattributable.
         self.to_controller_messages = Counter(f"{switch.name}->{controller.name}.messages")
         self.to_switch_messages = Counter(f"{controller.name}->{switch.name}.messages")
+        self._relabel()
+
+    def _relabel(self) -> None:
+        """Build the two event labels: once per switch name, not once per message."""
+        name = self._labelled_name = self.switch.name
+        self._ctrl_rx_label = f"ctrl-rx:{name}"
+        self._switch_rx_label = f"switch-rx:{name}"
 
     def _sim(self) -> Simulator:
         sim = self.switch.sim or getattr(self.controller, "sim", None)
@@ -63,11 +70,13 @@ class ControllerChannel:
         if not self.connected:
             return
         self.to_controller_messages.increment()
+        if self.switch.name is not self._labelled_name:
+            self._relabel()
         self._sim().schedule(
             self.latency,
             self.controller.handle_message,
             message,
-            label=f"ctrl-rx:{self.switch.name}",
+            label=self._ctrl_rx_label,
         )
 
     def send_to_switch(self, message: ControlMessage) -> None:
@@ -79,11 +88,13 @@ class ControllerChannel:
             # on this channel, not whichever one it attached last.
             message.requester = self.controller.name
         self.to_switch_messages.increment()
+        if self.switch.name is not self._labelled_name:
+            self._relabel()
         self._sim().schedule(
             self.latency,
             self.switch.handle_message,
             message,
-            label=f"switch-rx:{self.switch.name}",
+            label=self._switch_rx_label,
         )
 
     def disconnect(self) -> None:

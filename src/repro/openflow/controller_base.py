@@ -42,6 +42,9 @@ class Controller:
 
     def __init__(self, name: str = "controller") -> None:
         self.name = name
+        # The name the event labels were last built for (tests and
+        # clusters rename controllers after construction).
+        self._labelled_name: Optional[str] = None
         self.sim: Optional[Simulator] = None
         self.channels: dict[str, ControllerChannel] = {}
         self.stats = StatsRegistry()
@@ -70,6 +73,11 @@ class Controller:
     def attach(self, sim: Simulator) -> None:
         """Bind the controller to a simulator clock."""
         self.sim = sim
+
+    def _relabel(self) -> None:
+        """Build the event labels: once per controller name, not once per event."""
+        name = self._labelled_name = self.name
+        self._inbox_label = f"{name}:inbox"
 
     @property
     def now(self) -> float:
@@ -119,7 +127,9 @@ class Controller:
             self._inbox.append(message)
             if not self._drain_scheduled:
                 self._drain_scheduled = True
-                self.sim.schedule(0.0, self._drain_inbox, label=f"{self.name}:inbox")
+                if self.name is not self._labelled_name:
+                    self._relabel()
+                self.sim.schedule(0.0, self._drain_inbox, label=self._inbox_label)
             return
         self._dispatch(message)
 

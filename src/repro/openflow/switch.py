@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.exceptions import OpenFlowError, PortError
+from repro.exceptions import OpenFlowError
 from repro.netsim.nodes import Node, Port
 from repro.netsim.packet import Packet
 from repro.netsim.statistics import Counter
@@ -85,6 +85,9 @@ class OpenFlowSwitch(Node):
         self.failed = False
         self._recovery_listeners: list[Callable[[], None]] = []
         self._buffered: dict[int, tuple[Packet, int]] = {}
+        # Trace note of a forward, by output port ("port 3"): built once
+        # per port, not once per packet.
+        self._output_notes: dict[int, str] = {}
         self.punts = Counter(f"{name}.punts")
         self.drops = Counter(f"{name}.drops")
         self.forwarded = Counter(f"{name}.forwarded")
@@ -174,7 +177,7 @@ class OpenFlowSwitch(Node):
             return
         if message.packet is None:
             raise OpenFlowError("PacketOut carries neither a buffer id nor a packet")
-        self._apply_actions(message.packet, tuple(message.actions), message.in_port)
+        self._apply_actions(message.packet, tuple(message.actions), message.in_port, self.now)
 
     def _handle_stats_request(self, message: StatsRequest) -> None:
         stats: dict[int, dict[str, float]] = {}
@@ -200,7 +203,7 @@ class OpenFlowSwitch(Node):
         if buffered is None:
             return
         packet, in_port = buffered
-        self._apply_actions(packet, actions, in_port)
+        self._apply_actions(packet, actions, in_port, self.now)
 
     def buffered_count(self) -> int:
         """Return how many punted packets are still waiting for a controller verdict."""
@@ -243,45 +246,47 @@ class OpenFlowSwitch(Node):
 
     def receive(self, packet: Packet, in_port: Port) -> None:
         """Forward, drop or punt an arriving packet."""
-        super().receive(packet, in_port)
+        self.packets_received.increment()  # all Node.receive does, without the super() call
+        sim = self.sim
+        now = sim.now if sim is not None else 0.0
         if self.failed:
             # A powered-off switch forwards nothing: traffic sent into a
             # mid-path failure dies here (fail closed), never reaching
             # downstream hops whose entries may still be draining.
-            self._record("drop", packet, note="switch failed")
+            self._record(now, "drop", packet, "switch failed")
             self.drops.increment()
             return
         if self.compromised:
             # §5.2: a compromised switch passes traffic without regulation.
-            self._record("forward", packet, note="compromised switch floods")
+            self._record(now, "forward", packet, "compromised switch floods")
             self.forwarded.increment()
             self.flood(packet, exclude=in_port)
             return
-        expired = self.flow_table.expire(self.now)
-        for entry in expired:
-            self._notify_removed(entry)
-        entry = self.flow_table.lookup(packet, in_port.number, now=self.now)
+        table = self.flow_table
+        for expired in table.expire(now):
+            self._notify_removed(expired)
+        entry = table.lookup(packet, in_port.number, now=now)
         if entry is not None:
-            self._record("hit", packet, note=entry.cookie)
-            self._apply_actions(packet, entry.actions, in_port.number)
+            self._record(now, "hit", packet, entry.cookie)
+            self._apply_actions(packet, entry.actions, in_port.number, now)
             return
-        self._handle_table_miss(packet, in_port)
+        self._handle_table_miss(packet, in_port, now)
 
-    def _handle_table_miss(self, packet: Packet, in_port: Port) -> None:
+    def _handle_table_miss(self, packet: Packet, in_port: Port, now: float) -> None:
         channel = self.punt_channel(packet)
         if channel is not None:
             message = PacketIn(switch=self, packet=packet, in_port=in_port.number)
             self._buffered[message.buffer_id] = (packet, in_port.number)
             self.punts.increment()
-            self._record("punt", packet, note=channel.controller.name)
+            self._record(now, "punt", packet, channel.controller.name)
             channel.send_to_controller(message)
             return
         if self.fail_mode == "open":
-            self._record("forward", packet, note="fail-open flood")
+            self._record(now, "forward", packet, "fail-open flood")
             self.forwarded.increment()
             self.flood(packet, exclude=in_port)
         else:
-            self._record("drop", packet, note="fail-secure, no controller")
+            self._record(now, "drop", packet, "fail-secure, no controller")
             self.drops.increment()
 
     def _apply_actions(
@@ -289,42 +294,49 @@ class OpenFlowSwitch(Node):
         packet: Packet,
         actions: Sequence[Action],
         in_port: Optional[int],
+        now: float,
     ) -> None:
-        if not actions or all(isinstance(action, DropAction) for action in actions):
-            self.drops.increment()
-            self._record("drop", packet)
-            return
-        exclude = None
-        if in_port is not None:
-            try:
-                exclude = self.port(in_port)
-            except PortError:
-                # An unknown ingress port (entry installed before a
-                # rewire) just means the flood cannot exclude it.
-                exclude = None
+        """Apply an action list; ``now`` is the caller's one clock reading."""
+        acted = False
         for action in actions:
-            if isinstance(action, DropAction):
+            kind = action.__class__
+            if kind is OutputAction:
+                acted = True
+                port = action.port
+                note = self._output_notes.get(port)
+                if note is None:
+                    note = self._output_notes[port] = f"port {port}"
+                self.forwarded.increment()
+                self._record(now, "forward", packet, note)
+                self.send(packet, port)
+            elif kind is DropAction:
                 continue
-            if isinstance(action, OutputAction):
+            elif kind is FloodAction:
+                acted = True
+                # Only a flood needs the ingress Port; an unknown one
+                # (entry installed before a rewire) just means the flood
+                # cannot exclude it.
+                exclude = self._ports.get(in_port) if in_port is not None else None
                 self.forwarded.increment()
-                self._record("forward", packet, note=f"port {action.port}")
-                self.send(packet, action.port)
-            elif isinstance(action, FloodAction):
-                self.forwarded.increment()
-                self._record("forward", packet, note="flood")
+                self._record(now, "forward", packet, "flood")
                 self.flood(packet, exclude=exclude)
-            elif isinstance(action, ControllerAction):
+            elif kind is ControllerAction:
+                acted = True
                 channel = self.punt_channel(packet)
                 if channel is not None:
+                    ingress = in_port if in_port is not None else 0
                     message = PacketIn(
-                        switch=self, packet=packet, in_port=in_port if in_port is not None else 0,
-                        reason="action",
+                        switch=self, packet=packet, in_port=ingress, reason="action"
                     )
-                    self._buffered[message.buffer_id] = (packet, in_port if in_port is not None else 0)
+                    self._buffered[message.buffer_id] = (packet, ingress)
                     self.punts.increment()
                     channel.send_to_controller(message)
             else:
-                raise OpenFlowError(f"switch {self.name} cannot apply {type(action).__name__}")
+                raise OpenFlowError(f"switch {self.name} cannot apply {kind.__name__}")
+        if not acted:
+            # An empty list, or nothing but explicit drops.
+            self.drops.increment()
+            self._record(now, "drop", packet)
 
     def _notify_removed(self, entry: FlowEntry, *, reason: str = "idle_timeout") -> None:
         self.flow_removed.increment()
@@ -399,9 +411,10 @@ class OpenFlowSwitch(Node):
         for listener in self._recovery_listeners:
             listener()
 
-    def _record(self, event: str, packet: Packet, note: str = "") -> None:
-        if self.trace is not None:
-            self.trace.record(self.now, self.name, event, packet, note)
+    def _record(self, now: float, event: str, packet: Packet, note: str = "") -> None:
+        trace = self.trace
+        if trace is not None:
+            trace.record(now, self.name, event, packet, note)
 
     def __repr__(self) -> str:
         return f"OpenFlowSwitch({self.name!r}, entries={len(self.flow_table)})"

@@ -218,9 +218,9 @@ class MetricsPipeline:
             self.sample(sim.now)
             return self._running
 
-        self._event = sim.schedule_repeating(
-            interval, tick, label=f"telemetry:{self.name}"
-        )
+        # Formatted once per start: the repeating event keeps it.
+        label = f"telemetry:{self.name}"
+        self._event = sim.schedule_repeating(interval, tick, label=label)
         return self._event
 
     def stop(self) -> None:

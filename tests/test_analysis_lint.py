@@ -109,6 +109,24 @@ class TestRuleSemantics:
         handed_on = "def g(s):\n    s.pairs.append(('k', 'v'))\n    return dict(s.pairs), s.pairs[0]\n"
         assert analyze_source(handed_on, rules, rel_path="src/repro/core/interception.py") == []
 
+    def test_r9_one_way_onto_the_event_queue(self):
+        rules = [rules_by_id()["R9"]]
+        peek = "def n(self):\n    return len(self.sim._queue)\n"
+        assert analyze_source(peek, rules, rel_path="src/repro/netsim/links.py")
+        assert analyze_source(peek.replace("self.sim", "sim"), rules, rel_path="perf/x.py")
+        # The owner, and a class's own `_queue` (the serial decision queue).
+        own = "def n(self):\n    return len(self._queue)\n"
+        assert analyze_source(own, rules, rel_path="src/repro/netsim/events.py") == []
+        assert analyze_source(own, rules, rel_path="src/repro/core/controller.py") == []
+        per_event = "def s(self):\n    self.sim.schedule(0.0, self.f, label=f'{self.name}:x')\n"
+        assert analyze_source(per_event, rules, rel_path="src/repro/core/controller.py")
+        for built_once in ("self._label", "'fixed'", "LABELS[role]"):
+            source = per_event.replace("f'{self.name}:x'", built_once)
+            assert analyze_source(source, rules, rel_path="src/repro/core/controller.py") == []
+        # An f-string label on anything but a scheduling call is not an event label.
+        probe = "def p(i):\n    return Probe(label=f'{i.src}->{i.dst}')\n"
+        assert analyze_source(probe, rules, rel_path="src/repro/workloads/experiment.py") == []
+
 
 class TestSuppression:
     def test_inline_disable_suppresses_only_named_rule(self):

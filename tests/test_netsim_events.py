@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.netsim.events import Future, Simulator
+from repro.netsim.events import Event, Future, Simulator
 
 
 class TestScheduling:
@@ -57,6 +57,20 @@ class TestScheduling:
         assert order == ["first", "second"]
         assert sim.now == 2.0
 
+    @pytest.mark.parametrize("delay", [float("nan"), -float("nan"), -1e-12, float("-inf")])
+    def test_delay_that_is_not_at_least_zero_rejected(self, delay):
+        # NaN passes a ``delay < 0`` guard; an event at time NaN would fire
+        # with ``now == nan`` and leave the heap order undefined.
+        sim = Simulator(start_time=1.0)
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(delay, lambda: None)
+        assert sim.pending() == 0
+        sim.schedule(0.5, lambda: None)
+        sim.run()
+        assert sim.now == 1.5
+
     def test_kwargs_passed_to_callback(self):
         sim = Simulator()
         received = {}
@@ -82,7 +96,116 @@ class TestCancellation:
         assert sim.run() == 0
 
 
+class TestCompaction:
+    def test_cancelled_events_do_not_pile_up_in_the_heap(self):
+        sim = Simulator()
+        live = [sim.schedule(100.0 + index, lambda: None) for index in range(50)]
+        for index in range(10_000):
+            # A backstop armed and cancelled long before its time, 10k times.
+            sim.schedule(5.0, lambda: None).cancel()
+            assert sim.pending() <= 2 * len(live)
+        assert sim.run() == len(live)
+        assert sim.pending() == 0
+
+    @pytest.mark.parametrize("perturb_ties", [False, True])
+    def test_compaction_keeps_same_instant_order(self, perturb_ties):
+        sim = Simulator(perturb_ties=perturb_ties)
+        fired = []
+        events = [sim.schedule(1.0, fired.append, index) for index in range(40)]
+        sim.schedule(0.5, fired.append, "early")
+        for index, event in enumerate(events):
+            if index % 4:
+                event.cancel()  # 30 of 41 records die: the heap is rebuilt
+        assert sim.pending() < 41
+        sim.run()
+        survivors = [index for index in range(40) if index % 4 == 0]
+        expected = survivors[::-1] if perturb_ties else survivors
+        assert fired == ["early", *expected]
+
+    def test_cancel_after_firing_or_twice_does_not_miscount(self):
+        sim = Simulator()
+        fired_first = sim.schedule(0.0, lambda: None)
+        keep = [sim.schedule(1.0, lambda: None) for _ in range(3)]
+        sim.run(until=0.5)
+        # Neither a fired event nor a repeated cancel is a dead heap record.
+        fired_first.cancel()
+        fired_first.cancel()
+        keep[0].cancel()
+        keep[0].cancel()
+        assert sim.pending() == 3
+        assert sim.run() == 2
+
+    def test_cancel_from_inside_a_callback_compacts_under_the_running_loop(self):
+        sim = Simulator()
+        fired = []
+        doomed = [sim.schedule(2.0, fired.append, "doomed") for _ in range(10)]
+        sim.schedule(3.0, fired.append, "after")
+
+        def cancel_all():
+            for event in doomed:
+                event.cancel()
+
+        sim.schedule(1.0, cancel_all)
+        assert sim.run() == 2
+        assert fired == ["after"]
+
+    def test_reset_forgets_cancelled_records(self):
+        sim = Simulator()
+        events = [sim.schedule(1.0, lambda: None) for _ in range(4)]
+        events[0].cancel()
+        sim.reset()
+        for event in events:
+            event.cancel()  # no longer queued: must not count against the new queue
+        sim.schedule(1.0, lambda: None)
+        assert sim.pending() == 1
+        assert sim.run() == 1
+
+
+class TestEventOrdering:
+    def test_events_order_by_time_then_sequence(self):
+        def callback():
+            return None
+
+        early, tie_first, tie_second = Event(0.5, 9, callback), Event(1.0, 2, callback), Event(1.0, 3, callback)
+        assert early < tie_first < tie_second
+        assert tie_second > tie_first >= early
+        assert sorted([tie_second, early, tie_first]) == [early, tie_first, tie_second]
+        # The callback, arguments and label take no part in the ordering.
+        assert Event(1.0, 2, print, ("x",), {"y": 1}, label="other") == tie_first
+
+    def test_event_keeps_its_seven_fields_and_constructor(self):
+        event = Event(time=1.5, seq=4, callback=print, args=(1,), kwargs={"k": 2}, label="l")
+        assert (event.time, event.seq, event.callback, event.args, event.kwargs,
+                event.cancelled, event.label) == (1.5, 4, print, (1,), {"k": 2}, False, "l")
+        assert Event(0.0, 0, print).kwargs == {}
+        event.cancel()
+        assert event.cancelled
+        with pytest.raises(AttributeError):
+            event.extra = 1  # slotted
+
+    def test_scheduled_event_carries_what_was_scheduled(self):
+        sim = Simulator(start_time=2.0)
+        event = sim.schedule(0.5, print, "a", label="hello", end="")
+        assert (event.time, event.args, event.kwargs, event.label) == (2.5, ("a",), {"end": ""}, "hello")
+        assert sim.schedule(0.5, print).seq == event.seq + 1
+
+
 class TestRunLimits:
+    def test_run_until_before_now_fires_nothing_and_keeps_the_clock(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5.0, fired.append, "first")
+        sim.schedule(7.0, fired.append, "queued")
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+        # The clock used to be rewound to 3, and the event below then
+        # fired at 4.0: before work that had already happened.
+        assert sim.run(until=3.0) == 0
+        assert sim.now == 5.0
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == ["first", 6.0, "queued"]
+
     def test_run_until_stops_the_clock(self):
         sim = Simulator()
         fired = []

@@ -63,6 +63,16 @@ class TestPorts:
         node.add_port(1)
         assert [p.number for p in node.ports()] == [1, 3]
         assert node.port_count() == 2
+        assert node.add_port().number == 4
+        node.add_port(2)
+        assert [p.number for p in node.ports()] == [1, 2, 3, 4]
+
+    def test_ports_iteration_survives_adding_a_port(self):
+        node = Node("n")
+        node.add_port()
+        for port in node.ports():
+            node.add_port()
+        assert node.port_count() == 2
 
 
 class TestLinks:
@@ -112,6 +122,17 @@ class TestLinks:
         assert left.port(1).tx_packets.value == 1
         assert right.port(1).rx_packets.value == 1
         assert link.tx_bytes.value == packet.wire_size()
+
+    def test_delivery_label_follows_the_link_name(self):
+        sim, left, right, link = make_pair()
+        left.send(Packet(), left.port(1))
+        assert sim.step().label == "deliver:left:1<->right:1"
+        # Built once per name rather than per packet, so a rename must
+        # still reach the label (the sanitizer's trace hash reads it).
+        link.name = "trunk"
+        left.send(Packet(), left.port(1))
+        right.send(Packet(), right.port(1))
+        assert [sim.step().label, sim.step().label] == ["deliver:trunk", "deliver:trunk"]
 
     def test_other_end_and_peer(self):
         _, left, right, link = make_pair()

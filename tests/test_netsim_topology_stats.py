@@ -8,7 +8,7 @@ from repro.netsim.nodes import Node
 from repro.netsim.packet import Packet
 from repro.netsim.statistics import Counter, Histogram, StatsRegistry
 from repro.netsim.topology import Topology, build_linear_topology
-from repro.netsim.trace import PacketTrace
+from repro.netsim.trace import PacketTrace, TraceRecord
 
 
 def star_topology():
@@ -225,6 +225,23 @@ class TestTrace:
         assert len(trace.filter(where="sw1")) == 2
         assert len(trace.filter(event="drop")) == 1
         assert trace.summary() == {"forward": 2, "drop": 1}
+
+    def test_trace_record_is_an_immutable_value(self):
+        packet = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80)
+        record = TraceRecord(0.5, "sw1", "forward", packet, "port 2")
+        assert (record.time, record.where, record.event, record.packet, record.note) == (
+            0.5, "sw1", "forward", packet, "port 2"
+        )
+        assert record == TraceRecord(time=0.5, where="sw1", event="forward", packet=packet, note="port 2")
+        assert record != TraceRecord(0.5, "sw1", "forward", packet)
+        assert TraceRecord(0.5, "sw1", "drop", packet).note == ""
+        with pytest.raises(AttributeError):
+            record.note = "rewritten"
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        trace = PacketTrace()
+        trace.record(0.5, "sw1", "forward", packet, "port 2")
+        assert trace.records == [record]
 
     def test_disabled_trace_records_nothing(self):
         trace = PacketTrace(enabled=False)

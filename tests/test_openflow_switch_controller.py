@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.exceptions import ChannelError
+from repro.exceptions import ChannelError, OpenFlowError
 from repro.netsim.nodes import Node
 from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
-from repro.openflow.actions import DropAction, FloodAction, OutputAction
+from repro.netsim.trace import PacketTrace
+from repro.openflow.actions import Action, ControllerAction, DropAction, FloodAction, OutputAction
 from repro.openflow.controller_base import Controller, LearningSwitchController
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn, PacketOut, StatsRequest
@@ -85,6 +86,46 @@ class TestSwitchDatapath:
         host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
         topo.run()
         assert host_b.received == []
+
+    def test_action_lists_dispatch_on_each_action(self):
+        trace = PacketTrace()
+        controller = RecordingController()
+        topo, switch, host_a, host_b = build_fabric(controller)
+        switch.trace = trace
+        packet = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80)
+
+        def apply(actions, in_port=1):
+            trace.clear()
+            switch.handle_message(PacketOut(packet=packet, actions=actions, in_port=in_port))
+            topo.run()
+            return [(record.event, record.note) for record in trace]
+
+        # Nothing, or nothing but explicit drops, is one drop.
+        assert apply([]) == [("drop", "")]
+        assert apply([DropAction(), DropAction()]) == [("drop", "")]
+        assert switch.drops.value == 2
+        # A drop beside a forward is skipped; each output is its own hop.
+        assert apply([DropAction(), OutputAction(2), OutputAction(2)]) == [
+            ("forward", "port 2"), ("forward", "port 2")
+        ]
+        assert len(host_b.received) == 2 and switch.drops.value == 2
+        # A flood excludes the ingress port, or nothing when it is unknown.
+        assert apply([FloodAction()]) == [("forward", "flood")]
+        assert (len(host_a.received), len(host_b.received)) == (0, 3)
+        apply([FloodAction()], in_port=9)
+        assert (len(host_a.received), len(host_b.received)) == (1, 4)
+        # Punting by action buffers the packet and is not a drop.
+        assert apply([ControllerAction()]) == []
+        assert len(controller.messages) == 1 and controller.messages[0].reason == "action"
+        assert switch.drops.value == 2
+
+        class Mirror(Action):
+            pass
+
+        with pytest.raises(OpenFlowError, match="cannot apply Mirror"):
+            apply([OutputAction(2), Mirror()])
+        topo.run()
+        assert len(host_b.received) == 5  # the actions before it were applied
 
     def test_miss_punts_and_buffers(self):
         controller = RecordingController()
@@ -251,6 +292,22 @@ class TestMultiChannelRouting:
         topo.run()
         assert primary.messages == [] and backup.messages == []
         assert switch.drops.value == 1  # fail-secure
+
+    def test_event_labels_follow_renamed_owners(self):
+        # Labels are built once per owner name, not per message; the
+        # fixture above renames its controllers after construction, and a
+        # switch may be renamed too.
+        topo, switch, host_a, primary, backup = self.build_two_controller_fabric()
+        sim, channel = topo.sim, switch.channels["ctrl-a"]
+        primary.nonblocking_inbox = True
+        channel.send_to_controller(PacketIn(switch=switch, packet=Packet(), in_port=1))
+        assert sim.step().label == "ctrl-rx:sw1"
+        assert sim.step().label == "ctrl-a:inbox"
+        switch.name = "sw-renamed"
+        channel.send_to_switch(StatsRequest())
+        assert sim.step().label == "switch-rx:sw-renamed"
+        assert sim.step().label == "ctrl-rx:sw-renamed"
+        assert sim.step().label == "ctrl-a:inbox"
 
     def test_channel_counters_are_attributable_per_controller(self):
         topo, switch, host_a, primary, backup = self.build_two_controller_fabric()

@@ -8,6 +8,7 @@ from tools.analysis.rules.r5_mutable_defaults import MutableDefaultsRule
 from tools.analysis.rules.r6_metric_names import MetricNamesRule
 from tools.analysis.rules.r7_engine_facade import EngineFacadeRule
 from tools.analysis.rules.r8_identity_index import IdentityIndexRule
+from tools.analysis.rules.r9_event_queue import EventQueueRule
 
 #: Every rule, in id order — the default rule set of ``run_lint.py``.
 ALL_RULES = (
@@ -19,6 +20,7 @@ ALL_RULES = (
     MetricNamesRule(),
     EngineFacadeRule(),
     IdentityIndexRule(),
+    EventQueueRule(),
 )
 
 
@@ -38,4 +40,5 @@ __all__ = [
     "MetricNamesRule",
     "EngineFacadeRule",
     "IdentityIndexRule",
+    "EventQueueRule",
 ]

@@ -38,6 +38,7 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
         "## Package dependency order",
         "## Life of a punted flow (multi-hop edition)",
         "### Identity answer path",
+        "### Event loop and packet hop",
         "## Query engine",
         "## Identity plane (push)",
         "## Decision core",
@@ -67,6 +68,7 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
         "### R6 — histograms and rate counters must be named",
         "### R7 — ident++ queries must go through the QueryEngine facade",
         "### R8 — identity lookups must use the socket and key indexes",
+        "### R9 — events enter through `Simulator.schedule`, with labels built once",
         "## Suppression",
         "## The runtime sanitizer",
     ],
