@@ -10,7 +10,8 @@ network where it can be done at line-rate"):
 
 Expected shape: ident++ setup latency ≈ baseline + the end-host query
 round trips; per-packet forwarding after setup is identical (cached in
-the flow tables); evaluator cost grows roughly linearly with rules.
+the flow tables); evaluator cost stays flat as the ruleset grows, because
+a decision only visits the rules its port/prefix index cannot rule out.
 """
 
 import time
@@ -79,12 +80,11 @@ def _build_policy(rule_count: int) -> PolicyEvaluator:
 
 
 def test_policy_evaluation_throughput(benchmark):
-    """E10b — interpreted vs compiled evaluator throughput vs ruleset size.
+    """E10b — evaluator throughput vs ruleset size.
 
-    The interpreted path degrades linearly with rules; the compiled path
-    (port/prefix index + closure matchers, the default) stays flat.  The
-    series also proves, in the same run, that both paths return identical
-    verdicts and that the index is actually being hit.
+    A decision visits the rules the port/prefix index cannot rule out,
+    not the ruleset, so its cost stays flat from 10 to 2000 rules.  The
+    series also proves, in the same run, that the index is being hit.
     """
     flow = FlowSpec.tcp("192.168.0.10", "10.1.2.3", 40000, 1001)
     src = ResponseDocument()
@@ -94,49 +94,37 @@ def test_policy_evaluation_throughput(benchmark):
     benchmark(lambda: evaluator.evaluate(flow, src, None))
 
     rows = []
-    speedups = {}
+    per_decision = {}
+    iterations, rounds = 1000, 5
     for size in (10, 100, 500, 2000):
         sized = _build_policy(size)
-        iterations = 200
+        assert sized.evaluate(flow, src, None).is_pass
 
-        # Verdict parity on the measured flow, in the measured run.
-        interpreted_verdict = sized.evaluate_interpreted(flow, src, None)
-        compiled_verdict = sized.evaluate(flow, src, None)
-        assert compiled_verdict.action == interpreted_verdict.action
-        assert compiled_verdict.rule is interpreted_verdict.rule
+        single_elapsed = batch_elapsed = float("inf")
+        for _ in range(rounds):
+            start = time.perf_counter()
+            for _ in range(iterations):
+                sized.evaluate(flow, src, None)
+            single_elapsed = min(single_elapsed, time.perf_counter() - start)
 
-        start = time.perf_counter()
-        for _ in range(iterations):
-            sized.evaluate_interpreted(flow, src, None)
-        interpreted_elapsed = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for _ in range(iterations):
-            sized.evaluate(flow, src, None)
-        compiled_elapsed = time.perf_counter() - start
-
-        start = time.perf_counter()
-        sized.evaluate_batch([(flow, src, None)] * iterations)
-        batch_elapsed = time.perf_counter() - start
+            start = time.perf_counter()
+            sized.evaluate_batch([(flow, src, None)] * iterations)
+            batch_elapsed = min(batch_elapsed, time.perf_counter() - start)
 
         stats = sized.stats()
         assert stats["indexed_rules"] == size  # every generated rule indexed
-        assert stats["fallback_scans"] == 0
-        # Every compiled decision on this policy sees the block-all header
-        # plus at most one port bucket entry; anything near the full
-        # ruleset size means the index stopped being consulted.
-        compiled_evaluations = 2 * iterations + 1
-        assert stats["candidates_visited"] <= 4 * compiled_evaluations
+        # Every decision on this policy sees the block-all header plus at
+        # most one port bucket entry; anything near the full ruleset size
+        # means the index stopped being consulted.
+        assert stats["candidates_visited"] <= 4 * stats["evaluations"]
 
-        speedups[size] = interpreted_elapsed / compiled_elapsed
+        per_decision[size] = single_elapsed / iterations
         rows.append({
             "rules": size,
-            "interpreted_eps": round(iterations / interpreted_elapsed),
-            "compiled_eps": round(iterations / compiled_elapsed),
+            "single_eps": round(iterations / single_elapsed),
             "batch_eps": round(iterations / batch_elapsed),
-            "speedup": round(interpreted_elapsed / compiled_elapsed, 1),
+            "cost_vs_10_rules": round(per_decision[size] / per_decision[10], 2),
         })
     emit(format_table(rows, title="E10b — PF+=2 evaluator throughput vs ruleset size"))
-    assert rows[0]["interpreted_eps"] > rows[-1]["interpreted_eps"]
-    # The compiled fast path must beat the interpreted walk by >=5x at 2000 rules.
-    assert speedups[2000] >= 5.0
+    # Same gate as run_benchmarks.py's derived.policy_eval_2000_vs_10.
+    assert per_decision[2000] / per_decision[10] <= 1.5

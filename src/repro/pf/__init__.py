@@ -18,10 +18,11 @@ tables (:mod:`repro.pf.tables`), the predicate function registry
 (:mod:`repro.pf.state`) and the ``*.control`` configuration loader that
 concatenates files in alphabetical order (:mod:`repro.pf.ruleset`).
 
-Performance note: by default the evaluator does **not** interpret the
-AST per flow — :mod:`repro.pf.compiler` compiles every rule into a
-closure over pre-parsed addresses and indexes the ruleset by destination
-port and prefix, so a decision only touches candidate rules.  See
+Performance note: the evaluator does **not** interpret the AST per
+flow — :mod:`repro.pf.compiler` compiles every rule into a closure over
+pre-parsed addresses and indexes the ruleset by destination port and
+prefix, so a decision only touches candidate rules, and that is the only
+evaluation path (top-level, flowless and nested under ``allowed()``).  See
 ``compiler.py`` for the compilation model and the "Performance
 architecture" section of the repository README for how the pieces fit.
 
@@ -40,7 +41,7 @@ from repro.pf.ast_nodes import (
     Ruleset,
     TableDef,
 )
-from repro.pf.compiler import CompiledPolicy, CompiledRule, RuleIndex, compile_ruleset
+from repro.pf.compiler import CompiledPolicy, CompiledRule, RuleIndex
 from repro.pf.evaluator import EvalContext, PolicyEvaluator, Verdict
 from repro.pf.functions import FunctionRegistry, default_registry
 from repro.pf.lexer import Token, tokenize
@@ -62,7 +63,6 @@ __all__ = [
     "CompiledPolicy",
     "CompiledRule",
     "RuleIndex",
-    "compile_ruleset",
     "EvalContext",
     "PolicyEvaluator",
     "Verdict",

@@ -1,13 +1,12 @@
-"""Compilation and indexing of PF+=2 rulesets (the evaluator fast path).
+"""Compilation and indexing of PF+=2 rulesets — the one place a rule is matched.
 
-The interpreted evaluator re-walks the AST for every flow: each
-:class:`~repro.pf.ast_nodes.Rule` re-parses its address literals, re-reads
-macros and re-dispatches on node types.  That is fine for the paper's
-hand-written figures but collapses linearly once rulesets reach the
-thousands of rules the benchmarks (E10b) sweep.
+Walking the AST per flow would re-parse every address literal, re-read
+every macro and re-dispatch on node types for each
+:class:`~repro.pf.ast_nodes.Rule`: fine for the paper's hand-written
+figures, linear in the thousands of rules the benchmarks (E10b) sweep.
 
-This module pays that cost once, at :class:`~repro.pf.evaluator.PolicyEvaluator`
-build time:
+This module pays that cost once, when a
+:class:`~repro.pf.evaluator.PolicyEvaluator` first evaluates:
 
 * every rule becomes a :class:`CompiledRule` — a closure that checks the
   flow against pre-parsed integer network/mask pairs (address literals and
@@ -16,16 +15,17 @@ build time:
 * rules are placed in a :class:`RuleIndex` keyed on the destination port,
   with an additional first-octet prefix gate for literal destination
   prefixes, so a decision only visits candidate rules;
-* un-indexable rules (no destination port, raising source endpoints,
-  flowless evaluation) fall back to the always-visited scan bucket so
-  last-match-wins, ``quick`` and error semantics are bit-identical to the
-  interpreted path.
+* rules the index cannot soundly skip (no destination port, a source
+  endpoint that can raise) live in the always-visited scan bucket, and an
+  evaluation without a flow visits every rule, so last-match-wins,
+  ``quick`` and error semantics are those of reading the rules top-down.
 
 The index only ever *skips* rules that provably cannot match (destination
 port mismatch, destination octet outside every literal prefix) and never
-reorders them, which is what keeps the verdicts identical — the parity
-test suite (``tests/test_pf_compiler_parity.py``) asserts exactly that
-over the benchmark rulesets and the paper-figure configurations.
+reorders them.  ``tests/test_pf_compiler_parity.py`` checks exactly that
+against the AST walk kept as a test oracle
+(``tests/reference_evaluator.py``), over generated rulesets, the
+benchmark rulesets and the paper-figure configurations.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ def _split_list(value: str) -> Sequence[str]:
 def _parse_literal(text: str) -> Optional[tuple[int, int]]:
     """Parse an address/CIDR literal once into ``(mask, network)`` ints.
 
-    Returns ``None`` for unparseable text — the interpreted path treats
-    those as never-matching, so the compiled matcher must too.
+    Returns ``None`` for unparseable text, which never matches.
     """
     try:
         network = IPv4Network(text)
@@ -263,8 +262,8 @@ class CompiledRule:
         self.dst = _CompiledEndpoint(rule.dst, macros, tables)
         self.conditions = tuple(_compile_condition(c, macros) for c in rule.conditions)
         self.address_free = rule.src.is_any() and rule.dst.is_any()
-        # The interpreted path evaluates src before dst, so skipping a rule
-        # on its dst port is only sound when the src side cannot raise.
+        # A rule's src is evaluated before its dst, so skipping a rule on its
+        # dst port is only sound when the src side cannot raise.
         if self.src.total and self.dst.port is not None:
             self.index_port = self.dst.port
         else:
@@ -291,7 +290,7 @@ class RuleIndex:
 
     ``candidates(port)`` merges the port bucket with the scan bucket in
     original rule order; rules the index cannot safely skip live in the
-    scan bucket, which degrades gracefully to the interpreted linear walk.
+    scan bucket, which degrades gracefully to a linear walk.
     """
 
     def __init__(self, compiled: Sequence[CompiledRule]) -> None:
@@ -347,8 +346,3 @@ class CompiledPolicy:
             "candidates_visited": float(self.candidates_visited),
             "gate_skipped": float(self.gate_skipped),
         }
-
-
-def compile_ruleset(ruleset: Ruleset, macros: dict[str, str], tables: "TableSet") -> CompiledPolicy:
-    """Compile a parsed ruleset against its macros and tables."""
-    return CompiledPolicy(ruleset, macros, tables)

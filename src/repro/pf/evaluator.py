@@ -6,13 +6,13 @@ and bypass later rules if it contains the ``quick`` keyword."  When no
 rule matches at all, PF's default is to pass — which is why every
 configuration in the paper begins with an explicit ``block all``.
 
-Two execution strategies produce identical verdicts:
-
-* the **interpreted** path (:meth:`PolicyEvaluator.evaluate_interpreted`)
-  walks the AST per flow, exactly as written above, and
-* the **compiled** path (default) runs the ruleset through
-  :mod:`repro.pf.compiler` — closures over pre-parsed addresses plus a
-  destination-port/prefix index — and only visits candidate rules.
+This module owns that loop and nothing else.  Whether one rule matches
+is decided in exactly one place, :mod:`repro.pf.compiler`: the ruleset is
+compiled once into closures over pre-parsed addresses plus a
+destination-port/prefix index, and every evaluation — with a flow or
+without one, top-level or nested under ``allowed()`` — runs the compiled
+rules.  The AST walk the compiler replaced is kept as a test oracle
+(``tests/reference_evaluator.py``).
 """
 
 from __future__ import annotations
@@ -23,23 +23,9 @@ from typing import Optional, Sequence
 from repro.exceptions import PFEvalError
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
-from repro.netsim.addresses import AddressError, IPv4Address, IPv4Network
-from repro.pf.ast_nodes import (
-    ACTION_PASS,
-    AddressLiteral,
-    AnyAddress,
-    DictAccess,
-    EndpointSpec,
-    Expr,
-    Literal,
-    MacroRef,
-    Rule,
-    Ruleset,
-    TableRef,
-    TableRefExpr,
-)
-from repro.pf.compiler import CompiledPolicy, _split_list, compile_ruleset
-from repro.pf.functions import ArgValue, FunctionRegistry, default_registry
+from repro.pf.ast_nodes import ACTION_PASS, Rule, Ruleset
+from repro.pf.compiler import CompiledPolicy
+from repro.pf.functions import FunctionRegistry, default_registry
 from repro.pf.tables import TableSet
 
 #: Maximum nesting depth for ``allowed()`` evaluating delegated rule text
@@ -87,21 +73,6 @@ class EvalContext:
             return value if value else None
         return document.latest(key)
 
-    def resolve_expr(self, expr: Expr) -> ArgValue:
-        """Resolve a function-call argument to a plain value."""
-        if isinstance(expr, DictAccess):
-            return self.dictionary_lookup(expr.dict_name, expr.key, concatenated=expr.concatenated)
-        if isinstance(expr, MacroRef):
-            value = self.macros.get(expr.name)
-            if value is None:
-                raise PFEvalError(f"unknown macro ${expr.name}")
-            return value
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, TableRefExpr):
-            return [str(network) for network in self.tables.resolve(expr.name).networks]
-        raise PFEvalError(f"cannot resolve expression {expr!r}")
-
 
 @dataclass
 class Verdict:
@@ -142,7 +113,6 @@ class PolicyEvaluator:
         registry: Optional[FunctionRegistry] = None,
         default_action: str = ACTION_PASS,
         name: str = "policy",
-        compile_rules: bool = True,
     ) -> None:
         self.name = name
         self.ruleset = ruleset
@@ -151,11 +121,9 @@ class PolicyEvaluator:
         self.tables = TableSet.from_definitions(ruleset.tables())
         self.macros = ruleset.macros()
         self.dicts = {n: dict(d.entries) for n, d in ruleset.dicts().items()}
-        self.compile_rules = compile_rules
         self._compiled: Optional[CompiledPolicy] = None
         self.evaluations = 0
         self.rules_checked = 0
-        self.fallback_scans = 0
         self.batches = 0
         self.batched_evaluations = 0
         self.max_batch_size = 0
@@ -163,28 +131,6 @@ class PolicyEvaluator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-
-    def make_context(
-        self,
-        flow: Optional[FlowSpec],
-        src_doc: Optional[ResponseDocument] = None,
-        dst_doc: Optional[ResponseDocument] = None,
-        *,
-        extra: Optional[dict[str, object]] = None,
-        depth: int = 0,
-    ) -> EvalContext:
-        """Build the evaluation context for one flow."""
-        return EvalContext(
-            flow=flow,
-            src_doc=src_doc if src_doc is not None else ResponseDocument(),
-            dst_doc=dst_doc if dst_doc is not None else ResponseDocument(),
-            tables=self.tables,
-            macros=self.macros,
-            dicts=self.dicts,
-            registry=self.registry,
-            extra=dict(extra or {}),
-            depth=depth,
-        )
 
     def evaluate(
         self,
@@ -195,21 +141,11 @@ class PolicyEvaluator:
         extra: Optional[dict[str, object]] = None,
         depth: int = 0,
     ) -> Verdict:
-        """Run the ruleset against one flow and return the verdict."""
-        context = self.make_context(flow, src_doc, dst_doc, extra=extra, depth=depth)
-        return self.evaluate_with_context(context)
+        """Run the ruleset against one flow and return the verdict.
 
-    def evaluate_with_context(self, context: EvalContext) -> Verdict:
-        """Run the ruleset against an existing context (last match wins, ``quick`` stops).
-
-        Uses the compiled fast path when enabled; flowless evaluation and
-        ``compile_rules=False`` fall back to the interpreted linear scan.
+        Without a flow (``None``) only address-free rules can match.
         """
-        self.evaluations += 1
-        if self.compile_rules and context.flow is not None:
-            return self._evaluate_compiled(context)
-        self.fallback_scans += 1
-        return self._evaluate_linear(context)
+        return self._evaluate(self._make_context(flow, src_doc, dst_doc, extra=extra, depth=depth))
 
     def evaluate_batch(
         self,
@@ -226,17 +162,30 @@ class PolicyEvaluator:
         self.batches += 1
         self.batched_evaluations += len(items)
         self.max_batch_size = max(self.max_batch_size, len(items))
-        context = self.make_context(None, None, None, extra=extra)
+        context = self._make_context(None, None, None, extra=extra)
         empty_doc = context.src_doc
         verdicts: list[Verdict] = []
         for flow, src_doc, dst_doc in items:
             context.flow = flow
             context.src_doc = src_doc if src_doc is not None else empty_doc
             context.dst_doc = dst_doc if dst_doc is not None else empty_doc
-            verdicts.append(self.evaluate_with_context(context))
+            verdicts.append(self._evaluate(context))
         return verdicts
 
-    def evaluate_interpreted(
+    @property
+    def compiled(self) -> CompiledPolicy:
+        """Return the compiled policy, (re)building it if tables moved."""
+        compiled = self._compiled
+        if compiled is None or compiled.table_version != self.tables.version:
+            compiled = CompiledPolicy(self.ruleset, self.macros, self.tables)
+            self._compiled = compiled
+        return compiled
+
+    # ------------------------------------------------------------------
+    # The evaluation loop
+    # ------------------------------------------------------------------
+
+    def _make_context(
         self,
         flow: Optional[FlowSpec],
         src_doc: Optional[ResponseDocument] = None,
@@ -244,31 +193,32 @@ class PolicyEvaluator:
         *,
         extra: Optional[dict[str, object]] = None,
         depth: int = 0,
-    ) -> Verdict:
-        """Run the original AST-walking path (the parity reference)."""
-        context = self.make_context(flow, src_doc, dst_doc, extra=extra, depth=depth)
+    ) -> EvalContext:
+        return EvalContext(
+            flow=flow,
+            src_doc=src_doc if src_doc is not None else ResponseDocument(),
+            dst_doc=dst_doc if dst_doc is not None else ResponseDocument(),
+            tables=self.tables,
+            macros=self.macros,
+            dicts=self.dicts,
+            registry=self.registry,
+            extra=dict(extra or {}),
+            depth=depth,
+        )
+
+    def _evaluate(self, context: EvalContext) -> Verdict:
+        """Last match wins, ``quick`` stops — over the rules the index cannot rule out."""
         self.evaluations += 1
-        return self._evaluate_linear(context)
-
-    # ------------------------------------------------------------------
-    # Execution strategies
-    # ------------------------------------------------------------------
-
-    @property
-    def compiled(self) -> CompiledPolicy:
-        """Return the compiled policy, (re)building it if tables moved."""
-        compiled = self._compiled
-        if compiled is None or compiled.table_version != self.tables.version:
-            compiled = compile_ruleset(self.ruleset, self.macros, self.tables)
-            self._compiled = compiled
-        return compiled
-
-    def _evaluate_compiled(self, context: EvalContext) -> Verdict:
         compiled = self.compiled
         flow = context.flow
-        candidates = compiled.index.candidates(flow.dst_port)
-        compiled.index_lookups += 1
-        dst_octet = flow.dst_ip.to_int() >> 24
+        if flow is not None:
+            candidates = compiled.index.candidates(flow.dst_port)
+            compiled.index_lookups += 1
+            dst_octet = flow.dst_ip.to_int() >> 24
+        else:
+            # No destination to index or gate on: every rule is a candidate.
+            candidates = compiled.rules
+            dst_octet = None
         matched: list[Rule] = []
         deciding: Optional[Rule] = None
         rules_evaluated = 0
@@ -276,7 +226,7 @@ class PolicyEvaluator:
         for candidate in candidates:
             rules_evaluated += 1
             octets = candidate.dst_octets
-            if octets is not None and dst_octet not in octets:
+            if octets is not None and dst_octet is not None and dst_octet not in octets:
                 compiled.gate_skipped += 1
                 continue
             compiled.candidates_visited += 1
@@ -288,102 +238,14 @@ class PolicyEvaluator:
                 if rule.quick:
                     quick_terminated = True
                     break
-        if deciding is None:
-            return Verdict(
-                action=self.default_action,
-                rule=None,
-                matched_rules=[],
-                rules_evaluated=rules_evaluated,
-                default_used=True,
-            )
         return Verdict(
-            action=deciding.action,
+            action=deciding.action if deciding is not None else self.default_action,
             rule=deciding,
             matched_rules=matched,
             rules_evaluated=rules_evaluated,
             quick_terminated=quick_terminated,
+            default_used=deciding is None,
         )
-
-    def _evaluate_linear(self, context: EvalContext) -> Verdict:
-        matched: list[Rule] = []
-        deciding: Optional[Rule] = None
-        rules_evaluated = 0
-        quick_terminated = False
-        for rule in self.ruleset.rules():
-            rules_evaluated += 1
-            self.rules_checked += 1
-            if self._rule_matches(rule, context):
-                matched.append(rule)
-                deciding = rule
-                if rule.quick:
-                    quick_terminated = True
-                    break
-        if deciding is None:
-            return Verdict(
-                action=self.default_action,
-                rule=None,
-                matched_rules=[],
-                rules_evaluated=rules_evaluated,
-                default_used=True,
-            )
-        return Verdict(
-            action=deciding.action,
-            rule=deciding,
-            matched_rules=matched,
-            rules_evaluated=rules_evaluated,
-            quick_terminated=quick_terminated,
-        )
-
-    # ------------------------------------------------------------------
-    # Rule matching
-    # ------------------------------------------------------------------
-
-    def _rule_matches(self, rule: Rule, context: EvalContext) -> bool:
-        flow = context.flow
-        if flow is not None:
-            if not self._endpoint_matches(rule.src, flow.src_ip, flow.src_port, context):
-                return False
-            if not self._endpoint_matches(rule.dst, flow.dst_ip, flow.dst_port, context):
-                return False
-        elif not (rule.src.is_any() and rule.dst.is_any()):
-            # Without a flow only address-free rules can match.
-            return False
-        for condition in rule.conditions:
-            args = [context.resolve_expr(argument) for argument in condition.args]
-            if not context.registry.call(condition.name, context, args):
-                return False
-        return True
-
-    def _endpoint_matches(
-        self,
-        endpoint: EndpointSpec,
-        address: IPv4Address,
-        port: int,
-        context: EvalContext,
-    ) -> bool:
-        if endpoint.port is not None and endpoint.port != port:
-            return False
-        matches = self._address_matches(endpoint, address, context)
-        if endpoint.negated:
-            matches = not matches
-        return matches
-
-    def _address_matches(
-        self, endpoint: EndpointSpec, address: IPv4Address, context: EvalContext
-    ) -> bool:
-        spec = endpoint.address
-        if isinstance(spec, AnyAddress):
-            return True
-        if isinstance(spec, TableRef):
-            return context.tables.contains(spec.name, address)
-        if isinstance(spec, AddressLiteral):
-            return _literal_contains(spec.text, address)
-        if isinstance(spec, MacroRef):
-            value = context.macros.get(spec.name)
-            if value is None:
-                raise PFEvalError(f"unknown macro ${spec.name} used as an address")
-            return any(_literal_contains(part, address) for part in _split_list(value))
-        raise PFEvalError(f"unsupported endpoint address spec: {spec!r}")
 
     # ------------------------------------------------------------------
     # Statistics
@@ -392,28 +254,17 @@ class PolicyEvaluator:
     def stats(self) -> dict[str, float]:
         """Return evaluator counters (used by the throughput benchmark).
 
-        Includes the compile/index counters so benchmarks can assert the
-        index is actually being hit rather than silently falling back.
+        Includes the compile/index counters so benchmarks can assert that
+        a decision visits candidate rules, not the whole ruleset.
         """
         stats = {
             "evaluations": float(self.evaluations),
             "rules_checked": float(self.rules_checked),
             "rules_in_policy": float(len(self.ruleset.rules())),
-            "fallback_scans": float(self.fallback_scans),
             "batches": float(self.batches),
             "batched_evaluations": float(self.batched_evaluations),
             "max_batch_size": float(self.max_batch_size),
-            "compile_enabled": 1.0 if self.compile_rules else 0.0,
         }
         if self._compiled is not None:
             stats.update(self._compiled.stats())
         return stats
-
-
-def _literal_contains(text: str, address: IPv4Address) -> bool:
-    try:
-        if "/" in text:
-            return address in IPv4Network(text)
-        return IPv4Address(text) == address
-    except AddressError:
-        return False

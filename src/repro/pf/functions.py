@@ -26,13 +26,21 @@ must simply fail to match permissive rules.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
-from repro.exceptions import PFEvalError, UnknownFunctionError
+from repro.exceptions import PFError, PFEvalError, UnknownFunctionError
 from repro.crypto.signatures import verify_values
+from repro.pf.ast_nodes import Ruleset
+from repro.pf.parser import parse_rules_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pf.evaluator import EvalContext
+
+#: Distinct delegated rule texts whose parse is remembered.  The text is
+#: end-host input, so the memo is part of the bounded-state invariant:
+#: past this many texts the least recently used one is parsed again.
+DELEGATED_PARSE_MEMO_SIZE = 256
 
 #: The value types predicate functions receive.
 ArgValue = Union[str, list, None]
@@ -214,6 +222,20 @@ def _resolve_list(context: "EvalContext", list_spec: ArgValue) -> list[str]:
     return _tokens(name)
 
 
+@lru_cache(maxsize=DELEGATED_PARSE_MEMO_SIZE)
+def _parse_delegated(text: str) -> Optional[Ruleset]:
+    """Parse delegated rule text once per distinct text (``None`` = it does not parse).
+
+    The same ``requirements`` string arrives with every flow of the
+    application that publishes it.  The returned ruleset is shared by
+    every caller and must not be mutated.
+    """
+    try:
+        return parse_rules_text(text)
+    except PFError:
+        return None
+
+
 def _fn_allowed(context: "EvalContext", args: Sequence[ArgValue]) -> bool:
     """``allowed(rules)`` — does the delegated rule text allow the current flow?
 
@@ -231,23 +253,17 @@ def _fn_allowed(context: "EvalContext", args: Sequence[ArgValue]) -> bool:
     if not text:
         return False
     # Imported here to avoid the import cycle functions -> evaluator -> functions.
-    from repro.exceptions import PFError
     from repro.pf.evaluator import PolicyEvaluator
-    from repro.pf.parser import parse_rules_text
 
     if context.depth >= context.max_depth:
         return False
-    try:
-        ruleset = parse_rules_text(text)
-    except PFError:
+    ruleset = _parse_delegated(text)
+    if ruleset is None:
         return False
     # Delegated requirements are fail-closed: a flow the requirements do not
     # explicitly pass is not "allowed by the rule specified in the argument".
-    # The evaluator is built for exactly one evaluation, so compiling the
-    # delegated text would cost more than the interpreted walk it replaces.
     nested = PolicyEvaluator(
-        ruleset, registry=context.registry, default_action="block", name="allowed()",
-        compile_rules=False,
+        ruleset, registry=context.registry, default_action="block", name="allowed()"
     )
     nested.tables.merge(context.tables)
     try:

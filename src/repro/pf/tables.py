@@ -98,7 +98,12 @@ class TableSet:
                 nested = self.resolve(item.name, _chain + (name,))
                 table.networks.extend(nested.networks)
             elif isinstance(item, AddressLiteral):
-                table.add(item.text)
+                try:
+                    table.add(item.text)
+                except AddressError as error:
+                    # Table text can be delegated (end-host) input: keep the
+                    # failure inside the PFError family callers fail closed on.
+                    raise PFEvalError(f"bad address in table <{name}>: {error}") from error
             else:
                 raise PFEvalError(f"unsupported table item in <{name}>: {item!r}")
         self._resolved[name] = table

@@ -7,7 +7,7 @@ from repro.exceptions import PFEvalError, UnknownFunctionError
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
 from repro.pf.evaluator import PolicyEvaluator
-from repro.pf.functions import default_registry
+from repro.pf.functions import DELEGATED_PARSE_MEMO_SIZE, _parse_delegated, default_registry
 from repro.pf.parser import parse_ruleset
 from repro.pf.state import StateTable
 
@@ -247,6 +247,56 @@ class TestDelegationFunctions:
             "pass all with verify(@dst[req-sig], @pubkeys[research], @dst[exe-hash])"
         )
         assert not evaluate(policy, FLOW, None, doc({"exe-hash": "x"})).is_pass
+
+
+class TestDelegatedParseMemo:
+    """``allowed()`` parses each distinct delegated text once, for a bounded number of texts."""
+
+    POLICY = "block all\npass all with allowed(@dst[requirements])"
+
+    def setup_method(self):
+        _parse_delegated.cache_clear()
+
+    def test_same_text_twice_parses_once(self):
+        dst = doc({"requirements": "block all pass from any to 192.168.1.1"})
+        assert evaluate(self.POLICY, FLOW, None, dst).is_pass
+        assert evaluate(self.POLICY, FLOW, None, dst).is_pass
+        info = _parse_delegated.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_text_that_does_not_parse_is_remembered_too(self):
+        dst = doc({"requirements": "not pf (("})
+        assert not evaluate(self.POLICY, FLOW, None, dst).is_pass
+        assert not evaluate(self.POLICY, FLOW, None, dst).is_pass
+        info = _parse_delegated.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_more_distinct_texts_than_the_bound_evict(self):
+        texts = [f"pass from any to any port {1000 + n}" for n in range(DELEGATED_PARSE_MEMO_SIZE + 5)]
+        for text in texts:
+            _parse_delegated(text)
+        info = _parse_delegated.cache_info()
+        assert info.currsize == info.maxsize == DELEGATED_PARSE_MEMO_SIZE
+        _parse_delegated(texts[-1])  # still held
+        _parse_delegated(texts[0])  # evicted: parsed again
+        after = _parse_delegated.cache_info()
+        assert (after.hits - info.hits, after.misses - info.misses) == (1, 1)
+
+    def test_shared_ruleset_is_never_mutated(self):
+        # The delegated text reads <lan>; each outer policy's own <lan> wins the
+        # merge inside the nested evaluator's TableSet, never in the shared parse.
+        text = "table <lan> { 8.8.8.8 } block all pass from <lan> to any"
+        dst = doc({"requirements": text})
+        shared = _parse_delegated(text)
+        before = (shared.to_text(), list(shared.statements))
+        outer_lan = "table <lan> { 192.168.0.0/24 }\n" + self.POLICY
+        for _ in range(2):
+            assert evaluate(outer_lan, FLOW, None, dst).is_pass
+            assert not evaluate(self.POLICY, FLOW, None, dst).is_pass
+        assert _parse_delegated(text) is shared
+        assert shared.to_text() == before[0]
+        assert all(now is then for now, then in zip(shared.statements, before[1]))
+        assert [str(n) for n in PolicyEvaluator(shared).tables.resolve("lan").networks] == ["8.8.8.8/32"]
 
 
 class TestStateTable:
