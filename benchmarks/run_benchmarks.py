@@ -89,6 +89,15 @@ DAEMON_ANSWER_CEILING = 1.5
 #: are cancelled long before their time than when every one fires.
 EVENT_LOOP_CANCELLED_CEILING = 1.5
 
+#: What one decided punt of the async soak may cost, end to end (punt,
+#: both queries, eval, path install, expiry, unwind): simulator events,
+#: and control-channel messages.  Counts, exact for a seed (11.06 and
+#: 5.003: PacketIn, two FlowMods, FlowRemoved, one delete, and a second
+#: FlowRemoved for the first and last wave); a step up is a whole event
+#: or message per punt.
+PUNT_EVENTS_CEILING = 11.5
+PUNT_MSGS_CEILING = 5.1
+
 RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_results.json")
 
 
@@ -277,10 +286,10 @@ def bench_event_loop(results: dict) -> None:
 def _event_loop(cancelled_tenths: int):
     """Schedule a batch of no-op events and run the simulator over them.
 
-    ``cancelled_tenths`` of every ten are the pending-deadline pattern: a
-    backstop armed whole seconds ahead and cancelled at once.  Their
-    records must not pile up in the heap, and dropping them must not
-    cost more than firing them would.
+    ``cancelled_tenths`` of every ten are armed whole seconds ahead and
+    cancelled at once, the way a timeout that almost never fires is
+    used.  Their records must not pile up in the heap, and dropping
+    them must not cost more than firing them would.
     """
     sim = Simulator()
 
@@ -460,6 +469,7 @@ def main() -> int:
                 matrix_invariants.get(invariant, True) and entry["passed"]
             )
 
+    soak_async = results["soak_async_decisions"]
     derived = {
         "policy_eval_2000_vs_10": round(
             results["policy_eval_compiled_10"]["ops_per_sec"]
@@ -482,9 +492,14 @@ def main() -> int:
             2,
         ),
         "soak_async_events_per_wall_s": round(
-            results["soak_async_decisions"]["events"]
-            / results["soak_async_decisions"]["wall_seconds"],
-            1,
+            soak_async["events"] / soak_async["wall_seconds"], 1
+        ),
+        "soak_async_punts_per_wall_s": round(
+            soak_async["decided"] / soak_async["wall_seconds"], 1
+        ),
+        "punt_events_per_decision": round(soak_async["events"] / soak_async["decided"], 3),
+        "punt_msgs_per_decision": round(
+            soak_async["control_messages"] / soak_async["decided"], 3
         ),
         "soak_state_bounded": results["soak_churn_100k"]["bounded_within_2x"],
         "soak_fail_closed": results["soak_fail_closed_probe"]["failed_closed"],
@@ -513,7 +528,7 @@ def main() -> int:
         "decision_async_degradation": results["decision_overlap_bench"][
             "async_degradation"
         ],
-        "async_soak_bounded": results["soak_async_decisions"]["bounded"],
+        "async_soak_bounded": soak_async["bounded"],
         "determinism_trace_identical": results["determinism_double_run"][
             "all_identical"
         ],
@@ -623,6 +638,18 @@ def main() -> int:
         return 1
     if not derived["async_soak_bounded"]:
         print("FAIL: async soak violated its bounds (see soak_async_decisions)")
+        return 1
+    if derived["punt_events_per_decision"] > PUNT_EVENTS_CEILING:
+        print(
+            f"FAIL: a decided punt of the async soak costs more than "
+            f"{PUNT_EVENTS_CEILING:g} simulator events"
+        )
+        return 1
+    if derived["punt_msgs_per_decision"] > PUNT_MSGS_CEILING:
+        print(
+            f"FAIL: a decided punt of the async soak costs more than "
+            f"{PUNT_MSGS_CEILING:g} control-channel messages"
+        )
         return 1
     if not derived["determinism_trace_identical"]:
         print(

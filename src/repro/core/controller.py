@@ -64,6 +64,9 @@ from repro.openflow.switch import OpenFlowSwitch
 #: Time charged for one PF+=2 policy evaluation at the controller.
 DEFAULT_POLICY_EVAL_DELAY = 100e-6
 
+#: What releases a buffered punt of a switch the path does not cross.
+_FLOOD = (FloodAction(),)
+
 
 @dataclass(frozen=True)
 class PathInstall:
@@ -76,6 +79,10 @@ class PathInstall:
 
     flow: FlowSpec
     switches: tuple[str, ...]
+    #: How many entries the decision put on each of ``switches``; empty
+    #: when unknown (a re-installed cookie, an install adopted without
+    #: counts), which makes the unwind delete on every hop.
+    entries: tuple[int, ...] = ()
 
 
 @dataclass(eq=False)
@@ -83,8 +90,8 @@ class DecisionTask:
     """One punted flow's trip through the continuation-scheduled pipeline.
 
     The task is the flow's whole pending state — its buffered punts,
-    its arrival, its fail-closed deadline event and its query outcomes
-    — and ``controller._pending`` maps each undecided flow to its task.
+    its arrival, its fail-closed deadline and its query outcomes — and
+    ``controller._pending`` maps each undecided flow to its task.
     A punt does not run as one synchronous call chain; it advances
     through schedulable stages, each entered by its own event:
 
@@ -109,9 +116,10 @@ class DecisionTask:
     outcomes: list = field(default_factory=list)
     #: When the last endpoint answer landed (0.0 until then).
     ready_at: float = 0.0
-    #: The armed one-shot fail-closed deadline (``None``: uncovered, the
-    #: lifecycle sweep backstops the flow instead).
-    deadline: Optional[Event] = None
+    #: The instant the controller's deadline event fails this flow
+    #: closed (``None``: uncovered, the lifecycle sweep backstops the
+    #: flow instead).
+    deadline: Optional[float] = None
 
     def documents(self) -> tuple:
         """Return the ``(@src, @dst)`` response documents the policy evaluates."""
@@ -195,8 +203,12 @@ class SerialDecisionQueue:
         self._current = None
         self._event = None
         self.served += 1
-        if not self._controller.halted:
-            self._controller._eval_step(task)
+        controller = self._controller
+        if not controller.halted:
+            # The loop releases one task per eval slot, so the batch a
+            # flush event would gather is this task: decide it here.
+            controller._complete_decision(task)
+            controller._flush_decisions()
         self._start_next()
 
     def restart(self) -> None:
@@ -365,10 +377,13 @@ class IdentPPController(Controller):
         self.flow_setup_latency = Histogram(f"{name}.flow_setup_latency")
         self.query_latency = Histogram(f"{name}.query_latency")
         # The one per-flow table: every punted, undecided flow's
-        # DecisionTask (buffered punts, arrival, deadline event, stage,
+        # DecisionTask (buffered punts, arrival, deadline, stage,
         # outcomes), in arrival order.  Populated at the punt, drained by
         # _pop_pending; a task no longer in here is stale.
         self._pending: dict[FlowSpec, DecisionTask] = {}
+        # The one armed fail-closed event, at the earliest deadline it
+        # had to cover when armed; ``None`` while nothing is pending.
+        self._deadline_event: Optional[Event] = None
         self._cookie_counter = itertools.count(1)
         # Tasks whose eval slot elapsed but are not yet evaluated;
         # everything ready at the same simulated instant is flushed through
@@ -386,6 +401,11 @@ class IdentPPController(Controller):
         # whole path down when any hop reports its entry gone.
         self._path_installs: dict[str, PathInstall] = {}
         self.path_unwinds = 0
+        # (source node, destination node) -> the managed hops of the
+        # path between them (see _hop_plan); valid for one topology
+        # mutation epoch and one channel set, bounded by node pairs.
+        self._hop_plans: dict[tuple[Node, Node], tuple] = {}
+        self._hop_plans_epoch = -1
         # Hosts quarantined through quarantine_host (telemetry-driven or
         # administrative); the set makes re-quarantine a no-op.
         self.quarantined_hosts: set[str] = set()
@@ -410,10 +430,10 @@ class IdentPPController(Controller):
             lambda: self.cache.state_table.expirable_count(),
             lambda: self.cache.state_table.next_deadline(),
         )
-        # Punted flows are normally failed closed by their own one-shot
-        # deadline event; the sweep only backstops flows whose event is
-        # missing (sim-less operation, a reset that dropped the queue),
-        # so covered flows don't keep the service ticking.
+        # Punted flows are normally failed closed by the controller's
+        # deadline event; the sweep only backstops flows it does not
+        # cover (sim-less operation), so covered flows don't keep the
+        # service ticking.
         self.lifecycle.register(
             "pending",
             self._expire_stale_pending,
@@ -445,6 +465,8 @@ class IdentPPController(Controller):
     ):
         """Register a switch and put its flow table under lifecycle management."""
         channel = super().register_switch(switch, latency=latency)
+        # A newly managed switch may sit on an already planned path.
+        self._hop_plans.clear()
         self.lifecycle.register(
             f"flow_table:{switch.name}",
             switch.sweep_expired,
@@ -531,10 +553,9 @@ class IdentPPController(Controller):
         task = DecisionTask(flow=flow, arrival=arrival, switch=message.switch, punts=[message])
         self._pending[flow] = task
         # Fail-closed backstop: if the decision is lost (an exception
-        # mid-pipeline, a dropped event), this fires and drops the
-        # buffered packets instead of stranding the flow forever.  A
-        # completed decision cancels it, so the common path never pays.
-        task.deadline = self._arm_deadline(flow)
+        # mid-pipeline, a dropped event), the deadline drops the
+        # buffered packets instead of stranding the flow forever.
+        self._cover(task)
         self.lifecycle.kick()
         if self.config.identity_plane == "push":
             self._note_punt_for_promotion(flow, message.switch, arrival)
@@ -555,17 +576,26 @@ class IdentPPController(Controller):
         self._decide_label = f"{name}:decide"
         self._decide_flush_label = f"{name}:decide-flush"
 
-    def _arm_deadline(self, flow: FlowSpec) -> Optional[Event]:
-        """Schedule the one-shot fail-closed deadline for a pending flow."""
-        if self.sim is None or self.config.pending_deadline <= 0:
-            return None
+    def _cover(self, task: DecisionTask) -> None:
+        """Give a pending task its fail-closed deadline, ``pending_deadline`` from now.
+
+        One event per controller backs every covered task: it is armed
+        by the first one and, since deadlines fall in arrival order,
+        already early enough for all that follow.
+        """
+        delay = self.config.pending_deadline
+        if self.sim is None or delay <= 0:
+            task.deadline = None
+            return
+        task.deadline = self.sim.now + delay
+        if self._deadline_event is None:
+            self._arm_deadline(delay)
+
+    def _arm_deadline(self, delay: float) -> None:
         if self.name is not self._labelled_name:
             self._relabel()
-        return self.sim.schedule(
-            self.config.pending_deadline,
-            self._pending_deadline_fired,
-            flow,
-            label=self._pending_deadline_label,
+        self._deadline_event = self.sim.schedule(
+            delay, self._pending_deadline_fired, label=self._pending_deadline_label
         )
 
     def _note_punt_for_promotion(
@@ -671,8 +701,22 @@ class IdentPPController(Controller):
         )
 
     def _eval_step(self, task: DecisionTask) -> None:
-        """Continuation: the policy-eval slot elapsed; hand over for batching."""
+        """Continuation (unserialized core): the eval slot elapsed; batch the task.
+
+        Many ``decide`` events land on one simulated instant here, so
+        the flush is a zero-delay event behind them: everything ready
+        at that instant is evaluated through one
+        :meth:`PolicyEngine.decide_batch` call and the per-decision
+        context setup is paid once per burst of punts.
+        """
         self._complete_decision(task)
+        if self.sim is None:
+            self._flush_decisions()
+        elif self._decision_queue and not self._flush_scheduled:
+            self._flush_scheduled = True
+            if self.name is not self._labelled_name:
+                self._relabel()
+            self.sim.schedule(0.0, self._flush_decisions, label=self._decide_flush_label)
 
     def _is_stale(self, task: DecisionTask, *, where: str) -> bool:
         """Return whether ``task`` was superseded — the one generation check.
@@ -699,14 +743,12 @@ class IdentPPController(Controller):
         return True
 
     def _complete_decision(self, task: DecisionTask) -> None:
-        """Queue a task whose eval slot elapsed for (batched) evaluation.
+        """Queue a task whose eval slot elapsed for the next flush.
 
-        The tail of the continuation pipeline (reached from
-        :meth:`_eval_step` once the answers are in and the eval delay —
-        serialized or not — has been paid).  Decisions becoming ready at
-        the same simulated instant are evaluated together through
-        :meth:`PolicyEngine.decide_batch`, so the per-decision context
-        setup is paid once per burst of punts.
+        The tail of the continuation pipeline, reached once the answers
+        are in and the eval delay has been paid: from :meth:`_eval_step`,
+        which flushes from a same-instant event, or from the serialized
+        loop, which flushes on the spot.
         """
         if self.halted:
             # The crash froze this decision mid-flight; the flow stays in
@@ -715,14 +757,6 @@ class IdentPPController(Controller):
         if self._is_stale(task, where="eval completion"):
             return
         self._decision_queue.append(task)
-        if self.sim is not None:
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                if self.name is not self._labelled_name:
-                    self._relabel()
-                self.sim.schedule(0.0, self._flush_decisions, label=self._decide_flush_label)
-        else:
-            self._flush_decisions()
 
     def _flush_decisions(self) -> None:
         """Evaluate every queued ready flow in one batch and program the datapath."""
@@ -822,7 +856,7 @@ class IdentPPController(Controller):
         return cookie
 
     def _pop_pending(self, flow: FlowSpec) -> list[PacketIn]:
-        """Claim a flow's buffered punts, disarming its fail-closed deadline.
+        """Claim a flow's buffered punts and retire its task.
 
         Retiring the task from the table is what supersedes it: any of
         its still-scheduled continuations (a query answer on the wire,
@@ -831,21 +865,39 @@ class IdentPPController(Controller):
         task = self._pending.pop(flow, None)
         if task is None:
             return []
-        if task.deadline is not None:
-            task.deadline.cancel()
+        if not self._pending and self._deadline_event is not None:
+            # Nothing left to back: a live deadline event would carry an
+            # unbounded run() past the last real event.
+            self._deadline_event.cancel()
+            self._deadline_event = None
         return task.punts
 
-    def _pending_deadline_fired(self, flow: FlowSpec) -> None:
-        """The decision for ``flow`` never arrived: fail it closed.
-
-        Fired by the flow's own one-shot deadline event, or by the
-        lifecycle sweep for a flow whose event is missing.
-        """
+    def _pending_deadline_fired(self) -> None:
+        """Fail closed every covered flow whose deadline is due; re-arm for the next."""
+        self._deadline_event = None
         if self.halted:
             # A dead controller cannot fail a flow closed; the pending
-            # entry must survive for the failover handoff, where the
-            # successor arms its own deadline.
+            # entries must survive for the failover handoff, where the
+            # successor sets its own deadlines (resume() re-arms here).
             return
+        now = self.now
+        due = []
+        earliest = None
+        for task in self._pending.values():
+            deadline = task.deadline
+            if deadline is None:
+                continue
+            if deadline <= now:
+                due.append(task.flow)
+            elif earliest is None or deadline < earliest:
+                earliest = deadline
+        for flow in due:
+            self._expire_pending(flow)
+        if earliest is not None:
+            self._arm_deadline(earliest - now)
+
+    def _expire_pending(self, flow: FlowSpec) -> None:
+        """The decision for ``flow`` never arrived: fail it closed."""
         if flow in self._pending:
             # No decision is cached: a decision event that still fires
             # for the flow later finds its task retired and is discarded
@@ -857,11 +909,11 @@ class IdentPPController(Controller):
             )
 
     def _uncovered_pending(self) -> list[DecisionTask]:
-        """Return pending tasks with no armed one-shot deadline event.
+        """Return pending tasks the controller's deadline event does not cover.
 
-        Every punt normally arms its own deadline, so this is empty
-        unless the event is missing (sim-less operation, a reset that
-        dropped the queue); the lifecycle service probes it per sweep.
+        Every punt is normally covered, so this is empty unless the
+        controller runs without a simulator; the lifecycle service
+        probes it per sweep.
         """
         if self.config.pending_deadline <= 0:
             return []
@@ -888,7 +940,7 @@ class IdentPPController(Controller):
             if now - task.arrival > deadline
         ]
         for flow in stale:
-            self._pending_deadline_fired(flow)
+            self._expire_pending(flow)
         return len(stale)
 
     def _audit_decision(self, decision: PolicyDecision, cookie: str, query_cost: float) -> None:
@@ -925,9 +977,9 @@ class IdentPPController(Controller):
         from_cache: bool = False,
     ) -> None:
         if allowed:
-            installed = self._install_path(flow, cookie, keep_state=keep_state)
-            for message in pending:
-                self._release_packet(message, flow, installed)
+            self._install_path(
+                flow, pending, cookie, keep_state=keep_state, reinstall=from_cache
+            )
             return
         drop_match = Match.from_five_tuple(
             flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port
@@ -981,97 +1033,135 @@ class IdentPPController(Controller):
                 cookie=cookie,
             )
 
-    def _install_path(self, flow: FlowSpec, cookie: str, *, keep_state: bool) -> dict[str, int]:
-        """Install forward (and, for ``keep state``, reverse) entries along the path.
+    def _hop_plan(self, flow: FlowSpec) -> tuple:
+        """Return the managed hops of the flow's path, planned once per endpoint pair.
 
-        Returns a map of switch name → egress port for the forward
-        direction, used to release buffered packets.
+        One ``(switch, forward actions, reverse actions)`` per managed
+        switch, in path order; the forward actions are ``None`` on a
+        hop with no next node, the reverse actions on one with no
+        previous node.  Empty when an endpoint is unknown or
+        no path exists (partition, failed fabric): the caller falls back
+        to first-hop-only handling.  A plan depends on connectivity and
+        on which switches this controller manages, so the memo is
+        dropped whenever either changes.
         """
-        egress_by_switch: dict[str, int] = {}
-        path = self._path_for_flow(flow)
-        if path is None or not self.config.install_along_path:
-            return egress_by_switch
-        match = Match.from_five_tuple(
-            flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port
-        )
-        reverse = flow.reversed()
-        reverse_match = Match.from_five_tuple(
-            reverse.src_ip, reverse.dst_ip, reverse.proto, reverse.src_port, reverse.dst_port
-        )
-        touched: set[str] = set()
+        topology = self.topology
+        source = topology.node_for_ip(flow.src_ip)
+        destination = topology.node_for_ip(flow.dst_ip)
+        if source is None or destination is None:
+            return ()
+        if self._hop_plans_epoch != topology.mutation_epoch:
+            self._hop_plans.clear()
+            self._hop_plans_epoch = topology.mutation_epoch
+        plan = self._hop_plans.get((source, destination))
+        if plan is None:
+            plan = self._hop_plans[(source, destination)] = self._plan_hops(source, destination)
+        return plan
+
+    def _plan_hops(self, source: Node, destination: Node) -> tuple:
+        try:
+            path = self.topology.shortest_path(source, destination)
+        except TopologyError:
+            # No path is an expected topology answer.  Anything else — a
+            # programming error — must propagate, not be swallowed.
+            return ()
+        egress_port = self.topology.egress_port
+        hops = []
         for index, node in enumerate(path):
             if not isinstance(node, OpenFlowSwitch) or node.name not in self.channels:
                 continue
-            next_node = path[index + 1] if index + 1 < len(path) else None
-            previous_node = path[index - 1] if index > 0 else None
-            if next_node is not None:
-                out_port = self.topology.egress_port(node, next_node).number
-                egress_by_switch[node.name] = out_port
-                self.install_flow(
-                    node,
-                    match,
-                    [OutputAction(out_port)],
-                    priority=self.config.flow_priority,
-                    idle_timeout=self.config.idle_timeout,
-                    hard_timeout=self.config.hard_timeout,
-                    cookie=cookie,
-                )
-                touched.add(node.name)
-            if keep_state and previous_node is not None:
-                back_port = self.topology.egress_port(node, previous_node).number
-                self.install_flow(
-                    node,
-                    reverse_match,
-                    [OutputAction(back_port)],
-                    priority=self.config.flow_priority,
-                    idle_timeout=self.config.idle_timeout,
-                    hard_timeout=self.config.hard_timeout,
-                    cookie=cookie,
-                )
-                touched.add(node.name)
-        if len(touched) > 1:
-            # Single-switch installs need no unwinding; multi-hop ones
-            # are registered so the first FlowRemoved tears down the rest.
-            self._path_installs[cookie] = PathInstall(
-                flow=flow, switches=tuple(sorted(touched))
+            forward = reverse = None
+            if index + 1 < len(path):
+                forward = (OutputAction(egress_port(node, path[index + 1]).number),)
+            if index > 0:
+                reverse = (OutputAction(egress_port(node, path[index - 1]).number),)
+            hops.append((node, forward, reverse))
+        return tuple(hops)
+
+    def _install_path(
+        self,
+        flow: FlowSpec,
+        pending: Sequence[PacketIn],
+        cookie: str,
+        *,
+        keep_state: bool,
+        reinstall: bool,
+    ) -> None:
+        """Install a pass verdict along the path and release the buffered punts.
+
+        Every planned hop gets a forward entry and, for ``keep state``,
+        a reverse one.  A hop that punted releases its buffer through
+        its own forward FlowMod; a PacketOut is only sent where no
+        FlowMod can carry the buffer: a punting switch that is not on
+        the path (flood), the second and later buffers of one hop, and
+        every punt when nothing is installed.
+        """
+        config = self.config
+        plan = self._hop_plan(flow) if config.install_along_path else ()
+        forward_by_switch: dict[str, tuple] = {}
+        carried: set[int] = set()
+        if plan:
+            priority = config.flow_priority
+            idle_timeout = config.idle_timeout
+            hard_timeout = config.hard_timeout
+            install_flow = self.install_flow
+            match = Match.from_five_tuple(
+                flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port
             )
-        return egress_by_switch
+            reverse_match = Match.from_five_tuple(
+                flow.dst_ip, flow.src_ip, flow.proto, flow.dst_port, flow.src_port
+            ) if keep_state else None
+            # Switch name -> its first buffered punt.
+            waiting = {message.switch.name: message for message in reversed(pending)}
+            installed: dict[str, int] = {}
+            for switch, forward, reverse in plan:
+                name = switch.name
+                count = 0
+                if forward is not None:
+                    forward_by_switch[name] = forward
+                    message = waiting.get(name)
+                    if message is not None:
+                        carried.add(message.buffer_id)
+                    install_flow(
+                        switch, match, forward, priority=priority,
+                        idle_timeout=idle_timeout, hard_timeout=hard_timeout, cookie=cookie,
+                        buffer_id=None if message is None else message.buffer_id,
+                    )
+                    count = 1
+                if keep_state and reverse is not None:
+                    install_flow(
+                        switch, reverse_match, reverse, priority=priority,
+                        idle_timeout=idle_timeout, hard_timeout=hard_timeout, cookie=cookie,
+                    )
+                    count += 1
+                if count:
+                    installed[name] = count
+            if len(installed) > 1:
+                # Single-switch installs need no unwinding; multi-hop ones
+                # are registered so the first FlowRemoved tears down the
+                # rest.  A cookie installed again (decision-cache hit)
+                # records no counts: a FlowRemoved of its earlier entries
+                # may still be in flight, and skipping the reporter would
+                # strand the fresh entry there.
+                names = tuple(sorted(installed))
+                self._path_installs[cookie] = PathInstall(
+                    flow=flow,
+                    switches=names,
+                    entries=() if reinstall else tuple(installed[name] for name in names),
+                )
+        for message in pending:
+            if message.buffer_id not in carried:
+                self.send_packet_out(
+                    message.switch,
+                    actions=forward_by_switch.get(message.switch.name, _FLOOD),
+                    buffer_id=message.buffer_id,
+                    in_port=message.in_port,
+                )
 
     def _first_enforcement_hop(self, flow: FlowSpec) -> Optional[OpenFlowSwitch]:
         """Return the first managed switch on the flow's path (its ingress hop)."""
-        path = self._path_for_flow(flow)
-        if path is None:
-            return None
-        for node in path:
-            if isinstance(node, OpenFlowSwitch) and node.name in self.channels:
-                return node
-        return None
-
-    def _path_for_flow(self, flow: FlowSpec) -> Optional[list[Node]]:
-        source = self.topology.node_for_ip(flow.src_ip)
-        destination = self.topology.node_for_ip(flow.dst_ip)
-        if source is None or destination is None:
-            return None
-        try:
-            return self.topology.shortest_path(source, destination)
-        except TopologyError:
-            # No path (partition, failed fabric) is an expected topology
-            # answer: the caller falls back to first-hop-only handling.
-            # Anything else — a programming error — must propagate, not
-            # be swallowed as "no path".
-            return None
-
-    def _release_packet(
-        self, message: PacketIn, flow: FlowSpec, egress_by_switch: dict[str, int]
-    ) -> None:
-        out_port = egress_by_switch.get(message.switch.name)
-        if out_port is not None:
-            actions = [OutputAction(out_port)]
-        else:
-            actions = [FloodAction()]
-        self.send_packet_out(
-            message.switch, actions=actions, buffer_id=message.buffer_id, in_port=message.in_port
-        )
+        plan = self._hop_plan(flow)
+        return plan[0][0] if plan else None
 
     # ------------------------------------------------------------------
     # Path-wide teardown (one hop's expiry unwinds the whole path)
@@ -1088,18 +1178,26 @@ class IdentPPController(Controller):
         cookie tears the remaining hops down with cookie-scoped deletes
         (silent by OpenFlow semantics: explicit deletes do not generate
         further ``FlowRemoved``, so teardown cannot cascade).  The
-        reporting switch is deleted-from too: it may still hold the
+        reporting switch is deleted-from too when it may still hold the
         decision's *other* entry (a ``keep state`` reverse entry whose
-        twin idle-expired first), and path state must die as a unit.
+        twin idle-expired first): path state must die as a unit.  Only
+        a reporter known to have held exactly one entry is skipped — it
+        just said that entry is gone.
         """
-        install = self._path_installs.pop(message.cookie, None)
+        cookie = message.cookie
+        install = self._path_installs.pop(cookie, None)
         if install is None:
             return
         self.path_unwinds += 1
+        reporter = message.switch.name
+        # Unknown counts make the zip empty: then nothing is skipped.
+        spent = (reporter, 1) in zip(install.switches, install.entries)
         for name in install.switches:
+            if spent and name == reporter:
+                continue
             channel = self.channels.get(name)
             if channel is not None and channel.connected:
-                self.remove_flows_by_cookie(name, message.cookie)
+                self.remove_flows_by_cookie(name, cookie)
 
     def export_path_installs(
         self, prefix: Optional[str] = None
@@ -1262,9 +1360,7 @@ class IdentPPController(Controller):
         # served again instead of stalling behind a dead service slot.
         self._serial.restart()
         for task in self._pending.values():
-            if task.deadline is not None:
-                task.deadline.cancel()
-            task.deadline = self._arm_deadline(task.flow)
+            self._cover(task)
         for message in self.take_halted_messages():
             self.handle_message(message)
         self.lifecycle.kick()

@@ -148,12 +148,14 @@ class EndHost(Node):
         app = self.applications.require(app_name)
         user = self.users.user(user_name)
         process = self.processes.spawn(user, app, runtime_keys=runtime_keys)
+        if not isinstance(dst_ip, IPv4Address):
+            dst_ip = IPv4Address(dst_ip)
         socket = self.sockets.connect(process, dst_ip, dst_port, proto)
         packet = Packet(
             eth_src=self.mac,
             ip_src=self.ip,
-            ip_dst=IPv4Address(dst_ip),
-            ip_proto=proto_number(proto),
+            ip_dst=dst_ip,
+            ip_proto=socket.proto,
             tp_src=socket.local_port,
             tp_dst=dst_port,
             payload=payload,

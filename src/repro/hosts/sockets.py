@@ -134,14 +134,16 @@ class SocketTable:
         given explicitly.
         """
         proto = proto_number(proto)
+        if not isinstance(remote_ip, IPv4Address):
+            remote_ip = IPv4Address(remote_ip)
         if local_port is None:
-            local_port = self._allocate_ephemeral_port()
+            local_port = self._allocate_ephemeral_port(proto, remote_ip, remote_port)
         socket = Socket(
             proto=proto,
             local_ip=self.host_ip,
             local_port=local_port,
             process=process,
-            remote_ip=IPv4Address(remote_ip),
+            remote_ip=remote_ip,
             remote_port=remote_port,
         )
         self._add(socket)
@@ -165,12 +167,24 @@ class SocketTable:
         del self._sockets[id(stored)]
         self._changed()
 
-    def _allocate_ephemeral_port(self) -> int:
-        port = self._next_ephemeral
-        self._next_ephemeral += 1
-        if self._next_ephemeral > 0xFFFF:
-            self._next_ephemeral = EPHEMERAL_PORT_BASE
-        return port
+    def _allocate_ephemeral_port(
+        self, proto: int, remote_ip: IPv4Address, remote_port: int
+    ) -> int:
+        """Return the next ephemeral port not already open to this remote endpoint.
+
+        The range wraps, so a long-lived connection's port comes round
+        again; handing it out a second time to the same remote endpoint
+        would give two sockets one 5-tuple, and the lsof lookup would
+        attribute the new flow to the old owner.
+        """
+        for _ in range(0x10000 - EPHEMERAL_PORT_BASE):
+            port = self._next_ephemeral
+            self._next_ephemeral = port + 1 if port < 0xFFFF else EPHEMERAL_PORT_BASE
+            if (proto, port, remote_ip, remote_port) not in self._by_endpoint:
+                return port
+        raise SocketError(
+            f"no free ephemeral port towards {remote_ip}:{remote_port}/{proto}"
+        )
 
     # ------------------------------------------------------------------
     # Lookups (the lsof part)

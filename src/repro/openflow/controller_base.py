@@ -31,6 +31,9 @@ from repro.openflow.messages import (
 )
 from repro.openflow.switch import OpenFlowSwitch
 
+#: The match of every cookie-scoped delete: the cookie does the scoping.
+_ANY = Match()
+
 
 class Controller:
     """Base class for OpenFlow controllers.
@@ -219,11 +222,7 @@ class Controller:
         nothing else — the message the path unwinder sends to the other
         hops when a ``FlowRemoved`` reports one hop's entry gone.
         """
-        message = FlowMod(
-            match=Match(),
-            command=FlowModCommand.DELETE,
-            cookie=cookie,
-        )
+        message = FlowMod(match=_ANY, command=FlowModCommand.DELETE, cookie=cookie)
         self.flow_mods.increment()
         self.channel_for(switch).send_to_switch(message)
         return message

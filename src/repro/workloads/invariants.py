@@ -247,6 +247,12 @@ def check_bounded_state(
     itself a violation — an unmeasured structure is an unbounded one.
     Keys observed but not capped are reported in details, never
     failures, so callers can log more than they gate on.
+
+    What is measured is state that grows with *load* (see
+    :func:`network_flow_state`).  A controller's hop-plan memo is not in
+    it: it holds one entry per (source node, destination node) pair, so
+    the topology bounds it, and it is dropped whole on every topology
+    mutation or switch registration.
     """
     result = InvariantResult(BOUNDED_STATE)
     for name, cap in sorted(caps.items()):

@@ -74,16 +74,30 @@ class ReferenceSocketTable:
     def connect(self, process, remote_ip, remote_port, proto=IP_PROTO_TCP, local_port=None) -> Socket:
         proto = proto_number(proto)
         if local_port is None:
-            local_port = self._next_ephemeral
-            self._next_ephemeral += 1
-            if self._next_ephemeral > 0xFFFF:
-                self._next_ephemeral = EPHEMERAL_PORT_BASE
+            local_port = self._allocate_ephemeral_port(
+                proto, IPv4Address(remote_ip), remote_port
+            )
         socket = Socket(
             proto=proto, local_ip=self.host_ip, local_port=local_port, process=process,
             remote_ip=IPv4Address(remote_ip), remote_port=remote_port,
         )
         self._sockets.append(socket)
         return socket
+
+    def _allocate_ephemeral_port(self, proto: int, remote_ip: IPv4Address, remote_port: int) -> int:
+        """Next port of the (wrapping) range with no open connection to this remote endpoint."""
+        for _ in range(0x10000 - EPHEMERAL_PORT_BASE):
+            port = self._next_ephemeral
+            self._next_ephemeral = port + 1 if port < 0xFFFF else EPHEMERAL_PORT_BASE
+            if not any(
+                (s.proto, s.local_port, s.remote_ip, s.remote_port)
+                == (proto, port, remote_ip, remote_port)
+                for s in self._sockets
+            ):
+                return port
+        raise SocketError(
+            f"no free ephemeral port towards {remote_ip}:{remote_port}/{proto}"
+        )
 
     def close(self, socket: Socket) -> None:
         try:

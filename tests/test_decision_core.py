@@ -279,10 +279,9 @@ class TestUncoveredPendingProbe:
         controller = net.controller
         assert controller.pending_depth() == 3
         assert controller._uncovered_pending_count() == len(controller._uncovered_pending()) == 0
-        # Tamper with one armed deadline the way the churn test's chaos
-        # harness does: the probe must notice exactly what the scan sees.
+        # Uncover one task the way the churn test's chaos harness does:
+        # the probe must notice exactly what the scan sees.
         task = next(iter(controller._pending.values()))
-        task.deadline.cancel()
         task.deadline = None
         assert controller._uncovered_pending_count() == 1
         assert controller._uncovered_pending() == [task]

@@ -7,13 +7,15 @@ Three layers:
 * every invariant checker in :mod:`repro.workloads.invariants`
   exercised against a synthetic passing run AND a deliberately
   violated run, so the matrix's gates are proven able to fail;
-* one small end-to-end matrix run under ``sanitize=True``.
+* one small end-to-end matrix run under ``sanitize=True``;
+* the whole committed matrix with same-instant ties served in reverse.
 """
 
 from dataclasses import dataclass, replace
 
 import pytest
 
+from repro.netsim.events import Simulator
 from repro.workloads import invariants
 from repro.workloads.experiment import (
     ARCH_IDENTPP,
@@ -289,3 +291,47 @@ class TestEndToEndMatrix:
             assert cell.trace_hashes
         payload = report.as_dict()
         assert payload["cells_total"] == 4 and payload["cells_failed"] == 0
+
+
+@pytest.fixture
+def reversed_ties(monkeypatch):
+    """Return a switch making every simulator serve same-instant ties in reverse.
+
+    The tie sign is what ``Simulator(perturb_ties=True)`` sets; pinning
+    it on the class reaches the simulators the scenario cells build for
+    themselves (and survives their ``enable_sanitizer()``), so no
+    ``ScenarioSpec`` field is needed to perturb a cell.
+    """
+    def engage():
+        pinned = property(lambda sim: -1, lambda sim, sign: None)
+        monkeypatch.setattr(Simulator, "_tie_sign", pinned, raising=False)
+
+    return engage
+
+
+class TestReversedTies:
+    """ROADMAP 5(f), first half: no verdict may hang on a same-instant tie-break."""
+
+    @staticmethod
+    def verdicts():
+        report = Experiment("ties", default_matrix(), nb_repeats=1).run()
+        return {
+            cell.spec.name: (
+                {name: entry["passed"] for name, entry in cell.invariants.items()},
+                cell.architectures,
+            )
+            for cell in report.cells
+        }
+
+    def test_every_cell_judges_the_same_with_ties_reversed(self, reversed_ties):
+        in_order = self.verdicts()
+        assert len(in_order) == 30
+        assert all(all(passed.values()) for passed, _ in in_order.values())
+        reversed_ties()
+        probe = Simulator()
+        served = []
+        probe.schedule(1.0, served.append, "first")
+        probe.schedule(1.0, served.append, "second")
+        probe.run()
+        assert served == ["second", "first"]
+        assert self.verdicts() == in_order

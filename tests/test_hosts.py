@@ -371,6 +371,46 @@ class TestEndHost:
         assert host.process_for_flow(packet.ip_src, packet.ip_dst, packet.ip_proto,
                                      packet.tp_src, packet.tp_dst) is process
 
+    def test_wrapped_ephemeral_port_skips_a_connection_still_open(self):
+        # The ephemeral range wraps.  Reissuing a port that is still open
+        # to the same server gives two sockets one 5-tuple, and the lsof
+        # lookup then answers with the *first* owner: mallory's ssh would
+        # be attributed to alice's http, pid and all.
+        host = self.make_host()
+        host.add_user("mallory")
+        _, long_lived, alice_http = host.open_flow("http", "alice", "192.168.1.1", 22, send=False)
+        assert long_lived.local_port == EPHEMERAL_PORT_BASE
+        host.sockets._next_ephemeral = 0xFFFF
+        _, last, _ = host.open_flow("http", "alice", "192.168.1.1", 22, send=False)
+        assert last.local_port == 0xFFFF
+        packet, socket, mallory_ssh = host.open_flow("ssh", "mallory", "192.168.1.1", 22, send=False)
+        assert socket.local_port == EPHEMERAL_PORT_BASE + 1
+        owner = host.process_for_flow(
+            packet.ip_src, packet.ip_dst, packet.ip_proto, packet.tp_src, packet.tp_dst
+        )
+        assert owner is mallory_ssh and owner is not alice_http
+        # Only that remote endpoint is taken: another server, or the same
+        # one once the connection closed, gets the port.
+        host.sockets._next_ephemeral = EPHEMERAL_PORT_BASE
+        _, elsewhere, _ = host.open_flow("ssh", "mallory", "192.168.1.2", 22, send=False)
+        assert elsewhere.local_port == EPHEMERAL_PORT_BASE
+        host.sockets.close(long_lived)
+        host.sockets._next_ephemeral = EPHEMERAL_PORT_BASE
+        _, reissued, _ = host.open_flow("ssh", "mallory", "192.168.1.1", 22, send=False)
+        assert reissued.local_port == EPHEMERAL_PORT_BASE
+
+    def test_exhausted_ephemeral_range_is_refused(self, monkeypatch):
+        monkeypatch.setattr("repro.hosts.sockets.EPHEMERAL_PORT_BASE", 0xFFFE)
+        host = self.make_host()
+        host.sockets._next_ephemeral = 0xFFFE
+        held = [host.open_flow("http", "alice", "192.168.1.1", 80, send=False)[1] for _ in range(2)]
+        assert [socket.local_port for socket in held] == [0xFFFE, 0xFFFF]
+        with pytest.raises(SocketError):
+            host.open_flow("http", "alice", "192.168.1.1", 80, send=False)
+        host.sockets.close(held[1])
+        _, socket, _ = host.open_flow("http", "alice", "192.168.1.1", 80, send=False)
+        assert socket.local_port == 0xFFFF
+
     def test_run_server_default_port(self):
         host = self.make_host()
         process, socket = host.run_server("httpd", "root")

@@ -297,17 +297,16 @@ class TestFailClosedPuntPipeline:
         assert net.host("server").delivered == []
 
     def test_sweep_backstops_pending_flow_whose_deadline_event_was_lost(self):
-        # The one-shot deadline event normally covers every punt; the
-        # lifecycle sweep backstops flows whose event disappeared (e.g. a
-        # simulator reset dropped the queue but _pending survived).
+        # The controller's deadline event normally covers every punt; the
+        # lifecycle sweep backstops a flow it does not cover (e.g. one
+        # punted while no simulator was attached).
         net = build_network(config=ControllerConfig(pending_deadline=0.5))
         controller = net.controller
         controller._complete_decision = lambda *args, **kwargs: None  # decision lost
         net.host("client").open_flow("http", "alice", "192.168.1.1", 80)
         net.run(duration=0.1)
         (task,) = controller._pending.values()
-        # Simulate the event being lost: cancel and forget it.
-        task.deadline.cancel()
+        # Uncover the task by hand: the deadline event now skips it.
         task.deadline = None
         assert controller._uncovered_pending() == [task]
         assert controller._next_pending_deadline() is not None
@@ -321,6 +320,110 @@ class TestFailClosedPuntPipeline:
         controller = net.controller
         assert controller.pending_flows() == [] and controller.inflight_count() == 0
         assert controller.pending_expired == 0
+
+
+class TestOneDeadlinePerController:
+    """The fail-closed backstop is one armed event per controller, not one per punt."""
+
+    @staticmethod
+    def lossy_network(pending_deadline):
+        """A network whose decisions never complete, and its deadline-event schedule log."""
+        net = build_network(config=ControllerConfig(pending_deadline=pending_deadline))
+        controller = net.controller
+        controller._complete_decision = lambda *args, **kwargs: None  # decision lost
+        sim = net.topology.sim
+        armed = []
+        schedule = sim.schedule
+
+        def spy(delay, callback, *args, **kwargs):
+            event = schedule(delay, callback, *args, **kwargs)
+            if event.label.endswith(":pending-deadline"):
+                armed.append(event.time)
+            return event
+
+        sim.schedule = spy
+        return net, armed
+
+    @staticmethod
+    def open_wave(net, count):
+        client = net.host("client")
+        return [
+            FlowSpec.from_packet(client.open_flow("http", "alice", "192.168.1.1", 80)[0])
+            for _ in range(count)
+        ]
+
+    @staticmethod
+    def failed_at(net):
+        return {
+            record.flow: record.time
+            for record in net.controller.audit.records()
+            if record.rule_origin == "error"
+        }
+
+    # 0.5 is an exact binary fraction; the others are not, so "arrival +
+    # deadline" only comes out right if the event is armed at that sum and
+    # not at something that rounds differently.
+    @pytest.mark.parametrize("pending_deadline", [0.5, 0.3, 0.1, 1 / 3, 2.718281828])
+    def test_two_waves_each_fail_closed_at_arrival_plus_deadline(self, pending_deadline):
+        net, armed = self.lossy_network(pending_deadline)
+        controller = net.controller
+        first = self.open_wave(net, 3)
+        net.run(duration=pending_deadline / 3)
+        second = self.open_wave(net, 2)
+        net.run(duration=pending_deadline / 3)
+        arrivals = {flow: task.arrival for flow, task in controller._pending.items()}
+        assert set(arrivals) == set(first + second)
+        assert len({arrivals[flow] for flow in first}) == 1 != len(set(arrivals.values()))
+        net.run()
+        assert controller.pending_expired == 5 and controller._pending == {}
+        assert self.failed_at(net) == {
+            flow: arrival + pending_deadline for flow, arrival in arrivals.items()
+        }
+        # One event for the first wave, re-armed once for the second.
+        assert armed == sorted({arrival + pending_deadline for arrival in arrivals.values()})
+
+    def test_resolved_flows_leave_no_live_event_behind(self):
+        net = build_network(config=ControllerConfig(pending_deadline=5.0))
+        sim = net.topology.sim
+        self.open_wave(net, 4)
+        net.run(duration=0.0003)   # punts delivered, queries in flight
+        assert net.controller.pending_depth() == 4
+        assert net.controller._deadline_event is not None
+        net.run(duration=0.1)
+        assert net.controller.pending_depth() == 0 and net.controller.pending_expired == 0
+        assert net.controller._deadline_event is None
+        assert all(event.cancelled for _, _, event in sim._queue)
+        # An unbounded run must end at the last real event, not 5 vs later.
+        now = sim.now
+        net.run()
+        assert sim.now == now
+
+    def test_halted_controller_fails_nothing_and_resume_rearms_from_now(self):
+        net, armed = self.lossy_network(0.3)
+        controller = net.controller
+        flows = self.open_wave(net, 2)
+        net.run(duration=0.1)
+        controller.halt()
+        net.run(duration=1.0)      # the deadline comes and goes
+        assert controller.pending_expired == 0
+        assert controller.pending_flows() == flows
+        resumed = net.topology.sim.now
+        controller.resume()
+        net.run()
+        assert self.failed_at(net) == dict.fromkeys(flows, resumed + 0.3)
+        assert armed[-1] == resumed + 0.3
+
+    def test_exported_flows_take_the_deadline_event_with_them(self):
+        net, _ = self.lossy_network(0.3)
+        controller = net.controller
+        flows = self.open_wave(net, 2)
+        net.run(duration=0.1)
+        controller.halt()
+        assert [flow for flow, _ in controller.export_pending()] == flows
+        assert controller._deadline_event is None
+        net.run()
+        assert controller.pending_expired == 0
+        assert net.topology.sim.now < 0.3
 
 
 class TestDropEntryReevaluation:
