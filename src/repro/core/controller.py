@@ -64,6 +64,13 @@ from repro.openflow.switch import OpenFlowSwitch
 #: Time charged for one PF+=2 policy evaluation at the controller.
 DEFAULT_POLICY_EVAL_DELAY = 100e-6
 
+#: Flow-entry priorities, quarantine > flow > drop.  Quarantine drops must
+#: outrank already-installed pass entries, or a quarantined host's live
+#: flows keep flowing.
+QUARANTINE_PRIORITY = 200
+FLOW_PRIORITY = 100
+DROP_PRIORITY = 90
+
 #: What releases a buffered punt of a switch the path does not cross.
 _FLOOD = (FloodAction(),)
 
@@ -123,11 +130,8 @@ class DecisionTask:
 
     def documents(self) -> tuple:
         """Return the ``(@src, @dst)`` response documents the policy evaluates."""
-        outcomes = self.outcomes
-        return (
-            outcomes[0].document if outcomes else None,
-            outcomes[1].document if len(outcomes) > 1 else None,
-        )
+        src, dst = self.outcomes
+        return src.document, dst.document
 
 
 class SerialDecisionQueue:
@@ -203,12 +207,7 @@ class SerialDecisionQueue:
         self._current = None
         self._event = None
         self.served += 1
-        controller = self._controller
-        if not controller.halted:
-            # The loop releases one task per eval slot, so the batch a
-            # flush event would gather is this task: decide it here.
-            controller._complete_decision(task)
-            controller._flush_decisions()
+        self._controller._decide(task)
         self._start_next()
 
     def restart(self) -> None:
@@ -251,7 +250,9 @@ class ControllerConfig:
       still overlap fully under the async core.  This is what makes one
       controller a measurable scalability chokepoint (and sharding a
       measurable win); off by default so existing scenario timelines are
-      unchanged.
+      unchanged.  Either way a punt is decided by the event that ends
+      its eval slot (:meth:`IdentPPController._decide`): the flag moves
+      *when* that event fires, not what it does.
 
     The decision-core knobs pick how punts traverse the pipeline:
 
@@ -298,6 +299,11 @@ class ControllerConfig:
       sweeper demotes a subscribed host back to the pull plane.
     * ``push_max_subscriptions`` — optional hard cap on the
       subscription table (the bounded-state invariant's knob).
+
+    What nothing sets is not a field: both ends of a flow are always
+    queried (§3.4), and the flow-entry priorities are the module
+    constants ``QUARANTINE_PRIORITY`` > ``FLOW_PRIORITY`` >
+    ``DROP_PRIORITY``.
     """
 
     query_keys: tuple[str, ...] = tuple(DEFAULT_QUERY_KEYS)
@@ -306,12 +312,6 @@ class ControllerConfig:
     hard_timeout: float = 0.0
     decision_ttl: float = 60.0
     policy_eval_delay: float = DEFAULT_POLICY_EVAL_DELAY
-    flow_priority: int = 100
-    drop_priority: int = 90
-    # Quarantine drops must outrank already-installed pass entries
-    # (flow_priority), or a quarantined host's live flows keep flowing.
-    quarantine_priority: int = 200
-    query_both_ends: bool = True
     pending_deadline: float = 5.0
     lifecycle_interval: float = 0.0
     cache_capacity: Optional[int] = None
@@ -385,11 +385,6 @@ class IdentPPController(Controller):
         # had to cover when armed; ``None`` while nothing is pending.
         self._deadline_event: Optional[Event] = None
         self._cookie_counter = itertools.count(1)
-        # Tasks whose eval slot elapsed but are not yet evaluated;
-        # everything ready at the same simulated instant is flushed through
-        # one PolicyEngine.decide_batch() call.
-        self._decision_queue: list[DecisionTask] = []
-        self._flush_scheduled = False
         # The serialized stage (policy eval, plus the query round-trips
         # under the serial core) as a real event-scheduled queue.
         self._serial = SerialDecisionQueue(self)
@@ -574,7 +569,6 @@ class IdentPPController(Controller):
         name = self.name
         self._pending_deadline_label = f"{name}:pending-deadline"
         self._decide_label = f"{name}:decide"
-        self._decide_flush_label = f"{name}:decide-flush"
 
     def _cover(self, task: DecisionTask) -> None:
         """Give a pending task its fail-closed deadline, ``pending_deadline`` from now.
@@ -621,42 +615,26 @@ class IdentPPController(Controller):
                 del self._push_punt_counts[ip]
 
     def _dispatch_queries(self, task: DecisionTask) -> None:
-        """Send the task's endpoint queries and yield the loop.
+        """Send the task's queries to both ends of the flow and yield the loop.
 
         Each answer arrives as its own scheduled event; the gather
         barrier fires :meth:`_answers_ready` at the instant the last
         one lands, so thousands of round-trips overlap in flight.
-        """
-        task.stage = "query"
-        Future.gather(self._dispatch_queries_async(task.flow, task.switch)).add_done_callback(
-            lambda outcomes: self._answers_ready(task, outcomes)
-        )
-
-    def _dispatch_queries_async(self, flow: FlowSpec, switch: OpenFlowSwitch) -> list[Future]:
-        """Dispatch the ident++ queries for a flow (both ends, or source only).
 
         Queries go through the :class:`QueryEngine`, so with a non-zero
         ``query_cache_ttl`` a hot endpoint's answer is fetched once and
         shared: repeat punts hit the cache, concurrent punts coalesce
         onto the one outstanding query, and daemon-less hosts cost one
         timeout per TTL (with the default TTL of ``0`` the engine is a
-        pass-through and every punt queries fresh).  Each endpoint's
-        answer completes its own :class:`~repro.netsim.events.Future`
-        at the instant it lands instead of being charged as one opaque
-        blocking delay.
+        pass-through and every punt queries fresh).
         """
-        interceptors = tuple(self.peer_interceptors)
-        if self.config.query_both_ends:
-            src_future, dst_future = self.query_engine.query_both_ends_async(
-                flow, from_node=switch, keys=self.config.query_keys, interceptors=interceptors
+        task.stage = "query"
+        Future.gather(
+            self.query_engine.query_both_ends_async(
+                task.flow, from_node=task.switch, keys=self.config.query_keys,
+                interceptors=tuple(self.peer_interceptors),
             )
-            return [src_future, dst_future]
-        return [
-            self.query_engine.query_async(
-                flow, "src", from_node=switch, keys=self.config.query_keys,
-                interceptors=interceptors,
-            )
-        ]
+        ).add_done_callback(lambda outcomes: self._answers_ready(task, outcomes))
 
     def _answers_ready(self, task: DecisionTask, outcomes: list) -> None:
         """Continuation: the last endpoint answer landed; head for eval.
@@ -686,7 +664,7 @@ class IdentPPController(Controller):
             task.stage = "queued"
             self._serial.submit(task)
             return
-        self._enter_eval(task, self._eval_step)
+        self._enter_eval(task, self._decide)
 
     def _enter_eval(self, task: DecisionTask, done) -> Optional[Event]:
         """Start the task's policy-eval slot; ``done(task)`` runs when it elapses."""
@@ -699,24 +677,6 @@ class IdentPPController(Controller):
         return self.sim.schedule(
             self.config.policy_eval_delay, done, task, label=self._decide_label
         )
-
-    def _eval_step(self, task: DecisionTask) -> None:
-        """Continuation (unserialized core): the eval slot elapsed; batch the task.
-
-        Many ``decide`` events land on one simulated instant here, so
-        the flush is a zero-delay event behind them: everything ready
-        at that instant is evaluated through one
-        :meth:`PolicyEngine.decide_batch` call and the per-decision
-        context setup is paid once per burst of punts.
-        """
-        self._complete_decision(task)
-        if self.sim is None:
-            self._flush_decisions()
-        elif self._decision_queue and not self._flush_scheduled:
-            self._flush_scheduled = True
-            if self.name is not self._labelled_name:
-                self._relabel()
-            self.sim.schedule(0.0, self._flush_decisions, label=self._decide_flush_label)
 
     def _is_stale(self, task: DecisionTask, *, where: str) -> bool:
         """Return whether ``task`` was superseded — the one generation check.
@@ -742,54 +702,30 @@ class IdentPPController(Controller):
             )
         return True
 
-    def _complete_decision(self, task: DecisionTask) -> None:
-        """Queue a task whose eval slot elapsed for the next flush.
+    def _decide(self, task: DecisionTask) -> None:
+        """Continuation: the task's eval slot elapsed; evaluate the policy and act.
 
-        The tail of the continuation pipeline, reached once the answers
-        are in and the eval delay has been paid: from :meth:`_eval_step`,
-        which flushes from a same-instant event, or from the serialized
-        loop, which flushes on the spot.
+        The one tail of the pipeline, entered by the eval-slot event
+        itself or, under the serialized loop, by the completion event
+        that releases the loop.
         """
         if self.halted:
             # The crash froze this decision mid-flight; the flow stays in
             # ``_pending`` for the failover monitor to export.
             return
         if self._is_stale(task, where="eval completion"):
+            # A deadline or a failover export resolved the flow first —
+            # deciding it again would double-program the datapath.
             return
-        self._decision_queue.append(task)
-
-    def _flush_decisions(self) -> None:
-        """Evaluate every queued ready flow in one batch and program the datapath."""
-        self._flush_scheduled = False
-        if self.halted:
-            return
-        queue, self._decision_queue = self._decision_queue, []
-        # A same-instant deadline (or a failover export) may have
-        # resolved a queued flow between ready and flush — deciding it
-        # again would double-program the datapath.
-        queue = [task for task in queue if not self._is_stale(task, where="decision flush")]
-        if not queue:
-            return
-        items = [(task.flow, *task.documents()) for task in queue]
         try:
-            decisions = self.policy.decide_batch(items)
-        except PFError:
-            # One mis-evaluating flow must not poison the burst: fall back
-            # to per-flow decisions so every other flow still completes.
-            # The erroring flows themselves fail *closed* — buffered
-            # packets are dropped and the error is audited — rather than
-            # re-raising, which would leak their pending entries and
-            # blackhole the flows permanently.
-            for task, item in zip(queue, items):
-                try:
-                    decision = self.policy.decide(*item)
-                except PFError as error:
-                    self._fail_closed(task, error)
-                    continue
-                self._finish_decision(task, decision)
+            decision = self.policy.decide(task.flow, *task.documents())
+        except PFError as error:
+            # A mis-evaluating flow fails *closed* — buffered packets are
+            # dropped and the error is audited — rather than re-raising,
+            # which would leak its pending entry and blackhole the flow.
+            self._fail_closed(task, error)
             return
-        for task, decision in zip(queue, decisions):
-            self._finish_decision(task, decision)
+        self._finish_decision(task, decision)
 
     def _finish_decision(self, task: DecisionTask, decision: PolicyDecision) -> None:
         """Cache, install and audit one evaluated decision."""
@@ -1002,7 +938,7 @@ class IdentPPController(Controller):
                     message.switch,
                     drop_match,
                     [DropAction()],
-                    priority=self.config.drop_priority,
+                    priority=DROP_PRIORITY,
                     idle_timeout=self.config.idle_timeout,
                     # A chatty blocked flow refreshes the idle timer forever;
                     # the hard cap keeps the datapath's negative cache from
@@ -1027,7 +963,7 @@ class IdentPPController(Controller):
                 ingress,
                 drop_match,
                 [DropAction()],
-                priority=self.config.drop_priority,
+                priority=DROP_PRIORITY,
                 idle_timeout=self.config.idle_timeout,
                 hard_timeout=self.config.decision_ttl,
                 cookie=cookie,
@@ -1101,7 +1037,6 @@ class IdentPPController(Controller):
         forward_by_switch: dict[str, tuple] = {}
         carried: set[int] = set()
         if plan:
-            priority = config.flow_priority
             idle_timeout = config.idle_timeout
             hard_timeout = config.hard_timeout
             install_flow = self.install_flow
@@ -1123,14 +1058,14 @@ class IdentPPController(Controller):
                     if message is not None:
                         carried.add(message.buffer_id)
                     install_flow(
-                        switch, match, forward, priority=priority,
+                        switch, match, forward, priority=FLOW_PRIORITY,
                         idle_timeout=idle_timeout, hard_timeout=hard_timeout, cookie=cookie,
                         buffer_id=None if message is None else message.buffer_id,
                     )
                     count = 1
                 if keep_state and reverse is not None:
                     install_flow(
-                        switch, reverse_match, reverse, priority=priority,
+                        switch, reverse_match, reverse, priority=FLOW_PRIORITY,
                         idle_timeout=idle_timeout, hard_timeout=hard_timeout, cookie=cookie,
                     )
                     count += 1
@@ -1291,14 +1226,6 @@ class IdentPPController(Controller):
         """Evaluate the policy for a flow without touching the datapath."""
         return self.policy.decide(flow, src_doc, dst_doc)
 
-    def decide_flows(self, items: Sequence[tuple]) -> list[PolicyDecision]:
-        """Batch form of :meth:`decide_flow` for offline what-if queries.
-
-        ``items`` are ``(flow, src_doc, dst_doc)`` tuples; the whole list
-        is evaluated through one :meth:`PolicyEngine.decide_batch` call.
-        """
-        return self.policy.decide_batch(items)
-
     # ------------------------------------------------------------------
     # Cluster hooks (pending handoff + policy/delegation epochs)
     # ------------------------------------------------------------------
@@ -1319,8 +1246,6 @@ class IdentPPController(Controller):
         punt.
         """
         exported = [(flow, self._pop_pending(flow)) for flow in list(self._pending)]
-        self._decision_queue.clear()
-        self._flush_scheduled = False
         # The handed-off work no longer occupies this decision loop; a
         # restored shard must not serialize new punts behind it.
         self._serial.reset()
@@ -1437,7 +1362,7 @@ class IdentPPController(Controller):
            invalidated (a compromised host's daemon can no longer be
            believed, §6);
         4. wildcard drop entries for the host land on every switch at
-           ``quarantine_priority``, containing the punt storm in the
+           ``QUARANTINE_PRIORITY``, containing the punt storm in the
            datapath — the scanner's packets die at its ingress switch
            instead of burning controller round-trips per probe.
 
@@ -1467,7 +1392,7 @@ class IdentPPController(Controller):
                     switch,
                     match,
                     [DropAction()],
-                    priority=self.config.quarantine_priority,
+                    priority=QUARANTINE_PRIORITY,
                     cookie=cookie,
                 )
         return True

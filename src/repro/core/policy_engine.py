@@ -85,8 +85,6 @@ class PolicyEngine:
         self.delegations = delegations if delegations is not None else DelegationManager()
         self._evaluator: Optional[PolicyEvaluator] = None
         self.decisions_made = 0
-        self.batch_decisions = 0
-        self.batches = 0
         self.pubkeys_refreshes = 0
         # (ruleset epoch, delegation epoch) the cached @pubkeys dict was
         # built for; either moving invalidates it.
@@ -162,41 +160,21 @@ class PolicyEngine:
         flow: Optional[FlowSpec],
         src_doc: Optional[ResponseDocument] = None,
         dst_doc: Optional[ResponseDocument] = None,
-        *,
-        extra: Optional[dict[str, object]] = None,
     ) -> PolicyDecision:
         """Evaluate the policy for one flow."""
         evaluator = self.evaluator
         self._refresh_pubkeys(evaluator)
-        src_doc = src_doc if src_doc is not None else ResponseDocument()
-        dst_doc = dst_doc if dst_doc is not None else ResponseDocument()
-        verdict = evaluator.evaluate(flow, src_doc, dst_doc, extra=extra)
+        verdict = evaluator.evaluate(flow, src_doc, dst_doc)
         self.decisions_made += 1
         return self._decision_from_verdict(flow, verdict, src_doc, dst_doc)
 
-    def decide_batch(
-        self,
-        items: Sequence[tuple],
-        *,
-        extra: Optional[dict[str, object]] = None,
-    ) -> list[PolicyDecision]:
-        """Evaluate the policy for many ``(flow, src_doc, dst_doc)`` at once.
+    def decide_batch(self, items: Sequence[tuple]) -> list[PolicyDecision]:
+        """Decide each ``(flow, src_doc, dst_doc)`` of ``items`` in turn.
 
-        The ``@pubkeys`` refresh and the evaluation context are paid once
-        for the whole batch instead of once per flow.
+        Kept only because ``perf/tracing.py`` resolves the name; delete
+        when ``perf/`` thaws (ROADMAP item 2).
         """
-        evaluator = self.evaluator
-        self._refresh_pubkeys(evaluator)
-        if not isinstance(items, (list, tuple)):
-            items = list(items)
-        verdicts = evaluator.evaluate_batch(items, extra=extra)
-        decisions: list[PolicyDecision] = []
-        for (flow, src_doc, dst_doc), verdict in zip(items, verdicts):
-            self.decisions_made += 1
-            self.batch_decisions += 1
-            decisions.append(self._decision_from_verdict(flow, verdict, src_doc, dst_doc))
-        self.batches += 1
-        return decisions
+        return [self.decide(*item) for item in items]
 
     def _refresh_pubkeys(self, evaluator: PolicyEvaluator) -> None:
         """Rebuild the evaluator's ``@pubkeys`` dict only when stale.
@@ -238,12 +216,10 @@ class PolicyEngine:
         )
 
     def stats(self) -> dict[str, float]:
-        """Return counters for reports, including compile/index/batch stats."""
+        """Return counters for reports, including compile/index stats."""
         evaluator_stats = self.evaluator.stats()
         evaluator_stats["decisions_made"] = float(self.decisions_made)
         evaluator_stats["control_files"] = float(len(self.loader))
-        evaluator_stats["batch_decisions"] = float(self.batch_decisions)
-        evaluator_stats["decision_batches"] = float(self.batches)
         evaluator_stats["pubkeys_refreshes"] = float(self.pubkeys_refreshes)
         return evaluator_stats
 

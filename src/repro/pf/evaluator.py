@@ -44,7 +44,6 @@ class EvalContext:
     macros: dict[str, str]
     dicts: dict[str, dict[str, str]]
     registry: FunctionRegistry
-    extra: dict[str, object] = field(default_factory=dict)
     depth: int = 0
     max_depth: int = MAX_NESTED_DEPTH
 
@@ -124,9 +123,6 @@ class PolicyEvaluator:
         self._compiled: Optional[CompiledPolicy] = None
         self.evaluations = 0
         self.rules_checked = 0
-        self.batches = 0
-        self.batched_evaluations = 0
-        self.max_batch_size = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -138,39 +134,21 @@ class PolicyEvaluator:
         src_doc: Optional[ResponseDocument] = None,
         dst_doc: Optional[ResponseDocument] = None,
         *,
-        extra: Optional[dict[str, object]] = None,
         depth: int = 0,
     ) -> Verdict:
         """Run the ruleset against one flow and return the verdict.
 
         Without a flow (``None``) only address-free rules can match.
         """
-        return self._evaluate(self._make_context(flow, src_doc, dst_doc, extra=extra, depth=depth))
+        return self._evaluate(self._make_context(flow, src_doc, dst_doc, depth=depth))
 
-    def evaluate_batch(
-        self,
-        items: Sequence[tuple],
-        *,
-        extra: Optional[dict[str, object]] = None,
-    ) -> list[Verdict]:
-        """Evaluate many ``(flow, src_doc, dst_doc)`` tuples in one call.
+    def evaluate_batch(self, items: Sequence[tuple]) -> list[Verdict]:
+        """Evaluate each ``(flow, src_doc, dst_doc)`` of ``items`` in turn.
 
-        One :class:`EvalContext` (and one empty response document for
-        absent sides) is reused for the whole batch, which amortizes the
-        per-decision setup the single-flow API pays every time.
+        Kept only because ``perf/tracing.py`` resolves the name; delete
+        when ``perf/`` thaws (ROADMAP item 2).
         """
-        self.batches += 1
-        self.batched_evaluations += len(items)
-        self.max_batch_size = max(self.max_batch_size, len(items))
-        context = self._make_context(None, None, None, extra=extra)
-        empty_doc = context.src_doc
-        verdicts: list[Verdict] = []
-        for flow, src_doc, dst_doc in items:
-            context.flow = flow
-            context.src_doc = src_doc if src_doc is not None else empty_doc
-            context.dst_doc = dst_doc if dst_doc is not None else empty_doc
-            verdicts.append(self._evaluate(context))
-        return verdicts
+        return [self.evaluate(*item) for item in items]
 
     @property
     def compiled(self) -> CompiledPolicy:
@@ -191,7 +169,6 @@ class PolicyEvaluator:
         src_doc: Optional[ResponseDocument] = None,
         dst_doc: Optional[ResponseDocument] = None,
         *,
-        extra: Optional[dict[str, object]] = None,
         depth: int = 0,
     ) -> EvalContext:
         return EvalContext(
@@ -202,7 +179,6 @@ class PolicyEvaluator:
             macros=self.macros,
             dicts=self.dicts,
             registry=self.registry,
-            extra=dict(extra or {}),
             depth=depth,
         )
 
@@ -261,9 +237,6 @@ class PolicyEvaluator:
             "evaluations": float(self.evaluations),
             "rules_checked": float(self.rules_checked),
             "rules_in_policy": float(len(self.ruleset.rules())),
-            "batches": float(self.batches),
-            "batched_evaluations": float(self.batched_evaluations),
-            "max_batch_size": float(self.max_batch_size),
         }
         if self._compiled is not None:
             stats.update(self._compiled.stats())

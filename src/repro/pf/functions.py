@@ -271,7 +271,6 @@ def _fn_allowed(context: "EvalContext", args: Sequence[ArgValue]) -> bool:
             context.flow,
             context.src_doc,
             context.dst_doc,
-            extra=context.extra,
             depth=context.depth + 1,
         )
     except PFError:

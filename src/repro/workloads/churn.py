@@ -63,7 +63,6 @@ class ChurnConfig:
     idle_timeout: float = 1.0
     sweep_interval: float = 0.5
     switches: int = 2
-    batch_size: int = 64
     cache_capacity: Optional[int] = None
 
     @property
@@ -100,7 +99,7 @@ class ChurnReport:
 
     @property
     def latency_ratio(self) -> float:
-        """Late-run / early-run mean batch-decision latency (1.0 = flat)."""
+        """Late-run / early-run mean decision latency (1.0 = flat)."""
         if self.latency_first_mean <= 0:
             return 1.0
         return self.latency_last_mean / self.latency_first_mean
@@ -196,51 +195,34 @@ class ChurnSoak:
         dt = 1.0 / cfg.arrival_rate
         next_sweep = cfg.sweep_interval
         peak_cache = peak_state = peak_table = 0
-        batch: list[tuple] = []
-        arrivals: list[float] = []
-        batch_walls: list[float] = []
-        cookie_counter = 0
+        decision_walls: list[float] = []
         now = 0.0
         wall_start = time.perf_counter()
-
-        def flush(flush_now: float) -> None:
-            nonlocal cookie_counter
-            if not batch:
-                return
-            t0 = time.perf_counter()
-            decisions = engine.decide_batch(batch)
-            batch_walls.append((time.perf_counter() - t0) / len(batch))
-            for (flow, _, _), decision, arrival in zip(batch, decisions, arrivals):
-                cookie_counter += 1
-                cookie = f"churn:decision-{cookie_counter}"
-                cache.store(
-                    flow,
-                    decision.action,
-                    cookie,
-                    arrival,
-                    keep_state=decision.keep_state,
-                    rule_text=decision.rule_text,
-                )
-                if decision.is_pass:
-                    self._install(tables, flow, cookie, arrival)
-            batch.clear()
-            arrivals.clear()
 
         for index in range(cfg.flows):
             now = index * dt
             flow = self._flow(index)
             if cache.lookup(flow, now) is None:
-                batch.append((flow, None, None))
-                arrivals.append(now)
-            if len(batch) >= cfg.batch_size:
-                flush(now)
+                t0 = time.perf_counter()
+                decision = engine.decide(flow)
+                decision_walls.append(time.perf_counter() - t0)
+                cookie = f"churn:decision-{len(decision_walls)}"
+                cache.store(
+                    flow,
+                    decision.action,
+                    cookie,
+                    now,
+                    keep_state=decision.keep_state,
+                    rule_text=decision.rule_text,
+                )
+                if decision.is_pass:
+                    self._install(tables, flow, cookie, now)
             if now >= next_sweep:
                 lifecycle.sweep(now)
                 next_sweep = now + cfg.sweep_interval
             peak_cache = max(peak_cache, len(cache))
             peak_state = max(peak_state, len(cache.state_table))
             peak_table = max(peak_table, max(len(t) for t in tables))
-        flush(now)
 
         # Drain: sweep past every timeout so steady-state leftovers show up
         # as non-zero finals instead of hiding behind "the run just ended".
@@ -248,7 +230,7 @@ class ChurnSoak:
         lifecycle.sweep(drain + cfg.sweep_interval)
         wall = time.perf_counter() - wall_start
 
-        slice_size = max(1, len(batch_walls) // 10)
+        slice_size = max(1, len(decision_walls) // 10)
         return ChurnReport(
             flows=cfg.flows,
             virtual_seconds=now,
@@ -270,8 +252,8 @@ class ChurnSoak:
             table_expirations=sum(t.expirations for t in tables),
             sweeps=lifecycle.sweeps,
             reclaimed_total=lifecycle.total_reclaimed(),
-            latency_first_mean=sum(batch_walls[:slice_size]) / slice_size if batch_walls else 0.0,
-            latency_last_mean=sum(batch_walls[-slice_size:]) / slice_size if batch_walls else 0.0,
+            latency_first_mean=sum(decision_walls[:slice_size]) / slice_size,
+            latency_last_mean=sum(decision_walls[-slice_size:]) / slice_size,
         )
 
     def _install(self, tables: list[FlowTable], flow: FlowSpec, cookie: str, now: float) -> None:
@@ -301,7 +283,7 @@ def error_probe() -> dict[str, object]:
     """Check the fail-closed pipeline on a real network.
 
     The policy's port-6666 rule calls an unregistered function, so
-    evaluating a flow to that port raises inside the controller's flush.
+    evaluating a flow to that port raises inside the controller's decision.
     A correct controller resolves it as an audited drop with nothing left
     in the pending table or the switch buffers.
     """

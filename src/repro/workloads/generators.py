@@ -73,6 +73,7 @@ class FlowGenerator:
         self.seed: Optional[int] = None if rng is not None else seed
         self._rng = rng if rng is not None else random.Random(seed)
         self._weights = zipf_weights(len(self.templates), zipf_skew) if zipf_skew else None
+        self._ephemeral_base = ephemeral_base
         self._next_port = ephemeral_base
         self.draws = 0
 
@@ -83,7 +84,7 @@ class FlowGenerator:
             return self._next_port
         self._next_port += 1
         if self._next_port >= 65000:
-            self._next_port = 40000
+            self._next_port = self._ephemeral_base
         return self._next_port
 
     def draw_template(self) -> FlowTemplate:
@@ -102,30 +103,8 @@ class FlowGenerator:
     def draw_batch(
         self, count: int, *, new_connection_probability: float = 1.0
     ) -> list[tuple[FlowTemplate, FlowSpec]]:
-        """Draw ``count`` flows at once (feeds the batch decision APIs).
-
-        Same draw semantics as :meth:`sequence`, materialised as a list so
-        callers can hand the whole batch to
-        :meth:`repro.core.policy_engine.PolicyEngine.decide_batch` /
-        :meth:`repro.pf.evaluator.PolicyEvaluator.evaluate_batch`.
-        """
+        """Return the ``count`` draws of :meth:`sequence` as a list."""
         return list(self.sequence(count, new_connection_probability=new_connection_probability))
-
-    def batches(
-        self,
-        total: int,
-        batch_size: int,
-        *,
-        new_connection_probability: float = 1.0,
-    ) -> Iterator[list[tuple[FlowTemplate, FlowSpec]]]:
-        """Yield ``total`` draws grouped into lists of up to ``batch_size``."""
-        if batch_size <= 0:
-            raise WorkloadError("batch_size must be positive")
-        remaining = total
-        while remaining > 0:
-            size = min(batch_size, remaining)
-            yield self.draw_batch(size, new_connection_probability=new_connection_probability)
-            remaining -= size
 
     def sequence(self, count: int, *, new_connection_probability: float = 1.0) -> Iterator[tuple[FlowTemplate, FlowSpec]]:
         """Yield ``count`` draws; with probability ``1 - p`` a draw reuses the previous port.

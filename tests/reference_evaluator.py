@@ -44,7 +44,6 @@ def reference_evaluate(
     src_doc: Optional[ResponseDocument] = None,
     dst_doc: Optional[ResponseDocument] = None,
     *,
-    extra: Optional[dict[str, object]] = None,
     depth: int = 0,
 ) -> Verdict:
     """Walk ``evaluator``'s ruleset against one flow: last match wins, ``quick`` stops."""
@@ -58,7 +57,6 @@ def reference_evaluate(
         macros=evaluator.macros,
         dicts=evaluator.dicts,
         registry=registry,
-        extra=dict(extra or {}),
         depth=depth,
     )
     matched: list[Rule] = []
@@ -186,7 +184,6 @@ def _reference_allowed(context: EvalContext, args: Sequence[ArgValue]) -> bool:
             context.flow,
             context.src_doc,
             context.dst_doc,
-            extra=context.extra,
             depth=context.depth + 1,
         )
     except PFError:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import types
 from typing import Optional, Sequence
 
-from repro.core.controller import IdentPPController, PathInstall
+from repro.core.controller import FLOW_PRIORITY, IdentPPController, PathInstall
 from repro.exceptions import TopologyError
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.nodes import Node
@@ -91,7 +91,7 @@ def _install_path(
                     node,
                     match,
                     [OutputAction(out_port)],
-                    priority=self.config.flow_priority,
+                    priority=FLOW_PRIORITY,
                     idle_timeout=self.config.idle_timeout,
                     hard_timeout=self.config.hard_timeout,
                     cookie=cookie,
@@ -103,7 +103,7 @@ def _install_path(
                     node,
                     reverse_match,
                     [OutputAction(back_port)],
-                    priority=self.config.flow_priority,
+                    priority=FLOW_PRIORITY,
                     idle_timeout=self.config.idle_timeout,
                     hard_timeout=self.config.hard_timeout,
                     cookie=cookie,

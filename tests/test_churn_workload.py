@@ -22,9 +22,7 @@ class TestChurnSoak:
         # why its own bound holds regardless of the lifecycle service).
         config = ChurnConfig(flows=4_000, working_set=128, sweep_interval=1e9)
         report = ChurnSoak(config).run()
-        # Peaks are sampled per arrival (before the final partial-batch
-        # flush), so allow one batch of slack.
-        assert report.peak_table_entries >= 2 * (config.flows - config.batch_size)
+        assert report.peak_table_entries == 2 * config.flows
         # Far beyond the 2x envelope a swept run stays inside.
         swept_expectation = 2 * config.arrival_rate * (config.idle_timeout + 0.5)
         assert report.peak_table_entries > 2 * swept_expectation

@@ -117,6 +117,28 @@ class TestSerialQueueClosedForm:
         assert None not in times
         assert max(times) == pytest.approx(min(times))
 
+    def test_unserialized_burst_is_decided_inside_its_decide_events(self):
+        # One tail: each punt is decided by the event that ends its eval
+        # slot, in punt order — no flush event gathers the instant.
+        net = build_net("one-tail", serialize_decisions=False)
+        sanitizer = net.topology.sim.enable_sanitizer()
+        audit = net.controller.audit
+        fired = []
+        on_event = sanitizer.on_event
+
+        def spy(event):
+            fired.append((event.label, len(audit)))
+            on_event(event)
+
+        sanitizer.on_event = spy
+        flows = open_flows(net, 5)
+        net.run()
+        assert not [label for label, _ in fired if label.endswith(":decide-flush")]
+        decided_before = [count for label, count in fired if label.endswith(":decide")]
+        assert decided_before == [0, 1, 2, 3, 4]
+        assert [record.flow for record in audit.records()] == flows
+        assert len({record.time for record in audit.records()}) == 1
+
 
 class TestSerialBaselineCore:
     def test_serial_core_single_flow_matches_async(self):

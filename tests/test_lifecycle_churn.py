@@ -285,7 +285,7 @@ class TestFailClosedPuntPipeline:
         net = build_network(config=config)
         controller = net.controller
         # Simulate a lost decision: the completion callback never runs.
-        controller._complete_decision = lambda *args, **kwargs: None
+        controller._decide = lambda *args, **kwargs: None
         client = net.host("client")
         client.open_flow("http", "alice", "192.168.1.1", 80)
         net.run()
@@ -302,7 +302,7 @@ class TestFailClosedPuntPipeline:
         # punted while no simulator was attached).
         net = build_network(config=ControllerConfig(pending_deadline=0.5))
         controller = net.controller
-        controller._complete_decision = lambda *args, **kwargs: None  # decision lost
+        controller._decide = lambda *args, **kwargs: None  # decision lost
         net.host("client").open_flow("http", "alice", "192.168.1.1", 80)
         net.run(duration=0.1)
         (task,) = controller._pending.values()
@@ -330,7 +330,7 @@ class TestOneDeadlinePerController:
         """A network whose decisions never complete, and its deadline-event schedule log."""
         net = build_network(config=ControllerConfig(pending_deadline=pending_deadline))
         controller = net.controller
-        controller._complete_decision = lambda *args, **kwargs: None  # decision lost
+        controller._decide = lambda *args, **kwargs: None  # decision lost
         sim = net.topology.sim
         armed = []
         schedule = sim.schedule

@@ -1,8 +1,9 @@
 """Tests for the controller/datapath fast paths added with the compiler.
 
 Covers the decision-cache reverse/cookie indexes, the flow-table
-exact-match cache, Packet.wire_size caching and the policy engine's
-batched decisions + @pubkeys epoch caching.
+exact-match cache, Packet.wire_size caching, the policy engine's
+@pubkeys epoch caching, the flow generator's port allocator and a burst
+of same-instant punts with one mis-evaluating flow.
 """
 
 from repro.core.cache import DecisionCache
@@ -137,13 +138,8 @@ class TestPolicyEngineBatching:
              doc({"name": "web"}), None)
             for i in range(10)
         ]
-        batch = engine.decide_batch(items)
-        singles = [engine.decide(flow, src, dst) for flow, src, dst in items]
-        assert [d.action for d in batch] == [d.action for d in singles]
-        stats = engine.stats()
-        assert stats["batch_decisions"] == 10.0
-        assert stats["decision_batches"] == 1.0
-        assert stats["decisions_made"] == 20.0
+        assert engine.decide_batch(items) == [engine.decide(*item) for item in items]
+        assert engine.stats()["decisions_made"] == 20.0
 
     def test_pubkeys_refresh_only_on_epoch_change(self):
         engine = self.engine()
@@ -192,83 +188,50 @@ class TestGeneratorBatches:
         assert len(drawn) == 10
         assert all(flow.dst_port == 80 for _, flow in drawn)
 
-    def test_batches_chunking(self):
-        chunks = list(self.generator().batches(10, 4))
-        assert [len(chunk) for chunk in chunks] == [4, 4, 2]
-
-    def test_batches_rejects_bad_size(self):
-        import pytest
-
-        from repro.exceptions import WorkloadError
-
-        with pytest.raises(WorkloadError):
-            list(self.generator().batches(10, 0))
+    def test_ports_wrap_to_the_ephemeral_base(self):
+        # Regression: the wrap went to the literal 40000, so a generator
+        # based at 64990 left its own range after nine draws.
+        drawn = self.generator(ephemeral_base=64990).draw_batch(30)
+        assert all(64990 <= flow.src_port < 65000 for _, flow in drawn)
 
 
-class TestControllerFlushIsolation:
-    def test_bad_flow_does_not_poison_the_batch(self):
-        """A PFEvalError for one queued flow must not lose the others.
+class TestPoisonedBurst:
+    def test_bad_flow_does_not_poison_the_burst(self):
+        """Three punts decided on one instant, the middle one raising.
 
-        The erroring flow itself fails *closed*: it is resolved through
-        ``_fail_closed`` (audited drop) instead of re-raising, so its
-        pending packets can never leak.
+        The erroring flow fails *closed* (audited drop, nothing left
+        pending or buffered), its neighbours pass, and each flow is
+        evaluated exactly once.
         """
-        from repro.core.policy_engine import PolicyEngine
+        from repro.core.network import HostSpec, IdentPPNetwork
 
-        engine = PolicyEngine(default_action="block")
-        # The unknown macro sits behind the port-81 gate: only port-81
-        # flows ever evaluate it (the dst port check precedes the dst
-        # address on both execution paths).
-        engine.add_control_file(
-            "00", "block all\npass from any to any port 80\npass from any to $typo port 81"
+        net = IdentPPNetwork("poisoned-burst", policy_default_action="block")
+        switch = net.add_switch("sw")
+        net.add_host(
+            HostSpec(name="client", ip="192.168.0.10", users={"alice": ("users",)}),
+            switch=switch,
         )
-
-        class FakeController:
-            # Borrow the real flush logic without building a topology.
-            from repro.core.controller import IdentPPController as _real
-
-            def __init__(self, engine):
-                self.policy = engine
-                self._decision_queue = []
-                self._flush_scheduled = False
-                self.halted = False
-                self.sim = None
-                # The real flush skips tasks superseded in the pending
-                # table; here every queued task is current.
-                self._pending = {}
-                self.finished = []
-                self.failed_closed = []
-
-            def _finish_decision(self, task, decision):
-                self.finished.append((task.flow, decision.action))
-
-            def _fail_closed(self, task, error):
-                self.failed_closed.append((task.flow, error))
-
-            _flush_decisions = _real._flush_decisions
-            _is_stale = _real._is_stale
-
-        from repro.core.controller import DecisionTask
-
-        controller = FakeController(engine)
-        good_a = FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1000, 80)
-        bad = FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1001, 81)
-        good_b = FlowSpec.tcp("1.1.1.1", "2.2.2.3", 1002, 80)
-        tasks = [
-            DecisionTask(flow=flow, arrival=0.0, switch=None, punts=[])
-            for flow in (good_a, bad, good_b)
+        net.add_host(HostSpec(name="server", ip="192.168.1.1"), switch=switch)
+        net.set_policy({
+            "00.control": (
+                "block all\n"
+                "pass from any to any port 80\n"
+                "pass from any to any port 81 with bogus(@src[name])\n"
+            ),
+        })
+        client = net.host("client")
+        for port in (80, 81, 80):
+            client.open_flow("http", "alice", "192.168.1.1", port)
+        net.run()
+        controller = net.controller
+        records = controller.audit.records()
+        assert len({record.time for record in records}) == 1
+        assert [(r.flow.dst_port, r.action, r.rule_origin) for r in records] == [
+            (80, "pass", "00.control"),
+            (81, "block", "error"),
+            (80, "pass", "00.control"),
         ]
-        controller._decision_queue = list(tasks)
-        controller._pending = {task.flow: task for task in tasks}
-        from repro.exceptions import PFEvalError
-
-        controller._flush_decisions()
-        # Both healthy flows still completed despite the poisoned batch.
-        assert [(flow, action) for flow, action in controller.finished] == [
-            (good_a, "pass"),
-            (good_b, "pass"),
-        ]
-        # The poisoned flow was resolved fail-closed, not re-raised.
-        assert [flow for flow, _ in controller.failed_closed] == [bad]
-        assert isinstance(controller.failed_closed[0][1], PFEvalError)
-        assert controller._decision_queue == []
+        assert controller.pending_flows() == [] and switch.buffered_count() == 0
+        assert controller.policy_errors == 1
+        assert controller.policy.stats()["evaluations"] == 3.0
+        assert len(net.host("server").delivered) == 2

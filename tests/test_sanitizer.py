@@ -251,3 +251,4 @@ class TestDeterminismRegression:
                 == entry["second"]["trace_hash"]
                 == committed[name]["first"]["trace_hash"]
             )
+            assert entry["first"]["events"] == committed[name]["first"]["events"]

@@ -13,12 +13,18 @@ tables): deleting or renaming one without updating this list fails the
 check, so the architecture/benchmark docs cannot silently lose the
 sections other documents and PR acceptance criteria point at.
 
+``docs/BENCHMARKS.md`` is also held to ``BENCH_results.json``: every
+name in the first column of an ``Entry`` table under the ``results`` and
+``derived`` headings (``name_{a,b}`` brace lists expanded) must be a key
+of that map in the JSON file, and every key must have a row.
+
 Run directly or via ``make docs_check``; CI runs it in the docs job so
 documentation cannot drift from the tree it describes.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -97,6 +103,48 @@ def check_required_sections() -> list[str]:
     return problems
 
 
+def documented_entries(text: str) -> dict[str, set[str]]:
+    """Return the names the ``Entry`` tables of BENCHMARKS.md list, per JSON map."""
+    entries: dict[str, set[str]] = {}
+    names = None
+    in_entry_table = False
+    for line in text.splitlines():
+        if line.startswith("## "):
+            heading = re.fullmatch(r"## `(\w+)` entries", line.strip())
+            names = entries.setdefault(heading.group(1), set()) if heading else None
+        if names is None or not line.startswith("|"):
+            in_entry_table = False
+            continue
+        first_cell = line.split("|")[1].strip()
+        if first_cell == "Entry":
+            in_entry_table = True
+        elif in_entry_table:
+            for name in re.findall(r"`([^`]+)`", first_cell):
+                braces = re.search(r"\{([^}]*)\}", name)
+                if braces is None:
+                    names.add(name)
+                    continue
+                for item in braces.group(1).split(","):
+                    names.add(name[: braces.start()] + item.strip() + name[braces.end():])
+    return entries
+
+
+def check_benchmark_entries() -> list[str]:
+    """Return a problem line per documented entry without a JSON key, and per key without a row."""
+    payload = json.loads((REPO_ROOT / "BENCH_results.json").read_text(encoding="utf-8"))
+    text = (REPO_ROOT / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
+    problems = []
+    for section, names in sorted(documented_entries(text).items()):
+        keys = set(payload[section])
+        for name in sorted(names - keys):
+            problems.append(
+                f"docs/BENCHMARKS.md: `{name}` is not a key of BENCH_results.json {section}"
+            )
+        for key in sorted(keys - names):
+            problems.append(f"docs/BENCHMARKS.md: BENCH_results.json {section}.{key} has no row")
+    return problems
+
+
 def iter_doc_files() -> list[Path]:
     """Return every markdown file the checker covers."""
     files = [REPO_ROOT / name for name in DOC_FILES if (REPO_ROOT / name).exists()]
@@ -135,18 +183,19 @@ def main() -> int:
     for path in files:
         problems.extend(check_file(path))
     problems.extend(check_required_sections())
+    problems.extend(check_benchmark_entries())
     for problem in problems:
         print(problem)
     checked = len(files)
     if problems:
         print(
             f"docs check FAILED: {len(problems)} problems "
-            f"(broken links / missing sections) in {checked} files"
+            f"(broken links / missing sections / benchmark entries) in {checked} files"
         )
         return 1
     print(
-        f"docs check ok: all relative links resolve and required sections "
-        f"present across {checked} files"
+        f"docs check ok: all relative links resolve, required sections present "
+        f"and benchmark entries match BENCH_results.json across {checked} files"
     )
     return 0
 
