@@ -10,7 +10,9 @@ dependency-free perf trajectory to compare against::
 Each benchmark reports operations per second; the JSON file maps
 benchmark name -> {ops_per_sec, iterations, seconds}.  Derived ratios
 (e.g. what a policy decision costs against 2000 rules over what it costs
-against 10) are included under ``derived`` and gated.
+against 10) are included under ``derived`` and gated.  The soak entries
+and their gates come from the ``SOAK`` tables of the soak modules
+(``repro.workloads.soak``), the same ones ``make soak_*`` walks.
 """
 
 from __future__ import annotations
@@ -41,38 +43,19 @@ from repro.openflow.match import Match  # noqa: E402
 from repro.openflow.switch import OpenFlowSwitch  # noqa: E402
 from repro.pf.evaluator import PolicyEvaluator  # noqa: E402
 from repro.pf.parser import parse_ruleset  # noqa: E402
-from repro.workloads.churn import ChurnConfig, ChurnSoak, error_probe  # noqa: E402
-from repro.workloads.cluster import (  # noqa: E402
-    CLUSTER_SPEEDUP_FLOOR,
-    ClusterFailoverChurn,
-    ClusterScaleBench,
-)
 from repro.workloads.determinism import DeterminismGate  # noqa: E402
 from repro.workloads.experiment import (  # noqa: E402
     MATRIX_MIN_CELLS,
     run_default_matrix,
 )
-from repro.workloads.decision_core import (  # noqa: E402
-    ASYNC_DEGRADATION_CEILING,
-    OVERLAP_SPEEDUP_FLOOR,
-    AsyncChurnSoak,
-    DecisionOverlapBench,
-)
-from repro.workloads.fabric import (  # noqa: E402
-    FABRIC_SLOWDOWN_CEILING,
-    FabricScaleBench,
-)
 from repro.workloads.generators import FlowGenerator, FlowTemplate  # noqa: E402
 from repro.workloads.paper_configs import figure2_control_files  # noqa: E402
-from repro.workloads.queryload import (  # noqa: E402
-    QUERY_SPEEDUP_FLOOR,
-    QueryLoadBench,
-)
-from repro.workloads.telemetry import (  # noqa: E402
-    TELEMETRY_OVERHEAD_CEILING,
-    ConfickerTelemetryBench,
-    TelemetryOverheadBench,
-)
+from repro.workloads.soak import Gate, failed_gates, load  # noqa: E402
+
+#: The soaks recorded here, in run order.  Each module's ``SOAK`` table
+#: names its ``results`` entries and gates them; ``make soak_<name>``
+#: walks the same table.  (``push`` re-runs a phase of ``queryload``.)
+BENCH_SOAKS = ("churn", "cluster", "fabric", "queryload", "decision_core", "telemetry")
 
 #: One policy decision may cost at most this much more against a
 #: 2000-rule ruleset than against a 10-rule one.
@@ -99,68 +82,35 @@ EVENT_LOOP_CANCELLED_CEILING = 1.5
 PUNT_EVENTS_CEILING = 11.5
 PUNT_MSGS_CEILING = 5.1
 
-#: Every gate but the matrix's per-invariant one, as data: where the
+#: The gates on what no soak table covers (micro-bench ratios, the
+#: per-punt counts, determinism, the matrix size), as data: where the
 #: value sits in the written payload, the comparison it must satisfy
 #: against the bound, the bound, and what to print when it does not.
 GATES = (
-    ("derived.policy_eval_2000_vs_10", operator.le, POLICY_EVAL_CEILING,
-     f"a policy decision costs more than {POLICY_EVAL_CEILING:g}x as much against "
-     "2000 rules as against 10 (a decision walks the ruleset, not its candidates)"),
-    ("derived.flow_table_churn_4096_vs_128", operator.le, FLOW_TABLE_CHURN_CEILING,
-     f"flow-table churn costs more than {FLOW_TABLE_CHURN_CEILING:g}x as much "
-     "beside 4096 resident entries as beside 128 (an operation walks the table)"),
-    ("derived.daemon_answer_4096_vs_16", operator.le, DAEMON_ANSWER_CEILING,
-     f"an ident++ answer costs more than {DAEMON_ANSWER_CEILING:g}x as much on a "
-     "host holding 4096 sockets as on one holding 16 (a lookup walks the socket table)"),
-    ("derived.event_loop_cancelled_vs_clean", operator.le, EVENT_LOOP_CANCELLED_CEILING,
-     f"a scheduled event costs more than {EVENT_LOOP_CANCELLED_CEILING:g}x as much "
-     "with nine in ten cancelled as with all firing (dead records pile up in the heap)"),
-    ("derived.soak_state_bounded", operator.eq, True,
-     "churn soak left unbounded flow state (see soak_churn_100k.violations)"),
-    ("derived.soak_fail_closed", operator.eq, True,
-     "PFError flow was not failed closed in the soak probe"),
-    ("derived.cluster_speedup_4_shards", operator.ge, CLUSTER_SPEEDUP_FLOOR,
-     f"4-shard cluster speedup below the {CLUSTER_SPEEDUP_FLOOR:g}x acceptance floor"),
-    ("derived.cluster_failover_zero_loss", operator.eq, True,
-     "cluster failover lost flows (see cluster_failover_churn.violations)"),
-    ("results.fabric_scale_bench.gates_ok", operator.eq, True,
-     "fabric bench gates failed (see fabric_scale_bench.violations)"),
-    ("derived.query_cache_speedup", operator.ge, QUERY_SPEEDUP_FLOOR,
-     f"query-cache speedup below the {QUERY_SPEEDUP_FLOOR:g}x acceptance floor"),
-    ("results.query_cache_bench.gates_ok", operator.eq, True,
-     "query-cache gates failed (see query_cache_bench.violations)"),
-    ("derived.push_zero_query_ok", operator.eq, True,
-     "steady-state punts on subscribed hosts issued daemon queries "
-     "(see query_cache_bench.push_plane)"),
-    ("derived.push_convergence_beats_pull", operator.eq, True,
-     "push-plane convergence after an identity publish did not "
-     "beat the pull TTL path (see query_cache_bench.push_plane)"),
-    ("derived.decision_overlap_speedup", operator.ge, OVERLAP_SPEEDUP_FLOOR,
-     "async-over-serial overlap speedup below the "
-     f"{OVERLAP_SPEEDUP_FLOOR:g}x acceptance floor"),
-    ("derived.decision_async_degradation", operator.le, ASYNC_DEGRADATION_CEILING,
-     f"async core degraded more than {ASYNC_DEGRADATION_CEILING:g}x "
-     "under 10x daemon latency"),
-    ("derived.async_soak_bounded", operator.eq, True,
-     "async soak violated its bounds (see soak_async_decisions)"),
-    ("derived.punt_events_per_decision", operator.le, PUNT_EVENTS_CEILING,
-     "a decided punt of the async soak costs more than "
-     f"{PUNT_EVENTS_CEILING:g} simulator events"),
-    ("derived.punt_msgs_per_decision", operator.le, PUNT_MSGS_CEILING,
-     "a decided punt of the async soak costs more than "
-     f"{PUNT_MSGS_CEILING:g} control-channel messages"),
-    ("derived.determinism_trace_identical", operator.eq, True,
-     "double-run event traces diverged "
-     "(see determinism_double_run) — the simulation is not deterministic"),
-    ("derived.telemetry_conficker_detected", operator.eq, True,
-     "telemetry plane missed or mis-attributed the conficker "
-     "outbreak (see telemetry_conficker_detection.violations)"),
-    ("derived.telemetry_overhead_pct", operator.lt, TELEMETRY_OVERHEAD_CEILING,
-     "telemetry sampling overhead at or above the "
-     f"{TELEMETRY_OVERHEAD_CEILING:g}% ceiling"),
-    ("derived.matrix_cells", operator.ge, MATRIX_MIN_CELLS,
-     f"experiment matrix has {{value}} cells, "
-     f"below the {MATRIX_MIN_CELLS}-cell acceptance floor"),
+    Gate("derived.policy_eval_2000_vs_10", operator.le, POLICY_EVAL_CEILING,
+         f"a policy decision costs more than {POLICY_EVAL_CEILING:g}x as much against "
+         "2000 rules as against 10 (a decision walks the ruleset, not its candidates)"),
+    Gate("derived.flow_table_churn_4096_vs_128", operator.le, FLOW_TABLE_CHURN_CEILING,
+         f"flow-table churn costs more than {FLOW_TABLE_CHURN_CEILING:g}x as much "
+         "beside 4096 resident entries as beside 128 (an operation walks the table)"),
+    Gate("derived.daemon_answer_4096_vs_16", operator.le, DAEMON_ANSWER_CEILING,
+         f"an ident++ answer costs more than {DAEMON_ANSWER_CEILING:g}x as much on a "
+         "host holding 4096 sockets as on one holding 16 (a lookup walks the socket table)"),
+    Gate("derived.event_loop_cancelled_vs_clean", operator.le, EVENT_LOOP_CANCELLED_CEILING,
+         f"a scheduled event costs more than {EVENT_LOOP_CANCELLED_CEILING:g}x as much "
+         "with nine in ten cancelled as with all firing (dead records pile up in the heap)"),
+    Gate("derived.punt_events_per_decision", operator.le, PUNT_EVENTS_CEILING,
+         "a decided punt of the async soak costs more than "
+         f"{PUNT_EVENTS_CEILING:g} simulator events"),
+    Gate("derived.punt_msgs_per_decision", operator.le, PUNT_MSGS_CEILING,
+         "a decided punt of the async soak costs more than "
+         f"{PUNT_MSGS_CEILING:g} control-channel messages"),
+    Gate("derived.determinism_trace_identical", operator.eq, True,
+         "double-run event traces diverged "
+         "(see determinism_double_run) — the simulation is not deterministic"),
+    Gate("derived.matrix_cells", operator.ge, MATRIX_MIN_CELLS,
+         f"experiment matrix has {{value}} cells, "
+         f"below the {MATRIX_MIN_CELLS}-cell acceptance floor"),
 )
 
 RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_results.json")
@@ -410,45 +360,16 @@ def bench_flow_generator(results: dict) -> None:
     results["flow_generator_draw_batch_64"] = entry
 
 
-def bench_churn_soak(results: dict) -> None:
-    """Soak: 100k short-lived flows; state must stay bounded, errors fail closed."""
-    report = ChurnSoak(ChurnConfig(flows=100_000)).run()
-    soak = report.as_dict()
-    soak["ops_per_sec"] = soak.pop("flows_per_sec")
-    results["soak_churn_100k"] = soak
-    results["soak_fail_closed_probe"] = error_probe()
-
-
-def bench_cluster(results: dict) -> None:
-    """Cluster: 4-shard decision throughput vs 1 shard + failover zero-loss soak."""
-    scale = ClusterScaleBench().run()
-    entry = scale.as_dict()
-    # Headline ops/s: aggregate decided-flows per simulated second at 4 shards.
-    shard_counts = sorted(scale.throughput_by_shards)
-    entry["ops_per_sec"] = round(scale.throughput_by_shards[shard_counts[-1]], 1)
-    results["cluster_scale_1_to_4"] = entry
-    results["cluster_failover_churn"] = ClusterFailoverChurn().run().as_dict()
-
-
-def bench_fabric(results: dict) -> None:
-    """Fabric: path-wide install, mid-path fail-closed, 4-leaf throughput."""
-    report = FabricScaleBench().run()
-    entry = report.as_dict()
-    # Headline ops/s: decided-flows per simulated second on the 4-leaf fabric.
-    entry["ops_per_sec"] = entry["fabric_decided_per_vsec"]
-    results["fabric_scale_bench"] = entry
-
-
-def bench_decision_core(results: dict) -> None:
-    """Decision core: query/eval overlap under daemon latency + async churn soak."""
-    overlap = DecisionOverlapBench().run()
-    entry = overlap.as_dict()
-    # Headline ops/s: async decided-flows per simulated second at the
-    # 10x daemon-latency scale (the overlap payoff).
-    top = overlap.scale_keys[-1]
-    entry["ops_per_sec"] = entry["decided_flows_per_vsec"]["async"][top]
-    results["decision_overlap_bench"] = entry
-    results["soak_async_decisions"] = AsyncChurnSoak().run().as_dict()
+def bench_soaks(results: dict) -> list:
+    """Run every step of every soak table; return the tables' gates."""
+    gates = []
+    for name in BENCH_SOAKS:
+        soak = load(name)
+        print(f"running {name} soak ...")
+        for entry, step in soak.steps:
+            results[entry] = step()
+        gates.extend(soak.gates)
+    return gates
 
 
 def bench_determinism(results: dict) -> None:
@@ -456,36 +377,9 @@ def bench_determinism(results: dict) -> None:
     results["determinism_double_run"] = DeterminismGate().as_dict()
 
 
-def bench_telemetry(results: dict) -> None:
-    """Telemetry plane: outbreak detection by telemetry alone + sampling cost."""
-    results["telemetry_conficker_detection"] = ConfickerTelemetryBench().run().as_dict()
-    results["telemetry_overhead"] = TelemetryOverheadBench().run().as_dict()
-
-
 def bench_experiment_matrix(results: dict) -> None:
     """ROADMAP item 3: the committed scenario matrix with per-cell invariants."""
     results["experiment_matrix"] = run_default_matrix(nb_repeats=2).as_dict()
-
-
-def bench_queryload(results: dict) -> None:
-    """Query engine: hot-server speedup, invalidation, push identity plane."""
-    report = QueryLoadBench().run()
-    entry = report.as_dict()
-    # Headline ops/s: cached decided-flows per simulated second.
-    entry["ops_per_sec"] = entry["cached_decided_per_vsec"]
-    results["query_cache_bench"] = entry
-
-
-def _failed_gates(payload: dict) -> list[str]:
-    """Return the message of every gate in ``GATES`` that ``payload`` fails."""
-    failures = []
-    for path, holds, bound, message in GATES:
-        value = payload
-        for key in path.split("."):
-            value = value[key]
-        if not holds(value, bound):
-            failures.append(message.format(value=value))
-    return failures
 
 
 def main() -> int:
@@ -498,20 +392,9 @@ def main() -> int:
     bench_daemon_answer(results)
     bench_event_loop(results)
     bench_flow_generator(results)
-    print("running churn soak ...")
-    bench_churn_soak(results)
-    print("running cluster scale + failover benches ...")
-    bench_cluster(results)
-    print("running fabric path-wide enforcement bench ...")
-    bench_fabric(results)
-    print("running query-cache bench ...")
-    bench_queryload(results)
-    print("running decision-core overlap bench + async soak ...")
-    bench_decision_core(results)
+    soak_gates = bench_soaks(results)
     print("running determinism double-run gate ...")
     bench_determinism(results)
-    print("running telemetry detection + overhead benches ...")
-    bench_telemetry(results)
     print("running experiment scenario matrix ...")
     bench_experiment_matrix(results)
 
@@ -606,7 +489,9 @@ def main() -> int:
         "derived": derived,
     }
     with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        # A non-finite number would be written as a bare token no JSON
+        # parser accepts: fail here instead.
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
     width = max(len(name) for name in results)
@@ -617,18 +502,18 @@ def main() -> int:
         suffix = "x" if isinstance(value, (int, float)) and not isinstance(value, bool) else ""
         print(f"  {name:<{width}}  {value!s:>13}{suffix}")
     print(f"wrote {os.path.relpath(RESULTS_PATH)}")
-    failures = _failed_gates(payload)
-    failed_gates = [
+    failures = failed_gates(results, soak_gates) + failed_gates({"derived": derived}, GATES)
+    red_invariants = [
         name for name, ok in derived["matrix_invariant_gates"].items() if not ok
     ]
-    if failed_gates or not derived["matrix_all_cells_pass"]:
+    if red_invariants or not derived["matrix_all_cells_pass"]:
         for cell in matrix["cells"]:
             for invariant, entry in cell["invariants"].items():
                 for violation in entry["violations"]:
                     print(f"  {cell['cell']}: [{invariant}] {violation}")
         failures.append(
             f"experiment matrix invariant gate(s) "
-            f"{failed_gates or ['<cell failures>']} reported FAIL "
+            f"{red_invariants or ['<cell failures>']} reported FAIL "
             f"({derived['matrix_cells_failed']} cell(s) violated invariants)"
         )
     for message in failures:

@@ -13,18 +13,24 @@
 * :mod:`repro.workloads.scenarios` — one scenario class per experiment
   (E1–E9), each exposing ``run()``/``results()`` used by the examples,
   the integration tests and the benchmark harness.
-* :mod:`repro.workloads.churn` — the churn/soak workload that drives
-  ~100k short-lived flows through the decision components and checks
-  flow-state stays bounded and policy errors fail closed.
-* :mod:`repro.workloads.cluster` — the sharded control plane workloads:
-  1-vs-4-shard decision throughput and the kill-one-replica failover
-  churn soak (zero flows lost open-ended).
+* :mod:`repro.workloads.soak` — the soak kit and the one entry point
+  (``python -m repro.workloads.soak NAME``, every ``make soak_*``).  A
+  soak is a function returning its ``BENCH_results.json`` entry; its
+  module ends in a ``SOAK`` table of steps and gates.  The soak modules:
+  :mod:`~repro.workloads.churn` (100k short-lived flows: bounded state,
+  fail-closed policy errors), :mod:`~repro.workloads.cluster`
+  (1-vs-4-shard throughput, kill-one-replica failover),
+  :mod:`~repro.workloads.fabric` (path-wide install on a spine-leaf
+  fabric), :mod:`~repro.workloads.queryload` (query cache and push
+  plane), :mod:`~repro.workloads.decision_core` (query/eval overlap,
+  77 000-flow async churn) and :mod:`~repro.workloads.telemetry`
+  (outbreak detection, sampling overhead).
 
-The two soak modules (``churn``, ``cluster``) are deliberately *not*
-imported here: both run standalone via ``python -m``, and an eager
-package import would make the interpreter execute them twice (the
-``found in sys.modules after import of package`` RuntimeWarning).
-Import them by module path.
+The soak modules and the kit are deliberately *not* imported here: the
+kit runs standalone via ``python -m``, and an eager package import
+would make the interpreter execute it twice (the ``found in
+sys.modules after import of package`` RuntimeWarning).  Import them by
+module path.
 """
 
 from repro.workloads.generators import FlowGenerator, FlowTemplate, zipf_weights

@@ -2,11 +2,11 @@
 
 The paper's flow-setup experiment measures one controller's decision
 loop (§3.4, Figure 1); these workloads measure what sharding that loop
-buys and what a shard crash costs.  Two drivers for the sharded
-control plane, both runnable standalone
-(``make soak_cluster``) and recorded in ``BENCH_results.json``:
+buys and what a shard crash costs.  Two soaks for the sharded control
+plane, run by ``make soak_cluster`` and recorded in
+``BENCH_results.json``:
 
-* :class:`ClusterScaleBench` — the scalability claim.  Each controller
+* :func:`cluster_scale` — the scalability claim.  Each controller
   is modelled as a **serial decision loop**
   (``ControllerConfig.serialize_decisions``): one evaluation occupies it
   for ``policy_eval_delay``, so a burst of punts queues behind it.  The
@@ -17,7 +17,7 @@ control plane, both runnable standalone
   hash balance gate: a skewed ring makes the slowest shard the
   bottleneck and fails the ≥ 3x acceptance floor.
 
-* :class:`ClusterFailoverChurn` — the resilience claim.  Bursty churn
+* :func:`cluster_failover` — the resilience claim.  Bursty churn
   traffic runs against a 4-shard cluster; one replica is killed mid-
   run with punts in flight.  The soak asserts **zero flows are lost
   open-ended**: every flow is either decided (by its owner or, after
@@ -28,426 +28,221 @@ control plane, both runnable standalone
 
 Run standalone::
 
-    python -m repro.workloads.cluster
+    python -m repro.workloads.soak cluster
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Optional
+import operator
 
 from repro.core.controller import ControllerConfig
-from repro.core.network import HostSpec, IdentPPClusterNetwork
+from repro.core.network import IdentPPClusterNetwork
 from repro.identpp.flowspec import FlowSpec
-from repro.netsim.statistics import RateCounter
 from repro.workloads.invariants import check_zero_loss
-
-#: The cluster workloads' policy: allow web traffic statefully.
-CLUSTER_POLICY = (
-    "block all\n"
-    "pass from any to any port 80 keep state\n"
+from repro.workloads.soak import (
+    Gate,
+    Soak,
+    decided,
+    edge_core_net,
+    open_web_flows,
+    ratio,
+    timed,
 )
 
-#: Acceptance floor for the 4-shard aggregate throughput speedup — the
-#: single source both ``make soak_cluster`` and ``make bench`` gate on.
+#: The cluster workloads' policy: allow web traffic statefully.
+CLUSTER_POLICY = {
+    "00-cluster.control": (
+        "block all\n"
+        "pass from any to any port 80 keep state\n"
+    ),
+}
+
+#: Acceptance floor for the 4-shard aggregate throughput speedup.
 CLUSTER_SPEEDUP_FLOOR = 3.0
 
-
-def _build_cluster_net(
-    name: str,
-    *,
-    shards: int,
-    clients: int,
-    config: ControllerConfig,
-    vnodes: int = 128,
-    heartbeat_interval: float = 0.05,
-    miss_threshold: int = 2,
-) -> IdentPPClusterNetwork:
-    """Stand up the canonical bench fabric: clients — sw-edge — sw-core — server."""
-    net = IdentPPClusterNetwork(
-        name,
-        shards=shards,
-        policy_default_action="block",
-        controller_config=config,
-        vnodes=vnodes,
-        heartbeat_interval=heartbeat_interval,
-        miss_threshold=miss_threshold,
-    )
-    edge = net.add_switch("sw-edge")
-    core = net.add_switch("sw-core")
-    net.connect(edge, core)
-    for index in range(clients):
-        net.add_host(
-            HostSpec(
-                name=f"client{index}",
-                ip=f"192.168.0.{10 + index}",
-                users={"alice": ("users", "staff")},
-            ),
-            switch=edge,
-        )
-    server = net.add_host(HostSpec(name="server", ip="192.168.1.1"), switch=core)
-    server.run_server("httpd", "root", 80)
-    net.set_policy({"00-cluster.control": CLUSTER_POLICY})
-    return net
-
+#: Hosts opening flows, in both soaks.
+CLIENTS = 8
 
 # ----------------------------------------------------------------------
 # Scale bench
 # ----------------------------------------------------------------------
 
+SCALE_FLOWS = 1_000
+SHARD_COUNTS = (1, 4)
+#: Serial decision-loop occupancy per evaluation.  Dominates the
+#: (parallel) ident++ query latency so the makespan measures the
+#: decision loop, the resource sharding multiplies.
+SCALE_EVAL_DELAY = 500e-6
 
-@dataclass
-class ClusterScaleConfig:
-    """Tunables of the 1-vs-4 shard scale bench."""
 
-    flows: int = 1_000
-    clients: int = 8
-    shard_counts: tuple[int, ...] = (1, 4)
-    #: Serial decision-loop occupancy per evaluation.  Dominates the
-    #: (parallel) ident++ query latency so the makespan measures the
-    #: decision loop, the resource sharding multiplies.
-    policy_eval_delay: float = 500e-6
-    vnodes: int = 128
-
-    def controller_config(self) -> ControllerConfig:
-        """Return the per-replica config (serialized decision loop)."""
-        return ControllerConfig(
+def scale_cell(name: str, shards: int) -> IdentPPClusterNetwork:
+    """Return one cell of the scale bench: ``shards`` serialized decision
+    loops behind the bench fabric."""
+    return edge_core_net(
+        name,
+        clients=CLIENTS,
+        shards=shards,
+        policy=CLUSTER_POLICY,
+        config=ControllerConfig(
             serialize_decisions=True,
-            policy_eval_delay=self.policy_eval_delay,
+            policy_eval_delay=SCALE_EVAL_DELAY,
             # The 1-shard run queues flows * eval_delay seconds of work;
             # the deadline must not fire while flows wait their turn.
             pending_deadline=60.0,
-        )
+        ),
+    )
 
 
-@dataclass
-class ClusterScaleReport:
-    """Aggregate decided-flows/s per shard count, and the speedup."""
-
-    flows: int
-    throughput_by_shards: dict[int, float]
-    makespan_by_shards: dict[int, float]
-    decided_by_shards: dict[int, int]
-    shard_loads: dict[int, dict[str, int]]
-    wall_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        """Return max-shard throughput over 1-shard throughput."""
-        counts = sorted(self.throughput_by_shards)
-        base = self.throughput_by_shards[counts[0]]
-        top = self.throughput_by_shards[counts[-1]]
-        return top / base if base else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Return a JSON-serialisable summary for the benchmark suite."""
-        return {
-            "flows": self.flows,
-            "decided_flows_per_vsec": {
-                str(count): round(value, 1)
-                for count, value in sorted(self.throughput_by_shards.items())
-            },
-            "makespan_vsec": {
-                str(count): round(value, 6)
-                for count, value in sorted(self.makespan_by_shards.items())
-            },
-            "decided": {
-                str(count): value
-                for count, value in sorted(self.decided_by_shards.items())
-            },
-            "largest_shard_share": {
-                str(count): round(max(loads.values()) / max(1, sum(loads.values())), 3)
-                for count, loads in sorted(self.shard_loads.items())
-            },
-            "speedup": round(self.speedup, 2),
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-
-
-class ClusterScaleBench:
-    """Compare aggregate decision throughput across shard counts."""
-
-    def __init__(self, config: Optional[ClusterScaleConfig] = None) -> None:
-        self.config = config if config is not None else ClusterScaleConfig()
-
-    def run(self) -> ClusterScaleReport:
-        """Run every shard count over the identical flow burst."""
-        cfg = self.config
-        throughput: dict[int, float] = {}
-        makespan: dict[int, float] = {}
-        decided: dict[int, int] = {}
-        loads: dict[int, dict[str, int]] = {}
-        wall_start = time.perf_counter()
-        for shards in cfg.shard_counts:
-            net = _build_cluster_net(
-                f"cluster-scale-{shards}",
-                shards=shards,
-                clients=cfg.clients,
-                config=cfg.controller_config(),
-                vnodes=cfg.vnodes,
-            )
-            self._inject_burst(net, cfg.flows, cfg.clients)
-            net.run()
-            rate = RateCounter(f"cluster-scale-{shards}.decisions")
-            last_decision = 0.0
-            per_shard: dict[str, int] = {}
-            for name, controller in net.cluster.replicas.items():
-                records = [r for r in controller.audit.records() if not r.cached]
-                per_shard[name] = len(records)
-                for record in records:
-                    rate.record(record.time)
-                if records:
-                    last_decision = max(last_decision, records[-1].time)
-            makespan[shards] = last_decision
-            decided[shards] = int(rate.total)
-            loads[shards] = per_shard
-            throughput[shards] = rate.mean_rate(last_decision)
-        return ClusterScaleReport(
-            flows=cfg.flows,
-            throughput_by_shards=throughput,
-            makespan_by_shards=makespan,
-            decided_by_shards=decided,
-            shard_loads=loads,
-            wall_seconds=time.perf_counter() - wall_start,
-        )
-
-    @staticmethod
-    def _inject_burst(net: IdentPPClusterNetwork, flows: int, clients: int) -> None:
-        """Open ``flows`` unique flows at t=0 (a flash crowd of new sessions)."""
-        for index in range(flows):
-            client = net.host(f"client{index % clients}")
-            client.open_flow("http", "alice", "192.168.1.1", 80)
+@timed
+def cluster_scale() -> dict:
+    """Run 1 and 4 shards of serialized decision loops over the identical flow burst."""
+    per_vsec: dict[str, float] = {}
+    makespan: dict[str, float] = {}
+    count: dict[str, int] = {}
+    largest_share: dict[str, float] = {}
+    for shards in SHARD_COUNTS:
+        net = scale_cell(f"cluster-scale-{shards}", shards)
+        open_web_flows(net, SCALE_FLOWS, CLIENTS)
+        net.run()
+        loads = [
+            decided(controller.audit.records())
+            for controller in net.cluster.replicas.values()
+        ]
+        key = str(shards)
+        count[key] = sum(made for made, _ in loads)
+        makespan[key] = max(last for _, last in loads)
+        per_vsec[key] = ratio(count[key], makespan[key])
+        largest_share[key] = max(made for made, _ in loads) / max(1, count[key])
+    base, top = str(SHARD_COUNTS[0]), str(SHARD_COUNTS[-1])
+    return {
+        "flows": SCALE_FLOWS,
+        "decided_flows_per_vsec": {key: round(value, 1) for key, value in per_vsec.items()},
+        "makespan_vsec": {key: round(value, 6) for key, value in makespan.items()},
+        "decided": count,
+        "largest_shard_share": {
+            key: round(value, 3) for key, value in largest_share.items()
+        },
+        "speedup": round(ratio(per_vsec[top], per_vsec[base]), 2),
+        # Headline ops/s: aggregate decided-flows per simulated second at 4 shards.
+        "ops_per_sec": round(per_vsec[top], 1),
+    }
 
 
 # ----------------------------------------------------------------------
 # Failover churn soak
 # ----------------------------------------------------------------------
 
+FAILOVER_SHARDS = 4
+#: Bursts model flash crowds: each burst queues work at every shard,
+#: so the kill lands with punts genuinely in flight.
+BURSTS = 20
+BURST_SIZE = 20
+BURST_INTERVAL = 0.1
+KILL_AFTER_BURST = 10
+FAILOVER_EVAL_DELAY = 2e-3
+SETTLE = 2.0
 
-@dataclass
-class ClusterFailoverConfig:
-    """Tunables of the kill-one-replica churn soak."""
 
-    shards: int = 4
-    clients: int = 8
-    #: Bursts model flash crowds: each burst queues work at every shard,
-    #: so the kill lands with punts genuinely in flight.
-    bursts: int = 20
-    burst_size: int = 20
-    burst_interval: float = 0.1
-    kill_after_burst: int = 10
-    policy_eval_delay: float = 2e-3
-    heartbeat_interval: float = 0.05
-    miss_threshold: int = 2
-    settle: float = 2.0
-
-    @property
-    def flows(self) -> int:
-        """Total unique flows injected."""
-        return self.bursts * self.burst_size
-
-    def controller_config(self) -> ControllerConfig:
-        """Return the per-replica config (serialized, tight deadline)."""
-        return ControllerConfig(
+@timed
+def cluster_failover() -> dict:
+    """Kill one of 4 replicas mid-churn and account for every flow."""
+    net = edge_core_net(
+        "cluster-failover",
+        clients=CLIENTS,
+        shards=FAILOVER_SHARDS,
+        policy=CLUSTER_POLICY,
+        # Serialized, with a tight deadline.
+        config=ControllerConfig(
             serialize_decisions=True,
-            policy_eval_delay=self.policy_eval_delay,
+            policy_eval_delay=FAILOVER_EVAL_DELAY,
             pending_deadline=1.0,
-        )
+        ),
+    )
+    cluster = net.cluster
+    cluster.grant_delegation("secur", "beefcafe" * 8)
 
+    flows: list[FlowSpec] = []
 
-@dataclass
-class ClusterFailoverReport:
-    """What the failover soak observed."""
+    def burst(index: int) -> None:
+        for _, packet, _, _ in open_web_flows(
+            net, BURST_SIZE, CLIENTS, first=index * BURST_SIZE
+        ):
+            flows.append(FlowSpec.from_packet(packet))
 
-    flows: int
-    decided: int
-    failed_closed: int
-    flows_accounted: int
-    repunted_flows: int
-    repunted_messages: int
-    failovers: int
-    pending_after: int
-    buffered_after: int
-    killed_shard: str
-    adopted_punts: int
-    revocation_applied_to: tuple[str, ...] = ()
-    revocation_origin: str = ""
-    revocation_active_after: int = 0
-    epochs_converged: bool = False
-    resyncs: int = 0
-    wall_seconds: float = 0.0
+    sim = net.topology.sim
+    for index in range(BURSTS):
+        sim.schedule_at(index * BURST_INTERVAL, burst, index)
+    killed = cluster.shard_map.shards()[0]
+    # Kill a hair after a burst lands so the victim holds pending
+    # punts and has more in flight on its channels.
+    sim.schedule_at(KILL_AFTER_BURST * BURST_INTERVAL + 1e-3, cluster.kill, killed)
+
+    net.start_monitoring()
+    net.run(BURSTS * BURST_INTERVAL + SETTLE)
+    net.stop_monitoring()
+    net.run()  # drain every remaining decision/deadline event
+
     # Accounting/drain violations come from the shared zero-loss checker
     # (repro.workloads.invariants) — the same one the experiment matrix
     # evaluates — so the soak and the matrix cannot drift apart.
-    accounting_violations: tuple[str, ...] = ()
-    # Computed from the fields above, never passed in.
-    violations: list[str] = field(init=False, default_factory=list)
+    pending_after = cluster.pending_total()
+    buffered_after = sum(s.buffered_count() for s in net.switches.values())
+    accounting = check_zero_loss(
+        flows, cluster.audit_records(), pending=pending_after, buffered=buffered_after
+    )
+    violations = list(accounting.violations)
 
-    def __post_init__(self) -> None:
-        self.violations = self._compute_violations()
+    # --- cluster-wide revocation after the failover ----------------------
+    # Issued while one replica is still a corpse: every live shard
+    # applies it now, and restoring the corpse resyncs it too — no
+    # revived shard may keep enforcing the revoked grant.
+    successor = cluster.shard_map.live_shards()[0]
+    revocation = cluster.revoke_delegation("secur", origin_shard=successor)
+    cluster.restore(killed)
+    net.run()
+    active_after = sum(
+        1 for c in cluster.replicas.values() if c.delegations.is_active("secur")
+    )
+    epochs_converged = cluster.coordinator.verify_converged()
 
-    def _compute_violations(self) -> list[str]:
-        violations = list(self.accounting_violations)
-        if self.failovers < 1:
-            violations.append("the kill was never detected (no failover ran)")
-        if self.revocation_active_after:
-            violations.append(
-                f"revocation left {self.revocation_active_after} shards with the grant active"
-            )
-        if not self.epochs_converged:
-            violations.append("replica policy/delegation epochs diverged")
-        return violations
-
-    @property
-    def zero_loss(self) -> bool:
-        """True when no flow was lost open-ended (acceptance gate)."""
-        return not self.violations
-
-    def as_dict(self) -> dict[str, object]:
-        """Return a JSON-serialisable summary for the benchmark suite."""
-        return {
-            "flows": self.flows,
-            "decided": self.decided,
-            "failed_closed": self.failed_closed,
-            "flows_accounted": self.flows_accounted,
-            "repunted_flows": self.repunted_flows,
-            "repunted_messages": self.repunted_messages,
-            "failovers": self.failovers,
-            "pending_after": self.pending_after,
-            "buffered_after": self.buffered_after,
-            "killed_shard": self.killed_shard,
-            "adopted_punts": self.adopted_punts,
-            "revocation_applied_to": list(self.revocation_applied_to),
-            "revocation_origin": self.revocation_origin,
-            "epochs_converged": self.epochs_converged,
-            "resyncs": self.resyncs,
-            "zero_loss": self.zero_loss,
-            "violations": list(self.violations),
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-
-
-class ClusterFailoverChurn:
-    """Kill a replica mid-churn and prove nothing is lost open-ended."""
-
-    def __init__(self, config: Optional[ClusterFailoverConfig] = None) -> None:
-        self.config = config if config is not None else ClusterFailoverConfig()
-
-    def run(self) -> ClusterFailoverReport:
-        """Run the soak and return the loss-accounting report."""
-        cfg = self.config
-        wall_start = time.perf_counter()
-        net = _build_cluster_net(
-            "cluster-failover",
-            shards=cfg.shards,
-            clients=cfg.clients,
-            config=cfg.controller_config(),
-            heartbeat_interval=cfg.heartbeat_interval,
-            miss_threshold=cfg.miss_threshold,
-        )
-        cluster = net.cluster
-        cluster.grant_delegation("secur", "beefcafe" * 8)
-
-        flows: list[FlowSpec] = []
-
-        def burst(index: int) -> None:
-            for offset in range(cfg.burst_size):
-                client = net.host(
-                    f"client{(index * cfg.burst_size + offset) % cfg.clients}"
-                )
-                packet, _, _ = client.open_flow("http", "alice", "192.168.1.1", 80)
-                flows.append(FlowSpec.from_packet(packet))
-
-        sim = net.topology.sim
-        for index in range(cfg.bursts):
-            sim.schedule_at(index * cfg.burst_interval, burst, index)
-        killed = cluster.shard_map.shards()[0]
-        # Kill a hair after a burst lands so the victim holds pending
-        # punts and has more in flight on its channels.
-        kill_time = cfg.kill_after_burst * cfg.burst_interval + 1e-3
-        sim.schedule_at(kill_time, cluster.kill, killed)
-
-        net.start_monitoring()
-        net.run(cfg.bursts * cfg.burst_interval + cfg.settle)
-        net.stop_monitoring()
-        net.run()  # drain every remaining decision/deadline event
-
-        # --- loss accounting (shared zero-loss invariant checker) ------------
-        records = cluster.audit_records()
-        pending_after = cluster.pending_total()
-        buffered_after = sum(s.buffered_count() for s in net.switches.values())
-        accounting = check_zero_loss(
-            flows, records, pending=pending_after, buffered=buffered_after
-        )
-
-        # --- cluster-wide revocation after the failover ----------------------
-        # Issued while one replica is still a corpse: every live shard
-        # applies it now, and restoring the corpse resyncs it too — no
-        # revived shard may keep enforcing the revoked grant.
-        successor = cluster.shard_map.live_shards()[0]
-        revocation = cluster.revoke_delegation("secur", origin_shard=successor)
-        cluster.restore(killed)
-        net.run()
-        active_after = sum(
-            1 for c in cluster.replicas.values() if c.delegations.is_active("secur")
-        )
-
-        report = ClusterFailoverReport(
-            flows=len(flows),
-            decided=accounting.details["decided"],
-            failed_closed=accounting.details["failed_closed"],
-            flows_accounted=len(flows) - accounting.details["unaccounted"],
-            repunted_flows=cluster.repunted_flows,
-            repunted_messages=cluster.repunted_messages,
-            failovers=cluster.failovers,
-            pending_after=pending_after,
-            buffered_after=buffered_after,
-            killed_shard=killed,
-            # Punts the survivors adopted through the failover handoff.
-            adopted_punts=sum(c.repunts_adopted for c in cluster.replicas.values()),
-            revocation_applied_to=revocation.applied_to,
-            revocation_origin=revocation.origin_shard,
-            revocation_active_after=active_after,
-            epochs_converged=cluster.coordinator.verify_converged(),
-            resyncs=cluster.coordinator.resyncs,
-            wall_seconds=time.perf_counter() - wall_start,
-            accounting_violations=tuple(accounting.violations),
-        )
-        return report
+    if cluster.failovers < 1:
+        violations.append("the kill was never detected (no failover ran)")
+    if active_after:
+        violations.append(f"revocation left {active_after} shards with the grant active")
+    if not epochs_converged:
+        violations.append("replica policy/delegation epochs diverged")
+    return {
+        "flows": len(flows),
+        "decided": accounting.details["decided"],
+        "failed_closed": accounting.details["failed_closed"],
+        "flows_accounted": len(flows) - accounting.details["unaccounted"],
+        "repunted_flows": cluster.repunted_flows,
+        "repunted_messages": cluster.repunted_messages,
+        "failovers": cluster.failovers,
+        "pending_after": pending_after,
+        "buffered_after": buffered_after,
+        "killed_shard": killed,
+        # Punts the survivors adopted through the failover handoff.
+        "adopted_punts": sum(c.repunts_adopted for c in cluster.replicas.values()),
+        "revocation_applied_to": list(revocation.applied_to),
+        "revocation_origin": revocation.origin_shard,
+        "epochs_converged": epochs_converged,
+        "resyncs": cluster.coordinator.resyncs,
+        # True when no flow was lost open-ended.
+        "zero_loss": not violations,
+        "violations": violations,
+    }
 
 
-def _print_report(payload: dict[str, object]) -> None:
-    width = max(len(key) for key in payload)
-    for key, value in payload.items():
-        print(f"  {key:<{width}}  {value}")
-
-
-def main() -> int:
-    """``make soak_cluster`` entry point: scale bench + failover soak, gated."""
-    print("running cluster scale bench (1 vs 4 shards, serialized decision loop) ...")
-    scale = ClusterScaleBench().run()
-    _print_report(scale.as_dict())
-
-    print("running cluster failover churn (kill one replica mid-run) ...")
-    failover = ClusterFailoverChurn().run()
-    _print_report(failover.as_dict())
-
-    ok = True
-    if scale.speedup < CLUSTER_SPEEDUP_FLOOR:
-        ok = False
-        print(
-            f"FAIL: 4-shard speedup {scale.speedup:.2f}x below the "
-            f"{CLUSTER_SPEEDUP_FLOOR:g}x acceptance floor"
-        )
-    if not failover.zero_loss:
-        ok = False
-        for violation in failover.violations:
-            print(f"FAIL: {violation}")
-    if ok:
-        print("cluster soak ok: sharding scales the decision loop, failover loses nothing")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+SOAK = Soak(
+    steps=(
+        ("cluster_scale_1_to_4", cluster_scale),
+        ("cluster_failover_churn", cluster_failover),
+    ),
+    gates=(
+        Gate("cluster_scale_1_to_4.speedup", operator.ge, CLUSTER_SPEEDUP_FLOOR,
+             f"4-shard speedup {{value}}x below the {CLUSTER_SPEEDUP_FLOOR:g}x "
+             "acceptance floor"),
+    ),
+    ok="cluster soak ok: sharding scales the decision loop, failover loses nothing",
+)

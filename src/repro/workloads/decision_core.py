@@ -3,11 +3,10 @@
 The async decision core (PR 6) claims that daemon latency should set a
 flow's *setup latency* but not the controller's *throughput*: queries
 for thousands of concurrent punts overlap in flight, and only the
-policy-eval stage serializes.  Two drivers measure exactly that claim,
-both runnable standalone (``make soak_async``) and recorded in
-``BENCH_results.json``:
+policy-eval stage serializes.  Two soaks measure exactly that claim,
+run by ``make soak_async`` and recorded in ``BENCH_results.json``:
 
-* :class:`DecisionOverlapBench` — the overlap claim.  The same burst of
+* :func:`decision_overlap` — the overlap claim.  The same burst of
   query-heavy unique flows runs against both decision cores
   (``ControllerConfig.decision_core``) at 1x and 10x daemon processing
   delay.  Under the ``serial`` core the loop services one punt end to
@@ -16,7 +15,7 @@ both runnable standalone (``make soak_async``) and recorded in
   round-trips overlap and the makespan is dominated by the serialized
   eval stage, so throughput degrades by far less than 2x.
 
-* :class:`AsyncChurnSoak` — the boundedness claim.  Waves of unique
+* :func:`async_churn_soak` — the boundedness claim.  Waves of unique
   flows — 77 000 punts, each decided, installed along the path and
   unwound — churn through one async-core controller, with data-path
   flow entries aging out underneath the lifecycle sweeper.  In-flight decision state (the continuation
@@ -26,24 +25,32 @@ both runnable standalone (``make soak_async``) and recorded in
 
 Run standalone::
 
-    python -m repro.workloads.decision_core
+    python -m repro.workloads.soak decision_core
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Optional
+import operator
 
 from repro.core.controller import ControllerConfig
-from repro.core.network import HostSpec, IdentPPNetwork
-from repro.netsim.statistics import RateCounter
+from repro.core.network import IdentPPNetwork
+from repro.workloads.soak import (
+    Gate,
+    Soak,
+    decided,
+    edge_core_net,
+    open_web_flows,
+    ratio,
+    timed,
+)
 
 #: The decision-core workloads' policy: stateless web allow-list.
-DECISION_POLICY = (
-    "block all\n"
-    "pass from any to any port 80\n"
-)
+DECISION_POLICY = {
+    "00-decision.control": (
+        "block all\n"
+        "pass from any to any port 80\n"
+    ),
+}
 
 #: Acceptance ceiling: async decided-flows/vsec may degrade by at most
 #: this factor when daemon processing delay is scaled 10x.
@@ -58,41 +65,16 @@ OVERLAP_SPEEDUP_FLOOR = 5.0
 #: events is a property of the code under test (and gated on its own).
 SOAK_FLOW_FLOOR = 77_000
 
+#: Hosts opening flows, in both soaks.
+CLIENTS = 8
+#: Base daemon processing delay.  The bench fabric's links are short, so
+#: this — the knob the overlap bench scales — dominates a query's cost.
+PROCESSING_DELAY = 500e-6
 
-def _build_decision_net(
-    name: str,
-    *,
-    clients: int,
-    config: ControllerConfig,
-    processing_delay: float,
-    link_latency: float = 50e-6,
-) -> IdentPPNetwork:
-    """Stand up the bench fabric: clients — sw-edge — sw-core — server.
 
-    Link latencies are kept small so the query cost is dominated by the
-    daemon's ``processing_delay`` — the knob the bench scales.
-    """
-    net = IdentPPNetwork(
-        name,
-        link_latency=link_latency,
-        controller_config=config,
-        policy_default_action="block",
-    )
-    edge = net.add_switch("sw-edge")
-    core = net.add_switch("sw-core")
-    net.connect(edge, core)
-    for index in range(clients):
-        net.add_host(
-            HostSpec(
-                name=f"client{index}",
-                ip=f"192.168.0.{10 + index}",
-                users={"alice": ("users", "staff")},
-            ),
-            switch=edge,
-        )
-    server = net.add_host(HostSpec(name="server", ip="192.168.1.1"), switch=core)
-    server.run_server("httpd", "root", 80)
-    net.set_policy({"00-decision.control": DECISION_POLICY})
+def decision_net(name: str, config: ControllerConfig, processing_delay: float) -> IdentPPNetwork:
+    """Return the bench fabric with every daemon answering in ``processing_delay``."""
+    net = edge_core_net(name, clients=CLIENTS, config=config, policy=DECISION_POLICY)
     for daemon in net.daemons.values():
         daemon.processing_delay = processing_delay
     return net
@@ -102,353 +84,184 @@ def _build_decision_net(
 # Overlap bench
 # ----------------------------------------------------------------------
 
-
-@dataclass
-class OverlapConfig:
-    """Tunables of the serial-vs-async decision-core comparison."""
-
-    flows: int = 600
-    clients: int = 8
-    #: Base daemon processing delay and the scale factors to compare.
-    base_processing_delay: float = 500e-6
-    latency_scales: tuple[float, ...] = (1.0, 10.0)
-    #: Serialized policy-eval occupancy — the stage that stays serial
-    #: under the async core, so it (not the daemon) sets the ceiling.
-    policy_eval_delay: float = 200e-6
-
-    def controller_config(self, core: str) -> ControllerConfig:
-        """Return the per-run config for one decision core."""
-        return ControllerConfig(
-            decision_core=core,
-            serialize_decisions=True,
-            nonblocking_inbox=True,
-            policy_eval_delay=self.policy_eval_delay,
-            # The serial core at 10x daemon latency queues flows for
-            # several virtual seconds; the deadline must not fire while
-            # they wait their turn.
-            pending_deadline=120.0,
-        )
+OVERLAP_FLOWS = 600
+#: Daemon processing-delay scale factors to compare.
+LATENCY_SCALES = (1.0, 10.0)
+#: Serialized policy-eval occupancy — the stage that stays serial
+#: under the async core, so it (not the daemon) sets the ceiling.
+OVERLAP_EVAL_DELAY = 200e-6
 
 
-@dataclass
-class OverlapReport:
-    """Decided-flows/vsec per (core, latency scale), and the derived gates."""
-
-    flows: int
-    throughput: dict[str, dict[str, float]]
-    makespan: dict[str, dict[str, float]]
-    decided: dict[str, dict[str, int]]
-    wall_seconds: float
-
-    def _tput(self, core: str, scale_key: str) -> float:
-        return self.throughput.get(core, {}).get(scale_key, 0.0)
-
-    @property
-    def scale_keys(self) -> list[str]:
-        keys = set()
-        for by_scale in self.throughput.values():
-            keys.update(by_scale)
-        return sorted(keys, key=lambda key: float(key.rstrip("x")))
-
-    @property
-    def async_degradation(self) -> float:
-        """Async throughput at base scale over async at the top scale."""
-        keys = self.scale_keys
-        top = self._tput("async", keys[-1])
-        base = self._tput("async", keys[0])
-        return base / top if top else float("inf")
-
-    @property
-    def serial_degradation(self) -> float:
-        """Serial throughput at base scale over serial at the top scale."""
-        keys = self.scale_keys
-        top = self._tput("serial", keys[-1])
-        base = self._tput("serial", keys[0])
-        return base / top if top else float("inf")
-
-    @property
-    def overlap_speedup(self) -> float:
-        """Async over serial decided-flows/vsec at the top latency scale."""
-        key = self.scale_keys[-1]
-        serial = self._tput("serial", key)
-        return self._tput("async", key) / serial if serial else 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        """Return a JSON-serialisable summary for the benchmark suite."""
-        return {
-            "flows": self.flows,
-            "decided_flows_per_vsec": {
-                core: {scale: round(value, 1) for scale, value in by_scale.items()}
-                for core, by_scale in sorted(self.throughput.items())
-            },
-            "makespan_vsec": {
-                core: {scale: round(value, 6) for scale, value in by_scale.items()}
-                for core, by_scale in sorted(self.makespan.items())
-            },
-            "decided": {core: dict(by_scale) for core, by_scale in sorted(self.decided.items())},
-            "async_degradation": round(self.async_degradation, 3),
-            "serial_degradation": round(self.serial_degradation, 3),
-            "overlap_speedup": round(self.overlap_speedup, 2),
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-
-
-class DecisionOverlapBench:
-    """Compare the decision cores across daemon latency scales."""
-
-    def __init__(self, config: Optional[OverlapConfig] = None) -> None:
-        self.config = config if config is not None else OverlapConfig()
-
-    def run(self) -> OverlapReport:
-        """Run every (core, latency scale) pair over the identical burst."""
-        cfg = self.config
-        throughput: dict[str, dict[str, float]] = {}
-        makespan: dict[str, dict[str, float]] = {}
-        decided: dict[str, dict[str, int]] = {}
-        wall_start = time.perf_counter()
-        for core in ("serial", "async"):
-            for scale in cfg.latency_scales:
-                key = f"{scale:g}x"
-                net = _build_decision_net(
-                    f"decision-overlap-{core}-{key}",
-                    clients=cfg.clients,
-                    config=cfg.controller_config(core),
-                    processing_delay=cfg.base_processing_delay * scale,
-                )
-                for index in range(cfg.flows):
-                    client = net.host(f"client{index % cfg.clients}")
-                    client.open_flow("http", "alice", "192.168.1.1", 80)
-                net.run()
-                rate = RateCounter(f"decision-overlap-{core}-{key}.decisions")
-                last = 0.0
-                for record in net.controller.audit.records():
-                    if not record.cached:
-                        rate.record(record.time)
-                        last = max(last, record.time)
-                throughput.setdefault(core, {})[key] = rate.mean_rate(last)
-                makespan.setdefault(core, {})[key] = last
-                decided.setdefault(core, {})[key] = int(rate.total)
-        return OverlapReport(
-            flows=cfg.flows,
-            throughput=throughput,
-            makespan=makespan,
-            decided=decided,
-            wall_seconds=time.perf_counter() - wall_start,
-        )
+@timed
+def decision_overlap() -> dict:
+    """Run both decision cores over the identical burst at 1x and 10x daemon latency."""
+    per_vsec: dict[str, dict[str, float]] = {}
+    makespan: dict[str, dict[str, float]] = {}
+    count: dict[str, dict[str, int]] = {}
+    for core in ("serial", "async"):
+        per_vsec[core], makespan[core], count[core] = {}, {}, {}
+        for scale in LATENCY_SCALES:
+            key = f"{scale:g}x"
+            net = decision_net(
+                f"decision-overlap-{core}-{key}",
+                ControllerConfig(
+                    decision_core=core,
+                    serialize_decisions=True,
+                    nonblocking_inbox=True,
+                    policy_eval_delay=OVERLAP_EVAL_DELAY,
+                    # The serial core at 10x daemon latency queues flows for
+                    # several virtual seconds; the deadline must not fire
+                    # while they wait their turn.
+                    pending_deadline=120.0,
+                ),
+                PROCESSING_DELAY * scale,
+            )
+            open_web_flows(net, OVERLAP_FLOWS, CLIENTS)
+            net.run()
+            count[core][key], makespan[core][key] = decided(net.controller.audit.records())
+            per_vsec[core][key] = ratio(count[core][key], makespan[core][key])
+    base, top = f"{LATENCY_SCALES[0]:g}x", f"{LATENCY_SCALES[-1]:g}x"
+    return {
+        "flows": OVERLAP_FLOWS,
+        "decided_flows_per_vsec": {
+            core: {key: round(value, 1) for key, value in by_scale.items()}
+            for core, by_scale in per_vsec.items()
+        },
+        "makespan_vsec": {
+            core: {key: round(value, 6) for key, value in by_scale.items()}
+            for core, by_scale in makespan.items()
+        },
+        "decided": count,
+        # Throughput at base scale over throughput at the top scale.
+        "async_degradation": round(ratio(per_vsec["async"][base], per_vsec["async"][top]), 3),
+        "serial_degradation": round(ratio(per_vsec["serial"][base], per_vsec["serial"][top]), 3),
+        # Async over serial decided-flows/vsec at the top latency scale.
+        "overlap_speedup": round(ratio(per_vsec["async"][top], per_vsec["serial"][top]), 2),
+        # Headline ops/s: async decided-flows per simulated second at the
+        # 10x daemon-latency scale (the overlap payoff).
+        "ops_per_sec": round(per_vsec["async"][top], 1),
+    }
 
 
 # ----------------------------------------------------------------------
 # Async churn soak
 # ----------------------------------------------------------------------
 
+WAVES = 700
+WAVE_SIZE = 110
+WAVE_INTERVAL = 0.1
+SOAK_EVAL_DELAY = 20e-6
+#: Short datapath lifetimes + a running sweeper keep the switch flow
+#: tables bounded under churn (the soak is about *controller* state,
+#: not table capacity).
+FLOW_TIMEOUT = 0.05
+LIFECYCLE_INTERVAL = 0.05
 
-@dataclass
-class AsyncSoakConfig:
-    """Tunables of the 77 000-flow async churn soak."""
 
-    waves: int = 700
-    wave_size: int = 110
-    wave_interval: float = 0.1
-    clients: int = 8
-    processing_delay: float = 500e-6
-    policy_eval_delay: float = 20e-6
-    #: Short datapath lifetimes + a running sweeper keep the switch flow
-    #: tables bounded under churn (the soak is about *controller* state,
-    #: not table capacity).
-    flow_idle_timeout: float = 0.05
-    flow_hard_timeout: float = 0.05
-    lifecycle_interval: float = 0.05
-
-    @property
-    def flows(self) -> int:
-        """Total unique flows injected."""
-        return self.waves * self.wave_size
-
-    def controller_config(self) -> ControllerConfig:
-        """Return the async-core config under test."""
-        return ControllerConfig(
+@timed
+def async_churn_soak() -> dict:
+    """Churn 77 000 flows through one async-core controller, watching in-flight state."""
+    net = decision_net(
+        "decision-async-soak",
+        ControllerConfig(
             decision_core="async",
             serialize_decisions=True,
             nonblocking_inbox=True,
-            policy_eval_delay=self.policy_eval_delay,
-            idle_timeout=self.flow_idle_timeout,
-            hard_timeout=self.flow_hard_timeout,
-            lifecycle_interval=self.lifecycle_interval,
+            policy_eval_delay=SOAK_EVAL_DELAY,
+            idle_timeout=FLOW_TIMEOUT,
+            hard_timeout=FLOW_TIMEOUT,
+            lifecycle_interval=LIFECYCLE_INTERVAL,
+        ),
+        PROCESSING_DELAY,
+    )
+    controller = net.controller
+    sim = net.topology.sim
+    peak = {"inflight": 0, "serial_depth": 0}
+
+    def inject(wave: int) -> None:
+        spawned = open_web_flows(net, WAVE_SIZE, CLIENTS, first=wave)
+        # Probe at the instant after the wave's punts all arrived —
+        # the high-water mark for in-flight pipeline state.
+        sim.schedule(2 * PROCESSING_DELAY, probe)
+        # Short-lived flows: the wave's sessions end two waves later,
+        # well after their decisions landed.  Without the reap the
+        # host socket tables grow run-long and the daemons' lsof-style
+        # flow lookup turns quadratic — churn means turnover.
+        sim.schedule(2 * WAVE_INTERVAL, reap, spawned)
+
+    def reap(spawned: list) -> None:
+        for client, _, socket, process in spawned:
+            client.sockets.close(socket)
+            client.processes.kill(process.pid)
+
+    def probe() -> None:
+        peak["inflight"] = max(peak["inflight"], controller.inflight_count())
+        peak["serial_depth"] = max(peak["serial_depth"], controller.serial_depth())
+
+    for wave in range(WAVES):
+        sim.schedule(wave * WAVE_INTERVAL, inject, wave)
+    net.run()
+    summary = controller.summary()
+    flows = WAVES * WAVE_SIZE
+    count, _ = decided(controller.audit.records())
+    final_inflight = int(summary["inflight_decisions"])
+    final_pending = int(summary["pending_flows"])
+    pending_expired = int(summary["pending_expired"])
+
+    violations = []
+    if count < SOAK_FLOW_FLOOR:
+        violations.append(f"soak decided {count} flows (< {SOAK_FLOW_FLOOR})")
+    # Every wave's punts must clear before more than one further
+    # wave lands: in-flight state tracks the arrival rate, it never
+    # accumulates run-long.
+    ceiling = 2 * WAVE_SIZE
+    if peak["inflight"] > ceiling:
+        violations.append(f"peak in-flight decisions {peak['inflight']} exceeded {ceiling}")
+    if final_inflight or final_pending:
+        violations.append(
+            f"run ended with {final_inflight} in-flight / {final_pending} pending flows"
         )
+    if count + pending_expired < flows:
+        violations.append(f"only {count} of {flows} flows were decided")
+    return {
+        "flows": flows,
+        "events": sim.events_processed,
+        # Control-channel messages, both directions, over the whole run.
+        "control_messages": sum(
+            int(channel.to_controller_messages.value + channel.to_switch_messages.value)
+            for channel in controller.channels.values()
+        ),
+        "decided": count,
+        "peak_inflight": peak["inflight"],
+        "peak_serial_depth": peak["serial_depth"],
+        "final_inflight": final_inflight,
+        "final_pending": final_pending,
+        "pending_expired": pending_expired,
+        # Enough flows decided, in-flight state bounded, everything drained.
+        "bounded": not violations,
+        "violations": violations,
+    }
 
 
-@dataclass
-class AsyncSoakReport:
-    """What the async churn soak observed."""
-
-    flows: int
-    events: int
-    #: Control-channel messages, both directions, over the whole run.
-    control_messages: int
-    decided: int
-    peak_inflight: int
-    peak_serial_depth: int
-    final_inflight: int
-    final_pending: int
-    pending_expired: int
-    wave_size: int
-    wall_seconds: float
-    violations: list[str] = field(default_factory=list)
-
-    def bounded(self) -> bool:
-        """Gate: enough flows decided, in-flight state bounded, everything drained."""
-        self.violations = []
-        if self.decided < SOAK_FLOW_FLOOR:
-            self.violations.append(
-                f"soak decided {self.decided} flows (< {SOAK_FLOW_FLOOR})"
-            )
-        # Every wave's punts must clear before more than one further
-        # wave lands: in-flight state tracks the arrival rate, it never
-        # accumulates run-long.
-        ceiling = 2 * self.wave_size
-        if self.peak_inflight > ceiling:
-            self.violations.append(
-                f"peak in-flight decisions {self.peak_inflight} exceeded {ceiling}"
-            )
-        if self.final_inflight or self.final_pending:
-            self.violations.append(
-                f"run ended with {self.final_inflight} in-flight / "
-                f"{self.final_pending} pending flows"
-            )
-        if self.decided + self.pending_expired < self.flows:
-            self.violations.append(
-                f"only {self.decided} of {self.flows} flows were decided"
-            )
-        return not self.violations
-
-    def as_dict(self) -> dict[str, object]:
-        """Return a JSON-serialisable summary for the benchmark suite."""
-        return {
-            "flows": self.flows,
-            "events": self.events,
-            "control_messages": self.control_messages,
-            "decided": self.decided,
-            "peak_inflight": self.peak_inflight,
-            "peak_serial_depth": self.peak_serial_depth,
-            "final_inflight": self.final_inflight,
-            "final_pending": self.final_pending,
-            "pending_expired": self.pending_expired,
-            "bounded": self.bounded(),
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-
-
-class AsyncChurnSoak:
-    """Churn 77 000 flows through one async-core controller, watching in-flight state."""
-
-    def __init__(self, config: Optional[AsyncSoakConfig] = None) -> None:
-        self.config = config if config is not None else AsyncSoakConfig()
-        self._peak_inflight = 0
-        self._peak_serial_depth = 0
-
-    def run(self) -> AsyncSoakReport:
-        cfg = self.config
-        net = _build_decision_net(
-            "decision-async-soak",
-            clients=cfg.clients,
-            config=cfg.controller_config(),
-            processing_delay=cfg.processing_delay,
-        )
-        controller = net.controller
-        sim = net.topology.sim
-        wall_start = time.perf_counter()
-
-        def inject(wave: int) -> None:
-            spawned = []
-            for index in range(cfg.wave_size):
-                client = net.host(f"client{(wave + index) % cfg.clients}")
-                _, socket, process = client.open_flow("http", "alice", "192.168.1.1", 80)
-                spawned.append((client, socket, process))
-            # Probe at the instant after the wave's punts all arrived —
-            # the high-water mark for in-flight pipeline state.
-            sim.schedule(2 * cfg.processing_delay, probe)
-            # Short-lived flows: the wave's sessions end two waves later,
-            # well after their decisions landed.  Without the reap the
-            # host socket tables grow run-long and the daemons' lsof-style
-            # flow lookup turns quadratic — churn means turnover.
-            sim.schedule(2 * cfg.wave_interval, reap, spawned)
-
-        def reap(spawned: list) -> None:
-            for client, socket, process in spawned:
-                client.sockets.close(socket)
-                client.processes.kill(process.pid)
-
-        def probe() -> None:
-            self._peak_inflight = max(self._peak_inflight, controller.inflight_count())
-            self._peak_serial_depth = max(
-                self._peak_serial_depth, controller._serial.depth()
-            )
-
-        for wave in range(cfg.waves):
-            sim.schedule(wave * cfg.wave_interval, inject, wave)
-        net.run()
-        summary = controller.summary()
-        decided = len([r for r in controller.audit.records() if not r.cached])
-        return AsyncSoakReport(
-            flows=cfg.flows,
-            events=sim.events_processed,
-            control_messages=sum(
-                int(channel.to_controller_messages.value + channel.to_switch_messages.value)
-                for channel in controller.channels.values()
-            ),
-            decided=decided,
-            peak_inflight=self._peak_inflight,
-            peak_serial_depth=self._peak_serial_depth,
-            final_inflight=int(summary["inflight_decisions"]),
-            final_pending=int(summary["pending_flows"]),
-            pending_expired=int(summary["pending_expired"]),
-            wave_size=cfg.wave_size,
-            wall_seconds=time.perf_counter() - wall_start,
-        )
-
-
-# ----------------------------------------------------------------------
-# Standalone entry point
-# ----------------------------------------------------------------------
-
-
-def main() -> int:
-    """``make soak_async`` entry point: run both drivers, report, gate."""
-    print("running decision-core overlap bench (serial vs async) ...")
-    overlap = DecisionOverlapBench().run()
-    payload = overlap.as_dict()
-    width = max(len(key) for key in payload)
-    for key, value in payload.items():
-        print(f"  {key:<{width}}  {value}")
-
-    print("running async churn soak (77 000 flows) ...")
-    soak = AsyncChurnSoak().run()
-    payload = soak.as_dict()
-    width = max(len(key) for key in payload)
-    for key, value in payload.items():
-        print(f"  {key:<{width}}  {value}")
-
-    ok = True
-    if overlap.async_degradation >= ASYNC_DEGRADATION_CEILING:
-        ok = False
-        print(
-            f"FAIL: async core degraded {overlap.async_degradation:.2f}x at 10x "
-            f"daemon latency (ceiling {ASYNC_DEGRADATION_CEILING}x)"
-        )
-    if overlap.overlap_speedup < OVERLAP_SPEEDUP_FLOOR:
-        ok = False
-        print(
-            f"FAIL: async over serial speedup {overlap.overlap_speedup:.2f}x "
-            f"below the {OVERLAP_SPEEDUP_FLOOR}x floor"
-        )
-    if not soak.bounded():
-        ok = False
-        for violation in soak.violations:
-            print(f"FAIL: {violation}")
-    if ok:
-        print("soak ok: query latency overlaps, in-flight state bounded")
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+SOAK = Soak(
+    steps=(
+        ("decision_overlap_bench", decision_overlap),
+        ("soak_async_decisions", async_churn_soak),
+    ),
+    gates=(
+        Gate("decision_overlap_bench.async_degradation", operator.le,
+             ASYNC_DEGRADATION_CEILING,
+             "async core degraded {value}x at 10x daemon latency "
+             f"(ceiling {ASYNC_DEGRADATION_CEILING:g}x)"),
+        Gate("decision_overlap_bench.overlap_speedup", operator.ge, OVERLAP_SPEEDUP_FLOOR,
+             "async over serial speedup {value}x "
+             f"below the {OVERLAP_SPEEDUP_FLOOR:g}x floor"),
+        # A run that decided nothing has a degradation of 0.0, which is
+        # under any ceiling: hold every run to the whole burst.
+        Gate("decision_overlap_bench.decided", operator.eq,
+             {core: {f"{scale:g}x": OVERLAP_FLOWS for scale in LATENCY_SCALES}
+              for core in ("async", "serial")},
+             f"an overlap run did not decide all {OVERLAP_FLOWS} flows: {{value}}"),
+    ),
+    ok="soak ok: query latency overlaps, in-flight state bounded",
+)

@@ -24,14 +24,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.controller import ControllerConfig
-from repro.core.network import HostSpec, IdentPPNetwork
 from repro.workloads.decision_core import DECISION_POLICY
 from repro.workloads.generators import FlowGenerator, FlowTemplate
 from repro.workloads.queryload import QUERYLOAD_POLICY
+from repro.workloads.soak import decided, edge_core_net
 
 #: The one seed both double-runs use; recorded next to the trace hashes
 #: in ``BENCH_results.json`` so the entry is reproducible by itself.
 DETERMINISM_SEED = 2009
+
+#: Hosts opening flows in either scenario.
+CLIENTS = 4
 
 
 @dataclass(frozen=True)
@@ -79,38 +82,45 @@ class DeterminismReport:
         }
 
 
-def _templates(clients: int, *, dst_host: str, dst_ip: str, app: str) -> list[FlowTemplate]:
-    return [
-        FlowTemplate(
-            src_host=f"client{index}",
-            dst_host=dst_host,
-            src_ip=f"192.168.0.{10 + index}",
-            dst_ip=dst_ip,
-            dst_port=80,
-            app_name=app,
-            user_name="alice",
-        )
-        for index in range(clients)
-    ]
-
-
 def _drive(
-    net: IdentPPNetwork,
-    templates: list[FlowTemplate],
+    name: str,
+    config: ControllerConfig,
+    policy: dict[str, str],
+    server: str,
     *,
     seed: int,
     flows: int,
 ) -> ScenarioTrace:
-    """Inject a seeded flow schedule into ``net`` and run it sanitized.
+    """Inject a seeded flow schedule toward ``server`` on a 4-client bench
+    fabric (daemons answering in 500 us) and run it sanitized.
 
     Arrival times are jittered from the same seeded RNG that picks the
     source client, so repeated same-instant collisions (the case the
     sanitizer's tie tracking watches) occur naturally alongside spread
-    arrivals.
+    arrivals.  An unlabelled event is hashed under its callback's
+    qualified name, so renaming this function or ``inject`` moves the
+    committed trace hashes.
     """
+    net = edge_core_net(
+        name, clients=CLIENTS, config=config, policy=policy, servers=(server,)
+    )
+    for daemon in net.daemons.values():
+        daemon.processing_delay = 500e-6
     sim = net.topology.sim
     sim.enable_sanitizer()
     rng = random.Random(seed)
+    templates = [
+        FlowTemplate(
+            src_host=f"client{index}",
+            dst_host=server,
+            src_ip=str(net.host(f"client{index}").ip),
+            dst_ip=str(net.host(server).ip),
+            dst_port=80,
+            app_name="http",
+            user_name="alice",
+        )
+        for index in range(CLIENTS)
+    ]
     generator = FlowGenerator(templates, seed=seed, zipf_skew=1.1)
 
     def inject(template: FlowTemplate) -> None:
@@ -127,79 +137,43 @@ def _drive(
     net.run()
     sanitizer = sim.sanitizer
     assert sanitizer is not None
-    decided = len([r for r in net.controller.audit.records() if not r.cached])
+    count, _ = decided(net.controller.audit.records())
     return ScenarioTrace(
         trace_hash=sanitizer.trace_hash,
         events=sim.events_processed,
-        decided=decided,
+        decided=count,
         max_same_instant=sanitizer.max_same_instant,
     )
 
 
 def decision_core_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> ScenarioTrace:
     """The decision-core bench topology: async core, query/eval overlap."""
-    clients = 4
-    net = IdentPPNetwork(
+    return _drive(
         "determinism-decision-core",
-        link_latency=50e-6,
-        controller_config=ControllerConfig(
+        ControllerConfig(
             decision_core="async",
             serialize_decisions=True,
             nonblocking_inbox=True,
             policy_eval_delay=200e-6,
             pending_deadline=120.0,
         ),
-        policy_default_action="block",
+        DECISION_POLICY,
+        "server",
+        seed=seed,
+        flows=flows,
     )
-    edge = net.add_switch("sw-edge")
-    core = net.add_switch("sw-core")
-    net.connect(edge, core)
-    for index in range(clients):
-        net.add_host(
-            HostSpec(
-                name=f"client{index}",
-                ip=f"192.168.0.{10 + index}",
-                users={"alice": ("users", "staff")},
-            ),
-            switch=edge,
-        )
-    server = net.add_host(HostSpec(name="server", ip="192.168.1.1"), switch=core)
-    server.run_server("httpd", "root", 80)
-    net.set_policy({"00-decision.control": DECISION_POLICY})
-    for daemon in net.daemons.values():
-        daemon.processing_delay = 500e-6
-    templates = _templates(clients, dst_host="server", dst_ip="192.168.1.1", app="http")
-    return _drive(net, templates, seed=seed, flows=flows)
 
 
 def queryload_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> ScenarioTrace:
     """The queryload bench topology: hot server behind the query cache."""
-    clients = 4
-    net = IdentPPNetwork(
+    return _drive(
         "determinism-queryload",
-        link_latency=50e-6,
-        controller_config=ControllerConfig(query_cache_ttl=30.0),
-        policy_default_action="block",
+        ControllerConfig(query_cache_ttl=30.0),
+        QUERYLOAD_POLICY,
+        "hot-server",
+        seed=seed,
+        flows=flows,
     )
-    edge = net.add_switch("sw-edge")
-    core = net.add_switch("sw-core")
-    net.connect(edge, core)
-    for index in range(clients):
-        net.add_host(
-            HostSpec(
-                name=f"client{index}",
-                ip=f"192.168.0.{10 + index}",
-                users={"alice": ("users", "staff")},
-            ),
-            switch=edge,
-        )
-    server = net.add_host(HostSpec(name="hot-server", ip="192.168.1.1"), switch=core)
-    server.run_server("httpd", "root", 80)
-    net.set_policy({"00-queryload.control": QUERYLOAD_POLICY})
-    for daemon in net.daemons.values():
-        daemon.processing_delay = 500e-6
-    templates = _templates(clients, dst_host="hot-server", dst_ip="192.168.1.1", app="http")
-    return _drive(net, templates, seed=seed, flows=flows)
 
 
 #: The scenarios the gate double-runs; names key the BENCH entry.

@@ -2,10 +2,10 @@
 
 The paper's controller installs flow entries "along the path" of an
 approved flow (§3.4).  On the single-switch networks of the earlier
-workloads that collapses to one hop; :class:`FabricScaleBench` runs the
+workloads that collapses to one hop; :func:`fabric_scale` runs the
 same punt pipeline on a spine-leaf fabric and gates the three properties
 that make path-wide enforcement real (recorded in
-``BENCH_results.json`` and runnable standalone via ``make soak_fabric``):
+``BENCH_results.json`` and run by ``make soak_fabric``):
 
 1. **One punt per flow, k hops per install** — an approved flow's first
    packet punts exactly once (at its ingress leaf); the owning shard of
@@ -27,346 +27,229 @@ that make path-wide enforcement real (recorded in
 
 Run standalone::
 
-    python -m repro.workloads.fabric
+    python -m repro.workloads.soak fabric
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Optional
+import operator
 
 from repro.core.controller import ControllerConfig
-from repro.core.network import HostSpec, IdentPPClusterNetwork, IdentPPNetwork
+from repro.core.network import IdentPPClusterNetwork, IdentPPNetwork
 from repro.openflow.switch import OpenFlowSwitch
+from repro.workloads.soak import (
+    Gate,
+    Soak,
+    add_web_hosts,
+    decided,
+    open_web_flows,
+    ratio,
+    timed,
+    uncached,
+)
 
 #: The fabric workloads' policy: allow web traffic statefully.
-FABRIC_POLICY = (
-    "block all\n"
-    "pass from any to any port 80 keep state\n"
-)
+FABRIC_POLICY = {
+    "00-fabric.control": (
+        "block all\n"
+        "pass from any to any port 80 keep state\n"
+    ),
+}
 
 #: Acceptance ceiling on (single-switch throughput / fabric throughput):
 #: path-wide install may cost at most 1.5x in decided-flows/vsec.
 FABRIC_SLOWDOWN_CEILING = 1.5
 
-
-def _place_hosts(net, client_switches, server_switch, clients: int) -> None:
-    """Attach ``clients`` hosts round-robin to ``client_switches`` and the
-    server (port 80) to ``server_switch``.
-
-    On a fabric, pass the leaves minus the server leaf so every flow
-    crosses it; on the single-switch baseline, pass the one switch for
-    both roles.  One host plan for both variants keeps the throughput
-    comparison apples-to-apples.
-    """
-    for index in range(clients):
-        net.add_host(
-            HostSpec(
-                name=f"client{index}",
-                ip=f"192.168.0.{10 + index}",
-                users={"alice": ("users", "staff")},
-            ),
-            switch=client_switches[index % len(client_switches)],
-        )
-    server = net.add_host(HostSpec(name="server", ip="192.168.1.1"), switch=server_switch)
-    server.run_server("httpd", "root", 80)
+#: Path-install phase (sharded cluster on a 2x4 spine-leaf).
+SPINES = 2
+LEAVES = 4
+CLIENTS = 6
+FLOWS = 300
+SHARDS = 2
+#: Throughput phase (serialized decision loop, like the cluster bench).
+THROUGHPUT_FLOWS = 500
+EVAL_DELAY = 500e-6
 
 
-def _spread_hosts(net, fabric, clients: int) -> None:
+def _spread_hosts(net: IdentPPNetwork, fabric, clients: int) -> None:
     """Clients on all leaves but the last, the server on the last leaf."""
-    _place_hosts(net, fabric.leaves[:-1], fabric.leaves[-1], clients)
+    add_web_hosts(net, fabric.leaves[:-1], fabric.leaves[-1], clients)
 
 
-@dataclass
-class FabricScaleConfig:
-    """Tunables of the fabric bench's three phases."""
+def _path_install() -> dict:
+    """Phase 1: one punt per flow, full-path install by the owning shard."""
+    net = IdentPPClusterNetwork(
+        "fabric-path",
+        shards=SHARDS,
+        policy_default_action="block",
+        controller_config=ControllerConfig(pending_deadline=60.0),
+    )
+    fabric = net.add_spine_leaf_fabric(spines=SPINES, leaves=LEAVES)
+    _spread_hosts(net, fabric, CLIENTS)
+    net.set_policy(FABRIC_POLICY)
+    open_web_flows(net, FLOWS, CLIENTS)
+    net.run()
 
-    #: Path-install phase (sharded cluster on a 2x4 spine-leaf).
-    spines: int = 2
-    leaves: int = 4
-    clients: int = 6
-    flows: int = 300
-    shards: int = 2
-    #: Throughput phase (serialized decision loop, like the cluster bench).
-    throughput_flows: int = 500
-    policy_eval_delay: float = 500e-6
-
-    def cluster_config(self) -> ControllerConfig:
-        """Per-shard config for the path-install phase."""
-        return ControllerConfig(pending_deadline=60.0)
-
-    def serial_config(self) -> ControllerConfig:
-        """Per-controller config for the throughput comparison."""
-        return ControllerConfig(
-            serialize_decisions=True,
-            policy_eval_delay=self.policy_eval_delay,
-            pending_deadline=60.0,
+    records = uncached(net.cluster.audit_records())
+    # Hop count per decision, read back from the switch tables: every
+    # hop of leaf -> spine -> leaf must hold the decision's cookie.
+    min_hops = LEAVES + SPINES  # upper bound; min() below
+    for record in records[:50]:
+        hops = sum(
+            1
+            for switch in net.switches.values()
+            if switch.flow_table.find(lambda e, c=record.cookie: e.cookie == c)
         )
-
-
-@dataclass
-class FabricScaleReport:
-    """What the fabric bench observed, with the three gates as violations."""
-
-    flows: int
-    punts_total: int
-    decided: int
-    delivered: int
-    min_path_hops: int
-    owner_installed: bool
-    path_installs_tracked: int
-    fail_closed: bool
-    unwound: bool
-    path_unwinds: int
-    baseline_tput: float
-    fabric_tput: float
-    wall_seconds: float = 0.0
-    # Computed from the fields above, never passed in.
-    violations: list[str] = field(init=False, default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.violations = self._compute_violations()
-
-    @property
-    def slowdown(self) -> float:
-        """Return single-switch throughput over fabric throughput."""
-        return self.baseline_tput / self.fabric_tput if self.fabric_tput else float("inf")
-
-    def _compute_violations(self) -> list[str]:
-        violations = []
-        if self.punts_total != self.flows:
-            violations.append(
-                f"{self.punts_total} punts for {self.flows} flows "
-                "(path install must leave exactly one punt per flow)"
-            )
-        if self.decided != self.flows:
-            violations.append(f"only {self.decided}/{self.flows} flows decided")
-        if self.delivered != self.flows:
-            violations.append(
-                f"only {self.delivered}/{self.flows} first packets crossed the fabric"
-            )
-        if self.min_path_hops < 3:
-            violations.append(
-                f"a flow was installed on only {self.min_path_hops} hops "
-                "(leaf-spine-leaf needs 3)"
-            )
-        if not self.owner_installed:
-            violations.append("a flow's path was installed by a non-owning shard")
-        if not self.fail_closed:
-            violations.append("a packet crossed the fabric after its mid-path hop died")
-        if not self.unwound:
-            violations.append(
-                "surviving hops kept entries for a flow whose path entry was gone"
-            )
-        if self.slowdown > FABRIC_SLOWDOWN_CEILING:
-            violations.append(
-                f"fabric decided-flows/vsec {self.slowdown:.2f}x below single-switch "
-                f"(ceiling {FABRIC_SLOWDOWN_CEILING:g}x)"
-            )
-        return violations
-
-    @property
-    def gates_ok(self) -> bool:
-        """True when every acceptance gate held."""
-        return not self.violations
-
-    def as_dict(self) -> dict[str, object]:
-        """Return a JSON-serialisable summary for the benchmark suite."""
-        return {
-            "flows": self.flows,
-            "punts_total": self.punts_total,
-            "decided": self.decided,
-            "delivered": self.delivered,
-            "min_path_hops": self.min_path_hops,
-            "owner_installed": self.owner_installed,
-            "path_installs_tracked": self.path_installs_tracked,
-            "fail_closed": self.fail_closed,
-            "unwound": self.unwound,
-            "path_unwinds": self.path_unwinds,
-            "baseline_decided_per_vsec": round(self.baseline_tput, 1),
-            "fabric_decided_per_vsec": round(self.fabric_tput, 1),
-            "slowdown_vs_single_switch": round(self.slowdown, 2),
-            "gates_ok": self.gates_ok,
-            "violations": list(self.violations),
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-
-
-class FabricScaleBench:
-    """Path-wide enforcement on a spine-leaf fabric: install, fail, scale."""
-
-    def __init__(self, config: Optional[FabricScaleConfig] = None) -> None:
-        self.config = config if config is not None else FabricScaleConfig()
-
-    def run(self) -> FabricScaleReport:
-        """Run all three phases and return the gated report."""
-        wall_start = time.perf_counter()
-        install = self._run_path_install()
-        failure = self._run_fail_closed()
-        baseline_tput = self._run_throughput(fabric=False)
-        fabric_tput = self._run_throughput(fabric=True)
-        return FabricScaleReport(
-            **install,
-            **failure,
-            baseline_tput=baseline_tput,
-            fabric_tput=fabric_tput,
-            wall_seconds=time.perf_counter() - wall_start,
-        )
-
-    # ------------------------------------------------------------------
-    # Phase 1: one punt per flow, full-path install by the owning shard
-    # ------------------------------------------------------------------
-
-    def _run_path_install(self) -> dict[str, object]:
-        cfg = self.config
-        net = IdentPPClusterNetwork(
-            "fabric-path",
-            shards=cfg.shards,
-            policy_default_action="block",
-            controller_config=cfg.cluster_config(),
-        )
-        fabric = net.add_spine_leaf_fabric(spines=cfg.spines, leaves=cfg.leaves)
-        _spread_hosts(net, fabric, cfg.clients)
-        net.set_policy({"00-fabric.control": FABRIC_POLICY})
-        for index in range(cfg.flows):
-            client = net.host(f"client{index % cfg.clients}")
-            client.open_flow("http", "alice", "192.168.1.1", 80)
-        net.run()
-
-        punts_total = sum(int(s.punts.value) for s in net.switches.values())
-        records = [r for r in net.cluster.audit_records() if not r.cached]
-        owner_installed = all(
+        min_hops = min(min_hops, hops)
+    return {
+        "flows": FLOWS,
+        "punts_total": sum(int(s.punts.value) for s in net.switches.values()),
+        "decided": len(records),
+        "delivered": len(net.host("server").delivered),
+        "min_path_hops": min_hops,
+        "owner_installed": all(
             record.cookie.startswith(net.cluster.shard_map.owner(record.flow) + ":")
             for record in records
+        ),
+        "path_installs_tracked": sum(
+            c.path_install_count() for c in net.cluster.replicas.values()
+        ),
+    }
+
+
+def _fail_closed() -> dict:
+    """Phase 2: mid-path switch failure fails closed, then unwinds."""
+    net = IdentPPNetwork(
+        "fabric-fail",
+        policy_default_action="block",
+        controller_config=ControllerConfig(pending_deadline=60.0),
+    )
+    fabric = net.add_spine_leaf_fabric(spines=2, leaves=2)
+    _spread_hosts(net, fabric, 1)
+    net.set_policy(FABRIC_POLICY)
+    client = net.host("client0")
+    server = net.host("server")
+    _, socket, _ = client.open_flow("http", "alice", "192.168.1.1", 80)
+    net.run()
+    approved = len(server.delivered) == 1
+
+    # Fail the spine this flow's path actually crossed.
+    path = net.topology.shortest_path(client, server)
+    mid = next(
+        node for node in path
+        if isinstance(node, OpenFlowSwitch) and node in fabric.spines
+    )
+    mid.fail()
+    client.send_on_socket(socket)
+    net.run()
+    fail_closed = approved and len(server.delivered) == 1
+
+    # Idle-expire the ingress entry; its FlowRemoved must unwind the
+    # egress leaf (the dead spine ignores the delete, and forwards
+    # nothing regardless).
+    controller = net.controller
+    sim = net.topology.sim
+    sim.schedule_at(
+        sim.now + controller.config.idle_timeout + 1.0, lambda: None
+    )
+    net.run()
+    fabric.leaves[0].sweep_expired(sim.now)
+    net.run()
+    live_entries = sum(
+        len(switch.flow_table)
+        for switch in net.switches.values()
+        if not switch.failed
+    )
+    return {
+        "fail_closed": fail_closed,
+        "unwound": live_entries == 0 and controller.path_unwinds >= 1,
+        "path_unwinds": controller.path_unwinds,
+    }
+
+
+def _throughput(*, fabric: bool) -> float:
+    """Phase 3: decided-flows/vsec on the 4-leaf fabric or on a single switch."""
+    net = IdentPPNetwork(
+        f"fabric-tput-{'fabric' if fabric else 'single'}",
+        policy_default_action="block",
+        controller_config=ControllerConfig(
+            serialize_decisions=True,
+            policy_eval_delay=EVAL_DELAY,
+            pending_deadline=60.0,
+        ),
+    )
+    if fabric:
+        _spread_hosts(net, net.add_spine_leaf_fabric(spines=SPINES, leaves=LEAVES), CLIENTS)
+    else:
+        switch = net.add_switch("sw0")
+        add_web_hosts(net, [switch], switch, CLIENTS)
+    net.set_policy(FABRIC_POLICY)
+    open_web_flows(net, THROUGHPUT_FLOWS, CLIENTS)
+    net.run()
+    count, makespan = decided(net.controller.audit.records())
+    return ratio(count, makespan)
+
+
+@timed
+def fabric_scale() -> dict:
+    """Path-wide enforcement on a spine-leaf fabric: install, fail, scale."""
+    entry = {**_path_install(), **_fail_closed()}
+    baseline_tput = _throughput(fabric=False)
+    fabric_tput = _throughput(fabric=True)
+    flows = entry["flows"]
+
+    violations = []
+    if entry["punts_total"] != flows:
+        violations.append(
+            f"{entry['punts_total']} punts for {flows} flows "
+            "(path install must leave exactly one punt per flow)"
         )
-        delivered = len(net.host("server").delivered)
-        # Hop count per decision, read back from the switch tables: every
-        # hop of leaf -> spine -> leaf must hold the decision's cookie.
-        min_hops = cfg.leaves + cfg.spines  # upper bound; min() below
-        for record in records[: min(50, len(records))]:
-            hops = sum(
-                1
-                for switch in net.switches.values()
-                if switch.flow_table.find(lambda e, c=record.cookie: e.cookie == c)
-            )
-            min_hops = min(min_hops, hops)
-        return {
-            "flows": cfg.flows,
-            "punts_total": punts_total,
-            "decided": len(records),
-            "delivered": delivered,
-            "min_path_hops": min_hops,
-            "owner_installed": owner_installed,
-            "path_installs_tracked": sum(
-                c.path_install_count() for c in net.cluster.replicas.values()
-            ),
-        }
-
-    # ------------------------------------------------------------------
-    # Phase 2: mid-path switch failure fails closed, then unwinds
-    # ------------------------------------------------------------------
-
-    def _run_fail_closed(self) -> dict[str, object]:
-        cfg = self.config
-        net = IdentPPNetwork(
-            "fabric-fail",
-            policy_default_action="block",
-            controller_config=ControllerConfig(pending_deadline=60.0),
+    if entry["decided"] != flows:
+        violations.append(f"only {entry['decided']}/{flows} flows decided")
+    if entry["delivered"] != flows:
+        violations.append(
+            f"only {entry['delivered']}/{flows} first packets crossed the fabric"
         )
-        fabric = net.add_spine_leaf_fabric(spines=2, leaves=2)
-        _spread_hosts(net, fabric, 1)
-        net.set_policy({"00-fabric.control": FABRIC_POLICY})
-        client = net.host("client0")
-        server = net.host("server")
-        packet, socket, _ = client.open_flow("http", "alice", "192.168.1.1", 80)
-        net.run()
-        approved = len(server.delivered) == 1
-
-        # Fail the spine this flow's path actually crossed.
-        path = net.topology.shortest_path(client, server)
-        mid = next(
-            node for node in path
-            if isinstance(node, OpenFlowSwitch) and node in fabric.spines
+    if entry["min_path_hops"] < 3:
+        violations.append(
+            f"a flow was installed on only {entry['min_path_hops']} hops "
+            "(leaf-spine-leaf needs 3)"
         )
-        mid.fail()
-        client.send_on_socket(socket)
-        net.run()
-        fail_closed = approved and len(server.delivered) == 1
-
-        # Idle-expire the ingress entry; its FlowRemoved must unwind the
-        # egress leaf (the dead spine ignores the delete, and forwards
-        # nothing regardless).
-        controller = net.controller
-        sim = net.topology.sim
-        sim.schedule_at(
-            sim.now + controller.config.idle_timeout + 1.0, lambda: None
+    if not entry["owner_installed"]:
+        violations.append("a flow's path was installed by a non-owning shard")
+    if not entry["fail_closed"]:
+        violations.append("a packet crossed the fabric after its mid-path hop died")
+    if not entry["unwound"]:
+        violations.append(
+            "surviving hops kept entries for a flow whose path entry was gone"
         )
-        net.run()
-        fabric.leaves[0].sweep_expired(sim.now)
-        net.run()
-        live_entries = sum(
-            len(switch.flow_table)
-            for switch in net.switches.values()
-            if not switch.failed
-        )
-        unwound = live_entries == 0 and controller.path_unwinds >= 1
-        return {
-            "fail_closed": fail_closed,
-            "unwound": unwound,
-            "path_unwinds": controller.path_unwinds,
-        }
-
-    # ------------------------------------------------------------------
-    # Phase 3: decided-flows/vsec, 4-leaf fabric vs single switch
-    # ------------------------------------------------------------------
-
-    def _run_throughput(self, *, fabric: bool) -> float:
-        cfg = self.config
-        net = IdentPPNetwork(
-            f"fabric-tput-{'fabric' if fabric else 'single'}",
-            policy_default_action="block",
-            controller_config=cfg.serial_config(),
-        )
-        if fabric:
-            built = net.add_spine_leaf_fabric(spines=cfg.spines, leaves=cfg.leaves)
-            _spread_hosts(net, built, cfg.clients)
-        else:
-            switch = net.add_switch("sw0")
-            _place_hosts(net, [switch], switch, cfg.clients)
-        net.set_policy({"00-fabric.control": FABRIC_POLICY})
-        for index in range(cfg.throughput_flows):
-            client = net.host(f"client{index % cfg.clients}")
-            client.open_flow("http", "alice", "192.168.1.1", 80)
-        net.run()
-        records = [r for r in net.controller.audit.records() if not r.cached]
-        if not records:
-            return 0.0
-        makespan = max(record.time for record in records)
-        return len(records) / makespan if makespan else 0.0
+    if not fabric_tput:
+        violations.append("the fabric throughput phase decided nothing")
+    entry.update({
+        "baseline_decided_per_vsec": round(baseline_tput, 1),
+        "fabric_decided_per_vsec": round(fabric_tput, 1),
+        # Single-switch throughput over fabric throughput.
+        "slowdown_vs_single_switch": round(ratio(baseline_tput, fabric_tput), 2),
+        # True when every check above held; the slowdown ceiling is the
+        # table's gate.
+        "gates_ok": not violations,
+        "violations": violations,
+        # Headline ops/s: decided-flows per simulated second on the 4-leaf fabric.
+        "ops_per_sec": round(fabric_tput, 1),
+    })
+    return entry
 
 
-def _print_report(payload: dict[str, object]) -> None:
-    width = max(len(key) for key in payload)
-    for key, value in payload.items():
-        print(f"  {key:<{width}}  {value}")
-
-
-def main() -> int:
-    """``make soak_fabric`` entry point: all three phases, gated."""
-    print("running fabric scale bench (path install / fail closed / throughput) ...")
-    report = FabricScaleBench().run()
-    _print_report(report.as_dict())
-    if report.gates_ok:
-        print(
-            "fabric soak ok: one punt per flow, mid-path failure fails closed, "
-            f"throughput within {FABRIC_SLOWDOWN_CEILING:g}x of single-switch"
-        )
-        return 0
-    for violation in report.violations:
-        print(f"FAIL: {violation}")
-    return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+SOAK = Soak(
+    steps=(("fabric_scale_bench", fabric_scale),),
+    gates=(
+        Gate("fabric_scale_bench.slowdown_vs_single_switch", operator.le,
+             FABRIC_SLOWDOWN_CEILING,
+             "fabric decided-flows/vsec {value}x below single-switch "
+             f"(ceiling {FABRIC_SLOWDOWN_CEILING:g}x)"),
+    ),
+    ok=(
+        "fabric soak ok: one punt per flow, mid-path failure fails closed, "
+        f"throughput within {FABRIC_SLOWDOWN_CEILING:g}x of single-switch"
+    ),
+)

@@ -5,11 +5,11 @@ the source and the destination end-hosts" — dominates flow-setup cost,
 and §3.5's "simple userspace ident++ daemon" is a serial process: a
 flash crowd of flows toward one popular server queues its queries
 behind each other.  The :class:`~repro.identpp.engine.QueryEngine`
-exists to take that cost off the punt path; this module proves it and
-gates it, runnable standalone (``make soak_queries``) and recorded in
+exists to take that cost off the punt path; :func:`query_cache` proves
+it and gates it, run by ``make soak_queries`` and recorded in
 ``BENCH_results.json`` as ``query_cache_bench``:
 
-* **Hot-server scale** — the throughput claim.  ``flows_per_server``
+* **Hot-server scale** — the throughput claim.  ``FLOWS_PER_SERVER``
   concurrent flows per hot server (the servers' daemons serialized) run
   once with the cache disabled and once enabled.  Uncached, every punt
   re-interrogates the server daemon and the makespan grows by one
@@ -36,53 +36,300 @@ gates it, runnable standalone (``make soak_queries``) and recorded in
   2-shard cluster costs the hot daemon one answer per deciding shard,
   not one per flow.
 
-* **Flash crowd (push plane)** — the PR 10 claim.  The same crowd runs
-  once per identity plane.  On the pull plane every TTL lapse costs a
-  fresh round trip; on the push plane the hot server is promoted to a
-  standing subscription, steady-state punts are answered from the
-  resident store with **zero** daemon queries, and after an identity
-  publish the delta-driven refresh converges faster than the pull
-  plane's invalidate-then-requery round trip.
+* **Flash crowd (push plane)** — the PR 10 claim, :func:`flash_crowd`.
+  The same crowd runs once per identity plane.  On the pull plane every
+  TTL lapse costs a fresh round trip; on the push plane the hot server
+  is promoted to a standing subscription, steady-state punts are
+  answered from the resident store with **zero** daemon queries, and
+  after an identity publish the delta-driven refresh converges faster
+  than the pull plane's invalidate-then-requery round trip.
 
 Run standalone::
 
-    python -m repro.workloads.queryload          # every phase
-    python -m repro.workloads.queryload push     # flash-crowd gate only
+    python -m repro.workloads.soak queryload     # every phase
+    python -m repro.workloads.soak push          # flash-crowd gate only
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Optional
+import operator
 
 from repro.core.controller import ControllerConfig
-from repro.core.network import HostSpec, IdentPPClusterNetwork, IdentPPNetwork
-from repro.netsim.statistics import RateCounter
+from repro.core.network import HostSpec, IdentPPNetwork
+from repro.workloads.soak import (
+    Gate,
+    Soak,
+    decided,
+    edge_core_net,
+    open_web_flows,
+    ratio,
+    timed,
+    uncached,
+)
 
 #: Web traffic must prove the server really is httpd (a dst-side
 #: answer); port 8080 is the legacy carve-out that needs no dst info
 #: (§4 — daemon-less hosts can still be served by coarser rules).
-QUERYLOAD_POLICY = (
-    "block all\n"
-    "pass from any to any port 80 with eq(@dst[name], httpd)\n"
-    "pass from any to any port 8080\n"
-)
+QUERYLOAD_POLICY = {
+    "00-queryload.control": (
+        "block all\n"
+        "pass from any to any port 80 with eq(@dst[name], httpd)\n"
+        "pass from any to any port 8080\n"
+    ),
+}
 
 #: Acceptance floor for cached-vs-uncached decided-flows/vsec on the
-#: hot-server workload — the single source ``make soak_queries`` and
-#: ``make bench`` both gate on.
+#: hot-server workload.
 QUERY_SPEEDUP_FLOOR = 5.0
 
+CLIENTS = 10
+HOT_SERVERS = 2
+FLOWS_PER_SERVER = 100
+#: Serial occupancy of a hot server's daemon per answer (§3.5's
+#: userspace daemon is single-threaded).
+DAEMON_PROCESSING = 500e-6
+#: Edge→core and core→server hops: the round trip the cache saves.
+CORE_LINK_LATENCY = 1e-3
+CACHE_TTL = 30.0
+LEGACY_FLOWS_PER_WAVE = 20
+LEGACY_WAVE_GAP = 0.2
+#: Short TTL used by the expiry probe.
+TTL_PROBE = 0.25
+CLUSTER_SHARDS = 2
+#: Flash-crowd phase: flows per wave, steady waves after the warm
+#: one, the gap between waves (longer than ``TTL_PROBE`` so the pull
+#: plane pays a TTL lapse per wave), and how long after an identity
+#: publish the convergence probe punts.
+FLASH_FLOWS = 30
+FLASH_WAVES = 3
+FLASH_WAVE_GAP = 0.5
+CONVERGENCE_PROBE_DELAY = 0.05
 
-def flash_violations(flash: dict) -> list[str]:
-    """Apply the PR 10 flash-crowd gates to one phase result.
 
-    Shared by the full soak report and the push-only entry point
-    (``make soak_push``) so the gate cannot fork.
+def _net(
+    name: str, *, cache_ttl: float, identity_plane: str = "pull", shards: int = 0
+) -> IdentPPNetwork:
+    """Clients — sw-edge — sw-core — hot servers, one controller or ``shards``."""
+    net = edge_core_net(
+        name,
+        clients=CLIENTS,
+        shards=shards,
+        servers=[f"server{index}" for index in range(HOT_SERVERS)],
+        core_latency=CORE_LINK_LATENCY,
+        policy=QUERYLOAD_POLICY,
+        config=ControllerConfig(
+            query_cache_ttl=cache_ttl,
+            identity_plane=identity_plane,
+            push_promote_punts=2,
+        ),
+    )
+    for index in range(HOT_SERVERS):
+        # The paper's "simple userspace daemon" answers serially:
+        # this is the contended resource the cache takes off the
+        # punt path.
+        net.daemon(f"server{index}").serialize = True
+        net.daemon(f"server{index}").processing_delay = DAEMON_PROCESSING
+    return net
+
+
+def _httpd_socket(server):
+    """Return ``server``'s socket listening on port 80."""
+    return next(
+        socket for socket in server.sockets.sockets()
+        if socket.is_listening and socket.local_port == 80
+    )
+
+
+# ----------------------------------------------------------------------
+# Phases
+# ----------------------------------------------------------------------
+
+
+def _hot_phase() -> dict:
+    """The hot-server flash crowd, cache off and cache on."""
+    out: dict = {"flows": FLOWS_PER_SERVER * HOT_SERVERS}
+    for label, ttl in (("uncached", 0.0), ("cached", CACHE_TTL)):
+        net = _net(f"queryload-{label}", cache_ttl=ttl)
+        open_web_flows(net, out["flows"], CLIENTS, servers=HOT_SERVERS)
+        net.run()
+        count, makespan = decided(net.controller.audit.records())
+        out[label] = {
+            "makespan": makespan,
+            "per_vsec": ratio(count, makespan),
+            "daemon_answers": int(
+                sum(net.daemon(f"server{i}").queries_answered.value
+                    for i in range(HOT_SERVERS))
+            ),
+            "engine_stats": net.controller.query_engine.stats(),
+        }
+    return out
+
+
+def _legacy_phase() -> dict:
+    """Two waves toward a daemon-less host, cache off and cache on."""
+    out: dict = {"flows": 2 * LEGACY_FLOWS_PER_WAVE}
+    for label, ttl in (("uncached", 0.0), ("cached", CACHE_TTL)):
+        net = _net(f"queryload-legacy-{label}", cache_ttl=ttl)
+        net.add_host(
+            HostSpec(name="legacy", ip="192.168.2.1", run_daemon=False),
+            switch="sw-core",
+            link_latency=CORE_LINK_LATENCY,
+        )
+
+        def wave() -> None:
+            for index in range(LEGACY_FLOWS_PER_WAVE):
+                client = net.host(f"client{index % CLIENTS}")
+                client.open_flow("http", "alice", "192.168.2.1", 8080)
+
+        wave()
+        net.topology.sim.schedule_at(LEGACY_WAVE_GAP, wave)
+        net.run()
+        engine = net.controller.query_engine
+        out[label] = {
+            "timeouts": int(net.controller.query_client.queries_timed_out.value),
+            "negative_hits": engine.negative_hits,
+            "coalesced": engine.coalesced,
+        }
+    return out
+
+
+def _invalidation_phase() -> dict:
+    """The correctness gate: every staleness event must force a re-query."""
+    net = _net("queryload-invalidate", cache_ttl=CACHE_TTL)
+    daemon = net.daemon("server0")
+    daemon.serialize = False  # latency is irrelevant here
+    server = net.host("server0")
+    answered = daemon.queries_answered
+    httpd_socket = _httpd_socket(server)
+    result: dict = {}
+
+    first = net.send_flow("client0", "http", "alice", "192.168.1.1", 80)
+    after_first = int(answered.value)
+    second = net.send_flow("client1", "http", "alice", "192.168.1.1", 80)
+    result["cache_hit_before_events"] = (
+        first.decision_action == "pass"
+        and second.decision_action == "pass"
+        and int(answered.value) == after_first
+    )
+
+    # (a) The application publishes new runtime keys.
+    daemon.runtime.publish_for_process(httpd_socket.process, {"patched": "yes"})
+    net.send_flow("client2", "http", "alice", "192.168.1.1", 80)
+    after_publish = int(answered.value)
+    result["requery_after_publish"] = after_publish > after_first
+
+    # (b) The socket's owner changes: httpd is replaced by telnet on
+    # the same port.  The stale answer (name=httpd) would wrongly
+    # admit the new tenant's traffic.
+    server.sockets.close(httpd_socket)
+    server.run_server("telnet", "root", 80)
+    retenant = net.send_flow("client3", "http", "alice", "192.168.1.1", 80)
+    after_socket = int(answered.value)
+    result["requery_after_socket_change"] = after_socket > after_publish
+    result["blocked_after_socket_change"] = retenant.decision_action == "block"
+
+    # (c) Host compromise (the §5.3 attacker controls the daemon).
+    server.mark_compromised()
+    daemon.spoof_responses({"name": "httpd"})
+    net.send_flow("client4", "http", "alice", "192.168.1.1", 80)
+    result["requery_after_compromise"] = int(answered.value) > after_socket
+
+    # (d) TTL expiry on a separate short-TTL network.  Flows are
+    # driven with open_flow + run-to-idle (not send_flow, whose
+    # settle window would advance the clock past the short TTL).
+    ttl_net = _net("queryload-ttl", cache_ttl=TTL_PROBE)
+    ttl_daemon = ttl_net.daemon("server0")
+    ttl_daemon.serialize = False
+    ttl_net.host("client0").open_flow("http", "alice", "192.168.1.1", 80)
+    ttl_net.run()
+    baseline = int(ttl_daemon.queries_answered.value)
+    ttl_net.host("client1").open_flow("http", "alice", "192.168.1.1", 80)
+    ttl_net.run()
+    hit_within_ttl = int(ttl_daemon.queries_answered.value) == baseline
+    ttl_net.run(duration=2 * TTL_PROBE)
+    ttl_net.host("client2").open_flow("http", "alice", "192.168.1.1", 80)
+    ttl_net.run()
+    result["requery_after_ttl"] = (
+        hit_within_ttl and int(ttl_daemon.queries_answered.value) > baseline
+    )
+    return result
+
+
+def _cluster_phase() -> dict:
+    """Each shard runs its own engine: one daemon answer per deciding shard."""
+    net = _net("queryload-cluster", cache_ttl=CACHE_TTL, shards=CLUSTER_SHARDS)
+    open_web_flows(net, FLOWS_PER_SERVER, CLIENTS)
+    net.run()
+    return {
+        "flows": FLOWS_PER_SERVER,
+        "shards_deciding": sum(
+            1 for controller in net.cluster.replicas.values()
+            if uncached(controller.audit.records())
+        ),
+        "daemon_answers": int(net.daemon("server0").queries_answered.value),
+        "per_shard_lookups": {
+            name: controller.query_engine.lookups()
+            for name, controller in net.cluster.replicas.items()
+        },
+    }
+
+
+@timed
+def flash_crowd() -> dict:
+    """Run one flash crowd on both identity planes: steady state + convergence.
+
+    The same crowd (one warm wave, then ``FLASH_WAVES`` steady waves
+    spaced beyond the TTL) runs once per plane.  Afterwards the hot
+    daemon publishes new runtime keys and a single probe flow punts
+    ``CONVERGENCE_PROBE_DELAY`` later: its decision latency is the
+    plane's convergence cost after an identity change.
     """
-    pull, push = flash["pull"], flash["push"]
-    violations = []
+    out: dict = {"flows": FLASH_FLOWS * (1 + FLASH_WAVES)}
+    for plane in ("pull", "push"):
+        net = _net(f"queryload-flash-{plane}", cache_ttl=TTL_PROBE, identity_plane=plane)
+        sim = net.topology.sim
+        daemon = net.daemon("server0")
+        engine = net.controller.query_engine
+
+        # Warm wave: promotes the hot server on the push plane.
+        open_web_flows(net, FLASH_FLOWS, CLIENTS)
+        net.run()
+        warm_answers = int(daemon.queries_answered.value)
+        for _ in range(FLASH_WAVES):
+            sim.schedule_at(sim.now + FLASH_WAVE_GAP, open_web_flows,
+                            net, FLASH_FLOWS, CLIENTS,
+                            label="queryload.flash_wave")
+            net.run()
+        steady_queries = int(daemon.queries_answered.value) - warm_answers
+
+        # Identity change: publish new runtime keys for httpd, then
+        # punt one probe flow and time its verdict.
+        httpd_process = _httpd_socket(net.host("server0")).process
+        t_pub = sim.now + 0.05
+        sim.schedule_at(t_pub, daemon.runtime.publish_for_process,
+                        httpd_process, {"patched": "yes"},
+                        label="queryload.flash_publish")
+        probe_at = t_pub + CONVERGENCE_PROBE_DELAY
+        sim.schedule_at(probe_at, net.host("client0").open_flow,
+                        "http", "alice", "192.168.1.1", 80,
+                        label="queryload.flash_probe")
+        net.run()
+        probe = next(
+            record for record in uncached(net.controller.audit.records())
+            if record.time >= probe_at
+        )
+        stats = engine.stats()
+        out[plane] = {
+            "steady_queries": steady_queries,
+            "convergence": probe.time - probe_at,
+            "subscriptions": engine.subscription_count(),
+            "resident_hits": int(stats.get("resident_hits", 0)),
+            "deltas_applied": int(stats.get("deltas_applied", 0)),
+            "duplicate_deltas": int(stats.get("duplicate_deltas", 0)),
+        }
+
+    pull, push = out["pull"], out["push"]
+    violations = out["violations"] = []
     if push["subscriptions"] < 1:
         violations.append(
             "flash crowd never promoted the hot server to a standing subscription"
@@ -105,602 +352,116 @@ def flash_violations(flash: dict) -> list[str]:
             f"push convergence {push['convergence']:.6f}vs not better than the "
             f"pull TTL path's {pull['convergence']:.6f}vs"
         )
-    return violations
+    return out
 
 
-@dataclass
-class QueryLoadConfig:
-    """Tunables of the query-heavy soak."""
+@timed
+def query_cache() -> dict:
+    """Run the five query-cache phases: hot server, legacy host, invalidation, cluster, flash crowd."""
+    hot = _hot_phase()
+    legacy = _legacy_phase()
+    invalidation = _invalidation_phase()
+    cluster = _cluster_phase()
+    flash = flash_crowd()
+    pull, push = flash["pull"], flash["push"]
 
-    clients: int = 10
-    hot_servers: int = 2
-    flows_per_server: int = 100
-    #: Serial occupancy of a hot server's daemon per answer (§3.5's
-    #: userspace daemon is single-threaded).
-    daemon_processing: float = 500e-6
-    client_link_latency: float = 50e-6
-    #: Edge→core and core→server hops: the round trip the cache saves.
-    core_link_latency: float = 1e-3
-    server_link_latency: float = 1e-3
-    cache_ttl: float = 30.0
-    legacy_flows_per_wave: int = 20
-    legacy_wave_gap: float = 0.2
-    #: Short TTL used by the expiry probe.
-    ttl_probe: float = 0.25
-    cluster_shards: int = 2
-    #: Flash-crowd phase: flows per wave, steady waves after the warm
-    #: one, the gap between waves (longer than ``ttl_probe`` so the pull
-    #: plane pays a TTL lapse per wave), and how long after an identity
-    #: publish the convergence probe punts.
-    flash_flows: int = 30
-    flash_waves: int = 3
-    flash_wave_gap: float = 0.5
-    convergence_probe_delay: float = 0.05
-
-    def controller_config(
-        self, *, cache_ttl: float, identity_plane: str = "pull"
-    ) -> ControllerConfig:
-        """Return the controller config for one phase run."""
-        return ControllerConfig(
-            query_cache_ttl=cache_ttl,
-            identity_plane=identity_plane,
-            push_promote_punts=2,
+    violations = []
+    if legacy["cached"]["timeouts"] != 1:
+        violations.append(
+            f"legacy host cost {legacy['cached']['timeouts']} real timeouts "
+            "with the negative cache on (want exactly 1 per TTL)"
         )
-
-
-@dataclass
-class QueryLoadReport:
-    """What the query soak observed, with the acceptance gates applied."""
-
-    flows_hot: int
-    uncached_decided_per_vsec: float
-    cached_decided_per_vsec: float
-    uncached_makespan: float
-    cached_makespan: float
-    engine_stats: dict
-    hot_daemon_answers_uncached: int
-    hot_daemon_answers_cached: int
-    legacy_flows: int
-    legacy_uncached_timeouts: int
-    legacy_cached_timeouts: int
-    legacy_negative_hits: int
-    legacy_coalesced: int
-    cache_hit_before_events: bool
-    requery_after_publish: bool
-    requery_after_socket_change: bool
-    blocked_after_socket_change: bool
-    requery_after_compromise: bool
-    requery_after_ttl: bool
-    cluster_flows: int
-    cluster_shards_deciding: int
-    cluster_daemon_answers: int
-    cluster_per_shard_lookups: dict[str, int]
-    flash_flows: int
-    pull_steady_queries: int
-    push_steady_queries: int
-    push_subscriptions: int
-    push_resident_hits: int
-    push_deltas_applied: int
-    push_duplicate_deltas: int
-    pull_convergence: float
-    push_convergence: float
-    wall_seconds: float = 0.0
-    # Computed from the fields above, never passed in.
-    violations: list[str] = field(init=False, default_factory=list)
-
-    @property
-    def speedup(self) -> float:
-        """Cached over uncached decided-flows per simulated second."""
-        if not self.uncached_decided_per_vsec:
-            return 0.0
-        return self.cached_decided_per_vsec / self.uncached_decided_per_vsec
-
-    def __post_init__(self) -> None:
-        self.violations = self._compute_violations()
-
-    def _compute_violations(self) -> list[str]:
-        violations = []
-        if self.speedup < QUERY_SPEEDUP_FLOOR:
-            violations.append(
-                f"hot-server speedup {self.speedup:.2f}x below the "
-                f"{QUERY_SPEEDUP_FLOOR:g}x floor"
-            )
-        if self.legacy_cached_timeouts != 1:
-            violations.append(
-                f"legacy host cost {self.legacy_cached_timeouts} real timeouts "
-                "with the negative cache on (want exactly 1 per TTL)"
-            )
-        if self.legacy_negative_hits < self.legacy_flows // 2:
-            violations.append(
-                f"only {self.legacy_negative_hits} negative-cache hits for "
-                f"{self.legacy_flows // 2} second-wave legacy flows"
-            )
-        if not self.cache_hit_before_events:
-            violations.append("repeat flow re-queried the daemon despite a warm cache")
-        if not self.requery_after_publish:
-            violations.append("runtime-key publish did not force a re-query")
-        if not self.requery_after_socket_change:
-            violations.append("socket-table owner change did not force a re-query")
-        if not self.blocked_after_socket_change:
-            violations.append(
-                "stale cached answer admitted traffic after the socket owner changed"
-            )
-        if not self.requery_after_compromise:
-            violations.append("host compromise did not force a re-query")
-        if not self.requery_after_ttl:
-            violations.append("TTL expiry did not force a re-query")
-        if self.cluster_daemon_answers != self.cluster_shards_deciding:
-            violations.append(
-                f"cluster run cost the hot daemon {self.cluster_daemon_answers} "
-                f"answers for {self.cluster_shards_deciding} deciding shards "
-                "(want one per shard engine)"
-            )
-        violations.extend(flash_violations({
-            "pull": {
-                "steady_queries": self.pull_steady_queries,
-                "convergence": self.pull_convergence,
-            },
-            "push": {
-                "steady_queries": self.push_steady_queries,
-                "convergence": self.push_convergence,
-                "subscriptions": self.push_subscriptions,
-                "deltas_applied": self.push_deltas_applied,
-                "duplicate_deltas": self.push_duplicate_deltas,
-            },
-        }))
-        return violations
-
-    @property
-    def gates_ok(self) -> bool:
-        """True when every acceptance gate held."""
-        return not self.violations
-
-    def as_dict(self) -> dict[str, object]:
-        """Return a JSON-serialisable summary for the benchmark suite."""
-        return {
-            "flows_hot": self.flows_hot,
-            "uncached_decided_per_vsec": round(self.uncached_decided_per_vsec, 1),
-            "cached_decided_per_vsec": round(self.cached_decided_per_vsec, 1),
-            "uncached_makespan_vsec": round(self.uncached_makespan, 6),
-            "cached_makespan_vsec": round(self.cached_makespan, 6),
-            "speedup": round(self.speedup, 2),
-            "hot_daemon_answers_uncached": self.hot_daemon_answers_uncached,
-            "hot_daemon_answers_cached": self.hot_daemon_answers_cached,
-            "engine": {
-                key: self.engine_stats.get(key)
-                for key in ("lookups", "hits", "misses", "coalesced",
-                            "negative_hits", "hit_rate", "coalesce_rate")
-            },
-            "legacy_flows": self.legacy_flows,
-            "legacy_uncached_timeouts": self.legacy_uncached_timeouts,
-            "legacy_cached_timeouts": self.legacy_cached_timeouts,
-            "legacy_negative_hits": self.legacy_negative_hits,
-            "legacy_coalesced": self.legacy_coalesced,
-            "invalidation": {
-                "cache_hit_before_events": self.cache_hit_before_events,
-                "requery_after_publish": self.requery_after_publish,
-                "requery_after_socket_change": self.requery_after_socket_change,
-                "blocked_after_socket_change": self.blocked_after_socket_change,
-                "requery_after_compromise": self.requery_after_compromise,
-                "requery_after_ttl": self.requery_after_ttl,
-            },
-            "cluster": {
-                "flows": self.cluster_flows,
-                "shards_deciding": self.cluster_shards_deciding,
-                "daemon_answers": self.cluster_daemon_answers,
-                "per_shard_lookups": dict(self.cluster_per_shard_lookups),
-            },
-            "push_plane": {
-                "flows": self.flash_flows,
-                "pull_steady_queries": self.pull_steady_queries,
-                "push_steady_queries": self.push_steady_queries,
-                "push_subscriptions": self.push_subscriptions,
-                "push_resident_hits": self.push_resident_hits,
-                "push_deltas_applied": self.push_deltas_applied,
-                "push_duplicate_deltas": self.push_duplicate_deltas,
-                "pull_convergence_vsec": round(self.pull_convergence, 6),
-                "push_convergence_vsec": round(self.push_convergence, 6),
-                "zero_query_ok": (
-                    self.push_steady_queries == 0 and self.push_subscriptions >= 1
-                ),
-                "convergence_ok": self.push_convergence < self.pull_convergence,
-            },
-            "gates_ok": self.gates_ok,
-            "violations": list(self.violations),
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-
-
-class QueryLoadBench:
-    """Run every query-cache phase and report against the gates."""
-
-    def __init__(self, config: Optional[QueryLoadConfig] = None) -> None:
-        self.config = config if config is not None else QueryLoadConfig()
-
-    # ------------------------------------------------------------------
-    # Fabric builders
-    # ------------------------------------------------------------------
-
-    def _build_net(
-        self,
-        name: str,
-        *,
-        cache_ttl: float,
-        identity_plane: str = "pull",
-        legacy_server: bool = False,
-    ) -> IdentPPNetwork:
-        """Clients — sw-edge — sw-core — hot servers (+ optional legacy)."""
-        cfg = self.config
-        net = IdentPPNetwork(
-            name,
-            policy_default_action="block",
-            controller_config=cfg.controller_config(
-                cache_ttl=cache_ttl, identity_plane=identity_plane,
-            ),
+    if legacy["cached"]["negative_hits"] < legacy["flows"] // 2:
+        violations.append(
+            f"only {legacy['cached']['negative_hits']} negative-cache hits for "
+            f"{legacy['flows'] // 2} second-wave legacy flows"
         )
-        self._populate(net, legacy_server=legacy_server)
-        return net
-
-    def _populate(self, net: IdentPPNetwork, *, legacy_server: bool = False) -> None:
-        cfg = self.config
-        edge = net.add_switch("sw-edge")
-        core = net.add_switch("sw-core")
-        net.connect(edge, core, latency=cfg.core_link_latency)
-        for index in range(cfg.clients):
-            net.add_host(
-                HostSpec(
-                    name=f"client{index}",
-                    ip=f"192.168.0.{10 + index}",
-                    users={"alice": ("users", "staff")},
-                ),
-                switch=edge,
-                link_latency=cfg.client_link_latency,
-            )
-        for index in range(cfg.hot_servers):
-            server = net.add_host(
-                HostSpec(name=f"server{index}", ip=f"192.168.1.{1 + index}"),
-                switch=core,
-                link_latency=cfg.server_link_latency,
-            )
-            server.run_server("httpd", "root", 80)
-            # The paper's "simple userspace daemon" answers serially:
-            # this is the contended resource the cache takes off the
-            # punt path.
-            net.daemon(f"server{index}").serialize = True
-            net.daemon(f"server{index}").processing_delay = cfg.daemon_processing
-        if legacy_server:
-            net.add_host(
-                HostSpec(name="legacy", ip="192.168.2.1", run_daemon=False),
-                switch=core,
-                link_latency=cfg.server_link_latency,
-            )
-        net.set_policy({"00-queryload.control": QUERYLOAD_POLICY})
-
-    # ------------------------------------------------------------------
-    # Phases
-    # ------------------------------------------------------------------
-
-    def _hot_wave(self, net: IdentPPNetwork) -> tuple[RateCounter, float]:
-        """Inject the hot-server flash crowd; return (decision rate, makespan)."""
-        cfg = self.config
-        for index in range(cfg.flows_per_server * cfg.hot_servers):
-            client = net.host(f"client{index % cfg.clients}")
-            client.open_flow(
-                "http", "alice", f"192.168.1.{1 + index % cfg.hot_servers}", 80
-            )
-        net.run()
-        rate = RateCounter(f"{net.name}.decisions")
-        makespan = 0.0
-        for record in net.controller.audit.records():
-            if not record.cached:
-                rate.record(record.time)
-                makespan = max(makespan, record.time)
-        return rate, makespan
-
-    def _run_hot_phase(self) -> dict:
-        cfg = self.config
-        out: dict = {"flows": cfg.flows_per_server * cfg.hot_servers}
-        for label, ttl in (("uncached", 0.0), ("cached", cfg.cache_ttl)):
-            net = self._build_net(f"queryload-{label}", cache_ttl=ttl)
-            rate, makespan = self._hot_wave(net)
-            out[label] = {
-                "decided": int(rate.total),
-                "makespan": makespan,
-                "per_vsec": rate.mean_rate(makespan),
-                "daemon_answers": int(
-                    sum(net.daemon(f"server{i}").queries_answered.value
-                        for i in range(cfg.hot_servers))
-                ),
-                "engine_stats": net.controller.query_engine.stats(),
-            }
-        return out
-
-    def _run_legacy_phase(self) -> dict:
-        cfg = self.config
-        out: dict = {"flows": 2 * cfg.legacy_flows_per_wave}
-        for label, ttl in (("uncached", 0.0), ("cached", cfg.cache_ttl)):
-            net = self._build_net(f"queryload-legacy-{label}", cache_ttl=ttl,
-                                  legacy_server=True)
-            sim = net.topology.sim
-
-            def wave() -> None:
-                for index in range(cfg.legacy_flows_per_wave):
-                    client = net.host(f"client{index % cfg.clients}")
-                    client.open_flow("http", "alice", "192.168.2.1", 8080)
-
-            wave()
-            sim.schedule_at(cfg.legacy_wave_gap, wave)
-            net.run()
-            engine = net.controller.query_engine
-            out[label] = {
-                "timeouts": int(net.controller.query_client.queries_timed_out.value),
-                "negative_hits": engine.negative_hits,
-                "coalesced": engine.coalesced,
-                "decided": sum(
-                    1 for r in net.controller.audit.records() if not r.cached
-                ),
-            }
-        return out
-
-    def _run_invalidation_phase(self) -> dict:
-        """The correctness gate: every staleness event must force a re-query."""
-        cfg = self.config
-        net = self._build_net("queryload-invalidate", cache_ttl=cfg.cache_ttl)
-        daemon = net.daemon("server0")
-        daemon.serialize = False  # latency is irrelevant here
-        server = net.host("server0")
-        answered = daemon.queries_answered
-
-        httpd_process, httpd_socket = None, None
-        for socket in server.sockets.sockets():
-            if socket.is_listening and socket.local_port == 80:
-                httpd_process, httpd_socket = socket.process, socket
-        result: dict = {}
-
-        first = net.send_flow("client0", "http", "alice", "192.168.1.1", 80)
-        after_first = int(answered.value)
-        second = net.send_flow("client1", "http", "alice", "192.168.1.1", 80)
-        result["cache_hit_before_events"] = (
-            first.decision_action == "pass"
-            and second.decision_action == "pass"
-            and int(answered.value) == after_first
+    if not invalidation["cache_hit_before_events"]:
+        violations.append("repeat flow re-queried the daemon despite a warm cache")
+    if not invalidation["requery_after_publish"]:
+        violations.append("runtime-key publish did not force a re-query")
+    if not invalidation["requery_after_socket_change"]:
+        violations.append("socket-table owner change did not force a re-query")
+    if not invalidation["blocked_after_socket_change"]:
+        violations.append(
+            "stale cached answer admitted traffic after the socket owner changed"
         )
-
-        # (a) The application publishes new runtime keys.
-        daemon.runtime.publish_for_process(httpd_process, {"patched": "yes"})
-        net.send_flow("client2", "http", "alice", "192.168.1.1", 80)
-        after_publish = int(answered.value)
-        result["requery_after_publish"] = after_publish > after_first
-
-        # (b) The socket's owner changes: httpd is replaced by telnet on
-        # the same port.  The stale answer (name=httpd) would wrongly
-        # admit the new tenant's traffic.
-        server.sockets.close(httpd_socket)
-        server.run_server("telnet", "root", 80)
-        retenant = net.send_flow("client3", "http", "alice", "192.168.1.1", 80)
-        after_socket = int(answered.value)
-        result["requery_after_socket_change"] = after_socket > after_publish
-        result["blocked_after_socket_change"] = retenant.decision_action == "block"
-
-        # (c) Host compromise (the §5.3 attacker controls the daemon).
-        server.mark_compromised()
-        daemon.spoof_responses({"name": "httpd"})
-        net.send_flow("client4", "http", "alice", "192.168.1.1", 80)
-        result["requery_after_compromise"] = int(answered.value) > after_socket
-
-        # (d) TTL expiry on a separate short-TTL network.  Flows are
-        # driven with open_flow + run-to-idle (not send_flow, whose
-        # settle window would advance the clock past the short TTL).
-        ttl_net = self._build_net("queryload-ttl", cache_ttl=cfg.ttl_probe)
-        ttl_daemon = ttl_net.daemon("server0")
-        ttl_daemon.serialize = False
-        ttl_net.host("client0").open_flow("http", "alice", "192.168.1.1", 80)
-        ttl_net.run()
-        baseline = int(ttl_daemon.queries_answered.value)
-        ttl_net.host("client1").open_flow("http", "alice", "192.168.1.1", 80)
-        ttl_net.run()
-        hit_within_ttl = int(ttl_daemon.queries_answered.value) == baseline
-        ttl_net.run(duration=2 * cfg.ttl_probe)
-        ttl_net.host("client2").open_flow("http", "alice", "192.168.1.1", 80)
-        ttl_net.run()
-        result["requery_after_ttl"] = (
-            hit_within_ttl and int(ttl_daemon.queries_answered.value) > baseline
+    if not invalidation["requery_after_compromise"]:
+        violations.append("host compromise did not force a re-query")
+    if not invalidation["requery_after_ttl"]:
+        violations.append("TTL expiry did not force a re-query")
+    if cluster["daemon_answers"] != cluster["shards_deciding"]:
+        violations.append(
+            f"cluster run cost the hot daemon {cluster['daemon_answers']} "
+            f"answers for {cluster['shards_deciding']} deciding shards "
+            "(want one per shard engine)"
         )
-        return result
+    violations.extend(flash["violations"])
 
-    def _run_cluster_phase(self) -> dict:
-        """Each shard runs its own engine: one daemon answer per deciding shard."""
-        cfg = self.config
-        net = IdentPPClusterNetwork(
-            "queryload-cluster",
-            shards=cfg.cluster_shards,
-            policy_default_action="block",
-            controller_config=cfg.controller_config(cache_ttl=cfg.cache_ttl),
-        )
-        self._populate(net)
-        flows = cfg.flows_per_server
-        for index in range(flows):
-            client = net.host(f"client{index % cfg.clients}")
-            client.open_flow("http", "alice", "192.168.1.1", 80)
-        net.run()
-        daemon = net.daemon("server0")
-        per_shard_lookups = {
-            name: controller.query_engine.lookups()
-            for name, controller in net.cluster.replicas.items()
-        }
-        shards_deciding = sum(
-            1 for controller in net.cluster.replicas.values()
-            if any(not r.cached for r in controller.audit.records())
-        )
-        return {
-            "flows": flows,
-            "shards_deciding": shards_deciding,
-            "daemon_answers": int(daemon.queries_answered.value),
-            "per_shard_lookups": per_shard_lookups,
-        }
-
-    def _run_flash_phase(self) -> dict:
-        """A flash crowd on both identity planes: steady state + convergence.
-
-        The same crowd (one warm wave, then ``flash_waves`` steady waves
-        spaced beyond the TTL) runs once per plane.  Afterwards the hot
-        daemon publishes new runtime keys and a single probe flow punts
-        ``convergence_probe_delay`` later: its decision latency is the
-        plane's convergence cost after an identity change.
-        """
-        cfg = self.config
-        out: dict = {"flows": cfg.flash_flows * (1 + cfg.flash_waves)}
-        for plane in ("pull", "push"):
-            net = self._build_net(
-                f"queryload-flash-{plane}",
-                cache_ttl=cfg.ttl_probe, identity_plane=plane,
-            )
-            sim = net.topology.sim
-            daemon = net.daemon("server0")
-            engine = net.controller.query_engine
-
-            def wave() -> None:
-                for index in range(cfg.flash_flows):
-                    client = net.host(f"client{index % cfg.clients}")
-                    client.open_flow("http", "alice", "192.168.1.1", 80)
-
-            wave()  # warm wave: promotes the hot server on the push plane
-            net.run()
-            warm_answers = int(daemon.queries_answered.value)
-            for _ in range(cfg.flash_waves):
-                sim.schedule_at(sim.now + cfg.flash_wave_gap, wave,
-                                label="queryload.flash_wave")
-                net.run()
-            steady_queries = int(daemon.queries_answered.value) - warm_answers
-
-            # Identity change: publish new runtime keys for httpd, then
-            # punt one probe flow and time its verdict.
-            server = net.host("server0")
-            httpd_process = next(
-                socket.process for socket in server.sockets.sockets()
-                if socket.is_listening and socket.local_port == 80
-            )
-            t_pub = sim.now + 0.05
-            sim.schedule_at(t_pub, daemon.runtime.publish_for_process,
-                            httpd_process, {"patched": "yes"},
-                            label="queryload.flash_publish")
-            probe_at = t_pub + cfg.convergence_probe_delay
-            probe_client = net.host("client0")
-            sim.schedule_at(probe_at, probe_client.open_flow,
-                            "http", "alice", "192.168.1.1", 80,
-                            label="queryload.flash_probe")
-            net.run()
-            probe = next(
-                record for record in net.controller.audit.records()
-                if record.time >= probe_at and not record.cached
-            )
-            stats = engine.stats()
-            out[plane] = {
-                "steady_queries": steady_queries,
-                "convergence": probe.time - probe_at,
-                "subscriptions": engine.subscription_count(),
-                "resident_hits": int(stats.get("resident_hits", 0)),
-                "deltas_applied": int(stats.get("deltas_applied", 0)),
-                "duplicate_deltas": int(stats.get("duplicate_deltas", 0)),
-            }
-        return out
-
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-
-    def run_flash(self) -> tuple[dict, list[str]]:
-        """Run only the flash-crowd phase; return (result, violations)."""
-        flash = self._run_flash_phase()
-        return flash, flash_violations(flash)
-
-    def run(self) -> QueryLoadReport:
-        """Run all five phases and return the gated report."""
-        wall_start = time.perf_counter()
-        hot = self._run_hot_phase()
-        legacy = self._run_legacy_phase()
-        invalidation = self._run_invalidation_phase()
-        cluster = self._run_cluster_phase()
-        flash = self._run_flash_phase()
-        return QueryLoadReport(
-            flows_hot=hot["flows"],
-            uncached_decided_per_vsec=hot["uncached"]["per_vsec"],
-            cached_decided_per_vsec=hot["cached"]["per_vsec"],
-            uncached_makespan=hot["uncached"]["makespan"],
-            cached_makespan=hot["cached"]["makespan"],
-            engine_stats=hot["cached"]["engine_stats"],
-            hot_daemon_answers_uncached=hot["uncached"]["daemon_answers"],
-            hot_daemon_answers_cached=hot["cached"]["daemon_answers"],
-            legacy_flows=legacy["flows"],
-            legacy_uncached_timeouts=legacy["uncached"]["timeouts"],
-            legacy_cached_timeouts=legacy["cached"]["timeouts"],
-            legacy_negative_hits=legacy["cached"]["negative_hits"],
-            legacy_coalesced=legacy["cached"]["coalesced"],
-            cache_hit_before_events=invalidation["cache_hit_before_events"],
-            requery_after_publish=invalidation["requery_after_publish"],
-            requery_after_socket_change=invalidation["requery_after_socket_change"],
-            blocked_after_socket_change=invalidation["blocked_after_socket_change"],
-            requery_after_compromise=invalidation["requery_after_compromise"],
-            requery_after_ttl=invalidation["requery_after_ttl"],
-            cluster_flows=cluster["flows"],
-            cluster_shards_deciding=cluster["shards_deciding"],
-            cluster_daemon_answers=cluster["daemon_answers"],
-            cluster_per_shard_lookups=cluster["per_shard_lookups"],
-            flash_flows=flash["flows"],
-            pull_steady_queries=flash["pull"]["steady_queries"],
-            push_steady_queries=flash["push"]["steady_queries"],
-            push_subscriptions=flash["push"]["subscriptions"],
-            push_resident_hits=flash["push"]["resident_hits"],
-            push_deltas_applied=flash["push"]["deltas_applied"],
-            push_duplicate_deltas=flash["push"]["duplicate_deltas"],
-            pull_convergence=flash["pull"]["convergence"],
-            push_convergence=flash["push"]["convergence"],
-            wall_seconds=time.perf_counter() - wall_start,
-        )
+    cached_per_vsec = round(hot["cached"]["per_vsec"], 1)
+    return {
+        "flows_hot": hot["flows"],
+        "uncached_decided_per_vsec": round(hot["uncached"]["per_vsec"], 1),
+        "cached_decided_per_vsec": cached_per_vsec,
+        "uncached_makespan_vsec": round(hot["uncached"]["makespan"], 6),
+        "cached_makespan_vsec": round(hot["cached"]["makespan"], 6),
+        # Cached over uncached decided-flows per simulated second.
+        "speedup": round(ratio(hot["cached"]["per_vsec"], hot["uncached"]["per_vsec"]), 2),
+        "hot_daemon_answers_uncached": hot["uncached"]["daemon_answers"],
+        "hot_daemon_answers_cached": hot["cached"]["daemon_answers"],
+        "engine": {
+            key: hot["cached"]["engine_stats"].get(key)
+            for key in ("lookups", "hits", "misses", "coalesced",
+                        "negative_hits", "hit_rate", "coalesce_rate")
+        },
+        "legacy_flows": legacy["flows"],
+        "legacy_uncached_timeouts": legacy["uncached"]["timeouts"],
+        "legacy_cached_timeouts": legacy["cached"]["timeouts"],
+        "legacy_negative_hits": legacy["cached"]["negative_hits"],
+        "legacy_coalesced": legacy["cached"]["coalesced"],
+        "invalidation": invalidation,
+        "cluster": cluster,
+        "push_plane": {
+            "flows": flash["flows"],
+            "pull_steady_queries": pull["steady_queries"],
+            "push_steady_queries": push["steady_queries"],
+            "push_subscriptions": push["subscriptions"],
+            "push_resident_hits": push["resident_hits"],
+            "push_deltas_applied": push["deltas_applied"],
+            "push_duplicate_deltas": push["duplicate_deltas"],
+            "pull_convergence_vsec": round(pull["convergence"], 6),
+            "push_convergence_vsec": round(push["convergence"], 6),
+            "zero_query_ok": push["steady_queries"] == 0 and push["subscriptions"] >= 1,
+            "convergence_ok": push["convergence"] < pull["convergence"],
+        },
+        # True when every check above held; the speedup floor is the
+        # table's gate.
+        "gates_ok": not violations,
+        "violations": violations,
+        # Headline ops/s: cached decided-flows per simulated second.
+        "ops_per_sec": cached_per_vsec,
+    }
 
 
-def _print_report(payload: dict[str, object]) -> None:
-    width = max(len(key) for key in payload)
-    for key, value in payload.items():
-        print(f"  {key:<{width}}  {value}")
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """``make soak_queries`` / ``make soak_push`` entry point, gated."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Run the query-load soak")
-    parser.add_argument("phase", nargs="?", choices=("all", "push"), default="all",
-                        help="'push' runs only the flash-crowd push-plane gate")
-    args = parser.parse_args(argv)
-    if args.phase == "push":
-        print("running flash-crowd push-plane soak (pull vs push identity plane) ...")
-        flash, violations = QueryLoadBench().run_flash()
-        _print_report({"flows": flash["flows"],
-                       "pull": flash["pull"], "push": flash["push"]})
-        if violations:
-            for violation in violations:
-                print(f"FAIL: {violation}")
-            return 1
-        print(
-            "push soak ok: steady-state punts issue zero daemon queries and "
-            "delta-driven convergence beats the TTL path"
-        )
-        return 0
-    print("running query-cache soak (hot server, legacy host, invalidation, "
-          "cluster, flash crowd) ...")
-    report = QueryLoadBench().run()
-    _print_report(report.as_dict())
-    if not report.gates_ok:
-        for violation in report.violations:
-            print(f"FAIL: {violation}")
-        return 1
-    print(
+SOAK = Soak(
+    steps=(("query_cache_bench", query_cache),),
+    gates=(
+        Gate("query_cache_bench.speedup", operator.ge, QUERY_SPEEDUP_FLOOR,
+             f"hot-server speedup {{value}}x below the {QUERY_SPEEDUP_FLOOR:g}x floor"),
+    ),
+    ok=(
         "query soak ok: caching/coalescing carries the hot-server load, "
         "invalidation keeps it honest"
-    )
-    return 0
+    ),
+)
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+#: ``make soak_push``: the flash-crowd phase alone.  Every check it
+#: makes is a violation it lists, so the table needs no gate row.
+SOAK_PUSH = Soak(
+    steps=(("push_plane_flash_crowd", flash_crowd),),
+    gates=(),
+    ok=(
+        "push soak ok: steady-state punts issue zero daemon queries and "
+        "delta-driven convergence beats the TTL path"
+    ),
+)

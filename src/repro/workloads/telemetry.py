@@ -1,13 +1,13 @@
 """Telemetry workloads: detect-and-quarantine, and the overhead budget.
 
 The paper's promise is a network that *reacts* to endpoint compromise;
-until this PR the conficker scenario only contained the worm because
-the workload scripted ``mark_compromised``.  These two drivers prove
-the telemetry plane closes the loop on its own and costs almost
-nothing, both runnable standalone (``make soak_telemetry``) and
-recorded in ``BENCH_results.json``:
+before the telemetry plane the conficker scenario only contained the
+worm because the workload scripted ``mark_compromised``.  These two
+soaks prove the plane closes the loop on its own and costs almost
+nothing, run by ``make soak_telemetry`` and recorded in
+``BENCH_results.json``:
 
-* :class:`ConfickerTelemetryBench` — the detection claim.  A cluster
+* :func:`conficker_detection` — the detection claim.  A cluster
   cell serves a steady clean HTTP workload (the baseline the detectors
   learn), then two infected hosts start scanning every other host on
   port 445.  Nothing tells the control plane: the punt-rate spike
@@ -19,325 +19,239 @@ recorded in ``BENCH_results.json``:
   switch while clean hosts still reach the server).  A control run of
   the identical cell *without* the outbreak must raise zero alerts.
 
-* :class:`TelemetryOverheadBench` — the cost claim.  The cluster scale
+* :func:`telemetry_overhead` — the cost claim.  The cluster scale
   bench's 4-shard cell runs the identical flow burst with and without
-  the sampling plane; the wall-clock delta must stay under
+  the sampling plane; the sampling cost must stay under
   :data:`TELEMETRY_OVERHEAD_CEILING` percent (min-of-N runs to shave
   scheduler noise).
 
 Run standalone::
 
-    python -m repro.workloads.telemetry
+    python -m repro.workloads.soak telemetry
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.controller import ControllerConfig
-from repro.core.network import HostSpec, IdentPPClusterNetwork
-from repro.workloads.cluster import CLUSTER_POLICY, _build_cluster_net
+from repro.core.network import HostSpec
+from repro.workloads.cluster import CLIENTS, CLUSTER_POLICY, scale_cell
+from repro.workloads.soak import Soak, edge_core_net, open_web_flows, ratio, timed
 
 #: Acceptance ceiling for telemetry overhead on the cluster scale cell
-#: (percent wall-clock, sampled vs unsampled) — the single source both
-#: ``make soak_telemetry`` and ``make bench`` gate on.
+#: (percent of the run spent sampling).
 TELEMETRY_OVERHEAD_CEILING = 5.0
 
 #: Acceptance ceiling for outbreak detection latency (virtual seconds
 #: from first scan packet to the last quarantine alert).
 DETECTION_LATENCY_CEILING = 0.5
 
+#: The production default sampling interval — the overhead gate
+#: measures the shipped configuration, not a stress interval.
+TELEMETRY_INTERVAL = 0.05
 
 # ----------------------------------------------------------------------
 # Detection bench
 # ----------------------------------------------------------------------
 
+DETECTION_SHARDS = 2
+INFECTED_IPS = ("192.168.0.200", "192.168.0.201")
+#: Clean HTTP flows per second during warmup — the baseline the
+#: EWMA detectors learn before the outbreak.
+WARMUP_INTERVAL = 0.05
+WARMUP_DURATION = 2.0
+#: Scan rounds per infected host and spacing between probes; each
+#: round sprays every other host on port 445.
+SCAN_ROUNDS = 2
+SCAN_SPACING = 0.004
+SCAN_ROUND_GAP = 0.12
+FANOUT_THRESHOLD = 8
 
-@dataclass
-class ConfickerTelemetryConfig:
-    """Tunables of the telemetry-driven conficker outbreak."""
 
-    shards: int = 2
-    clients: int = 8
-    infected: int = 2
-    #: Clean HTTP flows per second during warmup — the baseline the
-    #: EWMA detectors learn before the outbreak.
-    warmup_interval: float = 0.05
-    warmup_duration: float = 2.0
-    #: Scan rounds per infected host and spacing between probes; each
-    #: round sprays every other host on port 445.
-    scan_rounds: int = 2
-    scan_spacing: float = 0.004
-    scan_round_gap: float = 0.12
-    settle: float = 2.0
-    telemetry_interval: float = 0.05
-    fanout_threshold: int = 8
-
-    def controller_config(self) -> ControllerConfig:
-        """Return the per-replica config (cached queries, serial eval)."""
-        return ControllerConfig(
-            serialize_decisions=True,
-            query_cache_ttl=5.0,
+def _detection_run(name: str, clients: int, settle: float, *, outbreak: bool):
+    """Run warmup traffic (and optionally the outbreak) on a fresh cell to
+    completion; return the network and its telemetry plane."""
+    net = edge_core_net(
+        name,
+        clients=clients,
+        shards=DETECTION_SHARDS,
+        policy=CLUSTER_POLICY,
+        # Cached queries, serial eval.
+        config=ControllerConfig(serialize_decisions=True, query_cache_ttl=5.0),
+    )
+    # Infected hosts look exactly like clients until they scan:
+    # same daemon, same user database, same applications.  The
+    # plane must tell them apart from behaviour, not labels.
+    for index, ip in enumerate(INFECTED_IPS):
+        net.add_host(
+            HostSpec(
+                name=f"infected{index}",
+                ip=ip,
+                users={"alice": ("users", "staff"), "victim": ("users",)},
+            ),
+            switch="sw-edge",
         )
+    plane = net.enable_telemetry(
+        interval=TELEMETRY_INTERVAL, fanout_threshold=FANOUT_THRESHOLD
+    )
+    plane.start()
+
+    sim = net.topology.sim
+    total_ticks = int((WARMUP_DURATION + settle) / WARMUP_INTERVAL)
+    state = {"ticks": 0}
+
+    def clean_tick() -> bool:
+        state["ticks"] += 1
+        open_web_flows(net, 1, clients, first=state["ticks"])
+        return state["ticks"] < total_ticks
+
+    sim.schedule_repeating(WARMUP_INTERVAL, clean_tick, label="clean-traffic")
+
+    if outbreak:
+        all_ips = [net.host(f"client{index}").ip for index in range(clients)]
+        all_ips += [*INFECTED_IPS, net.host("server").ip]
+
+        def start_outbreak() -> None:
+            for index, own_ip in enumerate(INFECTED_IPS):
+                scanner = f"infected{index}"
+                targets = [ip for ip in all_ips if ip != own_ip]
+                for round_no in range(SCAN_ROUNDS):
+                    for pos, target in enumerate(targets):
+                        sim.schedule(
+                            round_no * SCAN_ROUND_GAP + pos * SCAN_SPACING,
+                            lambda s=scanner, d=target: net.host(s).open_flow(
+                                "conficker", "victim", d, 445
+                            ),
+                            label="scan",
+                        )
+
+        sim.schedule_at(WARMUP_DURATION, start_outbreak, label="outbreak")
+
+    net.run(WARMUP_DURATION + settle)
+    net.telemetry.stop()
+    net.run()  # drain the queue completely
+    return net, plane
 
 
-@dataclass
-class ConfickerTelemetryReport:
-    """What the telemetry plane saw, decided and contained."""
+@timed
+def conficker_detection(clients: int = CLIENTS, settle: float = 2.0) -> dict:
+    """Detect and quarantine a scanning worm by telemetry alone (no scripted compromise)."""
+    net, plane = _detection_run("telemetry-conficker", clients, settle, outbreak=True)
 
-    infected_ips: tuple[str, ...]
-    quarantined: tuple[str, ...]
-    quarantine_alerts: dict[str, int]
-    spike_alerts: int
-    outbreak_time: float
-    detection_time: float
-    clean_run_alerts: int
-    clean_run_quarantined: int
-    infected_contained: bool
-    clean_unaffected: bool
-    telemetry_samples: int
-    wall_seconds: float = 0.0
-    # Computed from the fields above, never passed in.
-    violations: list[str] = field(init=False, default_factory=list)
+    quarantine_alerts: dict[str, int] = {}
+    detection_time = 0.0
+    for alert in plane.quarantine_alerts():
+        quarantine_alerts[alert.source] = quarantine_alerts.get(alert.source, 0) + 1
+        detection_time = max(detection_time, alert.time)
+    # Virtual seconds from outbreak start to the last quarantine.
+    detection_latency = max(0.0, detection_time - WARMUP_DURATION)
+    quarantined = sorted(plane.quarantined)
 
-    def __post_init__(self) -> None:
-        self.violations = self._compute_violations()
+    # Containment: the scanner's fresh traffic must die in the
+    # datapath while a clean client still reaches the server.
+    contained = not net.send_flow(
+        "infected0", "http", "alice", "192.168.1.1", 80
+    ).delivered
+    unaffected = net.send_flow(
+        "client0", "http", "alice", "192.168.1.1", 80
+    ).delivered
 
-    def _compute_violations(self) -> list[str]:
-        violations = []
-        missed = set(self.infected_ips) - set(self.quarantined)
-        if missed:
-            violations.append(f"infected hosts never quarantined: {sorted(missed)}")
-        false_positives = set(self.quarantined) - set(self.infected_ips)
-        if false_positives:
-            violations.append(f"clean hosts quarantined: {sorted(false_positives)}")
-        wrong_counts = {
-            ip: count for ip, count in self.quarantine_alerts.items() if count != 1
-        }
-        if wrong_counts:
-            violations.append(
-                f"expected exactly one quarantine alert per host, got {wrong_counts}"
-            )
-        if self.detection_latency > DETECTION_LATENCY_CEILING:
-            violations.append(
-                f"detection took {self.detection_latency:.3f}s "
-                f"(ceiling {DETECTION_LATENCY_CEILING:g}s)"
-            )
-        if self.clean_run_alerts or self.clean_run_quarantined:
-            violations.append(
-                f"control run without outbreak raised {self.clean_run_alerts} "
-                f"alerts / {self.clean_run_quarantined} quarantines"
-            )
-        if not self.infected_contained:
-            violations.append("a quarantined scanner still reaches the server")
-        if not self.clean_unaffected:
-            violations.append("quarantine broke a clean host's traffic")
-        return violations
+    # Control run (no outbreak: must stay silent).
+    _, control_plane = _detection_run("telemetry-clean", clients, settle, outbreak=False)
+    clean_run_alerts = len(control_plane.alerts())
 
-    @property
-    def detection_latency(self) -> float:
-        """Virtual seconds from outbreak start to the last quarantine."""
-        return max(0.0, self.detection_time - self.outbreak_time)
-
-    @property
-    def detected(self) -> bool:
-        """True when the outbreak was detected and contained cleanly."""
-        return not self.violations
-
-    def as_dict(self) -> dict[str, object]:
-        """Return a JSON-serialisable summary for the benchmark suite."""
-        return {
-            "infected": list(self.infected_ips),
-            "quarantined": list(self.quarantined),
-            "quarantine_alerts": dict(sorted(self.quarantine_alerts.items())),
-            "spike_alerts": self.spike_alerts,
-            "detection_latency_vsec": round(self.detection_latency, 4),
-            "clean_run_alerts": self.clean_run_alerts,
-            "infected_contained": self.infected_contained,
-            "clean_unaffected": self.clean_unaffected,
-            "telemetry_samples": self.telemetry_samples,
-            "detected": self.detected,
-            "violations": list(self.violations),
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-
-
-class ConfickerTelemetryBench:
-    """Detect and quarantine a scanning worm by telemetry alone."""
-
-    def __init__(self, config: Optional[ConfickerTelemetryConfig] = None) -> None:
-        self.config = config if config is not None else ConfickerTelemetryConfig()
-
-    def _build_net(self, name: str) -> IdentPPClusterNetwork:
-        cfg = self.config
-        net = IdentPPClusterNetwork(
-            name,
-            shards=cfg.shards,
-            policy_default_action="block",
-            controller_config=cfg.controller_config(),
+    violations = []
+    missed = set(INFECTED_IPS) - set(quarantined)
+    if missed:
+        violations.append(f"infected hosts never quarantined: {sorted(missed)}")
+    false_positives = set(quarantined) - set(INFECTED_IPS)
+    if false_positives:
+        violations.append(f"clean hosts quarantined: {sorted(false_positives)}")
+    wrong_counts = {ip: count for ip, count in quarantine_alerts.items() if count != 1}
+    if wrong_counts:
+        violations.append(
+            f"expected exactly one quarantine alert per host, got {wrong_counts}"
         )
-        edge = net.add_switch("sw-edge")
-        core = net.add_switch("sw-core")
-        net.connect(edge, core)
-        for index in range(cfg.clients):
-            net.add_host(
-                HostSpec(
-                    name=f"client{index}",
-                    ip=f"192.168.0.{10 + index}",
-                    users={"alice": ("users", "staff")},
-                ),
-                switch=edge,
-            )
-        # Infected hosts look exactly like clients until they scan:
-        # same daemon, same user database, same applications.  The
-        # plane must tell them apart from behaviour, not labels.
-        for index in range(cfg.infected):
-            net.add_host(
-                HostSpec(
-                    name=f"infected{index}",
-                    ip=f"192.168.0.{200 + index}",
-                    users={"alice": ("users", "staff"), "victim": ("users",)},
-                ),
-                switch=edge,
-            )
-        server = net.add_host(HostSpec(name="server", ip="192.168.1.1"), switch=core)
-        server.run_server("httpd", "root", 80)
-        net.set_policy({"00-telemetry.control": CLUSTER_POLICY})
-        return net
-
-    def _drive(self, net: IdentPPClusterNetwork, *, outbreak: bool) -> None:
-        """Run warmup traffic (and optionally the outbreak) to completion."""
-        cfg = self.config
-        sim = net.topology.sim
-        total_ticks = int(
-            (cfg.warmup_duration + cfg.settle) / cfg.warmup_interval
+    if detection_latency > DETECTION_LATENCY_CEILING:
+        violations.append(
+            f"detection took {detection_latency:.3f}s "
+            f"(ceiling {DETECTION_LATENCY_CEILING:g}s)"
         )
-        state = {"ticks": 0}
-
-        def clean_tick() -> bool:
-            state["ticks"] += 1
-            client = net.host(f"client{state['ticks'] % cfg.clients}")
-            client.open_flow("http", "alice", "192.168.1.1", 80)
-            return state["ticks"] < total_ticks
-
-        sim.schedule_repeating(cfg.warmup_interval, clean_tick, label="clean-traffic")
-
-        if outbreak:
-            all_ips = [f"192.168.0.{10 + i}" for i in range(cfg.clients)]
-            all_ips += [f"192.168.0.{200 + i}" for i in range(cfg.infected)]
-            all_ips.append("192.168.1.1")
-
-            def start_outbreak() -> None:
-                for index in range(cfg.infected):
-                    scanner = f"infected{index}"
-                    own_ip = f"192.168.0.{200 + index}"
-                    targets = [ip for ip in all_ips if ip != own_ip]
-                    for round_no in range(cfg.scan_rounds):
-                        for pos, target in enumerate(targets):
-                            sim.schedule(
-                                round_no * cfg.scan_round_gap + pos * cfg.scan_spacing,
-                                lambda s=scanner, d=target: net.host(s).open_flow(
-                                    "conficker", "victim", d, 445
-                                ),
-                                label="scan",
-                            )
-
-            sim.schedule_at(cfg.warmup_duration, start_outbreak, label="outbreak")
-
-        net.run(cfg.warmup_duration + cfg.settle)
-        net.telemetry.stop()
-        net.run()  # drain the queue completely
-
-    def run(self) -> ConfickerTelemetryReport:
-        """Run outbreak + control runs and return the gated report."""
-        cfg = self.config
-        wall_start = time.perf_counter()
-        infected_ips = tuple(
-            f"192.168.0.{200 + index}" for index in range(cfg.infected)
+    if clean_run_alerts or control_plane.quarantined:
+        violations.append(
+            f"control run without outbreak raised {clean_run_alerts} "
+            f"alerts / {len(control_plane.quarantined)} quarantines"
         )
-
-        # --- outbreak run ----------------------------------------------------
-        net = self._build_net("telemetry-conficker")
-        plane = net.enable_telemetry(
-            interval=cfg.telemetry_interval,
-            fanout_threshold=cfg.fanout_threshold,
-        )
-        plane.start()
-        self._drive(net, outbreak=True)
-
-        quarantine_alerts: dict[str, int] = {}
-        detection_time = 0.0
-        for alert in plane.quarantine_alerts():
-            quarantine_alerts[alert.source] = quarantine_alerts.get(alert.source, 0) + 1
-            detection_time = max(detection_time, alert.time)
-
-        # Containment: the scanner's fresh traffic must die in the
-        # datapath while a clean client still reaches the server.
-        contained = not net.send_flow(
-            "infected0", "http", "alice", "192.168.1.1", 80
-        ).delivered
-        unaffected = net.send_flow(
-            "client0", "http", "alice", "192.168.1.1", 80
-        ).delivered
-
-        # --- control run (no outbreak: must stay silent) ---------------------
-        control = self._build_net("telemetry-clean")
-        control_plane = control.enable_telemetry(
-            interval=cfg.telemetry_interval,
-            fanout_threshold=cfg.fanout_threshold,
-        )
-        control_plane.start()
-        self._drive(control, outbreak=False)
-
-        return ConfickerTelemetryReport(
-            infected_ips=infected_ips,
-            quarantined=tuple(sorted(plane.quarantined)),
-            quarantine_alerts=quarantine_alerts,
-            spike_alerts=len(plane.alerts("spike")),
-            outbreak_time=cfg.warmup_duration,
-            detection_time=detection_time,
-            clean_run_alerts=len(control_plane.alerts()),
-            clean_run_quarantined=len(control_plane.quarantined),
-            infected_contained=contained,
-            clean_unaffected=unaffected,
-            telemetry_samples=plane.pipeline.samples,
-            wall_seconds=time.perf_counter() - wall_start,
-        )
+    if not contained:
+        violations.append("a quarantined scanner still reaches the server")
+    if not unaffected:
+        violations.append("quarantine broke a clean host's traffic")
+    return {
+        "infected": list(INFECTED_IPS),
+        "quarantined": quarantined,
+        "quarantine_alerts": dict(sorted(quarantine_alerts.items())),
+        "spike_alerts": len(plane.alerts("spike")),
+        "detection_latency_vsec": round(detection_latency, 4),
+        "clean_run_alerts": clean_run_alerts,
+        "infected_contained": contained,
+        "clean_unaffected": unaffected,
+        "telemetry_samples": plane.pipeline.samples,
+        # True when the outbreak was detected and contained cleanly.
+        "detected": not violations,
+        "violations": violations,
+    }
 
 
 # ----------------------------------------------------------------------
 # Overhead bench
 # ----------------------------------------------------------------------
 
-
-@dataclass
-class TelemetryOverheadConfig:
-    """Tunables of the sampling-cost measurement."""
-
-    shards: int = 4
-    clients: int = 8
-    flows: int = 800
-    policy_eval_delay: float = 500e-6
-    #: The production default sampling interval — the overhead gate
-    #: measures the shipped configuration, not a stress interval.
-    telemetry_interval: float = 0.05
-    horizon: float = 1.0
-    repeats: int = 3
-
-    def controller_config(self) -> ControllerConfig:
-        """Return the per-replica config (the scale bench's shape)."""
-        return ControllerConfig(
-            serialize_decisions=True,
-            policy_eval_delay=self.policy_eval_delay,
-            pending_deadline=60.0,
-        )
+OVERHEAD_SHARDS = 4
+OVERHEAD_FLOWS = 800
+OVERHEAD_HORIZON = 1.0
+OVERHEAD_REPEATS = 3
 
 
-@dataclass
-class TelemetryOverheadReport:
-    """What sampling cost on the cluster scale cell.
+def _overhead_run(*, telemetry: bool) -> tuple[float, float, int, int]:
+    """One cell run; returns (wall, sampling wall, decisions, samples)."""
+    net = scale_cell("telemetry-overhead", OVERHEAD_SHARDS)
+    plane = None
+    sampling = [0.0]
+    if telemetry:
+        # Detection stays on (that is the production configuration);
+        # only auto-quarantine is disarmed so an aggressive burst
+        # cannot rewrite the workload mid-measurement.
+        plane = net.enable_telemetry(interval=TELEMETRY_INTERVAL, auto_quarantine=False)
+        # Time every sweep from out here: the plane itself must stay
+        # deterministic (lint R1 bans wall-clock reads in src/repro
+        # outside workloads), so the bench wraps pipeline.sample —
+        # the sampler tick resolves it per call, so this sees every
+        # sweep.
+        inner = plane.pipeline.sample
+
+        def timed_sample(now: float) -> None:
+            begin = time.perf_counter()
+            inner(now)
+            sampling[0] += time.perf_counter() - begin
+
+        plane.pipeline.sample = timed_sample  # type: ignore[method-assign]
+    start = time.perf_counter()
+    if plane is not None:
+        plane.start()
+    open_web_flows(net, OVERHEAD_FLOWS, CLIENTS)
+    net.run(OVERHEAD_HORIZON)
+    if plane is not None:
+        plane.stop()
+    net.run()  # drain
+    elapsed = time.perf_counter() - start
+    samples = plane.pipeline.samples if plane is not None else 0
+    return elapsed, sampling[0], net.cluster.decided_total(), samples
+
+
+@timed
+def telemetry_overhead() -> dict:
+    """Measure what the sampling plane costs on the cluster scale bench's 4-shard cell.
 
     ``overhead_pct`` — the gated number — is the CPU the plane's sweeps
     consumed as a percentage of the rest of the run, measured *inside*
@@ -348,190 +262,59 @@ class TelemetryOverheadReport:
     delta would flap; the in-run measurement is reported alongside the
     informational ``ab_delta_pct`` instead.
     """
+    # Both variants OVERHEAD_REPEATS times, interleaved; keep the minima.
+    baseline = sampled = float("inf")
+    sampling = 0.0
+    decided_base = decided_sampled = samples = 0
+    for _ in range(OVERHEAD_REPEATS):
+        elapsed, _, count, _ = _overhead_run(telemetry=False)
+        if elapsed < baseline:
+            baseline, decided_base = elapsed, count
+        elapsed, sampled_s, count, sampled_n = _overhead_run(telemetry=True)
+        if elapsed < sampled:
+            sampled, sampling = elapsed, sampled_s
+            decided_sampled, samples = count, sampled_n
 
-    flows: int
-    repeats: int
-    baseline_seconds: float
-    telemetry_seconds: float
-    sampling_seconds: float
-    samples: int
-    decided_baseline: int
-    decided_telemetry: int
-    wall_seconds: float = 0.0
-    # Computed from the fields above, never passed in.
-    violations: list[str] = field(init=False, default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.violations = self._compute_violations()
-
-    def _compute_violations(self) -> list[str]:
-        violations = []
-        if self.decided_baseline != self.decided_telemetry:
-            violations.append(
-                "sampling changed the workload: "
-                f"{self.decided_baseline} vs {self.decided_telemetry} decisions"
-            )
-        if self.overhead_pct >= TELEMETRY_OVERHEAD_CEILING:
-            violations.append(
-                f"telemetry overhead {self.overhead_pct:.2f}% breaches the "
-                f"{TELEMETRY_OVERHEAD_CEILING:g}% ceiling"
-            )
-        return violations
-
-    @property
-    def overhead_pct(self) -> float:
-        """CPU spent sampling, percent of the non-sampling run cost."""
-        useful = self.telemetry_seconds - self.sampling_seconds
-        if useful <= 0:
-            return 0.0
-        return self.sampling_seconds / useful * 100.0
-
-    @property
-    def ab_delta_pct(self) -> float:
-        """Informational: wall-clock delta of the two runs (noisy)."""
-        if not self.baseline_seconds:
-            return 0.0
-        return (
-            (self.telemetry_seconds - self.baseline_seconds)
-            / self.baseline_seconds
-            * 100.0
+    # CPU spent sampling, percent of the non-sampling run cost.
+    useful = sampled - sampling
+    overhead_pct = round(sampling / useful * 100.0 if useful > 0 else 0.0, 2)
+    violations = []
+    if decided_base != decided_sampled:
+        violations.append(
+            "sampling changed the workload: "
+            f"{decided_base} vs {decided_sampled} decisions"
         )
-
-    @property
-    def within_budget(self) -> bool:
-        """True when the overhead gate passes (acceptance gate)."""
-        return not self.violations
-
-    def as_dict(self) -> dict[str, object]:
-        """Return a JSON-serialisable summary for the benchmark suite."""
-        return {
-            "flows": self.flows,
-            "repeats": self.repeats,
-            "baseline_seconds": round(self.baseline_seconds, 4),
-            "telemetry_seconds": round(self.telemetry_seconds, 4),
-            "sampling_seconds": round(self.sampling_seconds, 4),
-            "overhead_pct": round(self.overhead_pct, 2),
-            "ab_delta_pct": round(self.ab_delta_pct, 2),
-            "samples": self.samples,
-            "decided": self.decided_baseline,
-            "within_budget": self.within_budget,
-            "violations": list(self.violations),
-            "wall_seconds": round(self.wall_seconds, 3),
-        }
-
-
-class TelemetryOverheadBench:
-    """Measure what the sampling plane costs on the cluster scale cell."""
-
-    def __init__(self, config: Optional[TelemetryOverheadConfig] = None) -> None:
-        self.config = config if config is not None else TelemetryOverheadConfig()
-
-    def _run_once(self, *, telemetry: bool) -> tuple[float, float, int, int]:
-        """One cell run; returns (wall, sampling wall, decisions, samples)."""
-        cfg = self.config
-        net = _build_cluster_net(
-            "telemetry-overhead",
-            shards=cfg.shards,
-            clients=cfg.clients,
-            config=cfg.controller_config(),
+    if overhead_pct >= TELEMETRY_OVERHEAD_CEILING:
+        violations.append(
+            f"telemetry overhead {overhead_pct:.2f}% breaches the "
+            f"{TELEMETRY_OVERHEAD_CEILING:g}% ceiling"
         )
-        plane = None
-        sampling = [0.0]
-        if telemetry:
-            # Detection stays on (that is the production configuration);
-            # only auto-quarantine is disarmed so an aggressive burst
-            # cannot rewrite the workload mid-measurement.
-            plane = net.enable_telemetry(
-                interval=cfg.telemetry_interval, auto_quarantine=False
-            )
-            # Time every sweep from out here: the plane itself must stay
-            # deterministic (lint R1 bans wall-clock reads in src/repro
-            # outside workloads), so the bench wraps pipeline.sample —
-            # the sampler tick resolves it per call, so this sees every
-            # sweep.
-            inner = plane.pipeline.sample
-
-            def timed_sample(now: float) -> None:
-                begin = time.perf_counter()
-                inner(now)
-                sampling[0] += time.perf_counter() - begin
-
-            plane.pipeline.sample = timed_sample  # type: ignore[method-assign]
-        start = time.perf_counter()
-        if plane is not None:
-            plane.start()
-        for index in range(cfg.flows):
-            client = net.host(f"client{index % cfg.clients}")
-            client.open_flow("http", "alice", "192.168.1.1", 80)
-        net.run(cfg.horizon)
-        if plane is not None:
-            plane.stop()
-        net.run()  # drain
-        elapsed = time.perf_counter() - start
-        decided = net.cluster.decided_total()
-        samples = plane.pipeline.samples if plane is not None else 0
-        return elapsed, sampling[0], decided, samples
-
-    def run(self) -> TelemetryOverheadReport:
-        """Run both variants ``repeats`` times, interleaved; keep minima."""
-        cfg = self.config
-        wall_start = time.perf_counter()
-        baseline = telemetry = float("inf")
-        sampling = 0.0
-        decided_base = decided_tel = samples = 0
-        for _ in range(cfg.repeats):
-            elapsed, _, decided, _ = self._run_once(telemetry=False)
-            if elapsed < baseline:
-                baseline, decided_base = elapsed, decided
-            elapsed, sampled_s, decided, sampled = self._run_once(telemetry=True)
-            if elapsed < telemetry:
-                telemetry, sampling = elapsed, sampled_s
-                decided_tel, samples = decided, sampled
-        return TelemetryOverheadReport(
-            flows=cfg.flows,
-            repeats=cfg.repeats,
-            baseline_seconds=baseline,
-            telemetry_seconds=telemetry,
-            sampling_seconds=sampling,
-            samples=samples,
-            decided_baseline=decided_base,
-            decided_telemetry=decided_tel,
-            wall_seconds=time.perf_counter() - wall_start,
-        )
+    return {
+        "flows": OVERHEAD_FLOWS,
+        "repeats": OVERHEAD_REPEATS,
+        "baseline_seconds": round(baseline, 4),
+        "telemetry_seconds": round(sampled, 4),
+        "sampling_seconds": round(sampling, 4),
+        "overhead_pct": overhead_pct,
+        # Informational: wall-clock delta of the two runs (noisy).
+        "ab_delta_pct": round(ratio(sampled - baseline, baseline) * 100.0, 2),
+        "samples": samples,
+        "decided": decided_base,
+        "within_budget": not violations,
+        "violations": violations,
+    }
 
 
-def _print_report(payload: dict[str, object]) -> None:
-    width = max(len(key) for key in payload)
-    for key, value in payload.items():
-        print(f"  {key:<{width}}  {value}")
-
-
-def main() -> int:
-    """``make soak_telemetry`` entry point: detection + overhead, gated."""
-    print("running telemetry-driven conficker detection (no scripted compromise) ...")
-    detection = ConfickerTelemetryBench().run()
-    _print_report(detection.as_dict())
-
-    print("running telemetry overhead bench (sampled vs unsampled cell) ...")
-    overhead = TelemetryOverheadBench().run()
-    _print_report(overhead.as_dict())
-
-    ok = True
-    if not detection.detected:
-        ok = False
-        for violation in detection.violations:
-            print(f"FAIL: {violation}")
-    if not overhead.within_budget:
-        ok = False
-        for violation in overhead.violations:
-            print(f"FAIL: {violation}")
-    if ok:
-        print(
-            "telemetry soak ok: outbreak detected and quarantined by telemetry "
-            "alone, sampling within the overhead budget"
-        )
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+#: Every check either soak makes is a violation it lists, so the table
+#: needs no gate row.
+SOAK = Soak(
+    steps=(
+        ("telemetry_conficker_detection", conficker_detection),
+        ("telemetry_overhead", telemetry_overhead),
+    ),
+    gates=(),
+    ok=(
+        "telemetry soak ok: outbreak detected and quarantined by telemetry "
+        "alone, sampling within the overhead budget"
+    ),
+)

@@ -16,7 +16,10 @@ sections other documents and PR acceptance criteria point at.
 ``docs/BENCHMARKS.md`` is also held to ``BENCH_results.json``: every
 name in the first column of an ``Entry`` table under the ``results`` and
 ``derived`` headings (``name_{a,b}`` brace lists expanded) must be a key
-of that map in the JSON file, and every key must have a row.
+of that map in the JSON file, and every key must have a row.  A gated
+path — a row of a soak module's ``SOAK`` table or of
+``benchmarks/run_benchmarks.py::GATES`` — must have such a row too, and
+the row must name the gated key.
 
 Run directly or via ``make docs_check``; CI runs it in the docs job so
 documentation cannot drift from the tree it describes.
@@ -24,12 +27,14 @@ documentation cannot drift from the tree it describes.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: Markdown inline links: [text](target)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -103,16 +108,17 @@ def check_required_sections() -> list[str]:
     return problems
 
 
-def documented_entries(text: str) -> dict[str, set[str]]:
-    """Return the names the ``Entry`` tables of BENCHMARKS.md list, per JSON map."""
-    entries: dict[str, set[str]] = {}
-    names = None
+def documented_entries(text: str) -> dict[str, dict[str, str]]:
+    """Return the ``Entry`` table rows of BENCHMARKS.md, per JSON map, by the
+    names their first column lists."""
+    entries: dict[str, dict[str, str]] = {}
+    rows = None
     in_entry_table = False
     for line in text.splitlines():
         if line.startswith("## "):
             heading = re.fullmatch(r"## `(\w+)` entries", line.strip())
-            names = entries.setdefault(heading.group(1), set()) if heading else None
-        if names is None or not line.startswith("|"):
+            rows = entries.setdefault(heading.group(1), {}) if heading else None
+        if rows is None or not line.startswith("|"):
             in_entry_table = False
             continue
         first_cell = line.split("|")[1].strip()
@@ -122,26 +128,52 @@ def documented_entries(text: str) -> dict[str, set[str]]:
             for name in re.findall(r"`([^`]+)`", first_cell):
                 braces = re.search(r"\{([^}]*)\}", name)
                 if braces is None:
-                    names.add(name)
+                    rows[name] = line
                     continue
                 for item in braces.group(1).split(","):
-                    names.add(name[: braces.start()] + item.strip() + name[braces.end():])
+                    rows[name[: braces.start()] + item.strip() + name[braces.end():]] = line
     return entries
 
 
+def gated_paths() -> list[str]:
+    """Return every gated path, from the top of ``BENCH_results.json``."""
+    from repro.workloads.soak import SOAKS, load
+
+    spec = importlib.util.spec_from_file_location(
+        "run_benchmarks", REPO_ROOT / "benchmarks" / "run_benchmarks.py"
+    )
+    run_benchmarks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_benchmarks)
+    paths = [gate.path for gate in run_benchmarks.GATES]
+    for name in SOAKS:
+        paths.extend(f"results.{gate.path}" for gate in load(name).gates)
+    return paths
+
+
 def check_benchmark_entries() -> list[str]:
-    """Return a problem line per documented entry without a JSON key, and per key without a row."""
+    """Return a problem line per documented entry without a JSON key, per
+    key without a row, and per gated path whose row does not name it."""
     payload = json.loads((REPO_ROOT / "BENCH_results.json").read_text(encoding="utf-8"))
     text = (REPO_ROOT / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
+    documented = documented_entries(text)
     problems = []
-    for section, names in sorted(documented_entries(text).items()):
+    for section, rows in sorted(documented.items()):
         keys = set(payload[section])
-        for name in sorted(names - keys):
+        for name in sorted(set(rows) - keys):
             problems.append(
                 f"docs/BENCHMARKS.md: `{name}` is not a key of BENCH_results.json {section}"
             )
-        for key in sorted(keys - names):
+        for key in sorted(keys - set(rows)):
             problems.append(f"docs/BENCHMARKS.md: BENCH_results.json {section}.{key} has no row")
+    for path in gated_paths():
+        section, entry, *rest = path.split(".")
+        row = documented.get(section, {}).get(entry)
+        if row is None:
+            problems.append(f"docs/BENCHMARKS.md: gated {path} has no row for `{entry}`")
+        elif rest and f"`{rest[-1]}`" not in row:
+            problems.append(
+                f"docs/BENCHMARKS.md: the `{entry}` row does not name the gated `{rest[-1]}`"
+            )
     return problems
 
 
