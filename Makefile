@@ -34,12 +34,15 @@ determinism:
 	$(PYTHON) -m repro.workloads.determinism
 
 # The wall-clock benchmark of BENCHMARK.json (perf/README.md).  The smoke
-# run exits non-zero on any failed op or cross-repeat mismatch.
+# runs exit non-zero on any failed op or cross-repeat mismatch: the punt
+# path, then the fast path (a punt leaking into its timed region, or a
+# forwarded packet misdelivered, fails its oracle).
 perf:
 	python3 perf/run.py
 
 perf_smoke:
 	python3 perf/run.py --workload punt_unique --seconds 2
+	python3 perf/run.py --workload fastpath_forward --seconds 2
 
 bench-experiments:
 	$(PYTHON) -m pytest benchmarks/bench_*.py --benchmark-only -s

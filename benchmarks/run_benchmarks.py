@@ -73,6 +73,10 @@ DAEMON_ANSWER_CEILING = 1.5
 #: are cancelled long before their time than when every one fires.
 EVENT_LOOP_CANCELLED_CEILING = 1.5
 
+#: A hop may cost at most this much more while a packet capture is
+#: running than with none (loose: two records and their ring per hop).
+PACKET_HOP_CAPTURE_CEILING = 1.6
+
 #: What one decided punt of the async soak may cost, end to end (punt,
 #: both queries, eval, path install, expiry, unwind): simulator events,
 #: and control-channel messages.  Counts, exact for a seed (11.06 and
@@ -99,6 +103,9 @@ GATES = (
     Gate("derived.event_loop_cancelled_vs_clean", operator.le, EVENT_LOOP_CANCELLED_CEILING,
          f"a scheduled event costs more than {EVENT_LOOP_CANCELLED_CEILING:g}x as much "
          "with nine in ten cancelled as with all firing (dead records pile up in the heap)"),
+    Gate("derived.packet_hop_captured_vs_off", operator.le, PACKET_HOP_CAPTURE_CEILING,
+         f"a hop costs more than {PACKET_HOP_CAPTURE_CEILING:g}x as much with a packet "
+         "capture running as with none"),
     Gate("derived.punt_events_per_decision", operator.le, PUNT_EVENTS_CEILING,
          "a decided punt of the async soak costs more than "
          f"{PUNT_EVENTS_CEILING:g} simulator events"),
@@ -283,7 +290,10 @@ def bench_event_loop(results: dict) -> None:
     """Scheduled events per second: all firing, and nine in ten cancelled."""
     results["event_loop_clean"] = _per_item(_timeit(_event_loop(0)), _LOOP_BATCH)
     results["event_loop_90pct_cancelled"] = _per_item(_timeit(_event_loop(9)), _LOOP_BATCH)
-    results["packet_hop"] = _per_item(_timeit(_packet_hops()), 2 * _HOP_BATCH)
+    results["packet_hop"] = _per_item(_timeit(_packet_hops(capture=False)), 2 * _HOP_BATCH)
+    results["packet_hop_captured"] = _per_item(
+        _timeit(_packet_hops(capture=True)), 2 * _HOP_BATCH
+    )
 
 
 def _event_loop(cancelled_tenths: int):
@@ -310,14 +320,16 @@ def _event_loop(cancelled_tenths: int):
     return iteration
 
 
-def _packet_hops():
+def _packet_hops(*, capture: bool):
     """Packets of an established flow across host -- switch -- host.
 
     Two hops per packet, each the whole per-hop path: ``Node.send``,
     ``Link.transmit``, one event, ``Port.deliver``, and at the switch a
-    flow-table hit, two trace records and the forward.
+    flow-table hit and the forward — plus, with a packet capture
+    started, the two trace records of the switch hop.
     """
     topo = Topology("hop")
+    topo.trace.enabled = capture
     switch = topo.add_node(OpenFlowSwitch("sw", trace=topo.trace))
     client = topo.add_node(EndHost("client", "10.0.0.1"))
     server = topo.add_node(EndHost("server", "10.0.0.2"))
@@ -333,7 +345,8 @@ def _packet_hops():
         for index in range(_HOP_BATCH):
             client.transmit(packets[index % 2])
         topo.run()
-        # The trace and the delivery log are append-only by design.
+        # The delivery log is the caller's to drain; clearing the capture
+        # keeps every iteration appending to a ring that is not yet full.
         topo.trace.clear()
         server.delivered.clear()
         server.delivered_times.clear()
@@ -428,6 +441,11 @@ def main() -> int:
         "event_loop_cancelled_vs_clean": round(
             results["event_loop_clean"]["ops_per_sec"]
             / results["event_loop_90pct_cancelled"]["ops_per_sec"],
+            2,
+        ),
+        "packet_hop_captured_vs_off": round(
+            results["packet_hop"]["ops_per_sec"]
+            / results["packet_hop_captured"]["ops_per_sec"],
             2,
         ),
         "soak_async_events_per_wall_s": round(

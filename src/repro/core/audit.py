@@ -58,6 +58,11 @@ class AuditLog:
     def __iter__(self) -> Iterator[DecisionRecord]:
         return iter(list(self._records))
 
+    def __reversed__(self) -> Iterator[DecisionRecord]:
+        """Walk newest-first in place: a scan that stops at a window edge
+        or a first match costs what it visits, not the length of the log."""
+        return reversed(self._records)
+
     def records(self) -> list[DecisionRecord]:
         """Return all records in order."""
         return list(self._records)

@@ -432,7 +432,7 @@ class IdentPPNetwork:
 
     def _last_decision_for(self, flow: FlowSpec):
         for controller in self.controllers.values():
-            for record in reversed(controller.audit.records()):
+            for record in reversed(controller.audit):
                 if record.flow == flow:
                     return record
         return None

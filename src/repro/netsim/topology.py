@@ -32,7 +32,8 @@ class Topology:
     def __init__(self, name: str = "topology", sim: Optional[Simulator] = None) -> None:
         self.name = name
         self.sim = sim if sim is not None else Simulator()
-        self.trace = PacketTrace(name=f"{name}.trace")
+        # A capture is something you start: ``trace.enabled = True``.
+        self.trace = PacketTrace(name=f"{name}.trace", enabled=False)
         self._nodes: dict[str, Node] = {}
         self._links: list[Link] = []
         self._graph = nx.Graph()

@@ -85,9 +85,6 @@ class OpenFlowSwitch(Node):
         self.failed = False
         self._recovery_listeners: list[Callable[[], None]] = []
         self._buffered: dict[int, tuple[Packet, int]] = {}
-        # Trace note of a forward, by output port ("port 3"): built once
-        # per port, not once per packet.
-        self._output_notes: dict[int, str] = {}
         self.punts = Counter(f"{name}.punts")
         self.drops = Counter(f"{name}.drops")
         self.forwarded = Counter(f"{name}.forwarded")
@@ -267,7 +264,9 @@ class OpenFlowSwitch(Node):
             self._notify_removed(expired)
         entry = table.lookup(packet, in_port.number, now=now)
         if entry is not None:
-            self._record(now, "hit", packet, entry.cookie)
+            trace = self.trace
+            if trace is not None and trace.enabled:
+                trace.record(now, self.name, "hit", packet, entry.cookie)
             self._apply_actions(packet, entry.actions, in_port.number, now)
             return
         self._handle_table_miss(packet, in_port, now)
@@ -297,18 +296,19 @@ class OpenFlowSwitch(Node):
         now: float,
     ) -> None:
         """Apply an action list; ``now`` is the caller's one clock reading."""
+        # With no capture running, this test is all a packet pays for the trace.
+        trace = self.trace
+        if trace is not None and not trace.enabled:
+            trace = None
         acted = False
         for action in actions:
             kind = action.__class__
             if kind is OutputAction:
                 acted = True
-                port = action.port
-                note = self._output_notes.get(port)
-                if note is None:
-                    note = self._output_notes[port] = f"port {port}"
                 self.forwarded.increment()
-                self._record(now, "forward", packet, note)
-                self.send(packet, port)
+                if trace is not None:
+                    trace.record(now, self.name, "forward", packet, f"port {action.port}")
+                self.send(packet, action.port)
             elif kind is DropAction:
                 continue
             elif kind is FloodAction:
@@ -318,7 +318,8 @@ class OpenFlowSwitch(Node):
                 # cannot exclude it.
                 exclude = self._ports.get(in_port) if in_port is not None else None
                 self.forwarded.increment()
-                self._record(now, "forward", packet, "flood")
+                if trace is not None:
+                    trace.record(now, self.name, "forward", packet, "flood")
                 self.flood(packet, exclude=exclude)
             elif kind is ControllerAction:
                 acted = True
@@ -330,13 +331,16 @@ class OpenFlowSwitch(Node):
                     )
                     self._buffered[message.buffer_id] = (packet, ingress)
                     self.punts.increment()
+                    if trace is not None:
+                        trace.record(now, self.name, "punt", packet, channel.controller.name)
                     channel.send_to_controller(message)
             else:
                 raise OpenFlowError(f"switch {self.name} cannot apply {kind.__name__}")
         if not acted:
             # An empty list, or nothing but explicit drops.
             self.drops.increment()
-            self._record(now, "drop", packet)
+            if trace is not None:
+                trace.record(now, self.name, "drop", packet)
 
     def _notify_removed(self, entry: FlowEntry, *, reason: str = "idle_timeout") -> None:
         self.flow_removed.increment()
@@ -412,8 +416,10 @@ class OpenFlowSwitch(Node):
             listener()
 
     def _record(self, now: float, event: str, packet: Packet, note: str = "") -> None:
+        """Capture one step off the per-hop path (misses, failed and
+        compromised switches); hits and action lists test the capture inline."""
         trace = self.trace
-        if trace is not None:
+        if trace is not None and trace.enabled:
             trace.record(now, self.name, event, packet, note)
 
     def __repr__(self) -> str:

@@ -134,7 +134,9 @@ class AutoQuarantineResponder:
     ``fanout_threshold`` is quarantined through the supplied callable
     (the cluster coordinator's quarantine path) and a
     :data:`KIND_QUARANTINE` alert is raised — exactly once per host,
-    however many spike alerts re-trigger attribution.
+    however many spike alerts re-trigger attribution.  ``audit`` is
+    anything ``reversed()`` walks newest-first in place: an ``AuditLog``,
+    or the telemetry plane's merged view of a cluster's shards.
     """
 
     def __init__(
@@ -174,7 +176,7 @@ class AutoQuarantineResponder:
         """
         cutoff = now - self.window
         fanout: dict[str, set[str]] = {}
-        for record in reversed(self.audit.records()):
+        for record in reversed(self.audit):
             if record.time < cutoff:
                 break
             if record.cached:

@@ -28,6 +28,7 @@ enable_telemetry()`` imports *us* locally instead.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 from repro.netsim.statistics import RateCounter
@@ -58,17 +59,26 @@ DEFAULT_SPIKE_MIN_RATE = 10.0
 
 
 class _ClusterAuditView:
-    """Adapts ``ControllerCluster.audit_records()`` to the ``.records()``
-    shape :class:`AutoQuarantineResponder` scans (an AuditLog look-alike
-    merging every shard's trail in time order)."""
+    """The newest-first walk :class:`AutoQuarantineResponder` makes of an
+    ``AuditLog``, over every shard's trail at once: a lazy merge of the
+    per-shard logs, so a scan that stops at its window edge never visits
+    (or sorts) what is older."""
 
     __slots__ = ("_cluster",)
 
     def __init__(self, cluster) -> None:
         self._cluster = cluster
 
-    def records(self):
-        return self._cluster.audit_records()
+    def __reversed__(self):
+        # The reverse of ``ControllerCluster.audit_records()`` exactly: on
+        # a tied time ``heapq.merge`` yields from the earlier iterable, so
+        # the shards go in last-first.
+        shards = reversed(self._cluster.replicas.values())
+        return heapq.merge(
+            *(reversed(controller.audit) for controller in shards),
+            key=lambda record: record.time,
+            reverse=True,
+        )
 
 
 class TelemetryPlane:

@@ -861,6 +861,8 @@ def _state_caps(ctx: CellContext) -> dict[str, float]:
         # while running and fully demoted (idle sweeper) after drain.
         "subscriptions_peak": float(len(ctx.net.hosts)),
         "subscriptions_final": 0.0,
+        # No cell starts a packet capture, so none may retain a record.
+        "packet_trace_peak": 0.0,
     }
 
 

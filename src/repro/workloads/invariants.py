@@ -282,7 +282,8 @@ def network_flow_state(net) -> dict[str, int]:
     of fail-closed / zero-loss) care about: pending punts, buffered
     packets, decision-cache entries, ``keep state`` entries, installed
     flow-table entries and standing push subscriptions, summed across
-    the control plane.
+    the control plane — and the packet capture's retained records (zero
+    unless someone started one; at most the ring's size when on).
     """
     controllers = list(net.controllers.values())
     return {
@@ -294,6 +295,7 @@ def network_flow_state(net) -> dict[str, int]:
         "subscriptions": sum(
             c.query_engine.subscription_count() for c in controllers
         ),
+        "packet_trace": len(net.topology.trace),
     }
 
 

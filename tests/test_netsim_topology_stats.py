@@ -241,7 +241,7 @@ class TestTrace:
             record.extra = 1
         trace = PacketTrace()
         trace.record(0.5, "sw1", "forward", packet, "port 2")
-        assert trace.records == [record]
+        assert list(trace) == [record]
 
     def test_disabled_trace_records_nothing(self):
         trace = PacketTrace(enabled=False)

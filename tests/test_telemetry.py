@@ -14,14 +14,20 @@ Four layers, tested bottom-up:
   host — while a clean enterprise workload raises zero alerts.
 """
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.audit import AuditLog, DecisionRecord
 from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork
+from repro.identpp.flowspec import FlowSpec
 from repro.netsim.events import Simulator
 from repro.netsim.statistics import Histogram, RateCounter, StatsRegistry
 from repro.telemetry import (
     AlertRouter,
+    AutoQuarantineResponder,
     CollapseDetector,
     Deviation,
     DeviationMonitor,
@@ -32,6 +38,7 @@ from repro.telemetry import (
     SpikeDetector,
     TimeSeries,
 )
+from repro.telemetry.plane import _ClusterAuditView
 from repro.workloads.enterprise import build_enterprise_network
 from repro.workloads.invariants import check_containment, network_deliveries
 from repro.workloads.telemetry import conficker_detection
@@ -373,6 +380,144 @@ class TestQuarantineMechanics:
         assert "192.168.0.10" not in net.cluster.replicas[victim].quarantined_hosts
         net.cluster.restore(victim)
         assert "192.168.0.10" in net.cluster.replicas[victim].quarantined_hosts
+
+
+# ----------------------------------------------------------------------
+# Newest-first audit walks (attribution, send_flow's decision lookup)
+# ----------------------------------------------------------------------
+
+
+class _OldRecord:
+    """A decision older than any window or match; counts who looks at it."""
+
+    touched = 0
+    cached = False
+
+    @property
+    def time(self):
+        _OldRecord.touched += 1
+        return 0.0
+
+    @property
+    def flow(self):
+        _OldRecord.touched += 1
+        return None
+
+
+def _generated_log(seed, count, *, start=100.0):
+    """Decisions at non-decreasing times (ties included) from a few
+    scanners and many quiet clients, one in five served from cache."""
+    rng = random.Random(seed)
+    now = start
+    records = []
+    for index in range(count):
+        now += rng.choice((0.0, 0.0, 0.001, 0.01, 0.02))
+        scanner = rng.random() < 0.4
+        src = f"10.0.0.{rng.randrange(1, 4) if scanner else rng.randrange(4, 40)}"
+        dst = f"10.1.{rng.randrange(0, 8)}.{rng.randrange(1, 250 if scanner else 3)}"
+        records.append(DecisionRecord(
+            time=now, flow=FlowSpec.tcp(src, dst, 1024 + index, 80), action="pass",
+            rule_text="pass all", rule_origin="generated", cookie=f"c{index}",
+            cached=rng.random() < 0.2,
+        ))
+    return records
+
+
+def _no_copy():
+    raise AssertionError("the walk copied the whole log")
+
+
+def _log_of(records):
+    log = AuditLog()
+    for record in records:
+        log.record(record)
+    log.records = _no_copy
+    return log
+
+
+def _cluster_of(logs):
+    """What ``_ClusterAuditView`` reads of a cluster, over plain logs."""
+    return SimpleNamespace(
+        replicas={f"shard{i}": SimpleNamespace(audit=log) for i, log in enumerate(logs)}
+    )
+
+
+def _copying_attribution(records, now, *, window, threshold):
+    """The walk ``attribute`` made when it copied (and, on a cluster,
+    sorted) the whole log first."""
+    fanout = {}
+    for record in reversed(sorted(records, key=lambda r: r.time)):
+        if record.time < now - window:
+            break
+        if not record.cached:
+            fanout.setdefault(str(record.flow.src_ip), set()).add(str(record.flow.dst_ip))
+    return sorted(src for src, dsts in fanout.items() if len(dsts) >= threshold)
+
+
+class TestNewestFirstAuditWalk:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_attribution_matches_the_copying_walk(self, seed):
+        records = _generated_log(seed, 400)
+        now = records[-1].time
+        expected = _copying_attribution(records, now, window=0.5, threshold=4)
+        single = AutoQuarantineResponder(
+            _log_of(records), lambda src: None, window=0.5, fanout_threshold=4
+        )
+        assert single.attribute(now) == expected
+        # The same decisions dealt over three shards: the merged walk is
+        # the reverse of the cluster's sorted trail, tie for tie.
+        rng = random.Random(seed)
+        shards = [[], [], []]
+        for record in records:
+            rng.choice(shards).append(record)
+        view = _ClusterAuditView(_cluster_of([_log_of(shard) for shard in shards]))
+        trail = sorted((r for shard in shards for r in shard), key=lambda r: r.time)
+        assert list(reversed(view)) == trail[::-1]
+        merged = AutoQuarantineResponder(
+            view, lambda src: None, window=0.5, fanout_threshold=4
+        )
+        assert merged.attribute(now) == expected
+        assert 0 < len(expected) < 10  # scanners, and quiet clients beside them
+
+    def test_attribution_visits_the_window_not_the_log(self):
+        window = _generated_log(1, 20, start=1000.0)
+        now = window[-1].time
+        _OldRecord.touched = 0
+        log = _log_of([_OldRecord() for _ in range(50_000)] + window)
+        responder = AutoQuarantineResponder(log, lambda src: None, window=10.0)
+        expected = responder.attribute(now)
+        assert _OldRecord.touched == 1  # the record that ends the walk
+
+        _OldRecord.touched = 0
+        shards = [
+            _log_of([_OldRecord() for _ in range(12_500)] + window[index::4])
+            for index in range(4)
+        ]
+        merged = AutoQuarantineResponder(
+            _ClusterAuditView(_cluster_of(shards)), lambda src: None, window=10.0
+        )
+        assert merged.attribute(now) == expected
+        # The merge keys one old record per shard; the walk ends on the first.
+        assert _OldRecord.touched <= len(shards) + 1
+
+    def test_send_flow_finds_its_decision_from_the_newest_end(self):
+        net = _small_cluster(shards=1)
+        controller = next(iter(net.controllers.values()))
+        _OldRecord.touched = 0
+        for _ in range(50_000):
+            controller.audit.record(_OldRecord())
+        controller.audit.records = _no_copy
+        results = [
+            net.send_flow(f"h{i % 3}", "http", "alice", "192.168.1.1", port)
+            for i, port in enumerate((80, 80, 23, 80, 23))
+        ]
+        assert _OldRecord.touched == 0
+        assert [r.decision_action for r in results] == ["pass", "pass", "block", "pass", "block"]
+        for result in results:
+            copied = [r for r in list(controller.audit)[50_000:] if r.flow == result.flow]
+            assert (result.decision_action, result.decision_rule, result.setup_latency) == (
+                copied[-1].action, copied[-1].rule_text, copied[-1].query_latency
+            )
 
 
 # ----------------------------------------------------------------------
