@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-experiments soak soak_queries soak_async matrix docs_check lint determinism perf perf_smoke
+.PHONY: test bench soak soak_queries soak_async matrix docs_check lint determinism perf perf_smoke
 
 test:
 	$(PYTHON) -m pytest -q
@@ -10,9 +10,10 @@ bench:
 	$(PYTHON) benchmarks/run_benchmarks.py
 
 # Every soak runs through the one entry point: soak_churn, soak_cluster,
-# soak_fabric, soak_queryload, soak_push, soak_decision_core and
-# soak_telemetry (the names of repro.workloads.soak.SOAKS).  A pattern
-# rule is not searched for a .PHONY target, so these are not listed there.
+# soak_fabric, soak_queryload, soak_push, soak_decision_core,
+# soak_telemetry and soak_paper — the paper's E1-E12 — (the names of
+# repro.workloads.soak.SOAKS).  A pattern rule is not searched for a
+# .PHONY target, so these are not listed there.
 soak_%:
 	$(PYTHON) -m repro.workloads.soak $*
 
@@ -43,6 +44,3 @@ perf:
 perf_smoke:
 	python3 perf/run.py --workload punt_unique --seconds 2
 	python3 perf/run.py --workload fastpath_forward --seconds 2
-
-bench-experiments:
-	$(PYTHON) -m pytest benchmarks/bench_*.py --benchmark-only -s

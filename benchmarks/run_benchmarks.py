@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Run the hot-path benchmark suite and write ``BENCH_results.json``.
 
-Unlike the ``bench_*.py`` experiment reproductions (which run under
-pytest), this is a plain script so CI and future PRs have a stable,
-dependency-free perf trajectory to compare against::
+A plain script, so CI and future PRs have a stable, dependency-free
+perf trajectory to compare against::
 
     python benchmarks/run_benchmarks.py          # or: make bench
 
@@ -12,7 +11,8 @@ benchmark name -> {ops_per_sec, iterations, seconds}.  Derived ratios
 (e.g. what a policy decision costs against 2000 rules over what it costs
 against 10) are included under ``derived`` and gated.  The soak entries
 and their gates come from the ``SOAK`` tables of the soak modules
-(``repro.workloads.soak``), the same ones ``make soak_*`` walks.
+(``repro.workloads.soak``), the same ones ``make soak_*`` walks — the
+paper's own experiments, E1–E12, among them (``results.paper_*``).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.workloads.soak import Gate, failed_gates, load  # noqa: E402
 #: The soaks recorded here, in run order.  Each module's ``SOAK`` table
 #: names its ``results`` entries and gates them; ``make soak_<name>``
 #: walks the same table.  (``push`` re-runs a phase of ``queryload``.)
-BENCH_SOAKS = ("churn", "cluster", "fabric", "queryload", "decision_core", "telemetry")
+BENCH_SOAKS = ("churn", "cluster", "fabric", "queryload", "decision_core", "telemetry", "paper")
 
 #: One policy decision may cost at most this much more against a
 #: 2000-rule ruleset than against a 10-rule one.

@@ -4,7 +4,7 @@ Branch B's controller augments ident++ responses for flows headed its
 way with what it is not willing to accept; branch A's policy then drops
 those flows *before* they cross the WAN bottleneck.  The example prints
 the bottleneck traffic and remote controller load with and without the
-collaboration.
+collaboration, as the share of unwanted flows grows.
 
 Run with::
 
@@ -12,29 +12,17 @@ Run with::
 """
 
 from repro.analysis.report import format_table
-from repro.workloads.comparative import CollaborationScenario
+from repro.workloads.paper import paper_e7_collaboration
 
 
 def main() -> None:
-    rows = []
-    for collaborate in (False, True):
-        result = CollaborationScenario(
-            collaborate=collaborate, flows=24, unwanted_fraction=0.5, packets_per_flow=4
-        ).run()
-        rows.append({
-            "collaboration": "on" if collaborate else "off",
-            "flows sent": result.flows_sent,
-            "unwanted flows": result.unwanted_flows,
-            "bottleneck bytes": result.bottleneck_bytes,
-            "bottleneck packets": result.bottleneck_packets,
-            "wanted delivered": result.wanted_delivered,
-            "remote controller packet-ins": result.remote_packet_ins,
-        })
+    rows = paper_e7_collaboration()["rows"]
     print(format_table(rows, title="Network collaboration across the branch bottleneck"))
 
-    saved = 1.0 - rows[1]["bottleneck bytes"] / rows[0]["bottleneck bytes"]
+    half = next(row for row in rows if row["unwanted_fraction"] == 0.5)
     print(f"\nCollaboration keeps the unwanted half of the traffic off the WAN link: "
-          f"{saved:.0%} of the bottleneck bytes saved, with wanted traffic untouched.")
+          f"{half['bytes_saved_fraction']:.0%} of the bottleneck bytes saved, with wanted "
+          "traffic untouched.")
 
 
 if __name__ == "__main__":

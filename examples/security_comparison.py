@@ -11,24 +11,23 @@ Run with::
 
 from repro.analysis.report import format_table
 from repro.workloads.comparative import SecurityComparisonScenario
+from repro.workloads.paper import paper_e9_security_matrix
 
 
 def main() -> None:
-    scenario = SecurityComparisonScenario()
-
     print("Attack probes (all launched from the attacker's foothold on client c1):")
-    for probe in scenario.probes:
+    for probe in SecurityComparisonScenario().probes:
         print(f"  - {probe.description}  ({probe.flow})")
     print()
 
-    matrix = scenario.build_matrix()
+    matrix = paper_e9_security_matrix()
     print(format_table(
-        matrix.exposure_rows(),
+        matrix["rows"],
         title="Post-compromise exposure: fraction of probes that succeed",
     ))
     print()
     print(format_table(
-        matrix.rows(),
+        matrix["gained_rows"],
         title="Probes gained by the attacker relative to its pre-compromise position",
     ))
     print(

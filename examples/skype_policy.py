@@ -13,32 +13,20 @@ Run with::
 """
 
 from repro.analysis.report import format_table
-from repro.workloads.scenarios import SkypeScenario
+from repro.workloads.paper import paper_e2_skype
+from repro.workloads.paper_configs import figure2_control_files
 
 
 def main() -> None:
-    scenario = SkypeScenario()
-
     print("Controller configuration files (concatenated alphabetically):")
-    for name in scenario.net.controller.policy.loader.file_names():
+    for name in sorted(figure2_control_files()):
         print(f"  - {name}")
     print()
 
-    results = scenario.run()
-    rows = [
-        {
-            "case": result.label,
-            "expected": result.expected_action,
-            "observed": result.actual_action,
-            "delivered": result.delivered,
-            "as the paper describes": "yes" if result.correct else "NO",
-        }
-        for result in results
-    ]
+    rows = paper_e2_skype()["rows"]
     print(format_table(rows, title="Figure 2 / Figure 3 — Skype policy flow matrix"))
-
-    mismatches = scenario.mismatches()
-    print(f"\n{len(results) - len(mismatches)}/{len(results)} cases behave as the paper describes.")
+    correct = sum(row["correct"] for row in rows)
+    print(f"\n{correct}/{len(rows)} cases behave as the paper describes.")
 
 
 if __name__ == "__main__":

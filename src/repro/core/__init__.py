@@ -15,8 +15,7 @@ This package ties the substrates together into the system of §3:
   controlled-delegation story of §2;
 * :mod:`repro.core.cache` — the controller-side decision cache;
 * :mod:`repro.core.lifecycle` — the flow-state lifecycle service that
-  keeps the decision cache, state table and switch flow tables bounded
-  under churn;
+  keeps the decision cache and switch flow tables bounded under churn;
 * :mod:`repro.core.audit` — the audit log every decision lands in;
 * :mod:`repro.core.network` — a convenience builder that assembles an
   ident++-protected OpenFlow network (topology + switches + hosts +

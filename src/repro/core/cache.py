@@ -27,7 +27,6 @@ from typing import Optional
 
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.events import ExpiryHeap
-from repro.pf.state import StateTable
 
 #: Default lifetime of a cached controller decision, in seconds.
 DEFAULT_DECISION_TTL = 60.0
@@ -51,7 +50,8 @@ class CachedDecision:
 
 
 class DecisionCache:
-    """Flow → decision cache with TTL, LRU bound, plus the ``keep state`` table."""
+    """Flow → decision cache with TTL and LRU bound; a ``keep state`` pass
+    covers its reverse direction."""
 
     def __init__(
         self,
@@ -73,7 +73,6 @@ class DecisionCache:
         # (decided_at + ttl, flow, cookie) deadlines; stale records are
         # skipped at pop time by re-checking the live entry's cookie.
         self._expiry = ExpiryHeap()
-        self.state_table = StateTable()
         self.hits = 0
         self.misses = 0
         self.expirations = 0
@@ -89,7 +88,7 @@ class DecisionCache:
         keep_state: bool = False,
         rule_text: str = "",
     ) -> CachedDecision:
-        """Cache a decision (and create state for ``keep state`` passes)."""
+        """Cache a decision (a ``keep state`` pass also answers the reverse flow)."""
         decision = CachedDecision(
             flow=flow,
             action=action,
@@ -111,7 +110,6 @@ class DecisionCache:
             self._expiry.push(now + self.ttl, flow, cookie)
         if keep_state and action == "pass":
             self._reverse_candidates += 1
-            self.state_table.add(flow, now, rule_origin=rule_text, cookie=cookie)
         if self.capacity is not None:
             while len(self._decisions) > self.capacity:
                 self._evict_lru()
@@ -178,7 +176,7 @@ class DecisionCache:
         }
 
     def invalidate_cookie(self, cookie: str) -> int:
-        """Drop every cached decision (and state) carrying ``cookie``; returns the count.
+        """Drop every cached decision carrying ``cookie``; returns the count.
 
         Uses the cookie index, so the cost is proportional to the number
         of affected flows, not the size of the cache.
@@ -192,7 +190,6 @@ class DecisionCache:
             count += 1
             if decision.keep_state and decision.is_pass:
                 self._reverse_candidates -= 1
-        self.state_table.remove_by_cookie(cookie)
         return count
 
     # ------------------------------------------------------------------
@@ -266,12 +263,11 @@ class DecisionCache:
                 del self._by_cookie[decision.cookie]
 
     def clear(self) -> None:
-        """Drop everything (the configured state timeout survives)."""
+        """Drop everything."""
         self._decisions.clear()
         self._by_cookie.clear()
         self._expiry.clear()
         self._reverse_candidates = 0
-        self.state_table = StateTable(timeout=self.state_table.timeout)
 
     # ------------------------------------------------------------------
     # Reporting

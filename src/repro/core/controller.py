@@ -48,7 +48,7 @@ from repro.core.policy_engine import PolicyDecision, PolicyEngine
 from repro.identpp.client import QueryClient, QueryInterceptor
 from repro.identpp.engine import QueryEngine
 from repro.identpp.flowspec import FlowSpec
-from repro.identpp.wire import DEFAULT_QUERY_KEYS, IDENT_PP_PORT, IdentQuery, IdentResponse
+from repro.identpp.wire import IDENT_PP_PORT, IdentQuery, IdentResponse
 from repro.netsim.events import Event, Future
 from repro.netsim.sanitizer import KIND_STALE_CONTINUATION
 from repro.netsim.nodes import Node
@@ -236,12 +236,13 @@ class ControllerConfig:
       ``0`` disables the deadline.
     * ``lifecycle_interval`` — how often the attached
       :class:`~repro.core.lifecycle.LifecycleService` sweeps the decision
-      cache, the ``keep state`` table and every managed switch's flow
-      table.  ``0`` (the default) leaves sweeping manual so existing
-      simulations keep their exact event timelines.
-    * ``cache_capacity`` — optional LRU bound on the decision cache.
-    * ``state_timeout`` — idle lifetime of ``keep state`` entries (the
-      paper's PF default of 300 s).
+      cache and every managed switch's flow table.  ``0`` (the default)
+      leaves sweeping manual so existing simulations keep their exact
+      event timelines.
+    * ``state_timeout`` — inert, kept because ``perf/`` constructs a
+      config with it: a ``keep state`` pass lives in the decision cache
+      (``decision_ttl``) and the flow tables (``idle_timeout``), and the
+      controller holds no third table for it to time out.
     * ``serialize_decisions`` — model the controller's *policy-eval*
       stage as a single serial loop: each evaluation occupies it for
       ``policy_eval_delay``, so concurrent punts queue behind each other
@@ -278,10 +279,9 @@ class ControllerConfig:
 
     * ``query_cache_ttl`` — lifetime of cached endpoint answers.  ``0``
       (the default) disables the engine entirely: every punt issues
-      fresh ident++ queries, exactly the pre-engine behaviour.
-    * ``query_negative_ttl`` — lifetime of cached *timeouts* (legacy
-      hosts without a daemon, unreachable hosts).  ``None`` mirrors
-      ``query_cache_ttl``.
+      fresh ident++ queries, exactly the pre-engine behaviour.  A
+      remembered *timeout* (a legacy host without a daemon, an
+      unreachable one) lives exactly as long.
 
     The identity-plane knobs pick how endpoint answers stay fresh
     (an A/B switch like ``decision_core``):
@@ -301,12 +301,12 @@ class ControllerConfig:
       subscription table (the bounded-state invariant's knob).
 
     What nothing sets is not a field: both ends of a flow are always
-    queried (§3.4), and the flow-entry priorities are the module
+    queried (§3.4) for ``DEFAULT_QUERY_KEYS``, the decision cache is
+    bounded by its TTL, and the flow-entry priorities are the module
     constants ``QUARANTINE_PRIORITY`` > ``FLOW_PRIORITY`` >
     ``DROP_PRIORITY``.
     """
 
-    query_keys: tuple[str, ...] = tuple(DEFAULT_QUERY_KEYS)
     install_along_path: bool = True
     idle_timeout: float = 60.0
     hard_timeout: float = 0.0
@@ -314,13 +314,11 @@ class ControllerConfig:
     policy_eval_delay: float = DEFAULT_POLICY_EVAL_DELAY
     pending_deadline: float = 5.0
     lifecycle_interval: float = 0.0
-    cache_capacity: Optional[int] = None
     state_timeout: float = 300.0
     serialize_decisions: bool = False
     decision_core: str = "async"
     nonblocking_inbox: bool = False
     query_cache_ttl: float = 0.0
-    query_negative_ttl: Optional[float] = None
     identity_plane: str = "pull"
     push_promote_punts: int = 3
     push_idle_demote: float = 30.0
@@ -357,7 +355,6 @@ class IdentPPController(Controller):
         self.query_engine = QueryEngine(
             self.query_client,
             ttl=self.config.query_cache_ttl,
-            negative_ttl=self.config.query_negative_ttl,
             name=f"{name}.query-engine",
             push=self.config.identity_plane == "push",
             push_idle_demote=self.config.push_idle_demote,
@@ -368,9 +365,7 @@ class IdentPPController(Controller):
         # history, not a stale pre-demotion count.
         self._push_punt_counts: dict[str, int] = {}
         self.query_engine.on_demote = lambda ip: self._push_punt_counts.pop(ip, None)
-        self.cache = DecisionCache(
-            ttl=self.config.decision_ttl, capacity=self.config.cache_capacity
-        )
+        self.cache = DecisionCache(ttl=self.config.decision_ttl)
         self.audit = AuditLog(name=f"{name}.audit")
         self.interception = InterceptionPolicy(name=f"{name}.interception")
         self.peer_interceptors: list[QueryInterceptor] = []
@@ -407,7 +402,6 @@ class IdentPPController(Controller):
         self.lifecycle = LifecycleService(
             name=f"{name}.lifecycle", interval=self.config.lifecycle_interval
         )
-        self.cache.state_table.timeout = self.config.state_timeout
         self.lifecycle.register(
             "decisions", self.cache.expire, self.cache.expirable_count,
             self.cache.next_expiry,
@@ -416,14 +410,6 @@ class IdentPPController(Controller):
         self.lifecycle.register(
             "queries", self.query_engine.expire, self.query_engine.expirable_count,
             self.query_engine.next_expiry,
-        )
-        # Resolve .state_table per call: DecisionCache.clear() rebinds it,
-        # and a captured bound method would keep sweeping the orphan.
-        self.lifecycle.register(
-            "states",
-            lambda now: self.cache.state_table.expire(now),
-            lambda: self.cache.state_table.expirable_count(),
-            lambda: self.cache.state_table.next_deadline(),
         )
         # Punted flows are normally failed closed by the controller's
         # deadline event; the sweep only backstops flows it does not
@@ -631,7 +617,7 @@ class IdentPPController(Controller):
         task.stage = "query"
         Future.gather(
             self.query_engine.query_both_ends_async(
-                task.flow, from_node=task.switch, keys=self.config.query_keys,
+                task.flow, from_node=task.switch,
                 interceptors=tuple(self.peer_interceptors),
             )
         ).add_done_callback(lambda outcomes: self._answers_ready(task, outcomes))
@@ -1416,7 +1402,6 @@ class IdentPPController(Controller):
                 **{k: v for k, v in self.cache.stats().items()
                    if k not in ("entries", "hit_rate")},
             },
-            "state_table": self.cache.state_table.stats(),
             "identity_plane": self.config.identity_plane,
             "query_engine": self.query_engine.stats(),
             "lifecycle": self.lifecycle.stats(),

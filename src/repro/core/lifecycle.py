@@ -1,13 +1,13 @@
 """Flow-state lifecycle: reclaiming decision state under churn.
 
-The ident++ design caches every decision in three places — the
-controller :class:`~repro.core.cache.DecisionCache`, the ``keep state``
-:class:`~repro.pf.state.StateTable` and the switch flow tables (§3.1's
-"the flow table ... is also the ident++ decision cache").  At enterprise
-scale those caches see heavy churn: short-lived flows arrive far faster
-than their TTLs expire, so without an explicit lifecycle the working set
-grows without bound and a long-running controller eventually holds state
-for millions of dead flows.
+The ident++ design caches every decision in two places — the
+controller :class:`~repro.core.cache.DecisionCache` (whose ``keep
+state`` passes also answer the reverse direction) and the switch flow
+tables (§3.1's "the flow table ... is also the ident++ decision cache").
+At enterprise scale those caches see heavy churn: short-lived flows
+arrive far faster than their TTLs expire, so without an explicit
+lifecycle the working set grows without bound and a long-running
+controller eventually holds state for millions of dead flows.
 
 Two pieces keep state bounded:
 
@@ -16,9 +16,9 @@ Two pieces keep state bounded:
   instead of a full scan (it lives beside the simulator clock so the
   query engine, a layer below this package, shares it);
 * :class:`LifecycleService` — a sweep scheduler that periodically runs
-  every registered reclaimer (decision cache, query engine, state
-  table, per-switch flow tables, stale pending punts) while there is
-  state left to reclaim, then goes quiet so the event queue can drain.
+  every registered reclaimer (decision cache, query engine, per-switch
+  flow tables, stale pending punts) while there is state left to
+  reclaim, then goes quiet so the event queue can drain.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ class LifecycleService:
     reclaimer's state can expire (or ``None`` for "unknown").  When every
     reclaimer that still holds state provides one, the service sleeps
     straight to the earliest deadline instead of polling every
-    ``interval`` — so a ``keep state`` table with a 300 s timeout costs
-    one wake-up, not three thousand.  A stale (too early) hint merely
-    causes one extra no-op sweep.
+    ``interval`` — so a flow entry with a 300 s timeout costs one
+    wake-up, not three thousand.  A stale (too early) hint merely causes
+    one extra no-op sweep.
 
     With ``interval == 0`` nothing is ever scheduled; :meth:`sweep` can
     still be called manually, which is what the soak harness does.

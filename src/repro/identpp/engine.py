@@ -24,7 +24,7 @@ three ways:
   endpoint's answer share it, each charged only the *remaining* wait,
   instead of issuing N identical round-trips;
 * a **negative cache** — a query that timed out (no daemon, or no path
-  to the host) is remembered for ``negative_ttl``, so a legacy host
+  to the host) is remembered for ``ttl`` like any answer, so a legacy host
   costs one timeout per TTL instead of one per flow.  Negative entries
   self-heal: a daemon appearing on the host, or any topology mutation
   (for unreachable hosts), invalidates them on the next lookup.
@@ -169,7 +169,6 @@ class QueryEngine:
         client: QueryClient,
         *,
         ttl: float = 0.0,
-        negative_ttl: Optional[float] = None,
         name: str = "query-engine",
         push: bool = False,
         push_idle_demote: float = DEFAULT_PUSH_IDLE_DEMOTE,
@@ -177,11 +176,8 @@ class QueryEngine:
     ) -> None:
         self.client = client
         self.name = name
+        #: Lifetime of a pulled answer — and of a remembered timeout.
         self.ttl = ttl
-        #: Negative answers default to the positive TTL; a deployment
-        #: rolling daemons out incrementally (§4) may want it shorter so
-        #: newly daemon'd hosts are noticed faster.
-        self.negative_ttl = negative_ttl if negative_ttl is not None else ttl
         #: The push identity plane: subscribe-and-push for hot hosts.
         self.push = push
         self.push_idle_demote = push_idle_demote
@@ -246,7 +242,7 @@ class QueryEngine:
     @property
     def enabled(self) -> bool:
         """Return whether the engine does anything beyond pass-through."""
-        return self.ttl > 0.0 or self.negative_ttl > 0.0 or self.push
+        return self.ttl > 0.0 or self.push
 
     def query(
         self,
@@ -521,9 +517,9 @@ class QueryEngine:
         ready_at = now + outcome.latency
         daemon, flow_scoped = None, False
         if outcome.timed_out:
-            if self.negative_ttl <= 0.0:
+            if self.ttl <= 0.0:
                 return None
-            expires_at = ready_at + self.negative_ttl
+            expires_at = ready_at + self.ttl
         else:
             if self.ttl <= 0.0 and not self.push:
                 return None
@@ -1016,7 +1012,6 @@ class QueryEngine:
             "invalidated_entries": self.invalidated_entries,
             "expirations": self.expirations,
             "ttl": self.ttl,
-            "negative_ttl": self.negative_ttl,
             "push": self.push,
             "resident_entries": self._until_delta,
             "subscriptions": len(self._subs),

@@ -10,9 +10,10 @@
 * :mod:`repro.workloads.enterprise` — builders for the canonical
   enterprise network, the two-branch (collaboration) network and the
   partial-deployment network.
-* :mod:`repro.workloads.scenarios` — one scenario class per experiment
-  (E1–E9), each exposing ``run()``/``results()`` used by the examples,
-  the integration tests and the benchmark harness.
+* :mod:`repro.workloads.scenarios` and
+  :mod:`repro.workloads.comparative` — one scenario class per figure or
+  argument (E1–E9), each exposing ``run()``, used by the examples, the
+  integration tests and the ``paper`` soak.
 * :mod:`repro.workloads.soak` — the soak kit and the one entry point
   (``python -m repro.workloads.soak NAME``, every ``make soak_*``).  A
   soak is a function returning its ``BENCH_results.json`` entry; its
@@ -23,8 +24,10 @@
   :mod:`~repro.workloads.fabric` (path-wide install on a spine-leaf
   fabric), :mod:`~repro.workloads.queryload` (query cache and push
   plane), :mod:`~repro.workloads.decision_core` (query/eval overlap,
-  77 000-flow async churn) and :mod:`~repro.workloads.telemetry`
-  (outbreak detection, sampling overhead).
+  77 000-flow async churn), :mod:`~repro.workloads.telemetry`
+  (outbreak detection, sampling overhead) and
+  :mod:`~repro.workloads.paper` (the paper's own claims, E1–E12: ``make
+  soak_paper``).
 
 The soak modules and the kit are deliberately *not* imported here: the
 kit runs standalone via ``python -m``, and an eager package import

@@ -2,16 +2,15 @@
 
 The ROADMAP north-star (millions of users, heavy churn) means the
 controller sees short-lived flows arriving far faster than their TTLs
-expire.  Every flow deposits state in three caches — the controller
-:class:`~repro.core.cache.DecisionCache`, the ``keep state``
-:class:`~repro.pf.state.StateTable` and the per-switch
+expire.  Every flow deposits state in two caches — the controller
+:class:`~repro.core.cache.DecisionCache` and the per-switch
 :class:`~repro.openflow.flow_table.FlowTable` — so without a working
 lifecycle the state grows linearly with *total* flows instead of with
 the *live* working set.
 
 :func:`churn_soak` drives ~100k unique short-lived flows through the
-real decision components (policy engine, decision cache, state table,
-flow tables, lifecycle sweeps) on a virtual clock and reports the peak
+real decision components (policy engine, decision cache, flow tables,
+lifecycle sweeps) on a virtual clock and reports the peak
 and final entry counts against the expected live working set.  The
 companion :func:`error_probe` drives a real
 :class:`~repro.core.network.IdentPPNetwork` whose policy raises a
@@ -51,7 +50,6 @@ CHURN_POLICY = (
 #: that (plus one sweep interval of slack) is state the lifecycle
 #: failed to reclaim.
 DECISION_TTL = 2.0
-STATE_TIMEOUT = 2.0
 IDLE_TIMEOUT = 1.0
 SWITCHES = 2
 
@@ -95,14 +93,10 @@ def churn_soak(
     engine = PolicyEngine(default_action="block", name="churn.policy")
     engine.add_control_file("00-churn.control", CHURN_POLICY)
     cache = DecisionCache(ttl=DECISION_TTL)
-    cache.state_table.timeout = STATE_TIMEOUT
     tables = [FlowTable(name=f"sw{i}.flow-table") for i in range(SWITCHES)]
 
     lifecycle = LifecycleService(name="churn.lifecycle")
     lifecycle.register("decisions", cache.expire, cache.expirable_count)
-    lifecycle.register(
-        "states", cache.state_table.expire, cache.state_table.expirable_count
-    )
     for i, table in enumerate(tables):
         lifecycle.register(
             f"flow_table:sw{i}",
@@ -114,7 +108,7 @@ def churn_soak(
     arrival_rate = working_set / DECISION_TTL
     dt = 1.0 / arrival_rate
     next_sweep = sweep_interval
-    peak_cache = peak_state = peak_table = 0
+    peak_cache = peak_table = 0
     decision_walls: list[float] = []
     now = 0.0
     wall_start = time.perf_counter()
@@ -141,12 +135,11 @@ def churn_soak(
             lifecycle.sweep(now)
             next_sweep = now + sweep_interval
         peak_cache = max(peak_cache, len(cache))
-        peak_state = max(peak_state, len(cache.state_table))
         peak_table = max(peak_table, max(len(t) for t in tables))
 
     # Drain: sweep past every timeout so steady-state leftovers show up
     # as non-zero finals instead of hiding behind "the run just ended".
-    drain = now + max(DECISION_TTL, STATE_TIMEOUT, IDLE_TIMEOUT)
+    drain = now + max(DECISION_TTL, IDLE_TIMEOUT)
     lifecycle.sweep(drain + sweep_interval)
     wall = time.perf_counter() - wall_start
 
@@ -154,7 +147,6 @@ def churn_soak(
     # (+ one sweep interval of reclamation slack).
     expected = {
         "DecisionCache": arrival_rate * (DECISION_TTL + sweep_interval),
-        "StateTable": arrival_rate * (STATE_TIMEOUT + sweep_interval),
         "FlowTable": 2 * arrival_rate * (IDLE_TIMEOUT + sweep_interval),
     }
     # Every peak must stay within 2x expected.  The shared bounded-state
@@ -162,11 +154,7 @@ def churn_soak(
     # experiment matrix runs on every cell — words the violations, so
     # failures are diagnosable from the entry alone.
     bounded = check_bounded_state(
-        observed={
-            "DecisionCache": peak_cache,
-            "StateTable": peak_state,
-            "FlowTable": peak_table,
-        },
+        observed={"DecisionCache": peak_cache, "FlowTable": peak_table},
         caps={name: 2.0 * entries for name, entries in expected.items()},
     )
     slice_size = max(1, len(decision_walls) // 10)
@@ -180,15 +168,11 @@ def churn_soak(
         "ops_per_sec": round(ratio(flows, wall), 1),
         "peak_cache_entries": peak_cache,
         "final_cache_entries": len(cache),
-        "peak_state_entries": peak_state,
-        "final_state_entries": len(cache.state_table),
         "peak_table_entries": peak_table,
         "final_table_entries": max(len(t) for t in tables),
         "expected_cache_entries": expected["DecisionCache"],
-        "expected_state_entries": expected["StateTable"],
         "expected_table_entries": expected["FlowTable"],
         "cache_expirations": cache.expirations,
-        "state_expirations": cache.state_table.expirations,
         "table_expirations": sum(t.expirations for t in tables),
         "sweeps": lifecycle.sweeps,
         "reclaimed_total": lifecycle.total_reclaimed(),

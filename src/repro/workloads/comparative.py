@@ -9,7 +9,7 @@ deployed) or against the baseline architectures of §5/§6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.baselines.distributed_firewall import DistributedFirewall
 from repro.baselines.ethane import EthanePolicy
@@ -61,11 +61,8 @@ pass from any to <branch-b> port 80 keep state
 class CollaborationResult:
     """What the collaboration experiment measures."""
 
-    collaborate: bool
-    flows_sent: int
     unwanted_flows: int
     bottleneck_bytes: int
-    bottleneck_packets: int
     wanted_delivered: int
     unwanted_delivered: int
     remote_packet_ins: int
@@ -86,7 +83,6 @@ class CollaborationScenario:
         packets_per_flow: int = 4,
         payload_size: int = 1200,
     ) -> None:
-        self.collaborate = collaborate
         self.flows = flows
         self.unwanted_fraction = unwanted_fraction
         self.packets_per_flow = packets_per_flow
@@ -121,9 +117,10 @@ class CollaborationScenario:
             src = self.branches.branch_a_hosts[index % len(self.branches.branch_a_hosts)]
             dst = self.branches.branch_b_hosts[index % len(self.branches.branch_b_hosts)]
             dst_ip = str(net.host(dst).ip)
-            unwanted = unwanted_sent < unwanted_target and index % 2 == 0
-            if unwanted:
-                unwanted_sent += 1
+            # Exactly ``unwanted_target`` of the indices, evenly spread
+            # (every other one at a half, three in four at 0.75).
+            unwanted = index * unwanted_target % self.flows < unwanted_target
+            unwanted_sent += unwanted
             port = self.UNWANTED_PORT if unwanted else 80
             host = net.host(src)
             packet, socket, _ = host.open_flow(
@@ -144,11 +141,8 @@ class CollaborationScenario:
                 else:
                     unwanted_delivered += 1
         return CollaborationResult(
-            collaborate=self.collaborate,
-            flows_sent=self.flows,
             unwanted_flows=unwanted_sent,
             bottleneck_bytes=int(bottleneck.tx_bytes.value),
-            bottleneck_packets=int(bottleneck.tx_packets.value),
             wanted_delivered=wanted_delivered,
             unwanted_delivered=unwanted_delivered,
             remote_packet_ins=int(self.branches.controller_b.packet_ins.value),
@@ -237,8 +231,6 @@ class NATIdentificationScenario:
 class PartialDeploymentResult:
     """One point of the deployment sweep."""
 
-    deployment_fraction: float
-    controller_answers_for_legacy: bool
     flows: int
     allowed: int
 
@@ -268,8 +260,6 @@ class PartialDeploymentScenario:
         deployment_fraction: float = 0.5,
         controller_answers_for_legacy: bool = False,
     ) -> None:
-        self.deployment_fraction = deployment_fraction
-        self.controller_answers_for_legacy = controller_answers_for_legacy
         self.net = IdentPPNetwork("partial-deployment")
         switch = self.net.add_switch("sw")
         self.client_names: list[str] = []
@@ -307,30 +297,7 @@ class PartialDeploymentScenario:
             result = self.net.send_flow(name, "http", "alice", self.SERVER_IP, 80)
             if result.delivered:
                 allowed += 1
-        return PartialDeploymentResult(
-            deployment_fraction=self.deployment_fraction,
-            controller_answers_for_legacy=self.controller_answers_for_legacy,
-            flows=len(self.client_names),
-            allowed=allowed,
-        )
-
-
-def deployment_sweep(
-    fractions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    *,
-    clients: int = 8,
-) -> list[PartialDeploymentResult]:
-    """Run the E8(b) sweep with and without controller answering."""
-    results = []
-    for answers in (False, True):
-        for fraction in fractions:
-            scenario = PartialDeploymentScenario(
-                clients=clients,
-                deployment_fraction=fraction,
-                controller_answers_for_legacy=answers,
-            )
-            results.append(scenario.run())
-    return results
+        return PartialDeploymentResult(flows=len(self.client_names), allowed=allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -642,23 +609,3 @@ class SecurityComparisonScenario:
                     impact_of_compromise(architecture, scenario, before, after, self.probes)
                 )
         return matrix
-
-
-__all__ = [
-    "CollaborationScenario",
-    "CollaborationResult",
-    "NATIdentificationScenario",
-    "NATIdentificationResult",
-    "PartialDeploymentScenario",
-    "PartialDeploymentResult",
-    "deployment_sweep",
-    "SecurityComparisonScenario",
-    "ModelHost",
-    "ALL_ARCHITECTURES",
-    "ARCH_IDENTPP",
-    "ARCH_VANILLA",
-    "ARCH_DISTRIBUTED",
-    "ARCH_ETHANE",
-    "ARCH_VLAN",
-    "IDENTPP_MATRIX_POLICY",
-]

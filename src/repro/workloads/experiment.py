@@ -672,7 +672,6 @@ def _build_network(spec: ScenarioSpec) -> IdentPPNetwork:
         lifecycle_interval=0.5,
         decision_ttl=3.0,
         idle_timeout=1.0,
-        state_timeout=2.0,
         query_cache_ttl=spec.query_cache_ttl,
         identity_plane=spec.identity_plane,
         push_promote_punts=2,
@@ -850,12 +849,10 @@ def _state_caps(ctx: CellContext) -> dict[str, float]:
     return {
         "pending_peak": float(flows),
         "decision_cache_peak": 2.0 * flows + 8,
-        "state_table_peak": 2.0 * flows + 8,
         "flow_table_peak": 6.0 * flows + quarantine_allowance + 8,
         "pending_final": 0.0,
         "buffered_final": 0.0,
         "decision_cache_final": 0.0,
-        "state_table_final": 0.0,
         "flow_table_final": quarantine_allowance,
         # Push plane: subscriptions are bounded by the host population
         # while running and fully demoted (idle sweeper) after drain.

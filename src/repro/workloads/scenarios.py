@@ -7,20 +7,20 @@ the full datapath (switch punt → ident++ queries → PF+=2 decision →
 flow entries → delivery) and reports one :class:`CaseResult` per flow
 with the verdict the paper's prose leads us to expect.
 
-The examples, integration tests and benchmark harness all consume these
-classes, so the "what should happen" knowledge lives in exactly one
-place.
+The examples, the integration tests and the ``paper`` soak
+(:mod:`repro.workloads.paper`) all consume these classes, so the "what
+should happen" knowledge lives in exactly one place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.controller import ControllerConfig
 from repro.core.network import FlowResult, HostSpec, IdentPPNetwork
 from repro.crypto.signatures import Signer
-from repro.hosts.applications import Application, standard_applications
+from repro.exceptions import WorkloadError
+from repro.hosts.applications import standard_applications
 from repro.netsim.links import DEFAULT_LATENCY
 from repro.workloads import paper_configs
 from repro.workloads.enterprise import build_linear_network
@@ -68,7 +68,6 @@ class FigureScenario:
     def __init__(self) -> None:
         self.net: IdentPPNetwork = self.build_network()
         self.cases: list[FlowCase] = self.build_cases()
-        self.results: list[CaseResult] = []
 
     # Subclasses override these two.
     def build_network(self) -> IdentPPNetwork:
@@ -79,12 +78,12 @@ class FigureScenario:
 
     def run(self) -> list[CaseResult]:
         """Drive every case through the datapath and collect the results."""
-        self.results = []
+        results = []
         for case in self.cases:
             outcome: FlowResult = self.net.send_flow(
                 case.src_host, case.app, case.user, case.dst_ip, case.dst_port, proto=case.proto
             )
-            self.results.append(
+            results.append(
                 CaseResult(
                     label=case.label,
                     expected_action=case.expected,
@@ -93,19 +92,19 @@ class FigureScenario:
                     rule=outcome.decision_rule,
                 )
             )
-        return self.results
+        return results
 
-    def all_correct(self) -> bool:
-        """Return ``True`` when every case matched the paper's expectation."""
-        if not self.results:
-            self.run()
-        return all(result.correct for result in self.results)
 
-    def mismatches(self) -> list[CaseResult]:
-        """Return the cases whose outcome differs from the expectation."""
-        if not self.results:
-            self.run()
-        return [result for result in self.results if not result.correct]
+def tamper(config: str, signed: str, rewritten: str) -> str:
+    """Return ``config`` with ``signed`` rewritten after it was signed.
+
+    Raises when ``signed`` is not in the text: the "tampered" host would
+    then report honest requirements, and the case that shows ``verify()``
+    rejecting them would block for some other reason or not at all.
+    """
+    if signed not in config:
+        raise WorkloadError(f"nothing to tamper with: {signed!r} is not in the figure's text")
+    return config.replace(signed, rewritten, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,64 +115,39 @@ class FigureScenario:
 class FlowSetupMeasurement:
     """The latency breakdown of one reactive flow setup (Figure 1)."""
 
-    switch_count: int
-    link_latency: float
-    control_channel_latency: float
     query_latency: float
     policy_delay: float
     controller_decision_latency: float
-    end_to_end_delivery: float
+    #: ``None`` when the server never saw the packet.
+    end_to_end_delivery: Optional[float]
     delivered: bool
 
 
 class FlowSetupScenario:
     """Measures the Figure 1 sequence on a linear topology."""
 
-    def __init__(
-        self,
-        *,
-        switch_count: int = 2,
-        link_latency: float = DEFAULT_LATENCY,
-        policy_files: Optional[dict[str, str]] = None,
-    ) -> None:
+    POLICY = {
+        "00-default.control": "block all\npass from any to any with eq(@src[name], http) keep state\n",
+    }
+
+    def __init__(self, *, switch_count: int = 2, link_latency: float = DEFAULT_LATENCY) -> None:
         self.switch_count = switch_count
         self.link_latency = link_latency
-        self.policy_files = policy_files or {
-            "00-default.control": "block all\npass from any to any with eq(@src[name], http) keep state\n",
-        }
 
     def run(self) -> FlowSetupMeasurement:
         """Send one flow and report where the setup time went."""
         net = build_linear_network(self.switch_count, link_latency=self.link_latency)
-        net.set_policy(self.policy_files)
+        net.set_policy(self.POLICY)
         server = net.host("server")
         result = net.send_flow("client", "http", "alice", str(server.ip), 80)
         controller = net.controller
-        config: ControllerConfig = controller.config
-        delivery_time = server.delivered_times[0] if server.delivered_times else float("nan")
-        channel_latency = next(iter(controller.channels.values())).latency if controller.channels else 0.0
         return FlowSetupMeasurement(
-            switch_count=self.switch_count,
-            link_latency=self.link_latency,
-            control_channel_latency=channel_latency,
             query_latency=controller.query_latency.mean,
-            policy_delay=config.policy_eval_delay,
+            policy_delay=controller.config.policy_eval_delay,
             controller_decision_latency=controller.flow_setup_latency.mean,
-            end_to_end_delivery=delivery_time,
+            end_to_end_delivery=server.delivered_times[0] if server.delivered_times else None,
             delivered=result.delivered,
         )
-
-    def sweep_link_latency(self, latencies: list[float]) -> list[FlowSetupMeasurement]:
-        """Repeat the measurement for several link latencies (the E1 series)."""
-        measurements = []
-        for latency in latencies:
-            scenario = FlowSetupScenario(
-                switch_count=self.switch_count,
-                link_latency=latency,
-                policy_files=self.policy_files,
-            )
-            measurements.append(scenario.run())
-        return measurements
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +260,7 @@ class ResearchDelegationScenario(FigureScenario):
         # The tampered variant loosens the requirements after signing (the
         # default deny disappears), so the text the daemon reports no longer
         # matches the researcher's signature.
-        tampered_config = good_config.replace("block all pass all", "pass all", 1)
+        tampered_config = tamper(good_config, "block all pass all", "pass all")
 
         host_a = net.add_host(
             HostSpec(name="research-a", ip=self.RESEARCH_A,
@@ -369,8 +343,8 @@ class ThirdPartyTrustScenario(FigureScenario):
         good_config = paper_configs.figure6_thunderbird_daemon_config(thunderbird, self.secur)
         # The tampered variant widens Secur's rules after signing (drops the
         # mail-server-only restriction), so verify() must reject it.
-        tampered_config = good_config.replace(
-            "to any with eq(@dst[type], email-server)", "to any", 1
+        tampered_config = tamper(
+            good_config, "to any with eq(@dst[type], email-server)", "to any"
         )
 
         net.add_host(
@@ -485,16 +459,3 @@ class ConfickerScenario(FigureScenario):
             FlowCase("Conficker probe from an infected LAN host (ordinary user)", "infected-lan",
                      "conficker", "victim", self.UNPATCHED_SERVER, self.SMB_PORT, "block"),
         ]
-
-
-__all__ = [
-    "CaseResult",
-    "FlowCase",
-    "FigureScenario",
-    "FlowSetupMeasurement",
-    "FlowSetupScenario",
-    "SkypeScenario",
-    "ResearchDelegationScenario",
-    "ThirdPartyTrustScenario",
-    "ConfickerScenario",
-]

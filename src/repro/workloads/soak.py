@@ -25,6 +25,7 @@ import sys
 import time
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from repro.analysis.report import format_table
 from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork, IdentPPNetwork
 
@@ -39,6 +40,7 @@ SOAKS = {
     "push": "repro.workloads.queryload:SOAK_PUSH",
     "decision_core": "repro.workloads.decision_core:SOAK",
     "telemetry": "repro.workloads.telemetry:SOAK",
+    "paper": "repro.workloads.paper:SOAK",
 }
 
 
@@ -208,7 +210,8 @@ def load(name: str) -> Soak:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """``make soak_NAME``: run the table's steps, print each entry, gate."""
+    """``make soak_NAME``: run the table's steps, print each entry (a key
+    ending in ``rows`` holds a table and prints as one), gate."""
     names = sys.argv[1:] if argv is None else argv
     if len(names) != 1 or names[0] not in SOAKS:
         print(
@@ -224,7 +227,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         entry = results[name] = step()
         width = max(len(key) for key in entry)
         for key, value in entry.items():
-            print(f"  {key:<{width}}  {value}")
+            if key.endswith("rows"):
+                print(format_table(value, title=f"  {key}:"))
+            else:
+                print(f"  {key:<{width}}  {value}")
     failures = failed_gates(results, soak.gates)
     for failure in failures:
         print(f"FAIL: {failure}")

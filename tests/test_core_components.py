@@ -52,7 +52,7 @@ class TestDecisionCache:
         cache.store(FLOW, "pass", "c1", now=0.0, keep_state=True)
         assert cache.invalidate_cookie("c1") == 1
         assert FLOW not in cache
-        assert len(cache.state_table) == 0
+        assert cache.lookup(FLOW.reversed(), now=1.0) is None
 
 
 class TestAuditLog:

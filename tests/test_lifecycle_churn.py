@@ -219,22 +219,6 @@ class TestLifecycleService:
         assert len(cache) == 1  # the entry legitimately stays
         assert not service.scheduled
 
-    def test_sweep_follows_state_table_rebind_after_clear(self):
-        # DecisionCache.clear() replaces .state_table; the registered
-        # reclaimer must resolve the attribute per call, not capture the
-        # orphaned bound method — and the configured timeout must survive.
-        net = build_network()
-        controller = net.controller
-        controller.cache.state_table.timeout = 1.0
-        controller.cache.clear()
-        assert controller.cache.state_table.timeout == 1.0
-        controller.cache.state_table.add(
-            FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1, 2), 0.0, cookie="c"
-        )
-        swept = controller.lifecycle.sweep(100.0)
-        assert swept["states"] == 1
-        assert len(controller.cache.state_table) == 0
-
     def test_kick_rearms_after_idle(self):
         sim = Simulator()
         cache = DecisionCache(ttl=1.0)
@@ -467,7 +451,6 @@ class TestLifecycleSweepsNetwork:
         )
         net = build_network(config=config)
         controller = net.controller
-        controller.cache.state_table.timeout = 0.2
         client = net.host("client")
         for port in (80, 81, 82, 83):
             client.open_flow("http", "alice", "192.168.1.1", port)
@@ -495,7 +478,6 @@ class TestLifecycleSweepsNetwork:
         )
         net = build_network(config=config)
         controller = net.controller
-        controller.cache.state_table.timeout = 0.2
         net.host("client").open_flow("http", "alice", "192.168.1.1", 80)
         net.run(duration=0.05)
         dead = net.switches["sw-left"]
@@ -523,11 +505,27 @@ class TestLifecycleSweepsNetwork:
         assert len(dead.flow_table) == 0
         assert dead.flow_removed.value == notified_before + held
 
+    def test_keep_state_pass_covers_its_reverse_until_revoked(self):
+        # The controller holds no separate ``keep state`` table: the
+        # decision cache answers the reverse direction itself, and a
+        # revocation forgets both directions with the one entry.
+        net = build_network()
+        controller = net.controller
+        net.send_flow("client", "http", "alice", "192.168.1.1", 80)
+        (record,) = controller.audit.records()
+        assert record.action == "pass"
+        now = controller.now
+        assert controller.cache.lookup(record.flow.reversed(), now) is not None
+        controller.revoke_decision(record.cookie)
+        assert controller.cache.lookup(record.flow, now) is None
+        assert controller.cache.lookup(record.flow.reversed(), now) is None
+        assert all(len(switch.flow_table) == 0 for switch in net.switches.values())
+
     def test_summary_reports_lifecycle_sections(self):
         net = build_network()
         net.send_flow("client", "http", "alice", "192.168.1.1", 80)
         summary = net.controller.summary()
-        assert "lifecycle" in summary and "state_table" in summary
+        assert "lifecycle" in summary
         assert summary["pending_flows"] == 0
         assert summary["policy_errors"] == 0
         assert summary["cache"]["expirations"] == 0.0

@@ -9,6 +9,7 @@ and asserts the verdicts match the paper's prose.
 import pytest
 
 from repro.analysis.report import format_table, series_to_rows
+from repro.exceptions import WorkloadError
 from repro.workloads.comparative import (
     CollaborationScenario,
     NATIdentificationScenario,
@@ -22,6 +23,7 @@ from repro.workloads.scenarios import (
     ResearchDelegationScenario,
     SkypeScenario,
     ThirdPartyTrustScenario,
+    tamper,
 )
 
 
@@ -38,8 +40,8 @@ class TestFlowSetupScenario:
         assert measurement.end_to_end_delivery > measurement.controller_decision_latency
 
     def test_latency_grows_with_link_latency(self):
-        scenario = FlowSetupScenario(switch_count=2)
-        fast, slow = scenario.sweep_link_latency([50e-6, 5e-3])
+        fast = FlowSetupScenario(switch_count=2, link_latency=50e-6).run()
+        slow = FlowSetupScenario(switch_count=2, link_latency=5e-3).run()
         assert slow.end_to_end_delivery > fast.end_to_end_delivery
         assert slow.query_latency > fast.query_latency
 
@@ -50,12 +52,17 @@ class TestFlowSetupScenario:
     SkypeScenario, ResearchDelegationScenario, ThirdPartyTrustScenario, ConfickerScenario,
 ])
 def test_figure_scenarios_match_paper_expectations(scenario_class):
-    scenario = scenario_class()
-    scenario.run()
-    mismatches = scenario.mismatches()
+    mismatches = [result for result in scenario_class().run() if not result.correct]
     assert not mismatches, "unexpected verdicts: " + "; ".join(
         f"{r.label}: expected {r.expected_action}, got {r.actual_action}" for r in mismatches
     )
+
+
+def test_tampering_with_text_the_figure_does_not_hold_is_an_error():
+    # A silent no-op would leave the "tampered" host reporting honest rules.
+    assert tamper("block all pass all", "block all ", "") == "pass all"
+    with pytest.raises(WorkloadError, match="nothing to tamper with"):
+        tamper("block all pass all", "block every", "")
 
 
 class TestSkypeScenarioDetails:
@@ -91,6 +98,15 @@ class TestCollaboration:
         assert with_collab.remote_packet_ins < without.remote_packet_ins
         # unwanted traffic never reaches branch B hosts either way
         assert without.unwanted_delivered == with_collab.unwanted_delivered == 0
+
+    @pytest.mark.parametrize("fraction, unwanted", [(0.25, 3), (0.5, 6), (0.75, 9), (1.0, 12)])
+    def test_the_unwanted_share_is_the_one_asked_for(self, fraction, unwanted):
+        # Used to flat-line at half: only even-indexed flows could be unwanted.
+        result = CollaborationScenario(
+            flows=12, unwanted_fraction=fraction, packets_per_flow=1
+        ).run()
+        assert result.unwanted_flows == unwanted
+        assert result.wanted_delivered == 12 - unwanted
 
 
 # -- E8: incremental benefit ---------------------------------------------------

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.workloads import cluster, decision_core, fabric, queryload, soak
+from repro.hosts.endhost import EndHost
+from repro.workloads import cluster, decision_core, fabric, paper, queryload, scenarios, soak
 from repro.workloads.soak import Gate, Soak, failed_gates
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +46,8 @@ class TestCommittedResultsReproduce:
             ("fabric", "fabric_scale_bench"),
             ("queryload", "query_cache_bench"),
             ("telemetry", "telemetry_conficker_detection"),
+            # The paper's E1-E12: virtual time and counts, every leaf pinned.
+            *(("paper", step) for step, _ in paper.SOAK.steps),
         ],
     )
     def test_step_equals_the_committed_entry(self, name, entry):
@@ -77,12 +80,16 @@ class TestGates:
             (cluster.SOAK, "cluster_scale_1_to_4.speedup", 3.0, 2.99),
             (fabric.SOAK, "fabric_scale_bench.slowdown_vs_single_switch", 1.5, 1.51),
             (queryload.SOAK, "query_cache_bench.speedup", 5.0, 4.99),
+            (paper.SOAK, "paper_e1_flow_setup.min_query_share", 0.8, 0.799),
+            (paper.SOAK, "paper_e10_setup_vs_ethane.overhead_vs_queries_plus_eval", 1.0, 0.999),
+            (paper.SOAK, "paper_e10_setup_vs_ethane.overhead_vs_queries_plus_eval", 1.05, 1.051),
         ],
     )
     def test_a_value_on_the_bound_passes_and_one_step_past_fails(
         self, table, path, on_bound, past_bound
     ):
-        (gate,) = [gate for gate in table.gates if gate.path == path]
+        # A path may carry a floor and a ceiling: the bound picks the row.
+        (gate,) = [g for g in table.gates if (g.path, g.bound) == (path, on_bound)]
         assert failed_gates(_nested(path, on_bound), [gate]) == []
         (failure,) = failed_gates(_nested(path, past_bound), [gate])
         assert str(past_bound) in failure
@@ -122,6 +129,45 @@ class TestNothingDecided:
         results = {entry: step()}
         json.dumps(results, allow_nan=False)  # raises on inf / nan
         assert failed_gates(results, [g for g in module.SOAK.gates if g.path.startswith(entry)])
+
+
+class TestPaperExpectations:
+    """The ``paper`` soak states what the paper expects, and says so when it is missed."""
+
+    def test_a_missed_verdict_fails_the_soak_and_tells_the_case_story(self, monkeypatch, capsys):
+        build_cases = scenarios.SkypeScenario.build_cases
+
+        def wrong_about_old_skype(self):
+            cases = build_cases(self)
+            (case,) = [case for case in cases if case.label == "skype older than version 200"]
+            case.expected = "pass"
+            return cases
+
+        monkeypatch.setattr(scenarios.SkypeScenario, "build_cases", wrong_about_old_skype)
+        assert soak.main(["paper"]) == 1
+        out = capsys.readouterr().out
+        (failure,) = [line for line in out.splitlines() if line.startswith("FAIL:")]
+        assert "paper_e2_skype: skype older than version 200" in failure
+        assert "expects pass, observed block (not delivered)" in failure
+        # ... and the rule that decided it, verbatim from Figure 2's 50-skype.control.
+        assert "lt(@src[version], 200)" in failure
+        assert paper.SOAK.ok not in out
+
+    def test_an_undelivered_first_packet_is_a_failure_line_not_a_json_crash(self, monkeypatch):
+        monkeypatch.setattr(EndHost, "receive", lambda self, packet, in_port: None)
+        results = {
+            name: step() for name, step in paper.SOAK.steps
+            if name in ("paper_e1_flow_setup", "paper_e10_setup_vs_ethane")
+        }
+        json.dumps(results, allow_nan=False)  # None, not NaN
+        assert all(row["end_to_end_ms"] is None for row in results["paper_e1_flow_setup"]["rows"])
+        failures = failed_gates(results, paper.SOAK.gates)
+        assert (
+            "paper_e1_flow_setup: first packet never delivered at switches=1, latency=0.05 ms"
+            in failures
+        )
+        assert any("identpp" in failure and "never delivered" in failure for failure in failures)
+        assert any("less than it must pay" in failure for failure in failures)
 
 
 class TestEntryPoint:

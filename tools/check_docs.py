@@ -66,6 +66,7 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
         "### Telemetry (PR 8)",
         "### Scenario matrix (PR 9)",
         "### Push plane (PR 10)",
+        "### Paper experiments (E1–E12)",
         "## `derived` entries",
     ],
     "docs/ANALYSIS.md": [
