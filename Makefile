@@ -37,10 +37,12 @@ determinism:
 # The wall-clock benchmark of BENCHMARK.json (perf/README.md).  The smoke
 # runs exit non-zero on any failed op or cross-repeat mismatch: the punt
 # path, then the fast path (a punt leaking into its timed region, or a
-# forwarded packet misdelivered, fails its oracle).
+# forwarded packet misdelivered, fails its oracle), then the reload path
+# (a 1000-rule reload every 4th wave must leave every verdict as it was).
 perf:
 	python3 perf/run.py
 
 perf_smoke:
 	python3 perf/run.py --workload punt_unique --seconds 2
 	python3 perf/run.py --workload fastpath_forward --seconds 2
+	python3 perf/run.py --workload hot_identity_reload --seconds 2

@@ -61,6 +61,11 @@ BENCH_SOAKS = ("churn", "cluster", "fabric", "queryload", "decision_core", "tele
 #: 2000-rule ruleset than against a 10-rule one.
 POLICY_EVAL_CEILING = 1.5
 
+#: Reloading a 1 001-rule file whose text has not moved may cost at most
+#: this share of loading it cold (loose: 0.12-0.14 measured; what remains
+#: is the compile and the concatenation, the parse is the file's own).
+POLICY_RELOAD_UNCHANGED_CEILING = 0.5
+
 #: A punt's table work may cost at most this much more beside 4096
 #: resident entries than beside 128.
 FLOW_TABLE_CHURN_CEILING = 1.5
@@ -94,6 +99,10 @@ GATES = (
     Gate("derived.policy_eval_2000_vs_10", operator.le, POLICY_EVAL_CEILING,
          f"a policy decision costs more than {POLICY_EVAL_CEILING:g}x as much against "
          "2000 rules as against 10 (a decision walks the ruleset, not its candidates)"),
+    Gate("derived.policy_reload_unchanged_vs_cold", operator.le, POLICY_RELOAD_UNCHANGED_CEILING,
+         f"reloading an unchanged 1 001-rule file costs more than "
+         f"{POLICY_RELOAD_UNCHANGED_CEILING:g} of loading it cold "
+         "(an unchanged control file is being parsed again)"),
     Gate("derived.flow_table_churn_4096_vs_128", operator.le, FLOW_TABLE_CHURN_CEILING,
          f"flow-table churn costs more than {FLOW_TABLE_CHURN_CEILING:g}x as much "
          "beside 4096 resident entries as beside 128 (an operation walks the table)"),
@@ -150,14 +159,18 @@ def _per_item(timing: dict, batch: int) -> dict:
     return timing
 
 
-def _e10b_policy(rule_count: int) -> PolicyEvaluator:
+def _e10b_text(rule_count: int) -> str:
     lines = ["block all"]
     for index in range(rule_count):
         lines.append(
             f"pass from any to 10.{index % 250}.0.0/16 port {1000 + index} "
             f"with eq(@src[name], app{index})"
         )
-    return PolicyEvaluator(parse_ruleset("\n".join(lines)), default_action="block")
+    return "\n".join(lines)
+
+
+def _e10b_policy(rule_count: int) -> PolicyEvaluator:
+    return PolicyEvaluator(parse_ruleset(_e10b_text(rule_count)), default_action="block")
 
 
 def _src_doc() -> ResponseDocument:
@@ -191,6 +204,24 @@ def bench_policy_engine(results: dict) -> None:
     src = ResponseDocument()
     src.add_section({"name": "http"})
     results["engine_decide_figure2"] = _timeit(lambda: engine.decide(flow, src, None))
+
+
+def bench_policy_reload(results: dict) -> None:
+    """A reload of one 1 001-rule file: on a fresh engine, then with the text unchanged.
+
+    Register, rebuild, compile.  Cold pays lex + parse + compile; an
+    unchanged reload keeps the registered file's parse and pays the
+    concatenation and the compile (a reload always recompiles).
+    """
+    text = _e10b_text(1000)
+
+    def reload(engine: PolicyEngine) -> None:
+        engine.add_control_file("00-hot.control", text)
+        engine.rebuild().compiled
+
+    results["policy_reload_cold"] = _timeit(lambda: reload(PolicyEngine(default_action="block")))
+    warm = PolicyEngine(default_action="block")
+    results["policy_reload_unchanged"] = _timeit(lambda: reload(warm))
 
 
 def bench_decision_cache(results: dict) -> None:
@@ -400,6 +431,7 @@ def main() -> int:
     print("running hot-path benchmarks ...")
     bench_policy_evaluator(results)
     bench_policy_engine(results)
+    bench_policy_reload(results)
     bench_decision_cache(results)
     bench_flow_table(results)
     bench_daemon_answer(results)
@@ -426,6 +458,11 @@ def main() -> int:
         "policy_eval_2000_vs_10": round(
             results["policy_eval_compiled_10"]["ops_per_sec"]
             / results["policy_eval_compiled_2000"]["ops_per_sec"],
+            2,
+        ),
+        "policy_reload_unchanged_vs_cold": round(
+            results["policy_reload_cold"]["ops_per_sec"]
+            / results["policy_reload_unchanged"]["ops_per_sec"],
             2,
         ),
         "flow_table_churn_4096_vs_128": round(

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.controller import IdentPPController
 from repro.exceptions import DelegationError
 from repro.pf.evaluator import PolicyEvaluator
-from repro.pf.ruleset import RulesetLoader
+from repro.pf.ruleset import ControlFile, RulesetLoader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import ControllerCluster
@@ -78,12 +78,14 @@ class ClusterCoordinator:
 
         The merged ruleset is parsed and compiled against a scratch
         evaluator first; a broken file raises here, before any replica
-        is touched, so the cluster never half-applies a reload.
+        is touched, so the cluster never half-applies a reload.  Every
+        replica then registers the very files validation parsed, so a
+        changed file is parsed once for the whole cluster.
         """
-        self._validate_reload(files)
+        control_files = self._validate_reload(files, provenance)
 
         def apply(controller: IdentPPController) -> int:
-            controller.policy.add_control_files(files, provenance=provenance)
+            controller.policy.register_control_files(control_files)
             controller.policy.rebuild()
             return 0
 
@@ -105,14 +107,16 @@ class ClusterCoordinator:
             "policy_reload", origin_shard, f"removed={name}", apply
         )
 
-    def _validate_reload(self, files: dict[str, str]) -> None:
+    def _validate_reload(self, files: dict[str, str], provenance: str) -> list[ControlFile]:
         """Dry-run a reload: parse + compile the would-be merged ruleset.
 
         Uses a scratch loader seeded from a **live** replica's current
         files (every live replica holds the same set — all changes flow
         through here, and crashed ones resync), so validation sees
         exactly what the replicas would build.  A halted replica's file
-        set may be stale and would validate the wrong merge.
+        set may be stale and would validate the wrong merge.  Returns
+        the validated files of ``files``, parsed, for the replicas to
+        register.
         """
         reference = next(
             (c for c in self.cluster.replicas.values() if not c.halted),
@@ -120,12 +124,11 @@ class ClusterCoordinator:
         )
         scratch = RulesetLoader()
         for control_file in reference.policy.loader.files():
-            scratch.add_file(
-                control_file.name, control_file.text,
-                provenance=control_file.provenance,
-            )
-        for name, text in files.items():
-            scratch.add_file(name, text)
+            scratch.register(control_file)
+        control_files = [
+            scratch.add_file(name, text, provenance=provenance)
+            for name, text in files.items()
+        ]
         # PolicyEvaluator construction compiles the rules, so compile-time
         # errors are caught here too, not just parse errors.
         PolicyEvaluator(
@@ -134,6 +137,7 @@ class ClusterCoordinator:
             default_action=reference.policy.default_action,
             name="cluster-reload-validation",
         )
+        return control_files
 
     # ------------------------------------------------------------------
     # Delegation propagation

@@ -14,7 +14,7 @@ accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.delegation import DelegationManager
 from repro.identpp.flowspec import FlowSpec
@@ -22,7 +22,7 @@ from repro.identpp.keyvalue import ResponseDocument
 from repro.pf.ast_nodes import ACTION_PASS, DictAccess, Rule
 from repro.pf.evaluator import PolicyEvaluator, Verdict
 from repro.pf.functions import FunctionRegistry, default_registry
-from repro.pf.ruleset import RulesetLoader
+from repro.pf.ruleset import ControlFile, RulesetLoader
 
 #: Function names whose presence in the deciding rule marks the decision
 #: as relying on delegated (externally supplied) rules.
@@ -106,6 +106,16 @@ class PolicyEngine:
             self.loader.add_file(name, text, provenance=provenance)
         self._evaluator = None
 
+    def register_control_files(self, control_files: Iterable[ControlFile]) -> None:
+        """Register already built files.
+
+        A cluster reload hands every shard the same objects, so a
+        changed file is parsed once for the cluster, not once per shard.
+        """
+        for control_file in control_files:
+            self.loader.register(control_file)
+        self._evaluator = None
+
     def remove_control_file(self, name: str) -> bool:
         """Unregister a ``.control`` file (e.g. dropping a vendor's rules)."""
         removed = self.loader.remove_file(name)
@@ -120,7 +130,12 @@ class PolicyEngine:
         return count
 
     def rebuild(self) -> PolicyEvaluator:
-        """(Re)build the evaluator from the registered files."""
+        """(Re)build the evaluator from the registered files.
+
+        Always a fresh evaluator — zeroed counters, recompiled rules, a
+        new ruleset epoch; only the parse of a file whose text has not
+        moved is reused (it lives on the registered file).
+        """
         ruleset = self.loader.build()
         self._evaluator = PolicyEvaluator(
             ruleset,

@@ -11,8 +11,8 @@ simulator with
 * a deterministic event scheduler (:mod:`repro.netsim.events`),
 * nodes with named ports and point-to-point links with latency and
   bandwidth (:mod:`repro.netsim.nodes`, :mod:`repro.netsim.links`),
-* a :class:`~repro.netsim.topology.Topology` builder backed by
-  :mod:`networkx` for path computations,
+* a :class:`~repro.netsim.topology.Topology` builder that keeps its own
+  adjacency and answers path queries with one deterministic search,
 * multi-stage fabric builders — spine-leaf and k-ary fat-tree — for
   path-wide enforcement at scale (:mod:`repro.netsim.fabrics`), and
 * statistics and packet-trace helpers

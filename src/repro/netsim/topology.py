@@ -2,10 +2,10 @@
 
 A :class:`Topology` owns a :class:`~repro.netsim.events.Simulator`, the
 set of :class:`~repro.netsim.nodes.Node` objects and the
-:class:`~repro.netsim.links.Link` objects between them, and mirrors the
-connectivity into a :class:`networkx.Graph` so path queries (which the
-ident++ controller uses to install flow entries "along the path", §3.4)
-are one call away.
+:class:`~repro.netsim.links.Link` objects between them, and keeps the
+connectivity as an adjacency dict so path queries (which the ident++
+controller uses to install flow entries "along the path", §3.4) are one
+call away.
 
 The builder also hands out unique MAC addresses and keeps an IP → node
 index so controllers and daemons can resolve the hosts behind a flow.
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Iterable, Iterator, Optional
-
-import networkx as nx
 
 from repro.exceptions import TopologyError
 from repro.netsim.addresses import IPv4Address, MACAddress
@@ -36,11 +34,13 @@ class Topology:
         self.trace = PacketTrace(name=f"{name}.trace", enabled=False)
         self._nodes: dict[str, Node] = {}
         self._links: list[Link] = []
-        self._graph = nx.Graph()
+        # node name -> {neighbour name -> the one link between them}, both
+        # directions; nodes in registration order, neighbours in link order.
+        self._adjacency: dict[str, dict[str, Link]] = {}
         self._mac_index = 0
         self._ip_to_node: dict[IPv4Address, Node] = {}
         # (source, target) name pair -> shortest path (as names); valid
-        # until the graph gains or loses a node or link.  Path-wide flow
+        # until the topology gains or loses a node or link.  Path-wide flow
         # install resolves one path per decision, so repeat pairs are the
         # hot case.
         self._path_cache: dict[tuple[str, str], list[str]] = {}
@@ -63,7 +63,7 @@ class Topology:
             raise TopologyError(f"duplicate node name: {node.name}")
         node.attach(self.sim)
         self._nodes[node.name] = node
-        self._graph.add_node(node.name)
+        self._adjacency[node.name] = {}
         self._note_mutation()
         return node
 
@@ -127,17 +127,22 @@ class Topology:
         """Create a link between two registered nodes.
 
         New ports are allocated on each node unless explicit port numbers
-        are given.  Returns the created :class:`Link`.
+        are given.  Returns the created :class:`Link`.  A pair of nodes
+        has at most one link: paths, latencies and :meth:`remove_link`
+        are all answered per pair.
         """
         node_a = self._resolve(node_a)
         node_b = self._resolve(node_b)
         if node_a is node_b:
             raise TopologyError(f"cannot link node {node_a.name} to itself")
+        if node_b.name in self._adjacency[node_a.name]:
+            raise TopologyError(f"nodes {node_a.name} and {node_b.name} are already linked")
         end_a = node_a.port(port_a) if port_a is not None else node_a.add_port()
         end_b = node_b.port(port_b) if port_b is not None else node_b.add_port()
         link = Link(end_a, end_b, latency=latency, bandwidth=bandwidth)
         self._links.append(link)
-        self._graph.add_edge(node_a.name, node_b.name, latency=latency, link=link)
+        self._adjacency[node_a.name][node_b.name] = link
+        self._adjacency[node_b.name][node_a.name] = link
         self._note_mutation()
         return link
 
@@ -145,7 +150,7 @@ class Topology:
         """Remove the link directly connecting two nodes.
 
         The endpoint ports are detached (and stay on their nodes, ready
-        to be re-wired), the graph edge disappears, and the mutation
+        to be re-wired), the adjacency entry disappears, and the mutation
         epoch advances so every connectivity-derived cache re-reads the
         topology.  Returns the removed :class:`Link`.
         """
@@ -157,7 +162,8 @@ class Topology:
         for port in link.endpoints():
             port.detach_link()
         self._links.remove(link)
-        self._graph.remove_edge(name_a, name_b)
+        del self._adjacency[name_a][name_b]
+        del self._adjacency[name_b][name_a]
         self._note_mutation()
         return link
 
@@ -190,10 +196,7 @@ class Topology:
         """Return the link directly connecting two nodes, or ``None``."""
         name_a = self._resolve(node_a).name
         name_b = self._resolve(node_b).name
-        data = self._graph.get_edge_data(name_a, name_b)
-        if data is None:
-            return None
-        return data.get("link")
+        return self._adjacency[name_a].get(name_b)
 
     def _resolve(self, node: Node | str) -> Node:
         if isinstance(node, Node):
@@ -205,11 +208,6 @@ class Topology:
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
-
-    @property
-    def graph(self) -> nx.Graph:
-        """Return the underlying :mod:`networkx` graph (node names as vertices)."""
-        return self._graph
 
     def shortest_path(self, source: Node | str, target: Node | str) -> list[Node]:
         """Return the latency-weighted shortest path as a list of nodes (inclusive).
@@ -243,10 +241,7 @@ class Topology:
         equal-length path ties, so the standard first-pop finalization
         argument carries over to the composite key.
         """
-        graph = self._graph
-        if source not in graph or target not in graph:
-            missing = source if source not in graph else target
-            raise TopologyError(f"node {missing} is not in the graph")
+        adjacency = self._adjacency
         heap: list[tuple[float, int, tuple[str, ...]]] = [(0.0, 0, (source,))]
         finalized: set[str] = set()
         while heap:
@@ -257,11 +252,11 @@ class Topology:
             finalized.add(node)
             if node == target:
                 return list(path)
-            for neighbor, data in graph[node].items():
+            for neighbor, link in adjacency[node].items():
                 if neighbor not in finalized:
                     heapq.heappush(
                         heap,
-                        (latency + data["latency"], hops + 1, path + (neighbor,)),
+                        (latency + link.latency, hops + 1, path + (neighbor,)),
                     )
         raise TopologyError(f"no path from {source} to {target}")
 
@@ -322,9 +317,26 @@ class Topology:
         }
 
     def _diameter(self) -> int:
-        if self._graph.number_of_nodes() < 2 or not nx.is_connected(self._graph):
-            return 0
-        return int(nx.diameter(self._graph))
+        """Longest hop-count shortest path; 0 when disconnected or under two nodes."""
+        adjacency = self._adjacency
+        diameter = 0
+        for source in adjacency:
+            seen = {source}
+            frontier = [source]
+            depth = -1
+            while frontier:
+                depth += 1
+                reached = []
+                for node in frontier:
+                    for neighbor in adjacency[node]:
+                        if neighbor not in seen:
+                            seen.add(neighbor)
+                            reached.append(neighbor)
+                frontier = reached
+            if len(seen) < len(adjacency):
+                return 0
+            diameter = max(diameter, depth)
+        return diameter
 
 
 def build_linear_topology(

@@ -10,6 +10,9 @@ companies."
 :class:`RulesetLoader` implements exactly that: files are registered by
 name (from memory or from a directory on disk), sorted alphabetically,
 parsed and concatenated into a single :class:`~repro.pf.ast_nodes.Ruleset`.
+A reload normally changes one file of several, so a registered file
+carries its own parse: :meth:`RulesetLoader.build` lexes only the files
+whose text moved since the last build and re-concatenates the rest.
 The alphabetical convention is what makes the Figure 2 layout work:
 ``00-local-header.control`` (defaults and the ``block all``),
 ``50-skype.control`` (application-supplied rules) and
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from repro.exceptions import PolicyError
@@ -31,16 +35,22 @@ from repro.pf.parser import parse_ruleset
 CONTROL_EXTENSION = ".control"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlFile:
-    """One named configuration file."""
+    """One named configuration file: immutable, so its parse can be kept with it."""
 
     name: str
     text: str
     provenance: str = "administrator"
 
-    def parse(self) -> Ruleset:
-        """Parse this file's contents."""
+    @cached_property
+    def ruleset(self) -> Ruleset:
+        """This file's statements, parsed on first use.
+
+        Shared by every loader the file is registered on and by every
+        build: statements are copied out of it, it must not be mutated.
+        A text that does not parse raises on every access.
+        """
         return parse_ruleset(self.text, origin=self.name)
 
 
@@ -62,9 +72,18 @@ class RulesetLoader:
         """
         if not name.endswith(CONTROL_EXTENSION):
             name = name + CONTROL_EXTENSION
-        control_file = ControlFile(name=name, text=text, provenance=provenance)
-        self._files[name] = control_file
-        return control_file
+        return self.register(ControlFile(name=name, text=text, provenance=provenance))
+
+    def register(self, control_file: ControlFile) -> ControlFile:
+        """Register an already built file; returns the one now registered.
+
+        A file equal to the one registered under its name (same text,
+        same provenance) leaves that one — and its parse — in place.
+        """
+        registered = self._files.get(control_file.name)
+        if registered != control_file:
+            registered = self._files[control_file.name] = control_file
+        return registered
 
     def add_files(self, files: dict[str, str], *, provenance: str = "administrator") -> None:
         """Register several files at once."""
@@ -122,10 +141,10 @@ class RulesetLoader:
     # ------------------------------------------------------------------
 
     def build(self) -> Ruleset:
-        """Parse and concatenate every registered file, alphabetically."""
+        """Concatenate every registered file's statements, alphabetically."""
         combined = Ruleset(name="+".join(self.file_names()))
         for control_file in self.files():
-            combined.extend(control_file.parse())
+            combined.extend(control_file.ruleset)
         return combined
 
     def concatenated_text(self) -> str:

@@ -6,6 +6,9 @@ directly, and the live ``src/`` + ``tools/`` trees are asserted clean —
 the same invocation ``make lint`` runs in CI.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -126,6 +129,66 @@ class TestRuleSemantics:
         # An f-string label on anything but a scheduling call is not an event label.
         probe = "def p(i):\n    return Probe(label=f'{i.src}->{i.dst}')\n"
         assert analyze_source(probe, rules, rel_path="src/repro/workloads/experiment.py") == []
+
+    def test_r10_standard_library_and_first_party_only(self):
+        rules = [rules_by_id()["R10"]]
+        # What `Topology` did until it kept its own adjacency.
+        assert analyze_source("import networkx as nx\n", rules, rel_path="src/repro/netsim/topology.py")
+        assert analyze_source("from numpy.linalg import norm\n", rules, rel_path="src/repro/x.py")
+        assert len(analyze_source("import os, yaml, attr\n", rules, rel_path="tools/x.py")) == 2
+        guarded = "try:\n    import yaml\nexcept ImportError:\n    yaml = None\n"
+        assert analyze_source(guarded, rules, rel_path="src/repro/x.py")
+        for clean in (
+            "import os.path\n", "from collections import deque\n", "from repro.pf import ruleset\n",
+            "from tools.analysis.core import Violation\n", "from . import events\n",
+            "from .events import Simulator\n", "from __future__ import annotations\n",
+        ):
+            assert analyze_source(clean, rules, rel_path="src/repro/x.py") == []
+
+
+#: Imports every ``repro.*`` module in a fresh interpreter and reports what
+#: else came with it.  Names already loaded when the script starts
+#: (``__main__``, site hooks such as ``_distutils_hack``) are the bare
+#: interpreter's, not the product's.  The peak is read from ``VmHWM``, which
+#: starts from nothing at exec; ``ru_maxrss`` starts from the size of the
+#: process that forked, here a pytest run many times the product's size.
+IMPORT_PROBE = """
+import sys
+bare = {name.partition(".")[0] for name in sys.modules}
+import importlib, json, pkgutil
+import repro
+modules = [found.name for found in pkgutil.walk_packages(repro.__path__, "repro.")]
+for name in modules:
+    importlib.import_module(name)
+loaded = {name.partition(".")[0] for name in sys.modules} - bare - {"repro"}
+try:
+    with open("/proc/self/status") as status:
+        peak_mb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM")) / 1024
+except OSError:
+    peak_mb = None
+print(json.dumps({
+    "modules": len(modules),
+    "foreign": sorted(loaded - set(sys.stdlib_module_names)),
+    "peak_mb": peak_mb,
+}))
+"""
+
+
+class TestStdlibOnlyAtRuntime:
+    """R10's runtime twin: what importing the whole product actually loads."""
+
+    def test_importing_every_module_loads_nothing_third_party(self):
+        probe = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert probe.returncode == 0, probe.stderr
+        report = json.loads(probe.stdout)
+        assert report["modules"] > 90  # soak, experiment, cluster, telemetry: all of it
+        assert report["foreign"] == []
+        # A tripwire, not a measurement: ~24 MB here, over 40 MB when
+        # `Topology` imported networkx to hold an adjacency dict.
+        assert report["peak_mb"] is None or report["peak_mb"] < 30
 
 
 class TestSuppression:

@@ -170,6 +170,39 @@ class TestTopologyPathEdgeCases:
         topo.add_link("a", "c", latency=0.1e-3)
         assert [n.name for n in topo.shortest_path("a", "c")] == ["a", "c"]
 
+    def test_two_spine_four_leaf_fabric_resolves_the_pinned_hops(self):
+        # The hop set every install on the perf/soak fabric depends on,
+        # pinned literally: it must not move with the adjacency's keeper.
+        topo = build_spine_leaf(Node, spines=2, leaves=4).topology
+        leaves = [f"fabric-leaf{index}" for index in range(4)]
+        for source in leaves:
+            for target in leaves:
+                expected = [source, "fabric-spine0", target] if source != target else [source]
+                assert [n.name for n in topo.shortest_path(source, target)] == expected
+        assert [n.name for n in topo.shortest_path("fabric-spine0", "fabric-spine1")] == [
+            "fabric-spine0", "fabric-leaf0", "fabric-spine1",
+        ]
+        assert topo.describe()["diameter"] == 2
+
+    def test_second_link_between_a_pair_is_refused(self):
+        # A pair has one link: a second used to shadow the first in every
+        # path answer while both stayed wired (remove_link then reported
+        # the pair unconnected with a live link still carrying packets).
+        topo = Topology()
+        a, b = topo.add_node(Node("a")), topo.add_node(Node("b"))
+        first = topo.add_link(a, b, latency=1e-3)
+        epoch = topo.mutation_epoch
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(TopologyError):
+                topo.add_link(*pair, latency=5e-3)
+        assert (a.port_count(), b.port_count()) == (1, 1)  # refused before allocating
+        assert topo.link_count() == 1 and topo.mutation_epoch == epoch
+        assert topo.path_latency(a, b) == 1e-3
+        assert topo.remove_link(a, b) is first
+        assert not topo.connected(a, b) and not any(p.is_wired for p in (*a.ports(), *b.ports()))
+        topo.add_link(a, b, latency=5e-3)  # free again once removed
+        assert topo.path_latency(a, b) == 5e-3
+
     def test_egress_port_toward_each_neighbour(self):
         fabric = build_spine_leaf(Node, spines=2, leaves=2)
         leaf = fabric.leaves[0]

@@ -9,6 +9,7 @@ from tools.analysis.rules.r6_metric_names import MetricNamesRule
 from tools.analysis.rules.r7_engine_facade import EngineFacadeRule
 from tools.analysis.rules.r8_identity_index import IdentityIndexRule
 from tools.analysis.rules.r9_event_queue import EventQueueRule
+from tools.analysis.rules.r10_stdlib_only import StdlibOnlyRule
 
 #: Every rule, in id order — the default rule set of ``run_lint.py``.
 ALL_RULES = (
@@ -21,6 +22,7 @@ ALL_RULES = (
     EngineFacadeRule(),
     IdentityIndexRule(),
     EventQueueRule(),
+    StdlibOnlyRule(),
 )
 
 
@@ -41,4 +43,5 @@ __all__ = [
     "EngineFacadeRule",
     "IdentityIndexRule",
     "EventQueueRule",
+    "StdlibOnlyRule",
 ]

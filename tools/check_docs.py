@@ -81,6 +81,7 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
         "### R7 — ident++ queries must go through the QueryEngine facade",
         "### R8 — identity lookups must use the socket and key indexes",
         "### R9 — events enter through `Simulator.schedule`, with labels built once",
+        "### R10 — the product imports only the standard library and itself",
         "## Suppression",
         "## The runtime sanitizer",
     ],
