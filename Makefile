@@ -38,7 +38,9 @@ determinism:
 # runs exit non-zero on any failed op or cross-repeat mismatch: the punt
 # path, then the fast path (a punt leaking into its timed region, or a
 # forwarded packet misdelivered, fails its oracle), then the reload path
-# (a 1000-rule reload every 4th wave must leave every verdict as it was).
+# (a 1000-rule reload every 4th wave must leave every verdict as it was),
+# then the cluster (a shard kill and restore: every punted flow decided
+# exactly once).
 perf:
 	python3 perf/run.py
 
@@ -46,3 +48,4 @@ perf_smoke:
 	python3 perf/run.py --workload punt_unique --seconds 2
 	python3 perf/run.py --workload fastpath_forward --seconds 2
 	python3 perf/run.py --workload hot_identity_reload --seconds 2
+	python3 perf/run.py --workload cluster_fabric_failover --seconds 2

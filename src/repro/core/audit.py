@@ -11,15 +11,23 @@ their delegates did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Optional
 
 from repro.identpp.flowspec import FlowSpec
+from repro.identpp.keyvalue import EMPTY_KEYS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionRecord:
-    """One policy decision."""
+    """One policy decision.
+
+    The log keeps every record, so a record's size is the controller's
+    memory per decided flow: it is slotted, and its two identity views
+    are the decision's shared :class:`~repro.identpp.keyvalue.KeyView`
+    objects, not copies (a cache hit or a fail-closed verdict saw no
+    documents and keeps the one empty view).
+    """
 
     time: float
     flow: FlowSpec
@@ -29,8 +37,8 @@ class DecisionRecord:
     cookie: str
     delegated: bool = False
     delegation_functions: tuple[str, ...] = ()
-    src_keys: dict[str, str] = field(default_factory=dict)
-    dst_keys: dict[str, str] = field(default_factory=dict)
+    src_keys: Mapping[str, str] = EMPTY_KEYS
+    dst_keys: Mapping[str, str] = EMPTY_KEYS
     query_latency: float = 0.0
     cached: bool = False
     note: str = ""

@@ -13,12 +13,12 @@ accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.core.delegation import DelegationManager
 from repro.identpp.flowspec import FlowSpec
-from repro.identpp.keyvalue import ResponseDocument
+from repro.identpp.keyvalue import EMPTY_KEYS, KeyView, ResponseDocument
 from repro.pf.ast_nodes import ACTION_PASS, DictAccess, Rule
 from repro.pf.evaluator import PolicyEvaluator, Verdict
 from repro.pf.functions import FunctionRegistry, default_registry
@@ -38,8 +38,8 @@ class PolicyDecision:
     delegated: bool = False
     delegation_functions: tuple[str, ...] = ()
     principals: tuple[str, ...] = ()
-    src_keys: dict[str, str] = field(default_factory=dict)
-    dst_keys: dict[str, str] = field(default_factory=dict)
+    src_keys: KeyView = EMPTY_KEYS
+    dst_keys: KeyView = EMPTY_KEYS
 
     @property
     def action(self) -> str:
@@ -90,6 +90,10 @@ class PolicyEngine:
         # built for; either moving invalidates it.
         self._ruleset_epoch = 0
         self._pubkeys_state: Optional[tuple[int, int]] = None
+        # The last view of each end: the next decision's view reuses it
+        # (or its keys tuple) when the answer has not moved.
+        self._last_src = EMPTY_KEYS
+        self._last_dst = EMPTY_KEYS
 
     # ------------------------------------------------------------------
     # Configuration management
@@ -220,14 +224,19 @@ class PolicyEngine:
     ) -> PolicyDecision:
         delegated_functions = _delegation_functions_used(verdict.rule)
         principals = _principals_used(verdict.rule)
+        src_keys = dst_keys = EMPTY_KEYS
+        if src_doc is not None:
+            src_keys = self._last_src = KeyView.of(src_doc, self._last_src)
+        if dst_doc is not None:
+            dst_keys = self._last_dst = KeyView.of(dst_doc, self._last_dst)
         return PolicyDecision(
             flow=flow,
             verdict=verdict,
             delegated=bool(delegated_functions),
             delegation_functions=delegated_functions,
             principals=principals,
-            src_keys=src_doc.as_flat_dict() if src_doc is not None else {},
-            dst_keys=dst_doc.as_flat_dict() if dst_doc is not None else {},
+            src_keys=src_keys,
+            dst_keys=dst_keys,
         )
 
     def stats(self) -> dict[str, float]:

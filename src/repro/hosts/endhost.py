@@ -160,7 +160,6 @@ class EndHost(Node):
             tp_dst=dst_port,
             payload=payload,
             payload_size=payload_size,
-            metadata={"origin_host": self.name, "origin_app": app.name, "origin_user": user.name},
         )
         if send:
             self.transmit(packet)
@@ -185,7 +184,6 @@ class EndHost(Node):
             tp_dst=socket.remote_port,
             payload=payload,
             payload_size=payload_size,
-            metadata={"origin_host": self.name},
         )
         self.transmit(packet)
         return packet

@@ -8,13 +8,13 @@ can key decision caches and pending-query tables on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.packet import Packet, proto_name, proto_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowSpec:
     """An ident++ flow: ``(src ip, dst ip, ip protocol, src port, dst port)``."""
 
@@ -23,6 +23,7 @@ class FlowSpec:
     proto: int
     src_port: int
     dst_port: int
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Fields that already have their final type (a flow read off a

@@ -14,11 +14,13 @@ and controllers on the path that augment the response.
 * ``*@src[key]`` returns "a concatenation of the values in all sections",
   which lets a policy check a chain of endorsements.
 
-:class:`ResponseDocument` implements exactly those semantics.
+:class:`ResponseDocument` implements exactly those semantics, and
+:class:`KeyView` is the flat ``@src`` / ``@dst`` view a decision keeps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -263,3 +265,57 @@ class ResponseDocument:
 
     def __repr__(self) -> str:
         return f"ResponseDocument(sections={len(self.sections)}, keys={self.keys()})"
+
+
+class KeyView(Mapping):
+    """An immutable ``{key: latest value}`` view of a document, as two tuples.
+
+    Same content and key order as :meth:`ResponseDocument.as_flat_dict`.
+    Every decision keeps the views of both ends for its audit record,
+    and a stream of them is mostly the same answer over and over, so
+    :meth:`of` lets a new view share what it can with the previous one:
+    the very object when nothing moved, the keys tuple when only values
+    did.  Compares equal to a dict with the same items.
+    """
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, keys: tuple[str, ...] = (), values: tuple[str, ...] = ()) -> None:
+        self._keys = keys
+        self._values = values
+
+    @classmethod
+    def of(cls, document: ResponseDocument, last: "KeyView") -> "KeyView":
+        """Return ``document``'s view: ``last`` itself when the content is
+        the same, a view sharing ``last``'s keys tuple when only values moved."""
+        flat = document.as_flat_dict()
+        keys, values = tuple(flat), tuple(flat.values())
+        if keys == last._keys:
+            if values == last._values:
+                return last
+            keys = last._keys
+        elif not keys:
+            return EMPTY_KEYS
+        return cls(keys, values)
+
+    def __getitem__(self, key: str) -> str:
+        try:
+            return self._values[self._keys.index(key)]
+        except ValueError:
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(zip(self._keys, self._values)))
+
+    def __repr__(self) -> str:
+        return f"KeyView({dict(zip(self._keys, self._values))!r})"
+
+
+#: The view of no document (a cache hit or a fail-closed verdict saw none).
+EMPTY_KEYS = KeyView()

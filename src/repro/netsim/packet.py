@@ -59,8 +59,18 @@ def proto_number(name: str | int) -> int:
         raise PacketError(f"unknown IP protocol: {name!r}") from exc
 
 
-@dataclass
-class Packet:
+class _WeakReferenceable:
+    """The ``__weakref__`` slot of :class:`Packet`, which keeps no ``__dict__``.
+
+    A base class rather than ``dataclass(weakref_slot=True)``, which
+    Python 3.10 does not have.
+    """
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class Packet(_WeakReferenceable):
     """A network packet in the simulator.
 
     The addressing fields accept strings and are normalised to
@@ -99,10 +109,9 @@ class Packet:
     payload_size: Optional[int] = None
     metadata: dict[str, Any] = field(default_factory=dict)
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
-
-    #: Memo of :meth:`wire_size`.  A class-level default, not a dataclass
-    #: field: ``copy()`` / ``replace()`` never carry a measured size across.
-    _wire_size = None
+    #: Memo of :meth:`wire_size`.  Not an ``__init__`` argument, so
+    #: ``copy()`` / ``replace()`` never carry a measured size across.
+    _wire_size: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Address objects are immutable values: one that already has the

@@ -63,6 +63,11 @@ class InvariantResult:
 # Record classification (shared by fail-closed and zero-loss)
 # ----------------------------------------------------------------------
 
+def _failed_closed(record) -> bool:
+    """A fail-closed backstop (``rule_origin == "error"``), not a decision."""
+    return getattr(record, "rule_origin", "") == "error"
+
+
 def fresh_decisions(records) -> dict:
     """Group non-cached, non-error decision records by flow.
 
@@ -73,21 +78,53 @@ def fresh_decisions(records) -> dict:
     """
     grouped: dict = {}
     for record in records:
-        if getattr(record, "cached", False):
-            continue
-        if getattr(record, "rule_origin", "") == "error":
-            continue
-        grouped.setdefault(record.flow, []).append(record)
+        if not (getattr(record, "cached", False) or _failed_closed(record)):
+            grouped.setdefault(record.flow, []).append(record)
     return grouped
 
 
 def failed_closed_flows(records) -> set:
     """Return the flows that ever received a fail-closed (error) verdict."""
-    return {
-        record.flow
-        for record in records
-        if getattr(record, "rule_origin", "") == "error"
-    }
+    return _classify(records)[1]
+
+
+def _classify(records) -> tuple[dict, set]:
+    """One pass over ``records``: ``({flow: fresh decisions}, errored flows)``.
+
+    The counts are what :func:`fresh_decisions` groups, in its flow
+    order; the set is :func:`failed_closed_flows`.
+    """
+    fresh: dict = {}
+    errored: set = set()
+    for record in records:
+        if _failed_closed(record):
+            errored.add(record.flow)
+        elif not getattr(record, "cached", False):
+            fresh[record.flow] = fresh.get(record.flow, 0) + 1
+    return fresh, errored
+
+
+def _check_accounted(
+    name: str, flows: Iterable, fresh: dict, errored: set, pending: int, buffered: int
+) -> InvariantResult:
+    result = InvariantResult(name)
+    flows = list(flows)
+    unaccounted = [flow for flow in flows if flow not in fresh and flow not in errored]
+    for flow in unaccounted:
+        result.violations.append(f"flow {flow} reached no verdict (not decided, not failed closed)")
+    if pending:
+        result.violations.append(f"{pending} flows still pending after drain")
+    if buffered:
+        result.violations.append(f"{buffered} packets still buffered at switches after drain")
+    result.details.update(
+        flows=len(flows),
+        decided=len(fresh),
+        failed_closed=len(errored),
+        unaccounted=len(unaccounted),
+        pending=pending,
+        buffered=buffered,
+    )
+    return result
 
 
 def check_fail_closed(
@@ -105,27 +142,7 @@ def check_fail_closed(
     buffer (that would be a flow whose packets are held forever without
     a verdict, the open-ended state the pending deadline exists to kill).
     """
-    result = InvariantResult(FAIL_CLOSED)
-    records = list(records)
-    decided = set(fresh_decisions(records))
-    errored = failed_closed_flows(records)
-    flows = list(flows)
-    unaccounted = [flow for flow in flows if flow not in decided and flow not in errored]
-    for flow in unaccounted:
-        result.violations.append(f"flow {flow} reached no verdict (not decided, not failed closed)")
-    if pending:
-        result.violations.append(f"{pending} flows still pending after drain")
-    if buffered:
-        result.violations.append(f"{buffered} packets still buffered at switches after drain")
-    result.details.update(
-        flows=len(flows),
-        decided=len(decided),
-        failed_closed=len(errored),
-        unaccounted=len(unaccounted),
-        pending=pending,
-        buffered=buffered,
-    )
-    return result
+    return _check_accounted(FAIL_CLOSED, flows, *_classify(records), pending, buffered)
 
 
 def check_zero_loss(
@@ -146,12 +163,12 @@ def check_zero_loss(
     installs racing in the fabric.  Only applicable where each 5-tuple
     is punted once within the decision TTL.
     """
-    result = check_fail_closed(flows, records, pending=pending, buffered=buffered)
-    result.name = ZERO_LOSS
-    for flow, decisions in fresh_decisions(records).items():
-        if len(decisions) > 1:
+    fresh, errored = _classify(records)
+    result = _check_accounted(ZERO_LOSS, flows, fresh, errored, pending, buffered)
+    for flow, count in fresh.items():
+        if count > 1:
             result.violations.append(
-                f"flow {flow} decided {len(decisions)} times (expected exactly once)"
+                f"flow {flow} decided {count} times (expected exactly once)"
             )
     return result
 

@@ -72,11 +72,12 @@ def punt(net: IdentPPNetwork, switch_name: str, packet, ordinal: int = 0) -> Non
     """Make ``switch_name`` miss on a copy of ``packet`` (buffer it, send the PacketIn).
 
     ``ordinal`` tags the copy, so the order in which a hop lets its
-    buffered packets go can be compared between two networks.
+    buffered packets go can be compared between two networks.  The tag
+    names the copy's id: a flood copies it on to packets of its own.
     """
     switch = net.switches[switch_name]
     copy = packet.copy()
-    copy.ordinal = ordinal
+    copy.metadata["ordinal"] = (copy.packet_id, ordinal)
     switch._handle_table_miss(copy, next(switch.ports()), switch.now)
 
 
@@ -102,6 +103,12 @@ def audit(net: IdentPPNetwork) -> list:
     ]
 
 
+def ordinal_of(packet) -> Optional[int]:
+    """The ordinal :func:`punt` tagged ``packet`` with; ``None`` for any other."""
+    packet_id, ordinal = packet.metadata.get("ordinal", (None, None))
+    return ordinal if packet_id == packet.packet_id else None
+
+
 def spy_on_releases(net: IdentPPNetwork) -> list:
     """Record ``(switch, instant, actions, ordinal)`` of every buffered packet let go."""
     released = []
@@ -111,7 +118,7 @@ def spy_on_releases(net: IdentPPNetwork) -> list:
                 packet, _ = switch._buffered[buffer_id]
                 released.append((
                     switch.name, switch.now, tuple(a.describe() for a in actions),
-                    getattr(packet, "ordinal", None),
+                    ordinal_of(packet),
                 ))
             inner(buffer_id, actions)
         switch._release_buffer = release

@@ -1,5 +1,7 @@
 """Tests for topology building, statistics and traces."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -188,6 +190,29 @@ class TestHistogram:
         histogram = Histogram("h")
         histogram.extend(values)
         assert histogram.percentile(10) <= histogram.percentile(90)
+
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=50))
+    def test_property_samples_are_the_sorted_stream(self, values):
+        histogram = Histogram("h")
+        for index, value in enumerate(values):
+            histogram.observe(value)
+            if index % 7 == 3:
+                histogram.percentile(50)  # sorts what is kept so far
+        samples = histogram.samples()
+        assert samples == sorted(float(value) for value in values)
+        assert all(type(sample) is float for sample in samples)
+
+    def test_reset_reseeds_the_reservoir(self):
+        rng = random.Random(11)
+        stream = [rng.random() for _ in range(500)]
+        fresh = Histogram("setup", reservoir=32)
+        fresh.extend(stream)
+        reused = Histogram("setup", reservoir=32)
+        reused.extend(reversed(stream))
+        reused.reset()
+        reused.extend(stream)
+        assert reused.samples() == fresh.samples()
+        assert reused.percentile(50) == fresh.percentile(50)
 
 
 class TestStatsRegistry:
