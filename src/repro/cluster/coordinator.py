@@ -13,13 +13,19 @@ trail whose entries name the **originating shard** and the replicas the
 change reached.  Crashed (halted) replicas cannot observe changes — the
 coordinator records how far each replica has applied and replays the
 missed changes when :meth:`resync` runs on restore, so a revived shard
-never enforces a revoked grant or stale rules.  Policy reloads are
-validated (parsed *and* compiled) against a scratch evaluator before
-any replica is touched, so a broken ruleset fails atomically at reload
-time instead of diverging the cluster or deferring the error into one
-shard's punt path.  ``verify_converged()`` cross-checks the live
-replicas' ruleset/delegation epochs so tests and soaks can assert
-propagation actually happened.
+never enforces a revoked grant or stale rules.
+
+Policy reloads are validated before any replica is touched: the merged
+ruleset is parsed and compiled against a scratch evaluator, and a rule
+that raises whenever it is reached (an undefined ``$macro``, an
+endpoint table no definition resolves) is refused.  A broken ruleset
+fails atomically at reload time instead of diverging the cluster or
+failing closed every flow that reaches the rule.  Every shard then
+registers the validated files, which carry their parse and compile, so
+a changed file is parsed and compiled once for the whole cluster.
+``verify_converged()`` cross-checks the live replicas' ruleset and
+delegation epochs so tests and soaks can assert propagation actually
+happened.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.controller import IdentPPController
-from repro.exceptions import DelegationError
+from repro.exceptions import DelegationError, PolicyError
 from repro.pf.evaluator import PolicyEvaluator
 from repro.pf.ruleset import ControlFile, RulesetLoader
 
@@ -79,8 +85,8 @@ class ClusterCoordinator:
         The merged ruleset is parsed and compiled against a scratch
         evaluator first; a broken file raises here, before any replica
         is touched, so the cluster never half-applies a reload.  Every
-        replica then registers the very files validation parsed, so a
-        changed file is parsed once for the whole cluster.
+        replica then registers the very files validation parsed and
+        compiled, so a changed file is compiled once for the whole cluster.
         """
         control_files = self._validate_reload(files, provenance)
 
@@ -114,9 +120,12 @@ class ClusterCoordinator:
         files (every live replica holds the same set — all changes flow
         through here, and crashed ones resync), so validation sees
         exactly what the replicas would build.  A halted replica's file
-        set may be stale and would validate the wrong merge.  Returns
-        the validated files of ``files``, parsed, for the replicas to
-        register.
+        set may be stale and would validate the wrong merge.  A rule
+        that raises whenever it is reached is a
+        :class:`~repro.exceptions.PolicyError` naming its file and line:
+        on a replica it could only ever fail flows closed as errors.
+        Returns the validated files of ``files``, parsed and compiled,
+        for the replicas to register.
         """
         reference = next(
             (c for c in self.cluster.replicas.values() if not c.halted),
@@ -129,14 +138,19 @@ class ClusterCoordinator:
             scratch.add_file(name, text, provenance=provenance)
             for name, text in files.items()
         ]
-        # PolicyEvaluator construction compiles the rules, so compile-time
-        # errors are caught here too, not just parse errors.
-        PolicyEvaluator(
+        compiled = PolicyEvaluator(
             scratch.build(),
             registry=reference.policy.registry,
             default_action=reference.policy.default_action,
             name="cluster-reload-validation",
-        )
+        ).compiled
+        for compiled_rule in compiled.rules:
+            if compiled_rule.defect is not None:
+                rule = compiled_rule.rule
+                raise PolicyError(
+                    f"{rule.origin}, line {rule.line}: rule '{rule}' raises whenever "
+                    f"it is reached: {compiled_rule.defect}"
+                )
         return control_files
 
     # ------------------------------------------------------------------

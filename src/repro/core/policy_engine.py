@@ -114,7 +114,8 @@ class PolicyEngine:
         """Register already built files.
 
         A cluster reload hands every shard the same objects, so a
-        changed file is parsed once for the cluster, not once per shard.
+        changed file is parsed and compiled once for the cluster, not
+        once per shard.
         """
         for control_file in control_files:
             self.loader.register(control_file)
@@ -136,9 +137,10 @@ class PolicyEngine:
     def rebuild(self) -> PolicyEvaluator:
         """(Re)build the evaluator from the registered files.
 
-        Always a fresh evaluator — zeroed counters, recompiled rules, a
-        new ruleset epoch; only the parse of a file whose text has not
-        moved is reused (it lives on the registered file).
+        Always a fresh evaluator — zeroed counters, a fresh compiled
+        policy and index, a new ruleset epoch.  What lives on a registered
+        file is reused: its parse while its text has not moved, and its
+        compiled rules while the merged macros and tables have not either.
         """
         ruleset = self.loader.build()
         self._evaluator = PolicyEvaluator(

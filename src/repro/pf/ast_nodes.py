@@ -9,7 +9,11 @@ rules with ``from``/``to`` endpoints, ``with`` function-call predicates,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.netsim.addresses import IPv4Network
+    from repro.pf.ruleset import ControlFile
 
 ACTION_PASS = "pass"
 ACTION_BLOCK = "block"
@@ -110,9 +114,15 @@ class TableRef:
 
 @dataclass(frozen=True)
 class AddressLiteral:
-    """A literal IPv4 address or CIDR prefix appearing inline in a rule."""
+    """A literal IPv4 address or CIDR prefix appearing inline in a rule.
+
+    ``network`` is what the parser validated the text as (``None`` when
+    no parser checked it, e.g. a table member); the compiler reuses it
+    instead of parsing the text a second time.
+    """
 
     text: str
+    network: Optional[IPv4Network] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return self.text
@@ -264,17 +274,23 @@ Statement = Union[Rule, TableDef, DictDef, MacroDef]
 class Ruleset:
     """An ordered list of statements (the concatenation of ``.control`` files)."""
 
-    def __init__(self, statements: Optional[list[Statement]] = None, name: str = "") -> None:
+    def __init__(
+        self,
+        statements: Optional[list[Statement]] = None,
+        name: str = "",
+        parts: tuple[ControlFile, ...] = (),
+    ) -> None:
         self.name = name
         self.statements: list[Statement] = list(statements or [])
+        #: The registered files whose statements these are, in order, when
+        #: a loader concatenated them: each keeps its own compile.  Empty
+        #: for a single parse, and dropped by any later append.
+        self.parts = parts
 
     def append(self, statement: Statement) -> None:
         """Append one statement."""
         self.statements.append(statement)
-
-    def extend(self, other: "Ruleset") -> None:
-        """Append every statement of another ruleset (file concatenation)."""
-        self.statements.extend(other.statements)
+        self.parts = ()
 
     def rules(self) -> list[Rule]:
         """Return the rules in order."""

@@ -10,8 +10,8 @@ This module pays that cost once, when a
 
 * every rule becomes a :class:`CompiledRule` — a closure that checks the
   flow against pre-parsed integer network/mask pairs (address literals and
-  macro address lists are parsed exactly once), with condition arguments
-  pre-resolved when they are literals or macros;
+  macro address lists are parsed exactly once, a literal by the parser),
+  with condition arguments pre-resolved when they are literals or macros;
 * rules are placed in a :class:`RuleIndex` keyed on the destination port,
   with an additional first-octet prefix gate for literal destination
   prefixes, so a decision only visits candidate rules;
@@ -19,6 +19,15 @@ This module pays that cost once, when a
   endpoint that can raise) live in the always-visited scan bucket, and an
   evaluation without a flow visits every rule, so last-match-wins,
   ``quick`` and error semantics are those of reading the rules top-down.
+
+A compiled rule depends on its own text and on the merged macro values
+and table definitions, nothing else, so a registered ``.control`` file
+keeps its compiled rules (:meth:`~repro.pf.ruleset.ControlFile.compiled_rules`)
+and :class:`CompiledPolicy` concatenates them: a reload compiles only the
+files whose text, or whose macros and tables, moved.  A rule that raises
+whenever it is reached (an unknown macro, an endpoint table that does not
+resolve) carries that error as its ``defect``, which reload validation
+refuses.
 
 The index only ever *skips* rules that provably cannot match (destination
 port mismatch, destination octet outside every literal prefix) and never
@@ -30,6 +39,7 @@ benchmark rulesets and the paper-figure configurations.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.exceptions import PFEvalError
@@ -65,16 +75,19 @@ def _split_list(value: str) -> Sequence[str]:
     return text.split()
 
 
+def _mask_net(network: IPv4Network) -> tuple[int, int]:
+    return (network.netmask_int(), network.network_address.to_int())
+
+
 def _parse_literal(text: str) -> Optional[tuple[int, int]]:
     """Parse an address/CIDR literal once into ``(mask, network)`` ints.
 
     Returns ``None`` for unparseable text, which never matches.
     """
     try:
-        network = IPv4Network(text)
+        return _mask_net(IPv4Network(text))
     except AddressError:
         return None
-    return (network.netmask_int(), network.network_address.to_int())
 
 
 def _octets_for(mask_net: tuple[int, int]) -> Optional[frozenset[int]]:
@@ -86,51 +99,61 @@ def _octets_for(mask_net: tuple[int, int]) -> Optional[frozenset[int]]:
     if span > 7:
         # Shorter than /5: the octet set is too wide to be a useful gate.
         return None
+    return _octet_range(base, span)
+
+
+@lru_cache(maxsize=None)
+def _octet_range(base: int, span: int) -> frozenset[int]:
+    # One shared set per (base, span), at most 256 x 8 of them: a kept
+    # compile holds a gate per literal prefix, most of them alike.
     return frozenset(range(base, base + span + 1))
 
 
 class _CompiledAddress:
     """One endpoint address spec, pre-resolved as far as it safely can be."""
 
-    __slots__ = ("matcher", "octets", "total")
+    __slots__ = ("matcher", "octets", "defect")
 
-    def __init__(self, matcher: Optional[AddressMatcher], octets: Optional[frozenset[int]], total: bool) -> None:
+    def __init__(
+        self, matcher: Optional[AddressMatcher], octets: Optional[frozenset[int]], defect: Optional[str]
+    ) -> None:
         #: ``None`` means "matches everything" (``any``).
         self.matcher = matcher
         #: First-octet gate for literal prefixes (``None`` = no gate).
         self.octets = octets
-        #: ``True`` when evaluation can never raise (safe to skip via the index).
-        self.total = total
+        #: The error evaluation raises every time it gets here, or ``None``
+        #: when it never raises (only then may the index skip past it).
+        self.defect = defect
 
 
 def _compile_address(spec: object, macros: dict[str, str], tables: "TableSet") -> _CompiledAddress:
     if isinstance(spec, AnyAddress):
-        return _CompiledAddress(None, None, True)
+        return _CompiledAddress(None, None, None)
     if isinstance(spec, AddressLiteral):
-        parsed = _parse_literal(spec.text)
+        parsed = _mask_net(spec.network) if spec.network is not None else _parse_literal(spec.text)
         if parsed is None:
-            return _CompiledAddress(lambda value, ctx: False, frozenset(), True)
+            return _CompiledAddress(lambda value, ctx: False, frozenset(), None)
         mask, net = parsed
 
         def literal_matcher(value: int, ctx: "EvalContext", _mask: int = mask, _net: int = net) -> bool:
             return (value & _mask) == _net
 
-        return _CompiledAddress(literal_matcher, _octets_for(parsed), True)
+        return _CompiledAddress(literal_matcher, _octets_for(parsed), None)
     if isinstance(spec, TableRef):
         name = spec.name
-        # Resolvable now == cannot raise later (tables are only ever added,
-        # and a redefinition bumps the TableSet version, forcing a recompile).
+        # Resolvable now == cannot raise later: resolution depends on the
+        # definitions alone, and the compile is only reused for equal ones.
         try:
             tables.resolve(name)
-            total = True
-        except PFEvalError:
-            total = False
+            defect = None
+        except PFEvalError as error:
+            defect = str(error)
 
         def table_matcher(value: int, ctx: "EvalContext", _name: str = name) -> bool:
             return any((value & n.netmask_int()) == n.network_address.to_int()
                        for n in ctx.tables.resolve(_name).networks)
 
-        return _CompiledAddress(table_matcher, None, total)
+        return _CompiledAddress(table_matcher, None, defect)
     if isinstance(spec, MacroRef):
         value = macros.get(spec.name)
         if value is None:
@@ -139,7 +162,7 @@ def _compile_address(spec: object, macros: dict[str, str], tables: "TableSet") -
             def raising_matcher(value_int: int, ctx: "EvalContext", _msg: str = message) -> bool:
                 raise PFEvalError(_msg)
 
-            return _CompiledAddress(raising_matcher, None, False)
+            return _CompiledAddress(raising_matcher, None, message)
         parts = [_parse_literal(part) for part in _split_list(value)]
         parsed_parts = tuple(part for part in parts if part is not None)
 
@@ -150,14 +173,14 @@ def _compile_address(spec: object, macros: dict[str, str], tables: "TableSet") -
         part_octets = [_octets_for(part) for part in parsed_parts]
         if len(parsed_parts) == len(parts) and all(po is not None for po in part_octets):
             octets = frozenset().union(*part_octets) if part_octets else frozenset()
-        return _CompiledAddress(macro_matcher, octets, True)
+        return _CompiledAddress(macro_matcher, octets, None)
     raise PFEvalError(f"unsupported endpoint address spec: {spec!r}")
 
 
 class _CompiledEndpoint:
     """A ``from``/``to`` clause compiled to port + pre-parsed address checks."""
 
-    __slots__ = ("port", "matcher", "negated", "octets", "total")
+    __slots__ = ("port", "matcher", "negated", "octets", "defect")
 
     def __init__(self, endpoint: EndpointSpec, macros: dict[str, str], tables: "TableSet") -> None:
         self.port = endpoint.port
@@ -167,7 +190,7 @@ class _CompiledEndpoint:
         # Negation makes a prefix gate invalid (the rule matches *outside*
         # the prefix), so only un-negated endpoints keep their octet set.
         self.octets = compiled.octets if not endpoint.negated else None
-        self.total = compiled.total
+        self.defect = compiled.defect
 
     def matches(self, address_int: int, port: int, context: "EvalContext") -> bool:
         if self.port is not None and self.port != port:
@@ -179,10 +202,15 @@ class _CompiledEndpoint:
         return not matched if self.negated else matched
 
 
-def _compile_condition(condition: FuncCall, macros: dict[str, str]) -> ConditionFn:
-    """Compile one ``with`` predicate, pre-resolving literal/macro arguments."""
+def _compile_condition(condition: FuncCall, macros: dict[str, str]) -> tuple[ConditionFn, Optional[str]]:
+    """Compile one ``with`` predicate, pre-resolving literal/macro arguments.
+
+    Returns the condition and the error it raises every time (an unknown
+    macro argument), or ``None``.
+    """
     resolvers: list[object] = []
     all_const = True
+    defect: Optional[str] = None
     for argument in condition.args:
         if isinstance(argument, Literal):
             resolvers.append(("const", argument.value))
@@ -190,6 +218,7 @@ def _compile_condition(condition: FuncCall, macros: dict[str, str]) -> Condition
             value = macros.get(argument.name)
             if value is None:
                 message = f"unknown macro ${argument.name}"
+                defect = defect or message
 
                 def raising_resolver(ctx: "EvalContext", _msg: str = message) -> object:
                     raise PFEvalError(_msg)
@@ -230,7 +259,7 @@ def _compile_condition(condition: FuncCall, macros: dict[str, str]) -> Condition
         def constant_call(ctx: "EvalContext", _name: str = name, _args: list = fixed_args) -> bool:
             return ctx.registry.call(_name, ctx, _args)
 
-        return constant_call
+        return constant_call, defect
 
     steps = tuple(resolvers)
 
@@ -238,37 +267,49 @@ def _compile_condition(condition: FuncCall, macros: dict[str, str]) -> Condition
         args = [value if kind == "const" else value(ctx) for kind, value in _steps]
         return ctx.registry.call(_name, ctx, args)
 
-    return dynamic_call
+    return dynamic_call, defect
 
 
 class CompiledRule:
-    """One rule compiled to closures, plus the keys the index needs."""
+    """One rule compiled to closures, plus the keys the index needs.
+
+    It holds no position: a file's compiled rules are shared by every
+    policy built from that file, wherever the file falls in the order.
+    """
 
     __slots__ = (
         "rule",
-        "position",
         "src",
         "dst",
         "conditions",
         "address_free",
         "index_port",
         "dst_octets",
+        "defect",
     )
 
-    def __init__(self, rule: Rule, position: int, macros: dict[str, str], tables: "TableSet") -> None:
+    def __init__(self, rule: Rule, macros: dict[str, str], tables: "TableSet") -> None:
         self.rule = rule
-        self.position = position
         self.src = _CompiledEndpoint(rule.src, macros, tables)
         self.dst = _CompiledEndpoint(rule.dst, macros, tables)
-        self.conditions = tuple(_compile_condition(c, macros) for c in rule.conditions)
+        #: The error this rule raises whenever evaluation reaches the part
+        #: that holds it (the first, in evaluation order), or ``None``.
+        self.defect = self.src.defect or self.dst.defect
+        conditions = []
+        for condition in rule.conditions:
+            compiled, defect = _compile_condition(condition, macros)
+            conditions.append(compiled)
+            self.defect = self.defect or defect
+        self.conditions = tuple(conditions)
         self.address_free = rule.src.is_any() and rule.dst.is_any()
         # A rule's src is evaluated before its dst, so skipping a rule on its
         # dst port is only sound when the src side cannot raise.
-        if self.src.total and self.dst.port is not None:
+        src_total = self.src.defect is None
+        if src_total and self.dst.port is not None:
             self.index_port = self.dst.port
         else:
             self.index_port = None
-        self.dst_octets = self.dst.octets if self.src.total else None
+        self.dst_octets = self.dst.octets if src_total else None
 
     def matches(self, context: "EvalContext") -> bool:
         flow = context.flow
@@ -285,28 +326,36 @@ class CompiledRule:
         return True
 
 
+def compile_rules(rules: Sequence[Rule], macros: dict[str, str], tables: "TableSet") -> tuple[CompiledRule, ...]:
+    """Compile ``rules`` against the macro values and tables they will be evaluated under."""
+    return tuple(CompiledRule(rule, macros, tables) for rule in rules)
+
+
 class RuleIndex:
     """Destination-port buckets plus the always-visited scan bucket.
 
     ``candidates(port)`` merges the port bucket with the scan bucket in
     original rule order; rules the index cannot safely skip live in the
-    scan bucket, which degrades gracefully to a linear walk.
+    scan bucket, which degrades gracefully to a linear walk.  Buckets hold
+    positions in this index's rule order, so the same compiled rule can
+    sit at different positions in different policies.
     """
 
     def __init__(self, compiled: Sequence[CompiledRule]) -> None:
-        self._port_buckets: dict[int, list[CompiledRule]] = {}
-        self._scan: list[CompiledRule] = []
-        for rule in compiled:
+        self._rules = compiled
+        self._port_buckets: dict[int, list[int]] = {}
+        self._scan: list[int] = []
+        for position, rule in enumerate(compiled):
             if rule.index_port is not None:
-                self._port_buckets.setdefault(rule.index_port, []).append(rule)
+                self._port_buckets.setdefault(rule.index_port, []).append(position)
             else:
-                self._scan.append(rule)
-        self._scan_only = tuple(self._scan)
+                self._scan.append(position)
+        self._scan_only = tuple(compiled[position] for position in self._scan)
         # Merged candidate lists are cached per indexed port only, so the
         # cache is bounded by the number of distinct ports in the ruleset
         # (a port sweep over unindexed ports shares _scan_only).
         self._candidates_cache: dict[int, tuple[CompiledRule, ...]] = {}
-        self.indexed_rules = sum(len(bucket) for bucket in self._port_buckets.values())
+        self.indexed_rules = len(compiled) - len(self._scan)
         self.scan_rules = len(self._scan)
 
     def candidates(self, dst_port: int) -> tuple[CompiledRule, ...]:
@@ -316,19 +365,33 @@ class RuleIndex:
         cached = self._candidates_cache.get(dst_port)
         if cached is not None:
             return cached
-        merged = tuple(sorted(bucket + self._scan, key=lambda rule: rule.position))
+        rules = self._rules
+        merged = tuple(rules[position] for position in sorted(bucket + self._scan))
         self._candidates_cache[dst_port] = merged
         return merged
 
 
 class CompiledPolicy:
-    """A fully compiled ruleset: per-rule closures + the candidate index."""
+    """A fully compiled ruleset: per-rule closures + the candidate index.
+
+    A ruleset a loader concatenated from registered files takes each
+    file's kept compile and compiles only what is stale; any other
+    ruleset is compiled whole.  ``rules_compiled`` counts the rules this
+    policy compiled itself.
+    """
 
     def __init__(self, ruleset: Ruleset, macros: dict[str, str], tables: "TableSet") -> None:
-        self.rules = tuple(
-            CompiledRule(rule, position, macros, tables)
-            for position, rule in enumerate(ruleset.rules())
-        )
+        if ruleset.parts:
+            rules: list[CompiledRule] = []
+            self.rules_compiled = 0
+            for part in ruleset.parts:
+                part_rules, compiled_now = part.compiled_rules(macros, tables)
+                rules.extend(part_rules)
+                self.rules_compiled += len(part_rules) if compiled_now else 0
+            self.rules = tuple(rules)
+        else:
+            self.rules = compile_rules(ruleset.rules(), macros, tables)
+            self.rules_compiled = len(self.rules)
         self.index = RuleIndex(self.rules)
         self.table_version = tables.version
         # Counters the benchmarks assert on (PolicyEvaluator.stats()).
@@ -340,6 +403,7 @@ class CompiledPolicy:
         """Return compile/index counters."""
         return {
             "compiled_rules": float(len(self.rules)),
+            "rules_compiled": float(self.rules_compiled),
             "indexed_rules": float(self.index.indexed_rules),
             "scan_bucket_rules": float(self.index.scan_rules),
             "index_lookups": float(self.index_lookups),

@@ -35,7 +35,7 @@ from repro.pf.ast_nodes import Ruleset
 from repro.pf.parser import parse_rules_text
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.pf.evaluator import EvalContext
+    from repro.pf.evaluator import EvalContext, PolicyEvaluator
 
 #: Distinct delegated rule texts whose parse is remembered.  The text is
 #: end-host input, so the memo is part of the bounded-state invariant:
@@ -222,16 +222,55 @@ def _resolve_list(context: "EvalContext", list_spec: ArgValue) -> list[str]:
     return _tokens(name)
 
 
+class _DelegatedText:
+    """One delegated rule text: its parse, and the evaluator it last ran in."""
+
+    __slots__ = ("ruleset", "_nested", "_outer_tables")
+
+    def __init__(self, ruleset: Ruleset) -> None:
+        #: Shared by every caller: it must not be mutated.
+        self.ruleset = ruleset
+        self._nested: Optional["PolicyEvaluator"] = None
+        self._outer_tables: dict = {}
+
+    def evaluator(self, context: "EvalContext") -> "PolicyEvaluator":
+        """Return an evaluator of this text under ``context``'s tables and functions.
+
+        The outer tables are merged in (outer definitions win) and the
+        rules compiled once; the evaluator is kept until a caller brings
+        other table definitions or another set of functions.
+        """
+        nested = self._nested
+        registry = context.registry
+        if (
+            nested is None
+            or self._outer_tables != context.tables.definitions
+            or (nested.registry is not registry and nested.registry._functions != registry._functions)
+        ):
+            # Imported here to avoid the import cycle functions -> evaluator -> functions.
+            from repro.pf.evaluator import PolicyEvaluator
+
+            # Delegated requirements are fail-closed: a flow the requirements
+            # do not explicitly pass is not "allowed by the rule specified in
+            # the argument".
+            nested = PolicyEvaluator(
+                self.ruleset, registry=registry, default_action="block", name="allowed()"
+            )
+            nested.tables.merge(context.tables)
+            self._nested = nested
+            self._outer_tables = dict(context.tables.definitions)
+        return nested
+
+
 @lru_cache(maxsize=DELEGATED_PARSE_MEMO_SIZE)
-def _parse_delegated(text: str) -> Optional[Ruleset]:
+def _parse_delegated(text: str) -> Optional[_DelegatedText]:
     """Parse delegated rule text once per distinct text (``None`` = it does not parse).
 
     The same ``requirements`` string arrives with every flow of the
-    application that publishes it.  The returned ruleset is shared by
-    every caller and must not be mutated.
+    application that publishes it; its compile is kept beside the parse.
     """
     try:
-        return parse_rules_text(text)
+        return _DelegatedText(parse_rules_text(text))
     except PFError:
         return None
 
@@ -252,20 +291,12 @@ def _fn_allowed(context: "EvalContext", args: Sequence[ArgValue]) -> bool:
     text = str(rules_text).strip()
     if not text:
         return False
-    # Imported here to avoid the import cycle functions -> evaluator -> functions.
-    from repro.pf.evaluator import PolicyEvaluator
-
     if context.depth >= context.max_depth:
         return False
-    ruleset = _parse_delegated(text)
-    if ruleset is None:
+    delegated = _parse_delegated(text)
+    if delegated is None:
         return False
-    # Delegated requirements are fail-closed: a flow the requirements do not
-    # explicitly pass is not "allowed by the rule specified in the argument".
-    nested = PolicyEvaluator(
-        ruleset, registry=context.registry, default_action="block", name="allowed()"
-    )
-    nested.tables.merge(context.tables)
+    nested = delegated.evaluator(context)
     try:
         verdict = nested.evaluate(
             context.flow,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.exceptions import PFParseError
-from repro.netsim.addresses import IPv4Address, IPv4Network
+from repro.netsim.addresses import IPv4Network
 from repro.exceptions import AddressError
 from repro.pf import lexer
 from repro.pf.ast_nodes import (
@@ -39,7 +39,6 @@ from repro.pf.ast_nodes import (
 from repro.pf.lexer import Token, tokenize
 
 _ACTIONS = {ACTION_PASS, ACTION_BLOCK}
-_RULE_CLAUSE_WORDS = {"from", "to", "with", "keep", "all", "quick"}
 
 
 class Parser:
@@ -54,12 +53,12 @@ class Parser:
     # Token helpers
     # ------------------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._position + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        # The stream ends in EOF and _advance never steps past it.
+        return self._tokens[self._position]
 
     def _advance(self) -> Token:
-        token = self._peek()
+        token = self._tokens[self._position]
         if token.type != lexer.EOF:
             self._position += 1
         return token
@@ -105,13 +104,15 @@ class Parser:
                 f"{self._origin}: unexpected {token.value!r} at start of statement (line {token.line})",
                 line=token.line,
             )
-        if token.is_word("table"):
-            return self._parse_table()
-        if token.is_word("dict"):
-            return self._parse_dict()
-        if token.is_word(*_ACTIONS):
+        word = token.value.lower()
+        if word in _ACTIONS:
             return self._parse_rule()
-        if self._peek(1).type == lexer.EQUALS:
+        if word == "table":
+            return self._parse_table()
+        if word == "dict":
+            return self._parse_dict()
+        # Not EOF, so a next token (at worst EOF) exists.
+        if self._tokens[self._position + 1].type == lexer.EQUALS:
             return self._parse_macro()
         raise PFParseError(
             f"{self._origin}: unexpected word {token.value!r} at start of statement (line {token.line})",
@@ -191,17 +192,13 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _parse_rule(self) -> Rule:
-        action_token = self._expect_word(*_ACTIONS)
+        action_token = self._advance()  # _parse_statement saw the action word
         action = action_token.value.lower()
         quick = False
         src = EndpointSpec.any()
         dst = EndpointSpec.any()
         conditions: list[FuncCall] = []
         keep_state = False
-
-        if self._peek().is_word("quick"):
-            self._advance()
-            quick = True
 
         while True:
             token = self._peek()
@@ -265,9 +262,9 @@ class Parser:
             if token.is_word("any"):
                 self._advance()
                 address = AnyAddress()
-            elif _looks_like_address(token.value):
+            elif (network := _parse_address(token.value)) is not None:
                 self._advance()
-                address = AddressLiteral(token.value)
+                address = AddressLiteral(token.value, network)
             elif token.is_word("port"):
                 # "from port http" with an implicit any address.
                 address = AnyAddress()
@@ -354,16 +351,12 @@ class Parser:
         return DictAccess(dict_name=name, key=key, concatenated=concatenated)
 
 
-def _looks_like_address(text: str) -> bool:
-    """Return True if a bare word is an IPv4 address or CIDR prefix."""
+def _parse_address(text: str) -> Optional[IPv4Network]:
+    """Return a bare word as an IPv4 prefix (an address is a /32), or ``None``."""
     try:
-        if "/" in text:
-            IPv4Network(text)
-        else:
-            IPv4Address(text)
+        return IPv4Network(text)
     except AddressError:
-        return False
-    return True
+        return None
 
 
 def parse_ruleset(text: str, origin: str = "") -> Ruleset:

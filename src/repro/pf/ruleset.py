@@ -11,9 +11,11 @@ companies."
 name (from memory or from a directory on disk), sorted alphabetically,
 parsed and concatenated into a single :class:`~repro.pf.ast_nodes.Ruleset`.
 A reload normally changes one file of several, so a registered file
-carries its own parse: :meth:`RulesetLoader.build` lexes only the files
-whose text moved since the last build and re-concatenates the rest.
-The alphabetical convention is what makes the Figure 2 layout work:
+carries its own parse and its own compile: :meth:`RulesetLoader.build`
+lexes only the files whose text moved since the last build and
+re-concatenates the rest, and the policy compiled from the result
+recompiles only those files (or every file, when the merged macros or
+tables moved).  The alphabetical convention is what makes the Figure 2 layout work:
 ``00-local-header.control`` (defaults and the ``block all``),
 ``50-skype.control`` (application-supplied rules) and
 ``99-local-footer.control`` (administrator constraints that must come
@@ -23,13 +25,15 @@ last so they win under last-match semantics).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from repro.exceptions import PolicyError
 from repro.pf.ast_nodes import Ruleset
+from repro.pf.compiler import CompiledRule, compile_rules
 from repro.pf.parser import parse_ruleset
+from repro.pf.tables import TableSet
 
 #: The configuration file extension the controller looks for.
 CONTROL_EXTENSION = ".control"
@@ -37,11 +41,14 @@ CONTROL_EXTENSION = ".control"
 
 @dataclass(frozen=True)
 class ControlFile:
-    """One named configuration file: immutable, so its parse can be kept with it."""
+    """One named configuration file: immutable, so its parse and compile can be kept with it."""
 
     name: str
     text: str
     provenance: str = "administrator"
+    # (macro values, table definitions, compiled rules): the last compile
+    # of this file's rules and what it was compiled against.
+    _compiled: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def ruleset(self) -> Ruleset:
@@ -52,6 +59,23 @@ class ControlFile:
         A text that does not parse raises on every access.
         """
         return parse_ruleset(self.text, origin=self.name)
+
+    def compiled_rules(
+        self, macros: dict[str, str], tables: TableSet
+    ) -> tuple[tuple[CompiledRule, ...], bool]:
+        """Return this file's rules compiled against the merged ``macros`` and
+        ``tables``, and whether this call compiled them.
+
+        One slot beside the parse, shared like it: the rules are compiled
+        again only when the macro values or table definitions differ from
+        the ones they were compiled against, whichever file moved them.
+        """
+        kept = self._compiled
+        if kept is not None and kept[0] == macros and kept[1] == tables.definitions:
+            return kept[2], False
+        rules = compile_rules(self.ruleset.rules(), macros, tables)
+        object.__setattr__(self, "_compiled", (dict(macros), dict(tables.definitions), rules))
+        return rules, True
 
 
 class RulesetLoader:
@@ -141,15 +165,17 @@ class RulesetLoader:
     # ------------------------------------------------------------------
 
     def build(self) -> Ruleset:
-        """Concatenate every registered file's statements, alphabetically."""
-        combined = Ruleset(name="+".join(self.file_names()))
-        for control_file in self.files():
-            combined.extend(control_file.ruleset)
-        return combined
+        """Concatenate every registered file's statements, alphabetically.
 
-    def concatenated_text(self) -> str:
-        """Return the raw concatenation of all files (useful for debugging)."""
-        return "\n".join(control_file.text for control_file in self.files())
+        The result names the files as its ``parts``, so compiling it
+        reuses each file's kept compile.
+        """
+        files = tuple(self.files())
+        return Ruleset(
+            [statement for control_file in files for statement in control_file.ruleset.statements],
+            name="+".join(control_file.name for control_file in files),
+            parts=files,
+        )
 
 
 def build_ruleset(files: dict[str, str] | Iterable[tuple[str, str]]) -> Ruleset:

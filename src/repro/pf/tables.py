@@ -8,7 +8,8 @@ and answers the membership queries rule evaluation needs.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from repro.exceptions import AddressError, PFEvalError
 from repro.netsim.addresses import IPv4Address, IPv4Network
@@ -51,7 +52,8 @@ class TableSet:
         self._definitions: dict[str, TableDef] = dict(definitions or {})
         self._resolved: dict[str, AddressTable] = {}
         #: Bumped on every mutation; compiled policies record the version
-        #: they were built against and recompile when it moves.
+        #: they were built against and recompile when it moves (a file's
+        #: kept compile is reused only for equal definitions).
         self.version = 0
 
     @classmethod
@@ -69,6 +71,11 @@ class TableSet:
         """Define a table directly from address/prefix strings (used by scenarios)."""
         literals = tuple(AddressLiteral(str(item)) for item in items)
         self.define(TableDef(name=name, items=literals))
+
+    @property
+    def definitions(self) -> Mapping[str, TableDef]:
+        """Return the definitions by name, read-only: what compiled rules depend on."""
+        return MappingProxyType(self._definitions)
 
     def names(self) -> list[str]:
         """Return the defined table names, sorted."""

@@ -145,6 +145,29 @@ class TestRuleSemantics:
         ):
             assert analyze_source(clean, rules, rel_path="src/repro/x.py") == []
 
+    def test_r11_python_floor(self):
+        rules = [rules_by_id()["R11"]]
+        # What nearly went into `Packet` once.
+        assert analyze_source("@dataclass(slots=True, weakref_slot=True)\nclass P:\n    pass\n", rules)
+        assert analyze_source("import tomllib\n", rules)
+        assert analyze_source("from tomllib import loads\n", rules)
+        assert analyze_source("import datetime as dt\nZ = dt.UTC\n", rules)
+        assert analyze_source("import re\nW = re.compile('(?>a|b)c')\n", rules)
+        assert analyze_source("import re as regex\nregex.match(r'\\d++', s)\n", rules)
+        for clean in (
+            # `datetime` the class, not the module; patterns only in `re` calls.
+            "from datetime import datetime\nZ = datetime.UTC\n",
+            "NOTE = 'a++ or (?>x)'\n",
+            "import re\nW = re.compile(r'[*+]+|\\++|a+?|[]+]')\n",
+            "import re\nW = re.compile(PATTERN)\n",
+        ):
+            assert analyze_source(clean, rules) == [], clean
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="`except*` does not parse before 3.11")
+    def test_r11_except_star(self):
+        source = "try:\n    run()\nexcept* ValueError:\n    pass\n"
+        assert analyze_source(source, [rules_by_id()["R11"]])
+
 
 #: Imports every ``repro.*`` module in a fresh interpreter and reports what
 #: else came with it.  Names already loaded when the script starts

@@ -6,10 +6,12 @@ from repro.crypto.signatures import Signer
 from repro.exceptions import PFEvalError, UnknownFunctionError
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
+from repro.pf.compiler import CompiledPolicy
 from repro.pf.evaluator import PolicyEvaluator
 from repro.pf.functions import DELEGATED_PARSE_MEMO_SIZE, _parse_delegated, default_registry
 from repro.pf.parser import parse_ruleset
 from repro.pf.state import StateTable
+from repro.workloads.scenarios import ResearchDelegationScenario
 
 
 def doc(pairs, *more_sections):
@@ -287,16 +289,43 @@ class TestDelegatedParseMemo:
         # merge inside the nested evaluator's TableSet, never in the shared parse.
         text = "table <lan> { 8.8.8.8 } block all pass from <lan> to any"
         dst = doc({"requirements": text})
-        shared = _parse_delegated(text)
+        shared = _parse_delegated(text).ruleset
         before = (shared.to_text(), list(shared.statements))
         outer_lan = "table <lan> { 192.168.0.0/24 }\n" + self.POLICY
         for _ in range(2):
             assert evaluate(outer_lan, FLOW, None, dst).is_pass
             assert not evaluate(self.POLICY, FLOW, None, dst).is_pass
-        assert _parse_delegated(text) is shared
+        assert _parse_delegated(text).ruleset is shared
         assert shared.to_text() == before[0]
         assert all(now is then for now, then in zip(shared.statements, before[1]))
         assert [str(n) for n in PolicyEvaluator(shared).tables.resolve("lan").networks] == ["8.8.8.8/32"]
+
+    def test_figure5_punts_compile_the_delegated_text_once(self, monkeypatch):
+        compiles = []
+        init = CompiledPolicy.__init__
+
+        def counting(self, ruleset, macros, tables):
+            compiles.append(ruleset.name)
+            init(self, ruleset, macros, tables)
+
+        monkeypatch.setattr(CompiledPolicy, "__init__", counting)
+        scenario = ResearchDelegationScenario()
+        for _ in range(5):
+            result = scenario.net.send_flow(
+                "research-a", "research-app", "carol", scenario.RESEARCH_B, scenario.APP_PORT
+            )
+            assert result.delivered and result.decision_action == "pass"
+        # The controller's policy once, and the researcher's requirements once.
+        assert len(compiles) == 2 and compiles.count("requirements") == 1
+
+    def test_other_functions_get_their_own_nested_evaluator(self):
+        registry = default_registry()
+        registry.register("always", lambda context, args: True)
+        dst = doc({"requirements": "pass all with always()"})
+        assert evaluate(self.POLICY, FLOW, None, dst, registry=registry).is_pass
+        # A caller without the function may not reuse an evaluator that has it.
+        assert not evaluate(self.POLICY, FLOW, None, dst).is_pass
+        assert evaluate(self.POLICY, FLOW, None, dst, registry=registry).is_pass
 
 
 class TestStateTable:

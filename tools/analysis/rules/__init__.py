@@ -10,6 +10,7 @@ from tools.analysis.rules.r7_engine_facade import EngineFacadeRule
 from tools.analysis.rules.r8_identity_index import IdentityIndexRule
 from tools.analysis.rules.r9_event_queue import EventQueueRule
 from tools.analysis.rules.r10_stdlib_only import StdlibOnlyRule
+from tools.analysis.rules.r11_python_floor import PythonFloorRule
 
 #: Every rule, in id order — the default rule set of ``run_lint.py``.
 ALL_RULES = (
@@ -23,6 +24,7 @@ ALL_RULES = (
     IdentityIndexRule(),
     EventQueueRule(),
     StdlibOnlyRule(),
+    PythonFloorRule(),
 )
 
 
@@ -44,4 +46,5 @@ __all__ = [
     "IdentityIndexRule",
     "EventQueueRule",
     "StdlibOnlyRule",
+    "PythonFloorRule",
 ]

@@ -82,6 +82,7 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
         "### R8 — identity lookups must use the socket and key indexes",
         "### R9 — events enter through `Simulator.schedule`, with labels built once",
         "### R10 — the product imports only the standard library and itself",
+        "### R11 — nothing newer than Python 3.10, the oldest interpreter CI tests",
         "## Suppression",
         "## The runtime sanitizer",
     ],
