@@ -11,9 +11,10 @@ bench:
 
 # Every soak runs through the one entry point: soak_churn, soak_cluster,
 # soak_fabric, soak_queryload, soak_push, soak_decision_core,
-# soak_telemetry and soak_paper — the paper's E1-E12 — (the names of
-# repro.workloads.soak.SOAKS).  A pattern rule is not searched for a
-# .PHONY target, so these are not listed there.
+# soak_telemetry, soak_paper — the paper's E1-E12 — and soak_matrix —
+# the 30-cell scenario matrix — (the names of repro.workloads.soak.SOAKS).
+# A pattern rule is not searched for a .PHONY target, so these are not
+# listed there.
 soak_%:
 	$(PYTHON) -m repro.workloads.soak $*
 
@@ -21,9 +22,7 @@ soak_%:
 soak: soak_churn
 soak_queries: soak_queryload
 soak_async: soak_decision_core
-
-matrix:
-	$(PYTHON) -m repro.workloads.experiment
+matrix: soak_matrix
 
 docs_check:
 	$(PYTHON) tools/check_docs.py

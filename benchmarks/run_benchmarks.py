@@ -12,7 +12,8 @@ benchmark name -> {ops_per_sec, iterations, seconds}.  Derived ratios
 against 10) are included under ``derived`` and gated.  The soak entries
 and their gates come from the ``SOAK`` tables of the soak modules
 (``repro.workloads.soak``), the same ones ``make soak_*`` walks — the
-paper's own experiments, E1–E12, among them (``results.paper_*``).
+paper's own experiments, E1–E12, among them (``results.paper_*``), and
+the scenario matrix (``results.experiment_matrix``).
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ from repro.openflow.switch import OpenFlowSwitch  # noqa: E402
 from repro.pf.evaluator import PolicyEvaluator  # noqa: E402
 from repro.pf.parser import parse_ruleset  # noqa: E402
 from repro.workloads.determinism import DeterminismGate  # noqa: E402
-from repro.workloads.experiment import (  # noqa: E402
-    MATRIX_MIN_CELLS,
-    run_default_matrix,
-)
 from repro.workloads.generators import FlowGenerator, FlowTemplate  # noqa: E402
 from repro.workloads.paper_configs import figure2_control_files  # noqa: E402
 from repro.workloads.soak import Gate, failed_gates, load  # noqa: E402
@@ -55,7 +52,8 @@ from repro.workloads.soak import Gate, failed_gates, load  # noqa: E402
 #: The soaks recorded here, in run order.  Each module's ``SOAK`` table
 #: names its ``results`` entries and gates them; ``make soak_<name>``
 #: walks the same table.  (``push`` re-runs a phase of ``queryload``.)
-BENCH_SOAKS = ("churn", "cluster", "fabric", "queryload", "decision_core", "telemetry", "paper")
+BENCH_SOAKS = ("churn", "cluster", "fabric", "queryload", "decision_core", "telemetry", "paper",
+               "matrix")
 
 #: One policy decision may cost at most this much more against a
 #: 2000-rule ruleset than against a 10-rule one.
@@ -94,9 +92,9 @@ PUNT_EVENTS_CEILING = 11.5
 PUNT_MSGS_CEILING = 5.1
 
 #: The gates on what no soak table covers (micro-bench ratios, the
-#: per-punt counts, determinism, the matrix size), as data: where the
-#: value sits in the written payload, the comparison it must satisfy
-#: against the bound, the bound, and what to print when it does not.
+#: per-punt counts, determinism), as data: where the value sits in the
+#: written payload, the comparison it must satisfy against the bound,
+#: the bound, and what to print when it does not.
 GATES = (
     Gate("derived.policy_eval_2000_vs_10", operator.le, POLICY_EVAL_CEILING,
          f"a policy decision costs more than {POLICY_EVAL_CEILING:g}x as much against "
@@ -129,9 +127,6 @@ GATES = (
     Gate("derived.determinism_trace_identical", operator.eq, True,
          "double-run event traces diverged "
          "(see determinism_double_run) — the simulation is not deterministic"),
-    Gate("derived.matrix_cells", operator.ge, MATRIX_MIN_CELLS,
-         f"experiment matrix has {{value}} cells, "
-         f"below the {MATRIX_MIN_CELLS}-cell acceptance floor"),
 )
 
 RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_results.json")
@@ -428,11 +423,6 @@ def bench_determinism(results: dict) -> None:
     results["determinism_double_run"] = DeterminismGate().as_dict()
 
 
-def bench_experiment_matrix(results: dict) -> None:
-    """ROADMAP item 3: the committed scenario matrix with per-cell invariants."""
-    results["experiment_matrix"] = run_default_matrix(nb_repeats=2).as_dict()
-
-
 def main() -> int:
     results: dict = {}
     print("running hot-path benchmarks ...")
@@ -447,20 +437,9 @@ def main() -> int:
     soak_gates = bench_soaks(results)
     print("running determinism double-run gate ...")
     bench_determinism(results)
-    print("running experiment scenario matrix ...")
-    bench_experiment_matrix(results)
-
-    # Per-invariant verdicts across every matrix cell: an invariant's
-    # gate is true only when it passed in every cell it applied to.
-    matrix = results["experiment_matrix"]
-    matrix_invariants: dict = {}
-    for cell in matrix["cells"]:
-        for invariant, entry in cell["invariants"].items():
-            matrix_invariants[invariant] = (
-                matrix_invariants.get(invariant, True) and entry["passed"]
-            )
 
     soak_async = results["soak_async_decisions"]
+    matrix = results["experiment_matrix"]
     derived = {
         "policy_eval_2000_vs_10": round(
             results["policy_eval_compiled_10"]["ops_per_sec"]
@@ -542,8 +521,14 @@ def main() -> int:
         "telemetry_overhead_pct": results["telemetry_overhead"]["overhead_pct"],
         "matrix_cells": matrix["cells_total"],
         "matrix_cells_failed": matrix["cells_failed"],
+        # An invariant's verdict: it passed in every cell it applied to.
         "matrix_invariant_gates": {
-            name: matrix_invariants[name] for name in sorted(matrix_invariants)
+            name: all(
+                cell["invariants"][name]["passed"]
+                for cell in matrix["cells"]
+                if name in cell["invariants"]
+            )
+            for name in sorted({name for cell in matrix["cells"] for name in cell["invariants"]})
         },
         "matrix_all_cells_pass": matrix["passed"],
     }
@@ -568,19 +553,6 @@ def main() -> int:
         print(f"  {name:<{width}}  {value!s:>13}{suffix}")
     print(f"wrote {os.path.relpath(RESULTS_PATH)}")
     failures = failed_gates(results, soak_gates) + failed_gates({"derived": derived}, GATES)
-    red_invariants = [
-        name for name, ok in derived["matrix_invariant_gates"].items() if not ok
-    ]
-    if red_invariants or not derived["matrix_all_cells_pass"]:
-        for cell in matrix["cells"]:
-            for invariant, entry in cell["invariants"].items():
-                for violation in entry["violations"]:
-                    print(f"  {cell['cell']}: [{invariant}] {violation}")
-        failures.append(
-            f"experiment matrix invariant gate(s) "
-            f"{red_invariants or ['<cell failures>']} reported FAIL "
-            f"({derived['matrix_cells_failed']} cell(s) violated invariants)"
-        )
     for message in failures:
         print(f"FAIL: {message}")
     return 1 if failures else 0

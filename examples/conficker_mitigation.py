@@ -18,12 +18,7 @@ from repro.workloads.scenarios import ConfickerScenario
 
 def main() -> None:
     scenario = ConfickerScenario()
-    results = scenario.run()
-    rows = [
-        {"case": r.label, "expected": r.expected_action, "observed": r.actual_action,
-         "correct": r.correct}
-        for r in results
-    ]
+    rows = scenario.run()["rows"]
     print(format_table(rows, title="Figure 8 — Server-service access control (ident++)"))
 
     # What a port firewall would have done with the same probes: it cannot see
@@ -32,11 +27,11 @@ def main() -> None:
         internal="192.168.0.0/16", server_subnet="192.168.1.0/24"))
     firewall.allow(src="192.168.0.0/16", dst="192.168.1.0/24", proto="tcp", dst_port=445)
     comparison = []
-    for case, result in zip(scenario.cases, results):
+    for case, row in zip(scenario.cases, rows):
         probe = FlowSpec.tcp(scenario.net.host(case.src_host).ip, case.dst_ip, 40000, case.dst_port)
         comparison.append({
             "case": case.label,
-            "ident++": result.actual_action,
+            "ident++": row["observed"],
             "port firewall": firewall.decide(probe),
         })
     print()

@@ -18,13 +18,7 @@ from repro.workloads.scenarios import ResearchDelegationScenario
 
 def main() -> None:
     scenario = ResearchDelegationScenario()
-    results = scenario.run()
-
-    rows = [
-        {"case": r.label, "expected": r.expected_action, "observed": r.actual_action,
-         "correct": r.correct}
-        for r in results
-    ]
+    rows = scenario.run()["rows"]
     print(format_table(rows, title="Figures 4-5 — research delegation flow matrix"))
 
     controller = scenario.net.controller

@@ -17,12 +17,7 @@ from repro.workloads.scenarios import ThirdPartyTrustScenario
 
 def main() -> None:
     scenario = ThirdPartyTrustScenario()
-    results = scenario.run()
-    rows = [
-        {"case": r.label, "expected": r.expected_action, "observed": r.actual_action,
-         "correct": r.correct}
-        for r in results
-    ]
+    rows = scenario.run()["rows"]
     print(format_table(rows, title="Figures 6-7 — Secur-approved applications"))
 
     delegated = scenario.net.controller.audit.delegated_decisions()

@@ -99,20 +99,6 @@ class ClusterCoordinator:
             "policy_reload", origin_shard, f"files={sorted(files)}", apply
         )
 
-    def remove_policy_file(
-        self, name: str, *, origin_shard: Optional[str] = None
-    ) -> ClusterChangeRecord:
-        """Drop a ``.control`` file cluster-wide."""
-
-        def apply(controller: IdentPPController) -> int:
-            if controller.policy.remove_control_file(name):
-                controller.policy.rebuild()
-            return 0
-
-        return self._propagate(
-            "policy_reload", origin_shard, f"removed={name}", apply
-        )
-
     def _validate_reload(self, files: dict[str, str], provenance: str) -> list[ControlFile]:
         """Dry-run a reload: parse + compile the would-be merged ruleset.
 

@@ -118,10 +118,6 @@ class DelegationManager:
         grant = self._grants.get(principal)
         return grant is not None and not grant.revoked
 
-    def active_grants(self) -> list[DelegationGrant]:
-        """Return all unrevoked grants."""
-        return [grant for grant in self._grants.values() if not grant.revoked]
-
     def record_use(self, principal: str, cookie: str) -> None:
         """Attribute a decision to a grant (used by the controller's audit path)."""
         grant = self._grants.get(principal)

@@ -199,22 +199,6 @@ class Controller:
         self.channel_for(switch).send_to_switch(message)
         return message
 
-    def remove_flows(
-        self,
-        switch: OpenFlowSwitch | str,
-        match: Match,
-        *,
-        strict: bool = False,
-    ) -> FlowMod:
-        """Send a flow-mod deleting entries covered by ``match`` on ``switch``."""
-        message = FlowMod(
-            match=match,
-            command=FlowModCommand.DELETE_STRICT if strict else FlowModCommand.DELETE,
-        )
-        self.flow_mods.increment()
-        self.channel_for(switch).send_to_switch(message)
-        return message
-
     def remove_flows_by_cookie(self, switch: OpenFlowSwitch | str, cookie: str) -> FlowMod:
         """Send a wildcard delete scoped to one decision's ``cookie``.
 

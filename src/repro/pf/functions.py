@@ -66,10 +66,6 @@ class FunctionRegistry:
             raise PFEvalError(f"function {name!r} is already registered")
         self._functions[key] = function
 
-    def unregister(self, name: str) -> None:
-        """Remove a predicate."""
-        self._functions.pop(name.lower(), None)
-
     def names(self) -> list[str]:
         """Return the registered function names, sorted."""
         return sorted(self._functions)

@@ -16,8 +16,9 @@ makes it mechanical:
   and the impact calculator that compares how many probes succeed before
   and after a compromise under each architecture.
 
-Experiment E9 (``benchmarks/bench_security_matrix.py``) uses these to
-regenerate the §5 comparison as a quantitative matrix.
+E9, the ``paper_e9_security_matrix`` step of the ``paper`` soak
+(:mod:`repro.workloads.paper`), uses these to regenerate the §5
+comparison as a quantitative matrix.
 """
 
 from repro.security.analysis import AttackProbe, ImpactResult, SecurityMatrix, impact_of_compromise

@@ -171,10 +171,6 @@ class MetricsPipeline:
         """Return a series by name (``None`` when it does not exist yet)."""
         return self._series.get(name)
 
-    def series_names(self) -> list[str]:
-        """Return every series name, sorted."""
-        return sorted(self._series)
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------

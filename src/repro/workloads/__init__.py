@@ -11,9 +11,11 @@
   enterprise network, the two-branch (collaboration) network and the
   partial-deployment network.
 * :mod:`repro.workloads.scenarios` and
-  :mod:`repro.workloads.comparative` — one scenario class per figure or
-  argument (E1–E9), each exposing ``run()``, used by the examples, the
-  integration tests and the ``paper`` soak.
+  :mod:`repro.workloads.comparative` — the paper's figures and arguments
+  (E1–E9): a class where callers read what it built (``.net``,
+  ``.cases``, ``.probes``; a figure's ``run()`` returns a row per case
+  and its violations), a function returning a dict everywhere else —
+  used by the examples, the integration tests and the ``paper`` soak.
 * :mod:`repro.workloads.soak` — the soak kit and the one entry point
   (``python -m repro.workloads.soak NAME``, every ``make soak_*``).  A
   soak is a function returning its ``BENCH_results.json`` entry; its
@@ -25,9 +27,11 @@
   fabric), :mod:`~repro.workloads.queryload` (query cache and push
   plane), :mod:`~repro.workloads.decision_core` (query/eval overlap,
   77 000-flow async churn), :mod:`~repro.workloads.telemetry`
-  (outbreak detection, sampling overhead) and
+  (outbreak detection, sampling overhead),
   :mod:`~repro.workloads.paper` (the paper's own claims, E1–E12: ``make
-  soak_paper``).
+  soak_paper``) and :mod:`~repro.workloads.experiment` (the 30-cell
+  scenario matrix, cells as ``ScenarioSpec`` data: ``make
+  soak_matrix``).
 
 The soak modules and the kit are deliberately *not* imported here: the
 kit runs standalone via ``python -m``, and an eager package import

@@ -57,187 +57,142 @@ pass from any to <branch-b> port 80 keep state
 }
 
 
-@dataclass
-class CollaborationResult:
-    """What the collaboration experiment measures."""
-
-    unwanted_flows: int
-    bottleneck_bytes: int
-    wanted_delivered: int
-    unwanted_delivered: int
-    remote_packet_ins: int
+#: The port branch B will not accept (its policy only passes port 80).
+COLLABORATION_UNWANTED_PORT = 9999
 
 
-class CollaborationScenario:
-    """Two branches; branch B tells branch A what it will not accept (§4)."""
+def collaboration(
+    *,
+    collaborate: bool = True,
+    hosts_per_branch: int = 3,
+    flows: int = 24,
+    unwanted_fraction: float = 0.5,
+    packets_per_flow: int = 4,
+    payload_size: int = 1200,
+) -> dict:
+    """Two branches; branch B tells branch A what it will not accept (§4).
 
-    UNWANTED_PORT = 9999
+    Send the flow mix from branch A to branch B and report what crossed
+    the bottleneck: ``unwanted_flows`` sent, ``bottleneck_bytes``, the
+    wanted and unwanted packets delivered in branch B, and the packet-ins
+    branch B's controller saw (``remote_packet_ins``).
+    """
+    branches = build_branch_network(hosts_per_branch=hosts_per_branch)
+    net = branches.net
+    net.set_policy(BRANCH_A_POLICY, controller=branches.controller_a)
+    net.set_policy(BRANCH_B_POLICY, controller=branches.controller_b)
+    if collaborate:
+        branch_b_prefix = IPv4Network("10.2.0.0/16")
 
-    def __init__(
-        self,
-        *,
-        collaborate: bool = True,
-        hosts_per_branch: int = 3,
-        flows: int = 24,
-        unwanted_fraction: float = 0.5,
-        packets_per_flow: int = 4,
-        payload_size: int = 1200,
-    ) -> None:
-        self.flows = flows
-        self.unwanted_fraction = unwanted_fraction
-        self.packets_per_flow = packets_per_flow
-        self.payload_size = payload_size
-        self.branches = build_branch_network(hosts_per_branch=hosts_per_branch)
-        net = self.branches.net
-        net.set_policy(BRANCH_A_POLICY, controller=self.branches.controller_a)
-        net.set_policy(BRANCH_B_POLICY, controller=self.branches.controller_b)
-        if collaborate:
-            branch_b_prefix = IPv4Network("10.2.0.0/16")
+        def branch_b_rejects(query) -> bool:
+            # Mark only the flows branch B's own policy would drop.
+            return query.flow.dst_ip in branch_b_prefix and query.flow.dst_port != 80
 
-            def branch_b_rejects(query) -> bool:
-                # Mark only the flows branch B's own policy would drop.
-                return query.flow.dst_ip in branch_b_prefix and query.flow.dst_port != 80
-
-            self.branches.controller_b.interception.augment_with(
-                {"remote-accept": "no"},
-                source="branch-b:collaboration",
-                applies_to=branch_b_rejects,
-            )
-            self.branches.controller_a.add_peer_interceptor(self.branches.controller_b)
-
-    def run(self) -> CollaborationResult:
-        """Send the flow mix and measure what crossed the bottleneck."""
-        net = self.branches.net
-        bottleneck = next(
-            link for link in net.topology.links() if link.name == self.branches.bottleneck_link_name
+        branches.controller_b.interception.augment_with(
+            {"remote-accept": "no"},
+            source="branch-b:collaboration",
+            applies_to=branch_b_rejects,
         )
-        unwanted_target = int(round(self.flows * self.unwanted_fraction))
-        unwanted_sent = 0
-        for index in range(self.flows):
-            src = self.branches.branch_a_hosts[index % len(self.branches.branch_a_hosts)]
-            dst = self.branches.branch_b_hosts[index % len(self.branches.branch_b_hosts)]
-            dst_ip = str(net.host(dst).ip)
-            # Exactly ``unwanted_target`` of the indices, evenly spread
-            # (every other one at a half, three in four at 0.75).
-            unwanted = index * unwanted_target % self.flows < unwanted_target
-            unwanted_sent += unwanted
-            port = self.UNWANTED_PORT if unwanted else 80
-            host = net.host(src)
-            packet, socket, _ = host.open_flow(
-                "http", "alice", dst_ip, port, payload_size=self.payload_size
-            )
-            del packet
-            for _ in range(self.packets_per_flow - 1):
-                host.send_on_socket(socket, payload_size=self.payload_size)
-            net.topology.run(until=net.topology.sim.now + 0.5)
-        net.topology.run(until=net.topology.sim.now + 1.0)
+        branches.controller_a.add_peer_interceptor(branches.controller_b)
 
-        wanted_delivered = 0
-        unwanted_delivered = 0
-        for name in self.branches.branch_b_hosts:
-            for delivered in net.host(name).delivered:
-                if delivered.tp_dst == 80:
-                    wanted_delivered += 1
-                else:
-                    unwanted_delivered += 1
-        return CollaborationResult(
-            unwanted_flows=unwanted_sent,
-            bottleneck_bytes=int(bottleneck.tx_bytes.value),
-            wanted_delivered=wanted_delivered,
-            unwanted_delivered=unwanted_delivered,
-            remote_packet_ins=int(self.branches.controller_b.packet_ins.value),
-        )
+    bottleneck = next(
+        link for link in net.topology.links() if link.name == branches.bottleneck_link_name
+    )
+    unwanted_target = int(round(flows * unwanted_fraction))
+    unwanted_sent = 0
+    for index in range(flows):
+        src = branches.branch_a_hosts[index % len(branches.branch_a_hosts)]
+        dst = branches.branch_b_hosts[index % len(branches.branch_b_hosts)]
+        dst_ip = str(net.host(dst).ip)
+        # Exactly ``unwanted_target`` of the indices, evenly spread
+        # (every other one at a half, three in four at 0.75).
+        unwanted = index * unwanted_target % flows < unwanted_target
+        unwanted_sent += unwanted
+        port = COLLABORATION_UNWANTED_PORT if unwanted else 80
+        host = net.host(src)
+        _, socket, _ = host.open_flow("http", "alice", dst_ip, port, payload_size=payload_size)
+        for _ in range(packets_per_flow - 1):
+            host.send_on_socket(socket, payload_size=payload_size)
+        net.topology.run(until=net.topology.sim.now + 0.5)
+    net.topology.run(until=net.topology.sim.now + 1.0)
+
+    wanted_delivered = 0
+    unwanted_delivered = 0
+    for name in branches.branch_b_hosts:
+        for delivered in net.host(name).delivered:
+            if delivered.tp_dst == 80:
+                wanted_delivered += 1
+            else:
+                unwanted_delivered += 1
+    return {
+        "unwanted_flows": unwanted_sent,
+        "bottleneck_bytes": int(bottleneck.tx_bytes.value),
+        "wanted_delivered": wanted_delivered,
+        "unwanted_delivered": unwanted_delivered,
+        "remote_packet_ins": int(branches.controller_b.packet_ins.value),
+    }
 
 
 # ---------------------------------------------------------------------------
 # E8 — incremental benefit
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NATIdentificationResult:
-    """Server-side user identification for flows sharing one source address."""
-
-    flows: int
-    identified: int
-    distinct_users_reported: int
-    distinct_users_actual: int
-
-    @property
-    def identified_fraction(self) -> float:
-        """Return the fraction of flows whose originating user was identified."""
-        return self.identified / self.flows if self.flows else 0.0
+NAT_SHARED_HOST_IP = "192.168.0.40"
+NAT_SERVER_IP = "192.168.1.40"
 
 
-class NATIdentificationScenario:
-    """Only end-hosts deploy ident++: a server distinguishes users behind one address."""
+def nat_identification(*, flows_per_user: int = 5, with_daemon: bool = True) -> dict:
+    """Only end-hosts deploy ident++: a server distinguishes users behind one address.
 
-    SHARED_HOST_IP = "192.168.0.40"
-    SERVER_IP = "192.168.1.40"
+    Open flows as alice and bob from one shared host, then identify each
+    flow from the server side.  Reports the ``flows`` opened, how many
+    were ``identified`` as their real user (and that as
+    ``identified_fraction``), and the distinct users reported and
+    actually behind the address.
+    """
+    net = IdentPPNetwork("nat-identification")
+    switch = net.add_switch("sw")
+    shared = net.add_host(
+        HostSpec(
+            name="shared-host",
+            ip=NAT_SHARED_HOST_IP,
+            users={"alice": ("users",), "bob": ("users",)},
+            run_daemon=with_daemon,
+        ),
+        switch=switch,
+    )
+    server = net.add_host(HostSpec(name="server", ip=NAT_SERVER_IP, users={}), switch=switch)
+    server.run_server("httpd", "root", 80)
+    # The network itself is permissive: this sub-experiment is about
+    # what the *server* can learn, not about enforcement.
+    net.set_policy({"00-open.control": "pass all\n"})
 
-    def __init__(self, *, flows_per_user: int = 5, with_daemon: bool = True) -> None:
-        self.flows_per_user = flows_per_user
-        self.with_daemon = with_daemon
-        self.net = IdentPPNetwork("nat-identification")
-        switch = self.net.add_switch("sw")
-        self.shared = self.net.add_host(
-            HostSpec(
-                name="shared-host",
-                ip=self.SHARED_HOST_IP,
-                users={"alice": ("users",), "bob": ("users",)},
-                run_daemon=with_daemon,
-            ),
-            switch=switch,
-        )
-        self.server = self.net.add_host(
-            HostSpec(name="server", ip=self.SERVER_IP, users={}),
-            switch=switch,
-        )
-        self.server.run_server("httpd", "root", 80)
-        # The network itself is permissive: this sub-experiment is about
-        # what the *server* can learn, not about enforcement.
-        self.net.set_policy({"00-open.control": "pass all\n"})
+    flows: list[FlowSpec] = []
+    expected_users: list[str] = []
+    for user in ("alice", "bob"):
+        for _ in range(flows_per_user):
+            packet, _, _ = shared.open_flow("http", user, NAT_SERVER_IP, 80)
+            flows.append(FlowSpec.from_packet(packet))
+            expected_users.append(user)
+    net.topology.run()
 
-    def run(self) -> NATIdentificationResult:
-        """Open flows as alice and bob, then identify each flow from the server side."""
-        users = ["alice", "bob"]
-        flows: list[FlowSpec] = []
-        expected_users: list[str] = []
-        for user in users:
-            for _ in range(self.flows_per_user):
-                packet, _, _ = self.shared.open_flow("http", user, self.SERVER_IP, 80)
-                flows.append(FlowSpec.from_packet(packet))
-                expected_users.append(user)
-        self.net.topology.run()
-
-        client = QueryClient(self.net.topology)
-        identified = 0
-        reported_users: set[str] = set()
-        for flow, expected in zip(flows, expected_users):
-            outcome = client.query(flow, "src", from_node=self.server)
-            reported = outcome.document.latest("userID")
-            if reported is not None:
-                reported_users.add(reported)
-                if reported == expected:
-                    identified += 1
-        return NATIdentificationResult(
-            flows=len(flows),
-            identified=identified,
-            distinct_users_reported=len(reported_users),
-            distinct_users_actual=len(set(expected_users)),
-        )
-
-
-@dataclass
-class PartialDeploymentResult:
-    """One point of the deployment sweep."""
-
-    flows: int
-    allowed: int
-
-    @property
-    def allowed_fraction(self) -> float:
-        """Return the fraction of legitimate flows that were allowed."""
-        return self.allowed / self.flows if self.flows else 0.0
+    client = QueryClient(net.topology)
+    identified = 0
+    reported_users: set[str] = set()
+    for flow, expected in zip(flows, expected_users):
+        outcome = client.query(flow, "src", from_node=server)
+        reported = outcome.document.latest("userID")
+        if reported is not None:
+            reported_users.add(reported)
+            if reported == expected:
+                identified += 1
+    return {
+        "flows": len(flows),
+        "identified": identified,
+        "identified_fraction": identified / len(flows) if flows else 0.0,
+        "distinct_users_reported": len(reported_users),
+        "distinct_users_actual": len(set(expected_users)),
+    }
 
 
 PARTIAL_DEPLOYMENT_POLICY = {
@@ -247,57 +202,60 @@ pass from any to any with member(@src[groupID], staff) keep state
 """,
 }
 
+PARTIAL_DEPLOYMENT_SERVER_IP = "192.168.1.50"
 
-class PartialDeploymentScenario:
-    """Only some hosts run daemons; optionally the controller answers for the rest (§4)."""
 
-    SERVER_IP = "192.168.1.50"
+def partial_deployment(
+    *,
+    clients: int = 8,
+    deployment_fraction: float = 0.5,
+    controller_answers_for_legacy: bool = False,
+) -> dict:
+    """Only some hosts run daemons; optionally the controller answers for the rest (§4).
 
-    def __init__(
-        self,
-        *,
-        clients: int = 8,
-        deployment_fraction: float = 0.5,
-        controller_answers_for_legacy: bool = False,
-    ) -> None:
-        self.net = IdentPPNetwork("partial-deployment")
-        switch = self.net.add_switch("sw")
-        self.client_names: list[str] = []
-        daemon_count = int(round(clients * deployment_fraction))
-        for index in range(clients):
-            name = f"client{index + 1}"
-            runs_daemon = index < daemon_count
-            ip = f"192.168.0.{60 + index}"
-            self.net.add_host(
-                HostSpec(name=name, ip=ip, users={"alice": ("users", "staff")},
-                         run_daemon=runs_daemon),
-                switch=switch,
-            )
-            self.client_names.append(name)
-            if not runs_daemon and controller_answers_for_legacy:
-                # The administrator vouches for legacy hosts: the controller
-                # answers queries about them with a registered identity.
-                self.net.controller.interception.answer_for_host(
-                    ip, {"userID": "registered-host", "groupID": "staff"},
-                )
-        server = self.net.add_host(
-            HostSpec(name="server", ip=self.SERVER_IP, users={}), switch=switch
+    Send one legitimate flow per client and report how many of the
+    ``flows`` got through (``allowed``, and ``allowed_fraction``).
+    """
+    net = IdentPPNetwork("partial-deployment")
+    switch = net.add_switch("sw")
+    client_names: list[str] = []
+    daemon_count = int(round(clients * deployment_fraction))
+    for index in range(clients):
+        name = f"client{index + 1}"
+        runs_daemon = index < daemon_count
+        ip = f"192.168.0.{60 + index}"
+        net.add_host(
+            HostSpec(name=name, ip=ip, users={"alice": ("users", "staff")},
+                     run_daemon=runs_daemon),
+            switch=switch,
         )
-        server.run_server("httpd", "root", 80)
-        self.net.set_policy(PARTIAL_DEPLOYMENT_POLICY)
-        if controller_answers_for_legacy:
-            # The controller consults its own interception policy for its own
-            # queries — the degenerate (single-domain) case of §3.4.
-            self.net.controller.add_peer_interceptor(self.net.controller.interception)
+        client_names.append(name)
+        if not runs_daemon and controller_answers_for_legacy:
+            # The administrator vouches for legacy hosts: the controller
+            # answers queries about them with a registered identity.
+            net.controller.interception.answer_for_host(
+                ip, {"userID": "registered-host", "groupID": "staff"},
+            )
+    server = net.add_host(
+        HostSpec(name="server", ip=PARTIAL_DEPLOYMENT_SERVER_IP, users={}), switch=switch
+    )
+    server.run_server("httpd", "root", 80)
+    net.set_policy(PARTIAL_DEPLOYMENT_POLICY)
+    if controller_answers_for_legacy:
+        # The controller consults its own interception policy for its own
+        # queries — the degenerate (single-domain) case of §3.4.
+        net.controller.add_peer_interceptor(net.controller.interception)
 
-    def run(self) -> PartialDeploymentResult:
-        """Send one legitimate flow per client and count how many get through."""
-        allowed = 0
-        for name in self.client_names:
-            result = self.net.send_flow(name, "http", "alice", self.SERVER_IP, 80)
-            if result.delivered:
-                allowed += 1
-        return PartialDeploymentResult(flows=len(self.client_names), allowed=allowed)
+    allowed = 0
+    for name in client_names:
+        result = net.send_flow(name, "http", "alice", PARTIAL_DEPLOYMENT_SERVER_IP, 80)
+        if result.delivered:
+            allowed += 1
+    return {
+        "flows": len(client_names),
+        "allowed": allowed,
+        "allowed_fraction": allowed / len(client_names) if client_names else 0.0,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
-"""Experiment harness: a declarative scenario matrix with one runner.
+"""The scenario matrix: cells as data, run as one step of the soak kit.
 
-The repo grew six rich one-off workloads (churn, cluster, fabric,
-queryload, decision core, telemetry) but no way to *sweep* them.  This
-module is ROADMAP item 3: a declarative :class:`ScenarioSpec` — topology
-builder × control plane × policy set × failure schedule × traffic mix ×
-seed — plus an :class:`Experiment` runner that expands a spec grid into
-cells, runs each cell with seeded repeats on the virtual clock, and
-emits one aggregated report.
+The soaks each prove one claim on one hand-built network; this module
+sweeps those claims across a grid.  A cell is a frozen
+:class:`ScenarioSpec` — topology × control plane × policy set × traffic
+mix × failure schedule × seed — whose axes are keys of plain registries
+(:data:`TOPOLOGIES`, :data:`CONTROLS`, :data:`POLICIES`,
+:data:`TRAFFIC_MIXES`, :data:`FAILURES`); :func:`expand_grid` turns an
+axis grid into cells.  :func:`run_cell` runs one cell
+:data:`MATRIX_REPEATS` times with derived seeds on the virtual clock and
+returns its entry, a plain dict:
 
-Every cell reports two things:
-
-* **metrics** — per-cell counters/latencies/rates collected in a
-  harness-owned :class:`~repro.netsim.statistics.StatsRegistry` and
-  exported through ``snapshot(now)``, plus an ident++ vs four-baselines
-  comparison (vanilla firewall, distributed firewall, Ethane, VLAN
-  segmentation) over the same flow intents;
+* **architectures** — ident++'s delivered-or-not outcome per injected
+  flow against the administrator's intent, beside four baselines
+  (vanilla firewall, distributed firewall, Ethane, VLAN segmentation)
+  re-deciding the same planned flows;
 * **invariants** — the applicable checkers from
   :mod:`repro.workloads.invariants` (fail-closed, zero-loss failover,
   containment, cache coherence, bounded state), evaluated on every
@@ -22,21 +21,23 @@ Every cell reports two things:
   every repeat — the matrix asserts the paper's correctness story, it
   does not merely record numbers.
 
-``python -m repro.workloads.experiment`` (``make matrix``) runs the
-committed :func:`default_matrix` — 30 cells covering roaming users
+The committed :func:`default_matrix` — 30 cells covering roaming users
 re-homing across leaves, multi-tenant isolation, partition + heal, a
 worm outbreak racing cluster-wide quarantine, 90 % daemon-less legacy
 fleets, and the push identity plane (flash-crowd A/B against pull,
-shard-kill subscription re-homing, push over a daemon-less fleet) —
-and exits nonzero on any invariant failure.
+shard-kill subscription re-homing, push over a daemon-less fleet) — is
+the one step of this module's :data:`SOAK` table, ``experiment_matrix``::
+
+    python -m repro.workloads.soak matrix      # = make soak_matrix
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.baselines.ethane import EthanePolicy
 from repro.baselines.distributed_firewall import DistributedFirewall
@@ -45,8 +46,8 @@ from repro.baselines.vlan import VLANSegmentation
 from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec
-from repro.netsim.statistics import StatsRegistry
 from repro.workloads import invariants
+from repro.workloads.soak import Gate, Soak
 
 ARCH_IDENTPP = "identpp"
 ARCH_VANILLA = "vanilla"
@@ -73,7 +74,7 @@ class ScenarioSpec:
     The axes are registry keys (:data:`TOPOLOGIES`, :data:`CONTROLS`,
     :data:`POLICIES`, :data:`TRAFFIC_MIXES`, :data:`FAILURES`); the
     scalars size and seed the run.  Specs are frozen so a grid expansion
-    can never mutate its base, and hashable so reports can key on them.
+    can never mutate its base, and hashable.
     """
 
     name: str = ""
@@ -587,6 +588,16 @@ TRAFFIC_MIXES: dict[str, Callable] = {
 # Failure schedules
 # ======================================================================
 
+#: When a failure strikes and ends, as fractions of the cell's duration.
+#: The arm that schedules a failure and whatever judges the flows around
+#: it read the same pair, so moving one instant cannot misjudge a flow.
+KILL_AT, RESTORE_AT = 0.35, 0.70
+PARTITION_AT, HEAL_AT = 0.35, 0.60
+#: Wanted flows opened within this many virtual seconds of a partition
+#: (or inside it) expect no delivery.
+BLACKOUT_MARGIN = 0.5
+
+
 def _quarantine_time(spec: ScenarioSpec) -> float:
     return spec.duration * 0.5
 
@@ -604,9 +615,9 @@ def _arm_kill_shard(ctx: CellContext) -> None:
     victim = cluster.shard_map.shards()[0]
     sim = ctx.net.topology.sim
     ctx.needs_monitoring = True
-    sim.schedule_at(ctx.spec.duration * 0.35, cluster.kill, victim,
+    sim.schedule_at(ctx.spec.duration * KILL_AT, cluster.kill, victim,
                     label="experiment.kill_shard")
-    sim.schedule_at(ctx.spec.duration * 0.70, cluster.restore, victim,
+    sim.schedule_at(ctx.spec.duration * RESTORE_AT, cluster.restore, victim,
                     label="experiment.restore_shard")
 
 
@@ -614,9 +625,9 @@ def _arm_partition_heal(ctx: CellContext) -> None:
     spines = ctx.switches["spine"]
     sim = ctx.net.topology.sim
     for spine in spines:
-        sim.schedule_at(ctx.spec.duration * 0.35, spine.fail,
+        sim.schedule_at(ctx.spec.duration * PARTITION_AT, spine.fail,
                         label="experiment.partition")
-        sim.schedule_at(ctx.spec.duration * 0.60, spine.recover,
+        sim.schedule_at(ctx.spec.duration * HEAL_AT, spine.recover,
                         label="experiment.heal")
 
 
@@ -658,7 +669,8 @@ FAILURES: dict[str, Callable[[CellContext], None]] = {
 #: Blackout windows per failure: wanted flows opened inside expect no delivery.
 def _blackout_window(spec: ScenarioSpec) -> Optional[tuple[float, float]]:
     if spec.failure == "partition_heal":
-        return (spec.duration * 0.35 - 0.5, spec.duration * 0.60 + 0.5)
+        return (spec.duration * PARTITION_AT - BLACKOUT_MARGIN,
+                spec.duration * HEAL_AT + BLACKOUT_MARGIN)
     return None
 
 
@@ -717,7 +729,7 @@ def _place_hosts(ctx: CellContext, plans: list[HostPlan]) -> None:
                 ctx.retenant_socket = socket
 
 
-def _run_once(spec: ScenarioSpec, seed: int, registry: StatsRegistry) -> CellContext:
+def _run_once(spec: ScenarioSpec, seed: int) -> CellContext:
     """Execute one seeded repeat of one cell and collect everything."""
     rng = random.Random(seed)
     net = _build_network(spec)
@@ -739,9 +751,6 @@ def _run_once(spec: ScenarioSpec, seed: int, registry: StatsRegistry) -> CellCon
     sim = net.topology.sim
     if spec.sanitize:
         sim.enable_sanitizer()
-    for counter in ("flows_injected", "decided", "failed_closed",
-                    "delivered_wanted", "false_accepts", "false_rejects"):
-        registry.counter(counter)
 
     def inject(intent: FlowIntent) -> None:
         host = net.host(intent.src_host)
@@ -749,7 +758,6 @@ def _run_once(spec: ScenarioSpec, seed: int, registry: StatsRegistry) -> CellCon
             intent.app, intent.user, intent.dst_ip, intent.dst_port,
         )
         ctx.injected.append((intent, FlowSpec.from_packet(packet)))
-        registry.counter("flows_injected").increment()
 
     for intent in intents:
         sim.schedule_at(intent.at, inject, intent, label="experiment.inject")
@@ -769,7 +777,6 @@ def _run_once(spec: ScenarioSpec, seed: int, registry: StatsRegistry) -> CellCon
     if ctx.needs_monitoring:
         net.stop_monitoring()
     net.run()  # drain: lifecycle sweeps reclaim all remaining state
-    _collect_metrics(ctx, registry)
     if spec.failure == "retenant":
         _collect_coherence_probes(ctx)
     return ctx
@@ -791,38 +798,6 @@ def _collect_coherence_probes(ctx: CellContext) -> None:
             expected=expected,
             observed=_last_action_for(ctx, flow),
         ))
-
-
-def _delivered_flows(ctx: CellContext) -> set:
-    delivered = set()
-    for host in ctx.net.hosts.values():
-        for packet in host.delivered:
-            delivered.add(FlowSpec.from_packet(packet).as_tuple())
-    return delivered
-
-
-def _collect_metrics(ctx: CellContext, registry: StatsRegistry) -> None:
-    records = invariants.network_audit_records(ctx.net)
-    fresh = invariants.fresh_decisions(records)
-    errored = invariants.failed_closed_flows(records)
-    registry.counter("decided").increment(len(fresh))
-    registry.counter("failed_closed").increment(len(errored))
-    latency = registry.histogram("setup_latency")
-    rate = registry.rate_counter("decisions", window=max(ctx.spec.duration, 1.0))
-    for decisions in fresh.values():
-        for record in decisions:
-            rate.record(record.time)
-            if record.query_latency is not None:
-                latency.observe(record.query_latency)
-    delivered = _delivered_flows(ctx)
-    for intent, flow in ctx.injected:
-        arrived = flow.as_tuple() in delivered
-        if intent.wanted and intent.should_deliver() and not arrived:
-            registry.counter("false_rejects").increment()
-        elif not intent.wanted and arrived:
-            registry.counter("false_accepts").increment()
-        elif intent.wanted and arrived:
-            registry.counter("delivered_wanted").increment()
 
 
 # ======================================================================
@@ -924,7 +899,11 @@ def _evaluate_baselines(ctx: CellContext) -> dict[str, dict[str, float]]:
 
 
 def _identpp_outcomes(ctx: CellContext) -> dict[str, float]:
-    delivered = _delivered_flows(ctx)
+    """Classify each injected flow once: delivered or not, against its intent."""
+    delivered = set()
+    for host in ctx.net.hosts.values():
+        for packet in host.delivered:
+            delivered.add(FlowSpec.from_packet(packet).as_tuple())
     stats = {"allowed": 0, "blocked": 0, "false_accepts": 0, "false_rejects": 0, "judged": 0}
     for intent, flow in ctx.injected:
         arrived = flow.as_tuple() in delivered
@@ -940,146 +919,63 @@ def _identpp_outcomes(ctx: CellContext) -> dict[str, float]:
 
 
 # ======================================================================
-# The experiment runner
+# One cell
 # ======================================================================
 
-@dataclass
-class CellReport:
-    """Everything one cell produced across its repeats."""
-
-    spec: ScenarioSpec
-    metrics: dict[str, object]
-    architectures: dict[str, dict[str, float]]
-    invariants: dict[str, dict[str, object]]
-    repeats: int
-    trace_hashes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(entry["passed"] for entry in self.invariants.values())
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "cell": self.spec.name,
-            "axes": {
-                "topology": self.spec.topology,
-                "control": self.spec.control,
-                "policy": self.spec.policy,
-                "traffic": self.spec.traffic,
-                "failure": self.spec.failure,
-                "daemon_fraction": self.spec.daemon_fraction,
-                "identity_plane": self.spec.identity_plane,
-            },
-            "seed": self.spec.seed,
-            "repeats": self.repeats,
-            "metrics": self.metrics,
-            "architectures": self.architectures,
-            "invariants": self.invariants,
-            "passed": self.passed,
-        }
+#: Seeded repeats per cell: seeds ``spec.seed``, ``spec.seed + 1``, ...
+MATRIX_REPEATS = 2
 
 
-@dataclass
-class ExperimentReport:
-    """The aggregated result of one whole matrix run."""
+def run_cell(spec: ScenarioSpec) -> dict:
+    """Run one cell :data:`MATRIX_REPEATS` times; return its matrix entry.
 
-    name: str
-    cells: list[CellReport]
-
-    @property
-    def passed(self) -> bool:
-        return all(cell.passed for cell in self.cells)
-
-    def failed_cells(self) -> list[CellReport]:
-        return [cell for cell in self.cells if not cell.passed]
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "experiment": self.name,
-            "cells": [cell.as_dict() for cell in self.cells],
-            "cells_total": len(self.cells),
-            "cells_failed": len(self.failed_cells()),
-            "passed": self.passed,
-        }
-
-
-class Experiment:
-    """A named collection of scenario specs run with seeded repeats.
-
-    The exemplar this follows used a shared mutable default for its
-    scenario list; here ``scenarios`` defaults to ``None`` and each
-    instance builds its own list (see lint rule R5).
+    The baselines re-decide the first repeat's intents; ident++'s
+    outcomes are summed over every repeat.  An invariant passes only if
+    it held in every repeat, and its ``details`` are the first repeat's.
+    Each violation is a line naming the cell, the repeat's seed and the
+    invariant, so it reads the same wherever it is printed.
     """
-
-    def __init__(
-        self,
-        name: str,
-        scenarios: Optional[Iterable[ScenarioSpec]] = None,
-        *,
-        nb_repeats: int = 1,
-    ) -> None:
-        if nb_repeats < 1:
-            raise ValueError(f"nb_repeats must be >= 1 (got {nb_repeats})")
-        self.name = name
-        self.scenarios: list[ScenarioSpec] = list(scenarios) if scenarios is not None else []
-        self.nb_repeats = nb_repeats
-
-    def add(self, spec: ScenarioSpec) -> "Experiment":
-        spec.validate()
-        self.scenarios.append(spec)
-        return self
-
-    def run(self, *, progress: Optional[Callable[[str], None]] = None) -> ExperimentReport:
-        """Run every cell ``nb_repeats`` times and aggregate the report."""
-        cells = []
-        for spec in self.scenarios:
-            spec.validate()
-            cells.append(self._run_cell(spec, progress))
-        return ExperimentReport(name=self.name, cells=cells)
-
-    def _run_cell(self, spec: ScenarioSpec, progress) -> CellReport:
-        registry = StatsRegistry()
-        merged: dict[str, invariants.InvariantResult] = {}
-        architectures: dict[str, dict[str, float]] = {}
-        trace_hashes: list[str] = []
-        for repeat in range(self.nb_repeats):
-            ctx = _run_once(spec, spec.seed + repeat, registry)
-            if spec.sanitize and ctx.net.topology.sim.sanitizer is not None:
-                trace_hashes.append(ctx.net.topology.sim.sanitizer.trace_hash)
-            for name, result in evaluate_invariants(ctx).items():
-                if name not in merged:
-                    merged[name] = result
-                else:
-                    merged[name].violations.extend(result.violations)
-            if repeat == 0:
-                architectures = _evaluate_baselines(ctx)
-            identpp = architectures.setdefault(
-                ARCH_IDENTPP,
-                {"allowed": 0, "blocked": 0, "false_accepts": 0,
-                 "false_rejects": 0, "judged": 0},
+    spec.validate()
+    merged: dict[str, invariants.InvariantResult] = {}
+    identpp = {"allowed": 0, "blocked": 0, "false_accepts": 0, "false_rejects": 0, "judged": 0}
+    architectures: dict[str, dict[str, float]] = {}
+    for seed in range(spec.seed, spec.seed + MATRIX_REPEATS):
+        ctx = _run_once(spec, seed)
+        for name, result in evaluate_invariants(ctx).items():
+            if name not in merged:
+                merged[name] = invariants.InvariantResult(name, details=result.details)
+            merged[name].violations.extend(
+                f"{spec.name} (seed {seed}): [{name}] {violation}"
+                for violation in result.violations
             )
-            for key, value in _identpp_outcomes(ctx).items():
-                identpp[key] += value
-        identpp = architectures[ARCH_IDENTPP]
-        identpp["accuracy"] = round(
-            1.0
-            - (identpp["false_accepts"] + identpp["false_rejects"])
-            / max(identpp.pop("judged"), 1),
-            4,
-        )
-        metrics = registry.snapshot(now=spec.duration)
-        report = CellReport(
-            spec=spec,
-            metrics=metrics,
-            architectures=architectures,
-            invariants={name: result.as_dict() for name, result in merged.items()},
-            repeats=self.nb_repeats,
-            trace_hashes=trace_hashes,
-        )
-        if progress is not None:
-            status = "ok" if report.passed else "FAIL"
-            progress(f"  [{status}] {spec.name}")
-        return report
+        if not architectures:
+            architectures = _evaluate_baselines(ctx)
+        for key, value in _identpp_outcomes(ctx).items():
+            identpp[key] += value
+    identpp["accuracy"] = round(
+        1.0
+        - (identpp["false_accepts"] + identpp["false_rejects"])
+        / max(identpp.pop("judged"), 1),
+        4,
+    )
+    architectures[ARCH_IDENTPP] = identpp
+    return {
+        "cell": spec.name,
+        "axes": {
+            "topology": spec.topology,
+            "control": spec.control,
+            "policy": spec.policy,
+            "traffic": spec.traffic,
+            "failure": spec.failure,
+            "daemon_fraction": spec.daemon_fraction,
+            "identity_plane": spec.identity_plane,
+        },
+        "seed": spec.seed,
+        "repeats": MATRIX_REPEATS,
+        "architectures": architectures,
+        "invariants": {name: result.as_dict() for name, result in merged.items()},
+        "passed": all(result.passed for result in merged.values()),
+    }
 
 
 # ======================================================================
@@ -1175,42 +1071,44 @@ def default_matrix() -> list[ScenarioSpec]:
     return cells
 
 
-def run_default_matrix(*, nb_repeats: int = 2, progress=None) -> ExperimentReport:
-    """Run the committed matrix (what ``make matrix`` and the bench use)."""
-    experiment = Experiment("scenario-matrix", default_matrix(), nb_repeats=nb_repeats)
-    return experiment.run(progress=progress)
+def experiment_matrix() -> dict:
+    """The committed scenario matrix: every cell, every invariant it runs."""
+    cells = [run_cell(spec) for spec in default_matrix()]
+    return {
+        "experiment": "scenario-matrix",
+        "cells": cells,
+        "cells_total": len(cells),
+        "cells_failed": sum(not cell["passed"] for cell in cells),
+        "passed": all(cell["passed"] for cell in cells),
+        "rows": [
+            {
+                "cell": cell["cell"],
+                "invariants": ",".join(sorted(cell["invariants"])),
+                "identpp_accuracy": cell["architectures"][ARCH_IDENTPP]["accuracy"],
+                "passed": cell["passed"],
+            }
+            for cell in cells
+        ],
+        "violations": [
+            violation
+            for cell in cells
+            for entry in cell["invariants"].values()
+            for violation in entry["violations"]
+        ],
+    }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Run the committed scenario matrix")
-    parser.add_argument("--repeats", type=int, default=2, help="seeded repeats per cell")
-    parser.add_argument("--quick", action="store_true", help="run only the first 4 cells")
-    args = parser.parse_args(argv)
-    specs = default_matrix()
-    if args.quick:
-        specs = specs[:4]
-    experiment = Experiment("scenario-matrix", specs, nb_repeats=args.repeats)
-    print(f"scenario matrix: {len(specs)} cells x {args.repeats} repeats")
-    report = experiment.run(progress=print)
-    print(f"\n{'cell':58s} {'invariants':28s} identpp_acc")
-    for cell in report.cells:
-        inv = ",".join(sorted(cell.invariants))
-        acc = cell.architectures[ARCH_IDENTPP]["accuracy"]
-        flag = "ok " if cell.passed else "FAIL"
-        print(f"[{flag}] {cell.spec.name:55s} {inv:28s} {acc:.3f}")
-    failed = report.failed_cells()
-    if failed:
-        print(f"\nmatrix FAILED: {len(failed)}/{len(report.cells)} cells violated invariants")
-        for cell in failed:
-            for name, entry in cell.invariants.items():
-                for violation in entry["violations"]:
-                    print(f"  {cell.spec.name}: [{name}] {violation}")
-        return 1
-    print(f"\nmatrix ok: {len(report.cells)} cells, all invariants hold")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+SOAK = Soak(
+    steps=(("experiment_matrix", experiment_matrix),),
+    gates=(
+        Gate("experiment_matrix.cells_total", operator.ge, MATRIX_MIN_CELLS,
+             f"the experiment matrix has {{value}} cells, "
+             f"below the {MATRIX_MIN_CELLS}-cell acceptance floor"),
+        Gate("experiment_matrix.passed", operator.eq, True,
+             "the experiment matrix failed: a cell broke an invariant in some repeat"),
+    ),
+    ok=(
+        f"matrix ok: every cell held every invariant it runs, in all {MATRIX_REPEATS} "
+        "seeded repeats"
+    ),
+)

@@ -66,25 +66,6 @@ def _ms(seconds: Optional[float]) -> Optional[float]:
     return None if seconds is None else round(seconds * 1e3, 6)
 
 
-def _verdicts(scenario: scenarios.FigureScenario) -> dict:
-    """Drive a figure's cases through the datapath: a row per case, and a
-    violation telling its story per case that misses the paper's verdict
-    (``correct`` also wants delivery to agree with it)."""
-    results = scenario.run()
-    return {
-        "rows": [
-            {"case": r.label, "expected": r.expected_action, "observed": r.actual_action,
-             "delivered": r.delivered, "correct": r.correct}
-            for r in results
-        ],
-        "violations": [
-            f"{r.label}: the paper expects {r.expected_action}, observed {r.actual_action} "
-            f"({'' if r.delivered else 'not '}delivered), decided by {r.rule or 'no rule'!r}"
-            for r in results if not r.correct
-        ],
-    }
-
-
 def _unmet(prefix: str, *claims: tuple[bool, str]) -> list[str]:
     """Return ``prefix + claim`` for every ``(holds, claim)`` that does not hold."""
     return [prefix + claim for holds, claim in claims if not holds]
@@ -105,14 +86,14 @@ def paper_e1_flow_setup() -> dict:
     rows, violations = [], []
     for switches in E1_SWITCHES:
         for latency in E1_LATENCIES:
-            sample = scenarios.FlowSetupScenario(switch_count=switches, link_latency=latency).run()
+            sample = scenarios.flow_setup(switch_count=switches, link_latency=latency)
             row = {
                 "switches": switches,
                 "link_latency_ms": _ms(latency),
-                "query_ms": _ms(sample.query_latency),
-                "eval_ms": _ms(sample.policy_delay),
-                "decision_ms": _ms(sample.controller_decision_latency),
-                "end_to_end_ms": _ms(sample.end_to_end_delivery),
+                "query_ms": _ms(sample["query_latency"]),
+                "eval_ms": _ms(sample["policy_delay"]),
+                "decision_ms": _ms(sample["controller_decision_latency"]),
+                "end_to_end_ms": _ms(sample["end_to_end_delivery"]),
             }
             at = f"at switches={switches}, latency={row['link_latency_ms']} ms"
             if row["end_to_end_ms"] is None:
@@ -136,7 +117,7 @@ def paper_e1_flow_setup() -> dict:
 def paper_e2_skype() -> dict:
     """E2 / Figure 2: the three-file Skype policy, case by case."""
     scenario = scenarios.SkypeScenario()
-    entry = _verdicts(scenario)
+    entry = scenario.run()
     entry["audited"] = scenario.net.controller.audit.summary()["total"]
     if entry["audited"] != len(entry["rows"]):
         entry["violations"].append(f"{entry['audited']} decisions audited, not one per case")
@@ -168,7 +149,7 @@ def paper_e3_daemon() -> dict:
 def paper_e4_research_delegation() -> dict:
     """E4 / Figures 4-5: a researcher's signed rules, honoured and refused."""
     scenario = scenarios.ResearchDelegationScenario()
-    entry = _verdicts(scenario)
+    entry = scenario.run()
     decision = scenario.net.controller.decide_flow(*_ask(
         scenario.net, "research-a", "research-app", "carol", "research-b", scenario.APP_PORT
     ))
@@ -181,7 +162,7 @@ def paper_e4_research_delegation() -> dict:
 def paper_e5_thirdparty_trust() -> dict:
     """E5 / Figures 6-7: applications Secur signed for, and nothing else."""
     scenario = scenarios.ThirdPartyTrustScenario()
-    entry = _verdicts(scenario)
+    entry = scenario.run()
     decision = scenario.net.controller.decide_flow(
         *_ask(scenario.net, "client", "thunderbird", "alice", "mail-server", 25)
     )
@@ -193,14 +174,14 @@ def paper_e5_thirdparty_trust() -> dict:
 
 def paper_e6_conficker() -> dict:
     """E6 / Figure 8: only patched hosts, only ``system`` users, no worm probe."""
-    return _verdicts(scenarios.ConfickerScenario())
+    return scenarios.ConfickerScenario().run()
 
 
-def _branches(collaborate: bool, fraction: float = 0.5, flows: int = E7_FLOWS):
-    return comparative.CollaborationScenario(
+def _branches(collaborate: bool, fraction: float = 0.5, flows: int = E7_FLOWS) -> dict:
+    return comparative.collaboration(
         collaborate=collaborate, flows=flows, unwanted_fraction=fraction,
         packets_per_flow=E7_PACKETS,
-    ).run()
+    )
 
 
 def paper_e7_collaboration() -> dict:
@@ -208,21 +189,24 @@ def paper_e7_collaboration() -> dict:
     rows, violations = [], []
     for fraction in E7_FRACTIONS:
         alone, told = _branches(False, fraction), _branches(True, fraction)
-        saved = ratio(alone.bottleneck_bytes - told.bottleneck_bytes, alone.bottleneck_bytes)
-        row = {"unwanted_fraction": fraction, "unwanted_flows": told.unwanted_flows,
+        saved = ratio(
+            alone["bottleneck_bytes"] - told["bottleneck_bytes"], alone["bottleneck_bytes"]
+        )
+        row = {"unwanted_fraction": fraction, "unwanted_flows": told["unwanted_flows"],
                "bytes_saved_fraction": round(saved, 3)}
         for field in ("bottleneck_bytes", "wanted_delivered", "remote_packet_ins"):
-            row[f"{field}_no_collab"] = getattr(alone, field)
-            row[f"{field}_collab"] = getattr(told, field)
+            row[f"{field}_no_collab"] = alone[field]
+            row[f"{field}_collab"] = told[field]
         unwanted = round(E7_FLOWS * fraction)
         wanted = (E7_FLOWS - unwanted) * E7_PACKETS
         violations += _unmet(
             f"at fraction {fraction}, without / with collaboration: ",
-            (alone.unwanted_flows == told.unwanted_flows == unwanted,
-             f"{alone.unwanted_flows} / {told.unwanted_flows} flows unwanted, not {unwanted}"),
-            (alone.wanted_delivered == told.wanted_delivered == wanted,
-             f"{alone.wanted_delivered} / {told.wanted_delivered} wanted packets delivered, "
-             f"not {wanted}"),
+            (alone["unwanted_flows"] == told["unwanted_flows"] == unwanted,
+             f"{alone['unwanted_flows']} / {told['unwanted_flows']} flows unwanted, "
+             f"not {unwanted}"),
+            (alone["wanted_delivered"] == told["wanted_delivered"] == wanted,
+             f"{alone['wanted_delivered']} / {told['wanted_delivered']} wanted packets "
+             f"delivered, not {wanted}"),
             (not rows or saved > rows[-1]["bytes_saved_fraction"],
              f"{saved:.3f} of the bottleneck bytes saved, no more than at the fraction before"),
         )
@@ -236,22 +220,24 @@ def paper_e8_incremental() -> dict:
     for deployment, with_daemon in (
         ("ident++ daemon on the shared host", True), ("no daemon (status quo)", False)
     ):
-        seen = comparative.NATIdentificationScenario(
+        seen = comparative.nat_identification(
             flows_per_user=E8_FLOWS_PER_USER, with_daemon=with_daemon
-        ).run()
+        )
         identification_rows.append({
-            "deployment": deployment, "flows": seen.flows,
-            "identified_fraction": seen.identified_fraction,
-            "distinct_users_seen": seen.distinct_users_reported,
+            "deployment": deployment, "flows": seen["flows"],
+            "identified_fraction": seen["identified_fraction"],
+            "distinct_users_seen": seen["distinct_users_reported"],
         })
-        if seen.identified_fraction != float(with_daemon):
-            violations.append(f"{deployment}: the server identified {seen.identified_fraction:g}")
+        if seen["identified_fraction"] != float(with_daemon):
+            violations.append(
+                f"{deployment}: the server identified {seen['identified_fraction']:g}"
+            )
     for answers in (False, True):
         for fraction in E8_FRACTIONS:
-            allowed = comparative.PartialDeploymentScenario(
+            allowed = comparative.partial_deployment(
                 clients=E8_CLIENTS, deployment_fraction=fraction,
                 controller_answers_for_legacy=answers,
-            ).run().allowed_fraction
+            )["allowed_fraction"]
             rows.append({"daemon_deployment": fraction, "controller_answers_for_legacy": answers,
                          "legitimate_flows_allowed": allowed})
             # Admission tracks deployment, or is complete once the
@@ -306,13 +292,13 @@ def _ethane_first_packet() -> Optional[float]:
 
 def paper_e10_setup_vs_ethane() -> dict:
     """E10a / §3.1: what asking the end-hosts adds to a first packet."""
-    identpp = scenarios.FlowSetupScenario(switch_count=2).run()
-    first = {"identpp (queries both ends)": identpp.end_to_end_delivery,
+    identpp = scenarios.flow_setup(switch_count=2)
+    first = {"identpp (queries both ends)": identpp["end_to_end_delivery"],
              "ethane-style (no end-host queries)": _ethane_first_packet()}
     undelivered = [name for name, latency in first.items() if latency is None]
     asking, not_asking = first.values()
     overhead = None if undelivered else asking - not_asking
-    floor = identpp.query_latency + identpp.policy_delay
+    floor = identpp["query_latency"] + identpp["policy_delay"]
     return {
         "rows": [{"architecture": name, "first_packet_ms": _ms(latency)}
                  for name, latency in (*first.items(), ("identpp overhead", overhead))],
@@ -377,7 +363,7 @@ def paper_e12_ablations() -> dict:
     """E12 / §3.2, §3.4: response augmentation off; ``@src`` without ``*@src``."""
     told, alone = _branches(True, flows=E12_FLOWS), _branches(False, flows=E12_FLOWS)
     violations = []
-    if told.bottleneck_bytes >= alone.bottleneck_bytes:
+    if told["bottleneck_bytes"] >= alone["bottleneck_bytes"]:
         violations.append("response augmentation saved no bottleneck bytes")
     # An upstream section said "mallory"; a later, on-path one overwrote it.
     overwritten, consistent = ResponseDocument(), ResponseDocument()
@@ -403,9 +389,9 @@ def paper_e12_ablations() -> dict:
     return {
         "rows": [
             {"configuration": "with response augmentation (§3.4)",
-             "bottleneck_bytes": told.bottleneck_bytes},
+             "bottleneck_bytes": told["bottleneck_bytes"]},
             {"configuration": "augmentation disabled (ablation)",
-             "bottleneck_bytes": alone.bottleneck_bytes},
+             "bottleneck_bytes": alone["bottleneck_bytes"]},
         ],
         "lookup_rows": lookup_rows,
         "violations": violations,

@@ -1,51 +1,29 @@
 """Executable scenarios for the paper's figures (experiments E1–E6).
 
-Each scenario class builds an ident++-protected network loaded with the
-corresponding figure's configuration (from
+Each figure scenario class (E2–E6) builds an ident++-protected network
+loaded with the corresponding figure's configuration (from
 :mod:`repro.workloads.paper_configs`), drives a matrix of flows through
 the full datapath (switch punt → ident++ queries → PF+=2 decision →
-flow entries → delivery) and reports one :class:`CaseResult` per flow
-with the verdict the paper's prose leads us to expect.
+flow entries → delivery) and reports one row per flow beside the verdict
+the paper's prose leads us to expect.  E1, Figure 1's walkthrough, is
+the function :func:`flow_setup`.
 
 The examples, the integration tests and the ``paper`` soak
-(:mod:`repro.workloads.paper`) all consume these classes, so the "what
-should happen" knowledge lives in exactly one place.
+(:mod:`repro.workloads.paper`) all consume these, so the "what should
+happen" knowledge lives in exactly one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.core.network import FlowResult, HostSpec, IdentPPNetwork
+from repro.core.network import HostSpec, IdentPPNetwork
 from repro.crypto.signatures import Signer
 from repro.exceptions import WorkloadError
 from repro.hosts.applications import standard_applications
 from repro.netsim.links import DEFAULT_LATENCY
 from repro.workloads import paper_configs
 from repro.workloads.enterprise import build_linear_network
-
-
-@dataclass
-class CaseResult:
-    """One flow of a scenario matrix: what we expected and what happened."""
-
-    label: str
-    expected_action: str
-    actual_action: Optional[str]
-    delivered: bool
-    rule: str = ""
-
-    @property
-    def correct(self) -> bool:
-        """Return ``True`` when the observed verdict matches the paper's intent.
-
-        Delivery must also agree with the verdict: a passed flow reaches
-        its destination, a blocked one does not.
-        """
-        if self.actual_action != self.expected_action:
-            return False
-        return self.delivered == (self.expected_action == "pass")
 
 
 @dataclass
@@ -76,23 +54,29 @@ class FigureScenario:
     def build_cases(self) -> list[FlowCase]:
         raise NotImplementedError
 
-    def run(self) -> list[CaseResult]:
-        """Drive every case through the datapath and collect the results."""
-        results = []
+    def run(self) -> dict:
+        """Drive every case through the datapath: return a row per case, and
+        a violation telling its story per case that misses the paper's verdict.
+
+        A case is ``correct`` when the observed verdict is the expected one
+        and delivery agrees: a passed flow arrives, a blocked one does not.
+        """
+        rows, violations = [], []
         for case in self.cases:
-            outcome: FlowResult = self.net.send_flow(
+            outcome = self.net.send_flow(
                 case.src_host, case.app, case.user, case.dst_ip, case.dst_port, proto=case.proto
             )
-            results.append(
-                CaseResult(
-                    label=case.label,
-                    expected_action=case.expected,
-                    actual_action=outcome.decision_action,
-                    delivered=outcome.delivered,
-                    rule=outcome.decision_rule,
+            observed, delivered = outcome.decision_action, outcome.delivered
+            correct = observed == case.expected and delivered == (case.expected == "pass")
+            rows.append({"case": case.label, "expected": case.expected, "observed": observed,
+                         "delivered": delivered, "correct": correct})
+            if not correct:
+                violations.append(
+                    f"{case.label}: the paper expects {case.expected}, observed {observed} "
+                    f"({'' if delivered else 'not '}delivered), "
+                    f"decided by {outcome.decision_rule or 'no rule'!r}"
                 )
-            )
-        return results
+        return {"rows": rows, "violations": violations}
 
 
 def tamper(config: str, signed: str, rewritten: str) -> str:
@@ -111,43 +95,28 @@ def tamper(config: str, signed: str, rewritten: str) -> str:
 # E1 — Figure 1: the flow-setup walkthrough
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FlowSetupMeasurement:
-    """The latency breakdown of one reactive flow setup (Figure 1)."""
-
-    query_latency: float
-    policy_delay: float
-    controller_decision_latency: float
-    #: ``None`` when the server never saw the packet.
-    end_to_end_delivery: Optional[float]
-    delivered: bool
+FLOW_SETUP_POLICY = {
+    "00-default.control": "block all\npass from any to any with eq(@src[name], http) keep state\n",
+}
 
 
-class FlowSetupScenario:
-    """Measures the Figure 1 sequence on a linear topology."""
-
-    POLICY = {
-        "00-default.control": "block all\npass from any to any with eq(@src[name], http) keep state\n",
+def flow_setup(*, switch_count: int = 2, link_latency: float = DEFAULT_LATENCY) -> dict:
+    """Send one flow along a line of ``switch_count`` switches and report
+    where the setup time went (virtual seconds): the endpoint queries,
+    the policy evaluation, the controller's whole decision, and the first
+    packet's delivery (``None`` when the server never saw it)."""
+    net = build_linear_network(switch_count, link_latency=link_latency)
+    net.set_policy(FLOW_SETUP_POLICY)
+    server = net.host("server")
+    result = net.send_flow("client", "http", "alice", str(server.ip), 80)
+    controller = net.controller
+    return {
+        "query_latency": controller.query_latency.mean,
+        "policy_delay": controller.config.policy_eval_delay,
+        "controller_decision_latency": controller.flow_setup_latency.mean,
+        "end_to_end_delivery": server.delivered_times[0] if server.delivered_times else None,
+        "delivered": result.delivered,
     }
-
-    def __init__(self, *, switch_count: int = 2, link_latency: float = DEFAULT_LATENCY) -> None:
-        self.switch_count = switch_count
-        self.link_latency = link_latency
-
-    def run(self) -> FlowSetupMeasurement:
-        """Send one flow and report where the setup time went."""
-        net = build_linear_network(self.switch_count, link_latency=self.link_latency)
-        net.set_policy(self.POLICY)
-        server = net.host("server")
-        result = net.send_flow("client", "http", "alice", str(server.ip), 80)
-        controller = net.controller
-        return FlowSetupMeasurement(
-            query_latency=controller.query_latency.mean,
-            policy_delay=controller.config.policy_eval_delay,
-            controller_decision_latency=controller.flow_setup_latency.mean,
-            end_to_end_delivery=server.delivered_times[0] if server.delivered_times else None,
-            delivered=result.delivered,
-        )
 
 
 # ---------------------------------------------------------------------------

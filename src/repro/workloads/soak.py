@@ -41,6 +41,7 @@ SOAKS = {
     "decision_core": "repro.workloads.decision_core:SOAK",
     "telemetry": "repro.workloads.telemetry:SOAK",
     "paper": "repro.workloads.paper:SOAK",
+    "matrix": "repro.workloads.experiment:SOAK",
 }
 
 
@@ -211,7 +212,8 @@ def load(name: str) -> Soak:
 
 def main(argv: Optional[list[str]] = None) -> int:
     """``make soak_NAME``: run the table's steps, print each entry (a key
-    ending in ``rows`` holds a table and prints as one), gate."""
+    ending in ``rows`` holds a table and prints as one; any other list of
+    records prints as its length — ``make bench`` records it whole), gate."""
     names = sys.argv[1:] if argv is None else argv
     if len(names) != 1 or names[0] not in SOAKS:
         print(
@@ -229,6 +231,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for key, value in entry.items():
             if key.endswith("rows"):
                 print(format_table(value, title=f"  {key}:"))
+            elif isinstance(value, list) and value and isinstance(value[0], dict):
+                print(f"  {key:<{width}}  {len(value)} records")
             else:
                 print(f"  {key:<{width}}  {value}")
     failures = failed_gates(results, soak.gates)

@@ -1,31 +1,40 @@
-"""Tests for the experiment harness and the shared invariant checkers.
+"""Tests for the scenario matrix and the shared invariant checkers.
 
-Three layers:
+Four layers:
 
 * spec expansion — grid product, seed threading, validation of
-  axis combos, repeat aggregation in :class:`Experiment`;
+  axis combos;
 * every invariant checker in :mod:`repro.workloads.invariants`
   exercised against a synthetic passing run AND a deliberately
   violated run, so the matrix's gates are proven able to fail;
-* one small end-to-end matrix run under ``sanitize=True``;
-* the whole committed matrix with same-instant ties served in reverse.
+* :func:`run_cell` — repeat aggregation, seeds, determinism, and one
+  small end-to-end matrix run under ``sanitize=True``;
+* the whole committed matrix with same-instant ties served in reverse,
+  judged against the committed ``BENCH_results.json``.
 """
 
+import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 
 from repro.netsim.events import Simulator
-from repro.workloads import invariants
+from repro.workloads import experiment, invariants
 from repro.workloads.experiment import (
     ARCH_IDENTPP,
     BASELINE_ARCHITECTURES,
-    Experiment,
     ScenarioSpec,
     applicable_invariants,
     default_matrix,
     expand_grid,
+    experiment_matrix,
+    run_cell,
 )
+
+COMMITTED_MATRIX = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCH_results.json").read_text()
+)["results"]["experiment_matrix"]
 
 
 # ----------------------------------------------------------------------
@@ -223,74 +232,74 @@ class TestBoundedStateChecker:
 
 
 # ----------------------------------------------------------------------
-# The experiment runner
+# One cell
 # ----------------------------------------------------------------------
 
 SMALL = ScenarioSpec(topology="single", flows=8, clients=2, servers=1,
                      duration=6.0, sanitize=True)
 
 
-class TestExperimentRunner:
-    def test_rejects_nonpositive_repeats(self):
-        with pytest.raises(ValueError):
-            Experiment("bad", nb_repeats=0)
+@pytest.fixture
+def trace_hashes(monkeypatch):
+    """Record the sanitizer's event-trace hash of every repeat a cell runs."""
+    hashes = []
+    run_once = experiment._run_once
 
-    def test_scenarios_default_is_not_shared_between_instances(self):
-        # The exemplar's mutable-default trap (lint rule R5): two
-        # experiments must never share a scenario list.
-        first = Experiment("first").add(SMALL)
-        second = Experiment("second")
-        assert second.scenarios == []
-        assert first.scenarios != second.scenarios
+    def spy(spec, seed):
+        ctx = run_once(spec, seed)
+        hashes.append(ctx.net.topology.sim.sanitizer.trace_hash)
+        return ctx
 
-    def test_repeat_aggregation_sums_identpp_outcomes(self):
-        single = Experiment("one", [SMALL], nb_repeats=1).run()
-        double = Experiment("two", [SMALL], nb_repeats=2).run()
-        one, two = single.cells[0], double.cells[0]
-        assert one.repeats == 1 and two.repeats == 2
-        one_counts = one.architectures[ARCH_IDENTPP]
-        two_counts = two.architectures[ARCH_IDENTPP]
+    monkeypatch.setattr(experiment, "_run_once", spy)
+    return hashes
+
+
+class TestRunCell:
+    def test_repeat_aggregation_sums_identpp_outcomes(self, monkeypatch):
+        two = run_cell(SMALL)
+        monkeypatch.setattr(experiment, "MATRIX_REPEATS", 1)
+        one = run_cell(SMALL)
+        assert one["repeats"] == 1 and two["repeats"] == 2
+        one_counts = one["architectures"][ARCH_IDENTPP]
+        two_counts = two["architectures"][ARCH_IDENTPP]
         judged_one = one_counts["allowed"] + one_counts["blocked"]
         judged_two = two_counts["allowed"] + two_counts["blocked"]
         assert judged_two == 2 * judged_one
         # Baselines are evaluated once per cell, not per repeat.
         for arch in BASELINE_ARCHITECTURES:
-            assert two.architectures[arch] == one.architectures[arch]
+            assert two["architectures"][arch] == one["architectures"][arch]
 
-    def test_repeats_thread_distinct_seeds(self):
-        report = Experiment("seeded", [SMALL], nb_repeats=2).run()
-        hashes = report.cells[0].trace_hashes
-        assert len(hashes) == 2
+    def test_repeats_thread_distinct_seeds(self, trace_hashes):
+        run_cell(SMALL)
+        assert len(trace_hashes) == experiment.MATRIX_REPEATS == 2
         # Different repeat seeds produce different traffic timelines.
-        assert hashes[0] != hashes[1]
+        assert trace_hashes[0] != trace_hashes[1]
 
-    def test_identical_runs_are_deterministic(self):
-        first = Experiment("det", [SMALL]).run()
-        second = Experiment("det", [SMALL]).run()
-        assert first.cells[0].trace_hashes == second.cells[0].trace_hashes
-        assert first.cells[0].architectures == second.cells[0].architectures
+    def test_identical_runs_are_deterministic(self, trace_hashes):
+        first = run_cell(SMALL)
+        second = run_cell(SMALL)
+        assert first == second
+        assert trace_hashes[:2] == trace_hashes[2:]
 
 
 class TestEndToEndMatrix:
-    def test_four_cell_matrix_runs_sanitized_and_passes(self):
+    def test_four_cell_matrix_runs_sanitized_and_passes(self, trace_hashes):
         specs = expand_grid(
             {"control": ["single", "cluster2"],
              "topology": ["edge_core", "spine_leaf"]},
             base=replace(SMALL, topology="edge_core"),
         )
         assert len(specs) == 4
-        report = Experiment("e2e", specs, nb_repeats=1).run()
-        assert report.passed, [c.as_dict() for c in report.failed_cells()]
-        for cell in report.cells:
+        for spec in specs:
+            cell = run_cell(spec)
+            assert cell["passed"], cell["invariants"]
             # Every applicable invariant ran and passed...
-            assert set(cell.invariants) == set(applicable_invariants(cell.spec))
-            assert all(entry["passed"] for entry in cell.invariants.values())
-            # ...ident++ and all four baselines are compared...
-            assert set(cell.architectures) == {ARCH_IDENTPP, *BASELINE_ARCHITECTURES}
-            # ...and the sanitizer hash was recorded for the repeat.
-            assert cell.trace_hashes
-        payload = report.as_dict()
-        assert payload["cells_total"] == 4 and payload["cells_failed"] == 0
+            assert set(cell["invariants"]) == set(applicable_invariants(spec))
+            assert all(entry["passed"] for entry in cell["invariants"].values())
+            # ...and ident++ and all four baselines are compared.
+            assert set(cell["architectures"]) == {ARCH_IDENTPP, *BASELINE_ARCHITECTURES}
+        # The sanitizer hashed every repeat of every cell.
+        assert len(trace_hashes) == 4 * experiment.MATRIX_REPEATS
 
 
 @pytest.fixture
@@ -313,20 +322,19 @@ class TestReversedTies:
     """ROADMAP 5(f), first half: no verdict may hang on a same-instant tie-break."""
 
     @staticmethod
-    def verdicts():
-        report = Experiment("ties", default_matrix(), nb_repeats=1).run()
+    def verdicts(cells):
         return {
-            cell.spec.name: (
-                {name: entry["passed"] for name, entry in cell.invariants.items()},
-                cell.architectures,
+            cell["cell"]: (
+                {name: entry["passed"] for name, entry in cell["invariants"].items()},
+                cell["architectures"],
             )
-            for cell in report.cells
+            for cell in json.loads(json.dumps(cells))
         }
 
-    def test_every_cell_judges_the_same_with_ties_reversed(self, reversed_ties):
-        in_order = self.verdicts()
-        assert len(in_order) == 30
-        assert all(all(passed.values()) for passed, _ in in_order.values())
+    def test_every_cell_judges_as_committed_with_ties_reversed(self, reversed_ties):
+        committed = self.verdicts(COMMITTED_MATRIX["cells"])
+        assert len(committed) == 30
+        assert all(all(passed.values()) for passed, _ in committed.values())
         reversed_ties()
         probe = Simulator()
         served = []
@@ -334,4 +342,4 @@ class TestReversedTies:
         probe.schedule(1.0, served.append, "second")
         probe.run()
         assert served == ["second", "first"]
-        assert self.verdicts() == in_order
+        assert self.verdicts(experiment_matrix()["cells"]) == committed

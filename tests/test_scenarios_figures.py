@@ -11,39 +11,39 @@ import pytest
 from repro.analysis.report import format_table, series_to_rows
 from repro.exceptions import WorkloadError
 from repro.workloads.comparative import (
-    CollaborationScenario,
-    NATIdentificationScenario,
-    PartialDeploymentScenario,
     SecurityComparisonScenario,
+    collaboration,
+    nat_identification,
+    partial_deployment,
 )
 from repro.workloads.generators import FlowGenerator, FlowTemplate, zipf_weights
 from repro.workloads.scenarios import (
     ConfickerScenario,
-    FlowSetupScenario,
     ResearchDelegationScenario,
     SkypeScenario,
     ThirdPartyTrustScenario,
+    flow_setup,
     tamper,
 )
 
 
 # -- E1: Figure 1 ------------------------------------------------------------
 
-class TestFlowSetupScenario:
+class TestFlowSetup:
     def test_flow_is_delivered_and_latency_decomposes(self):
-        measurement = FlowSetupScenario(switch_count=2).run()
-        assert measurement.delivered
-        assert measurement.query_latency > 0
+        measurement = flow_setup(switch_count=2)
+        assert measurement["delivered"]
+        assert measurement["query_latency"] > 0
         # the controller's decision time includes the queries and the policy
-        assert measurement.controller_decision_latency >= measurement.query_latency
+        assert measurement["controller_decision_latency"] >= measurement["query_latency"]
         # end-to-end delivery includes the decision plus datapath traversal
-        assert measurement.end_to_end_delivery > measurement.controller_decision_latency
+        assert measurement["end_to_end_delivery"] > measurement["controller_decision_latency"]
 
     def test_latency_grows_with_link_latency(self):
-        fast = FlowSetupScenario(switch_count=2, link_latency=50e-6).run()
-        slow = FlowSetupScenario(switch_count=2, link_latency=5e-3).run()
-        assert slow.end_to_end_delivery > fast.end_to_end_delivery
-        assert slow.query_latency > fast.query_latency
+        fast = flow_setup(switch_count=2, link_latency=50e-6)
+        slow = flow_setup(switch_count=2, link_latency=5e-3)
+        assert slow["end_to_end_delivery"] > fast["end_to_end_delivery"]
+        assert slow["query_latency"] > fast["query_latency"]
 
 
 # -- E2..E6: Figures 2-8 -----------------------------------------------------
@@ -52,10 +52,9 @@ class TestFlowSetupScenario:
     SkypeScenario, ResearchDelegationScenario, ThirdPartyTrustScenario, ConfickerScenario,
 ])
 def test_figure_scenarios_match_paper_expectations(scenario_class):
-    mismatches = [result for result in scenario_class().run() if not result.correct]
-    assert not mismatches, "unexpected verdicts: " + "; ".join(
-        f"{r.label}: expected {r.expected_action}, got {r.actual_action}" for r in mismatches
-    )
+    entry = scenario_class().run()
+    assert entry["rows"] and all(row["correct"] for row in entry["rows"])
+    assert not entry["violations"], "unexpected verdicts: " + "; ".join(entry["violations"])
 
 
 def test_tampering_with_text_the_figure_does_not_hold_is_an_error():
@@ -68,9 +67,9 @@ def test_tampering_with_text_the_figure_does_not_hold_is_an_error():
 class TestSkypeScenarioDetails:
     def test_delegated_and_blocked_counts(self):
         scenario = SkypeScenario()
-        results = scenario.run()
-        passes = [r for r in results if r.expected_action == "pass"]
-        blocks = [r for r in results if r.expected_action == "block"]
+        rows = scenario.run()["rows"]
+        passes = [row for row in rows if row["expected"] == "pass"]
+        blocks = [row for row in rows if row["expected"] == "block"]
         assert len(passes) == 5 and len(blocks) == 4
         audit = scenario.net.controller.audit.summary()
         assert audit["pass"] >= len(passes)
@@ -89,44 +88,42 @@ class TestResearchScenarioDetails:
 
 class TestCollaboration:
     def test_collaboration_saves_bottleneck_traffic(self):
-        without = CollaborationScenario(collaborate=False, flows=12, packets_per_flow=3).run()
-        with_collab = CollaborationScenario(collaborate=True, flows=12, packets_per_flow=3).run()
-        assert with_collab.bottleneck_bytes < without.bottleneck_bytes
+        without = collaboration(collaborate=False, flows=12, packets_per_flow=3)
+        with_collab = collaboration(collaborate=True, flows=12, packets_per_flow=3)
+        assert with_collab["bottleneck_bytes"] < without["bottleneck_bytes"]
         # wanted traffic is unaffected
-        assert with_collab.wanted_delivered == without.wanted_delivered
+        assert with_collab["wanted_delivered"] == without["wanted_delivered"]
         # the remote controller sees less load
-        assert with_collab.remote_packet_ins < without.remote_packet_ins
+        assert with_collab["remote_packet_ins"] < without["remote_packet_ins"]
         # unwanted traffic never reaches branch B hosts either way
-        assert without.unwanted_delivered == with_collab.unwanted_delivered == 0
+        assert without["unwanted_delivered"] == with_collab["unwanted_delivered"] == 0
 
     @pytest.mark.parametrize("fraction, unwanted", [(0.25, 3), (0.5, 6), (0.75, 9), (1.0, 12)])
     def test_the_unwanted_share_is_the_one_asked_for(self, fraction, unwanted):
         # Used to flat-line at half: only even-indexed flows could be unwanted.
-        result = CollaborationScenario(
-            flows=12, unwanted_fraction=fraction, packets_per_flow=1
-        ).run()
-        assert result.unwanted_flows == unwanted
-        assert result.wanted_delivered == 12 - unwanted
+        result = collaboration(flows=12, unwanted_fraction=fraction, packets_per_flow=1)
+        assert result["unwanted_flows"] == unwanted
+        assert result["wanted_delivered"] == 12 - unwanted
 
 
 # -- E8: incremental benefit ---------------------------------------------------
 
 class TestIncrementalBenefit:
     def test_nat_user_identification(self):
-        with_daemon = NATIdentificationScenario(flows_per_user=3).run()
-        assert with_daemon.identified_fraction == 1.0
-        assert with_daemon.distinct_users_reported == with_daemon.distinct_users_actual == 2
-        without_daemon = NATIdentificationScenario(flows_per_user=3, with_daemon=False).run()
-        assert without_daemon.identified_fraction == 0.0
+        with_daemon = nat_identification(flows_per_user=3)
+        assert with_daemon["identified_fraction"] == 1.0
+        assert with_daemon["distinct_users_reported"] == with_daemon["distinct_users_actual"] == 2
+        without_daemon = nat_identification(flows_per_user=3, with_daemon=False)
+        assert without_daemon["identified_fraction"] == 0.0
 
     def test_partial_deployment_sweep_points(self):
-        half = PartialDeploymentScenario(clients=4, deployment_fraction=0.5).run()
-        assert half.allowed_fraction == 0.5
-        helped = PartialDeploymentScenario(clients=4, deployment_fraction=0.5,
-                                           controller_answers_for_legacy=True).run()
-        assert helped.allowed_fraction == 1.0
-        full = PartialDeploymentScenario(clients=4, deployment_fraction=1.0).run()
-        assert full.allowed_fraction == 1.0
+        half = partial_deployment(clients=4, deployment_fraction=0.5)
+        assert half["allowed_fraction"] == 0.5
+        helped = partial_deployment(clients=4, deployment_fraction=0.5,
+                                    controller_answers_for_legacy=True)
+        assert helped["allowed_fraction"] == 1.0
+        full = partial_deployment(clients=4, deployment_fraction=1.0)
+        assert full["allowed_fraction"] == 1.0
 
 
 # -- E9: security matrix --------------------------------------------------------

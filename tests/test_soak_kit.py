@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 from repro.hosts.endhost import EndHost
-from repro.workloads import cluster, decision_core, fabric, paper, queryload, scenarios, soak
+from repro.workloads import (
+    cluster,
+    decision_core,
+    experiment,
+    fabric,
+    paper,
+    queryload,
+    scenarios,
+    soak,
+)
 from repro.workloads.soak import Gate, Soak, failed_gates
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,11 +57,15 @@ class TestCommittedResultsReproduce:
             ("telemetry", "telemetry_conficker_detection"),
             # The paper's E1-E12: virtual time and counts, every leaf pinned.
             *(("paper", step) for step, _ in paper.SOAK.steps),
+            # Every cell of the scenario matrix, every repeat's verdicts.
+            ("matrix", "experiment_matrix"),
         ],
     )
     def test_step_equals_the_committed_entry(self, name, entry):
         step = dict(soak.load(name).steps)[entry]
-        assert _without_host_time(step()) == _without_host_time(COMMITTED[entry])
+        # Through JSON, as make bench writes it: a live entry may hold tuples.
+        live = json.loads(json.dumps(step()))
+        assert _without_host_time(live) == _without_host_time(COMMITTED[entry])
 
     def test_cluster_soak_runs_green_and_equals_the_committed_entries(
         self, monkeypatch, capsys
@@ -168,6 +181,34 @@ class TestPaperExpectations:
         )
         assert any("identpp" in failure and "never delivered" in failure for failure in failures)
         assert any("less than it must pay" in failure for failure in failures)
+
+
+class TestMatrixExpectations:
+    """A cell that breaks an invariant fails ``make soak_matrix`` and says where."""
+
+    def test_a_planted_violation_names_the_cell_the_seed_and_the_invariant(
+        self, monkeypatch, capsys
+    ):
+        (cell, *_) = experiment.default_matrix()
+        monkeypatch.setattr(experiment, "default_matrix", lambda: [cell])
+        state_caps = experiment._state_caps
+
+        def no_flow_entries(ctx):
+            return {**state_caps(ctx), "flow_table_peak": 0.0}
+
+        monkeypatch.setattr(experiment, "_state_caps", no_flow_entries)
+        assert soak.main(["matrix"]) == 1
+        out = capsys.readouterr().out
+        failures = [line for line in out.splitlines() if line.startswith("FAIL:")]
+        for seed in (cell.seed, cell.seed + 1):
+            assert any(
+                line.startswith(
+                    f"FAIL: experiment_matrix: {cell.name} (seed {seed}): [bounded_state] "
+                    "structure 'flow_table_peak' reached"
+                )
+                for line in failures
+            ), failures
+        assert experiment.SOAK.ok not in out
 
 
 class TestEntryPoint:
