@@ -14,13 +14,15 @@
   segments (:mod:`repro.baselines.vlan`).
 
 Each baseline implements the same small :class:`BaselinePolicy`
-interface so the security matrix (experiment E9) and the latency
-comparison (E10) can drive them uniformly, and each can be mounted on
-the OpenFlow substrate via :class:`BaselineController` where a datapath
-is needed.
+interface, ``decide(flow)``, so the security matrix (experiment E9) and
+the latency comparison (E10) can drive them uniformly.  A baseline is
+given the flow and nothing else; what its architecture knows beyond it
+(Ethane's user bindings, a VLAN's segment map) it holds itself.  Each
+can be mounted on the OpenFlow substrate via :class:`BaselineController`
+where a datapath is needed.
 """
 
-from repro.baselines.base import BaselineController, BaselinePolicy, FlowContext
+from repro.baselines.base import BaselineController, BaselinePolicy
 from repro.baselines.distributed_firewall import DistributedFirewall
 from repro.baselines.ethane import EthanePolicy, HostBinding
 from repro.baselines.vanilla_firewall import FirewallRule, VanillaFirewall
@@ -29,7 +31,6 @@ from repro.baselines.vlan import VLANSegmentation
 __all__ = [
     "BaselineController",
     "BaselinePolicy",
-    "FlowContext",
     "DistributedFirewall",
     "EthanePolicy",
     "HostBinding",

@@ -9,7 +9,6 @@ in reality — that asymmetry is what the comparison experiments measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from repro.exceptions import TopologyError
@@ -25,31 +24,18 @@ ACTION_PASS = "pass"
 ACTION_BLOCK = "block"
 
 
-@dataclass
-class FlowContext:
-    """The side information a decision point *might* have about a flow.
-
-    ident++ fills all of it from daemon responses; baselines use only the
-    subset their architecture can see (Ethane: the user binding; a vanilla
-    firewall: nothing beyond the 5-tuple).
-    """
-
-    src_user: Optional[str] = None
-    dst_user: Optional[str] = None
-    src_app: Optional[str] = None
-    dst_app: Optional[str] = None
-    src_groups: tuple[str, ...] = ()
-    dst_groups: tuple[str, ...] = ()
-    extras: dict[str, str] = field(default_factory=dict)
-
-
 class BaselinePolicy(Protocol):
     """What every baseline implements."""
 
     name: str
 
-    def decide(self, flow: FlowSpec, context: Optional[FlowContext] = None) -> str:
-        """Return ``"pass"`` or ``"block"`` for the flow."""
+    def decide(self, flow: FlowSpec) -> str:
+        """Return ``"pass"`` or ``"block"`` for the flow.
+
+        The flow is all a baseline is given: whatever else its
+        architecture sees (Ethane's user bindings, a VLAN's segment map)
+        it holds itself, and none of them sees applications.
+        """
 
     def uses_information(self) -> tuple[str, ...]:
         """Return which information classes the architecture consults
@@ -60,8 +46,8 @@ class BaselineController(Controller):
     """Mounts a :class:`BaselinePolicy` on the OpenFlow substrate.
 
     Decisions are cached in switch flow tables exactly as the ident++
-    controller does, but no ident++ queries are issued — the context, if
-    any, must come from static knowledge (Ethane's bindings).  This keeps
+    controller does, but no ident++ queries are issued — what a policy
+    knows beyond the flow is static (Ethane's bindings).  This keeps
     the flow-setup latency comparison honest: the baseline pays only the
     control-channel round trip.
     """
@@ -73,13 +59,11 @@ class BaselineController(Controller):
         policy: BaselinePolicy,
         *,
         idle_timeout: float = 60.0,
-        context_provider=None,
     ) -> None:
         super().__init__(name)
         self.topology = topology
         self.policy = policy
         self.idle_timeout = idle_timeout
-        self.context_provider = context_provider
         self.decisions: list[tuple[FlowSpec, str]] = []
         self.attach(topology.sim)
 
@@ -92,8 +76,7 @@ class BaselineController(Controller):
             )
             return
         flow = FlowSpec.from_packet(packet)
-        context = self.context_provider(flow) if self.context_provider is not None else None
-        action = self.policy.decide(flow, context)
+        action = self.policy.decide(flow)
         self.decisions.append((flow, action))
         match = Match.from_five_tuple(
             flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port

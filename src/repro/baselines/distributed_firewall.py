@@ -20,9 +20,9 @@ host, so
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
-from repro.baselines.base import ACTION_PASS, FlowContext
+from repro.baselines.base import ACTION_PASS
 from repro.baselines.vanilla_firewall import FirewallRule, VanillaFirewall
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.addresses import IPv4Address
@@ -39,25 +39,15 @@ class DistributedFirewall(VanillaFirewall):
         *,
         default_action: str = "block",
         name: str = "distributed-firewall",
-        compromised_hosts: Optional[set[IPv4Address]] = None,
-        host_compromise_check: Optional[Callable[[IPv4Address], bool]] = None,
     ) -> None:
         super().__init__(rules, default_action=default_action, name=name)
-        self.compromised_hosts: set[IPv4Address] = set(compromised_hosts or ())
-        self._host_compromise_check = host_compromise_check
+        self.compromised_hosts: set[IPv4Address] = set()
 
     def mark_host_compromised(self, address: IPv4Address | str) -> None:
         """Record that the enforcement point at ``address`` is attacker-controlled."""
         self.compromised_hosts.add(IPv4Address(address))
 
-    def _destination_compromised(self, flow: FlowSpec) -> bool:
-        if flow.dst_ip in self.compromised_hosts:
-            return True
-        if self._host_compromise_check is not None:
-            return bool(self._host_compromise_check(flow.dst_ip))
-        return False
-
-    def decide(self, flow: FlowSpec, context: Optional[FlowContext] = None) -> str:
+    def decide(self, flow: FlowSpec) -> str:
         """Apply the policy at the destination host.
 
         A compromised destination enforces nothing (§6), and because the
@@ -65,10 +55,10 @@ class DistributedFirewall(VanillaFirewall):
         traffic still consumed bandwidth — callers measuring link load
         should count the flow as having traversed the path either way.
         """
-        if self._destination_compromised(flow):
+        if flow.dst_ip in self.compromised_hosts:
             self.decisions += 1
             return ACTION_PASS
-        return super().decide(flow, context)
+        return super().decide(flow)
 
     def uses_information(self) -> tuple[str, ...]:
         return ("5-tuple", "end-host-local context")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from repro.baselines.base import ACTION_BLOCK, ACTION_PASS, FlowContext
+from repro.baselines.base import ACTION_BLOCK, ACTION_PASS
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.addresses import IPv4Address, IPv4Network
 from repro.netsim.packet import proto_number
@@ -148,12 +148,11 @@ class EthanePolicy:
     # BaselinePolicy interface
     # ------------------------------------------------------------------
 
-    def decide(self, flow: FlowSpec, context: Optional[FlowContext] = None) -> str:
+    def decide(self, flow: FlowSpec) -> str:
         """First matching rule wins; bindings substitute for ident++'s userID.
 
-        The optional ``context`` is ignored on purpose: Ethane cannot see
-        application names, versions or patch levels even if a test
-        provides them.
+        Ethane cannot see application names, versions or patch levels, so
+        nothing but the flow and the bindings reaches a decision.
         """
         self.decisions += 1
         src_binding = self._bindings.get(flow.src_ip)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.baselines.base import ACTION_BLOCK, ACTION_PASS, FlowContext
+from repro.baselines.base import ACTION_BLOCK, ACTION_PASS
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.addresses import IPv4Network
 from repro.netsim.packet import proto_number
@@ -91,11 +91,11 @@ class VanillaFirewall:
     # BaselinePolicy interface
     # ------------------------------------------------------------------
 
-    def decide(self, flow: FlowSpec, context: Optional[FlowContext] = None) -> str:
+    def decide(self, flow: FlowSpec) -> str:
         """First matching rule wins; established (stateful) flows always pass.
 
-        ``context`` is accepted for interface compatibility and ignored —
-        a port firewall has no user or application information.
+        A port firewall has no user or application information: the
+        5-tuple is all it decides on.
         """
         self.decisions += 1
         if self.state.match(flow) is not None:

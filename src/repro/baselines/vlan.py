@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.baselines.base import ACTION_BLOCK, ACTION_PASS, FlowContext
+from repro.baselines.base import ACTION_BLOCK, ACTION_PASS
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.addresses import IPv4Address, IPv4Network
 
@@ -62,7 +62,7 @@ class VLANSegmentation:
     # BaselinePolicy interface
     # ------------------------------------------------------------------
 
-    def decide(self, flow: FlowSpec, context: Optional[FlowContext] = None) -> str:
+    def decide(self, flow: FlowSpec) -> str:
         """Intra-segment passes; inter-segment only if whitelisted; unknown hosts blocked."""
         self.decisions += 1
         src_segment = self.segment_of(flow.src_ip)

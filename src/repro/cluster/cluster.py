@@ -28,12 +28,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.failover import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_MISS_THRESHOLD,
-    FailoverMonitor,
-)
-from repro.cluster.shard_map import DEFAULT_VNODES, ShardMap, flow_key
+from repro.cluster.failover import FailoverMonitor
+from repro.cluster.shard_map import ShardMap, flow_key
 from repro.core.controller import ControllerConfig, IdentPPController
 from repro.core.policy_engine import PolicyEngine
 from repro.exceptions import TopologyError
@@ -66,9 +62,6 @@ class ControllerCluster:
         shards: int = 2,
         config: Optional[ControllerConfig] = None,
         policy_default_action: str = "pass",
-        vnodes: int = DEFAULT_VNODES,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        miss_threshold: int = DEFAULT_MISS_THRESHOLD,
     ) -> None:
         if shards < 1:
             raise TopologyError(f"a cluster needs at least one shard (got {shards})")
@@ -84,13 +77,9 @@ class ControllerCluster:
             self.replicas[shard_name] = IdentPPController(
                 shard_name, topology, engine, config=self.config
             )
-        self.shard_map = ShardMap(self.replicas, vnodes=vnodes)
+        self.shard_map = ShardMap(self.replicas)
         self.coordinator = ClusterCoordinator(self)
-        self.monitor = FailoverMonitor(
-            self,
-            heartbeat_interval=heartbeat_interval,
-            miss_threshold=miss_threshold,
-        )
+        self.monitor = FailoverMonitor(self)
         self.failovers = 0
         self.repunted_flows = 0
         self.repunted_messages = 0

@@ -14,12 +14,12 @@ strands three kinds of flows:
    disconnected channels on the spot.
 
 The :class:`FailoverMonitor` closes 1 and 2: it polls each live shard
-every ``heartbeat_interval`` of simulated time, counts consecutive
-missed heartbeats (a halted replica answers none), and after
-``miss_threshold`` misses declares the shard dead — marking its ring
-arc over to the successors and re-punting every orphaned flow to the
-shard that now owns it.  Adopted flows run the normal punt pipeline on
-the successor, including PR 2's fail-closed pending deadline, so even a
+every :data:`DEFAULT_HEARTBEAT_INTERVAL` of simulated time, counts
+consecutive missed heartbeats (a halted replica answers none), and
+after :data:`DEFAULT_MISS_THRESHOLD` misses declares the shard dead —
+marking its ring arc over to the successors and re-punting every
+orphaned flow to the shard that now owns it.  Adopted flows run the
+normal punt pipeline on the successor, including PR 2's fail-closed pending deadline, so even a
 decision lost *twice* ends as an audited drop rather than a stranded
 buffer.
 """
@@ -44,24 +44,8 @@ DEFAULT_MISS_THRESHOLD = 2
 class FailoverMonitor:
     """Detects dead shards by missed heartbeats and triggers re-homing."""
 
-    def __init__(
-        self,
-        cluster: "ControllerCluster",
-        *,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        miss_threshold: int = DEFAULT_MISS_THRESHOLD,
-    ) -> None:
-        if heartbeat_interval <= 0:
-            raise SimulationError(
-                f"heartbeat interval must be positive (got {heartbeat_interval})"
-            )
-        if miss_threshold < 1:
-            raise SimulationError(
-                f"miss threshold must be at least 1 (got {miss_threshold})"
-            )
+    def __init__(self, cluster: "ControllerCluster") -> None:
         self.cluster = cluster
-        self.heartbeat_interval = heartbeat_interval
-        self.miss_threshold = miss_threshold
         self.ticks = 0
         self.detections = 0
         self._misses: dict[str, int] = {}
@@ -87,7 +71,7 @@ class FailoverMonitor:
             raise SimulationError("failover monitor needs a simulator attached")
         self._armed = True
         self._event = sim.schedule_repeating(
-            self.heartbeat_interval, self._tick, label="cluster:heartbeat"
+            DEFAULT_HEARTBEAT_INTERVAL, self._tick, label="cluster:heartbeat"
         )
 
     def stop(self) -> None:
@@ -107,7 +91,7 @@ class FailoverMonitor:
             if controller.halted:
                 misses = self._misses.get(name, 0) + 1
                 self._misses[name] = misses
-                if misses < self.miss_threshold:
+                if misses < DEFAULT_MISS_THRESHOLD:
                     continue
                 if len(self.cluster.shard_map.live_shards()) <= 1:
                     # Nobody left to adopt the flows: keep the shard
@@ -130,8 +114,8 @@ class FailoverMonitor:
         """Return monitor counters."""
         return {
             "running": self._armed,
-            "heartbeat_interval": self.heartbeat_interval,
-            "miss_threshold": self.miss_threshold,
+            "heartbeat_interval": DEFAULT_HEARTBEAT_INTERVAL,
+            "miss_threshold": DEFAULT_MISS_THRESHOLD,
             "ticks": self.ticks,
             "detections": self.detections,
             "suspected": dict(self._misses),

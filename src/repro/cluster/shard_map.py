@@ -60,10 +60,7 @@ def flow_key(flow: FlowSpec) -> str:
 class ShardMap:
     """A consistent-hash ring over named controller shards."""
 
-    def __init__(self, shards: Iterable[str], *, vnodes: int = DEFAULT_VNODES) -> None:
-        if vnodes <= 0:
-            raise TopologyError(f"vnodes must be positive (got {vnodes})")
-        self.vnodes = vnodes
+    def __init__(self, shards: Iterable[str]) -> None:
         self._shards: list[str] = []
         self._dead: set[str] = set()
         # Sorted, parallel arrays of (position, shard) — rebuilt on
@@ -130,7 +127,7 @@ class ShardMap:
     def _rebuild(self) -> None:
         ring = []
         for shard in self._shards:
-            for vnode in range(self.vnodes):
+            for vnode in range(DEFAULT_VNODES):
                 ring.append((_position(f"{shard}#{vnode}"), shard))
         ring.sort()
         self._positions = [position for position, _ in ring]
@@ -217,7 +214,7 @@ class ShardMap:
             "shards": len(self._shards),
             "live_shards": len(self.live_shards()),
             "dead_shards": sorted(self._dead),
-            "vnodes_per_shard": self.vnodes,
+            "vnodes_per_shard": DEFAULT_VNODES,
             "ring_size": len(self._owners),
             "lookups": self.lookups,
         }
@@ -228,5 +225,5 @@ class ShardMap:
     def __repr__(self) -> str:
         return (
             f"ShardMap(shards={len(self._shards)}, live={len(self.live_shards())}, "
-            f"vnodes={self.vnodes})"
+            f"vnodes={DEFAULT_VNODES})"
         )

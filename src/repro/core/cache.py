@@ -15,9 +15,10 @@ The cache's lifetime story is explicit: TTL-expired entries are evicted
 lazily on lookup *and* eagerly by :meth:`DecisionCache.expire` (driven
 by the :class:`~repro.core.lifecycle.LifecycleService` through an
 :class:`~repro.netsim.events.ExpiryHeap`, so a sweep costs
-``O(expired log n)`` rather than a scan).  An optional ``capacity``
-bounds the entry count with LRU eviction, which is what lets a
-controller survive adversarial flow churn with a fixed memory budget.
+``O(expired log n)`` rather than a scan).  The TTL is the cache's only
+bound: ``store`` drains due records itself, so under any flow churn the
+cache holds at most the decisions of one TTL window (a zero TTL keeps
+entries until they are invalidated).
 """
 
 from __future__ import annotations
@@ -50,19 +51,11 @@ class CachedDecision:
 
 
 class DecisionCache:
-    """Flow → decision cache with TTL and LRU bound; a ``keep state`` pass
+    """Flow → decision cache bounded by its TTL; a ``keep state`` pass
     covers its reverse direction."""
 
-    def __init__(
-        self,
-        *,
-        ttl: float = DEFAULT_DECISION_TTL,
-        capacity: Optional[int] = None,
-    ) -> None:
+    def __init__(self, *, ttl: float = DEFAULT_DECISION_TTL) -> None:
         self.ttl = ttl
-        self.capacity = capacity
-        # Insertion order doubles as recency order: hits under a capacity
-        # bound reinsert the entry, so the head is always the LRU victim.
         self._decisions: dict[FlowSpec, CachedDecision] = {}
         # How many cached entries can cover reverse traffic (keep state
         # passes); while zero, misses skip building the reversed FlowSpec.
@@ -76,7 +69,6 @@ class DecisionCache:
         self.hits = 0
         self.misses = 0
         self.expirations = 0
-        self.evictions = 0
 
     def store(
         self,
@@ -110,9 +102,6 @@ class DecisionCache:
             self._expiry.push(now + self.ttl, flow, cookie)
         if keep_state and action == "pass":
             self._reverse_candidates += 1
-        if self.capacity is not None:
-            while len(self._decisions) > self.capacity:
-                self._evict_lru()
         return decision
 
     def lookup(self, flow: FlowSpec, now: float) -> Optional[CachedDecision]:
@@ -126,7 +115,7 @@ class DecisionCache:
         decision = self._decisions.get(flow)
         if decision is not None:
             if self._fresh(decision, now):
-                return self._hit(flow, decision)
+                return self._hit(decision)
             self._expire_entry(flow, decision)
         # Reverse direction of an established (keep state) flow.  Building
         # the reversed FlowSpec costs an allocation, so skip it entirely
@@ -138,19 +127,15 @@ class DecisionCache:
                 self._expire_entry(reverse_flow, reverse)
                 reverse = None
             if reverse is not None and reverse.keep_state and reverse.is_pass:
-                return self._hit(reverse_flow, reverse)
+                return self._hit(reverse)
         self.misses += 1
         return None
 
     def _fresh(self, decision: CachedDecision, now: float) -> bool:
         return not self.ttl or now - decision.decided_at <= self.ttl
 
-    def _hit(self, flow: FlowSpec, decision: CachedDecision) -> CachedDecision:
+    def _hit(self, decision: CachedDecision) -> CachedDecision:
         self.hits += 1
-        if self.capacity is not None:
-            # Refresh recency so hot flows survive LRU pressure.
-            self._decisions.pop(flow)
-            self._decisions[flow] = decision
         return decision
 
     def invalidate(self, flow: FlowSpec) -> bool:
@@ -244,12 +229,6 @@ class DecisionCache:
         self._drop_entry_bookkeeping(decision)
         self.expirations += 1
 
-    def _evict_lru(self) -> None:
-        victim_flow = next(iter(self._decisions))
-        victim = self._decisions.pop(victim_flow)
-        self._drop_entry_bookkeeping(victim)
-        self.evictions += 1
-
     def _drop_entry_bookkeeping(self, decision: Optional[CachedDecision]) -> None:
         """Unwind the counters/index for an entry leaving the cache."""
         if decision is None:
@@ -286,7 +265,6 @@ class DecisionCache:
             "misses": float(self.misses),
             "hit_rate": self.hit_rate(),
             "expirations": float(self.expirations),
-            "evictions": float(self.evictions),
             "reverse_candidates": float(self._reverse_candidates),
             "pending_deadlines": float(len(self._expiry)),
         }

@@ -297,17 +297,16 @@ class ControllerConfig:
       controller registers standing interest in it.
     * ``push_idle_demote`` — idle seconds after which the lifecycle
       sweeper demotes a subscribed host back to the pull plane.
-    * ``push_max_subscriptions`` — optional hard cap on the
-      subscription table (the bounded-state invariant's knob).
 
     What nothing sets is not a field: both ends of a flow are always
-    queried (§3.4) for ``DEFAULT_QUERY_KEYS``, the decision cache is
-    bounded by its TTL, and the flow-entry priorities are the module
-    constants ``QUARANTINE_PRIORITY`` > ``FLOW_PRIORITY`` >
-    ``DROP_PRIORITY``.
+    queried (§3.4) for ``DEFAULT_QUERY_KEYS``, a pass is always installed
+    along the whole path (§3.4), the decision cache is bounded by its
+    TTL, the subscription table by the host count, and the flow-entry
+    priorities are the module constants ``QUARANTINE_PRIORITY`` >
+    ``FLOW_PRIORITY`` > ``DROP_PRIORITY``.  Every field has a caller
+    outside the tests (``tests/test_options_have_callers.py``).
     """
 
-    install_along_path: bool = True
     idle_timeout: float = 60.0
     hard_timeout: float = 0.0
     decision_ttl: float = 60.0
@@ -322,7 +321,6 @@ class ControllerConfig:
     identity_plane: str = "pull"
     push_promote_punts: int = 3
     push_idle_demote: float = 30.0
-    push_max_subscriptions: Optional[int] = None
 
 
 class IdentPPController(Controller):
@@ -358,7 +356,6 @@ class IdentPPController(Controller):
             name=f"{name}.query-engine",
             push=self.config.identity_plane == "push",
             push_idle_demote=self.config.push_idle_demote,
-            push_max_subscriptions=self.config.push_max_subscriptions,
         )
         # Punt tallies per destination IP feeding hot-host promotion;
         # reset on demotion so a host re-earns residency from fresh
@@ -1019,7 +1016,7 @@ class IdentPPController(Controller):
         every punt when nothing is installed.
         """
         config = self.config
-        plan = self._hop_plan(flow) if config.install_along_path else ()
+        plan = self._hop_plan(flow)
         forward_by_switch: dict[str, tuple] = {}
         carried: set[int] = set()
         if plan:
@@ -1242,11 +1239,11 @@ class IdentPPController(Controller):
         return list(self._pending)
 
     def inflight_count(self) -> int:
-        """Return how many punts are mid-pipeline (wait/query/queued/eval stage)."""
-        return len(self._pending)
+        """Return how many punted flows await a decision (any stage).
 
-    def pending_depth(self) -> int:
-        """Return how many flows await a decision (telemetry probe tap)."""
+        The telemetry plane samples it as the ``{shard}.pending_depth``
+        series.
+        """
         return len(self._pending)
 
     def serial_depth(self) -> int:
@@ -1405,7 +1402,6 @@ class IdentPPController(Controller):
             "identity_plane": self.config.identity_plane,
             "query_engine": self.query_engine.stats(),
             "lifecycle": self.lifecycle.stats(),
-            "pending_flows": len(self._pending),
             "inflight_decisions": len(self._pending),
             "serial_queue": {
                 "depth": self._serial.depth(),

@@ -52,8 +52,8 @@ class DelegationGrant:
 class DelegationManager:
     """All delegation grants known to one controller."""
 
-    def __init__(self, keystore: Optional[KeyStore] = None) -> None:
-        self.keystore = keystore if keystore is not None else KeyStore()
+    def __init__(self) -> None:
+        self.keystore = KeyStore()
         self._grants: dict[str, DelegationGrant] = {}
         #: Bumped whenever the active grant set changes, so the policy
         #: engine can cache its ``@pubkeys`` dictionary between decisions.

@@ -77,7 +77,6 @@ class FlowResult:
 
     flow: FlowSpec
     delivered: bool
-    setup_latency: Optional[float]
     decision_action: Optional[str]
     decision_rule: str = ""
 
@@ -140,7 +139,6 @@ class IdentPPNetwork:
         shards: int = 2,
         config: Optional[ControllerConfig] = None,
         policy_default_action: str = "pass",
-        **cluster_kwargs,
     ) -> ControllerCluster:
         """Front the network with a sharded controller cluster.
 
@@ -172,7 +170,6 @@ class IdentPPNetwork:
             shards=shards,
             config=config,
             policy_default_action=policy_default_action,
-            **cluster_kwargs,
         )
         self.cluster = cluster
         self.controllers.update(cluster.replicas)
@@ -183,10 +180,9 @@ class IdentPPNetwork:
         name: str,
         *,
         controller: Optional[IdentPPController] = None,
-        table_capacity: Optional[int] = None,
     ) -> OpenFlowSwitch:
         """Create a switch, add it to the topology and register it with a controller."""
-        switch = OpenFlowSwitch(name, table_capacity=table_capacity, trace=self.topology.trace)
+        switch = self._new_switch(name)
         self.topology.add_node(switch)
         self._register_switch(switch, controller)
         return switch
@@ -210,7 +206,6 @@ class IdentPPNetwork:
         leaves: int = 4,
         prefix: str = "fabric",
         controller: Optional[IdentPPController] = None,
-        table_capacity: Optional[int] = None,
     ) -> SpineLeafFabric:
         """Grow a spine-leaf enforcement fabric inside this network.
 
@@ -221,7 +216,7 @@ class IdentPPNetwork:
         hosts to ``fabric.leaves`` entries with :meth:`add_host`.
         """
         fabric = build_spine_leaf(
-            self._fabric_switch_factory(table_capacity),
+            self._new_switch,
             spines=spines,
             leaves=leaves,
             topology=self.topology,
@@ -239,7 +234,6 @@ class IdentPPNetwork:
         k: int = 4,
         prefix: str = "ft",
         controller: Optional[IdentPPController] = None,
-        table_capacity: Optional[int] = None,
     ) -> FatTreeFabric:
         """Grow a k-ary fat-tree enforcement fabric inside this network.
 
@@ -247,7 +241,7 @@ class IdentPPNetwork:
         attach hosts to the edge switches (``fabric.pod_edges(pod)``).
         """
         fabric = build_fat_tree(
-            self._fabric_switch_factory(table_capacity),
+            self._new_switch,
             k=k,
             topology=self.topology,
             prefix=prefix,
@@ -258,13 +252,10 @@ class IdentPPNetwork:
             self._register_switch(switch, controller)
         return fabric
 
-    def _fabric_switch_factory(self, table_capacity: Optional[int]):
-        """Return the switch factory the netsim fabric builders call."""
-        def factory(name: str) -> OpenFlowSwitch:
-            return OpenFlowSwitch(
-                name, table_capacity=table_capacity, trace=self.topology.trace
-            )
-        return factory
+    def _new_switch(self, name: str) -> OpenFlowSwitch:
+        """Return an unplaced switch on this network's packet capture (the
+        switch factory of :meth:`add_switch` and the fabric builders)."""
+        return OpenFlowSwitch(name, trace=self.topology.trace)
 
     def add_host(
         self,
@@ -425,7 +416,6 @@ class IdentPPNetwork:
         return FlowResult(
             flow=flow,
             delivered=delivered,
-            setup_latency=record.query_latency if record else None,
             decision_action=record.action if record else None,
             decision_rule=record.rule_text if record else "",
         )
@@ -492,7 +482,6 @@ class IdentPPClusterNetwork(IdentPPNetwork):
         link_bandwidth: Optional[float] = DEFAULT_BANDWIDTH,
         controller_config: Optional[ControllerConfig] = None,
         policy_default_action: str = "pass",
-        **cluster_kwargs,
     ) -> None:
         super().__init__(
             name,
@@ -505,7 +494,6 @@ class IdentPPClusterNetwork(IdentPPNetwork):
             shards=shards,
             config=controller_config,
             policy_default_action=policy_default_action,
-            **cluster_kwargs,
         )
 
     def start_monitoring(self) -> None:

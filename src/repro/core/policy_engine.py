@@ -75,14 +75,13 @@ class PolicyEngine:
         *,
         registry: Optional[FunctionRegistry] = None,
         default_action: str = ACTION_PASS,
-        delegations: Optional[DelegationManager] = None,
         name: str = "policy-engine",
     ) -> None:
         self.name = name
         self.loader = RulesetLoader()
         self.registry = registry if registry is not None else default_registry()
         self.default_action = default_action
-        self.delegations = delegations if delegations is not None else DelegationManager()
+        self.delegations = DelegationManager()
         self._evaluator: Optional[PolicyEvaluator] = None
         self.decisions_made = 0
         self.pubkeys_refreshes = 0
@@ -192,8 +191,8 @@ class PolicyEngine:
     def decide_batch(self, items: Sequence[tuple]) -> list[PolicyDecision]:
         """Decide each ``(flow, src_doc, dst_doc)`` of ``items`` in turn.
 
-        Kept only because ``perf/tracing.py`` resolves the name; delete
-        when ``perf/`` thaws (ROADMAP item 2).
+        Kept because ``perf/tracing.py`` resolves the name, and ``perf/``
+        is frozen: the benchmark runs it as committed.
         """
         return [self.decide(*item) for item in items]
 

@@ -110,16 +110,10 @@ class QueryOutcome:
 class QueryClient:
     """Issues ident++ queries on behalf of a controller."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        *,
-        default_keys: Sequence[str] = DEFAULT_QUERY_KEYS,
-        timeout: float = DEFAULT_QUERY_TIMEOUT,
-    ) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.default_keys = tuple(default_keys)
-        self.timeout = timeout
+        self.default_keys = DEFAULT_QUERY_KEYS
+        self.timeout = DEFAULT_QUERY_TIMEOUT
         self.queries_sent = Counter("query_client.queries_sent")
         self.queries_intercepted = Counter("query_client.queries_intercepted")
         self.queries_timed_out = Counter("query_client.queries_timed_out")

@@ -172,7 +172,6 @@ class QueryEngine:
         name: str = "query-engine",
         push: bool = False,
         push_idle_demote: float = DEFAULT_PUSH_IDLE_DEMOTE,
-        push_max_subscriptions: Optional[int] = None,
     ) -> None:
         self.client = client
         self.name = name
@@ -181,9 +180,6 @@ class QueryEngine:
         #: The push identity plane: subscribe-and-push for hot hosts.
         self.push = push
         self.push_idle_demote = push_idle_demote
-        #: Hard cap on the subscription table (bounded-state invariant);
-        #: ``None`` means unbounded.
-        self.push_max_subscriptions = push_max_subscriptions
         #: Called with the host IP whenever a subscription is closed, so
         #: the controller can reset that host's promotion counter (a
         #: demoted host must re-earn residency from fresh punt history).
@@ -645,13 +641,13 @@ class QueryEngine:
         """Open (or confirm) a standing subscription on one host's daemon.
 
         Returns ``True`` when the host is subscribed after the call.
-        Refusals — push plane off, no daemon on the host, a legacy
-        wire-v1 daemon, or the subscription table at
-        :attr:`push_max_subscriptions` — return ``False``.  A refusing
-        daemon *object* is remembered and never re-knocked, but a
-        replaced (possibly upgraded) daemon on the same IP gets a fresh
-        attempt, mirroring the host-ip → daemon-ref keying of the
-        invalidation listeners.
+        Refusals — push plane off, no daemon on the host, or a legacy
+        wire-v1 daemon — return ``False``.  The table holds at most one
+        subscription per host, and idle ones are demoted after
+        :attr:`push_idle_demote`.  A refusing daemon *object* is
+        remembered and never re-knocked, but a replaced (possibly
+        upgraded) daemon on the same IP gets a fresh attempt, mirroring
+        the host-ip → daemon-ref keying of the invalidation listeners.
         """
         if not self.push:
             return False
@@ -670,11 +666,6 @@ class QueryEngine:
             # negotiate with the new daemon from scratch.
             self._close_subscription(ip)
         if self._push_refused.get(ip) is daemon:
-            return False
-        if (
-            self.push_max_subscriptions is not None
-            and len(self._subs) >= self.push_max_subscriptions
-        ):
             return False
         ack = daemon.subscribe(
             IdentSubscribe(

@@ -17,8 +17,8 @@ This package models exactly that abstraction:
 * :mod:`repro.openflow.channel` — the switch↔controller control channel
   with configurable latency,
 * :mod:`repro.openflow.switch` — the datapath node,
-* :mod:`repro.openflow.controller_base` — a base class controllers
-  (ident++, Ethane baseline, learning switch) build on.
+* :mod:`repro.openflow.controller_base` — the base class the ident++
+  controller and the baseline controllers build on.
 """
 
 from repro.openflow.actions import (
@@ -29,7 +29,7 @@ from repro.openflow.actions import (
     OutputAction,
 )
 from repro.openflow.channel import ControllerChannel
-from repro.openflow.controller_base import Controller, LearningSwitchController
+from repro.openflow.controller_base import Controller
 from repro.openflow.flow_table import FlowEntry, FlowTable
 from repro.openflow.match import Match
 from repro.openflow.messages import (
@@ -50,7 +50,6 @@ __all__ = [
     "OutputAction",
     "ControllerChannel",
     "Controller",
-    "LearningSwitchController",
     "FlowEntry",
     "FlowTable",
     "Match",

@@ -1,10 +1,10 @@
-"""Controller base class and a learning-switch reference controller.
+"""Controller base class.
 
-The ident++ controller (:mod:`repro.core.controller`), the Ethane-style
-baseline and the plain learning switch all share the same mechanics:
-they own control channels to a set of switches, receive ``packet_in``
-messages and answer with ``flow_mod`` / ``packet_out``.  That shared
-machinery lives in :class:`Controller`.
+The ident++ controller (:mod:`repro.core.controller`) and the baseline
+controllers (:mod:`repro.baselines`) share the same mechanics: they own
+control channels to a set of switches, receive ``packet_in`` messages
+and answer with ``flow_mod`` / ``packet_out``.  That shared machinery
+lives in :class:`Controller`.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from collections import deque
 from typing import Iterable, Optional, Sequence
 
 from repro.exceptions import ChannelError, OpenFlowError
-from repro.netsim.addresses import MACAddress
 from repro.netsim.events import Simulator
 from repro.netsim.statistics import Counter, StatsRegistry
-from repro.openflow.actions import Action, FloodAction, OutputAction
+from repro.openflow.actions import Action
 from repro.openflow.channel import DEFAULT_CONTROL_LATENCY, ControllerChannel
 from repro.openflow.flow_table import DEFAULT_PRIORITY
 from repro.openflow.match import Match
@@ -273,46 +272,3 @@ class Controller:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, switches={len(self.channels)})"
-
-
-class LearningSwitchController(Controller):
-    """A MAC-learning controller: the simplest functional baseline.
-
-    It provides no security policy at all; everything is forwarded.  The
-    baselines package builds on it and the tests use it to validate the
-    OpenFlow substrate independently of ident++.
-    """
-
-    def __init__(self, name: str = "learning-controller", *, idle_timeout: float = 60.0) -> None:
-        super().__init__(name)
-        self.idle_timeout = idle_timeout
-        # Per-switch MAC → port tables.
-        self._mac_tables: dict[str, dict[MACAddress, int]] = {}
-
-    def on_packet_in(self, message: PacketIn) -> None:
-        switch = message.switch
-        packet = message.packet
-        table = self._mac_tables.setdefault(switch.name, {})
-        if not packet.eth_src.is_multicast():
-            table[packet.eth_src] = message.in_port
-        out_port = table.get(packet.eth_dst)
-        if out_port is None or out_port == message.in_port:
-            self.send_packet_out(
-                switch, actions=[FloodAction()], buffer_id=message.buffer_id,
-                in_port=message.in_port,
-            )
-            return
-        match = Match.from_packet(packet, in_port=message.in_port)
-        self.install_flow(
-            switch,
-            match,
-            [OutputAction(out_port)],
-            idle_timeout=self.idle_timeout,
-            buffer_id=message.buffer_id,
-            cookie="learning",
-        )
-
-    def learned_port(self, switch: OpenFlowSwitch | str, mac: MACAddress | str) -> Optional[int]:
-        """Return the port ``mac`` was learned on for ``switch`` (testing hook)."""
-        name = switch if isinstance(switch, str) else switch.name
-        return self._mac_tables.get(name, {}).get(MACAddress(mac))

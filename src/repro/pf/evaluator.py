@@ -145,8 +145,8 @@ class PolicyEvaluator:
     def evaluate_batch(self, items: Sequence[tuple]) -> list[Verdict]:
         """Evaluate each ``(flow, src_doc, dst_doc)`` of ``items`` in turn.
 
-        Kept only because ``perf/tracing.py`` resolves the name; delete
-        when ``perf/`` thaws (ROADMAP item 2).
+        Kept because ``perf/tracing.py`` resolves the name, and ``perf/``
+        is frozen: the benchmark runs it as committed.
         """
         return [self.evaluate(*item) for item in items]
 

@@ -1,7 +1,7 @@
 """The telemetry plane: streaming metrics, deviation detection, alerting.
 
-ROADMAP open item 4 — the control plane watching itself.  Three layers
-(the pipeline/deviation/alerting split):
+The control plane watching itself.  Three layers (the
+pipeline/deviation/alerting split):
 
 * :mod:`repro.telemetry.pipeline` — :class:`TelemetryProbe` taps on the
   hot paths, sampled on virtual time into bounded :class:`TimeSeries`

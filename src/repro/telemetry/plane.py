@@ -57,6 +57,20 @@ DEFAULT_GAP_MULTIPLE = 4.0
 #: (the conficker outbreak sprays well past 100/vsec).
 DEFAULT_SPIKE_MIN_RATE = 10.0
 
+#: Samples a detector sees before it may fire (spike, collapse, growth).
+SPIKE_WARMUP = 10
+
+#: Window (virtual seconds) of every windowed rate probe.
+RATE_WINDOW = 0.25
+
+#: Minimum gap (virtual seconds) between two alerts of one kind from one
+#: source (the alert router's flood control).
+ALERT_COOLDOWN = 0.1
+
+#: How far back (virtual seconds) the auto-quarantine responder reads the
+#: audit trail to attribute a punt-rate spike to its sources.
+ATTRIBUTION_WINDOW = 0.5
+
 
 class _ClusterAuditView:
     """The newest-first walk :class:`AutoQuarantineResponder` makes of an
@@ -89,46 +103,29 @@ class TelemetryPlane:
         network,
         *,
         interval: float = DEFAULT_INTERVAL,
-        capacity: int = 512,
-        rate_window: float = 0.25,
-        alert_cooldown: float = 0.1,
         auto_quarantine: bool = True,
         fanout_threshold: int = 8,
-        attribution_window: float = 0.5,
-        gap_multiple: float = DEFAULT_GAP_MULTIPLE,
-        spike_warmup: int = 10,
-        spike_min_rate: float = DEFAULT_SPIKE_MIN_RATE,
-        registry=None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"telemetry interval must be positive (got {interval})")
         self.network = network
         self.interval = interval
         self.cluster = getattr(network, "cluster", None)
-        self.pipeline = MetricsPipeline(
-            f"{network.name}.telemetry", capacity=capacity, registry=registry
-        )
+        self.pipeline = MetricsPipeline(f"{network.name}.telemetry")
         self.monitor = DeviationMonitor()
-        self.router = AlertRouter(cooldown=alert_cooldown)
+        self.router = AlertRouter(cooldown=ALERT_COOLDOWN)
         self.responder: Optional[AutoQuarantineResponder] = None
-        self._rate_window = rate_window
         self._last_seen: dict[str, float] = {}
         self._rates: dict[str, RateCounter] = {}
         self._ratios: dict[str, dict[str, float]] = {}
         self._push: dict[str, dict[str, float]] = {}
 
         self._wire_probes()
-        self._wire_detectors(
-            gap_multiple=gap_multiple,
-            spike_warmup=spike_warmup,
-            spike_min_rate=spike_min_rate,
-        )
+        self._wire_detectors()
         self.monitor.attach(self.pipeline)
         self.router.attach(self.monitor)
         if auto_quarantine:
-            self._wire_quarantine(
-                fanout_threshold=fanout_threshold, window=attribution_window
-            )
+            self._wire_quarantine(fanout_threshold=fanout_threshold)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -141,7 +138,7 @@ class TelemetryPlane:
     def _rate(self, name: str) -> RateCounter:
         counter = self._rates.get(name)
         if counter is None:
-            counter = self._rates[name] = RateCounter(name, self._rate_window)
+            counter = self._rates[name] = RateCounter(name, RATE_WINDOW)
         return counter
 
     def _wire_probes(self) -> None:
@@ -159,7 +156,7 @@ class TelemetryPlane:
             pipe.probe(f"{name}.punt_rate", lambda now, rc=punt_rate: rc.rate(now))
             pipe.probe(
                 f"{name}.pending_depth",
-                lambda now, c=controller: float(c.pending_depth()),
+                lambda now, c=controller: float(c.inflight_count()),
             )
             pipe.probe(
                 f"{name}.serial_depth",
@@ -255,7 +252,7 @@ class TelemetryPlane:
                         sum(c.packet_ins.value for c in controllers.values())
                     ),
                     "pending": float(
-                        sum(c.pending_depth() for c in controllers.values())
+                        sum(c.inflight_count() for c in controllers.values())
                     ),
                     "hit_ratio": hits / lookups if lookups else 0.0,
                 }
@@ -277,9 +274,7 @@ class TelemetryPlane:
                 "cluster.failovers", lambda now: self._rollup.get("failovers", 0.0)
             )
 
-    def _wire_detectors(
-        self, *, gap_multiple: float, spike_warmup: int, spike_min_rate: float
-    ) -> None:
+    def _wire_detectors(self) -> None:
         # Worm signature: the cluster-wide punt rate spikes when a
         # scanner sprays never-seen flows.  This is the detector the
         # auto-quarantine responder hangs off.  The absolute floor keeps
@@ -288,29 +283,29 @@ class TelemetryPlane:
         self.monitor.watch(
             SpikeDetector(
                 "cluster.punt_rate",
-                warmup=spike_warmup,
+                warmup=SPIKE_WARMUP,
                 min_streak=2,
-                min_value=spike_min_rate,
+                min_value=DEFAULT_SPIKE_MIN_RATE,
             )
         )
         # Invalidation storm: the aggregate hit ratio collapses.
         self.monitor.watch(
-            CollapseDetector("cluster.hit_ratio", warmup=spike_warmup)
+            CollapseDetector("cluster.hit_ratio", warmup=SPIKE_WARMUP)
         )
         # Daemon brownout: per-shard pending depth grows monotonically.
         for name in self._controllers():
             self.monitor.watch(
-                GrowthDetector(f"{name}.pending_depth", warmup=spike_warmup)
+                GrowthDetector(f"{name}.pending_depth", warmup=SPIKE_WARMUP)
             )
         # Shard loss: heartbeat gap exceeds its structural bound.
         if self.cluster is not None:
-            max_gap = gap_multiple * self.interval
+            max_gap = DEFAULT_GAP_MULTIPLE * self.interval
             for name in self._controllers():
                 self.monitor.watch(
                     GapDetector(f"{name}.heartbeat_gap", max_gap=max_gap)
                 )
 
-    def _wire_quarantine(self, *, fanout_threshold: int, window: float) -> None:
+    def _wire_quarantine(self, *, fanout_threshold: int) -> None:
         if self.cluster is not None:
             audit = _ClusterAuditView(self.cluster)
             quarantine = self.cluster.coordinator.quarantine_host
@@ -325,7 +320,7 @@ class TelemetryPlane:
             audit,
             quarantine,
             fanout_threshold=fanout_threshold,
-            window=window,
+            window=ATTRIBUTION_WINDOW,
         )
         self.router.respond("spike", self.responder)
 

@@ -210,13 +210,13 @@ def error_probe() -> dict:
         "healthy_flow_delivered": healthy.delivered,
         "error_flow_delivered": poisoned.delivered,
         "error_flow_audited": len(error_records) == 1,
-        "pending_after": controller.pending_depth(),
+        "pending_after": controller.inflight_count(),
         "buffered_after": switch.buffered_count(),
         "policy_errors": controller.policy_errors,
         "failed_closed": (
             not poisoned.delivered
             and len(error_records) == 1
-            and not controller.pending_depth()
+            and not controller.inflight_count()
             and switch.buffered_count() == 0
         ),
     }

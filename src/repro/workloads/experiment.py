@@ -694,7 +694,6 @@ def _build_network(spec: ScenarioSpec) -> IdentPPNetwork:
         return IdentPPClusterNetwork(
             f"matrix-{spec.control}", shards=shards, controller_config=config,
             policy_default_action="block",
-            heartbeat_interval=0.05, miss_threshold=2,
         )
     return IdentPPNetwork(
         "matrix-single", controller_config=config, policy_default_action="block",
@@ -979,10 +978,10 @@ def run_cell(spec: ScenarioSpec) -> dict:
 
 
 # ======================================================================
-# The committed default matrix (ROADMAP item 3's >= 20 cells)
+# The committed default matrix (the matrix gate: at least 20 cells)
 # ======================================================================
 
-#: ROADMAP item 3's acceptance floor for the committed matrix size.
+#: The floor the ``matrix`` soak gates the committed matrix's size on.
 MATRIX_MIN_CELLS = 20
 
 

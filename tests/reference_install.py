@@ -70,7 +70,7 @@ def _install_path(
     """Install forward (and, for ``keep state``, reverse) entries, then release every punt."""
     egress_by_switch: dict[str, int] = {}
     path = _path_for_flow(self, flow)
-    if path is not None and self.config.install_along_path:
+    if path is not None:
         match = Match.from_five_tuple(
             flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port
         )

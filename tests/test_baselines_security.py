@@ -36,12 +36,6 @@ class TestVanillaFirewall:
         assert firewall.decide(LAN_TO_SERVER_HTTP) == "pass"
         assert firewall.decide(LAN_TO_SERVER_HTTP.reversed()) == "pass"
 
-    def test_ignores_context(self):
-        from repro.baselines.base import FlowContext
-        firewall = VanillaFirewall([FirewallRule("block")])
-        context = FlowContext(src_user="system", src_app="Server")
-        assert firewall.decide(LAN_TO_SERVER_SMB, context) == "block"
-
     def test_allow_deny_helpers_and_defaults(self):
         firewall = VanillaFirewall()
         firewall.allow(dst="192.168.1.0/24", dst_port=80)
@@ -93,14 +87,12 @@ class TestEthane:
         assert policy.binding_for("203.0.113.5") is None
 
     def test_cannot_express_application_rules(self):
-        # Ethane ignores application context entirely: telnet and http from the
-        # same user/host are indistinguishable.
-        from repro.baselines.base import FlowContext
+        # Ethane sees users and ports, never applications: a decision takes
+        # the flow alone, so telnet and http from one user/host look the same.
         policy = self.build()
-        http = policy.decide(LAN_TO_SERVER_HTTP, FlowContext(src_app="http"))
-        telnet = policy.decide(LAN_TO_SERVER_HTTP, FlowContext(src_app="telnet"))
-        assert http == telnet == "pass"
+        assert policy.decide(LAN_TO_SERVER_HTTP) == "pass"
         assert "authenticated users" in policy.uses_information()
+        assert not any("application" in info for info in policy.uses_information())
 
 
 class TestVLAN:

@@ -1,11 +1,8 @@
 """Tests for heartbeat failure detection, re-homing and re-punting."""
 
-import pytest
-
 from repro.cluster.cluster import identity_key
 from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork, IdentPPNetwork
-from repro.exceptions import SimulationError
 from repro.identpp.flowspec import FlowSpec
 from repro.workloads.invariants import (
     check_bounded_state,
@@ -35,8 +32,6 @@ POLICY = {
 
 
 def build_network(shards=4, **kwargs):
-    kwargs.setdefault("heartbeat_interval", 0.05)
-    kwargs.setdefault("miss_threshold", 2)
     net = IdentPPClusterNetwork("failover-test", shards=shards,
                                 policy_default_action="block", **kwargs)
     sw = net.add_switch("sw")
@@ -248,12 +243,6 @@ class TestFailover:
         ]
         assert len(deciders) == 1 and deciders[0] != owner
         assert net.cluster.pending_total() == 0
-
-    def test_invalid_monitor_parameters_rejected(self):
-        with pytest.raises(SimulationError):
-            build_network(heartbeat_interval=0.0)
-        with pytest.raises(SimulationError):
-            build_network(miss_threshold=0)
 
 
 class TestSerializedDecisionLoop:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.shard_map import ShardMap, flow_key
+from repro.cluster.shard_map import DEFAULT_VNODES, ShardMap, flow_key
 from repro.exceptions import TopologyError
 from repro.identpp.flowspec import FlowSpec
 
@@ -37,7 +37,7 @@ class TestAssignment:
             assert flow_key(flow) == flow_key(flow.reversed())
 
     def test_balance_within_reason(self):
-        ring = ShardMap(SHARDS, vnodes=128)
+        ring = ShardMap(SHARDS)
         counts = ring.assignment_counts(make_flows(4000))
         assert set(counts) == set(SHARDS)
         # Consistent hashing is not perfectly uniform, but no shard may
@@ -145,9 +145,9 @@ class TestMembership:
         assert ring.shards() == ["a"]
 
     def test_stats_shape(self):
-        ring = ShardMap(SHARDS, vnodes=16)
+        ring = ShardMap(SHARDS)
         ring.owner(make_flows(1)[0])
         stats = ring.stats()
         assert stats["shards"] == 4
-        assert stats["ring_size"] == 4 * 16
+        assert stats["ring_size"] == 4 * DEFAULT_VNODES
         assert stats["lookups"] == 1

@@ -299,7 +299,7 @@ class TestUncoveredPendingProbe:
         open_flows(net, 3)
         net.run(0.0003)  # punts delivered, queries in flight
         controller = net.controller
-        assert controller.pending_depth() == 3
+        assert controller.inflight_count() == 3
         assert controller._uncovered_pending_count() == len(controller._uncovered_pending()) == 0
         # Uncover one task the way the churn test's chaos harness does:
         # the probe must notice exactly what the scan sees.

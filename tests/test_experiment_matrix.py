@@ -319,7 +319,7 @@ def reversed_ties(monkeypatch):
 
 
 class TestReversedTies:
-    """ROADMAP 5(f), first half: no verdict may hang on a same-instant tie-break."""
+    """The tie rule, first half: no verdict may hang on a same-instant tie-break."""
 
     @staticmethod
     def verdicts(cells):

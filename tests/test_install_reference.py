@@ -286,13 +286,6 @@ class TestFlowModCarriesTheBuffer:
         assert int(net.controller.packet_outs.value) >= 2
         assert all(s.buffered_count() == 0 for s in net.switches.values())
 
-    def test_nothing_installed_means_every_punt_is_a_packet_out(self):
-        net = build("line", keep_state=False, install_along_path=False)
-        _, result = decide(net)
-        assert result.delivered
-        assert int(net.controller.flow_mods.value) == 0
-        assert int(net.controller.packet_outs.value) >= 1
-
 
 class TestUnwindOnlyWhereEntriesRemain:
     def test_single_entry_reporter_is_skipped(self):

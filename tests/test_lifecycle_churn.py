@@ -139,21 +139,6 @@ class TestDecisionCacheLifecycle:
         assert cache.expire(3.5) == 1
         assert len(cache) == 0
 
-    def test_capacity_bound_evicts_lru(self):
-        cache = DecisionCache(ttl=0.0, capacity=2)
-        a, b, c = self.flow(1), self.flow(2), self.flow(3)
-        cache.store(a, "pass", "ca", 0.0, keep_state=True)
-        cache.store(b, "pass", "cb", 0.0)
-        cache.lookup(a, 0.0)  # refresh a's recency; b becomes the victim
-        cache.store(c, "pass", "cc", 0.0)
-        assert len(cache) == 2
-        assert a in cache and c in cache and b not in cache
-        assert cache.evictions == 1
-        # Evicting a keep-state pass later unwinds the reverse counter.
-        cache.store(self.flow(4), "pass", "cd", 0.0)
-        cache.store(self.flow(5), "pass", "ce", 0.0)
-        assert cache._reverse_candidates == 0
-
     def test_expiry_heap_stays_bounded_without_sweeps(self):
         # Regression: with lifecycle sweeps disabled, store() itself must
         # drain due heap records or the heap grows one record per
@@ -166,11 +151,11 @@ class TestDecisionCacheLifecycle:
         assert len(cache) == 1  # everything older than the TTL was evicted
 
     def test_stats_shape(self):
-        cache = DecisionCache(ttl=1.0, capacity=8)
+        cache = DecisionCache(ttl=1.0)
         cache.store(self.flow(), "pass", "c1", 0.0, keep_state=True)
         stats = cache.stats()
         for key in ("entries", "hits", "misses", "hit_rate", "expirations",
-                    "evictions", "reverse_candidates", "pending_deadlines"):
+                    "reverse_candidates", "pending_deadlines"):
             assert key in stats
         assert stats["entries"] == 1.0
         assert stats["reverse_candidates"] == 1.0
@@ -371,16 +356,24 @@ class TestOneDeadlinePerController:
         sim = net.topology.sim
         self.open_wave(net, 4)
         net.run(duration=0.0003)   # punts delivered, queries in flight
-        assert net.controller.pending_depth() == 4
+        assert net.controller.inflight_count() == 4
         assert net.controller._deadline_event is not None
         net.run(duration=0.1)
-        assert net.controller.pending_depth() == 0 and net.controller.pending_expired == 0
+        assert net.controller.inflight_count() == 0 and net.controller.pending_expired == 0
         assert net.controller._deadline_event is None
         assert all(event.cancelled for _, _, event in sim._queue)
         # An unbounded run must end at the last real event, not 5 vs later.
         now = sim.now
         net.run()
         assert sim.now == now
+
+    def test_summary_reports_the_inflight_count_once(self):
+        net = build_network(config=ControllerConfig(pending_deadline=5.0))
+        self.open_wave(net, 4)
+        net.run(duration=0.0003)   # punts delivered, queries in flight
+        summary = net.controller.summary()
+        assert summary["inflight_decisions"] == net.controller.inflight_count() == 4
+        assert "pending_flows" not in summary
 
     def test_halted_controller_fails_nothing_and_resume_rearms_from_now(self):
         net, armed = self.lossy_network(0.3)
@@ -526,7 +519,7 @@ class TestLifecycleSweepsNetwork:
         net.send_flow("client", "http", "alice", "192.168.1.1", 80)
         summary = net.controller.summary()
         assert "lifecycle" in summary
-        assert summary["pending_flows"] == 0
+        assert summary["inflight_decisions"] == 0
         assert summary["policy_errors"] == 0
         assert summary["cache"]["expirations"] == 0.0
 

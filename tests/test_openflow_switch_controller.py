@@ -8,7 +8,7 @@ from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
 from repro.netsim.trace import PacketTrace
 from repro.openflow.actions import Action, ControllerAction, DropAction, FloodAction, OutputAction
-from repro.openflow.controller_base import Controller, LearningSwitchController
+from repro.openflow.controller_base import Controller
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn, PacketOut, StatsRequest
 from repro.openflow.switch import OpenFlowSwitch
@@ -338,10 +338,7 @@ class TestMultiChannelRouting:
         from repro.core.network import HostSpec, IdentPPClusterNetwork
         from repro.identpp.flowspec import FlowSpec
 
-        net = IdentPPClusterNetwork(
-            "rehome", shards=3, policy_default_action="block",
-            heartbeat_interval=0.05, miss_threshold=2,
-        )
+        net = IdentPPClusterNetwork("rehome", shards=3, policy_default_action="block")
         sw = net.add_switch("sw")
         net.add_host(HostSpec(name="client", ip="192.168.0.10",
                               users={"alice": ("users",)}), switch=sw)
@@ -365,24 +362,3 @@ class TestMultiChannelRouting:
         assert all(c.pending_flows() == [] for c in net.cluster.replicas.values())
         assert sw.buffered_count() == 0
         assert net.cluster.repunted_flows == 1
-
-
-class TestLearningSwitch:
-    def test_learns_and_installs_path(self):
-        controller = LearningSwitchController()
-        topo, switch, host_a, host_b = build_fabric(controller)
-        a_to_b = Packet(eth_src="02:00:00:00:00:01", eth_dst="02:00:00:00:00:02",
-                        ip_src="1.1.1.1", ip_dst="2.2.2.2", tp_src=1, tp_dst=2)
-        host_a.send(a_to_b, host_a.port(1))
-        topo.run()
-        # unknown destination: flooded, source learned
-        assert len(host_b.received) == 1
-        assert controller.learned_port(switch, "02:00:00:00:00:01") == 1
-
-        b_to_a = Packet(eth_src="02:00:00:00:00:02", eth_dst="02:00:00:00:00:01",
-                        ip_src="2.2.2.2", ip_dst="1.1.1.1", tp_src=2, tp_dst=1)
-        host_b.send(b_to_a, host_b.port(1))
-        topo.run()
-        assert len(host_a.received) == 1
-        # now a flow entry exists for b->a traffic
-        assert len(switch.flow_table) >= 1

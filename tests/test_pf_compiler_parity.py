@@ -194,7 +194,7 @@ documents = st.none() | st.lists(st.sampled_from(SECTIONS), min_size=1, max_size
 
 
 class TestGeneratedParity:
-    """ROADMAP item 5a: inputs nobody picked, checked against the oracle."""
+    """Generated rulesets and flows, inputs nobody picked, checked against the oracle."""
 
     @settings(max_examples=120, deadline=None)
     @given(

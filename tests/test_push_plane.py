@@ -227,13 +227,6 @@ class TestEnginePush:
         assert engine.subscribe_host(server3.ip) is False
         assert engine.subscriptions_opened == 0
 
-    def test_subscription_table_cap(self):
-        topo, _, client, server, _ = build_world()
-        engine = make_engine(topo, push_max_subscriptions=1)
-        assert engine.subscribe_host(server.ip) is True
-        assert engine.subscribe_host(client.ip) is False
-        assert engine.subscription_count() == 1
-
     @both_entry_points
     def test_delta_refreshes_resident_and_duplicates_are_dropped(self, ask):
         topo, switch, _, server, daemon = build_world()
