@@ -23,7 +23,6 @@ from repro.hosts.users import User, UserDatabase
 from repro.netsim.addresses import IPv4Address, MACAddress
 from repro.netsim.nodes import Node, Port
 from repro.netsim.packet import IP_PROTO_TCP, Packet, proto_number
-from repro.netsim.statistics import Counter
 
 #: Signature of a service handler: receives the packet and the host.
 ServiceHandler = Callable[[Packet, "EndHost"], None]
@@ -47,7 +46,6 @@ class EndHost(Node):
         self.sockets = SocketTable(self.ip)
         self.delivered: list[Packet] = []
         self.delivered_times: list[float] = []
-        self.delivered_bytes = Counter(f"{name}.delivered_bytes")
         self.compromised = False
         self.compromised_as_superuser = False
         self._services: dict[tuple[int, int], ServiceHandler] = {}
@@ -208,7 +206,6 @@ class EndHost(Node):
         Packets not addressed to this host's IP are dropped (hosts do not
         forward).
         """
-        self.packets_received.increment()  # all Node.receive does, without the super() call
         if not packet.is_ip() or packet.ip_dst != self.ip:
             return
         handler = self._services.get((packet.ip_proto, packet.tp_dst))
@@ -218,7 +215,6 @@ class EndHost(Node):
         sim = self.sim
         self.delivered.append(packet)
         self.delivered_times.append(sim.now if sim is not None else 0.0)
-        self.delivered_bytes.increment(packet.wire_size())
 
     # ------------------------------------------------------------------
     # Introspection used by daemons and the security harness

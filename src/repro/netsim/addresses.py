@@ -7,13 +7,14 @@ addresses.  This module implements those primitives from scratch so that
 the rest of the library does not depend on platform networking libraries.
 
 All classes are immutable and hashable so they can be used as dictionary
-keys (flow tables, ARP caches, policy tables).
+keys (flow tables, ARP caches, policy tables).  The two address classes
+are ``int`` subclasses, so a flow-table key that holds them hashes and
+compares in C.
 """
 
 from __future__ import annotations
 
 import re
-from functools import total_ordering
 from typing import Iterable, Iterator, Union
 
 from repro.exceptions import AddressError
@@ -24,43 +25,48 @@ _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}[:\-]){5}[0-9a-fA-F]{2}$")
 IPv4Like = Union["IPv4Address", str, int]
 MACLike = Union["MACAddress", str, int]
 
+#: Address -> its dotted quad, rendered once: cache keys and log lines ask
+#: for the text per lookup, and the same ``str`` object keeps its hash.
+#: Emptied when it reaches ``_DOTTED_QUADS_KEPT`` entries.
+_DOTTED_QUADS: dict["IPv4Address", str] = {}
+_DOTTED_QUADS_KEPT = 4096
 
-@total_ordering
-class IPv4Address:
-    """A single IPv4 address.
+
+class IPv4Address(int):
+    """A single IPv4 address: an immutable ``int`` in ``[0, 2**32)``.
 
     Accepts dotted-quad strings, integers in ``[0, 2**32)`` or another
-    :class:`IPv4Address`.
+    :class:`IPv4Address` (returned as it is).
 
     >>> IPv4Address("192.168.42.32").to_int()
     3232246304
     >>> str(IPv4Address(3232246304))
     '192.168.42.32'
 
-    An address hashes like its integer value, so it finds (and is found
-    by) the equal ``int`` in sets and dicts.  Comparing with a
-    dotted-quad *string* is equality only: ``IPv4Address("10.0.0.1") ==
-    "10.0.0.1"`` holds but the two hash differently, so convert strings
-    before using them as keys beside addresses.
+    Being an ``int``, an address hashes and orders in C and finds (and is
+    found by) the equal ``int`` in sets and dicts.  Its text is the dotted
+    quad, in ``str``, ``repr`` and an empty format spec; any other spec is
+    refused, as for a plain object.  Comparing with a dotted-quad
+    *string* is equality only: ``IPv4Address("10.0.0.1") == "10.0.0.1"``
+    holds but the two hash differently, so convert strings before using
+    them as keys beside addresses.  It never equals a
+    :class:`MACAddress`, whatever the two integers; it is true in a
+    boolean context (``0.0.0.0`` too); and arithmetic other than
+    ``address + offset`` gives a plain ``int``.
     """
 
-    __slots__ = ("_value", "_text")
+    __slots__ = ()
 
-    def __init__(self, address: IPv4Like) -> None:
-        # The dotted-quad text is rendered on first use and then kept
-        # (cache keys and log lines ask for it once per lookup).
-        self._text = None
-        if isinstance(address, IPv4Address):
-            self._value = address._value
-            self._text = address._text
-        elif isinstance(address, int):
+    def __new__(cls, address: IPv4Like) -> "IPv4Address":
+        if address.__class__ is cls:
+            return address
+        if isinstance(address, str):
+            return int.__new__(cls, cls._parse(address))
+        if isinstance(address, int) and not isinstance(address, MACAddress):
             if not 0 <= address < 2**32:
                 raise AddressError(f"IPv4 integer out of range: {address}")
-            self._value = address
-        elif isinstance(address, str):
-            self._value = self._parse(address)
-        else:
-            raise AddressError(f"cannot build IPv4Address from {type(address).__name__}")
+            return int.__new__(cls, address)
+        raise AddressError(f"cannot build IPv4Address from {type(address).__name__}")
 
     @staticmethod
     def _parse(text: str) -> int:
@@ -77,21 +83,15 @@ class IPv4Address:
 
     def to_int(self) -> int:
         """Return the address as an unsigned 32-bit integer."""
-        return self._value
+        return int(self)
 
-    def to_bytes(self) -> bytes:
+    def to_bytes(self) -> bytes:  # type: ignore[override]
         """Return the 4-byte big-endian representation."""
-        return self._value.to_bytes(4, "big")
+        return int.to_bytes(self, 4, "big")
 
     def octets(self) -> tuple[int, int, int, int]:
         """Return the four octets most-significant first."""
-        value = self._value
-        return (
-            (value >> 24) & 0xFF,
-            (value >> 16) & 0xFF,
-            (value >> 8) & 0xFF,
-            value & 0xFF,
-        )
+        return (self >> 24, self >> 16 & 0xFF, self >> 8 & 0xFF, self & 0xFF)
 
     def is_private(self) -> bool:
         """Return ``True`` for RFC 1918 addresses (10/8, 172.16/12, 192.168/16)."""
@@ -110,37 +110,43 @@ class IPv4Address:
         return self in IPv4Network("224.0.0.0/4")
 
     def __str__(self) -> str:
-        text = self._text
+        text = _DOTTED_QUADS.get(self)
         if text is None:
-            text = self._text = ".".join(str(octet) for octet in self.octets())
+            if len(_DOTTED_QUADS) >= _DOTTED_QUADS_KEPT:
+                _DOTTED_QUADS.clear()
+            text = _DOTTED_QUADS[self] = (
+                f"{self >> 24}.{self >> 16 & 0xFF}.{self >> 8 & 0xFF}.{self & 0xFF}"
+            )
         return text
 
     def __repr__(self) -> str:
         return f"IPv4Address({str(self)!r})"
 
+    __format__ = object.__format__
+
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, IPv4Address):
-            return self._value == other._value
-        if isinstance(other, (str, int)):
+        if isinstance(other, int):
+            return NotImplemented if isinstance(other, MACAddress) else int.__eq__(self, other)
+        if isinstance(other, str):
             try:
-                return self._value == IPv4Address(other)._value
+                return int(self) == self._parse(other)
             except AddressError:
                 return NotImplemented
         return NotImplemented
 
-    def __lt__(self, other: "IPv4Address") -> bool:
-        if not isinstance(other, IPv4Address):
-            other = IPv4Address(other)
-        return self._value < other._value
+    def __ne__(self, other: object) -> bool:
+        if isinstance(other, int):
+            return NotImplemented if isinstance(other, MACAddress) else int.__ne__(self, other)
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
-    def __hash__(self) -> int:
-        return hash(self._value)
+    __hash__ = int.__hash__
 
-    def __int__(self) -> int:
-        return self._value
+    def __bool__(self) -> bool:
+        return True
 
     def __add__(self, offset: int) -> "IPv4Address":
-        return IPv4Address((self._value + offset) % 2**32)
+        return IPv4Address((int(self) + offset) % 2**32)
 
 
 class IPv4Network:
@@ -256,30 +262,31 @@ class IPv4Network:
         return f"IPv4Network({str(self)!r})"
 
 
-@total_ordering
-class MACAddress:
-    """A 48-bit Ethernet MAC address.
+class MACAddress(int):
+    """A 48-bit Ethernet MAC address: an immutable ``int`` in ``[0, 2**48)``.
 
     Accepts ``aa:bb:cc:dd:ee:ff`` / ``aa-bb-cc-dd-ee-ff`` strings, 48-bit
-    integers or another :class:`MACAddress`.
+    integers or another :class:`MACAddress` (returned as it is).  Like
+    :class:`IPv4Address` it hashes and orders as its integer, equals its
+    own text, never equals an :class:`IPv4Address`, is always true, and
+    renders as text only.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ()
 
-    def __init__(self, address: MACLike) -> None:
-        if isinstance(address, MACAddress):
-            self._value = address._value
-        elif isinstance(address, int):
-            if not 0 <= address < 2**48:
-                raise AddressError(f"MAC integer out of range: {address}")
-            self._value = address
-        elif isinstance(address, str):
+    def __new__(cls, address: MACLike) -> "MACAddress":
+        if address.__class__ is cls:
+            return address
+        if isinstance(address, str):
             text = address.strip()
             if not _MAC_RE.match(text):
                 raise AddressError(f"invalid MAC address: {address!r}")
-            self._value = int(text.replace(":", "").replace("-", ""), 16)
-        else:
-            raise AddressError(f"cannot build MACAddress from {type(address).__name__}")
+            return int.__new__(cls, int(text.replace(":", "").replace("-", ""), 16))
+        if isinstance(address, int) and not isinstance(address, IPv4Address):
+            if not 0 <= address < 2**48:
+                raise AddressError(f"MAC integer out of range: {address}")
+            return int.__new__(cls, address)
+        raise AddressError(f"cannot build MACAddress from {type(address).__name__}")
 
     @classmethod
     def from_index(cls, index: int) -> "MACAddress":
@@ -293,47 +300,49 @@ class MACAddress:
 
     def to_int(self) -> int:
         """Return the address as an unsigned 48-bit integer."""
-        return self._value
+        return int(self)
 
-    def to_bytes(self) -> bytes:
+    def to_bytes(self) -> bytes:  # type: ignore[override]
         """Return the 6-byte big-endian representation."""
-        return self._value.to_bytes(6, "big")
+        return int.to_bytes(self, 6, "big")
 
     def is_broadcast(self) -> bool:
         """Return ``True`` for ff:ff:ff:ff:ff:ff."""
-        return self._value == 2**48 - 1
+        return self == 2**48 - 1
 
     def is_multicast(self) -> bool:
         """Return ``True`` if the group bit is set (includes broadcast)."""
-        return bool((self._value >> 40) & 0x01)
+        return bool(self >> 40 & 0x01)
 
     def __str__(self) -> str:
-        raw = f"{self._value:012x}"
+        raw = f"{int(self):012x}"
         return ":".join(raw[i : i + 2] for i in range(0, 12, 2))
 
     def __repr__(self) -> str:
         return f"MACAddress({str(self)!r})"
 
+    __format__ = object.__format__
+
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (str, int)):
+        if isinstance(other, int):
+            return NotImplemented if isinstance(other, IPv4Address) else int.__eq__(self, other)
+        if isinstance(other, str):
             try:
-                other = MACAddress(other)
+                return int.__eq__(self, MACAddress(other))
             except AddressError:
                 return NotImplemented
-        if isinstance(other, MACAddress):
-            return self._value == other._value
         return NotImplemented
 
-    def __lt__(self, other: "MACAddress") -> bool:
-        if not isinstance(other, MACAddress):
-            other = MACAddress(other)
-        return self._value < other._value
+    def __ne__(self, other: object) -> bool:
+        if isinstance(other, int):
+            return NotImplemented if isinstance(other, IPv4Address) else int.__ne__(self, other)
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
-    def __hash__(self) -> int:
-        return hash(("MACAddress", self._value))
+    __hash__ = int.__hash__
 
-    def __int__(self) -> int:
-        return self._value
+    def __bool__(self) -> bool:
+        return True
 
 
 #: The Ethernet broadcast address.

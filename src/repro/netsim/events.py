@@ -23,10 +23,15 @@ class Event:
     Events compare by ``(time, seq)``; the callback and its arguments are
     excluded from the ordering.  While the event sits in a simulator's
     queue it remembers that simulator, so :meth:`cancel` can tell the
-    queue it now holds one more dead record.
+    queue it now holds one more dead record.  ``riders`` holds the items
+    of later deliveries that share this event (:meth:`Simulator.deliver`);
+    each is handed to ``callback`` alone, in arrival order, after the
+    event's own call.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "kwargs", "cancelled", "label", "_sim")
+    __slots__ = (
+        "time", "seq", "callback", "args", "kwargs", "cancelled", "label", "riders", "_sim",
+    )
 
     def __init__(
         self,
@@ -46,6 +51,7 @@ class Event:
         self.kwargs = {} if kwargs is None else kwargs
         self.cancelled = cancelled
         self.label = label
+        self.riders: Optional[list] = None
         self._sim = _sim
 
     def cancel(self) -> None:
@@ -322,6 +328,10 @@ class Simulator:
         self._queue: list[tuple[float, int, Event]] = []
         # Cancelled events whose record is still in the heap.
         self._dead = 0
+        # The event scheduled last and, when deliver() scheduled it, the
+        # lane it carries: what a same-instant delivery may ride.
+        self._newest: Optional[Event] = None
+        self._newest_lane: object = None
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -393,6 +403,48 @@ class Simulator:
         seq = next(self._seq)
         event = Event(time, seq, callback, args, kwargs, False, label, self)
         heapq.heappush(self._queue, (time, self._tie_sign * seq, event))
+        self._newest = event
+        self._newest_lane = None
+        return event
+
+    def deliver(
+        self,
+        delay: float,
+        lane: object,
+        callback: Callable[[Any], None],
+        item: Any,
+        *,
+        label: str = "",
+    ) -> Event:
+        """Schedule ``callback(item)`` like :meth:`schedule`, on one ``lane``.
+
+        A lane is one direction of a link or control channel (any object
+        that stands for it).  The delivery rides the lane's previous
+        delivery event instead of scheduling its own when that event is
+        still queued, is due at the same instant, and is the newest event
+        this simulator holds.  Nothing can run between two such events —
+        the second would get the very next sequence number at the same
+        time — so the shared event changes no service order, callback,
+        clock reading or record.  Under ``perturb_ties`` a shared event
+        keeps its deliveries in arrival order, which a link, never
+        reordering, is entitled to.  Returns the event that carries
+        ``item``.
+        """
+        newest = self._newest
+        if (
+            self._newest_lane is lane
+            and newest is not None
+            and newest._sim is not None
+            and newest.time == self._now + delay
+        ):
+            riders = newest.riders
+            if riders is None:
+                newest.riders = [item]
+            else:
+                riders.append(item)
+            return newest
+        event = self.schedule(delay, callback, item, label=label)
+        self._newest_lane = lane
         return event
 
     def schedule_at(
@@ -493,8 +545,17 @@ class Simulator:
                 event.callback(*event.args, **event.kwargs)
             else:
                 event.callback(*event.args)
+            riders = event.riders
+            if riders is not None:
+                callback = event.callback
+                for item in riders:
+                    callback(item)
         if until is not None and not queue and self._now < until:
             self._now = until
+        newest = self._newest
+        if newest is not None and newest._sim is None:
+            # Fired or cancelled: nothing can ride it, so hold nothing it carried.
+            self._newest = None
         return processed, event
 
     def _note_cancelled(self) -> None:
@@ -522,6 +583,7 @@ class Simulator:
         for _, _, event in self._queue:
             event._sim = None
         self._queue.clear()
+        self._newest = None
         self._dead = 0
         self._now = 0.0
         self._events_processed = 0

@@ -59,9 +59,7 @@ class Link:
         self._deliver_label = ""
         self.loss_filter = loss_filter
         self.up = True
-        self.tx_packets = Counter(f"{self.name}.tx_packets")
-        self.tx_bytes = Counter(f"{self.name}.tx_bytes")
-        self.dropped_packets = Counter(f"{self.name}.dropped_packets")
+        self.carried_bytes = Counter(f"{self.name}.carried_bytes")
         port_a.attach_link(self)
         port_b.attach_link(self)
 
@@ -94,15 +92,15 @@ class Link:
 
         Delivery is scheduled on the simulator of the *receiving* node;
         both nodes must therefore be attached to the same simulator (the
-        topology builder guarantees this).
+        topology builder guarantees this).  The receiving port is the
+        direction's lane: packets sent one way at one instant, with
+        nothing scheduled between them, share one delivery event.
         """
         destination = self.other_end(from_port)
         if not self.up or (self.loss_filter is not None and self.loss_filter(packet)):
-            self.dropped_packets.increment()
             return
         size = packet.wire_size()
-        self.tx_packets.increment()
-        self.tx_bytes.increment(size)
+        self.carried_bytes.increment(size)
         sim: Optional[Simulator] = destination.node.sim or from_port.node.sim
         if sim is None:
             raise SimulationError(
@@ -116,7 +114,7 @@ class Link:
         delay = self.latency
         if self.bandwidth is not None:
             delay += size * 8.0 / self.bandwidth
-        sim.schedule(delay, destination.deliver, packet, label=self._deliver_label)
+        sim.deliver(delay, destination, destination.deliver, packet, label=self._deliver_label)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

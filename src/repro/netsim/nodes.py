@@ -97,8 +97,6 @@ class Node:
         self.name = name
         self.sim: Optional["Simulator"] = None
         self._ports: dict[int, Port] = {}
-        self.packets_received = Counter(f"{name}.packets_received")
-        self.packets_sent = Counter(f"{name}.packets_sent")
 
     # ------------------------------------------------------------------
     # Simulator binding
@@ -153,10 +151,9 @@ class Node:
     def receive(self, packet: Packet, in_port: Port) -> None:
         """Handle a packet arriving on ``in_port``.
 
-        The base implementation only counts the packet; switches and
-        hosts override this.
+        The base implementation ignores it; switches and hosts override
+        this.
         """
-        self.packets_received.increment()
 
     def send(self, packet: Packet, out_port: Port | int) -> bool:
         """Send a packet out of the given port (number or object)."""
@@ -164,7 +161,6 @@ class Node:
             out_port = self.port(out_port)
         if out_port.node is not self:
             raise PortError(f"port {out_port.name} does not belong to node {self.name}")
-        self.packets_sent.increment()
         return out_port.send(packet)
 
     def flood(self, packet: Packet, exclude: Port | None = None) -> int:

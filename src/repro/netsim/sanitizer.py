@@ -99,11 +99,16 @@ class EventTraceHasher:
         self.events = 0
 
     def fold(self, event: "Event") -> None:
-        """Mix one fired event into the digest."""
+        """Mix one fired event into the digest.
+
+        An event that carries more than one delivery also folds how many
+        rode it, so dropping or adding one still moves the digest.
+        """
         self.events += 1
-        self._hash.update(
-            f"{event.time!r}|{event.label}|{callback_name(event.callback)}\n".encode()
-        )
+        line = f"{event.time!r}|{event.label}|{callback_name(event.callback)}"
+        if event.riders:
+            line += f"|+{len(event.riders)}"
+        self._hash.update(f"{line}\n".encode())
 
     @property
     def hexdigest(self) -> str:

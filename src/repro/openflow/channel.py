@@ -49,6 +49,10 @@ class ControllerChannel:
         # collide across channels and make the stats unattributable.
         self.to_controller_messages = Counter(f"{switch.name}->{controller.name}.messages")
         self.to_switch_messages = Counter(f"{controller.name}->{switch.name}.messages")
+        # One lane per direction (Simulator.deliver): messages sent one way
+        # at one instant, with nothing scheduled between them, share an event.
+        self._to_controller_lane = object()
+        self._to_switch_lane = object()
         self._relabel()
 
     def _relabel(self) -> None:
@@ -72,8 +76,9 @@ class ControllerChannel:
         self.to_controller_messages.increment()
         if self.switch.name is not self._labelled_name:
             self._relabel()
-        self._sim().schedule(
+        self._sim().deliver(
             self.latency,
+            self._to_controller_lane,
             self.controller.handle_message,
             message,
             label=self._ctrl_rx_label,
@@ -90,8 +95,9 @@ class ControllerChannel:
         self.to_switch_messages.increment()
         if self.switch.name is not self._labelled_name:
             self._relabel()
-        self._sim().schedule(
+        self._sim().deliver(
             self.latency,
+            self._to_switch_lane,
             self.switch.handle_message,
             message,
             label=self._switch_rx_label,

@@ -86,8 +86,6 @@ class OpenFlowSwitch(Node):
         self._recovery_listeners: list[Callable[[], None]] = []
         self._buffered: dict[int, tuple[Packet, int]] = {}
         self.punts = Counter(f"{name}.punts")
-        self.drops = Counter(f"{name}.drops")
-        self.forwarded = Counter(f"{name}.forwarded")
         # Entries removed from the flow table (timeouts, evictions,
         # sweeps) — the telemetry plane turns this into a churn rate.
         self.flow_removed = Counter(f"{name}.flow_removed")
@@ -243,7 +241,6 @@ class OpenFlowSwitch(Node):
 
     def receive(self, packet: Packet, in_port: Port) -> None:
         """Forward, drop or punt an arriving packet."""
-        self.packets_received.increment()  # all Node.receive does, without the super() call
         sim = self.sim
         now = sim.now if sim is not None else 0.0
         if self.failed:
@@ -251,12 +248,10 @@ class OpenFlowSwitch(Node):
             # mid-path failure dies here (fail closed), never reaching
             # downstream hops whose entries may still be draining.
             self._record(now, "drop", packet, "switch failed")
-            self.drops.increment()
             return
         if self.compromised:
             # §5.2: a compromised switch passes traffic without regulation.
             self._record(now, "forward", packet, "compromised switch floods")
-            self.forwarded.increment()
             self.flood(packet, exclude=in_port)
             return
         table = self.flow_table
@@ -282,11 +277,9 @@ class OpenFlowSwitch(Node):
             return
         if self.fail_mode == "open":
             self._record(now, "forward", packet, "fail-open flood")
-            self.forwarded.increment()
             self.flood(packet, exclude=in_port)
         else:
             self._record(now, "drop", packet, "fail-secure, no controller")
-            self.drops.increment()
 
     def _apply_actions(
         self,
@@ -305,7 +298,6 @@ class OpenFlowSwitch(Node):
             kind = action.__class__
             if kind is OutputAction:
                 acted = True
-                self.forwarded.increment()
                 if trace is not None:
                     trace.record(now, self.name, "forward", packet, f"port {action.port}")
                 self.send(packet, action.port)
@@ -317,7 +309,6 @@ class OpenFlowSwitch(Node):
                 # (entry installed before a rewire) just means the flood
                 # cannot exclude it.
                 exclude = self._ports.get(in_port) if in_port is not None else None
-                self.forwarded.increment()
                 if trace is not None:
                     trace.record(now, self.name, "forward", packet, "flood")
                 self.flood(packet, exclude=exclude)
@@ -336,11 +327,9 @@ class OpenFlowSwitch(Node):
                     channel.send_to_controller(message)
             else:
                 raise OpenFlowError(f"switch {self.name} cannot apply {kind.__name__}")
-        if not acted:
+        if not acted and trace is not None:
             # An empty list, or nothing but explicit drops.
-            self.drops.increment()
-            if trace is not None:
-                trace.record(now, self.name, "drop", packet)
+            trace.record(now, self.name, "drop", packet)
 
     def _notify_removed(self, entry: FlowEntry, *, reason: str = "idle_timeout") -> None:
         self.flow_removed.increment()

@@ -37,6 +37,8 @@ class ReferenceEvent:
     kwargs: dict = field(compare=False, default_factory=dict)
     cancelled: bool = field(compare=False, default=False)
     label: str = field(compare=False, default="")
+    #: Always ``None``: one event per delivery (the sanitizer reads it).
+    riders: None = field(compare=False, default=None)
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice is harmless."""

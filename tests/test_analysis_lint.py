@@ -126,6 +126,9 @@ class TestRuleSemantics:
         for built_once in ("self._label", "'fixed'", "LABELS[role]"):
             source = per_event.replace("f'{self.name}:x'", built_once)
             assert analyze_source(source, rules, rel_path="src/repro/core/controller.py") == []
+        # A delivery that may ride an earlier event is a scheduling call too.
+        delivered = per_event.replace("schedule(0.0, self.f,", "deliver(0.0, self, self.f, m,")
+        assert analyze_source(delivered, rules, rel_path="src/repro/openflow/channel.py")
         # An f-string label on anything but a scheduling call is not an event label.
         probe = "def p(i):\n    return Probe(label=f'{i.src}->{i.dst}')\n"
         assert analyze_source(probe, rules, rel_path="src/repro/workloads/experiment.py") == []

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.exceptions import AddressError
 from repro.netsim.addresses import BROADCAST_MAC, IPv4Address, IPv4Network, MACAddress
+from tests.reference_addresses import ReferenceIPv4Address, ReferenceMACAddress
 
 
 class TestIPv4Address:
@@ -192,3 +193,123 @@ class TestMACAddress:
     @given(st.integers(min_value=0, max_value=2**48 - 1))
     def test_property_string_round_trip(self, value):
         assert MACAddress(str(MACAddress(value))).to_int() == value
+
+
+class TestIntValued:
+    """Both address classes are ints: hashing like their value is the contract."""
+
+    def test_a_mac_is_found_by_the_integer_it_equals(self):
+        # It always compared equal to its integer; it now also hashes like
+        # it, so sets and dicts agree with ``==``.
+        assert MACAddress(5) == 5
+        assert 5 in {MACAddress(5)} and MACAddress(5) in {5}
+        assert {5: "port"}[MACAddress(5)] == "port"
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_an_ipv4_address_never_equals_a_mac_of_the_same_integer(self, value):
+        ip, mac = IPv4Address(value), MACAddress(value)
+        assert not ip == mac and not mac == ip
+        assert ip != mac and mac != ip
+        assert len({ip, mac}) == 2 and {ip: "ip", mac: "mac"}[mac] == "mac"
+
+    def test_neither_builds_from_the_other(self):
+        with pytest.raises(AddressError):
+            IPv4Address(MACAddress(5))
+        with pytest.raises(AddressError):
+            MACAddress(IPv4Address(5))
+
+    def test_an_address_is_its_own_copy_and_always_true(self):
+        address = IPv4Address("0.0.0.0")
+        assert IPv4Address(address) is address
+        assert address and MACAddress(0)
+
+
+# ----------------------------------------------------------------------
+# Against the classes they replaced (tests/reference_addresses.py)
+# ----------------------------------------------------------------------
+
+OCTET = st.integers(min_value=0, max_value=255)
+DOTTED = st.tuples(OCTET, OCTET, OCTET, OCTET).map(lambda o: ".".join(map(str, o)))
+IPV4 = st.one_of(st.integers(min_value=0, max_value=2**32 - 1), DOTTED)
+MAC_INT = st.integers(min_value=0, max_value=2**48 - 1)
+
+
+def mac_text(value, separator, upper):
+    raw = f"{value:012x}"
+    text = separator.join(raw[i : i + 2] for i in range(0, 12, 2))
+    return text.upper() if upper else text
+
+
+MAC = st.one_of(MAC_INT, st.builds(mac_text, MAC_INT, st.sampled_from(":-"), st.booleans()))
+#: What else an address meets in ``==``: any integer, its text, junk.
+OPERAND = st.one_of(
+    st.integers(min_value=-3, max_value=2**49), DOTTED, st.text(max_size=6), st.none(),
+)
+
+
+def relations(a, b):
+    """Every comparison a caller can make between ``a`` and ``b``."""
+    return (a == b, a != b, b == a, b != a)
+
+
+def orders(a, b):
+    return (a < b, a <= b, a > b, a >= b)
+
+
+class TestAgainstReference:
+    @given(IPV4, IPV4)
+    def test_ipv4_pairs_compare_hash_and_render_alike(self, left, right):
+        new = IPv4Address(left), IPv4Address(right)
+        old = ReferenceIPv4Address(left), ReferenceIPv4Address(right)
+        assert relations(*new) == relations(*old)
+        assert orders(*new) == orders(*old)
+        assert [hash(a) for a in new] == [hash(a) for a in old]
+        for a, b in zip(new, old):
+            assert (str(a), repr(a), format(a, ""), f"{a}") == (str(b), repr(b), format(b, ""), f"{b}")
+            assert (a.to_int(), int(a), a.octets(), a.to_bytes()) == (
+                b.to_int(), int(b), b.octets(), b.to_bytes()
+            )
+
+    @given(IPV4, OPERAND)
+    def test_ipv4_meets_other_operands_alike(self, value, other):
+        assert relations(IPv4Address(value), other) == relations(ReferenceIPv4Address(value), other)
+
+    @given(IPV4, st.integers(min_value=0, max_value=2**32 - 1))
+    def test_ipv4_orders_against_integers_alike(self, value, number):
+        assert orders(IPv4Address(value), number) == orders(ReferenceIPv4Address(value), number)
+
+    @given(IPV4, st.integers(min_value=-(2**33), max_value=2**33))
+    def test_ipv4_plus_an_offset_alike(self, value, offset):
+        new, old = IPv4Address(value) + offset, ReferenceIPv4Address(value) + offset
+        assert type(new) is IPv4Address and str(new) == str(old)
+
+    @given(MAC, MAC)
+    def test_mac_pairs_compare_and_render_alike(self, left, right):
+        new = MACAddress(left), MACAddress(right)
+        old = ReferenceMACAddress(left), ReferenceMACAddress(right)
+        assert relations(*new) == relations(*old)
+        assert orders(*new) == orders(*old)
+        for a, b in zip(new, old):
+            assert (str(a), repr(a), format(a, ""), f"{a}") == (str(b), repr(b), format(b, ""), f"{b}")
+            assert (a.to_int(), int(a), a.to_bytes(), a.is_broadcast(), a.is_multicast()) == (
+                b.to_int(), int(b), b.to_bytes(), b.is_broadcast(), b.is_multicast()
+            )
+            # The one difference, on purpose: the reference hashed a tuple.
+            assert hash(a) == hash(a.to_int()) and hash(b) == hash(("MACAddress", b.to_int()))
+
+    @given(MAC, OPERAND)
+    def test_mac_meets_other_operands_alike(self, value, other):
+        assert relations(MACAddress(value), other) == relations(ReferenceMACAddress(value), other)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_the_two_kinds_never_meet_alike(self, value):
+        assert relations(IPv4Address(value), MACAddress(value)) == relations(
+            ReferenceIPv4Address(value), ReferenceMACAddress(value)
+        ) == (False, True, False, True)
+
+    @pytest.mark.parametrize("spec", [">20", "x", "d"])
+    def test_a_format_spec_is_refused_alike(self, spec):
+        for address in (IPv4Address("10.0.0.1"), ReferenceIPv4Address("10.0.0.1"),
+                        MACAddress(5), ReferenceMACAddress(5)):
+            with pytest.raises(TypeError):
+                format(address, spec)

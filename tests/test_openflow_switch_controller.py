@@ -55,10 +55,11 @@ def build_fabric(controller=None):
 class TestSwitchDatapath:
     def test_fail_secure_drops_on_miss_without_controller(self):
         topo, switch, host_a, host_b = build_fabric()
+        switch.trace = PacketTrace()
         host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
         topo.run()
         assert host_b.received == []
-        assert switch.drops.value == 1
+        assert [(r.event, r.note) for r in switch.trace] == [("drop", "fail-secure, no controller")]
 
     def test_fail_open_floods_on_miss_without_controller(self):
         topo = Topology()
@@ -75,10 +76,11 @@ class TestSwitchDatapath:
         topo, switch, host_a, host_b = build_fabric()
         # host_b hangs off switch port 2
         switch.handle_message(FlowMod(match=Match(tp_dst=80), actions=[OutputAction(2)]))
+        switch.trace = PacketTrace()
         host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
         topo.run()
         assert len(host_b.received) == 1
-        assert switch.forwarded.value == 1
+        assert [record.event for record in switch.trace] == ["hit", "forward"]
 
     def test_drop_entry_drops(self):
         topo, switch, host_a, host_b = build_fabric()
@@ -103,12 +105,11 @@ class TestSwitchDatapath:
         # Nothing, or nothing but explicit drops, is one drop.
         assert apply([]) == [("drop", "")]
         assert apply([DropAction(), DropAction()]) == [("drop", "")]
-        assert switch.drops.value == 2
         # A drop beside a forward is skipped; each output is its own hop.
         assert apply([DropAction(), OutputAction(2), OutputAction(2)]) == [
             ("forward", "port 2"), ("forward", "port 2")
         ]
-        assert len(host_b.received) == 2 and switch.drops.value == 2
+        assert len(host_b.received) == 2
         # A flood excludes the ingress port, or nothing when it is unknown.
         assert apply([FloodAction()]) == [("forward", "flood")]
         assert (len(host_a.received), len(host_b.received)) == (0, 3)
@@ -118,7 +119,6 @@ class TestSwitchDatapath:
         # shows it the way it shows a table-miss punt.
         assert apply([ControllerAction()]) == [("punt", "recording")]
         assert len(controller.messages) == 1 and controller.messages[0].reason == "action"
-        assert switch.drops.value == 2
 
         class Mirror(Action):
             pass
@@ -217,11 +217,12 @@ class TestControllerBase:
         controller = RecordingController()
         topo, switch, host_a, host_b = build_fabric(controller)
         controller.channel_for(switch).disconnect()
+        switch.trace = PacketTrace()
         host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
         topo.run()
         assert controller.messages == []
         # fail-secure switch dropped the packet instead
-        assert switch.drops.value == 1
+        assert [record.event for record in switch.trace] == ["drop"]
 
     def test_broadcast_flow(self):
         controller = RecordingController()
@@ -289,10 +290,11 @@ class TestMultiChannelRouting:
         topo, switch, host_a, primary, backup = self.build_two_controller_fabric()
         switch.channels["ctrl-a"].disconnect()
         switch.channels["ctrl-b"].disconnect()
+        switch.trace = PacketTrace()
         host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
         topo.run()
         assert primary.messages == [] and backup.messages == []
-        assert switch.drops.value == 1  # fail-secure
+        assert [record.event for record in switch.trace] == ["drop"]  # fail-secure
 
     def test_event_labels_follow_renamed_owners(self):
         # Labels are built once per owner name, not per message; the

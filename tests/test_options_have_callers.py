@@ -1,4 +1,4 @@
-"""Every control-plane option has a caller outside the tests.
+"""Every control-plane option has a caller, every per-packet counter a reader.
 
 An option that only a test sets keeps a branch alive that no workload
 runs.  This tripwire reads the call sites in ``src/``, ``perf/``,
@@ -11,6 +11,14 @@ Only calls that reach the class count: the class itself, or a function
 that forwards its keywords to it.  A keyword whose name merely matches
 (``capacity=`` on a ``FlowTable``, ``registry=`` on a
 ``PolicyEvaluator``) does not.
+
+A counter is the same kind of cost on the packet path: a ``Counter``
+held by a node, port, link, host, switch or control channel is
+incremented per packet or message whether anyone looks or not.  Each one
+must be read through ``.value`` in the same directories.  Reads are
+matched by attribute name, so two of those classes may not give a
+counter the same name (a read of ``Port.tx_bytes`` would vouch for a
+``Link.tx_bytes`` nobody reads).
 """
 
 import ast
@@ -23,6 +31,13 @@ import pytest
 
 from repro.cluster.cluster import ControllerCluster
 from repro.core.controller import ControllerConfig
+from repro.hosts.endhost import EndHost
+from repro.netsim.links import Link
+from repro.netsim.nodes import Node
+from repro.netsim.statistics import Counter
+from repro.openflow.channel import ControllerChannel
+from repro.openflow.controller_base import Controller
+from repro.openflow.switch import OpenFlowSwitch
 from repro.telemetry.plane import TelemetryPlane
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -91,13 +106,19 @@ def keywords_in(trees) -> dict[str, set[str]]:
 
 
 @functools.cache
-def keywords_by_class() -> dict[str, set[str]]:
-    """:func:`keywords_in` over every ``.py`` file of the scanned directories."""
-    return keywords_in(
+def scanned_trees() -> tuple[ast.AST, ...]:
+    """Every ``.py`` file of the scanned directories, parsed."""
+    return tuple(
         ast.parse(path.read_text(), filename=str(path))
         for directory in SCANNED
         for path in sorted((REPO_ROOT / directory).rglob("*.py"))
     )
+
+
+@functools.cache
+def keywords_by_class() -> dict[str, set[str]]:
+    """:func:`keywords_in` over every ``.py`` file of the scanned directories."""
+    return keywords_in(scanned_trees())
 
 
 def orphans(cls, passed: set[str]) -> list[str]:
@@ -157,3 +178,72 @@ def test_an_option_only_the_tests_set_is_named():
         bases=(ControllerConfig,),
     )
     assert orphans(planted, keywords_by_class()["ControllerConfig"]) == ["install_along_path"]
+
+
+# ----------------------------------------------------------------------
+# Counters on the packet path
+# ----------------------------------------------------------------------
+
+
+def counter_owners() -> dict[str, list[str]]:
+    """Class name -> the ``Counter`` attributes it adds to what its base holds."""
+    node, host, switch = Node("node"), EndHost("host", "10.0.0.1"), OpenFlowSwitch("switch")
+    link = Link(host.add_port(), switch.add_port())
+    channel = ControllerChannel(switch, Controller("controller"))
+    instances = {
+        "Node": (node, None), "Port": (host.port(1), None), "Link": (link, None),
+        "EndHost": (host, node), "OpenFlowSwitch": (switch, node),
+        "ControllerChannel": (channel, None),
+    }
+
+    def counters(obj) -> list[str]:
+        return [name for name, value in vars(obj).items() if isinstance(value, Counter)]
+
+    return {
+        cls: [name for name in counters(obj) if base is None or name not in counters(base)]
+        for cls, (obj, base) in instances.items()
+    }
+
+
+def names_read_by_value(trees) -> set[str]:
+    """Every ``name`` in an ``<expr>.name.value`` read in ``trees``."""
+    return {
+        node.value.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "value"
+        and isinstance(node.value, ast.Attribute)
+    }
+
+
+def unread_counters(owners: dict[str, list[str]], read: set[str]) -> list[str]:
+    """``Class.name`` of each counter nothing reads, or named like another class's."""
+    classes_by_name: dict[str, list[str]] = {}
+    for cls, names in owners.items():
+        for name in names:
+            classes_by_name.setdefault(name, []).append(cls)
+    offenders = []
+    for cls, names in owners.items():
+        for name in names:
+            if name not in read:
+                offenders.append(f"{cls}.{name}")
+            elif classes_by_name[name][0] != cls:
+                offenders.append(f"{cls}.{name} (named like {classes_by_name[name][0]}.{name})")
+    return offenders
+
+
+def test_every_packet_path_counter_is_read_outside_the_tests():
+    offenders = unread_counters(counter_owners(), names_read_by_value(scanned_trees()))
+    assert not offenders, (
+        f"counters incremented on the packet path that no `.value` in "
+        f"{'/, '.join(SCANNED)}/ reads: {', '.join(offenders)}.  Delete each, or read it."
+    )
+
+
+def test_an_unread_or_shadowed_counter_is_named():
+    owners = {"Port": ["tx_bytes", "rx_bytes"], "Link": ["tx_bytes", "hops"]}
+    read = names_read_by_value([ast.parse("stats = port.tx_bytes.value + port.rx_bytes.value\n")])
+    assert read == {"tx_bytes", "rx_bytes"}
+    assert unread_counters(owners, read) == [
+        "Link.tx_bytes (named like Port.tx_bytes)", "Link.hops"
+    ]

@@ -1,7 +1,8 @@
 """R9 — one way onto the event queue, and no per-event label formatting.
 
 Every event enters a :class:`~repro.netsim.events.Simulator` through
-``schedule`` (``schedule_at`` / ``schedule_repeating`` end there too):
+``schedule`` (``schedule_at`` / ``schedule_repeating`` end there too,
+and ``deliver`` either does or rides an event that did):
 that one method is where the runtime sanitizer sees the event and where
 the wall-clock benchmark's tracing shim wraps its callback.  The heap
 behind it, ``Simulator._queue``, has a record layout, a dead-record
@@ -33,7 +34,7 @@ EVENT_QUEUE_OWNER = "src/repro/netsim/events.py"
 SIMULATOR_RECEIVERS = {"sim", "_sim", "simulator"}
 
 #: The calls that put an event on the queue.
-SCHEDULING_METHODS = {"schedule", "schedule_at", "schedule_repeating"}
+SCHEDULING_METHODS = {"schedule", "schedule_at", "schedule_repeating", "deliver"}
 
 
 def _receiver_name(node: ast.expr) -> str:
