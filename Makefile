@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench soak soak_queries soak_async matrix docs_check lint determinism perf perf_smoke
+.PHONY: test bench soak soak_queries soak_async matrix docs_check lint determinism perf perf_smoke audit_dump
 
 test:
 	$(PYTHON) -m pytest -q
@@ -42,6 +42,12 @@ determinism:
 # exactly once).
 perf:
 	python3 perf/run.py
+
+# Every audit record of every perf/ workload at one seed, one line each
+# (tools/audit_dump.py): two checkouts with equal output decided alike.
+SEED ?= 2009
+audit_dump:
+	python3 tools/audit_dump.py --seed $(SEED)
 
 perf_smoke:
 	python3 perf/run.py --workload punt_unique --seconds 2

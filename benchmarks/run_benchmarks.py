@@ -361,7 +361,7 @@ def _event_loop(cancelled_tenths: int):
 def _packet_hops(*, capture: bool):
     """Packets of an established flow across host -- switch -- host.
 
-    Two hops per packet, each the whole per-hop path: ``Node.send``,
+    Two hops per packet, each the whole per-hop path: ``Port.send``,
     ``Link.transmit``, at most one event (the switch's forwards of the
     packets that reached it at one instant ride one), ``Port.deliver``,
     and at the switch a flow-table hit and the forward — plus, with a

@@ -190,7 +190,7 @@ class EndHost(Node):
         """Send a packet out of the host's (first wired) uplink port."""
         for port in self._ports.values():
             if port.link is not None:
-                return self.send(packet, port)
+                return port.send(packet)
         return False
 
     # ------------------------------------------------------------------

@@ -96,7 +96,12 @@ class Link:
         direction's lane: packets sent one way at one instant, with
         nothing scheduled between them, share one delivery event.
         """
-        destination = self.other_end(from_port)
+        if from_port is self.port_a:
+            destination = self.port_b
+        elif from_port is self.port_b:
+            destination = self.port_a
+        else:
+            destination = self.other_end(from_port)  # raises: not an endpoint
         if not self.up or (self.loss_filter is not None and self.loss_filter(packet)):
             return
         size = packet.wire_size()

@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.exceptions import PortError
 from repro.netsim.packet import Packet
-from repro.netsim.statistics import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.netsim.events import Simulator
@@ -23,9 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 class Port:
     """A numbered attachment point on a :class:`Node`.
 
-    Ports count transmitted/received packets and bytes; the OpenFlow
-    switch statistics and the collaboration benchmark (bottleneck-link
-    traffic saved) read these counters.
+    A port keeps no counters: the bytes a link carried are counted once,
+    on the link (:attr:`~repro.netsim.links.Link.carried_bytes`).
     """
 
     def __init__(self, node: "Node", number: int, name: str = "") -> None:
@@ -33,10 +31,6 @@ class Port:
         self.number = number
         self.name = name or f"{node.name}:{number}"
         self.link: Optional["Link"] = None
-        self.tx_packets = Counter(f"{self.name}.tx_packets")
-        self.rx_packets = Counter(f"{self.name}.rx_packets")
-        self.tx_bytes = Counter(f"{self.name}.tx_bytes")
-        self.rx_bytes = Counter(f"{self.name}.rx_bytes")
 
     @property
     def is_wired(self) -> bool:
@@ -60,8 +54,6 @@ class Port:
         to it, ``False`` if the port is un-wired (the packet is dropped,
         mirroring a real NIC with no carrier).
         """
-        self.tx_packets.increment()
-        self.tx_bytes.increment(packet.wire_size())
         link = self.link
         if link is None:
             return False
@@ -70,8 +62,6 @@ class Port:
 
     def deliver(self, packet: Packet) -> None:
         """Called by the attached link when a packet arrives at this port."""
-        self.rx_packets.increment()
-        self.rx_bytes.increment(packet.wire_size())
         self.node.receive(packet, self)
 
     def peer(self) -> Optional["Port"]:
@@ -172,7 +162,7 @@ class Node:
         for port in self.ports():
             if port is exclude or not port.is_wired:
                 continue
-            self.send(packet.copy(), port)
+            port.send(packet.copy())
             count += 1
         return count
 

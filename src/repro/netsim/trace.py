@@ -55,6 +55,11 @@ class TraceRecord(NamedTuple):
     note: str = ""
 
 
+#: ``TraceRecord(...)`` without the Python-level ``__new__`` a NamedTuple
+#: call runs: a captured switch hop builds two records.
+_new_record = tuple.__new__
+
+
 @dataclass
 class PacketTrace:
     """A ring of the newest :data:`TRACE_CAPACITY` :class:`TraceRecord` entries.
@@ -88,7 +93,7 @@ class PacketTrace:
         records = self.records
         if len(records) == records.maxlen:
             self.dropped += 1
-        records.append(TraceRecord(time, where, event, packet, note))
+        records.append(_new_record(TraceRecord, (time, where, event, packet, note)))
 
     def __len__(self) -> int:
         return len(self.records)

@@ -37,8 +37,6 @@ from repro.openflow.messages import (
     FlowRemoved,
     PacketIn,
     PacketOut,
-    PortStatsReply,
-    StatsRequest,
 )
 from repro.openflow.switch import OpenFlowSwitch
 
@@ -57,7 +55,5 @@ __all__ = [
     "FlowRemoved",
     "PacketIn",
     "PacketOut",
-    "PortStatsReply",
-    "StatsRequest",
     "OpenFlowSwitch",
 ]

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.exceptions import ChannelError
 from repro.netsim.events import Simulator
 from repro.netsim.statistics import Counter
-from repro.openflow.messages import ControlMessage, StatsRequest
+from repro.openflow.messages import ControlMessage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.openflow.controller_base import Controller
@@ -88,10 +88,6 @@ class ControllerChannel:
         """Deliver a message from the controller to the switch after the channel latency."""
         if not self.connected:
             return
-        if isinstance(message, StatsRequest) and message.requester is None:
-            # Stamp the reply address: a multi-channel switch must answer
-            # on this channel, not whichever one it attached last.
-            message.requester = self.controller.name
         self.to_switch_messages.increment()
         if self.switch.name is not self._labelled_name:
             self._relabel()

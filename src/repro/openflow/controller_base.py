@@ -26,7 +26,6 @@ from repro.openflow.messages import (
     FlowRemoved,
     PacketIn,
     PacketOut,
-    PortStatsReply,
 )
 from repro.openflow.switch import OpenFlowSwitch
 
@@ -153,8 +152,6 @@ class Controller:
             self.on_packet_in(message)
         elif isinstance(message, FlowRemoved):
             self.on_flow_removed(message)
-        elif isinstance(message, PortStatsReply):
-            self.on_port_stats(message)
         else:
             raise OpenFlowError(f"controller {self.name} cannot handle {type(message).__name__}")
 
@@ -164,9 +161,6 @@ class Controller:
 
     def on_flow_removed(self, message: FlowRemoved) -> None:
         """Handle a flow-expiry notification (default: ignore)."""
-
-    def on_port_stats(self, message: PortStatsReply) -> None:
-        """Handle a port-statistics reply (default: ignore)."""
 
     # ------------------------------------------------------------------
     # Controller → switch helpers

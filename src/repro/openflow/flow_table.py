@@ -51,7 +51,6 @@ class FlowEntry:
     installed_at: float = 0.0
     last_used_at: float = 0.0
     packet_count: int = 0
-    byte_count: int = 0
     sequence: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -60,14 +59,16 @@ class FlowEntry:
         if self.idle_timeout < 0 or self.hard_timeout < 0:
             raise FlowTableError("timeouts must be non-negative")
 
-    def record_use(self, packet: Packet, now: float) -> None:
-        """Update counters when a packet hits this entry."""
+    def record_use(self, now: float) -> None:
+        """Count a packet that hit this entry and refresh its idle timer."""
         self.packet_count += 1
-        self.byte_count += packet.wire_size()
         self.last_used_at = now
 
     def is_expired(self, now: float) -> bool:
-        """Return ``True`` if either timeout has elapsed."""
+        """Return ``True`` if either timeout has elapsed.
+
+        :meth:`FlowTable.lookup` repeats this test inline for a cached hit.
+        """
         if self.hard_timeout and now - self.installed_at >= self.hard_timeout:
             return True
         if self.idle_timeout and now - self.last_used_at >= self.idle_timeout:
@@ -83,6 +84,12 @@ class FlowEntry:
         )
 
 
+#: ``now * _AHEAD + _AHEAD_MARGIN`` lies past ``now``'s second float up for
+#: every ``now >= 0`` (1e-12 relative is thousands of rounding steps), so
+#: a deadline beyond it is certainly beyond :meth:`FlowTable.expire`'s
+#: horizon, and the two ``nextafter`` calls can be skipped.
+_AHEAD_MARGIN = 1e-12
+_AHEAD = 1.0 + _AHEAD_MARGIN
 #: What a non-IP frame carries in the protocol and port places of its header.
 _NO_TRANSPORT = (None, None, None)
 _installation_order = attrgetter("sequence")
@@ -377,10 +384,16 @@ class FlowTable:
         )
         cached = self._exact_cache.get(packet_key)
         if cached is not None:
-            if not cached.is_expired(now):
+            # FlowEntry.is_expired and record_use, inline: the repeat packet
+            # of a flow is the one hot path of a switch.
+            hard, idle = cached.hard_timeout, cached.idle_timeout
+            if not (hard and now - cached.installed_at >= hard) and not (
+                idle and now - cached.last_used_at >= idle
+            ):
                 self.exact_hits += 1
                 self.hits += 1
-                cached.record_use(packet, now)
+                cached.packet_count += 1
+                cached.last_used_at = now
                 return cached
             # The cached winner expired; search again (a lower-ranked
             # entry may now be the best match).
@@ -410,7 +423,7 @@ class FlowTable:
             self.misses += 1
             return None
         self.hits += 1
-        best.record_use(packet, now)
+        best.record_use(now)
         if len(self._exact_cache) >= self.EXACT_CACHE_LIMIT:
             self._exact_cache.clear()
         self._exact_cache[packet_key] = best
@@ -420,7 +433,7 @@ class FlowTable:
         """Remove and return entries whose timeouts have elapsed, oldest first."""
         deadlines = self._deadlines
         due = deadlines.next_due()
-        if due is None:
+        if due is None or due > now * _AHEAD + _AHEAD_MARGIN:
             return []
         # is_expired subtracts where a deadline adds, so the two can
         # disagree by a rounding step: draw candidates two floats wide.

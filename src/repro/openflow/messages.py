@@ -3,9 +3,9 @@
 Only the handful of message types the paper's design needs are modelled:
 ``packet_in`` (switch → controller, an unmatched packet), ``flow_mod``
 (controller → switch, install/delete a cached decision), ``packet_out``
-(controller → switch, release a buffered packet), ``flow_removed``
-(switch → controller, an entry expired) and a minimal port-statistics
-exchange used by the collaboration benchmark.
+(controller → switch, release a buffered packet) and ``flow_removed``
+(switch → controller, an entry expired).  There is no statistics
+exchange: the counts a switch keeps are read in-process.
 """
 
 from __future__ import annotations
@@ -93,25 +93,3 @@ class FlowRemoved(ControlMessage):
     cookie: str = ""
     reason: str = "idle_timeout"
     packet_count: int = 0
-    byte_count: int = 0
-
-
-@dataclass
-class StatsRequest(ControlMessage):
-    """Controller → switch: request port counters.
-
-    ``requester`` names the controller the reply must return to; the
-    control channel stamps it on send, so a multi-channel switch does
-    not answer one shard's request on another shard's channel.
-    """
-
-    port: Optional[int] = None
-    requester: Optional[str] = None
-
-
-@dataclass
-class PortStatsReply(ControlMessage):
-    """Switch → controller: port counters."""
-
-    switch: "OpenFlowSwitch"
-    stats: dict[int, dict[str, float]] = field(default_factory=dict)

@@ -45,8 +45,6 @@ from repro.openflow.messages import (
     FlowRemoved,
     PacketIn,
     PacketOut,
-    PortStatsReply,
-    StatsRequest,
 )
 
 
@@ -136,8 +134,6 @@ class OpenFlowSwitch(Node):
             self._handle_flow_mod(message)
         elif isinstance(message, PacketOut):
             self._handle_packet_out(message)
-        elif isinstance(message, StatsRequest):
-            self._handle_stats_request(message)
         else:
             raise OpenFlowError(f"switch {self.name} cannot handle {type(message).__name__}")
 
@@ -173,25 +169,6 @@ class OpenFlowSwitch(Node):
         if message.packet is None:
             raise OpenFlowError("PacketOut carries neither a buffer id nor a packet")
         self._apply_actions(message.packet, tuple(message.actions), message.in_port, self.now)
-
-    def _handle_stats_request(self, message: StatsRequest) -> None:
-        stats: dict[int, dict[str, float]] = {}
-        for port in self.ports():
-            if message.port is not None and port.number != message.port:
-                continue
-            stats[port.number] = {
-                "tx_packets": float(port.tx_packets.value),
-                "rx_packets": float(port.rx_packets.value),
-                "tx_bytes": float(port.tx_bytes.value),
-                "rx_bytes": float(port.rx_bytes.value),
-            }
-        channel = None
-        if message.requester is not None:
-            channel = self.channels.get(message.requester)
-        if channel is None:
-            channel = self.channel
-        if channel is not None:
-            channel.send_to_controller(PortStatsReply(switch=self, stats=stats))
 
     def _release_buffer(self, buffer_id: int, actions: tuple[Action, ...]) -> None:
         buffered = self._buffered.pop(buffer_id, None)
@@ -293,6 +270,7 @@ class OpenFlowSwitch(Node):
         trace = self.trace
         if trace is not None and not trace.enabled:
             trace = None
+        ports = self._ports
         acted = False
         for action in actions:
             kind = action.__class__
@@ -300,7 +278,8 @@ class OpenFlowSwitch(Node):
                 acted = True
                 if trace is not None:
                     trace.record(now, self.name, "forward", packet, f"port {action.port}")
-                self.send(packet, action.port)
+                # A Port is always true; an unknown number raises PortError.
+                (ports.get(action.port) or self.port(action.port)).send(packet)
             elif kind is DropAction:
                 continue
             elif kind is FloodAction:
@@ -308,7 +287,7 @@ class OpenFlowSwitch(Node):
                 # Only a flood needs the ingress Port; an unknown one
                 # (entry installed before a rewire) just means the flood
                 # cannot exclude it.
-                exclude = self._ports.get(in_port) if in_port is not None else None
+                exclude = ports.get(in_port) if in_port is not None else None
                 if trace is not None:
                     trace.record(now, self.name, "forward", packet, "flood")
                 self.flood(packet, exclude=exclude)
@@ -344,7 +323,6 @@ class OpenFlowSwitch(Node):
                     cookie=entry.cookie,
                     reason=reason,
                     packet_count=entry.packet_count,
-                    byte_count=entry.byte_count,
                 )
             )
 

@@ -6,7 +6,8 @@ previous same-instant delivery of its link or channel direction
 (``Simulator.deliver``): each packet or control message is its own
 ``Simulator.schedule`` call, so its own event, heap record and sequence
 number.  The per-packet counters those methods also kept and nothing
-read (``Link.tx_packets``, a link drop count) are left out, and the
+read (``Link.tx_packets``, a link drop count) are left out, as is the
+reply-address stamp of the since-removed port-statistics request; the
 link's byte counter goes by its current name; every other line is the
 original.
 
@@ -30,7 +31,7 @@ from repro.netsim.links import Link
 from repro.netsim.nodes import Port
 from repro.netsim.packet import Packet
 from repro.openflow.channel import ControllerChannel
-from repro.openflow.messages import ControlMessage, StatsRequest
+from repro.openflow.messages import ControlMessage
 
 
 def transmit(self: Link, packet: Packet, from_port: Port) -> None:
@@ -74,8 +75,6 @@ def send_to_switch(self: ControllerChannel, message: ControlMessage) -> None:
     """Deliver a message to the switch after the latency: one event per message."""
     if not self.connected:
         return
-    if isinstance(message, StatsRequest) and message.requester is None:
-        message.requester = self.controller.name
     self.to_switch_messages.increment()
     if self.switch.name is not self._labelled_name:
         self._relabel()

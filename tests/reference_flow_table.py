@@ -171,7 +171,7 @@ class ReferenceFlowTable:
             if not cached.is_expired(now):
                 self.exact_hits += 1
                 self.hits += 1
-                cached.record_use(packet, now)
+                cached.record_use(now)
                 return cached
             # The cached winner expired; rescan (a lower-ranked entry may
             # now be the best match).
@@ -191,7 +191,7 @@ class ReferenceFlowTable:
             self.misses += 1
             return None
         self.hits += 1
-        best.record_use(packet, now)
+        best.record_use(now)
         if len(self._exact_cache) >= self.EXACT_CACHE_LIMIT:
             self._exact_cache.clear()
         self._exact_cache[packet_key] = best

@@ -143,7 +143,8 @@ class TestRuleSemantics:
         assert analyze_source(guarded, rules, rel_path="src/repro/x.py")
         for clean in (
             "import os.path\n", "from collections import deque\n", "from repro.pf import ruleset\n",
-            "from tools.analysis.core import Violation\n", "from . import events\n",
+            "from tools.analysis.core import Violation\n", "from perf.harness import run_repeat\n",
+            "from . import events\n",
             "from .events import Simulator\n", "from __future__ import annotations\n",
         ):
             assert analyze_source(clean, rules, rel_path="src/repro/x.py") == []

@@ -114,14 +114,16 @@ class TestLinks:
         assert len(right.received) == 1
         assert right.received[0][0].tp_dst == 22
 
-    def test_port_counters(self):
+    def test_carried_bytes_and_an_unwired_port(self):
         sim, left, right, link = make_pair()
-        packet = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 2)
-        left.send(packet, left.port(1))
+        packet = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 2, payload_size=300)
+        assert left.port(1).send(packet) is True
         sim.run()
-        assert left.port(1).tx_packets.value == 1
-        assert right.port(1).rx_packets.value == 1
         assert link.carried_bytes.value == packet.wire_size()
+        assert [received for received, _ in right.received] == [packet]
+        unwired = left.add_port()
+        assert unwired.send(packet) is False
+        assert sim.pending() == 0 and link.carried_bytes.value == packet.wire_size()
 
     def test_delivery_label_follows_the_link_name(self):
         sim, left, right, link = make_pair()

@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -428,8 +428,30 @@ def _describe(entry):
     return (
         entry.match, entry.priority, entry.cookie, entry.actions, entry.sequence,
         entry.idle_timeout, entry.hard_timeout, entry.installed_at, entry.last_used_at,
-        entry.packet_count, entry.byte_count,
+        entry.packet_count,
     )
+
+
+def _timed_entry(entry):
+    return bool(entry.idle_timeout or entry.hard_timeout)
+
+
+def _timed(table):
+    """The entries of ``table`` that carry a timeout, in installation order."""
+    return table.find(_timed_entry)
+
+
+def _near_deadline(entry, which, nudge):
+    """One of ``entry``'s deadlines, moved ``nudge`` floats later (or earlier)."""
+    deadlines = []
+    if entry.hard_timeout:
+        deadlines.append(entry.installed_at + entry.hard_timeout)
+    if entry.idle_timeout:
+        deadlines.append(entry.last_used_at + entry.idle_timeout)
+    when = deadlines[which % len(deadlines)]
+    for _ in range(abs(nudge)):
+        when = math.nextafter(when, math.copysign(math.inf, nudge))
+    return when
 
 
 _entry_specs = st.fixed_dictionaries({
@@ -516,6 +538,31 @@ class FlowTableDifferential(RuleBasedStateMachine):
         else:
             self.both(lambda table: table.clear())
 
+    @precondition(lambda self: bool(_timed(self.tables[1])))
+    @rule(
+        pick=st.integers(min_value=0), which=st.integers(0, 1),
+        nudge=st.sampled_from([-2, -1, -1, 0, 0, 1, 2]), verb=st.sampled_from(["lookup", "expire"]),
+    )
+    def at_a_deadline(self, pick, which, nudge, verb):
+        # The clock lands on a live entry's deadline, or a float or two
+        # either side of it: where the cached hit's inline expiry test and
+        # expire()'s early return must agree with is_expired to the bit.
+        timed = _timed(self.tables[1])
+        entry = timed[pick % len(timed)]
+        packet, in_port = _packet_matching(entry.match)
+        if verb == "lookup":
+            # Puts the winner in the exact cache; the clock then goes to the
+            # winner's deadline, so the lookup below is a hit tested there.
+            winners = [table.lookup(packet, in_port, now=self.now) for table in self.tables]
+            assert _describe(winners[0]) == _describe(winners[1])
+            if winners[1] is not None and _timed_entry(winners[1]):
+                entry = winners[1]
+        self.now = max(self.now, _near_deadline(entry, which, nudge))
+        if verb == "lookup":
+            self.both(lambda table: _describe(table.lookup(packet, in_port, now=self.now)))
+        else:
+            self.both(lambda table: [_describe(entry) for entry in table.expire(self.now)])
+
     @rule(step=_steps)
     def expire(self, step):
         self.now += step
@@ -544,3 +591,39 @@ FlowTableDifferential.TestCase.settings = settings(
     max_examples=80, stateful_step_count=40, deadline=None
 )
 TestFlowTableDifferential = FlowTableDifferential.TestCase
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    installed_at=st.one_of(st.sampled_from([0.0, 0.28, 1.0]), st.floats(0.0, 100.0)),
+    used_after=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    timeouts=st.sampled_from([(0.0, 2.5), (1.0, 0.0), (0.1, 0.3), (2.5, 3.0), (0.7, 0.7)]),
+    which=st.integers(0, 1),
+    nudge=st.integers(-2, 2),
+    sweep_first=st.booleans(),
+)
+# 0.28 + 2.5 rounds up, so one float below it the judge already says due.
+@example(installed_at=0.28, used_after=0.0, timeouts=(0.0, 2.5), which=0, nudge=-1, sweep_first=True)
+@example(installed_at=0.28, used_after=0.0, timeouts=(0.0, 2.5), which=0, nudge=-1, sweep_first=False)
+@example(installed_at=0.28, used_after=0.0, timeouts=(2.5, 3.0), which=1, nudge=-1, sweep_first=False)
+def test_a_cached_hit_and_expire_agree_with_the_oracle_at_a_deadline(
+    installed_at, used_after, timeouts, which, nudge, sweep_first
+):
+    # The focused form of the state machine's at_a_deadline step: a
+    # cached hit tests expiry inline and expire() may return early, and
+    # at a deadline, or a float or two either side, both must answer
+    # what FlowEntry.is_expired answers in the linear table.
+    idle, hard = timeouts
+    packet = tcp_packet()
+    results = []
+    for table in (FlowTable(), ReferenceFlowTable()):
+        entry = table.install(
+            make_entry(Match(tp_dst=80), [OutputAction(1)], idle_timeout=idle, hard_timeout=hard),
+            now=installed_at,
+        )
+        used_at = installed_at + used_after
+        table.lookup(packet, 1, now=used_at)  # the entry is the cached winner now
+        now = max(_near_deadline(entry, which, nudge), used_at)
+        swept = [_describe(e) for e in table.expire(now)] if sweep_first else None
+        results.append((swept, _describe(table.lookup(packet, 1, now=now)), table.stats()))
+    assert results[0] == results[1]

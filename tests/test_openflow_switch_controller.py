@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ChannelError, OpenFlowError
+from repro.exceptions import ChannelError, OpenFlowError, PortError
 from repro.netsim.nodes import Node
 from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
@@ -10,7 +10,7 @@ from repro.netsim.trace import PacketTrace
 from repro.openflow.actions import Action, ControllerAction, DropAction, FloodAction, OutputAction
 from repro.openflow.controller_base import Controller
 from repro.openflow.match import Match
-from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn, PacketOut, StatsRequest
+from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn, PacketOut
 from repro.openflow.switch import OpenFlowSwitch
 
 
@@ -127,6 +127,8 @@ class TestSwitchDatapath:
             apply([OutputAction(2), Mirror()])
         topo.run()
         assert len(host_b.received) == 5  # the actions before it were applied
+        with pytest.raises(PortError, match="sw1 has no port 9"):
+            apply([OutputAction(9)])
 
     def test_miss_punts_and_buffers(self):
         controller = RecordingController()
@@ -181,19 +183,6 @@ class TestSwitchDatapath:
         host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
         topo.run()
         assert len(host_b.received) == 1
-
-    def test_stats_request(self):
-        replies = []
-
-        class StatsController(RecordingController):
-            def on_port_stats(self, message):
-                replies.append(message)
-
-        controller = StatsController()
-        topo, switch, host_a, host_b = build_fabric(controller)
-        controller.channel_for(switch).send_to_switch(StatsRequest())
-        topo.run()
-        assert replies and set(replies[0].stats) == {1, 2}
 
     def test_packet_out_without_buffer_or_packet_rejected(self):
         topo, switch, *_ = build_fabric()
@@ -307,8 +296,11 @@ class TestMultiChannelRouting:
         assert sim.step().label == "ctrl-rx:sw1"
         assert sim.step().label == "ctrl-a:inbox"
         switch.name = "sw-renamed"
-        channel.send_to_switch(StatsRequest())
+        channel.send_to_switch(
+            FlowMod(match=Match(), command=FlowModCommand.DELETE, cookie="ctrl-a:decision-1")
+        )
         assert sim.step().label == "switch-rx:sw-renamed"
+        channel.send_to_controller(PacketIn(switch=switch, packet=Packet(), in_port=1))
         assert sim.step().label == "ctrl-rx:sw-renamed"
         assert sim.step().label == "ctrl-a:inbox"
 
@@ -322,17 +314,6 @@ class TestMultiChannelRouting:
         topo.run()
         assert switch.channels["ctrl-a"].to_controller_messages.value == 1
         assert switch.channels["ctrl-b"].to_controller_messages.value == 0
-
-    def test_stats_reply_returns_on_the_requesting_channel(self):
-        topo, switch, host_a, primary, backup = self.build_two_controller_fabric()
-        replies = {"ctrl-a": [], "ctrl-b": []}
-        primary.on_port_stats = lambda m: replies["ctrl-a"].append(m)
-        backup.on_port_stats = lambda m: replies["ctrl-b"].append(m)
-        backup.channel_for(switch).send_to_switch(StatsRequest())
-        topo.run()
-        # The reply goes to the requester, not the last-attached channel.
-        assert replies["ctrl-a"] == []
-        assert len(replies["ctrl-b"]) == 1
 
     def test_channel_drop_mid_punt_repunts_without_pending_leak(self):
         """End-to-end satellite: owner dies mid-punt, the successor decides,

@@ -19,6 +19,11 @@ must be read through ``.value`` in the same directories.  Reads are
 matched by attribute name, so two of those classes may not give a
 counter the same name (a read of ``Port.tx_bytes`` would vouch for a
 ``Link.tx_bytes`` nobody reads).
+
+A control message is the same kind of cost on the control path: a type a
+switch or controller dispatches on is a branch every message passes.
+Each ``ControlMessage`` subclass must be constructed at one of those
+call sites too.
 """
 
 import ast
@@ -247,3 +252,53 @@ def test_an_unread_or_shadowed_counter_is_named():
     assert unread_counters(owners, read) == [
         "Link.tx_bytes (named like Port.tx_bytes)", "Link.hops"
     ]
+
+
+# ----------------------------------------------------------------------
+# Control messages
+# ----------------------------------------------------------------------
+
+
+def base_names(node: ast.ClassDef) -> set[str]:
+    return {
+        base.id if isinstance(base, ast.Name) else base.attr
+        for base in node.bases if isinstance(base, (ast.Name, ast.Attribute))
+    }
+
+
+def unsent_messages(trees) -> list[str]:
+    """The ``ControlMessage`` subclasses declared in ``trees`` that no call there builds."""
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    classes = [node for node in nodes if isinstance(node, ast.ClassDef)]
+    messages = {"ControlMessage"}
+    grew = True
+    while grew:  # subclasses of subclasses, in any declaration order
+        grew = False
+        for node in classes:
+            if node.name not in messages and base_names(node) & messages:
+                messages.add(node.name)
+                grew = True
+    built = {callee(node) for node in nodes if isinstance(node, ast.Call)}
+    return sorted(messages - built - {"ControlMessage"})
+
+
+def test_every_control_message_is_sent_outside_the_tests():
+    unsent = unsent_messages(scanned_trees())
+    assert not unsent, (
+        f"control messages that no call in {'/, '.join(SCANNED)}/ constructs: "
+        f"{', '.join(unsent)}.  Delete each with its handler, or send it."
+    )
+
+
+def test_a_message_only_the_tests_send_is_named():
+    # Dispatching on a type, or naming it, does not build one.
+    source = (
+        "class ControlMessage: pass\n"
+        "class PortStatsReply(messages.StatsRequest): pass\n"
+        "class StatsRequest(ControlMessage): pass\n"
+        "class PacketIn(ControlMessage): pass\n"
+        "class Packet: pass\n"
+        "channel.send_to_controller(PacketIn(switch=self, packet=Packet()))\n"
+        "if isinstance(message, StatsRequest): reply = PortStatsReply(switch=self)\n"
+    )
+    assert unsent_messages([ast.parse(source)]) == ["StatsRequest"]

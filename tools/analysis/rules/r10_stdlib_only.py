@@ -24,7 +24,7 @@ import sys
 from tools.analysis.core import ParsedModule, Violation
 
 #: Top-level names of this repository's own importable packages.
-FIRST_PARTY = {"repro", "tools"}
+FIRST_PARTY = {"repro", "tools", "perf"}
 
 
 class StdlibOnlyRule:
