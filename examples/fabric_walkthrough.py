@@ -62,7 +62,7 @@ def main() -> None:
     swept = fabric.leaves[0].sweep_expired(sim.now)
     print(f"ingress leaf swept {swept} expired entries -> FlowRemoved to controller")
     net.run()
-    print(f"controller path unwinds: {net.controller.path_unwinds}")
+    print(f"controller path unwinds: {net.controller.installer.unwinds}")
     print_flow_tables(net, "after FlowRemoved-driven unwind")
 
     print("\n== a denial burns exactly one table entry (drop at first hop) ==")

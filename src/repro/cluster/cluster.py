@@ -183,9 +183,9 @@ class ControllerCluster:
         reclaimed: list = []
         for name, replica in self.replicas.items():
             if name != shard:
-                reclaimed.extend(replica.export_path_installs(prefix=f"{shard}:"))
+                reclaimed.extend(replica.installer.export(prefix=f"{shard}:"))
         if reclaimed:
-            controller.adopt_path_installs(reclaimed)
+            controller.installer.adopt(reclaimed)
         # Drain the backlog here rather than letting resume() replay it
         # blindly: while halted-but-connected this replica may have been
         # handed FlowRemoved for *other* shards' cookies (switch fallback
@@ -198,7 +198,7 @@ class ControllerCluster:
                 holder = next(
                     (
                         c for c in self.replicas.values()
-                        if c.has_path_install(message.cookie)
+                        if message.cookie in c.installer
                     ),
                     controller,
                 )
@@ -234,7 +234,7 @@ class ControllerCluster:
         # restore() revives it with its unwind duty intact.
         adopter = self._flow_removed_fallback()
         if adopter is not None:
-            adopter.adopt_path_installs(dead.export_path_installs())
+            adopter.installer.adopt(dead.installer.export())
         # Re-home the corpse's standing subscriptions *before* its
         # punts: each successor must be resident (or resident-in-flight)
         # by the time the re-punted backlog arrives, or the backlog pays
@@ -344,7 +344,7 @@ class ControllerCluster:
 
     def pending_total(self) -> int:
         """Return how many flows are pending across all replicas."""
-        return sum(len(c.pending_flows()) for c in self.replicas.values())
+        return sum(c.inflight_count() for c in self.replicas.values())
 
     def decided_total(self) -> int:
         """Return non-cached decisions made across all replicas."""
@@ -408,10 +408,8 @@ class ControllerCluster:
             "failovers": self.failovers,
             "repunted_flows": self.repunted_flows,
             "repunted_messages": self.repunted_messages,
-            "path_installs": sum(
-                c.path_install_count() for c in self.replicas.values()
-            ),
-            "path_unwinds": sum(c.path_unwinds for c in self.replicas.values()),
+            "path_installs": sum(len(c.installer) for c in self.replicas.values()),
+            "path_unwinds": sum(c.installer.unwinds for c in self.replicas.values()),
             "query_engine": self.query_engine_summary(),
             "shard_map": self.shard_map.stats(),
             "monitor": self.monitor.stats(),

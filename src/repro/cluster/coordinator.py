@@ -202,7 +202,7 @@ class ClusterCoordinator:
             if controller.delegations.is_active(principal):
                 removed = controller.revoke_delegation(principal)
             for cookie in revoked_cookies:
-                controller.discard_path_install(cookie)
+                controller.installer.discard(cookie)
             return removed
 
         return self._propagate(
@@ -357,8 +357,8 @@ class ClusterCoordinator:
         """Return each replica's (ruleset, delegation, applied) epochs."""
         return {
             name: {
-                "ruleset": controller.policy_epoch,
-                "delegation": controller.delegation_epoch,
+                "ruleset": controller.policy.ruleset_epoch,
+                "delegation": controller.delegations.epoch,
                 "applied": self._applied.get(name, 0),
             }
             for name, controller in self.cluster.replicas.items()

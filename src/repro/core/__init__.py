@@ -6,8 +6,10 @@ This package ties the substrates together into the system of §3:
   the ``@src``/``@dst`` dictionaries from ident++ responses and runs the
   PF+=2 evaluator;
 * :mod:`repro.core.controller` — the OpenFlow controller that, on a
-  table miss, queries both ends of the flow, decides, installs flow
-  entries along the path and releases the buffered packet (Figure 1);
+  table miss, queries both ends of the flow and decides (Figure 1);
+* :mod:`repro.core.installer` — installs the verdict's flow entries
+  along the path, releases the buffered packet and unwinds the path
+  when one hop's entry goes;
 * :mod:`repro.core.interception` — answering and augmenting ident++
   queries/responses on behalf of hosts (§3.4, §4 "Network Collaboration"
   and "Incremental Benefit");

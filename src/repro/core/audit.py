@@ -11,8 +11,9 @@ their delegates did.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import EMPTY_KEYS
@@ -47,6 +48,41 @@ class DecisionRecord:
     def is_pass(self) -> bool:
         """Return ``True`` when the flow was allowed."""
         return self.action == "pass"
+
+
+def record_line(record: DecisionRecord, *context: str) -> str:
+    """Return one record as one canonical line, ``context`` fields first::
+
+        time|flow|action|rule|origin|cookie|delegated|functions|cached|query latency|note|src keys|dst keys
+
+    Floats are in ``repr`` form and the identity views in document order,
+    so two runs whose lines are equal decided alike, to the bit.
+    """
+    flow = record.flow
+    return "|".join((
+        *context,
+        repr(record.time),
+        f"{flow.src_ip}:{flow.src_port}>{flow.dst_ip}:{flow.dst_port}/{flow.proto}",
+        record.action,
+        record.rule_text,
+        record.rule_origin,
+        record.cookie,
+        str(record.delegated),
+        ",".join(record.delegation_functions),
+        str(record.cached),
+        repr(record.query_latency),
+        record.note,
+        repr(dict(record.src_keys)),
+        repr(dict(record.dst_keys)),
+    ))
+
+
+def audit_digest(records: Iterable[DecisionRecord]) -> str:
+    """Return the sha256 over the records' canonical lines, one line each."""
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(record_line(record).encode() + b"\n")
+    return digest.hexdigest()
 
 
 class AuditLog:

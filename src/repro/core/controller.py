@@ -16,20 +16,12 @@ simulated OpenFlow network:
    latency, and letting on-path peer controllers intercept or augment),
 3. the PF+=2 policy is evaluated over the flow plus the ``@src``/``@dst``
    dictionaries,
-4. on *pass*, flow entries are installed along the whole path (and the
-   reverse path for ``keep state`` rules) and the buffered packet is
-   released; on *block*, a drop entry caches the negative decision at
-   the flow's **first** enforcement hop only (a denial never needs to
-   burn table space mid-path — packets stopped at ingress cannot reach
-   the other hops),
+4. the verdict goes on the datapath "along the path" and the buffered
+   packet is released — the :class:`~repro.core.installer.PathInstaller`
+   held as ``controller.installer`` does this and unwinds the path later,
 5. every decision is recorded in the audit log, attributed to delegation
    grants when ``allowed()``/``verify()`` made the difference, and can be
    revoked later.
-
-Multi-hop installs are remembered per decision cookie: a ``FlowRemoved``
-from *any* hop (idle timeout, eviction, lifecycle sweep) unwinds the
-remaining hops with cookie-scoped deletes, so one flow's path state
-lives and dies as a unit instead of decaying hop by hop.
 """
 
 from __future__ import annotations
@@ -37,11 +29,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.audit import AuditLog, DecisionRecord
 from repro.exceptions import ControllerError, PFError, TopologyError
 from repro.core.cache import DecisionCache
+from repro.core.installer import QUARANTINE_PRIORITY, PathInstaller
 from repro.core.interception import InterceptionPolicy
 from repro.core.lifecycle import LifecycleService
 from repro.core.policy_engine import PolicyDecision, PolicyEngine
@@ -51,7 +44,6 @@ from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import IDENT_PP_PORT, IdentQuery, IdentResponse
 from repro.netsim.events import Event, Future
 from repro.netsim.sanitizer import KIND_STALE_CONTINUATION
-from repro.netsim.nodes import Node
 from repro.netsim.statistics import Histogram
 from repro.netsim.topology import Topology
 from repro.openflow.actions import DropAction, FloodAction, OutputAction
@@ -63,33 +55,6 @@ from repro.openflow.switch import OpenFlowSwitch
 
 #: Time charged for one PF+=2 policy evaluation at the controller.
 DEFAULT_POLICY_EVAL_DELAY = 100e-6
-
-#: Flow-entry priorities, quarantine > flow > drop.  Quarantine drops must
-#: outrank already-installed pass entries, or a quarantined host's live
-#: flows keep flowing.
-QUARANTINE_PRIORITY = 200
-FLOW_PRIORITY = 100
-DROP_PRIORITY = 90
-
-#: What releases a buffered punt of a switch the path does not cross.
-_FLOOD = (FloodAction(),)
-
-
-@dataclass(frozen=True)
-class PathInstall:
-    """The datapath footprint of one multi-hop decision (§3.4).
-
-    Records which switches hold flow entries for a decision cookie, so
-    a ``FlowRemoved`` from any one hop can unwind the others and a
-    failover can re-home the unwinding duty to a live replica.
-    """
-
-    flow: FlowSpec
-    switches: tuple[str, ...]
-    #: How many entries the decision put on each of ``switches``; empty
-    #: when unknown (a re-installed cookie, an install adopted without
-    #: counts), which makes the unwind delete on every hop.
-    entries: tuple[int, ...] = ()
 
 
 @dataclass(eq=False)
@@ -124,8 +89,7 @@ class DecisionTask:
     #: When the last endpoint answer landed (0.0 until then).
     ready_at: float = 0.0
     #: The instant the controller's deadline event fails this flow
-    #: closed (``None``: uncovered, the lifecycle sweep backstops the
-    #: flow instead).
+    #: closed (``None`` only with ``pending_deadline`` 0).
     deadline: Optional[float] = None
 
     def documents(self) -> tuple:
@@ -137,15 +101,10 @@ class DecisionTask:
 class SerialDecisionQueue:
     """The controller's serialized stage as a real event-scheduled queue.
 
-    Replaces the old ``_busy_until`` timestamp fiction: instead of
-    reserving a closed-form slot arithmetically at punt time, tasks now
-    wait on an actual FIFO and occupy the loop one at a time, each
-    service ending with a scheduled completion event.  Queueing delay
-    emerges from the event timeline — on a uniform trace it matches the
-    old closed form exactly (``tests/test_decision_core.py`` proves the
-    recurrence), while heterogeneous traces are now served in *ready*
-    order rather than punt order, and superseded punts no longer occupy
-    phantom slots.
+    Tasks wait on a FIFO and occupy the loop one at a time, each service
+    ending with a scheduled completion event, so queueing delay emerges
+    from the event timeline: tasks are served in *ready* order, and a
+    superseded punt occupies no slot.
 
     *When* a task joins decides what the loop serializes.  The async
     core submits it once its answers are in, so only the eval holds the
@@ -244,31 +203,21 @@ class ControllerConfig:
       (``decision_ttl``) and the flow tables (``idle_timeout``), and the
       controller holds no third table for it to time out.
     * ``serialize_decisions`` — model the controller's *policy-eval*
-      stage as a single serial loop: each evaluation occupies it for
-      ``policy_eval_delay``, so concurrent punts queue behind each other
-      instead of overlapping.  The queue is a real event-scheduled
-      serial resource (:class:`SerialDecisionQueue`); query round-trips
-      still overlap fully under the async core.  This is what makes one
-      controller a measurable scalability chokepoint (and sharding a
-      measurable win); off by default so existing scenario timelines are
-      unchanged.  Either way a punt is decided by the event that ends
-      its eval slot (:meth:`IdentPPController._decide`): the flag moves
-      *when* that event fires, not what it does.
+      stage as one serial loop (:class:`SerialDecisionQueue`): each
+      evaluation occupies it for ``policy_eval_delay``, so concurrent
+      punts queue instead of overlapping — what makes one controller a
+      measurable chokepoint and sharding a measurable win.  The flag
+      moves *when* the event that decides a punt fires, not what it does.
 
     The decision-core knobs pick how punts traverse the pipeline:
 
     * ``decision_core`` — *when* a punt takes the serialized loop, over
-      one and the same continuation pipeline.  ``"async"`` (the default)
-      dispatches a punt's queries immediately and yields: each endpoint
-      answer arrives as its own event, and only policy eval can
-      serialize (with ``serialize_decisions``).  Thousands of
-      round-trips overlap, so daemon latency sets flow-setup latency
-      but not throughput.  ``"serial"`` is that pipeline at concurrency
-      1 — the naive synchronous controller: a punt takes the loop
-      *before* its queries go out and holds it until its eval ends, so
-      daemon latency sums across punts.  It is the configuration the
-      overlap bench measures the async core against, not a second
-      code path.
+      one and the same pipeline.  ``"async"`` (the default) dispatches a
+      punt's queries at once and yields, so round-trips overlap and
+      daemon latency sets flow-setup latency but not throughput.
+      ``"serial"`` is that pipeline at concurrency 1: a punt takes the
+      loop *before* its queries go out and holds it until its eval ends,
+      so daemon latency sums across punts.
     * ``nonblocking_inbox`` — queue switch→controller messages and
       drain them from a scheduled event instead of handling them inside
       the channel's delivery call (see
@@ -283,16 +232,13 @@ class ControllerConfig:
       remembered *timeout* (a legacy host without a daemon, an
       unreachable one) lives exactly as long.
 
-    The identity-plane knobs pick how endpoint answers stay fresh
-    (an A/B switch like ``decision_core``):
+    The identity-plane knobs pick how endpoint answers stay fresh:
 
-    * ``identity_plane`` — ``"pull"`` (the default) keeps the PR 5
-      semantics: answers age out by TTL and every miss queries the
-      daemon.  ``"push"`` additionally promotes hot destination hosts
-      to standing wire-v2 subscriptions: their answers become resident
-      (authoritative until the daemon pushes a delta, zero round trips
-      per punt), while legacy daemons and cold hosts keep the pull
-      path untouched.
+    * ``identity_plane`` — ``"pull"`` (the default): answers age out by
+      TTL and every miss queries the daemon.  ``"push"`` also promotes
+      hot destination hosts to standing wire-v2 subscriptions, whose
+      answers are resident (authoritative until the daemon pushes a
+      delta); legacy daemons and cold hosts stay on pull.
     * ``push_promote_punts`` — punts from a destination host before the
       controller registers standing interest in it.
     * ``push_idle_demote`` — idle seconds after which the lifecycle
@@ -302,9 +248,10 @@ class ControllerConfig:
     queried (§3.4) for ``DEFAULT_QUERY_KEYS``, a pass is always installed
     along the whole path (§3.4), the decision cache is bounded by its
     TTL, the subscription table by the host count, and the flow-entry
-    priorities are the module constants ``QUARANTINE_PRIORITY`` >
-    ``FLOW_PRIORITY`` > ``DROP_PRIORITY``.  Every field has a caller
-    outside the tests (``tests/test_options_have_callers.py``).
+    priorities are :mod:`repro.core.installer`'s constants
+    ``QUARANTINE_PRIORITY`` > ``FLOW_PRIORITY`` > ``DROP_PRIORITY``.
+    Every field has a caller outside the tests
+    (``tests/test_options_have_callers.py``).
     """
 
     idle_timeout: float = 60.0
@@ -383,16 +330,7 @@ class IdentPPController(Controller):
         self.policy_errors = 0
         self.pending_expired = 0
         self.repunts_adopted = 0
-        # cookie -> PathInstall for decisions whose entries span more
-        # than one switch; consulted by on_flow_removed to tear the
-        # whole path down when any hop reports its entry gone.
-        self._path_installs: dict[str, PathInstall] = {}
-        self.path_unwinds = 0
-        # (source node, destination node) -> the managed hops of the
-        # path between them (see _hop_plan); valid for one topology
-        # mutation epoch and one channel set, bounded by node pairs.
-        self._hop_plans: dict[tuple[Node, Node], tuple] = {}
-        self._hop_plans_epoch = -1
+        self.installer = PathInstaller(self)
         # Hosts quarantined through quarantine_host (telemetry-driven or
         # administrative); the set makes re-quarantine a no-op.
         self.quarantined_hosts: set[str] = set()
@@ -407,16 +345,6 @@ class IdentPPController(Controller):
         self.lifecycle.register(
             "queries", self.query_engine.expire, self.query_engine.expirable_count,
             self.query_engine.next_expiry,
-        )
-        # Punted flows are normally failed closed by the controller's
-        # deadline event; the sweep only backstops flows it does not
-        # cover (sim-less operation), so covered flows don't keep the
-        # service ticking.
-        self.lifecycle.register(
-            "pending",
-            self._expire_stale_pending,
-            self._uncovered_pending_count,
-            self._next_pending_deadline,
         )
         if self.config.identity_plane == "push":
             # Standing subscriptions idle out like the other per-flow
@@ -444,7 +372,7 @@ class IdentPPController(Controller):
         """Register a switch and put its flow table under lifecycle management."""
         channel = super().register_switch(switch, latency=latency)
         # A newly managed switch may sit on an already planned path.
-        self._hop_plans.clear()
+        self.installer.forget_plans()
         self.lifecycle.register(
             f"flow_table:{switch.name}",
             switch.sweep_expired,
@@ -482,13 +410,11 @@ class IdentPPController(Controller):
 
     def on_packet_in(self, message: PacketIn) -> None:
         packet = message.packet
-        if self.compromised:
-            # §5.1: a compromised controller disables all protection.
-            self._forward_unconditionally(message)
-            return
-        if not packet.is_ip():
-            # Non-IP traffic (ARP and friends do not exist in this model);
-            # release it by flooding so the datapath stays usable.
+        if self.compromised or not packet.is_ip():
+            # §5.1: a compromised controller disables all protection and
+            # forwards everything unaudited.  Non-IP traffic (ARP and
+            # friends do not exist in this model) is released the same
+            # way, so the datapath stays usable.
             self.send_packet_out(
                 message.switch, actions=[FloodAction()], buffer_id=message.buffer_id,
                 in_port=message.in_port,
@@ -504,7 +430,7 @@ class IdentPPController(Controller):
 
         cached = self.cache.lookup(flow, arrival)
         if cached is not None:
-            self._apply_verdict_to_datapath(
+            self.installer.apply_verdict(
                 flow, [message], cached.action == "pass", cached.cookie,
                 keep_state=cached.keep_state, from_cache=True,
             )
@@ -561,7 +487,7 @@ class IdentPPController(Controller):
         already early enough for all that follow.
         """
         delay = self.config.pending_deadline
-        if self.sim is None or delay <= 0:
+        if delay <= 0:
             task.deadline = None
             return
         task.deadline = self.sim.now + delay
@@ -652,9 +578,6 @@ class IdentPPController(Controller):
     def _enter_eval(self, task: DecisionTask, done) -> Optional[Event]:
         """Start the task's policy-eval slot; ``done(task)`` runs when it elapses."""
         task.stage = "eval"
-        if self.sim is None:
-            done(task)
-            return None
         if self.name is not self._labelled_name:
             self._relabel()
         return self.sim.schedule(
@@ -675,9 +598,9 @@ class IdentPPController(Controller):
         """
         if self._pending.get(task.flow) is task:
             return False
-        sim = self.sim
-        if sim is not None and sim.sanitizer is not None:
-            sim.sanitizer.report(
+        sanitizer = self.sim.sanitizer
+        if sanitizer is not None:
+            sanitizer.report(
                 KIND_STALE_CONTINUATION,
                 f"{self.name}: {where} continuation for {task.flow} "
                 f"(punt generation t={task.arrival:g}, stage={task.stage}) "
@@ -706,7 +629,15 @@ class IdentPPController(Controller):
             # A mis-evaluating flow fails *closed* — buffered packets are
             # dropped and the error is audited — rather than re-raising,
             # which would leak its pending entry and blackhole the flow.
-            self._fail_closed(task, error)
+            # The block is cached with the normal TTL so a chatty
+            # erroring flow does not re-trigger the failure on every
+            # packet, yet gets re-evaluated once the policy is fixed.
+            self.policy_errors += 1
+            self._fail_closed(
+                task.flow, f"policy evaluation failed: {error}", cached_as=f"error: {error}"
+            )
+            self.flow_setup_latency.observe(self.now - task.arrival)
+            self.lifecycle.kick()
             return
         self._finish_decision(task, decision)
 
@@ -723,7 +654,7 @@ class IdentPPController(Controller):
             rule_text=decision.rule_text,
         )
         pending = self._pop_pending(flow)
-        self._apply_verdict_to_datapath(
+        self.installer.apply_verdict(
             flow, pending, decision.is_pass, cookie, keep_state=decision.keep_state
         )
         query_cost = QueryClient.combined_latency(task.outcomes)
@@ -731,36 +662,20 @@ class IdentPPController(Controller):
         self._audit_decision(decision, cookie, query_cost)
         self.lifecycle.kick()
 
-    def _fail_closed(self, task: DecisionTask, error: PFError) -> None:
-        """Resolve an erroring flow as an audited drop (``rule_origin="error"``).
+    def _fail_closed(
+        self, flow: FlowSpec, note: str, *, cached_as: Optional[str] = None
+    ) -> None:
+        """Resolve a pending flow as an audited drop (``rule_origin="error"``).
 
-        The block is cached with the normal TTL so a chatty erroring flow
-        does not re-trigger the failure on every packet, yet gets
-        re-evaluated once the administrator fixes the policy.
-        """
-        self.policy_errors += 1
-        self._resolve_fail_closed(
-            task.flow,
-            f"policy evaluation failed: {error}",
-            cache_rule_text=f"error: {error}",
-        )
-        self.flow_setup_latency.observe(self.now - task.arrival)
-        self.lifecycle.kick()
-
-    def _resolve_fail_closed(
-        self, flow: FlowSpec, note: str, *, cache_rule_text: Optional[str] = None
-    ) -> str:
-        """Shared fail-closed resolution: drop buffered punts + audit the error.
-
-        With ``cache_rule_text`` the block is also cached (negative cache
-        for the TTL); without it the next punt re-runs the pipeline.
-        Returns the decision cookie.
+        With ``cached_as`` the block is also cached under that rule text
+        (negative cache for the TTL); without it the next punt re-runs
+        the pipeline.
         """
         cookie = f"{self.name}:decision-{next(self._cookie_counter)}"
-        if cache_rule_text is not None:
-            self.cache.store(flow, "block", cookie, self.now, rule_text=cache_rule_text)
+        if cached_as is not None:
+            self.cache.store(flow, "block", cookie, self.now, rule_text=cached_as)
         pending = self._pop_pending(flow)
-        self._apply_verdict_to_datapath(flow, pending, False, cookie, keep_state=False)
+        self.installer.apply_verdict(flow, pending, False, cookie, keep_state=False)
         self.audit.record(
             DecisionRecord(
                 time=self.now,
@@ -772,7 +687,6 @@ class IdentPPController(Controller):
                 note=note,
             )
         )
-        return cookie
 
     def _pop_pending(self, flow: FlowSpec) -> list[PacketIn]:
         """Claim a flow's buffered punts and retire its task.
@@ -811,56 +725,14 @@ class IdentPPController(Controller):
             elif earliest is None or deadline < earliest:
                 earliest = deadline
         for flow in due:
-            self._expire_pending(flow)
-        if earliest is not None:
-            self._arm_deadline(earliest - now)
-
-    def _expire_pending(self, flow: FlowSpec) -> None:
-        """The decision for ``flow`` never arrived: fail it closed."""
-        if flow in self._pending:
             # No decision is cached: a decision event that still fires
             # for the flow later finds its task retired and is discarded
             # (it must not override this resolution), and the next punt
             # re-runs the pipeline from scratch.
             self.pending_expired += 1
-            self._resolve_fail_closed(
-                flow, "pending decision deadline exceeded; failing closed"
-            )
-
-    def _uncovered_pending(self) -> list[DecisionTask]:
-        """Return pending tasks the controller's deadline event does not cover.
-
-        Every punt is normally covered, so this is empty unless the
-        controller runs without a simulator; the lifecycle service
-        probes it per sweep.
-        """
-        if self.config.pending_deadline <= 0:
-            return []
-        return [task for task in self._pending.values() if task.deadline is None]
-
-    def _uncovered_pending_count(self) -> int:
-        """Return how many pending flows only the lifecycle sweep can fail closed."""
-        return len(self._uncovered_pending())
-
-    def _next_pending_deadline(self) -> Optional[float]:
-        """Return when the oldest *uncovered* pending punt hits its deadline."""
-        uncovered = self._uncovered_pending()
-        if not uncovered:
-            return None
-        return min(task.arrival for task in uncovered) + self.config.pending_deadline
-
-    def _expire_stale_pending(self, now: float) -> int:
-        """Lifecycle sweep: fail-close uncovered pending flows past their deadline."""
-        if self.halted:
-            return 0
-        deadline = self.config.pending_deadline
-        stale = [
-            task.flow for task in self._uncovered_pending()
-            if now - task.arrival > deadline
-        ]
-        for flow in stale:
-            self._expire_pending(flow)
-        return len(stale)
+            self._fail_closed(flow, "pending decision deadline exceeded; failing closed")
+        if earliest is not None:
+            self._arm_deadline(earliest - now)
 
     def _audit_decision(self, decision: PolicyDecision, cookie: str, query_cost: float) -> None:
         for principal in decision.principals:
@@ -881,298 +753,9 @@ class IdentPPController(Controller):
             )
         )
 
-    # ------------------------------------------------------------------
-    # Datapath programming
-    # ------------------------------------------------------------------
-
-    def _apply_verdict_to_datapath(
-        self,
-        flow: FlowSpec,
-        pending: Sequence[PacketIn],
-        allowed: bool,
-        cookie: str,
-        *,
-        keep_state: bool,
-        from_cache: bool = False,
-    ) -> None:
-        if allowed:
-            self._install_path(
-                flow, pending, cookie, keep_state=keep_state, reinstall=from_cache
-            )
-            return
-        drop_match = Match.from_five_tuple(
-            flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port
-        )
-        # Drop-at-first-hop: a fresh denial is enforced at the flow's
-        # ingress switch only.  Packets stopped there never reach the
-        # rest of the path, so caching the block mid-path would burn k-1
-        # table entries per denial for nothing.  A *repeat* punt (cache
-        # hit) proves the punting switch does keep seeing the flow —
-        # flooding, a fail-open neighbour, an expired ingress entry — so
-        # it earns a drop entry of its own, bounding the punt stream to
-        # one per switch instead of one per packet.
-        ingress = None if from_cache else self._first_enforcement_hop(flow)
-        ingress_covered = False
-        for message in pending:
-            if from_cache or ingress is None or message.switch.name == ingress.name:
-                if ingress is not None:
-                    ingress_covered = True
-                self.install_flow(
-                    message.switch,
-                    drop_match,
-                    [DropAction()],
-                    priority=DROP_PRIORITY,
-                    idle_timeout=self.config.idle_timeout,
-                    # A chatty blocked flow refreshes the idle timer forever;
-                    # the hard cap keeps the datapath's negative cache from
-                    # outliving the controller cache, so the flow is
-                    # re-evaluated after a policy change.
-                    hard_timeout=self.config.decision_ttl,
-                    cookie=cookie,
-                    buffer_id=message.buffer_id,
-                )
-            else:
-                # A mid-path switch punted (its hop entry expired out of
-                # step with the ingress one): release its buffer to drop
-                # without installing an entry there.
-                self.send_packet_out(
-                    message.switch,
-                    actions=[DropAction()],
-                    buffer_id=message.buffer_id,
-                    in_port=message.in_port,
-                )
-        if ingress is not None and not ingress_covered:
-            self.install_flow(
-                ingress,
-                drop_match,
-                [DropAction()],
-                priority=DROP_PRIORITY,
-                idle_timeout=self.config.idle_timeout,
-                hard_timeout=self.config.decision_ttl,
-                cookie=cookie,
-            )
-
-    def _hop_plan(self, flow: FlowSpec) -> tuple:
-        """Return the managed hops of the flow's path, planned once per endpoint pair.
-
-        One ``(switch, forward actions, reverse actions)`` per managed
-        switch, in path order; the forward actions are ``None`` on a
-        hop with no next node, the reverse actions on one with no
-        previous node.  Empty when an endpoint is unknown or
-        no path exists (partition, failed fabric): the caller falls back
-        to first-hop-only handling.  A plan depends on connectivity and
-        on which switches this controller manages, so the memo is
-        dropped whenever either changes.
-        """
-        topology = self.topology
-        source = topology.node_for_ip(flow.src_ip)
-        destination = topology.node_for_ip(flow.dst_ip)
-        if source is None or destination is None:
-            return ()
-        if self._hop_plans_epoch != topology.mutation_epoch:
-            self._hop_plans.clear()
-            self._hop_plans_epoch = topology.mutation_epoch
-        plan = self._hop_plans.get((source, destination))
-        if plan is None:
-            plan = self._hop_plans[(source, destination)] = self._plan_hops(source, destination)
-        return plan
-
-    def _plan_hops(self, source: Node, destination: Node) -> tuple:
-        try:
-            path = self.topology.shortest_path(source, destination)
-        except TopologyError:
-            # No path is an expected topology answer.  Anything else — a
-            # programming error — must propagate, not be swallowed.
-            return ()
-        egress_port = self.topology.egress_port
-        hops = []
-        for index, node in enumerate(path):
-            if not isinstance(node, OpenFlowSwitch) or node.name not in self.channels:
-                continue
-            forward = reverse = None
-            if index + 1 < len(path):
-                forward = (OutputAction(egress_port(node, path[index + 1]).number),)
-            if index > 0:
-                reverse = (OutputAction(egress_port(node, path[index - 1]).number),)
-            hops.append((node, forward, reverse))
-        return tuple(hops)
-
-    def _install_path(
-        self,
-        flow: FlowSpec,
-        pending: Sequence[PacketIn],
-        cookie: str,
-        *,
-        keep_state: bool,
-        reinstall: bool,
-    ) -> None:
-        """Install a pass verdict along the path and release the buffered punts.
-
-        Every planned hop gets a forward entry and, for ``keep state``,
-        a reverse one.  A hop that punted releases its buffer through
-        its own forward FlowMod; a PacketOut is only sent where no
-        FlowMod can carry the buffer: a punting switch that is not on
-        the path (flood), the second and later buffers of one hop, and
-        every punt when nothing is installed.
-        """
-        config = self.config
-        plan = self._hop_plan(flow)
-        forward_by_switch: dict[str, tuple] = {}
-        carried: set[int] = set()
-        if plan:
-            idle_timeout = config.idle_timeout
-            hard_timeout = config.hard_timeout
-            install_flow = self.install_flow
-            match = Match.from_five_tuple(
-                flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port
-            )
-            reverse_match = Match.from_five_tuple(
-                flow.dst_ip, flow.src_ip, flow.proto, flow.dst_port, flow.src_port
-            ) if keep_state else None
-            # Switch name -> its first buffered punt.
-            waiting = {message.switch.name: message for message in reversed(pending)}
-            installed: dict[str, int] = {}
-            for switch, forward, reverse in plan:
-                name = switch.name
-                count = 0
-                if forward is not None:
-                    forward_by_switch[name] = forward
-                    message = waiting.get(name)
-                    if message is not None:
-                        carried.add(message.buffer_id)
-                    install_flow(
-                        switch, match, forward, priority=FLOW_PRIORITY,
-                        idle_timeout=idle_timeout, hard_timeout=hard_timeout, cookie=cookie,
-                        buffer_id=None if message is None else message.buffer_id,
-                    )
-                    count = 1
-                if keep_state and reverse is not None:
-                    install_flow(
-                        switch, reverse_match, reverse, priority=FLOW_PRIORITY,
-                        idle_timeout=idle_timeout, hard_timeout=hard_timeout, cookie=cookie,
-                    )
-                    count += 1
-                if count:
-                    installed[name] = count
-            if len(installed) > 1:
-                # Single-switch installs need no unwinding; multi-hop ones
-                # are registered so the first FlowRemoved tears down the
-                # rest.  A cookie installed again (decision-cache hit)
-                # records no counts: a FlowRemoved of its earlier entries
-                # may still be in flight, and skipping the reporter would
-                # strand the fresh entry there.
-                names = tuple(sorted(installed))
-                self._path_installs[cookie] = PathInstall(
-                    flow=flow,
-                    switches=names,
-                    entries=() if reinstall else tuple(installed[name] for name in names),
-                )
-        for message in pending:
-            if message.buffer_id not in carried:
-                self.send_packet_out(
-                    message.switch,
-                    actions=forward_by_switch.get(message.switch.name, _FLOOD),
-                    buffer_id=message.buffer_id,
-                    in_port=message.in_port,
-                )
-
-    def _first_enforcement_hop(self, flow: FlowSpec) -> Optional[OpenFlowSwitch]:
-        """Return the first managed switch on the flow's path (its ingress hop)."""
-        plan = self._hop_plan(flow)
-        return plan[0][0] if plan else None
-
-    # ------------------------------------------------------------------
-    # Path-wide teardown (one hop's expiry unwinds the whole path)
-    # ------------------------------------------------------------------
-
     def on_flow_removed(self, message: FlowRemoved) -> None:
-        """Unwind the rest of a multi-hop install when any hop loses its entry.
-
-        A flow entry disappearing from one hop — idle timeout, hard
-        timeout, capacity eviction, a lifecycle sweep — means the path
-        no longer forwards end to end, so the entries still resident on
-        the other hops are dead weight at best and, after rerouting, a
-        correctness hazard.  The first ``FlowRemoved`` for a registered
-        cookie tears the remaining hops down with cookie-scoped deletes
-        (silent by OpenFlow semantics: explicit deletes do not generate
-        further ``FlowRemoved``, so teardown cannot cascade).  The
-        reporting switch is deleted-from too when it may still hold the
-        decision's *other* entry (a ``keep state`` reverse entry whose
-        twin idle-expired first): path state must die as a unit.  Only
-        a reporter known to have held exactly one entry is skipped — it
-        just said that entry is gone.
-        """
-        cookie = message.cookie
-        install = self._path_installs.pop(cookie, None)
-        if install is None:
-            return
-        self.path_unwinds += 1
-        reporter = message.switch.name
-        # Unknown counts make the zip empty: then nothing is skipped.
-        spent = (reporter, 1) in zip(install.switches, install.entries)
-        for name in install.switches:
-            if spent and name == reporter:
-                continue
-            channel = self.channels.get(name)
-            if channel is not None and channel.connected:
-                self.remove_flows_by_cookie(name, cookie)
-
-    def export_path_installs(
-        self, prefix: Optional[str] = None
-    ) -> list[tuple[str, PathInstall]]:
-        """Hand over registered multi-hop installs (failover/restore handoff).
-
-        With ``prefix`` only cookies starting with it are exported (a
-        restore reclaims exactly the revived shard's own decisions);
-        without it the whole registry is drained.  Exported installs are
-        removed here — exactly one controller must own each unwind.
-        """
-        if prefix is None:
-            items = sorted(self._path_installs.items())
-            self._path_installs.clear()
-            return items
-        items = sorted(
-            (cookie, install)
-            for cookie, install in self._path_installs.items()
-            if cookie.startswith(prefix)
-        )
-        for cookie, _ in items:
-            del self._path_installs[cookie]
-        return items
-
-    def adopt_path_installs(self, items: Sequence[tuple[str, PathInstall]]) -> None:
-        """Take over unwinding duty for another replica's multi-hop installs.
-
-        Used by the cluster failover (a dead shard cannot hear
-        ``FlowRemoved``) and by restore (the revived owner reclaims its
-        own cookies).
-        """
-        for cookie, install in items:
-            self._path_installs[cookie] = install
-
-    def path_install_count(self) -> int:
-        """Return how many multi-hop installs this controller is tracking."""
-        return len(self._path_installs)
-
-    def discard_path_install(self, cookie: str) -> bool:
-        """Forget a cookie's path registry entry without touching switches.
-
-        Used by cluster-wide revocation: the revoking replica already
-        removed the entries from every switch (silently, so no
-        ``FlowRemoved`` will ever arrive), meaning any *other* replica
-        still holding unwind duty for the cookie — a failover adopter,
-        or the owner itself on resync replay — must drop the stale
-        entry or it leaks forever.
-        """
-        return self._path_installs.pop(cookie, None) is not None
-
-    def has_path_install(self, cookie: str) -> bool:
-        """Return whether this controller holds the path registry for ``cookie``.
-
-        The cluster uses this to route a thawed ``FlowRemoved`` to the
-        replica that adopted the cookie's unwinding duty.
-        """
-        return cookie in self._path_installs
+        """One hop lost its entry: the installer unwinds the rest of the path."""
+        self.installer.on_flow_removed(message)
 
     def _forward_control_traffic(self, message: PacketIn) -> None:
         """Forward ident++ protocol packets toward their destination without policy."""
@@ -1194,23 +777,8 @@ class IdentPPController(Controller):
             message.switch, actions=actions, buffer_id=message.buffer_id, in_port=message.in_port
         )
 
-    def _forward_unconditionally(self, message: PacketIn) -> None:
-        """Compromised-controller behaviour: everything is forwarded, nothing audited."""
-        self.send_packet_out(
-            message.switch, actions=[FloodAction()], buffer_id=message.buffer_id,
-            in_port=message.in_port,
-        )
-
     # ------------------------------------------------------------------
-    # Direct decision API (benchmarks, tests, offline what-if queries)
-    # ------------------------------------------------------------------
-
-    def decide_flow(self, flow: FlowSpec, src_doc=None, dst_doc=None) -> PolicyDecision:
-        """Evaluate the policy for a flow without touching the datapath."""
-        return self.policy.decide(flow, src_doc, dst_doc)
-
-    # ------------------------------------------------------------------
-    # Cluster hooks (pending handoff + policy/delegation epochs)
+    # Cluster hooks (pending handoff)
     # ------------------------------------------------------------------
 
     def export_pending(self) -> list[tuple[FlowSpec, list[PacketIn]]]:
@@ -1233,10 +801,6 @@ class IdentPPController(Controller):
         # restored shard must not serialize new punts behind it.
         self._serial.reset()
         return exported
-
-    def pending_flows(self) -> list[FlowSpec]:
-        """Return the flows currently awaiting a decision."""
-        return list(self._pending)
 
     def inflight_count(self) -> int:
         """Return how many punted flows await a decision (any stage).
@@ -1289,16 +853,6 @@ class IdentPPController(Controller):
         else:
             self.handle_message(message)
 
-    @property
-    def policy_epoch(self) -> int:
-        """Return the policy engine's ruleset epoch (bumped per rebuild)."""
-        return self.policy.ruleset_epoch
-
-    @property
-    def delegation_epoch(self) -> int:
-        """Return the delegation manager's grant/revoke epoch."""
-        return self.delegations.epoch
-
     # ------------------------------------------------------------------
     # Revocation (the administrator "overrides, audits, and revokes")
     # ------------------------------------------------------------------
@@ -1314,9 +868,8 @@ class IdentPPController(Controller):
         for switch in self.switches():
             removed += switch.flow_table.remove_by_cookie(cookie)
         self.cache.invalidate_cookie(cookie)
-        # The revocation just did the unwinding; a later FlowRemoved for
-        # this cookie must not re-tear a path that is already gone.
-        self._path_installs.pop(cookie, None)
+        # The revocation just did the unwinding.
+        self.installer.discard(cookie)
         return removed
 
     def revoke_delegation(self, principal: str) -> int:
@@ -1409,8 +962,8 @@ class IdentPPController(Controller):
                 "served": self._serial.served,
             },
             "pending_expired": self.pending_expired,
-            "path_installs": len(self._path_installs),
-            "path_unwinds": self.path_unwinds,
+            "path_installs": len(self.installer),
+            "path_unwinds": self.installer.unwinds,
             "quarantined_hosts": sorted(self.quarantined_hosts),
             "policy_errors": self.policy_errors,
             "repunts_adopted": self.repunts_adopted,

@@ -17,7 +17,7 @@ Two pieces keep state bounded:
   query engine, a layer below this package, shares it);
 * :class:`LifecycleService` — a sweep scheduler that periodically runs
   every registered reclaimer (decision cache, query engine, per-switch
-  flow tables, stale pending punts) while there is state left to
+  flow tables, standing subscriptions) while there is state left to
   reclaim, then goes quiet so the event queue can drain.
 """
 

@@ -223,18 +223,16 @@ class QueryClient:
         :class:`QueryOutcome` at ``now + outcome.latency`` on the
         topology's simulator — so a controller can interleave thousands
         of in-flight queries and react to each answer the instant it
-        lands.  Without a simulator the future completes immediately
-        (degenerate synchronous operation, used by sim-less tests).
+        lands.  An answer that costs no time completes the future at once.
         """
         outcome = self.query(
             flow, role, from_node=from_node, keys=keys, interceptors=interceptors
         )
         future = Future()
-        sim = self.topology.sim
-        if sim is None or outcome.latency <= 0:
+        if outcome.latency <= 0:
             future.set_result(outcome)
         else:
-            sim.schedule(
+            self.topology.sim.schedule(
                 outcome.latency, future.set_result, outcome,
                 label=ANSWER_LABELS[role],
             )

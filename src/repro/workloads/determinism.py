@@ -8,9 +8,13 @@ This module makes the contract a *gate*: the queryload and
 decision-core bench scenarios each run **twice** with the same seed
 under ``Simulator(sanitize=True)``, and the runs must produce identical
 event-trace hashes (see
-:class:`repro.netsim.sanitizer.EventTraceHasher`) and identical event
-counts.  Any wall-clock read, module-global RNG draw or
-iteration-order leak breaks the hash equality and fails ``make bench``.
+:class:`repro.netsim.sanitizer.EventTraceHasher`), identical event
+counts and identical audit digests (:func:`repro.core.audit.audit_digest`,
+one canonical line per decision).  Any wall-clock read, module-global
+RNG draw or iteration-order leak breaks the hash equality and fails
+``make bench``; tier-1 pins both hashes and both digests to
+``BENCH_results.json``, so a change that moves an event or a decision's
+rule, origin, cookie or timing says so.
 
 Run standalone::
 
@@ -23,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core.audit import audit_digest
 from repro.core.controller import ControllerConfig
 from repro.workloads.decision_core import DECISION_POLICY
 from repro.workloads.generators import FlowGenerator, FlowTemplate
@@ -45,10 +50,12 @@ class ScenarioTrace:
     events: int
     decided: int
     max_same_instant: int
+    audit_digest: str
 
     def as_dict(self) -> dict[str, object]:
         return {
             "trace_hash": self.trace_hash,
+            "audit_digest": self.audit_digest,
             "events": self.events,
             "decided": self.decided,
             "max_same_instant": self.max_same_instant,
@@ -66,10 +73,11 @@ class DeterminismReport:
 
     @property
     def identical(self) -> bool:
-        """Gate: both runs produced the same trace hash and event count."""
+        """Gate: both runs produced the same trace hash, event count and audit."""
         return (
             self.first.trace_hash == self.second.trace_hash
             and self.first.events == self.second.events
+            and self.first.audit_digest == self.second.audit_digest
         )
 
     def as_dict(self) -> dict[str, object]:
@@ -137,12 +145,14 @@ def _drive(
     net.run()
     sanitizer = sim.sanitizer
     assert sanitizer is not None
-    count, _ = decided(net.controller.audit.records())
+    records = net.controller.audit.records()
+    count, _ = decided(records)
     return ScenarioTrace(
         trace_hash=sanitizer.trace_hash,
         events=sim.events_processed,
         decided=count,
         max_same_instant=sanitizer.max_same_instant,
+        audit_digest=audit_digest(records),
     )
 
 
@@ -220,11 +230,14 @@ def main() -> int:
         print(
             f"  {name}: {status}  seed={report.seed}  "
             f"events={report.first.events}/{report.second.events}  "
-            f"hash={report.first.trace_hash[:16]}../{report.second.trace_hash[:16]}.."
+            f"hash={report.first.trace_hash[:16]}../{report.second.trace_hash[:16]}..  "
+            f"audit={report.first.audit_digest[:16]}../{report.second.audit_digest[:16]}.."
         )
         ok = ok and report.identical
     if not ok:
-        print("FAIL: double-run event traces diverged — the simulation is not deterministic")
+        print(
+            "FAIL: double-run event traces or audits diverged — the simulation is not deterministic"
+        )
     return 0 if ok else 1
 
 

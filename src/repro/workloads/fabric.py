@@ -111,9 +111,7 @@ def _path_install() -> dict:
             record.cookie.startswith(net.cluster.shard_map.owner(record.flow) + ":")
             for record in records
         ),
-        "path_installs_tracked": sum(
-            c.path_install_count() for c in net.cluster.replicas.values()
-        ),
+        "path_installs_tracked": sum(len(c.installer) for c in net.cluster.replicas.values()),
     }
 
 
@@ -162,8 +160,8 @@ def _fail_closed() -> dict:
     )
     return {
         "fail_closed": fail_closed,
-        "unwound": live_entries == 0 and controller.path_unwinds >= 1,
-        "path_unwinds": controller.path_unwinds,
+        "unwound": live_entries == 0 and controller.installer.unwinds >= 1,
+        "path_unwinds": controller.installer.unwinds,
     }
 
 

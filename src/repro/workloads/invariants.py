@@ -304,7 +304,7 @@ def network_flow_state(net) -> dict[str, int]:
     """
     controllers = list(net.controllers.values())
     return {
-        "pending": sum(len(c._pending) for c in controllers),
+        "pending": sum(c.inflight_count() for c in controllers),
         "buffered": sum(s.buffered_count() for s in net.switches.values()),
         "decision_cache": sum(len(c.cache) for c in controllers),
         # The controller keeps no ``keep state`` table (the decision cache

@@ -150,7 +150,7 @@ def paper_e4_research_delegation() -> dict:
     """E4 / Figures 4-5: a researcher's signed rules, honoured and refused."""
     scenario = scenarios.ResearchDelegationScenario()
     entry = scenario.run()
-    decision = scenario.net.controller.decide_flow(*_ask(
+    decision = scenario.net.controller.policy.decide(*_ask(
         scenario.net, "research-a", "research-app", "carol", "research-b", scenario.APP_PORT
     ))
     entry["delegation_functions"] = list(decision.delegation_functions)
@@ -163,7 +163,7 @@ def paper_e5_thirdparty_trust() -> dict:
     """E5 / Figures 6-7: applications Secur signed for, and nothing else."""
     scenario = scenarios.ThirdPartyTrustScenario()
     entry = scenario.run()
-    decision = scenario.net.controller.decide_flow(
+    decision = scenario.net.controller.policy.decide(
         *_ask(scenario.net, "client", "thunderbird", "alice", "mail-server", 25)
     )
     entry["principals"] = list(decision.principals)

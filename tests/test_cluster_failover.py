@@ -59,7 +59,7 @@ class TestFailover:
     def test_kill_mid_punt_repunts_to_successor_without_leaking_pending(self):
         net = build_network()
         flow, owner = punt_one_flow(net)
-        assert net.cluster.replicas[owner].pending_flows() == [flow]
+        assert list(net.cluster.replicas[owner]._pending) == [flow]
 
         net.start_monitoring()
         net.cluster.kill(owner)
@@ -166,11 +166,11 @@ class TestFailover:
         replica = net.cluster.replicas[owner]
         replica.halt()  # queries are out; the decision event dies with us
         net.run(1.0)  # the 0.2 s deadline fires and is swallowed
-        assert replica.pending_flows() == [flow]
+        assert list(replica._pending) == [flow]
 
         net.cluster.restore(owner)
         net.run(1.0)
-        assert replica.pending_flows() == []
+        assert replica.inflight_count() == 0
         assert replica.pending_expired == 1
         assert [r.rule_origin for r in replica.audit.records()] == ["error"]
         assert net.switches["sw"].buffered_count() == 0
@@ -192,7 +192,7 @@ class TestFailover:
         # Without the monitor nothing re-punts; the flow stays frozen in
         # the dead replica (the deadline cannot fire on a corpse).
         assert net.cluster.failovers == 0
-        assert net.cluster.replicas[owner].pending_flows() == [flow]
+        assert list(net.cluster.replicas[owner]._pending) == [flow]
 
     def test_repunted_flow_keeps_fail_closed_backstop(self):
         # The successor arms its own pending deadline for adopted flows:
@@ -205,7 +205,7 @@ class TestFailover:
         net.run(0.5)
         assert net.cluster.repunted_flows == 1
         adopter = net.cluster.replicas[successor]
-        if adopter.pending_flows():
+        if adopter.inflight_count():
             assert adopter._pending[flow].deadline is not None
         net.stop_monitoring()
         net.run()

@@ -110,7 +110,7 @@ class TestControllerDatapath:
         doc = ResponseDocument()
         doc.add_section({"name": "http"})
         flow = FlowSpec.tcp("192.168.0.10", "192.168.1.1", 41000, 80)
-        assert net.controller.decide_flow(flow, doc).is_pass
+        assert net.controller.policy.decide(flow, doc).is_pass
 
     def test_summary_structure(self):
         net = build_network()

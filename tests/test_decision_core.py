@@ -4,7 +4,7 @@ Covers the serialized decision loop as a *real* event-scheduled queue
 (the closed-form regression against the old ``_busy_until`` arithmetic),
 the serial-baseline core, the engine's async query path (immediate hits,
 coalesced waiters, scheduled misses), the opt-in non-blocking controller
-inbox, the uncovered-pending probe, and the failover guarantee that
+inbox, the deadline every punt gets, and the failover guarantee that
 flows dying *between* query dispatch and answer arrival are re-punted to
 a successor exactly once.
 """
@@ -293,30 +293,34 @@ class TestNonblockingInbox:
         assert int(controller.packet_ins.value) == 0
 
 
-class TestUncoveredPendingProbe:
-    def test_probe_agrees_with_the_scan(self):
-        net = build_net("probe", pending_deadline=5.0)
-        open_flows(net, 3)
-        net.run(0.0003)  # punts delivered, queries in flight
-        controller = net.controller
-        assert controller.inflight_count() == 3
-        assert controller._uncovered_pending_count() == len(controller._uncovered_pending()) == 0
-        # Uncover one task the way the churn test's chaos harness does:
-        # the probe must notice exactly what the scan sees.
-        task = next(iter(controller._pending.values()))
-        task.deadline = None
-        assert controller._uncovered_pending_count() == 1
-        assert controller._uncovered_pending() == [task]
-        net.run()
-        assert controller._uncovered_pending_count() == 0
+class TestEveryPuntHasADeadline:
+    """The one deadline event backs every punt: no sweep is left to backstop a flow."""
 
-    def test_probe_is_zero_with_the_deadline_disabled(self):
-        net = build_net("probe-off", pending_deadline=0.0)
-        open_flows(net, 2)
-        net.run(0.0003)
-        assert net.controller._uncovered_pending_count() == 0
-        assert net.controller._uncovered_pending() == []
+    @pytest.mark.parametrize("decision_core", ["async", "serial"])
+    @pytest.mark.parametrize("pending_deadline", [0.0, 0.5, 5.0])
+    def test_deadline_is_arrival_plus_pending_deadline(self, decision_core, pending_deadline):
+        net = build_net(
+            "covered", decision_core=decision_core, pending_deadline=pending_deadline
+        )
+        controller = net.controller
+        assert controller.sim is net.topology.sim
+        covered = []
+        cover = controller._cover
+
+        def spy(task):
+            cover(task)
+            covered.append(task)
+
+        controller._cover = spy
+        flows = open_flows(net, 4)
         net.run()
+        assert [task.flow for task in covered] == flows
+        for task in covered:
+            if pending_deadline:
+                assert task.deadline == task.arrival + pending_deadline
+            else:
+                assert task.deadline is None
+        assert controller.inflight_count() == 0
 
 
 class TestMidQueryKillFailover:
@@ -335,7 +339,7 @@ class TestMidQueryKillFailover:
         net.run(0.0005)  # punt delivered; queries dispatched, answers pending
 
         dead = net.cluster.replicas[owner]
-        assert dead.pending_flows() == [flow]
+        assert list(dead._pending) == [flow]
         assert dead.inflight_count() == 1
         [task] = dead._pending.values()
         assert task.stage == "query"  # answers genuinely still in flight

@@ -226,7 +226,7 @@ class TestPathWideInstall:
         assert set(hops) == {"fabric-leaf0", "fabric-spine0", "fabric-leaf3"}
         # keep state: forward and reverse entries on every hop.
         assert all(len(entries) == 2 for entries in hops.values())
-        assert net.controller.path_install_count() == 1
+        assert len(net.controller.installer) == 1
 
     def test_denial_drops_at_first_hop_only(self):
         net, fabric = fabric_network()
@@ -236,7 +236,7 @@ class TestPathWideInstall:
         hops = entries_with_cookie(net, record.cookie)
         assert set(hops) == {"fabric-leaf0"}
         # Denials are single-hop: nothing to unwind, nothing registered.
-        assert net.controller.path_install_count() == 0
+        assert len(net.controller.installer) == 0
 
     def test_flow_removed_on_one_hop_unwinds_the_path(self):
         net, fabric = fabric_network()
@@ -249,8 +249,8 @@ class TestPathWideInstall:
         assert fabric.leaves[3].sweep_expired(sim.now) > 0
         net.run()
         assert entries_with_cookie(net, cookie) == {}
-        assert net.controller.path_unwinds == 1
-        assert net.controller.path_install_count() == 0
+        assert net.controller.installer.unwinds == 1
+        assert len(net.controller.installer) == 0
 
     def test_unwind_spares_unrelated_flows(self):
         net, fabric = fabric_network(clients=2)
@@ -270,8 +270,8 @@ class TestPathWideInstall:
         # full path — the cookie-scoped delete touched nothing else.
         assert entries_with_cookie(net, first) == {}
         assert len(entries_with_cookie(net, second)) == 3
-        assert net.controller.path_unwinds == 1
-        assert net.controller.path_install_count() == 1
+        assert net.controller.installer.unwinds == 1
+        assert len(net.controller.installer) == 1
 
     def test_unwind_covers_surviving_entries_on_the_reporting_switch(self):
         # Refresh only the forward direction, let the reverse entries
@@ -291,7 +291,7 @@ class TestPathWideInstall:
         assert fabric.leaves[0].sweep_expired(sim.now) >= 1  # reverse expired
         net.run()
         assert entries_with_cookie(net, cookie) == {}
-        assert net.controller.path_unwinds == 1
+        assert net.controller.installer.unwinds == 1
 
     def test_cached_block_installs_drop_at_repeat_punting_switch(self):
         net, fabric = fabric_network()
@@ -326,7 +326,7 @@ class TestPathWideInstall:
         net.run()
         assert entries_with_cookie(net, first) == {}
         assert len(entries_with_cookie(net, second)) == 3
-        assert net.controller.path_unwinds == 1
+        assert net.controller.installer.unwinds == 1
 
     def test_revocation_clears_path_registry(self):
         net, fabric = fabric_network()
@@ -334,7 +334,7 @@ class TestPathWideInstall:
         cookie = net.controller.audit.records()[-1].cookie
         removed = net.controller.revoke_decision(cookie)
         assert removed >= 3
-        assert net.controller.path_install_count() == 0
+        assert len(net.controller.installer) == 0
         assert entries_with_cookie(net, cookie) == {}
 
 
@@ -378,7 +378,7 @@ class TestFailedSwitch:
             if not s.failed and len(s.flow_table)
         }
         assert live == {}
-        assert net.controller.path_unwinds == 1
+        assert net.controller.installer.unwinds == 1
 
 
 class TestClusterFabric:
@@ -412,7 +412,7 @@ class TestClusterFabric:
         assert record.cookie.startswith(owner + ":")
         hops = entries_with_cookie(net, record.cookie)
         assert len(hops) == 3
-        assert net.cluster.replicas[owner].path_install_count() == 1
+        assert len(net.cluster.replicas[owner].installer) == 1
 
     def test_failover_rehomes_path_unwinding(self):
         net, fabric = self.make_cluster_net()
@@ -424,7 +424,7 @@ class TestClusterFabric:
         net.cluster.fail_over(owner)
         adopter = net.cluster._flow_removed_fallback()
         assert adopter is not None and adopter.name != owner
-        assert adopter.path_install_count() == 1
+        assert len(adopter.installer) == 1
         # An expiry on any hop now reaches the adopter, which unwinds.
         sim = net.topology.sim
         sim.schedule_at(sim.now + 61.0, lambda: None)
@@ -432,7 +432,7 @@ class TestClusterFabric:
         fabric.leaves[0].sweep_expired(sim.now)
         net.run()
         assert entries_with_cookie(net, record.cookie) == {}
-        assert adopter.path_unwinds == 1
+        assert adopter.installer.unwinds == 1
 
     def test_total_outage_keeps_unwind_duty_on_the_corpse(self):
         net, fabric = self.make_cluster_net()
@@ -444,7 +444,7 @@ class TestClusterFabric:
             net.cluster.kill(shard)
         net.cluster.fail_over(owner)
         # Nobody could adopt: the registry must survive on the corpse.
-        assert net.cluster.replicas[owner].path_install_count() == 1
+        assert len(net.cluster.replicas[owner].installer) == 1
         net.cluster.restore(owner)
         sim = net.topology.sim
         sim.schedule_at(sim.now + 61.0, lambda: None)
@@ -452,7 +452,7 @@ class TestClusterFabric:
         fabric.leaves[0].sweep_expired(sim.now)
         net.run()
         assert entries_with_cookie(net, record.cookie) == {}
-        assert net.cluster.replicas[owner].path_unwinds == 1
+        assert net.cluster.replicas[owner].installer.unwinds == 1
 
     def test_cluster_revocation_purges_adopted_path_registry(self):
         net, fabric = self.make_cluster_net()
@@ -467,13 +467,13 @@ class TestClusterFabric:
         net.cluster.kill(owner)
         net.cluster.fail_over(owner)
         adopter = net.cluster._flow_removed_fallback()
-        assert adopter.has_path_install(record.cookie)
+        assert record.cookie in adopter.installer
         net.cluster.revoke_delegation("secur")
         # The revocation removed the entries silently everywhere; the
         # adopter's registry entry must not outlive them.
-        assert not adopter.has_path_install(record.cookie)
+        assert record.cookie not in adopter.installer
         net.cluster.restore(owner)
-        assert not net.cluster.replicas[owner].has_path_install(record.cookie)
+        assert record.cookie not in net.cluster.replicas[owner].installer
         assert entries_with_cookie(net, record.cookie) == {}
 
     def test_restore_reclaims_path_installs(self):
@@ -486,9 +486,9 @@ class TestClusterFabric:
         net.cluster.fail_over(owner)
         net.cluster.restore(owner)
         restored = net.cluster.replicas[owner]
-        assert restored.path_install_count() == 1
+        assert len(restored.installer) == 1
         others = sum(
-            c.path_install_count()
+            len(c.installer)
             for name, c in net.cluster.replicas.items()
             if name != owner
         )

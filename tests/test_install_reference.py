@@ -4,11 +4,13 @@
 hop plan: it resolves everything per decision, releases every punt with
 its own PacketOut and unwinds by deleting on every hop.  The real one
 plans once per endpoint pair, lets the FlowMod carry the buffer and
-skips the reporting hop when it held a single entry.  Both are driven
-through the same punts here and must leave the same *outcome*: the same
-entries on every switch, the same packets released at the same instants,
-the same tables after an unwind and the same audit records.  The
-messages that get them there are allowed to differ.
+skips the reporting hop when it held a single entry; its registry export
+is one prefix filter where the reference has two branches.  Both are
+driven through the same punts here and must leave the same *outcome*:
+the same entries on every switch, the same packets released at the same
+instants, the same registry handed over, the same tables after an unwind
+and the same audit records.  The messages that get them there are
+allowed to differ.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,8 @@ from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.controller import ControllerConfig, PathInstall
+from repro.core.controller import ControllerConfig
+from repro.core.installer import PathInstall
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec
 from repro.openflow.messages import FlowRemoved
@@ -142,6 +145,10 @@ class Scenario:
     #: count), and whether it is wired back (on fresh ports) straight away.
     cut: Optional[int]
     rewire: bool
+    #: Whether the registry is then exported and adopted back, and how:
+    #: ``"all"`` drains it, ``"own"`` takes the controller's own cookie
+    #: prefix (a foreign install planted beside them must stay behind).
+    handover: Optional[str]
     #: Which hop of the last pass decision reports one entry gone, which of
     #: its entries that is, and whether a decision-cache hit re-installs the
     #: cookie while that FlowRemoved is still in flight.
@@ -162,6 +169,7 @@ scenarios = st.builds(
     decisions=st.lists(decisions, min_size=1, max_size=3).map(tuple),
     cut=st.none() | st.integers(0, 5),
     rewire=st.booleans(),
+    handover=st.sampled_from([None, "all", "own"]),
     reporter=st.integers(0, 2),
     entry=st.integers(0, 1),
     reinstall=st.booleans(),
@@ -172,6 +180,7 @@ def play(scenario: Scenario, *, reference: bool) -> list:
     """Run the scenario on one installer and return everything observable."""
     net = build(scenario.kind, keep_state=scenario.keep_state, reference=reference)
     controller = net.controller
+    installer = controller.installer
     released = spy_on_releases(net)
     names = sorted(net.switches)
     client = net.host("client")
@@ -190,7 +199,19 @@ def play(scenario: Scenario, *, reference: bool) -> list:
         net.run(duration=SETTLE)
         if decision.port == WEB_PORT:
             last_pass = packet
-        observed.append((tables(net), sorted(controller._path_installs)))
+        observed.append((tables(net), sorted(installer._installs)))
+
+    if scenario.handover is not None:
+        foreign = PathInstall(
+            flow=FlowSpec.tcp("10.9.9.9", SERVER_IP, 1, WEB_PORT), switches=tuple(names)
+        )
+        installer.adopt([("elsewhere:decision-1", foreign)])
+        prefix = f"{controller.name}:" if scenario.handover == "own" else None
+        items = installer.export() if prefix is None else installer.export(prefix=prefix)
+        # The reference registers no entry counts, so they are not compared.
+        observed.append([(cookie, i.flow, i.switches) for cookie, i in items])
+        observed.append(("elsewhere:decision-1" in installer, len(installer)))
+        installer.adopt(items)
 
     cookie = None
     if last_pass is not None:
@@ -198,10 +219,10 @@ def play(scenario: Scenario, *, reference: bool) -> list:
         # None while the flow is undecided: punted by a cut-off switch only,
         # its queries still waiting for an answer that cannot come.
         cookie = next((r.cookie for r in controller.audit.records() if r.flow == flow), None)
-    install = controller._path_installs.get(cookie)
+    install = installer._installs.get(cookie)
     if install is not None:
         hop = net.switches[install.switches[scenario.reporter % len(install.switches)]]
-        plan = controller._hop_plan(flow)
+        plan = installer._hop_plan(flow)
         if scenario.reinstall and plan:
             # The last hop delivers straight to the server, so the
             # re-punted packet sets off nothing further.  (No plan: the
@@ -212,7 +233,7 @@ def play(scenario: Scenario, *, reference: bool) -> list:
         hop.flow_table.remove(gone.match, strict=True, cookie=cookie)
         hop._notify_removed(gone)
         net.run(duration=SETTLE)
-        assert cookie not in controller._path_installs
+        assert cookie not in installer
         if scenario.cut is None:
             # (A cut can reroute the re-install, and the registry then
             # forgets the hop the old path alone crossed: its entry waits
@@ -231,7 +252,7 @@ def play(scenario: Scenario, *, reference: bool) -> list:
     observed.append(sorted(release[:3] for release in released if release[3] is None))
     observed.append(audit(net))
     observed.append(sorted(net.host("server").delivered_times))
-    observed.append(controller.path_unwinds)
+    observed.append(installer.unwinds)
     return observed
 
 
@@ -291,7 +312,7 @@ class TestUnwindOnlyWhereEntriesRemain:
     def test_single_entry_reporter_is_skipped(self):
         net = build("line", keep_state=False)
         cookie, _ = decide(net)
-        assert net.controller._path_installs[cookie].entries == (1, 1, 1)
+        assert net.controller.installer._installs[cookie].entries == (1, 1, 1)
         before = sent_to_switches(net.controller)
         report_first_entry_gone(net, "s2", cookie)
         net.run(duration=SETTLE)
@@ -302,7 +323,7 @@ class TestUnwindOnlyWhereEntriesRemain:
     def test_keep_state_reporter_still_holds_an_entry_and_is_deleted(self):
         net = build("line", keep_state=True)
         cookie, _ = decide(net)
-        assert net.controller._path_installs[cookie].entries == (2, 2, 2)
+        assert net.controller.installer._installs[cookie].entries == (2, 2, 2)
         before = sent_to_switches(net.controller)
         report_first_entry_gone(net, "s2", cookie)
         net.run(duration=SETTLE)
@@ -316,13 +337,13 @@ class TestUnwindOnlyWhereEntriesRemain:
         # would strand the fresh entry there: nobody would ever delete it.
         net = build("line", keep_state=False)
         cookie, _ = decide(net)
-        flow = net.controller._path_installs[cookie].flow
+        flow = net.controller.installer._installs[cookie].flow
         packet = net.host("server").delivered[-1]
         assert FlowSpec.from_packet(packet) == flow
         punt(net, "s3", packet)                       # PacketIn: arrives first ...
         report_first_entry_gone(net, "s3", cookie)    # ... FlowRemoved right behind it
         net.run(duration=200e-6)                      # both handled, nothing landed yet
-        assert cookie not in net.controller._path_installs
+        assert cookie not in net.controller.installer
         assert net.controller.audit.records()[-1].cached
         net.run(duration=SETTLE)
         assert all(len(s.flow_table) == 0 for s in net.switches.values())
@@ -332,7 +353,7 @@ class TestUnwindOnlyWhereEntriesRemain:
         cookie, _ = decide(net)
         punt(net, "s3", net.host("server").delivered[-1])
         net.run(duration=SETTLE)
-        install = net.controller._path_installs[cookie]
+        install = net.controller.installer._installs[cookie]
         assert install.switches == ("s1", "s2", "s3") and install.entries == ()
 
 
@@ -355,17 +376,17 @@ class TestCountsCrossAFailover:
 
     def test_export_and_adopt_carry_the_counts(self):
         net, cookie, adopter = self.decided_then_joined_by_an_adopter()
-        exported = net.controller.export_path_installs()
+        exported = net.controller.installer.export()
         assert [(c, i.entries) for c, i in exported] == [(cookie, (1, 1, 1))]
-        assert net.controller.path_install_count() == 0
-        adopter.adopt_path_installs(exported)
+        assert len(net.controller.installer) == 0
+        adopter.installer.adopt(exported)
         sent = self.s2_reports_to(adopter, net, cookie)
         assert sent == {"s1": 1, "s2": 0, "s3": 1, "s-off": 0}
 
     def test_an_install_adopted_without_counts_deletes_everywhere(self):
         net, cookie, adopter = self.decided_then_joined_by_an_adopter()
-        flow = net.controller._path_installs[cookie].flow
-        adopter.adopt_path_installs(
+        flow = net.controller.installer._installs[cookie].flow
+        adopter.installer.adopt(
             [(cookie, PathInstall(flow=flow, switches=("s1", "s2", "s3")))]
         )
         sent = self.s2_reports_to(adopter, net, cookie)
@@ -384,10 +405,11 @@ class TestPlanInvalidation:
     def test_plan_is_reused_between_decisions(self):
         net = build("line", keep_state=False)
         decide(net)
-        (plan,) = net.controller._hop_plans.values()
+        installer = net.controller.installer
+        (plan,) = installer._hop_plans.values()
         decide(net)
-        assert list(net.controller._hop_plans.values()) == [plan]
-        assert net.controller._hop_plans[
+        assert list(installer._hop_plans.values()) == [plan]
+        assert installer._hop_plans[
             (net.host("client"), net.host("server"))
         ] is plan
 
@@ -420,7 +442,8 @@ class TestPlanInvalidation:
         flow_mods = int(net.controller.flow_mods.value)
         decide(net)
         assert int(net.controller.flow_mods.value) == flow_mods
-        assert net.controller._hop_plan(net.controller.audit.records()[-1].flow) == ()
+        flow = net.controller.audit.records()[-1].flow
+        assert net.controller.installer._hop_plan(flow) == ()
 
     def test_newly_managed_switch_joins_the_plan(self):
         from repro.openflow.switch import OpenFlowSwitch
@@ -435,6 +458,6 @@ class TestPlanInvalidation:
         net.add_host(HostSpec(name="server", ip=SERVER_IP), switch=core)
         net.set_policy({"00.control": "pass all\n"})
         flow = FlowSpec.tcp("192.168.0.10", SERVER_IP, 40000, WEB_PORT)
-        assert [hop[0].name for hop in net.controller._hop_plan(flow)] == ["sw-edge"]
+        assert [hop[0].name for hop in net.controller.installer._hop_plan(flow)] == ["sw-edge"]
         net.controller.register_switch(core)
-        assert [hop[0].name for hop in net.controller._hop_plan(flow)] == ["sw-edge", "sw-core"]
+        assert [hop[0].name for hop in net.controller.installer._hop_plan(flow)] == ["sw-edge", "sw-core"]

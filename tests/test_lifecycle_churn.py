@@ -232,7 +232,7 @@ class TestFailClosedPuntPipeline:
             network_flow_state(net), {"pending": 0, "buffered": 0}
         )
         assert bounded.passed, bounded.violations
-        assert controller.pending_flows() == []
+        assert controller.inflight_count() == 0
         errors = [r for r in controller.audit.records() if r.rule_origin == "error"]
         assert len(errors) == 1
         assert errors[0].action == "block"
@@ -265,29 +265,11 @@ class TestFailClosedPuntPipeline:
         assert len(records) == 1 and "deadline" in records[0].note
         assert net.host("server").delivered == []
 
-    def test_sweep_backstops_pending_flow_whose_deadline_event_was_lost(self):
-        # The controller's deadline event normally covers every punt; the
-        # lifecycle sweep backstops a flow it does not cover (e.g. one
-        # punted while no simulator was attached).
-        net = build_network(config=ControllerConfig(pending_deadline=0.5))
-        controller = net.controller
-        controller._decide = lambda *args, **kwargs: None  # decision lost
-        net.host("client").open_flow("http", "alice", "192.168.1.1", 80)
-        net.run(duration=0.1)
-        (task,) = controller._pending.values()
-        # Uncover the task by hand: the deadline event now skips it.
-        task.deadline = None
-        assert controller._uncovered_pending() == [task]
-        assert controller._next_pending_deadline() is not None
-        swept = controller.lifecycle.sweep(net.topology.sim.now + 1.0)
-        assert swept["pending"] == 1
-        assert controller._pending == {} and controller.pending_expired == 1
-
     def test_completed_decision_cancels_the_deadline(self):
         net = build_network()
         net.send_flow("client", "http", "alice", "192.168.1.1", 80)
         controller = net.controller
-        assert controller.pending_flows() == [] and controller.inflight_count() == 0
+        assert controller.inflight_count() == 0
         assert controller.pending_expired == 0
 
 
@@ -383,7 +365,7 @@ class TestOneDeadlinePerController:
         controller.halt()
         net.run(duration=1.0)      # the deadline comes and goes
         assert controller.pending_expired == 0
-        assert controller.pending_flows() == flows
+        assert list(controller._pending) == flows
         resumed = net.topology.sim.now
         controller.resume()
         net.run()

@@ -333,7 +333,7 @@ class TestMultiChannelRouting:
         flow = FlowSpec.from_packet(packet)
         owner = net.cluster.shard_map.owner(flow)
         net.run(0.0005)  # punt now pending at the owner
-        assert net.cluster.replicas[owner].pending_flows() == [flow]
+        assert list(net.cluster.replicas[owner]._pending) == [flow]
 
         net.start_monitoring()
         net.cluster.kill(owner)
@@ -342,6 +342,6 @@ class TestMultiChannelRouting:
         net.run()
 
         assert len(server.delivered) == 1
-        assert all(c.pending_flows() == [] for c in net.cluster.replicas.values())
+        assert all(c.inflight_count() == 0 for c in net.cluster.replicas.values())
         assert sw.buffered_count() == 0
         assert net.cluster.repunted_flows == 1

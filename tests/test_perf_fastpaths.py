@@ -231,7 +231,7 @@ class TestPoisonedBurst:
             (81, "block", "error"),
             (80, "pass", "00.control"),
         ]
-        assert controller.pending_flows() == [] and switch.buffered_count() == 0
+        assert controller.inflight_count() == 0 and switch.buffered_count() == 0
         assert controller.policy_errors == 1
         assert controller.policy.stats()["evaluations"] == 3.0
         assert len(net.host("server").delivered) == 2

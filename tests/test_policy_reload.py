@@ -298,13 +298,13 @@ class TestClusterReloadParsesOnce:
         assert parsed == ["50-vendor.control"]
         shared = {id(c.policy.loader.get("50-vendor")) for c in cluster.replicas.values()}
         assert len(shared) == 1
-        epochs = {c.policy_epoch for c in cluster.replicas.values()}
+        epochs = {c.policy.ruleset_epoch for c in cluster.replicas.values()}
         assert all(c.policy.evaluator.compiled.rules_compiled == 0 for c in cluster.replicas.values())
         assert compiled == ["50-vendor.control"]  # one compile in total, in validation
 
         cluster.set_policy({"50-vendor.control": FILES["50-vendor.control"]})
         assert parsed == ["50-vendor.control"]  # unchanged text: no parse anywhere
-        assert {c.policy_epoch for c in cluster.replicas.values()} == {e + 1 for e in epochs}
+        assert {c.policy.ruleset_epoch for c in cluster.replicas.values()} == {e + 1 for e in epochs}
         assert cluster.coordinator.verify_converged()
         assert all(c.policy.rule_count() == 3 for c in cluster.replicas.values())
         assert net.send_flow("client", "http", "alice", "192.168.1.1", 80).delivered

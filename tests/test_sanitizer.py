@@ -235,8 +235,9 @@ class TestDeterminismRegression:
 
     def test_gate_summary_records_seed_and_verdict(self):
         # The full-size gate at the committed seed, pinned to the hashes
-        # in BENCH_results.json: a refactor that changes the event
-        # stream fails here instead of only failing to be noticed.
+        # and audit digests in BENCH_results.json: a refactor that
+        # changes the event stream or any decision fails here instead of
+        # only failing to be noticed.
         committed = json.loads(
             (Path(__file__).resolve().parent.parent / "BENCH_results.json").read_text()
         )["results"]["determinism_double_run"]
@@ -252,3 +253,8 @@ class TestDeterminismRegression:
                 == committed[name]["first"]["trace_hash"]
             )
             assert entry["first"]["events"] == committed[name]["first"]["events"]
+            assert (
+                entry["first"]["audit_digest"]
+                == entry["second"]["audit_digest"]
+                == committed[name]["first"]["audit_digest"]
+            )

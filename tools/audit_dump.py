@@ -8,11 +8,11 @@ Each workload runs once, in a fresh interpreter under
 ``PYTHONHASHSEED=0``, through ``perf.harness.run_repeat`` at the size and
 set-up count ``perf/run.py`` gives one of its untraced repeats, so the
 records are the ones a benchmark repeat of that seed decides.  Each
-record is one line::
+record is one line, ``workload|controller|`` and then the record's
+canonical line (:func:`repro.core.audit.record_line`)::
 
     workload|controller|time|flow|action|rule|origin|cookie|delegated|functions|cached|query latency|note|src keys|dst keys
 
-with floats in ``repr`` form and the identity views in document order.
 Two checkouts whose dumps are equal decided every benchmark flow alike,
 to the bit: diff them to show that a change moved no decision.  A count
 per workload goes to standard error.  ``perf/`` is imported, never
@@ -33,29 +33,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perf.harness import run_repeat  # noqa: E402
 from perf.run import DEFAULT_SECONDS, REPEATS, SETUPS  # noqa: E402
 from perf.workloads import WORKLOADS  # noqa: E402
-
-
-def record_line(workload: str, controller: str, record) -> str:
-    """One audit record as one line (see the module docstring)."""
-    flow = record.flow
-    fields = (
-        workload,
-        controller,
-        repr(record.time),
-        f"{flow.src_ip}:{flow.src_port}>{flow.dst_ip}:{flow.dst_port}/{flow.proto}",
-        record.action,
-        record.rule_text,
-        record.rule_origin,
-        record.cookie,
-        str(record.delegated),
-        ",".join(record.delegation_functions),
-        str(record.cached),
-        repr(record.query_latency),
-        record.note,
-        repr(dict(record.src_keys)),
-        repr(dict(record.dst_keys)),
-    )
-    return "|".join(fields)
+from repro.core.audit import record_line  # noqa: E402
 
 
 def dump(name: str, seed: int, seconds: float) -> int:
@@ -74,7 +52,7 @@ def dump(name: str, seed: int, seconds: float) -> int:
     count = 0
     for controller in sorted(controllers):
         for record in controllers[controller].audit.records():
-            print(record_line(name, controller, record))
+            print(record_line(record, name, controller))
             count += 1
     return count
 
