@@ -11,8 +11,9 @@ bench:
 
 # Every soak runs through the one entry point: soak_churn, soak_cluster,
 # soak_fabric, soak_queryload, soak_push, soak_decision_core,
-# soak_telemetry, soak_paper — the paper's E1-E12 — and soak_matrix —
-# the 30-cell scenario matrix — (the names of repro.workloads.soak.SOAKS).
+# soak_telemetry, soak_paper — the paper's E1-E12 —, soak_matrix — the
+# 30-cell scenario matrix — and soak_determinism — the bench scenarios
+# double-run — (the names of repro.workloads.soak.SOAKS).
 # A pattern rule is not searched for a .PHONY target, so these are not
 # listed there.
 soak_%:
@@ -23,15 +24,13 @@ soak: soak_churn
 soak_queries: soak_queryload
 soak_async: soak_decision_core
 matrix: soak_matrix
+determinism: soak_determinism
 
 docs_check:
 	$(PYTHON) tools/check_docs.py
 
 lint:
 	$(PYTHON) tools/analysis/run_lint.py
-
-determinism:
-	$(PYTHON) -m repro.workloads.determinism
 
 # The wall-clock benchmark of BENCHMARK.json (perf/README.md).  The smoke
 # runs exit non-zero on any failed op or cross-repeat mismatch: the punt

@@ -7,13 +7,15 @@ perf trajectory to compare against::
     python benchmarks/run_benchmarks.py          # or: make bench
 
 Each benchmark reports operations per second; the JSON file maps
-benchmark name -> {ops_per_sec, iterations, seconds}.  Derived ratios
-(e.g. what a policy decision costs against 2000 rules over what it costs
-against 10) are included under ``derived`` and gated.  The soak entries
-and their gates come from the ``SOAK`` tables of the soak modules
+benchmark name -> {ops_per_sec, iterations, seconds} under ``results``.
+A bench that times an easy and a hard case records on the hard case's
+entry how much more it costs (``policy_eval_compiled_2000.vs_10``), and
+the ``GATES`` rows judge those ratios.  The soak entries and their gates
+come from the ``SOAK`` tables of the soak modules
 (``repro.workloads.soak``), the same ones ``make soak_*`` walks — the
-paper's own experiments, E1–E12, among them (``results.paper_*``), and
-the scenario matrix (``results.experiment_matrix``).
+paper's own experiments, E1–E12, among them (``results.paper_*``), the
+scenario matrix (``results.experiment_matrix``) and the determinism
+double run (``results.determinism_double_run``).
 """
 
 from __future__ import annotations
@@ -44,16 +46,14 @@ from repro.openflow.match import Match  # noqa: E402
 from repro.openflow.switch import OpenFlowSwitch  # noqa: E402
 from repro.pf.evaluator import PolicyEvaluator  # noqa: E402
 from repro.pf.parser import parse_ruleset  # noqa: E402
-from repro.workloads.determinism import DeterminismGate  # noqa: E402
 from repro.workloads.generators import FlowGenerator, FlowTemplate  # noqa: E402
 from repro.workloads.paper_configs import figure2_control_files  # noqa: E402
-from repro.workloads.soak import Gate, failed_gates, load  # noqa: E402
+from repro.workloads.soak import SOAKS, Gate, failed_gates, load, recorded  # noqa: E402
 
 #: The soaks recorded here, in run order.  Each module's ``SOAK`` table
 #: names its ``results`` entries and gates them; ``make soak_<name>``
 #: walks the same table.  (``push`` re-runs a phase of ``queryload``.)
-BENCH_SOAKS = ("churn", "cluster", "fabric", "queryload", "decision_core", "telemetry", "paper",
-               "matrix")
+BENCH_SOAKS = tuple(name for name in SOAKS if name != "push")
 
 #: One policy decision may cost at most this much more against a
 #: 2000-rule ruleset than against a 10-rule one.
@@ -82,56 +82,32 @@ EVENT_LOOP_CANCELLED_CEILING = 1.5
 #: running than with none (loose: two records and their ring per hop).
 PACKET_HOP_CAPTURE_CEILING = 1.6
 
-#: What one decided punt of the async soak may cost, end to end (punt,
-#: both queries, eval, path install, expiry, unwind): simulator events,
-#: and control-channel messages.  Counts, exact for a seed.  ~8.07
-#: events: three link deliveries (client to edge, edge to core, core to
-#: server), two ident++ answers, one eval slot, and one FlowMod event per
-#: switch on the path.  A wave's PacketIns, a sweep's FlowRemoveds and the
-#: deletes they trigger each ride one event per channel direction, so they
-#: add ~0.07 (11.06 while every message was an event of its own).  5.003
-#: messages: PacketIn, two FlowMods, FlowRemoved, one delete, and a second
-#: FlowRemoved for the first and last wave.  A step up is a whole event
-#: or message per punt.
-PUNT_EVENTS_CEILING = 9.0
-PUNT_MSGS_CEILING = 5.1
-
-#: The gates on what no soak table covers (micro-bench ratios, the
-#: per-punt counts, determinism), as data: where the value sits in the
-#: written payload, the comparison it must satisfy against the bound,
-#: the bound, and what to print when it does not.
+#: The gates on what no soak table covers, the micro-bench ratios, as
+#: data: where the value sits in ``results``, the comparison it must
+#: satisfy against the bound, the bound, and what to print when it does not.
 GATES = (
-    Gate("derived.policy_eval_2000_vs_10", operator.le, POLICY_EVAL_CEILING,
+    Gate("policy_eval_compiled_2000.vs_10", operator.le, POLICY_EVAL_CEILING,
          f"a policy decision costs more than {POLICY_EVAL_CEILING:g}x as much against "
          "2000 rules as against 10 (a decision walks the ruleset, not its candidates)"),
-    Gate("derived.policy_reload_unchanged_vs_cold", operator.le, POLICY_RELOAD_UNCHANGED_CEILING,
+    Gate("policy_reload_unchanged.vs_cold", operator.le, POLICY_RELOAD_UNCHANGED_CEILING,
          f"reloading an unchanged 1 001-rule file costs more than "
          f"{POLICY_RELOAD_UNCHANGED_CEILING:g} of loading it cold "
          "(an unchanged control file is being parsed or compiled again)"),
-    Gate("derived.policy_reload_unchanged_rules_compiled", operator.eq, 0,
+    Gate("policy_reload_unchanged.rules_compiled", operator.eq, 0,
          "reloading an unchanged 1 001-rule file compiled {value} rules "
          "(a control file's kept compile is not being reused)"),
-    Gate("derived.flow_table_churn_4096_vs_128", operator.le, FLOW_TABLE_CHURN_CEILING,
+    Gate("flow_table_churn_4096.vs_128", operator.le, FLOW_TABLE_CHURN_CEILING,
          f"flow-table churn costs more than {FLOW_TABLE_CHURN_CEILING:g}x as much "
          "beside 4096 resident entries as beside 128 (an operation walks the table)"),
-    Gate("derived.daemon_answer_4096_vs_16", operator.le, DAEMON_ANSWER_CEILING,
+    Gate("daemon_answer_sockets_4096.vs_16", operator.le, DAEMON_ANSWER_CEILING,
          f"an ident++ answer costs more than {DAEMON_ANSWER_CEILING:g}x as much on a "
          "host holding 4096 sockets as on one holding 16 (a lookup walks the socket table)"),
-    Gate("derived.event_loop_cancelled_vs_clean", operator.le, EVENT_LOOP_CANCELLED_CEILING,
+    Gate("event_loop_90pct_cancelled.vs_clean", operator.le, EVENT_LOOP_CANCELLED_CEILING,
          f"a scheduled event costs more than {EVENT_LOOP_CANCELLED_CEILING:g}x as much "
          "with nine in ten cancelled as with all firing (dead records pile up in the heap)"),
-    Gate("derived.packet_hop_captured_vs_off", operator.le, PACKET_HOP_CAPTURE_CEILING,
+    Gate("packet_hop_captured.vs_off", operator.le, PACKET_HOP_CAPTURE_CEILING,
          f"a hop costs more than {PACKET_HOP_CAPTURE_CEILING:g}x as much with a packet "
          "capture running as with none"),
-    Gate("derived.punt_events_per_decision", operator.le, PUNT_EVENTS_CEILING,
-         "a decided punt of the async soak costs more than "
-         f"{PUNT_EVENTS_CEILING:g} simulator events"),
-    Gate("derived.punt_msgs_per_decision", operator.le, PUNT_MSGS_CEILING,
-         "a decided punt of the async soak costs more than "
-         f"{PUNT_MSGS_CEILING:g} control-channel messages"),
-    Gate("derived.determinism_trace_identical", operator.eq, True,
-         "double-run event traces diverged "
-         "(see determinism_double_run) — the simulation is not deterministic"),
 )
 
 RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_results.json")
@@ -164,6 +140,11 @@ def _per_item(timing: dict, batch: int) -> dict:
     return timing
 
 
+def _vs(easy: dict, hard: dict, digits: int = 2) -> float:
+    """Return how much more the ``hard`` case costs: the ``easy`` case's ops/s over its own."""
+    return round(easy["ops_per_sec"] / hard["ops_per_sec"], digits)
+
+
 def _e10b_text(rule_count: int) -> str:
     lines = ["block all"]
     for index in range(rule_count):
@@ -192,6 +173,9 @@ def bench_policy_evaluator(results: dict) -> None:
         results[f"policy_eval_compiled_{size}"] = _timeit(
             lambda: evaluator.evaluate(flow, src, None)
         )
+    results["policy_eval_compiled_2000"]["vs_10"] = _vs(
+        results["policy_eval_compiled_10"], results["policy_eval_compiled_2000"]
+    )
     # The index counters of the last, 2000-rule policy.
     stats = evaluator.stats()
     results["policy_eval_index_stats"] = {
@@ -225,10 +209,13 @@ def bench_policy_reload(results: dict) -> None:
         engine.add_control_file("00-hot.control", text)
         return engine.rebuild().compiled
 
-    results["policy_reload_cold"] = _timeit(lambda: reload(PolicyEngine(default_action="block")))
+    cold = results["policy_reload_cold"] = _timeit(
+        lambda: reload(PolicyEngine(default_action="block"))
+    )
     warm = PolicyEngine(default_action="block")
-    results["policy_reload_unchanged"] = _timeit(lambda: reload(warm))
-    results["policy_reload_unchanged"]["rules_compiled"] = reload(warm).rules_compiled
+    unchanged = results["policy_reload_unchanged"] = _timeit(lambda: reload(warm))
+    unchanged["rules_compiled"] = reload(warm).rules_compiled
+    unchanged["vs_cold"] = _vs(cold, unchanged, 3)
 
 
 def bench_decision_cache(results: dict) -> None:
@@ -258,6 +245,9 @@ def bench_flow_table(results: dict) -> None:
     results["packet_wire_size"] = _timeit(packet.wire_size)
     for resident in (128, 4096):
         results[f"flow_table_churn_{resident}"] = _timeit(_flow_table_churn(resident))
+    results["flow_table_churn_4096"]["vs_128"] = _vs(
+        results["flow_table_churn_128"], results["flow_table_churn_4096"]
+    )
 
 
 def _flow_table_churn(resident: int):
@@ -292,6 +282,9 @@ def _flow_table_churn(resident: int):
 def bench_daemon_answer(results: dict) -> None:
     for sockets in (16, 4096):
         results[f"daemon_answer_sockets_{sockets}"] = _timeit(_daemon_answer(sockets))
+    results["daemon_answer_sockets_4096"]["vs_16"] = _vs(
+        results["daemon_answer_sockets_16"], results["daemon_answer_sockets_4096"]
+    )
 
 
 def _daemon_answer(sockets: int):
@@ -326,12 +319,16 @@ _HOP_BATCH = 200
 
 def bench_event_loop(results: dict) -> None:
     """Scheduled events per second: all firing, and nine in ten cancelled."""
-    results["event_loop_clean"] = _per_item(_timeit(_event_loop(0)), _LOOP_BATCH)
-    results["event_loop_90pct_cancelled"] = _per_item(_timeit(_event_loop(9)), _LOOP_BATCH)
-    results["packet_hop"] = _per_item(_timeit(_packet_hops(capture=False)), 2 * _HOP_BATCH)
-    results["packet_hop_captured"] = _per_item(
+    clean = results["event_loop_clean"] = _per_item(_timeit(_event_loop(0)), _LOOP_BATCH)
+    cancelled = results["event_loop_90pct_cancelled"] = _per_item(
+        _timeit(_event_loop(9)), _LOOP_BATCH
+    )
+    cancelled["vs_clean"] = _vs(clean, cancelled)
+    off = results["packet_hop"] = _per_item(_timeit(_packet_hops(capture=False)), 2 * _HOP_BATCH)
+    captured = results["packet_hop_captured"] = _per_item(
         _timeit(_packet_hops(capture=True)), 2 * _HOP_BATCH
     )
+    captured["vs_off"] = _vs(off, captured)
 
 
 def _event_loop(cancelled_tenths: int):
@@ -424,11 +421,6 @@ def bench_soaks(results: dict) -> list:
     return gates
 
 
-def bench_determinism(results: dict) -> None:
-    """Determinism gate: double-run both sanitized scenarios, compare trace hashes."""
-    results["determinism_double_run"] = DeterminismGate().as_dict()
-
-
 def main() -> int:
     results: dict = {}
     print("running hot-path benchmarks ...")
@@ -441,108 +433,10 @@ def main() -> int:
     bench_event_loop(results)
     bench_flow_generator(results)
     soak_gates = bench_soaks(results)
-    print("running determinism double-run gate ...")
-    bench_determinism(results)
-
-    soak_async = results["soak_async_decisions"]
-    matrix = results["experiment_matrix"]
-    derived = {
-        "policy_eval_2000_vs_10": round(
-            results["policy_eval_compiled_10"]["ops_per_sec"]
-            / results["policy_eval_compiled_2000"]["ops_per_sec"],
-            2,
-        ),
-        "policy_reload_unchanged_vs_cold": round(
-            results["policy_reload_cold"]["ops_per_sec"]
-            / results["policy_reload_unchanged"]["ops_per_sec"],
-            3,
-        ),
-        "policy_reload_unchanged_rules_compiled": results["policy_reload_unchanged"][
-            "rules_compiled"
-        ],
-        "flow_table_churn_4096_vs_128": round(
-            results["flow_table_churn_128"]["ops_per_sec"]
-            / results["flow_table_churn_4096"]["ops_per_sec"],
-            2,
-        ),
-        "daemon_answer_4096_vs_16": round(
-            results["daemon_answer_sockets_16"]["ops_per_sec"]
-            / results["daemon_answer_sockets_4096"]["ops_per_sec"],
-            2,
-        ),
-        "event_loop_cancelled_vs_clean": round(
-            results["event_loop_clean"]["ops_per_sec"]
-            / results["event_loop_90pct_cancelled"]["ops_per_sec"],
-            2,
-        ),
-        "packet_hop_captured_vs_off": round(
-            results["packet_hop"]["ops_per_sec"]
-            / results["packet_hop_captured"]["ops_per_sec"],
-            2,
-        ),
-        "soak_async_events_per_wall_s": round(
-            soak_async["events"] / soak_async["wall_seconds"], 1
-        ),
-        "soak_async_punts_per_wall_s": round(
-            soak_async["decided"] / soak_async["wall_seconds"], 1
-        ),
-        "punt_events_per_decision": round(soak_async["events"] / soak_async["decided"], 3),
-        "punt_msgs_per_decision": round(
-            soak_async["control_messages"] / soak_async["decided"], 3
-        ),
-        "soak_state_bounded": results["soak_churn_100k"]["bounded_within_2x"],
-        "soak_fail_closed": results["soak_fail_closed_probe"]["failed_closed"],
-        "cluster_speedup_4_shards": results["cluster_scale_1_to_4"]["speedup"],
-        "cluster_failover_zero_loss": results["cluster_failover_churn"]["zero_loss"],
-        "fabric_one_punt_per_flow": (
-            results["fabric_scale_bench"]["punts_total"]
-            == results["fabric_scale_bench"]["flows"]
-        ),
-        "fabric_fail_closed": results["fabric_scale_bench"]["fail_closed"]
-        and results["fabric_scale_bench"]["unwound"],
-        "fabric_slowdown_vs_single_switch": results["fabric_scale_bench"][
-            "slowdown_vs_single_switch"
-        ],
-        "query_cache_speedup": results["query_cache_bench"]["speedup"],
-        "query_cache_invalidation_ok": all(
-            results["query_cache_bench"]["invalidation"].values()
-        ),
-        "push_zero_query_ok": results["query_cache_bench"]["push_plane"][
-            "zero_query_ok"
-        ],
-        "push_convergence_beats_pull": results["query_cache_bench"]["push_plane"][
-            "convergence_ok"
-        ],
-        "decision_overlap_speedup": results["decision_overlap_bench"]["overlap_speedup"],
-        "decision_async_degradation": results["decision_overlap_bench"][
-            "async_degradation"
-        ],
-        "async_soak_bounded": soak_async["bounded"],
-        "determinism_trace_identical": results["determinism_double_run"][
-            "all_identical"
-        ],
-        "telemetry_conficker_detected": results["telemetry_conficker_detection"][
-            "detected"
-        ],
-        "telemetry_overhead_pct": results["telemetry_overhead"]["overhead_pct"],
-        "matrix_cells": matrix["cells_total"],
-        "matrix_cells_failed": matrix["cells_failed"],
-        # An invariant's verdict: it passed in every cell it applied to.
-        "matrix_invariant_gates": {
-            name: all(
-                cell["invariants"][name]["passed"]
-                for cell in matrix["cells"]
-                if name in cell["invariants"]
-            )
-            for name in sorted({name for cell in matrix["cells"] for name in cell["invariants"]})
-        },
-        "matrix_all_cells_pass": matrix["passed"],
-    }
     payload = {
         "command": "python benchmarks/run_benchmarks.py",
         "python": platform.python_version(),
         "results": results,
-        "derived": derived,
     }
     with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
         # A non-finite number would be written as a bare token no JSON
@@ -550,15 +444,15 @@ def main() -> int:
         json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
-    width = max(len(name) for name in results)
+    gates = soak_gates + list(GATES)
+    width = max(len(name) for name in [*results, *(gate.path for gate in gates)])
     for name, timing in results.items():
         if "ops_per_sec" in timing:
             print(f"  {name:<{width}}  {timing['ops_per_sec']:>14,.0f} ops/s")
-    for name, value in derived.items():
-        suffix = "x" if isinstance(value, (int, float)) and not isinstance(value, bool) else ""
-        print(f"  {name:<{width}}  {value!s:>13}{suffix}")
+    for path, holds, bound, _ in gates:
+        print(f"  {path:<{width}}  {recorded(results, path)!s:>14}  {holds.__name__} {bound}")
     print(f"wrote {os.path.relpath(RESULTS_PATH)}")
-    failures = failed_gates(results, soak_gates) + failed_gates({"derived": derived}, GATES)
+    failures = failed_gates(results, gates)
     for message in failures:
         print(f"FAIL: {message}")
     return 1 if failures else 0

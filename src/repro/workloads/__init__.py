@@ -29,9 +29,10 @@
   77 000-flow async churn), :mod:`~repro.workloads.telemetry`
   (outbreak detection, sampling overhead),
   :mod:`~repro.workloads.paper` (the paper's own claims, E1–E12: ``make
-  soak_paper``) and :mod:`~repro.workloads.experiment` (the 30-cell
+  soak_paper``), :mod:`~repro.workloads.experiment` (the 30-cell
   scenario matrix, cells as ``ScenarioSpec`` data: ``make
-  soak_matrix``).
+  soak_matrix``) and :mod:`~repro.workloads.determinism` (the bench
+  scenarios double-run: ``make determinism``).
 
 The soak modules and the kit are deliberately *not* imported here: the
 kit runs standalone via ``python -m``, and an eager package import

@@ -65,6 +65,20 @@ OVERLAP_SPEEDUP_FLOOR = 5.0
 #: events is a property of the code under test (and gated on its own).
 SOAK_FLOW_FLOOR = 77_000
 
+#: What one decided punt of the async soak may cost, end to end (punt,
+#: both queries, eval, path install, expiry, unwind): simulator events,
+#: and control-channel messages.  Counts, exact for a seed.  ~8.07
+#: events: three link deliveries (client to edge, edge to core, core to
+#: server), two ident++ answers, one eval slot, and one FlowMod event per
+#: switch on the path.  A wave's PacketIns, a sweep's FlowRemoveds and the
+#: deletes they trigger each ride one event per channel direction, so they
+#: add ~0.07 (11.06 while every message was an event of its own).  5.003
+#: messages: PacketIn, two FlowMods, FlowRemoved, one delete, and a second
+#: FlowRemoved for the first and last wave.  A step up is a whole event
+#: or message per punt.
+PUNT_EVENTS_CEILING = 9.0
+PUNT_MSGS_CEILING = 5.1
+
 #: Hosts opening flows, in both soaks.
 CLIENTS = 8
 #: Base daemon processing delay.  The bench fabric's links are short, so
@@ -220,20 +234,22 @@ def async_churn_soak() -> dict:
         violations.append(f"run ended with {final_inflight} undecided flows")
     if count + pending_expired < flows:
         violations.append(f"only {count} of {flows} flows were decided")
+    events = sim.events_processed
+    # Control-channel messages, both directions, over the whole run.
+    messages = sum(
+        int(channel.to_controller_messages.value + channel.to_switch_messages.value)
+        for channel in controller.channels.values()
+    )
     return {
         "flows": flows,
-        "events": sim.events_processed,
-        # Control-channel messages, both directions, over the whole run.
-        "control_messages": sum(
-            int(channel.to_controller_messages.value + channel.to_switch_messages.value)
-            for channel in controller.channels.values()
-        ),
+        "events": events,
+        "control_messages": messages,
         "decided": count,
+        "events_per_decision": round(ratio(events, count), 3),
+        "msgs_per_decision": round(ratio(messages, count), 3),
         "peak_inflight": peak["inflight"],
         "peak_serial_depth": peak["serial_depth"],
-        # One count: the committed entry has carried it under both names.
         "final_inflight": final_inflight,
-        "final_pending": final_inflight,
         "pending_expired": pending_expired,
         # Enough flows decided, in-flight state bounded, everything drained.
         "bounded": not violations,
@@ -260,6 +276,12 @@ SOAK = Soak(
              {core: {f"{scale:g}x": OVERLAP_FLOWS for scale in LATENCY_SCALES}
               for core in ("async", "serial")},
              f"an overlap run did not decide all {OVERLAP_FLOWS} flows: {{value}}"),
+        Gate("soak_async_decisions.events_per_decision", operator.le, PUNT_EVENTS_CEILING,
+             "a decided punt of the async soak cost {value} simulator events "
+             f"(ceiling {PUNT_EVENTS_CEILING:g})"),
+        Gate("soak_async_decisions.msgs_per_decision", operator.le, PUNT_MSGS_CEILING,
+             "a decided punt of the async soak cost {value} control-channel messages "
+             f"(ceiling {PUNT_MSGS_CEILING:g})"),
     ),
     ok="soak ok: query latency overlaps, in-flight state bounded",
 )

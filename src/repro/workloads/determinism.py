@@ -4,7 +4,7 @@ The simulator's contract is bit-for-bit reproducibility: same scenario,
 same seed, same event trace.  Every perf number in
 ``BENCH_results.json`` rests on that contract — if two runs of the same
 workload can diverge, a "speedup" may just be a lucky interleaving.
-This module makes the contract a *gate*: the queryload and
+This module makes the contract a soak with one gate: the queryload and
 decision-core bench scenarios each run **twice** with the same seed
 under ``Simulator(sanitize=True)``, and the runs must produce identical
 event-trace hashes (see
@@ -12,19 +12,19 @@ event-trace hashes (see
 counts and identical audit digests (:func:`repro.core.audit.audit_digest`,
 one canonical line per decision).  Any wall-clock read, module-global
 RNG draw or iteration-order leak breaks the hash equality and fails
-``make bench``; tier-1 pins both hashes and both digests to
-``BENCH_results.json``, so a change that moves an event or a decision's
-rule, origin, cookie or timing says so.
+``make determinism`` and ``make bench``; tier-1 pins both hashes and
+both digests to ``BENCH_results.json``, so a change that moves an event
+or a decision's rule, origin, cookie or timing says so.
 
 Run standalone::
 
-    python -m repro.workloads.determinism
+    python -m repro.workloads.soak determinism      # = make determinism
 """
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.audit import audit_digest
@@ -32,7 +32,7 @@ from repro.core.controller import ControllerConfig
 from repro.workloads.decision_core import DECISION_POLICY
 from repro.workloads.generators import FlowGenerator, FlowTemplate
 from repro.workloads.queryload import QUERYLOAD_POLICY
-from repro.workloads.soak import decided, edge_core_net
+from repro.workloads.soak import Gate, Soak, decided, edge_core_net
 
 #: The one seed both double-runs use; recorded next to the trace hashes
 #: in ``BENCH_results.json`` so the entry is reproducible by itself.
@@ -40,54 +40,6 @@ DETERMINISM_SEED = 2009
 
 #: Hosts opening flows in either scenario.
 CLIENTS = 4
-
-
-@dataclass(frozen=True)
-class ScenarioTrace:
-    """What one sanitized run of a scenario produced."""
-
-    trace_hash: str
-    events: int
-    decided: int
-    max_same_instant: int
-    audit_digest: str
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "trace_hash": self.trace_hash,
-            "audit_digest": self.audit_digest,
-            "events": self.events,
-            "decided": self.decided,
-            "max_same_instant": self.max_same_instant,
-        }
-
-
-@dataclass(frozen=True)
-class DeterminismReport:
-    """Two runs of one scenario, and whether they were identical."""
-
-    scenario: str
-    seed: int
-    first: ScenarioTrace
-    second: ScenarioTrace
-
-    @property
-    def identical(self) -> bool:
-        """Gate: both runs produced the same trace hash, event count and audit."""
-        return (
-            self.first.trace_hash == self.second.trace_hash
-            and self.first.events == self.second.events
-            and self.first.audit_digest == self.second.audit_digest
-        )
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "first": self.first.as_dict(),
-            "second": self.second.as_dict(),
-            "identical": self.identical,
-        }
 
 
 def _drive(
@@ -98,7 +50,7 @@ def _drive(
     *,
     seed: int,
     flows: int,
-) -> ScenarioTrace:
+) -> dict:
     """Inject a seeded flow schedule toward ``server`` on a 4-client bench
     fabric (daemons answering in 500 us) and run it sanitized.
 
@@ -147,16 +99,16 @@ def _drive(
     assert sanitizer is not None
     records = net.controller.audit.records()
     count, _ = decided(records)
-    return ScenarioTrace(
-        trace_hash=sanitizer.trace_hash,
-        events=sim.events_processed,
-        decided=count,
-        max_same_instant=sanitizer.max_same_instant,
-        audit_digest=audit_digest(records),
-    )
+    return {
+        "trace_hash": sanitizer.trace_hash,
+        "audit_digest": audit_digest(records),
+        "events": sim.events_processed,
+        "decided": count,
+        "max_same_instant": sanitizer.max_same_instant,
+    }
 
 
-def decision_core_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> ScenarioTrace:
+def decision_core_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> dict:
     """The decision-core bench topology: async core, query/eval overlap."""
     return _drive(
         "determinism-decision-core",
@@ -174,7 +126,7 @@ def decision_core_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> 
     )
 
 
-def queryload_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> ScenarioTrace:
+def queryload_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> dict:
     """The queryload bench topology: hot server behind the query cache."""
     return _drive(
         "determinism-queryload",
@@ -187,59 +139,38 @@ def queryload_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> Scen
 
 
 #: The scenarios the gate double-runs; names key the BENCH entry.
-SCENARIOS: dict[str, Callable[[int], ScenarioTrace]] = {
+SCENARIOS: dict[str, Callable[[int], dict]] = {
     "decision_core": decision_core_scenario,
     "queryload": queryload_scenario,
 }
 
+#: What the two runs of one scenario must agree on.
+IDENTICAL_KEYS = ("trace_hash", "events", "audit_digest")
 
-class DeterminismGate:
-    """Double-run every scenario and compare event-trace hashes."""
 
-    def __init__(self, seed: int = DETERMINISM_SEED) -> None:
-        self.seed = seed
-
-    def run(self) -> dict[str, DeterminismReport]:
-        reports: dict[str, DeterminismReport] = {}
-        for name, scenario in SCENARIOS.items():
-            reports[name] = DeterminismReport(
-                scenario=name,
-                seed=self.seed,
-                first=scenario(self.seed),
-                second=scenario(self.seed),
-            )
-        return reports
-
-    def as_dict(self) -> dict[str, object]:
-        """Run the gate and return the JSON summary for ``BENCH_results.json``."""
-        reports = self.run()
-        payload: dict[str, object] = {
-            name: report.as_dict() for name, report in reports.items()
+def double_run(seed: int = DETERMINISM_SEED) -> dict:
+    """Run each bench scenario twice at one seed and compare the two traces."""
+    entry: dict[str, object] = {}
+    for name, scenario in SCENARIOS.items():
+        first, second = scenario(seed), scenario(seed)
+        entry[name] = {
+            "scenario": name,
+            "seed": seed,
+            "first": first,
+            "second": second,
+            "identical": all(first[key] == second[key] for key in IDENTICAL_KEYS),
         }
-        payload["seed"] = self.seed
-        payload["all_identical"] = all(report.identical for report in reports.values())
-        return payload
+    entry["seed"] = seed
+    entry["all_identical"] = all(entry[name]["identical"] for name in SCENARIOS)
+    return entry
 
 
-def main() -> int:
-    """Standalone entry point: run the gate, print, exit non-zero on divergence."""
-    gate = DeterminismGate()
-    ok = True
-    for name, report in gate.run().items():
-        status = "identical" if report.identical else "DIVERGED"
-        print(
-            f"  {name}: {status}  seed={report.seed}  "
-            f"events={report.first.events}/{report.second.events}  "
-            f"hash={report.first.trace_hash[:16]}../{report.second.trace_hash[:16]}..  "
-            f"audit={report.first.audit_digest[:16]}../{report.second.audit_digest[:16]}.."
-        )
-        ok = ok and report.identical
-    if not ok:
-        print(
-            "FAIL: double-run event traces or audits diverged — the simulation is not deterministic"
-        )
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+SOAK = Soak(
+    steps=(("determinism_double_run", double_run),),
+    gates=(
+        Gate("determinism_double_run.all_identical", operator.eq, True,
+             "determinism_double_run.all_identical is {value}: a double run's event trace, "
+             "event count or audit diverged — the simulation is not deterministic"),
+    ),
+    ok="determinism ok: every bench scenario double-ran to one trace hash and one audit digest",
+)

@@ -10,7 +10,7 @@ it under ``results.paper_*``.  What the paper expects is written once:
 as a violation where the step can name the case, as a :class:`Gate` row
 where it bounds a number.  E10's second half (evaluator cost against
 ruleset size) is host time and lives where host time is recorded:
-``results.policy_eval_compiled_*`` and ``derived.policy_eval_2000_vs_10``.
+``results.policy_eval_compiled_*`` and its ``vs_10`` ratio.
 
     python -m repro.workloads.soak paper      # = make soak_paper
 """

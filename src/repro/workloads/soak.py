@@ -42,6 +42,7 @@ SOAKS = {
     "telemetry": "repro.workloads.telemetry:SOAK",
     "paper": "repro.workloads.paper:SOAK",
     "matrix": "repro.workloads.experiment:SOAK",
+    "determinism": "repro.workloads.determinism:SOAK",
 }
 
 
@@ -189,14 +190,20 @@ def timed(step: Callable[..., dict]) -> Callable[..., dict]:
     return run
 
 
+def recorded(results: dict[str, dict], path: str) -> object:
+    """Return the value a gate's dotted ``path`` names in ``results``."""
+    value = results
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
 def failed_gates(results: dict[str, dict], gates: Sequence[Gate]) -> list[str]:
     """Return a line per gate that ``results`` fails and per violation an
     entry lists — every one, so a red run explains itself in one pass."""
     failures = []
     for path, holds, bound, message in gates:
-        value = results
-        for key in path.split("."):
-            value = value[key]
+        value = recorded(results, path)
         if not holds(value, bound):
             failures.append(message.format(value=value))
     for name, entry in results.items():

@@ -1,6 +1,7 @@
 """The soak kit: tables, gates, the entry point — and the soaks pinned to
 the committed ``BENCH_results.json``."""
 
+import importlib.util
 import json
 import operator
 import subprocess
@@ -13,6 +14,7 @@ from repro.hosts.endhost import EndHost
 from repro.workloads import (
     cluster,
     decision_core,
+    determinism,
     experiment,
     fabric,
     paper,
@@ -59,6 +61,9 @@ class TestCommittedResultsReproduce:
             *(("paper", step) for step, _ in paper.SOAK.steps),
             # Every cell of the scenario matrix, every repeat's verdicts.
             ("matrix", "experiment_matrix"),
+            # Both scenarios twice at the committed seed: the trace hashes,
+            # the audit digests, the event counts and the verdict.
+            ("determinism", "determinism_double_run"),
         ],
     )
     def test_step_equals_the_committed_entry(self, name, entry):
@@ -96,6 +101,9 @@ class TestGates:
             (paper.SOAK, "paper_e1_flow_setup.min_query_share", 0.8, 0.799),
             (paper.SOAK, "paper_e10_setup_vs_ethane.overhead_vs_queries_plus_eval", 1.0, 0.999),
             (paper.SOAK, "paper_e10_setup_vs_ethane.overhead_vs_queries_plus_eval", 1.05, 1.051),
+            (decision_core.SOAK, "soak_async_decisions.events_per_decision", 9.0, 9.001),
+            (decision_core.SOAK, "soak_async_decisions.msgs_per_decision", 5.1, 5.101),
+            (determinism.SOAK, "determinism_double_run.all_identical", True, False),
         ],
     )
     def test_a_value_on_the_bound_passes_and_one_step_past_fails(
@@ -127,6 +135,29 @@ class TestGates:
         assert "FAIL: depth 9 too deep" in out
         assert "FAIL: canned: lost a flow" in out
         assert "all clear" not in out
+
+
+def _load_run_benchmarks():
+    spec = importlib.util.spec_from_file_location(
+        "run_benchmarks", REPO_ROOT / "benchmarks" / "run_benchmarks.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGatePathsResolve:
+    """A mistyped gate path fails here, not at the end of a ``make bench`` run."""
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(
+            {gate.path for name in soak.SOAKS for gate in soak.load(name).gates}
+            | {gate.path for gate in _load_run_benchmarks().GATES}
+        ),
+    )
+    def test_every_gate_path_names_a_committed_value(self, path):
+        soak.recorded(COMMITTED, path)
 
 
 class TestNothingDecided:

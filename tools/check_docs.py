@@ -14,9 +14,9 @@ check, so the architecture/benchmark docs cannot silently lose the
 sections other documents and PR acceptance criteria point at.
 
 ``docs/BENCHMARKS.md`` is also held to ``BENCH_results.json``: every
-name in the first column of an ``Entry`` table under the ``results`` and
-``derived`` headings (``name_{a,b}`` brace lists expanded) must be a key
-of that map in the JSON file, and every key must have a row.  A gated
+name in the first column of an ``Entry`` table under the ``results``
+heading (``name_{a,b}`` brace lists expanded) must be a key of that map
+in the JSON file, and every key must have a row.  A gated
 path — a row of a soak module's ``SOAK`` table or of
 ``benchmarks/run_benchmarks.py::GATES`` — must have such a row too, and
 the row must name the gated key.
@@ -67,7 +67,6 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
         "### Scenario matrix (PR 9)",
         "### Push plane (PR 10)",
         "### Paper experiments (E1–E12)",
-        "## `derived` entries",
     ],
     "docs/ANALYSIS.md": [
         "## Running the lint",
@@ -147,10 +146,8 @@ def gated_paths() -> list[str]:
     )
     run_benchmarks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_benchmarks)
-    paths = [gate.path for gate in run_benchmarks.GATES]
-    for name in SOAKS:
-        paths.extend(f"results.{gate.path}" for gate in load(name).gates)
-    return paths
+    gates = [*run_benchmarks.GATES, *(gate for name in SOAKS for gate in load(name).gates)]
+    return [f"results.{gate.path}" for gate in gates]
 
 
 def check_benchmark_entries() -> list[str]:
