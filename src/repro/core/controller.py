@@ -239,8 +239,8 @@ class ControllerConfig:
       hot destination hosts to standing wire-v2 subscriptions, whose
       answers are resident (authoritative until the daemon pushes a
       delta); legacy daemons and cold hosts stay on pull.
-    * ``push_promote_punts`` — punts from a destination host before the
-      controller registers standing interest in it.
+    * ``push_promote_punts`` — punts toward a destination host before
+      the query engine registers standing interest in it.
     * ``push_idle_demote`` — idle seconds after which the lifecycle
       sweeper demotes a subscribed host back to the pull plane.
 
@@ -303,12 +303,8 @@ class IdentPPController(Controller):
             name=f"{name}.query-engine",
             push=self.config.identity_plane == "push",
             push_idle_demote=self.config.push_idle_demote,
+            push_promote_punts=self.config.push_promote_punts,
         )
-        # Punt tallies per destination IP feeding hot-host promotion;
-        # reset on demotion so a host re-earns residency from fresh
-        # history, not a stale pre-demotion count.
-        self._push_punt_counts: dict[str, int] = {}
-        self.query_engine.on_demote = lambda ip: self._push_punt_counts.pop(ip, None)
         self.cache = DecisionCache(ttl=self.config.decision_ttl)
         self.audit = AuditLog(name=f"{name}.audit")
         self.interception = InterceptionPolicy(name=f"{name}.interception")
@@ -461,8 +457,7 @@ class IdentPPController(Controller):
         # buffered packets instead of stranding the flow forever.
         self._cover(task)
         self.lifecycle.kick()
-        if self.config.identity_plane == "push":
-            self._note_punt_for_promotion(flow, message.switch, arrival)
+        self.query_engine.note_punt(flow.dst_ip, from_node=message.switch, now=arrival)
 
         if self.config.decision_core == "serial":
             # Concurrency 1: the punt takes the loop before its queries
@@ -500,28 +495,6 @@ class IdentPPController(Controller):
         self._deadline_event = self.sim.schedule(
             delay, self._pending_deadline_fired, label=self._pending_deadline_label
         )
-
-    def _note_punt_for_promotion(
-        self, flow: FlowSpec, switch: OpenFlowSwitch, arrival: float
-    ) -> None:
-        """Tally one punt against the destination; promote when hot.
-
-        A destination punted ``push_promote_punts`` times earns a
-        standing subscription: its answers become resident and later
-        punts stop costing daemon round-trips.  A refused subscription
-        (legacy daemon) leaves the tally in place — the engine memoizes
-        the refusing daemon object, so re-attempts are free and a
-        daemon *upgrade* is noticed on the next punt.
-        """
-        ip = str(flow.dst_ip)
-        engine = self.query_engine
-        if engine.is_subscribed(ip):
-            return
-        count = self._push_punt_counts.get(ip, 0) + 1
-        self._push_punt_counts[ip] = count
-        if count >= self.config.push_promote_punts:
-            if engine.subscribe_host(ip, from_node=switch, now=arrival):
-                del self._push_punt_counts[ip]
 
     def _dispatch_queries(self, task: DecisionTask) -> None:
         """Send the task's queries to both ends of the flow and yield the loop.
@@ -894,9 +867,9 @@ class IdentPPController(Controller):
         2. cached decisions touching the host are revoked — their flow
            entries leave every switch and the decision cache forgets
            them, so in-flight conversations stop;
-        3. the query engine's cached endpoint answers for the host are
-           invalidated (a compromised host's daemon can no longer be
-           believed, §6);
+        3. the query engine forgets the host — its subscription, its
+           resident and cached answers (a compromised host's daemon can
+           no longer be believed, §6);
         4. wildcard drop entries for the host land on every switch at
            ``QUARANTINE_PRIORITY``, containing the punt storm in the
            datapath — the scanner's packets die at its ingress switch
@@ -916,10 +889,6 @@ class IdentPPController(Controller):
         )
         for cookie in sorted(self.cache.cookies_for_host(ip)):
             self.revoke_decision(cookie)
-        # A subscribed host must be demoted first: resident answers are
-        # authoritative-until-delta, so invalidate_host alone would
-        # leave them serving for a host we no longer trust.
-        self.query_engine.unsubscribe_host(ip)
         self.query_engine.invalidate_host(ip, reason="quarantine")
         cookie = f"quarantine:{ip}"
         for switch in self.switches():

@@ -21,6 +21,12 @@ The daemon gathers key/value pairs from three places:
 
 Pairs from different sources go into different response sections, as the
 wire format requires.
+
+Each change to a future answer bumps the daemon's delta serial and hands
+the same :class:`~repro.identpp.wire.IdentDelta` to every listener
+(:meth:`IdentPPDaemon.notify_invalidation`): the listener list is the
+one channel a change travels on.  A wire-v2 SUBSCRIBE only records the
+subscriber's name and acks the serial it starts from.
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ DEFAULT_PROCESSING_DELAY = 500e-6
 
 #: Invalidation reason for a socket opening or closing.
 SOCKET_TABLE_CHANGED = "socket-table"
+
+#: Reason of the last notice a daemon sends when another replaces it on
+#: its host: whatever it said no longer speaks for the host.
+DAEMON_REPLACED = "daemon-replaced"
 
 
 class RuntimeKeyRegistry:
@@ -152,9 +162,10 @@ class IdentPPDaemon:
         self.deltas_published = Counter(f"{host.name}.identpp.deltas_published")
         # Controller-side endpoint caches (QueryEngine) register here to
         # hear about anything that changes future answers.
-        self._invalidation_listeners: list[Callable[[str], None]] = []
-        #: Standing push subscriptions: subscriber name → delta sink.
-        self._delta_subscribers: dict[str, Callable[[IdentDelta], None]] = {}
+        self._invalidation_listeners: list[Callable[[IdentDelta], None]] = []
+        # Names of the standing push subscribers (the deltas they hear
+        # come through the listeners above).
+        self._delta_subscribers: set[str] = set()
         #: Serial number of the *last* identity change this daemon saw.
         #: Bumped on every invalidation — subscribers or not — so a
         #: controller re-subscribing after failover can tell from the
@@ -173,12 +184,15 @@ class IdentPPDaemon:
         # Register on TCP 783 so queries arriving over the network reach us.
         host.register_service(IDENT_PP_PORT, self._service_handler)
         # Make the daemon discoverable by the query client / controllers.
+        replaced = getattr(host, "identpp_daemon", None)
         setattr(host, "identpp_daemon", self)
         # A socket gaining or losing an owner changes which process a
         # 5-tuple resolves to, which changes the answer.
         host.sockets.add_change_listener(self._on_socket_change)
         # So does the owning user's group membership.
         host.users.add_change_listener(self._on_user_change)
+        if replaced is not None:
+            replaced.notify_invalidation(DAEMON_REPLACED)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -208,25 +222,25 @@ class IdentPPDaemon:
     # Cache-invalidation fan-out
     # ------------------------------------------------------------------
 
-    def add_invalidation_listener(self, listener: Callable[[str], None]) -> None:
-        """Register a callback fired whenever future answers may change.
+    def add_invalidation_listener(self, listener: Callable[[IdentDelta], None]) -> None:
+        """Register a callback fired with every :class:`IdentDelta` this daemon issues.
 
         Fired on runtime-key publishes, configuration loads, host-fact
-        changes, spoofing toggles, host compromise and socket-table
-        owner changes.  The controller-side
-        :class:`~repro.identpp.engine.QueryEngine` subscribes here the
-        first time it caches one of this daemon's answers.
+        changes, spoofing toggles, host compromise, socket-table owner
+        changes and this daemon's replacement.  The controller-side
+        :class:`~repro.identpp.engine.QueryEngine` registers here while
+        it holds an answer from, or a subscription on, this daemon.
         """
         if listener not in self._invalidation_listeners:
             self._invalidation_listeners.append(listener)
 
-    def remove_invalidation_listener(self, listener: Callable[[str], None]) -> None:
-        """Unregister an invalidation callback (no-op when absent).
+    def remove_invalidation_listener(self, listener: Callable[[IdentDelta], None]) -> None:
+        """Unregister a listener (no-op when absent).
 
         An engine dropping its interest in this host must call this, or
-        the daemon keeps a strong reference to the dead engine's closure
-        forever — the stale-subscription leak the push plane's demotion
-        path exists to prevent.
+        the daemon keeps a strong reference to the dead engine forever —
+        the stale-subscription leak the push plane's demotion path
+        exists to prevent.
         """
         try:
             self._invalidation_listeners.remove(listener)
@@ -234,13 +248,12 @@ class IdentPPDaemon:
             pass
 
     def notify_invalidation(self, reason: str) -> None:
-        """Tell every subscribed endpoint cache to drop this host's answers.
+        """Issue one delta: bump the serial and hand it to every listener.
 
-        Every invalidation is also one identity *delta*: the serial is
-        bumped unconditionally (even with no subscribers, so a later
-        subscriber's baseline reflects changes it never saw), and each
-        standing push subscription receives an :class:`IdentDelta`
-        carrying the new serial.
+        The serial is bumped unconditionally (even with no listeners, so
+        a later subscriber's baseline reflects changes it never saw);
+        every listener, pull or push, receives the same
+        :class:`IdentDelta`.
         """
         self.delta_serial += 1
         if reason != SOCKET_TABLE_CHANGED:
@@ -248,15 +261,12 @@ class IdentPPDaemon:
             # opening or closing changes nothing the memo holds.
             self._base_memo.clear()
             self._config_memo.clear()
+        if not self._invalidation_listeners:
+            return
+        delta = IdentDelta(host_ip=str(self.host.ip), serial=self.delta_serial, reason=reason)
+        self.deltas_published.increment(len(self._delta_subscribers))
         for listener in list(self._invalidation_listeners):
-            listener(reason)
-        if self._delta_subscribers:
-            delta = IdentDelta(
-                host_ip=str(self.host.ip), serial=self.delta_serial, reason=reason,
-            )
-            for deliver in list(self._delta_subscribers.values()):
-                self.deltas_published.increment()
-                deliver(delta)
+            listener(delta)
 
     def _on_socket_change(self) -> None:
         self.notify_invalidation(SOCKET_TABLE_CHANGED)
@@ -272,17 +282,15 @@ class IdentPPDaemon:
         """Return the wire capabilities this daemon advertises."""
         return (CAP_SUBSCRIBE,) if self.push_capable else ()
 
-    def subscribe(
-        self, message: IdentSubscribe, deliver: Callable[[IdentDelta], None]
-    ) -> IdentSubscribeAck:
-        """Handle a SUBSCRIBE: capability negotiation plus registration.
+    def subscribe(self, message: IdentSubscribe) -> IdentSubscribeAck:
+        """Handle a SUBSCRIBE: the wire-v2 handshake.
 
-        A push-capable daemon accepts a version-2 SUBSCRIBE, registers
-        ``deliver`` as the subscriber's delta sink (latest registration
-        per subscriber name wins) and acks with its current
-        :attr:`delta_serial` as the subscriber's baseline.  A legacy
-        daemon — or a downlevel SUBSCRIBE — is refused with a version-1
-        ack carrying no capabilities, which tells the controller to keep
+        A push-capable daemon accepts a version-2 SUBSCRIBE, records the
+        subscriber's name and acks with its current :attr:`delta_serial`
+        as the subscriber's baseline; the deltas themselves reach the
+        subscriber through its invalidation listener.  A legacy daemon —
+        or a downlevel SUBSCRIBE — is refused with a version-1 ack
+        carrying no capabilities, which tells the controller to keep
         using the pull path.
         """
         if not self.push_capable or message.version < WIRE_VERSION_PUSH:
@@ -290,7 +298,7 @@ class IdentPPDaemon:
                 host_ip=str(self.host.ip), accepted=False,
                 capabilities=(), version=WIRE_VERSION_PULL, serial=0,
             )
-        self._delta_subscribers[message.subscriber] = deliver
+        self._delta_subscribers.add(message.subscriber)
         return IdentSubscribeAck(
             host_ip=str(self.host.ip), accepted=True,
             capabilities=self.capabilities(), version=WIRE_VERSION_PUSH,
@@ -299,7 +307,9 @@ class IdentPPDaemon:
 
     def unsubscribe(self, subscriber: str) -> bool:
         """Cancel one subscriber's standing interest; True when it existed."""
-        return self._delta_subscribers.pop(subscriber, None) is not None
+        known = subscriber in self._delta_subscribers
+        self._delta_subscribers.discard(subscriber)
+        return known
 
     def subscriber_count(self) -> int:
         """Return how many standing push subscriptions this daemon holds."""

@@ -15,9 +15,10 @@ three ways:
   answering socket is matched on), with a TTL and explicit
   invalidation — a daemon publishing new runtime keys, loading
   configuration, being spoofed, its host being compromised, or its
-  host's socket table changing owners all push an invalidation through
-  :meth:`IdentPPDaemon.add_invalidation_listener`, so stale answers
-  never outlive the event that staled them;
+  host's socket table changing owners all issue one serial-numbered
+  :class:`~repro.identpp.wire.IdentDelta` to the listener the engine
+  registered with :meth:`IdentPPDaemon.add_invalidation_listener`, so
+  stale answers never outlive the event that staled them;
 * **in-flight coalescing** — a cached entry whose answer has not
   "arrived" yet (its ``ready_at`` is still in the simulated future)
   represents an outstanding query; concurrent punts needing the same
@@ -53,22 +54,25 @@ opt in via ``ControllerConfig.query_cache_ttl``.
 *subscribed* hosts: instead of pulling on every miss and aging answers
 out by TTL, the engine registers standing interest with the host's
 daemon (wire-v2 SUBSCRIBE, capability-negotiated — a legacy daemon
-refuses and the pull path above applies untouched).  Pull versus push
-is then only the **expiry policy** an entry is stored under: a
-subscribed host's shareable destination answers are *resident* —
-``expires_at`` is :data:`UNTIL_DELTA`, so they carry no deadline, punts
-on them are served synchronously with **zero** daemon round-trips, and
-when the daemon pushes a serial-numbered :class:`IdentDelta` the engine
-proactively *re-primes* each one off the punt path — so convergence
-after an identity change costs the first post-change punt nothing,
-where the TTL policy charges it a full round trip.  Everything else
-(the one store, the one lookup, coalescing, invalidation) is shared.
+refuses and the pull path above applies untouched) once
+:meth:`QueryEngine.note_punt` has counted ``push_promote_punts`` punts
+toward it.  Pull versus push is then only the **expiry policy** an entry
+is stored under: a subscribed host's shareable destination answers are
+*resident* — ``expires_at`` is :data:`UNTIL_DELTA`, so they carry no
+deadline, and punts on them are served with **zero** daemon round-trips.
+A daemon change reaches the engine once, as its delta, and
+:meth:`QueryEngine._on_delta` handles it for pull and push alike: it
+drops the host's TTL entries and, when the host is subscribed,
+proactively *re-primes* each resident answer off the punt path — so the
+first post-change punt pays nothing, where the TTL policy charges it a
+full round trip.  A different daemon for a host means forget the host
+first: the replaced daemon's last notice makes the engine do so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.identpp.client import (
     ANSWER_LABELS,
@@ -77,6 +81,7 @@ from repro.identpp.client import (
     QueryOutcome,
     per_role_interceptors,
 )
+from repro.identpp.daemon import DAEMON_REPLACED
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
@@ -142,19 +147,13 @@ class CacheEntry:
 
 @dataclass
 class PushSubscription:
-    """One standing subscription: host, daemon ref, delta position.
+    """One standing subscription: host and delta position.
 
-    ``daemon`` is a strong reference to the exact object the engine
-    registered on (host-ip → daemon-ref keying, like the invalidation
-    subscriptions): a *replaced* daemon on the same IP compares
-    non-identical, so closing always reaches the object that holds our
-    sink and can never strand a subscription on a dead daemon.
     ``serial`` is the last delta serial applied; a gap against the
     daemon's serial after failover means deltas were missed.
     """
 
     host_ip: str
-    daemon: object
     serial: int
     subscribed_at: float
     last_hit: float
@@ -172,6 +171,7 @@ class QueryEngine:
         name: str = "query-engine",
         push: bool = False,
         push_idle_demote: float = DEFAULT_PUSH_IDLE_DEMOTE,
+        push_promote_punts: int = 3,
     ) -> None:
         self.client = client
         self.name = name
@@ -180,10 +180,7 @@ class QueryEngine:
         #: The push identity plane: subscribe-and-push for hot hosts.
         self.push = push
         self.push_idle_demote = push_idle_demote
-        #: Called with the host IP whenever a subscription is closed, so
-        #: the controller can reset that host's promotion counter (a
-        #: demoted host must re-earn residency from fresh punt history).
-        self.on_demote: Optional[Callable[[str], None]] = None
+        self.push_promote_punts = push_promote_punts
         #: The one answer store.  Pull versus push is the expiry policy
         #: an entry carries (TTL deadline | :data:`UNTIL_DELTA`), not a
         #: second table, so a lookup is one ``dict.get``.
@@ -199,20 +196,14 @@ class QueryEngine:
         # a promoted, refreshed or replaced entry's old record is stale).
         self._until_delta = 0
         self._expiry = ExpiryHeap()
-        # Daemons carrying one of our invalidation listeners: host IP →
-        # (daemon, listener), hooked for exactly as long as the engine
-        # holds an entry or a subscription for the host.  The daemon is
-        # held strongly — a *replaced* daemon on the same host compares
-        # non-identical and gets a fresh listener (an id()-based set
-        # could alias after GC) — and the listener kept so it can be
-        # unregistered again.
-        self._subscribed: dict[str, tuple[object, Callable[[str], None]]] = {}
+        # Host IP → the daemon carrying ``_on_delta`` as a listener,
+        # hooked for exactly as long as the engine holds an entry or a
+        # subscription for the host.
+        self._daemons: dict[str, object] = {}
         #: Standing subscriptions by host IP.
         self._subs: dict[str, PushSubscription] = {}
-        #: Daemons that refused our SUBSCRIBE (legacy, wire v1), keyed
-        #: host-ip → refusing daemon object: the same object is never
-        #: re-knocked, but a *replaced* (possibly upgraded) daemon is.
-        self._push_refused: dict[str, object] = {}
+        # Punts per not-yet-subscribed destination (promotion tally).
+        self._punts: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         self.coalesced = 0
@@ -555,7 +546,7 @@ class QueryEngine:
             )
         )
         if daemon is not None:
-            self._listen(host_ip, daemon)
+            self._hook(host_ip, daemon)
         return entry
 
     def _store(self, entry: CacheEntry) -> CacheEntry:
@@ -600,24 +591,18 @@ class QueryEngine:
             entries[key] for key in self._by_host.get(host_ip, ()) if entries[key].resident
         ]
 
-    def _listen(self, host_ip: str, daemon) -> None:
-        """Hook this engine into the answering daemon's invalidation fan-out."""
-        current = self._subscribed.get(host_ip)
-        if current is not None and current[0] is daemon:
-            return
-        if current is not None:
-            # The host's daemon was replaced: unhook from the old object
-            # so it cannot strand a listener on the dead daemon.
-            current[0].remove_invalidation_listener(current[1])
+    def _hook(self, host_ip: str, daemon) -> None:
+        """Register :meth:`_on_delta` on the daemon answering for a host.
 
-        def listener(reason: str, _ip=host_ip) -> None:
-            self.invalidate_host(_ip, reason)
-
-        self._subscribed[host_ip] = (daemon, listener)
-        daemon.add_invalidation_listener(listener)
+        The map never holds a replaced daemon: its last notice made the
+        engine forget the host, which unhooked it.
+        """
+        if host_ip not in self._daemons:
+            self._daemons[host_ip] = daemon
+            daemon.add_invalidation_listener(self._on_delta)
 
     def _release_host(self, host_ip: str) -> None:
-        """Unhook the invalidation listener once nothing is held for a host.
+        """Unhook from the host's daemon once nothing is held for the host.
 
         The listener's lifetime is "the engine holds any entry or
         subscription for this host": while either exists a daemon event
@@ -626,14 +611,33 @@ class QueryEngine:
         """
         if host_ip in self._by_host or host_ip in self._subs:
             return
-        record = self._subscribed.pop(host_ip, None)
-        if record is not None:
-            daemon, listener = record
-            daemon.remove_invalidation_listener(listener)
+        daemon = self._daemons.pop(host_ip, None)
+        if daemon is not None:
+            daemon.remove_invalidation_listener(self._on_delta)
 
     # ------------------------------------------------------------------
     # Push plane: standing subscriptions + the until-delta policy
     # ------------------------------------------------------------------
+
+    def note_punt(self, host_ip, *, from_node=None, now: Optional[float] = None) -> None:
+        """Tally one punt toward a destination; subscribe it when hot.
+
+        A destination punted :attr:`push_promote_punts` times earns a
+        standing subscription.  A refused subscription (no daemon, or a
+        legacy one) leaves the tally in place, so each later punt asks
+        again and a daemon upgrade is noticed on the next one.
+        """
+        if not self.push:
+            return
+        ip = str(host_ip)
+        if ip in self._subs:
+            return
+        count = self._punts.get(ip, 0) + 1
+        self._punts[ip] = count
+        if count >= self.push_promote_punts and self.subscribe_host(
+            ip, from_node=from_node, now=now
+        ):
+            del self._punts[ip]
 
     def subscribe_host(
         self, host_ip, *, from_node=None, now: Optional[float] = None
@@ -642,12 +646,10 @@ class QueryEngine:
 
         Returns ``True`` when the host is subscribed after the call.
         Refusals — push plane off, no daemon on the host, or a legacy
-        wire-v1 daemon — return ``False``.  The table holds at most one
-        subscription per host, and idle ones are demoted after
-        :attr:`push_idle_demote`.  A refusing daemon *object* is
-        remembered and never re-knocked, but a replaced (possibly
-        upgraded) daemon on the same IP gets a fresh attempt, mirroring
-        the host-ip → daemon-ref keying of the invalidation listeners.
+        wire-v1 daemon — return ``False`` and change nothing, so asking
+        again gets the same answer until the daemon changes.  The table
+        holds at most one subscription per host, and idle ones are
+        demoted after :attr:`push_idle_demote`.
         """
         if not self.push:
             return False
@@ -655,43 +657,29 @@ class QueryEngine:
         daemon = getattr(self.client.topology.node_for_ip(ip), "identpp_daemon", None)
         if daemon is None:
             return False
-        now = self._now(now)
-        existing = self._subs.get(ip)
-        if existing is not None:
-            if existing.daemon is daemon:
-                return True
-            # The daemon was replaced: our delta sink lives on an object
-            # no longer attached to the host.  Close the dead
-            # subscription (and its now-unauthoritative answers) and
-            # negotiate with the new daemon from scratch.
-            self._close_subscription(ip)
-        if self._push_refused.get(ip) is daemon:
-            return False
+        if ip in self._subs:
+            return True
         ack = daemon.subscribe(
-            IdentSubscribe(
-                host_ip=ip, subscriber=self.name, keys=self.client.default_keys
-            ),
-            self._on_delta,
+            IdentSubscribe(host_ip=ip, subscriber=self.name, keys=self.client.default_keys)
         )
         if not ack.accepted or CAP_SUBSCRIBE not in ack.capabilities:
-            self._push_refused[ip] = daemon
             return False
+        now = self._now(now)
         self._subs[ip] = PushSubscription(
             host_ip=ip,
-            daemon=daemon,
             serial=ack.serial,
             subscribed_at=now,
             last_hit=now,
             from_node=from_node,
         )
         self.subscriptions_opened += 1
-        self._listen(ip, daemon)
+        self._hook(ip, daemon)
         # Shareable answers fetched just before the promotion are still
         # authoritative — any daemon event since their fill would have
-        # dropped them through the invalidation listener — so their
-        # expiry policy is upgraded in place (the old deadline record in
-        # the heap goes stale).  The flash-crowd case depends on this:
-        # the hot answer usually fills on the punt *before* the one that
+        # dropped them through :meth:`_on_delta` — so their expiry
+        # policy is upgraded in place (the old deadline record in the
+        # heap goes stale).  The flash-crowd case depends on this: the
+        # hot answer usually fills on the punt *before* the one that
         # trips the promotion threshold, and without the upgrade the
         # first steady-state wave would pay one more TTL round-trip.
         for key in self._by_host.get(ip, ()):
@@ -707,42 +695,55 @@ class QueryEngine:
     def unsubscribe_host(self, host_ip) -> bool:
         """Close a standing subscription and drop its resident answers.
 
-        The daemon-side delta sink is always cancelled, and when the
-        host has no TTL entries left either, the invalidation listener
-        is unregistered too — a demoted host strands nothing on its
-        daemon (the stale-subscription leak fix).  Fires
-        :attr:`on_demote` so the controller can reset the host's
-        promotion counter.  Returns ``True`` when a subscription
+        The daemon-side subscription is always cancelled, and when the
+        host has no TTL entries left either, the listener is
+        unregistered too — a demoted host strands nothing on its daemon
+        (the stale-subscription leak fix).  The host's promotion tally
+        starts again from zero.  Returns ``True`` when a subscription
         existed.
         """
         ip = str(host_ip)
         if self._close_subscription(ip) is None:
             return False
         self.subscriptions_closed += 1
-        if self.on_demote is not None:
-            self.on_demote(ip)
+        self._punts.pop(ip, None)
         return True
 
     def _close_subscription(self, host_ip: str) -> Optional[PushSubscription]:
-        """Cancel one host's delta sink and end the residency of its answers."""
+        """Cancel one host's subscription and end the residency of its answers."""
         sub = self._subs.pop(host_ip, None)
         if sub is None:
             return None
-        sub.daemon.unsubscribe(self.name)
+        self._daemons[host_ip].unsubscribe(self.name)
         for entry in self._held_until_delta(host_ip):
             self._discard(entry.key)
         self._release_host(host_ip)
         return sub
 
     def _on_delta(self, delta: IdentDelta) -> None:
-        """Apply one pushed delta: drop + proactively re-prime residents.
+        """Handle one daemon notice — the one way a change reaches the engine.
 
-        Deltas are serial-numbered by the daemon; one at or below the
-        subscription's last applied serial is a duplicate (e.g.
-        re-delivered around a failover re-home) and is dropped — the
-        refresh it would trigger already happened.
+        A replaced daemon's last notice forgets the host
+        (:meth:`invalidate_host`).  Any other drops the host's TTL
+        entries, cached or in flight; then, if the host is subscribed,
+        the delta's serial is applied and every resident answer is
+        re-primed off the punt path.  A serial at or below the
+        subscription's last applied one is a duplicate (e.g. re-delivered
+        around a failover re-home) and is dropped — the refresh it would
+        trigger already happened.
         """
-        sub = self._subs.get(str(delta.host_ip))
+        ip = delta.host_ip
+        if delta.reason == DAEMON_REPLACED:
+            self.invalidate_host(ip, delta.reason)
+            return
+        removed = 0
+        for key in list(self._by_host.get(ip, ())):
+            if not self._entries[key].resident:
+                self._discard(key)
+                removed += 1
+        self.invalidation_events += 1
+        self.invalidated_entries += removed
+        sub = self._subs.get(ip)
         if sub is None:
             return
         if delta.serial <= sub.serial:
@@ -751,7 +752,7 @@ class QueryEngine:
         sub.serial = delta.serial
         self.deltas_applied += 1
         now = self._now(None)
-        for entry in self._held_until_delta(sub.host_ip):
+        for entry in self._held_until_delta(ip):
             self._reprime(sub, entry, now)
 
     def _reprime(
@@ -825,11 +826,10 @@ class QueryEngine:
         Returns one record per subscription — host, last applied delta
         serial, the querying node and the resident entries — in the
         shape :meth:`adopt_push_state` consumes on the successor shard.
-        The dying engine's delta sinks are all cancelled, so re-homing
-        never leaves a daemon streaming deltas at a dead shard; a host's
-        invalidation listener goes with them unless TTL entries for the
-        host stay behind — those must keep hearing the daemon, or a
-        revived shard would serve them stale.
+        The dying engine's subscriptions are all cancelled daemon-side;
+        its listener on a host's daemon goes with them unless TTL entries
+        for the host stay behind — those must keep hearing the daemon's
+        deltas, or a revived shard would serve them stale.
         """
         records: list[dict] = []
         for ip in list(self._subs):
@@ -887,25 +887,19 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def invalidate_host(self, host_ip, reason: str = "") -> int:
-        """Drop every entry (cached or in flight) for one host.
+        """Forget one host: its subscription first, then every entry.
 
-        Called by daemon-side events — runtime-key publishes, socket
-        owner changes, spoofing, host compromise — and usable directly
-        by an administrator.  Returns how many entries were removed.
-
-        A *subscribed* host's resident answers are left in place: they
-        are authoritative-until-delta, and every daemon event that calls
-        this also publishes a delta that drops and re-primes them.
-        Administrative invalidation of a subscribed host must therefore
-        go through :meth:`unsubscribe_host` first, as
-        ``Controller.quarantine_host`` does.
+        The administrator's verb (``Controller.quarantine_host``), and
+        what a replaced daemon's last notice triggers; a change the
+        daemon announces goes through :meth:`_on_delta` instead.
+        Closing the subscription drops its resident answers and resets
+        the host's promotion tally.  Returns how many other entries
+        (cached or in flight) were removed.
         """
         ip = str(host_ip)
-        subscribed = ip in self._subs
+        self.unsubscribe_host(ip)
         removed = 0
         for key in list(self._by_host.get(ip, ())):
-            if subscribed and self._entries[key].resident:
-                continue
             self._discard(key)
             removed += 1
         self.invalidation_events += 1

@@ -43,6 +43,7 @@ from repro.baselines.ethane import EthanePolicy
 from repro.baselines.distributed_firewall import DistributedFirewall
 from repro.baselines.vanilla_firewall import FirewallRule, VanillaFirewall
 from repro.baselines.vlan import VLANSegmentation
+from repro.core.audit import audit_digest
 from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec
@@ -933,13 +934,17 @@ def run_cell(spec: ScenarioSpec) -> dict:
     it held in every repeat, and its ``details`` are the first repeat's.
     Each violation is a line naming the cell, the repeat's seed and the
     invariant, so it reads the same wherever it is printed.
+    ``audit_digests`` holds one :func:`~repro.core.audit.audit_digest`
+    per repeat, in repeat order: equal digests mean no decision moved.
     """
     spec.validate()
     merged: dict[str, invariants.InvariantResult] = {}
+    digests: list[str] = []
     identpp = {"allowed": 0, "blocked": 0, "false_accepts": 0, "false_rejects": 0, "judged": 0}
     architectures: dict[str, dict[str, float]] = {}
     for seed in range(spec.seed, spec.seed + MATRIX_REPEATS):
         ctx = _run_once(spec, seed)
+        digests.append(audit_digest(invariants.network_audit_records(ctx.net)))
         for name, result in evaluate_invariants(ctx).items():
             if name not in merged:
                 merged[name] = invariants.InvariantResult(name, details=result.details)
@@ -974,6 +979,7 @@ def run_cell(spec: ScenarioSpec) -> dict:
         "architectures": architectures,
         "invariants": {name: result.as_dict() for name, result in merged.items()},
         "passed": all(result.passed for result in merged.values()),
+        "audit_digests": digests,
     }
 
 

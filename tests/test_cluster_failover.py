@@ -426,8 +426,8 @@ class TestPushSubscriptionRehoming:
         # No duplicate deltas were applied anywhere in the cluster.
         for controller in net.cluster.replicas.values():
             assert controller.query_engine.duplicate_deltas == 0
-        # The corpse is fully torn down daemon-side: only live
-        # subscribers still hold delta sinks.
+        # The corpse is fully torn down daemon-side: only live shards
+        # are still subscribed.
         assert net.cluster.replicas[victim].query_engine.subscription_count() == 0
         live_subscribed = self._subscribed_shards(net)
         assert victim not in live_subscribed

@@ -1,10 +1,11 @@
 """Tests for the push identity plane (PR 10).
 
 Covers the wire-v2 SUBSCRIBE / DELTA / UNSUBSCRIBE messages and their
-capability negotiation, the daemon-side delta fan-out, the engine's
-resident store (promotion, zero-query steady state, duplicate-delta
-idempotency, idle demotion and the stale-subscription leak fix,
-failover export/adopt) and the controller's ``identity_plane`` switch.
+capability negotiation, the daemon's one delta channel (its listener
+list), the engine's resident store (promotion, zero-query steady state,
+duplicate-delta idempotency, idle demotion and the stale-subscription
+leak fix, daemon replacement, failover export/adopt) and the
+controller's ``identity_plane`` switch.
 """
 
 import pytest
@@ -102,7 +103,7 @@ class TestPushWire:
 
 
 # ----------------------------------------------------------------------
-# Daemon: negotiation and delta fan-out
+# Daemon: negotiation and the one delta channel
 # ----------------------------------------------------------------------
 
 
@@ -110,9 +111,8 @@ class TestDaemonPush:
     def test_capable_daemon_accepts_and_streams_serialized_deltas(self):
         _, _, _, server, daemon = build_world()
         received = []
-        ack = daemon.subscribe(
-            IdentSubscribe(host_ip=server.ip, subscriber="eng"), received.append
-        )
+        daemon.add_invalidation_listener(received.append)
+        ack = daemon.subscribe(IdentSubscribe(host_ip=server.ip, subscriber="eng"))
         assert ack.accepted
         assert CAP_SUBSCRIBE in ack.capabilities
         assert ack.version == WIRE_VERSION_PUSH
@@ -121,23 +121,24 @@ class TestDaemonPush:
 
         daemon.notify_invalidation("test-a")
         daemon.notify_invalidation("test-b")
-        assert [d.serial for d in received] == [base + 1, base + 2]
+        assert [(d.serial, d.reason) for d in received] == [
+            (base + 1, "test-a"), (base + 2, "test-b"),
+        ]
         assert int(daemon.deltas_published.value) == 2
 
         assert daemon.unsubscribe("eng") is True
         assert daemon.unsubscribe("eng") is False
         daemon.notify_invalidation("test-c")
-        # The serial still advances for future subscribers, but nothing
-        # is delivered to the cancelled sink.
+        # The listener still hears every change, as a pull engine does;
+        # the daemon just no longer counts it as a published delta.
         assert daemon.delta_serial == base + 3
-        assert len(received) == 2
+        assert [d.serial for d in received] == [base + 1, base + 2, base + 3]
+        assert int(daemon.deltas_published.value) == 2
 
     def test_legacy_daemon_refuses_with_pull_ack(self):
         _, _, _, server, _ = build_world()
         legacy = IdentPPDaemon(server, push_capable=False)
-        ack = legacy.subscribe(
-            IdentSubscribe(host_ip=server.ip, subscriber="eng"), lambda d: None
-        )
+        ack = legacy.subscribe(IdentSubscribe(host_ip=server.ip, subscriber="eng"))
         assert not ack.accepted
         assert ack.version == WIRE_VERSION_PULL
         assert ack.capabilities == ()
@@ -146,17 +147,21 @@ class TestDaemonPush:
     def test_downlevel_subscribe_is_refused(self):
         _, _, _, server, daemon = build_world()
         stale = IdentSubscribe(host_ip=server.ip, subscriber="eng", version=1)
-        ack = daemon.subscribe(stale, lambda d: None)
+        ack = daemon.subscribe(stale)
         assert not ack.accepted and ack.version == WIRE_VERSION_PULL
 
-    def test_latest_registration_per_subscriber_wins(self):
+    def test_one_subscription_per_subscriber_name_and_one_delta_per_listener(self):
         _, _, _, server, daemon = build_world()
         first, second = [], []
-        daemon.subscribe(IdentSubscribe(host_ip=server.ip, subscriber="eng"), first.append)
-        daemon.subscribe(IdentSubscribe(host_ip=server.ip, subscriber="eng"), second.append)
+        daemon.add_invalidation_listener(first.append)
+        daemon.add_invalidation_listener(second.append)
+        daemon.add_invalidation_listener(second.append)  # already there: no-op
+        daemon.subscribe(IdentSubscribe(host_ip=server.ip, subscriber="eng"))
+        daemon.subscribe(IdentSubscribe(host_ip=server.ip, subscriber="eng"))
         assert daemon.subscriber_count() == 1
         daemon.notify_invalidation("test")
-        assert first == [] and len(second) == 1
+        assert len(first) == 1 and second == first
+        assert int(daemon.deltas_published.value) == 1
 
     def test_remove_invalidation_listener_is_idempotent(self):
         _, _, _, _, daemon = build_world()
@@ -175,6 +180,19 @@ class TestDaemonPush:
 
 def make_engine(topo, *, ttl=5.0, push=True, **kwargs):
     return QueryEngine(QueryClient(topo), ttl=ttl, name="eng", push=push, **kwargs)
+
+
+def count_deltas(engine):
+    """Record every delta ``engine`` handles (before it hooks any daemon)."""
+    seen = []
+    handle = engine._on_delta
+
+    def recording(delta):
+        seen.append(delta.serial)
+        handle(delta)
+
+    engine._on_delta = recording
+    return seen
 
 
 class TestEnginePush:
@@ -218,14 +236,16 @@ class TestEnginePush:
         # No daemon on the host at all.
         topo2, _, _, server2, _ = build_world(server_daemon=False)
         assert make_engine(topo2).subscribe_host(server2.ip) is False
-        # A legacy daemon refuses — and the refusing daemon object is
-        # memoized so the engine never re-knocks it.
+        # A legacy daemon refuses, and a refusal changes no state: asking
+        # again gets the same answer and leaves nothing on the daemon.
         topo3, _, _, server3, _ = build_world()
-        IdentPPDaemon(server3, push_capable=False)
+        legacy = IdentPPDaemon(server3, push_capable=False)
         engine = make_engine(topo3)
         assert engine.subscribe_host(server3.ip) is False
         assert engine.subscribe_host(server3.ip) is False
         assert engine.subscriptions_opened == 0
+        assert legacy.subscriber_count() == 0
+        assert legacy._invalidation_listeners == []
 
     @both_entry_points
     def test_delta_refreshes_resident_and_duplicates_are_dropped(self, ask):
@@ -262,22 +282,27 @@ class TestEnginePush:
 
     def test_unsubscribe_unregisters_everything_daemon_side(self):
         # The stale-subscription leak fix: a demoted host strands
-        # neither a delta sink nor an invalidation listener.
+        # neither a subscription nor a listener.
         topo, switch, _, server, daemon = build_world()
-        engine = make_engine(topo, ttl=0.0)
+        engine = make_engine(topo, ttl=0.0, push_promote_punts=2)
+        engine.note_punt(server.ip, from_node=switch)  # tally 1 of 2
         assert engine.subscribe_host(server.ip) is True
         engine.query(flow_to_server(), "dst", from_node=switch)
         assert daemon.subscriber_count() == 1
         assert len(daemon._invalidation_listeners) == 1
 
-        demoted = []
-        engine.on_demote = demoted.append
         assert engine.unsubscribe_host(server.ip) is True
-        assert demoted == [server.ip]
         assert daemon.subscriber_count() == 0
         assert len(daemon._invalidation_listeners) == 0
         assert engine.stats()["resident_entries"] == 0
         assert engine.unsubscribe_host(server.ip) is False
+        # The engine reset the promotion tally itself: one punt is not
+        # enough to re-earn residency, the threshold's second one is.
+        engine.note_punt(server.ip, from_node=switch)
+        assert not engine.is_subscribed(server.ip)
+        engine.note_punt(server.ip, from_node=switch)
+        assert engine.is_subscribed(server.ip)
+        assert engine.unsubscribe_host(server.ip) is True
 
         # The same holds when a host's last TTL entry leaves by expiry:
         # through the sweep...
@@ -286,7 +311,7 @@ class TestEnginePush:
         assert len(daemon._invalidation_listeners) == 1
         assert pull.expire(now=100.0) == 1
         assert len(daemon._invalidation_listeners) == 0
-        assert pull._subscribed == {}
+        assert pull._daemons == {}
         # ...or through a lookup that finds it expired (the refill
         # hooks a fresh listener; invalidating it unhooks again).
         pull.query(flow_to_server(), "dst", from_node=switch, now=200.0)
@@ -305,7 +330,46 @@ class TestEnginePush:
         assert not engine.is_subscribed(server.ip)
         assert daemon.subscriber_count() == 0
 
-    def test_replaced_daemon_renegotiates_from_scratch(self):
+    def test_pull_and_push_engines_see_one_delta_per_change(self):
+        topo, switch, _, server, daemon = build_world()
+        pull = QueryEngine(QueryClient(topo), ttl=5.0, name="pull")
+        push = make_engine(topo)
+        seen = {"pull": count_deltas(pull), "push": count_deltas(push)}
+        assert push.subscribe_host(server.ip) is True
+        push.query(flow_to_server(), "dst", from_node=switch)
+        serials = []
+        for change in (
+            lambda: daemon.set_host_fact("os-patch", "MS08-067"),
+            lambda: daemon.runtime.publish_for_process(next(iter(server.processes)), {"k": "v"}),
+        ):
+            # The pull engine holds an answer (so it listens) when the
+            # change lands; the delta drops it again.
+            pull.query(flow_to_server(), "dst", from_node=switch)
+            change()
+            serials.append(daemon.delta_serial)
+            topo.sim.run(until=topo.sim.now + 1.0)
+        assert seen == {"pull": serials, "push": serials}
+        assert push.deltas_applied == 2 and push.duplicate_deltas == 0
+        assert pull.invalidation_events == push.invalidation_events == 2
+        assert pull.invalidated_entries == 2
+
+    def test_invalidate_host_forgets_a_subscribed_host_in_one_call(self):
+        topo, switch, client, server, daemon = build_world()
+        engine = make_engine(topo)
+        assert engine.subscribe_host(server.ip) is True
+        engine.query(flow_to_server(), "dst", from_node=switch)
+        # A flow-scoped TTL entry for the same host: it is the source here.
+        reverse = FlowSpec.tcp(server.ip, client.ip, 80, 40000)
+        engine.query(reverse, "src", from_node=switch)
+        assert engine.stats()["resident_entries"] == 1 and len(engine) == 1
+
+        assert engine.invalidate_host(server.ip, "quarantine") == 1
+        assert not engine.is_subscribed(server.ip)
+        assert engine.stats()["resident_entries"] == 0 and len(engine) == 0
+        assert daemon.subscriber_count() == 0
+        assert daemon._invalidation_listeners == []
+
+    def test_replaced_daemon_makes_the_engine_forget_the_host(self):
         topo, switch, _, server, old_daemon = build_world()
         engine = make_engine(topo)
         assert engine.subscribe_host(server.ip) is True
@@ -313,11 +377,14 @@ class TestEnginePush:
         assert old_daemon.subscriber_count() == 1
 
         new_daemon = IdentPPDaemon(server)  # upgrade: replaces the old object
-        assert engine.subscribe_host(server.ip) is True
-        assert old_daemon.subscriber_count() == 0
-        assert new_daemon.subscriber_count() == 1
-        # Answers from the dead daemon's era were dropped with it.
+        # The old daemon's last notice made the engine forget the host:
+        # its answers, its subscription and its listener are gone.
+        assert not engine.is_subscribed(server.ip)
         assert engine.stats()["resident_entries"] == 0
+        assert old_daemon.subscriber_count() == 0
+        assert old_daemon._invalidation_listeners == []
+        assert engine.subscribe_host(server.ip) is True
+        assert new_daemon.subscriber_count() == 1
 
     def test_export_and_fresh_adopt_preserve_entries_and_serial(self):
         topo, switch, _, server, daemon = build_world()
@@ -396,7 +463,7 @@ class TestEnginePush:
 # ----------------------------------------------------------------------
 
 
-def build_net(**config_kwargs):
+def build_net(*, policy=POLICY, server_facts=None, **config_kwargs):
     defaults = dict(identity_plane="push", push_promote_punts=2, query_cache_ttl=0.0)
     defaults.update(config_kwargs)
     net = IdentPPNetwork(
@@ -409,9 +476,11 @@ def build_net(**config_kwargs):
         HostSpec(name="client", ip="192.168.0.10", users={"alice": ("users",)}),
         switch=sw,
     )
-    server = net.add_host(HostSpec(name="server", ip=SERVER_IP), switch=sw)
+    server = net.add_host(
+        HostSpec(name="server", ip=SERVER_IP, host_facts=server_facts or {}), switch=sw
+    )
     server.run_server("httpd", "root", 80)
-    net.set_policy(POLICY)
+    net.set_policy(policy)
     return net
 
 
@@ -465,7 +534,7 @@ class TestControllerPlaneSwitch:
         )
         assert bounded.passed, bounded.violations
 
-    def test_quarantine_demotes_before_invalidating(self):
+    def test_quarantine_forgets_the_subscribed_host(self):
         net = build_net()
         client = net.host("client")
         for _ in range(2):
@@ -503,3 +572,30 @@ class TestControllerPlaneSwitch:
         client.open_flow("http", "alice", SERVER_IP, 80)
         net.run(0.1)
         assert engine.is_subscribed(SERVER_IP)
+
+    def test_replaced_daemon_answers_are_not_served(self):
+        # A resident answer never re-checks the daemon, so the replaced
+        # daemon's last notice is what keeps its answers from being
+        # served for ever: the first punt after the replacement asks the
+        # new daemon, which reports no patch, and the flow is blocked.
+        patched = "block all\npass from any to any port 80 with includes(@dst[os-patch], MS08-067)\n"
+        net = build_net(
+            push_promote_punts=1,
+            policy={"00.control": patched},
+            server_facts={"os-patch": "MS08-067"},
+        )
+        client, engine, audit = net.host("client"), net.controller.query_engine, net.controller.audit
+        for _ in range(2):
+            client.open_flow("http", "alice", SERVER_IP, 80)
+            net.run()
+        assert engine.is_subscribed(SERVER_IP) and engine.resident_hits == 1
+        assert [record.action for record in audit.records()] == ["pass", "pass"]
+
+        replacement = IdentPPDaemon(net.host("server"))  # no patch fact
+        client.open_flow("http", "alice", SERVER_IP, 80)
+        net.run()
+        assert audit.records()[-1].action == "block"
+        assert engine.resident_hits == 1
+        # The new daemon's answer earned residency again.
+        assert engine.is_subscribed(SERVER_IP)
+        assert replacement.subscriber_count() == 1

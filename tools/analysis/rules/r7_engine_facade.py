@@ -2,12 +2,11 @@
 
 The :class:`~repro.identpp.engine.QueryEngine` is the single front door
 for ident++ queries: it caches, coalesces, serves resident answers on
-the push plane, and registers invalidation listeners so cached identity
-can never go stale silently.  A call straight into
+the push plane, and listens to the answering daemon's deltas so cached
+identity can never go stale silently.  A call straight into
 ``QueryClient.query*`` bypasses all of it — the answer is uncached,
-uncoalesced, invisible to the push plane's promotion tally, and (worst)
-unhooked from invalidation, so the caller can hold a stale identity
-forever.
+uncoalesced, and (worst) deaf to the daemon's deltas, so the caller can
+hold a stale identity forever.
 
 The engine itself is the one legitimate raw caller and is allowlisted
 by exact path (as is the comparative NAT-identification experiment,
