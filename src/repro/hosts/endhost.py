@@ -206,7 +206,8 @@ class EndHost(Node):
         Packets not addressed to this host's IP are dropped (hosts do not
         forward).
         """
-        if not packet.is_ip() or packet.ip_dst != self.ip:
+        # Addresses are ints: C's comparison, not IPv4Address.__ne__.
+        if not packet.is_ip() or int.__ne__(packet.ip_dst, self.ip):
             return
         handler = self._services.get((packet.ip_proto, packet.tp_dst))
         if handler is not None:

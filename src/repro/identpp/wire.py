@@ -366,7 +366,8 @@ def parse_query_packet(packet: Packet) -> IdentQuery:
     """Parse a query directly from a packet (role read from packet metadata)."""
     if not packet.is_tcp() or packet.tp_dst != IDENT_PP_PORT:
         raise WireFormatError("packet is not an ident++ query (wrong protocol/port)")
-    role = packet.metadata.get("role", ROLE_SOURCE)
+    metadata = packet.metadata
+    role = ROLE_SOURCE if metadata is None else metadata.get("role", ROLE_SOURCE)
     payload = packet.payload if isinstance(packet.payload, str) else packet.payload_bytes().decode("utf-8")
     return parse_query_payload(
         payload, query_src_ip=packet.ip_src, query_dst_ip=packet.ip_dst, target_role=role

@@ -14,7 +14,6 @@ from repro.exceptions import SimulationError, TopologyError
 from repro.netsim.events import Simulator
 from repro.netsim.nodes import Port
 from repro.netsim.packet import Packet
-from repro.netsim.statistics import Counter
 
 #: Default link latency: 50 microseconds, a typical enterprise LAN hop.
 DEFAULT_LATENCY = 50e-6
@@ -32,6 +31,8 @@ class Link:
         loss_filter: Optional callable ``f(packet) -> bool``; returning
             ``True`` drops the packet.  Used by the failure-injection
             tests and the security harness.
+        carried_bytes: Wire bytes the link has carried, both ways (a
+            plain ``int``, added to per packet).
     """
 
     def __init__(
@@ -55,13 +56,23 @@ class Link:
         self.latency = latency
         self.bandwidth = bandwidth
         self.name = name or f"{port_a.name}<->{port_b.name}"
-        self._labelled_name: Optional[str] = None
-        self._deliver_label = ""
         self.loss_filter = loss_filter
         self.up = True
-        self.carried_bytes = Counter(f"{self.name}.carried_bytes")
+        self.carried_bytes = 0
         port_a.attach_link(self)
         port_b.attach_link(self)
+
+    @property
+    def name(self) -> str:
+        """The link's name; setting it rebuilds :attr:`deliver_label`."""
+        return self._name
+
+    @name.setter
+    def name(self, name: str) -> None:
+        self._name = name
+        #: The label of every delivery event this link schedules, built
+        #: once per name rather than once per packet.
+        self.deliver_label = f"deliver:{name}"
 
     # ------------------------------------------------------------------
     # Wiring helpers
@@ -104,22 +115,19 @@ class Link:
             destination = self.other_end(from_port)  # raises: not an endpoint
         if not self.up or (self.loss_filter is not None and self.loss_filter(packet)):
             return
-        size = packet.wire_size()
-        self.carried_bytes.increment(size)
+        size = packet._wire_size
+        if size is None:
+            size = packet.wire_size()
+        self.carried_bytes += size
         sim: Optional[Simulator] = destination.node.sim or from_port.node.sim
         if sim is None:
             raise SimulationError(
                 f"link {self.name} cannot deliver: neither endpoint is attached to a simulator"
             )
-        name = self.name
-        if name is not self._labelled_name:
-            # One label per link name, not one per packet.
-            self._labelled_name = name
-            self._deliver_label = f"deliver:{name}"
         delay = self.latency
         if self.bandwidth is not None:
             delay += size * 8.0 / self.bandwidth
-        sim.deliver(delay, destination, destination.deliver, packet, label=self._deliver_label)
+        sim.deliver(delay, destination, destination.deliver, packet, label=self.deliver_label)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

@@ -31,6 +31,9 @@ class Port:
         self.number = number
         self.name = name or f"{node.name}:{number}"
         self.link: Optional["Link"] = None
+        # Bound once: a link hands every packet arriving here to this
+        # one object instead of binding the method per packet.
+        self.deliver = self.deliver
 
     @property
     def is_wired(self) -> bool:

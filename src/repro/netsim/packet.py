@@ -91,13 +91,14 @@ class Packet(_WeakReferenceable):
             documents ride here as text.
         payload_size: Explicit payload size override in bytes; when left
             at ``None`` the size of the serialised payload text is used.
-        metadata: Free-form annotations (never examined by switches);
-            the trace and analysis modules use it to tag packets with the
-            scenario that generated them.
+        metadata: Free-form annotations (never examined by switches),
+            ``None`` until someone tags the packet: an ident++ query
+            carries its target role here.  A forwarded packet allocates
+            no dictionary.
     """
 
-    eth_src: MACAddress = field(default_factory=lambda: MACAddress(0))
-    eth_dst: MACAddress = field(default_factory=lambda: BROADCAST_MAC)
+    eth_src: MACAddress = MACAddress(0)
+    eth_dst: MACAddress = BROADCAST_MAC
     eth_type: int = ETH_TYPE_IP
     vlan_id: int = 0
     ip_src: Optional[IPv4Address] = None
@@ -107,8 +108,8 @@ class Packet(_WeakReferenceable):
     tp_dst: int = 0
     payload: Any = b""
     payload_size: Optional[int] = None
-    metadata: dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    metadata: Optional[dict[str, Any]] = None
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     #: Memo of :meth:`wire_size`.  Not an ``__init__`` argument, so
     #: ``copy()`` / ``replace()`` never carry a measured size across.
     _wire_size: Optional[int] = field(default=None, init=False, compare=False, repr=False)
@@ -263,9 +264,14 @@ class Packet(_WeakReferenceable):
         )
 
     def copy(self, **overrides: Any) -> "Packet":
-        """Return a shallow copy with a fresh packet id and optional field overrides."""
+        """Return a shallow copy with a fresh packet id and optional field overrides.
+
+        The copy's ``metadata`` is its own dictionary (or ``None``, like
+        the original's).
+        """
         overrides.setdefault("packet_id", next(_packet_ids))
-        overrides.setdefault("metadata", dict(self.metadata))
+        if "metadata" not in overrides and self.metadata is not None:
+            overrides["metadata"] = dict(self.metadata)
         return replace(self, **overrides)
 
     # ------------------------------------------------------------------

@@ -86,8 +86,9 @@ class FlowEntry:
 
 #: ``now * _AHEAD + _AHEAD_MARGIN`` lies past ``now``'s second float up for
 #: every ``now >= 0`` (1e-12 relative is thousands of rounding steps), so
-#: a deadline beyond it is certainly beyond :meth:`FlowTable.expire`'s
-#: horizon, and the two ``nextafter`` calls can be skipped.
+#: a ``now`` below ``(deadline - _AHEAD_MARGIN) / _AHEAD`` is certainly
+#: short of reaching ``deadline`` with :meth:`FlowTable.expire`'s horizon:
+#: that bound is :attr:`FlowTable.expire_from`.
 _AHEAD_MARGIN = 1e-12
 _AHEAD = 1.0 + _AHEAD_MARGIN
 #: What a non-IP frame carries in the protocol and port places of its header.
@@ -138,6 +139,9 @@ class FlowTable:
       entry that carries a timeout, never later than the entry's real
       deadline, so :meth:`expire` looks only at entries that may be due.
       A record is a hint: :meth:`FlowEntry.is_expired` alone decides.
+      :attr:`expire_from` is the earliest record's deadline less the
+      rounding margin, so a packet's lazy expiry is one comparison until
+      a record may be due.
 
     ``now`` follows the simulator clock and must not run backwards
     between calls (an idle deadline may only move later).
@@ -169,6 +173,10 @@ class FlowTable:
         # (deadline, sequence) records with the deadline repeated as the
         # token, so a record can be told from its entry's current one.
         self._deadlines = ExpiryHeap()
+        #: :meth:`expire` has nothing to do before this instant; a caller
+        #: that ages the table per packet tests ``now >= expire_from``
+        #: before calling it.
+        self.expire_from = math.inf
         self._expirable = 0
         # header-tuple -> best entry from a previous search; valid until
         # the table is modified (any install/remove/evict/expiry clears it).
@@ -256,6 +264,7 @@ class FlowTable:
         self._shapes.clear()
         self._prefixed.clear()
         self._deadlines.clear()
+        self.expire_from = math.inf
         self._expirable = 0
         self._exact_cache.clear()
 
@@ -279,6 +288,7 @@ class FlowTable:
             self._deadlines.push(due, sequence, due)
             if len(self._deadlines) > 2 * self._expirable + self.STALE_DEADLINE_SLACK:
                 self._deadlines.retain(lambda sequence, _due: sequence in self._by_sequence)
+            self._track_earliest()
 
     def _unlink(self, entry: FlowEntry) -> None:
         """Take ``entry`` (this object, not an equal one) out of every index.
@@ -431,14 +441,13 @@ class FlowTable:
 
     def expire(self, now: float) -> list[FlowEntry]:
         """Remove and return entries whose timeouts have elapsed, oldest first."""
-        deadlines = self._deadlines
-        due = deadlines.next_due()
-        if due is None or due > now * _AHEAD + _AHEAD_MARGIN:
+        if now < self.expire_from:
             return []
+        deadlines = self._deadlines
         # is_expired subtracts where a deadline adds, so the two can
         # disagree by a rounding step: draw candidates two floats wide.
         horizon = math.nextafter(math.nextafter(now, math.inf), math.inf)
-        if due > horizon:
+        if deadlines.next_due() > horizon:
             return []
         expired: list[FlowEntry] = []
         alive: list[FlowEntry] = []
@@ -450,6 +459,7 @@ class FlowTable:
             # Traffic refreshed the idle timer (or rounding spared it).
             due = _deadline(entry)
             deadlines.push(due, entry.sequence, due)
+        self._track_earliest()
         if expired:
             expired.sort(key=_installation_order)
             self._discard(expired)
@@ -484,7 +494,14 @@ class FlowTable:
         traffic that keeps refreshing an entry makes this a lower bound —
         exactly what a sweep scheduler needs (waking early is a no-op).
         """
-        return self._deadlines.next_due(self._settle_deadline)
+        due = self._deadlines.next_due(self._settle_deadline)
+        self._track_earliest()
+        return due
+
+    def _track_earliest(self) -> None:
+        """Set :attr:`expire_from` from the earliest deadline record."""
+        due = self._deadlines.next_due()
+        self.expire_from = math.inf if due is None else (due - _AHEAD_MARGIN) / _AHEAD
 
     def _settle_deadline(self, sequence: int, due: float) -> bool:
         """Tell ``next_due`` whether a record is its entry's current deadline.

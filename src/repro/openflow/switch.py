@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.exceptions import OpenFlowError
+from repro.exceptions import OpenFlowError, SimulationError
 from repro.netsim.nodes import Node, Port
 from repro.netsim.packet import Packet
 from repro.netsim.statistics import Counter
@@ -232,16 +232,52 @@ class OpenFlowSwitch(Node):
             self.flood(packet, exclude=in_port)
             return
         table = self.flow_table
-        for expired in table.expire(now):
-            self._notify_removed(expired)
+        if now >= table.expire_from:
+            for expired in table.expire(now):
+                self._notify_removed(expired)
         entry = table.lookup(packet, in_port.number, now=now)
-        if entry is not None:
-            trace = self.trace
-            if trace is not None and trace.enabled:
-                trace.record(now, self.name, "hit", packet, entry.cookie)
-            self._apply_actions(packet, entry.actions, in_port.number, now)
+        if entry is None:
+            self._handle_table_miss(packet, in_port, now)
             return
-        self._handle_table_miss(packet, in_port, now)
+        actions = entry.actions
+        trace = self.trace
+        if trace is not None and trace.enabled:
+            trace.record(now, self.name, "hit", packet, entry.cookie)
+        elif len(actions) == 1 and actions[0].__class__ is OutputAction:
+            # The form every installed pass takes.  Port.send and
+            # Link.transmit, inline: the packet goes to the out-port's
+            # link in this frame, with every check they make.
+            port = self._ports.get(actions[0].port)
+            if port is not None:  # an unknown port raises, below
+                link = port.link
+                if link is None:
+                    return  # an un-wired port has no carrier
+                if port is link.port_a:
+                    destination = link.port_b
+                elif port is link.port_b:
+                    destination = link.port_a
+                else:
+                    destination = link.other_end(port)  # raises: not an endpoint
+                if not link.up or (link.loss_filter is not None and link.loss_filter(packet)):
+                    return
+                size = packet._wire_size
+                if size is None:
+                    size = packet.wire_size()
+                link.carried_bytes += size
+                sim = destination.node.sim or sim
+                if sim is None:
+                    raise SimulationError(
+                        f"link {link.name} cannot deliver: neither endpoint is attached "
+                        f"to a simulator"
+                    )
+                delay = link.latency
+                if link.bandwidth is not None:
+                    delay += size * 8.0 / link.bandwidth
+                sim.deliver(
+                    delay, destination, destination.deliver, packet, label=link.deliver_label
+                )
+                return
+        self._apply_actions(packet, actions, in_port.number, now)
 
     def _handle_table_miss(self, packet: Packet, in_port: Port, now: float) -> None:
         channel = self.punt_channel(packet)

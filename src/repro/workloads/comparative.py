@@ -126,7 +126,7 @@ def collaboration(
                 unwanted_delivered += 1
     return {
         "unwanted_flows": unwanted_sent,
-        "bottleneck_bytes": int(bottleneck.carried_bytes.value),
+        "bottleneck_bytes": bottleneck.carried_bytes,
         "wanted_delivered": wanted_delivered,
         "unwanted_delivered": unwanted_delivered,
         "remote_packet_ins": int(branches.controller_b.packet_ins.value),

@@ -79,8 +79,9 @@ def punt(net: IdentPPNetwork, switch_name: str, packet, ordinal: int = 0) -> Non
     names the copy's id: a flood copies it on to packets of its own.
     """
     switch = net.switches[switch_name]
-    copy = packet.copy()
-    copy.metadata["ordinal"] = (copy.packet_id, ordinal)
+    tag: dict = {}
+    copy = packet.copy(metadata=tag)
+    tag["ordinal"] = (copy.packet_id, ordinal)
     switch._handle_table_miss(copy, next(switch.ports()), switch.now)
 
 
@@ -108,7 +109,7 @@ def audit(net: IdentPPNetwork) -> list:
 
 def ordinal_of(packet) -> Optional[int]:
     """The ordinal :func:`punt` tagged ``packet`` with; ``None`` for any other."""
-    packet_id, ordinal = packet.metadata.get("ordinal", (None, None))
+    packet_id, ordinal = (packet.metadata or {}).get("ordinal", (None, None))
     return ordinal if packet_id == packet.packet_id else None
 
 

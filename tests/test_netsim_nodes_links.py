@@ -103,7 +103,7 @@ class TestLinks:
         left.send(Packet(), left.port(1))
         sim.run()
         assert right.received == []
-        assert sim.events_processed == 0 and link.carried_bytes.value == 0
+        assert sim.events_processed == 0 and link.carried_bytes == 0
 
     def test_loss_filter(self):
         sim, left, right, link = make_pair()
@@ -119,11 +119,11 @@ class TestLinks:
         packet = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 2, payload_size=300)
         assert left.port(1).send(packet) is True
         sim.run()
-        assert link.carried_bytes.value == packet.wire_size()
+        assert link.carried_bytes == packet.wire_size()
         assert [received for received, _ in right.received] == [packet]
         unwired = left.add_port()
         assert unwired.send(packet) is False
-        assert sim.pending() == 0 and link.carried_bytes.value == packet.wire_size()
+        assert sim.pending() == 0 and link.carried_bytes == packet.wire_size()
 
     def test_delivery_label_follows_the_link_name(self):
         sim, left, right, link = make_pair()

@@ -13,12 +13,13 @@ that forwards its keywords to it.  A keyword whose name merely matches
 ``PolicyEvaluator``) does not.
 
 A counter is the same kind of cost on the packet path: a ``Counter``
-held by a node, port, link, host, switch or control channel is
-incremented per packet or message whether anyone looks or not.  Each one
-must be read through ``.value`` in the same directories.  Reads are
-matched by attribute name, so two of those classes may not give a
-counter the same name (a read of ``Port.tx_bytes`` would vouch for a
-``Link.tx_bytes`` nobody reads).
+or a plain ``int`` held by a node, port, link, host, switch or control
+channel is incremented per packet or message whether anyone looks or
+not.  Each one must be read in the same directories: a ``Counter``
+through ``.value``, an ``int`` as itself (an ``x.name += n`` is no
+read).  Reads are matched by attribute name, so two of those classes may
+not give a counter the same name (a read of ``Port.tx_bytes`` would
+vouch for a ``Link.tx_bytes`` nobody reads).
 
 A control message is the same kind of cost on the control path: a type a
 switch or controller dispatches on is a branch every message passes.
@@ -190,10 +191,15 @@ def test_an_option_only_the_tests_set_is_named():
 # ----------------------------------------------------------------------
 
 
-def counter_owners() -> dict[str, list[str]]:
-    """Class name -> the ``Counter`` attributes it adds to what its base holds."""
+def counter_owners(link_cls: type = Link) -> dict[str, dict[str, str]]:
+    """Class name -> ``{attribute: "Counter" or "int"}``, each a counter it adds to its base.
+
+    An ``int`` counter is an attribute whose value is exactly an ``int``:
+    not a ``bool`` flag, and not an address (an ``int`` subclass).  A
+    port's ``number`` is taken for one too, and passes, being read.
+    """
     node, host, switch = Node("node"), EndHost("host", "10.0.0.1"), OpenFlowSwitch("switch")
-    link = Link(host.add_port(), switch.add_port())
+    link = link_cls(host.add_port(), switch.add_port())
     channel = ControllerChannel(switch, Controller("controller"))
     instances = {
         "Node": (node, None), "Port": (host.port(1), None), "Link": (link, None),
@@ -201,11 +207,20 @@ def counter_owners() -> dict[str, list[str]]:
         "ControllerChannel": (channel, None),
     }
 
-    def counters(obj) -> list[str]:
-        return [name for name, value in vars(obj).items() if isinstance(value, Counter)]
+    def counters(obj) -> dict[str, str]:
+        kinds = {}
+        for name, value in vars(obj).items():
+            if isinstance(value, Counter):
+                kinds[name] = "Counter"
+            elif value.__class__ is int:
+                kinds[name] = "int"
+        return kinds
 
     return {
-        cls: [name for name in counters(obj) if base is None or name not in counters(base)]
+        cls: {
+            name: kind for name, kind in counters(obj).items()
+            if base is None or name not in counters(base)
+        }
         for cls, (obj, base) in instances.items()
     }
 
@@ -221,7 +236,33 @@ def names_read_by_value(trees) -> set[str]:
     }
 
 
-def unread_counters(owners: dict[str, list[str]], read: set[str]) -> list[str]:
+def names_loaded(trees) -> set[str]:
+    """Every ``name`` in an ``<expr>.name`` whose value is read as itself.
+
+    Not a store (``x.name += n``), and not the receiver of a further
+    attribute (``x.name.increment()``, ``x.name.value``).
+    """
+    receivers = {
+        id(node.value)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and id(node) not in receivers
+    }
+
+
+def counter_reads(trees) -> dict[str, set[str]]:
+    """Counter kind -> the attribute names read in ``trees`` the way that kind is read."""
+    return {"Counter": names_read_by_value(trees), "int": names_loaded(trees)}
+
+
+def unread_counters(owners: dict[str, dict[str, str]], read: dict[str, set[str]]) -> list[str]:
     """``Class.name`` of each counter nothing reads, or named like another class's."""
     classes_by_name: dict[str, list[str]] = {}
     for cls, names in owners.items():
@@ -229,28 +270,60 @@ def unread_counters(owners: dict[str, list[str]], read: set[str]) -> list[str]:
             classes_by_name.setdefault(name, []).append(cls)
     offenders = []
     for cls, names in owners.items():
-        for name in names:
-            if name not in read:
+        for name, kind in names.items():
+            if name not in read[kind]:
                 offenders.append(f"{cls}.{name}")
             elif classes_by_name[name][0] != cls:
                 offenders.append(f"{cls}.{name} (named like {classes_by_name[name][0]}.{name})")
     return offenders
 
 
+@functools.cache
+def scanned_counter_reads() -> dict[str, set[str]]:
+    return counter_reads(scanned_trees())
+
+
 def test_every_packet_path_counter_is_read_outside_the_tests():
-    offenders = unread_counters(counter_owners(), names_read_by_value(scanned_trees()))
+    offenders = unread_counters(counter_owners(), scanned_counter_reads())
     assert not offenders, (
-        f"counters incremented on the packet path that no `.value` in "
+        f"counters incremented on the packet path that no read in "
         f"{'/, '.join(SCANNED)}/ reads: {', '.join(offenders)}.  Delete each, or read it."
     )
 
 
+def test_the_plain_int_byte_count_of_a_link_is_a_counter():
+    assert counter_owners()["Link"] == {"carried_bytes": "int"}
+
+
+def test_an_unread_int_counter_on_a_link_is_named():
+    class PlantedLink(Link):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.hops = 0
+
+        def transmit(self, packet, from_port):
+            self.hops += 1
+            super().transmit(packet, from_port)
+
+    offenders = unread_counters(counter_owners(PlantedLink), scanned_counter_reads())
+    assert offenders == ["Link.hops"]
+
+
 def test_an_unread_or_shadowed_counter_is_named():
-    owners = {"Port": ["tx_bytes", "rx_bytes"], "Link": ["tx_bytes", "hops"]}
-    read = names_read_by_value([ast.parse("stats = port.tx_bytes.value + port.rx_bytes.value\n")])
-    assert read == {"tx_bytes", "rx_bytes"}
+    owners = {
+        "Port": {"tx_bytes": "Counter", "rx_bytes": "Counter"},
+        "Link": {"tx_bytes": "Counter", "hops": "Counter", "carried": "int", "sent": "int"},
+    }
+    read = counter_reads([ast.parse(
+        "stats = port.tx_bytes.value + port.rx_bytes.value\n"
+        "link.sent += 1\n"
+        "link.hops.increment()\n"
+        "total = link.carried + link.hops\n"
+    )])
+    assert read["Counter"] == {"tx_bytes", "rx_bytes"}
+    assert {"carried", "hops"} <= read["int"] and not {"sent", "tx_bytes"} & read["int"]
     assert unread_counters(owners, read) == [
-        "Link.tx_bytes (named like Port.tx_bytes)", "Link.hops"
+        "Link.tx_bytes (named like Port.tx_bytes)", "Link.hops", "Link.sent"
     ]
 
 

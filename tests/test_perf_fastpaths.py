@@ -2,12 +2,19 @@
 
 Covers the decision-cache reverse/cookie indexes, the flow-table
 exact-match cache, Packet.wire_size caching, the policy engine's
-@pubkeys epoch caching, the flow generator's port allocator and a burst
-of same-instant punts with one mis-evaluating flow.
+@pubkeys epoch caching, the flow generator's port allocator, a burst
+of same-instant punts with one mis-evaluating flow, and the count of
+Python-level calls a forwarded packet makes.
 """
 
+import sys
+from pathlib import Path
+
+import repro
 from repro.core.cache import DecisionCache
+from repro.core.controller import ControllerConfig
 from repro.core.delegation import DelegationManager
+from repro.core.network import HostSpec, IdentPPNetwork
 from repro.core.policy_engine import PolicyEngine
 from repro.crypto.signatures import Signer
 from repro.identpp.flowspec import FlowSpec
@@ -235,3 +242,75 @@ class TestPoisonedBurst:
         assert controller.policy_errors == 1
         assert controller.policy.stats()["evaluations"] == 3.0
         assert len(net.host("server").delivered) == 2
+
+
+def calls_per_forwarded_packet(*, connections=16, clients=4, waves=4) -> float:
+    """Python-level calls inside ``repro`` per packet of an established session.
+
+    Sessions from ``clients`` hosts cross edge and core switch to one
+    server, every flow entry installed and every exact-match cache warm
+    (one untimed wave); ``sys.setprofile`` then counts the ``call``
+    events of ``repro``'s own functions over ``waves`` waves, each one
+    packet per session and a run of the simulator, the
+    ``fastpath_forward`` shape.  The count is the same on every host.
+    """
+    forever = 3600.0
+    config = ControllerConfig(idle_timeout=forever, hard_timeout=0.0, decision_ttl=forever)
+    net = IdentPPNetwork("hit-calls", controller_config=config, policy_default_action="block")
+    edge, core = net.add_switch("sw-edge"), net.add_switch("sw-core")
+    net.connect(edge, core)
+    hosts = [
+        net.add_host(
+            HostSpec(name=f"client{index}", ip=f"10.0.0.{index + 1}", users={"alice": ("users",)}),
+            switch=edge,
+        )
+        for index in range(clients)
+    ]
+    server = net.add_host(HostSpec(name="server", ip="10.1.0.1"), switch=core)
+    server.run_server("httpd", "root", 80)
+    net.set_policy({"00.control": "block all\npass from any to any port 80\n"})
+    sessions = []
+    for index in range(connections):
+        host = hosts[index % clients]
+        _, socket, _ = host.open_flow("http", "alice", "10.1.0.1", 80)
+        sessions.append((host, socket))
+    net.run(duration=0.05)
+
+    def wave() -> None:
+        for host, socket in sessions:
+            host.send_on_socket(socket, payload_size=64)
+        net.run(duration=1e-3)
+
+    wave()
+    delivered = len(server.delivered)
+    package = str(Path(repro.__file__).parent)
+    calls = 0
+
+    def profile(frame, event, _arg) -> None:
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        for _ in range(waves):
+            wave()
+    finally:
+        sys.setprofile(None)
+    packets = connections * waves
+    assert len(server.delivered) - delivered == packets
+    assert sum(switch.punts.value for switch in net.switches.values()) == connections
+    return calls / packets
+
+
+class TestHitPathCalls:
+    #: 43.6 while every hit entered lazy expiry and went through
+    #: _apply_actions, Port.send and Link.transmit, and every packet ran
+    #: two default-factory lambdas and built a metadata dict; 25.6 since.
+    CEILING = 26
+
+    def test_a_forwarded_packet_makes_at_most_26_calls(self):
+        assert calls_per_forwarded_packet() <= self.CEILING
+
+    def test_the_count_repeats_exactly(self):
+        assert calls_per_forwarded_packet(waves=2) == calls_per_forwarded_packet(waves=2)
