@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.audit import AuditLog, DecisionRecord
@@ -42,7 +42,7 @@ from repro.identpp.client import QueryClient, QueryInterceptor
 from repro.identpp.engine import QueryEngine
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import IDENT_PP_PORT, IdentQuery, IdentResponse
-from repro.netsim.events import Event, Future
+from repro.netsim.events import Event
 from repro.netsim.sanitizer import KIND_STALE_CONTINUATION
 from repro.netsim.statistics import Histogram
 from repro.netsim.topology import Topology
@@ -85,7 +85,8 @@ class DecisionTask:
     #: The buffered PacketIns awaiting this decision (one per punting switch).
     punts: list
     stage: str = "query"
-    outcomes: list = field(default_factory=list)
+    #: The ``(source, destination)`` answers, once both are in.
+    outcomes: tuple = ()
     #: When the last endpoint answer landed (0.0 until then).
     ready_at: float = 0.0
     #: The instant the controller's deadline event fails this flow
@@ -422,7 +423,7 @@ class IdentPPController(Controller):
             self._forward_control_traffic(message)
             return
         flow = FlowSpec.from_packet(packet)
-        arrival = self.now
+        arrival = self.sim.now
 
         cached = self.cache.lookup(flow, arrival)
         if cached is not None:
@@ -499,9 +500,9 @@ class IdentPPController(Controller):
     def _dispatch_queries(self, task: DecisionTask) -> None:
         """Send the task's queries to both ends of the flow and yield the loop.
 
-        Each answer arrives as its own scheduled event; the gather
-        barrier fires :meth:`_answers_ready` at the instant the last
-        one lands, so thousands of round-trips overlap in flight.
+        The engine hands both answers to :meth:`_answers_ready` at the
+        instant the later one lands, so thousands of round-trips overlap
+        in flight; a pass-through punt's two answers arrive as one event.
 
         Queries go through the :class:`QueryEngine`, so with a non-zero
         ``query_cache_ttl`` a hot endpoint's answer is fetched once and
@@ -511,14 +512,12 @@ class IdentPPController(Controller):
         pass-through and every punt queries fresh).
         """
         task.stage = "query"
-        Future.gather(
-            self.query_engine.query_both_ends_async(
-                task.flow, from_node=task.switch,
-                interceptors=tuple(self.peer_interceptors),
-            )
-        ).add_done_callback(lambda outcomes: self._answers_ready(task, outcomes))
+        self.query_engine.query_both_ends_async(
+            task.flow, self._answers_ready, task,
+            from_node=task.switch, interceptors=tuple(self.peer_interceptors),
+        )
 
-    def _answers_ready(self, task: DecisionTask, outcomes: list) -> None:
+    def _answers_ready(self, task: DecisionTask, outcomes: tuple) -> None:
         """Continuation: the last endpoint answer landed; head for eval.
 
         Runs at the arrival instant of the slower answer.  A task whose
@@ -526,9 +525,9 @@ class IdentPPController(Controller):
         failover export, re-punt) discards itself here; a halted
         controller leaves the task frozen for ``export_pending``.
         """
-        task.outcomes = list(outcomes)
-        task.ready_at = self.now
-        self.query_latency.observe(QueryClient.combined_latency(task.outcomes))
+        task.outcomes = outcomes
+        task.ready_at = self.sim.now
+        self.query_latency.observe(QueryClient.combined_latency(outcomes))
         if self._serial.holds(task):
             # Serial core: the loop waited on these answers.  It pays
             # the eval and is released by the completion event whatever
@@ -609,7 +608,7 @@ class IdentPPController(Controller):
             self._fail_closed(
                 task.flow, f"policy evaluation failed: {error}", cached_as=f"error: {error}"
             )
-            self.flow_setup_latency.observe(self.now - task.arrival)
+            self.flow_setup_latency.observe(self.sim.now - task.arrival)
             self.lifecycle.kick()
             return
         self._finish_decision(task, decision)
@@ -622,7 +621,7 @@ class IdentPPController(Controller):
             flow,
             decision.action,
             cookie,
-            self.now,
+            self.sim.now,
             keep_state=decision.keep_state,
             rule_text=decision.rule_text,
         )
@@ -631,7 +630,7 @@ class IdentPPController(Controller):
             flow, pending, decision.is_pass, cookie, keep_state=decision.keep_state
         )
         query_cost = QueryClient.combined_latency(task.outcomes)
-        self.flow_setup_latency.observe(self.now - task.arrival)
+        self.flow_setup_latency.observe(self.sim.now - task.arrival)
         self._audit_decision(decision, cookie, query_cost)
         self.lifecycle.kick()
 
@@ -646,12 +645,12 @@ class IdentPPController(Controller):
         """
         cookie = f"{self.name}:decision-{next(self._cookie_counter)}"
         if cached_as is not None:
-            self.cache.store(flow, "block", cookie, self.now, rule_text=cached_as)
+            self.cache.store(flow, "block", cookie, self.sim.now, rule_text=cached_as)
         pending = self._pop_pending(flow)
         self.installer.apply_verdict(flow, pending, False, cookie, keep_state=False)
         self.audit.record(
             DecisionRecord(
-                time=self.now,
+                time=self.sim.now,
                 flow=flow,
                 action="block",
                 rule_text="",
@@ -686,7 +685,7 @@ class IdentPPController(Controller):
             # entries must survive for the failover handoff, where the
             # successor sets its own deadlines (resume() re-arms here).
             return
-        now = self.now
+        now = self.sim.now
         due = []
         earliest = None
         for task in self._pending.values():
@@ -712,7 +711,7 @@ class IdentPPController(Controller):
             self.delegations.record_use(principal, cookie)
         self.audit.record(
             DecisionRecord(
-                time=self.now,
+                time=self.sim.now,
                 flow=decision.flow,
                 action=decision.action,
                 rule_text=decision.rule_text,
@@ -847,7 +846,7 @@ class IdentPPController(Controller):
 
     def revoke_delegation(self, principal: str) -> int:
         """Revoke a delegation grant and undo every decision that relied on it."""
-        grant = self.delegations.revoke(principal, now=self.now)
+        grant = self.delegations.revoke(principal, now=self.sim.now)
         removed = 0
         for cookie in grant.decisions:
             removed += self.revoke_decision(cookie)

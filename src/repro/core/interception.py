@@ -148,7 +148,7 @@ class InterceptionPolicy:
         """Answer the query from a static answer, or pass it through (``None``)."""
         for answer in self._static_answers:
             if answer.covers(query.target_ip):
-                self.queries_answered.increment()
+                self.queries_answered.value += 1
                 document = ResponseDocument()
                 document.add_section(
                     KeyValueSection.from_dict(answer.pairs, source=answer.source)
@@ -161,7 +161,7 @@ class InterceptionPolicy:
         for rule in self._augmentations:
             if rule.matches(query):
                 response.document.augment(rule.pairs, source=rule.source)
-                self.responses_augmented.increment()
+                self.responses_augmented.value += 1
 
     def __repr__(self) -> str:
         return (

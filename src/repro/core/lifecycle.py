@@ -107,17 +107,19 @@ class LifecycleService:
 
     def kick(self) -> None:
         """Ensure a sweep is queued (no-op when disabled or already queued)."""
-        if not self.enabled or self.scheduled:
+        # ``enabled`` and ``scheduled``, inline: every punt kicks twice.
+        ticker = self._ticker
+        if not self.interval > 0 or self._sim is None or (ticker is not None and ticker.scheduled):
             return
-        if self._ticker is None:
+        if ticker is None:
             # Formatted once per ticker: the repeating event keeps it.
             label = f"{self.name}:sweep"
             self._ticker = self._sim.schedule_repeating(self.interval, self._tick, label=label)
         else:
             # _tick may have stretched the delay toward a far deadline;
             # a fresh kick means fresh state, so restart at the base rate.
-            self._ticker.interval = self.interval
-            self._ticker.start()
+            ticker.interval = self.interval
+            ticker.start()
 
     def stop(self) -> None:
         """Cancel the queued sweep, if any."""

@@ -221,8 +221,9 @@ class SocketTable:
             local_ip = IPv4Address(local_ip)
         if not isinstance(remote_ip, IPv4Address):
             remote_ip = IPv4Address(remote_ip)
-        # Every socket in the table is bound to the host's own address.
-        if local_ip != self.host_ip:
+        # Every socket in the table is bound to the host's own address
+        # (both are IPv4Address ints: C's comparison, not IPv4Address.__ne__).
+        if int.__ne__(local_ip, self.host_ip):
             return None
         bucket = self._by_endpoint.get(
             (proto, local_port, remote_ip, remote_port)

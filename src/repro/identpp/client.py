@@ -23,6 +23,7 @@ behalf.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Protocol, Sequence
 
 from repro.exceptions import TopologyError
@@ -42,6 +43,11 @@ ANSWER_LABELS = {
     ROLE_SOURCE: f"identpp:answer:{ROLE_SOURCE}",
     ROLE_DESTINATION: f"identpp:answer:{ROLE_DESTINATION}",
 }
+
+#: Event label of a pass-through punt's one arrival, carrying both answers.
+BOTH_ANSWERS_LABEL = "identpp:answer:both"
+
+_latency_of = attrgetter("latency")
 
 
 class QueryInterceptor(Protocol):
@@ -152,13 +158,13 @@ class QueryClient:
             target_role=role,
             keys=tuple(keys) if keys is not None else self.default_keys,
         )
-        self.queries_sent.increment()
+        self.queries_sent.value += 1
 
         # Give each on-path controller the chance to answer outright.
         for interceptor in interceptors:
             answer = interceptor.intercept_query(query)
             if answer is not None:
-                self.queries_intercepted.increment()
+                self.queries_intercepted.value += 1
                 latency = self._interceptor_latency(from_node)
                 return QueryOutcome(
                     query=query,
@@ -171,7 +177,7 @@ class QueryClient:
         host = self.topology.node_for_ip(query.target_ip)
         daemon = getattr(host, "identpp_daemon", None) if host is not None else None
         if daemon is None:
-            self.queries_timed_out.increment()
+            self.queries_timed_out.value += 1
             return QueryOutcome(
                 query=query, response=None, latency=self.timeout, timed_out=True
             )
@@ -181,7 +187,7 @@ class QueryClient:
             # never delivered, so the daemon is never asked and the
             # outcome is a genuine timeout — not a healthy answer that
             # happens to cost ``self.timeout``.
-            self.queries_timed_out.increment()
+            self.queries_timed_out.value += 1
             return QueryOutcome(
                 query=query,
                 response=None,
@@ -272,7 +278,7 @@ class QueryClient:
     @staticmethod
     def combined_latency(outcomes: Sequence[QueryOutcome]) -> float:
         """Return the wall-clock cost of queries issued in parallel."""
-        return max((outcome.latency for outcome in outcomes), default=0.0)
+        return max(map(_latency_of, outcomes), default=0.0)
 
     # ------------------------------------------------------------------
     # Latency accounting

@@ -328,14 +328,15 @@ class IdentPPDaemon:
         """
         flow = query.flow
         expected_ip = flow.src_ip if query.target_role == ROLE_SOURCE else flow.dst_ip
-        if expected_ip != self.host.ip:
-            self.queries_failed.increment()
+        # Both are IPv4Address ints: C's comparison, not IPv4Address.__ne__.
+        if int.__ne__(expected_ip, self.host.ip):
+            self.queries_failed.value += 1
             raise QueryError(
                 f"daemon on {self.host.name} ({self.host.ip}) queried as {query.target_role} "
                 f"of flow {flow}, which names {expected_ip}"
             )
         if self.spoofed_pairs is not None:
-            self.queries_answered.increment()
+            self.queries_answered.value += 1
             document = ResponseDocument()
             document.add_section(dict(self.spoofed_pairs), source=f"{self.host.name}:spoofed")
             return IdentResponse(flow=flow, document=document, responder=self.host.name)
@@ -354,7 +355,7 @@ class IdentPPDaemon:
             document.add_section(
                 KeyValueSection.from_dict(runtime_pairs, source=f"{self.host.name}:runtime")
             )
-        self.queries_answered.increment()
+        self.queries_answered.value += 1
         return IdentResponse(flow=flow, document=document, responder=self.host.name)
 
     def answer_is_shareable(self, query: IdentQuery) -> bool:
@@ -460,7 +461,7 @@ class IdentPPDaemon:
             # daemon's expected failure class: count and stay silent (a
             # real identd ignores garbage).  Programming errors propagate
             # — swallowing them here used to hide real bugs as timeouts.
-            self.queries_failed.increment()
+            self.queries_failed.value += 1
             return
         reply = response.to_packet(packet)
         delay = self.processing_delay

@@ -72,10 +72,11 @@ first: the replaced daemon's last notice makes the engine do so.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.identpp.client import (
     ANSWER_LABELS,
+    BOTH_ANSWERS_LABEL,
     QueryClient,
     QueryInterceptor,
     QueryOutcome,
@@ -327,20 +328,49 @@ class QueryEngine:
     def query_both_ends_async(
         self,
         flow: FlowSpec,
-        *,
+        answered: Callable[..., None],
+        *args,
         from_node=None,
         keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
         now: Optional[float] = None,
-    ) -> tuple[Future, Future]:
-        """Dispatch both endpoint queries; each answer arrives independently.
+    ) -> None:
+        """Dispatch both endpoint queries; ``answered(*args, outcomes)`` runs once both are in.
 
-        Mirrors :meth:`query_both_ends` (including the per-role
-        interceptor ordering) but returns one future per endpoint, so
-        the caller can react to the faster answer without waiting for
-        the slower one.
+        ``outcomes`` is the ``(source, destination)`` pair, handed over
+        at the instant the later answer lands (at once when neither
+        costs time).  Mirrors :meth:`query_both_ends`, including the
+        per-role interceptor ordering.
+
+        A pass-through punt (engine off, no interceptors) is resolved
+        here and its two answers arrive as **one** event, at the later
+        answer's instant.  Nothing could be scheduled between two
+        per-role answer events, so the one event sits exactly where the
+        later of them would have been served.  Every other pair travels
+        as two :meth:`query_async` futures (cached, negative, coalesced,
+        resident and intercepted answers keep their shared arrivals),
+        and the later completion calls ``answered``.
         """
-        return self._both_ends(self.query_async, flow, from_node, keys, interceptors, now)
+        if not interceptors and not self.enabled:
+            client = self.client
+            outcomes = (
+                client.query(flow, ROLE_SOURCE, from_node=from_node, keys=keys),
+                client.query(flow, ROLE_DESTINATION, from_node=from_node, keys=keys),
+            )
+            latency = max(outcomes[0].latency, outcomes[1].latency)
+            if latency <= 0:
+                answered(*args, outcomes)
+            else:
+                client.topology.sim.schedule(
+                    latency, answered, *args, outcomes, label=BOTH_ANSWERS_LABEL
+                )
+            return
+        src, dst = self._both_ends(self.query_async, flow, from_node, keys, interceptors, now)
+        src.add_done_callback(
+            lambda _: dst.add_done_callback(
+                lambda _: answered(*args, (src.result(), dst.result()))
+            )
+        )
 
     @staticmethod
     def _both_ends(ask, flow, from_node, keys, interceptors, now) -> tuple:

@@ -30,6 +30,10 @@ MACLike = Union["MACAddress", str, int]
 #: Emptied when it reaches ``_DOTTED_QUADS_KEPT`` entries.
 _DOTTED_QUADS: dict["IPv4Address", str] = {}
 _DOTTED_QUADS_KEPT = 4096
+#: Dotted quad -> its address, parsed once, and the same object each time:
+#: a dict holding it as a key then finds it by identity, with no
+#: ``IPv4Address.__eq__`` call.  Same bound as ``_DOTTED_QUADS``.
+_PARSED: dict[str, "IPv4Address"] = {}
 
 
 class IPv4Address(int):
@@ -61,7 +65,12 @@ class IPv4Address(int):
         if address.__class__ is cls:
             return address
         if isinstance(address, str):
-            return int.__new__(cls, cls._parse(address))
+            interned = _PARSED.get(address)
+            if interned is None:
+                if len(_PARSED) >= _DOTTED_QUADS_KEPT:
+                    _PARSED.clear()
+                interned = _PARSED[address] = int.__new__(cls, cls._parse(address))
+            return interned
         if isinstance(address, int) and not isinstance(address, MACAddress):
             if not 0 <= address < 2**32:
                 raise AddressError(f"IPv4 integer out of range: {address}")
@@ -73,13 +82,10 @@ class IPv4Address(int):
         match = _IPV4_RE.match(text.strip())
         if match is None:
             raise AddressError(f"invalid IPv4 address: {text!r}")
-        octets = [int(part) for part in match.groups()]
-        if any(octet > 255 for octet in octets):
+        a, b, c, d = map(int, match.groups())
+        if a > 255 or b > 255 or c > 255 or d > 255:
             raise AddressError(f"invalid IPv4 address (octet > 255): {text!r}")
-        value = 0
-        for octet in octets:
-            value = (value << 8) | octet
-        return value
+        return a << 24 | b << 16 | c << 8 | d
 
     def to_int(self) -> int:
         """Return the address as an unsigned 32-bit integer."""

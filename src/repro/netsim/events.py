@@ -82,14 +82,18 @@ class Event:
 class Future:
     """A one-shot completion slot for continuation-scheduled pipelines.
 
-    The async decision core composes punt → query → decide out of
-    schedulable steps; a :class:`Future` is the joint between two steps:
-    the producer calls :meth:`set_result` (usually from a scheduled
+    The producer calls :meth:`set_result` (usually from a scheduled
     event) and every continuation registered with
     :meth:`add_done_callback` runs immediately, at the producer's
     simulated instant.  A callback added after completion runs at once,
     so late subscribers (a coalescing waiter joining an already-answered
     query) need no special casing.
+
+    It carries one endpoint answer of :meth:`QueryEngine.query_async
+    <repro.identpp.engine.QueryEngine.query_async>`: cached, coalesced,
+    resident and intercepted lookups complete theirs through it.  It is
+    not the punt's barrier: a pass-through punt's two answers arrive as
+    one event, and the engine joins any other pair itself.
 
     Callbacks are deliberately synchronous — the *producer* is the
     scheduled event, so continuations inherit its timestamp without
@@ -131,36 +135,6 @@ class Future:
             callback(self._result)
         else:
             self._callbacks.append(callback)
-
-    @classmethod
-    def gather(cls, futures: "list[Future]") -> "Future":
-        """Return a future completing with the list of results once all are done.
-
-        The aggregate completes at the instant the *last* input does —
-        exactly the "both endpoint answers are in" barrier the decision
-        pipeline needs — and preserves input order in the result list.
-        An empty input completes immediately with ``[]``.
-        """
-        aggregate = cls()
-        remaining = len(futures)
-        if remaining == 0:
-            aggregate.set_result([])
-            return aggregate
-        results: list[Any] = [None] * remaining
-        state = {"left": remaining}
-
-        def _arm(index: int, future: "Future") -> None:
-            def _done(value: Any) -> None:
-                results[index] = value
-                state["left"] -= 1
-                if state["left"] == 0:
-                    aggregate.set_result(results)
-
-            future.add_done_callback(_done)
-
-        for index, future in enumerate(futures):
-            _arm(index, future)
-        return aggregate
 
 
 class RepeatingEvent:
@@ -319,7 +293,10 @@ class Simulator:
         sanitize: bool = False,
         perturb_ties: bool = False,
     ) -> None:
-        self._now = float(start_time)
+        #: The current simulated time in seconds.  A plain attribute, not
+        #: a property: the clock is read on every hop and every punt
+        #: stage, and only :meth:`_drain` (and :meth:`reset`) write it.
+        self.now = float(start_time)
         # Heap of (time, tie_key, event) records, one per scheduled
         # event: the explicit tie key lets the sanitizer's shadow replay
         # flip same-instant service order without touching Event's own
@@ -343,11 +320,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Return the current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -399,7 +371,7 @@ class Simulator:
         """
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         seq = next(self._seq)
         event = Event(time, seq, callback, args, kwargs, False, label, self)
         heapq.heappush(self._queue, (time, self._tie_sign * seq, event))
@@ -435,7 +407,7 @@ class Simulator:
             self._newest_lane is lane
             and newest is not None
             and newest._sim is not None
-            and newest.time == self._now + delay
+            and newest.time == self.now + delay
         ):
             riders = newest.riders
             if riders is None:
@@ -456,7 +428,7 @@ class Simulator:
         **kwargs: Any,
     ) -> Event:
         """Schedule a callback at an absolute simulated time."""
-        return self.schedule(when - self._now, callback, *args, label=label, **kwargs)
+        return self.schedule(when - self.now, callback, *args, label=label, **kwargs)
 
     def call_now(self, callback: Callable[..., None], *args: Any, **kwargs: Any) -> Event:
         """Schedule a callback to run at the current time (after already-queued events at this time)."""
@@ -528,15 +500,15 @@ class Simulator:
                 self._dead -= 1
                 continue
             if until is not None and time > until:
-                if self._now < until:
-                    self._now = until
+                if self.now < until:
+                    self.now = until
                 break
             pop(queue)
-            if time < self._now:
+            if time < self.now:
                 raise SimulationError("event queue corrupted: time went backwards")
             event = head
             event._sim = None
-            self._now = time
+            self.now = time
             self._events_processed += 1
             processed += 1
             if self.sanitizer is not None:
@@ -550,8 +522,8 @@ class Simulator:
                 callback = event.callback
                 for item in riders:
                     callback(item)
-        if until is not None and not queue and self._now < until:
-            self._now = until
+        if until is not None and not queue and self.now < until:
+            self.now = until
         newest = self._newest
         if newest is not None and newest._sim is None:
             # Fired or cancelled: nothing can ride it, so hold nothing it carried.
@@ -585,5 +557,5 @@ class Simulator:
         self._queue.clear()
         self._newest = None
         self._dead = 0
-        self._now = 0.0
+        self.now = 0.0
         self._events_processed = 0

@@ -73,10 +73,10 @@ class ControllerChannel:
         """Deliver a message from the switch to the controller after the channel latency."""
         if not self.connected:
             return
-        self.to_controller_messages.increment()
+        self.to_controller_messages.value += 1
         if self.switch.name is not self._labelled_name:
             self._relabel()
-        self._sim().deliver(
+        (self.switch.sim or self._sim()).deliver(
             self.latency,
             self._to_controller_lane,
             self.controller.handle_message,
@@ -88,10 +88,10 @@ class ControllerChannel:
         """Deliver a message from the controller to the switch after the channel latency."""
         if not self.connected:
             return
-        self.to_switch_messages.increment()
+        self.to_switch_messages.value += 1
         if self.switch.name is not self._labelled_name:
             self._relabel()
-        self._sim().deliver(
+        (self.switch.sim or self._sim()).deliver(
             self.latency,
             self._to_switch_lane,
             self.switch.handle_message,

@@ -106,7 +106,11 @@ class Controller:
         return [self.channels[name].switch for name in sorted(self.channels)]
 
     def channel_for(self, switch: OpenFlowSwitch | str) -> ControllerChannel:
-        """Return the control channel for a switch (by object or name)."""
+        """Return the control channel for a switch (by object or name).
+
+        The send helpers look the channel up inline and call this only
+        to raise for an unregistered switch.
+        """
         name = switch if isinstance(switch, str) else switch.name
         try:
             return self.channels[name]
@@ -148,7 +152,7 @@ class Controller:
 
     def _dispatch(self, message: ControlMessage) -> None:
         if isinstance(message, PacketIn):
-            self.packet_ins.increment()
+            self.packet_ins.value += 1
             self.on_packet_in(message)
         elif isinstance(message, FlowRemoved):
             self.on_flow_removed(message)
@@ -188,8 +192,11 @@ class Controller:
             cookie=cookie,
             buffer_id=buffer_id,
         )
-        self.flow_mods.increment()
-        self.channel_for(switch).send_to_switch(message)
+        self.flow_mods.value += 1
+        (
+            self.channels.get(switch if isinstance(switch, str) else switch.name)
+            or self.channel_for(switch)
+        ).send_to_switch(message)
         return message
 
     def remove_flows_by_cookie(self, switch: OpenFlowSwitch | str, cookie: str) -> FlowMod:
@@ -200,8 +207,11 @@ class Controller:
         hops when a ``FlowRemoved`` reports one hop's entry gone.
         """
         message = FlowMod(match=_ANY, command=FlowModCommand.DELETE, cookie=cookie)
-        self.flow_mods.increment()
-        self.channel_for(switch).send_to_switch(message)
+        self.flow_mods.value += 1
+        (
+            self.channels.get(switch if isinstance(switch, str) else switch.name)
+            or self.channel_for(switch)
+        ).send_to_switch(message)
         return message
 
     def send_packet_out(
@@ -217,8 +227,11 @@ class Controller:
         message = PacketOut(
             actions=tuple(actions), buffer_id=buffer_id, packet=packet, in_port=in_port
         )
-        self.packet_outs.increment()
-        self.channel_for(switch).send_to_switch(message)
+        self.packet_outs.value += 1
+        (
+            self.channels.get(switch if isinstance(switch, str) else switch.name)
+            or self.channel_for(switch)
+        ).send_to_switch(message)
         return message
 
     def broadcast_flow(self, match: Match, actions: Sequence[Action], **kwargs) -> None:

@@ -22,15 +22,17 @@ from repro.openflow.match import Match
 if TYPE_CHECKING:  # pragma: no cover
     from repro.openflow.switch import OpenFlowSwitch
 
-_buffer_ids = itertools.count(1)
-_xids = itertools.count(1)
+# Bound ``__next__`` of the two id streams: a default factory that is
+# a C call, not a Python lambda per message.
+_next_buffer_id = itertools.count(1).__next__
+_next_xid = itertools.count(1).__next__
 
 
 @dataclass
 class ControlMessage:
     """Base class for all control-channel messages."""
 
-    xid: int = field(default_factory=lambda: next(_xids), init=False)
+    xid: int = field(default_factory=_next_xid, init=False)
 
 
 @dataclass
@@ -44,7 +46,7 @@ class PacketIn(ControlMessage):
     switch: "OpenFlowSwitch"
     packet: Packet
     in_port: int
-    buffer_id: int = field(default_factory=lambda: next(_buffer_ids))
+    buffer_id: int = field(default_factory=_next_buffer_id)
     reason: str = "no_match"
 
 
@@ -54,6 +56,8 @@ class FlowModCommand:
     ADD = "add"
     DELETE = "delete"
     DELETE_STRICT = "delete_strict"
+    #: The commands that remove entries rather than install one.
+    DELETES = (DELETE, DELETE_STRICT)
 
 
 @dataclass
@@ -68,10 +72,6 @@ class FlowMod(ControlMessage):
     hard_timeout: float = 0.0
     cookie: str = ""
     buffer_id: Optional[int] = None
-
-    def is_delete(self) -> bool:
-        """Return ``True`` for delete / delete-strict commands."""
-        return self.command in (FlowModCommand.DELETE, FlowModCommand.DELETE_STRICT)
 
 
 @dataclass

@@ -42,6 +42,7 @@ from repro.openflow.flow_table import FlowEntry, FlowTable
 from repro.openflow.messages import (
     ControlMessage,
     FlowMod,
+    FlowModCommand,
     FlowRemoved,
     PacketIn,
     PacketOut,
@@ -138,10 +139,9 @@ class OpenFlowSwitch(Node):
             raise OpenFlowError(f"switch {self.name} cannot handle {type(message).__name__}")
 
     def _handle_flow_mod(self, message: FlowMod) -> None:
-        if message.is_delete():
-            from repro.openflow.messages import FlowModCommand
-
-            strict = message.command == FlowModCommand.DELETE_STRICT
+        command = message.command
+        if command in FlowModCommand.DELETES:
+            strict = command == FlowModCommand.DELETE_STRICT
             # A cookie on a delete scopes it to that decision's entries
             # (OpenFlow 1.1+ cookie filter) — how the controller unwinds
             # one flow's path without touching co-resident entries.
@@ -158,24 +158,28 @@ class OpenFlowSwitch(Node):
             hard_timeout=message.hard_timeout,
             cookie=message.cookie,
         )
-        self.flow_table.install(entry, now=self.now)
+        sim = self.sim
+        now = sim.now if sim is not None else 0.0
+        self.flow_table.install(entry, now=now)
         if message.buffer_id is not None:
-            self._release_buffer(message.buffer_id, entry.actions)
+            self._release_buffer(message.buffer_id, entry.actions, now)
 
     def _handle_packet_out(self, message: PacketOut) -> None:
+        sim = self.sim
+        now = sim.now if sim is not None else 0.0
         if message.buffer_id is not None:
-            self._release_buffer(message.buffer_id, tuple(message.actions))
+            self._release_buffer(message.buffer_id, tuple(message.actions), now)
             return
         if message.packet is None:
             raise OpenFlowError("PacketOut carries neither a buffer id nor a packet")
-        self._apply_actions(message.packet, tuple(message.actions), message.in_port, self.now)
+        self._apply_actions(message.packet, tuple(message.actions), message.in_port, now)
 
-    def _release_buffer(self, buffer_id: int, actions: tuple[Action, ...]) -> None:
+    def _release_buffer(self, buffer_id: int, actions: tuple[Action, ...], now: float) -> None:
         buffered = self._buffered.pop(buffer_id, None)
         if buffered is None:
             return
         packet, in_port = buffered
-        self._apply_actions(packet, actions, in_port, self.now)
+        self._apply_actions(packet, actions, in_port, now)
 
     def buffered_count(self) -> int:
         """Return how many punted packets are still waiting for a controller verdict."""
@@ -284,7 +288,7 @@ class OpenFlowSwitch(Node):
         if channel is not None:
             message = PacketIn(switch=self, packet=packet, in_port=in_port.number)
             self._buffered[message.buffer_id] = (packet, in_port.number)
-            self.punts.increment()
+            self.punts.value += 1
             self._record(now, "punt", packet, channel.controller.name)
             channel.send_to_controller(message)
             return
@@ -336,7 +340,7 @@ class OpenFlowSwitch(Node):
                         switch=self, packet=packet, in_port=ingress, reason="action"
                     )
                     self._buffered[message.buffer_id] = (packet, ingress)
-                    self.punts.increment()
+                    self.punts.value += 1
                     if trace is not None:
                         trace.record(now, self.name, "punt", packet, channel.controller.name)
                     channel.send_to_controller(message)
@@ -347,7 +351,7 @@ class OpenFlowSwitch(Node):
             trace.record(now, self.name, "drop", packet)
 
     def _notify_removed(self, entry: FlowEntry, *, reason: str = "idle_timeout") -> None:
-        self.flow_removed.increment()
+        self.flow_removed.value += 1
         if self.failed:
             return
         channel = self._owner_channel(entry.cookie)
@@ -365,13 +369,16 @@ class OpenFlowSwitch(Node):
     def _owner_channel(self, cookie: str) -> Optional[ControllerChannel]:
         """Return the channel of the controller that installed ``cookie``.
 
-        Decision cookies are ``<controller name>:decision-N``; with
-        multiple channels the removal notice goes back to the installer
-        when its channel is up, else to any connected channel (a
-        successor can at least observe the expiry).
+        Decision cookies are ``<controller name>:decision-N``; the owner
+        is everything before the *last* ``:``, since a controller name
+        may hold one itself (a cluster named ``lab:1``).  With multiple
+        channels the removal notice goes back to the installer when its
+        channel is up, else to any connected channel (a successor can at
+        least observe the expiry).
         """
         if cookie and len(self.channels) > 1:
-            owner = self.channels.get(cookie.split(":", 1)[0])
+            owner_name, colon, _ = cookie.rpartition(":")
+            owner = self.channels.get(owner_name if colon else cookie)
             if owner is not None and owner.connected:
                 return owner
             for name in sorted(self.channels):

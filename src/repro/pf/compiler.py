@@ -314,9 +314,10 @@ class CompiledRule:
     def matches(self, context: "EvalContext") -> bool:
         flow = context.flow
         if flow is not None:
-            if not self.src.matches(flow.src_ip.to_int(), flow.src_port, context):
+            # An IPv4Address is an int: the matchers mask it in C.
+            if not self.src.matches(flow.src_ip, flow.src_port, context):
                 return False
-            if not self.dst.matches(flow.dst_ip.to_int(), flow.dst_port, context):
+            if not self.dst.matches(flow.dst_ip, flow.dst_port, context):
                 return False
         elif not self.address_free:
             return False

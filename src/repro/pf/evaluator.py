@@ -190,7 +190,7 @@ class PolicyEvaluator:
         if flow is not None:
             candidates = compiled.index.candidates(flow.dst_port)
             compiled.index_lookups += 1
-            dst_octet = flow.dst_ip.to_int() >> 24
+            dst_octet = flow.dst_ip >> 24
         else:
             # No destination to index or gate on: every rule is a candidate.
             candidates = compiled.rules

@@ -454,6 +454,35 @@ class TestClusterFabric:
         assert entries_with_cookie(net, record.cookie) == {}
         assert net.cluster.replicas[owner].installer.unwinds == 1
 
+    @pytest.mark.parametrize("name", ["lab", "lab:1"])
+    def test_flow_removed_reaches_the_owner_whatever_the_cluster_name(self, name):
+        # The owner is the cookie up to its last ':'; a cluster name
+        # holding one used to send every FlowRemoved to the first shard,
+        # leaving the other shard's path registry to grow for good.
+        net = IdentPPClusterNetwork(
+            name,
+            shards=2,
+            policy_default_action="block",
+            controller_config=ControllerConfig(
+                idle_timeout=1.0, decision_ttl=1.0, lifecycle_interval=0.5
+            ),
+        )
+        fabric = net.add_spine_leaf_fabric(spines=1, leaves=2)
+        client = net.add_host(
+            HostSpec(name="client0", ip="192.168.0.10", users={"alice": ("users",)}),
+            switch=fabric.leaves[0],
+        )
+        server = net.add_host(HostSpec(name="server", ip="192.168.1.1"), switch=fabric.leaves[1])
+        server.run_server("httpd", "root", 80)
+        net.set_policy(POLICY)
+        for _ in range(40):
+            client.open_flow("http", "alice", "192.168.1.1", 80)
+        net.run()
+        installed = {shard: len(r.installer) for shard, r in net.cluster.replicas.items()}
+        assert installed == dict.fromkeys(net.cluster.replicas, 0)
+        assert sum(r.installer.unwinds for r in net.cluster.replicas.values()) == 40
+        assert all(len(switch.flow_table) == 0 for switch in net.switches.values())
+
     def test_cluster_revocation_purges_adopted_path_registry(self):
         net, fabric = self.make_cluster_net()
         net.cluster.grant_delegation("secur", "beefcafe" * 8)

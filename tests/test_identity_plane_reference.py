@@ -23,6 +23,7 @@ from repro.identpp.client import QueryClient
 from repro.identpp.daemon import IdentPPDaemon
 from repro.identpp.engine import QueryEngine
 from repro.identpp.flowspec import FlowSpec
+from repro.identpp.wire import ROLE_DESTINATION, ROLE_SOURCE
 from repro.netsim.nodes import Node
 from repro.netsim.topology import Topology
 from tests.reference_identity import ReferenceDaemon, ReferenceQueryEngine
@@ -74,7 +75,10 @@ class World:
             index, towards, sport = args
             engine, flow = self.engines[index], self.flow(towards, sport)
             engine.note_punt(flow.dst_ip, from_node=self.switch, now=now)
-            self.futures.extend(engine.query_both_ends_async(flow, from_node=self.switch))
+            self.futures.extend(
+                engine.query_async(flow, role, from_node=self.switch)
+                for role in (ROLE_SOURCE, ROLE_DESTINATION)
+            )
         elif kind == "run":
             self.topo.sim.run(until=now + args[0])
         elif kind == "publish_flow":

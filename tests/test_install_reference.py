@@ -117,14 +117,14 @@ def spy_on_releases(net: IdentPPNetwork) -> list:
     """Record ``(switch, instant, actions, ordinal)`` of every buffered packet let go."""
     released = []
     for switch in net.switches.values():
-        def release(buffer_id, actions, switch=switch, inner=switch._release_buffer):
+        def release(buffer_id, actions, now, switch=switch, inner=switch._release_buffer):
             if buffer_id in switch._buffered:
                 packet, _ = switch._buffered[buffer_id]
                 released.append((
                     switch.name, switch.now, tuple(a.describe() for a in actions),
                     ordinal_of(packet),
                 ))
-            inner(buffer_id, actions)
+            inner(buffer_id, actions, now)
         switch._release_buffer = release
     return released
 

@@ -384,27 +384,6 @@ class TestFuture:
         future.add_done_callback(seen.append)
         assert seen == ["answer"]
 
-    def test_gather_preserves_order_and_waits_for_the_last(self):
-        first, second = Future(), Future()
-        results = []
-        Future.gather([first, second]).add_done_callback(results.append)
-        second.set_result("b")
-        assert results == []
-        first.set_result("a")
-        assert results == [["a", "b"]]
-
-    def test_gather_of_nothing_completes_immediately(self):
-        aggregate = Future.gather([])
-        assert aggregate.done
-        assert aggregate.result() == []
-
-    def test_gather_of_already_done_futures(self):
-        done = Future()
-        done.set_result(1)
-        aggregate = Future.gather([done, done])
-        assert aggregate.done
-        assert aggregate.result() == [1, 1]
-
     def test_completion_from_a_scheduled_event_runs_continuations_at_that_instant(self):
         sim = Simulator()
         future = Future()

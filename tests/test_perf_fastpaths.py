@@ -3,8 +3,8 @@
 Covers the decision-cache reverse/cookie indexes, the flow-table
 exact-match cache, Packet.wire_size caching, the policy engine's
 @pubkeys epoch caching, the flow generator's port allocator, a burst
-of same-instant punts with one mis-evaluating flow, and the count of
-Python-level calls a forwarded packet makes.
+of same-instant punts with one mis-evaluating flow, and the counts of
+Python-level calls a forwarded packet and a punted flow make.
 """
 
 import sys
@@ -244,6 +244,24 @@ class TestPoisonedBurst:
         assert len(net.host("server").delivered) == 2
 
 
+def _count_repro_calls(run) -> int:
+    """Return how many ``call`` events of ``repro``'s own functions ``run()`` makes."""
+    package = str(Path(repro.__file__).parent)
+    calls = 0
+
+    def profile(frame, event, _arg) -> None:
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def calls_per_forwarded_packet(*, connections=16, clients=4, waves=4) -> float:
     """Python-level calls inside ``repro`` per packet of an established session.
 
@@ -283,20 +301,7 @@ def calls_per_forwarded_packet(*, connections=16, clients=4, waves=4) -> float:
 
     wave()
     delivered = len(server.delivered)
-    package = str(Path(repro.__file__).parent)
-    calls = 0
-
-    def profile(frame, event, _arg) -> None:
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        for _ in range(waves):
-            wave()
-    finally:
-        sys.setprofile(None)
+    calls = _count_repro_calls(lambda: [wave() for _ in range(waves)])
     packets = connections * waves
     assert len(server.delivered) - delivered == packets
     assert sum(switch.punts.value for switch in net.switches.values()) == connections
@@ -306,11 +311,99 @@ def calls_per_forwarded_packet(*, connections=16, clients=4, waves=4) -> float:
 class TestHitPathCalls:
     #: 43.6 while every hit entered lazy expiry and went through
     #: _apply_actions, Port.send and Link.transmit, and every packet ran
-    #: two default-factory lambdas and built a metadata dict; 25.6 since.
-    CEILING = 26
+    #: two default-factory lambdas and built a metadata dict; 25.6 while
+    #: the simulator's clock was a property; 22.5 since.
+    CEILING = 23
 
-    def test_a_forwarded_packet_makes_at_most_26_calls(self):
+    def test_a_forwarded_packet_makes_at_most_23_calls(self):
         assert calls_per_forwarded_packet() <= self.CEILING
 
     def test_the_count_repeats_exactly(self):
         assert calls_per_forwarded_packet(waves=2) == calls_per_forwarded_packet(waves=2)
+
+
+def calls_per_punt(*, flows=40, clients=4, waves=4) -> float:
+    """Python-level calls inside ``repro`` per punted flow, the ``punt_unique`` shape.
+
+    Clients on an edge switch open fresh web flows to a server behind a
+    core switch: async decision core, serialized policy eval,
+    non-blocking inbox, pull identity plane with ``query_cache_ttl=0``
+    (every punt queries both daemons), 50 vms flow entries under the
+    sweeper, and each wave's sockets reaped two waves later.  Two
+    untimed waves warm the caches; ``sys.setprofile`` then counts the
+    ``call`` events of ``repro``'s own functions over ``waves`` waves,
+    each ``flows`` punts (every 10th to a blocked port) and a run of the
+    simulator over its 100 vms slot.  The count is the same on every
+    host.
+    """
+    config = ControllerConfig(
+        decision_core="async",
+        serialize_decisions=True,
+        nonblocking_inbox=True,
+        policy_eval_delay=20e-6,
+        idle_timeout=0.05,
+        hard_timeout=0.05,
+        lifecycle_interval=0.05,
+        decision_ttl=1.0,
+        query_cache_ttl=0.0,
+        identity_plane="pull",
+    )
+    net = IdentPPNetwork("punt-calls", controller_config=config, policy_default_action="block")
+    edge, core = net.add_switch("sw-edge"), net.add_switch("sw-core")
+    net.connect(edge, core)
+    hosts = [
+        net.add_host(
+            HostSpec(name=f"client{index}", ip=f"10.0.0.{index + 1}", users={"alice": ("users",)}),
+            switch=edge,
+        )
+        for index in range(clients)
+    ]
+    server = net.add_host(HostSpec(name="server", ip="10.1.0.1"), switch=core)
+    server.run_server("httpd", "root", 80)
+    net.set_policy({"00.control": "block all\npass from any to any port 80\n"})
+    for daemon in net.daemons.values():
+        daemon.processing_delay = 500e-6
+    sim = net.topology.sim
+
+    def reap(spawned) -> None:
+        for host, socket, process in spawned:
+            host.sockets.close(socket)
+            host.processes.kill(process.pid)
+
+    def wave() -> None:
+        spawned = []
+        for index in range(flows):
+            host = hosts[index % clients]
+            port = 23 if index % 10 == 9 else 80
+            _, socket, process = host.open_flow("http", "alice", "10.1.0.1", port)
+            spawned.append((host, socket, process))
+        sim.schedule(0.2, reap, spawned, label="test:reap")
+        net.run(duration=0.1)
+
+    def punts() -> int:
+        return sum(switch.punts.value for switch in net.switches.values())
+
+    wave()
+    wave()
+    before = punts()
+    calls = _count_repro_calls(lambda: [wave() for _ in range(waves)])
+    punted = punts() - before
+    assert punted == flows * waves
+    assert net.controller.inflight_count() == 0
+    return calls / punted
+
+
+class TestPuntCalls:
+    #: 381 (394 on ``punt_unique`` itself) while a punt's two answers
+    #: arrived as two events joined by Future.gather, the clock was a
+    #: property, counters were bumped through increment(), every control
+    #: message ran a lambda for its id, every send re-resolved its
+    #: simulator and channel, and addresses were compared and parsed
+    #: through Python methods; 273.0 since.
+    CEILING = 300
+
+    def test_a_punt_makes_at_most_300_calls(self):
+        assert calls_per_punt() <= self.CEILING
+
+    def test_the_count_repeats_exactly(self):
+        assert calls_per_punt(waves=2) == calls_per_punt(waves=2)
