@@ -1,5 +1,5 @@
 """Result formatting helpers used by the benchmark harness and examples."""
 
-from repro.analysis.report import format_table, series_to_rows
+from repro.analysis.report import format_table
 
-__all__ = ["format_table", "series_to_rows"]
+__all__ = ["format_table"]

@@ -9,7 +9,7 @@ structure rather than on ad-hoc string building.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def format_table(rows: Sequence[Mapping[str, object]], *, title: str = "") -> str:
@@ -49,19 +49,3 @@ def _render(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
-
-
-def series_to_rows(
-    x_name: str,
-    x_values: Iterable[object],
-    series: Mapping[str, Sequence[object]],
-) -> list[dict[str, object]]:
-    """Turn parallel series into row dictionaries (one row per x value)."""
-    x_list = list(x_values)
-    rows = []
-    for index, x_value in enumerate(x_list):
-        row: dict[str, object] = {x_name: x_value}
-        for name, values in series.items():
-            row[name] = values[index] if index < len(values) else None
-        rows.append(row)
-    return rows

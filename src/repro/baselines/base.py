@@ -37,10 +37,6 @@ class BaselinePolicy(Protocol):
         it holds itself, and none of them sees applications.
         """
 
-    def uses_information(self) -> tuple[str, ...]:
-        """Return which information classes the architecture consults
-        (used in the qualitative §6 comparison table)."""
-
 
 class BaselineController(Controller):
     """Mounts a :class:`BaselinePolicy` on the OpenFlow substrate.

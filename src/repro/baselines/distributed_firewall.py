@@ -43,10 +43,6 @@ class DistributedFirewall(VanillaFirewall):
         super().__init__(rules, default_action=default_action, name=name)
         self.compromised_hosts: set[IPv4Address] = set()
 
-    def mark_host_compromised(self, address: IPv4Address | str) -> None:
-        """Record that the enforcement point at ``address`` is attacker-controlled."""
-        self.compromised_hosts.add(IPv4Address(address))
-
     def decide(self, flow: FlowSpec) -> str:
         """Apply the policy at the destination host.
 
@@ -59,6 +55,3 @@ class DistributedFirewall(VanillaFirewall):
             self.decisions += 1
             return ACTION_PASS
         return super().decide(flow)
-
-    def uses_information(self) -> tuple[str, ...]:
-        return ("5-tuple", "end-host-local context")

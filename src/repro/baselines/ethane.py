@@ -124,10 +124,6 @@ class EthanePolicy:
         self._bindings[binding.ip] = binding
         return binding
 
-    def binding_for(self, ip: IPv4Address | str) -> Optional[HostBinding]:
-        """Return the binding for an address, if the host registered."""
-        return self._bindings.get(IPv4Address(ip))
-
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
@@ -161,6 +157,3 @@ class EthanePolicy:
             if rule.matches(flow, src_binding, dst_binding):
                 return rule.action
         return self.default_action
-
-    def uses_information(self) -> tuple[str, ...]:
-        return ("5-tuple", "switch port bindings", "authenticated users")

@@ -107,9 +107,6 @@ class VanillaFirewall:
                 return rule.action
         return self.default_action
 
-    def uses_information(self) -> tuple[str, ...]:
-        return ("5-tuple",)
-
     def __len__(self) -> int:
         return len(self.rules)
 

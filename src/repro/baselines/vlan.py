@@ -74,6 +74,3 @@ class VLANSegmentation:
         if (src_segment, dst_segment) in self._allowed_pairs:
             return ACTION_PASS
         return ACTION_BLOCK
-
-    def uses_information(self) -> tuple[str, ...]:
-        return ("machine-to-segment assignment",)

@@ -377,10 +377,6 @@ class ClusterCoordinator:
         }
         return len({tuple(sorted(e.items())) for e in live.values()}) <= 1
 
-    def audit_trail(self) -> list[ClusterChangeRecord]:
-        """Return every cluster-wide change, in order."""
-        return list(self._audit)
-
     def stats(self) -> dict[str, object]:
         """Return headline coordinator numbers."""
         kinds: dict[str, int] = {}

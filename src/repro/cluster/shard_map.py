@@ -23,7 +23,7 @@ ring is stable across processes and runs.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.crypto.hashing import sha256_int
 from repro.exceptions import TopologyError
@@ -82,16 +82,6 @@ class ShardMap:
         if shard in self._shards:
             raise TopologyError(f"shard {shard!r} already in the ring")
         self._shards.append(shard)
-        self._rebuild()
-
-    def remove_shard(self, shard: str) -> None:
-        """Remove a shard from the ring entirely (planned decommission)."""
-        if shard not in self._shards:
-            raise TopologyError(f"shard {shard!r} not in the ring")
-        if all(s == shard or s in self._dead for s in self._shards):
-            raise TopologyError("cannot remove the last live shard from the ring")
-        self._shards.remove(shard)
-        self._dead.discard(shard)
         self._rebuild()
 
     def mark_dead(self, shard: str) -> None:
@@ -200,13 +190,6 @@ class ShardMap:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    def assignment_counts(self, flows: Sequence[FlowSpec]) -> dict[str, int]:
-        """Return how many of ``flows`` each live shard owns (balance probe)."""
-        counts = {shard: 0 for shard in self.live_shards()}
-        for flow in flows:
-            counts[self.owner(flow)] += 1
-        return counts
 
     def stats(self) -> dict[str, object]:
         """Return ring shape and usage counters."""

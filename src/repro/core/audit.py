@@ -135,10 +135,6 @@ class AuditLog:
         """Return decisions that honoured delegated (allowed()/verify()) rules."""
         return self.filter(delegated=True)
 
-    def decisions_for_user(self, user_id: str) -> list[DecisionRecord]:
-        """Return decisions whose source reported the given ``userID``."""
-        return [r for r in self._records if r.src_keys.get("userID") == user_id]
-
     def pass_count(self) -> int:
         """Return the number of allow decisions."""
         return sum(1 for r in self._records if r.is_pass)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.audit import AuditLog, DecisionRecord
-from repro.exceptions import ControllerError, PFError, TopologyError
+from repro.exceptions import ControllerError, PFError
 from repro.core.cache import DecisionCache
 from repro.core.installer import QUARANTINE_PRIORITY, PathInstaller
 from repro.core.interception import InterceptionPolicy
@@ -41,12 +41,12 @@ from repro.core.policy_engine import PolicyDecision, PolicyEngine
 from repro.identpp.client import QueryClient, QueryInterceptor
 from repro.identpp.engine import QueryEngine
 from repro.identpp.flowspec import FlowSpec
-from repro.identpp.wire import IDENT_PP_PORT, IdentQuery, IdentResponse
+from repro.identpp.wire import IdentQuery, IdentResponse
 from repro.netsim.events import Event
 from repro.netsim.sanitizer import KIND_STALE_CONTINUATION
 from repro.netsim.statistics import Histogram
 from repro.netsim.topology import Topology
-from repro.openflow.actions import DropAction, FloodAction, OutputAction
+from repro.openflow.actions import DropAction, FloodAction
 from repro.openflow.channel import DEFAULT_CONTROL_LATENCY
 from repro.openflow.controller_base import Controller
 from repro.openflow.match import Match
@@ -417,11 +417,6 @@ class IdentPPController(Controller):
                 in_port=message.in_port,
             )
             return
-        if IDENT_PP_PORT in (packet.tp_src, packet.tp_dst):
-            # ident++ queries/responses travelling over the datapath are
-            # control traffic; forward them toward their destination.
-            self._forward_control_traffic(message)
-            return
         flow = FlowSpec.from_packet(packet)
         arrival = self.sim.now
 
@@ -728,26 +723,6 @@ class IdentPPController(Controller):
     def on_flow_removed(self, message: FlowRemoved) -> None:
         """One hop lost its entry: the installer unwinds the rest of the path."""
         self.installer.on_flow_removed(message)
-
-    def _forward_control_traffic(self, message: PacketIn) -> None:
-        """Forward ident++ protocol packets toward their destination without policy."""
-        packet = message.packet
-        destination = self.topology.node_for_ip(packet.ip_dst)
-        actions = [FloodAction()]
-        if destination is not None:
-            try:
-                path = self.topology.shortest_path(message.switch, destination)
-                if len(path) > 1:
-                    out_port = self.topology.egress_port(message.switch, path[1]).number
-                    actions = [OutputAction(out_port)]
-            except TopologyError:
-                # Unroutable control traffic floods (legacy behaviour);
-                # non-topology errors propagate rather than degrade to a
-                # silent flood.
-                actions = [FloodAction()]
-        self.send_packet_out(
-            message.switch, actions=actions, buffer_id=message.buffer_id, in_port=message.in_port
-        )
 
     # ------------------------------------------------------------------
     # Cluster hooks (pending handoff)

@@ -116,25 +116,6 @@ class InterceptionPolicy:
         self._augmentations.append(rule)
         return rule
 
-    def augment_flows_to(
-        self,
-        network: IPv4Network | str,
-        pairs: dict[str, str],
-        *,
-        source: str = "",
-    ) -> AugmentationRule:
-        """Augment responses for flows whose destination lies in ``network``.
-
-        This is the network-collaboration shape: branch B augments
-        responses about flows heading to its own address space.
-        """
-        prefix = IPv4Network(network)
-
-        def _applies(query: IdentQuery) -> bool:
-            return query.flow.dst_ip in prefix
-
-        return self.augment_with(pairs, source=source, applies_to=_applies)
-
     def clear(self) -> None:
         """Remove every configured answer and augmentation."""
         self._static_answers.clear()

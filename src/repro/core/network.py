@@ -20,7 +20,7 @@ configuration files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.cluster.cluster import ControllerCluster
 from repro.core.controller import ControllerConfig, IdentPPController
@@ -32,9 +32,7 @@ from repro.identpp.daemon import IdentPPDaemon
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.fabrics import (
-    FatTreeFabric,
     SpineLeafFabric,
-    build_fat_tree,
     build_spine_leaf,
 )
 from repro.netsim.links import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
@@ -219,30 +217,6 @@ class IdentPPNetwork:
             self._new_switch,
             spines=spines,
             leaves=leaves,
-            topology=self.topology,
-            prefix=prefix,
-            latency=self.link_latency,
-            bandwidth=self.link_bandwidth,
-        )
-        for switch in fabric.switches():
-            self._register_switch(switch, controller)
-        return fabric
-
-    def add_fat_tree_fabric(
-        self,
-        *,
-        k: int = 4,
-        prefix: str = "ft",
-        controller: Optional[IdentPPController] = None,
-    ) -> FatTreeFabric:
-        """Grow a k-ary fat-tree enforcement fabric inside this network.
-
-        Same registration semantics as :meth:`add_spine_leaf_fabric`;
-        attach hosts to the edge switches (``fabric.pod_edges(pod)``).
-        """
-        fabric = build_fat_tree(
-            self._new_switch,
-            k=k,
             topology=self.topology,
             prefix=prefix,
             latency=self.link_latency,
@@ -447,10 +421,6 @@ class IdentPPNetwork:
         if self.telemetry is not None:
             summary["telemetry"] = self.telemetry.stats()
         return summary
-
-    def hosts_with_daemons(self) -> Iterable[str]:
-        """Return the names of hosts running an ident++ daemon."""
-        return sorted(self.daemons)
 
 
 class IdentPPClusterNetwork(IdentPPNetwork):

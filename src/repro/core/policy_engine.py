@@ -120,19 +120,6 @@ class PolicyEngine:
             self.loader.register(control_file)
         self._evaluator = None
 
-    def remove_control_file(self, name: str) -> bool:
-        """Unregister a ``.control`` file (e.g. dropping a vendor's rules)."""
-        removed = self.loader.remove_file(name)
-        if removed:
-            self._evaluator = None
-        return removed
-
-    def load_directory(self, path: str) -> int:
-        """Load ``*.control`` files from a directory on disk."""
-        count = self.loader.load_directory(path)
-        self._evaluator = None
-        return count
-
     def rebuild(self) -> PolicyEvaluator:
         """(Re)build the evaluator from the registered files.
 

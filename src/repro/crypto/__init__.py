@@ -19,7 +19,6 @@ from repro.crypto.rsa import RSAKeyPair, RSAPrivateKey, RSAPublicKey, generate_k
 from repro.crypto.signatures import (
     Signer,
     canonical_message,
-    sign_values,
     verify_values,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "generate_keypair",
     "Signer",
     "canonical_message",
-    "sign_values",
     "verify_values",
 ]

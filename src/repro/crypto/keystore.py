@@ -63,10 +63,6 @@ class KeyStore:
         """Return all registered principal names, sorted."""
         return sorted(self._keys)
 
-    def as_pf_dict(self) -> dict[str, str]:
-        """Return the mapping in the form PF+=2 ``dict`` lookups expect."""
-        return dict(self._keys)
-
     def __contains__(self, name: str) -> bool:
         return name in self._keys
 

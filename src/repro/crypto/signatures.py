@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.crypto.rsa import RSAKeyPair, RSAPublicKey, generate_keypair
+from repro.crypto.rsa import RSAPublicKey, generate_keypair
 from repro.exceptions import SignatureError
 
 #: Separator used between canonicalised values.  The unit separator
@@ -35,11 +35,6 @@ def canonical_message(values: Sequence[object]) -> str:
     """
     parts = [str(value).strip() for value in values]
     return _CANONICAL_SEPARATOR.join(parts)
-
-
-def sign_values(keypair: RSAKeyPair, values: Sequence[object]) -> str:
-    """Sign an ordered list of values and return the hex signature."""
-    return keypair.sign(canonical_message(values))
 
 
 def verify_values(
@@ -67,15 +62,12 @@ def verify_values(
 class Signer:
     """A named signing identity (a user, an administrator, or a third party).
 
-    Wraps a deterministic key pair and remembers what it has signed,
-    which the audit trail and the security harness use to distinguish
-    legitimate delegation from forgeries.
+    Wraps a deterministic key pair.
     """
 
     def __init__(self, name: str, *, bits: int = 512, seed: int | str | None = 0) -> None:
         self.name = name
         self.keypair = generate_keypair(name, bits=bits, seed=seed)
-        self._signed_messages: list[str] = []
 
     @property
     def public_key(self) -> RSAPublicKey:
@@ -88,15 +80,8 @@ class Signer:
         return self.keypair.public.to_hex()
 
     def sign(self, values: Iterable[object]) -> str:
-        """Sign an ordered list of values, recording the canonical message."""
-        values = list(values)
-        message = canonical_message(values)
-        self._signed_messages.append(message)
-        return self.keypair.sign(message)
-
-    def signed_messages(self) -> list[str]:
-        """Return the canonical messages this signer has produced (audit)."""
-        return list(self._signed_messages)
+        """Sign an ordered list of values."""
+        return self.keypair.sign(canonical_message(list(values)))
 
     def verify(self, signature: str, values: Iterable[object]) -> bool:
         """Verify one of this signer's signatures."""

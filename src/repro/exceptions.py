@@ -167,18 +167,6 @@ class DelegationError(ControllerError):
 
 
 # ---------------------------------------------------------------------------
-# Security / attack harness
-# ---------------------------------------------------------------------------
-
-class SecurityError(ReproError):
-    """Base class for threat-model / attack-injection errors."""
-
-
-class AttackError(SecurityError):
-    """An attack could not be injected into the scenario."""
-
-
-# ---------------------------------------------------------------------------
 # Workloads
 # ---------------------------------------------------------------------------
 

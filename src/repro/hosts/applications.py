@@ -71,24 +71,6 @@ class Application:
         pairs.update(self.extra_keys)
         return pairs
 
-    def tampered_copy(self, *, suffix: str = ".trojan") -> "Application":
-        """Return a copy with different executable contents (same name/path).
-
-        The security harness uses this to model a trojaned binary: the
-        reported name stays the same but the executable hash changes, so
-        signature checks over ``exe-hash`` fail.
-        """
-        return Application(
-            name=self.name,
-            path=self.path,
-            version=self.version,
-            vendor=self.vendor,
-            app_type=self.app_type,
-            contents=(self.contents or self.name) + suffix,
-            default_port=self.default_port,
-            extra_keys=dict(self.extra_keys),
-        )
-
     def __str__(self) -> str:
         return f"{self.name} ({self.path}, v{self.version})"
 
@@ -105,14 +87,6 @@ class ApplicationRegistry:
         self._by_path[app.path] = app
         self._by_name[app.name] = app
         return app
-
-    def uninstall(self, path: str) -> None:
-        """Remove the application installed at ``path``."""
-        app = self._by_path.pop(path, None)
-        if app is None:
-            raise HostError(f"no application installed at {path}")
-        if self._by_name.get(app.name) is app:
-            del self._by_name[app.name]
 
     def by_path(self, path: str) -> Optional[Application]:
         """Return the application installed at ``path``, or ``None``."""

@@ -6,14 +6,15 @@ simulated network as a :class:`~repro.netsim.nodes.Node`: applications
 on the host open flows (which emit packets into the network) and listen
 on ports (which receive packets delivered to the host's IP address).
 
-Services — most importantly the ident++ daemon listening on TCP port 783
-(§2) — register themselves with :meth:`EndHost.register_service`; the
-host hands them any packet addressed to their port.
+The host's ident++ daemon is not a network service here: it attaches
+itself as ``host.identpp_daemon`` and controllers query it through
+:class:`~repro.identpp.client.QueryClient`, so every packet that reaches
+a host is application traffic the controller has decided.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.exceptions import HostError
 from repro.hosts.applications import Application, ApplicationRegistry
@@ -22,11 +23,7 @@ from repro.hosts.sockets import Socket, SocketTable
 from repro.hosts.users import User, UserDatabase
 from repro.netsim.addresses import IPv4Address, MACAddress
 from repro.netsim.nodes import Node, Port
-from repro.netsim.packet import IP_PROTO_TCP, Packet, proto_number
-
-#: Signature of a service handler: receives the packet and the host.
-ServiceHandler = Callable[[Packet, "EndHost"], None]
-
+from repro.netsim.packet import IP_PROTO_TCP, Packet
 
 class EndHost(Node):
     """A simulated end-host with users, applications, processes and sockets."""
@@ -48,7 +45,6 @@ class EndHost(Node):
         self.delivered_times: list[float] = []
         self.compromised = False
         self.compromised_as_superuser = False
-        self._services: dict[tuple[int, int], ServiceHandler] = {}
 
     # ------------------------------------------------------------------
     # Host administration
@@ -72,22 +68,6 @@ class EndHost(Node):
             return user
         return self.users.add_user(name, groups=list(groups))
 
-    def register_service(
-        self,
-        port: int,
-        handler: ServiceHandler,
-        proto: int | str = IP_PROTO_TCP,
-    ) -> None:
-        """Register a packet handler for traffic addressed to ``port``.
-
-        The ident++ daemon registers itself on TCP 783 through this hook.
-        """
-        self._services[(proto_number(proto), port)] = handler
-
-    def unregister_service(self, port: int, proto: int | str = IP_PROTO_TCP) -> None:
-        """Remove a previously registered service handler."""
-        self._services.pop((proto_number(proto), port), None)
-
     # ------------------------------------------------------------------
     # Application activity
     # ------------------------------------------------------------------
@@ -99,7 +79,6 @@ class EndHost(Node):
         port: int | None = None,
         proto: int | str = IP_PROTO_TCP,
         *,
-        setgid_isolated: bool = False,
         runtime_keys: Optional[dict[str, str]] = None,
     ) -> tuple[Process, Socket]:
         """Start an application as a server listening on ``port``.
@@ -116,9 +95,7 @@ class EndHost(Node):
             port = app.default_port
         if not port:
             raise HostError(f"application {app_name} has no default port; pass one explicitly")
-        process = self.processes.spawn(
-            user, app, setgid_isolated=setgid_isolated, runtime_keys=runtime_keys
-        )
+        process = self.processes.spawn(user, app, runtime_keys=runtime_keys)
         socket = self.sockets.listen(process, port, proto)
         return process, socket
 
@@ -200,8 +177,7 @@ class EndHost(Node):
     def receive(self, packet: Packet, in_port: Port) -> None:
         """Deliver a packet addressed to this host.
 
-        Packets for a registered service port are handed to the service;
-        everything else is recorded in :attr:`delivered` so tests and the
+        Every packet is recorded in :attr:`delivered` so tests and the
         collaboration benchmark can check exactly what reached the host.
         Packets not addressed to this host's IP are dropped (hosts do not
         forward).
@@ -209,16 +185,12 @@ class EndHost(Node):
         # Addresses are ints: C's comparison, not IPv4Address.__ne__.
         if not packet.is_ip() or int.__ne__(packet.ip_dst, self.ip):
             return
-        handler = self._services.get((packet.ip_proto, packet.tp_dst))
-        if handler is not None:
-            handler(packet, self)
-            return
         sim = self.sim
         self.delivered.append(packet)
         self.delivered_times.append(sim.now if sim is not None else 0.0)
 
     # ------------------------------------------------------------------
-    # Introspection used by daemons and the security harness
+    # Introspection used by daemons
     # ------------------------------------------------------------------
 
     def process_for_flow(
@@ -234,10 +206,6 @@ class EndHost(Node):
         return self.sockets.process_for_flow(
             ip_src, ip_dst, proto, tp_src, tp_dst, as_destination=as_destination
         )
-
-    def delivered_flows(self) -> set[tuple]:
-        """Return the distinct 5-tuples of packets delivered to applications."""
-        return {packet.five_tuple() for packet in self.delivered}
 
     def mark_compromised(self, *, superuser: bool = False) -> None:
         """Mark the host as attacker-controlled (see :mod:`repro.security`).

@@ -3,9 +3,7 @@
 The ident++ daemon "uses the 5-tuple in the query packet to find the
 process ID and user ID associated with the flow ... [and] uses the
 process ID to find the file name of the process's executable image"
-(§3.5).  :class:`ProcessTable` provides exactly those lookups, and also
-models the ptrace-isolation discussion from §5.4 (processes launched
-``setgid`` with a no-access group cannot be subverted via ``ptrace``).
+(§3.5).  :class:`ProcessTable` provides exactly those lookups.
 """
 
 from __future__ import annotations
@@ -27,12 +25,6 @@ class Process:
         pid: Process id, unique per host.
         user: The account the process runs as.
         application: The executable image backing the process.
-        setgid_isolated: ``True`` when the administrator launched the
-            process setgid with a file-access-less group (§5.4), which
-            protects it from ``ptrace`` subversion by the same user's
-            other processes.
-        compromised: Set by the security harness when an attacker
-            controls this process.
         runtime_keys: Key/value pairs the application handed to the
             ident++ daemon at run time over the Unix-domain socket
             (e.g. a browser distinguishing click-initiated flows).
@@ -41,26 +33,12 @@ class Process:
     pid: int
     user: User
     application: Application
-    setgid_isolated: bool = False
-    compromised: bool = False
     runtime_keys: dict[str, str] = field(default_factory=dict)
 
     @property
     def exe_path(self) -> str:
         """Return the path of the executable image backing the process."""
         return self.application.path
-
-    def can_be_ptraced_by(self, other: "Process") -> bool:
-        """Return ``True`` if ``other`` may attach to this process with ptrace.
-
-        Mirrors the §5.4 discussion: same (non-root) user implies yes,
-        unless this process was launched with setgid isolation.
-        """
-        if other.user.is_superuser:
-            return True
-        if self.setgid_isolated:
-            return False
-        return other.user.name == self.user.name
 
     def __str__(self) -> str:
         return f"pid={self.pid} user={self.user.name} exe={self.exe_path}"
@@ -78,7 +56,6 @@ class ProcessTable:
         user: User,
         application: Application,
         *,
-        setgid_isolated: bool = False,
         runtime_keys: Optional[dict[str, str]] = None,
     ) -> Process:
         """Start a new process for ``user`` running ``application``."""
@@ -86,7 +63,6 @@ class ProcessTable:
             pid=next(self._pid_counter),
             user=user,
             application=application,
-            setgid_isolated=setgid_isolated,
             runtime_keys=dict(runtime_keys or {}),
         )
         self._processes[process.pid] = process
@@ -108,14 +84,6 @@ class ProcessTable:
     def find(self, pid: int) -> Optional[Process]:
         """Return the process with the given pid, or ``None``."""
         return self._processes.get(pid)
-
-    def by_user(self, user_name: str) -> list[Process]:
-        """Return every process owned by ``user_name``."""
-        return [p for p in self if p.user.name == user_name]
-
-    def by_application(self, app_name: str) -> list[Process]:
-        """Return every process running the application named ``app_name``."""
-        return [p for p in self if p.application.name == app_name]
 
     def __iter__(self) -> Iterator[Process]:
         for pid in sorted(self._processes):

@@ -47,11 +47,6 @@ class Socket:
         """Return ``True`` for listening (unconnected) sockets."""
         return self.remote_ip is None
 
-    @property
-    def is_privileged(self) -> bool:
-        """Return ``True`` if the local port is in the privileged range (< 1024)."""
-        return 0 < self.local_port < PRIVILEGED_PORT_LIMIT
-
     def __str__(self) -> str:
         remote = f"{self.remote_ip}:{self.remote_port}" if not self.is_listening else "*:*"
         return f"{self.local_ip}:{self.local_port} <-> {remote} (pid {self.process.pid})"

@@ -9,7 +9,7 @@ account database.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import UserError
 
@@ -39,15 +39,12 @@ class User:
             ports without being uid 0 — the Windows ``system`` account
             behaves this way (Figure 8 runs the ``Server`` service as
             ``system`` on port 445).
-        compromised: Set by the security harness when an attacker has
-            taken over this account.
     """
 
     name: str
     uid: int
     groups: set[str] = field(default_factory=set)
     privileged: bool = False
-    compromised: bool = False
 
     @property
     def is_superuser(self) -> bool:
@@ -58,10 +55,6 @@ class User:
     def can_bind_privileged_ports(self) -> bool:
         """Return ``True`` when the account may bind ports below 1024."""
         return self.is_superuser or self.privileged
-
-    def in_group(self, group: str) -> bool:
-        """Return ``True`` if the user belongs to ``group``."""
-        return group in self.groups
 
     def __str__(self) -> str:
         return self.name
@@ -154,13 +147,6 @@ class UserDatabase:
         """Return ``True`` if the login name exists."""
         return name in self._users
 
-    def user_by_uid(self, uid: int) -> Optional[User]:
-        """Return the user with the given uid, or ``None``."""
-        for user in self._users.values():
-            if user.uid == uid:
-                return user
-        return None
-
     def users(self) -> Iterator[User]:
         """Iterate over users sorted by name."""
         for name in sorted(self._users):
@@ -175,10 +161,6 @@ class UserDatabase:
         user.groups.add(group_name)
         for listener in list(self._change_listeners):
             listener()
-
-    def members_of(self, group_name: str) -> list[User]:
-        """Return all users belonging to ``group_name``."""
-        return [user for user in self.users() if user.in_group(group_name)]
 
     def __len__(self) -> int:
         return len(self._users)

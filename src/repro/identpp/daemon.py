@@ -34,7 +34,7 @@ from __future__ import annotations
 import copy
 from typing import Callable, Optional
 
-from repro.exceptions import IdentPPError, QueryError
+from repro.exceptions import QueryError
 from repro.hosts.endhost import EndHost
 from repro.hosts.processes import Process
 from repro.identpp.daemon_config import DaemonConfig
@@ -42,7 +42,6 @@ from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import KeyValueSection, ResponseDocument
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
-    IDENT_PP_PORT,
     ROLE_DESTINATION,
     ROLE_SOURCE,
     WIRE_VERSION_PULL,
@@ -52,9 +51,7 @@ from repro.identpp.wire import (
     IdentResponse,
     IdentSubscribe,
     IdentSubscribeAck,
-    parse_query_packet,
 )
-from repro.netsim.packet import Packet
 from repro.netsim.statistics import Counter
 
 #: Time the daemon takes to assemble one response (process lookup +
@@ -178,11 +175,6 @@ class IdentPPDaemon:
         # ``notify_invalidation`` drops both.
         self._base_memo: dict[Optional[tuple[str, str]], tuple[tuple, list, Optional[int]]] = {}
         self._config_memo: dict[str, list[KeyValueSection]] = {}
-        # Event label of a reply sent over the network, per host name.
-        self._labelled_name: Optional[str] = None
-        self._reply_label = ""
-        # Register on TCP 783 so queries arriving over the network reach us.
-        host.register_service(IDENT_PP_PORT, self._service_handler)
         # Make the daemon discoverable by the query client / controllers.
         replaced = getattr(host, "identpp_daemon", None)
         setattr(host, "identpp_daemon", self)
@@ -207,11 +199,6 @@ class IdentPPDaemon:
         """Load a user-controlled configuration file."""
         self.user_config.load(text, source=source)
         self.notify_invalidation("config-load")
-
-    def set_host_fact(self, key: str, value: str) -> None:
-        """Set a host-level fact (e.g. ``os-patch: MS08-067``)."""
-        self.host_facts[str(key)] = str(value)
-        self.notify_invalidation("host-fact")
 
     def spoof_responses(self, pairs: Optional[dict[str, str]]) -> None:
         """Make the daemon lie (attacker-controlled host).  ``None`` restores honesty."""
@@ -448,32 +435,8 @@ class IdentPPDaemon:
         return [section.copy() for section in sections]
 
     # ------------------------------------------------------------------
-    # Network-facing entry points
+    # Controller-facing entry points
     # ------------------------------------------------------------------
-
-    def _service_handler(self, packet: Packet, host: EndHost) -> None:
-        """Handle a query packet arriving over the simulated network."""
-        try:
-            query = parse_query_packet(packet)
-            response = self.answer(query)
-        except (IdentPPError, UnicodeDecodeError):
-            # Malformed or mis-addressed queries off the wire are the
-            # daemon's expected failure class: count and stay silent (a
-            # real identd ignores garbage).  Programming errors propagate
-            # — swallowing them here used to hide real bugs as timeouts.
-            self.queries_failed.value += 1
-            return
-        reply = response.to_packet(packet)
-        delay = self.processing_delay
-        if host.sim is not None:
-            name = host.name
-            if name is not self._labelled_name:
-                # One label per host name, not one per reply.
-                self._labelled_name = name
-                self._reply_label = f"identpp-reply:{name}"
-            host.sim.schedule(delay, host.transmit, reply, label=self._reply_label)
-        else:
-            host.transmit(reply)
 
     def query_local(
         self, query: IdentQuery, *, now: Optional[float] = None

@@ -201,14 +201,5 @@ class DaemonConfig:
                 sections.append(app.section())
         return sections
 
-    def app_config(self, path: str) -> Optional[AppConfig]:
-        """Return the most recently loaded ``@app`` block for a path."""
-        result = None
-        for config_file in self._files:
-            app = config_file.app_for_path(path)
-            if app is not None:
-                result = app
-        return result
-
     def __len__(self) -> int:
         return len(self._files)

@@ -87,17 +87,9 @@ class FlowSpec:
         """Return the protocol name (``tcp``/``udp``/...)."""
         return proto_name(self.proto)
 
-    def matches_packet(self, packet: Packet) -> bool:
-        """Return ``True`` if ``packet`` belongs to this exact flow (same direction)."""
-        return packet.is_ip() and FlowSpec.from_packet(packet) == self
-
     def as_tuple(self) -> tuple:
         """Return the plain tuple ``(src_ip, dst_ip, proto, src_port, dst_port)``."""
         return (self.src_ip, self.dst_ip, self.proto, self.src_port, self.dst_port)
-
-    def endpoint_ips(self) -> tuple[IPv4Address, IPv4Address]:
-        """Return ``(src_ip, dst_ip)``."""
-        return (self.src_ip, self.dst_ip)
 
     def __str__(self) -> str:
         return (

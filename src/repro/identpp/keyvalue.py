@@ -201,10 +201,6 @@ class ResponseDocument:
         """Return every distinct key across all sections, in first-appearance order."""
         return list(self.as_flat_dict())
 
-    def has_key(self, key: str) -> bool:
-        """Return ``True`` if any section carries ``key``."""
-        return self.latest(key) is not None
-
     def as_flat_dict(self) -> dict[str, str]:
         """Return a {key: latest value} dictionary (the ``@src``/``@dst`` view).
 
@@ -219,10 +215,6 @@ class ResponseDocument:
     def section_count(self) -> int:
         """Return the number of sections."""
         return len(self.sections)
-
-    def sources(self) -> list[str]:
-        """Return the provenance labels of the sections, in order."""
-        return [section.source for section in self.sections]
 
     # ------------------------------------------------------------------
     # Serialisation (body only; the first line of the wire format is

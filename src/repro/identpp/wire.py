@@ -22,7 +22,12 @@ destination IP address as the query's source IP address" when querying
 the flow's *source* host (mirroring RFC 1413, where the connection's
 remote end asks the local end).  Symmetrically, a query to the flow's
 *destination* host is sent with the flow's source IP address as the
-query's source.  Queries are addressed to TCP port 783.
+query's source.  A real daemon listens on TCP port 783.
+
+This module is the encoding only.  In the simulation the controller
+reaches a host's daemon through :class:`~repro.identpp.client.QueryClient`,
+not over the datapath, so a packet to or from port 783 is an ordinary
+flow: punted, decided against policy and audited like any other.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Optional
 from repro.exceptions import PacketError, WireFormatError
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
-from repro.netsim.packet import IP_PROTO_TCP, Packet, proto_name, proto_number
+from repro.netsim.packet import Packet, proto_name, proto_number
 
 #: The TCP port the ident++ daemon listens on (§2). RFC 1413 uses 113;
 #: the paper moves the richer protocol to 783.
@@ -114,33 +119,11 @@ class IdentQuery:
         """Return the IP address of the host this query is addressed to."""
         return self.flow.src_ip if self.target_role == ROLE_SOURCE else self.flow.dst_ip
 
-    @property
-    def spoofed_source_ip(self):
-        """Return the source IP the controller writes on the query packet.
-
-        §3.2: the query's source IP is the flow's *other* endpoint, so
-        the queried daemon can recover the full 5-tuple from the IP
-        header plus the payload's proto/port line.
-        """
-        return self.flow.dst_ip if self.target_role == ROLE_SOURCE else self.flow.src_ip
-
     def to_payload(self) -> str:
         """Serialise the query payload."""
         lines = [_first_line(self.flow)]
         lines.extend(self.keys)
         return "\n".join(lines)
-
-    def to_packet(self) -> Packet:
-        """Build the query packet (IP header spoofing per §3.2, TCP port 783)."""
-        return Packet(
-            ip_src=self.spoofed_source_ip,
-            ip_dst=self.target_ip,
-            ip_proto=IP_PROTO_TCP,
-            tp_src=IDENT_PP_PORT,
-            tp_dst=IDENT_PP_PORT,
-            payload=self.to_payload(),
-            metadata={"identpp": "query", "role": self.target_role},
-        )
 
 
 @dataclass
@@ -158,13 +141,6 @@ class IdentResponse:
         if body:
             return first + "\n" + body
         return first
-
-    def to_packet(self, query_packet: Packet) -> Packet:
-        """Build the response packet as a reply to ``query_packet``."""
-        reply = query_packet.reply_template()
-        reply.payload = self.to_payload()
-        reply.metadata = {"identpp": "response", "responder": self.responder}
-        return reply
 
 
 # ----------------------------------------------------------------------

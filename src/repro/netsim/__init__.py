@@ -13,8 +13,8 @@ simulator with
   bandwidth (:mod:`repro.netsim.nodes`, :mod:`repro.netsim.links`),
 * a :class:`~repro.netsim.topology.Topology` builder that keeps its own
   adjacency and answers path queries with one deterministic search,
-* multi-stage fabric builders — spine-leaf and k-ary fat-tree — for
-  path-wide enforcement at scale (:mod:`repro.netsim.fabrics`), and
+* a spine-leaf fabric builder for path-wide enforcement at scale
+  (:mod:`repro.netsim.fabrics`), and
 * statistics and packet-trace helpers
   (:mod:`repro.netsim.statistics`, :mod:`repro.netsim.trace`).
 
@@ -31,9 +31,7 @@ from repro.netsim.addresses import (
 )
 from repro.netsim.events import Event, Simulator
 from repro.netsim.fabrics import (
-    FatTreeFabric,
     SpineLeafFabric,
-    build_fat_tree,
     build_spine_leaf,
 )
 from repro.netsim.links import Link
@@ -64,9 +62,7 @@ __all__ = [
     "MACAddress",
     "Event",
     "Simulator",
-    "FatTreeFabric",
     "SpineLeafFabric",
-    "build_fat_tree",
     "build_spine_leaf",
     "Link",
     "Node",

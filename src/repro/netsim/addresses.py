@@ -99,22 +99,6 @@ class IPv4Address(int):
         """Return the four octets most-significant first."""
         return (self >> 24, self >> 16 & 0xFF, self >> 8 & 0xFF, self & 0xFF)
 
-    def is_private(self) -> bool:
-        """Return ``True`` for RFC 1918 addresses (10/8, 172.16/12, 192.168/16)."""
-        return (
-            self in IPv4Network("10.0.0.0/8")
-            or self in IPv4Network("172.16.0.0/12")
-            or self in IPv4Network("192.168.0.0/16")
-        )
-
-    def is_loopback(self) -> bool:
-        """Return ``True`` for 127/8 addresses."""
-        return self in IPv4Network("127.0.0.0/8")
-
-    def is_multicast(self) -> bool:
-        """Return ``True`` for 224/4 addresses."""
-        return self in IPv4Network("224.0.0.0/4")
-
     def __str__(self) -> str:
         text = _DOTTED_QUADS.get(self)
         if text is None:
@@ -198,28 +182,14 @@ class IPv4Network:
         return (0xFFFFFFFF << (32 - self._prefix_len)) & 0xFFFFFFFF
 
     @property
-    def netmask(self) -> IPv4Address:
-        """Return the netmask as an :class:`IPv4Address`."""
-        return IPv4Address(self.netmask_int())
-
-    @property
     def network_address(self) -> IPv4Address:
         """Return the all-zero host address of the prefix."""
         return IPv4Address(self._network)
 
     @property
-    def broadcast_address(self) -> IPv4Address:
-        """Return the all-one host address of the prefix."""
-        return IPv4Address(self._network | (~self.netmask_int() & 0xFFFFFFFF))
-
-    @property
     def prefix_len(self) -> int:
         """Return the prefix length (0-32)."""
         return self._prefix_len
-
-    def num_addresses(self) -> int:
-        """Return the total number of addresses covered by the prefix."""
-        return 2 ** (32 - self._prefix_len)
 
     def hosts(self) -> Iterator[IPv4Address]:
         """Iterate over usable host addresses (excludes network/broadcast for /30 and larger)."""
@@ -311,14 +281,6 @@ class MACAddress(int):
     def to_bytes(self) -> bytes:  # type: ignore[override]
         """Return the 6-byte big-endian representation."""
         return int.to_bytes(self, 6, "big")
-
-    def is_broadcast(self) -> bool:
-        """Return ``True`` for ff:ff:ff:ff:ff:ff."""
-        return self == 2**48 - 1
-
-    def is_multicast(self) -> bool:
-        """Return ``True`` if the group bit is set (includes broadcast)."""
-        return bool(self >> 40 & 0x01)
 
     def __str__(self) -> str:
         raw = f"{int(self):012x}"

@@ -1,4 +1,4 @@
-"""Multi-stage switching fabric builders (spine-leaf and fat-tree).
+"""The spine-leaf switching fabric builder.
 
 The ident++ controller installs flow entries "along the path" of an
 approved flow (§3.4), but a path is only worth installing when there
@@ -6,17 +6,12 @@ approved flow (§3.4), but a path is only worth installing when there
 switch, so the path-install machinery degenerated to one hop.  These
 builders produce the two standard multi-stage Clos fabrics so
 enforcement can be exercised — and benchmarked — across real multi-hop
-paths:
+paths.  :func:`build_spine_leaf` builds a two-stage leaf-spine fabric:
+every leaf uplinks to every spine, hosts attach to leaves, and any
+leaf-to-leaf flow crosses exactly three switches (leaf → spine → leaf).
 
-* :func:`build_spine_leaf` — a two-stage leaf-spine fabric; every leaf
-  uplinks to every spine, hosts attach to leaves.  Any leaf-to-leaf
-  flow crosses exactly three switches (leaf → spine → leaf).
-* :func:`build_fat_tree` — the canonical k-ary fat-tree: ``(k/2)²``
-  cores, ``k`` pods of ``k/2`` aggregation and ``k/2`` edge switches,
-  hosts attach to edges.  Cross-pod flows traverse five switches.
-
-The builders are deliberately agnostic about what a "switch" is: they
-take a ``switch_factory(name) -> Node`` callable, so :mod:`repro.netsim`
+The builder is deliberately agnostic about what a "switch" is: it
+takes a ``switch_factory(name) -> Node`` callable, so :mod:`repro.netsim`
 stays below :mod:`repro.openflow` in the dependency order and tests can
 build fabrics out of plain nodes.  Pass an existing :class:`Topology` to
 grow a fabric inside a network that already owns its topology (what
@@ -24,7 +19,7 @@ grow a fabric inside a network that already owns its topology (what
 
 Equal-cost multipath is resolved by :meth:`Topology.shortest_path`'s
 deterministic tie-break (lexicographically smallest node-name sequence),
-so a given flow always maps to the same spine/core — reproducible
+so a given flow always maps to the same spine — reproducible
 install sets, at the price of not load-balancing the fabric links.
 """
 
@@ -58,38 +53,6 @@ class SpineLeafFabric:
             "spines": [node.name for node in self.spines],
             "leaves": [node.name for node in self.leaves],
             "links": len(self.spines) * len(self.leaves),
-        }
-
-
-@dataclass
-class FatTreeFabric:
-    """A built k-ary fat-tree: the topology plus per-stage membership."""
-
-    topology: Topology
-    k: int
-    cores: list[Node]
-    aggregations: list[Node]
-    edges: list[Node]
-
-    def switches(self) -> list[Node]:
-        """Return every fabric switch: cores, then aggregations, then edges."""
-        return [*self.cores, *self.aggregations, *self.edges]
-
-    def pod_edges(self, pod: int) -> list[Node]:
-        """Return the edge switches of one pod (where that pod's hosts attach)."""
-        half = self.k // 2
-        if not 0 <= pod < self.k:
-            raise TopologyError(f"fat-tree has pods 0..{self.k - 1} (got {pod})")
-        return self.edges[pod * half : (pod + 1) * half]
-
-    def describe(self) -> dict[str, object]:
-        """Return the fabric's shape (used in reports and examples)."""
-        return {
-            "kind": "fat-tree",
-            "k": self.k,
-            "cores": [node.name for node in self.cores],
-            "aggregations": [node.name for node in self.aggregations],
-            "edges": [node.name for node in self.edges],
         }
 
 
@@ -132,52 +95,3 @@ def build_spine_leaf(
         for spine in spine_nodes:
             topo.add_link(leaf, spine, latency=latency, bandwidth=bandwidth)
     return SpineLeafFabric(topology=topo, spines=spine_nodes, leaves=leaf_nodes)
-
-
-def build_fat_tree(
-    switch_factory: Callable[[str], Node],
-    *,
-    k: int = 4,
-    topology: Optional[Topology] = None,
-    prefix: str = "ft",
-    name: str = "fat-tree",
-    latency: float = DEFAULT_LATENCY,
-    bandwidth: Optional[float] = DEFAULT_BANDWIDTH,
-) -> FatTreeFabric:
-    """Build the canonical k-ary fat-tree switching fabric.
-
-    ``k`` must be even and ≥ 2.  The fabric has ``(k/2)²`` core
-    switches and ``k`` pods, each with ``k/2`` aggregation and ``k/2``
-    edge switches.  Every edge connects to every aggregation in its
-    pod; aggregation ``i`` of each pod connects to core group ``i``
-    (cores ``i*(k/2) .. (i+1)*(k/2)-1``).
-    """
-    if k < 2 or k % 2:
-        raise TopologyError(f"fat-tree k must be even and >= 2 (got {k})")
-    half = k // 2
-    topo = topology if topology is not None else Topology(name=name)
-    cores = [
-        topo.add_node(switch_factory(f"{prefix}-core{index}")) for index in range(half * half)
-    ]
-    aggregations: list[Node] = []
-    edges: list[Node] = []
-    for pod in range(k):
-        pod_aggs = [
-            topo.add_node(switch_factory(f"{prefix}-pod{pod}-agg{index}"))
-            for index in range(half)
-        ]
-        pod_edges = [
-            topo.add_node(switch_factory(f"{prefix}-pod{pod}-edge{index}"))
-            for index in range(half)
-        ]
-        for edge in pod_edges:
-            for agg in pod_aggs:
-                topo.add_link(edge, agg, latency=latency, bandwidth=bandwidth)
-        for index, agg in enumerate(pod_aggs):
-            for core in cores[index * half : (index + 1) * half]:
-                topo.add_link(agg, core, latency=latency, bandwidth=bandwidth)
-        aggregations.extend(pod_aggs)
-        edges.extend(pod_edges)
-    return FatTreeFabric(
-        topology=topo, k=k, cores=cores, aggregations=aggregations, edges=edges
-    )

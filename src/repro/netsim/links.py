@@ -30,7 +30,7 @@ class Link:
             infinitely fast link (zero serialisation delay).
         loss_filter: Optional callable ``f(packet) -> bool``; returning
             ``True`` drops the packet.  Used by the failure-injection
-            tests and the security harness.
+            tests.
         carried_bytes: Wire bytes the link has carried, both ways (a
             plain ``int``, added to per packet).
     """
@@ -89,10 +89,6 @@ class Link:
     def endpoints(self) -> tuple[Port, Port]:
         """Return both endpoint ports."""
         return (self.port_a, self.port_b)
-
-    def set_up(self, up: bool) -> None:
-        """Administratively bring the link up or down (failure injection)."""
-        self.up = up
 
     # ------------------------------------------------------------------
     # Transmission

@@ -46,10 +46,6 @@ class Port:
             raise PortError(f"port {self.name} already wired to {self.link}")
         self.link = link
 
-    def detach_link(self) -> None:
-        """Remove the attached link (used when simulating link failures)."""
-        self.link = None
-
     def send(self, packet: Packet) -> bool:
         """Transmit a packet out of this port.
 
@@ -132,10 +128,6 @@ class Node:
     def ports(self) -> Iterator[Port]:
         """Iterate over ports in port-number order."""
         return iter(tuple(self._ports.values()))
-
-    def port_count(self) -> int:
-        """Return the number of ports on this node."""
-        return len(self._ports)
 
     # ------------------------------------------------------------------
     # Traffic

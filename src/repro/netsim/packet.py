@@ -5,8 +5,8 @@ OpenFlow 1.0 (and therefore the paper, §3.1) defines a flow by the
 IP protocol, transport src/dst port}``; ident++ (§2) uses the 5-tuple
 subset ``{IP src/dst, IP protocol, transport src/dst port}``.  A
 :class:`Packet` therefore carries exactly those header fields plus an
-opaque payload, and knows how to serialise itself so that link
-transmission delays can be computed from a realistic wire size.
+opaque payload, and knows its wire size so that link transmission
+delays are computed from a realistic frame length.
 """
 
 from __future__ import annotations
@@ -196,10 +196,6 @@ class Packet(_WeakReferenceable):
         """Return ``True`` for TCP-over-IPv4 packets."""
         return self.is_ip() and self.ip_proto == IP_PROTO_TCP
 
-    def is_udp(self) -> bool:
-        """Return ``True`` for UDP-over-IPv4 packets."""
-        return self.is_ip() and self.ip_proto == IP_PROTO_UDP
-
     def proto_name(self) -> str:
         """Return the transport protocol name (``tcp``, ``udp``, ``icmp`` or the number)."""
         return proto_name(self.ip_proto)
@@ -222,8 +218,8 @@ class Packet(_WeakReferenceable):
         Link transmission delay is ``wire_size() * 8 / bandwidth``.  The
         size is computed once and cached on the packet (headers and
         payload are fixed by the time a packet is transmitted; ``copy()``
-        and ``reply_template()`` build fresh packets, so the cache never
-        leaks across mutations made through those paths).
+        builds a fresh packet, so the cache never leaks across mutations
+        made through it).
         """
         size = self._wire_size
         if size is not None:
@@ -245,24 +241,6 @@ class Packet(_WeakReferenceable):
         self._wire_size = size
         return size
 
-    def reply_template(self) -> "Packet":
-        """Return a new packet with addresses and ports swapped.
-
-        Used by end-hosts and daemons to answer a request on the same
-        flow in the reverse direction.
-        """
-        return Packet(
-            eth_src=self.eth_dst,
-            eth_dst=self.eth_src,
-            eth_type=self.eth_type,
-            vlan_id=self.vlan_id,
-            ip_src=self.ip_dst,
-            ip_dst=self.ip_src,
-            ip_proto=self.ip_proto,
-            tp_src=self.tp_dst,
-            tp_dst=self.tp_src,
-        )
-
     def copy(self, **overrides: Any) -> "Packet":
         """Return a shallow copy with a fresh packet id and optional field overrides.
 
@@ -273,66 +251,6 @@ class Packet(_WeakReferenceable):
         if "metadata" not in overrides and self.metadata is not None:
             overrides["metadata"] = dict(self.metadata)
         return replace(self, **overrides)
-
-    # ------------------------------------------------------------------
-    # Serialisation
-    # ------------------------------------------------------------------
-
-    def serialize(self) -> bytes:
-        """Serialise the header fields and payload to a byte string.
-
-        The format is a compact library-private encoding (not real
-        Ethernet framing); it exists so traces can be persisted and so
-        property tests can check round-tripping.
-        """
-        payload = self.payload_bytes()
-        header = b"".join(
-            [
-                self.eth_src.to_bytes(),
-                self.eth_dst.to_bytes(),
-                self.eth_type.to_bytes(2, "big"),
-                self.vlan_id.to_bytes(2, "big"),
-                (self.ip_src.to_int() if self.ip_src else 0).to_bytes(4, "big"),
-                (self.ip_dst.to_int() if self.ip_dst else 0).to_bytes(4, "big"),
-                self.ip_proto.to_bytes(1, "big"),
-                self.tp_src.to_bytes(2, "big"),
-                self.tp_dst.to_bytes(2, "big"),
-                len(payload).to_bytes(4, "big"),
-            ]
-        )
-        return header + payload
-
-    @classmethod
-    def deserialize(cls, data: bytes) -> "Packet":
-        """Parse a byte string produced by :meth:`serialize`."""
-        if len(data) < 31:
-            raise PacketError(f"packet truncated: {len(data)} bytes")
-        eth_src = MACAddress(int.from_bytes(data[0:6], "big"))
-        eth_dst = MACAddress(int.from_bytes(data[6:12], "big"))
-        eth_type = int.from_bytes(data[12:14], "big")
-        vlan_id = int.from_bytes(data[14:16], "big")
-        ip_src_raw = int.from_bytes(data[16:20], "big")
-        ip_dst_raw = int.from_bytes(data[20:24], "big")
-        ip_proto = data[24]
-        tp_src = int.from_bytes(data[25:27], "big")
-        tp_dst = int.from_bytes(data[27:29], "big")
-        payload_len = int.from_bytes(data[29:33], "big")
-        payload = data[33 : 33 + payload_len]
-        if len(payload) != payload_len:
-            raise PacketError("packet payload truncated")
-        is_ip_frame = eth_type == ETH_TYPE_IP
-        return cls(
-            eth_src=eth_src,
-            eth_dst=eth_dst,
-            eth_type=eth_type,
-            vlan_id=vlan_id,
-            ip_src=IPv4Address(ip_src_raw) if is_ip_frame else None,
-            ip_dst=IPv4Address(ip_dst_raw) if is_ip_frame else None,
-            ip_proto=ip_proto,
-            tp_src=tp_src,
-            tp_dst=tp_dst,
-            payload=payload,
-        )
 
     def __str__(self) -> str:
         if self.is_ip():

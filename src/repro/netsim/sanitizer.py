@@ -163,10 +163,6 @@ class SimulationSanitizer:
         self.reports.append(finding)
         return finding
 
-    def reports_of(self, kind: str) -> list[SanitizerReport]:
-        """Return the findings of one kind, in filing order."""
-        return [report for report in self.reports if report.kind == kind]
-
     @property
     def trace_hash(self) -> str:
         """Return the deterministic digest of the event trace so far."""

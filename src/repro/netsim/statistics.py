@@ -234,18 +234,17 @@ class RateCounter:
     """Events per sliding virtual-time window, on the simulation clock.
 
     The telemetry pipeline's rate probes (controller punt rate, switch
-    FlowRemoved rate) and the workload reports' mean-throughput numbers
-    both need "events per simulated second"; this keeps a deque of
-    ``(time, count)`` events pruned to the window, so :meth:`rate` is
-    the recent windowed rate and :meth:`mean_rate` the whole-run
-    average.  Feed it either incrementally (:meth:`record`) or from an
-    existing monotonic counter (:meth:`observe_total`, which records
-    the delta since the previous observation).
+    FlowRemoved rate) need "events per simulated second"; this keeps a
+    deque of ``(time, count)`` events pruned to the window, so
+    :meth:`rate` is the recent windowed rate.  Feed it either
+    incrementally (:meth:`record`) or from an existing monotonic counter
+    (:meth:`observe_total`, which records the delta since the previous
+    observation).
     """
 
-    __slots__ = ("name", "window", "_events", "_total", "_last_total", "_start")
+    __slots__ = ("name", "window", "_events", "_total", "_last_total")
 
-    def __init__(self, name: str = "", window: float = 1.0, *, start: float = 0.0) -> None:
+    def __init__(self, name: str = "", window: float = 1.0) -> None:
         if window <= 0:
             raise ValueError(f"rate counter {name!r}: window must be positive (got {window})")
         self.name = name
@@ -253,7 +252,6 @@ class RateCounter:
         self._events: deque[tuple[float, float]] = deque()
         self._total = 0.0
         self._last_total: Optional[float] = None
-        self._start = start
 
     @property
     def total(self) -> float:
@@ -292,11 +290,6 @@ class RateCounter:
         """Return the windowed rate (events per virtual second) at ``now``."""
         return self.events_in_window(now) / self.window
 
-    def mean_rate(self, until: float) -> float:
-        """Return the whole-run average rate from ``start`` to ``until``."""
-        elapsed = until - self._start
-        return self._total / elapsed if elapsed > 0 else 0.0
-
     def _prune(self, now: float) -> None:
         cutoff = now - self.window
         events = self._events
@@ -314,18 +307,17 @@ class RateCounter:
 
 
 class StatsRegistry:
-    """A named collection of counters, histograms and rate counters.
+    """A named collection of counters and histograms.
 
     Scenario objects expose a registry so that the analysis and benchmark
     modules can enumerate everything that was measured during a run, and
-    the telemetry pipeline consumes :meth:`snapshot` with the current
-    virtual time to fold windowed rates into its time series.
+    the telemetry pipeline folds :meth:`snapshot`'s counters into its
+    time series.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._rates: dict[str, RateCounter] = {}
 
     def counter(self, name: str) -> Counter:
         """Return the counter with the given name, creating it if needed."""
@@ -339,12 +331,6 @@ class StatsRegistry:
             self._histograms[name] = Histogram(name, reservoir=reservoir)
         return self._histograms[name]
 
-    def rate_counter(self, name: str, window: float = 1.0) -> RateCounter:
-        """Return the rate counter with the given name, creating it if needed."""
-        if name not in self._rates:
-            self._rates[name] = RateCounter(name, window)
-        return self._rates[name]
-
     def counters(self) -> Iterator[Counter]:
         """Iterate over registered counters in name order."""
         for name in sorted(self._counters):
@@ -355,29 +341,13 @@ class StatsRegistry:
         for name in sorted(self._histograms):
             yield self._histograms[name]
 
-    def rate_counters(self) -> Iterator[RateCounter]:
-        """Iterate over registered rate counters in name order."""
-        for name in sorted(self._rates):
-            yield self._rates[name]
-
-    def snapshot(self, now: Optional[float] = None) -> dict[str, float | dict[str, float]]:
-        """Return every statistic as plain Python values.
-
-        Pass the current virtual time ``now`` to include each rate
-        counter's windowed ``per_sec`` value — the form the telemetry
-        pipeline samples; without it rate counters report totals only
-        (a windowed rate is meaningless with no clock reading).
-        """
+    def snapshot(self) -> dict[str, float | dict[str, float]]:
+        """Return every statistic as plain Python values."""
         result: dict[str, float | dict[str, float]] = {}
         for counter in self.counters():
             result[counter.name] = float(counter.value)
         for histogram in self.histograms():
             result[histogram.name] = histogram.summary()
-        for rate in self.rate_counters():
-            entry: dict[str, float] = {"total": rate.total, "window": rate.window}
-            if now is not None:
-                entry["per_sec"] = rate.rate(now)
-            result[rate.name] = entry
         return result
 
     def reset(self) -> None:
@@ -386,5 +356,3 @@ class StatsRegistry:
             counter.reset()
         for histogram in self._histograms.values():
             histogram.reset()
-        for rate in self._rates.values():
-            rate.reset()

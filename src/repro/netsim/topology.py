@@ -14,10 +14,10 @@ index so controllers and daemons can resolve the hosts behind a flow.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.exceptions import TopologyError
-from repro.netsim.addresses import IPv4Address, MACAddress
+from repro.netsim.addresses import IPv4Address
 from repro.netsim.events import Simulator
 from repro.netsim.links import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, Link
 from repro.netsim.nodes import Node, Port
@@ -37,10 +37,9 @@ class Topology:
         # node name -> {neighbour name -> the one link between them}, both
         # directions; nodes in registration order, neighbours in link order.
         self._adjacency: dict[str, dict[str, Link]] = {}
-        self._mac_index = 0
         self._ip_to_node: dict[IPv4Address, Node] = {}
         # (source, target) name pair -> shortest path (as names); valid
-        # until the topology gains or loses a node or link.  Path-wide flow
+        # until the topology gains a node or link.  Path-wide flow
         # install resolves one path per decision, so repeat pairs are the
         # hot case.
         self._path_cache: dict[tuple[str, str], list[str]] = {}
@@ -49,8 +48,7 @@ class Topology:
         self._latency_cache: dict[tuple[str, str], float] = {}
         # Bumped on every connectivity mutation.  Derived caches (the
         # path cache here, the query client's mean-link-latency) key on
-        # this instead of sizes: removing one link and adding another
-        # leaves counts unchanged but must still invalidate.
+        # this.
         self._mutation_epoch = 0
 
     # ------------------------------------------------------------------
@@ -74,10 +72,6 @@ class Topology:
         except KeyError as exc:
             raise TopologyError(f"unknown node: {name}") from exc
 
-    def has_node(self, name: str) -> bool:
-        """Return ``True`` if a node with this name is registered."""
-        return name in self._nodes
-
     def nodes(self) -> Iterator[Node]:
         """Iterate over nodes in name order."""
         for name in sorted(self._nodes):
@@ -86,11 +80,6 @@ class Topology:
     def node_names(self) -> list[str]:
         """Return all node names sorted."""
         return sorted(self._nodes)
-
-    def next_mac(self) -> MACAddress:
-        """Return a fresh, unique, locally administered MAC address."""
-        self._mac_index += 1
-        return MACAddress.from_index(self._mac_index)
 
     def register_ip(self, address: IPv4Address | str, node: Node) -> None:
         """Record that ``address`` belongs to ``node`` (used by host lookups)."""
@@ -105,10 +94,6 @@ class Topology:
         if not isinstance(address, IPv4Address):
             address = IPv4Address(address)
         return self._ip_to_node.get(address)
-
-    def registered_ips(self) -> dict[IPv4Address, Node]:
-        """Return a copy of the IP → node index."""
-        return dict(self._ip_to_node)
 
     # ------------------------------------------------------------------
     # Links
@@ -128,8 +113,8 @@ class Topology:
 
         New ports are allocated on each node unless explicit port numbers
         are given.  Returns the created :class:`Link`.  A pair of nodes
-        has at most one link: paths, latencies and :meth:`remove_link`
-        are all answered per pair.
+        has at most one link: paths and latencies are answered per
+        pair.
         """
         node_a = self._resolve(node_a)
         node_b = self._resolve(node_b)
@@ -146,27 +131,6 @@ class Topology:
         self._note_mutation()
         return link
 
-    def remove_link(self, node_a: Node | str, node_b: Node | str) -> Link:
-        """Remove the link directly connecting two nodes.
-
-        The endpoint ports are detached (and stay on their nodes, ready
-        to be re-wired), the adjacency entry disappears, and the mutation
-        epoch advances so every connectivity-derived cache re-reads the
-        topology.  Returns the removed :class:`Link`.
-        """
-        name_a = self._resolve(node_a).name
-        name_b = self._resolve(node_b).name
-        link = self.link_between(name_a, name_b)
-        if link is None:
-            raise TopologyError(f"nodes {name_a} and {name_b} are not adjacent")
-        for port in link.endpoints():
-            port.detach_link()
-        self._links.remove(link)
-        del self._adjacency[name_a][name_b]
-        del self._adjacency[name_b][name_a]
-        self._note_mutation()
-        return link
-
     def _note_mutation(self) -> None:
         """Record a connectivity change: bump the epoch, drop derived caches."""
         self._mutation_epoch += 1
@@ -178,19 +142,13 @@ class Topology:
         """Return the connectivity mutation counter (bumped per node/link change).
 
         Anything caching a value derived from connectivity (paths, mean
-        link latency) must key the cache on this epoch, **not** on node
-        or link counts: a remove-then-add leaves the counts unchanged
-        while the derived values move.
+        link latency) keys the cache on this epoch.
         """
         return self._mutation_epoch
 
     def links(self) -> list[Link]:
         """Return all links in creation order."""
         return list(self._links)
-
-    def link_count(self) -> int:
-        """Return the number of links without copying the link list."""
-        return len(self._links)
 
     def link_between(self, node_a: Node | str, node_b: Node | str) -> Optional[Link]:
         """Return the link directly connecting two nodes, or ``None``."""
@@ -212,14 +170,13 @@ class Topology:
     def shortest_path(self, source: Node | str, target: Node | str) -> list[Node]:
         """Return the latency-weighted shortest path as a list of nodes (inclusive).
 
-        Equal-latency ties (the normal case on spine-leaf and fat-tree
+        Equal-latency ties (the normal case on spine-leaf
         fabrics, where every leaf pair has one path per spine) break
         deterministically: the fewest hops win, then the
         lexicographically smallest node-name sequence.  Path-wide flow
         install depends on this — every decision about a flow, on any
         controller, must resolve the *same* hop set.  Results are cached
-        until the topology's connectivity mutates (node or link added or
-        removed).
+        until the topology's connectivity mutates (node or link added).
         """
         source_name = self._resolve(source).name
         target_name = self._resolve(target).name
@@ -337,26 +294,3 @@ class Topology:
                 return 0
             diameter = max(diameter, depth)
         return diameter
-
-
-def build_linear_topology(
-    node_factories: Iterable[Node],
-    *,
-    name: str = "linear",
-    latency: float = DEFAULT_LATENCY,
-    bandwidth: Optional[float] = DEFAULT_BANDWIDTH,
-) -> Topology:
-    """Build a chain topology out of pre-constructed nodes (in order).
-
-    Convenience used by tests and the Figure 1 benchmark:
-    ``host -- switch -- ... -- switch -- host``.
-    """
-    topo = Topology(name=name)
-    nodes = list(node_factories)
-    if len(nodes) < 2:
-        raise TopologyError("a linear topology needs at least two nodes")
-    for node in nodes:
-        topo.add_node(node)
-    for left, right in zip(nodes, nodes[1:]):
-        topo.add_link(left, right, latency=latency, bandwidth=bandwidth)
-    return topo

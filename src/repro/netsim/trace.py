@@ -118,14 +118,6 @@ class PacketTrace:
             selected = (r for r in selected if predicate(r))
         return list(selected)
 
-    def flows_seen(self) -> set[tuple]:
-        """Return the set of distinct 5-tuples observed anywhere in the trace."""
-        return {record.packet.five_tuple() for record in self.records if record.packet.is_ip()}
-
-    def bytes_observed(self, *, where: Optional[str] = None, event: Optional[str] = None) -> int:
-        """Return the total wire bytes of matching records."""
-        return sum(record.packet.wire_size() for record in self.filter(where=where, event=event))
-
     def clear(self) -> None:
         """Discard all records; the capture's history starts over."""
         self.records.clear()

@@ -64,10 +64,3 @@ def describe_actions(actions: Sequence[Action]) -> str:
     if not actions:
         return "drop(implicit)"
     return ",".join(action.describe() for action in actions)
-
-
-def is_drop(actions: Sequence[Action]) -> bool:
-    """Return ``True`` if the action list results in the packet being dropped."""
-    if not actions:
-        return True
-    return all(isinstance(action, DropAction) for action in actions)

@@ -7,8 +7,8 @@ latency; message delivery is scheduled on the simulator so flow-setup
 latency measurements (experiment E1/E10) include control-channel
 round-trips.
 
-The channel also exposes ``connected`` so the security harness can model
-a switch losing its controller (fail-open / fail-closed behaviour).
+The channel also exposes ``connected`` so a switch can lose its
+controller (fail-open / fail-closed behaviour).
 """
 
 from __future__ import annotations

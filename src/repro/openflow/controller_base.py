@@ -234,11 +234,6 @@ class Controller:
         ).send_to_switch(message)
         return message
 
-    def broadcast_flow(self, match: Match, actions: Sequence[Action], **kwargs) -> None:
-        """Install the same flow entry on every registered switch."""
-        for switch in self.switches():
-            self.install_flow(switch, match, actions, **kwargs)
-
     # ------------------------------------------------------------------
     # Failure harness hooks
     # ------------------------------------------------------------------

@@ -108,11 +108,6 @@ class Match:
         """Return a match over the ident++ 5-tuple only (layer-2 fields wildcarded)."""
         return cls(nw_src=ip_src, nw_dst=ip_dst, nw_proto=proto, tp_src=tp_src, tp_dst=tp_dst)
 
-    @classmethod
-    def wildcard(cls) -> "Match":
-        """Return the match-everything entry."""
-        return cls()
-
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
@@ -144,10 +139,6 @@ class Match:
     def specificity(self) -> int:
         """Return how many fields are constrained (used to break priority ties)."""
         return len(self.shape)
-
-    def is_exact(self) -> bool:
-        """Return ``True`` when every field is constrained (no wildcards)."""
-        return len(self.shape) == len(MATCH_FIELDS)
 
     def covers(self, other: "Match") -> bool:
         """Return ``True`` if every packet matching ``other`` also matches ``self``.

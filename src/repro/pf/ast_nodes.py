@@ -196,11 +196,6 @@ class Rule:
         """Return ``True`` for ``pass`` rules."""
         return self.action == ACTION_PASS
 
-    @property
-    def is_block(self) -> bool:
-        """Return ``True`` for ``block`` rules."""
-        return self.action == ACTION_BLOCK
-
     def __str__(self) -> str:
         rendered_from = (
             self.action, self.quick, self.src, self.dst, self.conditions, self.keep_state,
@@ -307,10 +302,6 @@ class Ruleset:
     def macros(self) -> dict[str, str]:
         """Return macro values by name (later definitions win)."""
         return {s.name: s.value for s in self.statements if isinstance(s, MacroDef)}
-
-    def to_text(self) -> str:
-        """Serialise the ruleset back to PF+=2 source (one statement per line)."""
-        return "\n".join(str(statement) for statement in self.statements)
 
     def __iter__(self) -> Iterator[Statement]:
         return iter(self.statements)

@@ -94,13 +94,6 @@ class Verdict:
         """Return ``True`` when the deciding rule asked for ``keep state``."""
         return bool(self.rule is not None and self.rule.keep_state)
 
-    def explain(self) -> str:
-        """Return a one-line human-readable explanation (used in audit logs)."""
-        if self.rule is None:
-            return f"{self.action} (no rule matched; PF default)"
-        origin = f" [{self.rule.origin}]" if self.rule.origin else ""
-        return f"{self.action} by rule '{self.rule}'{origin}"
-
 
 class PolicyEvaluator:
     """Evaluates a parsed :class:`~repro.pf.ast_nodes.Ruleset` against flows."""

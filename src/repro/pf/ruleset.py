@@ -24,12 +24,10 @@ last so they win under last-match semantics).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from repro.exceptions import PolicyError
 from repro.pf.ast_nodes import Ruleset
 from repro.pf.compiler import CompiledRule, compile_rules
 from repro.pf.parser import parse_ruleset
@@ -109,35 +107,6 @@ class RulesetLoader:
             registered = self._files[control_file.name] = control_file
         return registered
 
-    def add_files(self, files: dict[str, str], *, provenance: str = "administrator") -> None:
-        """Register several files at once."""
-        for name, text in files.items():
-            self.add_file(name, text, provenance=provenance)
-
-    def remove_file(self, name: str) -> bool:
-        """Unregister a file (e.g. withdrawing a third party's rules). Returns ``True`` if present."""
-        if not name.endswith(CONTROL_EXTENSION):
-            name = name + CONTROL_EXTENSION
-        return self._files.pop(name, None) is not None
-
-    def load_directory(self, path: str) -> int:
-        """Load every ``*.control`` file from a directory on disk.
-
-        Returns the number of files loaded.  Missing directories raise
-        :class:`~repro.exceptions.PolicyError`.
-        """
-        if not os.path.isdir(path):
-            raise PolicyError(f"not a configuration directory: {path}")
-        count = 0
-        for entry in sorted(os.listdir(path)):
-            if not entry.endswith(CONTROL_EXTENSION):
-                continue
-            full_path = os.path.join(path, entry)
-            with open(full_path, "r", encoding="utf-8") as handle:
-                self.add_file(entry, handle.read(), provenance=f"file:{full_path}")
-            count += 1
-        return count
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -176,15 +145,3 @@ class RulesetLoader:
             name="+".join(control_file.name for control_file in files),
             parts=files,
         )
-
-
-def build_ruleset(files: dict[str, str] | Iterable[tuple[str, str]]) -> Ruleset:
-    """One-shot helper: build a ruleset from ``{file name: contents}``."""
-    loader = RulesetLoader()
-    if isinstance(files, dict):
-        items = files.items()
-    else:
-        items = files
-    for name, text in items:
-        loader.add_file(name, text)
-    return loader.build()

@@ -30,10 +30,6 @@ class StateEntry:
     cookie: str = ""
     packets: int = 0
 
-    def touches(self, flow: FlowSpec) -> bool:
-        """Return ``True`` if ``flow`` is this entry's flow or its reverse."""
-        return flow == self.flow or flow == self.flow.reversed()
-
     def record(self, now: float) -> None:
         """Record one packet of the flow."""
         self.packets += 1

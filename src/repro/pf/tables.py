@@ -61,17 +61,6 @@ class TableSet:
         """Build a table set from parsed ``table`` statements."""
         return cls(definitions)
 
-    def define(self, definition: TableDef) -> None:
-        """Add or replace a table definition (invalidates the resolution cache)."""
-        self._definitions[definition.name] = definition
-        self._resolved.clear()
-        self.version += 1
-
-    def add_table(self, name: str, items: Iterable[str]) -> None:
-        """Define a table directly from address/prefix strings (used by scenarios)."""
-        literals = tuple(AddressLiteral(str(item)) for item in items)
-        self.define(TableDef(name=name, items=literals))
-
     @property
     def definitions(self) -> Mapping[str, TableDef]:
         """Return the definitions by name, read-only: what compiled rules depend on."""

@@ -11,7 +11,7 @@ than end-hosts."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: The four component classes §5 analyses.
 COMPONENT_CONTROLLER = "controller"
@@ -26,16 +26,6 @@ ALL_COMPONENTS = (
     COMPONENT_USER_APPLICATION,
 )
 
-#: Relative difficulty of each compromise in the paper's threat model;
-#: larger numbers are harder targets.  Used only for ordering/reporting.
-COMPROMISE_DIFFICULTY = {
-    COMPONENT_USER_APPLICATION: 1,
-    COMPONENT_END_HOST: 2,
-    COMPONENT_SWITCH: 3,
-    COMPONENT_CONTROLLER: 4,
-}
-
-
 @dataclass(frozen=True)
 class CompromiseScenario:
     """One compromise: which component class, and which concrete target."""
@@ -49,44 +39,6 @@ class CompromiseScenario:
         if self.component not in ALL_COMPONENTS:
             raise ValueError(f"unknown component class: {self.component!r}")
 
-    def difficulty(self) -> int:
-        """Return the relative difficulty rank of this compromise."""
-        return COMPROMISE_DIFFICULTY[self.component]
-
     def __str__(self) -> str:
         privilege = " (superuser)" if self.superuser else ""
         return f"{self.component}:{self.target}{privilege}"
-
-
-@dataclass
-class ThreatModel:
-    """The assumptions the analysis runs under.
-
-    Attributes:
-        honest_users: Most users do not subvert policy on purpose (§2).
-        endhost_compromise_possible: Attackers may take over end-hosts.
-        superuser_harder: Gaining root on an end-host is harder than a
-            user account.
-        network_components_hardened: Switches/controllers are harder
-            targets than end-hosts.
-        users_hold_private_keys: Delegation requests must be signed with
-            the user's private key, which a compromised *host* does not
-            automatically yield (§5.3).
-    """
-
-    honest_users: bool = True
-    endhost_compromise_possible: bool = True
-    superuser_harder: bool = True
-    network_components_hardened: bool = True
-    users_hold_private_keys: bool = True
-    notes: list[str] = field(default_factory=list)
-
-    def assumptions(self) -> dict[str, bool]:
-        """Return the assumptions as a dictionary (for reports)."""
-        return {
-            "honest_users": self.honest_users,
-            "endhost_compromise_possible": self.endhost_compromise_possible,
-            "superuser_harder": self.superuser_harder,
-            "network_components_hardened": self.network_components_hardened,
-            "users_hold_private_keys": self.users_hold_private_keys,
-        }

@@ -123,8 +123,7 @@ class MetricsPipeline:
         self.name = name
         self.capacity = capacity
         #: Optional stats registry folded into every sweep through
-        #: ``registry.snapshot(now)``: counters become gauge series,
-        #: rate counters become per-second series.
+        #: ``registry.snapshot()``: counters become gauge series.
         self.registry = registry
         self._probes: dict[str, TelemetryProbe] = {}
         self._series: dict[str, TimeSeries] = {}
@@ -182,17 +181,13 @@ class MetricsPipeline:
         for name, probe in self._probes.items():
             self._series[name].record(now, probe.sample(now))
         if self.registry is not None:
-            for key, value in self.registry.snapshot(now).items():
+            for key, value in self.registry.snapshot().items():
                 if isinstance(value, dict):
-                    if "per_sec" not in value:
-                        continue  # histogram summaries are not time series
-                    point = value["per_sec"]
-                else:
-                    point = value
+                    continue  # histogram summaries are not time series
                 series = self._series.get(key)
                 if series is None:
                     series = self._series[key] = TimeSeries(key, self.capacity)
-                series.record(now, float(point))
+                series.record(now, float(value))
         self.samples += 1
         for observer in self._observers:
             observer(now, self)

@@ -7,9 +7,8 @@
 * :mod:`repro.workloads.generators` — deterministic flow/traffic
   generators (uniform and Zipf-popularity flow mixes) used by the
   cache and throughput benchmarks.
-* :mod:`repro.workloads.enterprise` — builders for the canonical
-  enterprise network, the two-branch (collaboration) network and the
-  partial-deployment network.
+* :mod:`repro.workloads.enterprise` — builders for the linear
+  (Figure 1) network and the two-branch (collaboration) network.
 * :mod:`repro.workloads.scenarios` and
   :mod:`repro.workloads.comparative` — the paper's figures and arguments
   (E1–E9): a class where callers read what it built (``.net``,
@@ -44,7 +43,6 @@ module path.
 from repro.workloads.generators import FlowGenerator, FlowTemplate, zipf_weights
 from repro.workloads.enterprise import (
     build_branch_network,
-    build_enterprise_network,
     build_linear_network,
 )
 from repro.workloads import paper_configs, scenarios
@@ -54,7 +52,6 @@ __all__ = [
     "FlowTemplate",
     "zipf_weights",
     "build_branch_network",
-    "build_enterprise_network",
     "build_linear_network",
     "paper_configs",
     "scenarios",

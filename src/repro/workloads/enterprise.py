@@ -1,13 +1,9 @@
 """Reusable network builders.
 
-Three topology shapes cover every experiment:
+Two topology shapes:
 
 * a **linear** client–switch(es)–server chain (Figure 1 / flow-setup
   latency),
-* the canonical **enterprise** network: an access switch for the client
-  LAN (192.168.0.0/24), a server switch (192.168.1.0/24), a research
-  subnet (192.168.2.0/24), a production subnet (192.168.3.0/24) and an
-  edge switch toward the Internet (203.0.113.0/24),
 * the **two-branch** network of the collaboration experiment: two
   enterprise sites joined by a single bottleneck link, each with its own
   controller.
@@ -15,39 +11,12 @@ Three topology shapes cover every experiment:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.controller import ControllerConfig, IdentPPController
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.netsim.links import DEFAULT_LATENCY
-
-
-#: Address plan used by the enterprise builders.
-LAN_SUBNET = "192.168.0.0/24"
-SERVER_SUBNET = "192.168.1.0/24"
-RESEARCH_SUBNET = "192.168.2.0/24"
-PRODUCTION_SUBNET = "192.168.3.0/24"
-INTERNET_SUBNET = "203.0.113.0/24"
-BRANCH_A_SUBNET = "10.1.0.0/16"
-BRANCH_B_SUBNET = "10.2.0.0/16"
-
-
-@dataclass
-class EnterpriseNetwork:
-    """The canonical enterprise network plus handles to its named parts."""
-
-    net: IdentPPNetwork
-    clients: list[str] = field(default_factory=list)
-    servers: list[str] = field(default_factory=list)
-    research_hosts: list[str] = field(default_factory=list)
-    production_hosts: list[str] = field(default_factory=list)
-    internet_hosts: list[str] = field(default_factory=list)
-
-    @property
-    def controller(self) -> IdentPPController:
-        """Return the primary controller."""
-        return self.net.controller
 
 
 def build_linear_network(
@@ -75,81 +44,6 @@ def build_linear_network(
     )
     server.run_server("httpd", "root", 80)
     return net
-
-
-def build_enterprise_network(
-    *,
-    clients: int = 4,
-    research_hosts: int = 2,
-    controller_config: Optional[ControllerConfig] = None,
-    link_latency: float = DEFAULT_LATENCY,
-) -> EnterpriseNetwork:
-    """Build the canonical enterprise network used by most scenarios."""
-    net = IdentPPNetwork("enterprise", link_latency=link_latency, controller_config=controller_config)
-    access = net.add_switch("sw-access")
-    core = net.add_switch("sw-core")
-    server_sw = net.add_switch("sw-servers")
-    research_sw = net.add_switch("sw-research")
-    edge = net.add_switch("sw-edge")
-    net.connect(access, core)
-    net.connect(server_sw, core)
-    net.connect(research_sw, core)
-    net.connect(edge, core)
-
-    result = EnterpriseNetwork(net=net)
-
-    for index in range(clients):
-        name = f"client{index + 1}"
-        user = f"user{index + 1}"
-        net.add_host(
-            HostSpec(name=name, ip=f"192.168.0.{10 + index}",
-                     users={user: ("users", "staff"), "alice": ("users", "staff")}),
-            switch=access,
-        )
-        result.clients.append(name)
-
-    server = net.add_host(
-        HostSpec(name="file-server", ip="192.168.1.1",
-                 users={"smtp": ("service",)},
-                 host_facts={"os-patch": "MS08-067 MS08-068", "os-name": "windows-2008"}),
-        switch=server_sw,
-    )
-    server.run_server("Server", "system", 445)
-    server.run_server("httpd", "root", 80)
-    server.run_server("sshd", "root", 22)
-    result.servers.append("file-server")
-
-    mail = net.add_host(
-        HostSpec(name="mail-server", ip="192.168.1.25", users={"smtp": ("service",)}),
-        switch=server_sw,
-    )
-    mail.run_server("smtp-server", "root", 25)
-    result.servers.append("mail-server")
-
-    for index in range(research_hosts):
-        name = f"research{index + 1}"
-        net.add_host(
-            HostSpec(name=name, ip=f"192.168.2.{10 + index}",
-                     users={f"researcher{index + 1}": ("research", "users")}),
-            switch=research_sw,
-        )
-        result.research_hosts.append(name)
-
-    production = net.add_host(
-        HostSpec(name="production1", ip="192.168.3.10", users={"ops": ("production",)}),
-        switch=research_sw,
-    )
-    production.run_server("httpd", "root", 80)
-    result.production_hosts.append("production1")
-
-    internet = net.add_host(
-        HostSpec(name="internet-host", ip="203.0.113.50",
-                 users={"mallory": ("internet",)}, run_daemon=False),
-        switch=edge,
-    )
-    result.internet_hosts.append("internet-host")
-    del internet
-    return result
 
 
 @dataclass

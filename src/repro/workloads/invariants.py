@@ -68,31 +68,13 @@ def _failed_closed(record) -> bool:
     return getattr(record, "rule_origin", "") == "error"
 
 
-def fresh_decisions(records) -> dict:
-    """Group non-cached, non-error decision records by flow.
-
-    A *fresh* decision is one the controller actually evaluated for this
-    punt: replays served from the decision cache (``cached``) and
-    fail-closed backstops (``rule_origin == "error"``) do not count.
-    Returns ``{flow: [records...]}`` in record order.
-    """
-    grouped: dict = {}
-    for record in records:
-        if not (getattr(record, "cached", False) or _failed_closed(record)):
-            grouped.setdefault(record.flow, []).append(record)
-    return grouped
-
-
-def failed_closed_flows(records) -> set:
-    """Return the flows that ever received a fail-closed (error) verdict."""
-    return _classify(records)[1]
-
-
 def _classify(records) -> tuple[dict, set]:
     """One pass over ``records``: ``({flow: fresh decisions}, errored flows)``.
 
-    The counts are what :func:`fresh_decisions` groups, in its flow
-    order; the set is :func:`failed_closed_flows`.
+    A *fresh* decision is one the controller actually evaluated for a
+    punt: replays served from the decision cache (``cached``) and
+    fail-closed backstops (``rule_origin == "error"``) do not count.
+    The errored flows are those that ever received a fail-closed verdict.
     """
     fresh: dict = {}
     errored: set = set()

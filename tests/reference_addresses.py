@@ -143,12 +143,6 @@ class ReferenceMACAddress:
     def to_bytes(self) -> bytes:
         return self._value.to_bytes(6, "big")
 
-    def is_broadcast(self) -> bool:
-        return self._value == 2**48 - 1
-
-    def is_multicast(self) -> bool:
-        return bool((self._value >> 40) & 0x01)
-
     def __str__(self) -> str:
         raw = f"{self._value:012x}"
         return ":".join(raw[i : i + 2] for i in range(0, 12, 2))

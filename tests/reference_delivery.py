@@ -212,10 +212,6 @@ def host_receive(self: EndHost, packet: Packet, in_port: Port) -> None:
     """Deliver a packet addressed to this host."""
     if not packet.is_ip() or packet.ip_dst != self.ip:
         return
-    handler = self._services.get((packet.ip_proto, packet.tp_dst))
-    if handler is not None:
-        handler(packet, self)
-        return
     sim = self.sim
     self.delivered.append(packet)
     self.delivered_times.append(sim.now if sim is not None else 0.0)

@@ -4,9 +4,8 @@
 into per-flow fresh-decision counts and an errored set.  These are the
 checkers it replaced, which grouped ``{flow: [records]}`` — once for
 fail-closed and again for zero-loss — after copying the record list,
-with the two grouping helpers as they were (the module's own
-``failed_closed_flows`` is now read off its one-pass classifier, so the
-oracle must not import it).  ``tests/test_invariants_reference.py``
+with the two grouping helpers as they were (the module keeps no copy of
+either: its one-pass classifier replaced both).  ``tests/test_invariants_reference.py``
 holds the two to equal results over generated record streams.
 """
 

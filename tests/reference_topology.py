@@ -34,9 +34,6 @@ class ReferenceTopology:
     def add_link(self, name_a: str, name_b: str, link: Link) -> None:
         self.graph.add_edge(name_a, name_b, latency=link.latency, link=link)
 
-    def remove_link(self, name_a: str, name_b: str) -> None:
-        self.graph.remove_edge(name_a, name_b)
-
     def link_between(self, name_a: str, name_b: str) -> Optional[Link]:
         data = self.graph.get_edge_data(name_a, name_b)
         return None if data is None else data["link"]

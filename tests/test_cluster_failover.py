@@ -10,6 +10,7 @@ from repro.workloads.invariants import (
     network_audit_records,
     network_flow_state,
 )
+from tests.test_push_plane import patch_host
 
 
 def assert_zero_loss(net, flows):
@@ -433,8 +434,7 @@ class TestPushSubscriptionRehoming:
         assert victim not in live_subscribed
         assert daemon.subscriber_count() == len(live_subscribed)
         # The re-home was committed to the replay log.
-        kinds = [r.kind for r in net.cluster.coordinator.audit_trail()]
-        assert "subscription_rehome" in kinds
+        assert "subscription_rehome" in net.cluster.coordinator.stats()["by_kind"]
 
         # The successor is resident: a re-punted flow it owns decides
         # without a single new query to the server's daemon.
@@ -574,7 +574,7 @@ class TestPushSubscriptionRehoming:
         net.cluster.restore(victim)
         assert not engine.is_subscribed(self.SERVER_IP)
 
-        daemon.set_host_fact("os-patch", "MS08-067")
+        patch_host(daemon)
         server.transmit(packet)
         net.run(0.5)
         records = net.cluster.replicas[victim].audit.records()

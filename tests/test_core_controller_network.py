@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec
-from repro.security.attacks import Attacker
+from repro.netsim.packet import Packet
 
 
 BASIC_POLICY = {
@@ -75,13 +75,12 @@ class TestControllerDatapath:
         net = build_network()
         net.send_flow("client", "http", "alice", "192.168.1.1", 80)
         server = net.host("server")
-        reply_flow = FlowSpec.tcp("192.168.1.1", "192.168.0.10", 80, net.host("server").delivered[0].tp_src)
+        reply_flow = FlowSpec.tcp("192.168.1.1", "192.168.0.10", 80, server.delivered[0].tp_src)
         # send the server's reply; it must be covered by the cached keep-state decision
-        reply = server.delivered[0].reply_template()
-        server.transmit(reply)
+        server.transmit(Packet.tcp("192.168.1.1", "192.168.0.10", 80, reply_flow.dst_port))
         net.run()
-        client_flows = net.host("client").delivered_flows()
-        assert reply_flow.as_tuple() in {f for f in client_flows}
+        client_flows = {packet.five_tuple() for packet in net.host("client").delivered}
+        assert reply_flow.as_tuple() in client_flows
 
     def test_same_flow_from_two_switches_queries_once(self):
         net = build_network()
@@ -132,10 +131,53 @@ class TestControllerDatapath:
         assert not result.delivered and result.decision_action == "block"
 
 
+class TestIdentPPPortIsOrdinaryTraffic:
+    """Port 783 earns no datapath exemption: the controller learns
+    identities by querying the daemons itself (§3.2), so a packet to or
+    from the ident++ port is a flow like any other."""
+
+    def test_source_port_783_does_not_bypass_block_all(self):
+        net = build_network(BASIC_POLICY)
+        net.host("client").transmit(Packet.tcp("192.168.0.10", "192.168.1.1", 783, 23))
+        net.run()
+        assert net.host("server").delivered == []
+        records = net.controller.audit.records()
+        assert [(r.flow.src_port, r.flow.dst_port, r.action) for r in records] == [
+            (783, 23, "block")
+        ]
+
+    def test_a_flow_to_port_783_is_decided_and_audited(self):
+        net = build_network()
+        result = net.send_flow("client", "http", "alice", "192.168.1.1", 783)
+        assert result.delivered and result.decision_action == "pass"
+        records = net.controller.audit.records()
+        assert [(r.flow.dst_port, r.action, r.cached) for r in records] == [(783, "pass", False)]
+        assert net.daemon("server").queries_failed.value == 0
+
+
+    def test_udp_from_source_port_783_does_not_bypass_block_all(self):
+        net = build_network(BASIC_POLICY)
+        net.host("client").transmit(Packet.udp("192.168.0.10", "192.168.1.1", 783, 53))
+        net.run()
+        assert net.host("server").delivered == []
+        assert [r.action for r in net.controller.audit.records()] == ["block"]
+
+    def test_a_flow_to_port_783_installs_entries_along_its_path(self):
+        net = build_network()
+        net.send_flow("client", "http", "alice", "192.168.1.1", 783)
+        for name in ("sw-left", "sw-right"):
+            assert net.switches[name].flow_table.find(lambda entry: entry.match.tp_dst == 783)
+
+    def test_a_blocked_application_cannot_reach_port_783(self):
+        net = build_network()
+        result = net.send_flow("client", "telnet", "alice", "192.168.1.1", 783)
+        assert not result.delivered and result.decision_action == "block"
+        assert net.host("server").delivered == []
+
 class TestCompromisedComponents:
     def test_compromised_controller_forwards_everything(self):
         net = build_network()
-        Attacker().compromise_controller(net.controller)
+        net.controller.mark_compromised()
         result = net.send_flow("client", "telnet", "alice", "192.168.1.1", 23)
         assert result.delivered
         # nothing is audited while the controller is owned
@@ -151,11 +193,10 @@ class TestCompromisedComponents:
         server = net.add_host(HostSpec(name="server", ip="192.168.1.1"), switch=switch)
         server.run_server("httpd", "root", 80)
         net.set_policy(POLICY)
-        attacker = Attacker()
-        record = attacker.compromise_switch(switch)
+        switch.mark_compromised()
         result = net.send_flow("client", "telnet", "alice", "192.168.1.1", 23)
         assert result.delivered
-        record.revert()
+        switch.restore()
         result = net.send_flow("client", "telnet", "alice", "192.168.1.1", 2323)
         assert not result.delivered
 
@@ -164,35 +205,24 @@ class TestCompromisedComponents:
         # compromising one switch "does not necessarily enable the compromise
         # of the controller" or of the rest of the network (§5.2).
         net = build_network()
-        Attacker().compromise_switch(net.switches["sw-left"])
+        net.switches["sw-left"].mark_compromised()
         result = net.send_flow("client", "telnet", "alice", "192.168.1.1", 23)
         assert not result.delivered
 
     def test_compromised_host_daemon_spoofs_identity(self):
         net = build_network()
-        attacker = Attacker()
-        attacker.compromise_end_host(net.host("client"), spoofed_pairs={"name": "http"})
+        net.host("client").mark_compromised(superuser=True)
+        net.daemon("client").spoof_responses({"name": "http"})
         # telnet now claims to be the approved browser and slips through
         result = net.send_flow("client", "telnet", "alice", "192.168.1.1", 23)
         assert result.delivered
 
-    def test_application_masquerade_blocked_by_setgid_isolation(self):
+    def test_an_honest_daemon_again_gets_the_flow_blocked(self):
         net = build_network()
-        client = net.host("client")
-        # the administrator runs the browser setgid-isolated (§5.4)
-        client.processes.spawn(client.users.user("alice"),
-                               client.applications.require("http"),
-                               setgid_isolated=True)
-        attacker = Attacker()
-        record = attacker.compromise_application(client, "skype", "alice", masquerade_as="http")
-        assert record.details["masquerade_succeeded"] == "no"
-
-    def test_application_masquerade_succeeds_without_isolation(self):
-        net = build_network()
-        client = net.host("client")
-        client.processes.spawn(client.users.user("alice"), client.applications.require("http"))
-        attacker = Attacker()
-        record = attacker.compromise_application(client, "skype", "alice", masquerade_as="http")
-        assert record.details["masquerade_succeeded"] == "yes"
-        attacker.revert_all()
-        assert len(attacker) == 0
+        net.host("client").mark_compromised(superuser=True)
+        daemon = net.daemon("client")
+        daemon.spoof_responses({"name": "http"})
+        assert net.send_flow("client", "telnet", "alice", "192.168.1.1", 23).delivered
+        daemon.spoof_responses(None)
+        result = net.send_flow("client", "telnet", "alice", "192.168.1.1", 23)
+        assert not result.delivered and result.decision_action == "block"

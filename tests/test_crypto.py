@@ -7,7 +7,7 @@ from repro.exceptions import KeyError_, SignatureError
 from repro.crypto.hashing import executable_hash, sha256_hex, sha256_int
 from repro.crypto.keystore import KeyStore
 from repro.crypto.rsa import RSAPublicKey, generate_keypair
-from repro.crypto.signatures import Signer, canonical_message, sign_values, verify_values
+from repro.crypto.signatures import Signer, canonical_message, verify_values
 
 
 class TestHashing:
@@ -89,14 +89,14 @@ class TestCanonicalSigning:
     def test_sign_and_verify_values(self):
         keypair = generate_keypair("research", seed=7)
         values = ["exe-hash-value", "research-app", "block all pass all"]
-        signature = sign_values(keypair, values)
+        signature = keypair.sign(canonical_message(values))
         assert verify_values(keypair.public, signature, values)
         assert verify_values(keypair.public.to_hex(), signature, values)
 
     def test_verify_values_rejects_any_change(self):
         keypair = generate_keypair("research", seed=7)
         values = ["hash", "app", "rules"]
-        signature = sign_values(keypair, values)
+        signature = keypair.sign(canonical_message(values))
         assert not verify_values(keypair.public, signature, ["hash", "app", "other rules"])
         assert not verify_values(keypair.public, signature, ["hash", "app"])
 
@@ -108,15 +108,17 @@ class TestCanonicalSigning:
     @given(st.lists(st.text(alphabet=st.characters(blacklist_characters="\x1f"), max_size=20), min_size=1, max_size=4))
     def test_property_signatures_verify(self, values):
         keypair = generate_keypair("prop", seed=9)
-        signature = sign_values(keypair, values)
+        signature = keypair.sign(canonical_message(values))
         assert verify_values(keypair.public, signature, values)
 
 
 class TestSigner:
-    def test_signer_records_messages(self):
+    def test_signer_hex_key_verifies_its_signatures(self):
         signer = Signer("research", seed=0)
-        signer.sign(["a", "b"])
-        assert len(signer.signed_messages()) == 1
+        signature = signer.sign(["a", "b"])
+        assert signer.public_key_hex == signer.public_key.to_hex()
+        assert verify_values(signer.public_key_hex, signature, ["a", "b"])
+        assert not verify_values(Signer("other", seed=0).public_key_hex, signature, ["a", "b"])
 
     def test_signer_verify(self):
         signer = Signer("research", seed=0)
@@ -160,11 +162,21 @@ class TestKeyStore:
         with pytest.raises(KeyError_):
             store.remove("a")
 
+    def test_names_are_sorted_and_counted(self):
+        store = KeyStore()
+        store.add("research", Signer("research", seed=0))
+        store.add("admin", Signer("admin", seed=0))
+        assert store.names() == ["admin", "research"]
+        assert len(store) == 2
+
+    def test_re_adding_a_name_replaces_its_key(self):
+        store = KeyStore()
+        store.add("research", Signer("research", seed=0))
+        rotated = Signer("research", seed=1)
+        store.add("research", rotated)
+        assert store.get("research") == rotated.public_key_hex
+        assert len(store) == 1
+
     def test_invalid_key_type_rejected(self):
         with pytest.raises(KeyError_):
             KeyStore().add("bad", 42)
-
-    def test_as_pf_dict(self):
-        store = KeyStore()
-        store.add("research", Signer("research", seed=0))
-        assert set(store.as_pf_dict()) == {"research"}

@@ -174,7 +174,7 @@ class World:
             self.sim.schedule(delay, self.capture, on)
         elif kind == "link":
             index, up = args
-            self.links[index].set_up(up)
+            self.links[index].up = up
         elif kind == "loss":
             index, on = args
             self.links[index].loss_filter = (lambda packet: packet.tp_src % 2 == 0) if on else None

@@ -1,5 +1,7 @@
 """Tests for the end-host substrate: users, applications, processes, sockets, EndHost."""
 
+import dataclasses
+
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -27,7 +29,7 @@ class TestUsers:
     def test_add_user_creates_groups(self):
         db = UserDatabase()
         user = db.add_user("alice", groups=["staff", "users"])
-        assert user.in_group("staff")
+        assert "staff" in user.groups
         assert db.group("staff").name == "staff"
 
     def test_duplicate_user_rejected(self):
@@ -47,14 +49,45 @@ class TestUsers:
         db = UserDatabase()
         db.add_user("alice")
         db.add_to_group("alice", "research")
-        assert db.user("alice").in_group("research")
-        assert [u.name for u in db.members_of("research")] == ["alice"]
+        assert "research" in db.user("alice").groups
 
-    def test_user_by_uid(self):
+    def test_uids_are_allocated_from_1000_and_explicit_uids_kept(self):
         db = UserDatabase()
-        alice = db.add_user("alice", uid=4242)
-        assert db.user_by_uid(4242) is alice
-        assert db.user_by_uid(9999) is None
+        assert db.add_user("alice").uid == 1000
+        assert db.add_user("carol", uid=4242).uid == 4242
+        assert db.add_user("bob").uid == 1001
+
+    def test_users_and_groups_iterate_sorted(self):
+        db = UserDatabase()
+        db.add_user("zed", groups=["zulu"])
+        db.add_user("amy", groups=["alpha"])
+        assert [u.name for u in db.users()] == ["amy", "root", "system", "zed"]
+        assert [g.name for g in db.groups()] == ["alpha", "root", "system", "zulu"]
+        assert len(db) == 4
+        assert db.has_user("amy") and not db.has_user("ghost")
+
+    def test_a_membership_change_notifies_each_listener_once(self):
+        db = UserDatabase()
+        db.add_user("alice")
+        fired = []
+
+        def listener():
+            fired.append("changed")
+
+        db.add_change_listener(listener)
+        db.add_change_listener(listener)
+        db.add_to_group("alice", "research")
+        assert fired == ["changed"]
+        # Re-adding an existing membership is no change.
+        db.add_to_group("alice", "research")
+        assert fired == ["changed"]
+
+    def test_a_privileged_account_binds_low_ports_without_being_root(self):
+        db = UserDatabase()
+        service = db.add_user("svc", privileged=True)
+        plain = db.add_user("plain")
+        assert service.can_bind_privileged_ports and not service.is_superuser
+        assert not plain.can_bind_privileged_ports
 
 
 class TestApplications:
@@ -73,12 +106,6 @@ class TestApplications:
                           extra_keys={"name": "skype"})
         assert app.identity_keys()["name"] == "skype"
 
-    def test_tampered_copy_changes_hash_only(self):
-        app = Application(name="skype", path="/usr/bin/skype", version="210")
-        trojan = app.tampered_copy()
-        assert trojan.name == app.name and trojan.path == app.path
-        assert trojan.exe_hash != app.exe_hash
-
     def test_registry_lookup(self):
         registry = ApplicationRegistry()
         app = Application(name="skype", path="/usr/bin/skype")
@@ -88,17 +115,31 @@ class TestApplications:
         assert registry.require("skype") is app
         assert "skype" in registry
 
-    def test_registry_uninstall(self):
-        registry = ApplicationRegistry()
-        registry.install(Application(name="skype", path="/usr/bin/skype"))
-        registry.uninstall("/usr/bin/skype")
-        assert registry.by_name("skype") is None
-        with pytest.raises(HostError):
-            registry.uninstall("/usr/bin/skype")
-
     def test_require_missing_raises(self):
         with pytest.raises(HostError):
             ApplicationRegistry().require("ghost")
+
+    def test_exe_hash_follows_the_contents_not_the_name(self):
+        app = Application(name="skype", path="/usr/bin/skype", version="210")
+        trojan = dataclasses.replace(app, contents="trojan")
+        assert trojan.identity_keys()["name"] == app.identity_keys()["name"]
+        assert trojan.exe_hash != app.exe_hash
+        assert dataclasses.replace(app).exe_hash == app.exe_hash
+
+    def test_reinstalling_a_path_replaces_the_binary(self):
+        registry = ApplicationRegistry()
+        app = registry.install(Application(name="skype", path="/usr/bin/skype"))
+        upgrade = registry.install(dataclasses.replace(app, version="211"))
+        assert registry.by_path("/usr/bin/skype") is upgrade
+        assert registry.require("skype") is upgrade
+        assert len(registry) == 1
+
+    def test_registry_iterates_by_path(self):
+        registry = ApplicationRegistry()
+        registry.install(Application(name="zsh", path="/usr/bin/zsh"))
+        registry.install(Application(name="bash", path="/bin/bash"))
+        assert [app.path for app in registry] == ["/bin/bash", "/usr/bin/zsh"]
+        assert "/bin/bash" in registry and "ghost" not in registry
 
     def test_standard_catalogue_covers_paper_apps(self):
         names = {app.name for app in standard_applications()}
@@ -117,8 +158,6 @@ class TestProcesses:
         process = self.table.spawn(self.alice, self.app)
         assert self.table.get(process.pid) is process
         assert process.exe_path == "/usr/bin/skype"
-        assert self.table.by_user("alice") == [process]
-        assert self.table.by_application("skype") == [process]
 
     def test_kill(self):
         process = self.table.spawn(self.alice, self.app)
@@ -132,26 +171,21 @@ class TestProcesses:
             self.table.get(12345)
         assert self.table.find(12345) is None
 
-    def test_ptrace_same_user_allowed(self):
-        victim = self.table.spawn(self.alice, self.app)
-        attacker = self.table.spawn(self.alice, self.app)
-        assert victim.can_be_ptraced_by(attacker)
+    def test_pids_are_unique_and_iterate_in_order(self):
+        first = self.table.spawn(self.alice, self.app)
+        second = self.table.spawn(self.bob, self.app)
+        assert first.pid < second.pid
+        assert [p.pid for p in self.table] == [first.pid, second.pid]
+        assert len(self.table) == 2
+        self.table.kill(first.pid)
+        assert self.table.spawn(self.alice, self.app).pid > second.pid
 
-    def test_ptrace_other_user_denied(self):
-        victim = self.table.spawn(self.alice, self.app)
-        attacker = self.table.spawn(self.bob, self.app)
-        assert not victim.can_be_ptraced_by(attacker)
-
-    def test_setgid_isolation_blocks_ptrace(self):
-        victim = self.table.spawn(self.alice, self.app, setgid_isolated=True)
-        attacker = self.table.spawn(self.alice, self.app)
-        assert not victim.can_be_ptraced_by(attacker)
-
-    def test_superuser_can_always_ptrace(self):
-        root = self.db.user("root")
-        victim = self.table.spawn(self.alice, self.app, setgid_isolated=True)
-        attacker = self.table.spawn(root, self.app)
-        assert victim.can_be_ptraced_by(attacker)
+    def test_runtime_keys_are_the_process_own_copy(self):
+        keys = {"click": "yes"}
+        process = self.table.spawn(self.alice, self.app, runtime_keys=keys)
+        keys["click"] = "no"
+        assert process.runtime_keys == {"click": "yes"}
+        assert self.table.spawn(self.alice, self.app).runtime_keys == {}
 
 
 class TestSockets:
@@ -166,7 +200,7 @@ class TestSockets:
     def test_listen_and_find(self):
         process = self.processes.spawn(self.root, self.app)
         socket = self.table.listen(process, 80)
-        assert socket.is_listening and socket.is_privileged
+        assert socket.is_listening
         assert self.table.find_listener(80) is socket
 
     def test_privileged_port_requires_privilege(self):
@@ -428,25 +462,21 @@ class TestEndHost:
         host.attach(Simulator())
         host.receive(packet, host.add_port())
         assert host.delivered == [packet]
-        assert host.delivered_flows() == {packet.five_tuple()}
+
+    def test_a_packet_to_port_783_is_delivered_like_any_other(self):
+        # The ident++ port has no in-host service: the controller reaches
+        # the daemon directly, so a datapath packet to 783 is plain traffic.
+        host = self.make_host()
+        host.attach(Simulator())
+        packet = Packet.tcp("192.168.1.1", "192.168.0.10", 783, 783)
+        host.receive(packet, host.add_port())
+        assert host.delivered == [packet]
 
     def test_receive_ignores_foreign_destination(self):
         host = self.make_host()
         packet = Packet.tcp("192.168.1.1", "192.168.0.99", 80, 5555)
         host.receive(packet, host.add_port())
         assert host.delivered == []
-
-    def test_registered_service_handles_packet(self):
-        host = self.make_host()
-        seen = []
-        host.register_service(783, lambda packet, h: seen.append(packet))
-        packet = Packet.tcp("192.168.1.1", "192.168.0.10", 783, 783)
-        host.receive(packet, host.add_port())
-        assert seen == [packet]
-        assert host.delivered == []
-        host.unregister_service(783)
-        host.receive(packet.copy(), host.port(1))
-        assert len(host.delivered) == 1
 
     def test_transmit_uses_wired_port(self):
         sim = Simulator()

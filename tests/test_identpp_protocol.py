@@ -26,7 +26,6 @@ class TestFlowSpec:
         assert str(flow.src_ip) == "10.0.0.1"
         assert flow.dst_port == 80
         assert flow.proto_name() == "tcp"
-        assert flow.matches_packet(packet)
 
     def test_reversed(self):
         flow = FlowSpec.tcp("10.0.0.1", "10.0.0.2", 1234, 80)
@@ -86,7 +85,6 @@ class TestKeyValueSections:
         document.add_section({"a": "1"})
         assert document.latest("missing") is None
         assert document.concatenated("missing") == ""
-        assert not document.has_key("missing")
 
     def test_empty_sections_not_stored(self):
         document = ResponseDocument()
@@ -99,7 +97,7 @@ class TestKeyValueSections:
         document.add_section({"userID": "alice"}, source="daemon")
         document.augment({"remote-accept": "no"}, source="branch-b")
         assert document.section_count() == 2
-        assert document.sources() == ["daemon", "branch-b"]
+        assert [section.source for section in document.sections] == ["daemon", "branch-b"]
 
     def test_body_round_trip(self):
         document = ResponseDocument()
@@ -229,7 +227,6 @@ class DocumentDifferential(RuleBasedStateMachine):
         assert self.document.to_body() == _body(self.model)
         for key in ("userID", "name", "version", "req-sig", "x", "absent"):
             assert self.document.latest(key) == oracle.latest(key)
-            assert self.document.has_key(key) == (oracle.latest(key) is not None)
             assert self.document.concatenated(key) == oracle.concatenated(key)
             assert self.document.concatenated(key, "|") == oracle.concatenated(key, "|")
         for section, pairs in zip(self.document.sections, self.model):
@@ -257,30 +254,24 @@ class TestWireFormat:
         assert lines[0] == "TCP 40000 80"
         assert lines[1:] == ["userID", "name"]
 
-    def test_query_packet_spoofs_source_ip(self):
-        query = IdentQuery(flow=self.flow(), target_role="src")
-        packet = query.to_packet()
-        # query to the flow's source carries the flow's destination as its source IP
-        assert str(packet.ip_src) == "192.168.1.1"
-        assert str(packet.ip_dst) == "192.168.0.10"
-        assert packet.tp_dst == IDENT_PP_PORT
-
-    def test_query_packet_to_destination(self):
-        query = IdentQuery(flow=self.flow(), target_role="dst")
-        packet = query.to_packet()
-        assert str(packet.ip_src) == "192.168.0.10"
-        assert str(packet.ip_dst) == "192.168.1.1"
+    def query_packet(self, query, ip_src, ip_dst):
+        """A query on the wire: TCP 783, sourced from the flow's other endpoint (§3.2)."""
+        return Packet.tcp(
+            ip_src, ip_dst, IDENT_PP_PORT, IDENT_PP_PORT,
+            payload=query.to_payload(), metadata={"role": query.target_role},
+        )
 
     def test_query_round_trip_via_packet(self):
         query = IdentQuery(flow=self.flow(), target_role="src", keys=("userID",))
-        parsed = parse_query_packet(query.to_packet())
+        # A query to the flow's source carries the flow's destination as its source IP.
+        parsed = parse_query_packet(self.query_packet(query, "192.168.1.1", "192.168.0.10"))
         assert parsed.flow == self.flow()
         assert parsed.keys == ("userID",)
         assert parsed.target_role == "src"
 
     def test_query_round_trip_destination_role(self):
         query = IdentQuery(flow=self.flow(), target_role="dst")
-        parsed = parse_query_packet(query.to_packet())
+        parsed = parse_query_packet(self.query_packet(query, "192.168.0.10", "192.168.1.1"))
         assert parsed.flow == self.flow()
 
     def test_unknown_role_rejected(self):
@@ -314,15 +305,36 @@ class TestWireFormat:
         assert parsed.document.latest("userID") == "alice"
         assert parsed.document.section_count() == 2
 
+    def test_query_packet_without_a_role_asks_the_source(self):
+        query = IdentQuery(flow=self.flow(), keys=("name",))
+        packet = Packet.tcp("192.168.1.1", "192.168.0.10", IDENT_PP_PORT, IDENT_PP_PORT,
+                            payload=query.to_payload())
+        parsed = parse_query_packet(packet)
+        assert parsed.target_role == "src"
+        assert parsed.flow == self.flow()
+
+    def test_udp_flow_round_trips_through_a_query_packet(self):
+        flow = FlowSpec.udp("192.168.0.10", "192.168.1.1", 5353, 53)
+        query = IdentQuery(flow=flow, target_role="dst", keys=("name",))
+        assert query.to_payload().splitlines()[0] == "UDP 5353 53"
+        parsed = parse_query_packet(self.query_packet(query, "192.168.0.10", "192.168.1.1"))
+        assert parsed.flow == flow
+
+    def test_target_ip_is_the_queried_end(self):
+        assert str(IdentQuery(flow=self.flow(), target_role="src").target_ip) == "192.168.0.10"
+        assert str(IdentQuery(flow=self.flow(), target_role="dst").target_ip) == "192.168.1.1"
+
+    def test_response_without_a_flow_gets_a_placeholder_from_its_first_line(self):
+        document = ResponseDocument()
+        document.add_section({"userID": "alice"}, source="daemon")
+        payload = IdentResponse(flow=self.flow(), document=document).to_payload()
+        parsed = parse_response_payload(payload)
+        assert (parsed.flow.proto, parsed.flow.src_port, parsed.flow.dst_port) == (6, 40000, 80)
+        assert int(parsed.flow.src_ip) == 0 and int(parsed.flow.dst_ip) == 0
+        assert parsed.document.latest("userID") == "alice"
+
     def test_response_flow_mismatch_rejected(self):
         response = IdentResponse(flow=self.flow(), document=ResponseDocument())
         other_flow = FlowSpec.tcp("192.168.0.10", "192.168.1.1", 40000, 22)
         with pytest.raises(WireFormatError):
             parse_response_payload(response.to_payload(), flow=other_flow)
-
-    def test_response_to_packet_reverses_query(self):
-        query_packet = IdentQuery(flow=self.flow(), target_role="src").to_packet()
-        response = IdentResponse(flow=self.flow(), document=ResponseDocument(), responder="h")
-        reply = response.to_packet(query_packet)
-        assert reply.ip_dst == query_packet.ip_src
-        assert reply.tp_dst == IDENT_PP_PORT

@@ -61,14 +61,13 @@ def build(kind: str, *, keep_state: bool, reference: bool = False, **config) -> 
     return net
 
 
-def switch_links(net: IdentPPNetwork) -> list[tuple[str, str]]:
-    """Every switch-to-switch link, as sorted name pairs in a fixed order."""
-    pairs = []
-    for link in net.topology.links():
-        names = sorted(port.node.name for port in link.endpoints())
-        if all(name in net.switches for name in names):
-            pairs.append(tuple(names))
-    return sorted(pairs)
+def unlinked_switch_pairs(net: IdentPPNetwork) -> list[tuple[str, str]]:
+    """Every pair of switches with no link between them, sorted, in a fixed order."""
+    names = sorted(net.switches)
+    return [
+        (left, right) for index, left in enumerate(names) for right in names[index + 1:]
+        if net.topology.link_between(left, right) is None
+    ]
 
 
 def punt(net: IdentPPNetwork, switch_name: str, packet, ordinal: int = 0) -> None:
@@ -142,10 +141,9 @@ class Scenario:
     kind: str
     keep_state: bool
     decisions: tuple[Decision, ...]
-    #: Switch link removed after the first decision (index modulo the link
-    #: count), and whether it is wired back (on fresh ports) straight away.
-    cut: Optional[int]
-    rewire: bool
+    #: Switch pair linked after the first decision (index modulo the count
+    #: of unlinked pairs): a shortcut that may reroute later decisions.
+    shortcut: Optional[int]
     #: Whether the registry is then exported and adopted back, and how:
     #: ``"all"`` drains it, ``"own"`` takes the controller's own cookie
     #: prefix (a foreign install planted beside them must stay behind).
@@ -168,8 +166,7 @@ scenarios = st.builds(
     kind=st.sampled_from(TOPOLOGIES),
     keep_state=st.booleans(),
     decisions=st.lists(decisions, min_size=1, max_size=3).map(tuple),
-    cut=st.none() | st.integers(0, 5),
-    rewire=st.booleans(),
+    shortcut=st.none() | st.integers(0, 5),
     handover=st.sampled_from([None, "all", "own"]),
     reporter=st.integers(0, 2),
     entry=st.integers(0, 1),
@@ -188,12 +185,9 @@ def play(scenario: Scenario, *, reference: bool) -> list:
     observed = []
     last_pass = None
     for index, decision in enumerate(scenario.decisions):
-        if index == 1 and scenario.cut is not None:
-            links = switch_links(net)
-            left, right = links[scenario.cut % len(links)]
-            net.topology.remove_link(left, right)
-            if scenario.rewire:
-                net.connect(left, right)
+        if index == 1 and scenario.shortcut is not None:
+            pairs = unlinked_switch_pairs(net)
+            net.connect(*pairs[scenario.shortcut % len(pairs)])
         packet, _, _ = client.open_flow("http", "alice", SERVER_IP, decision.port, send=False)
         for ordinal, punter in enumerate(decision.punters):
             punt(net, names[punter % len(names)], packet, ordinal)
@@ -217,8 +211,8 @@ def play(scenario: Scenario, *, reference: bool) -> list:
     cookie = None
     if last_pass is not None:
         flow = FlowSpec.from_packet(last_pass)
-        # None while the flow is undecided: punted by a cut-off switch only,
-        # its queries still waiting for an answer that cannot come.
+        # None while the flow is undecided: its queries still waiting for
+        # an answer.
         cookie = next((r.cookie for r in controller.audit.records() if r.flow == flow), None)
     install = installer._installs.get(cookie)
     if install is not None:
@@ -226,8 +220,7 @@ def play(scenario: Scenario, *, reference: bool) -> list:
         plan = installer._hop_plan(flow)
         if scenario.reinstall and plan:
             # The last hop delivers straight to the server, so the
-            # re-punted packet sets off nothing further.  (No plan: the
-            # cut took the path away after this decision was installed.)
+            # re-punted packet sets off nothing further.
             punt(net, plan[-1][0].name, last_pass)
         entries = hop.flow_table.find(lambda e: e.cookie == cookie)
         gone = entries[scenario.entry % len(entries)]
@@ -235,8 +228,8 @@ def play(scenario: Scenario, *, reference: bool) -> list:
         hop._notify_removed(gone)
         net.run(duration=SETTLE)
         assert cookie not in installer
-        if scenario.cut is None:
-            # (A cut can reroute the re-install, and the registry then
+        if scenario.shortcut is None:
+            # (A shortcut can reroute the re-install, and the registry then
             # forgets the hop the old path alone crossed: its entry waits
             # for its own timeout, with either installer.)
             remaining = {
@@ -414,35 +407,28 @@ class TestPlanInvalidation:
             (net.host("client"), net.host("server"))
         ] is plan
 
-    def test_rewired_link_is_replanned(self):
-        # remove_link + add_link puts the s1-s2 link on fresh ports: a
-        # stale plan would forward into the unwired old ones.
+    def test_shortcut_path_is_replanned(self):
         net = build("line", keep_state=False)
         first, _ = decide(net)
-        net.topology.remove_link("s1", "s2")
-        net.connect("s1", "s2")
+        assert set(self.out_ports(net, first)) == {"s1", "s2", "s3"}
+        net.connect("s1", "s3")
         second, result = decide(net)
         assert result.delivered
-        expected = net.topology.egress_port("s1", "s2").number
-        assert self.out_ports(net, second)["s1"] == [f"output:{expected}"]
-        assert self.out_ports(net, first)["s1"] != self.out_ports(net, second)["s1"]
+        expected = net.topology.egress_port("s1", "s3").number
+        to_server = net.topology.egress_port("s3", "server").number
+        assert self.out_ports(net, second) == {"s1": [f"output:{expected}"], "s3": [f"output:{to_server}"]}
 
-    def test_rerouted_path_is_replanned(self):
-        net = build("spine-leaf", keep_state=False)
-        first, _ = decide(net)
-        assert set(self.out_ports(net, first)) == {"fabric-leaf0", "fabric-spine0", "fabric-leaf2"}
-        net.topology.remove_link("fabric-leaf0", "fabric-spine0")
-        second, result = decide(net)
-        assert result.delivered
-        assert set(self.out_ports(net, second)) == {"fabric-leaf0", "fabric-spine1", "fabric-leaf2"}
-
-    def test_partition_means_no_plan_and_a_flooded_release(self):
-        net = build("line", keep_state=False)
-        decide(net)
-        net.topology.remove_link("s2", "s3")
-        flow_mods = int(net.controller.flow_mods.value)
-        decide(net)
-        assert int(net.controller.flow_mods.value) == flow_mods
+    def test_no_path_means_no_plan_and_a_flooded_release(self):
+        net = IdentPPNetwork("install", policy_default_action="block")
+        net.add_host(
+            HostSpec(name="client", ip="192.168.0.10", users={"alice": ("users",)}),
+            switch=net.add_switch("s1"),
+        )
+        net.add_host(HostSpec(name="server", ip=SERVER_IP), switch=net.add_switch("s2"))
+        net.set_policy({"00.control": f"block all\npass from any to any port {WEB_PORT}\n"})
+        net.send_flow("client", "http", "alice", SERVER_IP, WEB_PORT)
+        assert [r.action for r in net.controller.audit.records()] == ["pass"]
+        assert int(net.controller.flow_mods.value) == 0
         flow = net.controller.audit.records()[-1].flow
         assert net.controller.installer._hop_plan(flow) == ()
 

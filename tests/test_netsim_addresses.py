@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import AddressError
-from repro.netsim.addresses import BROADCAST_MAC, IPv4Address, IPv4Network, MACAddress
+from repro.netsim.addresses import IPv4Address, IPv4Network, MACAddress
 from tests.reference_addresses import ReferenceIPv4Address, ReferenceMACAddress
 
 
@@ -64,16 +64,6 @@ class TestIPv4Address:
     def test_addition(self):
         assert IPv4Address("10.0.0.1") + 5 == IPv4Address("10.0.0.6")
 
-    def test_private_detection(self):
-        assert IPv4Address("192.168.1.1").is_private()
-        assert IPv4Address("10.1.2.3").is_private()
-        assert not IPv4Address("8.8.8.8").is_private()
-
-    def test_loopback_and_multicast(self):
-        assert IPv4Address("127.0.0.1").is_loopback()
-        assert IPv4Address("224.0.0.1").is_multicast()
-        assert not IPv4Address("192.168.0.1").is_multicast()
-
     @pytest.mark.parametrize("bad", ["", "1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "1.2.3.-1"])
     def test_invalid_strings_rejected(self, bad):
         with pytest.raises(AddressError):
@@ -108,17 +98,12 @@ class TestIPv4Network:
         assert IPv4Address("192.168.1.1") in network
         assert IPv4Address("192.168.1.2") not in network
 
-    def test_network_and_broadcast(self):
+    def test_network_address(self):
         network = IPv4Network("10.0.0.0/30")
         assert str(network.network_address) == "10.0.0.0"
-        assert str(network.broadcast_address) == "10.0.0.3"
 
     def test_base_address_masked(self):
         assert str(IPv4Network("192.168.1.77/24")) == "192.168.1.0/24"
-
-    def test_num_addresses(self):
-        assert IPv4Network("10.0.0.0/30").num_addresses() == 4
-        assert IPv4Network("0.0.0.0/0").num_addresses() == 2**32
 
     def test_hosts_excludes_network_and_broadcast(self):
         hosts = list(IPv4Network("10.0.0.0/30").hosts())
@@ -126,6 +111,20 @@ class TestIPv4Network:
 
     def test_hosts_for_point_to_point(self):
         assert len(list(IPv4Network("10.0.0.0/31").hosts())) == 2
+
+    @pytest.mark.parametrize("cidr, usable", [
+        ("10.0.0.0/24", 254), ("10.0.0.0/29", 6), ("10.0.0.8/29", 6), ("10.0.0.7/32", 1),
+    ])
+    def test_usable_host_count(self, cidr, usable):
+        hosts = list(IPv4Network(cidr).hosts())
+        assert len(hosts) == usable
+        assert all(host in IPv4Network(cidr) for host in hosts)
+
+    @pytest.mark.parametrize("prefix, mask", [
+        (0, 0), (8, 0xFF000000), (20, 0xFFFFF000), (32, 0xFFFFFFFF),
+    ])
+    def test_netmask_int(self, prefix, mask):
+        assert IPv4Network("0.0.0.0", prefix).netmask_int() == mask
 
     def test_network_containment(self):
         assert IPv4Network("192.168.1.0/24") in IPv4Network("192.168.0.0/16")
@@ -147,11 +146,21 @@ class TestIPv4Network:
     def test_zero_prefix_contains_everything(self):
         assert "255.255.255.255" in IPv4Network("0.0.0.0/0")
 
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=32),
+        st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=32),
+    )
+    def test_property_overlap_is_symmetric_and_follows_containment(self, a, a_len, b, b_len):
+        first = IPv4Network(f"{IPv4Address(a)}/{a_len}")
+        second = IPv4Network(f"{IPv4Address(b)}/{b_len}")
+        assert first.overlaps(second) == second.overlaps(first)
+        # Two prefixes overlap exactly when one contains the other.
+        assert first.overlaps(second) == (first in second or second in first)
+
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=32))
     def test_property_network_contains_its_own_base(self, value, prefix):
         network = IPv4Network(f"{IPv4Address(value)}/{prefix}")
         assert network.network_address in network
-        assert network.broadcast_address in network
 
 
 class TestMACAddress:
@@ -164,18 +173,19 @@ class TestMACAddress:
     def test_round_trip(self):
         assert str(MACAddress("aa:bb:cc:dd:ee:ff")) == "aa:bb:cc:dd:ee:ff"
 
-    def test_from_index_unique_and_unicast(self):
+    def test_from_index_unique(self):
         first = MACAddress.from_index(1)
         second = MACAddress.from_index(2)
         assert first != second
-        assert not first.is_multicast()
-
-    def test_broadcast(self):
-        assert BROADCAST_MAC.is_broadcast()
-        assert BROADCAST_MAC.is_multicast()
 
     def test_to_bytes_length(self):
         assert len(MACAddress("aa:bb:cc:dd:ee:ff").to_bytes()) == 6
+
+    @pytest.mark.parametrize("index", [0, 1, 2**32 - 1, 2**40 - 1])
+    def test_from_index_is_locally_administered_unicast(self, index):
+        first_octet = MACAddress.from_index(index).to_bytes()[0]
+        assert first_octet & 0x02  # locally administered
+        assert not first_octet & 0x01  # unicast
 
     @pytest.mark.parametrize("bad", ["", "aa:bb:cc", "zz:bb:cc:dd:ee:ff", "aabbccddeeff"])
     def test_invalid_rejected(self, bad):
@@ -291,9 +301,7 @@ class TestAgainstReference:
         assert orders(*new) == orders(*old)
         for a, b in zip(new, old):
             assert (str(a), repr(a), format(a, ""), f"{a}") == (str(b), repr(b), format(b, ""), f"{b}")
-            assert (a.to_int(), int(a), a.to_bytes(), a.is_broadcast(), a.is_multicast()) == (
-                b.to_int(), int(b), b.to_bytes(), b.is_broadcast(), b.is_multicast()
-            )
+            assert (a.to_int(), int(a), a.to_bytes()) == (b.to_int(), int(b), b.to_bytes())
             # The one difference, on purpose: the reference hashed a tuple.
             assert hash(a) == hash(a.to_int()) and hash(b) == hash(("MACAddress", b.to_int()))
 

@@ -62,7 +62,7 @@ class TestPorts:
         node.add_port(3)
         node.add_port(1)
         assert [p.number for p in node.ports()] == [1, 3]
-        assert node.port_count() == 2
+        assert len(list(node.ports())) == 2
         assert node.add_port().number == 4
         node.add_port(2)
         assert [p.number for p in node.ports()] == [1, 2, 3, 4]
@@ -72,7 +72,7 @@ class TestPorts:
         node.add_port()
         for port in node.ports():
             node.add_port()
-        assert node.port_count() == 2
+        assert len(list(node.ports())) == 2
 
 
 class TestLinks:
@@ -99,7 +99,7 @@ class TestLinks:
 
     def test_down_link_drops(self):
         sim, left, right, link = make_pair()
-        link.set_up(False)
+        link.up = False
         left.send(Packet(), left.port(1))
         sim.run()
         assert right.received == []

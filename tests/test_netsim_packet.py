@@ -1,11 +1,10 @@
-"""Tests for packets and their serialisation."""
+"""Tests for packets: construction, views and wire size."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.exceptions import PacketError
+from repro.netsim.addresses import IPv4Address, MACAddress
 from repro.netsim.packet import (
-    ETH_TYPE_IP,
     IP_PROTO_TCP,
     IP_PROTO_UDP,
     Packet,
@@ -39,8 +38,7 @@ class TestPacketConstruction:
 
     def test_udp_constructor(self):
         packet = Packet.udp("10.0.0.1", "10.0.0.2", 53, 53)
-        assert packet.is_udp()
-        assert packet.ip_proto == IP_PROTO_UDP
+        assert packet.is_ip() and packet.ip_proto == IP_PROTO_UDP
 
     def test_proto_accepts_name(self):
         packet = Packet(ip_src="1.1.1.1", ip_dst="2.2.2.2", ip_proto="udp")
@@ -69,13 +67,6 @@ class TestPacketViews:
         src, dst, proto, sport, dport = packet.five_tuple()
         assert (str(src), str(dst), proto, sport, dport) == ("10.0.0.1", "10.0.0.2", 6, 1111, 80)
 
-    def test_reply_template_swaps_everything(self):
-        packet = Packet.tcp("10.0.0.1", "10.0.0.2", 1111, 80)
-        reply = packet.reply_template()
-        assert str(reply.ip_src) == "10.0.0.2"
-        assert str(reply.ip_dst) == "10.0.0.1"
-        assert reply.tp_src == 80 and reply.tp_dst == 1111
-
     def test_copy_gets_new_id_and_independent_metadata(self):
         packet = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 2, metadata={"k": "v"})
         clone = packet.copy()
@@ -87,6 +78,28 @@ class TestPacketViews:
         packet = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 2)
         clone = packet.copy(tp_dst=443)
         assert clone.tp_dst == 443 and packet.tp_dst == 2
+
+
+    def test_addresses_are_normalised_on_construction(self):
+        packet = Packet(eth_src="02:00:00:00:00:01", ip_src="10.0.0.1", ip_dst=167772162)
+        assert packet.eth_src == MACAddress("02:00:00:00:00:01")
+        assert isinstance(packet.ip_src, IPv4Address) and isinstance(packet.ip_dst, IPv4Address)
+        assert packet.ip_dst == IPv4Address("10.0.0.2")
+
+    def test_udp_packet_is_ip_but_not_tcp(self):
+        packet = Packet.udp("10.0.0.1", "10.0.0.2", 53, 53)
+        assert packet.is_ip() and not packet.is_tcp()
+        assert packet.proto_name() == "udp"
+
+    def test_ip_packet_renders_its_endpoints(self):
+        packet = Packet.tcp("10.0.0.1", "10.0.0.2", 1111, 80)
+        assert str(packet) == f"tcp 10.0.0.1:1111 -> 10.0.0.2:80 ({packet.wire_size()}B)"
+
+    @pytest.mark.parametrize("payload, encoded", [
+        (b"\x00raw", b"\x00raw"), ("ident++", b"ident++"), ("\u00e9", "\u00e9".encode("utf-8")), (42, b"42"),
+    ])
+    def test_payload_bytes(self, payload, encoded):
+        assert Packet.tcp("1.1.1.1", "2.2.2.2", 1, 2, payload=payload).payload_bytes() == encoded
 
 
 class TestWireSize:
@@ -107,35 +120,9 @@ class TestWireSize:
         tagged = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 2, payload_size=200, vlan_id=5)
         assert tagged.wire_size() == untagged.wire_size() + 4
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        packet = Packet.tcp("10.1.2.3", "10.3.2.1", 1234, 80, payload="identpp")
-        restored = Packet.deserialize(packet.serialize())
-        assert restored.five_tuple() == packet.five_tuple()
-        assert restored.payload == b"identpp"
-
-    def test_truncated_data_rejected(self):
-        with pytest.raises(PacketError):
-            Packet.deserialize(b"\x00" * 10)
-
-    def test_truncated_payload_rejected(self):
-        data = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 2, payload="long payload").serialize()
-        with pytest.raises(PacketError):
-            Packet.deserialize(data[:-4])
-
-    @given(
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=0, max_value=65535),
-        st.integers(min_value=0, max_value=65535),
-        st.binary(max_size=64),
-    )
-    def test_property_round_trip(self, src, dst, sport, dport, payload):
-        packet = Packet(
-            ip_src=src, ip_dst=dst, ip_proto=IP_PROTO_TCP,
-            tp_src=sport, tp_dst=dport, payload=payload, eth_type=ETH_TYPE_IP,
-        )
-        restored = Packet.deserialize(packet.serialize())
-        assert restored.five_tuple() == packet.five_tuple()
-        assert restored.payload_bytes() == payload
+    def test_a_copy_measures_its_own_size(self):
+        packet = Packet.tcp("1.1.1.1", "2.2.2.2", 1, 2, payload_size=200)
+        measured = packet.wire_size()
+        bigger = packet.copy(payload_size=400)
+        assert bigger.wire_size() == measured + 200
+        assert packet.wire_size() == measured

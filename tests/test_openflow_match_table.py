@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 from repro.exceptions import FlowTableError, MatchError
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.packet import IP_PROTO_TCP, Packet
-from repro.openflow.actions import DropAction, OutputAction, describe_actions, is_drop
+from repro.openflow.actions import DropAction, OutputAction, describe_actions
 from repro.openflow.flow_table import FlowEntry, FlowTable, make_entry
 from repro.openflow.match import MATCH_FIELDS, Match
 from tests.reference_flow_table import ReferenceFlowTable
@@ -28,15 +28,15 @@ def tcp_packet(src="10.0.0.1", dst="10.0.0.2", sport=1234, dport=80):
 
 class TestMatch:
     def test_wildcard_matches_everything(self):
-        assert Match.wildcard().matches(tcp_packet())
-        assert Match.wildcard().matches(Packet(eth_type=0x0806))
+        assert Match().matches(tcp_packet())
+        assert Match().matches(Packet(eth_type=0x0806))
 
     def test_exact_match_from_packet(self):
         packet = tcp_packet()
         match = Match.from_packet(packet, in_port=3)
         assert match.matches(packet, in_port=3)
         assert not match.matches(packet, in_port=4)
-        assert match.is_exact()
+        assert match.specificity() == len(MATCH_FIELDS)
 
     def test_five_tuple_match_ignores_l2(self):
         packet = tcp_packet()
@@ -57,7 +57,7 @@ class TestMatch:
         assert not match.matches(Packet(eth_type=0x0806))
 
     def test_specificity_counts_fields(self):
-        assert Match.wildcard().specificity() == 0
+        assert Match().specificity() == 0
         assert Match(tp_dst=80, nw_proto=6).specificity() == 2
 
     def test_invalid_port_rejected(self):
@@ -69,13 +69,13 @@ class TestMatch:
         narrow = Match(nw_dst="10.1.0.0/16")
         assert broad.covers(narrow)
         assert not narrow.covers(broad)
-        assert Match.wildcard().covers(narrow)
+        assert Match().covers(narrow)
         exact = Match(nw_dst="10.1.2.3", tp_dst=80)
         assert broad.covers(exact)
         assert not Match(tp_dst=22).covers(exact)
 
     def test_string_form(self):
-        assert str(Match.wildcard()) == "Match(*)"
+        assert str(Match()) == "Match(*)"
         assert "tp_dst=80" in str(Match(tp_dst=80))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=65535))
@@ -88,11 +88,6 @@ class TestActions:
     def test_describe(self):
         assert describe_actions([OutputAction(3)]) == "output:3"
         assert describe_actions([]) == "drop(implicit)"
-
-    def test_is_drop(self):
-        assert is_drop([])
-        assert is_drop([DropAction()])
-        assert not is_drop([OutputAction(1)])
 
 
 class TestFlowTable:
@@ -229,7 +224,7 @@ class TestMatchDerivedViews:
         assert match == Match(tp_dst=80) and hash(match) == hash(Match(tp_dst=80))
         wider = dataclasses.replace(match, nw_proto=6)
         assert wider.shape == (MATCH_FIELDS.index("nw_proto"), MATCH_FIELDS.index("tp_dst"))
-        assert wider.specificity() == 2 and not wider.is_exact()
+        assert wider.specificity() == 2
 
 
 class TestFlowTableIndexes:

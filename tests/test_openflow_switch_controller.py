@@ -213,17 +213,6 @@ class TestControllerBase:
         # fail-secure switch dropped the packet instead
         assert [record.event for record in switch.trace] == ["drop"]
 
-    def test_broadcast_flow(self):
-        controller = RecordingController()
-        topo = Topology()
-        switches = [topo.add_node(OpenFlowSwitch(f"sw{i}")) for i in range(3)]
-        controller.attach(topo.sim)
-        for switch in switches:
-            controller.register_switch(switch)
-        controller.broadcast_flow(Match(tp_dst=80), [DropAction()])
-        topo.run()
-        assert all(len(switch.flow_table) == 1 for switch in switches)
-
     def test_counters(self):
         def install(controller, message):
             controller.install_flow(message.switch, Match.from_packet(message.packet),

@@ -25,13 +25,27 @@ A control message is the same kind of cost on the control path: a type a
 switch or controller dispatches on is a branch every message passes.
 Each ``ControlMessage`` subclass must be constructed at one of those
 call sites too.
+
+A definition is the general case: every function, method and class in
+``src/repro`` (dunders aside) must be named outside the tests, or it is
+code only the tests run.  A name counts where it is used as a name or
+an attribute, or as a word of a string literal that is not a docstring
+(``perf/tracing.py`` wraps methods it names in strings), in the same
+directories plus ``tools/`` (not its lint fixtures), the Makefile and the
+CI workflows; a use inside the definition itself does not count, and
+neither does an import, an ``__all__`` entry or a docstring.  Matching
+is by name, so it is coarse: a definition stays alive while anything
+else shares its name.  ``ALLOWLIST`` holds the few test-only readings
+that no public name replaces, each with its reason.
 """
 
 import ast
 import dataclasses
 import functools
 import inspect
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -112,10 +126,15 @@ def keywords_in(trees) -> dict[str, set[str]]:
 
 
 @functools.cache
+def parsed(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@functools.cache
 def scanned_trees() -> tuple[ast.AST, ...]:
     """Every ``.py`` file of the scanned directories, parsed."""
     return tuple(
-        ast.parse(path.read_text(), filename=str(path))
+        parsed(path)
         for directory in SCANNED
         for path in sorted((REPO_ROOT / directory).rglob("*.py"))
     )
@@ -375,3 +394,254 @@ def test_a_message_only_the_tests_send_is_named():
         "if isinstance(message, StatsRequest): reply = PortStatsReply(switch=self)\n"
     )
     assert unsent_messages([ast.parse(source)]) == ["StatsRequest"]
+
+
+# ----------------------------------------------------------------------
+# Definitions
+# ----------------------------------------------------------------------
+
+DEFINED_IN = "src/repro"
+#: Besides ``SCANNED``: the repo's tools, minus the lint's test data.
+TOOLS, TOOL_FIXTURES = "tools", "tools/analysis/fixtures"
+
+#: qualname -> why a definition with no caller outside the tests stays.
+ALLOWLIST = {
+    "QueryEngine.is_subscribed": (
+        "a side-effect-free reading of the push subscriptions that the push-plane "
+        "and failover tests assert on; no other public name gives it"
+    ),
+    "IdentPPDaemon.subscriber_count": (
+        "a side-effect-free reading of the daemon's subscribers that the push-plane "
+        "and failover tests assert on; no other public name gives it"
+    ),
+    "QueryOutcome.succeeded": (
+        "a side-effect-free reading of whether some party answered a query; the "
+        "client, engine and decision-core tests assert on it"
+    ),
+    "RuntimeKeyRegistry.publish_for_flow": (
+        "the per-flow runtime pairs of §3.5: answer() and answer_is_shareable() read "
+        "them, and the identity-plane differential generates them"
+    ),
+}
+ALLOWLIST_LIMIT = 6
+
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+class Definition(NamedTuple):
+    qualname: str
+    path: str
+    first: int
+    last: int
+
+    @property
+    def name(self) -> str:
+        return self.qualname.rpartition(".")[2]
+
+    def __str__(self) -> str:
+        return f"{self.qualname} ({self.path}:{self.first})"
+
+
+def definitions_in(tree: ast.AST, path: str) -> list[Definition]:
+    """Every function, method and class of ``tree`` (nested ones too), dunders aside."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = prefix + node.name
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    found.append(Definition(qualname, path, first, node.end_lineno))
+                visit(node.body, qualname + ".")
+
+    visit(tree.body, "")
+    return found
+
+
+def uses_in(tree: ast.AST, path: str):
+    """``(name, path, line)`` of every use of a name in ``tree``.
+
+    A use is an ``ast.Name``, an ``ast.Attribute``'s attribute, or a
+    word of a string literal that is neither a docstring nor part of an
+    ``__all__`` assignment.  An import binds a name and uses none.
+    """
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                skipped.add(id(body[0].value))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+                skipped.update(id(inner) for inner in ast.walk(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, path, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, path, node.end_lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in skipped):
+            for word in WORD.findall(node.value):
+                yield word, path, node.lineno
+
+
+def text_uses(text: str, path: str):
+    """``(word, path, line)`` of every word of a file read as plain text."""
+    for line_number, line in enumerate(text.splitlines(), 1):
+        for word in WORD.findall(line):
+            yield word, path, line_number
+
+
+def uses_by_name(uses) -> dict[str, list[tuple[str, int]]]:
+    by_name: dict[str, list[tuple[str, int]]] = {}
+    for name, path, line in uses:
+        by_name.setdefault(name, []).append((path, line))
+    return by_name
+
+
+def uncalled(defined: list[Definition], used: dict[str, list[tuple[str, int]]]) -> list[Definition]:
+    """The definitions no use names, a use inside the definition itself aside."""
+    return [
+        definition for definition in defined
+        if all(
+            path == definition.path and definition.first <= line <= definition.last
+            for path, line in used.get(definition.name, ())
+        )
+    ]
+
+
+def stale_entries(allowlist, defined: list[Definition], uncalled_now: list[Definition]) -> list[str]:
+    """Allowlist entries that name no definition, or one that has a caller now."""
+    qualnames = {definition.qualname for definition in defined}
+    orphaned = {definition.qualname for definition in uncalled_now}
+    stale = []
+    for qualname in allowlist:
+        if qualname not in qualnames:
+            stale.append(f"{qualname} (no such definition)")
+        elif qualname not in orphaned:
+            stale.append(f"{qualname} (has a caller now)")
+    return stale
+
+
+def relative(path: Path) -> str:
+    return path.relative_to(REPO_ROOT).as_posix()
+
+
+@functools.cache
+def repo_definitions() -> list[Definition]:
+    return [
+        definition
+        for path in sorted((REPO_ROOT / DEFINED_IN).rglob("*.py"))
+        for definition in definitions_in(parsed(path), relative(path))
+    ]
+
+
+@functools.cache
+def repo_uses() -> dict[str, list[tuple[str, int]]]:
+    sources = [
+        path
+        for directory in (*SCANNED, TOOLS)
+        for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+        if not relative(path).startswith(TOOL_FIXTURES + "/")
+    ]
+    # Read as plain text: the CI lint job's heredoc calls ``shadow_replay``.
+    texts = [REPO_ROOT / "Makefile", *sorted((REPO_ROOT / ".github/workflows").glob("*.yml"))]
+
+    def every_use():
+        for path in sources:
+            yield from uses_in(parsed(path), relative(path))
+        for path in texts:
+            yield from text_uses(path.read_text(), relative(path))
+
+    return uses_by_name(every_use())
+
+
+def uncalled_report(offenders: list[Definition]) -> str:
+    return "\n".join(f"  {offender}" for offender in offenders)
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    offenders = [
+        definition for definition in uncalled(repo_definitions(), repo_uses())
+        if definition.qualname not in ALLOWLIST
+    ]
+    assert not offenders, (
+        f"{len(offenders)} definitions in {DEFINED_IN}/ that nothing outside the tests "
+        f"names:\n{uncalled_report(offenders)}\nDelete each, or give it its caller."
+    )
+
+
+def test_the_allowlist_is_short_and_current():
+    assert len(ALLOWLIST) <= ALLOWLIST_LIMIT
+    assert all(reason.strip() for reason in ALLOWLIST.values())
+    stale = stale_entries(ALLOWLIST, repo_definitions(), uncalled(repo_definitions(), repo_uses()))
+    assert not stale, f"allowlist entries to drop: {', '.join(stale)}"
+
+
+PLANTED = '''"""A module that mentions orphan() in its docstring."""
+from elsewhere import imported
+
+__all__ = ["Planted", "orphan"]
+
+
+def orphan():
+    """Calls itself: a use inside the definition does not count."""
+    return orphan()
+
+
+class Planted:
+    def method(self):
+        return self.helper()
+
+    def helper(self):
+        return "calls named_by_string()"
+
+    def __len__(self):
+        return 0
+
+
+def named_by_string():
+    pass
+
+
+Planted().method()
+'''
+
+
+def planted_offenders(source: str, allowlist=()) -> list[Definition]:
+    tree = ast.parse(source)
+    offenders = uncalled(definitions_in(tree, "planted.py"), uses_by_name(uses_in(tree, "planted.py")))
+    return [offender for offender in offenders if offender.qualname not in allowlist]
+
+
+def test_a_planted_definition_with_no_caller_is_named_with_its_place():
+    offenders = planted_offenders(PLANTED)
+    assert [offender.qualname for offender in offenders] == ["orphan"]
+    assert uncalled_report(offenders) == "  orphan (planted.py:7)"
+
+
+def test_an_import_an_all_entry_and_a_docstring_are_no_callers():
+    tree = ast.parse(PLANTED)
+    used = uses_by_name(uses_in(tree, "planted.py"))
+    assert "imported" not in used
+    assert [line for _, line in used["orphan"]] == [9]  # its own body only
+    assert "named_by_string" in used and "helper" in used
+
+
+def test_a_stale_allowlist_entry_is_named():
+    tree = ast.parse(PLANTED)
+    defined = definitions_in(tree, "planted.py")
+    orphaned = uncalled(defined, uses_by_name(uses_in(tree, "planted.py")))
+    allowlist = {"orphan": "kept", "Planted.method": "has a caller", "Gone.method": "deleted"}
+    assert stale_entries(allowlist, defined, orphaned) == [
+        "Planted.method (has a caller now)", "Gone.method (no such definition)",
+    ]
+    assert planted_offenders(PLANTED, allowlist) == []
+
+
+def test_a_word_in_a_text_caller_counts():
+    used = uses_by_name(text_uses("run:\n  python -c 'from m import shadow_replay'\n", "ci.yml"))
+    assert used["shadow_replay"] == [("ci.yml", 2)]

@@ -111,8 +111,6 @@ class TestRing:
         assert [record.time for record in trace] == [2.0, 3.0, 4.0, 5.0]
         assert [record.time for record in trace.filter(where="sw1")] == [3.0, 5.0]
         assert trace.filter(event="forward", predicate=lambda r: r.time > 3)[0].time == 4.0
-        assert trace.flows_seen() == {packet.five_tuple() for packet in packets[2:]}
-        assert trace.bytes_observed(event="forward") == sum(p.wire_size() for p in packets[2:5])
         assert trace.summary() == {"forward": 3, "drop": 1}
         trace.clear()
         assert (len(trace), trace.dropped, trace.summary()) == (0, 0, {})

@@ -20,7 +20,7 @@ from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
 from repro.pf.evaluator import PolicyEvaluator
 from repro.pf.parser import parse_ruleset
-from repro.pf.ruleset import build_ruleset
+from repro.pf.tables import TableSet
 from repro.workloads.paper_configs import (
     RESEARCH_REQUIREMENTS,
     THUNDERBIRD_REQUIREMENTS,
@@ -30,6 +30,7 @@ from repro.workloads.paper_configs import (
     figure8_control_files,
 )
 from tests.reference_evaluator import reference_evaluate
+from tests.test_pf_language import ruleset_of
 
 
 def doc(*sections: dict) -> ResponseDocument:
@@ -290,7 +291,7 @@ class TestE10bRulesetParity:
 
 class TestPaperFigureParity:
     def figure2_evaluator(self) -> PolicyEvaluator:
-        return PolicyEvaluator(build_ruleset(figure2_control_files()), default_action="block")
+        return PolicyEvaluator(ruleset_of(figure2_control_files()), default_action="block")
 
     def test_figure2_grid(self):
         evaluator = self.figure2_evaluator()
@@ -311,7 +312,7 @@ class TestPaperFigureParity:
                             assert_parity(evaluator, flow, src_doc, dst_doc)
 
     def test_figure8_grid(self):
-        evaluator = PolicyEvaluator(build_ruleset(figure8_control_files()), default_action="block")
+        evaluator = PolicyEvaluator(ruleset_of(figure8_control_files()), default_action="block")
         for dst_ip in ("192.168.1.40", "10.0.0.1"):
             for port in (445, 139, 80):
                 flow = FlowSpec.tcp("192.168.0.10", dst_ip, 40000, port)
@@ -333,11 +334,11 @@ class TestPaperFigureParity:
 
         research = signed(RESEARCH_REQUIREMENTS, name="research-app", groupID="research")
         figure5 = PolicyEvaluator(
-            build_ruleset(figure5_research_control(signer.public_key_hex)), default_action="block"
+            ruleset_of(figure5_research_control(signer.public_key_hex)), default_action="block"
         )
         thunderbird = signed(THUNDERBIRD_REQUIREMENTS, name="thunderbird", **{"rule-maker": "Secur"})
         figure7 = PolicyEvaluator(
-            build_ruleset(figure7_secur_control(signer.public_key_hex)), default_action="block"
+            ruleset_of(figure7_secur_control(signer.public_key_hex)), default_action="block"
         )
         inside = FlowSpec.tcp("192.168.2.10", "192.168.2.20", 40000, 9000)
         production = FlowSpec.tcp("192.168.2.10", "192.168.3.20", 40000, 9000)
@@ -422,7 +423,9 @@ pass from any to 203.0.113.7 with allowed(@src[requirements])
         outside = FlowSpec.tcp("192.168.7.7", "2.2.2.2", 1, 2)
         assert evaluator.evaluate(inside, None, None).is_pass
         assert not evaluator.evaluate(outside, None, None).is_pass
-        evaluator.tables.add_table("lan", ["192.168.0.0/16"])
+        evaluator.tables.merge(
+            TableSet.from_definitions(parse_ruleset("table <lan> { 192.168.0.0/16 }").tables())
+        )
         assert_parity(evaluator, inside)
         assert_parity(evaluator, outside)
         assert evaluator.evaluate(outside, None, None).is_pass

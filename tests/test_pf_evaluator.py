@@ -290,13 +290,13 @@ class TestDelegatedParseMemo:
         text = "table <lan> { 8.8.8.8 } block all pass from <lan> to any"
         dst = doc({"requirements": text})
         shared = _parse_delegated(text).ruleset
-        before = (shared.to_text(), list(shared.statements))
+        before = ([str(s) for s in shared.statements], list(shared.statements))
         outer_lan = "table <lan> { 192.168.0.0/24 }\n" + self.POLICY
         for _ in range(2):
             assert evaluate(outer_lan, FLOW, None, dst).is_pass
             assert not evaluate(self.POLICY, FLOW, None, dst).is_pass
         assert _parse_delegated(text).ruleset is shared
-        assert shared.to_text() == before[0]
+        assert [str(s) for s in shared.statements] == before[0]
         assert all(now is then for now, then in zip(shared.statements, before[1]))
         assert [str(n) for n in PolicyEvaluator(shared).tables.resolve("lan").networks] == ["8.8.8.8/32"]
 

@@ -16,9 +16,17 @@ from repro.pf.ast_nodes import (
 )
 from repro.pf.lexer import WORD, tokenize
 from repro.pf.parser import parse_ruleset
-from repro.pf.ruleset import RulesetLoader, build_ruleset
+from repro.pf.ruleset import RulesetLoader
 from repro.pf.tables import TableSet
 from repro.workloads import paper_configs
+
+
+def ruleset_of(files: dict[str, str]):
+    """Concatenate ``{file name: contents}`` the way the controller's loader does."""
+    loader = RulesetLoader()
+    for name, text in files.items():
+        loader.add_file(name, text)
+    return loader.build()
 
 
 class TestLexer:
@@ -166,29 +174,27 @@ class TestPaperListingsParse:
         assert "mail-server" in ruleset.tables()
 
     def test_figure2_files(self):
-        loader = RulesetLoader()
-        loader.add_files(paper_configs.figure2_control_files())
-        ruleset = loader.build()
+        ruleset = ruleset_of(paper_configs.figure2_control_files())
         assert len(ruleset.rules()) == 7
         assert set(ruleset.tables()) == {"server", "lan", "int_hosts", "skype_update"}
         assert ruleset.macros()["allowed"] == "{ http ssh }"
 
     def test_figure5_files(self):
         files = paper_configs.figure5_research_control("10001.abcdef", "10001.123456")
-        ruleset = build_ruleset(files)
+        ruleset = ruleset_of(files)
         assert ruleset.dicts()["pubkeys"].entries["research"] == "10001.abcdef"
         assert ruleset.dicts()["pubkeys"].entries["admin"] == "10001.123456"
         delegation_rule = ruleset.rules()[-1]
         assert {c.name for c in delegation_rule.conditions} == {"member", "allowed", "verify"}
 
     def test_figure7_files(self):
-        ruleset = build_ruleset(paper_configs.figure7_secur_control("10001.abcdef"))
+        ruleset = ruleset_of(paper_configs.figure7_secur_control("10001.abcdef"))
         rule = ruleset.rules()[-1]
         assert rule.is_pass
         assert [c.name for c in rule.conditions] == ["eq", "allowed", "verify"]
 
     def test_figure8_files(self):
-        ruleset = build_ruleset(paper_configs.figure8_control_files())
+        ruleset = ruleset_of(paper_configs.figure8_control_files())
         rule = ruleset.rules()[-1]
         assert "includes" in {c.name for c in rule.conditions}
 
@@ -221,23 +227,29 @@ class TestTables:
         with pytest.raises(PFEvalError):
             tables.resolve("a")
 
-    def test_add_table_directly(self):
-        tables = TableSet()
-        tables.add_table("lan", ["10.0.0.0/8", "192.168.0.1"])
-        assert tables.contains("lan", "10.1.2.3")
-        assert tables.contains("lan", "192.168.0.1")
-
     def test_merge(self):
-        first = TableSet()
-        first.add_table("a", ["10.0.0.0/8"])
-        second = TableSet()
-        second.add_table("b", ["192.168.0.0/16"])
+        first = TableSet.from_definitions(parse_ruleset("table <a> { 10.0.0.0/8 }").tables())
+        second = TableSet.from_definitions(parse_ruleset("table <b> { 192.168.0.0/16 }").tables())
         first.merge(second)
         assert first.contains("b", "192.168.1.1")
 
+    def test_merge_lets_the_other_definition_win_and_bumps_the_version(self):
+        tables = TableSet.from_definitions(parse_ruleset("table <lan> { 10.0.0.0/8 }").tables())
+        assert tables.contains("lan", "10.1.1.1")
+        version = tables.version
+        tables.merge(TableSet.from_definitions(parse_ruleset("table <lan> { 192.168.0.0/16 }").tables()))
+        assert tables.version == version + 1
+        assert tables.contains("lan", "192.168.1.1")
+        assert not tables.contains("lan", "10.1.1.1")
+        assert tables.names() == ["lan"] and tables.has_table("lan") and not tables.has_table("wan")
+
+    def test_bad_address_in_a_table_is_an_evaluation_error(self):
+        tables = TableSet.from_definitions(parse_ruleset("table <lan> { 10.0.0.0/99 }").tables())
+        with pytest.raises(PFEvalError):
+            tables.resolve("lan")
+
     def test_non_address_membership_is_false(self):
-        tables = TableSet()
-        tables.add_table("lan", ["10.0.0.0/8"])
+        tables = TableSet.from_definitions(parse_ruleset("table <lan> { 10.0.0.0/8 }").tables())
         assert not tables.resolve("lan").contains("not-an-ip")
 
 
@@ -250,29 +262,31 @@ class TestRulesetLoader:
         rules = loader.build().rules()
         assert [r.action for r in rules] == ["pass", "block"]
 
+    def test_get_accepts_the_name_with_or_without_extension(self):
+        loader = RulesetLoader()
+        control_file = loader.add_file("00-a", "pass all")
+        assert control_file.name == "00-a.control"
+        assert loader.get("00-a") is control_file
+        assert loader.get("00-a.control") is control_file
+        assert loader.get("ghost") is None
+
+    def test_re_adding_an_equal_file_keeps_the_registered_one(self):
+        loader = RulesetLoader()
+        first = loader.add_file("00-a", "pass all")
+        assert loader.add_file("00-a", "pass all") is first
+        assert loader.add_file("00-a", "pass all", provenance="delegated") is not first
+
+    def test_build_names_its_parts_in_order(self):
+        loader = RulesetLoader()
+        loader.add_file("10-b", "block all")
+        loader.add_file("00-a", "pass all")
+        ruleset = loader.build()
+        assert ruleset.name == "00-a.control+10-b.control"
+        assert [part.name for part in ruleset.parts] == ["00-a.control", "10-b.control"]
+
     def test_replacing_a_file(self):
         loader = RulesetLoader()
         loader.add_file("00-a", "pass all")
         loader.add_file("00-a", "block all")
         assert len(loader) == 1
         assert loader.build().rules()[0].action == "block"
-
-    def test_remove_file(self):
-        loader = RulesetLoader()
-        loader.add_file("50-vendor", "pass all")
-        assert loader.remove_file("50-vendor")
-        assert not loader.remove_file("50-vendor")
-        assert len(loader.build().rules()) == 0
-
-    def test_load_directory(self, tmp_path):
-        (tmp_path / "00-a.control").write_text("block all\n")
-        (tmp_path / "50-b.control").write_text("pass all\n")
-        (tmp_path / "notes.txt").write_text("ignored\n")
-        loader = RulesetLoader()
-        assert loader.load_directory(str(tmp_path)) == 2
-        assert [r.action for r in loader.build().rules()] == ["block", "pass"]
-
-    def test_load_missing_directory(self, tmp_path):
-        from repro.exceptions import PolicyError
-        with pytest.raises(PolicyError):
-            RulesetLoader().load_directory(str(tmp_path / "missing"))

@@ -24,9 +24,12 @@ from repro.exceptions import PFError, PolicyError, ReproError
 from repro.identpp.flowspec import FlowSpec
 from repro.pf import ruleset as ruleset_module
 from repro.pf.evaluator import PolicyEvaluator
-from repro.pf.ruleset import ControlFile, RulesetLoader, build_ruleset
+from repro.pf.parser import parse_ruleset
+from repro.pf.ruleset import ControlFile, RulesetLoader
+from repro.pf.tables import TableSet
 from tests.test_cluster_network import build_cluster_network
 from tests.test_pf_compiler_parity import documents, rules, rulesets, tcp_flows
+from tests.test_pf_language import ruleset_of
 
 FILES = {
     "00-header.control": "block all\n",
@@ -86,7 +89,7 @@ class TestParsedOncePerContent:
         engine.add_control_files({**FILES, "50-vendor.control": "pass from any to any port 443\n"})
         assert engine.rule_count() == 3
         assert parsed == ["50-vendor.control"]
-        assert "port 443" in engine.evaluator.ruleset.to_text()
+        assert any("port 443" in str(rule) for rule in engine.evaluator.ruleset.rules())
 
     def test_a_changed_provenance_is_a_changed_file(self, parsed):
         loader = RulesetLoader()
@@ -94,16 +97,6 @@ class TestParsedOncePerContent:
         assert loader.add_file("50-vendor.control", first.text) is first
         vendor = loader.add_file("50-vendor.control", first.text, provenance="vendor")
         assert vendor is not first and loader.get("50-vendor").provenance == "vendor"
-
-    def test_removed_then_added_is_parsed_again(self, parsed):
-        engine = PolicyEngine()
-        engine.add_control_files(FILES)
-        engine.rebuild()
-        del parsed[:]
-        assert engine.remove_control_file("50-vendor.control")
-        assert engine.rule_count() == 2 and parsed == []
-        engine.add_control_file("50-vendor.control", FILES["50-vendor.control"])
-        assert engine.rule_count() == 3 and parsed == ["50-vendor.control"]
 
     def test_a_file_that_does_not_parse_raises_on_every_rebuild(self, parsed):
         engine = PolicyEngine()
@@ -166,7 +159,7 @@ class TestCompiledOncePerContent:
         engine.add_control_files(FILES)
         evaluator = engine.evaluator
         first = evaluator.compiled
-        evaluator.tables.add_table("lan", ["10.0.0.0/8"])
+        evaluator.tables.merge(TableSet.from_definitions(parse_ruleset("table <lan> { 10.0.0.0/8 }").tables()))
         assert evaluator.compiled is not first and evaluator.compiled.rules_compiled == 3
 
     def test_a_quarantine_compiles_only_its_own_file(self, compiled):
@@ -233,7 +226,7 @@ def _assert_same_verdicts(memoised, scratch, flows, src, dst):
 
 
 _names = st.sampled_from(["00-header", "50-vendor.control", "60-extra", "99-footer.control"])
-_operations = st.lists(st.tuples(_names, st.none() | rulesets), min_size=1, max_size=6)
+_operations = st.lists(st.tuples(_names, rulesets), min_size=1, max_size=6)
 
 #: Header definitions the vendor file's rules read, each in two versions.
 HEADER_DEFINITIONS = (
@@ -258,14 +251,10 @@ class TestMemoisedLoaderDifferential:
         files = {}
         for name, text in operations:
             full_name = name if name.endswith(".control") else name + ".control"
-            if text is None:
-                assert loader.remove_file(name) == (files.pop(full_name, None) is not None)
-            else:
-                loader.add_file(name, text)
-                files[full_name] = text
-            memoised, scratch = loader.build(), build_ruleset(files)
+            loader.add_file(name, text)
+            files[full_name] = text
+            memoised, scratch = loader.build(), ruleset_of(files)
             assert memoised.name == scratch.name
-            assert memoised.to_text() == scratch.to_text()
             assert memoised.statements == scratch.statements  # content, origins and lines
             _assert_same_verdicts(memoised, scratch, flows, src, dst)
 
@@ -284,7 +273,7 @@ class TestMemoisedLoaderDifferential:
         for header in headers:
             loader.add_file("00-header", header)
             files = {"00-header.control": header, "50-vendor.control": vendor}
-            _assert_same_verdicts(loader.build(), build_ruleset(files), flows, src, dst)
+            _assert_same_verdicts(loader.build(), ruleset_of(files), flows, src, dst)
 
 
 class TestClusterReloadParsesOnce:

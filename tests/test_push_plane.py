@@ -182,6 +182,12 @@ def make_engine(topo, *, ttl=5.0, push=True, **kwargs):
     return QueryEngine(QueryClient(topo), ttl=ttl, name="eng", push=push, **kwargs)
 
 
+def patch_host(daemon):
+    """Change a host-level fact the way an administrator would: edit, then invalidate."""
+    daemon.host_facts["os-patch"] = "MS08-067"
+    daemon.notify_invalidation("host-fact")
+
+
 def count_deltas(engine):
     """Record every delta ``engine`` handles (before it hooks any daemon)."""
     seen = []
@@ -256,7 +262,7 @@ class TestEnginePush:
         topo.sim.run(until=topo.sim.now + 1.0)  # let the fill's round trip land
         assert engine.stats()["resident_entries"] == 1
 
-        daemon.set_host_fact("os-patch", "MS08-067")
+        patch_host(daemon)
         # A punt landing mid-refresh coalesces onto the re-prime the
         # delta already put on the wire — never the pre-delta answer,
         # and not counted as a resident hit until it has arrived.
@@ -339,7 +345,7 @@ class TestEnginePush:
         push.query(flow_to_server(), "dst", from_node=switch)
         serials = []
         for change in (
-            lambda: daemon.set_host_fact("os-patch", "MS08-067"),
+            lambda: patch_host(daemon),
             lambda: daemon.runtime.publish_for_process(next(iter(server.processes)), {"k": "v"}),
         ):
             # The pull engine holds an answer (so it listens) when the
@@ -419,7 +425,7 @@ class TestEnginePush:
         records = first.export_push_state()
 
         # A delta lands in the hand-off gap: the exported serial is stale.
-        daemon.set_host_fact("os-patch", "MS08-067")
+        patch_host(daemon)
 
         second = make_engine(topo)
         assert second.adopt_push_state(records) == 1
@@ -451,7 +457,7 @@ class TestEnginePush:
         assert daemon.subscriber_count() == 0
         assert len(daemon._invalidation_listeners) == 1  # the TTL entry's
 
-        daemon.set_host_fact("os-patch", "MS08-067")
+        patch_host(daemon)
         topo.sim.run(until=topo.sim.now + 1.0)
         again = engine.query(reverse, "src", from_node=switch)
         assert not again.cached

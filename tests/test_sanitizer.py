@@ -101,7 +101,7 @@ class TestSanitizerAttachment:
         sim = Simulator(sanitize=True)
         sim.schedule(1.5, lambda: sim.sanitizer.report("custom", "planted"))
         sim.run()
-        (finding,) = sim.sanitizer.reports_of("custom")
+        (finding,) = [report for report in sim.sanitizer.reports if report.kind == "custom"]
         assert finding.time == 1.5
         assert "planted" in str(finding)
 
@@ -195,7 +195,7 @@ class TestStaleContinuationDetection:
         net.host("client").open_flow("http", "alice", "192.168.1.1", 80)
         net.run()
         assert int(net.controller.summary()["pending_expired"]) >= 1
-        stale = sanitizer.reports_of(KIND_STALE_CONTINUATION)
+        stale = [report for report in sanitizer.reports if report.kind == KIND_STALE_CONTINUATION]
         assert stale, "expired punt's late answers were discarded silently"
         assert any("superseded" in finding.detail for finding in stale)
 

@@ -8,7 +8,7 @@ and asserts the verdicts match the paper's prose.
 
 import pytest
 
-from repro.analysis.report import format_table, series_to_rows
+from repro.analysis.report import format_table
 from repro.exceptions import WorkloadError
 from repro.workloads.comparative import (
     SecurityComparisonScenario,
@@ -195,8 +195,8 @@ class TestGeneratorsAndReport:
         flows = [flow for _, flow in generator.sequence(50, new_connection_probability=0.1)]
         assert len({flow.as_tuple() for flow in flows}) < len(flows)
 
-    def test_format_table_and_series(self):
-        rows = series_to_rows("x", [1, 2], {"y": [10.0, 20.0], "z": [3, None]})
+    def test_format_table(self):
+        rows = [{"x": 1, "y": 10.0, "z": 3}, {"x": 2, "y": 20.0, "z": None}]
         text = format_table(rows, title="demo")
         assert "demo" in text and "x" in text and "20" in text
         assert format_table([]) == "(no rows)"

@@ -3,7 +3,7 @@
 Four layers, tested bottom-up:
 
 * the statistics primitives the plane samples with (Histogram edge
-  cases + reservoir, RateCounter windows, registry snapshots);
+  cases + reservoir, RateCounter windows);
 * the pipeline (bounded ring series, virtual-time sampling that lets
   the event queue drain);
 * each deviation detector against synthetic series, and the alert
@@ -11,7 +11,7 @@ Four layers, tested bottom-up:
 * the quarantine path (controller, cache, coordinator replication) and
   the end-to-end claims: a conficker outbreak is detected and
   quarantined *by telemetry alone* — exactly one alert per infected
-  host — while a clean enterprise workload raises zero alerts.
+  host — while a clean workload raises zero alerts.
 """
 
 import random
@@ -24,7 +24,7 @@ from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.events import Simulator
-from repro.netsim.statistics import Histogram, RateCounter, StatsRegistry
+from repro.netsim.statistics import Histogram, RateCounter
 from repro.telemetry import (
     AlertRouter,
     AutoQuarantineResponder,
@@ -39,7 +39,7 @@ from repro.telemetry import (
     TimeSeries,
 )
 from repro.telemetry.plane import _ClusterAuditView
-from repro.workloads.enterprise import build_enterprise_network
+from repro.workloads.enterprise import build_linear_network
 from repro.workloads.invariants import check_containment, network_deliveries
 from repro.workloads.telemetry import conficker_detection
 
@@ -116,31 +116,29 @@ class TestRateCounter:
         rc.observe_total(0.5, 106.0)
         assert rc.rate(0.5) == pytest.approx(6.0)
 
+    def test_rate_is_events_per_second_over_the_window(self):
+        rc = RateCounter("wide", 2.0)
+        rc.record(0.5, 3)
+        rc.record(1.0)
+        assert rc.events_in_window(1.0) == 4
+        assert rc.rate(1.0) == pytest.approx(2.0)
+        # Both events leave the window once it has slid past them.
+        assert rc.rate(3.5) == 0.0 and rc.total == 4
+
+    def test_bad_window_and_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            RateCounter("zero", 0.0)
+        rc = RateCounter("neg", 1.0)
+        with pytest.raises(ValueError):
+            rc.record(0.0, -1)
+        rc.record(0.0, 0)
+        assert rc.total == 0 and rc.events_in_window(0.0) == 0
+
     def test_observe_total_clamps_negative_delta(self):
         rc = RateCounter("clamp", 1.0)
         rc.observe_total(0.0, 10.0)
         rc.observe_total(0.5, 4.0)  # counter reset upstream
         assert rc.rate(0.5) == 0.0
-
-    def test_mean_rate_matches_total_over_span(self):
-        rc = RateCounter("mean", 1.0)
-        for t in (0.5, 1.0, 1.5, 2.0):
-            rc.record(t)
-        assert rc.mean_rate(2.0) == pytest.approx(2.0)
-        assert rc.mean_rate(0.0) == 0.0
-
-
-class TestRegistrySnapshot:
-    def test_snapshot_with_now_reports_per_sec(self):
-        reg = StatsRegistry()
-        rc = reg.rate_counter("punts", window=1.0)
-        rc.record(0.9)
-        rc.record(1.0)
-        snap = reg.snapshot(1.0)
-        assert snap["punts"]["total"] == 2
-        assert snap["punts"]["per_sec"] == pytest.approx(2.0)
-        # Without a time there is no rate to quote.
-        assert "per_sec" not in reg.snapshot()["punts"]
 
 
 # ----------------------------------------------------------------------
@@ -541,14 +539,13 @@ class TestEndToEnd:
         assert report["infected_contained"] and report["clean_unaffected"]
         assert report["detected"], report["violations"]
 
-    def test_clean_enterprise_workload_raises_no_alerts(self):
-        built = build_enterprise_network()
-        net = built.net
+    def test_clean_workload_raises_no_alerts(self):
+        net = build_linear_network(switch_count=2)
         plane = net.enable_telemetry(interval=0.05)
         plane.start()
         sim = net.topology.sim
         state = {"ticks": 0}
-        clients = list(built.clients)
+        clients = ["client"]
 
         def tick():
             state["ticks"] += 1

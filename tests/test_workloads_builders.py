@@ -6,11 +6,7 @@ from repro.crypto.signatures import Signer
 from repro.hosts.applications import standard_applications
 from repro.identpp.daemon_config import parse_daemon_config
 from repro.workloads import paper_configs
-from repro.workloads.enterprise import (
-    build_branch_network,
-    build_enterprise_network,
-    build_linear_network,
-)
+from repro.workloads.enterprise import build_branch_network, build_linear_network
 
 
 class TestLinearBuilder:
@@ -18,39 +14,26 @@ class TestLinearBuilder:
         net = build_linear_network(switch_count=3)
         assert set(net.switches) == {"sw1", "sw2", "sw3"}
         assert net.topology.connected("client", "server")
-        assert set(net.hosts_with_daemons()) == {"client", "server"}
+        assert set(net.daemons) == {"client", "server"}
 
     def test_daemonless_variant(self):
         net = build_linear_network(switch_count=1, client_daemon=False)
-        assert "client" not in net.hosts_with_daemons()
+        assert "client" not in net.daemons
 
     def test_server_listens_on_http(self):
         net = build_linear_network()
         assert net.host("server").sockets.find_listener(80) is not None
 
 
-class TestEnterpriseBuilder:
-    def test_population(self):
-        enterprise = build_enterprise_network(clients=3, research_hosts=2)
-        assert len(enterprise.clients) == 3
-        assert len(enterprise.research_hosts) == 2
-        assert "file-server" in enterprise.servers
-        net = enterprise.net
-        # every named host resolves and is reachable from the clients
-        for name in enterprise.clients + enterprise.servers:
-            assert net.topology.connected(enterprise.clients[0], name)
+    def test_switches_are_chained_in_order(self):
+        net = build_linear_network(switch_count=3)
+        path = [node.name for node in net.topology.shortest_path("client", "server")]
+        assert path == ["client", "sw1", "sw2", "sw3", "server"]
 
-    def test_server_facts_and_services(self):
-        enterprise = build_enterprise_network(clients=1)
-        server = enterprise.net.host("file-server")
-        daemon = enterprise.net.daemon("file-server")
-        assert "MS08-067" in daemon.host_facts["os-patch"]
-        assert server.sockets.find_listener(445) is not None
-        assert server.sockets.find_listener(445).process.user.name == "system"
-
-    def test_internet_host_runs_no_daemon(self):
-        enterprise = build_enterprise_network(clients=1)
-        assert "internet-host" not in enterprise.net.hosts_with_daemons()
+    def test_a_switch_count_below_one_still_builds_one_switch(self):
+        net = build_linear_network(switch_count=0)
+        assert set(net.switches) == {"sw1"}
+        assert net.topology.connected("client", "server")
 
 
 class TestBranchBuilder:
@@ -66,6 +49,17 @@ class TestBranchBuilder:
         assert bottleneck.latency > branches.net.link_latency
         # branch B hosts serve HTTP
         assert branches.net.host(branches.branch_b_hosts[0]).sockets.find_listener(80)
+
+
+    def test_branch_hosts_are_addressed_and_controlled_per_site(self):
+        branches = build_branch_network(hosts_per_branch=3)
+        net = branches.net
+        assert branches.branch_a_hosts == ["a-host1", "a-host2", "a-host3"]
+        assert [str(net.host(name).ip) for name in branches.branch_b_hosts] == [
+            "10.2.0.10", "10.2.0.11", "10.2.0.12"
+        ]
+        path = [node.name for node in net.topology.shortest_path("a-host1", "b-host1")]
+        assert path == ["a-host1", "sw-branch-a", "sw-branch-b", "b-host1"]
 
 
 class TestPaperConfigGenerators:
