@@ -1,7 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench soak soak_queries soak_async matrix docs_check lint determinism perf perf_smoke audit_dump
+.PHONY: test bench soak soak_queries soak_async matrix docs_check lint determinism perf perf_smoke \
+        audit_dump reach
 
 test:
 	$(PYTHON) -m pytest -q
@@ -31,6 +32,12 @@ docs_check:
 
 lint:
 	$(PYTHON) tools/analysis/run_lint.py
+
+# Every shipped entry point under the profiler (tools/reach.py): fails on
+# a function in src/repro that none of them enters and that
+# tools/reach_accepted.py does not list, and on a stale list entry.
+reach:
+	$(PYTHON) tools/reach.py
 
 # The wall-clock benchmark of BENCHMARK.json (perf/README.md).  The smoke
 # runs exit non-zero on any failed op or cross-repeat mismatch: the punt

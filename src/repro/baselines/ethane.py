@@ -134,12 +134,6 @@ class EthanePolicy:
         self.rules.append(rule)
         return rule
 
-    def deny(self, **kwargs) -> EthaneRule:
-        """Append a deny rule."""
-        rule = EthaneRule(action=ACTION_BLOCK, **kwargs)
-        self.rules.append(rule)
-        return rule
-
     # ------------------------------------------------------------------
     # BaselinePolicy interface
     # ------------------------------------------------------------------

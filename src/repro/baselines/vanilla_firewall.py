@@ -81,12 +81,6 @@ class VanillaFirewall:
         self.rules.append(rule)
         return rule
 
-    def deny(self, **kwargs) -> FirewallRule:
-        """Append a deny rule."""
-        rule = FirewallRule(action=ACTION_BLOCK, **kwargs)
-        self.rules.append(rule)
-        return rule
-
     # ------------------------------------------------------------------
     # BaselinePolicy interface
     # ------------------------------------------------------------------

@@ -54,10 +54,6 @@ class VLANSegmentation:
                 return segment
         return None
 
-    def segments(self) -> list[str]:
-        """Return all segment names, sorted."""
-        return sorted(self._segments)
-
     # ------------------------------------------------------------------
     # BaselinePolicy interface
     # ------------------------------------------------------------------

@@ -138,12 +138,6 @@ class ControllerCluster:
         except KeyError as exc:
             raise TopologyError(f"unknown shard: {name}") from exc
 
-    def switches(self) -> list[OpenFlowSwitch]:
-        """Return the switches registered with the cluster."""
-        for controller in self.replicas.values():
-            return controller.switches()
-        return []
-
     # ------------------------------------------------------------------
     # Failure injection + failover
     # ------------------------------------------------------------------
@@ -323,8 +317,8 @@ class ControllerCluster:
 
         The telemetry plane samples this once per sweep (SRMCA-style:
         state pushed up the aggregation tree rather than per-series
-        fan-out at read time); unlike :meth:`summary` it touches only
-        integer counters, so it is safe to call on every tick.
+        fan-out at read time); it touches only integer counters, so it
+        is safe to call on every tick.
         """
         punts = hits = lookups = subscriptions = 0
         for controller in self.replicas.values():
@@ -360,62 +354,6 @@ class ControllerCluster:
             records.extend(controller.audit.records())
         records.sort(key=lambda record: record.time)
         return records
-
-    def query_engine_summary(self) -> dict[str, object]:
-        """Aggregate every shard's query-engine counters.
-
-        Each shard runs its **own** :class:`~repro.identpp.engine.QueryEngine`
-        (caches are per-replica: a shard only answers punts for flows it
-        owns, so sharing entries would buy nothing and couple failure
-        domains).  The aggregate view is what a query-heavy soak gates
-        on: cluster-wide hit/coalesce/negative-hit rates.
-        """
-        engines = [c.query_engine for c in self.replicas.values()]
-        totals = {
-            "entries": sum(len(e) for e in engines),
-            "lookups": sum(e.lookups() for e in engines),
-            "hits": sum(e.hits for e in engines),
-            "misses": sum(e.misses for e in engines),
-            "coalesced": sum(e.coalesced for e in engines),
-            "negative_hits": sum(e.negative_hits for e in engines),
-            "invalidation_events": sum(e.invalidation_events for e in engines),
-            "subscriptions": sum(e.subscription_count() for e in engines),
-            "resident_hits": sum(e.resident_hits for e in engines),
-            "deltas_applied": sum(e.deltas_applied for e in engines),
-            "duplicate_deltas": sum(e.duplicate_deltas for e in engines),
-            "subscriptions_adopted": sum(e.subscriptions_adopted for e in engines),
-            "adoptions_stale": sum(e.adoptions_stale for e in engines),
-        }
-        lookups = totals["lookups"]
-
-        def rate(count: int) -> float:
-            return count / lookups if lookups else 0.0
-
-        totals["hit_rate"] = rate(totals["hits"])
-        totals["coalesce_rate"] = rate(totals["coalesced"])
-        totals["negative_hit_rate"] = rate(totals["negative_hits"])
-        totals["resident_hit_rate"] = rate(totals["resident_hits"])
-        return totals
-
-    def summary(self) -> dict[str, object]:
-        """Return the cluster's headline numbers plus per-shard summaries."""
-        per_shard = {name: c.summary() for name, c in self.replicas.items()}
-        return {
-            "shards": len(self.replicas),
-            "live_shards": self.shard_map.live_shards(),
-            "decisions_total": self.decided_total(),
-            "pending_total": self.pending_total(),
-            "failovers": self.failovers,
-            "repunted_flows": self.repunted_flows,
-            "repunted_messages": self.repunted_messages,
-            "path_installs": sum(len(c.installer) for c in self.replicas.values()),
-            "path_unwinds": sum(c.installer.unwinds for c in self.replicas.values()),
-            "query_engine": self.query_engine_summary(),
-            "shard_map": self.shard_map.stats(),
-            "monitor": self.monitor.stats(),
-            "coordinator": self.coordinator.stats(),
-            "per_shard": per_shard,
-        }
 
     def __repr__(self) -> str:
         return (

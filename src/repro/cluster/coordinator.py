@@ -62,7 +62,6 @@ class ClusterCoordinator:
         self.cluster = cluster
         #: Bumped once per cluster-wide change (reload, grant, revoke).
         self.epoch = 0
-        self._audit: list[ClusterChangeRecord] = []
         # The change log (epoch → apply function) and how far each
         # replica has applied it; a restored replica replays the gap.
         self._changes: list[tuple[int, Callable[[IdentPPController], int]]] = []
@@ -312,7 +311,6 @@ class ClusterCoordinator:
             applied_to=tuple(applied),
             removed_entries=removed,
         )
-        self._audit.append(record)
         self._prune_changes()
         return record
 
@@ -376,16 +374,3 @@ class ClusterCoordinator:
             if not self.cluster.replicas[name].halted
         }
         return len({tuple(sorted(e.items())) for e in live.values()}) <= 1
-
-    def stats(self) -> dict[str, object]:
-        """Return headline coordinator numbers."""
-        kinds: dict[str, int] = {}
-        for record in self._audit:
-            kinds[record.kind] = kinds.get(record.kind, 0) + 1
-        return {
-            "epoch": self.epoch,
-            "changes": len(self._audit),
-            "by_kind": kinds,
-            "resyncs": self.resyncs,
-            "converged": self.verify_converged(),
-        }

@@ -46,16 +46,9 @@ class FailoverMonitor:
 
     def __init__(self, cluster: "ControllerCluster") -> None:
         self.cluster = cluster
-        self.ticks = 0
-        self.detections = 0
         self._misses: dict[str, int] = {}
         self._armed = False
         self._event: Optional["RepeatingEvent"] = None
-
-    @property
-    def running(self) -> bool:
-        """Return whether the monitor is currently polling."""
-        return self._armed
 
     def start(self) -> None:
         """Begin polling on the cluster's simulator clock.
@@ -85,7 +78,6 @@ class FailoverMonitor:
         """One heartbeat round: poll every live shard, fail the silent ones."""
         if not self._armed:
             return False
-        self.ticks += 1
         for name in self.cluster.shard_map.live_shards():
             controller = self.cluster.replicas[name]
             if controller.halted:
@@ -99,7 +91,6 @@ class FailoverMonitor:
                     # stay frozen until a replica is restored; the
                     # switches already fail per their fail_mode.
                     continue
-                self.detections += 1
                 self._misses.pop(name, None)
                 self.cluster.fail_over(name)
             else:
@@ -109,14 +100,3 @@ class FailoverMonitor:
     def note_revived(self, shard: str) -> None:
         """Forget miss history for a shard brought back to service."""
         self._misses.pop(shard, None)
-
-    def stats(self) -> dict[str, object]:
-        """Return monitor counters."""
-        return {
-            "running": self._armed,
-            "heartbeat_interval": DEFAULT_HEARTBEAT_INTERVAL,
-            "miss_threshold": DEFAULT_MISS_THRESHOLD,
-            "ticks": self.ticks,
-            "detections": self.detections,
-            "suspected": dict(self._misses),
-        }

@@ -23,7 +23,7 @@ ring is stable across processes and runs.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.crypto.hashing import sha256_int
 from repro.exceptions import TopologyError
@@ -67,7 +67,6 @@ class ShardMap:
         # membership change, binary-searched per lookup.
         self._positions: list[int] = []
         self._owners: list[str] = []
-        self.lookups = 0
         for shard in shards:
             self.add_shard(shard)
         if not self._shards:
@@ -133,7 +132,6 @@ class ShardMap:
 
     def owner_of_key(self, key: str) -> str:
         """Return the live shard owning an arbitrary hash key."""
-        self.lookups += 1
         start = self._bisect(_position(key))
         count = len(self._owners)
         for offset in range(count):
@@ -142,18 +140,6 @@ class ShardMap:
                 return shard
         raise TopologyError("no live shard in the ring")
 
-    def preference(self, flow: FlowSpec) -> list[str]:
-        """Return live shards in failover order for ``flow``.
-
-        The owner comes first, then each successor in ring order — the
-        order a switch tries channels in when one is down.
-        """
-        return self.preference_of_key(flow_key(flow))
-
-    def preference_of_key(self, key: str) -> list[str]:
-        """Return the failover order for an arbitrary hash key."""
-        return list(self.iter_preference_of_key(key))
-
     def iter_preference_of_key(self, key: str):
         """Yield the failover order lazily (the punt hot path).
 
@@ -161,7 +147,6 @@ class ShardMap:
         is up), so the generator stops after a short walk to the first
         live vnode instead of scanning the whole ring per packet.
         """
-        self.lookups += 1
         start = self._bisect(_position(key))
         count = len(self._owners)
         remaining = len(self.live_shards())
@@ -175,32 +160,10 @@ class ShardMap:
                 remaining -= 1
                 yield shard
 
-    def successor(self, flow: FlowSpec, failed: str) -> Optional[str]:
-        """Return who adopts ``flow`` when ``failed`` is dead."""
-        for shard in self.preference(flow):
-            if shard != failed:
-                return shard
-        return None
-
     def _bisect(self, position: int) -> int:
         """Return the ring index of the first vnode at/after ``position``."""
         index = bisect.bisect_left(self._positions, position)
         return index % len(self._positions)
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def stats(self) -> dict[str, object]:
-        """Return ring shape and usage counters."""
-        return {
-            "shards": len(self._shards),
-            "live_shards": len(self.live_shards()),
-            "dead_shards": sorted(self._dead),
-            "vnodes_per_shard": DEFAULT_VNODES,
-            "ring_size": len(self._owners),
-            "lookups": self.lookups,
-        }
 
     def __len__(self) -> int:
         return len(self._shards)

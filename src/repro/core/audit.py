@@ -152,7 +152,3 @@ class AuditLog:
             "delegated": len(self.delegated_decisions()),
             "cached": sum(1 for r in self._records if r.cached),
         }
-
-    def clear(self) -> None:
-        """Discard all records."""
-        self._records.clear()

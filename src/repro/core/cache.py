@@ -138,14 +138,6 @@ class DecisionCache:
         self.hits += 1
         return decision
 
-    def invalidate(self, flow: FlowSpec) -> bool:
-        """Drop the cached decision for ``flow`` (exact direction)."""
-        decision = self._decisions.pop(flow, None)
-        if decision is None:
-            return False
-        self._drop_entry_bookkeeping(decision)
-        return True
-
     def cookies_for_host(self, host_ip) -> set[str]:
         """Return the cookies of cached decisions touching ``host_ip``.
 
@@ -240,13 +232,6 @@ class DecisionCache:
             flows.discard(decision.flow)
             if not flows:
                 del self._by_cookie[decision.cookie]
-
-    def clear(self) -> None:
-        """Drop everything."""
-        self._decisions.clear()
-        self._by_cookie.clear()
-        self._expiry.clear()
-        self._reverse_candidates = 0
 
     # ------------------------------------------------------------------
     # Reporting

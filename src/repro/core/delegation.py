@@ -109,10 +109,6 @@ class DelegationManager:
     # Introspection
     # ------------------------------------------------------------------
 
-    def get(self, principal: str) -> Optional[DelegationGrant]:
-        """Return the grant for ``principal``, if any (revoked or not)."""
-        return self._grants.get(principal)
-
     def is_active(self, principal: str) -> bool:
         """Return ``True`` when ``principal`` holds an unrevoked grant."""
         grant = self._grants.get(principal)

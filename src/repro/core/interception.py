@@ -116,11 +116,6 @@ class InterceptionPolicy:
         self._augmentations.append(rule)
         return rule
 
-    def clear(self) -> None:
-        """Remove every configured answer and augmentation."""
-        self._static_answers.clear()
-        self._augmentations.clear()
-
     # ------------------------------------------------------------------
     # QueryInterceptor protocol
     # ------------------------------------------------------------------

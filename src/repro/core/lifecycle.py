@@ -121,11 +121,6 @@ class LifecycleService:
             ticker.interval = self.interval
             ticker.start()
 
-    def stop(self) -> None:
-        """Cancel the queued sweep, if any."""
-        if self._ticker is not None:
-            self._ticker.cancel()
-
     # ------------------------------------------------------------------
     # Sweeping
     # ------------------------------------------------------------------

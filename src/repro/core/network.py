@@ -279,7 +279,7 @@ class IdentPPNetwork:
                 return self.hosts[node]
             if node in self.switches:
                 return self.switches[node]
-            return self.topology.node(node)
+            return self.topology._resolve(node)
         return node
 
     # ------------------------------------------------------------------
@@ -400,27 +400,6 @@ class IdentPPNetwork:
                 if record.flow == flow:
                     return record
         return None
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def summary(self) -> dict[str, object]:
-        """Return a combined summary across controllers and switches."""
-        summary: dict[str, object] = {
-            "topology": self.topology.describe(),
-            "controllers": {name: c.summary() for name, c in self.controllers.items()},
-            "switch_flow_tables": {
-                name: switch.flow_table.stats() for name, switch in self.switches.items()
-            },
-        }
-        if self.cluster is not None:
-            cluster_summary = self.cluster.summary()
-            cluster_summary.pop("per_shard", None)  # already under "controllers"
-            summary["cluster"] = cluster_summary
-        if self.telemetry is not None:
-            summary["telemetry"] = self.telemetry.stats()
-        return summary
 
 
 class IdentPPClusterNetwork(IdentPPNetwork):

@@ -154,10 +154,6 @@ class PolicyEngine:
         """
         return self._ruleset_epoch
 
-    def rule_count(self) -> int:
-        """Return the number of rules in the concatenated policy."""
-        return len(self.evaluator.ruleset.rules())
-
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------

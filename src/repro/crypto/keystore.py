@@ -8,7 +8,7 @@ to a serialised public key.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.exceptions import KeyError_
 from repro.crypto.rsa import RSAPublicKey
@@ -45,23 +45,11 @@ class KeyStore:
         except KeyError as exc:
             raise KeyError_(f"no public key registered for {name!r}") from exc
 
-    def lookup(self, name: str) -> Optional[str]:
-        """Return the key for ``name`` or ``None`` when unknown."""
-        return self._keys.get(name)
-
-    def public_key(self, name: str) -> RSAPublicKey:
-        """Return the key for ``name`` parsed into an :class:`RSAPublicKey`."""
-        return RSAPublicKey.from_hex(self.get(name))
-
     def remove(self, name: str) -> None:
         """Delete the key registered under ``name`` (revocation)."""
         if name not in self._keys:
             raise KeyError_(f"no public key registered for {name!r}")
         del self._keys[name]
-
-    def names(self) -> list[str]:
-        """Return all registered principal names, sorted."""
-        return sorted(self._keys)
 
     def __contains__(self, name: str) -> bool:
         return name in self._keys

@@ -138,10 +138,6 @@ class RSAKeyPair:
         """Sign ``message`` with the private key."""
         return self.private.sign(message)
 
-    def verify(self, message: bytes | str, signature: int | str) -> bool:
-        """Verify ``signature`` over ``message`` with the public key."""
-        return self.public.verify(message, signature)
-
 
 #: Seed used when a caller supplies neither ``seed`` nor ``rng``.  Key
 #: generation is *always* deterministic — the simulator's repo invariant

@@ -83,9 +83,5 @@ class Signer:
         """Sign an ordered list of values."""
         return self.keypair.sign(canonical_message(list(values)))
 
-    def verify(self, signature: str, values: Iterable[object]) -> bool:
-        """Verify one of this signer's signatures."""
-        return verify_values(self.public_key, signature, list(values))
-
     def __repr__(self) -> str:
         return f"Signer({self.name!r})"

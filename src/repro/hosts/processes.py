@@ -74,17 +74,6 @@ class ProcessTable:
             raise ProcessError(f"no such process: {pid}")
         del self._processes[pid]
 
-    def get(self, pid: int) -> Process:
-        """Return the process with the given pid."""
-        try:
-            return self._processes[pid]
-        except KeyError as exc:
-            raise ProcessError(f"no such process: {pid}") from exc
-
-    def find(self, pid: int) -> Optional[Process]:
-        """Return the process with the given pid, or ``None``."""
-        return self._processes.get(pid)
-
     def __iter__(self) -> Iterator[Process]:
         for pid in sorted(self._processes):
             yield self._processes[pid]

@@ -9,7 +9,7 @@ account database.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.exceptions import UserError
 
@@ -99,18 +99,6 @@ class UserDatabase:
         self._groups[name] = group
         return group
 
-    def group(self, name: str) -> Group:
-        """Return the group with the given name."""
-        try:
-            return self._groups[name]
-        except KeyError as exc:
-            raise UserError(f"unknown group: {name}") from exc
-
-    def groups(self) -> Iterator[Group]:
-        """Iterate over groups sorted by name."""
-        for name in sorted(self._groups):
-            yield self._groups[name]
-
     # ------------------------------------------------------------------
     # Users
     # ------------------------------------------------------------------
@@ -146,11 +134,6 @@ class UserDatabase:
     def has_user(self, name: str) -> bool:
         """Return ``True`` if the login name exists."""
         return name in self._users
-
-    def users(self) -> Iterator[User]:
-        """Iterate over users sorted by name."""
-        for name in sorted(self._users):
-            yield self._users[name]
 
     def add_to_group(self, user_name: str, group_name: str) -> None:
         """Add an existing user to a group (creating the group if needed)."""

@@ -111,12 +111,6 @@ class RuntimeKeyRegistry:
         """Return whether any pairs were published for this *specific* flow."""
         return bool(self._by_flow.get(flow))
 
-    def clear(self) -> None:
-        """Forget all published pairs."""
-        self._by_flow.clear()
-        self._by_pid.clear()
-        self._published()
-
 
 class IdentPPDaemon:
     """The ident++ daemon running on one end-host."""

@@ -33,7 +33,7 @@ and the daemon emits separate response sections per provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.exceptions import DaemonConfigError
 from repro.identpp.keyvalue import KeyValueSection
@@ -46,10 +46,6 @@ class AppConfig:
     path: str
     pairs: dict[str, str] = field(default_factory=dict)
     source: str = ""
-
-    def get(self, key: str) -> Optional[str]:
-        """Return the configured value for ``key``, or ``None``."""
-        return self.pairs.get(key)
 
     def section(self) -> KeyValueSection:
         """Return the pairs as a response section labelled with the provenance."""
@@ -171,21 +167,6 @@ class DaemonConfig:
         parsed = parse_daemon_config(text, source=source)
         self._files.append(parsed)
         return parsed
-
-    def add_file(self, config_file: DaemonConfigFile) -> None:
-        """Register an already-parsed configuration file."""
-        self._files.append(config_file)
-
-    def files(self) -> Iterator[DaemonConfigFile]:
-        """Iterate over registered files in load order."""
-        return iter(list(self._files))
-
-    def global_pairs(self) -> dict[str, str]:
-        """Return merged global pairs (later files override earlier ones)."""
-        merged: dict[str, str] = {}
-        for config_file in self._files:
-            merged.update(config_file.global_pairs)
-        return merged
 
     def sections_for_path(self, path: str) -> list[KeyValueSection]:
         """Return every configured section that applies to an executable path.

@@ -64,11 +64,6 @@ class FlowSpec:
         """Convenience constructor for TCP flows."""
         return cls(src_ip=src_ip, dst_ip=dst_ip, proto="tcp", src_port=src_port, dst_port=dst_port)
 
-    @classmethod
-    def udp(cls, src_ip, dst_ip, src_port: int, dst_port: int) -> "FlowSpec":
-        """Convenience constructor for UDP flows."""
-        return cls(src_ip=src_ip, dst_ip=dst_ip, proto="udp", src_port=src_port, dst_port=dst_port)
-
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------

@@ -114,14 +114,6 @@ class KeyValueSection:
         """Return the last value recorded for ``key`` in this section, or ``None``."""
         return self._index().get(key)
 
-    def keys(self) -> list[str]:
-        """Return the distinct keys in first-appearance order."""
-        return list(self._index())
-
-    def as_dict(self) -> dict[str, str]:
-        """Return the section as a dict (later duplicates win)."""
-        return dict(self._index())
-
     def copy(self) -> "KeyValueSection":
         """Return a deep-enough copy of the section."""
         return KeyValueSection(pairs=_TrackedPairs(self.pairs), source=self.source)
@@ -167,10 +159,6 @@ class ResponseDocument:
         """Append a new section the way an on-path controller does (§3.4)."""
         return self.add_section(KeyValueSection.from_dict(pairs, source=source))
 
-    def copy(self) -> "ResponseDocument":
-        """Return a copy whose sections can be modified independently."""
-        return ResponseDocument([section.copy() for section in self.sections])
-
     # ------------------------------------------------------------------
     # PF+=2 lookup semantics
     # ------------------------------------------------------------------
@@ -196,10 +184,6 @@ class ResponseDocument:
         """Return every value recorded for ``key`` in section order."""
         values = [section.get(key) for section in self.sections]
         return [value for value in values if value is not None]
-
-    def keys(self) -> list[str]:
-        """Return every distinct key across all sections, in first-appearance order."""
-        return list(self.as_flat_dict())
 
     def as_flat_dict(self) -> dict[str, str]:
         """Return a {key: latest value} dictionary (the ``@src``/``@dst`` view).
@@ -256,7 +240,7 @@ class ResponseDocument:
         return any(self.sections)
 
     def __repr__(self) -> str:
-        return f"ResponseDocument(sections={len(self.sections)}, keys={self.keys()})"
+        return f"ResponseDocument(sections={len(self.sections)}, keys={list(self.as_flat_dict())})"
 
 
 class KeyView(Mapping):

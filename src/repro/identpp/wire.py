@@ -38,7 +38,7 @@ from typing import Optional
 from repro.exceptions import PacketError, WireFormatError
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
-from repro.netsim.packet import Packet, proto_name, proto_number
+from repro.netsim.packet import IP_PROTO_TCP, Packet, proto_name, proto_number
 
 #: The TCP port the ident++ daemon listens on (§2). RFC 1413 uses 113;
 #: the paper moves the richer protocol to 783.
@@ -340,7 +340,7 @@ def parse_query_payload(
 
 def parse_query_packet(packet: Packet) -> IdentQuery:
     """Parse a query directly from a packet (role read from packet metadata)."""
-    if not packet.is_tcp() or packet.tp_dst != IDENT_PP_PORT:
+    if not packet.is_ip() or packet.ip_proto != IP_PROTO_TCP or packet.tp_dst != IDENT_PP_PORT:
         raise WireFormatError("packet is not an ident++ query (wrong protocol/port)")
     metadata = packet.metadata
     role = ROLE_SOURCE if metadata is None else metadata.get("role", ROLE_SOURCE)

@@ -51,7 +51,7 @@ from repro.netsim.packet import (
     IP_PROTO_UDP,
     Packet,
 )
-from repro.netsim.statistics import Counter, Histogram, RateCounter, StatsRegistry
+from repro.netsim.statistics import Counter, Histogram, RateCounter
 from repro.netsim.topology import Topology
 from repro.netsim.trace import PacketTrace, TraceRecord
 
@@ -81,7 +81,6 @@ __all__ = [
     "ShadowReplayReport",
     "SimulationSanitizer",
     "shadow_replay",
-    "StatsRegistry",
     "Topology",
     "PacketTrace",
     "TraceRecord",

@@ -15,7 +15,7 @@ compares in C.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 from repro.exceptions import AddressError
 
@@ -90,14 +90,6 @@ class IPv4Address(int):
     def to_int(self) -> int:
         """Return the address as an unsigned 32-bit integer."""
         return int(self)
-
-    def to_bytes(self) -> bytes:  # type: ignore[override]
-        """Return the 4-byte big-endian representation."""
-        return int.to_bytes(self, 4, "big")
-
-    def octets(self) -> tuple[int, int, int, int]:
-        """Return the four octets most-significant first."""
-        return (self >> 24, self >> 16 & 0xFF, self >> 8 & 0xFF, self & 0xFF)
 
     def __str__(self) -> str:
         text = _DOTTED_QUADS.get(self)
@@ -186,22 +178,6 @@ class IPv4Network:
         """Return the all-zero host address of the prefix."""
         return IPv4Address(self._network)
 
-    @property
-    def prefix_len(self) -> int:
-        """Return the prefix length (0-32)."""
-        return self._prefix_len
-
-    def hosts(self) -> Iterator[IPv4Address]:
-        """Iterate over usable host addresses (excludes network/broadcast for /30 and larger)."""
-        first = self._network
-        last = self._network | (~self.netmask_int() & 0xFFFFFFFF)
-        if self._prefix_len >= 31:
-            candidates: Iterable[int] = range(first, last + 1)
-        else:
-            candidates = range(first + 1, last)
-        for value in candidates:
-            yield IPv4Address(value)
-
     def __contains__(self, other: Union[IPv4Like, "IPv4Network"]) -> bool:
         if isinstance(other, IPv4Network):
             return (
@@ -213,10 +189,6 @@ class IPv4Network:
         except AddressError:
             return False
         return (address.to_int() & self.netmask_int()) == self._network
-
-    def overlaps(self, other: "IPv4Network") -> bool:
-        """Return ``True`` if the two prefixes share any address."""
-        return other.network_address in self or self.network_address in other
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, str):
@@ -273,14 +245,6 @@ class MACAddress(int):
         if index < 0 or index >= 2**40:
             raise AddressError(f"MAC index out of range: {index}")
         return cls((0x02 << 40) | index)
-
-    def to_int(self) -> int:
-        """Return the address as an unsigned 48-bit integer."""
-        return int(self)
-
-    def to_bytes(self) -> bytes:  # type: ignore[override]
-        """Return the 6-byte big-endian representation."""
-        return int.to_bytes(self, 6, "big")
 
     def __str__(self) -> str:
         raw = f"{int(self):012x}"

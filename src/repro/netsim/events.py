@@ -108,11 +108,6 @@ class Future:
         self._result: Any = None
         self._callbacks: list[Callable[[Any], None]] = []
 
-    @property
-    def done(self) -> bool:
-        """Return ``True`` once a result has been set."""
-        return self._done
-
     def result(self) -> Any:
         """Return the completed value; raises if the future is still open."""
         if not self._done:
@@ -254,10 +249,6 @@ class ExpiryHeap:
         self._heap[:] = [record for record in self._heap if is_live(*record[2])]
         heapq.heapify(self._heap)
 
-    def clear(self) -> None:
-        """Drop all deadlines."""
-        self._heap.clear()
-
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -325,11 +316,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Return how many events have fired so far."""
         return self._events_processed
-
-    @property
-    def sanitize(self) -> bool:
-        """Return ``True`` while a sanitizer is attached."""
-        return self.sanitizer is not None
 
     def enable_sanitizer(self, *, perturb_ties: bool = False) -> SimulationSanitizer:
         """Attach a sanitizer to an already-built simulator.
@@ -429,10 +415,6 @@ class Simulator:
     ) -> Event:
         """Schedule a callback at an absolute simulated time."""
         return self.schedule(when - self.now, callback, *args, label=label, **kwargs)
-
-    def call_now(self, callback: Callable[..., None], *args: Any, **kwargs: Any) -> Event:
-        """Schedule a callback to run at the current time (after already-queued events at this time)."""
-        return self.schedule(0.0, callback, *args, **kwargs)
 
     def schedule_repeating(
         self,
@@ -547,15 +529,3 @@ class Simulator:
             queue[:] = [record for record in queue if not record[2].cancelled]
             heapq.heapify(queue)
             self._dead = 0
-
-    def reset(self) -> None:
-        """Clear the queue and rewind the clock to zero."""
-        if self._running:
-            raise SimulationError("cannot reset a running simulator")
-        for _, _, event in self._queue:
-            event._sim = None
-        self._queue.clear()
-        self._newest = None
-        self._dead = 0
-        self.now = 0.0
-        self._events_processed = 0

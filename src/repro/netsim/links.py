@@ -78,14 +78,6 @@ class Link:
     # Wiring helpers
     # ------------------------------------------------------------------
 
-    def other_end(self, port: Port) -> Port:
-        """Return the port at the opposite end from ``port``."""
-        if port is self.port_a:
-            return self.port_b
-        if port is self.port_b:
-            return self.port_a
-        raise TopologyError(f"port {port.name} is not an endpoint of link {self.name}")
-
     def endpoints(self) -> tuple[Port, Port]:
         """Return both endpoint ports."""
         return (self.port_a, self.port_b)
@@ -108,7 +100,7 @@ class Link:
         elif from_port is self.port_b:
             destination = self.port_a
         else:
-            destination = self.other_end(from_port)  # raises: not an endpoint
+            raise TopologyError(f"port {from_port.name} is not an endpoint of link {self.name}")
         if not self.up or (self.loss_filter is not None and self.loss_filter(packet)):
             return
         size = packet._wire_size

@@ -9,7 +9,7 @@ receives packets through :meth:`Node.receive`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.exceptions import PortError
 from repro.netsim.packet import Packet
@@ -35,11 +35,6 @@ class Port:
         # one object instead of binding the method per packet.
         self.deliver = self.deliver
 
-    @property
-    def is_wired(self) -> bool:
-        """Return ``True`` when a link is attached to this port."""
-        return self.link is not None
-
     def attach_link(self, link: "Link") -> None:
         """Wire a link to this port.  A port can carry at most one link."""
         if self.link is not None:
@@ -62,12 +57,6 @@ class Port:
     def deliver(self, packet: Packet) -> None:
         """Called by the attached link when a packet arrives at this port."""
         self.node.receive(packet, self)
-
-    def peer(self) -> Optional["Port"]:
-        """Return the port at the other end of the attached link, if any."""
-        if self.link is None:
-            return None
-        return self.link.other_end(self)
 
     def __repr__(self) -> str:
         return f"Port({self.name})"
@@ -95,11 +84,6 @@ class Node:
         """Bind this node to a simulator clock."""
         self.sim = sim
 
-    @property
-    def now(self) -> float:
-        """Return the current simulated time (0.0 when detached)."""
-        return self.sim.now if self.sim is not None else 0.0
-
     # ------------------------------------------------------------------
     # Ports
     # ------------------------------------------------------------------
@@ -125,10 +109,6 @@ class Node:
         except KeyError as exc:
             raise PortError(f"node {self.name} has no port {number}") from exc
 
-    def ports(self) -> Iterator[Port]:
-        """Iterate over ports in port-number order."""
-        return iter(tuple(self._ports.values()))
-
     # ------------------------------------------------------------------
     # Traffic
     # ------------------------------------------------------------------
@@ -140,22 +120,14 @@ class Node:
         this.
         """
 
-    def send(self, packet: Packet, out_port: Port | int) -> bool:
-        """Send a packet out of the given port (number or object)."""
-        if isinstance(out_port, int):
-            out_port = self.port(out_port)
-        if out_port.node is not self:
-            raise PortError(f"port {out_port.name} does not belong to node {self.name}")
-        return out_port.send(packet)
-
     def flood(self, packet: Packet, exclude: Port | None = None) -> int:
         """Send a copy of the packet out of every wired port except ``exclude``.
 
         Returns the number of ports the packet was sent on.
         """
         count = 0
-        for port in self.ports():
-            if port is exclude or not port.is_wired:
+        for port in tuple(self._ports.values()):
+            if port is exclude or port.link is None:
                 continue
             port.send(packet.copy())
             count += 1

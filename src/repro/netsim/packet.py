@@ -162,28 +162,6 @@ class Packet(_WeakReferenceable):
             **kwargs,
         )
 
-    @classmethod
-    def udp(
-        cls,
-        ip_src: IPv4Address | str,
-        ip_dst: IPv4Address | str,
-        tp_src: int,
-        tp_dst: int,
-        *,
-        payload: Any = b"",
-        **kwargs: Any,
-    ) -> "Packet":
-        """Build a UDP packet with the given 4-tuple."""
-        return cls(
-            ip_src=IPv4Address(ip_src),
-            ip_dst=IPv4Address(ip_dst),
-            ip_proto=IP_PROTO_UDP,
-            tp_src=tp_src,
-            tp_dst=tp_dst,
-            payload=payload,
-            **kwargs,
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -191,14 +169,6 @@ class Packet(_WeakReferenceable):
     def is_ip(self) -> bool:
         """Return ``True`` if the packet carries an IPv4 payload."""
         return self.eth_type == ETH_TYPE_IP and self.ip_src is not None and self.ip_dst is not None
-
-    def is_tcp(self) -> bool:
-        """Return ``True`` for TCP-over-IPv4 packets."""
-        return self.is_ip() and self.ip_proto == IP_PROTO_TCP
-
-    def proto_name(self) -> str:
-        """Return the transport protocol name (``tcp``, ``udp``, ``icmp`` or the number)."""
-        return proto_name(self.ip_proto)
 
     def five_tuple(self) -> tuple:
         """Return the ident++ 5-tuple ``(ip_src, ip_dst, ip_proto, tp_src, tp_dst)``."""
@@ -255,7 +225,7 @@ class Packet(_WeakReferenceable):
     def __str__(self) -> str:
         if self.is_ip():
             return (
-                f"{self.proto_name()} {self.ip_src}:{self.tp_src} -> "
+                f"{proto_name(self.ip_proto)} {self.ip_src}:{self.tp_src} -> "
                 f"{self.ip_dst}:{self.tp_dst} ({self.wire_size()}B)"
             )
         return f"eth {self.eth_src} -> {self.eth_dst} type=0x{self.eth_type:04x}"

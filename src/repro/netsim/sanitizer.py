@@ -205,18 +205,6 @@ class ShadowReplayReport:
         """True when same-instant ordering changed the scenario's outcome."""
         return self.baseline_digest != self.shadow_digest
 
-    def as_dict(self) -> dict[str, object]:
-        """Return a JSON-serialisable summary."""
-        return {
-            "diverged": self.diverged,
-            "baseline_digest": self.baseline_digest,
-            "shadow_digest": self.shadow_digest,
-            "baseline_trace_hash": self.baseline_trace_hash,
-            "shadow_trace_hash": self.shadow_trace_hash,
-            "same_instant_groups": self.same_instant_groups,
-            "reports": [str(report) for report in self.reports],
-        }
-
 
 def shadow_replay(
     scenario: Callable[["Simulator"], Any],

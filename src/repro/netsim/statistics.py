@@ -1,9 +1,9 @@
-"""Counters, histograms and a statistics registry.
+"""Counters, histograms and windowed rate counters.
 
 The benchmark harness (flow-setup latency breakdowns, bottleneck traffic
 saved, cache hit rates) reads these rather than scraping logs, so every
 statistic of interest in the library is a :class:`Counter` or a
-:class:`Histogram` registered in a :class:`StatsRegistry`.
+:class:`Histogram`.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ import random
 import zlib
 from array import array
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 
 class Counter:
-    """A monotonically increasing (but resettable) named counter.
+    """A monotonically increasing named counter.
 
     ``value`` is a plain slot: a hot path bumps it in place
     (``counter.value += 1``) instead of paying a method call per count.
@@ -36,10 +36,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name}: cannot increment by negative {amount}")
         self.value += amount
-
-    def reset(self) -> None:
-        """Set the counter back to zero."""
-        self.value = 0
 
     def __int__(self) -> int:
         return int(self.value)
@@ -106,11 +102,6 @@ class Histogram:
             self._samples[slot] = value
             self._sorted = False
 
-    def extend(self, values: Iterable[float]) -> None:
-        """Record many observations."""
-        for value in values:
-            self.observe(value)
-
     def _ensure_sorted(self) -> None:
         if not self._sorted:
             self._samples = array("d", sorted(self._samples))
@@ -120,11 +111,6 @@ class Histogram:
     def count(self) -> int:
         """Return the number of observations (exact, even with a reservoir)."""
         return self._count
-
-    @property
-    def total(self) -> float:
-        """Return the sum of all observations (exact, even with a reservoir)."""
-        return self._total
 
     @property
     def mean(self) -> float:
@@ -182,11 +168,6 @@ class Histogram:
         fraction = rank - low
         lower_value = self._samples[low]
         return lower_value + fraction * (self._samples[high] - lower_value)
-
-    @property
-    def median(self) -> float:
-        """Return the 50th percentile."""
-        return self.percentile(50)
 
     def samples(self) -> list[float]:
         """Return a copy of the retained samples (sorted).
@@ -253,11 +234,6 @@ class RateCounter:
         self._total = 0.0
         self._last_total: Optional[float] = None
 
-    @property
-    def total(self) -> float:
-        """Return the total events recorded over the counter's lifetime."""
-        return self._total
-
     def record(self, now: float, count: float = 1.0) -> None:
         """Record ``count`` events at virtual time ``now``."""
         if count < 0:
@@ -296,63 +272,5 @@ class RateCounter:
         while events and events[0][0] <= cutoff:
             events.popleft()
 
-    def reset(self) -> None:
-        """Discard all events and the monotonic baseline."""
-        self._events.clear()
-        self._total = 0.0
-        self._last_total = None
-
     def __repr__(self) -> str:
         return f"RateCounter({self.name!r}, window={self.window}, total={self._total})"
-
-
-class StatsRegistry:
-    """A named collection of counters and histograms.
-
-    Scenario objects expose a registry so that the analysis and benchmark
-    modules can enumerate everything that was measured during a run, and
-    the telemetry pipeline folds :meth:`snapshot`'s counters into its
-    time series.
-    """
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Return the counter with the given name, creating it if needed."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def histogram(self, name: str, *, reservoir: Optional[int] = None) -> Histogram:
-        """Return the histogram with the given name, creating it if needed."""
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, reservoir=reservoir)
-        return self._histograms[name]
-
-    def counters(self) -> Iterator[Counter]:
-        """Iterate over registered counters in name order."""
-        for name in sorted(self._counters):
-            yield self._counters[name]
-
-    def histograms(self) -> Iterator[Histogram]:
-        """Iterate over registered histograms in name order."""
-        for name in sorted(self._histograms):
-            yield self._histograms[name]
-
-    def snapshot(self) -> dict[str, float | dict[str, float]]:
-        """Return every statistic as plain Python values."""
-        result: dict[str, float | dict[str, float]] = {}
-        for counter in self.counters():
-            result[counter.name] = float(counter.value)
-        for histogram in self.histograms():
-            result[histogram.name] = histogram.summary()
-        return result
-
-    def reset(self) -> None:
-        """Reset every registered statistic."""
-        for counter in self._counters.values():
-            counter.reset()
-        for histogram in self._histograms.values():
-            histogram.reset()

@@ -14,7 +14,7 @@ index so controllers and daemons can resolve the hosts behind a flow.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.exceptions import TopologyError
 from repro.netsim.addresses import IPv4Address
@@ -64,22 +64,6 @@ class Topology:
         self._adjacency[node.name] = {}
         self._note_mutation()
         return node
-
-    def node(self, name: str) -> Node:
-        """Return the node with the given name."""
-        try:
-            return self._nodes[name]
-        except KeyError as exc:
-            raise TopologyError(f"unknown node: {name}") from exc
-
-    def nodes(self) -> Iterator[Node]:
-        """Iterate over nodes in name order."""
-        for name in sorted(self._nodes):
-            yield self._nodes[name]
-
-    def node_names(self) -> list[str]:
-        """Return all node names sorted."""
-        return sorted(self._nodes)
 
     def register_ip(self, address: IPv4Address | str, node: Node) -> None:
         """Record that ``address`` belongs to ``node`` (used by host lookups)."""
@@ -161,7 +145,10 @@ class Topology:
             if node.name not in self._nodes:
                 raise TopologyError(f"node {node.name} is not part of topology {self.name}")
             return node
-        return self.node(node)
+        try:
+            return self._nodes[node]
+        except KeyError as exc:
+            raise TopologyError(f"unknown node: {node}") from exc
 
     # ------------------------------------------------------------------
     # Paths
@@ -248,14 +235,6 @@ class Topology:
                 return port
         raise TopologyError(f"link {link.name} has no endpoint on {node.name}")
 
-    def connected(self, source: Node | str, target: Node | str) -> bool:
-        """Return ``True`` if a path exists between the two nodes."""
-        try:
-            self.shortest_path(source, target)
-        except TopologyError:
-            return False
-        return True
-
     # ------------------------------------------------------------------
     # Execution helpers
     # ------------------------------------------------------------------
@@ -263,34 +242,3 @@ class Topology:
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run the owned simulator (see :meth:`Simulator.run`)."""
         return self.sim.run(until=until, max_events=max_events)
-
-    def describe(self) -> dict[str, object]:
-        """Return a dictionary summarising the topology (used in reports)."""
-        return {
-            "name": self.name,
-            "nodes": self.node_names(),
-            "links": [link.name for link in self._links],
-            "diameter": self._diameter(),
-        }
-
-    def _diameter(self) -> int:
-        """Longest hop-count shortest path; 0 when disconnected or under two nodes."""
-        adjacency = self._adjacency
-        diameter = 0
-        for source in adjacency:
-            seen = {source}
-            frontier = [source]
-            depth = -1
-            while frontier:
-                depth += 1
-                reached = []
-                for node in frontier:
-                    for neighbor in adjacency[node]:
-                        if neighbor not in seen:
-                            seen.add(neighbor)
-                            reached.append(neighbor)
-                frontier = reached
-            if len(seen) < len(adjacency):
-                return 0
-            diameter = max(diameter, depth)
-        return diameter

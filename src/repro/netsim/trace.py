@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.netsim.packet import Packet
 
@@ -101,31 +101,7 @@ class PacketTrace:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
-    def filter(
-        self,
-        *,
-        where: Optional[str] = None,
-        event: Optional[str] = None,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-    ) -> list[TraceRecord]:
-        """Return the records matching all provided criteria."""
-        selected: Iterable[TraceRecord] = self.records
-        if where is not None:
-            selected = (r for r in selected if r.where == where)
-        if event is not None:
-            selected = (r for r in selected if r.event == event)
-        if predicate is not None:
-            selected = (r for r in selected if predicate(r))
-        return list(selected)
-
     def clear(self) -> None:
         """Discard all records; the capture's history starts over."""
         self.records.clear()
         self.dropped = 0
-
-    def summary(self) -> dict[str, int]:
-        """Return a per-event record count."""
-        counts: dict[str, int] = {}
-        for record in self.records:
-            counts[record.event] = counts.get(record.event, 0) + 1
-        return counts

@@ -10,15 +10,10 @@ uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class Action:
     """Base class for flow-entry actions (marker type)."""
-
-    def describe(self) -> str:
-        """Return a short human-readable description (used in audit logs)."""
-        return type(self).__name__
 
 
 @dataclass(frozen=True)
@@ -27,16 +22,10 @@ class OutputAction(Action):
 
     port: int
 
-    def describe(self) -> str:
-        return f"output:{self.port}"
-
 
 @dataclass(frozen=True)
 class FloodAction(Action):
     """Forward the packet out of every port except the ingress port."""
-
-    def describe(self) -> str:
-        return "flood"
 
 
 @dataclass(frozen=True)
@@ -47,20 +36,7 @@ class DropAction(Action):
     keeps audit logs and tests unambiguous about *deliberate* denies.
     """
 
-    def describe(self) -> str:
-        return "drop"
-
 
 @dataclass(frozen=True)
 class ControllerAction(Action):
     """Punt the packet to the controller over the control channel."""
-
-    def describe(self) -> str:
-        return "controller"
-
-
-def describe_actions(actions: Sequence[Action]) -> str:
-    """Return a compact description of an action list (``"output:3"``, ``"drop"``...)."""
-    if not actions:
-        return "drop(implicit)"
-    return ",".join(action.describe() for action in actions)

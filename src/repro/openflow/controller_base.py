@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.exceptions import ChannelError, OpenFlowError
 from repro.netsim.events import Simulator
-from repro.netsim.statistics import Counter, StatsRegistry
+from repro.netsim.statistics import Counter
 from repro.openflow.actions import Action
 from repro.openflow.channel import DEFAULT_CONTROL_LATENCY, ControllerChannel
 from repro.openflow.flow_table import DEFAULT_PRIORITY
@@ -48,7 +48,6 @@ class Controller:
         self._labelled_name: Optional[str] = None
         self.sim: Optional[Simulator] = None
         self.channels: dict[str, ControllerChannel] = {}
-        self.stats = StatsRegistry()
         self.packet_ins = Counter(f"{name}.packet_ins")
         self.flow_mods = Counter(f"{name}.flow_mods")
         self.packet_outs = Counter(f"{name}.packet_outs")

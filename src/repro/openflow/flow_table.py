@@ -76,11 +76,9 @@ class FlowEntry:
         return False
 
     def __str__(self) -> str:
-        from repro.openflow.actions import describe_actions
-
         return (
             f"FlowEntry(prio={self.priority}, {self.match}, "
-            f"actions=[{describe_actions(self.actions)}], pkts={self.packet_count})"
+            f"actions={list(self.actions)}, pkts={self.packet_count})"
         )
 
 
@@ -256,17 +254,6 @@ class FlowTable:
         if victims:
             self._discard(victims)
         return len(victims)
-
-    def clear(self) -> None:
-        """Remove all entries."""
-        self._by_sequence.clear()
-        self._by_cookie.clear()
-        self._shapes.clear()
-        self._prefixed.clear()
-        self._deadlines.clear()
-        self.expire_from = math.inf
-        self._expirable = 0
-        self._exact_cache.clear()
 
     def _link(self, entry: FlowEntry) -> None:
         """File a freshly sequenced entry under every index."""

@@ -81,22 +81,6 @@ class Match:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_packet(cls, packet: Packet, in_port: Optional[int] = None) -> "Match":
-        """Return the exact-match (no wildcards except possibly in_port) for a packet."""
-        return cls(
-            in_port=in_port,
-            dl_src=packet.eth_src,
-            dl_dst=packet.eth_dst,
-            dl_type=packet.eth_type,
-            vlan_id=packet.vlan_id,
-            nw_src=packet.ip_src,
-            nw_dst=packet.ip_dst,
-            nw_proto=packet.ip_proto if packet.is_ip() else None,
-            tp_src=packet.tp_src if packet.is_ip() else None,
-            tp_dst=packet.tp_dst if packet.is_ip() else None,
-        )
-
-    @classmethod
     def from_five_tuple(
         cls,
         ip_src: _IPField,
@@ -155,10 +139,6 @@ class Match:
             elif mine[index] != theirs[index]:
                 return False
         return True
-
-    def five_tuple(self) -> tuple:
-        """Return the ident++ 5-tuple slice of this match."""
-        return (self.nw_src, self.nw_dst, self.nw_proto, self.tp_src, self.tp_dst)
 
     def __str__(self) -> str:
         parts = [f"{MATCH_FIELDS[i]}={self.field_values[i]}" for i in self.shape]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.exceptions import OpenFlowError, SimulationError
+from repro.exceptions import OpenFlowError, SimulationError, TopologyError
 from repro.netsim.nodes import Node, Port
 from repro.netsim.packet import Packet
 from repro.netsim.statistics import Counter
@@ -261,7 +261,7 @@ class OpenFlowSwitch(Node):
                 elif port is link.port_b:
                     destination = link.port_a
                 else:
-                    destination = link.other_end(port)  # raises: not an endpoint
+                    raise TopologyError(f"port {port.name} is not an endpoint of link {link.name}")
                 if not link.up or (link.loss_filter is not None and link.loss_filter(packet)):
                     return
                 size = packet._wire_size

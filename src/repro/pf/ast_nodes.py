@@ -191,11 +191,6 @@ class Rule:
     # and kept for as long as those fields still compare equal.
     _rendered: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def is_pass(self) -> bool:
-        """Return ``True`` for ``pass`` rules."""
-        return self.action == ACTION_PASS
-
     def __str__(self) -> str:
         rendered_from = (
             self.action, self.quick, self.src, self.dst, self.conditions, self.keep_state,

@@ -66,10 +66,6 @@ class FunctionRegistry:
             raise PFEvalError(f"function {name!r} is already registered")
         self._functions[key] = function
 
-    def names(self) -> list[str]:
-        """Return the registered function names, sorted."""
-        return sorted(self._functions)
-
     def call(self, name: str, context: "EvalContext", args: Sequence[ArgValue]) -> bool:
         """Invoke a predicate; unknown names raise :class:`UnknownFunctionError`."""
         function = self._functions.get(name.lower())
@@ -79,12 +75,6 @@ class FunctionRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name.lower() in self._functions
-
-    def copy(self) -> "FunctionRegistry":
-        """Return an independent copy (used when layering per-scenario functions)."""
-        clone = FunctionRegistry()
-        clone._functions = dict(self._functions)
-        return clone
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +200,8 @@ def _resolve_list(context: "EvalContext", list_spec: ArgValue) -> list[str]:
         for network in context.tables.resolve(name).networks:
             # Host prefixes read back as bare addresses so membership tests
             # against values like "192.168.1.1" behave as expected.
-            rendered.append(str(network.network_address) if network.prefix_len == 32 else str(network))
+            host = network.netmask_int() == 0xFFFFFFFF
+            rendered.append(str(network.network_address) if host else str(network))
         return rendered
     named_dict = context.dicts.get(name)
     if named_dict is not None:

@@ -120,12 +120,6 @@ class RulesetLoader:
         for name in self.file_names():
             yield self._files[name]
 
-    def get(self, name: str) -> Optional[ControlFile]:
-        """Return a registered file by name."""
-        if not name.endswith(CONTROL_EXTENSION):
-            name = name + CONTROL_EXTENSION
-        return self._files.get(name)
-
     def __len__(self) -> int:
         return len(self._files)
 

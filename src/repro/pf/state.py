@@ -10,8 +10,8 @@ the reverse direction is approved too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.identpp.flowspec import FlowSpec
 
@@ -42,10 +42,6 @@ class StateTable:
     def __init__(self, *, timeout: float = DEFAULT_STATE_TIMEOUT) -> None:
         self.timeout = timeout
         self._entries: dict[FlowSpec, StateEntry] = {}
-        self.insertions = 0
-        self.hits = 0
-        self.misses = 0
-        self.expirations = 0
 
     def add(
         self,
@@ -62,72 +58,20 @@ class StateTable:
                 flow=flow, created_at=now, last_seen=now, rule_origin=rule_origin, cookie=cookie
             )
             self._entries[flow] = entry
-            self.insertions += 1
         else:
             entry.last_seen = now
         return entry
 
     def match(self, flow: FlowSpec, now: float = 0.0) -> Optional[StateEntry]:
-        """Return the entry covering ``flow`` (either direction), updating counters."""
+        """Return the entry covering ``flow`` (either direction); an idle one is dropped."""
         entry = self._entries.get(flow) or self._entries.get(flow.reversed())
         if entry is None:
-            self.misses += 1
             return None
         if self.timeout and now - entry.last_seen > self.timeout:
-            self.remove(entry.flow)
-            self.expirations += 1
-            self.misses += 1
+            del self._entries[entry.flow]
             return None
         entry.record(now)
-        self.hits += 1
         return entry
-
-    def remove(self, flow: FlowSpec) -> bool:
-        """Remove the entry for ``flow`` (exact direction).  Returns ``True`` if present."""
-        return self._entries.pop(flow, None) is not None
-
-    def remove_by_cookie(self, cookie: str) -> int:
-        """Remove every entry carrying ``cookie`` (policy revocation).  Returns the count."""
-        victims = [flow for flow, entry in self._entries.items() if entry.cookie == cookie]
-        for flow in victims:
-            del self._entries[flow]
-        return len(victims)
-
-    def expire(self, now: float) -> int:
-        """Remove idle entries; returns how many were dropped."""
-        if not self.timeout:
-            return 0
-        victims = [
-            flow for flow, entry in self._entries.items() if now - entry.last_seen > self.timeout
-        ]
-        for flow in victims:
-            del self._entries[flow]
-        self.expirations += len(victims)
-        return len(victims)
-
-    def entries(self) -> Iterator[StateEntry]:
-        """Iterate over current entries."""
-        return iter(list(self._entries.values()))
-
-    def expirable_count(self) -> int:
-        """Return how many entries a future :meth:`expire` could reclaim."""
-        return len(self._entries) if self.timeout else 0
-
-    def next_deadline(self) -> Optional[float]:
-        """Return when the least-recently-seen entry times out (``None`` when idle)."""
-        if not self.timeout or not self._entries:
-            return None
-        return min(entry.last_seen for entry in self._entries.values()) + self.timeout
-
-    def stats(self) -> dict[str, float]:
-        """Return the table's counters (wired into controller summaries)."""
-        return {
-            "entries": float(len(self._entries)),
-            "insertions": float(self.insertions),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "expirations": float(self.expirations),
-        }
 
     def __len__(self) -> int:
         return len(self._entries)

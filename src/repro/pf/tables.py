@@ -27,16 +27,13 @@ class AddressTable:
         """Add an address or prefix to the table."""
         self.networks.append(_to_network(item))
 
-    def contains(self, address: IPv4Address | str) -> bool:
+    def __contains__(self, address: IPv4Address | str) -> bool:
         """Return ``True`` if the address falls inside any member prefix."""
         try:
             address = IPv4Address(address)
         except AddressError:
             return False
         return any(address in network for network in self.networks)
-
-    def __contains__(self, address: IPv4Address | str) -> bool:
-        return self.contains(address)
 
     def __len__(self) -> int:
         return len(self.networks)
@@ -65,10 +62,6 @@ class TableSet:
     def definitions(self) -> Mapping[str, TableDef]:
         """Return the definitions by name, read-only: what compiled rules depend on."""
         return MappingProxyType(self._definitions)
-
-    def names(self) -> list[str]:
-        """Return the defined table names, sorted."""
-        return sorted(self._definitions)
 
     def has_table(self, name: str) -> bool:
         """Return ``True`` if a table with this name is defined."""
@@ -104,10 +97,6 @@ class TableSet:
                 raise PFEvalError(f"unsupported table item in <{name}>: {item!r}")
         self._resolved[name] = table
         return table
-
-    def contains(self, name: str, address: IPv4Address | str) -> bool:
-        """Return ``True`` if ``address`` is a member of table ``name``."""
-        return self.resolve(name).contains(address)
 
     def merge(self, other: "TableSet") -> None:
         """Add every definition from ``other`` (other's definitions win on clash)."""

@@ -85,28 +85,11 @@ class ImpactResult:
         return len(self.gained)
 
     @property
-    def gained_fraction(self) -> float:
-        """Return gained probes as a fraction of all probes."""
-        if self.total_probes == 0:
-            return 0.0
-        return self.gained_count / self.total_probes
-
-    @property
     def exposure_after(self) -> float:
         """Return the fraction of probes that succeed after the compromise."""
         if self.total_probes == 0:
             return 0.0
         return len(self.allowed_after) / self.total_probes
-
-    def summary(self) -> dict[str, float]:
-        """Return the numbers the E9 matrix prints."""
-        return {
-            "allowed_before": float(len(self.allowed_before)),
-            "allowed_after": float(len(self.allowed_after)),
-            "gained": float(self.gained_count),
-            "gained_fraction": self.gained_fraction,
-            "exposure_after": self.exposure_after,
-        }
 
 
 def allowed_set(decider: ProbeDecider, probes: Iterable[AttackProbe]) -> set[AttackProbe]:
@@ -141,10 +124,6 @@ class SecurityMatrix:
     def add(self, result: ImpactResult) -> None:
         """Record one cell."""
         self._cells[(result.architecture, str(result.scenario))] = result
-
-    def cell(self, architecture: str, scenario: CompromiseScenario | str) -> ImpactResult:
-        """Return one cell."""
-        return self._cells[(architecture, str(scenario))]
 
     def architectures(self) -> list[str]:
         """Return the architectures present, sorted."""

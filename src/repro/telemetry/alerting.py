@@ -40,10 +40,6 @@ class Alert:
     message: str
     deviation: Optional[Deviation] = None
 
-    def describe(self) -> str:
-        """Return a one-line human-readable description."""
-        return f"[{self.time:.3f}] ALERT {self.kind}/{self.source}: {self.message}"
-
 
 class AlertRouter:
     """Routes alerts to responders with per-``(kind, source)`` cooldown.
@@ -63,7 +59,6 @@ class AlertRouter:
         self._responders: dict[str, list[Responder]] = {}
         self._last: dict[tuple[str, str], float] = {}
         self._alerts: list[Alert] = []
-        self.suppressed = 0
 
     def respond(self, kind: str, responder: Responder) -> None:
         """Register a responder for one alert kind."""
@@ -86,7 +81,6 @@ class AlertRouter:
         key = (alert.kind, alert.source)
         last = self._last.get(key)
         if last is not None and alert.time - last < self.cooldown:
-            self.suppressed += 1
             return False
         self._last[key] = alert.time
         self._alerts.append(alert)
@@ -110,17 +104,6 @@ class AlertRouter:
     def attach(self, monitor) -> None:
         """Subscribe this router to a deviation monitor."""
         monitor.on_deviation(self.on_deviation)
-
-    def stats(self) -> dict[str, object]:
-        """Return router-level counters for reports."""
-        by_kind: dict[str, int] = {}
-        for alert in self._alerts:
-            by_kind[alert.kind] = by_kind.get(alert.kind, 0) + 1
-        return {
-            "alerts": len(self._alerts),
-            "suppressed": self.suppressed,
-            "by_kind": by_kind,
-        }
 
 
 class AutoQuarantineResponder:
@@ -209,11 +192,3 @@ class AutoQuarantineResponder:
                     deviation=alert.deviation,
                 )
             )
-
-    def stats(self) -> dict[str, object]:
-        """Return responder-level counters for reports."""
-        return {
-            "quarantined": sorted(self._quarantined),
-            "fanout_threshold": self.fanout_threshold,
-            "window": self.window,
-        }

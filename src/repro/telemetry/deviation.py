@@ -142,7 +142,6 @@ class Detector:
         self.baseline = EwmaBaseline(alpha=alpha, warmup=warmup)
         self.min_streak = min_streak
         self._streak = 0
-        self.deviations = 0
 
     def observe(self, now: float, value: float) -> Optional[Deviation]:
         """Feed one sample; return a :class:`Deviation` if one fires."""
@@ -159,7 +158,6 @@ class Detector:
         self._streak += 1
         if self._streak < self.min_streak:
             return None
-        self.deviations += 1
         return Deviation(
             time=now,
             kind=self.kind,
@@ -328,7 +326,6 @@ class DeviationMonitor:
     def __init__(self) -> None:
         self._detectors: list[Detector] = []
         self._sinks: list[Callable[[Deviation], None]] = []
-        self.inspected = 0
 
     def watch(self, detector: Detector) -> Detector:
         """Register a detector; returns it for chaining."""
@@ -339,13 +336,8 @@ class DeviationMonitor:
         """Register a sink called with every deviation."""
         self._sinks.append(sink)
 
-    def detectors(self) -> list[Detector]:
-        """Return the registered detectors (registration order)."""
-        return list(self._detectors)
-
     def inspect(self, now: float, pipeline) -> list[Deviation]:
         """Run every detector against its series' latest sample."""
-        self.inspected += 1
         fired: list[Deviation] = []
         for detector in self._detectors:
             series = pipeline.series(detector.series)
@@ -365,11 +357,3 @@ class DeviationMonitor:
     def attach(self, pipeline) -> None:
         """Subscribe this monitor to a pipeline's sweeps."""
         pipeline.on_sample(lambda now, pipe: self.inspect(now, pipe))
-
-    def stats(self) -> dict[str, object]:
-        """Return monitor-level counters for reports."""
-        return {
-            "detectors": len(self._detectors),
-            "inspections": self.inspected,
-            "deviations": sum(d.deviations for d in self._detectors),
-        }

@@ -14,8 +14,7 @@ ingestion side of that plane:
   samples.  Telemetry outlives any one burst, so the buffer drops the
   oldest points rather than growing for the run's lifetime (the same
   bounded-state rule the churn soaks enforce everywhere else).
-* :class:`MetricsPipeline` — samples every probe (plus an optional
-  :class:`~repro.netsim.statistics.StatsRegistry` snapshot) on virtual
+* :class:`MetricsPipeline` — samples every probe on virtual
   time via :meth:`~repro.netsim.events.Simulator.schedule_repeating`,
   then hands each completed sweep to its observers — the deviation
   monitor in :mod:`repro.telemetry.deviation`.
@@ -30,8 +29,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterator, Optional
 
-from repro.netsim.statistics import StatsRegistry
-
 #: Default ring-buffer capacity per series (samples, not seconds).
 DEFAULT_CAPACITY = 512
 
@@ -39,7 +36,7 @@ DEFAULT_CAPACITY = 512
 class TimeSeries:
     """A bounded ring buffer of ``(time, value)`` samples for one metric."""
 
-    __slots__ = ("name", "capacity", "_points", "dropped")
+    __slots__ = ("name", "capacity", "_points")
 
     def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
@@ -47,31 +44,14 @@ class TimeSeries:
         self.name = name
         self.capacity = capacity
         self._points: deque[tuple[float, float]] = deque(maxlen=capacity)
-        #: Samples evicted by the ring bound — non-zero means the window
-        #: no longer reaches back to the start of the run.
-        self.dropped = 0
 
     def record(self, time: float, value: float) -> None:
         """Append one sample, evicting the oldest when full."""
-        if len(self._points) == self.capacity:
-            self.dropped += 1
         self._points.append((time, float(value)))
 
     def last(self) -> Optional[tuple[float, float]]:
         """Return the most recent ``(time, value)`` sample, if any."""
         return self._points[-1] if self._points else None
-
-    def window(self, since: float) -> list[tuple[float, float]]:
-        """Return the samples with ``time >= since`` (oldest first)."""
-        return [(t, v) for t, v in self._points if t >= since]
-
-    def values(self) -> list[float]:
-        """Return every retained value (oldest first)."""
-        return [v for _, v in self._points]
-
-    def times(self) -> list[float]:
-        """Return every retained sample time (oldest first)."""
-        return [t for t, _ in self._points]
 
     def __len__(self) -> int:
         return len(self._points)
@@ -118,13 +98,9 @@ class MetricsPipeline:
         name: str = "telemetry",
         *,
         capacity: int = DEFAULT_CAPACITY,
-        registry: Optional[StatsRegistry] = None,
     ) -> None:
         self.name = name
         self.capacity = capacity
-        #: Optional stats registry folded into every sweep through
-        #: ``registry.snapshot()``: counters become gauge series.
-        self.registry = registry
         self._probes: dict[str, TelemetryProbe] = {}
         self._series: dict[str, TimeSeries] = {}
         self._updaters: list[Callable[[float], None]] = []
@@ -153,8 +129,7 @@ class MetricsPipeline:
         """Register a pre-sample hook (runs before probes on each sweep).
 
         Used to advance rate counters from monotonic hot-path counters
-        so both the registry snapshot and the rate probes see values
-        current as of this tick.
+        so the rate probes see values current as of this tick.
         """
         self._updaters.append(updater)
 
@@ -175,19 +150,11 @@ class MetricsPipeline:
     # ------------------------------------------------------------------
 
     def sample(self, now: float) -> None:
-        """Run one sweep: updaters, probes, registry snapshot, observers."""
+        """Run one sweep: updaters, probes, observers."""
         for updater in self._updaters:
             updater(now)
         for name, probe in self._probes.items():
             self._series[name].record(now, probe.sample(now))
-        if self.registry is not None:
-            for key, value in self.registry.snapshot().items():
-                if isinstance(value, dict):
-                    continue  # histogram summaries are not time series
-                series = self._series.get(key)
-                if series is None:
-                    series = self._series[key] = TimeSeries(key, self.capacity)
-                series.record(now, float(value))
         self.samples += 1
         for observer in self._observers:
             observer(now, self)
@@ -220,22 +187,3 @@ class MetricsPipeline:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    @property
-    def running(self) -> bool:
-        """Return whether the sampler is armed."""
-        return self._running
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def stats(self) -> dict[str, object]:
-        """Return pipeline-level counters for reports."""
-        return {
-            "probes": len(self._probes),
-            "series": len(self._series),
-            "samples": self.samples,
-            "dropped_points": sum(s.dropped for s in self._series.values()),
-            "running": self._running,
-        }

@@ -336,11 +336,6 @@ class TelemetryPlane:
         """Stop sampling so the event queue can drain."""
         self.pipeline.stop()
 
-    @property
-    def running(self) -> bool:
-        """Return whether the sampler is armed."""
-        return self.pipeline.running
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -359,19 +354,3 @@ class TelemetryPlane:
         if self.responder is None:
             return frozenset()
         return self.responder.quarantined
-
-    def series(self, name: str):
-        """Return one of the pipeline's time series by name."""
-        return self.pipeline.series(name)
-
-    def stats(self) -> dict[str, object]:
-        """Return the whole plane's counters for reports."""
-        stats: dict[str, object] = {
-            "interval": self.interval,
-            "pipeline": self.pipeline.stats(),
-            "monitor": self.monitor.stats(),
-            "router": self.router.stats(),
-        }
-        if self.responder is not None:
-            stats["quarantine"] = self.responder.stats()
-        return stats

@@ -64,9 +64,6 @@ class ReferenceIPv4Address:
     def to_int(self) -> int:
         return self._value
 
-    def to_bytes(self) -> bytes:
-        return self._value.to_bytes(4, "big")
-
     def octets(self) -> tuple[int, int, int, int]:
         value = self._value
         return (
@@ -139,9 +136,6 @@ class ReferenceMACAddress:
 
     def to_int(self) -> int:
         return self._value
-
-    def to_bytes(self) -> bytes:
-        return self._value.to_bytes(6, "big")
 
     def __str__(self) -> str:
         raw = f"{self._value:012x}"

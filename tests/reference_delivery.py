@@ -38,7 +38,7 @@ import contextlib
 import math
 from typing import Iterator, Optional, Sequence
 
-from repro.exceptions import OpenFlowError, SimulationError
+from repro.exceptions import OpenFlowError, SimulationError, TopologyError
 from repro.hosts.endhost import EndHost
 from repro.netsim.events import Simulator
 from repro.netsim.links import Link
@@ -190,7 +190,7 @@ def transmit_shared(self: Link, packet: Packet, from_port: Port) -> None:
     elif from_port is self.port_b:
         destination = self.port_a
     else:
-        destination = self.other_end(from_port)
+        raise TopologyError(f"port {from_port.name} is not an endpoint of link {self.name}")
     if not self.up or (self.loss_filter is not None and self.loss_filter(packet)):
         return
     size = packet.wire_size()
@@ -224,7 +224,12 @@ def host_receive(self: EndHost, packet: Packet, in_port: Port) -> None:
 
 def transmit(self: Link, packet: Packet, from_port: Port) -> None:
     """Send a packet from one endpoint toward the other: one event per packet."""
-    destination = self.other_end(from_port)
+    if from_port is self.port_a:
+        destination = self.port_b
+    elif from_port is self.port_b:
+        destination = self.port_a
+    else:
+        raise TopologyError(f"port {from_port.name} is not an endpoint of link {self.name}")
     if not self.up or (self.loss_filter is not None and self.loss_filter(packet)):
         return
     size = packet.wire_size()

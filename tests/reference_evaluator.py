@@ -34,7 +34,7 @@ from repro.pf.ast_nodes import (
     TableRefExpr,
 )
 from repro.pf.evaluator import EvalContext, PolicyEvaluator, Verdict
-from repro.pf.functions import ArgValue
+from repro.pf.functions import ArgValue, FunctionRegistry
 from repro.pf.parser import parse_rules_text
 
 
@@ -47,7 +47,9 @@ def reference_evaluate(
     depth: int = 0,
 ) -> Verdict:
     """Walk ``evaluator``'s ruleset against one flow: last match wins, ``quick`` stops."""
-    registry = evaluator.registry.copy()
+    registry = FunctionRegistry()
+    for name, function in evaluator.registry._functions.items():
+        registry.register(name, function)
     registry.register("allowed", _reference_allowed, replace=True)
     context = EvalContext(
         flow=flow,
@@ -121,7 +123,7 @@ def _address_matches(endpoint: EndpointSpec, address: IPv4Address, context: Eval
     if isinstance(spec, AnyAddress):
         return True
     if isinstance(spec, TableRef):
-        return context.tables.contains(spec.name, address)
+        return address in context.tables.resolve(spec.name)
     if isinstance(spec, AddressLiteral):
         return _literal_contains(spec.text, address)
     if isinstance(spec, MacroRef):

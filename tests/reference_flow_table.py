@@ -108,12 +108,6 @@ class ReferenceFlowTable:
             self._discard(victims)
         return len(victims)
 
-    def clear(self) -> None:
-        """Remove all entries."""
-        self._entries.clear()
-        self._exact_cache.clear()
-        self._same_index.clear()
-
     def _find_same(self, match: Match, priority: int) -> Optional[FlowEntry]:
         return self._same_index.get((match, priority))
 

@@ -2,8 +2,8 @@
 
 Until ``repro.netsim.topology.Topology`` held its own adjacency it
 mirrored every node and link into a :class:`networkx.Graph` (edge data
-``latency`` and ``link``) and read links, neighbours and the diameter
-back out of it.  This is that graph, with each query answered by
+``latency`` and ``link``) and read links and neighbours back out of
+it.  This is that graph, with each query answered by
 networkx's own algorithms instead of the topology's search.
 ``tests/test_topology_reference.py`` drives it and the real topology
 with the same mutations and requires the same answers.  networkx is a
@@ -52,9 +52,3 @@ class ReferenceTopology:
         """Minimum latency, then fewest hops, then the smallest name sequence."""
         candidates = nx.all_shortest_paths(self.graph, source, target, weight="latency")
         return min(candidates, key=lambda path: (len(path), path))
-
-    def diameter(self) -> int:
-        """Hop-count diameter; 0 when disconnected or under two nodes."""
-        if self.graph.number_of_nodes() < 2 or not nx.is_connected(self.graph):
-            return 0
-        return int(nx.diameter(self.graph))

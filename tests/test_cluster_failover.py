@@ -10,6 +10,7 @@ from repro.workloads.invariants import (
     network_audit_records,
     network_flow_state,
 )
+from tests.test_cluster_shard_map import successor
 from tests.test_push_plane import patch_host
 
 
@@ -94,8 +95,8 @@ class TestFailover:
         net.run(1.0)
         assert len(net.host("server").delivered) == 1
         assert net.cluster.replicas[owner].audit.records() == []
-        successor = net.cluster.shard_map.successor(flow, owner)
-        assert len(net.cluster.replicas[successor].audit.records()) == 1
+        adopter = successor(net.cluster.shard_map, flow, owner)
+        assert len(net.cluster.replicas[adopter].audit.records()) == 1
         # No failover ran: the shard router alone re-homed the punt.
         assert net.cluster.failovers == 0
 
@@ -182,8 +183,7 @@ class TestFailover:
         net.run(1.0)
         net.stop_monitoring()
         assert net.cluster.failovers == 0
-        assert net.cluster.monitor.ticks >= 10
-        assert net.cluster.monitor.stats()["suspected"] == {}
+        assert len(net.cluster.shard_map.live_shards()) == len(net.cluster.replicas)
 
     def test_monitor_requires_arming_before_detection(self):
         net = build_network()
@@ -200,12 +200,12 @@ class TestFailover:
         # a flow lost twice still ends as an audited drop.
         net = build_network()
         flow, owner = punt_one_flow(net)
-        successor = net.cluster.shard_map.successor(flow, owner)
+        adopter_name = successor(net.cluster.shard_map, flow, owner)
         net.start_monitoring()
         net.cluster.kill(owner)
         net.run(0.5)
         assert net.cluster.repunted_flows == 1
-        adopter = net.cluster.replicas[successor]
+        adopter = net.cluster.replicas[adopter_name]
         if adopter.inflight_count():
             assert adopter._pending[flow].deadline is not None
         net.stop_monitoring()
@@ -409,6 +409,7 @@ class TestPushSubscriptionRehoming:
                 {"rev": f"r{offset}"},
                 label="test.delta_stream",
             )
+        epoch_before = net.cluster.coordinator.epoch
         net.start_monitoring()
         sim.schedule_at(sim.now + 0.2, net.cluster.kill, victim, label="test.kill")
         net.run(1.0)
@@ -433,8 +434,8 @@ class TestPushSubscriptionRehoming:
         live_subscribed = self._subscribed_shards(net)
         assert victim not in live_subscribed
         assert daemon.subscriber_count() == len(live_subscribed)
-        # The re-home was committed to the replay log.
-        assert "subscription_rehome" in net.cluster.coordinator.stats()["by_kind"]
+        # The re-home was committed as a cluster change.
+        assert net.cluster.coordinator.epoch > epoch_before
 
         # The successor is resident: a re-punted flow it owns decides
         # without a single new query to the server's daemon.

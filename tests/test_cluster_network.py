@@ -87,14 +87,14 @@ class TestClusterBuilders:
         # A cluster network must not carry a dead unsharded controller.
         net = build_cluster_network(shards=2)
         assert net.controller is None
-        assert sorted(net.summary()["controllers"]) == sorted(net.cluster.replicas)
+        assert sorted(net.controllers) == sorted(net.cluster.replicas)
 
     def test_explicit_controller_network_skips_default_controller(self):
         net = IdentPPNetwork("explicit", create_default_controller=False)
         controller = net.add_controller("the-one")
         switch = net.add_switch("sw", controller=controller)
         assert net.controller is None
-        assert list(net.summary()["controllers"]) == ["the-one"]
+        assert list(net.controllers) == ["the-one"]
         assert switch.channel.controller is controller
 
     def test_switch_without_any_controller_rejected(self):
@@ -120,17 +120,8 @@ class TestClusterBuilders:
         net = IdentPPNetwork("classic")
         net.add_switch("sw")
         assert net.controller is not None
-        assert list(net.summary()["controllers"]) == [net.controller.name]
-        assert "cluster" not in net.summary()
-
-    def test_cluster_summary_shape(self):
-        net = build_cluster_network(shards=2)
-        net.send_flow("client", "http", "alice", "192.168.1.1", 80)
-        cluster = net.summary()["cluster"]
-        assert cluster["shards"] == 2
-        assert cluster["decisions_total"] == 1
-        assert cluster["pending_total"] == 0
-        assert cluster["shard_map"]["ring_size"] > 0
+        assert list(net.controllers) == [net.controller.name]
+        assert net.cluster is None
 
 
 class TestClusterCoordination:
@@ -141,7 +132,9 @@ class TestClusterCoordination:
         )
         assert record.kind == "policy_reload"
         assert sorted(record.applied_to) == sorted(net.cluster.replicas)
-        rule_counts = {c.policy.rule_count() for c in net.cluster.replicas.values()}
+        rule_counts = {
+            len(c.policy.evaluator.ruleset.rules()) for c in net.cluster.replicas.values()
+        }
         assert len(rule_counts) == 1
         assert net.cluster.coordinator.verify_converged()
 
@@ -173,11 +166,15 @@ class TestClusterCoordination:
         from repro.exceptions import PFError
 
         net = build_cluster_network()
-        before_counts = [c.policy.rule_count() for c in net.cluster.replicas.values()]
+        before_counts = [
+            len(c.policy.evaluator.ruleset.rules()) for c in net.cluster.replicas.values()
+        ]
         before_epoch = net.cluster.coordinator.epoch
         with pytest.raises(PFError):
             net.cluster.set_policy({"99-broken.control": "pass frm any to any\n"})
-        assert [c.policy.rule_count() for c in net.cluster.replicas.values()] == before_counts
+        assert [
+            len(c.policy.evaluator.ruleset.rules()) for c in net.cluster.replicas.values()
+        ] == before_counts
         assert all(
             "99-broken.control" not in c.policy.loader.file_names()
             for c in net.cluster.replicas.values()
@@ -233,11 +230,9 @@ class TestClusterCoordination:
         net = build_cluster_network()
         cluster = net.cluster
         before_epoch = cluster.coordinator.epoch
-        before_trail = cluster.coordinator.stats()["changes"]
         with pytest.raises(Exception):
             cluster.grant_delegation("poison", None)  # keystore rejects None
         assert cluster.coordinator.epoch == before_epoch
-        assert cluster.coordinator.stats()["changes"] == before_trail
 
         victim = sorted(cluster.replicas)[0]
         cluster.kill(victim)

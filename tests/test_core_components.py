@@ -150,7 +150,7 @@ class TestPolicyEngine:
             "00-default.control": "block all\n",
             "50-apps.control": "pass all with eq(@src[name], http)\n",
         })
-        assert engine.rule_count() == 2
+        assert len(engine.evaluator.ruleset.rules()) == 2
         assert engine.decide(FLOW, doc({"name": "http"})).is_pass
         assert not engine.decide(FLOW, doc({"name": "telnet"})).is_pass
 

@@ -189,7 +189,7 @@ class TestEngineAsyncQueries:
 
         seen = []
         future = engine.query_async(flow_to_server(40000), "dst", from_node=switch)
-        assert not future.done
+        assert not future._done
         future.add_done_callback(lambda outcome: seen.append((topo.sim.now, outcome)))
         topo.sim.run()
         [(when, outcome)] = seen
@@ -203,7 +203,7 @@ class TestEngineAsyncQueries:
         engine.query_async(flow_to_server(40000), "dst", from_node=switch)
         topo.sim.run()  # first answer lands and warms the cache
         hit = engine.query_async(flow_to_server(41000), "dst", from_node=switch)
-        assert hit.done
+        assert hit._done
         assert hit.result().cached and hit.result().latency == 0.0
         assert engine.hits == 1
         assert int(daemon.queries_answered.value) == 1
@@ -235,16 +235,16 @@ class TestEngineAsyncQueries:
         # directly, so the continuations still complete on time.
         assert engine.invalidate_host(server.ip, reason="test") >= 1
         topo.sim.run()
-        assert first.done and second.done
+        assert first._done and second._done
         assert first.result().succeeded() and second.result().succeeded()
 
     def test_disabled_engine_passthrough_still_schedules_the_answer(self):
         topo, switch, _, _, _ = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=0.0)
         future = engine.query_async(flow_to_server(40000), "dst", from_node=switch)
-        assert not future.done
+        assert not future._done
         topo.sim.run()
-        assert future.done and future.result().succeeded()
+        assert future._done and future.result().succeeded()
         assert engine.stats()["lookups"] == 0  # pure pass-through
 
 

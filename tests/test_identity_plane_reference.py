@@ -124,7 +124,7 @@ class World:
 
     def observed(self) -> dict:
         def served(future):
-            if not future.done:
+            if not future._done:
                 return None
             outcome = future.result()
             payload = outcome.response.to_payload() if outcome.response is not None else None

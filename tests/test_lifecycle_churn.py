@@ -61,12 +61,6 @@ class TestExpiryHeap:
         heap.push(1.0, "second", None)
         assert [key for key, _ in heap.pop_due(1.0)] == ["first", "second"]
 
-    def test_clear(self):
-        heap = ExpiryHeap()
-        heap.push(1.0, "a")
-        heap.clear()
-        assert len(heap) == 0 and heap.next_due() is None
-
     def test_retain_drops_dead_records_and_keeps_the_order(self):
         heap = ExpiryHeap()
         for due, key in ((5.0, "e"), (1.0, "a"), (4.0, "d"), (2.0, "b"), (3.0, "c")):

@@ -23,12 +23,6 @@ class TestIPv4Address:
         original = IPv4Address("1.2.3.4")
         assert IPv4Address(original) == original
 
-    def test_octets(self):
-        assert IPv4Address("1.2.3.4").octets() == (1, 2, 3, 4)
-
-    def test_to_bytes(self):
-        assert IPv4Address("1.2.3.4").to_bytes() == bytes([1, 2, 3, 4])
-
     def test_equality_with_string_and_int(self):
         assert IPv4Address("10.0.0.1") == "10.0.0.1"
         assert IPv4Address("10.0.0.1") == IPv4Address("10.0.0.1").to_int()
@@ -94,7 +88,7 @@ class TestIPv4Network:
 
     def test_host_route(self):
         network = IPv4Network("192.168.1.1")
-        assert network.prefix_len == 32
+        assert network.netmask_int() == 0xFFFFFFFF
         assert IPv4Address("192.168.1.1") in network
         assert IPv4Address("192.168.1.2") not in network
 
@@ -105,21 +99,6 @@ class TestIPv4Network:
     def test_base_address_masked(self):
         assert str(IPv4Network("192.168.1.77/24")) == "192.168.1.0/24"
 
-    def test_hosts_excludes_network_and_broadcast(self):
-        hosts = list(IPv4Network("10.0.0.0/30").hosts())
-        assert [str(h) for h in hosts] == ["10.0.0.1", "10.0.0.2"]
-
-    def test_hosts_for_point_to_point(self):
-        assert len(list(IPv4Network("10.0.0.0/31").hosts())) == 2
-
-    @pytest.mark.parametrize("cidr, usable", [
-        ("10.0.0.0/24", 254), ("10.0.0.0/29", 6), ("10.0.0.8/29", 6), ("10.0.0.7/32", 1),
-    ])
-    def test_usable_host_count(self, cidr, usable):
-        hosts = list(IPv4Network(cidr).hosts())
-        assert len(hosts) == usable
-        assert all(host in IPv4Network(cidr) for host in hosts)
-
     @pytest.mark.parametrize("prefix, mask", [
         (0, 0), (8, 0xFF000000), (20, 0xFFFFF000), (32, 0xFFFFFFFF),
     ])
@@ -129,10 +108,6 @@ class TestIPv4Network:
     def test_network_containment(self):
         assert IPv4Network("192.168.1.0/24") in IPv4Network("192.168.0.0/16")
         assert IPv4Network("192.168.0.0/16") not in IPv4Network("192.168.1.0/24")
-
-    def test_overlaps(self):
-        assert IPv4Network("10.0.0.0/8").overlaps(IPv4Network("10.1.0.0/16"))
-        assert not IPv4Network("10.0.0.0/8").overlaps(IPv4Network("11.0.0.0/8"))
 
     def test_equality_and_hash(self):
         assert IPv4Network("10.0.0.0/8") == IPv4Network("10.0.0.0/8")
@@ -146,17 +121,6 @@ class TestIPv4Network:
     def test_zero_prefix_contains_everything(self):
         assert "255.255.255.255" in IPv4Network("0.0.0.0/0")
 
-    @given(
-        st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=32),
-        st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=32),
-    )
-    def test_property_overlap_is_symmetric_and_follows_containment(self, a, a_len, b, b_len):
-        first = IPv4Network(f"{IPv4Address(a)}/{a_len}")
-        second = IPv4Network(f"{IPv4Address(b)}/{b_len}")
-        assert first.overlaps(second) == second.overlaps(first)
-        # Two prefixes overlap exactly when one contains the other.
-        assert first.overlaps(second) == (first in second or second in first)
-
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=32))
     def test_property_network_contains_its_own_base(self, value, prefix):
         network = IPv4Network(f"{IPv4Address(value)}/{prefix}")
@@ -165,7 +129,7 @@ class TestIPv4Network:
 
 class TestMACAddress:
     def test_parse_colon_form(self):
-        assert MACAddress("00:11:22:33:44:55").to_int() == 0x001122334455
+        assert int(MACAddress("00:11:22:33:44:55")) == 0x001122334455
 
     def test_parse_dash_form(self):
         assert MACAddress("00-11-22-33-44-55") == MACAddress("00:11:22:33:44:55")
@@ -178,12 +142,9 @@ class TestMACAddress:
         second = MACAddress.from_index(2)
         assert first != second
 
-    def test_to_bytes_length(self):
-        assert len(MACAddress("aa:bb:cc:dd:ee:ff").to_bytes()) == 6
-
     @pytest.mark.parametrize("index", [0, 1, 2**32 - 1, 2**40 - 1])
     def test_from_index_is_locally_administered_unicast(self, index):
-        first_octet = MACAddress.from_index(index).to_bytes()[0]
+        first_octet = int(MACAddress.from_index(index)) >> 40
         assert first_octet & 0x02  # locally administered
         assert not first_octet & 0x01  # unicast
 
@@ -202,7 +163,7 @@ class TestMACAddress:
 
     @given(st.integers(min_value=0, max_value=2**48 - 1))
     def test_property_string_round_trip(self, value):
-        assert MACAddress(str(MACAddress(value))).to_int() == value
+        assert int(MACAddress(str(MACAddress(value)))) == value
 
 
 class TestIntValued:
@@ -276,9 +237,7 @@ class TestAgainstReference:
         assert [hash(a) for a in new] == [hash(a) for a in old]
         for a, b in zip(new, old):
             assert (str(a), repr(a), format(a, ""), f"{a}") == (str(b), repr(b), format(b, ""), f"{b}")
-            assert (a.to_int(), int(a), a.octets(), a.to_bytes()) == (
-                b.to_int(), int(b), b.octets(), b.to_bytes()
-            )
+            assert (a.to_int(), int(a)) == (b.to_int(), int(b))
 
     @given(IPV4, OPERAND)
     def test_ipv4_meets_other_operands_alike(self, value, other):
@@ -301,9 +260,9 @@ class TestAgainstReference:
         assert orders(*new) == orders(*old)
         for a, b in zip(new, old):
             assert (str(a), repr(a), format(a, ""), f"{a}") == (str(b), repr(b), format(b, ""), f"{b}")
-            assert (a.to_int(), int(a), a.to_bytes()) == (b.to_int(), int(b), b.to_bytes())
+            assert int(a) == b.to_int() == int(b)
             # The one difference, on purpose: the reference hashed a tuple.
-            assert hash(a) == hash(a.to_int()) and hash(b) == hash(("MACAddress", b.to_int()))
+            assert hash(a) == hash(int(a)) and hash(b) == hash(("MACAddress", b.to_int()))
 
     @given(MAC, OPERAND)
     def test_mac_meets_other_operands_alike(self, value, other):

@@ -149,17 +149,6 @@ class TestCompaction:
         assert sim.run() == 2
         assert fired == ["after"]
 
-    def test_reset_forgets_cancelled_records(self):
-        sim = Simulator()
-        events = [sim.schedule(1.0, lambda: None) for _ in range(4)]
-        events[0].cancel()
-        sim.reset()
-        for event in events:
-            event.cancel()  # no longer queued: must not count against the new queue
-        sim.schedule(1.0, lambda: None)
-        assert sim.pending() == 1
-        assert sim.run() == 1
-
 
 class TestEventOrdering:
     def test_events_order_by_time_then_sequence(self):
@@ -243,14 +232,6 @@ class TestRunLimits:
 
     def test_step_returns_none_when_empty(self):
         assert Simulator().step() is None
-
-    def test_reset(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.pending() == 0
 
 
 class TestScheduleAtEdgeCases:
@@ -354,9 +335,9 @@ class TestRepeatingEventEdgeCases:
 class TestFuture:
     def test_set_result_completes_and_stores_the_value(self):
         future = Future()
-        assert not future.done
+        assert not future._done
         future.set_result(42)
-        assert future.done
+        assert future._done
         assert future.result() == 42
 
     def test_result_before_completion_raises(self):

@@ -33,12 +33,8 @@ class TestProtocolNames:
 class TestPacketConstruction:
     def test_tcp_constructor(self):
         packet = Packet.tcp("10.0.0.1", "10.0.0.2", 1234, 80, payload="hello")
-        assert packet.is_tcp() and packet.is_ip()
+        assert packet.is_ip() and packet.ip_proto == IP_PROTO_TCP
         assert packet.five_tuple()[2] == IP_PROTO_TCP
-
-    def test_udp_constructor(self):
-        packet = Packet.udp("10.0.0.1", "10.0.0.2", 53, 53)
-        assert packet.is_ip() and packet.ip_proto == IP_PROTO_UDP
 
     def test_proto_accepts_name(self):
         packet = Packet(ip_src="1.1.1.1", ip_dst="2.2.2.2", ip_proto="udp")
@@ -85,11 +81,6 @@ class TestPacketViews:
         assert packet.eth_src == MACAddress("02:00:00:00:00:01")
         assert isinstance(packet.ip_src, IPv4Address) and isinstance(packet.ip_dst, IPv4Address)
         assert packet.ip_dst == IPv4Address("10.0.0.2")
-
-    def test_udp_packet_is_ip_but_not_tcp(self):
-        packet = Packet.udp("10.0.0.1", "10.0.0.2", 53, 53)
-        assert packet.is_ip() and not packet.is_tcp()
-        assert packet.proto_name() == "udp"
 
     def test_ip_packet_renders_its_endpoints(self):
         packet = Packet.tcp("10.0.0.1", "10.0.0.2", 1111, 80)

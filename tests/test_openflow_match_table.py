@@ -16,7 +16,7 @@ from hypothesis.stateful import (
 from repro.exceptions import FlowTableError, MatchError
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.packet import IP_PROTO_TCP, Packet
-from repro.openflow.actions import DropAction, OutputAction, describe_actions
+from repro.openflow.actions import DropAction, OutputAction
 from repro.openflow.flow_table import FlowEntry, FlowTable, make_entry
 from repro.openflow.match import MATCH_FIELDS, Match
 from tests.reference_flow_table import ReferenceFlowTable
@@ -26,6 +26,18 @@ def tcp_packet(src="10.0.0.1", dst="10.0.0.2", sport=1234, dport=80):
     return Packet.tcp(src, dst, sport, dport)
 
 
+def exact_match(packet, in_port=None):
+    """The match with every field of ``packet`` (and ``in_port``) constrained."""
+    ip = packet.is_ip()
+    return Match(
+        in_port=in_port, dl_src=packet.eth_src, dl_dst=packet.eth_dst,
+        dl_type=packet.eth_type, vlan_id=packet.vlan_id,
+        nw_src=packet.ip_src, nw_dst=packet.ip_dst,
+        nw_proto=packet.ip_proto if ip else None,
+        tp_src=packet.tp_src if ip else None, tp_dst=packet.tp_dst if ip else None,
+    )
+
+
 class TestMatch:
     def test_wildcard_matches_everything(self):
         assert Match().matches(tcp_packet())
@@ -33,7 +45,7 @@ class TestMatch:
 
     def test_exact_match_from_packet(self):
         packet = tcp_packet()
-        match = Match.from_packet(packet, in_port=3)
+        match = exact_match(packet, in_port=3)
         assert match.matches(packet, in_port=3)
         assert not match.matches(packet, in_port=4)
         assert match.specificity() == len(MATCH_FIELDS)
@@ -81,13 +93,7 @@ class TestMatch:
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=65535))
     def test_property_from_packet_always_matches_itself(self, src, dport):
         packet = Packet.tcp(src, src ^ 0xFFFF, 1000, dport)
-        assert Match.from_packet(packet, in_port=1).matches(packet, in_port=1)
-
-
-class TestActions:
-    def test_describe(self):
-        assert describe_actions([OutputAction(3)]) == "output:3"
-        assert describe_actions([]) == "drop(implicit)"
+        assert exact_match(packet, in_port=1).matches(packet, in_port=1)
 
 
 class TestFlowTable:
@@ -387,7 +393,7 @@ _matches = st.one_of(
         st.sampled_from(_IPS), st.sampled_from(_IPS), st.just(IP_PROTO_TCP),
         st.sampled_from(_SPORTS), st.sampled_from(_DPORTS),
     ),
-    st.builds(Match.from_packet, _packets, in_port=st.sampled_from(_IN_PORTS)),
+    st.builds(exact_match, _packets, in_port=st.sampled_from(_IN_PORTS)),
     st.builds(Match, nw_src=st.sampled_from(_PREFIXES)),
     st.builds(
         Match, nw_src=st.sampled_from(_IPS + _PREFIXES), nw_dst=st.sampled_from(_PREFIXES),
@@ -402,7 +408,7 @@ def _packet_matching(match):
     def address(value, default):
         if value is None:
             return default
-        return value if isinstance(value, IPv4Address) else next(value.hosts())
+        return value if isinstance(value, IPv4Address) else IPv4Address(value.network_address + 1)
 
     packet = Packet(
         eth_src=match.dl_src or _MACS[0], eth_dst=match.dl_dst or _MACS[1],
@@ -522,16 +528,14 @@ class FlowTableDifferential(RuleBasedStateMachine):
     @rule(
         step=_steps, match=_matches, strict=st.booleans(),
         cookie=st.one_of(st.none(), _cookies),
-        verb=st.sampled_from(["remove"] * 6 + ["remove_by_cookie"] * 2 + ["clear"]),
+        verb=st.sampled_from(["remove"] * 6 + ["remove_by_cookie"] * 2),
     )
     def delete(self, step, match, strict, cookie, verb):
         self.now += step
         if verb == "remove":
             self.both(lambda table: table.remove(match, strict=strict, cookie=cookie))
-        elif verb == "remove_by_cookie":
-            self.both(lambda table: table.remove_by_cookie(cookie or ""))
         else:
-            self.both(lambda table: table.clear())
+            self.both(lambda table: table.remove_by_cookie(cookie or ""))
 
     @precondition(lambda self: bool(_timed(self.tables[1])))
     @rule(

@@ -3,15 +3,18 @@
 import pytest
 
 from repro.exceptions import ChannelError, OpenFlowError, PortError
+from repro.netsim.events import Simulator
 from repro.netsim.nodes import Node
 from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
 from repro.netsim.trace import PacketTrace
 from repro.openflow.actions import Action, ControllerAction, DropAction, FloodAction, OutputAction
+from repro.openflow.channel import ControllerChannel
 from repro.openflow.controller_base import Controller
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn, PacketOut
 from repro.openflow.switch import OpenFlowSwitch
+from tests.test_openflow_match_table import exact_match
 
 
 class SinkNode(Node):
@@ -56,7 +59,7 @@ class TestSwitchDatapath:
     def test_fail_secure_drops_on_miss_without_controller(self):
         topo, switch, host_a, host_b = build_fabric()
         switch.trace = PacketTrace()
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert host_b.received == []
         assert [(r.event, r.note) for r in switch.trace] == [("drop", "fail-secure, no controller")]
@@ -68,7 +71,7 @@ class TestSwitchDatapath:
         host_b = topo.add_node(SinkNode("b"))
         topo.add_link(host_a, switch)
         topo.add_link(host_b, switch)
-        host_a.send(Packet(), host_a.port(1))
+        host_a.port(1).send(Packet())
         topo.run()
         assert len(host_b.received) == 1
 
@@ -77,7 +80,7 @@ class TestSwitchDatapath:
         # host_b hangs off switch port 2
         switch.handle_message(FlowMod(match=Match(tp_dst=80), actions=[OutputAction(2)]))
         switch.trace = PacketTrace()
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert len(host_b.received) == 1
         assert [record.event for record in switch.trace] == ["hit", "forward"]
@@ -85,7 +88,7 @@ class TestSwitchDatapath:
     def test_drop_entry_drops(self):
         topo, switch, host_a, host_b = build_fabric()
         switch.handle_message(FlowMod(match=Match(tp_dst=80), actions=[DropAction()]))
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert host_b.received == []
 
@@ -133,7 +136,7 @@ class TestSwitchDatapath:
     def test_miss_punts_and_buffers(self):
         controller = RecordingController()
         topo, switch, host_a, host_b = build_fabric(controller)
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert len(controller.messages) == 1
         assert controller.messages[0].in_port == 1
@@ -147,21 +150,21 @@ class TestSwitchDatapath:
 
         controller = RecordingController(reaction=release)
         topo, switch, host_a, host_b = build_fabric(controller)
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert len(host_b.received) == 1
         assert switch.buffered_count() == 0
 
     def test_flow_mod_with_buffer_releases_and_caches(self):
         def install(controller, message):
-            controller.install_flow(message.switch, Match.from_packet(message.packet),
+            controller.install_flow(message.switch, exact_match(message.packet),
                                     [OutputAction(2)], buffer_id=message.buffer_id)
 
         controller = RecordingController(reaction=install)
         topo, switch, host_a, host_b = build_fabric(controller)
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert len(host_b.received) == 2
         assert len(controller.messages) == 1  # second packet hit the cached entry
@@ -176,11 +179,11 @@ class TestSwitchDatapath:
         topo, switch, host_a, host_b = build_fabric()
         switch.handle_message(FlowMod(match=Match(), actions=[DropAction()]))
         switch.mark_compromised()
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert len(host_b.received) == 1
         switch.restore()
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert len(host_b.received) == 1
 
@@ -202,12 +205,26 @@ class TestControllerBase:
         with pytest.raises(ChannelError):
             controller.channel_for("ghost")
 
+    def test_a_channel_runs_on_the_controllers_clock_or_refuses_without_one(self):
+        # A detached switch's channel borrows the controller's simulator;
+        # with neither attached a message has no clock to ride and raises.
+        switch, controller = OpenFlowSwitch("sw"), RecordingController()
+        channel = ControllerChannel(switch, controller)
+        message = PacketIn(switch=switch, packet=Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), in_port=1)
+        with pytest.raises(ChannelError):
+            channel.send_to_controller(message)
+        sim = Simulator()
+        controller.attach(sim)
+        channel.send_to_controller(message)
+        sim.run()
+        assert controller.messages == [message]
+
     def test_disconnected_channel_drops_messages(self):
         controller = RecordingController()
         topo, switch, host_a, host_b = build_fabric(controller)
         controller.channel_for(switch).disconnect()
         switch.trace = PacketTrace()
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert controller.messages == []
         # fail-secure switch dropped the packet instead
@@ -215,12 +232,12 @@ class TestControllerBase:
 
     def test_counters(self):
         def install(controller, message):
-            controller.install_flow(message.switch, Match.from_packet(message.packet),
+            controller.install_flow(message.switch, exact_match(message.packet),
                                     [OutputAction(2)], buffer_id=message.buffer_id)
 
         controller = RecordingController(reaction=install)
         topo, switch, host_a, host_b = build_fabric(controller)
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert controller.packet_ins.value == 1
         assert controller.flow_mods.value == 1
@@ -247,7 +264,7 @@ class TestMultiChannelRouting:
     def test_punt_goes_to_the_preferred_channel(self):
         topo, switch, host_a, primary, backup = self.build_two_controller_fabric()
         assert sorted(switch.channels) == ["ctrl-a", "ctrl-b"]
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert len(primary.messages) == 1
         assert backup.messages == []
@@ -255,12 +272,12 @@ class TestMultiChannelRouting:
     def test_dropped_channel_rehomes_punts_to_the_successor(self):
         topo, switch, host_a, primary, backup = self.build_two_controller_fabric()
         switch.channels["ctrl-a"].disconnect()
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert primary.messages == []
         assert len(backup.messages) == 1
         switch.channels["ctrl-a"].reconnect()
-        host_a.send(Packet.tcp("3.3.3.3", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("3.3.3.3", "2.2.2.2", 1, 80))
         topo.run()
         assert len(primary.messages) == 1
 
@@ -269,7 +286,7 @@ class TestMultiChannelRouting:
         switch.channels["ctrl-a"].disconnect()
         switch.channels["ctrl-b"].disconnect()
         switch.trace = PacketTrace()
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert primary.messages == [] and backup.messages == []
         assert [record.event for record in switch.trace] == ["drop"]  # fail-secure
@@ -299,7 +316,7 @@ class TestMultiChannelRouting:
                 == "sw1->ctrl-a.messages")
         assert (switch.channels["ctrl-b"].to_switch_messages.name
                 == "ctrl-b->sw1.messages")
-        host_a.send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80), host_a.port(1))
+        host_a.port(1).send(Packet.tcp("1.1.1.1", "2.2.2.2", 1, 80))
         topo.run()
         assert switch.channels["ctrl-a"].to_controller_messages.value == 1
         assert switch.channels["ctrl-b"].to_controller_messages.value == 0

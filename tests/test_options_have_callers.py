@@ -35,7 +35,9 @@ directories plus ``tools/`` (not its lint fixtures), the Makefile and the
 CI workflows; a use inside the definition itself does not count, and
 neither does an import, an ``__all__`` entry or a docstring.  Matching
 is by name, so it is coarse: a definition stays alive while anything
-else shares its name.  ``ALLOWLIST`` holds the few test-only readings
+else shares its name; ``tools/reach.py`` (``make reach``) is the
+execution-based gate.  ``ALLOWLIST`` is the ``reading`` rows of that
+tool's list, ``tools/reach_accepted.py``: the few test-only readings
 that no public name replaces, each with its reason.
 """
 
@@ -45,7 +47,6 @@ import functools
 import inspect
 import re
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 
@@ -59,6 +60,8 @@ from repro.openflow.channel import ControllerChannel
 from repro.openflow.controller_base import Controller
 from repro.openflow.switch import OpenFlowSwitch
 from repro.telemetry.plane import TelemetryPlane
+from tools.reach import Definition, definitions_in
+from tools.reach_accepted import ACCEPTED, READING_LIMIT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "perf", "benchmarks", "examples")
@@ -401,62 +404,18 @@ def test_a_message_only_the_tests_send_is_named():
 # ----------------------------------------------------------------------
 
 DEFINED_IN = "src/repro"
-#: Besides ``SCANNED``: the repo's tools, minus the lint's test data.
-TOOLS, TOOL_FIXTURES = "tools", "tools/analysis/fixtures"
+#: Besides ``SCANNED``: the repo's tools, minus the lint's test data and
+#: the reach list, which names what nothing calls.
+TOOLS, TOOL_FIXTURES, REACH_LIST = "tools", "tools/analysis/fixtures", "tools/reach_accepted.py"
 
-#: qualname -> why a definition with no caller outside the tests stays.
+#: The ``reading`` rows of the reach list: test-only readings no public
+#: name replaces, each with its reason.  One list serves both gates.
 ALLOWLIST = {
-    "QueryEngine.is_subscribed": (
-        "a side-effect-free reading of the push subscriptions that the push-plane "
-        "and failover tests assert on; no other public name gives it"
-    ),
-    "IdentPPDaemon.subscriber_count": (
-        "a side-effect-free reading of the daemon's subscribers that the push-plane "
-        "and failover tests assert on; no other public name gives it"
-    ),
-    "QueryOutcome.succeeded": (
-        "a side-effect-free reading of whether some party answered a query; the "
-        "client, engine and decision-core tests assert on it"
-    ),
-    "RuntimeKeyRegistry.publish_for_flow": (
-        "the per-flow runtime pairs of §3.5: answer() and answer_is_shareable() read "
-        "them, and the identity-plane differential generates them"
-    ),
+    qualname: reason for qualname, (category, _, reason) in ACCEPTED.items()
+    if category == "reading"
 }
-ALLOWLIST_LIMIT = 6
 
 WORD = re.compile(r"[A-Za-z_]\w*")
-
-
-class Definition(NamedTuple):
-    qualname: str
-    path: str
-    first: int
-    last: int
-
-    @property
-    def name(self) -> str:
-        return self.qualname.rpartition(".")[2]
-
-    def __str__(self) -> str:
-        return f"{self.qualname} ({self.path}:{self.first})"
-
-
-def definitions_in(tree: ast.AST, path: str) -> list[Definition]:
-    """Every function, method and class of ``tree`` (nested ones too), dunders aside."""
-    found = []
-
-    def visit(body, prefix):
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                qualname = prefix + node.name
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                    found.append(Definition(qualname, path, first, node.end_lineno))
-                visit(node.body, qualname + ".")
-
-    visit(tree.body, "")
-    return found
 
 
 def uses_in(tree: ast.AST, path: str):
@@ -545,7 +504,7 @@ def repo_uses() -> dict[str, list[tuple[str, int]]]:
         path
         for directory in (*SCANNED, TOOLS)
         for path in sorted((REPO_ROOT / directory).rglob("*.py"))
-        if not relative(path).startswith(TOOL_FIXTURES + "/")
+        if not relative(path).startswith(TOOL_FIXTURES + "/") and relative(path) != REACH_LIST
     ]
     # Read as plain text: the CI lint job's heredoc calls ``shadow_replay``.
     texts = [REPO_ROOT / "Makefile", *sorted((REPO_ROOT / ".github/workflows").glob("*.yml"))]
@@ -575,7 +534,7 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 
 def test_the_allowlist_is_short_and_current():
-    assert len(ALLOWLIST) <= ALLOWLIST_LIMIT
+    assert len(ALLOWLIST) <= READING_LIMIT
     assert all(reason.strip() for reason in ALLOWLIST.values())
     stale = stale_entries(ALLOWLIST, repo_definitions(), uncalled(repo_definitions(), repo_uses()))
     assert not stale, f"allowlist entries to drop: {', '.join(stale)}"

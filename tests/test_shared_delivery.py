@@ -120,7 +120,7 @@ class World:
 
     def send(self, station, packet, port):
         packet.metadata["sent"] = next(self._sent)
-        station.send(packet, port)
+        station.port(port).send(packet)
 
     def message(self, upward, note):
         note.metadata["sent"] = next(self._sent)

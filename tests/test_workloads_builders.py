@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.signatures import Signer
+from repro.crypto.signatures import Signer, verify_values
 from repro.hosts.applications import standard_applications
 from repro.identpp.daemon_config import parse_daemon_config
 from repro.workloads import paper_configs
@@ -13,7 +13,7 @@ class TestLinearBuilder:
     def test_shape_and_daemons(self):
         net = build_linear_network(switch_count=3)
         assert set(net.switches) == {"sw1", "sw2", "sw3"}
-        assert net.topology.connected("client", "server")
+        assert net.topology.shortest_path("client", "server")
         assert set(net.daemons) == {"client", "server"}
 
     def test_daemonless_variant(self):
@@ -33,7 +33,7 @@ class TestLinearBuilder:
     def test_a_switch_count_below_one_still_builds_one_switch(self):
         net = build_linear_network(switch_count=0)
         assert set(net.switches) == {"sw1"}
-        assert net.topology.connected("client", "server")
+        assert net.topology.shortest_path("client", "server")
 
 
 class TestBranchBuilder:
@@ -68,8 +68,8 @@ class TestPaperConfigGenerators:
         skype = next(a for a in standard_applications() if a.name == "skype")
         text = paper_configs.figure3_skype_daemon_config(skype, signer)
         app_config = parse_daemon_config(text).app_for_path(skype.path)
-        assert signer.verify(
-            app_config.pairs["req-sig"],
+        assert verify_values(
+            signer.public_key_hex, app_config.pairs["req-sig"],
             [skype.exe_hash, skype.name, app_config.pairs["requirements"]],
         )
 
@@ -83,7 +83,9 @@ class TestPaperConfigGenerators:
         app = next(a for a in standard_applications() if a.name == "research-app")
         text = paper_configs.figure4_research_daemon_config(app, signer)
         pairs = parse_daemon_config(text).app_for_path(app.path).pairs
-        assert signer.verify(pairs["req-sig"], [app.exe_hash, app.name, pairs["requirements"]])
+        assert verify_values(
+            signer.public_key_hex, pairs["req-sig"], [app.exe_hash, app.name, pairs["requirements"]]
+        )
 
     def test_figure6_rule_maker_is_secur(self):
         secur = Signer("Secur", seed=23)
@@ -92,7 +94,9 @@ class TestPaperConfigGenerators:
             paper_configs.figure6_thunderbird_daemon_config(app, secur)
         ).app_for_path(app.path).pairs
         assert pairs["rule-maker"] == "Secur"
-        assert secur.verify(pairs["req-sig"], [app.exe_hash, app.name, pairs["requirements"]])
+        assert verify_values(
+            secur.public_key_hex, pairs["req-sig"], [app.exe_hash, app.name, pairs["requirements"]]
+        )
 
     def test_figure5_control_uses_given_tables(self):
         files = paper_configs.figure5_research_control(
