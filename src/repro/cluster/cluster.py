@@ -30,6 +30,7 @@ from typing import Iterable, Optional
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.failover import FailoverMonitor
 from repro.cluster.shard_map import ShardMap, flow_key
+from repro.core.audit import AuditTrail
 from repro.core.controller import ControllerConfig, IdentPPController
 from repro.core.policy_engine import PolicyEngine
 from repro.exceptions import TopologyError
@@ -343,17 +344,14 @@ class ControllerCluster:
     def decided_total(self) -> int:
         """Return non-cached decisions made across all replicas."""
         return sum(
-            sum(1 for record in c.audit.records() if not record.cached)
-            for c in self.replicas.values()
+            summary["total"] - summary["cached"]
+            for summary in (c.audit.summary() for c in self.replicas.values())
         )
 
-    def audit_records(self):
-        """Return every replica's audit records, ordered by time."""
-        records = []
-        for controller in self.replicas.values():
-            records.extend(controller.audit.records())
-        records.sort(key=lambda record: record.time)
-        return records
+    def audit_records(self) -> AuditTrail:
+        """Return every replica's audit records, ordered by time (a tie in
+        replica order), as a trail that merges the logs when it is walked."""
+        return AuditTrail(c.audit for c in self.replicas.values())
 
     def __repr__(self) -> str:
         return (

@@ -12,22 +12,28 @@ their delegates did.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import operator
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import EMPTY_KEYS
+from repro.netsim.addresses import IPv4Address
 
 
 @dataclass(frozen=True, slots=True)
 class DecisionRecord:
-    """One policy decision.
+    """One policy decision, as a reader of the :class:`AuditLog` gets it.
 
-    The log keeps every record, so a record's size is the controller's
-    memory per decided flow: it is slotted, and its two identity views
-    are the decision's shared :class:`~repro.identpp.keyvalue.KeyView`
-    objects, not copies (a cache hit or a fail-closed verdict saw no
-    documents and keeps the one empty view).
+    The log keeps a decision as a row of its columns and builds the
+    record when it is read; the two identity views are the decision's
+    shared :class:`~repro.identpp.keyvalue.KeyView` objects, not copies
+    (a cache hit or a fail-closed verdict saw no documents and keeps the
+    one empty view).
     """
 
     time: float
@@ -43,11 +49,6 @@ class DecisionRecord:
     query_latency: float = 0.0
     cached: bool = False
     note: str = ""
-
-    @property
-    def is_pass(self) -> bool:
-        """Return ``True`` when the flow was allowed."""
-        return self.action == "pass"
 
 
 def record_line(record: DecisionRecord, *context: str) -> str:
@@ -85,31 +86,135 @@ def audit_digest(records: Iterable[DecisionRecord]) -> str:
     return digest.hexdigest()
 
 
+#: The fields of a decision that few decisions tell apart, kept once per
+#: distinct combination: ``(action, rule_text, rule_origin, delegated,
+#: delegation_functions, cached, note)``.
+_ACTION, _DELEGATED, _CACHED = 0, 3, 5
+
+#: The digits of a cookie's ``-N`` tail that a column holds: canonical
+#: decimal (what ``str(int)`` writes) that fits the column.
+_MAX_COOKIE_DIGITS = 19
+
+
 class AuditLog:
-    """Append-only list of :class:`DecisionRecord` entries with query helpers."""
+    """The append-only log of every decision, kept as columns.
+
+    The log keeps every decision for the controller's whole life, so
+    what a decided flow leaves here is the controller's memory per flow.
+    A row is atoms in typed arrays: the time and query latency, the
+    5-tuple, one small int for the verdict's shape (action, rule, origin,
+    delegation, cached, note — few distinct ones), and the cookie as its
+    prefix's number and its ``-N`` tail (any other cookie is kept whole
+    beside the columns).  The two identity views are kept by reference.
+    :class:`DecisionRecord` objects are built only when read.
+    """
 
     def __init__(self, name: str = "audit") -> None:
         self.name = name
-        self._records: list[DecisionRecord] = []
+        # "I" is a 4-byte unsigned int: an address, and ids that count
+        # distinct verdict shapes and cookie prefixes.
+        self._time = array("d")
+        self._query_latency = array("d")
+        self._src_ip = array("I")
+        self._dst_ip = array("I")
+        self._proto = array("B")
+        self._src_port = array("H")
+        self._dst_port = array("H")
+        self._verdict = array("I")
+        self._verdicts: list[tuple] = []
+        self._verdict_ids: dict[tuple, int] = {}
+        # Cookie prefix 0 stands for "the whole cookie is in _odd_cookies".
+        self._cookie_prefix = array("I")
+        self._cookie_number = array("Q")
+        self._prefixes: list[str] = [""]
+        self._prefix_ids: dict[str, int] = {}
+        self._odd_cookies: dict[int, str] = {}
+        self._src_keys: list[Mapping[str, str]] = []
+        self._dst_keys: list[Mapping[str, str]] = []
 
-    def record(self, record: DecisionRecord) -> None:
-        """Append one decision."""
-        self._records.append(record)
+    def record(
+        self,
+        time: float,
+        flow: FlowSpec,
+        action: str,
+        rule_text: str,
+        rule_origin: str,
+        cookie: str,
+        delegated: bool = False,
+        delegation_functions: tuple[str, ...] = (),
+        src_keys: Mapping[str, str] = EMPTY_KEYS,
+        dst_keys: Mapping[str, str] = EMPTY_KEYS,
+        query_latency: float = 0.0,
+        cached: bool = False,
+        note: str = "",
+    ) -> None:
+        """Append one decision; the fields are :class:`DecisionRecord`'s."""
+        verdict = (action, rule_text, rule_origin, delegated, delegation_functions, cached, note)
+        verdict_id = self._verdict_ids.get(verdict)
+        if verdict_id is None:
+            verdict_id = self._verdict_ids[verdict] = len(self._verdicts)
+            self._verdicts.append(verdict)
+        prefix, dash, digits = cookie.rpartition("-")
+        if (
+            dash and digits.isdigit() and digits.isascii()
+            and len(digits) <= _MAX_COOKIE_DIGITS and (digits[0] != "0" or digits == "0")
+        ):
+            prefix_id = self._prefix_ids.get(prefix)
+            if prefix_id is None:
+                prefix_id = self._prefix_ids[prefix] = len(self._prefixes)
+                self._prefixes.append(prefix)
+            number = int(digits)
+        else:
+            prefix_id, number = 0, 0
+            self._odd_cookies[len(self._time)] = cookie
+        self._time.append(time)
+        self._query_latency.append(query_latency)
+        self._src_ip.append(flow.src_ip)
+        self._dst_ip.append(flow.dst_ip)
+        self._proto.append(flow.proto)
+        self._src_port.append(flow.src_port)
+        self._dst_port.append(flow.dst_port)
+        self._verdict.append(verdict_id)
+        self._cookie_prefix.append(prefix_id)
+        self._cookie_number.append(number)
+        self._src_keys.append(src_keys)
+        self._dst_keys.append(dst_keys)
+
+    def _row(self, index: int) -> DecisionRecord:
+        """Build the record of row ``index`` (``0 <= index < len(self)``)."""
+        action, rule_text, rule_origin, delegated, functions, cached, note = (
+            self._verdicts[self._verdict[index]]
+        )
+        prefix = self._cookie_prefix[index]
+        if prefix:
+            cookie = f"{self._prefixes[prefix]}-{self._cookie_number[index]}"
+        else:
+            cookie = self._odd_cookies[index]
+        flow = FlowSpec(
+            IPv4Address(self._src_ip[index]), IPv4Address(self._dst_ip[index]),
+            self._proto[index], self._src_port[index], self._dst_port[index],
+        )
+        return DecisionRecord(
+            self._time[index], flow, action, rule_text, rule_origin, cookie,
+            delegated, functions, self._src_keys[index], self._dst_keys[index],
+            self._query_latency[index], cached, note,
+        )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._time)
 
     def __iter__(self) -> Iterator[DecisionRecord]:
-        return iter(list(self._records))
+        return iter(_Records(self, len(self)))
 
     def __reversed__(self) -> Iterator[DecisionRecord]:
-        """Walk newest-first in place: a scan that stops at a window edge
-        or a first match costs what it visits, not the length of the log."""
-        return reversed(self._records)
+        """Walk newest-first: a scan that stops at a window edge or a first
+        match builds what it visits, not the length of the log."""
+        return reversed(_Records(self, len(self)))
 
-    def records(self) -> list[DecisionRecord]:
-        """Return all records in order."""
-        return list(self._records)
+    def records(self) -> Sequence[DecisionRecord]:
+        """Return every record so far, in order: a sequence whose length is
+        fixed now and whose records are built as they are read."""
+        return _Records(self, len(self))
 
     def filter(
         self,
@@ -120,35 +225,103 @@ class AuditLog:
         predicate: Optional[Callable[[DecisionRecord], bool]] = None,
     ) -> list[DecisionRecord]:
         """Return the records matching all given criteria."""
-        selected = self._records
-        if action is not None:
-            selected = [r for r in selected if r.action == action]
-        if delegated is not None:
-            selected = [r for r in selected if r.delegated == delegated]
+        wanted = {
+            verdict_id for verdict_id, verdict in enumerate(self._verdicts)
+            if (action is None or verdict[_ACTION] == action)
+            and (delegated is None or verdict[_DELEGATED] == delegated)
+        }
+        selected: Iterable[DecisionRecord] = map(self._row, (
+            index for index, verdict_id in enumerate(self._verdict) if verdict_id in wanted
+        ))
         if flow is not None:
-            selected = [r for r in selected if r.flow == flow]
+            selected = (record for record in selected if record.flow == flow)
         if predicate is not None:
-            selected = [r for r in selected if predicate(r)]
+            selected = filter(predicate, selected)
         return list(selected)
 
     def delegated_decisions(self) -> list[DecisionRecord]:
         """Return decisions that honoured delegated (allowed()/verify()) rules."""
         return self.filter(delegated=True)
 
+    def _count(self, test: Callable[[tuple], bool]) -> int:
+        """Return how many rows have a verdict shape that passes ``test``."""
+        verdicts = self._verdicts
+        return sum(
+            count for verdict_id, count in Counter(self._verdict).items()
+            if test(verdicts[verdict_id])
+        )
+
     def pass_count(self) -> int:
         """Return the number of allow decisions."""
-        return sum(1 for r in self._records if r.is_pass)
+        return self._count(lambda verdict: verdict[_ACTION] == "pass")
 
     def block_count(self) -> int:
         """Return the number of deny decisions."""
-        return sum(1 for r in self._records if not r.is_pass)
+        return self._count(lambda verdict: verdict[_ACTION] != "pass")
 
     def summary(self) -> dict[str, int]:
         """Return counts used by reports and tests."""
         return {
-            "total": len(self._records),
+            "total": len(self),
             "pass": self.pass_count(),
             "block": self.block_count(),
             "delegated": len(self.delegated_decisions()),
-            "cached": sum(1 for r in self._records if r.cached),
+            "cached": self._count(lambda verdict: bool(verdict[_CACHED])),
         }
+
+
+class _Records(Sequence):
+    """The first ``length`` records of a log, each built when it is read."""
+
+    __slots__ = ("_log", "_length")
+
+    def __init__(self, log: AuditLog, length: int) -> None:
+        self._log = log
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._log._row(row) for row in range(*index.indices(self._length))]
+        row = operator.index(index)
+        if row < 0:
+            row += self._length
+        if not 0 <= row < self._length:
+            raise IndexError("audit record index out of range")
+        return self._log._row(row)
+
+    def __iter__(self) -> Iterator[DecisionRecord]:
+        return map(self._log._row, range(self._length))
+
+    def __reversed__(self) -> Iterator[DecisionRecord]:
+        return map(self._log._row, range(self._length - 1, -1, -1))
+
+
+_record_time = operator.attrgetter("time")
+
+
+class AuditTrail:
+    """Several controllers' logs read as one trail, in time order.
+
+    What sorting the logs' records by time, stably, would give — a tie
+    goes to the earlier log — as a merge that builds each record once
+    and holds none: every log is already in time order.  Each walk reads
+    the logs afresh.
+    """
+
+    __slots__ = ("_logs",)
+
+    def __init__(self, logs: Iterable[AuditLog]) -> None:
+        self._logs = tuple(logs)
+
+    def __iter__(self) -> Iterator[DecisionRecord]:
+        return heapq.merge(*self._logs, key=_record_time)
+
+    def __reversed__(self) -> Iterator[DecisionRecord]:
+        # ``heapq.merge`` yields a tie from the earlier iterable, so the
+        # newest-first walk goes through the logs last-first.
+        return heapq.merge(
+            *(reversed(log) for log in reversed(self._logs)), key=_record_time, reverse=True
+        )

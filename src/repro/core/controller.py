@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.audit import AuditLog, DecisionRecord
+from repro.core.audit import AuditLog
 from repro.exceptions import ControllerError, PFError
 from repro.core.cache import DecisionCache
 from repro.core.installer import QUARANTINE_PRIORITY, PathInstaller
@@ -427,15 +427,8 @@ class IdentPPController(Controller):
                 keep_state=cached.keep_state, from_cache=True,
             )
             self.audit.record(
-                DecisionRecord(
-                    time=arrival,
-                    flow=flow,
-                    action=cached.action,
-                    rule_text=cached.rule_text,
-                    rule_origin="cache",
-                    cookie=cached.cookie,
-                    cached=True,
-                )
+                arrival, flow, cached.action, cached.rule_text, "cache", cached.cookie,
+                cached=True,
             )
             return
 
@@ -643,17 +636,7 @@ class IdentPPController(Controller):
             self.cache.store(flow, "block", cookie, self.sim.now, rule_text=cached_as)
         pending = self._pop_pending(flow)
         self.installer.apply_verdict(flow, pending, False, cookie, keep_state=False)
-        self.audit.record(
-            DecisionRecord(
-                time=self.sim.now,
-                flow=flow,
-                action="block",
-                rule_text="",
-                rule_origin="error",
-                cookie=cookie,
-                note=note,
-            )
-        )
+        self.audit.record(self.sim.now, flow, "block", "", "error", cookie, note=note)
 
     def _pop_pending(self, flow: FlowSpec) -> list[PacketIn]:
         """Claim a flow's buffered punts and retire its task.
@@ -705,19 +688,13 @@ class IdentPPController(Controller):
         for principal in decision.principals:
             self.delegations.record_use(principal, cookie)
         self.audit.record(
-            DecisionRecord(
-                time=self.sim.now,
-                flow=decision.flow,
-                action=decision.action,
-                rule_text=decision.rule_text,
-                rule_origin=decision.rule_origin,
-                cookie=cookie,
-                delegated=decision.delegated,
-                delegation_functions=decision.delegation_functions,
-                src_keys=decision.src_keys,
-                dst_keys=decision.dst_keys,
-                query_latency=query_cost,
-            )
+            self.sim.now, decision.flow, decision.action, decision.rule_text,
+            decision.rule_origin, cookie,
+            delegated=decision.delegated,
+            delegation_functions=decision.delegation_functions,
+            src_keys=decision.src_keys,
+            dst_keys=decision.dst_keys,
+            query_latency=query_cost,
         )
 
     def on_flow_removed(self, message: FlowRemoved) -> None:

@@ -89,10 +89,10 @@ class PolicyEngine:
         # built for; either moving invalidates it.
         self._ruleset_epoch = 0
         self._pubkeys_state: Optional[tuple[int, int]] = None
-        # The last view of each end: the next decision's view reuses it
-        # (or its keys tuple) when the answer has not moved.
-        self._last_src = EMPTY_KEYS
-        self._last_dst = EMPTY_KEYS
+        # The last view of each (role, endpoint address): the next
+        # decision's view of that end reuses it, or holds only the value
+        # that moved, when the answer is the same host's again.
+        self._last_views: dict[tuple[str, object], KeyView] = {}
 
     # ------------------------------------------------------------------
     # Configuration management
@@ -210,9 +210,9 @@ class PolicyEngine:
         principals = _principals_used(verdict.rule)
         src_keys = dst_keys = EMPTY_KEYS
         if src_doc is not None:
-            src_keys = self._last_src = KeyView.of(src_doc, self._last_src)
+            src_keys = self._view_of("src", flow and flow.src_ip, src_doc)
         if dst_doc is not None:
-            dst_keys = self._last_dst = KeyView.of(dst_doc, self._last_dst)
+            dst_keys = self._view_of("dst", flow and flow.dst_ip, dst_doc)
         return PolicyDecision(
             flow=flow,
             verdict=verdict,
@@ -222,6 +222,13 @@ class PolicyEngine:
             src_keys=src_keys,
             dst_keys=dst_keys,
         )
+
+    def _view_of(self, role: str, address, document: ResponseDocument) -> KeyView:
+        """Return ``document``'s view, taken against this end's last one."""
+        views = self._last_views
+        key = (role, address)
+        view = views[key] = KeyView.of(document, views.get(key, EMPTY_KEYS))
+        return view
 
     def stats(self) -> dict[str, float]:
         """Return counters for reports, including compile/index stats."""

@@ -32,6 +32,7 @@ subscriber's name and acks the serial it starts from.
 from __future__ import annotations
 
 import copy
+import sys
 from typing import Callable, Optional
 
 from repro.exceptions import QueryError
@@ -396,7 +397,9 @@ class IdentPPDaemon:
         _, pairs, pid_at = entry
         section = KeyValueSection(pairs=pairs, source=f"{self.host.name}:daemon")
         if pid_at is not None:
-            section.pairs[pid_at] = ("pid", str(process.pid))
+            # Interned: every audit record whose view holds this answer
+            # keeps the pid text, and many hosts run the same pids.
+            section.pairs[pid_at] = ("pid", sys.intern(str(process.pid)))
         return section
 
     def _build_base_section(self, process: Optional[Process]) -> KeyValueSection:

@@ -243,15 +243,41 @@ class ResponseDocument:
         return f"ResponseDocument(sections={len(self.sections)}, keys={list(self.as_flat_dict())})"
 
 
-class KeyView(Mapping):
+class _View(Mapping):
+    """The ``Mapping`` side of an identity view, in key order: a
+    :class:`KeyView` holds its keys tuple, a :class:`_OneValueView`
+    reads its keyframe's."""
+
+    __slots__ = ()
+
+    def _frame(self) -> "KeyView":
+        """The full view a one-value view of this one is taken against."""
+        return self
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __repr__(self) -> str:
+        return f"KeyView({dict(self)!r})"
+
+
+class KeyView(_View):
     """An immutable ``{key: latest value}`` view of a document, as two tuples.
 
     Same content and key order as :meth:`ResponseDocument.as_flat_dict`.
     Every decision keeps the views of both ends for its audit record,
     and a stream of them is mostly the same answer over and over, so
     :meth:`of` lets a new view share what it can with the previous one:
-    the very object when nothing moved, the keys tuple when only values
-    did.  Compares equal to a dict with the same items.
+    the very object when nothing moved, the previous view's keyframe
+    and the one value that moved when one did (a source's ``pid``), the
+    keys tuple when more did.  Compares equal to a dict with the same
+    items.
     """
 
     __slots__ = ("_keys", "_values")
@@ -261,15 +287,27 @@ class KeyView(Mapping):
         self._values = values
 
     @classmethod
-    def of(cls, document: ResponseDocument, last: "KeyView") -> "KeyView":
+    def of(cls, document: ResponseDocument, last: _View) -> _View:
         """Return ``document``'s view: ``last`` itself when the content is
-        the same, a view sharing ``last``'s keys tuple when only values moved."""
+        the same (or its keyframe's), a :class:`_OneValueView` of
+        ``last``'s keyframe when exactly one of the keyframe's values
+        moved, and a view sharing ``last``'s keys tuple when more did."""
         flat = document.as_flat_dict()
         keys, values = tuple(flat), tuple(flat.values())
-        if keys == last._keys:
-            if values == last._values:
-                return last
-            keys = last._keys
+        frame = last._frame()
+        if keys == frame._keys:
+            frame_values = frame._values
+            if values == frame_values:
+                return frame
+            if last is not frame:
+                # Most often the value that moved is the one ``last`` holds.
+                at = last._at
+                if values[:at] == frame_values[:at] and values[at + 1:] == frame_values[at + 1:]:
+                    return last if values[at] == last._value else _OneValueView(frame, at, values[at])
+            moved = [at for at, (old, new) in enumerate(zip(frame_values, values)) if old != new]
+            if len(moved) == 1:
+                return _OneValueView(frame, moved[0], values[moved[0]])
+            keys = frame._keys
         elif not keys:
             return EMPTY_KEYS
         return cls(keys, values)
@@ -280,17 +318,35 @@ class KeyView(Mapping):
         except ValueError:
             raise KeyError(key) from None
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._keys)
 
-    def __len__(self) -> int:
-        return len(self._keys)
+class _OneValueView(_View):
+    """A view equal to a full view but for the value at one position.
 
-    def __hash__(self) -> int:
-        return hash(frozenset(zip(self._keys, self._values)))
+    What a stream of one source's answers mostly is: the same keys and
+    values, a new ``pid`` each time.  The keyframe is always a full
+    :class:`KeyView`, so a view never chains through another delta.
+    """
 
-    def __repr__(self) -> str:
-        return f"KeyView({dict(zip(self._keys, self._values))!r})"
+    __slots__ = ("_keyframe", "_at", "_value")
+
+    def __init__(self, keyframe: KeyView, at: int, value: str) -> None:
+        self._keyframe = keyframe
+        self._at = at
+        self._value = value
+
+    @property
+    def _keys(self) -> tuple[str, ...]:
+        return self._keyframe._keys
+
+    def _frame(self) -> KeyView:
+        return self._keyframe
+
+    def __getitem__(self, key: str) -> str:
+        try:
+            at = self._keyframe._keys.index(key)
+        except ValueError:
+            raise KeyError(key) from None
+        return self._value if at == self._at else self._keyframe._values[at]
 
 
 #: The view of no document (a cache hit or a fail-closed verdict saw none).

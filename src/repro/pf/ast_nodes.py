@@ -39,7 +39,7 @@ NAMED_PORTS = {
 # Expressions (arguments to ``with`` function calls)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DictAccess:
     """``@src[userID]``, ``@dst[req-sig]``, ``@pubkeys[research]`` or ``*@src[key]``.
 
@@ -56,7 +56,7 @@ class DictAccess:
         return f"{prefix}@{self.dict_name}[{self.key}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacroRef:
     """``$allowed`` — a reference to a macro definition."""
 
@@ -66,7 +66,7 @@ class MacroRef:
         return f"${self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A bareword, number or quoted string argument."""
 
@@ -77,7 +77,7 @@ class Literal:
         return f'"{self.value}"' if self.quoted else self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRefExpr:
     """``<mail-server>`` used as a function argument."""
 
@@ -94,7 +94,7 @@ Expr = Union[DictAccess, MacroRef, Literal, TableRefExpr]
 # Endpoint (from/to) specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnyAddress:
     """``any`` — matches every address."""
 
@@ -102,7 +102,7 @@ class AnyAddress:
         return "any"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRef:
     """``<lan>`` — the contents of a named address table."""
 
@@ -112,7 +112,7 @@ class TableRef:
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddressLiteral:
     """A literal IPv4 address or CIDR prefix appearing inline in a rule.
 
@@ -131,7 +131,7 @@ class AddressLiteral:
 AddressSpec = Union[AnyAddress, TableRef, AddressLiteral, MacroRef]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndpointSpec:
     """One side of a rule: an address set, optional negation and optional port."""
 
@@ -159,7 +159,7 @@ class EndpointSpec:
 # Predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncCall:
     """A ``with`` predicate: a boolean function applied to evaluated arguments."""
 
@@ -174,7 +174,7 @@ class FuncCall:
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Rule:
     """One ``pass``/``block`` rule."""
 
@@ -216,7 +216,7 @@ class Rule:
         return " ".join(parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class TableDef:
     """``table <name> { item item ... }``; items are addresses, prefixes or nested tables."""
 
@@ -229,7 +229,7 @@ class TableDef:
         return f"table <{self.name}> {{ {inner} }}"
 
 
-@dataclass
+@dataclass(slots=True)
 class DictDef:
     """``dict <name> { key : value ... }`` — PF+=2's named dictionaries."""
 
@@ -242,7 +242,7 @@ class DictDef:
         return f"dict <{self.name}> {{ {inner} }}"
 
 
-@dataclass
+@dataclass(slots=True)
 class MacroDef:
     """``name = "value"`` — a PF macro."""
 

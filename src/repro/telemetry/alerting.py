@@ -119,7 +119,7 @@ class AutoQuarantineResponder:
     :data:`KIND_QUARANTINE` alert is raised — exactly once per host,
     however many spike alerts re-trigger attribution.  ``audit`` is
     anything ``reversed()`` walks newest-first in place: an ``AuditLog``,
-    or the telemetry plane's merged view of a cluster's shards.
+    or the ``AuditTrail`` that merges a cluster's shards.
     """
 
     def __init__(

@@ -28,7 +28,6 @@ enable_telemetry()`` imports *us* locally instead.
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 from repro.netsim.statistics import RateCounter
@@ -70,29 +69,6 @@ ALERT_COOLDOWN = 0.1
 #: How far back (virtual seconds) the auto-quarantine responder reads the
 #: audit trail to attribute a punt-rate spike to its sources.
 ATTRIBUTION_WINDOW = 0.5
-
-
-class _ClusterAuditView:
-    """The newest-first walk :class:`AutoQuarantineResponder` makes of an
-    ``AuditLog``, over every shard's trail at once: a lazy merge of the
-    per-shard logs, so a scan that stops at its window edge never visits
-    (or sorts) what is older."""
-
-    __slots__ = ("_cluster",)
-
-    def __init__(self, cluster) -> None:
-        self._cluster = cluster
-
-    def __reversed__(self):
-        # The reverse of ``ControllerCluster.audit_records()`` exactly: on
-        # a tied time ``heapq.merge`` yields from the earlier iterable, so
-        # the shards go in last-first.
-        shards = reversed(self._cluster.replicas.values())
-        return heapq.merge(
-            *(reversed(controller.audit) for controller in shards),
-            key=lambda record: record.time,
-            reverse=True,
-        )
 
 
 class TelemetryPlane:
@@ -307,7 +283,10 @@ class TelemetryPlane:
 
     def _wire_quarantine(self, *, fanout_threshold: int) -> None:
         if self.cluster is not None:
-            audit = _ClusterAuditView(self.cluster)
+            # Every shard's trail at once, merged newest-first as it is
+            # walked: a scan that stops at its window edge never visits
+            # (or sorts) what is older.
+            audit = self.cluster.audit_records()
             quarantine = self.cluster.coordinator.quarantine_host
         else:
             controllers = list(self._controllers().values())

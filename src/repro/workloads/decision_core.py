@@ -30,6 +30,7 @@ Run standalone::
 
 from __future__ import annotations
 
+import gc
 import operator
 
 from repro.core.controller import ControllerConfig
@@ -171,6 +172,17 @@ SOAK_EVAL_DELAY = 20e-6
 #: not table capacity).
 FLOW_TIMEOUT = 0.05
 LIFECYCLE_INTERVAL = 0.05
+#: The waves at whose start the soak counts the objects the cyclic
+#: garbage collector tracks, after a collect: a stretch mid-run where
+#: transient state is steady, so the growth is what decided flows left.
+GC_COUNT_WAVES = (WAVES // 2, WAVES // 2 + 10)
+#: What one decided punt leaves for the collector to walk, in tracked
+#: objects; a ceiling that may only tighten.  ~6.98: the decision cache's
+#: entry, flow key and index objects (they live for ``decision_ttl``,
+#: longer than the stretch), the packet the server keeps as delivered,
+#: and the source end's one-value view in the audit log.  7.98 while the
+#: audit kept a record object per decision beside a full view.
+GC_TRACKED_CEILING = 7.0
 
 
 @timed
@@ -193,7 +205,13 @@ def async_churn_soak() -> dict:
     sim = net.topology.sim
     peak = {"inflight": 0, "serial_depth": 0}
 
+    tracked = []
+
     def inject(wave: int) -> None:
+        if wave in GC_COUNT_WAVES:
+            gc.collect()
+            audited = controller.audit.summary()
+            tracked.append((len(gc.get_objects()), audited["total"] - audited["cached"]))
         spawned = open_web_flows(net, WAVE_SIZE, CLIENTS, first=wave)
         # Probe at the instant after the wave's punts all arrived —
         # the high-water mark for in-flight pipeline state.
@@ -241,6 +259,7 @@ def async_churn_soak() -> dict:
         int(channel.to_controller_messages.value + channel.to_switch_messages.value)
         for channel in controller.channels.values()
     )
+    (objects_before, decided_before), (objects_after, decided_after) = tracked
     return {
         "flows": flows,
         "events": events,
@@ -248,6 +267,9 @@ def async_churn_soak() -> dict:
         "decided": count,
         "events_per_decision": round(ratio(events, count), 3),
         "msgs_per_decision": round(ratio(messages, count), 3),
+        "gc_tracked_per_decided_punt": round(
+            ratio(objects_after - objects_before, decided_after - decided_before), 3
+        ),
         "peak_inflight": peak["inflight"],
         "peak_serial_depth": peak["serial_depth"],
         "final_inflight": final_inflight,
@@ -283,6 +305,9 @@ SOAK = Soak(
         Gate("soak_async_decisions.msgs_per_decision", operator.le, PUNT_MSGS_CEILING,
              "a decided punt of the async soak cost {value} control-channel messages "
              f"(ceiling {PUNT_MSGS_CEILING:g})"),
+        Gate("soak_async_decisions.gc_tracked_per_decided_punt", operator.le, GC_TRACKED_CEILING,
+             "a decided punt of the async soak left {value} objects for the garbage "
+             f"collector to track (ceiling {GC_TRACKED_CEILING:g})"),
     ),
     ok="soak ok: query latency overlaps, in-flight state bounded",
 )

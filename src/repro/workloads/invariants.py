@@ -24,6 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Mapping, Optional
 
+from repro.core.audit import AuditTrail
+from repro.identpp.flowspec import FlowSpec
+from repro.netsim.addresses import IPv4Address
+
 #: Canonical invariant names, as reported in matrix cells and benchmarks.
 FAIL_CLOSED = "fail_closed"
 ZERO_LOSS = "zero_loss"
@@ -68,8 +72,23 @@ def _failed_closed(record) -> bool:
     return getattr(record, "rule_origin", "") == "error"
 
 
+def _flow_key(flow):
+    """Return the key ``flow`` is counted under: a :class:`FlowSpec`'s
+    5-tuple packed into one int, what a pass over a long audit log can
+    hold per flow in place of the record's flow; any other value (a
+    test's stand-in flow) boxed in a 1-tuple, so an int key is always a
+    packed flow."""
+    if type(flow) is not FlowSpec:
+        return (flow,)
+    return (
+        flow.src_ip << 72 | flow.dst_ip << 40 | flow.proto << 32
+        | flow.src_port << 16 | flow.dst_port
+    )
+
+
 def _classify(records) -> tuple[dict, set]:
-    """One pass over ``records``: ``({flow: fresh decisions}, errored flows)``.
+    """One pass over ``records``: ``({flow key: fresh decisions}, errored
+    flow keys)``, keyed by :func:`_flow_key`.
 
     A *fresh* decision is one the controller actually evaluated for a
     punt: replays served from the decision cache (``cached``) and
@@ -80,9 +99,10 @@ def _classify(records) -> tuple[dict, set]:
     errored: set = set()
     for record in records:
         if _failed_closed(record):
-            errored.add(record.flow)
+            errored.add(_flow_key(record.flow))
         elif not getattr(record, "cached", False):
-            fresh[record.flow] = fresh.get(record.flow, 0) + 1
+            key = _flow_key(record.flow)
+            fresh[key] = fresh.get(key, 0) + 1
     return fresh, errored
 
 
@@ -91,7 +111,10 @@ def _check_accounted(
 ) -> InvariantResult:
     result = InvariantResult(name)
     flows = list(flows)
-    unaccounted = [flow for flow in flows if flow not in fresh and flow not in errored]
+    unaccounted = [
+        flow for flow in flows
+        if (key := _flow_key(flow)) not in fresh and key not in errored
+    ]
     for flow in unaccounted:
         result.violations.append(f"flow {flow} reached no verdict (not decided, not failed closed)")
     if pending:
@@ -147,8 +170,12 @@ def check_zero_loss(
     """
     fresh, errored = _classify(records)
     result = _check_accounted(ZERO_LOSS, flows, fresh, errored, pending, buffered)
-    for flow, count in fresh.items():
+    for key, count in fresh.items():
         if count > 1:
+            flow = key[0] if type(key) is tuple else FlowSpec(
+                IPv4Address(key >> 72), IPv4Address(key >> 40 & 0xFFFFFFFF),
+                key >> 32 & 0xFF, key >> 16 & 0xFFFF, key & 0xFFFF,
+            )
             result.violations.append(
                 f"flow {flow} decided {count} times (expected exactly once)"
             )
@@ -315,12 +342,11 @@ def network_deliveries(net) -> list[tuple[float, str, str]]:
     return deliveries
 
 
-def network_audit_records(net) -> list:
-    """Return the audit log across the whole control plane, in time order."""
+def network_audit_records(net):
+    """Return the audit log across the whole control plane, in time order
+    (a tie in controller order): the one controller's log itself, or a
+    trail that merges the logs each time it is walked, forwards or back."""
     if net.cluster is not None:
-        return list(net.cluster.audit_records())
-    records = []
-    for controller in net.controllers.values():
-        records.extend(controller.audit.records())
-    records.sort(key=lambda record: record.time)
-    return records
+        return net.cluster.audit_records()
+    logs = [controller.audit for controller in net.controllers.values()]
+    return logs[0] if len(logs) == 1 else AuditTrail(logs)

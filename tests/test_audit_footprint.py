@@ -4,12 +4,16 @@
   :meth:`ResponseDocument.as_flat_dict` — its oracle — over generated
   documents: repeated keys within and across sections, empty sections,
   on-path augmentation;
-* the reuse rule: the same content is the same object, the same keys
-  with new values share the keys tuple, new keys share nothing;
-* ``DecisionRecord``, ``FlowSpec`` and ``Packet`` carry no ``__dict__``;
+* the reuse rule: the same content is the same object, one moved value
+  is a view of the keyframe holding only that value (never of another
+  such view), more moved values share the keys tuple, new keys share
+  nothing;
+* ``DecisionRecord``, ``FlowSpec``, ``Packet``, views and PF AST nodes
+  carry no ``__dict__``;
 * a tripwire on the bytes a decided punt leaves behind.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -23,8 +27,11 @@ from repro.core.policy_engine import PolicyEngine
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import EMPTY_KEYS, KeyValueSection, KeyView, ResponseDocument
 from repro.netsim.packet import Packet
+from repro.pf import ast_nodes
+from repro.pf.parser import parse_ruleset
 from repro.workloads import decision_core
 from repro.workloads.soak import open_web_flows
+from tests.reference_audit import REFERENCE_EMPTY_KEYS, ReferenceKeyView
 
 KEYS = ["userID", "name", "pid", "groupID", "os-patch"]
 VALUES = ["alice", "bob", "http", "7", ""]
@@ -43,6 +50,14 @@ def build(sections, augments) -> ResponseDocument:
 
 
 documents = st.builds(build, st.lists(pairs, max_size=4), st.lists(extras, max_size=2))
+#: One host's answers: a new pid, a new name now and then, or anything.
+answers = st.one_of(
+    documents,
+    st.builds(
+        lambda pid, name: doc({"userID": "alice", "name": name, "pid": str(pid)}),
+        st.integers(100, 103), st.sampled_from(["http", "http", "sshd"]),
+    ),
+)
 
 
 def doc(mapping: dict) -> ResponseDocument:
@@ -67,6 +82,23 @@ class TestKeyView:
         assert (view == last) == (flat == previous.as_flat_dict())
         if view == last:
             assert hash(view) == hash(last)
+
+    @given(answers=st.lists(st.tuples(st.sampled_from(["10.0.0.1", "10.0.0.2"]), answers), max_size=12))
+    def test_every_view_is_its_flat_dict_and_no_delta_chains(self, answers):
+        # Views taken per endpoint, as the policy engine takes them, beside
+        # the single-slot views the audit kept before one-value deltas.
+        last, reference_last = {}, {}
+        for address, document in answers:
+            view = last[address] = KeyView.of(document, last.get(address, EMPTY_KEYS))
+            reference = reference_last[address] = ReferenceKeyView.of(
+                document, reference_last.get(address, REFERENCE_EMPTY_KEYS)
+            )
+            flat = document.as_flat_dict()
+            assert view == flat and list(view.items()) == list(flat.items())
+            assert view == reference and list(view.items()) == list(reference.items())
+            assert hash(view) == hash(KeyView(tuple(flat), tuple(flat.values())))
+            if type(view) is not KeyView:
+                assert type(view._keyframe) is KeyView
 
     def test_missing_key_raises_key_error(self):
         view = KeyView.of(doc({"userID": "alice"}), EMPTY_KEYS)
@@ -101,6 +133,19 @@ class TestReuse:
         assert second is not self.first
         assert second._keys is self.first._keys
         assert second == {"a": "1", "b": "3"}
+
+    def test_one_moved_value_keeps_only_that_value(self):
+        second = KeyView.of(doc({"a": "1", "b": "3"}), self.first)
+        third = KeyView.of(doc({"a": "1", "b": "4"}), second)
+        # Each holds the keyframe and the one value that moved from it.
+        assert second._keyframe is third._keyframe is self.first
+        assert (third._at, third._value) == (1, "4")
+        assert third == {"a": "1", "b": "4"} and third["a"] == "1"
+        # Back to the keyframe's content is the keyframe; two values moved
+        # from it is a full view again, sharing the keys tuple.
+        assert KeyView.of(doc({"a": "1", "b": "2"}), third) is self.first
+        fourth = KeyView.of(doc({"a": "2", "b": "5"}), third)
+        assert type(fourth) is KeyView and fourth._keys is self.first._keys
 
     def test_new_keys_share_nothing(self):
         reordered = KeyView.of(doc({"b": "2", "a": "1"}), self.first)
@@ -144,6 +189,19 @@ class TestSlots:
         # The packet capture's tripwire holds packets by weak reference.
         assert weakref.ref(packet)() is packet
 
+    def test_views_and_policy_nodes_are_slotted(self):
+        first = KeyView.of(doc({"pid": "1", "userID": "alice"}), EMPTY_KEYS)
+        delta = KeyView.of(doc({"pid": "2", "userID": "alice"}), first)
+        assert not hasattr(delta, "__dict__")
+        # A large policy's AST lives as long as the policy.
+        nodes = [cls for cls in vars(ast_nodes).values() if dataclasses.is_dataclass(cls)]
+        assert len(nodes) == 13
+        for cls in nodes:
+            assert "__slots__" in cls.__dict__, cls.__name__
+        rule = parse_ruleset("pass from <lan> to any port 80 with allowed(@src[userID])").rules()[0]
+        for node in (rule, rule.src, rule.dst, rule.src.address, *rule.conditions, *rule.conditions[0].args):
+            assert not hasattr(node, "__dict__"), type(node).__name__
+
     def test_flow_hash_is_not_part_of_equality_or_repr(self):
         flow = FlowSpec.tcp("10.0.0.1", "10.0.0.2", 1000, 80)
         assert flow == FlowSpec.tcp("10.0.0.1", "10.0.0.2", 1000, 80)
@@ -153,10 +211,11 @@ class TestSlots:
 
 #: Unique punts per burst of :func:`audit_bytes_per_decision`.
 PUNTS = 1000
-#: What a decided punt may leave behind (~746 B: the slotted record, its
-#: flow, cookie and times, the source end's view values; ~1 292 B while
-#: a record kept two flat-dict copies of what the decision saw).
-AUDIT_BYTES_CEILING = 900
+#: What a decided punt may leave behind (~144 B: a row of the columnar
+#: log and the source end's one-value view; ~666 B while the log kept a
+#: slotted record with its flow, cookie and a full view per decision,
+#: ~1 292 B while a record kept two flat-dict copies of what it saw).
+AUDIT_BYTES_CEILING = 160
 
 
 def audit_bytes_per_decision(punts: int = PUNTS) -> float:

@@ -41,7 +41,7 @@ class TestClusterRouting:
             if name == owner:
                 assert len(records) == 1
             else:
-                assert records == []
+                assert len(records) == 0
 
     def test_every_switch_holds_one_channel_per_replica(self):
         net = build_cluster_network(shards=3)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.audit import AuditLog, DecisionRecord
+from repro.core.audit import AuditLog
 from repro.core.cache import DecisionCache
 from repro.core.delegation import DelegationManager
 from repro.core.interception import InterceptionPolicy
@@ -64,7 +64,7 @@ class TestDecisionCache:
 
 class TestAuditLog:
     def record(self, action="pass", delegated=False, cached=False):
-        return DecisionRecord(
+        return dict(
             time=0.0, flow=FLOW, action=action, rule_text="pass all", rule_origin="00-x.control",
             cookie="c1", delegated=delegated, cached=cached,
             src_keys={"userID": "alice"},
@@ -72,16 +72,16 @@ class TestAuditLog:
 
     def test_summary_counts(self):
         log = AuditLog()
-        log.record(self.record("pass"))
-        log.record(self.record("block"))
-        log.record(self.record("pass", delegated=True))
+        log.record(**self.record("pass"))
+        log.record(**self.record("block"))
+        log.record(**self.record("pass", delegated=True))
         summary = log.summary()
         assert summary == {"total": 3, "pass": 2, "block": 1, "delegated": 1, "cached": 0}
 
     def test_filters(self):
         log = AuditLog()
-        log.record(self.record("pass"))
-        log.record(self.record("block", delegated=True))
+        log.record(**self.record("pass"))
+        log.record(**self.record("block", delegated=True))
         assert len(log.filter(action="block")) == 1
         assert len(log.delegated_decisions()) == 1
         assert len(log.filter(flow=FLOW.reversed())) == 0

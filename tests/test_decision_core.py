@@ -355,7 +355,7 @@ class TestMidQueryKillFailover:
         # Exactly one decision, on the successor; the corpse decided
         # nothing and retains no frozen continuation state.
         assert [r.action for r in net.cluster.replicas[successor].audit.records()] == ["pass"]
-        assert dead.audit.records() == []
+        assert len(dead.audit.records()) == 0
         assert dead.inflight_count() == 0
         assert len(net.host("server").delivered) == 1
         assert net.cluster.pending_total() == 0

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.identpp.flowspec import FlowSpec
 from repro.netsim.events import Simulator
 from repro.workloads import experiment, invariants
 from repro.workloads.experiment import (
@@ -165,6 +166,14 @@ class TestZeroLossChecker:
         result = invariants.check_zero_loss(["f1"], records)
         assert not result.passed
         assert any("decided 2 times" in v for v in result.violations)
+
+    def test_a_flow_spec_is_counted_packed_and_named_in_full(self):
+        flow = FlowSpec("255.255.255.254", "10.0.0.1", "udp", 65535, 0)
+        other = FlowSpec.tcp("10.0.0.1", "255.255.255.254", 0, 65535)
+        records = [FakeRecord(flow), FakeRecord(other), FakeRecord(flow)]
+        result = invariants.check_zero_loss([flow, other], records)
+        assert result.violations == [f"flow {flow} decided 2 times (expected exactly once)"]
+        assert result.details["decided"] == 2
 
     def test_fail_closed_then_fresh_decision_is_fine(self):
         # The error verdict is the backstop, not a decision: a flow that

@@ -81,7 +81,7 @@ class TestResearchScenarioDetails:
         scenario = ResearchDelegationScenario()
         scenario.run()
         delegated = scenario.net.controller.audit.delegated_decisions()
-        assert any(record.is_pass for record in delegated)
+        assert any(record.action == "pass" for record in delegated)
 
 
 # -- E7: collaboration --------------------------------------------------------

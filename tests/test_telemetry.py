@@ -15,11 +15,11 @@ Four layers, tested bottom-up:
 """
 
 import random
-from types import SimpleNamespace
+from dataclasses import fields
 
 import pytest
 
-from repro.core.audit import AuditLog, DecisionRecord
+from repro.core.audit import AuditLog, AuditTrail, DecisionRecord
 from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork
 from repro.identpp.flowspec import FlowSpec
@@ -38,7 +38,6 @@ from repro.telemetry import (
     SpikeDetector,
     TimeSeries,
 )
-from repro.telemetry.plane import _ClusterAuditView
 from repro.workloads.enterprise import build_linear_network
 from repro.workloads.invariants import check_containment, network_deliveries
 from repro.workloads.telemetry import conficker_detection
@@ -380,21 +379,28 @@ class TestQuarantineMechanics:
 # ----------------------------------------------------------------------
 
 
-class _OldRecord:
-    """A decision older than any window or match; counts who looks at it."""
+class _OldRows:
+    """Decisions older than any window or match, appended to a log ahead of
+    the rest; counts how many of them a walk builds."""
 
     touched = 0
-    cached = False
+    FIELDS = dict(
+        time=0.0, flow=FlowSpec.tcp("10.9.9.9", "10.9.9.8", 9, 9), action="pass",
+        rule_text="pass all", rule_origin="old", cookie="old:decision-0",
+    )
 
-    @property
-    def time(self):
-        _OldRecord.touched += 1
-        return 0.0
+    @classmethod
+    def append(cls, log, count):
+        for _ in range(count):
+            log.record(**cls.FIELDS)
+        build = log._row
 
-    @property
-    def flow(self):
-        _OldRecord.touched += 1
-        return None
+        def row(index):
+            if index < count:
+                cls.touched += 1
+            return build(index)
+
+        log._row = row
 
 
 def _generated_log(seed, count, *, start=100.0):
@@ -420,19 +426,13 @@ def _no_copy():
     raise AssertionError("the walk copied the whole log")
 
 
-def _log_of(records):
+def _log_of(records, old=0):
     log = AuditLog()
+    _OldRows.append(log, old)
     for record in records:
-        log.record(record)
+        log.record(**{field.name: getattr(record, field.name) for field in fields(record)})
     log.records = _no_copy
     return log
-
-
-def _cluster_of(logs):
-    """What ``_ClusterAuditView`` reads of a cluster, over plain logs."""
-    return SimpleNamespace(
-        replicas={f"shard{i}": SimpleNamespace(audit=log) for i, log in enumerate(logs)}
-    )
 
 
 def _copying_attribution(records, now, *, window, threshold):
@@ -463,7 +463,7 @@ class TestNewestFirstAuditWalk:
         shards = [[], [], []]
         for record in records:
             rng.choice(shards).append(record)
-        view = _ClusterAuditView(_cluster_of([_log_of(shard) for shard in shards]))
+        view = AuditTrail([_log_of(shard) for shard in shards])
         trail = sorted((r for shard in shards for r in shard), key=lambda r: r.time)
         assert list(reversed(view)) == trail[::-1]
         merged = AutoQuarantineResponder(
@@ -475,36 +475,32 @@ class TestNewestFirstAuditWalk:
     def test_attribution_visits_the_window_not_the_log(self):
         window = _generated_log(1, 20, start=1000.0)
         now = window[-1].time
-        _OldRecord.touched = 0
-        log = _log_of([_OldRecord() for _ in range(50_000)] + window)
+        _OldRows.touched = 0
+        log = _log_of(window, old=50_000)
         responder = AutoQuarantineResponder(log, lambda src: None, window=10.0)
         expected = responder.attribute(now)
-        assert _OldRecord.touched == 1  # the record that ends the walk
+        assert _OldRows.touched == 1  # the record that ends the walk
 
-        _OldRecord.touched = 0
-        shards = [
-            _log_of([_OldRecord() for _ in range(12_500)] + window[index::4])
-            for index in range(4)
-        ]
+        _OldRows.touched = 0
+        shards = [_log_of(window[index::4], old=12_500) for index in range(4)]
         merged = AutoQuarantineResponder(
-            _ClusterAuditView(_cluster_of(shards)), lambda src: None, window=10.0
+            AuditTrail(shards), lambda src: None, window=10.0
         )
         assert merged.attribute(now) == expected
         # The merge keys one old record per shard; the walk ends on the first.
-        assert _OldRecord.touched <= len(shards) + 1
+        assert _OldRows.touched <= len(shards) + 1
 
     def test_send_flow_finds_its_decision_from_the_newest_end(self):
         net = _small_cluster(shards=1)
         controller = next(iter(net.controllers.values()))
-        _OldRecord.touched = 0
-        for _ in range(50_000):
-            controller.audit.record(_OldRecord())
+        _OldRows.touched = 0
+        _OldRows.append(controller.audit, 50_000)
         controller.audit.records = _no_copy
         results = [
             net.send_flow(f"h{i % 3}", "http", "alice", "192.168.1.1", port)
             for i, port in enumerate((80, 80, 23, 80, 23))
         ]
-        assert _OldRecord.touched == 0
+        assert _OldRows.touched == 0
         assert [r.decision_action for r in results] == ["pass", "pass", "block", "pass", "block"]
         for result in results:
             copied = [r for r in list(controller.audit)[50_000:] if r.flow == result.flow]
