@@ -17,19 +17,19 @@ Each baseline implements the same small :class:`BaselinePolicy`
 interface, ``decide(flow)``, so the security matrix (experiment E9) and
 the latency comparison (E10) can drive them uniformly.  A baseline is
 given the flow and nothing else; what its architecture knows beyond it
-(Ethane's user bindings, a VLAN's segment map) it holds itself.  Each
-can be mounted on the OpenFlow substrate via :class:`BaselineController`
-where a datapath is needed.
+(Ethane's user bindings, a VLAN's segment map) it holds itself.  Where
+a datapath is needed, :class:`BaselineDecider` mounts one as the decider
+of the ident++ controller, which then asks no end-host.
 """
 
-from repro.baselines.base import BaselineController, BaselinePolicy
+from repro.baselines.base import BaselineDecider, BaselinePolicy
 from repro.baselines.distributed_firewall import DistributedFirewall
 from repro.baselines.ethane import EthanePolicy, HostBinding
 from repro.baselines.vanilla_firewall import FirewallRule, VanillaFirewall
 from repro.baselines.vlan import VLANSegmentation
 
 __all__ = [
-    "BaselineController",
+    "BaselineDecider",
     "BaselinePolicy",
     "DistributedFirewall",
     "EthanePolicy",

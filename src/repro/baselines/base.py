@@ -5,20 +5,21 @@ only the information that architecture actually has.  ident++'s whole
 point is that it has *more* information (user, application, patch
 level); the baselines deliberately ignore the fields they would not see
 in reality — that asymmetry is what the comparison experiments measure.
+
+Where a datapath is needed, a baseline is mounted as the decider of an
+:class:`~repro.core.controller.IdentPPController` through
+:class:`BaselineDecider`: the one controller punts, decides, installs
+along the path, unwinds and audits for every architecture alike.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Protocol
 
-from repro.exceptions import TopologyError
+from repro.core.policy_engine import PolicyDecision
 from repro.identpp.flowspec import FlowSpec
-from repro.netsim.topology import Topology
-from repro.openflow.actions import DropAction, OutputAction, FloodAction
-from repro.openflow.controller_base import Controller
-from repro.openflow.match import Match
-from repro.openflow.messages import PacketIn
-from repro.openflow.switch import OpenFlowSwitch
+from repro.pf.ast_nodes import Rule
+from repro.pf.evaluator import Verdict
 
 ACTION_PASS = "pass"
 ACTION_BLOCK = "block"
@@ -38,97 +39,24 @@ class BaselinePolicy(Protocol):
         """
 
 
-class BaselineController(Controller):
-    """Mounts a :class:`BaselinePolicy` on the OpenFlow substrate.
+class BaselineDecider:
+    """A :class:`BaselinePolicy` in an ``IdentPPController``'s ``policy`` slot.
 
-    Decisions are cached in switch flow tables exactly as the ident++
-    controller does, but no ident++ queries are issued — what a policy
-    knows beyond the flow is static (Ethane's bindings).  This keeps
-    the flow-setup latency comparison honest: the baseline pays only the
-    control-channel round trip.
+    It reads no end-host, so the controller asks nobody about a punted
+    flow and decides it from the flow alone.  A verdict is written as
+    the PF rule it amounts to (``pass all`` / ``block all``) with the
+    baseline's name as its origin, so the audit names the architecture.
     """
 
-    def __init__(
-        self,
-        name: str,
-        topology: Topology,
-        policy: BaselinePolicy,
-        *,
-        idle_timeout: float = 60.0,
-    ) -> None:
-        super().__init__(name)
-        self.topology = topology
-        self.policy = policy
-        self.idle_timeout = idle_timeout
-        self.decisions: list[tuple[FlowSpec, str]] = []
-        self.attach(topology.sim)
+    reads_end_hosts = False
 
-    def on_packet_in(self, message: PacketIn) -> None:
-        packet = message.packet
-        if not packet.is_ip():
-            self.send_packet_out(
-                message.switch, actions=[FloodAction()], buffer_id=message.buffer_id,
-                in_port=message.in_port,
-            )
-            return
-        flow = FlowSpec.from_packet(packet)
-        action = self.policy.decide(flow)
-        self.decisions.append((flow, action))
-        match = Match.from_five_tuple(
-            flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port
-        )
-        if action == ACTION_PASS:
-            out_port = self._egress_toward(message.switch, flow)
-            actions = [OutputAction(out_port)] if out_port is not None else [FloodAction()]
-        else:
-            actions = [DropAction()]
-        self.install_flow(
-            message.switch,
-            match,
-            actions,
-            idle_timeout=self.idle_timeout,
-            cookie=f"{self.name}:{action}",
-            buffer_id=message.buffer_id,
-        )
-        self._install_downstream(flow, action, message.switch)
+    def __init__(self, baseline: BaselinePolicy) -> None:
+        self.baseline = baseline
+        self._verdicts = {
+            action: Verdict(action, Rule(action, origin=baseline.name))
+            for action in (ACTION_PASS, ACTION_BLOCK)
+        }
 
-    def _install_downstream(self, flow: FlowSpec, action: str, first_switch: OpenFlowSwitch) -> None:
-        if action != ACTION_PASS:
-            return
-        destination = self.topology.node_for_ip(flow.dst_ip)
-        source = self.topology.node_for_ip(flow.src_ip)
-        if destination is None or source is None:
-            return
-        try:
-            path = self.topology.shortest_path(source, destination)
-        except TopologyError:
-            # No path between the endpoints: nothing to install
-            # downstream.  Non-topology errors propagate.
-            return
-        match = Match.from_five_tuple(
-            flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port
-        )
-        for index, node in enumerate(path):
-            if not isinstance(node, OpenFlowSwitch) or node.name not in self.channels:
-                continue
-            if node is first_switch:
-                continue
-            if index + 1 < len(path):
-                out_port = self.topology.egress_port(node, path[index + 1]).number
-                self.install_flow(
-                    node, match, [OutputAction(out_port)],
-                    idle_timeout=self.idle_timeout, cookie=f"{self.name}:pass",
-                )
-
-    def _egress_toward(self, switch: OpenFlowSwitch, flow: FlowSpec) -> Optional[int]:
-        destination = self.topology.node_for_ip(flow.dst_ip)
-        if destination is None:
-            return None
-        try:
-            path = self.topology.shortest_path(switch, destination)
-        except TopologyError:
-            # Unroutable destination: the caller falls back to flooding.
-            return None
-        if len(path) < 2:
-            return None
-        return self.topology.egress_port(switch, path[1]).number
+    def decide(self, flow: FlowSpec) -> PolicyDecision:
+        """Return the baseline's verdict on ``flow``, the one thing it is given."""
+        return PolicyDecision(flow, self._verdicts[self.baseline.decide(flow)])

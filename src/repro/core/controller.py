@@ -94,7 +94,12 @@ class DecisionTask:
     deadline: Optional[float] = None
 
     def documents(self) -> tuple:
-        """Return the ``(@src, @dst)`` response documents the policy evaluates."""
+        """Return the ``(@src, @dst)`` response documents the policy evaluates.
+
+        Empty when nobody was asked: the decider reads no end-host.
+        """
+        if not self.outcomes:
+            return ()
         src, dst = self.outcomes
         return src.document, dst.document
 
@@ -272,7 +277,16 @@ class ControllerConfig:
 
 
 class IdentPPController(Controller):
-    """An OpenFlow controller that delegates security decisions through ident++."""
+    """An OpenFlow controller that delegates security decisions through ident++.
+
+    ``policy`` is the decider: a :class:`PolicyEngine` (PF+=2 over both
+    ends' answers), or a baseline architecture's
+    :class:`~repro.baselines.base.BaselineDecider`, which reads no
+    end-host.  Either way a punt is decided, installed along the path
+    and audited by the one pipeline below.  The admin verbs that edit
+    PF text (reload, delegation grants, :meth:`quarantine_host`) need a
+    :class:`PolicyEngine`.
+    """
 
     def __init__(
         self,
@@ -446,7 +460,8 @@ class IdentPPController(Controller):
         # buffered packets instead of stranding the flow forever.
         self._cover(task)
         self.lifecycle.kick()
-        self.query_engine.note_punt(flow.dst_ip, from_node=message.switch, now=arrival)
+        if self.policy.reads_end_hosts:
+            self.query_engine.note_punt(flow.dst_ip, from_node=message.switch, now=arrival)
 
         if self.config.decision_core == "serial":
             # Concurrency 1: the punt takes the loop before its queries
@@ -498,8 +513,14 @@ class IdentPPController(Controller):
         onto the one outstanding query, and daemon-less hosts cost one
         timeout per TTL (with the default TTL of ``0`` the engine is a
         pass-through and every punt queries fresh).
+
+        A decider that reads no end-host (a baseline's) asks nobody: the
+        task's answers, none, are in at once and cost nothing.
         """
         task.stage = "query"
+        if not self.policy.reads_end_hosts:
+            self._answers_ready(task, ())
+            return
         self.query_engine.query_both_ends_async(
             task.flow, self._answers_ready, task,
             from_node=task.switch, interceptors=tuple(self.peer_interceptors),

@@ -70,6 +70,10 @@ class PolicyDecision:
 class PolicyEngine:
     """The controller's policy: ``.control`` files + PF+=2 evaluator + delegation keys."""
 
+    #: PF+=2 reads ``@src`` and ``@dst``, so the controller asks both ends
+    #: of every punted flow (§3.4); an address-only decider says ``False``.
+    reads_end_hosts = True
+
     def __init__(
         self,
         *,

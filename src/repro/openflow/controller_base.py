@@ -1,10 +1,11 @@
 """Controller base class.
 
-The ident++ controller (:mod:`repro.core.controller`) and the baseline
-controllers (:mod:`repro.baselines`) share the same mechanics: they own
-control channels to a set of switches, receive ``packet_in`` messages
-and answer with ``flow_mod`` / ``packet_out``.  That shared machinery
-lives in :class:`Controller`.
+The OpenFlow mechanics of a controller: owning control channels to a
+set of switches, receiving ``packet_in`` / ``flow_removed`` messages and
+answering with ``flow_mod`` / ``packet_out``.  The one subclass is the
+ident++ controller (:mod:`repro.core.controller`), which every
+architecture runs on: a baseline of :mod:`repro.baselines` is a decider
+in its ``policy`` slot, not a controller of its own.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ from __future__ import annotations
 import operator
 from typing import Optional
 
-from repro.baselines.base import BaselineController
+from repro.baselines.base import BaselineDecider
 from repro.baselines.ethane import EthanePolicy
+from repro.core.controller import ControllerConfig, IdentPPController
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
@@ -273,28 +274,40 @@ def paper_e9_security_matrix() -> dict:
     }
 
 
-def _ethane_first_packet() -> Optional[float]:
-    """First-packet latency under an Ethane-style controller on E1's two-switch line."""
+def _ethane_first_packet() -> tuple[Optional[float], int]:
+    """First-packet latency under Ethane on E1's two-switch line, and the
+    end-host queries it took (sent by the controller plus answered by the
+    daemons both hosts run).
+
+    Ethane is the one controller over an address-only decider, with no
+    eval slot: it pays only the control-channel round trip.
+    """
     net = IdentPPNetwork("ethane-baseline", create_default_controller=False)
-    ethane = BaselineController("ethane", net.topology, EthanePolicy(default_action="pass"))
+    ethane = IdentPPController(
+        "ethane", net.topology, BaselineDecider(EthanePolicy(default_action="pass")),
+        config=ControllerConfig(policy_eval_delay=0.0),
+    )
     left, right = (net.add_switch(name, controller=ethane) for name in ("sw-left", "sw-right"))
     net.connect(left, right)
     client = net.add_host(
-        HostSpec(name="client", ip="192.168.0.10", users={"alice": ("staff",)}, run_daemon=False),
-        switch=left,
+        HostSpec(name="client", ip="192.168.0.10", users={"alice": ("staff",)}), switch=left
     )
-    server = net.add_host(HostSpec(name="server", ip="192.168.1.1", run_daemon=False), switch=right)
+    server = net.add_host(HostSpec(name="server", ip="192.168.1.1"), switch=right)
     server.run_server("httpd", "root", 80)
     client.open_flow("http", "alice", "192.168.1.1", 80)
     net.topology.run()
-    return server.delivered_times[0] if server.delivered_times else None
+    queries = ethane.query_client.queries_sent.value + sum(
+        daemon.queries_answered.value for daemon in net.daemons.values()
+    )
+    return (server.delivered_times[0] if server.delivered_times else None), queries
 
 
 def paper_e10_setup_vs_ethane() -> dict:
     """E10a / §3.1: what asking the end-hosts adds to a first packet."""
     identpp = scenarios.flow_setup(switch_count=2)
+    ethane, ethane_queries = _ethane_first_packet()
     first = {"identpp (queries both ends)": identpp["end_to_end_delivery"],
-             "ethane-style (no end-host queries)": _ethane_first_packet()}
+             "ethane-style (no end-host queries)": ethane}
     undelivered = [name for name, latency in first.items() if latency is None]
     asking, not_asking = first.values()
     overhead = None if undelivered else asking - not_asking
@@ -305,6 +318,7 @@ def paper_e10_setup_vs_ethane() -> dict:
         "queries_plus_eval_ms": _ms(floor),
         # 0.0, beside the violation, when a first packet went missing.
         "overhead_vs_queries_plus_eval": round(ratio(overhead or 0.0, floor), 3),
+        "ethane_end_host_queries": ethane_queries,
         "violations": [f"first packet never delivered under {name}" for name in undelivered],
     }
 
@@ -415,6 +429,8 @@ SOAK = Soak(
         Gate(_E10_RATIO, operator.ge, 1.0, f"{_E10_TRAILS}: less than it must pay"),
         Gate(_E10_RATIO, operator.le, E10_OVERHEAD_CEILING,
              f"{_E10_TRAILS} (ceiling {E10_OVERHEAD_CEILING:g}x)"),
+        Gate("paper_e10_setup_vs_ethane.ethane_end_host_queries", operator.eq, 0,
+             "Ethane's first packet took {value} end-host queries; it can ask nobody"),
     ),
     ok=(
         "paper soak ok: E1-E12 read as the paper says — Figure 1's breakdown, every "

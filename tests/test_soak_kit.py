@@ -101,6 +101,7 @@ class TestGates:
             (paper.SOAK, "paper_e1_flow_setup.min_query_share", 0.8, 0.799),
             (paper.SOAK, "paper_e10_setup_vs_ethane.overhead_vs_queries_plus_eval", 1.0, 0.999),
             (paper.SOAK, "paper_e10_setup_vs_ethane.overhead_vs_queries_plus_eval", 1.05, 1.051),
+            (paper.SOAK, "paper_e10_setup_vs_ethane.ethane_end_host_queries", 0, 1),
             (decision_core.SOAK, "soak_async_decisions.events_per_decision", 8.0, 8.001),
             (decision_core.SOAK, "soak_async_decisions.msgs_per_decision", 5.1, 5.101),
             (determinism.SOAK, "determinism_double_run.all_identical", True, False),

@@ -502,10 +502,14 @@ class TestNewestFirstAuditWalk:
         ]
         assert _OldRows.touched == 0
         assert [r.decision_action for r in results] == ["pass", "pass", "block", "pass", "block"]
+        # The class's own records() (the instance's copy trap aside) is
+        # indexed lazily: the slice builds the new rows, none of the old.
+        recent = type(controller.audit).records(controller.audit)[50_000:]
+        assert _OldRows.touched == 0
         for result in results:
-            copied = [r for r in list(controller.audit)[50_000:] if r.flow == result.flow]
+            recorded = [r for r in recent if r.flow == result.flow]
             assert (result.decision_action, result.decision_rule) == (
-                copied[-1].action, copied[-1].rule_text
+                recorded[-1].action, recorded[-1].rule_text
             )
 
 
