@@ -41,7 +41,7 @@ from repro.netsim.events import Simulator  # noqa: E402
 from repro.netsim.packet import Packet  # noqa: E402
 from repro.netsim.topology import Topology  # noqa: E402
 from repro.openflow.actions import OutputAction  # noqa: E402
-from repro.openflow.flow_table import FlowTable, make_entry  # noqa: E402
+from repro.openflow.flow_table import FlowEntry, FlowTable  # noqa: E402
 from repro.openflow.match import Match  # noqa: E402
 from repro.openflow.switch import OpenFlowSwitch  # noqa: E402
 from repro.pf.evaluator import PolicyEvaluator  # noqa: E402
@@ -239,7 +239,7 @@ def bench_flow_table(results: dict) -> None:
     table = FlowTable()
     for i in range(256):
         match = Match.from_five_tuple(f"10.0.{i}.1", "10.1.0.1", 6, 40000 + i, 80)
-        table.install(make_entry(match, [OutputAction(1)]))
+        table.install(FlowEntry(match=match, actions=(OutputAction(1),)))
     packet = Packet.tcp("10.0.17.1", "10.1.0.1", 40017, 80)
     results["flow_table_lookup_repeat"] = _timeit(lambda: table.lookup(packet, now=0.0))
     results["packet_wire_size"] = _timeit(packet.wire_size)
@@ -260,12 +260,13 @@ def _flow_table_churn(resident: int):
     for i in range(resident):
         match = Match.from_five_tuple(f"10.0.{i >> 8}.{i & 255}", "10.1.0.1", 6, 1024 + i, 80)
         table.install(
-            make_entry(match, [OutputAction(1)], idle_timeout=60.0, cookie=f"resident-{i}"),
+            FlowEntry(match=match, actions=(OutputAction(1),), idle_timeout=60.0,
+                      cookie=f"resident-{i}"),
             now=0.0,
         )
-    entry = make_entry(
-        Match.from_five_tuple("192.168.0.1", "10.1.0.1", 6, 40000, 80),
-        [OutputAction(1)], idle_timeout=60.0, cookie="churn",
+    entry = FlowEntry(
+        match=Match.from_five_tuple("192.168.0.1", "10.1.0.1", 6, 40000, 80),
+        actions=(OutputAction(1),), idle_timeout=60.0, cookie="churn",
     )
     stranger = Packet.tcp("192.168.0.2", "10.1.0.1", 40000, 80)
     everything = Match()
@@ -371,7 +372,7 @@ def _packet_hops(*, capture: bool):
     server = topo.add_node(EndHost("server", "10.0.0.2"))
     topo.add_link(client, switch)
     topo.add_link(server, switch)
-    switch.flow_table.install(make_entry(Match(tp_dst=80), [OutputAction(2)]))
+    switch.flow_table.install(FlowEntry(match=Match(tp_dst=80), actions=(OutputAction(2),)))
     packets = [
         Packet.tcp("10.0.0.1", "10.0.0.2", 40000, 80, payload_size=size)
         for size in (64, 1400)

@@ -23,8 +23,7 @@ def main() -> None:
 
     # What a port firewall would have done with the same probes: it cannot see
     # users or patch levels, so its best effort is an address/port rule.
-    firewall = VanillaFirewall(enterprise_default_rules(
-        internal="192.168.0.0/16", server_subnet="192.168.1.0/24"))
+    firewall = VanillaFirewall(enterprise_default_rules())
     firewall.allow(src="192.168.0.0/16", dst="192.168.1.0/24", proto="tcp", dst_port=445)
     comparison = []
     for case, row in zip(scenario.cases, rows):

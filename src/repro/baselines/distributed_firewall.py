@@ -37,10 +37,9 @@ class DistributedFirewall(VanillaFirewall):
         self,
         rules: Iterable[FirewallRule] = (),
         *,
-        default_action: str = "block",
         name: str = "distributed-firewall",
     ) -> None:
-        super().__init__(rules, default_action=default_action, name=name)
+        super().__init__(rules, name=name)
         self.compromised_hosts: set[IPv4Address] = set()
 
     def decide(self, flow: FlowSpec) -> str:

@@ -28,13 +28,11 @@ from repro.netsim.packet import proto_number
 
 @dataclass
 class HostBinding:
-    """One registered host: where it is attached and who authenticated it."""
+    """One registered host: who authenticated it."""
 
     ip: IPv4Address
     user: str
     groups: tuple[str, ...] = ()
-    switch: str = ""
-    port: int = 0
 
     def __post_init__(self) -> None:
         self.ip = IPv4Address(self.ip)
@@ -46,14 +44,11 @@ class EthaneRule:
 
     action: str
     src_user: Optional[str] = None
-    dst_user: Optional[str] = None
     src_group: Optional[str] = None
-    dst_group: Optional[str] = None
     src: Optional[IPv4Network] = None
     dst: Optional[IPv4Network] = None
     proto: Optional[int] = None
     dst_port: Optional[int] = None
-    comment: str = ""
 
     def __post_init__(self) -> None:
         if isinstance(self.src, str):
@@ -63,10 +58,8 @@ class EthaneRule:
         if isinstance(self.proto, str):
             self.proto = proto_number(self.proto)
 
-    def matches(
-        self, flow: FlowSpec, src_binding: Optional[HostBinding], dst_binding: Optional[HostBinding]
-    ) -> bool:
-        """Return ``True`` if both the network fields and the binding fields match."""
+    def matches(self, flow: FlowSpec, src_binding: Optional[HostBinding]) -> bool:
+        """Return ``True`` if both the network fields and the source binding match."""
         if self.src is not None and flow.src_ip not in self.src:
             return False
         if self.dst is not None and flow.dst_ip not in self.dst:
@@ -77,14 +70,8 @@ class EthaneRule:
             return False
         if self.src_user is not None and (src_binding is None or src_binding.user != self.src_user):
             return False
-        if self.dst_user is not None and (dst_binding is None or dst_binding.user != self.dst_user):
-            return False
         if self.src_group is not None and (
             src_binding is None or self.src_group not in src_binding.groups
-        ):
-            return False
-        if self.dst_group is not None and (
-            dst_binding is None or self.dst_group not in dst_binding.groups
         ):
             return False
         return True
@@ -116,11 +103,9 @@ class EthanePolicy:
         user: str,
         *,
         groups: Iterable[str] = (),
-        switch: str = "",
-        port: int = 0,
     ) -> HostBinding:
-        """Bind a host address to an authenticated user and attachment point."""
-        binding = HostBinding(ip=IPv4Address(ip), user=user, groups=tuple(groups), switch=switch, port=port)
+        """Bind a host address to an authenticated user."""
+        binding = HostBinding(ip=IPv4Address(ip), user=user, groups=tuple(groups))
         self._bindings[binding.ip] = binding
         return binding
 
@@ -146,8 +131,7 @@ class EthanePolicy:
         """
         self.decisions += 1
         src_binding = self._bindings.get(flow.src_ip)
-        dst_binding = self._bindings.get(flow.dst_ip)
         for rule in self.rules:
-            if rule.matches(flow, src_binding, dst_binding):
+            if rule.matches(flow, src_binding):
                 return rule.action
         return self.default_action

@@ -16,7 +16,6 @@ from repro.baselines.base import ACTION_BLOCK, ACTION_PASS
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.addresses import IPv4Network
 from repro.netsim.packet import proto_number
-from repro.pf.state import StateTable
 
 
 @dataclass
@@ -28,7 +27,6 @@ class FirewallRule:
     dst: Optional[IPv4Network] = None
     proto: Optional[int] = None
     dst_port: Optional[int] = None
-    src_port: Optional[int] = None
     keep_state: bool = False
     comment: str = ""
 
@@ -50,8 +48,6 @@ class FirewallRule:
             return False
         if self.dst_port is not None and flow.dst_port != self.dst_port:
             return False
-        if self.src_port is not None and flow.src_port != self.src_port:
-            return False
         return True
 
 
@@ -62,13 +58,12 @@ class VanillaFirewall:
         self,
         rules: Iterable[FirewallRule] = (),
         *,
-        default_action: str = ACTION_BLOCK,
         name: str = "vanilla-firewall",
     ) -> None:
         self.name = name
         self.rules: list[FirewallRule] = list(rules)
-        self.default_action = default_action
-        self.state = StateTable()
+        #: The flows a ``keep_state`` rule passed; either direction passes.
+        self.established: set[FlowSpec] = set()
         self.decisions = 0
 
     # ------------------------------------------------------------------
@@ -92,29 +87,27 @@ class VanillaFirewall:
         5-tuple is all it decides on.
         """
         self.decisions += 1
-        if self.state.match(flow) is not None:
+        if flow in self.established or flow.reversed() in self.established:
             return ACTION_PASS
         for rule in self.rules:
             if rule.matches(flow):
                 if rule.action == ACTION_PASS and rule.keep_state:
-                    self.state.add(flow)
+                    self.established.add(flow)
                 return rule.action
-        return self.default_action
+        return ACTION_BLOCK
 
     def __len__(self) -> int:
         return len(self.rules)
 
 
-def enterprise_default_rules(
-    internal: str = "192.168.0.0/16",
-    server_subnet: str = "192.168.1.0/24",
-) -> list[FirewallRule]:
+def enterprise_default_rules() -> list[FirewallRule]:
     """Return a typical coarse enterprise rule set (used by the comparison benches).
 
     Allows outbound connections from the inside, web/ssh/smtp to the
     server subnet, and blocks everything else — the best a port firewall
     can express for the paper's scenarios.
     """
+    internal, server_subnet = "192.168.0.0/16", "192.168.1.0/24"
     return [
         FirewallRule(action=ACTION_PASS, src=IPv4Network(internal), dst=None, proto="tcp",
                      keep_state=True, comment="outbound from inside"),

@@ -25,9 +25,8 @@ from repro.netsim.addresses import IPv4Address, IPv4Network
 class VLANSegmentation:
     """Machine-level partitioning of the network into segments."""
 
-    def __init__(self, *, default_action: str = ACTION_BLOCK, name: str = "vlan") -> None:
+    def __init__(self, *, name: str = "vlan") -> None:
         self.name = name
-        self.default_action = default_action
         self._segments: dict[str, list[IPv4Network]] = {}
         self._allowed_pairs: set[tuple[str, str]] = set()
         self.decisions = 0
@@ -64,7 +63,7 @@ class VLANSegmentation:
         src_segment = self.segment_of(flow.src_ip)
         dst_segment = self.segment_of(flow.dst_ip)
         if src_segment is None or dst_segment is None:
-            return self.default_action
+            return ACTION_BLOCK
         if src_segment == dst_segment:
             return ACTION_PASS
         if (src_segment, dst_segment) in self._allowed_pairs:

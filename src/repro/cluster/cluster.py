@@ -37,7 +37,6 @@ from repro.exceptions import TopologyError
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
-from repro.openflow.channel import DEFAULT_CONTROL_LATENCY
 from repro.openflow.messages import FlowRemoved, PacketIn
 from repro.openflow.switch import OpenFlowSwitch
 
@@ -99,12 +98,10 @@ class ControllerCluster:
         """Return the current simulated time."""
         return self.sim.now if self.sim is not None else 0.0
 
-    def register_switch(
-        self, switch: OpenFlowSwitch, *, latency: float = DEFAULT_CONTROL_LATENCY
-    ) -> None:
+    def register_switch(self, switch: OpenFlowSwitch) -> None:
         """Give ``switch`` one channel per replica and the shard router."""
         for controller in self.replicas.values():
-            controller.register_switch(switch, latency=latency)
+            controller.register_switch(switch)
         switch.set_shard_router(self.route)
 
     def route(self, packet: Packet) -> Iterable[str]:
@@ -297,13 +294,13 @@ class ControllerCluster:
     # Cluster-wide configuration (delegated to the coordinator)
     # ------------------------------------------------------------------
 
-    def set_policy(self, files: dict[str, str], *, provenance: str = "administrator"):
+    def set_policy(self, files: dict[str, str]):
         """Load ``.control`` files on every shard (one cluster epoch)."""
-        return self.coordinator.set_policy(files, provenance=provenance)
+        return self.coordinator.set_policy(files)
 
-    def grant_delegation(self, principal: str, key, *, scope: str = ""):
+    def grant_delegation(self, principal: str, key):
         """Grant a principal on every shard."""
-        return self.coordinator.grant_delegation(principal, key, scope=scope)
+        return self.coordinator.grant_delegation(principal, key)
 
     def revoke_delegation(self, principal: str, *, origin_shard: Optional[str] = None):
         """Revoke a grant cluster-wide (see :class:`ClusterCoordinator`)."""

@@ -72,13 +72,7 @@ class ClusterCoordinator:
     # Policy propagation
     # ------------------------------------------------------------------
 
-    def set_policy(
-        self,
-        files: dict[str, str],
-        *,
-        provenance: str = "administrator",
-        origin_shard: Optional[str] = None,
-    ) -> ClusterChangeRecord:
+    def set_policy(self, files: dict[str, str]) -> ClusterChangeRecord:
         """Load ``.control`` files on every live replica, atomically.
 
         The merged ruleset is parsed and compiled against a scratch
@@ -87,18 +81,16 @@ class ClusterCoordinator:
         replica then registers the very files validation parsed and
         compiled, so a changed file is compiled once for the whole cluster.
         """
-        control_files = self._validate_reload(files, provenance)
+        control_files = self._validate_reload(files)
 
         def apply(controller: IdentPPController) -> int:
             controller.policy.register_control_files(control_files)
             controller.policy.rebuild()
             return 0
 
-        return self._propagate(
-            "policy_reload", origin_shard, f"files={sorted(files)}", apply
-        )
+        return self._propagate("policy_reload", None, f"files={sorted(files)}", apply)
 
-    def _validate_reload(self, files: dict[str, str], provenance: str) -> list[ControlFile]:
+    def _validate_reload(self, files: dict[str, str]) -> list[ControlFile]:
         """Dry-run a reload: parse + compile the would-be merged ruleset.
 
         Uses a scratch loader seeded from a **live** replica's current
@@ -119,10 +111,7 @@ class ClusterCoordinator:
         scratch = RulesetLoader()
         for control_file in reference.policy.loader.files():
             scratch.register(control_file)
-        control_files = [
-            scratch.add_file(name, text, provenance=provenance)
-            for name, text in files.items()
-        ]
+        control_files = [scratch.add_file(name, text) for name, text in files.items()]
         compiled = PolicyEvaluator(
             scratch.build(),
             registry=reference.policy.registry,
@@ -142,26 +131,15 @@ class ClusterCoordinator:
     # Delegation propagation
     # ------------------------------------------------------------------
 
-    def grant_delegation(
-        self,
-        principal: str,
-        key,
-        *,
-        scope: str = "",
-        origin_shard: Optional[str] = None,
-    ) -> ClusterChangeRecord:
+    def grant_delegation(self, principal: str, key) -> ClusterChangeRecord:
         """Grant a principal on every live replica (same key everywhere)."""
 
         def apply(controller: IdentPPController) -> int:
             if not controller.delegations.is_active(principal):
-                controller.delegations.grant(
-                    principal, key, scope=scope, now=controller.now
-                )
+                controller.delegations.grant(principal, key, now=controller.now)
             return 0
 
-        return self._propagate(
-            "grant", origin_shard, f"principal={principal}", apply
-        )
+        return self._propagate("grant", None, f"principal={principal}", apply)
 
     def revoke_delegation(
         self, principal: str, *, origin_shard: Optional[str] = None
@@ -212,9 +190,7 @@ class ClusterCoordinator:
     # Quarantine propagation
     # ------------------------------------------------------------------
 
-    def quarantine_host(
-        self, host_ip, *, origin_shard: Optional[str] = None
-    ) -> ClusterChangeRecord:
+    def quarantine_host(self, host_ip) -> ClusterChangeRecord:
         """Quarantine a host on every live replica.
 
         Each replica runs its own
@@ -232,7 +208,7 @@ class ClusterCoordinator:
             controller.quarantine_host(ip)
             return 0
 
-        return self._propagate("quarantine", origin_shard, f"host={ip}", apply)
+        return self._propagate("quarantine", None, f"host={ip}", apply)
 
     # ------------------------------------------------------------------
     # Push-subscription re-homing (failover)

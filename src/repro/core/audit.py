@@ -18,7 +18,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import EMPTY_KEYS
@@ -216,32 +216,16 @@ class AuditLog:
         fixed now and whose records are built as they are read."""
         return _Records(self, len(self))
 
-    def filter(
-        self,
-        *,
-        action: Optional[str] = None,
-        delegated: Optional[bool] = None,
-        flow: Optional[FlowSpec] = None,
-        predicate: Optional[Callable[[DecisionRecord], bool]] = None,
-    ) -> list[DecisionRecord]:
-        """Return the records matching all given criteria."""
-        wanted = {
-            verdict_id for verdict_id, verdict in enumerate(self._verdicts)
-            if (action is None or verdict[_ACTION] == action)
-            and (delegated is None or verdict[_DELEGATED] == delegated)
-        }
-        selected: Iterable[DecisionRecord] = map(self._row, (
-            index for index, verdict_id in enumerate(self._verdict) if verdict_id in wanted
-        ))
-        if flow is not None:
-            selected = (record for record in selected if record.flow == flow)
-        if predicate is not None:
-            selected = filter(predicate, selected)
-        return list(selected)
-
     def delegated_decisions(self) -> list[DecisionRecord]:
         """Return decisions that honoured delegated (allowed()/verify()) rules."""
-        return self.filter(delegated=True)
+        wanted = {
+            verdict_id for verdict_id, verdict in enumerate(self._verdicts)
+            if verdict[_DELEGATED]
+        }
+        return [
+            self._row(index)
+            for index, verdict_id in enumerate(self._verdict) if verdict_id in wanted
+        ]
 
     def _count(self, test: Callable[[tuple], bool]) -> int:
         """Return how many rows have a verdict shape that passes ``test``."""

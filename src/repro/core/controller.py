@@ -47,7 +47,6 @@ from repro.netsim.sanitizer import KIND_STALE_CONTINUATION
 from repro.netsim.statistics import Histogram
 from repro.netsim.topology import Topology
 from repro.openflow.actions import DropAction, FloodAction
-from repro.openflow.channel import DEFAULT_CONTROL_LATENCY
 from repro.openflow.controller_base import Controller
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowRemoved, PacketIn
@@ -377,11 +376,9 @@ class IdentPPController(Controller):
         super().attach(sim)
         self.lifecycle.attach(sim)
 
-    def register_switch(
-        self, switch: OpenFlowSwitch, *, latency: float = DEFAULT_CONTROL_LATENCY
-    ):
+    def register_switch(self, switch: OpenFlowSwitch):
         """Register a switch and put its flow table under lifecycle management."""
-        channel = super().register_switch(switch, latency=latency)
+        channel = super().register_switch(switch)
         # A newly managed switch may sit on an already planned path.
         self.installer.forget_plans()
         self.lifecycle.register(

@@ -34,11 +34,10 @@ class DelegationGrant:
 
     principal: str
     public_key_hex: str
-    scope: str = ""
     granted_at: float = 0.0
     revoked: bool = False
     revoked_at: Optional[float] = None
-    decisions: list[str] = field(default_factory=list)
+    decisions: list[str] = field(default_factory=list, init=False)
 
     def record_use(self, cookie: str) -> None:
         """Record that a decision (identified by its cookie) relied on this grant."""
@@ -46,7 +45,7 @@ class DelegationGrant:
 
     def __str__(self) -> str:
         state = "revoked" if self.revoked else "active"
-        return f"DelegationGrant({self.principal}, scope={self.scope or 'any'}, {state})"
+        return f"DelegationGrant({self.principal}, {state})"
 
 
 class DelegationManager:
@@ -68,7 +67,6 @@ class DelegationManager:
         principal: str,
         key: RSAPublicKey | Signer | str,
         *,
-        scope: str = "",
         now: float = 0.0,
     ) -> DelegationGrant:
         """Grant ``principal`` the right to supply signed rules.
@@ -82,7 +80,6 @@ class DelegationManager:
         grant = DelegationGrant(
             principal=principal,
             public_key_hex=self.keystore.get(principal),
-            scope=scope,
             granted_at=now,
         )
         self._grants[principal] = grant

@@ -84,14 +84,10 @@ class InterceptionPolicy:
         self,
         network: IPv4Network | str,
         pairs: dict[str, str],
-        *,
-        source: str = "",
     ) -> StaticAnswer:
         """Answer queries on behalf of every host in ``network`` with ``pairs``."""
         answer = StaticAnswer(
-            network=IPv4Network(network),
-            pairs=dict(pairs),
-            source=source or f"{self.name}:static",
+            network=IPv4Network(network), pairs=dict(pairs), source=f"{self.name}:static"
         )
         self._static_answers.append(answer)
         return answer

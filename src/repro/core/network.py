@@ -26,7 +26,7 @@ from repro.cluster.cluster import ControllerCluster
 from repro.core.controller import ControllerConfig, IdentPPController
 from repro.core.policy_engine import PolicyEngine
 from repro.exceptions import TopologyError
-from repro.hosts.applications import Application, standard_applications
+from repro.hosts.applications import standard_applications
 from repro.hosts.endhost import EndHost
 from repro.identpp.daemon import IdentPPDaemon
 from repro.identpp.flowspec import FlowSpec
@@ -48,8 +48,6 @@ class HostSpec:
         name: Node name.
         ip: The host's IPv4 address.
         users: Mapping of user name → group names to create.
-        applications: Applications to install; ``None`` installs the
-            standard catalogue used by the paper's examples.
         run_daemon: Whether the host runs an ident++ daemon (legacy hosts
             set this to ``False``).
         host_facts: Host-level facts the daemon reports (``os-patch`` ...).
@@ -62,7 +60,6 @@ class HostSpec:
     name: str
     ip: str
     users: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    applications: Optional[list[Application]] = None
     run_daemon: bool = True
     host_facts: dict[str, str] = field(default_factory=dict)
     daemon_system_configs: list[str] = field(default_factory=list)
@@ -87,14 +84,12 @@ class IdentPPNetwork:
         name: str = "identpp-net",
         *,
         link_latency: float = DEFAULT_LATENCY,
-        link_bandwidth: Optional[float] = DEFAULT_BANDWIDTH,
         controller_config: Optional[ControllerConfig] = None,
         policy_default_action: str = "pass",
         create_default_controller: bool = True,
     ) -> None:
         self.name = name
         self.link_latency = link_latency
-        self.link_bandwidth = link_bandwidth
         self.topology = Topology(name=f"{name}.topology")
         self.controllers: dict[str, IdentPPController] = {}
         self.hosts: dict[str, EndHost] = {}
@@ -132,7 +127,6 @@ class IdentPPNetwork:
 
     def add_cluster(
         self,
-        name: Optional[str] = None,
         *,
         shards: int = 2,
         config: Optional[ControllerConfig] = None,
@@ -163,7 +157,7 @@ class IdentPPNetwork:
                 f"(network {self.name} already has {len(self.switches)})"
             )
         cluster = ControllerCluster(
-            name if name is not None else f"{self.name}.cluster",
+            f"{self.name}.cluster",
             self.topology,
             shards=shards,
             config=config,
@@ -203,13 +197,11 @@ class IdentPPNetwork:
         spines: int = 2,
         leaves: int = 4,
         prefix: str = "fabric",
-        controller: Optional[IdentPPController] = None,
     ) -> SpineLeafFabric:
         """Grow a spine-leaf enforcement fabric inside this network.
 
         Every switch is an :class:`OpenFlowSwitch` registered with the
-        control plane (the explicit ``controller``, the cluster, or the
-        default controller), so punts, path-wide installs and
+        control plane (the cluster, or the default controller), so punts, path-wide installs and
         ``FlowRemoved``-driven unwinding work across every hop.  Attach
         hosts to ``fabric.leaves`` entries with :meth:`add_host`.
         """
@@ -220,10 +212,9 @@ class IdentPPNetwork:
             topology=self.topology,
             prefix=prefix,
             latency=self.link_latency,
-            bandwidth=self.link_bandwidth,
         )
         for switch in fabric.switches():
-            self._register_switch(switch, controller)
+            self._register_switch(switch, None)
         return fabric
 
     def _new_switch(self, name: str) -> OpenFlowSwitch:
@@ -242,7 +233,7 @@ class IdentPPNetwork:
         host = EndHost(spec.name, spec.ip)
         self.topology.add_node(host)
         self.topology.register_ip(spec.ip, host)
-        host.install_all(spec.applications if spec.applications is not None else standard_applications())
+        host.install_all(standard_applications())
         for user_name, groups in spec.users.items():
             host.add_user(user_name, groups)
         if spec.run_daemon:
@@ -270,7 +261,7 @@ class IdentPPNetwork:
             self._resolve(node_a),
             self._resolve(node_b),
             latency=latency if latency is not None else self.link_latency,
-            bandwidth=bandwidth if bandwidth is not None else self.link_bandwidth,
+            bandwidth=bandwidth if bandwidth is not None else DEFAULT_BANDWIDTH,
         )
 
     def _resolve(self, node):
@@ -291,18 +282,15 @@ class IdentPPNetwork:
         files: dict[str, str],
         *,
         controller: Optional[IdentPPController] = None,
-        provenance: str = "administrator",
     ) -> None:
         """Register ``.control`` files on a controller (default: the primary
         one, or every cluster shard via the coordinator)."""
         if controller is not None:
-            controller.policy.add_control_files(files, provenance=provenance)
+            controller.policy.add_control_files(files)
         elif self.cluster is not None:
-            self.cluster.set_policy(files, provenance=provenance)
+            self.cluster.set_policy(files)
         else:
-            self._default_controller().policy.add_control_files(
-                files, provenance=provenance
-            )
+            self._default_controller().policy.add_control_files(files)
 
     def _default_controller(self) -> IdentPPController:
         """Return the default controller, or fail with a useful message."""
@@ -349,10 +337,9 @@ class IdentPPNetwork:
         self.telemetry = TelemetryPlane(self, **plane_kwargs)
         return self.telemetry
 
-    def run(self, duration: Optional[float] = None, max_events: Optional[int] = None) -> int:
+    def run(self, duration: Optional[float] = None) -> int:
         """Run the simulator until idle (or for ``duration`` seconds)."""
-        return self.topology.run(until=None if duration is None else self.topology.sim.now + duration,
-                                 max_events=max_events)
+        return self.topology.run(until=None if duration is None else self.topology.sim.now + duration)
 
     def send_flow(
         self,
@@ -361,25 +348,19 @@ class IdentPPNetwork:
         user_name: str,
         dst_ip: IPv4Address | str,
         dst_port: int,
-        *,
-        proto: str | int = "tcp",
-        payload_size: int = 512,
-        runtime_keys: Optional[dict[str, str]] = None,
-        settle: float = 1.0,
     ) -> FlowResult:
-        """Open a flow from a host and report whether its first packet was delivered.
+        """Open a TCP flow from a host and report whether its first packet was delivered.
 
-        Runs the simulator until the network is idle (bounded by
-        ``settle`` seconds of simulated time), then inspects the
-        destination host and the controller audit log.
+        Runs the simulator for one second of simulated time, then
+        inspects the destination host and the controller audit log.  The
+        first packet carries 512 bytes.
         """
         source = self.host(src_host)
         packet, _socket, _process = source.open_flow(
-            app_name, user_name, dst_ip, dst_port,
-            proto=proto, payload_size=payload_size, runtime_keys=runtime_keys,
+            app_name, user_name, dst_ip, dst_port, payload_size=512
         )
         flow = FlowSpec.from_packet(packet)
-        self.topology.run(until=self.topology.sim.now + settle)
+        self.topology.run(until=self.topology.sim.now + 1.0)
         destination = self.topology.node_for_ip(dst_ip)
         delivered = False
         if isinstance(destination, EndHost):
@@ -427,15 +408,11 @@ class IdentPPClusterNetwork(IdentPPNetwork):
         name: str = "identpp-cluster-net",
         *,
         shards: int = 2,
-        link_latency: float = DEFAULT_LATENCY,
-        link_bandwidth: Optional[float] = DEFAULT_BANDWIDTH,
         controller_config: Optional[ControllerConfig] = None,
         policy_default_action: str = "pass",
     ) -> None:
         super().__init__(
             name,
-            link_latency=link_latency,
-            link_bandwidth=link_bandwidth,
             policy_default_action=policy_default_action,
             create_default_controller=False,
         )

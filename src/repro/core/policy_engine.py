@@ -21,7 +21,7 @@ from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import EMPTY_KEYS, KeyView, ResponseDocument
 from repro.pf.ast_nodes import ACTION_PASS, DictAccess, Rule
 from repro.pf.evaluator import PolicyEvaluator, Verdict
-from repro.pf.functions import FunctionRegistry, default_registry
+from repro.pf.functions import default_registry
 from repro.pf.ruleset import ControlFile, RulesetLoader
 
 #: Function names whose presence in the deciding rule marks the decision
@@ -77,13 +77,12 @@ class PolicyEngine:
     def __init__(
         self,
         *,
-        registry: Optional[FunctionRegistry] = None,
         default_action: str = ACTION_PASS,
         name: str = "policy-engine",
     ) -> None:
         self.name = name
         self.loader = RulesetLoader()
-        self.registry = registry if registry is not None else default_registry()
+        self.registry = default_registry()
         self.default_action = default_action
         self.delegations = DelegationManager()
         self._evaluator: Optional[PolicyEvaluator] = None
@@ -107,10 +106,10 @@ class PolicyEngine:
         self.loader.add_file(name, text, provenance=provenance)
         self._evaluator = None
 
-    def add_control_files(self, files: dict[str, str], *, provenance: str = "administrator") -> None:
+    def add_control_files(self, files: dict[str, str]) -> None:
         """Register several ``.control`` files at once."""
         for name, text in files.items():
-            self.loader.add_file(name, text, provenance=provenance)
+            self.loader.add_file(name, text)
         self._evaluator = None
 
     def register_control_files(self, control_files: Iterable[ControlFile]) -> None:

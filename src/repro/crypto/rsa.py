@@ -83,11 +83,11 @@ class RSAPublicKey:
         digest = sha256_int(message) % self.n
         return pow(signature_int, self.e, self.n) == digest
 
-    def fingerprint(self, length: int = 16) -> str:
-        """Return a short hex fingerprint, the form keys take in PF+=2 ``dict`` blocks."""
+    def fingerprint(self) -> str:
+        """Return a 16-digit hex fingerprint, the form keys take in PF+=2 ``dict`` blocks."""
         from repro.crypto.hashing import sha256_hex
 
-        return sha256_hex(self.to_hex())[:length]
+        return sha256_hex(self.to_hex())[:16]
 
     def to_hex(self) -> str:
         """Serialise to ``<e hex>.<n hex>``.
@@ -150,30 +150,22 @@ DEFAULT_KEY_SEED = 0
 def generate_keypair(
     owner: str = "",
     *,
-    bits: int = _DEFAULT_KEY_BITS,
     seed: int | str | None = None,
-    rng: random.Random | None = None,
 ) -> RSAKeyPair:
-    """Generate an RSA key pair, deterministically.
+    """Generate a 512-bit RSA key pair (small, fast, *simulation only*), deterministically.
 
     Args:
         owner: Human-readable label ("research", "Secur", "admin", ...).
-        bits: Modulus size in bits (default 512 — small, fast, *simulation only*).
-        seed: Deterministic seed; the same ``(owner, seed, bits)`` always
+        seed: Deterministic seed; the same ``(owner, seed)`` always
             produces the same key pair, which keeps tests and benchmark
             fixtures stable.  Defaults to :data:`DEFAULT_KEY_SEED` —
             never to OS entropy, so two runs of any scenario mint the
             same keys and produce identical event traces.
-        rng: An already-seeded :class:`random.Random` to draw from
-            instead of constructing one from ``seed`` (callers that
-            thread one scenario-wide RNG through every component).
     """
-    if bits < 128:
-        raise SignatureError(f"RSA modulus too small: {bits} bits")
-    if rng is None:
-        if seed is None:
-            seed = DEFAULT_KEY_SEED
-        rng = random.Random(f"{owner}|{seed}|{bits}")
+    if seed is None:
+        seed = DEFAULT_KEY_SEED
+    bits = _DEFAULT_KEY_BITS
+    rng = random.Random(f"{owner}|{seed}|{bits}")
     half = bits // 2
     while True:
         p = _generate_prime(half, rng)

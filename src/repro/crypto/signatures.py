@@ -65,9 +65,9 @@ class Signer:
     Wraps a deterministic key pair.
     """
 
-    def __init__(self, name: str, *, bits: int = 512, seed: int | str | None = 0) -> None:
+    def __init__(self, name: str, *, seed: int | str | None = 0) -> None:
         self.name = name
-        self.keypair = generate_keypair(name, bits=bits, seed=seed)
+        self.keypair = generate_keypair(name, seed=seed)
 
     @property
     def public_key(self) -> RSAPublicKey:

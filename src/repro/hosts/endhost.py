@@ -14,7 +14,8 @@ a host is application traffic the controller has decided.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import zlib
+from typing import Optional
 
 from repro.exceptions import HostError
 from repro.hosts.applications import Application, ApplicationRegistry
@@ -23,20 +24,16 @@ from repro.hosts.sockets import Socket, SocketTable
 from repro.hosts.users import User, UserDatabase
 from repro.netsim.addresses import IPv4Address, MACAddress
 from repro.netsim.nodes import Node, Port
-from repro.netsim.packet import IP_PROTO_TCP, Packet
+from repro.netsim.packet import Packet
 
 class EndHost(Node):
     """A simulated end-host with users, applications, processes and sockets."""
 
-    def __init__(
-        self,
-        name: str,
-        ip: IPv4Address | str,
-        mac: MACAddress | str | None = None,
-    ) -> None:
+    def __init__(self, name: str, ip: IPv4Address | str) -> None:
         super().__init__(name)
         self.ip = IPv4Address(ip)
-        self.mac = MACAddress(mac) if mac is not None else MACAddress.from_index(abs(hash(name)) % (2**32))
+        # crc32, not hash(): str hashes are salted per interpreter.
+        self.mac = MACAddress.from_index(zlib.crc32(name.encode()))
         self.users = UserDatabase()
         self.applications = ApplicationRegistry()
         self.processes = ProcessTable()
@@ -77,9 +74,6 @@ class EndHost(Node):
         app_name: str,
         user_name: str,
         port: int | None = None,
-        proto: int | str = IP_PROTO_TCP,
-        *,
-        runtime_keys: Optional[dict[str, str]] = None,
     ) -> tuple[Process, Socket]:
         """Start an application as a server listening on ``port``.
 
@@ -95,8 +89,8 @@ class EndHost(Node):
             port = app.default_port
         if not port:
             raise HostError(f"application {app_name} has no default port; pass one explicitly")
-        process = self.processes.spawn(user, app, runtime_keys=runtime_keys)
-        socket = self.sockets.listen(process, port, proto)
+        process = self.processes.spawn(user, app)
+        socket = self.sockets.listen(process, port)
         return process, socket
 
     def open_flow(
@@ -105,11 +99,8 @@ class EndHost(Node):
         user_name: str,
         dst_ip: IPv4Address | str,
         dst_port: int,
-        proto: int | str = IP_PROTO_TCP,
         *,
-        payload: Any = b"",
         payload_size: Optional[int] = None,
-        runtime_keys: Optional[dict[str, str]] = None,
         send: bool = True,
     ) -> tuple[Packet, Socket, Process]:
         """Open a new outgoing flow from an application.
@@ -122,10 +113,10 @@ class EndHost(Node):
         """
         app = self.applications.require(app_name)
         user = self.users.user(user_name)
-        process = self.processes.spawn(user, app, runtime_keys=runtime_keys)
+        process = self.processes.spawn(user, app)
         if not isinstance(dst_ip, IPv4Address):
             dst_ip = IPv4Address(dst_ip)
-        socket = self.sockets.connect(process, dst_ip, dst_port, proto)
+        socket = self.sockets.connect(process, dst_ip, dst_port)
         packet = Packet(
             eth_src=self.mac,
             ip_src=self.ip,
@@ -133,7 +124,6 @@ class EndHost(Node):
             ip_proto=socket.proto,
             tp_src=socket.local_port,
             tp_dst=dst_port,
-            payload=payload,
             payload_size=payload_size,
         )
         if send:
@@ -144,7 +134,6 @@ class EndHost(Node):
         self,
         socket: Socket,
         *,
-        payload: Any = b"",
         payload_size: Optional[int] = None,
     ) -> Packet:
         """Send another packet on an already-open connected socket."""
@@ -157,7 +146,6 @@ class EndHost(Node):
             ip_proto=socket.proto,
             tp_src=socket.local_port,
             tp_dst=socket.remote_port,
-            payload=payload,
             payload_size=payload_size,
         )
         self.transmit(packet)

@@ -9,8 +9,8 @@ process ID to find the file name of the process's executable image"
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.exceptions import ProcessError
 from repro.hosts.applications import Application
@@ -25,15 +25,11 @@ class Process:
         pid: Process id, unique per host.
         user: The account the process runs as.
         application: The executable image backing the process.
-        runtime_keys: Key/value pairs the application handed to the
-            ident++ daemon at run time over the Unix-domain socket
-            (e.g. a browser distinguishing click-initiated flows).
     """
 
     pid: int
     user: User
     application: Application
-    runtime_keys: dict[str, str] = field(default_factory=dict)
 
     @property
     def exe_path(self) -> str:
@@ -51,20 +47,9 @@ class ProcessTable:
         self._processes: dict[int, Process] = {}
         self._pid_counter = itertools.count(100)
 
-    def spawn(
-        self,
-        user: User,
-        application: Application,
-        *,
-        runtime_keys: Optional[dict[str, str]] = None,
-    ) -> Process:
+    def spawn(self, user: User, application: Application) -> Process:
         """Start a new process for ``user`` running ``application``."""
-        process = Process(
-            pid=next(self._pid_counter),
-            user=user,
-            application=application,
-            runtime_keys=dict(runtime_keys or {}),
-        )
+        process = Process(pid=next(self._pid_counter), user=user, application=application)
         self._processes[process.pid] = process
         return process
 

@@ -96,20 +96,20 @@ class SocketTable:
     # Socket creation
     # ------------------------------------------------------------------
 
-    def listen(self, process: Process, port: int, proto: int | str = IP_PROTO_TCP) -> Socket:
-        """Bind a listening socket on ``port``.
+    def listen(self, process: Process, port: int) -> Socket:
+        """Bind a listening TCP socket on ``port``.
 
         Enforces the privileged-port rule from §5.4: only the superuser
         may bind ports below 1024.
         """
-        proto = proto_number(proto)
+        proto = IP_PROTO_TCP
         if not 0 < port <= 0xFFFF:
             raise SocketError(f"invalid port: {port}")
         if port < PRIVILEGED_PORT_LIMIT and not process.user.can_bind_privileged_ports:
             raise SocketError(
                 f"user {process.user.name} cannot bind privileged port {port} (requires superuser)"
             )
-        if self.find_listener(port, proto) is not None:
+        if self.find_listener(port) is not None:
             raise SocketError(f"port {port}/{proto} already in use")
         socket = Socket(proto=proto, local_ip=self.host_ip, local_port=port, process=process)
         self._add(socket)
@@ -120,23 +120,15 @@ class SocketTable:
         process: Process,
         remote_ip: IPv4Address | str,
         remote_port: int,
-        proto: int | str = IP_PROTO_TCP,
-        local_port: int | None = None,
     ) -> Socket:
-        """Open a connected socket to ``remote_ip:remote_port``.
-
-        An ephemeral local port is allocated unless ``local_port`` is
-        given explicitly.
-        """
-        proto = proto_number(proto)
+        """Open a connected TCP socket to ``remote_ip:remote_port`` from an ephemeral port."""
+        proto = IP_PROTO_TCP
         if not isinstance(remote_ip, IPv4Address):
             remote_ip = IPv4Address(remote_ip)
-        if local_port is None:
-            local_port = self._allocate_ephemeral_port(proto, remote_ip, remote_port)
         socket = Socket(
             proto=proto,
             local_ip=self.host_ip,
-            local_port=local_port,
+            local_port=self._allocate_ephemeral_port(proto, remote_ip, remote_port),
             process=process,
             remote_ip=remote_ip,
             remote_port=remote_port,
@@ -185,9 +177,9 @@ class SocketTable:
     # Lookups (the lsof part)
     # ------------------------------------------------------------------
 
-    def find_listener(self, port: int, proto: int | str = IP_PROTO_TCP) -> Optional[Socket]:
-        """Return the listening socket on ``port``/``proto``, if any."""
-        bucket = self._by_endpoint.get((proto_number(proto), port, None, 0))
+    def find_listener(self, port: int) -> Optional[Socket]:
+        """Return the listening TCP socket on ``port``, if any."""
+        bucket = self._by_endpoint.get((IP_PROTO_TCP, port, None, 0))
         return bucket[0] if bucket else None
 
     def lookup_flow(

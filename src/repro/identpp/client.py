@@ -118,8 +118,6 @@ class QueryClient:
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.default_keys = DEFAULT_QUERY_KEYS
-        self.timeout = DEFAULT_QUERY_TIMEOUT
         self.queries_sent = Counter("query_client.queries_sent")
         self.queries_intercepted = Counter("query_client.queries_intercepted")
         self.queries_timed_out = Counter("query_client.queries_timed_out")
@@ -137,10 +135,9 @@ class QueryClient:
         role: str,
         *,
         from_node: Optional[Node] = None,
-        keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
     ) -> QueryOutcome:
-        """Query one end of ``flow``.
+        """Query one end of ``flow`` for :data:`DEFAULT_QUERY_KEYS`.
 
         Args:
             flow: The flow being decided.
@@ -148,16 +145,10 @@ class QueryClient:
             from_node: The switch the flow's first packet arrived at; used
                 to compute the query round-trip latency.  ``None`` charges
                 only daemon processing time.
-            keys: Key hints for the query (defaults to the client's
-                default key list).
             interceptors: On-path controllers, ordered from the querier
                 toward the target host.
         """
-        query = IdentQuery(
-            flow=flow,
-            target_role=role,
-            keys=tuple(keys) if keys is not None else self.default_keys,
-        )
+        query = IdentQuery(flow=flow, target_role=role, keys=DEFAULT_QUERY_KEYS)
         self.queries_sent.value += 1
 
         # Give each on-path controller the chance to answer outright.
@@ -179,19 +170,19 @@ class QueryClient:
         if daemon is None:
             self.queries_timed_out.value += 1
             return QueryOutcome(
-                query=query, response=None, latency=self.timeout, timed_out=True
+                query=query, response=None, latency=DEFAULT_QUERY_TIMEOUT, timed_out=True
             )
         round_trip = self._round_trip(from_node, host)
         if round_trip is None:
             # No path from the querying switch to the host: the query is
             # never delivered, so the daemon is never asked and the
             # outcome is a genuine timeout — not a healthy answer that
-            # happens to cost ``self.timeout``.
+            # happens to cost the timeout.
             self.queries_timed_out.value += 1
             return QueryOutcome(
                 query=query,
                 response=None,
-                latency=self.timeout,
+                latency=DEFAULT_QUERY_TIMEOUT,
                 timed_out=True,
                 unreachable=True,
             )
@@ -217,7 +208,6 @@ class QueryClient:
         role: str,
         *,
         from_node: Optional[Node] = None,
-        keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
     ) -> Future:
         """Dispatch one endpoint query; the answer *arrives* as its own event.
@@ -231,9 +221,7 @@ class QueryClient:
         of in-flight queries and react to each answer the instant it
         lands.  An answer that costs no time completes the future at once.
         """
-        outcome = self.query(
-            flow, role, from_node=from_node, keys=keys, interceptors=interceptors
-        )
+        outcome = self.query(flow, role, from_node=from_node, interceptors=interceptors)
         future = Future()
         if outcome.latency <= 0:
             future.set_result(outcome)
@@ -249,7 +237,6 @@ class QueryClient:
         flow: FlowSpec,
         *,
         from_node: Optional[Node] = None,
-        keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
     ) -> tuple[QueryOutcome, QueryOutcome]:
         """Query the source and the destination of ``flow`` (§2 step 3).
@@ -267,11 +254,10 @@ class QueryClient:
         """
         toward_source, toward_destination = per_role_interceptors(interceptors)
         src_outcome = self.query(
-            flow, ROLE_SOURCE, from_node=from_node, keys=keys, interceptors=toward_source
+            flow, ROLE_SOURCE, from_node=from_node, interceptors=toward_source
         )
         dst_outcome = self.query(
-            flow, ROLE_DESTINATION, from_node=from_node, keys=keys,
-            interceptors=toward_destination,
+            flow, ROLE_DESTINATION, from_node=from_node, interceptors=toward_destination
         )
         return src_outcome, dst_outcome
 

@@ -104,7 +104,6 @@ class RuntimeKeyRegistry:
         merged: dict[str, str] = {}
         if process is not None:
             merged.update(self._by_pid.get(process.pid, {}))
-            merged.update(process.runtime_keys)
         merged.update(self._by_flow.get(flow, {}))
         return merged
 
@@ -185,14 +184,14 @@ class IdentPPDaemon:
     # Configuration
     # ------------------------------------------------------------------
 
-    def load_system_config(self, text: str, source: str = "system") -> None:
+    def load_system_config(self, text: str) -> None:
         """Load an administrator-controlled configuration file."""
-        self.system_config.load(text, source=source)
+        self.system_config.load(text, source="system")
         self.notify_invalidation("config-load")
 
-    def load_user_config(self, text: str, source: str = "user") -> None:
+    def load_user_config(self, text: str) -> None:
         """Load a user-controlled configuration file."""
-        self.user_config.load(text, source=source)
+        self.user_config.load(text, source="user")
         self.notify_invalidation("config-load")
 
     def spoof_responses(self, pairs: Optional[dict[str, str]]) -> None:

@@ -44,7 +44,7 @@ class AppConfig:
     """The key/value pairs configured for one application (one ``@app`` block)."""
 
     path: str
-    pairs: dict[str, str] = field(default_factory=dict)
+    pairs: dict[str, str] = field(default_factory=dict, init=False)
     source: str = ""
 
     def section(self) -> KeyValueSection:
@@ -61,8 +61,8 @@ class DaemonConfigFile:
     """One parsed configuration file: global pairs plus per-application blocks."""
 
     source: str = ""
-    global_pairs: dict[str, str] = field(default_factory=dict)
-    app_configs: dict[str, AppConfig] = field(default_factory=dict)
+    global_pairs: dict[str, str] = field(default_factory=dict, init=False)
+    app_configs: dict[str, AppConfig] = field(default_factory=dict, init=False)
 
     def app_for_path(self, path: str) -> Optional[AppConfig]:
         """Return the ``@app`` block for an executable path, or ``None``."""

@@ -10,7 +10,7 @@ attempt.  :class:`QueryEngine` sits between the controller and its
 :class:`~repro.identpp.client.QueryClient` and removes that redundancy
 three ways:
 
-* an **endpoint response cache** keyed on *(host, role, key-set)* plus
+* an **endpoint response cache** keyed on *(host, role)* plus
   the flow's proto and target-side port (the part of the 5-tuple the
   answering socket is matched on), with a TTL and explicit
   invalidation — a daemon publishing new runtime keys, loading
@@ -86,6 +86,7 @@ from repro.identpp.daemon import DAEMON_REPLACED
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
+    DEFAULT_QUERY_KEYS,
     IdentDelta,
     IdentQuery,
     IdentSubscribe,
@@ -238,7 +239,6 @@ class QueryEngine:
         role: str,
         *,
         from_node=None,
-        keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
         now: Optional[float] = None,
     ) -> QueryOutcome:
@@ -250,10 +250,8 @@ class QueryEngine:
         a per-query decision (§3.4) a warm entry must not pre-empt.
         """
         if self._bypasses_cache(interceptors):
-            return self.client.query(
-                flow, role, from_node=from_node, keys=keys, interceptors=interceptors
-            )
-        return self._lookup(flow, role, from_node, keys, self._now(now))[0]
+            return self.client.query(flow, role, from_node=from_node, interceptors=interceptors)
+        return self._lookup(flow, role, from_node, self._now(now))[0]
 
     def query_async(
         self,
@@ -261,7 +259,6 @@ class QueryEngine:
         role: str,
         *,
         from_node=None,
-        keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
         now: Optional[float] = None,
     ) -> Future:
@@ -285,10 +282,10 @@ class QueryEngine:
         """
         if self._bypasses_cache(interceptors):
             return self.client.query_async(
-                flow, role, from_node=from_node, keys=keys, interceptors=interceptors
+                flow, role, from_node=from_node, interceptors=interceptors
             )
         now = self._now(now)
-        outcome, in_flight = self._lookup(flow, role, from_node, keys, now)
+        outcome, in_flight = self._lookup(flow, role, from_node, now)
         future = Future()
         sim = self.client.topology.sim
         if outcome.latency <= 0:
@@ -312,7 +309,6 @@ class QueryEngine:
         flow: FlowSpec,
         *,
         from_node=None,
-        keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
         now: Optional[float] = None,
     ) -> tuple[QueryOutcome, QueryOutcome]:
@@ -323,7 +319,7 @@ class QueryEngine:
         querier → destination, and the source-side query walks them
         reversed.
         """
-        return self._both_ends(self.query, flow, from_node, keys, interceptors, now)
+        return self._both_ends(self.query, flow, from_node, interceptors, now)
 
     def query_both_ends_async(
         self,
@@ -331,7 +327,6 @@ class QueryEngine:
         answered: Callable[..., None],
         *args,
         from_node=None,
-        keys: Optional[Sequence[str]] = None,
         interceptors: Sequence[QueryInterceptor] = (),
         now: Optional[float] = None,
     ) -> None:
@@ -354,8 +349,8 @@ class QueryEngine:
         if not interceptors and not self.enabled:
             client = self.client
             outcomes = (
-                client.query(flow, ROLE_SOURCE, from_node=from_node, keys=keys),
-                client.query(flow, ROLE_DESTINATION, from_node=from_node, keys=keys),
+                client.query(flow, ROLE_SOURCE, from_node=from_node),
+                client.query(flow, ROLE_DESTINATION, from_node=from_node),
             )
             latency = max(outcomes[0].latency, outcomes[1].latency)
             if latency <= 0:
@@ -365,7 +360,7 @@ class QueryEngine:
                     latency, answered, *args, outcomes, label=BOTH_ANSWERS_LABEL
                 )
             return
-        src, dst = self._both_ends(self.query_async, flow, from_node, keys, interceptors, now)
+        src, dst = self._both_ends(self.query_async, flow, from_node, interceptors, now)
         src.add_done_callback(
             lambda _: dst.add_done_callback(
                 lambda _: answered(*args, (src.result(), dst.result()))
@@ -373,15 +368,12 @@ class QueryEngine:
         )
 
     @staticmethod
-    def _both_ends(ask, flow, from_node, keys, interceptors, now) -> tuple:
+    def _both_ends(ask, flow, from_node, interceptors, now) -> tuple:
         toward_source, toward_destination = per_role_interceptors(interceptors)
         return (
+            ask(flow, ROLE_SOURCE, from_node=from_node, interceptors=toward_source, now=now),
             ask(
-                flow, ROLE_SOURCE, from_node=from_node, keys=keys,
-                interceptors=toward_source, now=now,
-            ),
-            ask(
-                flow, ROLE_DESTINATION, from_node=from_node, keys=keys,
+                flow, ROLE_DESTINATION, from_node=from_node,
                 interceptors=toward_destination, now=now,
             ),
         )
@@ -396,7 +388,7 @@ class QueryEngine:
         return False
 
     def _lookup(
-        self, flow: FlowSpec, role: str, from_node, keys: Optional[Sequence[str]], now: float
+        self, flow: FlowSpec, role: str, from_node, now: float
     ) -> tuple[QueryOutcome, Optional[CacheEntry]]:
         """Decide one query against the store: hit, negative hit, coalesce or miss.
 
@@ -405,7 +397,7 @@ class QueryEngine:
         coalesced, or it missed and its fill was cached), the entry
         whose arrival it waits on.
         """
-        key = self._key(flow, role, keys)
+        key = self._key(flow, role)
         entry = self._entries.get(key)
         if entry is not None and not self._valid(entry, now):
             self._discard(key)
@@ -418,10 +410,10 @@ class QueryEngine:
             entry = None
         if entry is None:
             self.misses += 1
-            outcome = self.client.query(flow, role, from_node=from_node, keys=keys)
+            outcome = self.client.query(flow, role, from_node=from_node)
             entry = self._fill(key, outcome, now)
         else:
-            outcome = self._serve(entry, flow, role, keys, now)
+            outcome = self._serve(entry, flow, role, now)
             if entry.resident and not outcome.coalesced:
                 # Subscribed host: the authoritative answer cost zero
                 # round trips; the hit also refreshes its idle clock.
@@ -455,8 +447,8 @@ class QueryEngine:
         sim = self.client.topology.sim
         return sim.now if sim is not None else 0.0
 
-    def _key(self, flow: FlowSpec, role: str, keys: Optional[Sequence[str]]) -> tuple:
-        """Return the cache key: (host, role, key-set) + target proto/port.
+    def _key(self, flow: FlowSpec, role: str) -> tuple:
+        """Return the cache key: (host, role) + target proto/port.
 
         The proto and target-side port are part of the key because they
         select the answering socket: every client hitting
@@ -467,10 +459,9 @@ class QueryEngine:
         effectively per-flow — a source answer names the one process
         that opened the connection and must not leak across flows.
         """
-        key_hint = tuple(keys) if keys is not None else self.client.default_keys
         target_ip = flow.src_ip if role == ROLE_SOURCE else flow.dst_ip
         target_port = flow.src_port if role == ROLE_SOURCE else flow.dst_port
-        return (str(target_ip), role, key_hint, flow.proto, target_port)
+        return (str(target_ip), role, flow.proto, target_port)
 
     def _valid(self, entry: CacheEntry, now: float) -> bool:
         if now >= entry.expires_at:
@@ -491,7 +482,6 @@ class QueryEngine:
         entry: CacheEntry,
         flow: FlowSpec,
         role: str,
-        keys: Optional[Sequence[str]],
         now: float,
     ) -> QueryOutcome:
         """Build the outcome a cached (or in-flight) entry answers with."""
@@ -507,11 +497,7 @@ class QueryEngine:
             self.hits += 1
         template = entry.outcome
         return QueryOutcome(
-            query=IdentQuery(
-                flow=flow,
-                target_role=role,
-                keys=tuple(keys) if keys is not None else self.client.default_keys,
-            ),
+            query=IdentQuery(flow=flow, target_role=role, keys=DEFAULT_QUERY_KEYS),
             response=template.response,
             latency=entry.ready_at - now if in_flight else 0.0,
             answered_by=template.answered_by,
@@ -690,7 +676,7 @@ class QueryEngine:
         if ip in self._subs:
             return True
         ack = daemon.subscribe(
-            IdentSubscribe(host_ip=ip, subscriber=self.name, keys=self.client.default_keys)
+            IdentSubscribe(host_ip=ip, subscriber=self.name, keys=DEFAULT_QUERY_KEYS)
         )
         if not ack.accepted or CAP_SUBSCRIBE not in ack.capabilities:
             return False
@@ -800,9 +786,7 @@ class QueryEngine:
         """
         self.resident_refreshes += 1
         query = entry.outcome.query
-        outcome = self.client.query(
-            query.flow, query.target_role, from_node=sub.from_node, keys=query.keys
-        )
+        outcome = self.client.query(query.flow, query.target_role, from_node=sub.from_node)
         daemon = getattr(
             self.client.topology.node_for_ip(entry.host_ip), "identpp_daemon", None
         )

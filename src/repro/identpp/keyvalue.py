@@ -176,9 +176,9 @@ class ResponseDocument:
                 return value
         return None
 
-    def concatenated(self, key: str, separator: str = CONCAT_SEPARATOR) -> str:
+    def concatenated(self, key: str) -> str:
         """Return all values for ``key`` joined in section order (``*@src[key]`` semantics)."""
-        return separator.join(self.all_values(key))
+        return CONCAT_SEPARATOR.join(self.all_values(key))
 
     def all_values(self, key: str) -> list[str]:
         """Return every value recorded for ``key`` in section order."""

@@ -144,23 +144,20 @@ class IPv4Network:
 
     __slots__ = ("_network", "_prefix_len")
 
-    def __init__(self, cidr: Union[str, "IPv4Network"], prefix_len: int | None = None) -> None:
+    def __init__(self, cidr: Union[str, "IPv4Network"]) -> None:
         if isinstance(cidr, IPv4Network):
             self._network = cidr._network
             self._prefix_len = cidr._prefix_len
             return
-        if prefix_len is None:
-            if "/" in cidr:
-                base, _, prefix_text = cidr.partition("/")
-                try:
-                    prefix_len = int(prefix_text)
-                except ValueError as exc:
-                    raise AddressError(f"invalid prefix length in {cidr!r}") from exc
-            else:
-                base = cidr
-                prefix_len = 32
+        if "/" in cidr:
+            base, _, prefix_text = cidr.partition("/")
+            try:
+                prefix_len = int(prefix_text)
+            except ValueError as exc:
+                raise AddressError(f"invalid prefix length in {cidr!r}") from exc
         else:
-            base = str(cidr)
+            base = cidr
+            prefix_len = 32
         if not 0 <= prefix_len <= 32:
             raise AddressError(f"prefix length out of range: {prefix_len}")
         self._prefix_len = prefix_len

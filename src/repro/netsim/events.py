@@ -277,17 +277,11 @@ class Simulator:
     detector; never enable it on a run whose results you keep.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        *,
-        sanitize: bool = False,
-        perturb_ties: bool = False,
-    ) -> None:
+    def __init__(self, *, sanitize: bool = False, perturb_ties: bool = False) -> None:
         #: The current simulated time in seconds.  A plain attribute, not
         #: a property: the clock is read on every hop and every punt
         #: stage, and only :meth:`_drain` (and :meth:`reset`) write it.
-        self.now = float(start_time)
+        self.now = 0.0
         # Heap of (time, tie_key, event) records, one per scheduled
         # event: the explicit tie key lets the sanitizer's shadow replay
         # flip same-instant service order without touching Event's own
@@ -443,8 +437,8 @@ class Simulator:
         """
         return self._drain(None, 1)[1]
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Run until the queue drains, ``until`` seconds of simulated time, or ``max_events``.
+    def run(self, until: float | None = None) -> int:
+        """Run until the queue drains or ``until`` seconds of simulated time.
 
         Returns the number of events processed by this call.  Nested calls
         to :meth:`run` are rejected to avoid re-entrancy bugs in node
@@ -455,7 +449,7 @@ class Simulator:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
         try:
-            return self._drain(until, max_events)[0]
+            return self._drain(until, None)[0]
         finally:
             self._running = False
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.exceptions import TopologyError
-from repro.netsim.links import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
+from repro.netsim.links import DEFAULT_LATENCY
 from repro.netsim.nodes import Node
 from repro.netsim.topology import Topology
 
@@ -63,9 +63,7 @@ def build_spine_leaf(
     leaves: int = 4,
     topology: Optional[Topology] = None,
     prefix: str = "fabric",
-    name: str = "spine-leaf",
     latency: float = DEFAULT_LATENCY,
-    bandwidth: Optional[float] = DEFAULT_BANDWIDTH,
 ) -> SpineLeafFabric:
     """Build a spine-leaf fabric: every leaf uplinks to every spine.
 
@@ -77,14 +75,13 @@ def build_spine_leaf(
         topology: Grow the fabric inside this topology instead of
             creating a fresh one.
         prefix: Node-name prefix (``{prefix}-spine0``, ``{prefix}-leaf0``).
-        name: Name of the topology when one is created here.
-        latency / bandwidth: Applied to every leaf↔spine link.
+        latency: Applied to every leaf↔spine link.
     """
     if spines < 1:
         raise TopologyError(f"a spine-leaf fabric needs at least 1 spine (got {spines})")
     if leaves < 2:
         raise TopologyError(f"a spine-leaf fabric needs at least 2 leaves (got {leaves})")
-    topo = topology if topology is not None else Topology(name=name)
+    topo = topology if topology is not None else Topology(name="spine-leaf")
     spine_nodes = [
         topo.add_node(switch_factory(f"{prefix}-spine{index}")) for index in range(spines)
     ]
@@ -93,5 +90,5 @@ def build_spine_leaf(
     ]
     for leaf in leaf_nodes:
         for spine in spine_nodes:
-            topo.add_link(leaf, spine, latency=latency, bandwidth=bandwidth)
+            topo.add_link(leaf, spine, latency=latency)
     return SpineLeafFabric(topology=topo, spines=spine_nodes, leaves=leaf_nodes)

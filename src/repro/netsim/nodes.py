@@ -26,10 +26,10 @@ class Port:
     on the link (:attr:`~repro.netsim.links.Link.carried_bytes`).
     """
 
-    def __init__(self, node: "Node", number: int, name: str = "") -> None:
+    def __init__(self, node: "Node", number: int) -> None:
         self.node = node
         self.number = number
-        self.name = name or f"{node.name}:{number}"
+        self.name = f"{node.name}:{number}"
         self.link: Optional["Link"] = None
         # Bound once: a link hands every packet arriving here to this
         # one object instead of binding the method per packet.
@@ -88,18 +88,15 @@ class Node:
     # Ports
     # ------------------------------------------------------------------
 
-    def add_port(self, number: int | None = None, name: str = "") -> Port:
-        """Create a new port.  Port numbers default to the next free integer starting at 1."""
-        highest = max(self._ports, default=0)
-        if number is None:
-            number = highest + 1
-        if number in self._ports:
-            raise PortError(f"node {self.name} already has port {number}")
-        port = Port(self, number, name)
+    def add_port(self) -> Port:
+        """Create a new port, numbered one above the highest so far (from 1).
+
+        Ports are therefore kept in port-number order, and nothing sorts
+        them per packet.
+        """
+        number = len(self._ports) + 1
+        port = Port(self, number)
         self._ports[number] = port
-        if number < highest:
-            # Kept in port-number order, so nothing sorts per packet.
-            self._ports = dict(sorted(self._ports.items()))
         return port
 
     def port(self, number: int) -> Port:

@@ -187,9 +187,9 @@ class SimulationSanitizer:
 class ShadowReplayReport:
     """The outcome of one baseline-vs-perturbed scenario pair."""
 
-    #: ``digest(state)`` of the baseline (seq-order ties) run.
+    #: ``repr(state)`` of the baseline (seq-order ties) run.
     baseline_digest: str
-    #: ``digest(state)`` of the shadow (reversed ties) run.
+    #: ``repr(state)`` of the shadow (reversed ties) run.
     shadow_digest: str
     baseline_trace_hash: str
     shadow_trace_hash: str
@@ -208,15 +208,12 @@ class ShadowReplayReport:
 
 def shadow_replay(
     scenario: Callable[["Simulator"], Any],
-    *,
-    digest: Callable[[Any], str] = repr,
 ) -> ShadowReplayReport:
     """Run ``scenario`` twice — normal and with same-instant ties reversed.
 
     ``scenario`` receives a fresh sanitized :class:`Simulator`, must
     drive it (build nodes, schedule work, call ``run()``) and return the
-    state the outcome is judged by; ``digest`` collapses that state to a
-    comparable string.  The baseline run serves same-instant ties in
+    state the outcome is judged by, compared through its ``repr``.  The baseline run serves same-instant ties in
     schedule order (the deterministic contract); the shadow run serves
     them in *reverse* order — any legal tie-break.  A digest mismatch
     means the scenario's outcome depends on same-instant event ordering:
@@ -230,8 +227,8 @@ def shadow_replay(
     shadow = Simulator(sanitize=True, perturb_ties=True)
     shadow_state = scenario(shadow)
 
-    baseline_digest = digest(baseline_state)
-    shadow_digest = digest(shadow_state)
+    baseline_digest = repr(baseline_state)
+    shadow_digest = repr(shadow_state)
     reports = list(baseline.sanitizer.reports) + list(shadow.sanitizer.reports)
     if baseline_digest != shadow_digest:
         reports.append(

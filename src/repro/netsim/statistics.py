@@ -9,8 +9,6 @@ statistic of interest in the library is a :class:`Counter` or a
 from __future__ import annotations
 
 import math
-import random
-import zlib
 from array import array
 from collections import deque
 from typing import Optional
@@ -27,9 +25,9 @@ class Counter:
 
     __slots__ = ("name", "value")
 
-    def __init__(self, name: str = "", initial: int | float = 0) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.value = initial
+        self.value = 0
 
     def increment(self, amount: int | float = 1) -> None:
         """Add ``amount`` (default 1) to the counter."""
@@ -60,47 +58,21 @@ class Counter:
 class Histogram:
     """A streaming histogram of observations.
 
-    Keeps every sample by default (scenarios in this library are small
-    enough) and exposes count/mean/percentiles, which the latency
-    benchmarks report.  Long-running consumers — the telemetry plane
-    samples for the lifetime of a simulation — pass ``reservoir=N`` to
-    bound memory: count/total/mean/min/max/stddev stay exact (tracked
-    as running accumulators), while percentiles are estimated from an
-    Algorithm-R reservoir of at most ``N`` samples drawn uniformly from
-    the whole stream.  The reservoir's RNG is seeded from the histogram
-    name (and reseeded by :meth:`reset`), so identical streams reproduce
-    identical percentiles run to run (the determinism gate double-runs
-    scenarios).  Samples are kept as C doubles, 8 bytes each.
+    Keeps every sample (scenarios in this library are small enough) and
+    exposes count/mean/percentiles, which the latency benchmarks report.
+    Samples are kept as C doubles, 8 bytes each.
     """
 
-    def __init__(self, name: str = "", *, reservoir: Optional[int] = None) -> None:
-        if reservoir is not None and reservoir < 1:
-            raise ValueError(f"histogram {name!r}: reservoir must be >= 1 (got {reservoir})")
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.reservoir = reservoir
         self.reset()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
-        self._count += 1
         self._total += value
-        self._sum_sq += value * value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-        if self.reservoir is None or len(self._samples) < self.reservoir:
-            self._samples.append(value)
-            self._sorted = False
-            return
-        # Vitter's Algorithm R: the incoming sample replaces a random
-        # slot with probability reservoir/count, so every observation in
-        # the stream is retained with equal probability.
-        slot = self._rng.randrange(self._count)
-        if slot < self.reservoir:
-            self._samples[slot] = value
-            self._sorted = False
+        self._samples.append(value)
+        self._sorted = False
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -109,38 +81,40 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        """Return the number of observations (exact, even with a reservoir)."""
-        return self._count
+        """Return the number of observations."""
+        return len(self._samples)
 
     @property
     def mean(self) -> float:
         """Return the arithmetic mean (0.0 when empty)."""
-        if not self._count:
+        if not self._samples:
             return 0.0
-        return self._total / self._count
+        return self._total / len(self._samples)
 
     @property
     def minimum(self) -> float:
         """Return the smallest observation (0.0 when empty)."""
-        return self._min if self._min is not None else 0.0
+        if not self._samples:
+            return 0.0
+        self._ensure_sorted()
+        return self._samples[0]
 
     @property
     def maximum(self) -> float:
         """Return the largest observation (0.0 when empty)."""
-        return self._max if self._max is not None else 0.0
+        if not self._samples:
+            return 0.0
+        self._ensure_sorted()
+        return self._samples[-1]
 
     @property
     def stddev(self) -> float:
         """Return the population standard deviation (0.0 for < 2 samples)."""
-        if self._count < 2:
+        count = len(self._samples)
+        if count < 2:
             return 0.0
-        if self.reservoir is None:
-            mean = self.mean
-            return math.sqrt(sum((x - mean) ** 2 for x in self._samples) / self._count)
-        # One-pass form over the exact accumulators; the max() guards the
-        # tiny negative values floating-point cancellation can produce.
         mean = self.mean
-        return math.sqrt(max(0.0, self._sum_sq / self._count - mean * mean))
+        return math.sqrt(sum((x - mean) ** 2 for x in self._samples) / count)
 
     def percentile(self, pct: float) -> float:
         """Return the ``pct``-th percentile.
@@ -170,29 +144,15 @@ class Histogram:
         return lower_value + fraction * (self._samples[high] - lower_value)
 
     def samples(self) -> list[float]:
-        """Return a copy of the retained samples (sorted).
-
-        With a reservoir this is the bounded uniform sample, not the
-        full stream; :attr:`count` still reports the true stream length.
-        """
+        """Return a copy of the samples (sorted)."""
         self._ensure_sorted()
         return list(self._samples)
 
     def reset(self) -> None:
-        """Discard all observations and reseed the reservoir: a reset
-        histogram keeps the samples a new one of the same name would."""
+        """Discard all observations."""
         self._samples = array("d")
         self._sorted = True
-        self._count = 0
         self._total = 0.0
-        self._sum_sq = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-        self._rng = (
-            random.Random(zlib.crc32(self.name.encode("utf-8")))
-            if self.reservoir is not None
-            else None
-        )
 
     def summary(self) -> dict[str, float]:
         """Return a summary dictionary used by the benchmark reports."""

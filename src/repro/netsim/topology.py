@@ -27,9 +27,9 @@ from repro.netsim.trace import PacketTrace
 class Topology:
     """A collection of nodes and links bound to a single simulator."""
 
-    def __init__(self, name: str = "topology", sim: Optional[Simulator] = None) -> None:
+    def __init__(self, name: str = "topology") -> None:
         self.name = name
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         # A capture is something you start: ``trace.enabled = True``.
         self.trace = PacketTrace(name=f"{name}.trace", enabled=False)
         self._nodes: dict[str, Node] = {}
@@ -90,13 +90,10 @@ class Topology:
         *,
         latency: float = DEFAULT_LATENCY,
         bandwidth: Optional[float] = DEFAULT_BANDWIDTH,
-        port_a: Optional[int] = None,
-        port_b: Optional[int] = None,
     ) -> Link:
         """Create a link between two registered nodes.
 
-        New ports are allocated on each node unless explicit port numbers
-        are given.  Returns the created :class:`Link`.  A pair of nodes
+        A new port is allocated on each node.  Returns the created :class:`Link`.  A pair of nodes
         has at most one link: paths and latencies are answered per
         pair.
         """
@@ -106,9 +103,7 @@ class Topology:
             raise TopologyError(f"cannot link node {node_a.name} to itself")
         if node_b.name in self._adjacency[node_a.name]:
             raise TopologyError(f"nodes {node_a.name} and {node_b.name} are already linked")
-        end_a = node_a.port(port_a) if port_a is not None else node_a.add_port()
-        end_b = node_b.port(port_b) if port_b is not None else node_b.add_port()
-        link = Link(end_a, end_b, latency=latency, bandwidth=bandwidth)
+        link = Link(node_a.add_port(), node_b.add_port(), latency=latency, bandwidth=bandwidth)
         self._links.append(link)
         self._adjacency[node_a.name][node_b.name] = link
         self._adjacency[node_b.name][node_a.name] = link
@@ -239,6 +234,6 @@ class Topology:
     # Execution helpers
     # ------------------------------------------------------------------
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
+    def run(self, until: float | None = None) -> int:
         """Run the owned simulator (see :meth:`Simulator.run`)."""
-        return self.sim.run(until=until, max_events=max_events)
+        return self.sim.run(until=until)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from repro.netsim.packet import Packet
 
@@ -45,14 +45,14 @@ class TraceRecord(NamedTuple):
         event: What happened (``"tx"``, ``"rx"``, ``"drop"``, ``"forward"``,
             ``"punt"``...).  Free-form but lowercase by convention.
         packet: The observed packet.
-        note: Optional human-readable annotation.
+        note: Human-readable annotation (may be empty).
     """
 
     time: float
     where: str
     event: str
     packet: Packet
-    note: str = ""
+    note: str
 
 
 #: ``TraceRecord(...)`` without the Python-level ``__new__`` a NamedTuple

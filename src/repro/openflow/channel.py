@@ -35,14 +35,10 @@ class ControllerChannel:
         self,
         switch: "OpenFlowSwitch",
         controller: "Controller",
-        *,
-        latency: float = DEFAULT_CONTROL_LATENCY,
     ) -> None:
-        if latency < 0:
-            raise ChannelError(f"negative control-channel latency: {latency}")
         self.switch = switch
         self.controller = controller
-        self.latency = latency
+        self.latency = DEFAULT_CONTROL_LATENCY
         self.connected = True
         # Counter names carry both endpoints: with several controllers
         # per switch (cluster shards) a bare "->controller" name would

@@ -17,7 +17,7 @@ from repro.exceptions import ChannelError, OpenFlowError
 from repro.netsim.events import Simulator
 from repro.netsim.statistics import Counter
 from repro.openflow.actions import Action
-from repro.openflow.channel import DEFAULT_CONTROL_LATENCY, ControllerChannel
+from repro.openflow.channel import ControllerChannel
 from repro.openflow.flow_table import DEFAULT_PRIORITY
 from repro.openflow.match import Match
 from repro.openflow.messages import (
@@ -85,18 +85,13 @@ class Controller:
         """Return the current simulated time (0.0 when detached)."""
         return self.sim.now if self.sim is not None else 0.0
 
-    def register_switch(
-        self,
-        switch: OpenFlowSwitch,
-        *,
-        latency: float = DEFAULT_CONTROL_LATENCY,
-    ) -> ControllerChannel:
+    def register_switch(self, switch: OpenFlowSwitch) -> ControllerChannel:
         """Create the control channel to ``switch`` and remember it."""
         if switch.name in self.channels:
             raise ChannelError(f"switch {switch.name} already registered with {self.name}")
         if self.sim is None and switch.sim is not None:
             self.sim = switch.sim
-        channel = ControllerChannel(switch, self, latency=latency)
+        channel = ControllerChannel(switch, self)
         switch.set_channel(channel)
         self.channels[switch.name] = channel
         return channel
@@ -220,13 +215,10 @@ class Controller:
         *,
         actions: Sequence[Action],
         buffer_id: Optional[int] = None,
-        packet=None,
         in_port: Optional[int] = None,
     ) -> PacketOut:
-        """Release a buffered packet (or inject a new one) on ``switch``."""
-        message = PacketOut(
-            actions=tuple(actions), buffer_id=buffer_id, packet=packet, in_port=in_port
-        )
+        """Release a buffered packet on ``switch``."""
+        message = PacketOut(actions=tuple(actions), buffer_id=buffer_id, in_port=in_port)
         self.packet_outs.value += 1
         (
             self.channels.get(switch if isinstance(switch, str) else switch.name)

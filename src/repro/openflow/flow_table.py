@@ -190,20 +190,17 @@ class FlowTable:
     # Modification
     # ------------------------------------------------------------------
 
-    def install(self, entry: FlowEntry, now: float = 0.0, *, replace: bool = True) -> FlowEntry:
+    def install(self, entry: FlowEntry, now: float = 0.0) -> FlowEntry:
         """Install a flow entry.
 
-        When ``replace`` is true an existing entry with an identical match
-        and priority is overwritten (OpenFlow ``OFPFC_MODIFY`` semantics);
-        otherwise a duplicate raises :class:`FlowTableError`.
+        An existing entry with an identical match and priority is
+        overwritten (OpenFlow ``OFPFC_MODIFY`` semantics).
 
         If the table has a capacity limit and is full, the least recently
         used entry is evicted.
         """
         for existing in self._bucket(entry.match):
             if existing.priority == entry.priority:
-                if not replace:
-                    raise FlowTableError(f"duplicate flow entry: {entry.match}")
                 self._unlink(existing)
                 break
         if self.capacity is not None and len(self._by_sequence) >= self.capacity:
@@ -530,23 +527,3 @@ class FlowTable:
 
     def __contains__(self, match: Match) -> bool:
         return isinstance(match, Match) and bool(self._bucket(match))
-
-
-def make_entry(
-    match: Match,
-    actions: Sequence[Action],
-    *,
-    priority: int = DEFAULT_PRIORITY,
-    idle_timeout: float = 0.0,
-    hard_timeout: float = 0.0,
-    cookie: str = "",
-) -> FlowEntry:
-    """Convenience constructor mirroring the FlowMod message fields."""
-    return FlowEntry(
-        match=match,
-        actions=tuple(actions),
-        priority=priority,
-        idle_timeout=idle_timeout,
-        hard_timeout=hard_timeout,
-        cookie=cookie,
-    )

@@ -46,7 +46,7 @@ class PacketIn(ControlMessage):
     switch: "OpenFlowSwitch"
     packet: Packet
     in_port: int
-    buffer_id: int = field(default_factory=_next_buffer_id)
+    buffer_id: int = field(default_factory=_next_buffer_id, init=False)
     reason: str = "no_match"
 
 

@@ -14,9 +14,10 @@ The package contains a from-scratch lexer
 (:mod:`repro.pf.parser`), AST (:mod:`repro.pf.ast_nodes`), address
 tables (:mod:`repro.pf.tables`), the predicate function registry
 (:mod:`repro.pf.functions`), the last-match-wins / ``quick`` evaluator
-(:mod:`repro.pf.evaluator`), the ``keep state`` state table
-(:mod:`repro.pf.state`) and the ``*.control`` configuration loader that
-concatenates files in alphabetical order (:mod:`repro.pf.ruleset`).
+(:mod:`repro.pf.evaluator`) and the ``*.control`` configuration loader
+that concatenates files in alphabetical order (:mod:`repro.pf.ruleset`).
+``keep state`` needs no table of its own: the controller installs an
+approved flow's reverse direction with it (:mod:`repro.core.installer`).
 
 Performance note: the evaluator does **not** interpret the AST per
 flow — :mod:`repro.pf.compiler` compiles every rule into a closure over
@@ -47,7 +48,6 @@ from repro.pf.functions import FunctionRegistry, default_registry
 from repro.pf.lexer import Token, tokenize
 from repro.pf.parser import parse_ruleset, parse_rules_text
 from repro.pf.ruleset import ControlFile, RulesetLoader
-from repro.pf.state import StateEntry, StateTable
 from repro.pf.tables import AddressTable, TableSet
 
 __all__ = [
@@ -74,8 +74,6 @@ __all__ = [
     "parse_rules_text",
     "ControlFile",
     "RulesetLoader",
-    "StateEntry",
-    "StateTable",
     "AddressTable",
     "TableSet",
 ]

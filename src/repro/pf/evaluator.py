@@ -18,7 +18,7 @@ rules.  The AST walk the compiler replaced is kept as a test oracle
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from repro.exceptions import PFEvalError
 from repro.identpp.flowspec import FlowSpec
@@ -45,7 +45,7 @@ class EvalContext:
     dicts: dict[str, dict[str, str]]
     registry: FunctionRegistry
     depth: int = 0
-    max_depth: int = MAX_NESTED_DEPTH
+    max_depth: ClassVar[int] = MAX_NESTED_DEPTH
 
     # ------------------------------------------------------------------
     # Value resolution

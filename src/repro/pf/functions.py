@@ -59,10 +59,10 @@ class FunctionRegistry:
     def __init__(self) -> None:
         self._functions: dict[str, PredicateFn] = {}
 
-    def register(self, name: str, function: PredicateFn, *, replace: bool = False) -> None:
+    def register(self, name: str, function: PredicateFn) -> None:
         """Register a predicate under ``name``."""
         key = name.lower()
-        if key in self._functions and not replace:
+        if key in self._functions:
             raise PFEvalError(f"function {name!r} is already registered")
         self._functions[key] = function
 

@@ -364,7 +364,7 @@ def parse_ruleset(text: str, origin: str = "") -> Ruleset:
     return Parser(tokenize(text), origin=origin).parse()
 
 
-def parse_rules_text(text: str, origin: str = "requirements") -> Ruleset:
+def parse_rules_text(text: str) -> Ruleset:
     """Parse rule text embedded in a ``requirements`` value.
 
     Identical to :func:`parse_ruleset`; the separate name documents the
@@ -373,4 +373,4 @@ def parse_rules_text(text: str, origin: str = "requirements") -> Ruleset:
     controller — callers are expected to catch
     :class:`~repro.exceptions.PFError`.
     """
-    return parse_ruleset(text, origin=origin)
+    return parse_ruleset(text, origin="requirements")

@@ -9,7 +9,7 @@ and answers the membership queries rule evaluation needs.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.exceptions import AddressError, PFEvalError
 from repro.netsim.addresses import IPv4Address, IPv4Network
@@ -19,9 +19,9 @@ from repro.pf.ast_nodes import AddressLiteral, TableDef, TableRef
 class AddressTable:
     """A resolved (flattened) named set of IPv4 networks."""
 
-    def __init__(self, name: str, networks: Iterable[IPv4Network] = ()) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.networks: list[IPv4Network] = list(networks)
+        self.networks: list[IPv4Network] = []
 
     def add(self, item: IPv4Network | IPv4Address | str) -> None:
         """Add an address or prefix to the table."""
@@ -67,7 +67,7 @@ class TableSet:
         """Return ``True`` if a table with this name is defined."""
         return name in self._definitions
 
-    def resolve(self, name: str, _chain: tuple[str, ...] = ()) -> AddressTable:
+    def resolve(self, name: str) -> AddressTable:
         """Return the flattened :class:`AddressTable` for ``name``.
 
         Raises :class:`~repro.exceptions.PFEvalError` for unknown tables
@@ -75,8 +75,14 @@ class TableSet:
         """
         if name in self._resolved:
             return self._resolved[name]
-        if name in _chain:
-            cycle = " -> ".join(_chain + (name,))
+        return self._resolve(name, ())
+
+    def _resolve(self, name: str, chain: tuple[str, ...]) -> AddressTable:
+        """:meth:`resolve`, inside the tables named by ``chain``."""
+        if name in self._resolved:
+            return self._resolved[name]
+        if name in chain:
+            cycle = " -> ".join(chain + (name,))
             raise PFEvalError(f"cyclic table definition: {cycle}")
         definition = self._definitions.get(name)
         if definition is None:
@@ -84,7 +90,7 @@ class TableSet:
         table = AddressTable(name)
         for item in definition.items:
             if isinstance(item, TableRef):
-                nested = self.resolve(item.name, _chain + (name,))
+                nested = self._resolve(item.name, chain + (name,))
                 table.networks.extend(nested.networks)
             elif isinstance(item, AddressLiteral):
                 try:

@@ -33,7 +33,6 @@ class CompromiseScenario:
     component: str
     target: str
     superuser: bool = False
-    description: str = ""
 
     def __post_init__(self) -> None:
         if self.component not in ALL_COMPONENTS:

@@ -42,6 +42,9 @@ KIND_COLLAPSE = "collapse"
 KIND_GROWTH = "growth"
 KIND_GAP = "gap"
 
+#: The weight an EWMA baseline gives each fresh sample.
+EWMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class Deviation:
@@ -70,20 +73,17 @@ class Deviation:
 class EwmaBaseline:
     """EWMA mean/variance baseline over a warmup-gated stream.
 
-    ``alpha`` weights fresh samples; the variance EWMA uses the same
-    constant over squared residuals (the standard EWMA/EWMV pair).  The
+    :data:`EWMA_ALPHA` weights fresh samples; the variance EWMA uses the
+    same constant over squared residuals (the standard EWMA/EWMV pair).  The
     baseline refuses to judge anything until it has seen ``warmup``
     samples — detectors treat a cold baseline as "no opinion".
     """
 
-    __slots__ = ("alpha", "warmup", "mean", "variance", "samples")
+    __slots__ = ("warmup", "mean", "variance", "samples")
 
-    def __init__(self, alpha: float = 0.2, warmup: int = 10) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError(f"EWMA alpha must be in (0, 1] (got {alpha})")
+    def __init__(self, warmup: int = 10) -> None:
         if warmup < 1:
             raise ValueError(f"EWMA warmup must be >= 1 (got {warmup})")
-        self.alpha = alpha
         self.warmup = warmup
         self.mean = 0.0
         self.variance = 0.0
@@ -107,8 +107,8 @@ class EwmaBaseline:
             self.variance = 0.0
             return
         residual = value - self.mean
-        self.mean += self.alpha * residual
-        self.variance = (1 - self.alpha) * (self.variance + self.alpha * residual * residual)
+        self.mean += EWMA_ALPHA * residual
+        self.variance = (1 - EWMA_ALPHA) * (self.variance + EWMA_ALPHA * residual * residual)
 
     def __repr__(self) -> str:
         return (
@@ -132,14 +132,13 @@ class Detector:
         self,
         series: str,
         *,
-        alpha: float = 0.2,
         warmup: int = 10,
         min_streak: int = 2,
     ) -> None:
         if min_streak < 1:
             raise ValueError(f"detector on {series!r}: min_streak must be >= 1")
         self.series = series
-        self.baseline = EwmaBaseline(alpha=alpha, warmup=warmup)
+        self.baseline = EwmaBaseline(warmup=warmup)
         self.min_streak = min_streak
         self._streak = 0
 
@@ -184,19 +183,11 @@ class SpikeDetector(Detector):
     """
 
     kind = KIND_SPIKE
+    sigmas = 4.0
+    min_ratio = 3.0
 
-    def __init__(
-        self,
-        series: str,
-        *,
-        sigmas: float = 4.0,
-        min_ratio: float = 3.0,
-        min_value: float = 1.0,
-        **kwargs,
-    ) -> None:
+    def __init__(self, series: str, *, min_value: float = 1.0, **kwargs) -> None:
         super().__init__(series, **kwargs)
-        self.sigmas = sigmas
-        self.min_ratio = min_ratio
         self.min_value = min_value
 
     def _judge(self, value: float) -> tuple[bool, float, str]:
@@ -221,20 +212,8 @@ class CollapseDetector(Detector):
     """
 
     kind = KIND_COLLAPSE
-
-    def __init__(
-        self,
-        series: str,
-        *,
-        fraction: float = 0.5,
-        min_baseline: float = 0.2,
-        **kwargs,
-    ) -> None:
-        if not 0 < fraction < 1:
-            raise ValueError(f"collapse fraction must be in (0, 1) (got {fraction})")
-        super().__init__(series, **kwargs)
-        self.fraction = fraction
-        self.min_baseline = min_baseline
+    fraction = 0.5
+    min_baseline = 0.2
 
     def _judge(self, value: float) -> tuple[bool, float, str]:
         mean = self.baseline.mean
@@ -257,17 +236,10 @@ class GrowthDetector(Detector):
     """
 
     kind = KIND_GROWTH
+    margin = 2.0
 
-    def __init__(
-        self,
-        series: str,
-        *,
-        margin: float = 2.0,
-        min_streak: int = 3,
-        **kwargs,
-    ) -> None:
-        super().__init__(series, min_streak=min_streak, **kwargs)
-        self.margin = margin
+    def __init__(self, series: str, **kwargs) -> None:
+        super().__init__(series, min_streak=3, **kwargs)
         self._previous: Optional[float] = None
 
     def _judge(self, value: float) -> tuple[bool, float, str]:
@@ -299,13 +271,10 @@ class GapDetector(Detector):
         series: str,
         *,
         max_gap: float,
-        warmup: int = 1,
-        min_streak: int = 2,
-        **kwargs,
     ) -> None:
         if max_gap <= 0:
             raise ValueError(f"gap detector on {series!r}: max_gap must be positive")
-        super().__init__(series, warmup=warmup, min_streak=min_streak, **kwargs)
+        super().__init__(series, warmup=1)
         self.max_gap = max_gap
 
     def _judge(self, value: float) -> tuple[bool, float, str]:

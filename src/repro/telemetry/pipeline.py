@@ -93,14 +93,9 @@ class TelemetryProbe:
 class MetricsPipeline:
     """Samples probes into time series on the simulation clock."""
 
-    def __init__(
-        self,
-        name: str = "telemetry",
-        *,
-        capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
+    def __init__(self, name: str = "telemetry") -> None:
         self.name = name
-        self.capacity = capacity
+        self.capacity = DEFAULT_CAPACITY
         self._probes: dict[str, TelemetryProbe] = {}
         self._series: dict[str, TimeSeries] = {}
         self._updaters: list[Callable[[float], None]] = []

@@ -177,8 +177,8 @@ class TelemetryPlane:
 
         # --- heartbeat tracking (cluster only) ------------------------
         if self.cluster is not None:
-            def _track_heartbeats(now: float, replicas=controllers) -> None:
-                for shard, controller in replicas.items():
+            def _track_heartbeats(now: float) -> None:
+                for shard, controller in controllers.items():
                     if not controller.halted:
                         self._last_seen[shard] = now
 

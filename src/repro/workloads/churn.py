@@ -33,7 +33,7 @@ from repro.core.network import IdentPPNetwork
 from repro.core.policy_engine import PolicyEngine
 from repro.identpp.flowspec import FlowSpec
 from repro.openflow.actions import OutputAction
-from repro.openflow.flow_table import FlowTable, make_entry
+from repro.openflow.flow_table import FlowEntry, FlowTable
 from repro.openflow.match import Match
 from repro.workloads.invariants import check_bounded_state
 from repro.workloads.soak import Gate, Soak, add_web_hosts, ratio
@@ -75,13 +75,13 @@ def _install(tables: list[FlowTable], flow: FlowSpec, cookie: str, now: float) -
     )
     for port, table in enumerate(tables):
         table.install(
-            make_entry(match, [OutputAction(port + 1)],
-                       idle_timeout=IDLE_TIMEOUT, cookie=cookie),
+            FlowEntry(match=match, actions=(OutputAction(port + 1),),
+                      idle_timeout=IDLE_TIMEOUT, cookie=cookie),
             now=now,
         )
         table.install(
-            make_entry(reverse_match, [OutputAction(port + 2)],
-                       idle_timeout=IDLE_TIMEOUT, cookie=cookie),
+            FlowEntry(match=reverse_match, actions=(OutputAction(port + 2),),
+                      idle_timeout=IDLE_TIMEOUT, cookie=cookie),
             now=now,
         )
 

@@ -9,7 +9,7 @@ deployed) or against the baseline architectures of §5/§6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.baselines.distributed_firewall import DistributedFirewall
 from repro.baselines.ethane import EthanePolicy
@@ -64,11 +64,9 @@ COLLABORATION_UNWANTED_PORT = 9999
 def collaboration(
     *,
     collaborate: bool = True,
-    hosts_per_branch: int = 3,
     flows: int = 24,
     unwanted_fraction: float = 0.5,
     packets_per_flow: int = 4,
-    payload_size: int = 1200,
 ) -> dict:
     """Two branches; branch B tells branch A what it will not accept (§4).
 
@@ -77,7 +75,7 @@ def collaboration(
     wanted and unwanted packets delivered in branch B, and the packet-ins
     branch B's controller saw (``remote_packet_ins``).
     """
-    branches = build_branch_network(hosts_per_branch=hosts_per_branch)
+    branches = build_branch_network()
     net = branches.net
     net.set_policy(BRANCH_A_POLICY, controller=branches.controller_a)
     net.set_policy(BRANCH_B_POLICY, controller=branches.controller_b)
@@ -110,9 +108,9 @@ def collaboration(
         unwanted_sent += unwanted
         port = COLLABORATION_UNWANTED_PORT if unwanted else 80
         host = net.host(src)
-        _, socket, _ = host.open_flow("http", "alice", dst_ip, port, payload_size=payload_size)
+        _, socket, _ = host.open_flow("http", "alice", dst_ip, port, payload_size=1200)
         for _ in range(packets_per_flow - 1):
-            host.send_on_socket(socket, payload_size=payload_size)
+            host.send_on_socket(socket, payload_size=1200)
         net.topology.run(until=net.topology.sim.now + 0.5)
     net.topology.run(until=net.topology.sim.now + 1.0)
 
@@ -556,10 +554,10 @@ class SecurityComparisonScenario:
             return self._baseline_decider(self.vlan)
         raise ValueError(f"unknown architecture: {architecture}")
 
-    def build_matrix(self, architectures: Iterable[str] = ALL_ARCHITECTURES) -> SecurityMatrix:
-        """Compute the full matrix."""
+    def build_matrix(self) -> SecurityMatrix:
+        """Compute the full matrix: every architecture, every compromise."""
         matrix = SecurityMatrix()
-        for architecture in architectures:
+        for architecture in ALL_ARCHITECTURES:
             before = self._before_decider(architecture)
             for scenario in self.compromise_scenarios():
                 after = self._after_decider(architecture, scenario)

@@ -126,15 +126,15 @@ def decision_core_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> 
     )
 
 
-def queryload_scenario(seed: int = DETERMINISM_SEED, *, flows: int = 80) -> dict:
-    """The queryload bench topology: hot server behind the query cache."""
+def queryload_scenario(seed: int) -> dict:
+    """The queryload bench topology: hot server behind the query cache, 80 flows."""
     return _drive(
         "determinism-queryload",
         ControllerConfig(query_cache_ttl=30.0),
         QUERYLOAD_POLICY,
         "hot-server",
         seed=seed,
-        flows=flows,
+        flows=80,
     )
 
 
@@ -148,8 +148,9 @@ SCENARIOS: dict[str, Callable[[int], dict]] = {
 IDENTICAL_KEYS = ("trace_hash", "events", "audit_digest")
 
 
-def double_run(seed: int = DETERMINISM_SEED) -> dict:
-    """Run each bench scenario twice at one seed and compare the two traces."""
+def double_run() -> dict:
+    """Run each bench scenario twice at :data:`DETERMINISM_SEED` and compare the two traces."""
+    seed = DETERMINISM_SEED
     entry: dict[str, object] = {}
     for name, scenario in SCENARIOS.items():
         first, second = scenario(seed), scenario(seed)

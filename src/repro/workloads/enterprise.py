@@ -12,9 +12,9 @@ Two topology shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.core.controller import ControllerConfig, IdentPPController
+
+from repro.core.controller import IdentPPController
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.netsim.links import DEFAULT_LATENCY
 
@@ -23,23 +23,18 @@ def build_linear_network(
     switch_count: int = 1,
     *,
     link_latency: float = DEFAULT_LATENCY,
-    controller_config: Optional[ControllerConfig] = None,
-    client_daemon: bool = True,
-    server_daemon: bool = True,
 ) -> IdentPPNetwork:
     """Build ``client — sw1 — ... — swN — server`` (the Figure 1 shape)."""
-    net = IdentPPNetwork("linear", link_latency=link_latency, controller_config=controller_config)
+    net = IdentPPNetwork("linear", link_latency=link_latency)
     switches = [net.add_switch(f"sw{i + 1}") for i in range(max(1, switch_count))]
     for left, right in zip(switches, switches[1:]):
         net.connect(left, right)
     net.add_host(
-        HostSpec(name="client", ip="192.168.0.10", users={"alice": ("users", "staff")},
-                 run_daemon=client_daemon),
+        HostSpec(name="client", ip="192.168.0.10", users={"alice": ("users", "staff")}),
         switch=switches[0],
     )
     server = net.add_host(
-        HostSpec(name="server", ip="192.168.1.1", users={"www": ("service",)},
-                 run_daemon=server_daemon),
+        HostSpec(name="server", ip="192.168.1.1", users={"www": ("service",)}),
         switch=switches[-1],
     )
     server.run_server("httpd", "root", 80)
@@ -58,28 +53,22 @@ class BranchNetwork:
     bottleneck_link_name: str
 
 
-def build_branch_network(
-    *,
-    hosts_per_branch: int = 3,
-    bottleneck_latency: float = 5e-3,
-    bottleneck_bandwidth: float = 10e6,
-    controller_config: Optional[ControllerConfig] = None,
-) -> BranchNetwork:
-    """Build two branches of one enterprise joined by a bottleneck WAN link.
+def build_branch_network() -> BranchNetwork:
+    """Build two branches of one enterprise, three hosts each, joined by a
+    bottleneck WAN link (5 ms, 10 Mbit/s).
 
     Branch A keeps the network's primary controller; branch B gets its
     own controller, which is the one that augments ident++ responses in
     the collaboration experiment.
     """
-    net = IdentPPNetwork("branches", controller_config=controller_config)
+    hosts_per_branch = 3
+    net = IdentPPNetwork("branches")
     controller_a = net.controller
-    controller_b = net.add_controller("branch-b.controller", config=controller_config)
+    controller_b = net.add_controller("branch-b.controller")
 
     switch_a = net.add_switch("sw-branch-a", controller=controller_a)
     switch_b = net.add_switch("sw-branch-b", controller=controller_b)
-    bottleneck = net.connect(
-        switch_a, switch_b, latency=bottleneck_latency, bandwidth=bottleneck_bandwidth
-    )
+    bottleneck = net.connect(switch_a, switch_b, latency=5e-3, bandwidth=10e6)
 
     branch_a_hosts = []
     for index in range(hosts_per_branch):

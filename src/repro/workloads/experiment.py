@@ -221,12 +221,12 @@ class CellContext:
     spec: ScenarioSpec
     net: IdentPPNetwork
     switches: dict[str, list] = field(default_factory=dict)
-    plans: dict[str, HostPlan] = field(default_factory=dict)
+    plans: dict[str, HostPlan] = field(default_factory=dict, init=False)
     intents: list[FlowIntent] = field(default_factory=list)
-    injected: list[tuple[FlowIntent, FlowSpec]] = field(default_factory=list)
-    peaks: dict[str, int] = field(default_factory=dict)
-    quarantined_since: dict[str, float] = field(default_factory=dict)
-    coherence_probes: list[invariants.CoherenceProbe] = field(default_factory=list)
+    injected: list[tuple[FlowIntent, FlowSpec]] = field(default_factory=list, init=False)
+    peaks: dict[str, int] = field(default_factory=dict, init=False)
+    quarantined_since: dict[str, float] = field(default_factory=dict, init=False)
+    coherence_probes: list[invariants.CoherenceProbe] = field(default_factory=list, init=False)
     needs_monitoring: bool = False
     retenant_socket: object = None
 
@@ -381,11 +381,11 @@ def _add_ethane_rules(ethane: EthanePolicy, policy_name: str) -> None:
 # Traffic mixes
 # ======================================================================
 
-def _client_plans(spec: ScenarioSpec, *, groups=("users", "staff")) -> list[HostPlan]:
+def _client_plans(spec: ScenarioSpec) -> list[HostPlan]:
     return [
         HostPlan(
             name=f"c{i}", ip=f"192.168.0.{10 + i}",
-            users={f"alice{i}": tuple(groups)},
+            users={f"alice{i}": ("users", "staff")},
             run_daemon=i < max(1, round(spec.daemon_fraction * spec.clients)),
         )
         for i in range(spec.clients)
@@ -404,7 +404,8 @@ def _server_plans(spec: ScenarioSpec, *, subnet_prefix="192.168.1", name_prefix=
 
 
 def _jittered_times(spec: ScenarioSpec, rng: random.Random, count: int,
-                    start: float = 0.5, end_fraction: float = 0.7) -> list[float]:
+                    end_fraction: float = 0.7) -> list[float]:
+    start = 0.5
     window = spec.duration * end_fraction - start
     return sorted(start + rng.random() * window for _ in range(count))
 

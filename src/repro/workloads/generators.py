@@ -17,6 +17,9 @@ from repro.exceptions import WorkloadError
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.addresses import IPv4Address
 
+#: Where a generator's source ports start, and where they wrap back to.
+EPHEMERAL_BASE = 40000
+
 
 @dataclass(frozen=True)
 class FlowTemplate:
@@ -29,14 +32,13 @@ class FlowTemplate:
     dst_port: int
     app_name: str
     user_name: str
-    proto: str = "tcp"
 
     def flow(self, src_port: int) -> FlowSpec:
-        """Materialise the template into a concrete 5-tuple."""
+        """Materialise the template into a concrete TCP 5-tuple."""
         return FlowSpec(
             src_ip=self.src_ip,
             dst_ip=self.dst_ip,
-            proto=self.proto,
+            proto="tcp",
             src_port=src_port,
             dst_port=self.dst_port,
         )
@@ -60,7 +62,6 @@ class FlowGenerator:
         *,
         seed: int = 0,
         zipf_skew: Optional[float] = None,
-        ephemeral_base: int = 40000,
         rng: Optional[random.Random] = None,
     ) -> None:
         if not templates:
@@ -73,18 +74,13 @@ class FlowGenerator:
         self.seed: Optional[int] = None if rng is not None else seed
         self._rng = rng if rng is not None else random.Random(seed)
         self._weights = zipf_weights(len(self.templates), zipf_skew) if zipf_skew else None
-        self._ephemeral_base = ephemeral_base
-        self._next_port = ephemeral_base
+        self._next_port = EPHEMERAL_BASE
         self.draws = 0
 
-    def _allocate_port(self, reuse: bool) -> int:
-        if reuse:
-            # Re-using the source port keeps the 5-tuple identical so the
-            # switch flow-table cache can hit (established-flow traffic).
-            return self._next_port
+    def _allocate_port(self) -> int:
         self._next_port += 1
         if self._next_port >= 65000:
-            self._next_port = self._ephemeral_base
+            self._next_port = EPHEMERAL_BASE
         return self._next_port
 
     def draw_template(self) -> FlowTemplate:
@@ -94,17 +90,14 @@ class FlowGenerator:
             return self._rng.choice(self.templates)
         return self._rng.choices(self.templates, weights=self._weights, k=1)[0]
 
-    def draw_flow(self, *, new_connection: bool = True) -> tuple[FlowTemplate, FlowSpec]:
-        """Draw a template and materialise a flow from it."""
+    def draw_flow(self) -> tuple[FlowTemplate, FlowSpec]:
+        """Draw a template and materialise a flow from it on a fresh source port."""
         template = self.draw_template()
-        port = self._allocate_port(reuse=not new_connection)
-        return template, template.flow(port)
+        return template, template.flow(self._allocate_port())
 
-    def draw_batch(
-        self, count: int, *, new_connection_probability: float = 1.0
-    ) -> list[tuple[FlowTemplate, FlowSpec]]:
-        """Return the ``count`` draws of :meth:`sequence` as a list."""
-        return list(self.sequence(count, new_connection_probability=new_connection_probability))
+    def draw_batch(self, count: int) -> list[tuple[FlowTemplate, FlowSpec]]:
+        """Return the ``count`` draws of :meth:`sequence` as a list, each a new connection."""
+        return list(self.sequence(count))
 
     def sequence(self, count: int, *, new_connection_probability: float = 1.0) -> Iterator[tuple[FlowTemplate, FlowSpec]]:
         """Yield ``count`` draws; with probability ``1 - p`` a draw reuses the previous port.
@@ -118,6 +111,6 @@ class FlowGenerator:
             if template in last and self._rng.random() > new_connection_probability:
                 yield template, last[template]
                 continue
-            flow = template.flow(self._allocate_port(reuse=False))
+            flow = template.flow(self._allocate_port())
             last[template] = flow
             yield template, flow

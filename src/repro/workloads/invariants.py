@@ -43,7 +43,7 @@ class InvariantResult:
     """The outcome of one invariant check: pass/fail plus the evidence."""
 
     name: str
-    violations: list[str] = dataclass_field(default_factory=list)
+    violations: list[str] = dataclass_field(default_factory=list, init=False)
     details: dict[str, object] = dataclass_field(default_factory=dict)
 
     @property
@@ -225,14 +225,11 @@ class CoherenceProbe:
 
     ``expected`` is the action the *current* identity state demands;
     ``observed`` is the action the control plane actually returned.
-    ``requeried`` optionally records whether the probe forced a fresh
-    daemon query (``None`` when the scenario does not measure it).
     """
 
     label: str
     expected: str
     observed: Optional[str]
-    requeried: Optional[bool] = None
 
 
 def check_cache_coherence(probes: Iterable[CoherenceProbe]) -> InvariantResult:
@@ -253,10 +250,6 @@ def check_cache_coherence(probes: Iterable[CoherenceProbe]) -> InvariantResult:
             result.violations.append(
                 f"probe {probe.label!r}: expected {probe.expected!r} after invalidation,"
                 f" observed {probe.observed!r} (stale cached identity)"
-            )
-        if probe.requeried is False:
-            result.violations.append(
-                f"probe {probe.label!r}: decision served without re-querying the daemon"
             )
     result.details.update(probes=len(probes), stale=stale)
     return result

@@ -158,24 +158,17 @@ req-sig : {req_sig}
 """
 
 
-def figure5_research_control(
-    research_pubkey_hex: str,
-    admin_pubkey_hex: str = "",
-    *,
-    research_machines: tuple[str, ...] = DEFAULT_RESEARCH_MACHINES,
-    production_machines: tuple[str, ...] = DEFAULT_PRODUCTION_MACHINES,
-) -> dict[str, str]:
+def figure5_research_control(research_pubkey_hex: str) -> dict[str, str]:
     """Return the Figure 5 ``30-research.control`` plus the table/default file it needs."""
-    admin_entry = f" admin : {admin_pubkey_hex}" if admin_pubkey_hex else ""
     tables = f"""\
-table <research-machines> {{ {' '.join(research_machines)} }}
-table <production-machines> {{ {' '.join(production_machines)} }}
+table <research-machines> {{ {' '.join(DEFAULT_RESEARCH_MACHINES)} }}
+table <production-machines> {{ {' '.join(DEFAULT_PRODUCTION_MACHINES)} }}
 
 # default deny
 block all
 """
     research = f"""\
-dict <pubkeys> {{ research : {research_pubkey_hex}{admin_entry} }}
+dict <pubkeys> {{ research : {research_pubkey_hex} }}
 
 # Allow only researchers to run applications
 # and only access their own machines.
@@ -268,12 +261,9 @@ pass from <lan> \\
 """
 
 
-def figure8_control_files(lan: str = "192.168.0.0/16") -> dict[str, str]:
+def figure8_control_files() -> dict[str, str]:
     """Return the Figure 8 ``10-user-rules.control`` plus the LAN table it references."""
-    tables = f"""\
-table <lan> {{ {lan} }}
-"""
     return {
-        "05-tables.control": tables,
+        "05-tables.control": "table <lan> { 192.168.0.0/16 }\n",
         "10-user-rules.control": FIGURE8_USER_RULES,
     }

@@ -37,7 +37,6 @@ class FlowCase:
     dst_ip: str
     dst_port: int
     expected: str
-    proto: str = "tcp"
 
 
 class FigureScenario:
@@ -64,7 +63,7 @@ class FigureScenario:
         rows, violations = [], []
         for case in self.cases:
             outcome = self.net.send_flow(
-                case.src_host, case.app, case.user, case.dst_ip, case.dst_port, proto=case.proto
+                case.src_host, case.app, case.user, case.dst_ip, case.dst_port
             )
             observed, delivered = outcome.decision_action, outcome.delivered
             correct = observed == case.expected and delivered == (case.expected == "pass")

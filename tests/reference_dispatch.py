@@ -60,7 +60,7 @@ def _dispatch_queries(self: IdentPPController, task: DecisionTask) -> None:
     gather(
         list(
             engine._both_ends(
-                engine.query_async, task.flow, task.switch, None,
+                engine.query_async, task.flow, task.switch,
                 tuple(self.peer_interceptors), None,
             )
         )

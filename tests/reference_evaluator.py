@@ -49,8 +49,7 @@ def reference_evaluate(
     """Walk ``evaluator``'s ruleset against one flow: last match wins, ``quick`` stops."""
     registry = FunctionRegistry()
     for name, function in evaluator.registry._functions.items():
-        registry.register(name, function)
-    registry.register("allowed", _reference_allowed, replace=True)
+        registry.register(name, _reference_allowed if name == "allowed" else function)
     context = EvalContext(
         flow=flow,
         src_doc=src_doc if src_doc is not None else ResponseDocument(),

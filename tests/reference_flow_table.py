@@ -18,6 +18,11 @@ from repro.openflow.flow_table import FlowEntry
 from repro.openflow.match import Match
 
 
+
+def make_entry(match: Match, actions: Sequence, **fields) -> FlowEntry:
+    """A flow entry with ``actions`` as a tuple, the FlowMod fields as keywords."""
+    return FlowEntry(match=match, actions=tuple(actions), **fields)
+
 class ReferenceFlowTable:
     """The flow table of one switch, as one python list scanned per operation."""
 

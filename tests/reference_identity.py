@@ -32,6 +32,7 @@ from repro.identpp.daemon import SOCKET_TABLE_CHANGED, IdentPPDaemon
 from repro.identpp.engine import UNTIL_DELTA, PushSubscription, QueryEngine
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
+    DEFAULT_QUERY_KEYS,
     WIRE_VERSION_PULL,
     WIRE_VERSION_PUSH,
     IdentDelta,
@@ -328,7 +329,7 @@ class ReferenceQueryEngine(QueryEngine):
         if self._push_refused.get(ip) is daemon:
             return False
         ack = daemon.subscribe(
-            IdentSubscribe(host_ip=ip, subscriber=self.name, keys=self.client.default_keys),
+            IdentSubscribe(host_ip=ip, subscriber=self.name, keys=DEFAULT_QUERY_KEYS),
             self._on_delta,
         )
         if not ack.accepted or CAP_SUBSCRIBE not in ack.capabilities:

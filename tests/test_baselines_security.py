@@ -29,13 +29,30 @@ class TestVanillaFirewall:
 
     def test_default_action(self):
         assert VanillaFirewall([]).decide(LAN_TO_SERVER_HTTP) == "block"
-        assert VanillaFirewall([], default_action="pass").decide(LAN_TO_SERVER_HTTP) == "pass"
 
     def test_stateful_return_traffic(self):
         firewall = VanillaFirewall([FirewallRule("pass", dst="192.168.1.0/24", keep_state=True),
                                     FirewallRule("block")])
         assert firewall.decide(LAN_TO_SERVER_HTTP) == "pass"
         assert firewall.decide(LAN_TO_SERVER_HTTP.reversed()) == "pass"
+
+    def test_only_a_keep_state_pass_establishes_its_flow(self):
+        firewall = VanillaFirewall([FirewallRule("pass", dst="192.168.1.0/24", keep_state=True),
+                                    FirewallRule("block")])
+        assert firewall.decide(LAN_TO_SERVER_HTTP.reversed()) == "block"
+        assert firewall.decide(LAN_TO_SERVER_HTTP) == "pass"
+        assert firewall.decide(LAN_TO_SERVER_HTTP.reversed()) == "pass"
+        assert firewall.decide(LAN_TO_SERVER_HTTP) == "pass"
+        # one entry answers both directions; the reply adds none of its own
+        assert firewall.established == {LAN_TO_SERVER_HTTP}
+        assert firewall.decide(LAN_TO_SERVER_SMB.reversed()) == "block"
+
+    def test_a_pass_without_keep_state_establishes_nothing(self):
+        firewall = VanillaFirewall([FirewallRule("pass", dst="192.168.1.0/24"),
+                                    FirewallRule("block", keep_state=True)])
+        assert firewall.decide(LAN_TO_SERVER_HTTP) == "pass"
+        assert firewall.decide(LAN_TO_SERVER_HTTP.reversed()) == "block"
+        assert firewall.established == set()
 
     def test_allow_deny_helpers_and_defaults(self):
         firewall = VanillaFirewall()

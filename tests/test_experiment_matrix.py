@@ -206,7 +206,7 @@ class TestContainmentChecker:
 
 class TestCacheCoherenceChecker:
     def test_fresh_decisions_matching_new_identity_pass(self):
-        probes = [invariants.CoherenceProbe("srv:80", "block", "block", requeried=True)]
+        probes = [invariants.CoherenceProbe("srv:80", "block", "block")]
         assert invariants.check_cache_coherence(probes).passed
 
     def test_stale_cached_identity_fails(self):
@@ -214,12 +214,6 @@ class TestCacheCoherenceChecker:
         result = invariants.check_cache_coherence(probes)
         assert not result.passed
         assert "stale cached identity" in result.violations[0]
-
-    def test_serving_without_requery_fails(self):
-        probes = [invariants.CoherenceProbe("srv:80", "block", "block", requeried=False)]
-        result = invariants.check_cache_coherence(probes)
-        assert not result.passed
-        assert "without re-querying" in result.violations[0]
 
 
 class TestBoundedStateChecker:

@@ -121,18 +121,21 @@ class World:
             node.attach(self.sim)
         s1, s2 = self.switches
         self.links = [
-            Link(self.hosts["h1"].add_port(), s1.add_port(1), latency=config["latency"]),
+            # Ports number in creation order: s1 gets 1-4, s2 gets 1-3.
+            Link(self.hosts["h1"].add_port(), s1.add_port(), latency=config["latency"]),
             # Never zero: a generated forwarding loop between the two
             # switches must move the clock.
-            Link(s1.add_port(2), s2.add_port(1), latency=5e-4, bandwidth=config["bandwidth"]),
-            Link(self.hosts["h3"].add_port(), s1.add_port(3), latency=0.0),
-            Link(s2.add_port(2), self.hosts["h2"].add_port(), latency=config["latency"]),
+            Link(s1.add_port(), s2.add_port(), latency=5e-4, bandwidth=config["bandwidth"]),
+            Link(self.hosts["h3"].add_port(), s1.add_port(), latency=0.0),
+            Link(s2.add_port(), self.hosts["h2"].add_port(), latency=config["latency"]),
         ]
-        s1.add_port(4)
-        s2.add_port(3)
+        s1.add_port()
+        s2.add_port()
         recorder = Recorder(self)
         for switch in self.switches:
-            switch.set_channel(ControllerChannel(switch, recorder, latency=1e-4))
+            channel = ControllerChannel(switch, recorder)
+            channel.latency = 1e-4  # the timings the scenarios were built for
+            switch.set_channel(channel)
         self._sent = itertools.count()
 
     def install(self, switch, spec):

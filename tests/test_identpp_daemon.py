@@ -127,18 +127,30 @@ class TestDaemonAnswers:
     def test_runtime_keys_from_application(self):
         host = make_host()
         daemon = IdentPPDaemon(host)
-        packet, _, process = host.open_flow(
-            "http", "alice", "192.168.1.1", 80, send=False,
-            runtime_keys={"user-initiated": "yes"},
-        )
+        packet, _, process = host.open_flow("http", "alice", "192.168.1.1", 80, send=False)
         flow = FlowSpec.from_packet(packet)
+        daemon.runtime.publish_for_process(process, {"patched": "no", "window": "main"})
         daemon.runtime.publish_for_flow(flow, {"click-id": "42"})
-        daemon.runtime.publish_for_process(process, {"window": "main"})
+        # A later publication replaces what the process said before.
+        daemon.runtime.publish_for_process(process, {"patched": "yes"})
         response = daemon.answer(IdentQuery(flow=flow, target_role="src"))
         doc = response.document
-        assert doc.latest("user-initiated") == "yes"
+        assert doc.latest("patched") == "yes"
         assert doc.latest("click-id") == "42"
         assert doc.latest("window") == "main"
+
+    def test_published_pairs_are_the_registry_own_copy(self):
+        host = make_host()
+        daemon = IdentPPDaemon(host)
+        packet, _, process = host.open_flow("http", "alice", "192.168.1.1", 80, send=False)
+        flow = FlowSpec.from_packet(packet)
+        pairs = {"patched": "yes"}
+        daemon.runtime.publish_for_process(process, pairs)
+        daemon.runtime.publish_for_flow(flow, pairs)
+        pairs["patched"] = "no"
+        assert daemon.runtime.pairs_for(flow, process) == {"patched": "yes"}
+        response = daemon.answer(IdentQuery(flow=flow, target_role="src"))
+        assert response.document.latest("patched") == "yes"
 
     def test_spoofed_responses_replace_everything(self):
         host = make_host()

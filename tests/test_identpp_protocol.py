@@ -210,7 +210,6 @@ class DocumentDifferential(RuleBasedStateMachine):
         for key in ("userID", "name", "version", "req-sig", "x", "absent"):
             assert self.document.latest(key) == oracle.latest(key)
             assert self.document.concatenated(key) == oracle.concatenated(key)
-            assert self.document.concatenated(key, "|") == oracle.concatenated(key, "|")
         for section, pairs in zip(self.document.sections, self.model):
             assert all(section.get(key) == value for key, value in dict(pairs).items())
 

@@ -103,7 +103,7 @@ class TestIPv4Network:
         (0, 0), (8, 0xFF000000), (20, 0xFFFFF000), (32, 0xFFFFFFFF),
     ])
     def test_netmask_int(self, prefix, mask):
-        assert IPv4Network("0.0.0.0", prefix).netmask_int() == mask
+        assert IPv4Network(f"0.0.0.0/{prefix}").netmask_int() == mask
 
     def test_network_containment(self):
         assert IPv4Network("192.168.1.0/24") in IPv4Network("192.168.0.0/16")

@@ -6,6 +6,13 @@ from repro.exceptions import SimulationError
 from repro.netsim.events import Event, Future, Simulator
 
 
+
+def simulator_at(now: float) -> Simulator:
+    """A simulator whose clock has idled forward to ``now``."""
+    sim = Simulator()
+    sim.run(until=now)
+    return sim
+
 class TestScheduling:
     def test_events_fire_in_time_order(self):
         sim = Simulator()
@@ -38,7 +45,7 @@ class TestScheduling:
             sim.schedule(-0.1, lambda: None)
 
     def test_schedule_at_absolute_time(self):
-        sim = Simulator(start_time=10.0)
+        sim = simulator_at(10.0)
         fired = []
         sim.schedule_at(12.5, fired.append, True)
         sim.run()
@@ -61,7 +68,7 @@ class TestScheduling:
     def test_delay_that_is_not_at_least_zero_rejected(self, delay):
         # NaN passes a ``delay < 0`` guard; an event at time NaN would fire
         # with ``now == nan`` and leave the heap order undefined.
-        sim = Simulator(start_time=1.0)
+        sim = simulator_at(1.0)
         with pytest.raises(SimulationError):
             sim.schedule(delay, lambda: None)
         with pytest.raises(SimulationError):
@@ -173,7 +180,7 @@ class TestEventOrdering:
             event.extra = 1  # slotted
 
     def test_scheduled_event_carries_what_was_scheduled(self):
-        sim = Simulator(start_time=2.0)
+        sim = simulator_at(2.0)
         event = sim.schedule(0.5, print, "a", label="hello", end="")
         assert (event.time, event.args, event.kwargs, event.label) == (2.5, ("a",), {"end": ""}, "hello")
         assert sim.schedule(0.5, print).seq == event.seq + 1
@@ -206,13 +213,6 @@ class TestRunLimits:
         sim.run()
         assert fired == ["early", "late"]
 
-    def test_max_events_limit(self):
-        sim = Simulator()
-        for index in range(5):
-            sim.schedule(float(index), lambda: None)
-        assert sim.run(max_events=3) == 3
-        assert sim.pending() == 2
-
     def test_run_returns_processed_count(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
@@ -236,12 +236,12 @@ class TestRunLimits:
 
 class TestScheduleAtEdgeCases:
     def test_schedule_at_in_the_past_rejected(self):
-        sim = Simulator(start_time=5.0)
+        sim = simulator_at(5.0)
         with pytest.raises(SimulationError):
             sim.schedule_at(4.0, lambda: None)
 
     def test_schedule_at_the_current_instant_fires(self):
-        sim = Simulator(start_time=5.0)
+        sim = simulator_at(5.0)
         fired = []
         sim.schedule_at(5.0, fired.append, True)
         sim.run()

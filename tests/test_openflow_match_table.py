@@ -17,9 +17,9 @@ from repro.exceptions import FlowTableError, MatchError
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.packet import IP_PROTO_TCP, Packet
 from repro.openflow.actions import DropAction, OutputAction
-from repro.openflow.flow_table import FlowEntry, FlowTable, make_entry
+from repro.openflow.flow_table import FlowEntry, FlowTable
 from repro.openflow.match import MATCH_FIELDS, Match
-from tests.reference_flow_table import ReferenceFlowTable
+from tests.reference_flow_table import ReferenceFlowTable, make_entry
 
 
 def tcp_packet(src="10.0.0.1", dst="10.0.0.2", sport=1234, dport=80):
@@ -133,8 +133,7 @@ class TestFlowTable:
         table.install(make_entry(Match(tp_dst=80), [OutputAction(1)]))
         table.install(make_entry(Match(tp_dst=80), [OutputAction(2)]))
         assert len(table) == 1
-        with pytest.raises(FlowTableError):
-            table.install(make_entry(Match(tp_dst=80), [OutputAction(3)]), replace=False)
+        assert table.lookup(tcp_packet(dport=80)).actions == (OutputAction(2),)
 
     def test_idle_timeout_refreshed_by_traffic(self):
         table = FlowTable()
@@ -490,7 +489,7 @@ class FlowTableDifferential(RuleBasedStateMachine):
         for table, log in zip(self.tables, self.evicted):
             table.evict_listener = lambda entry, log=log: log.append(_describe(entry))
         for spec in residents:
-            self.install(0.0, spec, True)
+            self.install(0.0, spec)
 
     def both(self, call):
         """Apply ``call`` to each table; exceptions count as results."""
@@ -503,12 +502,11 @@ class FlowTableDifferential(RuleBasedStateMachine):
         assert results[0] == results[1]
         return results[0]
 
-    @rule(step=_steps, spec=_entry_specs, replace=st.sampled_from([True, True, True, False]))
-    def install(self, step, spec, replace):
+    @rule(step=_steps, spec=_entry_specs)
+    def install(self, step, spec):
         self.now += step
         self.both(lambda table: _describe(table.install(
-            make_entry(actions=[OutputAction(spec["priority"])], **spec),
-            now=self.now, replace=replace,
+            make_entry(actions=[OutputAction(spec["priority"])], **spec), now=self.now,
         )))
 
     @rule(step=_steps, packet=_packets, in_port=st.sampled_from([None, *_IN_PORTS]))

@@ -1,16 +1,28 @@
-"""Every control-plane option has a caller, every per-packet counter a reader.
+"""Every keyword has a second value, every per-packet counter a reader.
 
-An option that only a test sets keeps a branch alive that no workload
-runs.  This tripwire reads the call sites in ``src/``, ``perf/``,
-``benchmarks/`` and ``examples/`` (by AST, nothing is imported from
-them) and requires every ``ControllerConfig`` field and every keyword
-parameter of ``TelemetryPlane`` and ``ControllerCluster`` to be passed
-by name at one of them.
+A setting that only a test sets keeps a branch alive that no workload
+runs.  This tripwire reads the sources in ``src/``, ``perf/``,
+``benchmarks/``, ``examples/`` and ``tools/`` (not its lint fixtures;
+by AST, nothing is imported from them) and requires every defaulted
+parameter and every ``__init__`` field with a default in ``src/repro``
+to get a value other than its default at one of them, outside its own
+body.
 
-Only calls that reach the class count: the class itself, or a function
-that forwards its keywords to it.  A keyword whose name merely matches
-(``capacity=`` on a ``FlowTable``, ``registry=`` on a
-``PolicyEvaluator``) does not.
+A value counts where a call that reaches the definition passes it: by
+keyword or by position, through ``replace(...)``, through a
+``**dict(...)`` or a ``**kwargs`` forwarder, or as an attribute store
+``obj.name = value``.  A call reaches a definition by name: a class by
+its own name and those of the subclasses its constructor builds,
+``super().__init__`` the base class, and a call of a parameter the
+callables passed as that parameter.  A keyword whose name merely
+matches one on another callable does not count, and neither does a
+value equal to the default.  A bare parameter of the enclosing function
+with the same default counts only if that parameter gets a second value
+itself (resolved to a fixpoint).  Matching is by name, so the scan is
+approximate.  A nested function's ``_name=value`` binds a value where
+it is defined and is not judged.  ``KEPT`` lists the few settables that
+stay, keyed by callable: a test seam, a fault model or a protocol
+surface, each with its reason.
 
 A counter is the same kind of cost on the packet path: a ``Counter``
 or a plain ``int`` held by a node, port, link, host, switch or control
@@ -42,16 +54,13 @@ that no public name replaces, each with its reason.
 """
 
 import ast
-import dataclasses
 import functools
-import inspect
 import re
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
-from repro.cluster.cluster import ControllerCluster
-from repro.core.controller import ControllerConfig
 from repro.hosts.endhost import EndHost
 from repro.netsim.links import Link
 from repro.netsim.nodes import Node
@@ -59,31 +68,11 @@ from repro.netsim.statistics import Counter
 from repro.openflow.channel import ControllerChannel
 from repro.openflow.controller_base import Controller
 from repro.openflow.switch import OpenFlowSwitch
-from repro.telemetry.plane import TelemetryPlane
 from tools.reach import Definition, definitions_in
 from tools.reach_accepted import ACCEPTED, READING_LIMIT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "perf", "benchmarks", "examples")
-
-#: Class -> the names of the calls whose keywords reach it: the class and
-#: the functions that forward their keywords to it.
-CALLEES = {
-    "ControllerConfig": ("ControllerConfig", "churn_config"),
-    "TelemetryPlane": ("TelemetryPlane", "enable_telemetry"),
-    "ControllerCluster": ("ControllerCluster", "add_cluster", "IdentPPClusterNetwork"),
-}
-
-
-def settable(cls) -> list[str]:
-    """The values a caller can set by name: dataclass fields or keyword-only parameters."""
-    if dataclasses.is_dataclass(cls):
-        return [field.name for field in dataclasses.fields(cls)]
-    return [
-        name for name, parameter in inspect.signature(cls).parameters.items()
-        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
-    ]
-
 
 def callee(call: ast.Call) -> str:
     func = call.func
@@ -92,40 +81,6 @@ def callee(call: ast.Call) -> str:
     if isinstance(func, ast.Attribute):
         return func.attr
     return ""
-
-
-def is_config_replace(call: ast.Call) -> bool:
-    """``replace(config, ...)`` / ``dataclasses.replace(self.config, ...)``."""
-    func = call.func
-    named = (isinstance(func, ast.Name) and func.id == "replace") or (
-        isinstance(func, ast.Attribute) and func.attr == "replace"
-        and isinstance(func.value, ast.Name) and func.value.id == "dataclasses"
-    )
-    return named and bool(call.args) and ast.unparse(call.args[0]).endswith("config")
-
-
-def keywords_in(trees) -> dict[str, set[str]]:
-    """Class name -> every keyword passed by name, in ``trees``, to a call that reaches it."""
-    passed = {name: set() for name in CALLEES}
-    reaching = {call: cls for cls, calls in CALLEES.items() for call in calls}
-
-    def note(cls: str, call: ast.Call) -> None:
-        passed[cls].update(k.arg for k in call.keywords if k.arg is not None)
-
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                if callee(node) in reaching:
-                    note(reaching[callee(node)], node)
-                elif is_config_replace(node):
-                    note("ControllerConfig", node)
-            elif isinstance(node, ast.FunctionDef) and node.name in reaching:
-                # A forwarder may gather its settings in a dict(...)
-                # before it calls the class (perf's churn_config).
-                for inner in ast.walk(node):
-                    if isinstance(inner, ast.Call) and callee(inner) == "dict":
-                        note(reaching[node.name], inner)
-    return passed
 
 
 @functools.cache
@@ -143,69 +98,803 @@ def scanned_trees() -> tuple[ast.AST, ...]:
     )
 
 
+# ----------------------------------------------------------------------
+# Settable values
+# ----------------------------------------------------------------------
+
+#: Where a second value counts: the scanned directories and the repo's
+#: tools, the lint's test data aside.  Settables are judged in ``src/repro``.
+VALUE_SOURCES, SETTABLES_IN = (*SCANNED, "tools"), "src/repro/"
+
+
+class Settable(NamedTuple):
+    """A defaulted parameter, or an ``__init__`` field with a default."""
+
+    owner: str  # the function's qualname; a constructor's is its class's
+    param: str
+    default: ast.expr
+    path: str
+    line: int
+
+    def __str__(self) -> str:
+        return f"{self.owner}({self.param}={ast.unparse(self.default)}) ({self.path}:{self.line})"
+
+
+class Signature(NamedTuple):
+    """A callable as its callers reach it: by any of its names."""
+
+    names: frozenset
+    positional: tuple  # the parameters a caller fills by position, in order
+    params: dict  # parameter -> its Settable, or None where it has no default
+    constructor: Optional[str]  # the class an ``__init__`` or a record builds
+    path: str
+    first: int  # its own body: a call there does not count
+    last: int
+    judged: bool
+
+
+class Scope(NamedTuple):
+    """Where a value is written: file, enclosing functions (outermost first), class."""
+
+    path: str
+    functions: tuple
+    cls: Optional[ast.ClassDef]
+
+
+class Call(NamedTuple):
+    names: frozenset  # REPLACE for ``replace()`` / ``._replace()``: fields by name
+    args: tuple
+    keywords: tuple
+    scope: Scope
+    line: int
+
+
+class Store(NamedTuple):
+    """``x.attr = value``; ``value`` is None where it is unknown (``+=``, unpacking)."""
+
+    attr: str
+    value: Optional[ast.expr]
+    scope: Scope
+    on_self: bool
+
+
+REPLACE_NAME = "<replace>"
+REPLACE = frozenset({REPLACE_NAME})
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions_under(statements):
+    """The functions and classes among ``statements``, in compound statements too,
+    not in each other."""
+    for node in statements:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node
+        else:
+            for body in ("body", "orelse", "finalbody", "handlers", "cases"):
+                yield from definitions_under(getattr(node, body, ()))
+
+
+def decorator_names(node) -> set[str]:
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return {t.id if isinstance(t, ast.Name) else getattr(t, "attr", "") for t in targets}
+
+
+def is_record(node: ast.ClassDef) -> bool:
+    """A dataclass or a ``NamedTuple``: its annotated fields are its parameters."""
+    return "dataclass" in decorator_names(node) or "NamedTuple" in base_names(node)
+
+
+def is_kw_only(node: ast.ClassDef) -> bool:
+    return any(
+        k.arg == "kw_only" and isinstance(k.value, ast.Constant) and k.value.value
+        for d in node.decorator_list if isinstance(d, ast.Call) for k in d.keywords
+    )
+
+
+def own_fields(node: ast.ClassDef):
+    """``(name, default or None, line)`` of each ``__init__`` field a record declares."""
+    for statement in node.body:
+        if not (isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(statement.annotation):
+            continue
+        default = statement.value
+        if isinstance(default, ast.Call) and callee(default).endswith("field"):
+            options = {k.arg: k.value for k in default.keywords}
+            init = options.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            default = options.get("default", default if "default_factory" in options else None)
+        yield statement.target.id, default, statement.lineno
+
+
+def all_args(function) -> list[ast.arg]:
+    args = function.args
+    return [
+        arg for arg in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
+        if arg is not None
+    ]
+
+
+def defaults_of(function) -> dict[str, Optional[ast.expr]]:
+    """Every named parameter's default, or None."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    defaults = dict.fromkeys((arg.arg for arg in positional), None)
+    for arg, default in zip(positional[len(positional) - len(args.defaults):], args.defaults):
+        defaults[arg.arg] = default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        defaults[arg.arg] = default
+    return defaults
+
+
+def same_value(a: ast.expr, b: ast.expr) -> bool:
+    """Whether two expressions are the same value: equal literals, or the same name."""
+    try:
+        x, y = ast.literal_eval(a), ast.literal_eval(b)
+    except (ValueError, TypeError, SyntaxError):
+        pass
+    else:
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        return x == y and (numbers or type(x) is type(y))
+    if all(isinstance(n, (ast.Name, ast.Attribute)) for n in (a, b)):
+        # ``DEFAULT`` and ``module.DEFAULT`` name one constant.
+        last = [n.id if isinstance(n, ast.Name) else n.attr for n in (a, b)]
+        return last[0] == last[1]
+    return ast.unparse(a) == ast.unparse(b)
+
+
+class Program:
+    """Every callable, call and attribute store of some sources, read by AST.
+
+    ``trees`` maps a repo-relative path to its parsed module; the
+    callables of the paths under ``judged`` are the ones judged.
+    """
+
+    def __init__(self, trees: dict[str, ast.AST], judged: str = SETTABLES_IN):
+        self.classes: dict[str, list[ast.ClassDef]] = {}
+        self.places: dict[int, tuple[str, str]] = {}  # id(ClassDef) -> (qualname, path)
+        for path, tree in trees.items():
+            self._classes(tree.body, path, "")
+        self.signatures: list[Signature] = []
+        self.by_function: dict[int, Signature] = {}
+        self.by_arg: dict[int, Optional[Settable]] = {}
+        self.calls: list[Call] = []
+        self.stores: list[Store] = []
+        self._fields: dict[int, dict] = {}
+        self._through: list[tuple] = []  # calls of a parameter: (function, name, Call)
+        for path, tree in trees.items():
+            self._visit(tree.body, path, "", (), None, path.startswith(judged))
+        self.reaching: dict[str, list[Call]] = {}
+        self._index(self.calls)
+        passed_in = [self._passed_in(*through) for through in self._through]
+        self.calls += passed_in
+        self._index(passed_in)
+
+    def _index(self, calls) -> None:
+        for call in calls:
+            for name in call.names:
+                self.reaching.setdefault(name, []).append(call)
+
+    def _passed_in(self, function, param: str, call: Call) -> Call:
+        """A call of a parameter reaches the callables its callers pass as it."""
+        signature = self.by_function[id(function)]
+        names = {
+            value.id if isinstance(value, ast.Name) else value.attr
+            for outer in self.calls_of(signature)
+            for name, value in self.arguments(outer, signature)
+            if name == param and isinstance(value, (ast.Name, ast.Attribute))
+        }
+        return call._replace(names=frozenset(names))
+
+    # -- classes, by name ---------------------------------------------------
+
+    def _classes(self, body, path, prefix):
+        for node in definitions_under(body):
+            if isinstance(node, ast.ClassDef):
+                self.classes.setdefault(node.name, []).append(node)
+                self.places[id(node)] = (prefix + node.name, path)
+                self._classes(node.body, path, prefix + node.name + ".")
+            elif isinstance(node, FUNCTIONS):
+                self._classes(node.body, path, prefix + node.name + ".")
+
+    def builds_itself(self, node: ast.ClassDef) -> bool:
+        return is_record(node) or any(
+            isinstance(item, FUNCTIONS) and item.name == "__init__" for item in node.body
+        )
+
+    def constructor_names(self, node: ast.ClassDef) -> frozenset:
+        """The class, and each subclass that is built by the class's constructor."""
+        names, frontier = {node.name}, [node.name]
+        while frontier:
+            base = frontier.pop()
+            for nodes in self.classes.values():
+                for sub in nodes:
+                    if base in base_names(sub) and sub.name not in names and not self.builds_itself(sub):
+                        names.add(sub.name)
+                        frontier.append(sub.name)
+        return frozenset(names)
+
+    def ancestors(self, name: str) -> set[str]:
+        seen, frontier = {name}, [name]
+        while frontier:
+            for node in self.classes.get(frontier.pop(), ()):
+                for base in base_names(node) - seen:
+                    seen.add(base)
+                    frontier.append(base)
+        return seen
+
+    def fields(self, node: ast.ClassDef) -> dict:
+        """A record's ``__init__`` fields, inherited ones first: name -> Settable or None."""
+        if id(node) not in self._fields:
+            self._fields[id(node)] = {}  # a cycle of names ends here
+            found = {}
+            for base in base_names(node):
+                for parent in self.classes.get(base, ()):
+                    if is_record(parent):
+                        found.update(self.fields(parent))
+            qualname, path = self.places[id(node)]
+            for name, default, line in own_fields(node):
+                found[name] = default and Settable(qualname, name, default, path, line)
+            self._fields[id(node)] = found
+        return self._fields[id(node)]
+
+    # -- the walk ---------------------------------------------------------
+
+    def _visit(self, body, path, prefix, functions, cls, judged, in_class=None):
+        """``cls`` is the enclosing class; ``in_class`` the one whose body this is."""
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                if is_record(node):
+                    fields = self.fields(node)
+                    self.signatures.append(Signature(
+                        self.constructor_names(node),
+                        () if is_kw_only(node) else tuple(fields), fields, node.name,
+                        path, node.lineno, node.lineno, judged,
+                    ))
+                self._note(node.decorator_list, Scope(path, functions, cls))
+                self._visit(node.body, path, prefix + node.name + ".", functions, node, judged, node)
+            elif isinstance(node, FUNCTIONS):
+                self._function(node, path, prefix, functions, cls, judged, in_class)
+                self._visit(node.body, path, prefix + node.name + ".", functions + (node,), cls, judged)
+            else:
+                self._note([node], Scope(path, functions, cls))
+                nested = list(definitions_under([node]))
+                self._visit(nested, path, prefix, functions, cls, judged, in_class)
+
+    def _function(self, node, path, prefix, functions, cls, judged, in_class):
+        constructor = in_class is not None and node.name == "__init__"
+        owner = prefix[:-1] if constructor else prefix + node.name
+        lines = {arg.arg: arg.lineno for arg in all_args(node)}
+        params = {
+            name: default and Settable(owner, name, default, path, lines[name])
+            for name, default in defaults_of(node).items()
+            # A nested function's ``_name=value`` binds a value when it is
+            # defined (the loop-closure idiom): no caller is meant to pass it.
+            if not (functions and name.startswith("_"))
+        }
+        for arg in all_args(node):
+            self.by_arg[id(arg)] = params.get(arg.arg)
+        bound = in_class is not None and "staticmethod" not in decorator_names(node)
+        positional = [arg.arg for arg in (*node.args.posonlyargs, *node.args.args)]
+        dunder = node.name.startswith("__") and node.name.endswith("__")
+        signature = Signature(
+            self.constructor_names(in_class) if constructor else frozenset({node.name}),
+            tuple(positional[1:] if bound else positional), params,
+            in_class.name if constructor else None, path, node.lineno, node.end_lineno,
+            judged and (constructor or not dunder),
+        )
+        self.signatures.append(signature)
+        self.by_function[id(node)] = signature
+        outer = Scope(path, functions, cls)
+        self._note([*node.decorator_list, *node.args.defaults, *node.args.kw_defaults], outer)
+
+    def _note(self, roots, scope: Scope) -> None:
+        """Record the calls and attribute stores under ``roots``, nested definitions aside."""
+        stack = [root for root in roots if root is not None]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                continue
+            if isinstance(node, ast.Call):
+                self._call(node, scope)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                value = None if isinstance(node, ast.AugAssign) else node.value
+                for target in targets:
+                    unpacked = isinstance(target, (ast.Tuple, ast.List))
+                    for item in target.elts if unpacked else [target]:
+                        if isinstance(item, ast.Attribute):
+                            self.stores.append(Store(
+                                item.attr, None if unpacked else value, scope,
+                                isinstance(item.value, ast.Name) and item.value.id == "self",
+                            ))
+            stack.extend(ast.iter_child_nodes(node))
+
+    def _call(self, node: ast.Call, scope: Scope) -> None:
+        func, args = node.func, tuple(node.args)
+        receiver = getattr(func, "value", None)
+        name = callee(node)
+        if name in ("setattr", "__setattr__") and len(args) == 3:
+            target, attr, value = args
+            if isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                on_self = isinstance(target, ast.Name) and target.id == "self"
+                self.stores.append(Store(attr.value, value, scope, on_self))
+            return
+        if name == "_replace" or (name == "replace" and (
+                isinstance(func, ast.Name)
+                or isinstance(receiver, ast.Name) and receiver.id == "dataclasses")):
+            names, args = REPLACE, args if name == "_replace" else args[1:]
+        elif name == "__init__" and isinstance(receiver, ast.Call) and callee(receiver) == "super":
+            names = frozenset(base_names(scope.cls)) if scope.cls is not None else frozenset()
+        elif name == "__init__" and isinstance(receiver, ast.Name):
+            names, args = frozenset({receiver.id}), args[1:]
+        elif scope.cls is not None and (
+                name == "cls" and isinstance(func, ast.Name)
+                or isinstance(func, ast.Call) and callee(func) == "type"):
+            names = frozenset({scope.cls.name})
+        elif isinstance(func, ast.Name) and scope.functions and any(
+                arg.arg == name for arg in all_args(scope.functions[-1])):
+            call = Call(frozenset(), args, tuple(node.keywords), scope, node.lineno)
+            self._through.append((scope.functions[-1], name, call))
+            return
+        elif name:
+            names = frozenset({name})
+        else:
+            return
+        self.calls.append(Call(names, args, tuple(node.keywords), scope, node.lineno))
+
+    # -- keywords, through forwarders --------------------------------------
+
+    def keywords(self, keywords, scope: Scope, seen=frozenset()) -> list:
+        """``(name, value or None, scope)`` of every keyword passed, ``**`` spread."""
+        found = []
+        for keyword in keywords:
+            if keyword.arg is not None:
+                found.append((keyword.arg, keyword.value, scope))
+            else:
+                found += self.spread(keyword.value, scope, seen)
+        return found
+
+    def spread(self, expr, scope: Scope, seen) -> list:
+        """The keywords a ``**expr`` passes."""
+        if isinstance(expr, ast.Dict):
+            found = []
+            for key, value in zip(expr.keys, expr.values):
+                if key is None:
+                    found += self.spread(value, scope, seen)
+                elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    found.append((key.value, value, scope))
+            return found
+        if isinstance(expr, ast.Call) and callee(expr) == "dict":
+            found = self.spread(expr.args[0], scope, seen) if expr.args else []
+            return found + self.keywords(expr.keywords, scope, seen)
+        function = scope.functions[-1] if scope.functions else None
+        if function is None:
+            return []
+        if isinstance(expr, ast.Name):
+            if function.args.kwarg is not None and expr.id == function.args.kwarg.arg:
+                return self.forwarded(function, seen)
+            local = self.local_dict(function, expr.id, scope, seen)
+            if local is not None:
+                return local
+        return self.keys_passed_in(expr, function, seen)
+
+    def local_dict(self, function, name: str, scope: Scope, seen) -> Optional[list]:
+        """The keywords a local dict gathers: assigned, ``update``-d and subscripted."""
+        found, bound = [], False
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id == name:
+                        bound = True
+                        found += self.spread(node.value, scope, seen)
+                    elif (isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name)
+                            and target.value.id == name and isinstance(target.slice, ast.Constant)):
+                        found.append((target.slice.value, node.value, scope))
+            elif (isinstance(node, ast.Call) and callee(node) == "update"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == name):
+                for arg in node.args:
+                    found += self.spread(arg, scope, seen)
+                found += self.keywords(node.keywords, scope, seen)
+        return found if bound else None
+
+    def forwarded(self, function, seen) -> list:
+        """The keywords the calls of ``function`` pass beyond its named parameters."""
+        if id(function) in seen:
+            return []
+        signature = self.by_function[id(function)]
+        return [
+            (name, value, scope)
+            for call in self.calls_of(signature)
+            for name, value, scope in self.keywords(call.keywords, call.scope, seen | {id(function)})
+            if name not in signature.params
+        ]
+
+    def keys_passed_in(self, expr, function, seen) -> list:
+        """``**dict(zip(names, values))``: the keys of the dicts the parameters behind it get.
+
+        Their values are unknown, so each counts.
+        """
+        if id(function) in seen:
+            return []
+        read = {node.id for node in ast.walk(expr) if isinstance(node, ast.Name)}
+        grew = True
+        while grew:  # through the local assignments the expression reads
+            grew = False
+            for node in ast.walk(function):
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in read for t in node.targets
+                ):
+                    more = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)} - read
+                    read |= more
+                    grew = grew or bool(more)
+        signature = self.by_function[id(function)]
+        seen = seen | {id(function)}
+        return [
+            (key, None, call.scope)
+            for call in self.calls_of(signature)
+            for param, value in self.arguments(call, signature, seen)
+            if param in read and value is not None
+            for key, _, _ in self.spread(value, call.scope, seen)
+        ]
+
+    # -- values ---------------------------------------------------------------
+
+    def calls_of(self, signature: Signature) -> list[Call]:
+        """The calls that reach ``signature``, those in its own body aside."""
+        return [
+            call
+            for name in signature.names
+            for call in self.reaching.get(name, ())
+            if not (call.scope.path == signature.path and signature.first <= call.line <= signature.last)
+        ]
+
+    def arguments(self, call: Call, signature: Signature, seen=frozenset()):
+        """``(parameter, value or None)`` of each argument ``call`` gives ``signature``."""
+        for index, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                for name in signature.positional[index:]:
+                    yield name, None
+                break
+            if index < len(signature.positional):
+                yield signature.positional[index], arg
+        for name, value, _ in self.keywords(call.keywords, call.scope, seen):
+            if name in signature.params:
+                yield name, value
+
+    def judged(self) -> list[Settable]:
+        """Every settable value the tripwire judges, in file order."""
+        found = {
+            settable: None
+            for signature in self.signatures if signature.judged
+            for settable in signature.params.values() if settable is not None
+        }
+        return sorted(found, key=lambda s: (s.path, s.line, s.param))
+
+    def judge(self, settable: Settable, value, scope: Scope):
+        """True when ``value`` is a second value, False when it is not, or the
+        settable it is forwarded from: a bare parameter with the same default."""
+        if value is None:
+            return True
+        if same_value(value, settable.default):
+            return False
+        if isinstance(value, ast.Name):
+            for function in reversed(scope.functions):
+                for arg in all_args(function):
+                    if arg.arg == value.id:
+                        source = self.by_arg.get(id(arg))
+                        if source is not None and same_value(source.default, settable.default):
+                            return source
+                        return True
+        return True
+
+    def second_values(self) -> set[Settable]:
+        """Every settable some call or store outside the tests gives a second value."""
+        passing: set[Settable] = set()
+        forwards: dict[Settable, set[Settable]] = {}
+
+        def note(settable, value, scope):
+            verdict = self.judge(settable, value, scope)
+            if verdict is True:
+                passing.add(settable)
+            elif verdict is not False:
+                forwards.setdefault(verdict, set()).add(settable)
+
+        by_field: dict[str, list[Settable]] = {}
+        for signature in self.signatures:
+            if signature.constructor is not None:
+                for name, settable in signature.params.items():
+                    if settable is not None:
+                        by_field.setdefault(name, []).append(settable)
+        for call in self.reaching.get(REPLACE_NAME, ()):
+            for name, value, scope in self.keywords(call.keywords, call.scope):
+                for settable in by_field.get(name, ()):
+                    note(settable, value, scope)
+        for signature in self.signatures:
+            for call in self.calls_of(signature):
+                for name, value in self.arguments(call, signature):
+                    if signature.params.get(name) is not None:
+                        note(signature.params[name], value, call.scope)
+        for store in self.stores:
+            for settable in by_field.get(store.attr, ()):
+                if store.on_self:
+                    cls = store.scope.cls
+                    built = settable.owner.rpartition(".")[2]
+                    if cls is None or built not in self.ancestors(cls.name):
+                        continue
+                    function = store.scope.functions[-1] if store.scope.functions else None
+                    if cls.name == built and function is not None and function.name in (
+                            "__init__", "__post_init__"):
+                        continue
+                note(settable, store.value, store.scope)
+        frontier = list(passing)
+        while frontier:
+            for settable in forwards.get(frontier.pop(), ()):
+                if settable not in passing:
+                    passing.add(settable)
+                    frontier.append(settable)
+        return passing
+
+    def findings(self) -> list[Settable]:
+        """The judged settables nothing outside the tests gives a second value."""
+        passing = self.second_values()
+        return [settable for settable in self.judged() if settable not in passing]
+
+
 @functools.cache
-def keywords_by_class() -> dict[str, set[str]]:
-    """:func:`keywords_in` over every ``.py`` file of the scanned directories."""
-    return keywords_in(scanned_trees())
+def repo_program() -> Program:
+    paths = [
+        path
+        for directory in VALUE_SOURCES
+        for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+        if not relative(path).startswith(TOOL_FIXTURES + "/")
+    ]
+    return Program({relative(path): parsed(path) for path in paths})
 
 
-def orphans(cls, passed: set[str]) -> list[str]:
-    """The settable values of ``cls`` that no keyword in ``passed`` names."""
-    return [name for name in settable(cls) if name not in passed]
+#: The settables that keep their default, keyed by callable: at most
+#: :data:`KEPT_LIMIT`, each ``(category, reason)``.  ``seam``: a test
+#: substitute (a clock, a size tier-1 shrinks); ``fault``: a fault model
+#: ROADMAP items 2 and 19 name; ``surface``: a field of a protocol or
+#: record the system models.  An entry whose callable has a second value
+#: now fails, so the list can only shrink.
+KEPT: dict[str, tuple[str, str]] = {
+    "QueryEngine.query_both_ends": (
+        "seam",
+        "the engine's synchronous pair query: the tests' explicit now= clock, and the "
+        "from_node / interceptors QueryClient.query takes; perf/tracing.py pins it",
+    ),
+    "QueryEngine.query_both_ends_async": (
+        "seam", "an explicit now= clock for the engine tests; the controller asks at sim.now",
+    ),
+    "QueryEngine.adopt_push_state": (
+        "seam", "an explicit now= clock for the failover tests; a cluster adopts at sim.now",
+    ),
+    "QueryClient.query_both_ends": (
+        "seam",
+        "the client's pair query the engine tests compare the engine with; "
+        "perf/tracing.py pins it",
+    ),
+    "churn_soak": ("seam", "the churn soak's sizes, which tier-1 shrinks"),
+    "conficker_detection": ("seam", "the telemetry soak's sizes, which tier-1 shrinks"),
+    "ScenarioSpec": (
+        "seam",
+        "a matrix cell's sizes (servers, duration) tier-1 shrinks, and sanitize, "
+        "which its sanitized end-to-end run turns on",
+    ),
+    "Link": ("fault", "loss_filter: a lossy link (ROADMAP item 2)"),
+    "OpenFlowSwitch": (
+        "fault", "table_capacity: a full table (item 2); fail_mode: a switch cut off from "
+        "its controller failing open",
+    ),
+    "IdentPPDaemon": ("fault", "push_capable: a daemon too old to push (item 2)"),
+    "FlowTable": ("fault", "capacity: a full table and its LRU eviction (item 2)"),
+    "Simulator.enable_sanitizer": (
+        "fault", "perturb_ties: same-instant events served in another legal order (item 19)",
+    ),
+    "EndHost.mark_compromised": ("fault", "superuser: a host compromised as root (§5)"),
+    "Application": (
+        "fault", "contents: a trojaned binary, same name and path, another exe-hash (§5)",
+    ),
+    "Match": ("surface", "OpenFlow 1.0 match fields no installed path constrains"),
+    "Packet": ("surface", "Ethernet and VLAN headers, payload and the capture's metadata"),
+    "Packet.tcp": ("surface", "a TCP packet's payload, as Packet takes it"),
+    "PacketOut": ("surface", "OpenFlow packet-out data: a packet that is not buffered"),
+    "ResponseDocument": ("surface", "an ident++ response body read back in sections"),
+    "parse_response_payload": (
+        "surface", "the flow a parsed ident++ response answers, when the wire omits it",
+    ),
+}
+KEPT_CATEGORIES = ("seam", "fault", "surface")
+KEPT_LIMIT = 25
 
 
-def keywords_of(source: str) -> dict[str, set[str]]:
-    return keywords_in([ast.parse(source)])
+def unkept(findings: list[Settable], kept) -> list[Settable]:
+    return [finding for finding in findings if finding.owner not in kept]
 
 
-@pytest.mark.parametrize(
-    "cls", (ControllerConfig, TelemetryPlane, ControllerCluster), ids=lambda c: c.__name__
-)
-def test_every_option_has_a_caller_outside_the_tests(cls):
-    missing = orphans(cls, keywords_by_class()[cls.__name__])
-    assert not missing, (
-        f"{cls.__name__} options that no call in {'/, '.join(SCANNED)}/ passes by "
-        f"name: {', '.join(missing)}.  Make each option a constant, or add its "
-        "second caller."
+def stale_kept(kept, findings: list[Settable], judged: list[Settable]) -> list[str]:
+    """Kept callables that judge nothing, or whose every settable has a second value now."""
+    owners = {settable.owner for settable in judged}
+    named = {finding.owner for finding in findings}
+    return [
+        f"{owner} (no such settable)" if owner not in owners else f"{owner} (has a second value now)"
+        for owner in kept if owner not in named
+    ]
+
+
+def settable_report(findings: list[Settable], judged: list[Settable], kept) -> str:
+    """One line per finding not kept, then the count."""
+    lines = [str(finding) for finding in unkept(findings, kept)]
+    lines.append(f"{len(judged)} settable values, {len(findings)} without a second value")
+    return "\n".join(lines)
+
+
+def test_every_settable_value_has_a_second_value_outside_the_tests():
+    program = repo_program()
+    findings, judged = program.findings(), program.judged()
+    report = settable_report(findings, judged, KEPT)
+    print(report)
+    assert not unkept(findings, KEPT), (
+        f"settable values in {SETTABLES_IN} that nothing in {', '.join(VALUE_SOURCES)}/ "
+        f"gives a second value:\n{report}\nMake each a constant and delete what only the "
+        "other values reached, or give it its caller."
     )
 
 
-def test_a_matching_name_on_another_call_does_not_count():
-    passed = keywords_of(
-        "table = FlowTable(capacity=64)\n"
-        "evaluator = PolicyEvaluator(registry=registry)\n"
-        "ring = ShardMap(shards)\n"
+def test_the_kept_list_is_short_and_current():
+    assert len(KEPT) <= KEPT_LIMIT
+    assert all(
+        category in KEPT_CATEGORIES and reason.strip() for category, reason in KEPT.values()
     )
-    assert passed == {name: set() for name in CALLEES}
+    program = repo_program()
+    stale = stale_kept(KEPT, program.findings(), program.judged())
+    assert not stale, f"kept entries to drop: {', '.join(stale)}"
 
 
-def test_forwarders_and_config_replace_count():
-    passed = keywords_of(
-        "def churn_config(**overrides):\n"
-        "    settings = dict(pending_deadline=1.0, idle_timeout=5.0)\n"
-        "    return ControllerConfig(**settings)\n"
-        "config = dataclasses.replace(self.config, hard_timeout=9.0)\n"
-        "config = replace(config, decision_ttl=2.0)\n"
-        "net.enable_telemetry(interval=0.1)\n"
-        "net.add_cluster(shards=3)\n"
-        "IdentPPClusterNetwork('n', shards=2, policy_default_action='block')\n"
-    )
-    assert passed["ControllerConfig"] == {
-        "pending_deadline", "idle_timeout", "hard_timeout", "decision_ttl"
+PLANTED_SETTINGS = {
+    "src/repro/planted.py": '''
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Record:
+    size: int = 1
+    label: str = ""
+    color: str = "red"
+    shade: str = "dark"
+    tags: list = field(default_factory=list, init=False)
+
+
+class Base:
+    def __init__(self, depth=0, width=0):
+        self.depth, self.width = depth, width
+
+
+class Child(Base):
+    def __init__(self):
+        super().__init__(depth=3)
+
+
+class Table:
+    def __init__(self, capacity=None):
+        self.capacity = capacity
+
+
+class Config:
+    def __init__(self, capacity=None):
+        self.capacity = capacity
+
+
+class Rule:
+    def __init__(self, action, port=None, proto=None):
+        self.action, self.port, self.proto = action, port, proto
+
+
+def rule(action, **options):
+    return Rule(action, **options)
+
+
+def knob(value=1, flag=False, mode="a", *, level=0, only_tests=0):
+    return knob(value, flag, mode, level=level + 1, only_tests=only_tests)
+
+
+def forward(level=0):
+    return knob(level=level)
+
+
+def relay(depth=0):
+    return chained(depth=depth)
+
+
+def chained(depth=0):
+    return depth
+''',
+    "tools/use.py": '''
+from dataclasses import replace
+
+knob(5, flag=True, mode="a")
+forward(level=2)
+relay()
+record = replace(Record(), size=4)
+
+
+def labelled(**overrides):
+    settings = dict(label="x")
+    settings.update(overrides)
+    return Record(**settings)
+
+
+labelled()
+record.color = "blue"
+Child()
+Table(capacity=64)
+rule("pass", port=80)
+''',
+}
+
+
+@functools.cache
+def planted_program() -> Program:
+    return Program({path: ast.parse(source) for path, source in PLANTED_SETTINGS.items()})
+
+
+def planted_findings() -> set[str]:
+    return {f"{s.owner}({s.param})" for s in planted_program().findings()}
+
+
+@pytest.mark.parametrize("rule, settable", [
+    ("a keyword", "knob(flag)"),
+    ("a positional argument", "knob(value)"),
+    ("a replace()", "Record(size)"),
+    ("a **dict(...) forwarder", "Record(label)"),
+    ("a **kwargs forwarder", "Rule(port)"),
+    ("an attribute store", "Record(color)"),
+    ("super().__init__", "Base(depth)"),
+    ("a forwarded parameter that passes", "knob(level)"),
+])
+def test_each_counting_rule_gives_a_second_value(rule, settable):
+    assert settable not in planted_findings(), rule
+
+
+def test_what_gives_no_second_value_is_named():
+    assert planted_findings() == {
+        "Record(shade)",  # nothing sets it
+        "Base(width)",  # nothing sets it
+        "Config(capacity)",  # only a Table(capacity=) call passes a capacity
+        "Rule(proto)",  # the forwarder's callers pass no proto
+        "knob(mode)",  # a value equal to the default does not count
+        "knob(only_tests)",  # its own body passes it on, no caller does
+        "relay(depth)",  # nothing passes it...
+        "chained(depth)",  # ...so neither does the bare parameter relay forwards
     }
-    assert passed["TelemetryPlane"] == {"interval"}
-    assert passed["ControllerCluster"] == {"shards", "policy_default_action"}
 
 
-def test_an_option_only_the_tests_set_is_named():
-    # A field that nothing outside the tests passes, the way
-    # install_along_path was, is what the tripwire reports.
-    planted = dataclasses.make_dataclass(
-        "ControllerConfig",
-        [("install_along_path", bool, dataclasses.field(default=True))],
-        bases=(ControllerConfig,),
+def test_a_knob_only_a_test_sets_is_named():
+    # The tests are not among the sources: what only they pass is no value.
+    program = Program({
+        "src/repro/planted.py": ast.parse("def serve(port=80):\n    return port\n"),
+        "examples/demo.py": ast.parse("serve()\n"),
+    })
+    assert [str(finding) for finding in program.findings()] == [
+        "serve(port=80) (src/repro/planted.py:1)"
+    ]
+    assert settable_report(program.findings(), program.judged(), {}) == (
+        "serve(port=80) (src/repro/planted.py:1)\n1 settable values, 1 without a second value"
     )
-    assert orphans(planted, keywords_by_class()["ControllerConfig"]) == ["install_along_path"]
+
+
+def test_a_stale_kept_entry_is_named():
+    program = planted_program()
+    kept = {"Record": ("surface", "a field"), "Child": ("seam", "x"), "Gone": ("fault", "y")}
+    assert stale_kept(kept, program.findings(), program.judged()) == [
+        "Child (no such settable)", "Gone (no such settable)",
+    ]
+    assert stale_kept({"Table": ("fault", "z")}, program.findings(), program.judged()) == [
+        "Table (has a second value now)"
+    ]
+    assert "Record(shade" not in settable_report(program.findings(), program.judged(), kept)
 
 
 # ----------------------------------------------------------------------

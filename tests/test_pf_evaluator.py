@@ -10,7 +10,6 @@ from repro.pf.compiler import CompiledPolicy
 from repro.pf.evaluator import PolicyEvaluator
 from repro.pf.functions import DELEGATED_PARSE_MEMO_SIZE, _parse_delegated, default_registry
 from repro.pf.parser import parse_ruleset
-from repro.pf.state import StateTable
 from repro.workloads.scenarios import ResearchDelegationScenario
 
 
@@ -326,29 +325,6 @@ class TestDelegatedParseMemo:
         # A caller without the function may not reuse an evaluator that has it.
         assert not evaluate(self.POLICY, FLOW, None, dst).is_pass
         assert evaluate(self.POLICY, FLOW, None, dst, registry=registry).is_pass
-
-
-class TestStateTable:
-    def test_match_both_directions(self):
-        table = StateTable()
-        flow = FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1000, 80)
-        table.add(flow, now=0.0, cookie="c1")
-        assert table.match(flow, now=1.0) is not None
-        assert table.match(flow.reversed(), now=2.0) is not None
-        assert flow in table and flow.reversed() in table
-
-    def test_miss_counted(self):
-        table = StateTable()
-        assert table.match(FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1, 2)) is None
-
-    def test_idle_expiry(self):
-        table = StateTable(timeout=10.0)
-        flow = FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1000, 80)
-        table.add(flow, now=0.0)
-        assert table.match(flow, now=5.0) is not None
-        assert table.match(flow, now=100.0) is None
-        assert len(table) == 0
-
 
 
 class TestPaperSection33Example:

@@ -180,10 +180,9 @@ class TestPaperListingsParse:
         assert ruleset.macros()["allowed"] == "{ http ssh }"
 
     def test_figure5_files(self):
-        files = paper_configs.figure5_research_control("10001.abcdef", "10001.123456")
+        files = paper_configs.figure5_research_control("10001.abcdef")
         ruleset = ruleset_of(files)
-        assert ruleset.dicts()["pubkeys"].entries["research"] == "10001.abcdef"
-        assert ruleset.dicts()["pubkeys"].entries["admin"] == "10001.123456"
+        assert ruleset.dicts()["pubkeys"].entries == {"research": "10001.abcdef"}
         delegation_rule = ruleset.rules()[-1]
         assert {c.name for c in delegation_rule.conditions} == {"member", "allowed", "verify"}
 

@@ -16,7 +16,7 @@ from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork, IdentPPNetwork
 from repro.hosts.applications import standard_applications
 from repro.hosts.endhost import EndHost
-from repro.identpp.client import QueryClient, per_role_interceptors
+from repro.identpp.client import DEFAULT_QUERY_TIMEOUT, QueryClient, per_role_interceptors
 from repro.identpp.daemon import IdentPPDaemon
 from repro.identpp.engine import QueryEngine
 from repro.identpp.flowspec import FlowSpec
@@ -151,7 +151,7 @@ class TestUnreachableHost:
         outcome = client.query(flow, "dst", from_node=switch)
         assert outcome.timed_out and outcome.unreachable
         assert not outcome.succeeded()
-        assert outcome.latency == client.timeout
+        assert outcome.latency == DEFAULT_QUERY_TIMEOUT
         assert int(client.queries_timed_out.value) == 1
         # The daemon was never asked: the query could not be delivered.
         assert int(daemon.queries_answered.value) == 0
@@ -329,10 +329,10 @@ class TestEngineNegativeCache:
         qc = QueryClient(topo)
         engine = QueryEngine(qc, ttl=10.0)
         first = ask(engine, flow_to_server(40000), "dst", from_node=switch, now=0.0)
-        assert first.timed_out and first.latency == qc.timeout
+        assert first.timed_out and first.latency == DEFAULT_QUERY_TIMEOUT
         # Within the TTL every further flow pays nothing.
         hit = ask(
-            engine, flow_to_server(41000), "dst", from_node=switch, now=qc.timeout + 0.01
+            engine, flow_to_server(41000), "dst", from_node=switch, now=DEFAULT_QUERY_TIMEOUT + 0.01
         )
         assert hit.timed_out and hit.cached and hit.latency == 0.0
         assert int(qc.queries_timed_out.value) == 1
@@ -349,10 +349,10 @@ class TestEngineNegativeCache:
         engine = QueryEngine(qc, ttl=10.0)
         ask(engine, flow_to_server(40000), "dst", from_node=switch, now=0.0)
         shared = ask(
-            engine, flow_to_server(41000), "dst", from_node=switch, now=qc.timeout / 2
+            engine, flow_to_server(41000), "dst", from_node=switch, now=DEFAULT_QUERY_TIMEOUT / 2
         )
         assert shared.timed_out and shared.coalesced
-        assert shared.latency == pytest.approx(qc.timeout / 2)
+        assert shared.latency == pytest.approx(DEFAULT_QUERY_TIMEOUT / 2)
         assert int(qc.queries_timed_out.value) == 1
 
     def test_daemon_appearing_mid_ttl_is_noticed_immediately(self):

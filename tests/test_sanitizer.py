@@ -212,8 +212,8 @@ class TestDeterminismRegression:
         "scenario", [decision_core_scenario, queryload_scenario]
     )
     def test_double_run_trace_hashes_match(self, scenario):
-        first = scenario(11, flows=30)
-        second = scenario(11, flows=30)
+        first = scenario(11)
+        second = scenario(11)
         assert first["trace_hash"] == second["trace_hash"]
         assert first["events"] == second["events"]
         assert first["decided"] == second["decided"]

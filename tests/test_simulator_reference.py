@@ -163,10 +163,6 @@ class SimulatorDifferential(RuleBasedStateMachine):
     def run_until(self, offset):
         self.both(lambda w: w.sim.run(until=w.sim.now + offset))
 
-    @rule(limit=st.integers(min_value=0, max_value=5))
-    def run_max_events(self, limit):
-        self.both(lambda w: w.sim.run(max_events=limit))
-
     @rule()
     def step(self):
         self.both(lambda w: w.sim.step())

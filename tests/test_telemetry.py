@@ -3,7 +3,7 @@
 Four layers, tested bottom-up:
 
 * the statistics primitives the plane samples with (Histogram edge
-  cases + reservoir, RateCounter windows);
+  cases, RateCounter windows);
 * the pipeline (bounded ring series, virtual-time sampling that lets
   the event queue drain);
 * each deviation detector against synthetic series, and the alert
@@ -15,6 +15,7 @@ Four layers, tested bottom-up:
 """
 
 import random
+import statistics
 from dataclasses import fields
 
 import pytest
@@ -73,29 +74,39 @@ class TestHistogramSmallN:
         assert h.percentile(25) == 5.0
 
 
-class TestHistogramReservoir:
-    def test_memory_is_bounded_and_exact_stats_survive(self):
-        h = Histogram("bounded", reservoir=64)
+class TestHistogramKeepsEverySample:
+    def test_exact_stats_over_the_whole_stream(self):
+        h = Histogram("all")
         for i in range(10_000):
-            h.observe(float(i))
-        assert len(h._samples) <= 64
-        assert h.count == 10_000
+            h.observe(float(10_000 - 1 - i))
+        assert len(h.samples()) == h.count == 10_000
         assert h.minimum == 0.0
         assert h.maximum == 9_999.0
         assert h.mean == pytest.approx(4_999.5)
 
-    def test_reservoir_percentiles_are_deterministic_per_name(self):
-        def run():
-            h = Histogram("det", reservoir=32)
-            for i in range(5_000):
-                h.observe(float(i % 997))
-            return [h.percentile(p) for p in (50, 90, 99)]
+    def test_percentiles_do_not_depend_on_arrival_order(self):
+        stream = [float(i % 997) for i in range(5_000)]
+        ordered = sorted(stream)
+        shuffled = list(stream)
+        random.Random(3).shuffle(shuffled)
+        histograms = [Histogram("in-order"), Histogram("shuffled")]
+        for h, values in zip(histograms, (stream, shuffled)):
+            for value in values:
+                h.observe(value)
+        for pct in (0, 25, 50, 90, 99, 100):
+            rank = pct / 100 * (len(ordered) - 1)
+            low = int(rank)
+            high = min(low + 1, len(ordered) - 1)
+            expected = ordered[low] + (rank - low) * (ordered[high] - ordered[low])
+            assert [h.percentile(pct) for h in histograms] == pytest.approx([expected] * 2)
 
-        assert run() == run()
-
-    def test_reservoir_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Histogram("bad", reservoir=0)
+    def test_stddev_is_the_population_stddev(self):
+        rng = random.Random(5)
+        stream = [rng.uniform(1e6, 1e6 + 1.0) for _ in range(2_000)]
+        h = Histogram("spread")
+        for value in stream:
+            h.observe(value)
+        assert h.stddev == pytest.approx(statistics.pstdev(stream), rel=1e-9)
 
 
 class TestRateCounter:
@@ -236,29 +247,29 @@ class TestCollapseDetector:
         assert devs and devs[0].kind == "collapse"
 
     def test_silent_when_baseline_already_low(self):
-        det = CollapseDetector("hit", warmup=4, min_streak=2, min_baseline=0.2)
+        det = CollapseDetector("hit", warmup=4, min_streak=2)
         assert feed(det, [0.05] * 10 + [0.0] * 5) == []
 
 
 class TestGrowthDetector:
     def test_fires_on_monotonic_growth(self):
-        det = GrowthDetector("depth", warmup=4, min_streak=3, margin=2.0)
+        det = GrowthDetector("depth", warmup=4)
         devs = feed(det, [1.0, 1.0, 1.0, 1.0, 5.0, 8.0, 12.0, 17.0])
         assert devs and devs[0].kind == "growth"
 
     def test_plateau_does_not_fire(self):
-        det = GrowthDetector("depth", warmup=4, min_streak=3, margin=2.0)
+        det = GrowthDetector("depth", warmup=4)
         assert feed(det, [1.0, 1.0, 1.0, 1.0, 8.0, 8.0, 8.0, 8.0, 8.0]) == []
 
 
 class TestGapDetector:
     def test_fires_when_gap_exceeds_bound(self):
-        det = GapDetector("hb", max_gap=0.2, min_streak=2)
+        det = GapDetector("hb", max_gap=0.2)
         devs = feed(det, [0.0, 0.0, 0.0, 0.3, 0.4], step=0.1)
         assert devs and devs[0].kind == "gap"
 
     def test_bounded_gaps_are_silent(self):
-        det = GapDetector("hb", max_gap=0.2, min_streak=2)
+        det = GapDetector("hb", max_gap=0.2)
         assert feed(det, [0.0, 0.1, 0.15, 0.1, 0.0]) == []
 
 

@@ -16,10 +16,6 @@ class TestLinearBuilder:
         assert net.topology.shortest_path("client", "server")
         assert set(net.daemons) == {"client", "server"}
 
-    def test_daemonless_variant(self):
-        net = build_linear_network(switch_count=1, client_daemon=False)
-        assert "client" not in net.daemons
-
     def test_server_listens_on_http(self):
         net = build_linear_network()
         assert net.host("server").sockets.find_listener(80) is not None
@@ -38,7 +34,7 @@ class TestLinearBuilder:
 
 class TestBranchBuilder:
     def test_two_controllers_and_bottleneck(self):
-        branches = build_branch_network(hosts_per_branch=2)
+        branches = build_branch_network()
         assert branches.controller_a is not branches.controller_b
         assert branches.controller_a.switches()[0].name == "sw-branch-a"
         assert branches.controller_b.switches()[0].name == "sw-branch-b"
@@ -52,7 +48,7 @@ class TestBranchBuilder:
 
 
     def test_branch_hosts_are_addressed_and_controlled_per_site(self):
-        branches = build_branch_network(hosts_per_branch=3)
+        branches = build_branch_network()
         net = branches.net
         assert branches.branch_a_hosts == ["a-host1", "a-host2", "a-host3"]
         assert [str(net.host(name).ip) for name in branches.branch_b_hosts] == [
@@ -98,12 +94,13 @@ class TestPaperConfigGenerators:
             secur.public_key_hex, pairs["req-sig"], [app.exe_hash, app.name, pairs["requirements"]]
         )
 
-    def test_figure5_control_uses_given_tables(self):
-        files = paper_configs.figure5_research_control(
-            "10001.abc", research_machines=("10.5.0.0/16",), production_machines=("10.6.0.0/16",)
-        )
+    def test_figure5_control_fills_its_tables(self):
+        files = paper_configs.figure5_research_control("10001.abc")
         combined = "\n".join(files.values())
-        assert "10.5.0.0/16" in combined and "10.6.0.0/16" in combined
+        for machine in (
+            *paper_configs.DEFAULT_RESEARCH_MACHINES, *paper_configs.DEFAULT_PRODUCTION_MACHINES
+        ):
+            assert machine in combined
 
     def test_figure2_and_8_default_deny_first(self):
         header = paper_configs.figure2_control_files()["00-local-header.control"]

@@ -5,9 +5,7 @@ from repro.netsim.statistics import Histogram, RateCounter
 
 
 def make_latency_histogram():
-    # Anonymous histogram: observations never reach StatsRegistry
-    # snapshots or BENCH reports, and a reservoir would seed its RNG
-    # from the empty string.
+    # Anonymous histogram: its repr cannot say which latency it holds.
     return Histogram()
 
 

@@ -1,14 +1,10 @@
 """R6 fixture (good): every histogram and rate counter carries a name."""
 
-from repro.netsim.statistics import Histogram, RateCounter, StatsRegistry
+from repro.netsim.statistics import Histogram, RateCounter
 
 
 def make_latency_histogram():
     return Histogram("decision_latency")
-
-
-def make_bounded_histogram():
-    return Histogram("punt_latency", reservoir=256)
 
 
 def make_rate():
@@ -17,7 +13,3 @@ def make_rate():
 
 def make_keyword_named():
     return Histogram(name="query_latency"), RateCounter(name="hits_per_sec")
-
-
-def make_registered(registry: StatsRegistry):
-    return registry.histogram("setup_latency")

@@ -9,10 +9,9 @@ process:
   independent runs: exactly the cross-run contamination the determinism
   gates exist to catch.  Use ``None`` and materialise inside.
 * **Anonymous counters** — a ``Counter()`` constructed without a name
-  increments fine but is invisible to ``StatsRegistry`` snapshots and
-  benchmark reports (they key on ``counter.name``), so the measurement
-  silently vanishes from ``BENCH_results.json``.  Every counter carries
-  a name; registry-managed ones get it from ``registry.counter(name)``.
+  increments fine but cannot say what it counts: its ``repr`` and the
+  error a negative increment raises are its only identity, and both
+  read ``counter.name``.  Every counter carries a name.
 * **Dataclass mutable defaults** — the same trap in dataclass clothing:
   ``field(default=[])`` or ``field(default_factory=list())`` evaluates
   the container once at class-definition time, so every instance shares

@@ -4,15 +4,14 @@ The same failure shape R5 catches for ``Counter`` applies to the two
 other instruments in :mod:`repro.netsim.statistics`, with an extra
 twist each:
 
-* **Histogram** — ``StatsRegistry`` snapshots and benchmark reports key
-  on ``histogram.name``, so an anonymous histogram's observations never
-  reach ``BENCH_results.json``.  Worse, a reservoir-bounded histogram
-  seeds its sampling RNG from the name — every anonymous reservoir
-  shares the seed for the empty string, which quietly correlates
-  percentile estimates that should be independent.
+* **Histogram** — the controller keeps one per latency it measures
+  (``<controller>.flow_setup_latency``, ``<controller>.query_latency``)
+  and a histogram's ``repr`` names it; an anonymous one cannot say
+  which latency it holds.
 * **RateCounter** — the telemetry plane builds one windowed rate per
-  series and keys the series name off the counter name; an anonymous
-  rate counter produces a probe nobody can find or chart.
+  series and keys it by the counter's name (``TelemetryPlane._rate``),
+  and the error a negative count raises names it; an anonymous rate
+  counter backs a probe nobody can tell apart.
 
 Both constructors accept the name as the first positional argument, so
 the fix is one token: ``Histogram("decision_latency")``.
@@ -57,8 +56,8 @@ class MetricNamesRule:
                     self.rule_id,
                     node,
                     f"`{called}()` without a name records invisibly — "
-                    f"snapshots, telemetry series and BENCH_results.json "
-                    f"key on the name (and reservoir RNG seeds from it); "
+                    f"its repr, its errors and the telemetry plane's rate "
+                    f"series key on the name; "
                     f"pass the name as the first argument",
                 )
             )
