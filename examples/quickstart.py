@@ -49,8 +49,8 @@ def main() -> None:
         print(f"  {record.flow}  ->  {record.action:5s}  "
               f"(src app={record.src_keys.get('name')}, user={record.src_keys.get('userID')})")
 
-    summary = net.controller.summary()
-    print(f"\nflow-setup latency (mean): {summary['flow_setup_latency']['mean'] * 1e3:.3f} ms")
+    latency = net.controller.flow_setup_latency.mean
+    print(f"\nflow-setup latency (mean): {latency * 1e3:.3f} ms")
 
 
 if __name__ == "__main__":

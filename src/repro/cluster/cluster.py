@@ -310,30 +310,6 @@ class ControllerCluster:
     # Reporting
     # ------------------------------------------------------------------
 
-    def telemetry_rollup(self) -> dict[str, float]:
-        """Return cheap cluster-wide instantaneous aggregates.
-
-        The telemetry plane samples this once per sweep (SRMCA-style:
-        state pushed up the aggregation tree rather than per-series
-        fan-out at read time); it touches only integer counters, so it
-        is safe to call on every tick.
-        """
-        punts = hits = lookups = subscriptions = 0
-        for controller in self.replicas.values():
-            punts += int(controller.packet_ins.value)
-            engine = controller.query_engine
-            hits += engine.hits
-            lookups += engine.lookups()
-            subscriptions += engine.subscription_count()
-        return {
-            "punts": float(punts),
-            "pending": float(self.pending_total()),
-            "hit_ratio": hits / lookups if lookups else 0.0,
-            "failovers": float(self.failovers),
-            "live_shards": float(len(self.shard_map.live_shards())),
-            "subscriptions": float(subscriptions),
-        }
-
     def pending_total(self) -> int:
         """Return how many flows are pending across all replicas."""
         return sum(c.inflight_count() for c in self.replicas.values())

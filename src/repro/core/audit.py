@@ -235,21 +235,10 @@ class AuditLog:
             if test(verdicts[verdict_id])
         )
 
-    def pass_count(self) -> int:
-        """Return the number of allow decisions."""
-        return self._count(lambda verdict: verdict[_ACTION] == "pass")
-
-    def block_count(self) -> int:
-        """Return the number of deny decisions."""
-        return self._count(lambda verdict: verdict[_ACTION] != "pass")
-
     def summary(self) -> dict[str, int]:
-        """Return counts used by reports and tests."""
+        """Return how many decisions the log holds, and how many came from the cache."""
         return {
             "total": len(self),
-            "pass": self.pass_count(),
-            "block": self.block_count(),
-            "delegated": len(self.delegated_decisions()),
             "cached": self._count(lambda verdict: bool(verdict[_CACHED])),
         }
 

@@ -237,22 +237,9 @@ class DecisionCache:
     # Reporting
     # ------------------------------------------------------------------
 
-    def hit_rate(self) -> float:
-        """Return hits / (hits + misses)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict[str, float]:
-        """Return the cache's counters (wired into controller summaries)."""
-        return {
-            "entries": float(len(self._decisions)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "hit_rate": self.hit_rate(),
-            "expirations": float(self.expirations),
-            "reverse_candidates": float(self._reverse_candidates),
-            "pending_deadlines": float(len(self._expiry)),
-        }
+        """Return the counts the benchmarks read."""
+        return {"hits": float(self.hits), "misses": float(self.misses)}
 
     def __len__(self) -> int:
         return len(self._decisions)

@@ -32,7 +32,6 @@ from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import KeyValueSection, ResponseDocument
 from repro.identpp.wire import IdentQuery, IdentResponse
 from repro.netsim.addresses import IPv4Address, IPv4Network
-from repro.netsim.statistics import Counter
 
 #: Predicate deciding whether an augmentation applies to a query.
 QueryPredicate = Callable[[IdentQuery], bool]
@@ -73,8 +72,6 @@ class InterceptionPolicy:
         self.name = name
         self._static_answers: list[StaticAnswer] = []
         self._augmentations: list[AugmentationRule] = []
-        self.queries_answered = Counter(f"{name}.queries_answered")
-        self.responses_augmented = Counter(f"{name}.responses_augmented")
 
     # ------------------------------------------------------------------
     # Configuration
@@ -120,7 +117,6 @@ class InterceptionPolicy:
         """Answer the query from a static answer, or pass it through (``None``)."""
         for answer in self._static_answers:
             if answer.covers(query.target_ip):
-                self.queries_answered.value += 1
                 document = ResponseDocument()
                 document.add_section(
                     KeyValueSection.from_dict(answer.pairs, source=answer.source)
@@ -133,7 +129,6 @@ class InterceptionPolicy:
         for rule in self._augmentations:
             if rule.matches(query):
                 response.document.augment(rule.pairs, source=rule.source)
-                self.responses_augmented.value += 1
 
     def __repr__(self) -> str:
         return (

@@ -95,19 +95,8 @@ class LifecycleService:
         """Bind to a simulator clock (sweeps are scheduled on :meth:`kick`)."""
         self._sim = sim
 
-    @property
-    def enabled(self) -> bool:
-        """Return ``True`` when periodic sweeping is configured."""
-        return self.interval > 0 and self._sim is not None
-
-    @property
-    def scheduled(self) -> bool:
-        """Return ``True`` while a sweep is queued on the simulator."""
-        return self._ticker is not None and self._ticker.scheduled
-
     def kick(self) -> None:
         """Ensure a sweep is queued (no-op when disabled or already queued)."""
-        # ``enabled`` and ``scheduled``, inline: every punt kicks twice.
         ticker = self._ticker
         if not self.interval > 0 or self._sim is None or (ticker is not None and ticker.scheduled):
             return
@@ -181,15 +170,3 @@ class LifecycleService:
     def total_reclaimed(self) -> int:
         """Return how many entries all sweeps together removed."""
         return sum(self.reclaimed.values())
-
-    def stats(self) -> dict[str, object]:
-        """Return the service's counters (wired into controller summaries)."""
-        return {
-            "interval": self.interval,
-            "enabled": self.enabled,
-            "scheduled": self.scheduled,
-            "sweeps": self.sweeps,
-            "reclaimed": dict(self.reclaimed),
-            "reclaimed_total": self.total_reclaimed(),
-            "reclaimable_entries": self.reclaimable_state(),
-        }

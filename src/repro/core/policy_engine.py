@@ -86,8 +86,6 @@ class PolicyEngine:
         self.default_action = default_action
         self.delegations = DelegationManager()
         self._evaluator: Optional[PolicyEvaluator] = None
-        self.decisions_made = 0
-        self.pubkeys_refreshes = 0
         # (ruleset epoch, delegation epoch) the cached @pubkeys dict was
         # built for; either moving invalidates it.
         self._ruleset_epoch = 0
@@ -171,7 +169,6 @@ class PolicyEngine:
         evaluator = self.evaluator
         self._refresh_pubkeys(evaluator)
         verdict = evaluator.evaluate(flow, src_doc, dst_doc)
-        self.decisions_made += 1
         return self._decision_from_verdict(flow, verdict, src_doc, dst_doc)
 
     def decide_batch(self, items: Sequence[tuple]) -> list[PolicyDecision]:
@@ -200,7 +197,6 @@ class PolicyEngine:
             pubkeys.update(defined.entries)
         evaluator.dicts["pubkeys"] = pubkeys
         self._pubkeys_state = state
-        self.pubkeys_refreshes += 1
 
     def _decision_from_verdict(
         self,
@@ -234,12 +230,8 @@ class PolicyEngine:
         return view
 
     def stats(self) -> dict[str, float]:
-        """Return counters for reports, including compile/index stats."""
-        evaluator_stats = self.evaluator.stats()
-        evaluator_stats["decisions_made"] = float(self.decisions_made)
-        evaluator_stats["control_files"] = float(len(self.loader))
-        evaluator_stats["pubkeys_refreshes"] = float(self.pubkeys_refreshes)
-        return evaluator_stats
+        """Return the evaluator's counts, compile/index ones included."""
+        return self.evaluator.stats()
 
 
 def _delegation_functions_used(rule: Optional[Rule]) -> tuple[str, ...]:

@@ -32,7 +32,6 @@ from repro.identpp.keyvalue import ResponseDocument
 from repro.identpp.wire import DEFAULT_QUERY_KEYS, IdentQuery, IdentResponse, ROLE_DESTINATION, ROLE_SOURCE
 from repro.netsim.events import Future
 from repro.netsim.nodes import Node
-from repro.netsim.statistics import Counter
 from repro.netsim.topology import Topology
 
 #: What a query costs when the target never answers (seconds).
@@ -118,9 +117,8 @@ class QueryClient:
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.queries_sent = Counter("query_client.queries_sent")
-        self.queries_intercepted = Counter("query_client.queries_intercepted")
-        self.queries_timed_out = Counter("query_client.queries_timed_out")
+        self.queries_sent = 0
+        self.queries_timed_out = 0
         # (topology mutation epoch, mean link latency) — recomputed only
         # when connectivity changes, not on every intercepted query.
         self._mean_link_latency: Optional[tuple[int, float]] = None
@@ -149,13 +147,12 @@ class QueryClient:
                 toward the target host.
         """
         query = IdentQuery(flow=flow, target_role=role, keys=DEFAULT_QUERY_KEYS)
-        self.queries_sent.value += 1
+        self.queries_sent += 1
 
         # Give each on-path controller the chance to answer outright.
         for interceptor in interceptors:
             answer = interceptor.intercept_query(query)
             if answer is not None:
-                self.queries_intercepted.value += 1
                 latency = self._interceptor_latency(from_node)
                 return QueryOutcome(
                     query=query,
@@ -168,7 +165,7 @@ class QueryClient:
         host = self.topology.node_for_ip(query.target_ip)
         daemon = getattr(host, "identpp_daemon", None) if host is not None else None
         if daemon is None:
-            self.queries_timed_out.value += 1
+            self.queries_timed_out += 1
             return QueryOutcome(
                 query=query, response=None, latency=DEFAULT_QUERY_TIMEOUT, timed_out=True
             )
@@ -178,7 +175,7 @@ class QueryClient:
             # never delivered, so the daemon is never asked and the
             # outcome is a genuine timeout — not a healthy answer that
             # happens to cost the timeout.
-            self.queries_timed_out.value += 1
+            self.queries_timed_out += 1
             return QueryOutcome(
                 query=query,
                 response=None,

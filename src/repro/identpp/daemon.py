@@ -149,8 +149,6 @@ class IdentPPDaemon:
         #: daemon and can send false ident++ responses", §5.3).
         self.spoofed_pairs: Optional[dict[str, str]] = None
         self.queries_answered = Counter(f"{host.name}.identpp.queries_answered")
-        self.queries_failed = Counter(f"{host.name}.identpp.queries_failed")
-        self.deltas_published = Counter(f"{host.name}.identpp.deltas_published")
         # Controller-side endpoint caches (QueryEngine) register here to
         # hear about anything that changes future answers.
         self._invalidation_listeners: list[Callable[[IdentDelta], None]] = []
@@ -245,7 +243,6 @@ class IdentPPDaemon:
         if not self._invalidation_listeners:
             return
         delta = IdentDelta(host_ip=str(self.host.ip), serial=self.delta_serial, reason=reason)
-        self.deltas_published.increment(len(self._delta_subscribers))
         for listener in list(self._invalidation_listeners):
             listener(delta)
 
@@ -311,7 +308,6 @@ class IdentPPDaemon:
         expected_ip = flow.src_ip if query.target_role == ROLE_SOURCE else flow.dst_ip
         # Both are IPv4Address ints: C's comparison, not IPv4Address.__ne__.
         if int.__ne__(expected_ip, self.host.ip):
-            self.queries_failed.value += 1
             raise QueryError(
                 f"daemon on {self.host.name} ({self.host.ip}) queried as {query.target_role} "
                 f"of flow {flow}, which names {expected_ip}"

@@ -210,19 +210,10 @@ class QueryEngine:
         self.misses = 0
         self.coalesced = 0
         self.negative_hits = 0
-        self.interceptor_bypasses = 0
-        self.invalidation_events = 0
         self.invalidated_entries = 0
-        self.expirations = 0
         self.resident_hits = 0
-        self.resident_fills = 0
-        self.resident_refreshes = 0
         self.deltas_applied = 0
         self.duplicate_deltas = 0
-        self.subscriptions_opened = 0
-        self.subscriptions_closed = 0
-        self.subscriptions_adopted = 0
-        self.adoptions_stale = 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -380,12 +371,7 @@ class QueryEngine:
 
     def _bypasses_cache(self, interceptors: Sequence[QueryInterceptor]) -> bool:
         """Return whether a query passes straight through to the client."""
-        if not self.enabled:
-            return True
-        if interceptors:
-            self.interceptor_bypasses += 1
-            return True
-        return False
+        return not self.enabled or bool(interceptors)
 
     def _lookup(
         self, flow: FlowSpec, role: str, from_node, now: float
@@ -401,7 +387,6 @@ class QueryEngine:
         entry = self._entries.get(key)
         if entry is not None and not self._valid(entry, now):
             self._discard(key)
-            self.expirations += 1
             entry = None
         if entry is not None and entry.flow_scoped and entry.outcome.query.flow != flow:
             # Another flow's flow-scoped answer: this flow must query
@@ -543,7 +528,6 @@ class QueryEngine:
                 # Subscribed host: the fresh shareable answer is resident
                 # — authoritative until the daemon pushes a delta.
                 expires_at = UNTIL_DELTA
-                self.resident_fills += 1
             elif self.ttl > 0.0:
                 expires_at = ready_at + self.ttl
             else:
@@ -688,7 +672,6 @@ class QueryEngine:
             last_hit=now,
             from_node=from_node,
         )
-        self.subscriptions_opened += 1
         self._hook(ip, daemon)
         # Shareable answers fetched just before the promotion are still
         # authoritative — any daemon event since their fill would have
@@ -705,7 +688,6 @@ class QueryEngine:
             if now < entry.expires_at < UNTIL_DELTA:
                 entry.expires_at = UNTIL_DELTA
                 self._until_delta += 1
-                self.resident_fills += 1
         return True
 
     def unsubscribe_host(self, host_ip) -> bool:
@@ -721,7 +703,6 @@ class QueryEngine:
         ip = str(host_ip)
         if self._close_subscription(ip) is None:
             return False
-        self.subscriptions_closed += 1
         self._punts.pop(ip, None)
         return True
 
@@ -757,7 +738,6 @@ class QueryEngine:
             if not self._entries[key].resident:
                 self._discard(key)
                 removed += 1
-        self.invalidation_events += 1
         self.invalidated_entries += removed
         sub = self._subs.get(ip)
         if sub is None:
@@ -784,7 +764,6 @@ class QueryEngine:
         An answer that stopped being shareable (or a vanished daemon)
         ends residency for that key; the pull path takes over.
         """
-        self.resident_refreshes += 1
         query = entry.outcome.query
         outcome = self.client.query(query.flow, query.target_role, from_node=sub.from_node)
         daemon = getattr(
@@ -881,11 +860,8 @@ class QueryEngine:
             if not self.subscribe_host(ip, from_node=record.get("from_node"), now=now):
                 continue
             adopted += 1
-            self.subscriptions_adopted += 1
             sub = self._subs[ip]
             fresh = sub.serial == record["serial"]
-            if not fresh:
-                self.adoptions_stale += 1
             for entry in record["entries"]:
                 # The dead engine's parked continuations must not
                 # transfer: its futures belong to decision tasks that
@@ -916,7 +892,6 @@ class QueryEngine:
         for key in list(self._by_host.get(ip, ())):
             self._discard(key)
             removed += 1
-        self.invalidation_events += 1
         self.invalidated_entries += removed
         return removed
 
@@ -932,7 +907,6 @@ class QueryEngine:
             if self._deadline_live(key, due):
                 self._discard(key)
                 removed += 1
-        self.expirations += removed
         return removed
 
     def expirable_count(self) -> int:
@@ -976,7 +950,7 @@ class QueryEngine:
         """Return just the hit/negative/coalesce ratios.
 
         The telemetry plane samples these every tick; :meth:`stats`
-        builds a 17-key dict per call, which is report material, not
+        builds an 11-key dict per call, which is report material, not
         probe material.
         """
         total = self.lookups()
@@ -989,41 +963,24 @@ class QueryEngine:
         }
 
     def stats(self) -> dict[str, object]:
-        """Return headline numbers (surfaced by ``Controller.summary()``)."""
+        """Return the counts the benchmarks read."""
         total = self.lookups()
 
         def rate(count: int) -> float:
             return count / total if total else 0.0
 
         return {
-            "enabled": self.enabled,
-            "entries": len(self),
             "lookups": total,
             "hits": self.hits,
             "misses": self.misses,
             "coalesced": self.coalesced,
             "negative_hits": self.negative_hits,
-            "interceptor_bypasses": self.interceptor_bypasses,
             "hit_rate": rate(self.hits),
             "coalesce_rate": rate(self.coalesced),
-            "negative_hit_rate": rate(self.negative_hits),
-            "invalidation_events": self.invalidation_events,
             "invalidated_entries": self.invalidated_entries,
-            "expirations": self.expirations,
-            "ttl": self.ttl,
-            "push": self.push,
-            "resident_entries": self._until_delta,
-            "subscriptions": len(self._subs),
             "resident_hits": self.resident_hits,
-            "resident_fills": self.resident_fills,
-            "resident_refreshes": self.resident_refreshes,
-            "resident_hit_rate": rate(self.resident_hits),
             "deltas_applied": self.deltas_applied,
             "duplicate_deltas": self.duplicate_deltas,
-            "subscriptions_opened": self.subscriptions_opened,
-            "subscriptions_closed": self.subscriptions_closed,
-            "subscriptions_adopted": self.subscriptions_adopted,
-            "adoptions_stale": self.adoptions_stale,
         }
 
     def __repr__(self) -> str:

@@ -157,7 +157,6 @@ class RepeatingEvent:
         self.interval = interval
         self.callback = callback
         self.label = label
-        self.fires = 0
         self._event: Optional[Event] = None
         self._cancelled = False
 
@@ -189,7 +188,6 @@ class RepeatingEvent:
     def _fire(self) -> None:
         self._event = None
         self._cancelled = False
-        self.fires += 1
         if self.callback() and not self._cancelled:
             self.start()
 

@@ -31,7 +31,7 @@ Enable it per simulator::
     ...
     sim.run()
     print(sim.sanitizer.trace_hash)       # deterministic event-trace digest
-    print(sim.sanitizer.summary())
+    print(sim.sanitizer.summary()["reports_by_kind"])  # findings per kind
 
 or retroactively on an already-built network::
 
@@ -92,11 +92,10 @@ class EventTraceHasher:
     and iteration-order leaks all surface as a digest mismatch.
     """
 
-    __slots__ = ("_hash", "events")
+    __slots__ = ("_hash",)
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
-        self.events = 0
 
     def fold(self, event: "Event") -> None:
         """Mix one fired event into the digest.
@@ -104,7 +103,6 @@ class EventTraceHasher:
         An event that carries more than one delivery also folds how many
         rode it, so dropping or adding one still moves the digest.
         """
-        self.events += 1
         line = f"{event.time!r}|{event.label}|{callback_name(event.callback)}"
         if event.riders:
             line += f"|+{len(event.riders)}"
@@ -128,9 +126,6 @@ class SimulationSanitizer:
         self.sim = sim
         self.hasher = EventTraceHasher()
         self.reports: list[SanitizerReport] = []
-        #: Virtual instants at which >= 2 events fired (each is a spot a
-        #: shadow replay would perturb).
-        self.same_instant_groups = 0
         #: Largest number of events sharing one instant.
         self.max_same_instant = 0
         self._last_time: Optional[float] = None
@@ -145,8 +140,6 @@ class SimulationSanitizer:
         self.hasher.fold(event)
         if event.time == self._last_time:
             self._group_size += 1
-            if self._group_size == 2:
-                self.same_instant_groups += 1
             self.max_same_instant = max(self.max_same_instant, self._group_size)
         else:
             self._last_time = event.time
@@ -169,18 +162,11 @@ class SimulationSanitizer:
         return self.hasher.hexdigest
 
     def summary(self) -> dict[str, object]:
-        """Return a JSON-serialisable snapshot (benchmarks embed this)."""
+        """Return how many findings of each kind were filed (benchmarks embed this)."""
         by_kind: dict[str, int] = {}
         for finding in self.reports:
             by_kind[finding.kind] = by_kind.get(finding.kind, 0) + 1
-        return {
-            "trace_hash": self.trace_hash,
-            "events_hashed": self.hasher.events,
-            "same_instant_groups": self.same_instant_groups,
-            "max_same_instant": self.max_same_instant,
-            "reports": len(self.reports),
-            "reports_by_kind": by_kind,
-        }
+        return {"reports_by_kind": by_kind}
 
 
 @dataclass
@@ -193,9 +179,6 @@ class ShadowReplayReport:
     shadow_digest: str
     baseline_trace_hash: str
     shadow_trace_hash: str
-    #: Same-instant groups seen by the baseline run — how many places
-    #: the perturbation actually changed the service order.
-    same_instant_groups: int
     #: Findings filed during either run (stale continuations etc.),
     #: plus the order-divergence finding when the digests differ.
     reports: list[SanitizerReport] = field(default_factory=list)
@@ -243,6 +226,5 @@ def shadow_replay(
         shadow_digest=shadow_digest,
         baseline_trace_hash=baseline.sanitizer.trace_hash,
         shadow_trace_hash=shadow.sanitizer.trace_hash,
-        same_instant_groups=baseline.sanitizer.same_instant_groups,
         reports=reports,
     )

@@ -1,26 +1,23 @@
-"""Counters, histograms and windowed rate counters.
+"""Pinned counters, histograms and windowed rate counters.
 
-The benchmark harness (flow-setup latency breakdowns, bottleneck traffic
-saved, cache hit rates) reads these rather than scraping logs, so every
-statistic of interest in the library is a :class:`Counter` or a
-:class:`Histogram`.
+A component counts in plain ``int`` attributes; a :class:`Counter` is
+left only where the wall-clock benchmark reads a count through
+``.value``.  A :class:`Histogram` keeps a latency distribution and a
+:class:`RateCounter` a windowed rate.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import deque
 from typing import Optional
 
 
 class Counter:
-    """A monotonically increasing named counter.
+    """A named count the benchmark harness reads through ``value``.
 
-    ``value`` is a plain slot: a hot path bumps it in place
-    (``counter.value += 1``) instead of paying a method call per count.
-    :meth:`increment` is the checked form, for amounts that are not a
-    literal 1 (a negative amount is refused).
+    ``value`` is a plain slot a hot path bumps in place
+    (``counter.value += 1``).
     """
 
     __slots__ = ("name", "value")
@@ -29,28 +26,6 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def increment(self, amount: int | float = 1) -> None:
-        """Add ``amount`` (default 1) to the counter."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name}: cannot increment by negative {amount}")
-        self.value += amount
-
-    def __int__(self) -> int:
-        return int(self.value)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Counter):
-            return self.value == other.value
-        if isinstance(other, (int, float)):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:  # counters are identity-hashed; equality is numeric
-        return id(self)
-
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value})"
 
@@ -58,14 +33,16 @@ class Counter:
 class Histogram:
     """A streaming histogram of observations.
 
-    Keeps every sample (scenarios in this library are small enough) and
-    exposes count/mean/percentiles, which the latency benchmarks report.
-    Samples are kept as C doubles, 8 bytes each.
+    Keeps every sample as a C double, 8 bytes each (scenarios in this
+    library are small enough), and exposes the mean and the sorted
+    samples, from which a reader takes its count and percentiles.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.reset()
+        self._samples = array("d")
+        self._sorted = True
+        self._total = 0.0
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -74,16 +51,6 @@ class Histogram:
         self._samples.append(value)
         self._sorted = False
 
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._samples = array("d", sorted(self._samples))
-            self._sorted = True
-
-    @property
-    def count(self) -> int:
-        """Return the number of observations."""
-        return len(self._samples)
-
     @property
     def mean(self) -> float:
         """Return the arithmetic mean (0.0 when empty)."""
@@ -91,84 +58,15 @@ class Histogram:
             return 0.0
         return self._total / len(self._samples)
 
-    @property
-    def minimum(self) -> float:
-        """Return the smallest observation (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        self._ensure_sorted()
-        return self._samples[0]
-
-    @property
-    def maximum(self) -> float:
-        """Return the largest observation (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        self._ensure_sorted()
-        return self._samples[-1]
-
-    @property
-    def stddev(self) -> float:
-        """Return the population standard deviation (0.0 for < 2 samples)."""
-        count = len(self._samples)
-        if count < 2:
-            return 0.0
-        mean = self.mean
-        return math.sqrt(sum((x - mean) ** 2 for x in self._samples) / count)
-
-    def percentile(self, pct: float) -> float:
-        """Return the ``pct``-th percentile.
-
-        Uses nearest-rank at tiny sample counts (n <= 2) — reporting an
-        actual observation instead of interpolating between the only two
-        points, which invented values nothing ever measured and
-        underestimated tail percentiles — and linear interpolation
-        between order statistics for larger n.
-        """
-        if not self._samples:
-            return 0.0
-        if not 0 <= pct <= 100:
-            raise ValueError(f"percentile out of range: {pct}")
-        self._ensure_sorted()
-        size = len(self._samples)
-        if size <= 2:
-            rank = max(1, math.ceil((pct / 100.0) * size))
-            return self._samples[rank - 1]
-        rank = (pct / 100.0) * (size - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return self._samples[low]
-        fraction = rank - low
-        lower_value = self._samples[low]
-        return lower_value + fraction * (self._samples[high] - lower_value)
-
     def samples(self) -> list[float]:
         """Return a copy of the samples (sorted)."""
-        self._ensure_sorted()
+        if not self._sorted:
+            self._samples = array("d", sorted(self._samples))
+            self._sorted = True
         return list(self._samples)
 
-    def reset(self) -> None:
-        """Discard all observations."""
-        self._samples = array("d")
-        self._sorted = True
-        self._total = 0.0
-
-    def summary(self) -> dict[str, float]:
-        """Return a summary dictionary used by the benchmark reports."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "min": self.minimum,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": self.maximum,
-            "stddev": self.stddev,
-        }
-
     def __repr__(self) -> str:
-        return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:.6g})"
+        return f"Histogram({self.name!r}, n={len(self._samples)}, mean={self.mean:.6g})"
 
 
 class RateCounter:

@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 from repro.exceptions import ChannelError, OpenFlowError
 from repro.netsim.events import Simulator
-from repro.netsim.statistics import Counter
 from repro.openflow.actions import Action
 from repro.openflow.channel import ControllerChannel
 from repro.openflow.flow_table import DEFAULT_PRIORITY
@@ -49,9 +48,7 @@ class Controller:
         self._labelled_name: Optional[str] = None
         self.sim: Optional[Simulator] = None
         self.channels: dict[str, ControllerChannel] = {}
-        self.packet_ins = Counter(f"{name}.packet_ins")
-        self.flow_mods = Counter(f"{name}.flow_mods")
-        self.packet_outs = Counter(f"{name}.packet_outs")
+        self.packet_ins = 0
         self.compromised = False
         self.halted = False
         # Messages that arrived while halted (the dead process's socket
@@ -147,7 +144,7 @@ class Controller:
 
     def _dispatch(self, message: ControlMessage) -> None:
         if isinstance(message, PacketIn):
-            self.packet_ins.value += 1
+            self.packet_ins += 1
             self.on_packet_in(message)
         elif isinstance(message, FlowRemoved):
             self.on_flow_removed(message)
@@ -187,7 +184,6 @@ class Controller:
             cookie=cookie,
             buffer_id=buffer_id,
         )
-        self.flow_mods.value += 1
         (
             self.channels.get(switch if isinstance(switch, str) else switch.name)
             or self.channel_for(switch)
@@ -202,7 +198,6 @@ class Controller:
         hops when a ``FlowRemoved`` reports one hop's entry gone.
         """
         message = FlowMod(match=_ANY, command=FlowModCommand.DELETE, cookie=cookie)
-        self.flow_mods.value += 1
         (
             self.channels.get(switch if isinstance(switch, str) else switch.name)
             or self.channel_for(switch)
@@ -219,7 +214,6 @@ class Controller:
     ) -> PacketOut:
         """Release a buffered packet on ``switch``."""
         message = PacketOut(actions=tuple(actions), buffer_id=buffer_id, in_port=in_port)
-        self.packet_outs.value += 1
         (
             self.channels.get(switch if isinstance(switch, str) else switch.name)
             or self.channel_for(switch)

@@ -50,7 +50,6 @@ class FlowEntry:
     cookie: str = ""
     installed_at: float = 0.0
     last_used_at: float = 0.0
-    packet_count: int = 0
     sequence: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
@@ -58,11 +57,6 @@ class FlowEntry:
             self.actions = tuple(self.actions)
         if self.idle_timeout < 0 or self.hard_timeout < 0:
             raise FlowTableError("timeouts must be non-negative")
-
-    def record_use(self, now: float) -> None:
-        """Count a packet that hit this entry and refresh its idle timer."""
-        self.packet_count += 1
-        self.last_used_at = now
 
     def is_expired(self, now: float) -> bool:
         """Return ``True`` if either timeout has elapsed.
@@ -78,7 +72,7 @@ class FlowEntry:
     def __str__(self) -> str:
         return (
             f"FlowEntry(prio={self.priority}, {self.match}, "
-            f"actions={list(self.actions)}, pkts={self.packet_count})"
+            f"actions={list(self.actions)})"
         )
 
 
@@ -181,8 +175,6 @@ class FlowTable:
         self._exact_cache: dict[tuple, FlowEntry] = {}
         self.lookups = 0
         self.hits = 0
-        self.misses = 0
-        self.exact_hits = 0
         self.evictions = 0
         self.expirations = 0
 
@@ -378,15 +370,13 @@ class FlowTable:
         )
         cached = self._exact_cache.get(packet_key)
         if cached is not None:
-            # FlowEntry.is_expired and record_use, inline: the repeat packet
+            # FlowEntry.is_expired, inline: the repeat packet
             # of a flow is the one hot path of a switch.
             hard, idle = cached.hard_timeout, cached.idle_timeout
             if not (hard and now - cached.installed_at >= hard) and not (
                 idle and now - cached.last_used_at >= idle
             ):
-                self.exact_hits += 1
                 self.hits += 1
-                cached.packet_count += 1
                 cached.last_used_at = now
                 return cached
             # The cached winner expired; search again (a lower-ranked
@@ -414,10 +404,9 @@ class FlowTable:
                 best = entry
                 best_rank = rank
         if best is None:
-            self.misses += 1
             return None
         self.hits += 1
-        best.record_use(now)
+        best.last_used_at = now
         if len(self._exact_cache) >= self.EXACT_CACHE_LIMIT:
             self._exact_cache.clear()
         self._exact_cache[packet_key] = best
@@ -510,15 +499,11 @@ class FlowTable:
         return self.hits / self.lookups
 
     def stats(self) -> dict[str, float]:
-        """Return a summary dictionary used by benchmark E11."""
+        """Return the counts the benchmarks read (E11 and ``perf/``)."""
         return {
-            "entries": float(len(self._by_sequence)),
             "lookups": float(self.lookups),
             "hits": float(self.hits),
-            "misses": float(self.misses),
             "hit_rate": self.hit_rate(),
-            "exact_hits": float(self.exact_hits),
-            "evictions": float(self.evictions),
             "expirations": float(self.expirations),
         }
 

@@ -92,4 +92,3 @@ class FlowRemoved(ControlMessage):
     match: Match
     cookie: str = ""
     reason: str = "idle_timeout"
-    packet_count: int = 0

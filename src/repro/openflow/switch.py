@@ -87,7 +87,7 @@ class OpenFlowSwitch(Node):
         self.punts = Counter(f"{name}.punts")
         # Entries removed from the flow table (timeouts, evictions,
         # sweeps) — the telemetry plane turns this into a churn rate.
-        self.flow_removed = Counter(f"{name}.flow_removed")
+        self.flow_removed = 0
 
     # ------------------------------------------------------------------
     # Control plane
@@ -351,7 +351,7 @@ class OpenFlowSwitch(Node):
             trace.record(now, self.name, "drop", packet)
 
     def _notify_removed(self, entry: FlowEntry, *, reason: str = "idle_timeout") -> None:
-        self.flow_removed.value += 1
+        self.flow_removed += 1
         if self.failed:
             return
         channel = self._owner_channel(entry.cookie)
@@ -362,7 +362,6 @@ class OpenFlowSwitch(Node):
                     match=entry.match,
                     cookie=entry.cookie,
                     reason=reason,
-                    packet_count=entry.packet_count,
                 )
             )
 

@@ -395,19 +395,13 @@ class CompiledPolicy:
             self.rules_compiled = len(self.rules)
         self.index = RuleIndex(self.rules)
         self.table_version = tables.version
-        # Counters the benchmarks assert on (PolicyEvaluator.stats()).
-        self.index_lookups = 0
+        # Counted by PolicyEvaluator; the benchmarks assert on it.
         self.candidates_visited = 0
-        self.gate_skipped = 0
 
     def stats(self) -> dict[str, float]:
         """Return compile/index counters."""
         return {
-            "compiled_rules": float(len(self.rules)),
-            "rules_compiled": float(self.rules_compiled),
             "indexed_rules": float(self.index.indexed_rules),
             "scan_bucket_rules": float(self.index.scan_rules),
-            "index_lookups": float(self.index_lookups),
             "candidates_visited": float(self.candidates_visited),
-            "gate_skipped": float(self.gate_skipped),
         }

@@ -182,7 +182,6 @@ class PolicyEvaluator:
         flow = context.flow
         if flow is not None:
             candidates = compiled.index.candidates(flow.dst_port)
-            compiled.index_lookups += 1
             dst_octet = flow.dst_ip >> 24
         else:
             # No destination to index or gate on: every rule is a candidate.
@@ -196,7 +195,6 @@ class PolicyEvaluator:
             rules_evaluated += 1
             octets = candidate.dst_octets
             if octets is not None and dst_octet is not None and dst_octet not in octets:
-                compiled.gate_skipped += 1
                 continue
             compiled.candidates_visited += 1
             self.rules_checked += 1
@@ -229,7 +227,6 @@ class PolicyEvaluator:
         stats = {
             "evaluations": float(self.evaluations),
             "rules_checked": float(self.rules_checked),
-            "rules_in_policy": float(len(self.ruleset.rules())),
         }
         if self._compiled is not None:
             stats.update(self._compiled.stats())

@@ -126,7 +126,7 @@ class TelemetryPlane:
             punt_rate = self._rate(f"{name}.punt_rate")
             pipe.add_updater(
                 lambda now, rc=punt_rate, c=controller: rc.observe_total(
-                    now, float(c.packet_ins.value)
+                    now, float(c.packet_ins)
                 )
             )
             pipe.probe(f"{name}.punt_rate", lambda now, rc=punt_rate: rc.rate(now))
@@ -198,7 +198,7 @@ class TelemetryPlane:
             removed_rate = self._rate(f"{name}.flow_removed_rate")
             pipe.add_updater(
                 lambda now, rc=removed_rate, sw=switch: rc.observe_total(
-                    now, float(sw.flow_removed.value)
+                    now, float(sw.flow_removed)
                 )
             )
             pipe.probe(
@@ -208,30 +208,22 @@ class TelemetryPlane:
 
         # --- cluster rollups ------------------------------------------
         # One rollup per sweep (SRMCA-style push-up aggregation): the
-        # updater fetches the cluster's aggregate dict once, and the
-        # cluster.* probes read from that cached sweep.  Single-
-        # controller networks synthesise the same shape locally so the
-        # detector wiring is identical either way.
+        # updater sums the shards' counts once, and the cluster.* probes
+        # read from that cached sweep.  A single controller is a cluster
+        # of one, so the detector wiring is identical either way.
         self._rollup: dict[str, float] = {}
 
         def _fetch_rollup(now: float) -> None:
-            if self.cluster is not None:
-                self._rollup = self.cluster.telemetry_rollup()
-            else:
-                hits = lookups = 0
-                for controller in controllers.values():
-                    engine = controller.query_engine
-                    hits += engine.hits
-                    lookups += engine.lookups()
-                self._rollup = {
-                    "punts": float(
-                        sum(c.packet_ins.value for c in controllers.values())
-                    ),
-                    "pending": float(
-                        sum(c.inflight_count() for c in controllers.values())
-                    ),
-                    "hit_ratio": hits / lookups if lookups else 0.0,
-                }
+            hits = lookups = 0
+            for controller in controllers.values():
+                engine = controller.query_engine
+                hits += engine.hits
+                lookups += engine.lookups()
+            self._rollup = {
+                "punts": float(sum(c.packet_ins for c in controllers.values())),
+                "pending": float(sum(c.inflight_count() for c in controllers.values())),
+                "hit_ratio": hits / lookups if lookups else 0.0,
+            }
 
         pipe.add_updater(_fetch_rollup)
         aggregate_punts = self._rate("cluster.punt_rate")
@@ -246,9 +238,7 @@ class TelemetryPlane:
             "cluster.pending_depth", lambda now: self._rollup.get("pending", 0.0)
         )
         if self.cluster is not None:
-            pipe.probe(
-                "cluster.failovers", lambda now: self._rollup.get("failovers", 0.0)
-            )
+            pipe.probe("cluster.failovers", lambda now: float(self.cluster.failovers))
 
     def _wire_detectors(self) -> None:
         # Worm signature: the cluster-wide punt rate spikes when a

@@ -127,7 +127,7 @@ def collaboration(
         "bottleneck_bytes": bottleneck.carried_bytes,
         "wanted_delivered": wanted_delivered,
         "unwanted_delivered": unwanted_delivered,
-        "remote_packet_ins": int(branches.controller_b.packet_ins.value),
+        "remote_packet_ins": branches.controller_b.packet_ins,
     }
 
 

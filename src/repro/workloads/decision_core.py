@@ -234,11 +234,10 @@ def async_churn_soak() -> dict:
     for wave in range(WAVES):
         sim.schedule(wave * WAVE_INTERVAL, inject, wave)
     net.run()
-    summary = controller.summary()
     flows = WAVES * WAVE_SIZE
     count, _ = decided(controller.audit.records())
-    final_inflight = int(summary["inflight_decisions"])
-    pending_expired = int(summary["pending_expired"])
+    final_inflight = controller.inflight_count()
+    pending_expired = controller.pending_expired
 
     violations = []
     if count < SOAK_FLOW_FLOOR:

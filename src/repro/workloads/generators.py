@@ -75,7 +75,6 @@ class FlowGenerator:
         self._rng = rng if rng is not None else random.Random(seed)
         self._weights = zipf_weights(len(self.templates), zipf_skew) if zipf_skew else None
         self._next_port = EPHEMERAL_BASE
-        self.draws = 0
 
     def _allocate_port(self) -> int:
         self._next_port += 1
@@ -85,7 +84,6 @@ class FlowGenerator:
 
     def draw_template(self) -> FlowTemplate:
         """Pick one template according to the configured popularity."""
-        self.draws += 1
         if self._weights is None:
             return self._rng.choice(self.templates)
         return self._rng.choices(self.templates, weights=self._weights, k=1)[0]

@@ -296,7 +296,7 @@ def _ethane_first_packet() -> tuple[Optional[float], int]:
     server.run_server("httpd", "root", 80)
     client.open_flow("http", "alice", "192.168.1.1", 80)
     net.topology.run()
-    queries = ethane.query_client.queries_sent.value + sum(
+    queries = ethane.query_client.queries_sent + sum(
         daemon.queries_answered.value for daemon in net.daemons.values()
     )
     return (server.delivered_times[0] if server.delivered_times else None), queries
@@ -351,7 +351,7 @@ def _packet_train(workload: str, *, new_connection_probability: float, zipf_skew
         "packets": E11_PACKETS,
         "distinct_flows": len(sockets),
         "flow_table_hit_rate": round(switch.flow_table.stats()["hit_rate"], 3),
-        "controller_packet_ins": int(net.controller.packet_ins.value),
+        "controller_packet_ins": net.controller.packet_ins,
     }
 
 

@@ -186,7 +186,7 @@ def _legacy_phase() -> dict:
         net.run()
         engine = net.controller.query_engine
         out[label] = {
-            "timeouts": int(net.controller.query_client.queries_timed_out.value),
+            "timeouts": net.controller.query_client.queries_timed_out,
             "negative_hits": engine.negative_hits,
             "coalesced": engine.coalesced,
         }

@@ -66,18 +66,9 @@ class ReferenceAuditLog:
     def delegated_decisions(self) -> list[DecisionRecord]:
         return self.filter(delegated=True)
 
-    def pass_count(self) -> int:
-        return sum(1 for r in self._records if r.action == "pass")
-
-    def block_count(self) -> int:
-        return sum(1 for r in self._records if r.action != "pass")
-
     def summary(self) -> dict[str, int]:
         return {
             "total": len(self._records),
-            "pass": self.pass_count(),
-            "block": self.block_count(),
-            "delegated": len(self.delegated_decisions()),
             "cached": sum(1 for r in self._records if r.cached),
         }
 

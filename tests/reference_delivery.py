@@ -129,7 +129,7 @@ def _apply_actions(
                     switch=self, packet=packet, in_port=ingress, reason="action"
                 )
                 self._buffered[message.buffer_id] = (packet, ingress)
-                self.punts.increment()
+                self.punts.value += 1
                 if trace is not None:
                     trace.record(now, self.name, "punt", packet, channel.controller.name)
                 channel.send_to_controller(message)
@@ -249,7 +249,7 @@ def send_to_controller(self: ControllerChannel, message: ControlMessage) -> None
     """Deliver a message to the controller after the latency: one event per message."""
     if not self.connected:
         return
-    self.to_controller_messages.increment()
+    self.to_controller_messages.value += 1
     if self.switch.name is not self._labelled_name:
         self._relabel()
     self._sim().schedule(
@@ -264,7 +264,7 @@ def send_to_switch(self: ControllerChannel, message: ControlMessage) -> None:
     """Deliver a message to the switch after the latency: one event per message."""
     if not self.connected:
         return
-    self.to_switch_messages.increment()
+    self.to_switch_messages.value += 1
     if self.switch.name is not self._labelled_name:
         self._relabel()
     self._sim().schedule(

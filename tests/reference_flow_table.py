@@ -49,8 +49,6 @@ class ReferenceFlowTable:
         self._same_index: dict[tuple[Match, int], FlowEntry] = {}
         self.lookups = 0
         self.hits = 0
-        self.misses = 0
-        self.exact_hits = 0
         self.evictions = 0
         self.expirations = 0
 
@@ -168,9 +166,8 @@ class ReferenceFlowTable:
         cached = self._exact_cache.get(packet_key)
         if cached is not None:
             if not cached.is_expired(now):
-                self.exact_hits += 1
                 self.hits += 1
-                cached.record_use(now)
+                cached.last_used_at = now
                 return cached
             # The cached winner expired; rescan (a lower-ranked entry may
             # now be the best match).
@@ -187,10 +184,9 @@ class ReferenceFlowTable:
                 best = entry
                 best_key = key
         if best is None:
-            self.misses += 1
             return None
         self.hits += 1
-        best.record_use(now)
+        best.last_used_at = now
         if len(self._exact_cache) >= self.EXACT_CACHE_LIMIT:
             self._exact_cache.clear()
         self._exact_cache[packet_key] = best
@@ -255,13 +251,9 @@ class ReferenceFlowTable:
     def stats(self) -> dict[str, float]:
         """Return a summary dictionary used by benchmark E11."""
         return {
-            "entries": float(len(self._entries)),
             "lookups": float(self.lookups),
             "hits": float(self.hits),
-            "misses": float(self.misses),
             "hit_rate": self.hit_rate(),
-            "exact_hits": float(self.exact_hits),
-            "evictions": float(self.evictions),
             "expirations": float(self.expirations),
         }
 

@@ -229,7 +229,6 @@ class ReferenceDaemon(IdentPPDaemon):
                 host_ip=str(self.host.ip), serial=self.delta_serial, reason=reason,
             )
             for deliver in list(self._delta_subscribers.values()):
-                self.deltas_published.increment()
                 deliver(delta)
 
     def subscribe(
@@ -339,7 +338,6 @@ class ReferenceQueryEngine(QueryEngine):
             host_ip=ip, daemon=daemon, serial=ack.serial, subscribed_at=now,
             last_hit=now, from_node=from_node,
         )
-        self.subscriptions_opened += 1
         self._hook(ip, daemon)
         for key in self._by_host.get(ip, ()):
             entry = self._entries[key]
@@ -348,14 +346,12 @@ class ReferenceQueryEngine(QueryEngine):
             if now < entry.expires_at < UNTIL_DELTA:
                 entry.expires_at = UNTIL_DELTA
                 self._until_delta += 1
-                self.resident_fills += 1
         return True
 
     def unsubscribe_host(self, host_ip) -> bool:
         ip = str(host_ip)
         if self._close_subscription(ip) is None:
             return False
-        self.subscriptions_closed += 1
         if self.on_demote is not None:
             self.on_demote(ip)
         return True
@@ -392,6 +388,5 @@ class ReferenceQueryEngine(QueryEngine):
                 continue
             self._discard(key)
             removed += 1
-        self.invalidation_events += 1
         self.invalidated_entries += removed
         return removed

@@ -161,7 +161,7 @@ def by_flow(verdicts) -> list:
 
 
 def end_host_queries(net: IdentPPNetwork, controller: IdentPPController) -> int:
-    return controller.query_client.queries_sent.value + sum(
+    return controller.query_client.queries_sent + sum(
         daemon.queries_answered.value for daemon in net.daemons.values()
     )
 

@@ -420,7 +420,6 @@ class TestPushSubscriptionRehoming:
         assert successor != victim
         engine = net.cluster.replicas[successor].query_engine
         assert engine.is_subscribed(self.SERVER_IP)
-        assert engine.subscriptions_adopted >= 1
         # No lost deltas: the adopted subscription's serial caught up
         # with everything the daemon published, including the deltas
         # that landed after the kill.
@@ -507,7 +506,6 @@ class TestPushSubscriptionRehoming:
         engine = net.cluster.replicas[successor].query_engine
         assert engine.is_subscribed(self.SERVER_IP)
         assert engine._subs[self.SERVER_IP].serial == exported_serial
-        assert engine.adoptions_stale == 0
         # Adoption was free: no refresh round-trips hit the daemon.
         assert int(daemon.queries_answered.value) == answered_before
         net.run()

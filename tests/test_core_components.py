@@ -34,7 +34,7 @@ class TestDecisionCache:
         cache = DecisionCache(ttl=10.0)
         cache.store(FLOW, "pass", "cookie-1", now=0.0)
         assert cache.lookup(FLOW, now=5.0).is_pass
-        assert cache.hit_rate() == 1.0
+        assert cache.stats() == {"hits": 1.0, "misses": 0.0}
 
     def test_ttl_expiry(self):
         cache = DecisionCache(ttl=10.0)
@@ -75,8 +75,8 @@ class TestAuditLog:
         log.record(**self.record("pass"))
         log.record(**self.record("block"))
         log.record(**self.record("pass", delegated=True))
-        summary = log.summary()
-        assert summary == {"total": 3, "pass": 2, "block": 1, "delegated": 1, "cached": 0}
+        log.record(**self.record("pass", cached=True))
+        assert log.summary() == {"total": 4, "cached": 1}
 
     def test_delegated_decisions(self):
         log = AuditLog()
@@ -212,5 +212,5 @@ class TestPolicyEngine:
         engine.add_control_file("00-a.control", "block all\n")
         engine.decide(FLOW, doc({}))
         stats = engine.stats()
-        assert stats["decisions_made"] == 1.0
-        assert stats["control_files"] == 1.0
+        assert stats["evaluations"] == 1.0
+        assert len(engine.loader) == 1

@@ -45,8 +45,8 @@ class TestControllerDatapath:
         net = build_network()
         result = net.send_flow("client", "http", "alice", "192.168.1.1", 80)
         assert result.delivered and result.decision_action == "pass"
-        assert net.controller.audit.summary()["pass"] == 1
-        assert net.controller.flow_setup_latency.count == 1
+        assert [record.action for record in net.controller.audit.records()] == ["pass"]
+        assert len(net.controller.flow_setup_latency.samples()) == 1
 
     def test_blocked_flow_never_reaches_the_server(self):
         net = build_network()
@@ -114,9 +114,8 @@ class TestControllerDatapath:
     def test_summary_structure(self):
         net = build_network()
         net.send_flow("client", "http", "alice", "192.168.1.1", 80)
-        summary = net.controller.summary()
-        assert summary["packet_ins"] >= 1
-        assert "flow_setup_latency" in summary
+        assert net.controller.packet_ins >= 1
+        assert net.controller.summary() == {"serial_queue": {"max_depth": 0}}
 
     def test_query_timeout_for_daemonless_host_fails_closed(self):
         net = IdentPPNetwork("no-daemon")
@@ -151,7 +150,7 @@ class TestIdentPPPortIsOrdinaryTraffic:
         assert result.delivered and result.decision_action == "pass"
         records = net.controller.audit.records()
         assert [(r.flow.dst_port, r.action, r.cached) for r in records] == [(783, "pass", False)]
-        assert net.daemon("server").queries_failed.value == 0
+        assert net.daemon("server").queries_answered.value == 1
 
 
     def test_udp_from_source_port_783_does_not_bypass_block_all(self):

@@ -115,11 +115,7 @@ def run_world(case: dict, waves: list) -> tuple[dict, list[str]]:
         "events": [event for event in recorder.fired if not event[1].startswith(ANSWER_PREFIX)],
         "findings": [(r.kind, r.time, r.detail) for r in recorder.reports],
         "engine": controller.query_engine.stats(),
-        "client": (
-            client.queries_sent.value,
-            client.queries_intercepted.value,
-            client.queries_timed_out.value,
-        ),
+        "client": (client.queries_sent, client.queries_timed_out),
         "query_latency": controller.query_latency.samples(),
         "flow_setup": controller.flow_setup_latency.samples(),
         "pending": controller.inflight_count(),
@@ -219,5 +215,6 @@ def test_the_differential_reaches_every_lookup_kind():
     assert worlds["ttl"]["engine"]["coalesced"] > 0
     assert worlds["negative"]["engine"]["negative_hits"] > 0
     assert worlds["push"]["engine"]["resident_hits"] > 0
-    assert worlds["intercept"]["client"][1] > 0
+    # The interceptor's answer for client0 decided its flows.
+    assert any("registered-host" in line for line in worlds["intercept"]["audit"])
     assert worlds["stale"]["findings"]

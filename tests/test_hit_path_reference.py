@@ -90,7 +90,7 @@ class Recorder:
         world = self.world
         if isinstance(message, FlowRemoved):
             entry = ("removed", message.switch.name, message.cookie, message.reason,
-                     message.packet_count, str(message.match))
+                     str(message.match))
         elif isinstance(message, PacketIn):
             entry = ("packet_in", message.switch.name, message.in_port, message.reason,
                      identity(message.packet))
@@ -212,7 +212,7 @@ class World:
             ],
             "carried_bytes": [link.carried_bytes for link in self.links],
             "tables": [
-                (switch.flow_table.stats(), switch.flow_removed.value, switch.punts.value,
+                (switch.flow_table.stats(), switch.flow_removed, switch.punts.value,
                  switch.buffered_count())
                 for switch in self.switches
             ],

@@ -146,7 +146,6 @@ class World:
                     daemon.delta_serial,
                     daemon.subscriber_count(),
                     len(daemon._invalidation_listeners),
-                    int(daemon.deltas_published.value),
                     int(daemon.queries_answered.value),
                 )
                 for daemon in self.daemons

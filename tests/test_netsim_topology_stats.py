@@ -1,7 +1,6 @@
 """Tests for topology building, statistics and traces."""
 
 import collections
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -110,21 +109,11 @@ class TestTopology:
 
 
 class TestCounter:
-    def test_increment(self):
+    def test_a_counter_is_a_named_value_bumped_in_place(self):
         counter = Counter("c")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
-        assert int(counter) == 5
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(ValueError):
-            Counter("c").increment(-1)
-
-    def test_numeric_equality(self):
-        counter = Counter("c")
-        counter.increment(2)
-        assert counter == 2
+        counter.value += 1
+        counter.value += 4
+        assert (counter.value, repr(counter)) == (5, "Counter('c', 5)")
 
 
 def observe_all(histogram, values):
@@ -135,44 +124,13 @@ def observe_all(histogram, values):
 class TestHistogram:
     def test_empty_histogram(self):
         histogram = Histogram("h")
-        assert histogram.mean == 0.0
-        assert histogram.percentile(99) == 0.0
+        assert (histogram.mean, histogram.samples()) == (0.0, [])
 
     def test_basic_statistics(self):
         histogram = Histogram("h")
-        observe_all(histogram, [1.0, 2.0, 3.0, 4.0])
-        assert histogram.count == 4
+        observe_all(histogram, [3.0, 1.0, 4.0, 2.0])
         assert histogram.mean == pytest.approx(2.5)
-        assert histogram.minimum == 1.0
-        assert histogram.maximum == 4.0
-        assert histogram.percentile(50) == pytest.approx(2.5)
-
-    def test_percentile_bounds(self):
-        histogram = Histogram("h")
-        observe_all(histogram, range(101))
-        assert histogram.percentile(0) == 0
-        assert histogram.percentile(100) == 100
-        with pytest.raises(ValueError):
-            histogram.percentile(101)
-
-    def test_summary_keys(self):
-        histogram = Histogram("h")
-        histogram.observe(1.0)
-        summary = histogram.summary()
-        assert set(summary) == {"count", "mean", "min", "p50", "p95", "p99", "max", "stddev"}
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
-    def test_property_percentiles_within_range(self, values):
-        histogram = Histogram("h")
-        observe_all(histogram, values)
-        for pct in (0, 25, 50, 75, 100):
-            assert histogram.minimum <= histogram.percentile(pct) <= histogram.maximum
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=2, max_size=50))
-    def test_property_percentile_monotone(self, values):
-        histogram = Histogram("h")
-        observe_all(histogram, values)
-        assert histogram.percentile(10) <= histogram.percentile(90)
+        assert histogram.samples() == [1.0, 2.0, 3.0, 4.0]
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=50))
     def test_property_samples_are_the_sorted_stream(self, values):
@@ -180,22 +138,10 @@ class TestHistogram:
         for index, value in enumerate(values):
             histogram.observe(value)
             if index % 7 == 3:
-                histogram.percentile(50)  # sorts what is kept so far
+                histogram.samples()  # sorts what is kept so far
         samples = histogram.samples()
         assert samples == sorted(float(value) for value in values)
         assert all(type(sample) is float for sample in samples)
-
-    def test_a_reset_histogram_is_a_new_one(self):
-        rng = random.Random(11)
-        stream = [rng.random() for _ in range(500)]
-        fresh = Histogram("setup")
-        observe_all(fresh, stream)
-        reused = Histogram("setup")
-        observe_all(reused, reversed(stream))
-        reused.reset()
-        observe_all(reused, stream)
-        assert reused.samples() == fresh.samples()
-        assert reused.percentile(50) == fresh.percentile(50)
 
 
 class TestTrace:

@@ -103,13 +103,12 @@ class TestFlowTable:
         table.install(entry)
         hit = table.lookup(tcp_packet(), in_port=1)
         assert hit is entry
-        assert entry.packet_count == 1
         assert table.hit_rate() == 1.0
 
     def test_miss_counted(self):
         table = FlowTable()
         assert table.lookup(tcp_packet()) is None
-        assert table.misses == 1
+        assert (table.lookups, table.hits) == (1, 0)
 
     def test_priority_wins(self):
         table = FlowTable()
@@ -213,7 +212,7 @@ class TestFlowTable:
 
     def test_stats_keys(self):
         stats = FlowTable().stats()
-        assert {"entries", "lookups", "hits", "misses", "hit_rate"} <= set(stats)
+        assert set(stats) == {"lookups", "hits", "hit_rate", "expirations"}
 
 
 class TestMatchDerivedViews:
@@ -428,7 +427,6 @@ def _describe(entry):
     return (
         entry.match, entry.priority, entry.cookie, entry.actions, entry.sequence,
         entry.idle_timeout, entry.hard_timeout, entry.installed_at, entry.last_used_at,
-        entry.packet_count,
     )
 
 

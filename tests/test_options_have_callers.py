@@ -1,4 +1,4 @@
-"""Every keyword has a second value, every per-packet counter a reader.
+"""Every keyword has a second value, every count and report key a reader.
 
 A setting that only a test sets keeps a branch alive that no workload
 runs.  This tripwire reads the sources in ``src/``, ``perf/``,
@@ -24,14 +24,23 @@ it is defined and is not judged.  ``KEPT`` lists the few settables that
 stay, keyed by callable: a test seam, a fault model or a protocol
 surface, each with its reason.
 
-A counter is the same kind of cost on the packet path: a ``Counter``
-or a plain ``int`` held by a node, port, link, host, switch or control
-channel is incremented per packet or message whether anyone looks or
-not.  Each one must be read in the same directories: a ``Counter``
-through ``.value``, an ``int`` as itself (an ``x.name += n`` is no
-read).  Reads are matched by attribute name, so two of those classes may
-not give a counter the same name (a read of ``Port.tx_bytes`` would
-vouch for a ``Link.tx_bytes`` nobody reads).
+A count is the same kind of cost on the hot paths: it is incremented
+whether anyone looks or not.  A count is an attribute ``src/repro`` adds
+to (``x.name += n``, ``x.name.value += n`` or ``x.name.increment(n)``,
+through ``self`` or another object), and each must be loaded somewhere
+in the same directories.  A load in a ``stats()`` / ``summary()`` /
+``__repr__`` / ``__str__`` body is no read, nor is an increment's, nor
+one passed on under its own name (``name=x.name``) unless a bare
+``name`` is loaded somewhere.  A report key, a string key of the dict a
+``stats()`` / ``summary()`` builds, is read where its literal is a
+subscript or a ``.get()`` argument, or an element of a literal tuple,
+list or dict that such a subscript iterates in the same module; a read
+key makes what its value loads read.  Matching is by name, so a
+collision can keep a count or key but never delete one; two node, port,
+link, host, switch or channel classes may not give a count one name (a
+read of ``Port.tx_bytes`` would vouch for a ``Link.tx_bytes`` nobody
+reads).  A ``Counter`` is built only for the attributes ``perf/``
+reads through ``.value``; every other count is a plain ``int``.
 
 A control message is the same kind of cost on the control path: a type a
 switch or controller dispatches on is a branch every message passes.
@@ -61,13 +70,6 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from repro.hosts.endhost import EndHost
-from repro.netsim.links import Link
-from repro.netsim.nodes import Node
-from repro.netsim.statistics import Counter
-from repro.openflow.channel import ControllerChannel
-from repro.openflow.controller_base import Controller
-from repro.openflow.switch import OpenFlowSwitch
 from tools.reach import Definition, definitions_in
 from tools.reach_accepted import ACCEPTED, READING_LIMIT
 
@@ -643,22 +645,29 @@ class Program:
 
 
 @functools.cache
-def repo_program() -> Program:
-    paths = [
+def repo_sources() -> tuple[Path, ...]:
+    """Every ``.py`` file of the value sources, the lint's test data aside."""
+    return tuple(
         path
         for directory in VALUE_SOURCES
         for path in sorted((REPO_ROOT / directory).rglob("*.py"))
         if not relative(path).startswith(TOOL_FIXTURES + "/")
-    ]
-    return Program({relative(path): parsed(path) for path in paths})
+    )
 
 
-#: The settables that keep their default, keyed by callable: at most
-#: :data:`KEPT_LIMIT`, each ``(category, reason)``.  ``seam``: a test
-#: substitute (a clock, a size tier-1 shrinks); ``fault``: a fault model
-#: ROADMAP items 2 and 19 name; ``surface``: a field of a protocol or
-#: record the system models.  An entry whose callable has a second value
-#: now fails, so the list can only shrink.
+@functools.cache
+def repo_program() -> Program:
+    return Program({relative(path): parsed(path) for path in repo_sources()})
+
+
+#: The settables that keep their default, keyed by callable, and the
+#: counts only the tests read, keyed ``Class.count``: at most
+#: :data:`KEPT_LIMIT`, each ``(category, reason)``; a count's reason
+#: names the test that reads it.  ``seam``: a test substitute (a clock,
+#: a size tier-1 shrinks); ``fault``: a fault model ROADMAP items 2 and
+#: 19 name; ``surface``: a field of a protocol or record the system
+#: models.  An entry whose callable has a second value now, or whose
+#: count a reader, fails, so the list can only shrink.
 KEPT: dict[str, tuple[str, str]] = {
     "QueryEngine.query_both_ends": (
         "seam",
@@ -690,6 +699,10 @@ KEPT: dict[str, tuple[str, str]] = {
     ),
     "IdentPPDaemon": ("fault", "push_capable: a daemon too old to push (item 2)"),
     "FlowTable": ("fault", "capacity: a full table and its LRU eviction (item 2)"),
+    "FlowTable.evictions": (
+        "fault", "what the capacity= seam evicted; "
+        "tests/test_openflow_match_table.py::test_lru_eviction_at_capacity reads it",
+    ),
     "Simulator.enable_sanitizer": (
         "fault", "perturb_ties: same-instant events served in another legal order (item 19)",
     ),
@@ -699,6 +712,10 @@ KEPT: dict[str, tuple[str, str]] = {
     ),
     "Match": ("surface", "OpenFlow 1.0 match fields no installed path constrains"),
     "Packet": ("surface", "Ethernet and VLAN headers, payload and the capture's metadata"),
+    "PacketTrace.dropped": (
+        "surface", "a capture's drop count, as pcap reports one: records the ring evicted; "
+        "tests/test_packet_capture.py::test_overflow_evicts_oldest_first_and_counts_it reads it",
+    ),
     "Packet.tcp": ("surface", "a TCP packet's payload, as Packet takes it"),
     "PacketOut": ("surface", "OpenFlow packet-out data: a packet that is not buffered"),
     "ResponseDocument": ("surface", "an ident++ response body read back in sections"),
@@ -714,14 +731,24 @@ def unkept(findings: list[Settable], kept) -> list[Settable]:
     return [finding for finding in findings if finding.owner not in kept]
 
 
-def stale_kept(kept, findings: list[Settable], judged: list[Settable]) -> list[str]:
-    """Kept callables that judge nothing, or whose every settable has a second value now."""
+def stale_kept(kept, findings: list[Settable], judged: list[Settable], tally=None) -> list[str]:
+    """Kept callables that judge nothing or whose every settable has a second
+    value now, and kept counts that are gone or have a reader now."""
     owners = {settable.owner for settable in judged}
-    named = {finding.owner for finding in findings}
-    return [
-        f"{owner} (no such settable)" if owner not in owners else f"{owner} (has a second value now)"
-        for owner in kept if owner not in named
-    ]
+    counts = tally.count_qualnames() if tally is not None else set()
+    named = {finding.owner for finding in findings} | {
+        finding.qualname for finding in (tally.findings() if tally is not None else ())
+        if isinstance(finding, Count)
+    }
+    stale = []
+    for entry in kept:
+        if entry in owners and entry not in named:
+            stale.append(f"{entry} (has a second value now)")
+        elif entry in counts and entry not in named:
+            stale.append(f"{entry} (has a reader now)")
+        elif entry not in owners | counts:
+            stale.append(f"{entry} (no such settable or count)")
+    return stale
 
 
 def settable_report(findings: list[Settable], judged: list[Settable], kept) -> str:
@@ -748,9 +775,15 @@ def test_the_kept_list_is_short_and_current():
     assert all(
         category in KEPT_CATEGORIES and reason.strip() for category, reason in KEPT.values()
     )
-    program = repo_program()
-    stale = stale_kept(KEPT, program.findings(), program.judged())
+    program, tally = repo_program(), repo_tally()
+    stale = stale_kept(KEPT, program.findings(), program.judged(), tally)
     assert not stale, f"kept entries to drop: {', '.join(stale)}"
+    for count in tally.count_qualnames() & set(KEPT):
+        test = re.search(r"tests/\S+\.py", KEPT[count][1])
+        name = count.rpartition(".")[2]
+        assert test and f".{name}" in (REPO_ROOT / test.group()).read_text(), (
+            f"{count}: the reason names no test that reads it"
+        )
 
 
 PLANTED_SETTINGS = {
@@ -889,7 +922,7 @@ def test_a_stale_kept_entry_is_named():
     program = planted_program()
     kept = {"Record": ("surface", "a field"), "Child": ("seam", "x"), "Gone": ("fault", "y")}
     assert stale_kept(kept, program.findings(), program.judged()) == [
-        "Child (no such settable)", "Gone (no such settable)",
+        "Child (no such settable or count)", "Gone (no such settable or count)",
     ]
     assert stale_kept({"Table": ("fault", "z")}, program.findings(), program.judged()) == [
         "Table (has a second value now)"
@@ -898,143 +931,463 @@ def test_a_stale_kept_entry_is_named():
 
 
 # ----------------------------------------------------------------------
-# Counters on the packet path
+# Counts and report keys
 # ----------------------------------------------------------------------
 
+#: A report shows counts: a load in one of these bodies is no read, and a
+#: key of the dict a ``stats()`` / ``summary()`` builds is read where its
+#: literal is.
+REPORTS = ("stats", "summary")
+SHOWN_IN = (*REPORTS, "__repr__", "__str__")
+#: The ``Counter``s ``perf/harness.py`` reads through ``.value``; every
+#: other count is a plain ``int``.
+COUNTER_PINS = frozenset({
+    "OpenFlowSwitch.punts", "ControllerChannel.to_controller_messages",
+    "ControllerChannel.to_switch_messages", "IdentPPDaemon.queries_answered",
+})
+#: The classes that count per packet or message: two may not give a count
+#: one name (a read of ``Port.tx_bytes`` would vouch for ``Link.tx_bytes``).
+PACKET_PATH = frozenset({"Node", "Port", "Link", "EndHost", "OpenFlowSwitch", "ControllerChannel"})
+#: Calls that read an attribute named by a string.
+NAMED_READS = ("getattr", "attrgetter")
 
-def counter_owners(link_cls: type = Link) -> dict[str, dict[str, str]]:
-    """Class name -> ``{attribute: "Counter" or "int"}``, each a counter it adds to its base.
 
-    An ``int`` counter is an attribute whose value is exactly an ``int``:
-    not a ``bool`` flag, and not an address (an ``int`` subclass).  A
-    port's ``number`` is taken for one too, and passes, being read.
-    """
-    node, host, switch = Node("node"), EndHost("host", "10.0.0.1"), OpenFlowSwitch("switch")
-    link = link_cls(host.add_port(), switch.add_port())
-    channel = ControllerChannel(switch, Controller("controller"))
-    instances = {
-        "Node": (node, None), "Port": (host.port(1), None), "Link": (link, None),
-        "EndHost": (host, node), "OpenFlowSwitch": (switch, node),
-        "ControllerChannel": (channel, None),
-    }
+class Count(NamedTuple):
+    """An attribute ``src/repro`` adds to: ``x.name += n``, ``x.name.value += n``
+    or ``x.name.increment(n)``."""
 
-    def counters(obj) -> dict[str, str]:
-        kinds = {}
-        for name, value in vars(obj).items():
-            if isinstance(value, Counter):
-                kinds[name] = "Counter"
-            elif value.__class__ is int:
-                kinds[name] = "int"
-        return kinds
+    owner: str  # the class that declares it, else the one whose code adds to it
+    name: str
+    path: str
+    line: int
 
+    @property
+    def qualname(self) -> str:
+        return f"{self.owner}.{self.name}"
+
+    def __str__(self) -> str:
+        return f"{self.qualname} ({self.path}:{self.line})"
+
+
+class ReportKey(NamedTuple):
+    """A string key of the dict a ``stats()`` / ``summary()`` builds."""
+
+    report: str  # the report's qualname
+    name: str
+    path: str
+    line: int
+
+    @property
+    def qualname(self) -> str:
+        return f"{self.report}()[{self.name!r}]"
+
+    def __str__(self) -> str:
+        return f"{self.qualname} ({self.path}:{self.line})"
+
+
+def added_to(node: ast.AST) -> Optional[ast.Attribute]:
+    """The ``x.name`` an increment adds to, or None."""
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+        target = node.target
+        if isinstance(target, ast.Attribute) and target.attr == "value" and isinstance(
+                target.value, ast.Attribute):
+            return target.value
+        return target if isinstance(target, ast.Attribute) else None
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "increment" and isinstance(node.func.value, ast.Attribute)):
+        return node.func.value
+    return None
+
+
+def scoped(tree: ast.AST):
+    """``(node, class, shown)`` of every node under ``tree``: the enclosing
+    class's qualname, and the :data:`SHOWN_IN` function whose body holds
+    it, or None."""
+    stack = [(child, "", None) for child in ast.iter_child_nodes(tree)]
+    while stack:
+        node, cls, shown = stack.pop()
+        yield node, cls, shown
+        if isinstance(node, ast.ClassDef):
+            cls = f"{cls}.{node.name}" if cls else node.name
+        elif isinstance(node, FUNCTIONS) and shown is None and node.name in SHOWN_IN:
+            shown = node
+        stack.extend((child, cls, shown) for child in ast.iter_child_nodes(node))
+
+
+def string(node) -> Optional[str]:
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def key_read(node: ast.AST) -> Optional[ast.expr]:
+    """The key ``x[key]`` or ``x.get(key)`` reads, or None."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+        return node.slice
+    if isinstance(node, ast.Call) and callee(node) == "get" and isinstance(
+            node.func, ast.Attribute) and node.args:
+        return node.args[0]
+    return None
+
+
+def strings_of(expr, literals: dict) -> set[str]:
+    """The strings of a literal tuple, list, set or dict's keys, through the
+    literals a name or attribute is bound to."""
+    if isinstance(expr, ast.Call) and callee(expr) in ("items", "keys") and isinstance(
+            expr.func, ast.Attribute):
+        expr = expr.func.value
+    if isinstance(expr, (ast.Name, ast.Attribute)):
+        name = expr.id if isinstance(expr, ast.Name) else expr.attr
+        return {s for literal in literals.get(name, ()) for s in strings_of(literal, {})}
+    elements = expr.keys if isinstance(expr, ast.Dict) else getattr(expr, "elts", ())
+    return {string(e) for e in elements if string(e) is not None} if isinstance(
+        expr, (ast.Tuple, ast.List, ast.Set, ast.Dict)) else set()
+
+
+def iterated_keys(tree: ast.AST) -> set[str]:
+    """The keys a subscript or ``.get()`` reads through a loop variable: the
+    strings of the literal the loop iterates in the same module."""
+    nodes = list(ast.walk(tree))
+    looked_up = {key.id for key in map(key_read, nodes) if isinstance(key, ast.Name)}
+    literals: dict[str, list] = {}
+    for node in nodes:
+        if isinstance(node, ast.Assign) and isinstance(
+                node.value, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
+            for target in node.targets:
+                if isinstance(target, (ast.Name, ast.Attribute)):
+                    name = target.id if isinstance(target, ast.Name) else target.attr
+                    literals.setdefault(name, []).append(node.value)
     return {
-        cls: {
-            name: kind for name, kind in counters(obj).items()
-            if base is None or name not in counters(base)
-        }
-        for cls, (obj, base) in instances.items()
+        key
+        for node in nodes if isinstance(node, (ast.For, ast.comprehension))
+        if looked_up & {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+        for key in strings_of(node.iter, literals)
     }
 
 
-def names_read_by_value(trees) -> set[str]:
-    """Every ``name`` in an ``<expr>.name.value`` read in ``trees``."""
-    return {
-        node.value.attr
-        for tree in trees
+def imports_counter(tree: ast.AST) -> bool:
+    """Whether ``Counter`` names the statistics module's, not ``collections``'."""
+    return any(
+        isinstance(node, ast.ImportFrom) and node.module != "collections"
+        and any(alias.name == "Counter" for alias in node.names)
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "value"
-        and isinstance(node.value, ast.Attribute)
-    }
-
-
-def names_loaded(trees) -> set[str]:
-    """Every ``name`` in an ``<expr>.name`` whose value is read as itself.
-
-    Not a store (``x.name += n``), and not the receiver of a further
-    attribute (``x.name.increment()``, ``x.name.value``).
-    """
-    receivers = {
-        id(node.value)
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-    }
-    return {
-        node.attr
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-        and id(node) not in receivers
-    }
-
-
-def counter_reads(trees) -> dict[str, set[str]]:
-    """Counter kind -> the attribute names read in ``trees`` the way that kind is read."""
-    return {"Counter": names_read_by_value(trees), "int": names_loaded(trees)}
-
-
-def unread_counters(owners: dict[str, dict[str, str]], read: dict[str, set[str]]) -> list[str]:
-    """``Class.name`` of each counter nothing reads, or named like another class's."""
-    classes_by_name: dict[str, list[str]] = {}
-    for cls, names in owners.items():
-        for name in names:
-            classes_by_name.setdefault(name, []).append(cls)
-    offenders = []
-    for cls, names in owners.items():
-        for name, kind in names.items():
-            if name not in read[kind]:
-                offenders.append(f"{cls}.{name}")
-            elif classes_by_name[name][0] != cls:
-                offenders.append(f"{cls}.{name} (named like {classes_by_name[name][0]}.{name})")
-    return offenders
-
-
-@functools.cache
-def scanned_counter_reads() -> dict[str, set[str]]:
-    return counter_reads(scanned_trees())
-
-
-def test_every_packet_path_counter_is_read_outside_the_tests():
-    offenders = unread_counters(counter_owners(), scanned_counter_reads())
-    assert not offenders, (
-        f"counters incremented on the packet path that no read in "
-        f"{'/, '.join(SCANNED)}/ reads: {', '.join(offenders)}.  Delete each, or read it."
     )
 
 
-def test_the_plain_int_byte_count_of_a_link_is_a_counter():
-    assert counter_owners()["Link"] == {"carried_bytes": "int"}
+class Tally:
+    """Every count and report key of some sources, and every read of one, by AST.
+
+    ``trees`` maps a repo-relative path to its parsed module; the counts
+    and keys of the paths under ``judged`` are the ones judged.
+    """
+
+    def __init__(self, trees: dict[str, ast.AST], judged: str = SETTABLES_IN):
+        self.counts: list[Count] = []
+        self.keys: list[ReportKey] = []
+        self.counters: list[str] = []  # each Counter() built outside the pins
+        self.pinned: set[str] = set()  # the pins a Counter() is built for
+        self.read: set[str] = set()  # attribute names loaded outside the reports
+        self.read_keys: set[str] = set()  # keys read outside the reports
+        self.bare: set[str] = set()  # names loaded as themselves
+        self.forwarded: set[str] = set()  # ``name=x.name``: read where ``name`` is
+        self.depends: dict[str, tuple[set, set]] = {}  # key -> (attributes, keys) its value reads
+        declared: dict[str, list[str]] = {}  # attribute -> the classes that assign or declare it
+        for path, tree in trees.items():
+            if path.startswith(judged):
+                self._declarations(tree, declared)
+        for path, tree in trees.items():
+            self._scan(path, tree, path.startswith(judged), declared)
+
+    def _declarations(self, tree, declared) -> None:
+        for node, cls, _ in scoped(tree):
+            if isinstance(node, ast.ClassDef):
+                owner = f"{cls}.{node.name}" if cls else node.name
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        declared.setdefault(item.target.id, []).append(owner)
+            elif isinstance(node, ast.Assign) and cls:
+                for target in node.targets:
+                    if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"):
+                        declared.setdefault(target.attr, []).append(cls)
+
+    def _scan(self, path, tree, judged, declared) -> None:
+        nodes = list(scoped(tree))
+        receivers, forwards = set(), set()
+        for node, cls, _ in nodes:
+            target = added_to(node)
+            if target is None:
+                if isinstance(node, ast.Call):
+                    forwards.update(
+                        id(k.value) for k in node.keywords
+                        if isinstance(k.value, ast.Attribute) and k.value.attr == k.arg
+                    )
+                continue
+            receivers.add(id(target))
+            if judged:
+                owners = declared.get(target.attr, ())
+                on_self = isinstance(target.value, ast.Name) and target.value.id == "self"
+                owner = cls if on_self and cls in owners else next(iter(owners), cls or path)
+                self.counts.append(Count(owner, target.attr, path, node.lineno))
+        counter = judged and imports_counter(tree)
+        for node, cls, shown in nodes:
+            if shown is not None:
+                continue
+            if judged and isinstance(node, FUNCTIONS) and node.name in REPORTS:
+                self._report(node, f"{cls}.{node.name}" if cls else node.name, path)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if id(node) in forwards:
+                    self.forwarded.add(node.attr)
+                elif id(node) not in receivers:
+                    self.read.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                self.bare.add(node.id)
+            if isinstance(node, ast.Call) and callee(node) in NAMED_READS:
+                self.read.update(filter(None, map(string, node.args)))
+            key = string(key_read(node))
+            if key is not None:
+                self.read_keys.add(key)
+            if counter and isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and (
+                    callee(node.value) == "Counter"):
+                for target in node.targets:
+                    name = f"{cls}.{getattr(target, 'attr', ast.unparse(target))}"
+                    if name in COUNTER_PINS:
+                        self.pinned.add(name)
+                    else:
+                        self.counters.append(f"{name} = Counter(...) ({path}:{node.lineno})")
+        self.read_keys |= iterated_keys(tree)
+
+    def _report(self, function, qualname: str, path: str) -> None:
+        """The keys the report builds, each with what its value reads."""
+        local: dict[str, list[ast.expr]] = {}
+        keyed = []
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        local.setdefault(target.id, []).append(node.value)
+                    elif isinstance(target, ast.Subscript) and string(target.slice) is not None:
+                        keyed.append((target.slice, node.value))
+            elif isinstance(node, ast.Dict):
+                keyed += [(k, v) for k, v in zip(node.keys, node.values) if string(k) is not None]
+        for key, value in keyed:
+            self.keys.append(ReportKey(qualname, key.value, path, key.lineno))
+            attributes, keys = self.depends.setdefault(key.value, (set(), set()))
+            for node in self._value_nodes(value, local):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    attributes.add(node.attr)
+                if string(key_read(node)) is not None:
+                    keys.add(key_read(node).value)
+
+    @staticmethod
+    def _value_nodes(value, local):
+        """The nodes a key's value reads: through the report's local names,
+        not into a nested dict, whose keys are keys of their own."""
+        stack, seen = [value], set()
+        while stack:
+            node = stack.pop()
+            yield node
+            if isinstance(node, ast.Name) and node.id not in seen:
+                seen.add(node.id)
+                stack += local.get(node.id, ())
+            stack += [child for child in ast.iter_child_nodes(node) if not isinstance(child, ast.Dict)]
+
+    def readers(self) -> tuple[set[str], set[str]]:
+        """The count names and the keys read, through the keys read (to a fixpoint)."""
+        read = self.read | (self.forwarded & self.bare)
+        keys, frontier = set(self.read_keys), list(self.read_keys)
+        while frontier:
+            attributes, more = self.depends.get(frontier.pop(), (set(), set()))
+            read |= attributes
+            frontier += more - keys
+            keys |= more
+        return read, keys
+
+    def findings(self) -> list:
+        """Each count and key nothing reads, each shadowed packet-path count,
+        then each ``Counter`` outside the pins."""
+        read, keys = self.readers()
+        found, named, first = [], set(), {}
+        for count in sorted(self.counts, key=lambda c: (c.path, c.line)):
+            if count.qualname in named:
+                continue
+            named.add(count.qualname)
+            if count.name not in read:
+                found.append(count)
+            elif count.owner in PACKET_PATH:
+                other = first.setdefault(count.name, count.owner)
+                if other != count.owner:
+                    found.append(count._replace(name=f"{count.name} (named like {other}.{count.name})"))
+        found += [key for key in dict.fromkeys(self.keys) if key.name not in keys]
+        return sorted(found, key=lambda f: (f.path, f.line)) + sorted(self.counters)
+
+    def count_qualnames(self) -> set[str]:
+        return {count.qualname for count in self.counts}
 
 
-def test_an_unread_int_counter_on_a_link_is_named():
-    class PlantedLink(Link):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.hops = 0
-
-        def transmit(self, packet, from_port):
-            self.hops += 1
-            super().transmit(packet, from_port)
-
-    offenders = unread_counters(counter_owners(PlantedLink), scanned_counter_reads())
-    assert offenders == ["Link.hops"]
+@functools.cache
+def repo_tally() -> Tally:
+    return Tally({relative(path): parsed(path) for path in repo_sources()})
 
 
-def test_an_unread_or_shadowed_counter_is_named():
-    owners = {
-        "Port": {"tx_bytes": "Counter", "rx_bytes": "Counter"},
-        "Link": {"tx_bytes": "Counter", "hops": "Counter", "carried": "int", "sent": "int"},
-    }
-    read = counter_reads([ast.parse(
-        "stats = port.tx_bytes.value + port.rx_bytes.value\n"
-        "link.sent += 1\n"
-        "link.hops.increment()\n"
-        "total = link.carried + link.hops\n"
-    )])
-    assert read["Counter"] == {"tx_bytes", "rx_bytes"}
-    assert {"carried", "hops"} <= read["int"] and not {"sent", "tx_bytes"} & read["int"]
-    assert unread_counters(owners, read) == [
-        "Link.tx_bytes (named like Port.tx_bytes)", "Link.hops", "Link.sent"
+def unkept_findings(findings: list, kept) -> list:
+    return [finding for finding in findings if getattr(finding, "qualname", None) not in kept]
+
+
+def tally_report(findings: list, tally: Tally, kept) -> str:
+    """One line per finding not kept, then the counts."""
+    lines = [str(finding) for finding in unkept_findings(findings, kept)]
+    counts = len(tally.count_qualnames())
+    keys = len({key.qualname for key in tally.keys})
+    lines.append(
+        f"{counts} counts and {keys} report keys, {len(findings) - len(tally.counters)} "
+        f"without a reader; {len(tally.counters)} Counters outside the pins"
+    )
+    return "\n".join(lines)
+
+
+def test_every_count_and_report_key_has_a_reader_outside_the_tests():
+    tally = repo_tally()
+    findings = tally.findings()
+    report = tally_report(findings, tally, KEPT)
+    print(report)
+    assert not unkept_findings(findings, KEPT), (
+        f"counts and report keys in {SETTABLES_IN} that nothing in {', '.join(VALUE_SOURCES)}/ "
+        f"reads:\n{report}\nDelete each with its increments, or read it."
+    )
+
+
+def test_the_counters_are_the_ones_perf_reads_through_value():
+    assert repo_tally().pinned == COUNTER_PINS
+
+
+def test_the_byte_count_of_a_link_is_a_count():
+    assert "Link.carried_bytes" in repo_tally().count_qualnames()
+
+
+PLANTED_COUNTS = {
+    "src/repro/planted.py": '''
+from repro.netsim.statistics import Counter
+
+
+class Port:
+    def __init__(self):
+        self.tx_bytes = 0
+        self.rx_bytes = 0
+
+    def send(self, size):
+        self.tx_bytes += size
+        self.rx_bytes += size
+
+
+class Link:
+    def __init__(self):
+        self.tx_bytes = 0
+        self.hops = 0
+        self.carried_bytes = 0
+
+    def transmit(self, size):
+        self.tx_bytes += size
+        self.hops += 1
+        self.carried_bytes += size
+
+
+class Entry:
+    def __init__(self):
+        self.uses = 0
+
+
+class Table:
+    def __init__(self):
+        self.lookups = 0
+        self.probes = 0
+        self.sweeps = 0
+        self.flushes = 0
+        self.resets = 0
+        self.drops = Counter("table.drops")
+
+    def lookup(self, entry):
+        self.lookups += 1
+        self.probes += 1
+        entry.uses += 1
+        self.drops.value += 1
+
+    def sweep(self):
+        self.sweeps += 1
+        self.flushes += 1
+        self.resets += 1
+
+    def stats(self):
+        flushed = self.flushes
+        return {"probes": self.probes, "flushes": flushed, "resets": self.resets, "spare": 0}
+
+    def __repr__(self):
+        return f"Table({self.sweeps})"
+''',
+    "tools/use.py": '''
+print(table.lookups, port.tx_bytes, port.rx_bytes, link.tx_bytes, link.carried_bytes)
+print(table.drops.value)
+stats = table.stats()
+print(stats["resets"])
+for key in ("flushes",):
+    print(stats.get(key))
+''',
+}
+
+
+@functools.cache
+def planted_tally() -> Tally:
+    return Tally({path: ast.parse(source) for path, source in PLANTED_COUNTS.items()})
+
+
+def planted_count_findings() -> list[str]:
+    """Each finding's name: ``Class.count``, a key, or a ``Counter(...)`` construction."""
+    return [
+        finding.rpartition(" (")[0] if isinstance(finding, str) else finding.qualname
+        for finding in planted_tally().findings()
+    ]
+
+
+@pytest.mark.parametrize("rule, finding", [
+    ("a count read only inside its report", "Table.probes"),
+    ("a count read only in __repr__", "Table.sweeps"),
+    ("an obj.x += 1 through another object", "Entry.uses"),
+    ("an unread int count on a link", "Link.hops"),
+    ("two packet-path classes give a count one name", "Link.tx_bytes (named like Port.tx_bytes)"),
+    ("a report key nothing reads", "Table.stats()['spare']"),
+    ("a Counter( outside the pins", "Table.drops = Counter(...)"),
+])
+def test_each_unread_count_is_named(rule, finding):
+    assert finding in planted_count_findings(), rule
+
+
+@pytest.mark.parametrize("rule, count", [
+    ("a report key read by subscript", "resets"),
+    ("a key read through an iterated literal tuple", "flushes"),
+    ("an attribute read as itself", "lookups"),
+    ("a Counter read through .value", "drops"),
+])
+def test_each_read_keeps_its_count(rule, count):
+    assert f"Table.{count}" not in planted_count_findings(), rule
+    assert not [f for f in planted_count_findings() if f.endswith(f"[{count!r}]")], rule
+
+
+def test_what_has_no_reader_is_named_with_its_place():
+    tally = planted_tally()
+    assert tally_report(tally.findings(), tally, {"Table.sweeps": ("seam", "x")}) == (
+        "Link.tx_bytes (named like Port.tx_bytes) (src/repro/planted.py:22)\n"
+        "Link.hops (src/repro/planted.py:23)\n"
+        "Table.probes (src/repro/planted.py:43)\n"
+        "Entry.uses (src/repro/planted.py:44)\n"
+        "Table.stats()['probes'] (src/repro/planted.py:54)\n"
+        "Table.stats()['spare'] (src/repro/planted.py:54)\n"
+        "Table.drops = Counter(...) (src/repro/planted.py:39)\n"
+        "12 counts and 4 report keys, 7 without a reader; 1 Counters outside the pins"
+    )
+
+
+def test_a_stale_kept_count_is_named():
+    kept = {"Table.sweeps": ("seam", "x"), "Table.lookups": ("seam", "y"), "Gone.count": ("fault", "z")}
+    assert stale_kept(kept, [], [], planted_tally()) == [
+        "Table.lookups (has a reader now)", "Gone.count (no such settable or count)",
     ]
 
 

@@ -361,7 +361,7 @@ class TestSharing:
             train(world, count)
             world.sim.run()
             hashes.append(world.sim.sanitizer.trace_hash)
-            assert world.sim.sanitizer.hasher.events == 1
+            assert world.sim.events_processed == 1
         assert hashes[0] != hashes[1]
 
     def test_nothing_delivered_is_held_after_the_run(self):

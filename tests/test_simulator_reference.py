@@ -185,7 +185,7 @@ class SimulatorDifferential(RuleBasedStateMachine):
 
 def _describe_handle(handle):
     if isinstance(handle, RepeatingEvent):
-        return ("repeating", handle.scheduled, handle.fires)
+        return ("repeating", handle.scheduled)
     return _describe(handle)
 
 

@@ -2,8 +2,8 @@
 
 Four layers, tested bottom-up:
 
-* the statistics primitives the plane samples with (Histogram edge
-  cases, RateCounter windows);
+* the statistics primitives the plane samples with (Histogram samples,
+  RateCounter windows);
 * the pipeline (bounded ring series, virtual-time sampling that lets
   the event queue drain);
 * each deviation detector against synthetic series, and the alert
@@ -15,7 +15,6 @@ Four layers, tested bottom-up:
 """
 
 import random
-import statistics
 from dataclasses import fields
 
 import pytest
@@ -49,64 +48,25 @@ from repro.workloads.telemetry import conficker_detection
 # ----------------------------------------------------------------------
 
 
-class TestHistogramSmallN:
-    def test_single_sample_every_percentile_is_that_sample(self):
-        h = Histogram("one")
-        h.observe(7.0)
-        for pct in (0, 50, 90, 99, 100):
-            assert h.percentile(pct) == 7.0
-
-    def test_two_samples_nearest_rank_not_interpolated(self):
-        h = Histogram("two")
-        h.observe(10.0)
-        h.observe(20.0)
-        # Nearest-rank: p50 is the first order statistic, the tail
-        # percentiles are the second — never an invented midpoint.
-        assert h.percentile(50) == 10.0
-        assert h.percentile(99) == 20.0
-        assert h.percentile(100) == 20.0
-
-    def test_three_samples_interpolate_again(self):
-        h = Histogram("three")
-        for value in (0.0, 10.0, 20.0):
-            h.observe(value)
-        assert h.percentile(50) == 10.0
-        assert h.percentile(25) == 5.0
-
-
 class TestHistogramKeepsEverySample:
     def test_exact_stats_over_the_whole_stream(self):
         h = Histogram("all")
         for i in range(10_000):
             h.observe(float(10_000 - 1 - i))
-        assert len(h.samples()) == h.count == 10_000
-        assert h.minimum == 0.0
-        assert h.maximum == 9_999.0
+        samples = h.samples()
+        assert len(samples) == 10_000
+        assert (samples[0], samples[-1]) == (0.0, 9_999.0)
         assert h.mean == pytest.approx(4_999.5)
 
-    def test_percentiles_do_not_depend_on_arrival_order(self):
+    def test_samples_do_not_depend_on_arrival_order(self):
         stream = [float(i % 997) for i in range(5_000)]
-        ordered = sorted(stream)
         shuffled = list(stream)
         random.Random(3).shuffle(shuffled)
         histograms = [Histogram("in-order"), Histogram("shuffled")]
         for h, values in zip(histograms, (stream, shuffled)):
             for value in values:
                 h.observe(value)
-        for pct in (0, 25, 50, 90, 99, 100):
-            rank = pct / 100 * (len(ordered) - 1)
-            low = int(rank)
-            high = min(low + 1, len(ordered) - 1)
-            expected = ordered[low] + (rank - low) * (ordered[high] - ordered[low])
-            assert [h.percentile(pct) for h in histograms] == pytest.approx([expected] * 2)
-
-    def test_stddev_is_the_population_stddev(self):
-        rng = random.Random(5)
-        stream = [rng.uniform(1e6, 1e6 + 1.0) for _ in range(2_000)]
-        h = Histogram("spread")
-        for value in stream:
-            h.observe(value)
-        assert h.stddev == pytest.approx(statistics.pstdev(stream), rel=1e-9)
+        assert [h.samples() for h in histograms] == [sorted(stream)] * 2
 
 
 class TestRateCounter:
@@ -334,7 +294,7 @@ class TestQuarantineMechanics:
         quarantined_at = net.topology.sim.now
         assert controller.quarantine_host("192.168.0.10") is True
         assert controller.quarantine_host("192.168.0.10") is False  # idempotent
-        assert "192.168.0.10" in controller.summary()["quarantined_hosts"]
+        assert "192.168.0.10" in controller.quarantined_hosts
         net.run(0.5)  # let the wildcard drop flow-mods land
         result = net.send_flow("h0", "http", "alice", "192.168.1.1", 80)
         assert not result.delivered

@@ -9,9 +9,9 @@ process:
   independent runs: exactly the cross-run contamination the determinism
   gates exist to catch.  Use ``None`` and materialise inside.
 * **Anonymous counters** — a ``Counter()`` constructed without a name
-  increments fine but cannot say what it counts: its ``repr`` and the
-  error a negative increment raises are its only identity, and both
-  read ``counter.name``.  Every counter carries a name.
+  counts fine but cannot say what it counts: its ``repr`` is its only
+  identity, and it reads ``counter.name``.  Every counter carries a
+  name.
 * **Dataclass mutable defaults** — the same trap in dataclass clothing:
   ``field(default=[])`` or ``field(default_factory=list())`` evaluates
   the container once at class-definition time, so every instance shares
