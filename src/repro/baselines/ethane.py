@@ -17,8 +17,8 @@ Figures 2 and 8 are inexpressible here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from repro.baselines.base import ACTION_BLOCK, ACTION_PASS
 from repro.identpp.flowspec import FlowSpec

@@ -11,8 +11,10 @@ their delegates did.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
+import math
 import operator
 from array import array
 from collections import Counter
@@ -91,6 +93,10 @@ def audit_digest(records: Iterable[DecisionRecord]) -> str:
 #: delegation_functions, cached, note)``.
 _ACTION, _DELEGATED, _CACHED = 0, 3, 5
 
+#: The setup time of a row that timed no punt: a cache hit, or a flow
+#: its deadline failed closed.  A real setup time may be 0.0.
+UNTIMED = math.nan
+
 #: The digits of a cookie's ``-N`` tail that a column holds: canonical
 #: decimal (what ``str(int)`` writes) that fits the column.
 _MAX_COOKIE_DIGITS = 19
@@ -101,11 +107,12 @@ class AuditLog:
 
     The log keeps every decision for the controller's whole life, so
     what a decided flow leaves here is the controller's memory per flow.
-    A row is atoms in typed arrays: the time and query latency, the
-    5-tuple, one small int for the verdict's shape (action, rule, origin,
-    delegation, cached, note — few distinct ones), and the cookie as its
-    prefix's number and its ``-N`` tail (any other cookie is kept whole
-    beside the columns).  The two identity views are kept by reference.
+    A row is atoms in typed arrays: the time, query latency and setup
+    time, the 5-tuple, one small int for the verdict's shape (action,
+    rule, origin, delegation, cached, note — few distinct ones), and the
+    cookie as its prefix's number and its ``-N`` tail (any other cookie
+    is kept whole beside the columns).  The two identity views are kept
+    by reference.
     :class:`DecisionRecord` objects are built only when read.
     """
 
@@ -115,6 +122,9 @@ class AuditLog:
         # distinct verdict shapes and cookie prefixes.
         self._time = array("d")
         self._query_latency = array("d")
+        # Record time minus punt arrival: the one store of a decision's
+        # setup time, read through :class:`SetupTimes`.
+        self._setup_time = array("d")
         self._src_ip = array("I")
         self._dst_ip = array("I")
         self._proto = array("B")
@@ -147,8 +157,13 @@ class AuditLog:
         query_latency: float = 0.0,
         cached: bool = False,
         note: str = "",
+        setup_time: float = UNTIMED,
     ) -> None:
-        """Append one decision; the fields are :class:`DecisionRecord`'s."""
+        """Append one decision; the fields are :class:`DecisionRecord`'s.
+
+        ``setup_time`` is kept beside the record, not in it: a record
+        line, and so every digest, is the same whatever it holds.
+        """
         verdict = (action, rule_text, rule_origin, delegated, delegation_functions, cached, note)
         verdict_id = self._verdict_ids.get(verdict)
         if verdict_id is None:
@@ -169,6 +184,7 @@ class AuditLog:
             self._odd_cookies[len(self._time)] = cookie
         self._time.append(time)
         self._query_latency.append(query_latency)
+        self._setup_time.append(setup_time)
         self._src_ip.append(flow.src_ip)
         self._dst_ip.append(flow.dst_ip)
         self._proto.append(flow.proto)
@@ -241,6 +257,37 @@ class AuditLog:
             "total": len(self),
             "cached": self._count(lambda verdict: bool(verdict[_CACHED])),
         }
+
+
+class SetupTimes:
+    """The setup times of a log's timed rows, read in place.
+
+    ``controller.flow_setup_latency``: every row that punted and was
+    decided — a fresh decision or a policy-error fail-close — and no
+    cache hit or deadline fail-close (their rows hold :data:`UNTIMED`).
+    """
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: AuditLog) -> None:
+        self._log = log
+
+    def _timed(self) -> list[float]:
+        return [value for value in self._log._setup_time if not math.isnan(value)]
+
+    @property
+    def mean(self) -> float:
+        """Return the mean setup time (0.0 when nothing was timed)."""
+        timed = self._timed()
+        if not timed:
+            return 0.0
+        # A running total in row order: 3.12's ``sum`` compensates, and
+        # would move the last bit between interpreters.
+        return functools.reduce(operator.add, timed, 0.0) / len(timed)
+
+    def samples(self) -> list[float]:
+        """Return the setup times, sorted."""
+        return sorted(self._timed())
 
 
 class _Records(Sequence):

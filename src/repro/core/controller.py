@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.audit import AuditLog
+from repro.core.audit import UNTIMED, AuditLog, SetupTimes
 from repro.exceptions import ControllerError, PFError
 from repro.core.cache import DecisionCache
 from repro.core.installer import QUARANTINE_PRIORITY, PathInstaller
@@ -44,7 +44,6 @@ from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import IdentQuery, IdentResponse
 from repro.netsim.events import Event
 from repro.netsim.sanitizer import KIND_STALE_CONTINUATION
-from repro.netsim.statistics import Histogram
 from repro.netsim.topology import Topology
 from repro.openflow.actions import DropAction, FloodAction
 from repro.openflow.controller_base import Controller
@@ -86,8 +85,6 @@ class DecisionTask:
     stage: str = "query"
     #: The ``(source, destination)`` answers, once both are in.
     outcomes: tuple = ()
-    #: When the last endpoint answer landed (0.0 until then).
-    ready_at: float = 0.0
     #: The instant the controller's deadline event fails this flow
     #: closed (``None`` only with ``pending_deadline`` 0).
     deadline: Optional[float] = None
@@ -321,8 +318,7 @@ class IdentPPController(Controller):
         self.audit = AuditLog(name=f"{name}.audit")
         self.interception = InterceptionPolicy(name=f"{name}.interception")
         self.peer_interceptors: list[QueryInterceptor] = []
-        self.flow_setup_latency = Histogram(f"{name}.flow_setup_latency")
-        self.query_latency = Histogram(f"{name}.query_latency")
+        self.flow_setup_latency = SetupTimes(self.audit)
         # The one per-flow table: every punted, undecided flow's
         # DecisionTask (buffered punts, arrival, deadline, stage,
         # outcomes), in arrival order.  Populated at the punt, drained by
@@ -530,8 +526,6 @@ class IdentPPController(Controller):
         controller leaves the task frozen for ``export_pending``.
         """
         task.outcomes = outcomes
-        task.ready_at = self.sim.now
-        self.query_latency.observe(QueryClient.combined_latency(outcomes))
         if self._serial.holds(task):
             # Serial core: the loop waited on these answers.  It pays
             # the eval and is released by the completion event whatever
@@ -610,9 +604,9 @@ class IdentPPController(Controller):
             # packet, yet gets re-evaluated once the policy is fixed.
             self.policy_errors += 1
             self._fail_closed(
-                task.flow, f"policy evaluation failed: {error}", cached_as=f"error: {error}"
+                task.flow, f"policy evaluation failed: {error}", self.sim.now - task.arrival,
+                cached_as=f"error: {error}",
             )
-            self.flow_setup_latency.observe(self.sim.now - task.arrival)
             self.lifecycle.kick()
             return
         self._finish_decision(task, decision)
@@ -633,26 +627,37 @@ class IdentPPController(Controller):
         self.installer.apply_verdict(
             flow, pending, decision.is_pass, cookie, keep_state=decision.keep_state
         )
-        query_cost = QueryClient.combined_latency(task.outcomes)
-        self.flow_setup_latency.observe(self.sim.now - task.arrival)
-        self._audit_decision(decision, cookie, query_cost)
+        for principal in decision.principals:
+            self.delegations.record_use(principal, cookie)
+        self.audit.record(
+            self.sim.now, flow, decision.action, decision.rule_text, decision.rule_origin, cookie,
+            delegated=decision.delegated,
+            delegation_functions=decision.delegation_functions,
+            src_keys=decision.src_keys,
+            dst_keys=decision.dst_keys,
+            query_latency=QueryClient.combined_latency(task.outcomes),
+            setup_time=self.sim.now - task.arrival,
+        )
         self.lifecycle.kick()
 
     def _fail_closed(
-        self, flow: FlowSpec, note: str, *, cached_as: Optional[str] = None
+        self, flow: FlowSpec, note: str, setup_time: float, *, cached_as: Optional[str] = None
     ) -> None:
         """Resolve a pending flow as an audited drop (``rule_origin="error"``).
 
         With ``cached_as`` the block is also cached under that rule text
         (negative cache for the TTL); without it the next punt re-runs
-        the pipeline.
+        the pipeline.  ``setup_time`` is the punt's, or :data:`UNTIMED`
+        when its deadline ran out before a verdict.
         """
         cookie = f"{self.name}:decision-{next(self._cookie_counter)}"
         if cached_as is not None:
             self.cache.store(flow, "block", cookie, self.sim.now, rule_text=cached_as)
         pending = self._pop_pending(flow)
         self.installer.apply_verdict(flow, pending, False, cookie, keep_state=False)
-        self.audit.record(self.sim.now, flow, "block", "", "error", cookie, note=note)
+        self.audit.record(
+            self.sim.now, flow, "block", "", "error", cookie, note=note, setup_time=setup_time
+        )
 
     def _pop_pending(self, flow: FlowSpec) -> list[PacketIn]:
         """Claim a flow's buffered punts and retire its task.
@@ -696,22 +701,9 @@ class IdentPPController(Controller):
             # (it must not override this resolution), and the next punt
             # re-runs the pipeline from scratch.
             self.pending_expired += 1
-            self._fail_closed(flow, "pending decision deadline exceeded; failing closed")
+            self._fail_closed(flow, "pending decision deadline exceeded; failing closed", UNTIMED)
         if earliest is not None:
             self._arm_deadline(earliest - now)
-
-    def _audit_decision(self, decision: PolicyDecision, cookie: str, query_cost: float) -> None:
-        for principal in decision.principals:
-            self.delegations.record_use(principal, cookie)
-        self.audit.record(
-            self.sim.now, decision.flow, decision.action, decision.rule_text,
-            decision.rule_origin, cookie,
-            delegated=decision.delegated,
-            delegation_functions=decision.delegation_functions,
-            src_keys=decision.src_keys,
-            dst_keys=decision.dst_keys,
-            query_latency=query_cost,
-        )
 
     def on_flow_removed(self, message: FlowRemoved) -> None:
         """One hop lost its entry: the installer unwinds the rest of the path."""

@@ -25,10 +25,9 @@ Two of the paper's §4 applications rest on this:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import KeyValueSection, ResponseDocument
 from repro.identpp.wire import IdentQuery, IdentResponse
 from repro.netsim.addresses import IPv4Address, IPv4Network

@@ -51,7 +51,7 @@ from repro.netsim.packet import (
     IP_PROTO_UDP,
     Packet,
 )
-from repro.netsim.statistics import Counter, Histogram, RateCounter
+from repro.netsim.statistics import Counter, RateCounter
 from repro.netsim.topology import Topology
 from repro.netsim.trace import PacketTrace, TraceRecord
 
@@ -75,7 +75,6 @@ __all__ = [
     "Packet",
     "Counter",
     "EventTraceHasher",
-    "Histogram",
     "RateCounter",
     "SanitizerReport",
     "ShadowReplayReport",

@@ -1,14 +1,14 @@
-"""Pinned counters, histograms and windowed rate counters.
+"""Pinned counters and windowed rate counters.
 
 A component counts in plain ``int`` attributes; a :class:`Counter` is
 left only where the wall-clock benchmark reads a count through
-``.value``.  A :class:`Histogram` keeps a latency distribution and a
-:class:`RateCounter` a windowed rate.
+``.value``.  A :class:`RateCounter` keeps a windowed rate.  A decision's
+timings live in the controller's audit log
+(:class:`~repro.core.audit.SetupTimes`).
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from typing import Optional
 
@@ -30,45 +30,6 @@ class Counter:
         return f"Counter({self.name!r}, {self.value})"
 
 
-class Histogram:
-    """A streaming histogram of observations.
-
-    Keeps every sample as a C double, 8 bytes each (scenarios in this
-    library are small enough), and exposes the mean and the sorted
-    samples, from which a reader takes its count and percentiles.
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._samples = array("d")
-        self._sorted = True
-        self._total = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        value = float(value)
-        self._total += value
-        self._samples.append(value)
-        self._sorted = False
-
-    @property
-    def mean(self) -> float:
-        """Return the arithmetic mean (0.0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return self._total / len(self._samples)
-
-    def samples(self) -> list[float]:
-        """Return a copy of the samples (sorted)."""
-        if not self._sorted:
-            self._samples = array("d", sorted(self._samples))
-            self._sorted = True
-        return list(self._samples)
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name!r}, n={len(self._samples)}, mean={self.mean:.6g})"
-
-
 class RateCounter:
     """Events per sliding virtual-time window, on the simulation clock.
 
@@ -81,7 +42,7 @@ class RateCounter:
     observation).
     """
 
-    __slots__ = ("name", "window", "_events", "_total", "_last_total")
+    __slots__ = ("name", "window", "_events", "_last_total")
 
     def __init__(self, name: str = "", window: float = 1.0) -> None:
         if window <= 0:
@@ -89,7 +50,6 @@ class RateCounter:
         self.name = name
         self.window = window
         self._events: deque[tuple[float, float]] = deque()
-        self._total = 0.0
         self._last_total: Optional[float] = None
 
     def record(self, now: float, count: float = 1.0) -> None:
@@ -98,7 +58,6 @@ class RateCounter:
             raise ValueError(f"rate counter {self.name!r}: negative count {count}")
         if count:
             self._events.append((now, float(count)))
-            self._total += count
         self._prune(now)
 
     def observe_total(self, now: float, total: float) -> None:
@@ -131,4 +90,4 @@ class RateCounter:
             events.popleft()
 
     def __repr__(self) -> str:
-        return f"RateCounter({self.name!r}, window={self.window}, total={self._total})"
+        return f"RateCounter({self.name!r}, window={self.window})"

@@ -13,7 +13,7 @@ controller (fail-open / fail-closed behaviour).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ChannelError
 from repro.netsim.events import Simulator

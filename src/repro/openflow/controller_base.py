@@ -11,7 +11,7 @@ in its ``policy`` slot, not a controller of its own.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.exceptions import ChannelError, OpenFlowError
 from repro.netsim.events import Simulator

@@ -17,7 +17,7 @@ calls ``mark_compromised``; the telemetry plane does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.telemetry.deviation import Deviation

@@ -33,7 +33,7 @@ folding outbreak samples into the baseline would normalise the attack
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 #: Detector kind tags (also used as Alert kinds by the router).

@@ -99,6 +99,8 @@ class TestRuleSemantics:
         rules = [rules_by_id()["R5"]]
         assert analyze_source("c = Counter(name='served')\n", rules) == []
         assert analyze_source("c = Counter()\n", rules)
+        assert analyze_source("r = RateCounter('punt_rate', 0.25)\n", rules) == []
+        assert analyze_source("r = statistics.RateCounter(window=0.25)\n", rules)
 
     def test_r8_only_the_owner_touches_the_raw_store(self):
         rules = [rules_by_id()["R8"]]
@@ -166,6 +168,27 @@ class TestRuleSemantics:
             "import re\nW = re.compile(PATTERN)\n",
         ):
             assert analyze_source(clean, rules) == [], clean
+
+    def test_r12_unused_imports(self):
+        rules = [rules_by_id()["R12"]]
+        assert analyze_source("import os\n", rules)
+        assert analyze_source("import os.path\n", rules)
+        assert analyze_source("try:\n    import os\nexcept ImportError:\n    import sys\n", rules)
+        # One finding per unread name, on the line that imports it.
+        split = "from typing import (\n    Callable,\n    Optional,\n)\nx: Optional[int]\n"
+        assert [v.line for v in analyze_source(split, rules)] == [2]
+        # A function's own import is not a top-level one.
+        assert analyze_source("def f():\n    import os\n", rules) == []
+        for clean in (
+            "import os.path\nos.path.join('a')\n",
+            "from __future__ import annotations\n",
+            "from repro.netsim.links import Link\n__all__ = ['Link']\n",
+            "if TYPE_CHECKING:\n    from repro.netsim.links import Link\nL = list['Link']\n",
+            "import os  # lint: disable=R12\n",
+        ):
+            assert analyze_source(clean, rules) == [], clean
+        # A package's __init__ re-exports what it imports.
+        assert analyze_source("import os\n", rules, rel_path="src/repro/x/__init__.py") == []
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="`except*` does not parse before 3.11")
     def test_r11_except_star(self):

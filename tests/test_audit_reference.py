@@ -8,14 +8,21 @@ decisions — pass, block, cached, fail-closed and delegated verdicts;
 identity views; several controllers with tied times — are appended to
 both, and every read must agree: the records, indexes and slices,
 both walk directions, the canonical lines and digest, the filters and
-counts, and the order of the merged control-plane trail.
+counts, and the order of the merged control-plane trail.  Each decision
+also carries a setup time or the untimed marker, which only the log
+keeps: its lines and digest must not see it, and its
+:class:`~repro.core.audit.SetupTimes` view must read the timed ones.
 """
 
+import math
+import random
 from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
-from repro.core.audit import AuditLog, DecisionRecord, audit_digest, record_line
+from repro.core.audit import (
+    UNTIMED, AuditLog, DecisionRecord, SetupTimes, audit_digest, record_line,
+)
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import EMPTY_KEYS, KeyView, ResponseDocument
 from repro.workloads.invariants import network_audit_records
@@ -82,6 +89,7 @@ decisions = st.lists(
         answers,
         answers,
         st.sampled_from([0.0, 0.001, 0.0123]),
+        st.just(UNTIMED) | st.floats(min_value=0.0, max_value=1e6, allow_infinity=False),
     ),
     max_size=25,
 )
@@ -97,7 +105,7 @@ def fill(specs, last_views: dict) -> tuple[AuditLog, ReferenceAuditLog]:
     """Append the decisions ``specs`` describe to a new log and a reference log."""
     log, reference = AuditLog(), ReferenceAuditLog()
     now = 0.0
-    for step, flow, verdict, cookie, src, dst, latency in specs:
+    for step, flow, verdict, cookie, src, dst, latency, setup_time in specs:
         now += step
         views = []
         for role, address, answer in (("src", flow.src_ip, src), ("dst", flow.dst_ip, dst)):
@@ -111,7 +119,7 @@ def fill(specs, last_views: dict) -> tuple[AuditLog, ReferenceAuditLog]:
             time=now, flow=flow, cookie=cookie, src_keys=views[0], dst_keys=views[1],
             query_latency=latency, **VERDICTS[verdict],
         )
-        log.record(**fields)
+        log.record(**fields, setup_time=setup_time)
         reference.record(DecisionRecord(**fields))
     return log, reference
 
@@ -146,6 +154,44 @@ def test_filters_and_counts_read_as_the_scans(specs):
     log, reference = fill(specs, {})
     assert log.summary() == reference.summary()
     assert log.delegated_decisions() == reference.delegated_decisions()
+
+
+@given(specs=decisions, seed=st.integers(0, 2**32 - 1))
+def test_setup_times_are_the_timed_rows(specs, seed):
+    log, _ = fill(specs, {})
+    timed = [spec[-1] for spec in specs if not math.isnan(spec[-1])]
+    view = SetupTimes(log)
+    samples = view.samples()
+    assert samples == sorted(timed)
+    assert all(type(sample) is float for sample in samples)
+    # The mean is the running total in row order, to the bit.
+    total = 0.0
+    for value in timed:
+        total += value
+    assert view.mean == (total / len(timed) if timed else 0.0)
+    # The same decisions recorded in another order read the same samples.
+    shuffled = list(specs)
+    random.Random(seed).shuffle(shuffled)
+    assert SetupTimes(fill(shuffled, {})[0]).samples() == samples
+
+
+@given(specs=decisions)
+def test_setup_times_stay_out_of_the_records(specs):
+    log, _ = fill(specs, {})
+    untimed, _ = fill([(*spec[:-1], UNTIMED) for spec in specs], {})
+    assert list(log) == list(untimed)
+    assert audit_digest(log) == audit_digest(untimed)
+    assert SetupTimes(untimed).samples() == []
+
+
+def test_setup_times_keep_every_row():
+    log = AuditLog()
+    for index in range(10_000):
+        log.record(float(index), FLOWS[0], "pass", "", "", "c", setup_time=float(9_999 - index))
+    samples = SetupTimes(log).samples()
+    assert len(samples) == 10_000
+    assert (samples[0], samples[-1]) == (0.0, 9_999.0)
+    assert SetupTimes(log).mean == 4_999.5
 
 
 @given(specs=decisions, more=decisions)

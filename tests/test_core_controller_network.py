@@ -1,7 +1,5 @@
 """Integration tests: the ident++ controller driving the full datapath."""
 
-import pytest
-
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.packet import Packet

@@ -116,7 +116,6 @@ def run_world(case: dict, waves: list) -> tuple[dict, list[str]]:
         "findings": [(r.kind, r.time, r.detail) for r in recorder.reports],
         "engine": controller.query_engine.stats(),
         "client": (client.queries_sent, client.queries_timed_out),
-        "query_latency": controller.query_latency.samples(),
         "flow_setup": controller.flow_setup_latency.samples(),
         "pending": controller.inflight_count(),
     }

@@ -276,6 +276,46 @@ class TestFailClosedPuntPipeline:
         assert controller.pending_expired == 0
 
 
+class TestSetupTimes:
+    def test_flow_setup_latency_reads_fresh_and_error_decisions_only(self):
+        # One network, the four ways a punt ends: a fresh decision, a
+        # cache hit, a policy-error fail-close and a deadline fail-close.
+        net = build_network(
+            policy=ERROR_POLICY, config=ControllerConfig(pending_deadline=0.5, idle_timeout=1.0)
+        )
+        controller = net.controller
+        setup = controller.flow_setup_latency
+        assert (setup.mean, setup.samples()) == (0.0, [])
+        arrivals = {}
+        on_packet_in = controller.on_packet_in
+
+        def spy(message):
+            arrivals.setdefault(FlowSpec.from_packet(message.packet), controller.now)
+            on_packet_in(message)
+
+        controller.on_packet_in = spy
+        client = net.host("client")
+        _, socket, _ = client.open_flow("http", "alice", "192.168.1.1", 80)
+        net.run()
+        # Its flow entries idle out; the cached decision answers the next punt.
+        net.run(duration=2.0)
+        client.send_on_socket(socket)
+        net.run()
+        net.send_flow("client", "http", "alice", "192.168.1.1", 6666)
+        controller._decide = lambda *args, **kwargs: None  # decision lost
+        client.open_flow("http", "alice", "192.168.1.1", 80)
+        net.run()
+        fresh, hit, error, expired = controller.audit.records()
+        assert (fresh.rule_origin, hit.cached, controller.policy_errors) == (
+            "00-error.control", True, 1
+        )
+        assert "policy evaluation failed" in error.note and "deadline" in expired.note
+        timed = [fresh.time - arrivals[fresh.flow], error.time - arrivals[error.flow]]
+        assert all(value > 0 for value in timed)
+        assert setup.samples() == sorted(timed)
+        assert setup.mean == (timed[0] + timed[1]) / 2
+
+
 class TestOneDeadlinePerController:
     """The fail-closed backstop is one armed event per controller, not one per punt."""
 

@@ -3,12 +3,11 @@
 import collections
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.exceptions import TopologyError
 from repro.netsim.nodes import Node
 from repro.netsim.packet import Packet
-from repro.netsim.statistics import Counter, Histogram
+from repro.netsim.statistics import Counter
 from repro.netsim.topology import Topology
 from repro.netsim.trace import PacketTrace, TraceRecord
 
@@ -114,34 +113,6 @@ class TestCounter:
         counter.value += 1
         counter.value += 4
         assert (counter.value, repr(counter)) == (5, "Counter('c', 5)")
-
-
-def observe_all(histogram, values):
-    for value in values:
-        histogram.observe(value)
-
-
-class TestHistogram:
-    def test_empty_histogram(self):
-        histogram = Histogram("h")
-        assert (histogram.mean, histogram.samples()) == (0.0, [])
-
-    def test_basic_statistics(self):
-        histogram = Histogram("h")
-        observe_all(histogram, [3.0, 1.0, 4.0, 2.0])
-        assert histogram.mean == pytest.approx(2.5)
-        assert histogram.samples() == [1.0, 2.0, 3.0, 4.0]
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), max_size=50))
-    def test_property_samples_are_the_sorted_stream(self, values):
-        histogram = Histogram("h")
-        for index, value in enumerate(values):
-            histogram.observe(value)
-            if index % 7 == 3:
-                histogram.samples()  # sorts what is kept so far
-        samples = histogram.samples()
-        assert samples == sorted(float(value) for value in values)
-        assert all(type(sample) is float for sample in samples)
 
 
 class TestTrace:

@@ -13,7 +13,6 @@ from pathlib import Path
 import repro
 from repro.core.cache import DecisionCache
 from repro.core.controller import ControllerConfig
-from repro.core.delegation import DelegationManager
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.core.policy_engine import PolicyEngine
 from repro.crypto.signatures import Signer

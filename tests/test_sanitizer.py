@@ -17,7 +17,6 @@ from repro.netsim.events import Simulator
 from repro.netsim.sanitizer import (
     KIND_ORDER_DIVERGENCE,
     KIND_STALE_CONTINUATION,
-    EventTraceHasher,
     SimulationSanitizer,
     callback_name,
     shadow_replay,

@@ -2,8 +2,8 @@
 
 Four layers, tested bottom-up:
 
-* the statistics primitives the plane samples with (Histogram samples,
-  RateCounter windows);
+* the statistics primitive the plane samples with (RateCounter
+  windows);
 * the pipeline (bounded ring series, virtual-time sampling that lets
   the event queue drain);
 * each deviation detector against synthetic series, and the alert
@@ -24,16 +24,14 @@ from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.events import Simulator
-from repro.netsim.statistics import Histogram, RateCounter
+from repro.netsim.statistics import RateCounter
 from repro.telemetry import (
     AlertRouter,
     AutoQuarantineResponder,
     CollapseDetector,
     Deviation,
-    DeviationMonitor,
     GapDetector,
     GrowthDetector,
-    KIND_QUARANTINE,
     MetricsPipeline,
     SpikeDetector,
     TimeSeries,
@@ -46,27 +44,6 @@ from repro.workloads.telemetry import conficker_detection
 # ----------------------------------------------------------------------
 # Statistics primitives
 # ----------------------------------------------------------------------
-
-
-class TestHistogramKeepsEverySample:
-    def test_exact_stats_over_the_whole_stream(self):
-        h = Histogram("all")
-        for i in range(10_000):
-            h.observe(float(10_000 - 1 - i))
-        samples = h.samples()
-        assert len(samples) == 10_000
-        assert (samples[0], samples[-1]) == (0.0, 9_999.0)
-        assert h.mean == pytest.approx(4_999.5)
-
-    def test_samples_do_not_depend_on_arrival_order(self):
-        stream = [float(i % 997) for i in range(5_000)]
-        shuffled = list(stream)
-        random.Random(3).shuffle(shuffled)
-        histograms = [Histogram("in-order"), Histogram("shuffled")]
-        for h, values in zip(histograms, (stream, shuffled)):
-            for value in values:
-                h.observe(value)
-        assert [h.samples() for h in histograms] == [sorted(stream)] * 2
 
 
 class TestRateCounter:

@@ -1,7 +1,5 @@
 """Tests for the enterprise/branch network builders and the paper config generators."""
 
-import pytest
-
 from repro.crypto.signatures import Signer, verify_values
 from repro.hosts.applications import standard_applications
 from repro.identpp.daemon_config import parse_daemon_config

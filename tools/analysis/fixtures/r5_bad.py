@@ -1,6 +1,6 @@
 """R5 fixture (bad): mutable defaults and anonymous (unregistered) counters."""
 
-from repro.netsim.statistics import Counter
+from repro.netsim.statistics import Counter, RateCounter
 
 
 def collect(samples=[]):
@@ -18,8 +18,8 @@ def tally(events, seen=list()):
 
 
 def make_counter():
-    # Anonymous counter: nothing it prints says what it tallies.
-    return Counter()
+    # Anonymous counters: nothing they print says what they tally.
+    return Counter(), RateCounter()
 
 
 # --- dataclass mutable-default misuse (the Experiment-exemplar trap) ---

@@ -2,7 +2,7 @@
 
 from typing import Optional
 
-from repro.netsim.statistics import Counter
+from repro.netsim.statistics import Counter, RateCounter
 
 
 def collect(samples: Optional[list] = None):
@@ -17,7 +17,7 @@ def configure(overrides: Optional[dict] = None, tags: Optional[set] = None):
 
 
 def make_counter():
-    return Counter(name="queries_served")
+    return Counter(name="queries_served"), RateCounter("controller.punt_rate", 0.25)
 
 
 # --- dataclass defaults done right: factories, not instances ---

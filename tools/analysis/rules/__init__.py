@@ -5,12 +5,12 @@ from tools.analysis.rules.r2_unseeded_random import UnseededRandomRule
 from tools.analysis.rules.r3_broad_except import BroadExceptRule
 from tools.analysis.rules.r4_blocking_callback import BlockingCallbackRule
 from tools.analysis.rules.r5_mutable_defaults import MutableDefaultsRule
-from tools.analysis.rules.r6_metric_names import MetricNamesRule
 from tools.analysis.rules.r7_engine_facade import EngineFacadeRule
 from tools.analysis.rules.r8_identity_index import IdentityIndexRule
 from tools.analysis.rules.r9_event_queue import EventQueueRule
 from tools.analysis.rules.r10_stdlib_only import StdlibOnlyRule
 from tools.analysis.rules.r11_python_floor import PythonFloorRule
+from tools.analysis.rules.r12_unused_imports import UnusedImportsRule
 
 #: Every rule, in id order — the default rule set of ``run_lint.py``.
 ALL_RULES = (
@@ -19,12 +19,12 @@ ALL_RULES = (
     BroadExceptRule(),
     BlockingCallbackRule(),
     MutableDefaultsRule(),
-    MetricNamesRule(),
     EngineFacadeRule(),
     IdentityIndexRule(),
     EventQueueRule(),
     StdlibOnlyRule(),
     PythonFloorRule(),
+    UnusedImportsRule(),
 )
 
 
@@ -41,10 +41,10 @@ __all__ = [
     "BroadExceptRule",
     "BlockingCallbackRule",
     "MutableDefaultsRule",
-    "MetricNamesRule",
     "EngineFacadeRule",
     "IdentityIndexRule",
     "EventQueueRule",
     "StdlibOnlyRule",
     "PythonFloorRule",
+    "UnusedImportsRule",
 ]

@@ -8,10 +8,12 @@ process:
   scenario in the process*, so state leaks between supposedly
   independent runs: exactly the cross-run contamination the determinism
   gates exist to catch.  Use ``None`` and materialise inside.
-* **Anonymous counters** — a ``Counter()`` constructed without a name
-  counts fine but cannot say what it counts: its ``repr`` is its only
-  identity, and it reads ``counter.name``.  Every counter carries a
-  name.
+* **Anonymous counters** — a ``Counter()`` or ``RateCounter()``
+  constructed without a name counts fine but cannot say what it counts:
+  its ``repr`` is its only identity, and it reads ``counter.name``.  The
+  telemetry plane keys each probe's ``RateCounter`` by that name
+  (``TelemetryPlane._rate``), and a rate counter's errors print it.
+  Every counter carries a name.
 * **Dataclass mutable defaults** — the same trap in dataclass clothing:
   ``field(default=[])`` or ``field(default_factory=list())`` evaluates
   the container once at class-definition time, so every instance shares
@@ -29,6 +31,8 @@ from tools.analysis.core import ParsedModule, Violation
 
 #: Constructor calls that build a fresh mutable container.
 MUTABLE_FACTORIES = {"list", "dict", "set"}
+#: Counter constructors whose first argument is the counter's name.
+NAMED_COUNTERS = {"Counter", "RateCounter"}
 
 
 def _is_mutable_default(node: ast.expr) -> bool:
@@ -60,7 +64,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 class MutableDefaultsRule:
-    """Flag mutable defaults and unnamed Counter construction."""
+    """Flag mutable defaults and unnamed Counter / RateCounter construction."""
 
     rule_id = "R5"
     title = "no mutable default args; counters must be named/registered"
@@ -88,21 +92,17 @@ class MutableDefaultsRule:
                         )
             elif isinstance(node, ast.Call):
                 func = node.func
-                is_counter = (
-                    isinstance(func, ast.Name) and func.id == "Counter"
-                ) or (
-                    isinstance(func, ast.Attribute) and func.attr == "Counter"
-                )
-                if is_counter and not node.args and not any(
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                if called in NAMED_COUNTERS and not node.args and not any(
                     keyword.arg == "name" for keyword in node.keywords
                 ):
                     violations.append(
                         module.violation(
                             self.rule_id,
                             node,
-                            "`Counter()` without a name increments invisibly — "
-                            "snapshots and BENCH_results.json key on the name; "
-                            "construct it named (or via registry.counter(name))",
+                            f"`{called}()` without a name counts invisibly — "
+                            f"its repr, its errors and the telemetry plane's rate "
+                            f"series key on the name; pass the name as the first argument",
                         )
                     )
         return violations

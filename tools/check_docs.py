@@ -76,12 +76,12 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
         "### R3 — no silent broad exception handlers",
         "### R4 — event callbacks must not re-enter the loop or block",
         "### R5 — no mutable defaults, no anonymous counters",
-        "### R6 — histograms and rate counters must be named",
         "### R7 — ident++ queries must go through the QueryEngine facade",
         "### R8 — identity lookups must use the socket and key indexes",
         "### R9 — events enter through `Simulator.schedule`, with labels built once",
         "### R10 — the product imports only the standard library and itself",
         "### R11 — nothing newer than Python 3.10, the oldest interpreter CI tests",
+        "### R12 — no unused top-level import",
         "## Suppression",
         "## The runtime sanitizer",
     ],
