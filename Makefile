@@ -34,8 +34,8 @@ lint:
 	$(PYTHON) tools/analysis/run_lint.py
 
 # Every shipped entry point under the profiler (tools/reach.py): fails on
-# a function in src/repro that none of them enters and that
-# tools/reach_accepted.py does not list, and on a stale list entry.
+# a function in src/repro that none of them enters and that no reach or
+# R16 row of tools/analysis/accepted.py keeps, and on a stale row.
 reach:
 	$(PYTHON) tools/reach.py
 

@@ -1,13 +1,16 @@
 """Fixture-locked tests for the repo-invariant lint (``tools/analysis``).
 
 Every rule is pinned to its good/bad fixture pair under
-``tools/analysis/fixtures/``, the suppression machinery is exercised
-directly, and the live ``src/`` + ``tools/`` trees are asserted clean —
-the same invocation ``make lint`` runs in CI.
+``tools/analysis/fixtures/``, the suppression machinery and the accepted
+table are exercised directly, and the live ``src/`` + ``tools/`` trees
+are asserted clean — the same invocation ``make lint`` runs in CI.
 """
 
+import ast
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,17 +21,62 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from tools.analysis import analyze_paths, analyze_source
+from tools.analysis import analyze_source
 from tools.analysis import run_lint
+from tools.analysis.accepted import Row, shape_problems
+from tools.analysis.core import ParsedModule, Program, analyze_program, is_program_rule, load_program
 from tools.analysis.rules import ALL_RULES, rules_by_id
 
 FIXTURES = REPO_ROOT / "tools" / "analysis" / "fixtures"
 RULE_IDS = [rule.rule_id for rule in ALL_RULES]
+PROGRAM_RULE_IDS = [rule.rule_id for rule in ALL_RULES if is_program_rule(rule)]
 
 
 def lint_fixture(name: str):
-    """Lint one fixture file under the full rule set."""
-    return analyze_paths([FIXTURES / name], ALL_RULES, root=REPO_ROOT)
+    """Lint one fixture file under the full rule set.
+
+    A program rule's fixture stands in for a module of ``src/repro``,
+    the only tree those rules judge, and is its own only reader.
+    """
+    path = FIXTURES / name
+    program_rule = name.partition("_")[0].upper() in PROGRAM_RULE_IDS
+    rel_path = f"src/repro/{name}" if program_rule else path.relative_to(REPO_ROOT).as_posix()
+    return analyze_source(path.read_text(), ALL_RULES, rel_path=rel_path)
+
+
+def module(source: str, rel_path: str) -> ParsedModule:
+    return ParsedModule(Path(rel_path), rel_path, ast.parse(source), source.splitlines())
+
+
+def head(violation) -> str:
+    """What a program rule's finding names: ``knob(mode='a')``, ``Table.hits``, ..."""
+    return re.match(r"(.+?) (gets|has|is) ", violation.message)[1]
+
+
+@functools.cache
+def planted_heads(rule_id: str) -> list[str]:
+    return [head(violation) for violation in lint_fixture(f"{rule_id.lower()}_bad.py")]
+
+
+@functools.cache
+def planted_judged(rule_id: str) -> set[str]:
+    """Every name the rule judged in its bad fixture, read as ``src/repro``."""
+    rel_path = f"src/repro/{rule_id.lower()}_bad.py"
+    source = (FIXTURES / f"{rule_id.lower()}_bad.py").read_text()
+    program = Program({rel_path: module(source, rel_path)})
+    return rules_by_id()[rule_id].check_program(program).judged
+
+
+#: What R14 names in its bad fixture, by the planted case that puts it there.
+UNREAD = {
+    "a count read only inside its report": "Table.probes",
+    "a count read only in __repr__": "Table.sweeps",
+    "an obj.x += 1 through another object": "Entry.uses",
+    "an unread int count on a link": "Link.hops",
+    "two packet-path classes give a count one name": "Link.tx_bytes (named like Port.tx_bytes)",
+    "a report key nothing reads": "Table.stats()['spare']",
+    "a Counter( outside the pins": "Table.drops = Counter(...)",
+}
 
 
 class TestFixtureCorpus:
@@ -190,6 +238,97 @@ class TestRuleSemantics:
         # A package's __init__ re-exports what it imports.
         assert analyze_source("import os\n", rules, rel_path="src/repro/x/__init__.py") == []
 
+    @pytest.mark.parametrize("rule_id, named", [
+        ("R13", [
+            "Record(shade='dark')", "Base(width=0)", "Config(capacity=None)", "Rule(proto=None)",
+            "knob(mode='a')", "knob(only_tests=0)", "relay(depth=0)", "chained(depth=0)",
+        ]),
+        ("R14", [*UNREAD.values(), "Table.stats()['probes']"]),
+        ("R15", ["StatsRequest"]),
+        ("R16", ["orphan"]),
+    ])
+    def test_program_rules_name_each_planted_finding(self, rule_id, named):
+        # The bad fixtures hold what the scans' planted cases named, and
+        # only that: what each counting rule vouches for is not named.
+        assert sorted(planted_heads(rule_id)) == sorted(named)
+
+    @pytest.mark.parametrize("rule, settable", [
+        ("a keyword", "knob(flag)"), ("a positional argument", "knob(value)"),
+        ("a replace()", "Record(size)"), ("a **dict(...) forwarder", "Record(label)"),
+        ("a **kwargs forwarder", "Rule(port)"), ("an attribute store", "Record(color)"),
+        ("super().__init__", "Base(depth)"), ("a forwarded parameter that passes", "knob(level)"),
+    ])
+    def test_each_counting_rule_gives_a_second_value(self, rule, settable):
+        named = {head.partition("=")[0] + ")" for head in planted_heads("R13")}
+        assert settable not in named and settable.partition("(")[0] in planted_judged("R13"), rule
+
+    @pytest.mark.parametrize("rule, finding", UNREAD.items())
+    def test_each_unread_count_is_named(self, rule, finding):
+        assert finding in planted_heads("R14"), rule
+
+    @pytest.mark.parametrize("rule, count", [
+        ("a report key read by subscript", "resets"), ("an attribute read as itself", "lookups"),
+        ("a key read through an iterated literal tuple", "flushes"),
+        ("a Counter read through .value", "drops"),
+    ])
+    def test_each_read_keeps_its_count(self, rule, count):
+        heads = planted_heads("R14")
+        assert f"Table.{count}" not in heads, rule
+        assert not [head for head in heads if head.endswith(f"[{count!r}]")], rule
+        assert f"Table.{count}" in planted_judged("R14"), rule
+
+    @pytest.mark.parametrize("rule_id, source, use, named", [
+        ("R13", "def serve(port=80):\n    return port\n", "serve(port=8080)\n", "serve(port=80)"),
+        ("R14", "class Table:\n    def __init__(self):\n        self.hits = 0\n\n"
+         "    def hit(self):\n        self.hits += 1\n", "print(table.hits)\n", "Table.hits"),
+        ("R15", "class ControlMessage:\n    pass\n\n\nclass Hello(ControlMessage):\n    pass\n",
+         "channel.send(Hello())\n", "Hello"),
+        ("R16", "def orphan():\n    pass\n", "orphan()\n", "orphan"),
+    ], ids=["R13", "R14", "R15", "R16"])
+    def test_what_only_the_tests_use_is_named(self, tmp_path, rule_id, source, use, named):
+        # The same use counts from examples/ and not from tests/: the
+        # tests are no reader of the tree the program rules load.
+        def heads_with_use_in(reader):
+            for rel_path, text in {"src/repro/planted.py": source, reader: use}.items():
+                (tmp_path / rel_path).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / rel_path).write_text(text)
+            program = load_program(tmp_path, {})
+            (tmp_path / reader).unlink()
+            return [head(v) for v in rules_by_id()[rule_id].check_program(program).findings]
+
+        assert heads_with_use_in("tests/test_planted.py") == [named]
+        assert heads_with_use_in("examples/demo.py") == []
+
+    def test_r14_a_pin_perf_reads_must_be_built(self):
+        program = Program(
+            {"src/repro/x.py": module("x = 0\n", "src/repro/x.py"),
+             "perf/harness.py": module("", "perf/harness.py")},
+            root=REPO_ROOT,
+        )
+        found = rules_by_id()["R14"].check_program(program).findings
+        assert {v.path for v in found} == {"tools/analysis/rules/r14_readers.py"}
+        assert sorted(v.message.partition(" ")[0] for v in found) == [
+            "ControllerChannel.to_controller_messages", "ControllerChannel.to_switch_messages",
+            "IdentPPDaemon.queries_answered", "OpenFlowSwitch.punts",
+        ]
+
+    def test_r16_an_import_is_no_use_and_a_word_in_a_text_reader_is(self):
+        rules = [rules_by_id()["R16"]]
+        imported = "from .elsewhere import orphan\n\ndef orphan():\n    pass\n"
+        found = analyze_source(imported, rules, rel_path="src/repro/x.py")
+        assert [v.qualname for v in found] == ["orphan"]
+        source = "def shadow_replay():\n    pass\n"
+        program = Program(
+            {"src/repro/x.py": module(source, "src/repro/x.py")},
+            texts={"ci.yml": "run:\n  python -c 'from m import shadow_replay'\n"},
+        )
+        assert analyze_program(program, rules) == []
+
+    def test_program_rules_judge_only_src_repro(self):
+        source = (FIXTURES / "r16_bad.py").read_text()
+        assert analyze_source(source, ALL_RULES, rel_path="tools/x.py") == []
+        assert analyze_source(source, ALL_RULES, rel_path="perf/x.py") == []
+
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="`except*` does not parse before 3.11")
     def test_r11_except_star(self):
         source = "try:\n    run()\nexcept* ValueError:\n    pass\n"
@@ -241,6 +380,64 @@ class TestStdlibOnlyAtRuntime:
         assert report["peak_mb"] is None or report["peak_mb"] < 30
 
 
+class TestAcceptedTable:
+    """The one allowlist of the program rules and ``make reach``."""
+
+    def planted(self, tmp_path, *rows):
+        (tmp_path / "tests").mkdir(exist_ok=True)
+        (tmp_path / "tests/test_planted.py").write_text(
+            "class TestPlanted:\n    def test_it(self):\n        pass\n"
+        )
+        source = "def orphan():\n    pass\n\ndef used():\n    pass\n\nused()\n"
+        program = Program(
+            {"src/repro/p.py": module(source, "src/repro/p.py")}, accepted=rows, root=tmp_path,
+        )
+        return [v.message for v in analyze_program(program, [rules_by_id()["R16"]])]
+
+    def test_a_row_keeps_the_finding_it_names(self, tmp_path):
+        test = "tests/test_planted.py::TestPlanted::test_it"
+        assert self.planted(tmp_path) == [
+            "orphan is named nowhere outside the tests: delete it, or give it its caller"
+        ]
+        assert self.planted(tmp_path, Row("R16", "orphan", "reading", "kept", test)) == []
+
+    def test_a_stale_row_fails(self, tmp_path):
+        test = "tests/test_planted.py::TestPlanted::test_it"
+        assert self.planted(
+            tmp_path,
+            Row("R16", "orphan", "reading", "kept", test.replace("test_it", "test_gone")),
+            Row("R16", "used", "reading", "has a caller", test),
+            Row("R16", "Gone.method", "reading", "deleted", test),
+        ) == [
+            "accepted table: R16 row orphan: no such test: "
+            "tests/test_planted.py::TestPlanted::test_gone",
+            "accepted table: R16 row used: its finding is gone",
+            "accepted table: R16 row Gone.method: names nothing the rule judges",
+        ]
+
+    @pytest.mark.parametrize("test", [
+        "tests/test_planted.py::TestGone::test_it",
+        "tests/test_gone.py::test_it",
+        "tests/test_planted.py",
+    ])
+    def test_a_row_whose_file_class_or_test_is_gone_fails(self, tmp_path, test):
+        assert self.planted(tmp_path, Row("R16", "orphan", "reading", "kept", test)) == [
+            f"accepted table: R16 row orphan: no such test: {test}"
+        ]
+
+    def test_the_table_keeps_its_categories_reasons_and_limits(self):
+        rows = [
+            Row("reach", f"f{i}", "surface", "why", "t") if i < 57
+            else Row("R16", f"f{i}", "reading", "why", "t")
+            for i in range(64)
+        ]
+        rows += [Row("R13", "f", "reading", " ", "t"), Row("R15", "g", "fault", "why", "t")]
+        assert [why for _, why in shape_problems(rows)] == [
+            "R13 takes no 'reading' row", "no reason", "R15 takes no 'fault' row",
+            "64 reach/R16 rows, more than 60", "7 R16 rows, more than 6",
+        ]
+
+
 class TestSuppression:
     def test_inline_disable_suppresses_only_named_rule(self):
         flagged = "import time\nnow = time.time()\n"
@@ -257,6 +454,17 @@ class TestSuppression:
         )
         assert analyze_source(source, ALL_RULES) == []
 
+    @pytest.mark.parametrize("rule_id", PROGRAM_RULE_IDS)
+    def test_inline_disable_cannot_silence_a_program_rule(self, rule_id):
+        # The accepted table, with its limits, is their one allowlist.
+        source = (FIXTURES / f"{rule_id.lower()}_bad.py").read_text().splitlines()
+        found = lint_fixture(f"{rule_id.lower()}_bad.py")
+        for line in {v.line for v in found}:
+            source[line - 1] += f"  # lint: disable={rule_id}"
+        planted = "\n".join(source) + "\n"
+        rel_path = f"src/repro/{rule_id.lower()}_bad.py"
+        assert analyze_source(planted, ALL_RULES, rel_path=rel_path) == found
+
 
 class TestRunLint:
     """The ``make lint`` entry point's exit-code contract."""
@@ -269,15 +477,6 @@ class TestRunLint:
         # exclusion lifted the run must exit non-zero.
         monkeypatch.setattr(run_lint, "EXCLUDED_PREFIXES", ())
         assert run_lint.main([str(FIXTURES)]) == 1
-
-    def test_disable_switches_a_rule_off(self, monkeypatch):
-        monkeypatch.setattr(run_lint, "EXCLUDED_PREFIXES", ())
-        bad = str(FIXTURES / "r1_bad.py")
-        assert run_lint.main([bad]) == 1
-        assert run_lint.main([bad, "--disable", "R1"]) == 0
-
-    def test_unknown_rule_id_is_an_error(self):
-        assert run_lint.main(["--disable", "R99"]) == 2
 
     def test_missing_path_is_an_error(self):
         assert run_lint.main(["no/such/dir"]) == 2

@@ -15,21 +15,17 @@ import pytest
 from perf.tracing import ENTRY_POINTS
 from perf.workloads import WORKLOADS
 from repro.workloads.soak import SOAKS
+from tools.analysis.accepted import ACCEPTED, Row, stale_rows
+from tools.analysis.core import definitions_in, is_stub, load_program
 from tools.reach import (
     REPO_ROOT,
-    DEFINED_IN,
-    definitions_in,
-    definitions_under,
+    ROWS_READ,
     entered,
-    is_stub,
     pinned_by_tracer,
     product_entry_points,
     report,
-    shape_problems,
-    stale_entries,
     unreached,
 )
-from tools.reach_accepted import ACCEPTED
 
 PLANTED = '''import functools
 
@@ -68,7 +64,7 @@ def main():
 
 @functools.cache
 def repo_definitions():
-    return definitions_under(REPO_ROOT, DEFINED_IN)
+    return load_program(REPO_ROOT, {}).definitions
 
 
 @pytest.fixture
@@ -87,7 +83,7 @@ def test_only_the_uncalled_function_is_reported(planted):
     root, definitions, seen = planted
     findings = unreached(definitions, seen, root)
     assert [str(finding) for finding in findings] == ["uncalled (planted.py:11)"]
-    assert report(findings, {}, definitions, root) == ["uncalled (planted.py:11)"]
+    assert report(findings, (), definitions, root) == ["uncalled (planted.py:11)"]
 
 
 def test_a_decorated_function_is_keyed_by_its_first_decorator_line(planted):
@@ -158,65 +154,28 @@ def planted_test_file(root):
     return "tests/test_planted.py::TestPlanted::test_uncalled"
 
 
-def test_a_listed_finding_passes(planted):
-    root, definitions, seen = planted
-    accepted = {"uncalled": ("fault", planted_test_file(root), "driven by its test")}
-    assert report(unreached(definitions, seen, root), accepted, definitions, root) == []
-
-
-def test_a_list_entry_that_is_entered_is_stale(planted):
+def test_a_row_keeps_its_finding_and_a_row_entered_now_is_stale(planted):
+    # The rest of the table's one staleness check is tested with the lint.
     root, definitions, seen = planted
     test = planted_test_file(root)
-    accepted = {"uncalled": ("fault", test, "kept"), "Box.size": ("reading", test, "kept")}
-    assert stale_entries(accepted, definitions, unreached(definitions, seen, root), root) == [
-        "Box.size (entered now)"
+    findings = unreached(definitions, seen, root)
+    rows = (
+        Row("reach", "uncalled", "fault", "kept", test),
+        Row("R16", "Box.size", "reading", "kept", test),
+    )
+    assert report(findings, rows, definitions, root) == [
+        "stale: R16 row Box.size: its finding is gone"
     ]
 
 
-def test_a_list_entry_naming_no_definition_is_stale(planted):
-    root, definitions, seen = planted
-    test = planted_test_file(root)
-    accepted = {"uncalled": ("fault", test, "kept"), "Gone.method": ("fault", test, "deleted")}
-    assert stale_entries(accepted, definitions, unreached(definitions, seen, root), root) == [
-        "Gone.method (no such definition)"
-    ]
-
-
-@pytest.mark.parametrize("test", [
-    "tests/test_planted.py::TestPlanted::test_gone",
-    "tests/test_planted.py::TestGone::test_uncalled",
-    "tests/test_gone.py::test_uncalled",
-    "tests/test_planted.py",
-])
-def test_a_list_entry_naming_no_test_is_stale(planted, test):
-    root, definitions, seen = planted
-    planted_test_file(root)
-    accepted = {"uncalled": ("fault", test, "kept")}
-    assert stale_entries(accepted, definitions, unreached(definitions, seen, root), root) == [
-        f"uncalled (no such test: {test})"
-    ]
-
-
-def test_the_list_rules():
-    accepted = {
-        f"f{index}": ("reading" if index < 7 else "surface", "t", "why") for index in range(61)
-    }
-    accepted["f60"] = ("later", "t", " ")
-    assert shape_problems(accepted) == [
-        "61 entries, more than 60",
-        "7 reading entries, more than 6",
-        "f60: category 'later' is not one of ('fault', 'surface', 'reading')",
-        "f60: no reason",
-    ]
-
-
-def test_the_committed_list_keeps_its_rules_and_names_what_exists():
-    # ``make reach`` also fails on an entry the product enters now; that
-    # needs the full run, the rest is checked here.
+def test_the_committed_rows_name_what_exists():
+    # ``make reach`` also fails on a row the product enters now, and
+    # ``make lint`` on the table's shape; the rest is checked here.
     definitions = repo_definitions()
-    functions = [definition for definition in definitions if definition.kind == "function"]
-    assert shape_problems(ACCEPTED) == []
-    assert stale_entries(ACCEPTED, definitions, functions, REPO_ROOT) == []
+    functions = {definition.qualname for definition in definitions if definition.kind == "function"}
+    rows = [row for row in ACCEPTED if row.rule in ROWS_READ]
+    judged = {definition.qualname for definition in definitions}
+    assert stale_rows(rows, judged, functions, REPO_ROOT) == []
 
 
 @pytest.mark.parametrize("layer", sorted(ENTRY_POINTS))

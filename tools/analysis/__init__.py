@@ -1,32 +1,20 @@
 """Static-analysis lint encoding the repo's simulation invariants.
 
 The simulator's correctness claims (bit-for-bit reproducible scenarios,
-fail-closed control paths, a drainable event loop) rest on invariants no
-ordinary linter knows about.  This package encodes them as AST-visitor
-rules over the source tree:
+fail-closed control paths, a drainable event loop) and the tree's
+claim to carry no code only the tests need rest on invariants no
+ordinary linter knows about.  This package encodes them as rules over
+one parse of the tree: module rules judge ``src/`` and ``tools/`` file
+by file, and program rules judge ``src/repro`` against every reader of
+it.  The live rule set is ``python tools/analysis/run_lint.py
+--list-rules``; each rule's invariant, rationale and suppression are in
+``docs/ANALYSIS.md``.
 
-========  ==============================================================
-Rule      Invariant
-========  ==============================================================
-``R1``    Simulation code never reads the wall clock (virtual time
-          only); workload *wall-timing* files are explicitly allowlisted.
-``R2``    All randomness flows through an injected, seeded
-          ``random.Random`` — never the module-global ``random`` or an
-          unseeded/OS-entropy RNG.
-``R3``    No bare ``except:`` / ``except Exception`` unless the handler
-          re-raises, routes through the fail-closed audit path, or
-          carries a ``# fail-open-ok: <reason>`` justification tag.
-``R4``    Event callbacks registered on the scheduler must not re-enter
-          ``Simulator.run`` or block on wall time.
-``R5``    No mutable default arguments; no anonymous ``Counter()``
-          (increments invisible to stats snapshots).
-========  ==============================================================
-
-Run via ``python tools/analysis/run_lint.py`` (or ``make lint``); rules,
-rationale and the suppression syntax are documented in
-``docs/ANALYSIS.md``.  Each rule ships with a good/bad fixture pair under
+Run via ``python tools/analysis/run_lint.py`` (or ``make lint``).  Each
+rule ships with a good/bad fixture pair under
 ``tools/analysis/fixtures/`` that the test suite locks the rule's
-behaviour to.
+behaviour to; the program rules' findings that stay are the rows of
+``tools/analysis/accepted.py``.
 """
 
 from tools.analysis.core import ParsedModule, Violation, analyze_paths, analyze_source

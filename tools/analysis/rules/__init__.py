@@ -1,4 +1,9 @@
-"""Rule registry: one module per rule, instantiated once here."""
+"""Rule registry: one module per rule, instantiated once here.
+
+R1-R12 are module rules (``check(module)``); R13-R16 are program rules
+(``check_program(program)``), which judge ``src/repro`` against the whole
+tree.  Number 6 is retired and not reused.
+"""
 
 from tools.analysis.rules.r1_wall_clock import WallClockRule
 from tools.analysis.rules.r2_unseeded_random import UnseededRandomRule
@@ -11,6 +16,10 @@ from tools.analysis.rules.r9_event_queue import EventQueueRule
 from tools.analysis.rules.r10_stdlib_only import StdlibOnlyRule
 from tools.analysis.rules.r11_python_floor import PythonFloorRule
 from tools.analysis.rules.r12_unused_imports import UnusedImportsRule
+from tools.analysis.rules.r13_second_values import SecondValuesRule
+from tools.analysis.rules.r14_readers import ReadersRule
+from tools.analysis.rules.r15_messages_sent import MessagesSentRule
+from tools.analysis.rules.r16_definitions_named import DefinitionsNamedRule
 
 #: Every rule, in id order — the default rule set of ``run_lint.py``.
 ALL_RULES = (
@@ -25,6 +34,10 @@ ALL_RULES = (
     StdlibOnlyRule(),
     PythonFloorRule(),
     UnusedImportsRule(),
+    SecondValuesRule(),
+    ReadersRule(),
+    MessagesSentRule(),
+    DefinitionsNamedRule(),
 )
 
 
@@ -47,4 +60,8 @@ __all__ = [
     "StdlibOnlyRule",
     "PythonFloorRule",
     "UnusedImportsRule",
+    "SecondValuesRule",
+    "ReadersRule",
+    "MessagesSentRule",
+    "DefinitionsNamedRule",
 ]

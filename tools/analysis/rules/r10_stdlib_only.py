@@ -35,7 +35,7 @@ class StdlibOnlyRule:
 
     def check(self, module: ParsedModule) -> list[Violation]:
         violations: list[Violation] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:

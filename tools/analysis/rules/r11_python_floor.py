@@ -73,7 +73,7 @@ class PythonFloorRule:
         # Local name -> module, for `import datetime as dt` ... `dt.UTC`.
         modules = {
             alias.asname or alias.name: alias.name
-            for node in ast.walk(module.tree)
+            for node in module.nodes
             if isinstance(node, ast.Import)
             for alias in node.names
         }
@@ -90,7 +90,7 @@ class PythonFloorRule:
                 )
             )
 
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if try_star is not None and isinstance(node, try_star):
                 flag(node, "`except*`")
             elif isinstance(node, ast.Import):

@@ -25,10 +25,10 @@ from tools.analysis.core import ParsedModule, Violation
 _QUOTED_NAMES = re.compile(r"[A-Za-z_][\w.\[\], |]*")
 
 
-def _read_names(tree: ast.Module) -> set[str]:
+def _read_names(module: ParsedModule) -> set[str]:
     """Return every name the module reads, quoted ones included."""
     read: set[str] = set()
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.Name):
             read.add(node.id)
         elif (
@@ -61,7 +61,7 @@ class UnusedImportsRule:
     def check(self, module: ParsedModule) -> list[Violation]:
         if module.path.name == "__init__.py":
             return []
-        read = _read_names(module.tree)
+        read = _read_names(module)
         violations: list[Violation] = []
         for statement in _top_level_imports(module.tree):
             if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":

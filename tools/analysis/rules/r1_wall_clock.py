@@ -46,7 +46,7 @@ class WallClockRule:
         if module.rel_path.startswith(WALL_TIMING_ALLOWLIST):
             return []
         violations: list[Violation] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -37,7 +37,7 @@ class UnseededRandomRule:
 
     def check(self, module: ParsedModule) -> list[Violation]:
         violations: list[Violation] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 for alias in node.names:
                     if alias.name not in ALLOWED_RANDOM_IMPORTS:

@@ -70,7 +70,7 @@ class BlockingCallbackRule:
         # Same-module function definitions by (last) name, for resolving
         # callbacks registered as `self._fire` / `_fire`.
         defs: dict[str, ast.AST] = {}
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[node.name] = node
 
@@ -92,7 +92,7 @@ class BlockingCallbackRule:
                 )
             )
 
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

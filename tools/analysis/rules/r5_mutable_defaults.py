@@ -71,7 +71,7 @@ class MutableDefaultsRule:
 
     def check(self, module: ParsedModule) -> list[Violation]:
         violations: list[Violation] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 violations.extend(self._check_dataclass(module, node))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):

@@ -47,7 +47,7 @@ class EngineFacadeRule:
         if module.rel_path.startswith(ENGINE_FACADE_ALLOWLIST):
             return []
         violations: list[Violation] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -52,7 +52,7 @@ class IdentityIndexRule:
 
     def check(self, module: ParsedModule) -> list[Violation]:
         violations: list[Violation] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (
                 isinstance(node, ast.Attribute)
                 and node.attr == SOCKET_STORE

@@ -53,7 +53,7 @@ class EventQueueRule:
 
     def check(self, module: ParsedModule) -> list[Violation]:
         violations: list[Violation] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (
                 isinstance(node, ast.Attribute)
                 and node.attr == EVENT_QUEUE

@@ -5,13 +5,15 @@ Runs every rule in ``tools/analysis/rules`` over the source tree and
 exits non-zero on any unsuppressed violation::
 
     python tools/analysis/run_lint.py                 # lint src/ + tools/
-    python tools/analysis/run_lint.py src/repro/core  # lint a subtree
-    python tools/analysis/run_lint.py --disable R4    # switch a rule off
+    python tools/analysis/run_lint.py src/repro/core  # judge a subtree
     python tools/analysis/run_lint.py --list-rules    # show the rule set
 
-Per-line suppression uses ``# lint: disable=R1[,R2]`` on the offending
-line; rule R3 additionally honours its own ``# fail-open-ok: <reason>``
-justification tag.  Rules, rationale and examples are documented in
+The paths pick what is judged; the program rules (R13-R16) read the
+whole tree whatever is judged.  Per-line suppression of a module rule
+uses ``# lint: disable=R1[,R2]`` on the offending line; rule R3
+additionally honours its own ``# fail-open-ok: <reason>`` justification
+tag; a program rule's finding stays only through a row of
+``tools/analysis/accepted.py``.  Rules, rationale and examples are documented in
 ``docs/ANALYSIS.md``; every rule has good/bad fixtures under
 ``tools/analysis/fixtures/`` that ``tests/test_analysis_lint.py`` locks
 its behaviour to.
@@ -26,7 +28,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 
-from tools.analysis.core import analyze_paths  # noqa: E402
+from tools.analysis.core import FIXTURES, analyze_paths  # noqa: E402
 from tools.analysis.rules import ALL_RULES  # noqa: E402
 
 #: What gets linted when no paths are given.  ``tools/`` includes this
@@ -36,7 +38,7 @@ DEFAULT_PATHS = ("src", "tools")
 
 #: Repo-relative prefixes never linted: the fixture corpus *is* the
 #: set of violations the tests require the rules to find.
-EXCLUDED_PREFIXES = ("tools/analysis/fixtures/",)
+EXCLUDED_PREFIXES = (FIXTURES,)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -44,10 +46,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS),
         help="files or directories to lint (default: src/ and tools/)",
-    )
-    parser.add_argument(
-        "--disable", default="",
-        help="comma-separated rule ids to switch off (e.g. R4 or R1,R2)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule set and exit",
@@ -59,13 +57,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rule.rule_id}: {rule.title}")
         return 0
 
-    disabled = {part.strip().upper() for part in args.disable.split(",") if part.strip()}
-    unknown = disabled - {rule.rule_id for rule in ALL_RULES}
-    if unknown:
-        print(f"unknown rule id(s) in --disable: {', '.join(sorted(unknown))}")
-        return 2
-    rules = [rule for rule in ALL_RULES if rule.rule_id not in disabled]
-
     paths = [(REPO_ROOT / path) if not Path(path).is_absolute() else Path(path)
              for path in args.paths]
     missing = [path for path in paths if not path.exists()]
@@ -76,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
 
     violations = [
         violation
-        for violation in analyze_paths(paths, rules, root=REPO_ROOT)
+        for violation in analyze_paths(paths, ALL_RULES, root=REPO_ROOT)
         if not violation.path.startswith(EXCLUDED_PREFIXES)
     ]
     for violation in violations:
@@ -85,10 +76,10 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"lint FAILED: {len(violations)} violation(s) across "
             f"{len({violation.path for violation in violations})} file(s) "
-            f"({len(rules)} rules active)"
+            f"({len(ALL_RULES)} rules active)"
         )
         return 1
-    print(f"lint ok: {len(rules)} rules, no violations")
+    print(f"lint ok: {len(ALL_RULES)} rules, no violations")
     return 0
 
 

@@ -11,7 +11,9 @@ On top of links, ``REQUIRED_SECTIONS`` pins the headings the rest of
 the repo refers to (subsystem docs each PR promises, benchmark gate
 tables): deleting or renaming one without updating this list fails the
 check, so the architecture/benchmark docs cannot silently lose the
-sections other documents and PR acceptance criteria point at.
+sections other documents and PR acceptance criteria point at.  Each
+rule of ``tools/analysis``'s ``ALL_RULES`` must have a heading in
+``docs/ANALYSIS.md`` that starts ``### <rule id> — ``.
 
 ``docs/BENCHMARKS.md`` is also held to ``BENCH_results.json``: every
 name in the first column of an ``Entry`` table under the ``results``
@@ -34,13 +36,16 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 #: Markdown inline links: [text](target)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Files whose links are checked.
 DOC_FILES = ["README.md", "ROADMAP.md", "CHANGES.md"]
+
+#: Where each lint rule of ``tools/analysis`` has a ``### R<n> — `` section.
+RULES_DOC = "docs/ANALYSIS.md"
 
 #: Headings (exact markdown lines) each doc must keep carrying.
 REQUIRED_SECTIONS: dict[str, list[str]] = {
@@ -71,18 +76,8 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
     "docs/ANALYSIS.md": [
         "## Running the lint",
         "## Rules",
-        "### R1 — no wall-clock reads in simulation code",
-        "### R2 — no module-global randomness",
-        "### R3 — no silent broad exception handlers",
-        "### R4 — event callbacks must not re-enter the loop or block",
-        "### R5 — no mutable defaults, no anonymous counters",
-        "### R7 — ident++ queries must go through the QueryEngine facade",
-        "### R8 — identity lookups must use the socket and key indexes",
-        "### R9 — events enter through `Simulator.schedule`, with labels built once",
-        "### R10 — the product imports only the standard library and itself",
-        "### R11 — nothing newer than Python 3.10, the oldest interpreter CI tests",
-        "### R12 — no unused top-level import",
         "## Suppression",
+        "## The accepted table",
         "## The runtime sanitizer",
     ],
     "README.md": [
@@ -96,17 +91,25 @@ REQUIRED_SECTIONS: dict[str, list[str]] = {
 
 
 def check_required_sections() -> list[str]:
-    """Return a problem line for every required heading that is missing."""
+    """Return a problem line for every required heading that is missing,
+    and for every lint rule without a ``### R<n> — `` section of its own."""
+    from tools.analysis.rules import ALL_RULES
+
     problems = []
     for rel_path, headings in sorted(REQUIRED_SECTIONS.items()):
         path = REPO_ROOT / rel_path
         if not path.exists():
             problems.append(f"{rel_path}: required doc file is missing")
             continue
-        lines = {line.strip() for line in path.read_text(encoding="utf-8").splitlines()}
+        lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
         for heading in headings:
             if heading not in lines:
                 problems.append(f"{rel_path}: missing required section {heading!r}")
+        if rel_path == RULES_DOC:
+            for rule in ALL_RULES:
+                prefix = f"### {rule.rule_id} — "
+                if not any(line.startswith(prefix) for line in lines):
+                    problems.append(f"{rel_path}: no section {prefix!r}... for {rule.rule_id}")
     return problems
 
 

@@ -26,96 +26,36 @@ A function is matched to the code objects the profiler saw by file and
 first line, its first decorator's line when it has one
 (``co_firstlineno``).
 
-``tools/reach_accepted.py`` lists the few findings that stay, each with
-its category, the test that drives it and why.  Exits non-zero on a
-finding that is not on the list, and on a list entry that is entered
-now, names no definition or names a test that does not exist: the list
-can only shrink.
+The definitions come from the lint's parse (``tools/analysis``), and
+the ``reach`` and ``R16`` rows of its accepted table
+(``tools/analysis/accepted.py``) are the findings that stay, each with
+its category, reason and the test that drives it.  Exits non-zero on a
+finding no row keeps, and on a row the table's one staleness check
+drops: one entered now, naming no definition or naming a test that does
+not exist.  The table can only shrink; ``make lint`` holds its shape.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import contextlib
 import cProfile
-import functools
 import glob
 import os
 import runpy
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFINED_IN = "src/repro"
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
+from tools.analysis.accepted import ACCEPTED, stale_rows  # noqa: E402
+from tools.analysis.core import Definition, load_program  # noqa: E402
 
-class Definition(NamedTuple):
-    qualname: str
-    path: str
-    first: int
-    last: int
-    #: ``"class"``, ``"function"``, or ``"stub"`` for a function that only declares.
-    kind: str = "function"
-
-    @property
-    def name(self) -> str:
-        return self.qualname.rpartition(".")[2]
-
-    def __str__(self) -> str:
-        return f"{self.qualname} ({self.path}:{self.first})"
-
-
-def is_stub(node: ast.AST) -> bool:
-    """A body of only a docstring, ``...``, ``pass`` or ``raise NotImplementedError``."""
-    for statement in node.body:
-        if isinstance(statement, ast.Pass):
-            continue
-        if isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant):
-            continue
-        if isinstance(statement, ast.Raise) and statement.exc is not None:
-            exc = statement.exc.func if isinstance(statement.exc, ast.Call) else statement.exc
-            if isinstance(exc, ast.Name) and exc.id == "NotImplementedError":
-                continue
-        return False
-    return True
-
-
-def definitions_in(tree: ast.AST, path: str) -> list[Definition]:
-    """Every function, method and class of ``tree`` (nested ones too), dunders aside."""
-    found = []
-
-    def visit(body, prefix):
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                qualname = prefix + node.name
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                    kind = (
-                        "class" if isinstance(node, ast.ClassDef)
-                        else "stub" if is_stub(node) else "function"
-                    )
-                    found.append(Definition(qualname, path, first, node.end_lineno, kind))
-                visit(node.body, qualname + ".")
-
-    visit(tree.body, "")
-    return found
-
-
-@functools.cache
-def _parsed(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(), filename=str(path))
-
-
-def definitions_under(root: Path, directory: str) -> list[Definition]:
-    """:func:`definitions_in` over every ``.py`` file under ``root / directory``."""
-    return [
-        definition
-        for path in sorted((root / directory).rglob("*.py"))
-        for definition in definitions_in(_parsed(path), path.relative_to(root).as_posix())
-    ]
+#: The rows of the accepted table this gate reads: a definition nothing
+#: outside the tests names (R16) is entered by nothing outside them either.
+ROWS_READ = ("reach", "R16")
 
 
 def entered(entry_points: Iterable[tuple[str, Callable[[], object]]], *, log=None) -> set:
@@ -159,63 +99,17 @@ def pinned_by_tracer() -> set[tuple[str, str]]:
     return pinned
 
 
-def names_a_test(node_id: str, root: Path) -> bool:
-    """Whether ``tests/file.py::Class::test`` names a file and, in it, those definitions."""
-    path, *names = node_id.split("::")
-    if not names or not (root / path).is_file():
-        return False
-    body = _parsed(root / path).body
-    for name in names:
-        found = [
-            node for node in body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
-        ]
-        if not found:
-            return False
-        body = found[0].body
-    return True
-
-
-def stale_entries(accepted: dict, definitions: list[Definition], findings: list[Definition],
-                  root: Path) -> list[str]:
-    """List entries that are entered now, name no definition, or name no test."""
-    qualnames = {definition.qualname for definition in definitions}
-    found = {finding.qualname for finding in findings}
-    stale = []
-    for qualname, (_, test, _) in accepted.items():
-        if qualname not in qualnames:
-            stale.append(f"{qualname} (no such definition)")
-        elif qualname not in found:
-            stale.append(f"{qualname} (entered now)")
-        if not names_a_test(test, root):
-            stale.append(f"{qualname} (no such test: {test})")
-    return stale
-
-
-def shape_problems(accepted: dict) -> list[str]:
-    """The list's own rules: its length, its categories and a reason on every entry."""
-    from tools.reach_accepted import CATEGORIES, LIMIT, READING_LIMIT
-
-    problems = []
-    if len(accepted) > LIMIT:
-        problems.append(f"{len(accepted)} entries, more than {LIMIT}")
-    readings = sum(category == "reading" for category, _, _ in accepted.values())
-    if readings > READING_LIMIT:
-        problems.append(f"{readings} reading entries, more than {READING_LIMIT}")
-    for qualname, (category, _, reason) in accepted.items():
-        if category not in CATEGORIES:
-            problems.append(f"{qualname}: category {category!r} is not one of {CATEGORIES}")
-        if not reason.strip():
-            problems.append(f"{qualname}: no reason")
-    return problems
-
-
-def report(findings: list[Definition], accepted: dict, definitions: list[Definition],
+def report(findings: list[Definition], rows, definitions: list[Definition],
            root: Path) -> list[str]:
-    """One line per finding not on the list, per stale list entry and per broken list rule."""
-    lines = [str(finding) for finding in findings if finding.qualname not in accepted]
-    lines += [f"stale: {entry}" for entry in stale_entries(accepted, definitions, findings, root)]
-    lines += [f"list: {problem}" for problem in shape_problems(accepted)]
+    """One line per finding no row keeps, and per row the table's one staleness check drops."""
+    kept = {row.qualname for row in rows}
+    lines = [str(finding) for finding in findings if finding.qualname not in kept]
+    judged = {definition.qualname for definition in definitions}
+    found = {finding.qualname for finding in findings}
+    lines += [
+        f"stale: {row.rule} row {row.qualname}: {why}"
+        for row, why in stale_rows(rows, judged, found, root)
+    ]
     return lines
 
 
@@ -270,25 +164,25 @@ def product_entry_points() -> Iterator[tuple[str, Callable[[], object]]]:
 
 
 def main() -> int:
-    from tools.reach_accepted import ACCEPTED
-
     print("entry points:")
     seen = entered(product_entry_points(), log=sys.stdout)
-    definitions = definitions_under(REPO_ROOT, DEFINED_IN)
+    definitions = load_program(REPO_ROOT, {}).definitions
     pinned = pinned_by_tracer()
     findings, held = [], []
     for finding in unreached(definitions, seen, REPO_ROOT):
         (held if (finding.path, finding.qualname) in pinned else findings).append(finding)
-    lines = report(findings, ACCEPTED, definitions, REPO_ROOT)
+    rows = [row for row in ACCEPTED if row.rule in ROWS_READ]
+    lines = report(findings, rows, definitions, REPO_ROOT)
     judged = sum(definition.kind == "function" for definition in definitions)
-    print(f"{judged} functions judged, {len(findings)} not entered, {len(ACCEPTED)} on the list")
+    print(f"{judged} functions judged, {len(findings)} not entered, {len(rows)} on the list")
     for finding in held:
         print(f"pinned by perf/tracing.py, not judged: {finding}")
     for line in lines:
         print(line)
     if lines:
-        print(f"FAIL: {len(lines)} findings: delete each unreached function, or list it "
-              "in tools/reach_accepted.py with its category, test and reason; drop stale entries")
+        print(f"FAIL: {len(lines)} findings: delete each unreached function, or give it a "
+              "reach row in tools/analysis/accepted.py with its category, reason and test; "
+              "drop stale rows")
         return 1
     print("reach ok: every function in src/repro is entered by the product or listed")
     return 0
