@@ -250,8 +250,9 @@ class ControllerConfig:
     TTL, the subscription table by the host count, and the flow-entry
     priorities are :mod:`repro.core.installer`'s constants
     ``QUARANTINE_PRIORITY`` > ``FLOW_PRIORITY`` > ``DROP_PRIORITY``.
-    Every field has a caller outside the tests
-    (``tests/test_options_have_callers.py``).
+    Every field has a second value outside the tests: lint rule R13
+    (``tools/analysis/rules/r13_second_values.py``) fails on a defaulted
+    field that nothing but a test sets to another value.
     """
 
     idle_timeout: float = 60.0

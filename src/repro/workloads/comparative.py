@@ -334,10 +334,15 @@ class SecurityComparisonScenario:
         self.hosts = self._build_hosts()
         self.engine = PolicyEngine(name="matrix-identpp")
         self.engine.add_control_files(IDENTPP_MATRIX_POLICY)
-        self.vanilla = self._build_vanilla()
-        self.distributed = self._build_distributed()
-        self.ethane = self._build_ethane()
-        self.vlan = self._build_vlan()
+        rules = self._base_port_rules()
+        #: Each architecture's decider before any compromise.
+        self.before: dict[str, Callable[[AttackProbe], bool]] = {
+            ARCH_IDENTPP: self.identpp_decider_truthful,
+            ARCH_VANILLA: self._baseline_decider(VanillaFirewall(rules, name="vanilla")),
+            ARCH_DISTRIBUTED: self._baseline_decider(DistributedFirewall(rules, name="distributed")),
+            ARCH_ETHANE: self._baseline_decider(self._build_ethane()),
+            ARCH_VLAN: self._baseline_decider(self._build_vlan()),
+        }
         self.probes = self._build_probes()
 
     # -- enterprise model -------------------------------------------------
@@ -373,12 +378,8 @@ class SecurityComparisonScenario:
 
     def _base_port_rules(self) -> list[FirewallRule]:
         return [
-            FirewallRule("pass", src="192.168.0.0/24", dst="192.168.1.0/24", proto="tcp",
-                         dst_port=80, keep_state=True),
-            FirewallRule("pass", src="192.168.0.0/24", dst="192.168.1.0/24", proto="tcp",
-                         dst_port=22, keep_state=True),
-            FirewallRule("pass", src="192.168.0.0/24", dst="192.168.1.0/24", proto="tcp",
-                         dst_port=25, keep_state=True),
+            *(FirewallRule("pass", src="192.168.0.0/24", dst="192.168.1.0/24", proto="tcp",
+                           dst_port=port, keep_state=True) for port in (80, 22, 25)),
             FirewallRule("pass", src=f"{self.ADMIN_IP}/32", dst="192.168.1.0/24", proto="tcp",
                          dst_port=445, keep_state=True),
             FirewallRule("pass", src=f"{self.RESEARCH_CLIENT_IP}/32", dst="192.168.2.0/24",
@@ -388,19 +389,12 @@ class SecurityComparisonScenario:
             FirewallRule("block"),
         ]
 
-    def _build_vanilla(self) -> VanillaFirewall:
-        return VanillaFirewall(self._base_port_rules(), name="vanilla")
-
-    def _build_distributed(self) -> DistributedFirewall:
-        return DistributedFirewall(self._base_port_rules(), name="distributed")
-
     def _build_ethane(self) -> EthanePolicy:
         policy = EthanePolicy(name="ethane")
         for host in self.hosts.values():
             policy.register_host(host.ip, host.user, groups=host.groups)
-        policy.allow(src_group="staff", dst="192.168.1.0/24", proto="tcp", dst_port=80)
-        policy.allow(src_group="staff", dst="192.168.1.0/24", proto="tcp", dst_port=22)
-        policy.allow(src_group="staff", dst="192.168.1.0/24", proto="tcp", dst_port=25)
+        for port in (80, 22, 25):
+            policy.allow(src_group="staff", dst="192.168.1.0/24", proto="tcp", dst_port=port)
         policy.allow(src_user="system", dst="192.168.1.0/24", proto="tcp", dst_port=445)
         policy.allow(src_group="research", dst="192.168.2.0/24", proto="tcp", dst_port=7777)
         policy.allow(src_group="staff", dst="203.0.113.0/24", proto="tcp")
@@ -444,37 +438,34 @@ class SecurityComparisonScenario:
 
     # -- ident++ deciders ---------------------------------------------------
 
-    def _doc_from_claims(self, claims: dict[str, str]) -> ResponseDocument:
+    @staticmethod
+    def _answer(pairs: dict[str, str], source: str) -> ResponseDocument:
         document = ResponseDocument()
-        document.add_section(dict(claims), source="attacker")
+        document.add_section(pairs, source=source)
         return document
 
     def _honest_src_doc(self, host: ModelHost, app_name: str) -> ResponseDocument:
-        document = ResponseDocument()
-        document.add_section(
+        return self._answer(
             {
                 "userID": host.user,
                 "groupID": " ".join(host.groups),
                 "name": app_name,
                 "app-name": app_name,
             },
-            source=f"{host.name}:daemon",
+            f"{host.name}:daemon",
         )
-        return document
 
     def _honest_dst_doc(self, flow: FlowSpec) -> ResponseDocument:
         host = self.host_by_ip(str(flow.dst_ip))
-        document = ResponseDocument()
         if host is None:
-            return document
+            return ResponseDocument()
         service = host.services.get(flow.dst_port)
         pairs = {"groupID": " ".join(host.groups)}
         if service is not None:
             app, user = service
             pairs.update({"name": app, "app-name": app, "userID": user})
         pairs.update(host.facts)
-        document.add_section(pairs, source=f"{host.name}:daemon")
-        return document
+        return self._answer(pairs, f"{host.name}:daemon")
 
     def _identpp_allows(self, flow: FlowSpec, src_doc: ResponseDocument) -> bool:
         return self.engine.decide(flow, src_doc, self._honest_dst_doc(flow)).is_pass
@@ -494,7 +485,7 @@ class SecurityComparisonScenario:
 
     def identpp_decider_host_compromise(self, probe: AttackProbe) -> bool:
         """The whole host (and daemon) is compromised: arbitrary claims (§5.3)."""
-        return self._identpp_allows(probe.flow, self._doc_from_claims(probe.claims()))
+        return self._identpp_allows(probe.flow, self._answer(dict(probe.claims()), "attacker"))
 
     # -- generic deciders ---------------------------------------------------
 
@@ -516,52 +507,32 @@ class SecurityComparisonScenario:
             CompromiseScenario(COMPONENT_CONTROLLER, "controller"),
         ]
 
-    def _after_decider(self, architecture: str, scenario: CompromiseScenario) -> Callable[[AttackProbe], bool]:
-        before = self._before_decider(architecture)
-        if scenario.component == COMPONENT_CONTROLLER:
+    def build_matrix(self) -> SecurityMatrix:
+        """Compute the full matrix: every architecture, every compromise.
+
+        ``after`` holds the decider each compromise leaves an architecture;
+        an architecture a compromise does not list keeps its ``before`` one.
+        """
+        after = {
             # §5.1: every architecture's central policy point, once owned,
             # stops protecting anything.
-            return self._allow_everything
-        if scenario.component == COMPONENT_SWITCH:
+            COMPONENT_CONTROLLER: dict.fromkeys(ALL_ARCHITECTURES, self._allow_everything),
             # §5.2: in-network enforcement evaporates for traffic through the
             # compromised device; distributed firewalls enforce at the hosts
             # and are unaffected.
-            if architecture == ARCH_DISTRIBUTED:
-                return before
-            return self._allow_everything
-        if scenario.component == COMPONENT_END_HOST:
-            if architecture == ARCH_IDENTPP:
-                return self.identpp_decider_host_compromise
+            COMPONENT_SWITCH: {
+                arch: self._allow_everything for arch in ALL_ARCHITECTURES if arch != ARCH_DISTRIBUTED
+            },
             # Architectures that never believed the host gain nothing new
             # from its lies; their (coarser) decisions are unchanged.
-            return before
-        if scenario.component == COMPONENT_USER_APPLICATION:
-            if architecture == ARCH_IDENTPP:
-                return self.identpp_decider_app_compromise
-            return before
-        raise ValueError(f"unknown component: {scenario.component}")
-
-    def _before_decider(self, architecture: str) -> Callable[[AttackProbe], bool]:
-        if architecture == ARCH_IDENTPP:
-            return self.identpp_decider_truthful
-        if architecture == ARCH_VANILLA:
-            return self._baseline_decider(self.vanilla)
-        if architecture == ARCH_DISTRIBUTED:
-            return self._baseline_decider(self.distributed)
-        if architecture == ARCH_ETHANE:
-            return self._baseline_decider(self.ethane)
-        if architecture == ARCH_VLAN:
-            return self._baseline_decider(self.vlan)
-        raise ValueError(f"unknown architecture: {architecture}")
-
-    def build_matrix(self) -> SecurityMatrix:
-        """Compute the full matrix: every architecture, every compromise."""
+            COMPONENT_END_HOST: {ARCH_IDENTPP: self.identpp_decider_host_compromise},
+            COMPONENT_USER_APPLICATION: {ARCH_IDENTPP: self.identpp_decider_app_compromise},
+        }
         matrix = SecurityMatrix()
-        for architecture in ALL_ARCHITECTURES:
-            before = self._before_decider(architecture)
+        for architecture, before in self.before.items():
             for scenario in self.compromise_scenarios():
-                after = self._after_decider(architecture, scenario)
-                matrix.add(
-                    impact_of_compromise(architecture, scenario, before, after, self.probes)
-                )
+                matrix.add(impact_of_compromise(
+                    architecture, scenario, before,
+                    after[scenario.component].get(architecture, before), self.probes,
+                ))
         return matrix

@@ -5,15 +5,16 @@ sweeps those claims across a grid.  A cell is a frozen
 :class:`ScenarioSpec` — topology × control plane × policy set × traffic
 mix × failure schedule × seed — whose axes are keys of plain registries
 (:data:`TOPOLOGIES`, :data:`CONTROLS`, :data:`POLICIES`,
-:data:`TRAFFIC_MIXES`, :data:`FAILURES`); :func:`expand_grid` turns an
-axis grid into cells.  :func:`run_cell` runs one cell
-:data:`MATRIX_REPEATS` times with derived seeds on the virtual clock and
-returns its entry, a plain dict:
+:data:`TRAFFIC_MIXES`, :data:`FAILURES`) whose rows carry everything
+about the value, so adding one is one row (plus an arm function for a
+failure); :func:`expand_grid` turns an axis grid into cells.
+:func:`run_cell` runs one cell :data:`MATRIX_REPEATS` times with
+derived seeds on the virtual clock and returns its entry, a plain dict:
 
 * **architectures** — ident++'s delivered-or-not outcome per injected
   flow against the administrator's intent, beside four baselines
   (vanilla firewall, distributed firewall, Ethane, VLAN segmentation)
-  re-deciding the same planned flows;
+  re-deciding the same planned flows, all counted by one tally;
 * **invariants** — the applicable checkers from
   :mod:`repro.workloads.invariants` (fail-closed, zero-loss failover,
   containment, cache coherence, bounded state), evaluated on every
@@ -37,9 +38,9 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.baselines.ethane import EthanePolicy
+from repro.baselines.ethane import EthanePolicy, EthaneRule
 from repro.baselines.distributed_firewall import DistributedFirewall
 from repro.baselines.vanilla_firewall import FirewallRule, VanillaFirewall
 from repro.baselines.vlan import VLANSegmentation
@@ -96,7 +97,7 @@ class ScenarioSpec:
 
     def cell_id(self) -> str:
         """The canonical axis string identifying this cell."""
-        parts = [self.topology, self.control, self.policy, self.traffic, self.failure]
+        parts = [getattr(self, axis) for axis in AXES]
         if self.daemon_fraction < 1.0:
             parts.append(f"daemons{int(round(self.daemon_fraction * 100))}%")
         if self.identity_plane != "pull":
@@ -104,31 +105,29 @@ class ScenarioSpec:
         return "/".join(parts)
 
     def validate(self) -> None:
-        """Raise ``ValueError`` on an unknown axis value or invalid combo."""
-        for axis, registry in (
-            ("topology", TOPOLOGIES),
-            ("control", CONTROLS),
-            ("policy", POLICIES),
-            ("traffic", TRAFFIC_MIXES),
-            ("failure", FAILURES),
-        ):
+        """Raise ``ValueError`` on an unknown axis value or invalid combo.
+
+        What a failure schedule needs is read off its :class:`FailureRow`.
+        """
+        for axis, registry in AXES.items():
             value = getattr(self, axis)
             if value not in registry:
                 raise ValueError(f"unknown {axis} {value!r} (have {sorted(registry)})")
-        if self.failure == "kill_shard" and self.control == "single":
-            raise ValueError("kill_shard needs a cluster control plane")
-        if self.failure == "partition_heal" and self.topology != "spine_leaf":
-            raise ValueError("partition_heal needs the spine_leaf topology")
+        failure = FAILURES[self.failure]
+        if failure.cluster and not CONTROLS[self.control]:
+            raise ValueError(f"{self.failure} needs a cluster control plane")
+        for axis, value in failure.needs.items():
+            if getattr(self, axis) != value:
+                raise ValueError(f"{self.failure} needs the {value} {axis}")
+        for name, other in FAILURES.items():
+            if other.paired and name != self.failure and other.needs.get("traffic") == self.traffic:
+                raise ValueError(f"the {name} failure schedule and the {self.traffic} traffic pair up")
         if not 0.0 <= self.daemon_fraction <= 1.0:
             raise ValueError(f"daemon_fraction must be in [0, 1] (got {self.daemon_fraction})")
         if self.identity_plane not in ("pull", "push"):
             raise ValueError(f"identity_plane must be 'pull' or 'push' (got {self.identity_plane!r})")
         if self.flows < 1 or self.clients < 1 or self.servers < 1:
             raise ValueError("flows, clients and servers must be positive")
-        if (self.failure == "retenant") != (self.traffic == "retenant"):
-            raise ValueError("the retenant failure schedule and traffic mix pair up")
-        if self.failure == "quarantine_race" and self.traffic != "worm":
-            raise ValueError("quarantine_race needs the worm traffic mix")
 
 
 def expand_grid(
@@ -173,8 +172,8 @@ class FlowIntent:
     it.  ``expect_verdict`` marks flows the control plane is expected to
     account for (quarantine wildcard drops and partition blackouts stop
     packets before any punt, so those flows legitimately reach no
-    verdict).  ``expect_delivery`` marks wanted flows whose delivery is
-    expected (a wanted flow during a partition blackout is not).
+    verdict).  ``judged`` is false for a wanted flow opened into a
+    partition blackout: whether it arrives is no verdict.
     """
 
     at: float
@@ -186,12 +185,7 @@ class FlowIntent:
     dst_port: int
     wanted: bool
     expect_verdict: bool = True
-    expect_delivery: Optional[bool] = None
-
-    def should_deliver(self) -> bool:
-        if self.expect_delivery is not None:
-            return self.expect_delivery
-        return self.wanted
+    judged: bool = True
 
     def planned_flow(self, index: int) -> FlowSpec:
         """A deterministic 5-tuple stand-in used for baseline evaluation."""
@@ -220,18 +214,29 @@ class CellContext:
 
     spec: ScenarioSpec
     net: IdentPPNetwork
+    #: The repeat's seeded draws: the flows' instants, then the mix's own.
+    rng: random.Random
     switches: dict[str, list] = field(default_factory=dict)
     plans: dict[str, HostPlan] = field(default_factory=dict, init=False)
+    #: Each server's listening socket, by host name.
+    sockets: dict[str, object] = field(default_factory=dict, init=False)
     intents: list[FlowIntent] = field(default_factory=list)
     injected: list[tuple[FlowIntent, FlowSpec]] = field(default_factory=list, init=False)
     peaks: dict[str, int] = field(default_factory=dict, init=False)
     quarantined_since: dict[str, float] = field(default_factory=dict, init=False)
-    coherence_probes: list[invariants.CoherenceProbe] = field(default_factory=list, init=False)
-    needs_monitoring: bool = False
-    retenant_socket: object = None
 
-    def hosts_in_role(self, *roles: str) -> list[HostPlan]:
-        return [plan for plan in self.plans.values() if plan.role in roles]
+    def hosts_in_role(self, role: str, prefix: str = "") -> list[HostPlan]:
+        return [
+            plan for plan in self.plans.values()
+            if plan.role == role and plan.name.startswith(prefix)
+        ]
+
+    def pick(self, role: str, prefix: str = "") -> HostPlan:
+        return self.rng.choice(self.hosts_in_role(role, prefix))
+
+    def schedule(self, fraction: float, callback: Callable, *args, label: str) -> None:
+        """Run ``callback(*args)`` at ``fraction`` of the cell's duration."""
+        self.net.topology.sim.schedule_at(self.spec.duration * fraction, callback, *args, label=label)
 
 
 # ======================================================================
@@ -268,10 +273,49 @@ TOPOLOGIES: dict[str, Callable[[CellContext], None]] = {
 #: Control plane → shard count (0 = one unsharded controller).
 CONTROLS: dict[str, int] = {"single": 0, "cluster2": 2, "cluster4": 4}
 
+#: Where each host role attaches: its switch group, and the switch in it
+#: (``None``: round robin over the group).  Any other role is a client's.
+_ATTACH: dict[str, tuple[str, Optional[int]]] = {
+    "server": ("server", None),
+    "roam_a": ("client", 0),
+    "roam_b": ("client", -1),
+}
+
 
 # ======================================================================
-# Policy sets (ident++ control files + the matching baseline builders)
+# Policy sets (ident++ control files + what each baseline can say)
 # ======================================================================
+
+@dataclass(frozen=True)
+class PolicyRow:
+    """One policy set: ident++'s control files and each baseline's approximation.
+
+    Each baseline gets the closest approximation its architecture can
+    state: port/subnet rules for the firewalls, per-host user bindings
+    for Ethane, subnet segments for VLANs.  The gap between these
+    approximations and the ground-truth ``wanted`` labels is exactly
+    what the per-cell comparison measures.
+    """
+
+    control_files: Mapping[str, str]
+    #: The rules of both firewalls, vanilla and distributed, in order.
+    #: Every policy but tenant isolation narrows port 80; a firewall can
+    #: only say "port 80".
+    firewall: tuple[FirewallRule, ...] = (
+        FirewallRule("pass", proto="tcp", dst_port=80, keep_state=True),
+        FirewallRule("block"),
+    )
+    #: Ethane's rules over its per-host user bindings, in order.
+    ethane: tuple[EthaneRule, ...] = (EthaneRule("pass", proto="tcp", dst_port=80),)
+    #: Whether the VLAN design keeps the two tenants apart; outside the
+    #: isolation cells it has one big zone.
+    vlan_isolates: bool = False
+
+
+def _port_80(*condition: str) -> str:
+    """A control file passing port 80 alone, on ``condition`` (a ``with`` clause)."""
+    return " ".join(("block all\npass from any to any port 80", *condition, "keep state\n"))
+
 
 # Table names must not collide with group names: a bare name inside
 # member() resolves as a PF table first, so member(@src[groupID], tenant-a)
@@ -281,100 +325,67 @@ table <tenant-a-net> {{ {TENANT_A_CLIENTS}, {TENANT_A_SERVERS} }}
 table <tenant-b-net> {{ {TENANT_B_CLIENTS}, {TENANT_B_SERVERS} }}
 """
 
-POLICIES: dict[str, dict[str, str]] = {
+# Ethane can bind users (not apps): user_gated is its best case,
+# app_gated its documented blind spot — same rule either way.
+_ETHANE_STAFF_80 = (EthaneRule("pass", src_group="staff", proto="tcp", dst_port=80),)
+
+POLICIES: dict[str, PolicyRow] = {
     # Port-based: what a conventional firewall can express.
-    "web_open": {
-        "00-web.control": "block all\npass from any to any port 80 keep state\n",
-    },
+    "web_open": PolicyRow({"00-web.control": _port_80()}),
     # Only the approved browser may speak HTTP (Figure 2's skype-vs-web).
-    "app_gated": {
-        "00-app.control": (
-            "block all\n"
-            "pass from any to any port 80 with eq(@src[name], http) keep state\n"
-        ),
-    },
+    "app_gated": PolicyRow(
+        {"00-app.control": _port_80("with eq(@src[name], http)")}, ethane=_ETHANE_STAFF_80,
+    ),
     # Only staff users may speak HTTP, whoever's machine they borrow.
-    "user_gated": {
-        "00-user.control": (
-            "block all\n"
-            "pass from any to any port 80 with member(@src[groupID], staff) keep state\n"
-        ),
-    },
+    "user_gated": PolicyRow(
+        {"00-user.control": _port_80("with member(@src[groupID], staff)")},
+        ethane=_ETHANE_STAFF_80,
+    ),
     # Tenants are isolated by group membership, not just by subnet.
-    "tenant_iso": {
-        "00-tenants.control": _TABLE_HEADER + (
+    "tenant_iso": PolicyRow(
+        {"00-tenants.control": _TABLE_HEADER + (
             "block all\n"
             "pass from <tenant-a-net> to <tenant-a-net> port 80 "
             "with member(@src[groupID], tenant-a) keep state\n"
             "pass from <tenant-b-net> to <tenant-b-net> port 80 "
             "with member(@src[groupID], tenant-b) keep state\n"
-        ),
-    },
-    # The *destination* must be the real web server (coherence cells).
-    "dst_app_gated": {
-        "00-dst.control": (
-            "block all\n"
-            "pass from any to any port 80 with eq(@dst[name], httpd) keep state\n"
-        ),
-    },
-}
-
-
-def build_baselines(policy_name: str, plans: Mapping[str, HostPlan]) -> dict[str, object]:
-    """Build the four baseline deciders that best express one policy set.
-
-    Each baseline gets the closest approximation its architecture can
-    state: port/subnet rules for the firewalls, per-host user bindings
-    for Ethane, subnet segments for VLANs.  The gap between these
-    approximations and the ground-truth ``wanted`` labels is exactly
-    what the per-cell comparison measures.
-    """
-    port_rules = _port_rules_for(policy_name)
-    ethane = EthanePolicy(name="ethane")
-    for plan in plans.values():
-        primary = next(iter(plan.users))
-        ethane.register_host(plan.ip, primary, groups=plan.users[primary])
-    _add_ethane_rules(ethane, policy_name)
-    vlan = VLANSegmentation(name="vlan")
-    vlan.assign("tenant-a", [TENANT_A_CLIENTS, TENANT_A_SERVERS])
-    vlan.assign("tenant-b", [TENANT_B_CLIENTS, TENANT_B_SERVERS])
-    if policy_name != "tenant_iso":
-        # Outside the isolation cells the VLAN design has one big zone.
-        vlan.allow_between("tenant-a", "tenant-b")
-    return {
-        ARCH_VANILLA: VanillaFirewall(port_rules, name="vanilla"),
-        ARCH_DISTRIBUTED: DistributedFirewall(port_rules, name="distributed"),
-        ARCH_ETHANE: ethane,
-        ARCH_VLAN: vlan,
-    }
-
-
-def _port_rules_for(policy_name: str) -> list[FirewallRule]:
-    if policy_name == "tenant_iso":
-        return [
+        )},
+        firewall=(
             FirewallRule("pass", src=TENANT_A_CLIENTS, dst=TENANT_A_SERVERS,
                          proto="tcp", dst_port=80, keep_state=True),
             FirewallRule("pass", src=TENANT_B_CLIENTS, dst=TENANT_B_SERVERS,
                          proto="tcp", dst_port=80, keep_state=True),
             FirewallRule("block"),
-        ]
-    # Every other policy narrows port 80; a firewall can only say "port 80".
-    return [
-        FirewallRule("pass", proto="tcp", dst_port=80, keep_state=True),
-        FirewallRule("block"),
-    ]
+        ),
+        ethane=(
+            EthaneRule("pass", src_group="tenant-a", dst=TENANT_A_SERVERS, proto="tcp", dst_port=80),
+            EthaneRule("pass", src_group="tenant-b", dst=TENANT_B_SERVERS, proto="tcp", dst_port=80),
+        ),
+        vlan_isolates=True,
+    ),
+    # The *destination* must be the real web server (coherence cells).
+    "dst_app_gated": PolicyRow({"00-dst.control": _port_80("with eq(@dst[name], httpd)")}),
+}
 
 
-def _add_ethane_rules(ethane: EthanePolicy, policy_name: str) -> None:
-    if policy_name == "tenant_iso":
-        ethane.allow(src_group="tenant-a", dst=TENANT_A_SERVERS, proto="tcp", dst_port=80)
-        ethane.allow(src_group="tenant-b", dst=TENANT_B_SERVERS, proto="tcp", dst_port=80)
-    elif policy_name in ("user_gated", "app_gated"):
-        # Ethane can bind users (not apps): user_gated is its best case,
-        # app_gated its documented blind spot — same rule either way.
-        ethane.allow(src_group="staff", proto="tcp", dst_port=80)
-    else:
-        ethane.allow(proto="tcp", dst_port=80)
+def build_baselines(policy_name: str, plans: Mapping[str, HostPlan]) -> dict[str, object]:
+    """Build the four baseline deciders of one policy set's row."""
+    row = POLICIES[policy_name]
+    ethane = EthanePolicy(row.ethane, name="ethane")
+    for plan in plans.values():
+        primary = next(iter(plan.users))
+        ethane.register_host(plan.ip, primary, groups=plan.users[primary])
+    vlan = VLANSegmentation(name="vlan")
+    vlan.assign("tenant-a", [TENANT_A_CLIENTS, TENANT_A_SERVERS])
+    vlan.assign("tenant-b", [TENANT_B_CLIENTS, TENANT_B_SERVERS])
+    if not row.vlan_isolates:
+        vlan.allow_between("tenant-a", "tenant-b")
+    return {
+        ARCH_VANILLA: VanillaFirewall(row.firewall, name="vanilla"),
+        ARCH_DISTRIBUTED: DistributedFirewall(row.firewall, name="distributed"),
+        ARCH_ETHANE: ethane,
+        ARCH_VLAN: vlan,
+    }
 
 
 # ======================================================================
@@ -403,82 +414,76 @@ def _server_plans(spec: ScenarioSpec, *, subnet_prefix="192.168.1", name_prefix=
     ]
 
 
-def _jittered_times(spec: ScenarioSpec, rng: random.Random, count: int,
-                    end_fraction: float = 0.7) -> list[float]:
-    start = 0.5
-    window = spec.duration * end_fraction - start
-    return sorted(start + rng.random() * window for _ in range(count))
+def _clients_and_servers(spec: ScenarioSpec) -> list[HostPlan]:
+    return _client_plans(spec) + _server_plans(spec)
 
 
-def _mix_web_burst(spec, rng):
-    plans = _client_plans(spec) + _server_plans(spec)
-    clients = [p for p in plans if p.role == "client"]
-    servers = [p for p in plans if p.role == "server"]
-    intents = []
-    for at in _jittered_times(spec, rng, spec.flows):
-        client, server = rng.choice(clients), rng.choice(servers)
-        user = next(iter(client.users))
-        if rng.random() < 0.8:
-            intents.append(FlowIntent(at, client.name, client.ip, "http", user, server.ip, 80, wanted=True))
-        else:
-            intents.append(FlowIntent(at, client.name, client.ip, "telnet", user, server.ip, 23, wanted=False))
-    return plans, intents
+@dataclass(frozen=True)
+class TrafficMix:
+    """One traffic mix: the hosts it plans and its draw of one flow.
+
+    :func:`_plan_traffic` jitters the flows' opening instants over the
+    first ``end_fraction`` of the cell, then calls ``draw`` once per
+    instant in order, so the mix's own draws are its only other ``rng``
+    calls.
+    """
+
+    draw: Callable[[CellContext, float], FlowIntent]
+    hosts: Callable[[ScenarioSpec], list[HostPlan]] = _clients_and_servers
+    end_fraction: float = 0.7
 
 
-def _mix_app_mix(spec, rng):
-    plans = _client_plans(spec) + _server_plans(spec)
-    clients = [p for p in plans if p.role == "client"]
-    servers = [p for p in plans if p.role == "server"]
-    intents = []
-    for at in _jittered_times(spec, rng, spec.flows):
-        client, server = rng.choice(clients), rng.choice(servers)
-        user = next(iter(client.users))
-        app = "http" if rng.random() < 0.7 else "skype"
-        intents.append(FlowIntent(at, client.name, client.ip, app, user, server.ip, 80, wanted=app == "http"))
-    return plans, intents
+def _intent(at: float, src: HostPlan, dst: HostPlan, app: str = "http", *,
+            user: Optional[str] = None, port: int = 80, wanted: bool = True,
+            expect_verdict: bool = True) -> FlowIntent:
+    """``src`` (as its first user, unless ``user``) opens ``app`` toward ``dst``."""
+    return FlowIntent(at, src.name, src.ip, app, user or next(iter(src.users)), dst.ip, port,
+                      wanted=wanted, expect_verdict=expect_verdict)
 
 
-def _mix_user_mix(spec, rng):
-    plans = _client_plans(spec) + _server_plans(spec)
-    plans[0].users["eve"] = ("users", "guests")
-    clients = [p for p in plans if p.role == "client"]
-    servers = [p for p in plans if p.role == "server"]
-    intents = []
-    for at in _jittered_times(spec, rng, spec.flows):
-        server = rng.choice(servers)
-        if rng.random() < 0.7:
-            client = rng.choice(clients)
-            user = f"alice{client.name[1:]}"
-            wanted = True
-        else:
-            client, user, wanted = plans[0], "eve", False
-        intents.append(FlowIntent(at, client.name, client.ip, "http", user, server.ip, 80, wanted=wanted))
-    return plans, intents
+def _draw_web_burst(ctx: CellContext, at: float) -> FlowIntent:
+    client, server = ctx.pick("client"), ctx.pick("server")
+    if ctx.rng.random() < 0.8:
+        return _intent(at, client, server)
+    return _intent(at, client, server, "telnet", port=23, wanted=False)
 
 
-def _mix_roaming(spec, rng):
+def _draw_app_mix(ctx: CellContext, at: float) -> FlowIntent:
+    client, server = ctx.pick("client"), ctx.pick("server")
+    app = "http" if ctx.rng.random() < 0.7 else "skype"
+    return _intent(at, client, server, app, wanted=app == "http")
+
+
+def _with_guest(spec: ScenarioSpec) -> list[HostPlan]:
+    plans = _clients_and_servers(spec)
+    plans[0].users["eve"] = ("users", "guests")  # a guest borrows c0
+    return plans
+
+
+def _draw_user_mix(ctx: CellContext, at: float) -> FlowIntent:
+    server = ctx.pick("server")
+    if ctx.rng.random() < 0.7:
+        return _intent(at, ctx.pick("client"), server)
+    return _intent(at, ctx.plans["c0"], server, user="eve", wanted=False)
+
+
+def _with_roamer(spec: ScenarioSpec) -> list[HostPlan]:
+    return _clients_and_servers(spec) + [
+        HostPlan("roam-a", "192.168.0.30", {"roamer": ("users", "staff")}, role="roam_a"),
+        HostPlan("roam-b", "192.168.0.31", {"roamer": ("users", "staff")}, role="roam_b"),
+    ]
+
+
+def _draw_roaming(ctx: CellContext, at: float) -> FlowIntent:
     """A staff user re-homes across leaves mid-run; policy follows the user."""
-    plans = _client_plans(spec) + _server_plans(spec)
-    plans.append(HostPlan("roam-a", "192.168.0.30", {"roamer": ("users", "staff")}, role="roam_a"))
-    plans.append(HostPlan("roam-b", "192.168.0.31", {"roamer": ("users", "staff")}, role="roam_b"))
-    clients = [p for p in plans if p.role == "client"]
-    servers = [p for p in plans if p.role == "server"]
-    rehome_at = spec.duration * 0.35
-    intents = []
-    for at in _jittered_times(spec, rng, spec.flows):
-        server = rng.choice(servers)
-        if rng.random() < 0.5:
-            client = rng.choice(clients)
-            user = f"alice{client.name[1:]}"
-            intents.append(FlowIntent(at, client.name, client.ip, "http", user, server.ip, 80, wanted=True))
-        else:
-            src = "roam-a" if at < rehome_at else "roam-b"
-            src_ip = "192.168.0.30" if src == "roam-a" else "192.168.0.31"
-            intents.append(FlowIntent(at, src, src_ip, "http", "roamer", server.ip, 80, wanted=True))
-    return plans, intents
+    server = ctx.pick("server")
+    if ctx.rng.random() < 0.5:
+        return _intent(at, ctx.pick("client"), server)
+    (roamer,) = ctx.hosts_in_role("roam_a" if at < ctx.spec.duration * 0.35 else "roam_b")
+    return _intent(at, roamer, server)
 
 
-def _mix_multi_tenant(spec, rng):
+def _two_tenants(spec: ScenarioSpec) -> list[HostPlan]:
     plans = [
         HostPlan(f"c{i}", f"192.168.0.{10 + i}", {f"alice{i}": ("users", "tenant-a")})
         for i in range(spec.clients)
@@ -491,99 +496,81 @@ def _mix_multi_tenant(spec, rng):
     plans.append(HostPlan("a-contract", "192.168.0.40", {"mallory": ("users", "tenant-b")}))
     plans += _server_plans(spec)
     plans += _server_plans(spec, subnet_prefix="10.2.1", name_prefix="bsrv")
-    a_clients = [p for p in plans if p.name.startswith("c")]
-    b_clients = [p for p in plans if p.name.startswith("b") and p.role == "client"]
-    a_servers = [p for p in plans if p.name.startswith("srv")]
-    b_servers = [p for p in plans if p.name.startswith("bsrv")]
-    intents = []
-    for at in _jittered_times(spec, rng, spec.flows):
-        roll = rng.random()
-        if roll < 0.40:
-            client, server, wanted = rng.choice(a_clients), rng.choice(a_servers), True
-        elif roll < 0.65:
-            client, server, wanted = rng.choice(b_clients), rng.choice(b_servers), True
-        elif roll < 0.80:
-            client, server, wanted = rng.choice(a_clients), rng.choice(b_servers), False
-        elif roll < 0.90:
-            client, server, wanted = rng.choice(b_clients), rng.choice(a_servers), False
-        else:
-            contractor = next(p for p in plans if p.name == "a-contract")
-            client, server, wanted = contractor, rng.choice(a_servers), False
-        user = next(iter(client.users))
-        intents.append(FlowIntent(at, client.name, client.ip, "http", user, server.ip, 80, wanted=wanted))
-    return plans, intents
+    return plans
 
 
-def _mix_worm(spec, rng):
-    """Clean web traffic with an outbreak racing cluster-wide quarantine."""
-    plans = _client_plans(spec) + _server_plans(spec)
-    plans += [
+def _draw_multi_tenant(ctx: CellContext, at: float) -> FlowIntent:
+    roll = ctx.rng.random()
+    if roll < 0.40:
+        client, server, wanted = ctx.pick("client", "c"), ctx.pick("server", "srv"), True
+    elif roll < 0.65:
+        client, server, wanted = ctx.pick("client", "b"), ctx.pick("server", "bsrv"), True
+    elif roll < 0.80:
+        client, server, wanted = ctx.pick("client", "c"), ctx.pick("server", "bsrv"), False
+    elif roll < 0.90:
+        client, server, wanted = ctx.pick("client", "b"), ctx.pick("server", "srv"), False
+    else:
+        (client,) = ctx.hosts_in_role("client", "a-contract")
+        server, wanted = ctx.pick("server", "srv"), False
+    return _intent(at, client, server, wanted=wanted)
+
+
+def _with_worms(spec: ScenarioSpec) -> list[HostPlan]:
+    return _clients_and_servers(spec) + [
         HostPlan(f"w{i}", f"192.168.0.{40 + i}", {f"worm{i}": ("users",)}, role="infected")
         for i in range(2)
     ]
-    clients = [p for p in plans if p.role == "client"]
-    servers = [p for p in plans if p.role == "server"]
-    infected = [p for p in plans if p.role == "infected"]
-    targets = clients + servers
-    t_q = _quarantine_time(spec)
-    intents = []
-    for at in _jittered_times(spec, rng, spec.flows, end_fraction=0.75):
-        if rng.random() < 0.5:
-            client, server = rng.choice(clients), rng.choice(servers)
-            user = next(iter(client.users))
-            intents.append(FlowIntent(at, client.name, client.ip, "http", user, server.ip, 80, wanted=True))
-        else:
-            at = max(at, spec.duration * 0.2)  # outbreak starts after warm-up
-            worm = rng.choice(infected)
-            target = rng.choice(targets)
-            intents.append(FlowIntent(
-                at, worm.name, worm.ip, "conficker", next(iter(worm.users)), target.ip, 80,
-                wanted=False, expect_verdict=at < t_q - 0.05,
-            ))
-    return plans, intents
 
 
-def _mix_legacy(spec, rng):
+def _draw_worm(ctx: CellContext, at: float) -> FlowIntent:
+    """Clean web traffic with an outbreak racing cluster-wide quarantine."""
+    if ctx.rng.random() < 0.5:
+        return _intent(at, ctx.pick("client"), ctx.pick("server"))
+    at = max(at, ctx.spec.duration * 0.2)  # outbreak starts after warm-up
+    worm = ctx.pick("infected")
+    target = ctx.rng.choice(ctx.hosts_in_role("client") + ctx.hosts_in_role("server"))
+    return _intent(at, worm, target, "conficker", wanted=False,
+                   expect_verdict=at < ctx.spec.duration * QUARANTINE_AT - 0.05)
+
+
+def _draw_legacy(ctx: CellContext, at: float) -> FlowIntent:
     """A 90 % daemon-less fleet: queries time out, policy still decides."""
-    plans = _client_plans(spec) + _server_plans(spec)
-    clients = [p for p in plans if p.role == "client"]
-    servers = [p for p in plans if p.role == "server"]
-    intents = []
-    for at in _jittered_times(spec, rng, spec.flows):
-        client, server = rng.choice(clients), rng.choice(servers)
-        user = next(iter(client.users))
-        intents.append(FlowIntent(at, client.name, client.ip, "http", user, server.ip, 80, wanted=True))
-    return plans, intents
+    return _intent(at, ctx.pick("client"), ctx.pick("server"))
 
 
-def _mix_retenant(spec, rng):
+def _draw_retenant(ctx: CellContext, at: float) -> FlowIntent:
     """The web server's port is re-tenanted mid-run; caches must converge."""
-    plans = _client_plans(spec) + _server_plans(spec)[:1]
-    clients = [p for p in plans if p.role == "client"]
-    server = next(p for p in plans if p.role == "server")
-    t_r = _retenant_time(spec)
-    intents = []
-    for at in _jittered_times(spec, rng, spec.flows, end_fraction=0.85):
-        if t_r <= at <= t_r + 0.3:
-            at = t_r + 0.3 + (at - t_r)  # keep clear of the re-tenant instant
-        client = rng.choice(clients)
-        user = next(iter(client.users))
-        intents.append(FlowIntent(
-            at, client.name, client.ip, "http", user, server.ip, 80, wanted=at < t_r,
-        ))
-    return plans, intents
+    t_r = ctx.spec.duration * RETENANT_AT
+    if t_r <= at <= t_r + 0.3:
+        at = t_r + 0.3 + (at - t_r)  # keep clear of the re-tenant instant
+    (server,) = ctx.hosts_in_role("server")
+    return _intent(at, ctx.pick("client"), server, wanted=at < t_r)
 
 
-TRAFFIC_MIXES: dict[str, Callable] = {
-    "web_burst": _mix_web_burst,
-    "app_mix": _mix_app_mix,
-    "user_mix": _mix_user_mix,
-    "roaming": _mix_roaming,
-    "multi_tenant": _mix_multi_tenant,
-    "worm": _mix_worm,
-    "legacy_fleet": _mix_legacy,
-    "retenant": _mix_retenant,
+TRAFFIC_MIXES: dict[str, TrafficMix] = {
+    "web_burst": TrafficMix(_draw_web_burst),
+    "app_mix": TrafficMix(_draw_app_mix),
+    "user_mix": TrafficMix(_draw_user_mix, _with_guest),
+    "roaming": TrafficMix(_draw_roaming, _with_roamer),
+    "multi_tenant": TrafficMix(_draw_multi_tenant, _two_tenants),
+    "worm": TrafficMix(_draw_worm, _with_worms, end_fraction=0.75),
+    "legacy_fleet": TrafficMix(_draw_legacy),
+    "retenant": TrafficMix(
+        _draw_retenant, lambda spec: _client_plans(spec) + _server_plans(spec)[:1],
+        end_fraction=0.85,
+    ),
 }
+
+
+def _plan_traffic(ctx: CellContext) -> None:
+    """Plan the cell's hosts, and draw its flows from its traffic mix."""
+    spec = ctx.spec
+    mix = TRAFFIC_MIXES[spec.traffic]
+    ctx.plans = {plan.name: plan for plan in mix.hosts(spec)}
+    start = 0.5
+    window = spec.duration * mix.end_fraction - start
+    instants = sorted(start + ctx.rng.random() * window for _ in range(spec.flows))
+    ctx.intents = [mix.draw(ctx, at) for at in instants]
 
 
 # ======================================================================
@@ -595,85 +582,89 @@ TRAFFIC_MIXES: dict[str, Callable] = {
 #: it read the same pair, so moving one instant cannot misjudge a flow.
 KILL_AT, RESTORE_AT = 0.35, 0.70
 PARTITION_AT, HEAL_AT = 0.35, 0.60
+QUARANTINE_AT = RETENANT_AT = 0.5
 #: Wanted flows opened within this many virtual seconds of a partition
 #: (or inside it) expect no delivery.
 BLACKOUT_MARGIN = 0.5
 
 
-def _quarantine_time(spec: ScenarioSpec) -> float:
-    return spec.duration * 0.5
-
-
-def _retenant_time(spec: ScenarioSpec) -> float:
-    return spec.duration * 0.5
-
-
-def _arm_none(ctx: CellContext) -> None:
-    return None
-
-
 def _arm_kill_shard(ctx: CellContext) -> None:
     cluster = ctx.net.cluster
     victim = cluster.shard_map.shards()[0]
-    sim = ctx.net.topology.sim
-    ctx.needs_monitoring = True
-    sim.schedule_at(ctx.spec.duration * KILL_AT, cluster.kill, victim,
-                    label="experiment.kill_shard")
-    sim.schedule_at(ctx.spec.duration * RESTORE_AT, cluster.restore, victim,
-                    label="experiment.restore_shard")
+    ctx.schedule(KILL_AT, cluster.kill, victim, label="experiment.kill_shard")
+    ctx.schedule(RESTORE_AT, cluster.restore, victim, label="experiment.restore_shard")
 
 
 def _arm_partition_heal(ctx: CellContext) -> None:
-    spines = ctx.switches["spine"]
-    sim = ctx.net.topology.sim
-    for spine in spines:
-        sim.schedule_at(ctx.spec.duration * PARTITION_AT, spine.fail,
-                        label="experiment.partition")
-        sim.schedule_at(ctx.spec.duration * HEAL_AT, spine.recover,
-                        label="experiment.heal")
+    for spine in ctx.switches["spine"]:
+        ctx.schedule(PARTITION_AT, spine.fail, label="experiment.partition")
+        ctx.schedule(HEAL_AT, spine.recover, label="experiment.heal")
 
 
 def _arm_quarantine_race(ctx: CellContext) -> None:
-    t_q = _quarantine_time(ctx.spec)
-    sim = ctx.net.topology.sim
-
     def quarantine() -> None:
         for plan in ctx.hosts_in_role("infected"):
             if ctx.net.cluster is not None:
                 ctx.net.cluster.coordinator.quarantine_host(plan.ip)
             else:
                 ctx.net.controller.quarantine_host(plan.ip)
-            ctx.quarantined_since[plan.ip] = t_q
+            ctx.quarantined_since[plan.ip] = ctx.spec.duration * QUARANTINE_AT
 
-    sim.schedule_at(t_q, quarantine, label="experiment.quarantine")
+    ctx.schedule(QUARANTINE_AT, quarantine, label="experiment.quarantine")
 
 
 def _arm_retenant(ctx: CellContext) -> None:
-    t_r = _retenant_time(ctx.spec)
-    sim = ctx.net.topology.sim
-
     def retenant() -> None:
-        server = ctx.net.host(next(p.name for p in ctx.hosts_in_role("server")))
-        server.sockets.close(ctx.retenant_socket)
+        name = next(p.name for p in ctx.hosts_in_role("server"))
+        server = ctx.net.host(name)
+        server.sockets.close(ctx.sockets[name])
         server.run_server("telnet", "root", 80)
 
-    sim.schedule_at(t_r, retenant, label="experiment.retenant")
+    ctx.schedule(RETENANT_AT, retenant, label="experiment.retenant")
 
 
-FAILURES: dict[str, Callable[[CellContext], None]] = {
-    "none": _arm_none,
-    "kill_shard": _arm_kill_shard,
-    "partition_heal": _arm_partition_heal,
-    "quarantine_race": _arm_quarantine_race,
-    "retenant": _arm_retenant,
+@dataclass(frozen=True)
+class FailureRow:
+    """One failure schedule: its arm and everything a cell must know of it."""
+
+    #: Schedules the failure on the repeat's simulator, hosts placed.
+    arm: Callable[[CellContext], None]
+    #: The checkers it adds to every cell's fail-closed and bounded-state.
+    invariants: tuple[str, ...] = ()
+    #: The axis values it runs on (``{"topology": "spine_leaf"}``).
+    needs: Mapping[str, str] = field(default_factory=dict)
+    #: Whether it kills a shard: it needs a cluster control plane, and
+    #: the failover monitor running to notice.
+    cluster: bool = False
+    #: Whether the traffic mix it needs runs under it alone (the two pair up).
+    paired: bool = False
+    #: Its blackout, as fractions of the duration: wanted flows opened
+    #: inside, or within :data:`BLACKOUT_MARGIN` of it, expect no delivery.
+    blackout: Optional[tuple[float, float]] = None
+
+
+FAILURES: dict[str, FailureRow] = {
+    "none": FailureRow(lambda ctx: None),
+    "kill_shard": FailureRow(_arm_kill_shard, cluster=True),
+    "partition_heal": FailureRow(
+        _arm_partition_heal, needs={"topology": "spine_leaf"}, blackout=(PARTITION_AT, HEAL_AT),
+    ),
+    "quarantine_race": FailureRow(
+        _arm_quarantine_race, (invariants.CONTAINMENT,), needs={"traffic": "worm"},
+    ),
+    "retenant": FailureRow(
+        _arm_retenant, (invariants.CACHE_COHERENCE,), needs={"traffic": "retenant"}, paired=True,
+    ),
 }
 
-#: Blackout windows per failure: wanted flows opened inside expect no delivery.
-def _blackout_window(spec: ScenarioSpec) -> Optional[tuple[float, float]]:
-    if spec.failure == "partition_heal":
-        return (spec.duration * PARTITION_AT - BLACKOUT_MARGIN,
-                spec.duration * HEAL_AT + BLACKOUT_MARGIN)
-    return None
+#: The axes whose values are registry rows, in cell-id order.
+AXES: dict[str, Mapping] = {
+    "topology": TOPOLOGIES,
+    "control": CONTROLS,
+    "policy": POLICIES,
+    "traffic": TRAFFIC_MIXES,
+    "failure": FAILURES,
+}
 
 
 # ======================================================================
@@ -702,53 +693,43 @@ def _build_network(spec: ScenarioSpec) -> IdentPPNetwork:
     )
 
 
-def _place_hosts(ctx: CellContext, plans: list[HostPlan]) -> None:
-    client_switches = ctx.switches["client"]
-    server_switches = ctx.switches["server"]
+def _place_hosts(ctx: CellContext) -> None:
     round_robin = {"client": 0, "server": 0}
-    for plan in plans:
-        if plan.role == "server":
-            switch = server_switches[round_robin["server"] % len(server_switches)]
-            round_robin["server"] += 1
-        elif plan.role == "roam_a":
-            switch = client_switches[0]
-        elif plan.role == "roam_b":
-            switch = client_switches[-1]
-        else:
-            switch = client_switches[round_robin["client"] % len(client_switches)]
-            round_robin["client"] += 1
+    for plan in ctx.plans.values():
+        group, index = _ATTACH.get(plan.role, ("client", None))
+        switches = ctx.switches[group]
+        if index is None:
+            index = round_robin[group] % len(switches)
+            round_robin[group] += 1
         host = ctx.net.add_host(
             HostSpec(name=plan.name, ip=plan.ip, users=dict(plan.users),
                      run_daemon=plan.run_daemon),
-            switch=switch,
+            switch=switches[index],
         )
-        ctx.plans[plan.name] = plan
         if plan.server_app is not None:
             app, user, port = plan.server_app
-            _process, socket = host.run_server(app, user, port)
-            if ctx.spec.failure == "retenant":
-                ctx.retenant_socket = socket
+            _process, ctx.sockets[plan.name] = host.run_server(app, user, port)
 
 
 def _run_once(spec: ScenarioSpec, seed: int) -> CellContext:
     """Execute one seeded repeat of one cell and collect everything."""
-    rng = random.Random(seed)
     net = _build_network(spec)
-    ctx = CellContext(spec=spec, net=net)
+    ctx = CellContext(spec=spec, net=net, rng=random.Random(seed))
     TOPOLOGIES[spec.topology](ctx)
-    net.set_policy(dict(POLICIES[spec.policy]))
-    plans, intents = TRAFFIC_MIXES[spec.traffic](spec, rng)
-    blackout = _blackout_window(spec)
-    if blackout is not None:
-        intents = [
-            replace(intent, expect_delivery=False)
-            if blackout[0] <= intent.at <= blackout[1] and intent.wanted
+    net.set_policy(dict(POLICIES[spec.policy].control_files))
+    _plan_traffic(ctx)
+    failure = FAILURES[spec.failure]
+    if failure.blackout is not None:
+        start = spec.duration * failure.blackout[0] - BLACKOUT_MARGIN
+        end = spec.duration * failure.blackout[1] + BLACKOUT_MARGIN
+        ctx.intents = [
+            replace(intent, judged=False)
+            if start <= intent.at <= end and intent.wanted
             else intent
-            for intent in intents
+            for intent in ctx.intents
         ]
-    ctx.intents = intents
-    _place_hosts(ctx, plans)
-    FAILURES[spec.failure](ctx)
+    _place_hosts(ctx)
+    failure.arm(ctx)
     sim = net.topology.sim
     if spec.sanitize:
         sim.enable_sanitizer()
@@ -760,7 +741,7 @@ def _run_once(spec: ScenarioSpec, seed: int) -> CellContext:
         )
         ctx.injected.append((intent, FlowSpec.from_packet(packet)))
 
-    for intent in intents:
+    for intent in ctx.intents:
         sim.schedule_at(intent.at, inject, intent, label="experiment.inject")
 
     end_time = spec.duration
@@ -772,33 +753,31 @@ def _run_once(spec: ScenarioSpec, seed: int) -> CellContext:
         return sim.now < end_time
 
     sim.schedule_repeating(0.25, sample, label="experiment.sampler")
-    if ctx.needs_monitoring:
+    if failure.cluster:
         net.start_monitoring()
     net.run(duration=spec.duration)
-    if ctx.needs_monitoring:
+    if failure.cluster:
         net.stop_monitoring()
     net.run()  # drain: lifecycle sweeps reclaim all remaining state
-    if spec.failure == "retenant":
-        _collect_coherence_probes(ctx)
     return ctx
 
 
-def _last_action_for(ctx: CellContext, flow: FlowSpec) -> Optional[str]:
-    for record in reversed(invariants.network_audit_records(ctx.net)):
-        if record.flow == flow:
-            return record.action
-    return None
+def _coherence_probes(ctx: CellContext) -> list[invariants.CoherenceProbe]:
+    """Each injected flow's last verdict against the one its intent demands.
 
-
-def _collect_coherence_probes(ctx: CellContext) -> None:
-    t_r = _retenant_time(ctx.spec)
-    for intent, flow in ctx.injected:
-        expected = "pass" if intent.at < t_r else "block"
-        ctx.coherence_probes.append(invariants.CoherenceProbe(
+    An intent's ``wanted`` is drawn against the identity the flow meets
+    (the re-tenant mix wants a flow only before the re-tenant), so a
+    stale cached answer shows as a verdict that contradicts it.
+    """
+    last = {record.flow: record.action for record in invariants.network_audit_records(ctx.net)}
+    return [
+        invariants.CoherenceProbe(
             label=f"{intent.src_host}->{intent.dst_ip}:{intent.dst_port}@{intent.at:.2f}",
-            expected=expected,
-            observed=_last_action_for(ctx, flow),
-        ))
+            expected="pass" if intent.wanted else "block",
+            observed=last.get(flow),
+        )
+        for intent, flow in ctx.injected
+    ]
 
 
 # ======================================================================
@@ -808,17 +787,12 @@ def _collect_coherence_probes(ctx: CellContext) -> None:
 def applicable_invariants(spec: ScenarioSpec) -> list[str]:
     """The invariant checkers a cell of this shape must run and pass."""
     names = [invariants.FAIL_CLOSED, invariants.BOUNDED_STATE]
-    if spec.control != "single":
+    if CONTROLS[spec.control]:
         names.append(invariants.ZERO_LOSS)
-    if spec.failure == "quarantine_race":
-        names.append(invariants.CONTAINMENT)
-    if spec.failure == "retenant":
-        names.append(invariants.CACHE_COHERENCE)
-    return names
+    return names + list(FAILURES[spec.failure].invariants)
 
 
 def _state_caps(ctx: CellContext) -> dict[str, float]:
-    spec = ctx.spec
     flows = len(ctx.injected)
     switches = len(ctx.net.switches)
     quarantine_allowance = 4.0 * len(ctx.quarantined_since) * switches
@@ -841,82 +815,65 @@ def _state_caps(ctx: CellContext) -> dict[str, float]:
 
 def evaluate_invariants(ctx: CellContext) -> dict[str, invariants.InvariantResult]:
     """Run every applicable checker against one finished repeat."""
-    spec = ctx.spec
     records = invariants.network_audit_records(ctx.net)
     final = invariants.network_flow_state(ctx.net)
     accounted_flows = [
         flow for intent, flow in ctx.injected if intent.expect_verdict
     ]
-    results: dict[str, invariants.InvariantResult] = {}
-    for name in applicable_invariants(spec):
-        if name == invariants.FAIL_CLOSED:
-            results[name] = invariants.check_fail_closed(
-                accounted_flows, records,
-                pending=final["pending"], buffered=final["buffered"],
-            )
-        elif name == invariants.ZERO_LOSS:
-            results[name] = invariants.check_zero_loss(
-                accounted_flows, records,
-                pending=final["pending"], buffered=final["buffered"],
-            )
-        elif name == invariants.CONTAINMENT:
-            results[name] = invariants.check_containment(
-                invariants.network_deliveries(ctx.net),
-                ctx.quarantined_since,
-                grace=0.1,
-            )
-        elif name == invariants.CACHE_COHERENCE:
-            results[name] = invariants.check_cache_coherence(ctx.coherence_probes)
-        elif name == invariants.BOUNDED_STATE:
-            observed = dict(ctx.peaks)
-            observed.update({f"{key}_final": value for key, value in final.items()})
-            results[name] = invariants.check_bounded_state(observed, _state_caps(ctx))
-    return results
+    drained = {"pending": final["pending"], "buffered": final["buffered"]}
+    checks = {
+        invariants.FAIL_CLOSED: lambda: invariants.check_fail_closed(
+            accounted_flows, records, **drained),
+        invariants.ZERO_LOSS: lambda: invariants.check_zero_loss(
+            accounted_flows, records, **drained),
+        invariants.CONTAINMENT: lambda: invariants.check_containment(
+            invariants.network_deliveries(ctx.net), ctx.quarantined_since, grace=0.1),
+        invariants.CACHE_COHERENCE: lambda: invariants.check_cache_coherence(
+            _coherence_probes(ctx)),
+        invariants.BOUNDED_STATE: lambda: invariants.check_bounded_state(
+            {**ctx.peaks, **{f"{key}_final": value for key, value in final.items()}},
+            _state_caps(ctx)),
+    }
+    return {name: checks[name]() for name in applicable_invariants(ctx.spec)}
 
 
 # ======================================================================
-# Baseline comparison
+# Outcomes against intent: one tally for every architecture
 # ======================================================================
 
-def _evaluate_baselines(ctx: CellContext) -> dict[str, dict[str, float]]:
-    baselines = build_baselines(ctx.spec.policy, ctx.plans)
-    comparison: dict[str, dict[str, float]] = {}
-    for arch, policy in baselines.items():
-        stats = {"allowed": 0, "blocked": 0, "false_accepts": 0, "false_rejects": 0}
-        for index, intent in enumerate(ctx.intents):
-            action = policy.decide(intent.planned_flow(index))
-            allowed = action == "pass"
-            stats["allowed" if allowed else "blocked"] += 1
-            if allowed and not intent.wanted:
-                stats["false_accepts"] += 1
-            elif not allowed and intent.wanted:
-                stats["false_rejects"] += 1
-        total = max(len(ctx.intents), 1)
-        stats["accuracy"] = round(
-            1.0 - (stats["false_accepts"] + stats["false_rejects"]) / total, 4
-        )
-        comparison[arch] = stats
-    return comparison
+def _tally(outcomes: Iterable[tuple[FlowIntent, bool, bool]]) -> dict[str, float]:
+    """Count ``(intent, allowed, judged)`` outcomes against their intents.
 
-
-def _identpp_outcomes(ctx: CellContext) -> dict[str, float]:
-    """Classify each injected flow once: delivered or not, against its intent."""
-    delivered = set()
-    for host in ctx.net.hosts.values():
-        for packet in host.delivered:
-            delivered.add(FlowSpec.from_packet(packet).as_tuple())
-    stats = {"allowed": 0, "blocked": 0, "false_accepts": 0, "false_rejects": 0, "judged": 0}
-    for intent, flow in ctx.injected:
-        arrived = flow.as_tuple() in delivered
-        stats["allowed" if arrived else "blocked"] += 1
-        if intent.wanted and not intent.should_deliver():
-            continue  # blackout windows: delivery is not a verdict here
-        stats["judged"] += 1
-        if arrived and not intent.wanted:
-            stats["false_accepts"] += 1
-        elif not arrived and intent.wanted:
-            stats["false_rejects"] += 1
+    Every outcome is allowed or blocked; only a judged one can be a false
+    accept or a false reject, and accuracy is over the judged ones: every
+    intent for a baseline, for ident++ the flows whose delivery is a
+    verdict (a wanted flow opened into a blackout is not).
+    """
+    stats = {"allowed": 0, "blocked": 0, "false_accepts": 0, "false_rejects": 0}
+    judged = 0
+    for intent, allowed, counts in outcomes:
+        stats["allowed" if allowed else "blocked"] += 1
+        if counts:
+            judged += 1
+            if allowed != intent.wanted:
+                stats["false_accepts" if allowed else "false_rejects"] += 1
+    stats["accuracy"] = round(
+        1.0 - (stats["false_accepts"] + stats["false_rejects"]) / max(judged, 1), 4
+    )
     return stats
+
+
+def _identpp_outcomes(ctx: CellContext) -> list[tuple[FlowIntent, bool, bool]]:
+    """Each injected flow once: delivered or not, and whether that is a verdict."""
+    delivered = {
+        FlowSpec.from_packet(packet).as_tuple()
+        for host in ctx.net.hosts.values()
+        for packet in host.delivered
+    }
+    return [
+        (intent, flow.as_tuple() in delivered, intent.judged)
+        for intent, flow in ctx.injected
+    ]
 
 
 # ======================================================================
@@ -941,7 +898,7 @@ def run_cell(spec: ScenarioSpec) -> dict:
     spec.validate()
     merged: dict[str, invariants.InvariantResult] = {}
     digests: list[str] = []
-    identpp = {"allowed": 0, "blocked": 0, "false_accepts": 0, "false_rejects": 0, "judged": 0}
+    identpp: list[tuple[FlowIntent, bool, bool]] = []
     architectures: dict[str, dict[str, float]] = {}
     for seed in range(spec.seed, spec.seed + MATRIX_REPEATS):
         ctx = _run_once(spec, seed)
@@ -953,28 +910,19 @@ def run_cell(spec: ScenarioSpec) -> dict:
                 f"{spec.name} (seed {seed}): [{name}] {violation}"
                 for violation in result.violations
             )
-        if not architectures:
-            architectures = _evaluate_baselines(ctx)
-        for key, value in _identpp_outcomes(ctx).items():
-            identpp[key] += value
-    identpp["accuracy"] = round(
-        1.0
-        - (identpp["false_accepts"] + identpp["false_rejects"])
-        / max(identpp.pop("judged"), 1),
-        4,
-    )
-    architectures[ARCH_IDENTPP] = identpp
+        if not architectures:  # every planned flow re-decided, each one judged
+            architectures = {
+                arch: _tally(
+                    (intent, policy.decide(intent.planned_flow(index)) == "pass", True)
+                    for index, intent in enumerate(ctx.intents)
+                )
+                for arch, policy in build_baselines(spec.policy, ctx.plans).items()
+            }
+        identpp += _identpp_outcomes(ctx)
+    architectures[ARCH_IDENTPP] = _tally(identpp)
     return {
         "cell": spec.name,
-        "axes": {
-            "topology": spec.topology,
-            "control": spec.control,
-            "policy": spec.policy,
-            "traffic": spec.traffic,
-            "failure": spec.failure,
-            "daemon_fraction": spec.daemon_fraction,
-            "identity_plane": spec.identity_plane,
-        },
+        "axes": {axis: getattr(spec, axis) for axis in (*AXES, "daemon_fraction", "identity_plane")},
         "seed": spec.seed,
         "repeats": MATRIX_REPEATS,
         "architectures": architectures,
@@ -991,86 +939,57 @@ def run_cell(spec: ScenarioSpec) -> dict:
 #: The floor the ``matrix`` soak gates the committed matrix's size on.
 MATRIX_MIN_CELLS = 20
 
+_BOTH_TOPOLOGIES = {"topology": ["edge_core", "spine_leaf"]}
+_SINGLE_AND_CLUSTER2 = {"control": ["single", "cluster2"]}
+_APP_GATED = {"policy": "app_gated", "traffic": "app_mix"}
+_LEGACY_FLEET = {"traffic": "legacy_fleet", "clients": 10, "daemon_fraction": 0.1,
+                 "query_cache_ttl": 2.0}
 
-def default_matrix() -> list[ScenarioSpec]:
-    """The committed scenario matrix: 30 cells across every axis."""
-    cells: list[ScenarioSpec] = []
-    base = ScenarioSpec()
+#: The committed grids, one row each: the seed offset from the default
+#: spec's seed, the axes swept, and what the grid's base sets otherwise.
+MATRIX_GRIDS: tuple[tuple[int, Mapping[str, Sequence], Mapping[str, object]], ...] = (
     # Core sweep: topology x control for the port- and app-gated stories.
-    for policy, traffic in (("web_open", "web_burst"), ("app_gated", "app_mix")):
-        cells += expand_grid(
-            {"topology": ["edge_core", "spine_leaf"], "control": ["single", "cluster2"]},
-            base=replace(base, policy=policy, traffic=traffic),
-        )
+    (0, {**_BOTH_TOPOLOGIES, **_SINGLE_AND_CLUSTER2}, {}),
+    (0, {**_BOTH_TOPOLOGIES, **_SINGLE_AND_CLUSTER2}, _APP_GATED),
     # Failover sweep: a shard dies mid-burst on a 4-way cluster.
-    for policy, traffic in (("web_open", "web_burst"), ("app_gated", "app_mix")):
-        cells += expand_grid(
-            {"topology": ["edge_core", "spine_leaf"]},
-            base=replace(base, control="cluster4", failure="kill_shard",
-                         policy=policy, traffic=traffic, seed=base.seed + 100),
-        )
+    (100, _BOTH_TOPOLOGIES, {"control": "cluster4", "failure": "kill_shard"}),
+    (100, _BOTH_TOPOLOGIES, {"control": "cluster4", "failure": "kill_shard", **_APP_GATED}),
     # Users borrow machines; policy follows people, not ports.
-    cells += expand_grid(
-        {"control": ["single", "cluster2"]},
-        base=replace(base, policy="user_gated", traffic="user_mix", seed=base.seed + 200),
-    )
+    (200, _SINGLE_AND_CLUSTER2, {"policy": "user_gated", "traffic": "user_mix"}),
     # A staff user re-homes across leaves mid-run.
-    cells += expand_grid(
-        {"control": ["single", "cluster2"]},
-        base=replace(base, topology="spine_leaf", policy="user_gated",
-                     traffic="roaming", seed=base.seed + 300),
-    )
+    (300, _SINGLE_AND_CLUSTER2,
+     {"topology": "spine_leaf", "policy": "user_gated", "traffic": "roaming"}),
     # Multi-tenant isolation incl. a contractor badge on the wrong subnet.
-    cells += expand_grid(
-        {"topology": ["edge_core", "spine_leaf"]},
-        base=replace(base, control="cluster2", policy="tenant_iso",
-                     traffic="multi_tenant", seed=base.seed + 400),
-    )
+    (400, _BOTH_TOPOLOGIES,
+     {"control": "cluster2", "policy": "tenant_iso", "traffic": "multi_tenant"}),
     # The fabric partitions and heals; flows in the blackout fail closed.
-    cells += expand_grid(
-        {"control": ["single", "cluster2"]},
-        base=replace(base, topology="spine_leaf", failure="partition_heal",
-                     seed=base.seed + 500),
-    )
+    (500, _SINGLE_AND_CLUSTER2, {"topology": "spine_leaf", "failure": "partition_heal"}),
     # A worm outbreak races cluster-wide quarantine.
-    cells += expand_grid(
-        {"control": ["cluster2", "cluster4"]},
-        base=replace(base, policy="web_open", traffic="worm",
-                     failure="quarantine_race", seed=base.seed + 600),
-    )
+    (600, {"control": ["cluster2", "cluster4"]}, {"traffic": "worm", "failure": "quarantine_race"}),
     # Identity changes mid-run; cached answers must converge.
-    cells += expand_grid(
-        {"control": ["single", "cluster2"]},
-        base=replace(base, policy="dst_app_gated", traffic="retenant",
-                     failure="retenant", query_cache_ttl=5.0, seed=base.seed + 700),
-    )
+    (700, _SINGLE_AND_CLUSTER2, {"policy": "dst_app_gated", "traffic": "retenant",
+                                 "failure": "retenant", "query_cache_ttl": 5.0}),
     # 90 % daemon-less legacy fleet: ident++ degrades to the firewall.
-    cells += expand_grid(
-        {"control": ["single", "cluster2"]},
-        base=replace(base, policy="web_open", traffic="legacy_fleet",
-                     clients=10, daemon_fraction=0.1, query_cache_ttl=2.0,
-                     seed=base.seed + 800),
-    )
+    (800, _SINGLE_AND_CLUSTER2, _LEGACY_FLEET),
     # Push identity plane (PR 10): a flash crowd hammers two servers on
     # both planes (A/B), push rides out a shard kill with subscription
     # re-homing, and push degrades gracefully on a 90 % daemon-less fleet.
-    cells += expand_grid(
-        {"identity_plane": ["pull", "push"]},
-        base=replace(base, topology="single", policy="web_open",
-                     traffic="web_burst", flows=48, query_cache_ttl=2.0,
-                     seed=base.seed + 900),
-    )
-    cells += expand_grid(
-        {"identity_plane": ["push"]},
-        base=replace(base, control="cluster4", failure="kill_shard",
-                     query_cache_ttl=2.0, seed=base.seed + 920),
-    )
-    cells += expand_grid(
-        {"identity_plane": ["push"]},
-        base=replace(base, policy="web_open", traffic="legacy_fleet",
-                     clients=10, daemon_fraction=0.1, query_cache_ttl=2.0,
-                     seed=base.seed + 940),
-    )
+    (900, {"identity_plane": ["pull", "push"]},
+     {"topology": "single", "flows": 48, "query_cache_ttl": 2.0}),
+    (920, {"identity_plane": ["push"]},
+     {"control": "cluster4", "failure": "kill_shard", "query_cache_ttl": 2.0}),
+    (940, {"identity_plane": ["push"]}, _LEGACY_FLEET),
+)
+
+
+def default_matrix() -> list[ScenarioSpec]:
+    """The committed scenario matrix: 30 cells across every axis."""
+    base = ScenarioSpec()
+    cells = [
+        spec
+        for offset, axes, sets in MATRIX_GRIDS
+        for spec in expand_grid(axes, base=replace(base, seed=base.seed + offset, **sets))
+    ]
     # Cell names must be unique: the grids above never collide, keep it so.
     names = [spec.name for spec in cells]
     assert len(names) == len(set(names)), "duplicate cell names in default matrix"

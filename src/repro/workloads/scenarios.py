@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.crypto.signatures import Signer
 from repro.exceptions import WorkloadError
-from repro.hosts.applications import standard_applications
+from repro.hosts.applications import Application, standard_applications
 from repro.netsim.links import DEFAULT_LATENCY
 from repro.workloads import paper_configs
 from repro.workloads.enterprise import build_linear_network
@@ -40,14 +40,42 @@ class FlowCase:
 
 
 class FigureScenario:
-    """Shared machinery: build a network, run a case matrix, collect results."""
+    """Shared machinery: build a network, run a case matrix, collect results.
+
+    A figure is data: its network's ``NAME``, its ``SWITCHES`` (each
+    linked to the one before), the host rows :meth:`hosts` returns, the
+    control files :meth:`control_files` returns, and the cases
+    :meth:`build_cases` returns.
+    """
+
+    NAME: str
+    SWITCHES: tuple[str, ...]
 
     def __init__(self) -> None:
         self.net: IdentPPNetwork = self.build_network()
         self.cases: list[FlowCase] = self.build_cases()
 
-    # Subclasses override these two.
     def build_network(self) -> IdentPPNetwork:
+        """Link the switches in a line, add each host row and run its
+        servers, then load the figure's control files."""
+        net = IdentPPNetwork(self.NAME)
+        switches = [net.add_switch(name) for name in self.SWITCHES]
+        for left, right in zip(switches, switches[1:]):
+            net.connect(left, right)
+        by_name = dict(zip(self.SWITCHES, switches))
+        for switch, spec, *servers in self.hosts():
+            host = net.add_host(spec, switch=by_name[switch])
+            for app, user, port in servers:
+                host.run_server(app, user, port)
+        net.set_policy(self.control_files())
+        return net
+
+    # Subclasses override these three.
+    def hosts(self) -> list[tuple]:
+        """One row per host, in order: ``(switch, HostSpec, *(app, user, port))``."""
+        raise NotImplementedError
+
+    def control_files(self) -> dict[str, str]:
         raise NotImplementedError
 
     def build_cases(self) -> list[FlowCase]:
@@ -76,6 +104,11 @@ class FigureScenario:
                     f"decided by {outcome.decision_rule or 'no rule'!r}"
                 )
         return {"rows": rows, "violations": violations}
+
+
+def _application(name: str) -> Application:
+    """The standard application called ``name``."""
+    return next(app for app in standard_applications() if app.name == name)
 
 
 def tamper(config: str, signed: str, rewritten: str) -> str:
@@ -134,52 +167,29 @@ class SkypeScenario(FigureScenario):
     SKYPE_UPDATE = "123.123.123.5"
     SKYPE_PORT = 5060
 
-    def build_network(self) -> IdentPPNetwork:
-        net = IdentPPNetwork("skype-scenario")
-        lan_switch = net.add_switch("sw-lan")
-        core = net.add_switch("sw-core")
-        edge = net.add_switch("sw-edge")
-        net.connect(lan_switch, core)
-        net.connect(core, edge)
+    NAME = "skype-scenario"
+    SWITCHES = ("sw-lan", "sw-core", "sw-edge")
 
+    def hosts(self) -> list[tuple]:
         self.signer = Signer("skype-vendor", seed=3)
-        skype_app = next(a for a in standard_applications() if a.name == "skype")
-        skype_config = paper_configs.figure3_skype_daemon_config(skype_app, self.signer)
+        skype_config = paper_configs.figure3_skype_daemon_config(_application("skype"), self.signer)
+        return [
+            ("sw-lan", HostSpec(name="lan-a", ip=self.LAN_A, users={"alice": ("users", "staff")},
+                                daemon_system_configs=[skype_config])),
+            ("sw-lan", HostSpec(name="lan-b", ip=self.LAN_B, users={"bob": ("users", "staff")},
+                                daemon_system_configs=[skype_config]),
+             ("skype", "bob", self.SKYPE_PORT), ("sshd", "root", 22)),
+            ("sw-core", HostSpec(name="server", ip=self.SERVER, users={"smtp": ("service",)}),
+             ("httpd", "root", 80), ("smtp-server", "root", 25)),
+            ("sw-edge", HostSpec(name="external", ip=self.EXTERNAL, users={"mallory": ("internet",)}),
+             ("httpd", "root", 80)),
+            ("sw-edge", HostSpec(name="skype-update", ip=self.SKYPE_UPDATE,
+                                 users={"www": ("service",)}),
+             ("httpd", "root", 80)),
+        ]
 
-        net.add_host(
-            HostSpec(name="lan-a", ip=self.LAN_A, users={"alice": ("users", "staff")},
-                     daemon_system_configs=[skype_config]),
-            switch=lan_switch,
-        )
-        lan_b = net.add_host(
-            HostSpec(name="lan-b", ip=self.LAN_B, users={"bob": ("users", "staff")},
-                     daemon_system_configs=[skype_config]),
-            switch=lan_switch,
-        )
-        lan_b.run_server("skype", "bob", self.SKYPE_PORT)
-        lan_b.run_server("sshd", "root", 22)
-
-        server = net.add_host(
-            HostSpec(name="server", ip=self.SERVER, users={"smtp": ("service",)}),
-            switch=core,
-        )
-        server.run_server("httpd", "root", 80)
-        server.run_server("smtp-server", "root", 25)
-
-        external = net.add_host(
-            HostSpec(name="external", ip=self.EXTERNAL, users={"mallory": ("internet",)}),
-            switch=edge,
-        )
-        external.run_server("httpd", "root", 80)
-
-        update = net.add_host(
-            HostSpec(name="skype-update", ip=self.SKYPE_UPDATE, users={"www": ("service",)}),
-            switch=edge,
-        )
-        update.run_server("httpd", "root", 80)
-
-        net.set_policy(paper_configs.figure2_control_files())
-        return net
+    def control_files(self) -> dict[str, str]:
+        return paper_configs.figure2_control_files()
 
     def build_cases(self) -> list[FlowCase]:
         return [
@@ -218,62 +228,41 @@ class ResearchDelegationScenario(FigureScenario):
     LAN_CLIENT = "192.168.0.10"
     APP_PORT = 7777
 
-    def build_network(self) -> IdentPPNetwork:
-        net = IdentPPNetwork("research-delegation")
-        research_sw = net.add_switch("sw-research")
-        core = net.add_switch("sw-core")
-        net.connect(research_sw, core)
+    NAME = "research-delegation"
+    SWITCHES = ("sw-research", "sw-core")
 
+    def hosts(self) -> list[tuple]:
         self.researcher_signer = Signer("research", seed=11)
-        research_app = next(a for a in standard_applications() if a.name == "research-app")
-        good_config = paper_configs.figure4_research_daemon_config(research_app, self.researcher_signer)
+        good_config = paper_configs.figure4_research_daemon_config(
+            _application("research-app"), self.researcher_signer
+        )
         # The tampered variant loosens the requirements after signing (the
         # default deny disappears), so the text the daemon reports no longer
         # matches the researcher's signature.
         tampered_config = tamper(good_config, "block all pass all", "pass all")
+        return [
+            ("sw-research", HostSpec(name="research-a", ip=self.RESEARCH_A,
+                                     users={"carol": ("research", "users")},
+                                     daemon_user_configs=[good_config])),
+            ("sw-research", HostSpec(name="research-b", ip=self.RESEARCH_B,
+                                     users={"dave": ("research", "users")},
+                                     daemon_user_configs=[good_config]),
+             ("research-app", "dave", self.APP_PORT)),
+            ("sw-research", HostSpec(name="research-tampered", ip=self.RESEARCH_TAMPERED,
+                                     users={"erin": ("research", "users")},
+                                     daemon_user_configs=[tampered_config]),
+             ("research-app", "erin", self.APP_PORT)),
+            ("sw-core", HostSpec(name="production", ip=self.PRODUCTION,
+                                 users={"ops": ("research", "production")},
+                                 daemon_user_configs=[good_config]),
+             ("research-app", "ops", self.APP_PORT)),
+            ("sw-core", HostSpec(name="lan-client", ip=self.LAN_CLIENT,
+                                 users={"alice": ("users", "staff")},
+                                 daemon_user_configs=[good_config])),
+        ]
 
-        host_a = net.add_host(
-            HostSpec(name="research-a", ip=self.RESEARCH_A,
-                     users={"carol": ("research", "users")},
-                     daemon_user_configs=[good_config]),
-            switch=research_sw,
-        )
-        del host_a
-        host_b = net.add_host(
-            HostSpec(name="research-b", ip=self.RESEARCH_B,
-                     users={"dave": ("research", "users")},
-                     daemon_user_configs=[good_config]),
-            switch=research_sw,
-        )
-        host_b.run_server("research-app", "dave", self.APP_PORT)
-
-        tampered = net.add_host(
-            HostSpec(name="research-tampered", ip=self.RESEARCH_TAMPERED,
-                     users={"erin": ("research", "users")},
-                     daemon_user_configs=[tampered_config]),
-            switch=research_sw,
-        )
-        tampered.run_server("research-app", "erin", self.APP_PORT)
-
-        production = net.add_host(
-            HostSpec(name="production", ip=self.PRODUCTION,
-                     users={"ops": ("research", "production")},
-                     daemon_user_configs=[good_config]),
-            switch=core,
-        )
-        production.run_server("research-app", "ops", self.APP_PORT)
-
-        net.add_host(
-            HostSpec(name="lan-client", ip=self.LAN_CLIENT, users={"alice": ("users", "staff")},
-                     daemon_user_configs=[good_config]),
-            switch=core,
-        )
-
-        files = paper_configs.figure5_research_control(
-            self.researcher_signer.public_key_hex
-        )
-        net.set_policy(files)
-        return net
+    def control_files(self) -> dict[str, str]:
+        return paper_configs.figure5_research_control(self.researcher_signer.public_key_hex)
 
     def build_cases(self) -> list[FlowCase]:
         return [
@@ -302,47 +291,34 @@ class ThirdPartyTrustScenario(FigureScenario):
     MAIL_SERVER = "192.168.1.25"
     WEB_SERVER = "192.168.1.80"
 
-    def build_network(self) -> IdentPPNetwork:
-        net = IdentPPNetwork("secur-trust")
-        access = net.add_switch("sw-access")
-        servers = net.add_switch("sw-servers")
-        net.connect(access, servers)
+    NAME = "secur-trust"
+    SWITCHES = ("sw-access", "sw-servers")
 
+    def hosts(self) -> list[tuple]:
         self.secur = Signer("Secur", seed=23)
-        thunderbird = next(a for a in standard_applications() if a.name == "thunderbird")
-        good_config = paper_configs.figure6_thunderbird_daemon_config(thunderbird, self.secur)
+        good_config = paper_configs.figure6_thunderbird_daemon_config(
+            _application("thunderbird"), self.secur
+        )
         # The tampered variant widens Secur's rules after signing (drops the
         # mail-server-only restriction), so verify() must reject it.
         tampered_config = tamper(
             good_config, "to any with eq(@dst[type], email-server)", "to any"
         )
+        return [
+            ("sw-access", HostSpec(name="client", ip=self.CLIENT, users={"alice": ("users", "staff")},
+                                   daemon_system_configs=[good_config])),
+            ("sw-access", HostSpec(name="client-tampered", ip=self.CLIENT_TAMPERED,
+                                   users={"bob": ("users", "staff")},
+                                   daemon_system_configs=[tampered_config])),
+            ("sw-servers", HostSpec(name="mail-server", ip=self.MAIL_SERVER,
+                                    users={"smtp": ("service",)}),
+             ("smtp-server", "root", 25)),
+            ("sw-servers", HostSpec(name="web-server", ip=self.WEB_SERVER, users={"www": ("service",)}),
+             ("httpd", "root", 80)),
+        ]
 
-        net.add_host(
-            HostSpec(name="client", ip=self.CLIENT, users={"alice": ("users", "staff")},
-                     daemon_system_configs=[good_config]),
-            switch=access,
-        )
-        net.add_host(
-            HostSpec(name="client-tampered", ip=self.CLIENT_TAMPERED,
-                     users={"bob": ("users", "staff")},
-                     daemon_system_configs=[tampered_config]),
-            switch=access,
-        )
-
-        mail = net.add_host(
-            HostSpec(name="mail-server", ip=self.MAIL_SERVER, users={"smtp": ("service",)}),
-            switch=servers,
-        )
-        mail.run_server("smtp-server", "root", 25)
-
-        web = net.add_host(
-            HostSpec(name="web-server", ip=self.WEB_SERVER, users={"www": ("service",)}),
-            switch=servers,
-        )
-        web.run_server("httpd", "root", 80)
-
-        net.set_policy(paper_configs.figure7_secur_control(self.secur.public_key_hex))
-        return net
+    def control_files(self) -> dict[str, str]:
+        return paper_configs.figure7_secur_control(self.secur.public_key_hex)
 
     def build_cases(self) -> list[FlowCase]:
         return [
@@ -372,49 +348,29 @@ class ConfickerScenario(FigureScenario):
     INTERNET = "203.0.113.66"
     SMB_PORT = 445
 
-    def build_network(self) -> IdentPPNetwork:
-        net = IdentPPNetwork("conficker")
-        access = net.add_switch("sw-access")
-        servers = net.add_switch("sw-servers")
-        edge = net.add_switch("sw-edge")
-        net.connect(access, servers)
-        net.connect(servers, edge)
+    NAME = "conficker"
+    SWITCHES = ("sw-access", "sw-servers", "sw-edge")
 
-        net.add_host(
-            HostSpec(name="admin-host", ip=self.ADMIN_HOST, users={"admin": ("system", "users")}),
-            switch=access,
-        )
-        net.add_host(
-            HostSpec(name="workstation", ip=self.WORKSTATION, users={"alice": ("users",)}),
-            switch=access,
-        )
-        net.add_host(
-            HostSpec(name="infected-lan", ip=self.INFECTED_LAN, users={"victim": ("users",)}),
-            switch=access,
-        )
+    def hosts(self) -> list[tuple]:
+        return [
+            ("sw-access", HostSpec(name="admin-host", ip=self.ADMIN_HOST,
+                                   users={"admin": ("system", "users")})),
+            ("sw-access", HostSpec(name="workstation", ip=self.WORKSTATION,
+                                   users={"alice": ("users",)})),
+            ("sw-access", HostSpec(name="infected-lan", ip=self.INFECTED_LAN,
+                                   users={"victim": ("users",)})),
+            ("sw-servers", HostSpec(name="patched-server", ip=self.PATCHED_SERVER, users={},
+                                    host_facts={"os-patch": "MS08-067 MS08-068"}),
+             ("Server", "system", self.SMB_PORT)),
+            ("sw-servers", HostSpec(name="unpatched-server", ip=self.UNPATCHED_SERVER, users={},
+                                    host_facts={"os-patch": "MS08-001"}),
+             ("Server", "system", self.SMB_PORT)),
+            ("sw-edge", HostSpec(name="internet-attacker", ip=self.INTERNET,
+                                 users={"mallory": ("internet",)}, run_daemon=False)),
+        ]
 
-        patched = net.add_host(
-            HostSpec(name="patched-server", ip=self.PATCHED_SERVER, users={},
-                     host_facts={"os-patch": "MS08-067 MS08-068"}),
-            switch=servers,
-        )
-        patched.run_server("Server", "system", self.SMB_PORT)
-
-        unpatched = net.add_host(
-            HostSpec(name="unpatched-server", ip=self.UNPATCHED_SERVER, users={},
-                     host_facts={"os-patch": "MS08-001"}),
-            switch=servers,
-        )
-        unpatched.run_server("Server", "system", self.SMB_PORT)
-
-        net.add_host(
-            HostSpec(name="internet-attacker", ip=self.INTERNET, users={"mallory": ("internet",)},
-                     run_daemon=False),
-            switch=edge,
-        )
-
-        net.set_policy(paper_configs.figure8_control_files())
-        return net
+    def control_files(self) -> dict[str, str]:
+        return paper_configs.figure8_control_files()
 
     def build_cases(self) -> list[FlowCase]:
         return [

@@ -19,11 +19,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines.ethane import EthaneRule
+from repro.baselines.vanilla_firewall import FirewallRule
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.events import Simulator
 from repro.workloads import experiment, invariants
 from repro.workloads.experiment import (
+    ARCH_DISTRIBUTED,
+    ARCH_ETHANE,
     ARCH_IDENTPP,
+    ARCH_VANILLA,
     BASELINE_ARCHITECTURES,
     ScenarioSpec,
     applicable_invariants,
@@ -69,23 +74,61 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown topology"):
             ScenarioSpec(topology="moebius_strip").validate()
 
+    # What a failure needs is its row's: validate() reads it off FAILURES.
     def test_kill_shard_requires_a_cluster(self):
+        assert experiment.FAILURES["kill_shard"].cluster
         with pytest.raises(ValueError, match="cluster"):
             ScenarioSpec(failure="kill_shard", control="single").validate()
 
     def test_partition_heal_requires_spine_leaf(self):
+        assert experiment.FAILURES["partition_heal"].needs == {"topology": "spine_leaf"}
         with pytest.raises(ValueError, match="spine_leaf"):
             ScenarioSpec(failure="partition_heal", topology="edge_core").validate()
 
     def test_retenant_failure_and_traffic_pair_up(self):
+        row = experiment.FAILURES["retenant"]
+        assert row.paired and row.needs == {"traffic": "retenant"}
         with pytest.raises(ValueError, match="retenant"):
             ScenarioSpec(failure="retenant", traffic="web_burst").validate()
         with pytest.raises(ValueError, match="retenant"):
             ScenarioSpec(traffic="retenant", failure="none").validate()
 
     def test_quarantine_race_needs_worm_traffic(self):
+        assert experiment.FAILURES["quarantine_race"].needs == {"traffic": "worm"}
         with pytest.raises(ValueError, match="worm"):
             ScenarioSpec(failure="quarantine_race", control="cluster2").validate()
+
+    def test_a_planted_policy_and_failure_row_are_all_a_cell_runs_on(self, monkeypatch):
+        armed = []
+        monkeypatch.setitem(experiment.POLICIES, "planted", experiment.PolicyRow(
+            {"00-planted.control": "block all\n"},
+            firewall=(FirewallRule("block"),),
+            ethane=(EthaneRule("pass", src_group="guests"),),
+        ))
+        monkeypatch.setitem(experiment.FAILURES, "blink", experiment.FailureRow(
+            lambda ctx: armed.append(ctx.spec.name), (invariants.CONTAINMENT,),
+            needs={"traffic": "app_mix"}, paired=True,
+        ))
+        spec = ScenarioSpec(name="planted", topology="single", policy="planted",
+                            traffic="app_mix", failure="blink", flows=2, clients=1,
+                            servers=1, duration=4.0)
+        # The row's pairing rule, both ways.
+        with pytest.raises(ValueError, match="blink"):
+            replace(spec, failure="none").validate()
+        with pytest.raises(ValueError, match="app_mix"):
+            replace(spec, traffic="web_burst").validate()
+        cell = run_cell(spec)
+        assert armed == ["planted"] * experiment.MATRIX_REPEATS
+        assert list(cell["invariants"]) == [
+            invariants.FAIL_CLOSED, invariants.BOUNDED_STATE, invariants.CONTAINMENT,
+        ]
+        assert cell["passed"], cell["invariants"]
+        counts = cell["architectures"]
+        # Each baseline decides by the row's own approximation, which
+        # blocks both port-80 flows; any committed row's passes them.
+        for arch in (ARCH_VANILLA, ARCH_DISTRIBUTED, ARCH_ETHANE):
+            assert (counts[arch]["allowed"], counts[arch]["blocked"]) == (0, 2)
+        assert counts[ARCH_IDENTPP]["allowed"] == 0
 
 
 class TestExpandGrid:

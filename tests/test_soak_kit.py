@@ -23,6 +23,7 @@ from repro.workloads import (
     soak,
 )
 from repro.workloads.soak import Gate, Soak, failed_gates
+from tools.check_docs import CI_WORKFLOW, check_ci_soaks
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COMMITTED = json.loads((REPO_ROOT / "BENCH_results.json").read_text())["results"]
@@ -264,3 +265,10 @@ class TestEntryPoint:
         assert done.returncode != 0
         for name in soak.SOAKS:
             assert name in done.stderr
+
+    def test_ci_runs_one_job_per_soak_and_a_dropped_name_fails_the_docs_check(self):
+        workflow = (REPO_ROOT / CI_WORKFLOW).read_text()
+        assert check_ci_soaks(workflow) == []
+        assert check_ci_soaks(workflow.replace("cluster, ", "", 1)) == [
+            f"{CI_WORKFLOW}: the soak matrix does not list the soak `cluster`"
+        ]

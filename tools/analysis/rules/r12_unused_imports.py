@@ -25,14 +25,20 @@ from tools.analysis.core import ParsedModule, Violation
 _QUOTED_NAMES = re.compile(r"[A-Za-z_][\w.\[\], |]*")
 
 
-def _read_names(module: ParsedModule) -> set[str]:
-    """Return every name the module reads, quoted ones included."""
-    read: set[str] = set()
+def _read_names(module: ParsedModule, imported: set[str]) -> set[str]:
+    """Return every name the module reads, quoted ones included.
+
+    Code's names come first; then only a string holding the name of an
+    import code has not read can add one, so only those are parsed.
+    """
+    read = {node.id for node in module.nodes if isinstance(node, ast.Name)}
+    unread = imported - read
+    if not unread:
+        return read
     for node in module.nodes:
-        if isinstance(node, ast.Name):
-            read.add(node.id)
-        elif (
+        if (
             isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and any(name in node.value for name in unread)
             and _QUOTED_NAMES.fullmatch(node.value)
         ):
             try:
@@ -61,21 +67,20 @@ class UnusedImportsRule:
     def check(self, module: ParsedModule) -> list[Violation]:
         if module.path.name == "__init__.py":
             return []
-        read = _read_names(module)
-        violations: list[Violation] = []
-        for statement in _top_level_imports(module.tree):
-            if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
-                continue
-            for alias in statement.names:
-                bound = alias.asname or alias.name.partition(".")[0]
-                if bound == "*" or bound in read:
-                    continue
-                violations.append(
-                    module.violation(
-                        self.rule_id,
-                        alias.lineno,
-                        f"`{bound}` is imported and never read — delete the "
-                        f"import, or list the name in `__all__` if it is re-exported",
-                    )
-                )
-        return violations
+        bindings = [
+            (alias.lineno, alias.asname or alias.name.partition(".")[0])
+            for statement in _top_level_imports(module.tree)
+            if not (isinstance(statement, ast.ImportFrom) and statement.module == "__future__")
+            for alias in statement.names
+        ]
+        read = _read_names(module, {bound for _, bound in bindings})
+        return [
+            module.violation(
+                self.rule_id,
+                line,
+                f"`{bound}` is imported and never read — delete the "
+                f"import, or list the name in `__all__` if it is re-exported",
+            )
+            for line, bound in bindings
+            if bound != "*" and bound not in read
+        ]

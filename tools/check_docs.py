@@ -23,6 +23,10 @@ path — a row of a soak module's ``SOAK`` table or of
 ``benchmarks/run_benchmarks.py::GATES`` — must have such a row too, and
 the row must name the gated key.
 
+The CI workflow's ``soak`` job runs one job per name of its matrix's
+``soak: [...]`` list, which must name exactly the soaks of
+``repro.workloads.soak.SOAKS``: a soak missing there runs in no CI job.
+
 Run directly or via ``make docs_check``; CI runs it in the docs job so
 documentation cannot drift from the tree it describes.
 """
@@ -46,6 +50,10 @@ DOC_FILES = ["README.md", "ROADMAP.md", "CHANGES.md"]
 
 #: Where each lint rule of ``tools/analysis`` has a ``### R<n> — `` section.
 RULES_DOC = "docs/ANALYSIS.md"
+
+#: The CI workflow, and its ``soak`` job's matrix list.
+CI_WORKFLOW = ".github/workflows/ci.yml"
+CI_SOAKS_RE = re.compile(r"^\s*soak: \[([^\]]*)\]", re.MULTILINE)
 
 #: Headings (exact markdown lines) each doc must keep carrying.
 REQUIRED_SECTIONS: dict[str, list[str]] = {
@@ -180,6 +188,23 @@ def check_benchmark_entries() -> list[str]:
     return problems
 
 
+def check_ci_soaks(workflow: str) -> list[str]:
+    """Return a problem line per soak of ``SOAKS`` the CI workflow text's
+    ``soak`` matrix does not list, and per name it lists that is no soak."""
+    from repro.workloads.soak import SOAKS
+
+    match = CI_SOAKS_RE.search(workflow)
+    if match is None:
+        return [f"{CI_WORKFLOW}: no `soak: [...]` matrix list"]
+    listed = [name.strip() for name in match.group(1).split(",") if name.strip()]
+    return [
+        *(f"{CI_WORKFLOW}: the soak matrix does not list the soak `{name}`"
+          for name in SOAKS if name not in listed),
+        *(f"{CI_WORKFLOW}: the soak matrix lists `{name}`, which is not in SOAKS"
+          for name in listed if name not in SOAKS),
+    ]
+
+
 def iter_doc_files() -> list[Path]:
     """Return every markdown file the checker covers."""
     files = [REPO_ROOT / name for name in DOC_FILES if (REPO_ROOT / name).exists()]
@@ -219,18 +244,20 @@ def main() -> int:
         problems.extend(check_file(path))
     problems.extend(check_required_sections())
     problems.extend(check_benchmark_entries())
+    problems.extend(check_ci_soaks((REPO_ROOT / CI_WORKFLOW).read_text(encoding="utf-8")))
     for problem in problems:
         print(problem)
     checked = len(files)
     if problems:
         print(
             f"docs check FAILED: {len(problems)} problems "
-            f"(broken links / missing sections / benchmark entries) in {checked} files"
+            f"(broken links / missing sections / benchmark entries / CI soaks) in {checked} files"
         )
         return 1
     print(
-        f"docs check ok: all relative links resolve, required sections present "
-        f"and benchmark entries match BENCH_results.json across {checked} files"
+        f"docs check ok: all relative links resolve, required sections present, "
+        f"benchmark entries match BENCH_results.json and CI runs every soak, "
+        f"across {checked} files"
     )
     return 0
 
