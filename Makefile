@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench soak soak_queries soak_async matrix docs_check lint determinism perf perf_smoke \
-        audit_dump reach
+        perf_history audit_dump reach
 
 test:
 	$(PYTHON) -m pytest -q
@@ -48,6 +48,13 @@ reach:
 # exactly once).
 perf:
 	python3 perf/run.py
+
+# One full run of that benchmark appended to the committed
+# BENCH_history.jsonl (tools/perf_history.py): commit, interpreter, and
+# per workload the end-to-end and per-repeat values and the segment-cost
+# quartiles.  One line per change.
+perf_history:
+	python3 tools/perf_history.py
 
 # Every audit record of every perf/ workload at one seed, one line each
 # (tools/audit_dump.py): two checkouts with equal output decided alike.

@@ -19,6 +19,7 @@ from typing import Protocol
 from repro.core.policy_engine import PolicyDecision
 from repro.identpp.flowspec import FlowSpec
 from repro.pf.ast_nodes import Rule
+from repro.pf.compiler import VerdictShape
 from repro.pf.evaluator import Verdict
 
 ACTION_PASS = "pass"
@@ -52,10 +53,10 @@ class BaselineDecider:
 
     def __init__(self, baseline: BaselinePolicy) -> None:
         self.baseline = baseline
-        self._verdicts = {
-            action: Verdict(action, Rule(action, origin=baseline.name))
-            for action in (ACTION_PASS, ACTION_BLOCK)
-        }
+        self._verdicts = {}
+        for action in (ACTION_PASS, ACTION_BLOCK):
+            rule = Rule(action, origin=baseline.name)
+            self._verdicts[action] = Verdict(action, rule, shape=VerdictShape.of(rule, action))
 
     def decide(self, flow: FlowSpec) -> PolicyDecision:
         """Return the baseline's verdict on ``flow``, the one thing it is given."""

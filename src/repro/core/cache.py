@@ -81,14 +81,7 @@ class DecisionCache:
         rule_text: str = "",
     ) -> CachedDecision:
         """Cache a decision (a ``keep state`` pass also answers the reverse flow)."""
-        decision = CachedDecision(
-            flow=flow,
-            action=action,
-            cookie=cookie,
-            decided_at=now,
-            keep_state=keep_state,
-            rule_text=rule_text,
-        )
+        decision = CachedDecision(flow, action, cookie, now, keep_state, rule_text)
         previous = self._decisions.pop(flow, None)
         self._drop_entry_bookkeeping(previous)
         self._decisions[flow] = decision

@@ -133,7 +133,9 @@ class SerialDecisionQueue:
     def submit(self, task: DecisionTask) -> None:
         """Append a task and start serving if the loop is idle."""
         self._queue.append(task)
-        self.max_depth = max(self.max_depth, self.depth())
+        depth = len(self._queue) + (self._current is not None)
+        if depth > self.max_depth:
+            self.max_depth = depth
         if self._current is None:
             self._start_next()
 
@@ -445,7 +447,7 @@ class IdentPPController(Controller):
             # decision lands.
             task.punts.append(message)
             return
-        task = DecisionTask(flow=flow, arrival=arrival, switch=message.switch, punts=[message])
+        task = DecisionTask(flow, arrival, message.switch, [message])
         self._pending[flow] = task
         # Fail-closed backstop: if the decision is lost (an exception
         # mid-pipeline, a dropped event), the deadline drops the
@@ -615,29 +617,22 @@ class IdentPPController(Controller):
     def _finish_decision(self, task: DecisionTask, decision: PolicyDecision) -> None:
         """Cache, install and audit one evaluated decision."""
         flow = task.flow
+        now = self.sim.now
         cookie = f"{self.name}:decision-{next(self._cookie_counter)}"
-        self.cache.store(
-            flow,
-            decision.action,
-            cookie,
-            self.sim.now,
-            keep_state=decision.keep_state,
-            rule_text=decision.rule_text,
-        )
+        action, keep_state, rule_text = decision.action, decision.keep_state, decision.rule_text
+        self.cache.store(flow, action, cookie, now, keep_state=keep_state, rule_text=rule_text)
         pending = self._pop_pending(flow)
-        self.installer.apply_verdict(
-            flow, pending, decision.is_pass, cookie, keep_state=decision.keep_state
-        )
+        self.installer.apply_verdict(flow, pending, decision.is_pass, cookie, keep_state=keep_state)
         for principal in decision.principals:
             self.delegations.record_use(principal, cookie)
         self.audit.record(
-            self.sim.now, flow, decision.action, decision.rule_text, decision.rule_origin, cookie,
+            now, flow, action, rule_text, decision.rule_origin, cookie,
             delegated=decision.delegated,
             delegation_functions=decision.delegation_functions,
             src_keys=decision.src_keys,
             dst_keys=decision.dst_keys,
             query_latency=QueryClient.combined_latency(task.outcomes),
-            setup_time=self.sim.now - task.arrival,
+            setup_time=now - task.arrival,
         )
         self.lifecycle.kick()
 

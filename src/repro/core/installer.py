@@ -55,6 +55,45 @@ class PathInstall:
     entries: tuple[int, ...] = ()
 
 
+class HopPlan(tuple):
+    """The managed hops of one path and what a pass installs on them (§3.4).
+
+    A tuple of ``(switch, forward actions, reverse actions)`` per managed
+    switch, in path order; the forward actions are ``None`` on a hop
+    with no next node, the reverse actions on one with no previous node.
+    What a pass verdict does on those hops is the same for every flow
+    of the path, so it is worked out here once:
+
+        forward: Switch name -> the forward actions, which also release
+            a buffered punt at that switch.
+        registry: ``keep state`` -> ``(switch names, entries per switch)``
+            of the path's registry record, or ``None`` when the pass
+            touches one switch only (nothing to unwind).
+    """
+
+    def __new__(cls, hops=()) -> "HopPlan":
+        plan = super().__new__(cls, hops)
+        plan.forward = {
+            switch.name: forward for switch, forward, _ in hops if forward is not None
+        }
+        plan.registry = {}
+        for keep_state in (False, True):
+            counts = {}
+            for switch, forward, reverse in hops:
+                count = (forward is not None) + (keep_state and reverse is not None)
+                if count:
+                    counts[switch.name] = count
+            names = tuple(sorted(counts))
+            plan.registry[keep_state] = (
+                (names, tuple(counts[name] for name in names)) if len(names) > 1 else None
+            )
+        return plan
+
+
+#: The plan of a flow with no path (an endpoint unknown, a partition).
+_NO_HOPS = HopPlan()
+
+
 class PathInstaller:
     """One controller's datapath programming and its path registry.
 
@@ -68,10 +107,10 @@ class PathInstaller:
         self._controller = controller
         self._installs: dict[str, PathInstall] = {}
         self.unwinds = 0
-        # (source node, destination node) -> the managed hops of the
-        # path between them (see _hop_plan); valid for one topology
-        # mutation epoch and one channel set, bounded by node pairs.
-        self._hop_plans: dict[tuple[Node, Node], tuple] = {}
+        # (source node, destination node) -> the HopPlan of the path
+        # between them (see _hop_plan); valid for one topology mutation
+        # epoch and one channel set, bounded by node pairs.
+        self._hop_plans: dict[tuple[Node, Node], HopPlan] = {}
         self._hop_plans_epoch = -1
 
     def forget_plans(self) -> None:
@@ -141,23 +180,20 @@ class PathInstaller:
         if ingress is not None and not ingress_covered:
             controller.install_flow(ingress, drop_match, [DropAction()], **entry)
 
-    def _hop_plan(self, flow: FlowSpec) -> tuple:
-        """Return the managed hops of the flow's path, planned once per endpoint pair.
+    def _hop_plan(self, flow: FlowSpec) -> HopPlan:
+        """Return the :class:`HopPlan` of the flow's path, planned once per endpoint pair.
 
-        One ``(switch, forward actions, reverse actions)`` per managed
-        switch, in path order; the forward actions are ``None`` on a
-        hop with no next node, the reverse actions on one with no
-        previous node.  Empty when an endpoint is unknown or
-        no path exists (partition, failed fabric): the caller falls back
-        to first-hop-only handling.  A plan depends on connectivity and
-        on which switches the controller manages, so the memo is
-        dropped whenever either changes.
+        Empty when an endpoint is unknown or no path exists (partition,
+        failed fabric): the caller falls back to first-hop-only
+        handling.  A plan depends on connectivity and on which switches
+        the controller manages, so the memo is dropped whenever either
+        changes.
         """
         topology = self._controller.topology
         source = topology.node_for_ip(flow.src_ip)
         destination = topology.node_for_ip(flow.dst_ip)
         if source is None or destination is None:
-            return ()
+            return _NO_HOPS
         if self._hop_plans_epoch != topology.mutation_epoch:
             self._hop_plans.clear()
             self._hop_plans_epoch = topology.mutation_epoch
@@ -166,14 +202,14 @@ class PathInstaller:
             plan = self._hop_plans[(source, destination)] = self._plan_hops(source, destination)
         return plan
 
-    def _plan_hops(self, source: Node, destination: Node) -> tuple:
+    def _plan_hops(self, source: Node, destination: Node) -> HopPlan:
         topology = self._controller.topology
         try:
             path = topology.shortest_path(source, destination)
         except TopologyError:
             # No path is an expected topology answer.  Anything else — a
             # programming error — must propagate, not be swallowed.
-            return ()
+            return _NO_HOPS
         egress_port = topology.egress_port
         channels = self._controller.channels
         hops = []
@@ -186,7 +222,7 @@ class PathInstaller:
             if index > 0:
                 reverse = (OutputAction(egress_port(node, path[index - 1]).number),)
             hops.append((node, forward, reverse))
-        return tuple(hops)
+        return HopPlan(hops)
 
     def _install_path(
         self,
@@ -208,13 +244,13 @@ class PathInstaller:
         """
         controller = self._controller
         plan = self._hop_plan(flow)
-        forward_by_switch: dict[str, tuple] = {}
         carried: set[int] = set()
         if plan:
             config = controller.config
             idle_timeout = config.idle_timeout
             hard_timeout = config.hard_timeout
             install_flow = controller.install_flow
+            # The flow's fields are typed already: one Match per direction.
             match = Match.from_five_tuple(
                 flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port
             )
@@ -222,14 +258,12 @@ class PathInstaller:
                 flow.dst_ip, flow.src_ip, flow.proto, flow.dst_port, flow.src_port
             ) if keep_state else None
             # Switch name -> its first buffered punt.
-            waiting = {message.switch.name: message for message in reversed(pending)}
-            installed: dict[str, int] = {}
+            waiting = {}
+            for message in reversed(pending):
+                waiting[message.switch.name] = message
             for switch, forward, reverse in plan:
-                name = switch.name
-                count = 0
                 if forward is not None:
-                    forward_by_switch[name] = forward
-                    message = waiting.get(name)
+                    message = waiting.get(switch.name)
                     if message is not None:
                         carried.add(message.buffer_id)
                     install_flow(
@@ -237,33 +271,26 @@ class PathInstaller:
                         idle_timeout=idle_timeout, hard_timeout=hard_timeout, cookie=cookie,
                         buffer_id=None if message is None else message.buffer_id,
                     )
-                    count = 1
                 if keep_state and reverse is not None:
                     install_flow(
                         switch, reverse_match, reverse, priority=FLOW_PRIORITY,
                         idle_timeout=idle_timeout, hard_timeout=hard_timeout, cookie=cookie,
                     )
-                    count += 1
-                if count:
-                    installed[name] = count
-            if len(installed) > 1:
+            registry = plan.registry[keep_state]
+            if registry is not None:
                 # Single-switch installs need no unwinding; multi-hop ones
                 # are registered so the first FlowRemoved tears down the
                 # rest.  A cookie installed again (decision-cache hit)
                 # records no counts: a FlowRemoved of its earlier entries
                 # may still be in flight, and skipping the reporter would
                 # strand the fresh entry there.
-                names = tuple(sorted(installed))
-                self._installs[cookie] = PathInstall(
-                    flow=flow,
-                    switches=names,
-                    entries=() if reinstall else tuple(installed[name] for name in names),
-                )
+                names, entries = registry
+                self._installs[cookie] = PathInstall(flow, names, () if reinstall else entries)
         for message in pending:
             if message.buffer_id not in carried:
                 controller.send_packet_out(
                     message.switch,
-                    actions=forward_by_switch.get(message.switch.name, _FLOOD),
+                    actions=plan.forward.get(message.switch.name, _FLOOD),
                     buffer_id=message.buffer_id,
                     in_port=message.in_port,
                 )

@@ -13,58 +13,63 @@ accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.core.delegation import DelegationManager
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import EMPTY_KEYS, KeyView, ResponseDocument
-from repro.pf.ast_nodes import ACTION_PASS, DictAccess, Rule
+from repro.pf.ast_nodes import ACTION_PASS
 from repro.pf.evaluator import PolicyEvaluator, Verdict
 from repro.pf.functions import default_registry
 from repro.pf.ruleset import ControlFile, RulesetLoader
 
-#: Function names whose presence in the deciding rule marks the decision
-#: as relying on delegated (externally supplied) rules.
-DELEGATION_FUNCTIONS = ("allowed", "verify")
-
-
-@dataclass
+@dataclass(init=False)
 class PolicyDecision:
-    """The outcome of running the policy over one flow."""
+    """The outcome of running the policy over one flow.
+
+    Two decisions are equal when their flow, verdict and identity views
+    are; the rest is the verdict's :class:`~repro.pf.compiler.VerdictShape`,
+    copied out so a reader pays one attribute read.
+    """
 
     flow: Optional[FlowSpec]
     verdict: Verdict
-    delegated: bool = False
-    delegation_functions: tuple[str, ...] = ()
-    principals: tuple[str, ...] = ()
-    src_keys: KeyView = EMPTY_KEYS
-    dst_keys: KeyView = EMPTY_KEYS
+    src_keys: KeyView
+    dst_keys: KeyView
+    #: ``"pass"`` or ``"block"``.
+    action: str = field(compare=False)
+    is_pass: bool = field(compare=False)
+    #: Whether the deciding rule asked for ``keep state``.
+    keep_state: bool = field(compare=False)
+    #: The deciding rule as text ('' when the PF default applied).
+    rule_text: str = field(compare=False)
+    #: The configuration file the deciding rule came from.
+    rule_origin: str = field(compare=False)
+    delegated: bool = field(compare=False)
+    delegation_functions: tuple[str, ...] = field(compare=False)
+    principals: tuple[str, ...] = field(compare=False)
 
-    @property
-    def action(self) -> str:
-        """Return ``"pass"`` or ``"block"``."""
-        return self.verdict.action
-
-    @property
-    def is_pass(self) -> bool:
-        """Return ``True`` when the flow is allowed."""
-        return self.verdict.is_pass
-
-    @property
-    def keep_state(self) -> bool:
-        """Return ``True`` when the deciding rule asked for ``keep state``."""
-        return self.verdict.keep_state
-
-    @property
-    def rule_text(self) -> str:
-        """Return the deciding rule as text ('' when the PF default applied)."""
-        return str(self.verdict.rule) if self.verdict.rule is not None else ""
-
-    @property
-    def rule_origin(self) -> str:
-        """Return the configuration file the deciding rule came from."""
-        return self.verdict.rule.origin if self.verdict.rule is not None else ""
+    def __init__(
+        self,
+        flow: Optional[FlowSpec],
+        verdict: Verdict,
+        src_keys: KeyView = EMPTY_KEYS,
+        dst_keys: KeyView = EMPTY_KEYS,
+    ) -> None:
+        shape = verdict.shape
+        self.flow = flow
+        self.verdict = verdict
+        self.src_keys = src_keys
+        self.dst_keys = dst_keys
+        self.action = shape.action
+        self.is_pass = shape.is_pass
+        self.keep_state = shape.keep_state
+        self.rule_text = shape.rule_text
+        self.rule_origin = shape.rule_origin
+        self.delegated = shape.delegated
+        self.delegation_functions = shape.delegation_functions
+        self.principals = shape.principals
 
 
 class PolicyEngine:
@@ -166,10 +171,21 @@ class PolicyEngine:
         dst_doc: Optional[ResponseDocument] = None,
     ) -> PolicyDecision:
         """Evaluate the policy for one flow."""
-        evaluator = self.evaluator
-        self._refresh_pubkeys(evaluator)
+        evaluator = self._evaluator
+        if evaluator is None:
+            evaluator = self.rebuild()
+        if self._pubkeys_state != (self._ruleset_epoch, self.delegations.epoch):
+            self._refresh_pubkeys(evaluator)
         verdict = evaluator.evaluate(flow, src_doc, dst_doc)
-        return self._decision_from_verdict(flow, verdict, src_doc, dst_doc)
+        src_keys = dst_keys = EMPTY_KEYS
+        views = self._last_views
+        if src_doc is not None:
+            key = ("src", flow and flow.src_ip)
+            src_keys = views[key] = KeyView.of(src_doc, views.get(key, EMPTY_KEYS))
+        if dst_doc is not None:
+            key = ("dst", flow and flow.dst_ip)
+            dst_keys = views[key] = KeyView.of(dst_doc, views.get(key, EMPTY_KEYS))
+        return PolicyDecision(flow, verdict, src_keys, dst_keys)
 
     def decide_batch(self, items: Sequence[tuple]) -> list[PolicyDecision]:
         """Decide each ``(flow, src_doc, dst_doc)`` of ``items`` in turn.
@@ -180,7 +196,7 @@ class PolicyEngine:
         return [self.decide(*item) for item in items]
 
     def _refresh_pubkeys(self, evaluator: PolicyEvaluator) -> None:
-        """Rebuild the evaluator's ``@pubkeys`` dict only when stale.
+        """Rebuild the evaluator's ``@pubkeys`` dict (:meth:`decide` calls it when stale).
 
         Delegation grants back @pubkeys lookups; configuration-defined
         dict entries win over grants of the same name so an administrator
@@ -189,8 +205,6 @@ class PolicyEngine:
         (ruleset change) rather than rebuilt on every decision.
         """
         state = (self._ruleset_epoch, self.delegations.epoch)
-        if self._pubkeys_state == state:
-            return
         pubkeys = dict(self.delegations.pubkeys_dict())
         defined = evaluator.ruleset.dicts().get("pubkeys")
         if defined is not None:
@@ -198,61 +212,7 @@ class PolicyEngine:
         evaluator.dicts["pubkeys"] = pubkeys
         self._pubkeys_state = state
 
-    def _decision_from_verdict(
-        self,
-        flow: Optional[FlowSpec],
-        verdict: Verdict,
-        src_doc: Optional[ResponseDocument],
-        dst_doc: Optional[ResponseDocument],
-    ) -> PolicyDecision:
-        delegated_functions = _delegation_functions_used(verdict.rule)
-        principals = _principals_used(verdict.rule)
-        src_keys = dst_keys = EMPTY_KEYS
-        if src_doc is not None:
-            src_keys = self._view_of("src", flow and flow.src_ip, src_doc)
-        if dst_doc is not None:
-            dst_keys = self._view_of("dst", flow and flow.dst_ip, dst_doc)
-        return PolicyDecision(
-            flow=flow,
-            verdict=verdict,
-            delegated=bool(delegated_functions),
-            delegation_functions=delegated_functions,
-            principals=principals,
-            src_keys=src_keys,
-            dst_keys=dst_keys,
-        )
-
-    def _view_of(self, role: str, address, document: ResponseDocument) -> KeyView:
-        """Return ``document``'s view, taken against this end's last one."""
-        views = self._last_views
-        key = (role, address)
-        view = views[key] = KeyView.of(document, views.get(key, EMPTY_KEYS))
-        return view
-
     def stats(self) -> dict[str, float]:
         """Return the evaluator's counts, compile/index ones included."""
         return self.evaluator.stats()
 
-
-def _delegation_functions_used(rule: Optional[Rule]) -> tuple[str, ...]:
-    """Return which delegation functions appear in the deciding rule's conditions."""
-    if rule is None:
-        return ()
-    used = []
-    for condition in rule.conditions:
-        if condition.name.lower() in DELEGATION_FUNCTIONS and condition.name.lower() not in used:
-            used.append(condition.name.lower())
-    return tuple(used)
-
-
-def _principals_used(rule: Optional[Rule]) -> tuple[str, ...]:
-    """Return the ``@pubkeys[...]`` principals referenced by the deciding rule."""
-    if rule is None:
-        return ()
-    principals: list[str] = []
-    for condition in rule.conditions:
-        for argument in condition.args:
-            if isinstance(argument, DictAccess) and argument.dict_name == "pubkeys":
-                if argument.key not in principals:
-                    principals.append(argument.key)
-    return tuple(principals)

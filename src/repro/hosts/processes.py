@@ -31,13 +31,8 @@ class Process:
     user: User
     application: Application
 
-    @property
-    def exe_path(self) -> str:
-        """Return the path of the executable image backing the process."""
-        return self.application.path
-
     def __str__(self) -> str:
-        return f"pid={self.pid} user={self.user.name} exe={self.exe_path}"
+        return f"pid={self.pid} user={self.user.name} exe={self.application.path}"
 
 
 class ProcessTable:

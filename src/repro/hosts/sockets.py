@@ -199,7 +199,8 @@ class SocketTable:
         that an accepted connection resolves to the worker process rather
         than the listener.
         """
-        proto = proto_number(proto)
+        if proto.__class__ is not int:
+            proto = proto_number(proto)
         if as_destination:
             local_ip, local_port, remote_ip, remote_port = ip_dst, tp_dst, ip_src, tp_src
         else:

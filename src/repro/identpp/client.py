@@ -122,6 +122,12 @@ class QueryClient:
         # (topology mutation epoch, mean link latency) — recomputed only
         # when connectivity changes, not on every intercepted query.
         self._mean_link_latency: Optional[tuple[int, float]] = None
+        # (querying node, target address) -> (the host owning the
+        # address, the query round trip to it or None when unreachable),
+        # valid for one topology mutation epoch.  An address nobody owns
+        # is not remembered: a host may still register it.
+        self._routes: dict[tuple, tuple[Node, Optional[float]]] = {}
+        self._routes_epoch = -1
 
     # ------------------------------------------------------------------
     # Queries
@@ -146,7 +152,7 @@ class QueryClient:
             interceptors: On-path controllers, ordered from the querier
                 toward the target host.
         """
-        query = IdentQuery(flow=flow, target_role=role, keys=DEFAULT_QUERY_KEYS)
+        query = IdentQuery(flow, role, DEFAULT_QUERY_KEYS)
         self.queries_sent += 1
 
         # Give each on-path controller the chance to answer outright.
@@ -162,14 +168,22 @@ class QueryClient:
                     intercepted=True,
                 )
 
-        host = self.topology.node_for_ip(query.target_ip)
+        topology = self.topology
+        if self._routes_epoch != topology.mutation_epoch:
+            self._routes.clear()
+            self._routes_epoch = topology.mutation_epoch
+        target = (from_node, flow.src_ip if role == ROLE_SOURCE else flow.dst_ip)
+        route = self._routes.get(target)
+        if route is None:
+            route = self._route(*target)
+        host, round_trip = route
+        # The daemon is read per query: a host may replace its daemon.
         daemon = getattr(host, "identpp_daemon", None) if host is not None else None
         if daemon is None:
             self.queries_timed_out += 1
             return QueryOutcome(
                 query=query, response=None, latency=DEFAULT_QUERY_TIMEOUT, timed_out=True
             )
-        round_trip = self._round_trip(from_node, host)
         if round_trip is None:
             # No path from the querying switch to the host: the query is
             # never delivered, so the daemon is never asked and the
@@ -183,20 +197,16 @@ class QueryClient:
                 timed_out=True,
                 unreachable=True,
             )
-        response, processing = daemon.query_local(query, now=self.topology.sim.now)
-        latency = round_trip + processing
+        response, processing = daemon.query_local(query, now=topology.sim.now)
 
         # Responses are augmented on the way back, nearest-the-host first.
         augmented: list[str] = []
-        for interceptor in reversed(list(interceptors)):
-            interceptor.augment_response(query, response)
-            augmented.append(getattr(interceptor, "name", "interceptor"))
+        if interceptors:
+            for interceptor in reversed(list(interceptors)):
+                interceptor.augment_response(query, response)
+                augmented.append(getattr(interceptor, "name", "interceptor"))
         return QueryOutcome(
-            query=query,
-            response=response,
-            latency=latency,
-            answered_by=response.responder,
-            augmented_by=augmented,
+            query, response, round_trip + processing, response.responder, augmented_by=augmented
         )
 
     def query_async(
@@ -267,21 +277,26 @@ class QueryClient:
     # Latency accounting
     # ------------------------------------------------------------------
 
-    def _round_trip(self, from_node: Optional[Node], host: Node) -> Optional[float]:
-        """Return the query round trip from ``from_node`` to ``host``.
+    def _route(self, from_node: Optional[Node], address) -> tuple[Optional[Node], Optional[float]]:
+        """Resolve and remember ``(host owning address, round trip from from_node)``.
 
-        ``None`` means the host is unreachable (no path): the caller
-        must treat the query as timed out, not as answered.  Only
-        :class:`~repro.exceptions.TopologyError` signals that — any
-        other exception is a real bug and propagates.
+        A round trip of ``None`` means the host is unreachable (no
+        path): the caller must treat the query as timed out, not as
+        answered.  Only :class:`~repro.exceptions.TopologyError` signals
+        that — any other exception is a real bug and propagates.  A
+        ``from_node`` of ``None`` charges no round trip.
         """
-        if from_node is None:
-            return 0.0
-        try:
-            one_way = self.topology.path_latency(from_node, host)
-        except TopologyError:
-            return None
-        return 2.0 * one_way
+        host = self.topology.node_for_ip(address)
+        if host is None:
+            return None, None
+        round_trip: Optional[float] = 0.0
+        if from_node is not None:
+            try:
+                round_trip = 2.0 * self.topology.path_latency(from_node, host)
+            except TopologyError:
+                round_trip = None
+        route = self._routes[(from_node, address)] = (host, round_trip)
+        return route
 
     def _interceptor_latency(self, from_node: Optional[Node]) -> float:
         # An interceptor sits on the path; charge a single hop either way

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import sys
+from functools import partial
 from typing import Callable, Optional
 
 from repro.exceptions import QueryError
@@ -40,7 +41,7 @@ from repro.hosts.endhost import EndHost
 from repro.hosts.processes import Process
 from repro.identpp.daemon_config import DaemonConfig
 from repro.identpp.flowspec import FlowSpec
-from repro.identpp.keyvalue import KeyValueSection, ResponseDocument
+from repro.identpp.keyvalue import AnswerTemplate, KeyValueSection
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
     ROLE_DESTINATION,
@@ -61,6 +62,9 @@ DEFAULT_PROCESSING_DELAY = 500e-6
 
 #: Invalidation reason for a socket opening or closing.
 SOCKET_TABLE_CHANGED = "socket-table"
+
+#: The memo key of a spoofed answer's template (no identity's key is a 1-tuple).
+_SPOOFED = ("spoofed",)
 
 #: Reason of the last notice a daemon sends when another replaces it on
 #: its host: whatever it said no longer speaks for the host.
@@ -160,21 +164,19 @@ class IdentPPDaemon:
         #: controller re-subscribing after failover can tell from the
         #: ack's serial whether it missed deltas during the gap.
         self.delta_serial = 0
-        # The flow-independent part of an answer, built once per identity
-        # and handed out as copies: (user name, executable path) -> (what
-        # the base section was built from, its pairs), and executable path
-        # -> the configuration sections.  Holds no Process (they churn);
-        # ``notify_invalidation`` drops both.
-        self._base_memo: dict[Optional[tuple[str, str]], tuple[tuple, list, Optional[int]]] = {}
-        self._config_memo: dict[str, list[KeyValueSection]] = {}
+        # The flow-independent part of an answer, built once per identity:
+        # (user name, executable path) -> (what it was built from, its
+        # AnswerTemplate).  Holds no Process (they churn);
+        # ``notify_invalidation`` drops it.
+        self._base_memo: dict[Optional[tuple], tuple[tuple, AnswerTemplate]] = {}
         # Make the daemon discoverable by the query client / controllers.
         replaced = getattr(host, "identpp_daemon", None)
         setattr(host, "identpp_daemon", self)
         # A socket gaining or losing an owner changes which process a
         # 5-tuple resolves to, which changes the answer.
-        host.sockets.add_change_listener(self._on_socket_change)
+        host.sockets.add_change_listener(partial(self.notify_invalidation, SOCKET_TABLE_CHANGED))
         # So does the owning user's group membership.
-        host.users.add_change_listener(self._on_user_change)
+        host.users.add_change_listener(partial(self.notify_invalidation, "user-table"))
         if replaced is not None:
             replaced.notify_invalidation(DAEMON_REPLACED)
 
@@ -239,18 +241,11 @@ class IdentPPDaemon:
             # Which process owns a flow is looked up per query; a socket
             # opening or closing changes nothing the memo holds.
             self._base_memo.clear()
-            self._config_memo.clear()
         if not self._invalidation_listeners:
             return
         delta = IdentDelta(host_ip=str(self.host.ip), serial=self.delta_serial, reason=reason)
         for listener in list(self._invalidation_listeners):
             listener(delta)
-
-    def _on_socket_change(self) -> None:
-        self.notify_invalidation(SOCKET_TABLE_CHANGED)
-
-    def _on_user_change(self) -> None:
-        self.notify_invalidation("user-table")
 
     # ------------------------------------------------------------------
     # Push subscriptions (wire version 2)
@@ -303,6 +298,11 @@ class IdentPPDaemon:
         The queried host must be an endpoint of the flow in the role the
         query names; otherwise :class:`~repro.exceptions.QueryError` is
         raised (a real daemon would simply not receive such a query).
+
+        The document is the owning identity's :class:`AnswerTemplate`
+        (:meth:`_template`) with the process's own ``pid`` overlaid; the
+        run-time pairs, when any were published, follow as a section of
+        their own.
         """
         flow = query.flow
         expected_ip = flow.src_ip if query.target_role == ROLE_SOURCE else flow.dst_ip
@@ -312,28 +312,42 @@ class IdentPPDaemon:
                 f"daemon on {self.host.name} ({self.host.ip}) queried as {query.target_role} "
                 f"of flow {flow}, which names {expected_ip}"
             )
-        if self.spoofed_pairs is not None:
-            self.queries_answered.value += 1
-            document = ResponseDocument()
-            document.add_section(dict(self.spoofed_pairs), source=f"{self.host.name}:spoofed")
-            return IdentResponse(flow=flow, document=document, responder=self.host.name)
-
-        as_destination = query.target_role == ROLE_DESTINATION
-        process = self.host.sockets.process_for_flow(
-            flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port,
-            as_destination=as_destination,
-        )
-        document = ResponseDocument()
-        document.add_section(self._base_section(process))
-        for section in self._config_sections(process):
-            document.add_section(section)
-        runtime_pairs = self.runtime.pairs_for(flow, process)
-        if runtime_pairs:
-            document.add_section(
-                KeyValueSection.from_dict(runtime_pairs, source=f"{self.host.name}:runtime")
-            )
         self.queries_answered.value += 1
-        return IdentResponse(flow=flow, document=document, responder=self.host.name)
+        spoofed = self.spoofed_pairs
+        if spoofed is not None:
+            key, built_from, process = _SPOOFED, tuple(spoofed.items()), None
+        else:
+            process = self.host.sockets.process_for_flow(
+                flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port,
+                as_destination=query.target_role == ROLE_DESTINATION,
+            )
+            if process is None:
+                key, built_from = None, ()
+            else:
+                user, app = process.user, process.application
+                key = (user.name, app.path)
+                built_from = (
+                    user.groups, app.name, app.version, app.vendor, app.app_type,
+                    app.contents, app.extra_keys,
+                )
+        entry = self._base_memo.get(key)
+        if entry is not None and entry[0] == built_from:
+            template = entry[1]
+        else:
+            template = self._template(key, built_from, process)
+        # Interned: every audit record whose view holds this answer keeps
+        # the pid text, and many hosts run the same pids.
+        document = template.document(
+            None if template.slot is None else sys.intern(str(process.pid))
+        )
+        runtime = self.runtime
+        if spoofed is None and (runtime._by_pid or runtime._by_flow):
+            runtime_pairs = runtime.pairs_for(flow, process)
+            if runtime_pairs:
+                document.add_section(
+                    KeyValueSection.from_dict(runtime_pairs, source=f"{self.host.name}:runtime")
+                )
+        return IdentResponse(flow, document, self.host.name)
 
     def answer_is_shareable(self, query: IdentQuery) -> bool:
         """Return whether the answer depends only on (host, role, proto, port).
@@ -361,70 +375,54 @@ class IdentPPDaemon:
         )
         return socket is None or socket.is_listening
 
-    def _base_section(self, process: Optional[Process]) -> KeyValueSection:
-        """Return the OS-derived section (user, group, application identity, host facts).
+    def _template(self, key, built_from: tuple, process: Optional[Process]) -> AnswerTemplate:
+        """Build (and memo) the :class:`AnswerTemplate` of one identity.
 
-        Built once per (user, application) and copied per answer with
-        the process's own ``pid``.  Users and applications are plain
-        mutable objects with no change hook (a trojaned binary is just
-        new ``contents``), so a memo entry is trusted only while what it
-        was built from still compares equal.
+        The OS-derived section (user, group, application identity, host
+        facts), then the configuration-file sections for the executable,
+        built once per (user, application) and shared by every answer
+        for it, with the ``pid`` left to each answer.  Users and
+        applications are plain mutable objects with no change hook (a
+        trojaned binary is just new ``contents``), so a memo entry is
+        trusted only while what it was built from still compares equal;
+        :meth:`notify_invalidation` drops the memo on any other change.
+        A spoofed answer is one section of the attacker's pairs.
         """
-        if process is None:
-            key, built_from = None, ()
-        else:
-            user, app = process.user, process.application
-            key = (user.name, app.path)
-            built_from = (
-                user.groups, app.name, app.version, app.vendor, app.app_type,
-                app.contents, app.extra_keys,
+        host = self.host.name
+        if key is _SPOOFED:
+            template = AnswerTemplate(
+                [KeyValueSection.from_dict(dict(built_from), source=f"{host}:spoofed")]
             )
-        entry = self._base_memo.get(key)
-        if entry is None or entry[0] != built_from:
-            pairs = list(self._build_base_section(process).pairs)
-            # ``pid`` is the one pair that differs between two processes
-            # of one (user, application); the daemon's own comes first.
-            pid_at = pairs.index(("pid", str(process.pid))) if process is not None else None
-            # Shallow copies: the strings are shared, the groups set and
-            # the extra-keys dict become the memo's own, so a later
-            # in-place change to either shows up as a difference.
-            entry = self._base_memo[key] = (tuple(map(copy.copy, built_from)), pairs, pid_at)
-        _, pairs, pid_at = entry
-        section = KeyValueSection(pairs=pairs, source=f"{self.host.name}:daemon")
-        if pid_at is not None:
-            # Interned: every audit record whose view holds this answer
-            # keeps the pid text, and many hosts run the same pids.
-            section.pairs[pid_at] = ("pid", sys.intern(str(process.pid)))
-        return section
-
-    def _build_base_section(self, process: Optional[Process]) -> KeyValueSection:
-        section = KeyValueSection()
-        if process is None:
-            section.add("responder", self.host.name)
-            section.add("no-process", "true")
         else:
-            section.add("responder", self.host.name)
-            section.add("userID", process.user.name)
-            section.add("groupID", " ".join(sorted(process.user.groups)) or process.user.name)
-            section.add("pid", str(process.pid))
-            for key, value in process.application.identity_keys().items():
-                section.add(key, value)
-        for key, value in sorted(self.host_facts.items()):
-            section.add(key, value)
-        return section
-
-    def _config_sections(self, process: Optional[Process]) -> list[KeyValueSection]:
-        """Return the configuration-file sections that apply to the owning process."""
-        if process is None:
-            return []
-        path = process.exe_path
-        sections = self._config_memo.get(path)
-        if sections is None:
-            sections = self._config_memo[path] = (
-                self.system_config.sections_for_path(path)
-                + self.user_config.sections_for_path(path)
-            )
-        return [section.copy() for section in sections]
+            base = KeyValueSection(source=f"{host}:daemon")
+            base.add("responder", host)
+            slot = None
+            if process is None:
+                base.add("no-process", "true")
+                sections = [base]
+            else:
+                user, app = process.user, process.application
+                base.add("userID", user.name)
+                base.add("groupID", " ".join(sorted(user.groups)) or user.name)
+                # ``pid`` is the one pair that differs between two
+                # processes of one (user, application).
+                slot = (0, len(base))
+                base.add("pid", str(process.pid))
+                for name, value in app.identity_keys().items():
+                    base.add(name, value)
+                sections = [
+                    base,
+                    *self.system_config.sections_for_path(app.path),
+                    *self.user_config.sections_for_path(app.path),
+                ]
+            for name, value in sorted(self.host_facts.items()):
+                base.add(name, value)
+            template = AnswerTemplate(sections, slot)
+        # Shallow copies: the strings are shared, the groups set and the
+        # extra-keys dict become the memo's own, so a later in-place
+        # change to either shows up as a difference.
+        self._base_memo[key] = (tuple(map(copy.copy, built_from)), template)
+        return template
 
     # ------------------------------------------------------------------
     # Controller-facing entry points

@@ -181,6 +181,8 @@ class QueryEngine:
         self.ttl = ttl
         #: The push identity plane: subscribe-and-push for hot hosts.
         self.push = push
+        #: Whether the engine does anything beyond pass-through.
+        self.enabled = ttl > 0.0 or push
         self.push_idle_demote = push_idle_demote
         self.push_promote_punts = push_promote_punts
         #: The one answer store.  Pull versus push is the expiry policy
@@ -218,11 +220,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """Return whether the engine does anything beyond pass-through."""
-        return self.ttl > 0.0 or self.push
 
     def query(
         self,

@@ -51,13 +51,7 @@ class FlowSpec:
     @classmethod
     def from_packet(cls, packet: Packet) -> "FlowSpec":
         """Extract the 5-tuple from an IP packet."""
-        return cls(
-            src_ip=packet.ip_src,
-            dst_ip=packet.ip_dst,
-            proto=packet.ip_proto,
-            src_port=packet.tp_src,
-            dst_port=packet.tp_dst,
-        )
+        return cls(packet.ip_src, packet.ip_dst, packet.ip_proto, packet.tp_src, packet.tp_dst)
 
     @classmethod
     def tcp(cls, src_ip, dst_ip, src_port: int, dst_port: int) -> "FlowSpec":

@@ -114,10 +114,6 @@ class KeyValueSection:
         """Return the last value recorded for ``key`` in this section, or ``None``."""
         return self._index().get(key)
 
-    def copy(self) -> "KeyValueSection":
-        """Return a deep-enough copy of the section."""
-        return KeyValueSection(pairs=_TrackedPairs(self.pairs), source=self.source)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -128,6 +124,66 @@ class KeyValueSection:
         return iter(self.pairs)
 
 
+class AnswerTemplate:
+    """What every answer of one identity shares, built once (§3.2, §3.5).
+
+    A daemon's answer is the same sections for every flow of one
+    (user, application) but for one value, the answering process's
+    ``pid``.  The template holds those sections as ``(source, pairs)``
+    with the value at ``slot`` (section, pair) left to each answer, and
+    the document's flat ``{key: latest value}`` view as a keys tuple, a
+    values tuple (with the value of the answer the template was built
+    from) and a key index.  ``at`` is the flat position the per-answer
+    value shows at, ``None`` when it shows nowhere (no slot, or a later
+    section has its key).  ``frame`` is that flat view as a
+    :class:`KeyView`, which every answer's view shares.
+    """
+
+    __slots__ = ("sections", "slot", "keys", "values", "index", "at", "frame")
+
+    def __init__(self, sections: list[KeyValueSection], slot: Optional[tuple[int, int]] = None) -> None:
+        # Empty sections are kept out, as ResponseDocument.add_section
+        # does; a slot is in the first section, which is never empty.
+        kept = [section for section in sections if section]
+        self.sections = tuple((section.source, tuple(section.pairs)) for section in kept)
+        self.slot = slot
+        flat: dict[str, str] = {}
+        winner: dict[str, tuple[int, int]] = {}
+        for number, (_, pairs) in enumerate(self.sections):
+            flat.update(pairs)
+            for position, (key, _) in enumerate(pairs):
+                winner[key] = (number, position)
+        self.keys = tuple(flat)
+        self.values = tuple(flat.values())
+        self.index = {key: position for position, key in enumerate(self.keys)}
+        self.at = None
+        if slot is not None:
+            key = self.sections[slot[0]][1][slot[1]][0]
+            if winner[key] == slot:
+                self.at = self.index[key]
+        self.frame = KeyView(self.keys, self.values) if self.keys else EMPTY_KEYS
+
+    def document(self, value: Optional[str]) -> "ResponseDocument":
+        """Return one answer's document: these sections with ``value`` at the slot."""
+        document = _new_document(ResponseDocument)
+        document._sections = None
+        document._template = self
+        document._value = value
+        return document
+
+    def build_sections(self, value: Optional[str]) -> list[KeyValueSection]:
+        """Return fresh sections of one answer (the caller may mutate them)."""
+        sections = [KeyValueSection(pairs=list(pairs), source=source) for source, pairs in self.sections]
+        if self.slot is not None:
+            number, position = self.slot
+            pairs = sections[number].pairs
+            pairs[position] = (pairs[position][0], value)
+        return sections
+
+
+_new_document = object.__new__
+
+
 class ResponseDocument:
     """An ordered list of :class:`KeyValueSection` objects.
 
@@ -136,10 +192,29 @@ class ResponseDocument:
     response appends a new section at the end (§3.4: "the controller
     inserts an empty line followed by the key-value pairs it wishes to
     add").
+
+    A daemon's answer is an :class:`AnswerTemplate` and its one value
+    (:meth:`AnswerTemplate.document`): ``@src[key]`` is then one index
+    read, and the sections are built the first time a reader asks for
+    them (wire encoding, an interceptor's augment, ``*@src[key]``).
+    From then on the sections are the document.
     """
 
+    __slots__ = ("_sections", "_template", "_value")
+
     def __init__(self, sections: Optional[list[KeyValueSection]] = None) -> None:
-        self.sections: list[KeyValueSection] = list(sections or [])
+        self._sections: Optional[list[KeyValueSection]] = list(sections or [])
+        self._template: Optional[AnswerTemplate] = None
+        self._value: Optional[str] = None
+
+    @property
+    def sections(self) -> list[KeyValueSection]:
+        """The document's sections, built from its template on first use."""
+        template = self._template
+        if template is not None:
+            self._sections = template.build_sections(self._value)
+            self._template = None
+        return self._sections
 
     # ------------------------------------------------------------------
     # Building
@@ -168,9 +243,15 @@ class ResponseDocument:
 
         "Indexing the dictionaries will give the latest value added to
         the response" (§3.3) — i.e. the last section wins.  One index
-        read per section, newest first.
+        read per section, newest first; one read in all over a template.
         """
-        for section in reversed(self.sections):
+        template = self._template
+        if template is not None:
+            at = template.index.get(key)
+            if at is None:
+                return None
+            return self._value if at == template.at else template.values[at]
+        for section in reversed(self._sections):
             value = section.get(key)
             if value is not None:
                 return value
@@ -191,14 +272,20 @@ class ResponseDocument:
         One ordered pass: keys in first-appearance order, the last
         section (and within it the last duplicate) supplying the value.
         """
+        template = self._template
+        if template is not None:
+            flat = dict(zip(template.keys, template.values))
+            if template.at is not None:
+                flat[template.keys[template.at]] = self._value
+            return flat
         flat: dict[str, str] = {}
-        for section in self.sections:
+        for section in self._sections:
             flat.update(section.pairs)
         return flat
 
     def section_count(self) -> int:
         """Return the number of sections."""
-        return len(self.sections)
+        return len(self)
 
     # ------------------------------------------------------------------
     # Serialisation (body only; the first line of the wire format is
@@ -222,7 +309,7 @@ class ResponseDocument:
             line = raw_line.rstrip()
             if not line.strip():
                 if current:
-                    document.sections.append(current)
+                    document._sections.append(current)
                     current = KeyValueSection()
                 continue
             if ":" not in line:
@@ -230,17 +317,19 @@ class ResponseDocument:
             key, _, value = line.partition(":")
             current.add(key.strip(), value.strip())
         if current:
-            document.sections.append(current)
+            document._sections.append(current)
         return document
 
     def __len__(self) -> int:
-        return len(self.sections)
+        template = self._template
+        return len(self._sections if template is None else template.sections)
 
     def __bool__(self) -> bool:
-        return any(self.sections)
+        template = self._template
+        return any(self._sections) if template is None else bool(template.sections)
 
     def __repr__(self) -> str:
-        return f"ResponseDocument(sections={len(self.sections)}, keys={list(self.as_flat_dict())})"
+        return f"ResponseDocument(sections={len(self)}, keys={list(self.as_flat_dict())})"
 
 
 class _View(Mapping):
@@ -291,7 +380,20 @@ class KeyView(_View):
         """Return ``document``'s view: ``last`` itself when the content is
         the same (or its keyframe's), a :class:`_OneValueView` of
         ``last``'s keyframe when exactly one of the keyframe's values
-        moved, and a view sharing ``last``'s keys tuple when more did."""
+        moved, and a view sharing ``last``'s keys tuple when more did.
+
+        A document over an :class:`AnswerTemplate` takes the template's
+        frame with its one value swapped in, whatever ``last`` is."""
+        template = document._template
+        if template is not None:
+            frame = template.frame
+            at = template.at
+            value = document._value
+            if at is None or value == frame._values[at]:
+                return frame
+            if type(last) is _OneValueView and last._keyframe is frame and last._value == value:
+                return last
+            return _OneValueView(frame, at, value)
         flat = document.as_flat_dict()
         keys, values = tuple(flat), tuple(flat.values())
         frame = last._frame()

@@ -112,7 +112,8 @@ class IdentQuery:
     def __post_init__(self) -> None:
         if self.target_role not in (ROLE_SOURCE, ROLE_DESTINATION):
             raise WireFormatError(f"unknown ident++ query target role: {self.target_role!r}")
-        self.keys = tuple(self.keys)
+        if self.keys.__class__ is not tuple:
+            self.keys = tuple(self.keys)
 
     @property
     def target_ip(self):

@@ -46,10 +46,11 @@ class Topology:
         # (source, target) name pair -> summed link latency of that path;
         # same lifetime as the path it was summed over.
         self._latency_cache: dict[tuple[str, str], float] = {}
-        # Bumped on every connectivity mutation.  Derived caches (the
-        # path cache here, the query client's mean-link-latency) key on
-        # this.
-        self._mutation_epoch = 0
+        #: The connectivity mutation counter, bumped per node or link
+        #: change.  Anything caching a value derived from connectivity
+        #: (paths, query routes, hop plans, mean link latency) keys the
+        #: cache on it.  Read it; only the topology bumps it.
+        self.mutation_epoch = 0
 
     # ------------------------------------------------------------------
     # Nodes
@@ -112,18 +113,9 @@ class Topology:
 
     def _note_mutation(self) -> None:
         """Record a connectivity change: bump the epoch, drop derived caches."""
-        self._mutation_epoch += 1
+        self.mutation_epoch += 1
         self._path_cache.clear()
         self._latency_cache.clear()
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Return the connectivity mutation counter (bumped per node/link change).
-
-        Anything caching a value derived from connectivity (paths, mean
-        link latency) keys the cache on this epoch.
-        """
-        return self._mutation_epoch
 
     def links(self) -> list[Link]:
         """Return all links in creation order."""

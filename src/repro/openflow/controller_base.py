@@ -176,13 +176,8 @@ class Controller:
     ) -> FlowMod:
         """Send a flow-mod installing a cached decision on ``switch``."""
         message = FlowMod(
-            match=match,
-            actions=tuple(actions),
-            priority=priority,
-            idle_timeout=idle_timeout,
-            hard_timeout=hard_timeout,
-            cookie=cookie,
-            buffer_id=buffer_id,
+            match, tuple(actions), FlowModCommand.ADD, priority, idle_timeout, hard_timeout,
+            cookie, buffer_id,
         )
         (
             self.channels.get(switch if isinstance(switch, str) else switch.name)

@@ -61,7 +61,7 @@ class FlowEntry:
     def is_expired(self, now: float) -> bool:
         """Return ``True`` if either timeout has elapsed.
 
-        :meth:`FlowTable.lookup` repeats this test inline for a cached hit.
+        :meth:`FlowTable.lookup` repeats this test inline for every candidate.
         """
         if self.hard_timeout and now - self.installed_at >= self.hard_timeout:
             return True
@@ -191,18 +191,26 @@ class FlowTable:
         If the table has a capacity limit and is full, the least recently
         used entry is evicted.
         """
-        for existing in self._bucket(entry.match):
+        match = entry.match
+        buckets, key = self._home(match, create=True)
+        moved = False
+        for existing in buckets.get(key, ()):
             if existing.priority == entry.priority:
                 self._unlink(existing)
+                moved = True
                 break
         if self.capacity is not None and len(self._by_sequence) >= self.capacity:
             self._evict_lru()
+            moved = True
+        if moved:
+            # Taking an entry out may have dropped the shape this one goes under.
+            buckets, key = self._home(match, create=True)
         self._exact_cache.clear()
         self._sequence += 1
         entry.sequence = self._sequence
         entry.installed_at = now
         entry.last_used_at = now
-        self._link(entry)
+        self._link(entry, buckets, key)
         return entry
 
     def remove(
@@ -230,7 +238,8 @@ class FlowTable:
             else:
                 victims = list(scoped)
         elif strict:
-            victims = list(self._bucket(match))
+            buckets, key = self._home(match)
+            victims = list(buckets.get(key, ()))
         else:
             victims = self._covered_by(match)
         if victims:
@@ -244,15 +253,14 @@ class FlowTable:
             self._discard(victims)
         return len(victims)
 
-    def _link(self, entry: FlowEntry) -> None:
-        """File a freshly sequenced entry under every index."""
-        sequence, match = entry.sequence, entry.match
+    def _link(self, entry: FlowEntry, buckets: dict, key: object) -> None:
+        """File a freshly sequenced entry under every index (``buckets[key]``: its bucket)."""
+        sequence = entry.sequence
         self._by_sequence[sequence] = entry
         scoped = self._by_cookie.get(entry.cookie)
         if scoped is None:
             scoped = self._by_cookie[entry.cookie] = {}
         scoped[sequence] = entry
-        buckets, key = self._home(match, create=True)
         bucket = buckets.get(key)
         if bucket is None:
             buckets[key] = [entry]
@@ -261,10 +269,16 @@ class FlowTable:
         due = _deadline(entry)
         if due is not None:
             self._expirable += 1
-            self._deadlines.push(due, sequence, due)
-            if len(self._deadlines) > 2 * self._expirable + self.STALE_DEADLINE_SLACK:
-                self._deadlines.retain(lambda sequence, _due: sequence in self._by_sequence)
-            self._track_earliest()
+            deadlines = self._deadlines
+            deadlines.push(due, sequence, due)
+            if len(deadlines) > 2 * self._expirable + self.STALE_DEADLINE_SLACK:
+                deadlines.retain(lambda sequence, _due: sequence in self._by_sequence)
+                self._track_earliest()
+            else:
+                # The new record can only lower the earliest deadline.
+                expire_from = (due - _AHEAD_MARGIN) / _AHEAD
+                if expire_from < self.expire_from:
+                    self.expire_from = expire_from
 
     def _unlink(self, entry: FlowEntry) -> None:
         """Take ``entry`` (this object, not an equal one) out of every index.
@@ -304,11 +318,6 @@ class FlowTable:
             shape = self._shapes[match.shape] = (_masked_key_getter(match.shape), {})
         key_of, buckets = shape
         return buckets, key_of(match.field_values)
-
-    def _bucket(self, match: Match) -> Sequence[FlowEntry]:
-        """Return the entries whose match equals ``match`` (one per priority)."""
-        buckets, key = self._home(match)
-        return buckets.get(key, ())
 
     def _covered_by(self, match: Match) -> list[FlowEntry]:
         """Return the entries whose match is covered by ``match``."""
@@ -397,7 +406,11 @@ class FlowTable:
         best: Optional[FlowEntry] = None
         best_rank = None
         for entry in candidates:
-            if entry.is_expired(now):
+            # FlowEntry.is_expired, inline, as for a cached hit.
+            hard, idle = entry.hard_timeout, entry.idle_timeout
+            if (hard and now - entry.installed_at >= hard) or (
+                idle and now - entry.last_used_at >= idle
+            ):
                 continue
             rank = (entry.priority, len(entry.match.shape), -entry.sequence)
             if best_rank is None or rank > best_rank:
@@ -511,4 +524,8 @@ class FlowTable:
         return len(self._by_sequence)
 
     def __contains__(self, match: Match) -> bool:
-        return isinstance(match, Match) and bool(self._bucket(match))
+        if not isinstance(match, Match):
+            return False
+        # A bucket holds the entries of one identical match; none is kept empty.
+        buckets, key = self._home(match)
+        return key in buckets

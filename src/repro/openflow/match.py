@@ -89,8 +89,26 @@ class Match:
         tp_src: Optional[int],
         tp_dst: Optional[int],
     ) -> "Match":
-        """Return a match over the ident++ 5-tuple only (layer-2 fields wildcarded)."""
-        return cls(nw_src=ip_src, nw_dst=ip_dst, nw_proto=proto, tp_src=tp_src, tp_dst=tp_dst)
+        """Return a match over the ident++ 5-tuple only (layer-2 fields wildcarded).
+
+        A flow's fields (two addresses, three ints) are typed already:
+        such a match is stored as given, with the exact five-tuple
+        shape, and only the ports are checked.
+        """
+        if (
+            ip_src.__class__ is not IPv4Address or ip_dst.__class__ is not IPv4Address
+            or proto.__class__ is not int or tp_src.__class__ is not int
+            or tp_dst.__class__ is not int
+        ):
+            return cls(nw_src=ip_src, nw_dst=ip_dst, nw_proto=proto, tp_src=tp_src, tp_dst=tp_dst)
+        if not (0 <= tp_src <= 0xFFFF and 0 <= tp_dst <= 0xFFFF):
+            raise MatchError(f"port out of range: {tp_src} -> {tp_dst}")
+        match = _new_match(cls)
+        match.__dict__.update(
+            _FIVE_TUPLE, nw_src=ip_src, nw_dst=ip_dst, nw_proto=proto, tp_src=tp_src, tp_dst=tp_dst,
+            field_values=(None, None, None, None, None, ip_src, ip_dst, proto, tp_src, tp_dst),
+        )
+        return match
 
     # ------------------------------------------------------------------
     # Matching
@@ -144,6 +162,13 @@ class Match:
         parts = [f"{MATCH_FIELDS[i]}={self.field_values[i]}" for i in self.shape]
         return "Match(" + ", ".join(parts) + ")" if parts else "Match(*)"
 
+
+_new_match = object.__new__
+#: What every typed five-tuple match holds beside its five values.
+_FIVE_TUPLE = dict(
+    in_port=None, dl_src=None, dl_dst=None, dl_type=None, vlan_id=None,
+    shape=(5, 6, 7, 8, 9), has_prefix=False,
+)
 
 #: The ten match fields in declaration order; :attr:`Match.shape` and
 #: :attr:`Match.field_values` index into it.

@@ -151,16 +151,12 @@ class OpenFlowSwitch(Node):
             )
             return
         entry = FlowEntry(
-            match=message.match,
-            actions=tuple(message.actions),
-            priority=message.priority,
-            idle_timeout=message.idle_timeout,
-            hard_timeout=message.hard_timeout,
-            cookie=message.cookie,
+            message.match, message.actions, message.priority,
+            message.idle_timeout, message.hard_timeout, message.cookie,
         )
         sim = self.sim
         now = sim.now if sim is not None else 0.0
-        self.flow_table.install(entry, now=now)
+        self.flow_table.install(entry, now)
         if message.buffer_id is not None:
             self._release_buffer(message.buffer_id, entry.actions, now)
 
@@ -286,7 +282,7 @@ class OpenFlowSwitch(Node):
     def _handle_table_miss(self, packet: Packet, in_port: Port, now: float) -> None:
         channel = self.punt_channel(packet)
         if channel is not None:
-            message = PacketIn(switch=self, packet=packet, in_port=in_port.number)
+            message = PacketIn(self, packet, in_port.number)
             self._buffered[message.buffer_id] = (packet, in_port.number)
             self.punts.value += 1
             self._record(now, "punt", packet, channel.controller.name)
@@ -356,14 +352,7 @@ class OpenFlowSwitch(Node):
             return
         channel = self._owner_channel(entry.cookie)
         if channel is not None:
-            channel.send_to_controller(
-                FlowRemoved(
-                    switch=self,
-                    match=entry.match,
-                    cookie=entry.cookie,
-                    reason=reason,
-                )
-            )
+            channel.send_to_controller(FlowRemoved(self, entry.match, entry.cookie, reason))
 
     def _owner_channel(self, cookie: str) -> Optional[ControllerChannel]:
         """Return the channel of the controller that installed ``cookie``.

@@ -39,12 +39,14 @@ benchmark rulesets and the paper-figure configurations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.exceptions import PFEvalError
 from repro.netsim.addresses import AddressError, IPv4Network
 from repro.pf.ast_nodes import (
+    ACTION_PASS,
     AddressLiteral,
     AnyAddress,
     DictAccess,
@@ -270,6 +272,58 @@ def _compile_condition(condition: FuncCall, macros: dict[str, str]) -> tuple[Con
     return dynamic_call, defect
 
 
+#: Function names whose presence in the deciding rule marks the decision
+#: as relying on delegated (externally supplied) rules.
+DELEGATION_FUNCTIONS = ("allowed", "verify")
+
+
+@dataclass(frozen=True, slots=True)
+class VerdictShape:
+    """What a verdict says whatever flow it decides: one per rule, one per default.
+
+    The audit and the datapath read a decision's text, origin, ``keep
+    state``, and which delegation functions and ``@pubkeys`` principals
+    its rule names; all of it is fixed by the rule, so it is worked out
+    once, when the rule is compiled, and every verdict the rule decides
+    carries the same object.
+    """
+
+    action: str
+    rule: Optional[Rule]
+    rule_text: str
+    rule_origin: str
+    is_pass: bool
+    keep_state: bool
+    delegated: bool
+    delegation_functions: tuple[str, ...]
+    principals: tuple[str, ...]
+
+    @classmethod
+    def of(cls, rule: Optional[Rule], action: str) -> "VerdictShape":
+        """Return the shape of a verdict decided by ``rule`` (``None``: the default)."""
+        functions: list[str] = []
+        principals: list[str] = []
+        for condition in rule.conditions if rule is not None else ():
+            name = condition.name.lower()
+            if name in DELEGATION_FUNCTIONS and name not in functions:
+                functions.append(name)
+            for argument in condition.args:
+                if isinstance(argument, DictAccess) and argument.dict_name == "pubkeys":
+                    if argument.key not in principals:
+                        principals.append(argument.key)
+        return cls(
+            action=action,
+            rule=rule,
+            rule_text=str(rule) if rule is not None else "",
+            rule_origin=rule.origin if rule is not None else "",
+            is_pass=action == ACTION_PASS,
+            keep_state=bool(rule is not None and rule.keep_state),
+            delegated=bool(functions),
+            delegation_functions=tuple(functions),
+            principals=tuple(principals),
+        )
+
+
 class CompiledRule:
     """One rule compiled to closures, plus the keys the index needs.
 
@@ -286,6 +340,7 @@ class CompiledRule:
         "index_port",
         "dst_octets",
         "defect",
+        "shape",
     )
 
     def __init__(self, rule: Rule, macros: dict[str, str], tables: "TableSet") -> None:
@@ -310,6 +365,7 @@ class CompiledRule:
         else:
             self.index_port = None
         self.dst_octets = self.dst.octets if src_total else None
+        self.shape = VerdictShape.of(rule, rule.action)
 
     def matches(self, context: "EvalContext") -> bool:
         flow = context.flow

@@ -24,7 +24,7 @@ from repro.exceptions import PFEvalError
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
 from repro.pf.ast_nodes import ACTION_PASS, Rule, Ruleset
-from repro.pf.compiler import CompiledPolicy
+from repro.pf.compiler import CompiledPolicy, VerdictShape
 from repro.pf.functions import FunctionRegistry, default_registry
 from repro.pf.tables import TableSet
 
@@ -75,7 +75,11 @@ class EvalContext:
 
 @dataclass
 class Verdict:
-    """The outcome of evaluating a ruleset against one flow."""
+    """The outcome of evaluating a ruleset against one flow.
+
+    ``shape`` is what the deciding rule (or the default) says whatever
+    the flow: the deciding compiled rule's :class:`VerdictShape`.
+    """
 
     action: str
     rule: Optional[Rule] = None
@@ -83,16 +87,12 @@ class Verdict:
     rules_evaluated: int = 0
     quick_terminated: bool = False
     default_used: bool = False
+    shape: Optional[VerdictShape] = field(default=None, compare=False, repr=False)
 
     @property
     def is_pass(self) -> bool:
         """Return ``True`` when the flow is allowed."""
         return self.action == ACTION_PASS
-
-    @property
-    def keep_state(self) -> bool:
-        """Return ``True`` when the deciding rule asked for ``keep state``."""
-        return bool(self.rule is not None and self.rule.keep_state)
 
 
 class PolicyEvaluator:
@@ -114,6 +114,7 @@ class PolicyEvaluator:
         self.macros = ruleset.macros()
         self.dicts = {n: dict(d.entries) for n, d in ruleset.dicts().items()}
         self._compiled: Optional[CompiledPolicy] = None
+        self._default_shape = VerdictShape.of(None, default_action)
         self.evaluations = 0
         self.rules_checked = 0
 
@@ -132,8 +133,50 @@ class PolicyEvaluator:
         """Run the ruleset against one flow and return the verdict.
 
         Without a flow (``None``) only address-free rules can match.
+        Last match wins and ``quick`` stops, over the rules the index
+        cannot rule out.
         """
-        return self._evaluate(self._make_context(flow, src_doc, dst_doc, depth=depth))
+        context = EvalContext(
+            flow,
+            src_doc if src_doc is not None else ResponseDocument(),
+            dst_doc if dst_doc is not None else ResponseDocument(),
+            self.tables,
+            self.macros,
+            self.dicts,
+            self.registry,
+            depth,
+        )
+        self.evaluations += 1
+        compiled = self.compiled
+        if flow is not None:
+            candidates = compiled.index.candidates(flow.dst_port)
+            dst_octet = flow.dst_ip >> 24
+        else:
+            # No destination to index or gate on: every rule is a candidate.
+            candidates = compiled.rules
+            dst_octet = None
+        matched: list[Rule] = []
+        shape = self._default_shape
+        rules_evaluated = 0
+        quick_terminated = False
+        for candidate in candidates:
+            rules_evaluated += 1
+            octets = candidate.dst_octets
+            if octets is not None and dst_octet is not None and dst_octet not in octets:
+                continue
+            compiled.candidates_visited += 1
+            self.rules_checked += 1
+            if candidate.matches(context):
+                rule = candidate.rule
+                matched.append(rule)
+                shape = candidate.shape
+                if rule.quick:
+                    quick_terminated = True
+                    break
+        return Verdict(
+            shape.action, shape.rule, matched, rules_evaluated, quick_terminated,
+            shape.rule is None, shape,
+        )
 
     def evaluate_batch(self, items: Sequence[tuple]) -> list[Verdict]:
         """Evaluate each ``(flow, src_doc, dst_doc)`` of ``items`` in turn.
@@ -151,68 +194,6 @@ class PolicyEvaluator:
             compiled = CompiledPolicy(self.ruleset, self.macros, self.tables)
             self._compiled = compiled
         return compiled
-
-    # ------------------------------------------------------------------
-    # The evaluation loop
-    # ------------------------------------------------------------------
-
-    def _make_context(
-        self,
-        flow: Optional[FlowSpec],
-        src_doc: Optional[ResponseDocument] = None,
-        dst_doc: Optional[ResponseDocument] = None,
-        *,
-        depth: int = 0,
-    ) -> EvalContext:
-        return EvalContext(
-            flow=flow,
-            src_doc=src_doc if src_doc is not None else ResponseDocument(),
-            dst_doc=dst_doc if dst_doc is not None else ResponseDocument(),
-            tables=self.tables,
-            macros=self.macros,
-            dicts=self.dicts,
-            registry=self.registry,
-            depth=depth,
-        )
-
-    def _evaluate(self, context: EvalContext) -> Verdict:
-        """Last match wins, ``quick`` stops — over the rules the index cannot rule out."""
-        self.evaluations += 1
-        compiled = self.compiled
-        flow = context.flow
-        if flow is not None:
-            candidates = compiled.index.candidates(flow.dst_port)
-            dst_octet = flow.dst_ip >> 24
-        else:
-            # No destination to index or gate on: every rule is a candidate.
-            candidates = compiled.rules
-            dst_octet = None
-        matched: list[Rule] = []
-        deciding: Optional[Rule] = None
-        rules_evaluated = 0
-        quick_terminated = False
-        for candidate in candidates:
-            rules_evaluated += 1
-            octets = candidate.dst_octets
-            if octets is not None and dst_octet is not None and dst_octet not in octets:
-                continue
-            compiled.candidates_visited += 1
-            self.rules_checked += 1
-            if candidate.matches(context):
-                rule = candidate.rule
-                matched.append(rule)
-                deciding = rule
-                if rule.quick:
-                    quick_terminated = True
-                    break
-        return Verdict(
-            action=deciding.action if deciding is not None else self.default_action,
-            rule=deciding,
-            matched_rules=matched,
-            rules_evaluated=rules_evaluated,
-            quick_terminated=quick_terminated,
-            default_used=deciding is None,
-        )
 
     # ------------------------------------------------------------------
     # Statistics

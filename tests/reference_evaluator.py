@@ -33,6 +33,7 @@ from repro.pf.ast_nodes import (
     TableRef,
     TableRefExpr,
 )
+from repro.pf.compiler import VerdictShape
 from repro.pf.evaluator import EvalContext, PolicyEvaluator, Verdict
 from repro.pf.functions import ArgValue, FunctionRegistry
 from repro.pf.parser import parse_rules_text
@@ -79,6 +80,7 @@ def reference_evaluate(
             matched_rules=[],
             rules_evaluated=rules_evaluated,
             default_used=True,
+            shape=VerdictShape.of(None, evaluator.default_action),
         )
     return Verdict(
         action=deciding.action,
@@ -86,6 +88,7 @@ def reference_evaluate(
         matched_rules=matched,
         rules_evaluated=rules_evaluated,
         quick_terminated=quick_terminated,
+        shape=VerdictShape.of(deciding, deciding.action),
     )
 
 

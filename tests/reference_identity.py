@@ -221,7 +221,6 @@ class ReferenceDaemon(IdentPPDaemon):
         self.delta_serial += 1
         if reason != SOCKET_TABLE_CHANGED:
             self._base_memo.clear()
-            self._config_memo.clear()
         for listener in list(self._invalidation_listeners):
             listener(reason)
         if self._delta_subscribers:

@@ -157,7 +157,7 @@ class TestProcesses:
     def test_spawn_and_lookup(self):
         process = self.table.spawn(self.alice, self.app)
         assert process.pid in self.table and list(self.table) == [process]
-        assert process.exe_path == "/usr/bin/skype"
+        assert process.application.path == "/usr/bin/skype"
 
     def test_kill(self):
         process = self.table.spawn(self.alice, self.app)

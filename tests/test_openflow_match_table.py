@@ -230,6 +230,25 @@ class TestMatchDerivedViews:
         assert wider.shape == (MATCH_FIELDS.index("nw_proto"), MATCH_FIELDS.index("tp_dst"))
         assert wider.specificity() == 2
 
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.sampled_from([6, 17]),
+        st.integers(0, 65535), st.integers(0, 65535),
+    )
+    def test_a_typed_five_tuple_is_the_match_its_text_normalises_to(self, src, dst, proto, sport, dport):
+        typed = Match.from_five_tuple(IPv4Address(src), IPv4Address(dst), proto, sport, dport)
+        text = Match.from_five_tuple(
+            str(IPv4Address(src)), str(IPv4Address(dst)), proto, sport, dport
+        )
+        assert typed == text and hash(typed) == hash(text)
+        assert (typed.field_values, typed.shape, typed.has_prefix) == (
+            text.field_values, text.shape, text.has_prefix
+        )
+        assert vars(typed) == vars(text)
+
+    def test_a_typed_five_tuple_still_refuses_a_port_out_of_range(self):
+        with pytest.raises(MatchError):
+            Match.from_five_tuple(IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2"), 6, 70000, 80)
+
 
 class TestFlowTableIndexes:
     """The three indexes answer exactly what the list scan answered."""

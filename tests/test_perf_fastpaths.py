@@ -392,10 +392,14 @@ class TestPuntCalls:
     #: property, counters were bumped through increment(), every control
     #: message ran a lambda for its id, every send re-resolved its
     #: simulator and channel, and addresses were compared and parsed
-    #: through Python methods; 273.0 since.
-    CEILING = 300
+    #: through Python methods; 271.1 while every answer built its
+    #: document section by section, every query resolved its host and
+    #: round trip, every decision derived its verdict's text, origin and
+    #: delegation from the rule, and every install normalised its match
+    #: and entry again; 185.35 since.
+    CEILING = 186
 
-    def test_a_punt_makes_at_most_300_calls(self):
+    def test_a_punt_makes_at_most_186_calls(self):
         assert calls_per_punt() <= self.CEILING
 
     def test_the_count_repeats_exactly(self):

@@ -55,7 +55,7 @@ def assert_parity(evaluator: PolicyEvaluator, flow, src=None, dst=None) -> None:
     assert verdict.rule is expected.rule
     assert len(verdict.matched_rules) == len(expected.matched_rules)
     assert all(a is b for a, b in zip(verdict.matched_rules, expected.matched_rules))
-    assert verdict.keep_state == expected.keep_state
+    assert verdict.shape.keep_state == expected.shape.keep_state
     assert verdict.quick_terminated == expected.quick_terminated
     assert verdict.default_used == expected.default_used
 

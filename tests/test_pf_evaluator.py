@@ -54,8 +54,8 @@ class TestLastMatchSemantics:
         assert verdict.rules_evaluated == 3
 
     def test_keep_state_reported(self):
-        assert evaluate("pass all keep state", FLOW).keep_state
-        assert not evaluate("pass all", FLOW).keep_state
+        assert evaluate("pass all keep state", FLOW).shape.keep_state
+        assert not evaluate("pass all", FLOW).shape.keep_state
 
 
 class TestEndpointMatching:

@@ -101,10 +101,6 @@ ACCEPTED: tuple[Row, ...] = (
         "the fail-closed backstop for a punt whose answers never came: it fires only when a "
         "decision is lost, which no green run does",
         "tests/test_lifecycle_churn.py::TestFailClosedPuntPipeline::test_lost_decision_hits_pending_deadline"),
-    Row("reach", "IdentPPDaemon._on_user_change", "fault",
-        "a host's user or group table changing under a running daemon; no workload edits accounts "
-        "mid-run",
-        "tests/test_query_engine.py::TestEngineInvalidation::test_group_membership_change_invalidates"),
     Row("reach", "FlowTable._evict_lru", "fault",
         "a switch table at capacity; every workload sizes its tables to fit",
         "tests/test_openflow_match_table.py::TestFlowTable::test_lru_eviction_at_capacity"),
