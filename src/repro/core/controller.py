@@ -733,13 +733,13 @@ class IdentPPController(Controller):
     def inflight_count(self) -> int:
         """Return how many punted flows await a decision (any stage).
 
-        The telemetry plane samples it as the ``{shard}.pending_depth``
-        series.
+        The telemetry plane's growth detector judges it as
+        ``{shard}.pending_depth``.
         """
         return len(self._pending)
 
     def serial_depth(self) -> int:
-        """Return the serial decision queue's depth (telemetry probe tap)."""
+        """Return the serial decision queue's depth (the decision-core soak's peak)."""
         return self._serial.depth()
 
     def resume(self) -> None:

@@ -322,8 +322,8 @@ class IdentPPNetwork:
     def enable_telemetry(self, **plane_kwargs):
         """Assemble (and return) a telemetry plane over this network.
 
-        Call after the topology is built — probes are wired against the
-        controllers and switches that exist now.  Start sampling with
+        Call after the topology is built — the plane's reads are wired
+        against the controllers that exist now.  Start sampling with
         ``net.telemetry.start()`` (and stop with ``.stop()`` so the
         event queue can drain).  Keyword arguments are forwarded to
         :class:`~repro.telemetry.plane.TelemetryPlane`.

@@ -934,31 +934,6 @@ class QueryEngine:
         """Return whether ``host_ip`` has a standing push subscription."""
         return str(host_ip) in self._subs
 
-    def push_telemetry(self) -> dict[str, float]:
-        """Return the push-plane probe values (cheap, sampled per tick)."""
-        total = self.lookups()
-        return {
-            "resident_ratio": self.resident_hits / total if total else 0.0,
-            "subscriptions": float(len(self._subs)),
-            "deltas_applied": float(self.deltas_applied),
-        }
-
-    def telemetry_ratios(self) -> dict[str, float]:
-        """Return just the hit/negative/coalesce ratios.
-
-        The telemetry plane samples these every tick; :meth:`stats`
-        builds an 11-key dict per call, which is report material, not
-        probe material.
-        """
-        total = self.lookups()
-        if not total:
-            return {"hit_rate": 0.0, "negative_hit_rate": 0.0, "coalesce_rate": 0.0}
-        return {
-            "hit_rate": self.hits / total,
-            "negative_hit_rate": self.negative_hits / total,
-            "coalesce_rate": self.coalesced / total,
-        }
-
     def stats(self) -> dict[str, object]:
         """Return the counts the benchmarks read."""
         total = self.lookups()

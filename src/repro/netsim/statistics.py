@@ -33,13 +33,12 @@ class Counter:
 class RateCounter:
     """Events per sliding virtual-time window, on the simulation clock.
 
-    The telemetry pipeline's rate probes (controller punt rate, switch
-    FlowRemoved rate) need "events per simulated second"; this keeps a
-    deque of ``(time, count)`` events pruned to the window, so
-    :meth:`rate` is the recent windowed rate.  Feed it either
-    incrementally (:meth:`record`) or from an existing monotonic counter
-    (:meth:`observe_total`, which records the delta since the previous
-    observation).
+    The telemetry plane's cluster punt rate is "events per simulated
+    second"; this keeps a deque of ``(time, count)`` events pruned to
+    the window, so :meth:`rate` is the recent windowed rate.  Feed it
+    either incrementally (:meth:`record`) or from an existing monotonic
+    counter (:meth:`observe_total`, which records the delta since the
+    previous observation).
     """
 
     __slots__ = ("name", "window", "_events", "_last_total")

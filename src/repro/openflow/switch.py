@@ -85,9 +85,6 @@ class OpenFlowSwitch(Node):
         self._recovery_listeners: list[Callable[[], None]] = []
         self._buffered: dict[int, tuple[Packet, int]] = {}
         self.punts = Counter(f"{name}.punts")
-        # Entries removed from the flow table (timeouts, evictions,
-        # sweeps) — the telemetry plane turns this into a churn rate.
-        self.flow_removed = 0
 
     # ------------------------------------------------------------------
     # Control plane
@@ -347,7 +344,6 @@ class OpenFlowSwitch(Node):
             trace.record(now, self.name, "drop", packet)
 
     def _notify_removed(self, entry: FlowEntry, *, reason: str = "idle_timeout") -> None:
-        self.flow_removed += 1
         if self.failed:
             return
         channel = self._owner_channel(entry.cookie)

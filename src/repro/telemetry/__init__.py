@@ -1,13 +1,13 @@
-"""The telemetry plane: streaming metrics, deviation detection, alerting.
+"""The telemetry plane: a per-tick sweep, deviation detection, alerting.
 
 The control plane watching itself.  Three layers (the
 pipeline/deviation/alerting split):
 
-* :mod:`repro.telemetry.pipeline` — :class:`TelemetryProbe` taps on the
-  hot paths, sampled on virtual time into bounded :class:`TimeSeries`
-  ring buffers by a :class:`MetricsPipeline`;
+* :mod:`repro.telemetry.pipeline` — a :class:`MetricsPipeline` that,
+  on virtual time, reads each watched value and hands it to its
+  detector;
 * :mod:`repro.telemetry.deviation` — EWMA baselines and typed
-  detectors (spike / collapse / growth / gap) that turn series into
+  detectors (spike / collapse / growth / gap) that turn values into
   :class:`Deviation` events;
 * :mod:`repro.telemetry.alerting` — an :class:`AlertRouter` that
   debounces deviations into typed :class:`Alert` objects and drives
@@ -34,18 +34,12 @@ from repro.telemetry.deviation import (
     CollapseDetector,
     Detector,
     Deviation,
-    DeviationMonitor,
     EwmaBaseline,
     GapDetector,
     GrowthDetector,
     SpikeDetector,
 )
-from repro.telemetry.pipeline import (
-    DEFAULT_CAPACITY,
-    MetricsPipeline,
-    TelemetryProbe,
-    TimeSeries,
-)
+from repro.telemetry.pipeline import MetricsPipeline
 from repro.telemetry.plane import (
     DEFAULT_INTERVAL,
     DEFAULT_SPIKE_MIN_RATE,
@@ -57,12 +51,10 @@ __all__ = [
     "AlertRouter",
     "AutoQuarantineResponder",
     "CollapseDetector",
-    "DEFAULT_CAPACITY",
     "DEFAULT_INTERVAL",
     "DEFAULT_SPIKE_MIN_RATE",
     "Detector",
     "Deviation",
-    "DeviationMonitor",
     "EwmaBaseline",
     "GapDetector",
     "GrowthDetector",
@@ -74,6 +66,4 @@ __all__ = [
     "MetricsPipeline",
     "SpikeDetector",
     "TelemetryPlane",
-    "TelemetryProbe",
-    "TimeSeries",
 ]

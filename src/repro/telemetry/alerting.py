@@ -89,7 +89,7 @@ class AlertRouter:
         return True
 
     def on_deviation(self, deviation: Deviation) -> bool:
-        """Turn a deviation into an alert (the monitor's sink)."""
+        """Turn a deviation into an alert (the pipeline's sink)."""
         return self.emit(
             Alert(
                 time=deviation.time,
@@ -100,10 +100,6 @@ class AlertRouter:
                 deviation=deviation,
             )
         )
-
-    def attach(self, monitor) -> None:
-        """Subscribe this router to a deviation monitor."""
-        monitor.on_deviation(self.on_deviation)
 
 
 class AutoQuarantineResponder:

@@ -1,10 +1,10 @@
 """Layer 2 of the telemetry plane: baselines and deviation detectors.
 
-Raw series are useless without a notion of *normal*.  Each detector
+A raw value is useless without a notion of *normal*.  Each detector
 owns an :class:`EwmaBaseline` — an exponentially weighted moving
-average of a series' mean and variance, learned during a warmup
-window — and compares fresh samples against it.  When a sample breaks
-the baseline's envelope for long enough, the detector emits a typed
+average of its value's mean and variance, learned during a warmup
+window — and compares each fresh sample against it.  When a sample
+breaks the baseline's envelope for long enough, the detector emits a typed
 :class:`Deviation` naming what broke and how badly; the alert router
 in :mod:`repro.telemetry.alerting` turns those into responder calls.
 
@@ -22,7 +22,7 @@ detector                  signature it encodes
                           queue grows monotonically instead of
                           oscillating around its service point
 :class:`GapDetector`      heartbeat gap — a shard stopped reporting;
-                          the series itself is the evidence
+                          the gap itself is the evidence
 ========================  ============================================
 
 Detectors deliberately stop learning while a series is deviating:
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 #: Detector kind tags (also used as Alert kinds by the router).
 KIND_SPIKE = "spike"
@@ -257,7 +257,7 @@ class GrowthDetector(Detector):
 class GapDetector(Detector):
     """Fires when a time-since-last-heartbeat series exceeds a bound.
 
-    The shard-loss signature: the probe reports ``now - last_seen`` for
+    The shard-loss signature: the plane reads ``now - last_seen`` for
     each shard; a live shard keeps it near the heartbeat interval, a
     halted one lets it grow without bound.  No baseline maths — the
     bound is structural (a multiple of the expected interval) — but the
@@ -282,47 +282,3 @@ class GapDetector(Detector):
             return False, 0.0, ""
         return True, value / self.max_gap, f"max_gap={self.max_gap:.4g}"
 
-
-class DeviationMonitor:
-    """Routes pipeline sweeps into detectors and deviations onward.
-
-    Attach it to a pipeline with :meth:`attach`; every sweep it feeds
-    each watched series' latest sample to its detectors and forwards
-    any resulting deviations to the registered sinks (the alert
-    router).  Multiple detectors may watch the same series.
-    """
-
-    def __init__(self) -> None:
-        self._detectors: list[Detector] = []
-        self._sinks: list[Callable[[Deviation], None]] = []
-
-    def watch(self, detector: Detector) -> Detector:
-        """Register a detector; returns it for chaining."""
-        self._detectors.append(detector)
-        return detector
-
-    def on_deviation(self, sink: Callable[[Deviation], None]) -> None:
-        """Register a sink called with every deviation."""
-        self._sinks.append(sink)
-
-    def inspect(self, now: float, pipeline) -> list[Deviation]:
-        """Run every detector against its series' latest sample."""
-        fired: list[Deviation] = []
-        for detector in self._detectors:
-            series = pipeline.series(detector.series)
-            if series is None:
-                continue
-            latest = series.last()
-            if latest is None or latest[0] != now:
-                continue  # no fresh sample this sweep
-            deviation = detector.observe(now, latest[1])
-            if deviation is not None:
-                fired.append(deviation)
-        for deviation in fired:
-            for sink in self._sinks:
-                sink(deviation)
-        return fired
-
-    def attach(self, pipeline) -> None:
-        """Subscribe this monitor to a pipeline's sweeps."""
-        pipeline.on_sample(lambda now, pipe: self.inspect(now, pipe))

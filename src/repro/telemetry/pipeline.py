@@ -1,23 +1,15 @@
-"""Layer 1 of the telemetry plane: probes, ring-buffered series, the sampler.
+"""Layer 1 of the telemetry plane: the sweep that feeds the detectors.
 
-At the "millions of users" scale the roadmap targets nobody reads
-``summary()`` dicts after the fact — the control plane needs streaming
-signals it can judge *while the simulation runs*.  This module is the
-ingestion side of that plane:
+A :class:`MetricsPipeline` holds one read function per detector.  On
+every tick of virtual time it runs its updaters (hooks that fold raw
+counters into the values the reads return), reads each watched value,
+lets its detector judge it, and only then hands the sweep's deviations
+to its sink — the alert router in :mod:`repro.telemetry.alerting` — in
+detector order.  A responder that acts on an alert (a quarantine, say)
+therefore cannot change what a later detector of the same sweep sees.
 
-* :class:`TelemetryProbe` — a named, read-only tap over state the hot
-  paths already maintain (a counter value, a table length, a cache
-  ratio).  Probes do no bookkeeping of their own, so the per-sample
-  cost is a handful of attribute reads — the <5% overhead budget the
-  benchmarks gate on.
-* :class:`TimeSeries` — a bounded ring buffer of ``(time, value)``
-  samples.  Telemetry outlives any one burst, so the buffer drops the
-  oldest points rather than growing for the run's lifetime (the same
-  bounded-state rule the churn soaks enforce everywhere else).
-* :class:`MetricsPipeline` — samples every probe on virtual
-  time via :meth:`~repro.netsim.events.Simulator.schedule_repeating`,
-  then hands each completed sweep to its observers — the deviation
-  monitor in :mod:`repro.telemetry.deviation`.
+Nothing is stored between sweeps but what the detectors keep
+themselves: a value no detector judges is never read.
 
 The sampler follows the repo's repeating-event contract: the callback
 returns truthy only while the pipeline is running, so :meth:`stop`
@@ -26,133 +18,49 @@ lets the event queue drain and ``Simulator.run()`` terminate.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterator, Optional
+from typing import Callable
 
-#: Default ring-buffer capacity per series (samples, not seconds).
-DEFAULT_CAPACITY = 512
-
-
-class TimeSeries:
-    """A bounded ring buffer of ``(time, value)`` samples for one metric."""
-
-    __slots__ = ("name", "capacity", "_points")
-
-    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"series {name!r}: capacity must be >= 1 (got {capacity})")
-        self.name = name
-        self.capacity = capacity
-        self._points: deque[tuple[float, float]] = deque(maxlen=capacity)
-
-    def record(self, time: float, value: float) -> None:
-        """Append one sample, evicting the oldest when full."""
-        self._points.append((time, float(value)))
-
-    def last(self) -> Optional[tuple[float, float]]:
-        """Return the most recent ``(time, value)`` sample, if any."""
-        return self._points[-1] if self._points else None
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(list(self._points))
-
-    def __repr__(self) -> str:
-        return f"TimeSeries({self.name!r}, n={len(self._points)}/{self.capacity})"
-
-
-class TelemetryProbe:
-    """A named tap reading one scalar from live simulation state.
-
-    ``read`` is called with the current virtual time and must be cheap
-    and side-effect-light: probes run on every sampling tick, inside
-    the event loop.  Rate probes use the time argument to advance their
-    :class:`~repro.netsim.statistics.RateCounter`; plain gauges ignore
-    it.
-    """
-
-    __slots__ = ("name", "_read")
-
-    def __init__(self, name: str, read: Callable[[float], float]) -> None:
-        if not name:
-            raise ValueError("telemetry probes must be named (anonymous probes "
-                             "are invisible to detectors and reports)")
-        self.name = name
-        self._read = read
-
-    def sample(self, now: float) -> float:
-        """Read the probe's current value."""
-        return float(self._read(now))
-
-    def __repr__(self) -> str:
-        return f"TelemetryProbe({self.name!r})"
+from repro.telemetry.deviation import Detector, Deviation
 
 
 class MetricsPipeline:
-    """Samples probes into time series on the simulation clock."""
+    """Feeds watched values into their detectors on the simulation clock."""
 
-    def __init__(self, name: str = "telemetry") -> None:
+    def __init__(self, name: str, on_deviation: Callable[[Deviation], object]) -> None:
         self.name = name
-        self.capacity = DEFAULT_CAPACITY
-        self._probes: dict[str, TelemetryProbe] = {}
-        self._series: dict[str, TimeSeries] = {}
+        self._on_deviation = on_deviation
+        self._watched: list[tuple[Detector, Callable[[float], float]]] = []
         self._updaters: list[Callable[[float], None]] = []
-        self._observers: list[Callable[[float, "MetricsPipeline"], None]] = []
         self._running = False
         self._event = None
         self.samples = 0
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-
-    def add_probe(self, probe: TelemetryProbe) -> TelemetryProbe:
-        """Register a probe (and create its backing series)."""
-        if probe.name in self._probes:
-            raise ValueError(f"pipeline {self.name!r}: duplicate probe {probe.name!r}")
-        self._probes[probe.name] = probe
-        self._series[probe.name] = TimeSeries(probe.name, self.capacity)
-        return probe
-
-    def probe(self, name: str, read: Callable[[float], float]) -> TelemetryProbe:
-        """Create and register a probe in one call."""
-        return self.add_probe(TelemetryProbe(name, read))
+    def watch(self, detector: Detector, read: Callable[[float], float]) -> None:
+        """Judge ``read(now)`` with ``detector`` on every sweep."""
+        if any(watched.series == detector.series for watched, _ in self._watched):
+            raise ValueError(f"pipeline {self.name!r}: {detector.series!r} is watched already")
+        self._watched.append((detector, read))
 
     def add_updater(self, updater: Callable[[float], None]) -> None:
-        """Register a pre-sample hook (runs before probes on each sweep).
+        """Register a pre-read hook (runs before every read of a sweep).
 
         Used to advance rate counters from monotonic hot-path counters
-        so the rate probes see values current as of this tick.
+        so the reads see values current as of this tick.
         """
         self._updaters.append(updater)
 
-    def on_sample(self, observer: Callable[[float, "MetricsPipeline"], None]) -> None:
-        """Register an observer called after every completed sweep."""
-        self._observers.append(observer)
-
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-
-    def series(self, name: str) -> Optional[TimeSeries]:
-        """Return a series by name (``None`` when it does not exist yet)."""
-        return self._series.get(name)
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-
     def sample(self, now: float) -> None:
-        """Run one sweep: updaters, probes, observers."""
+        """Run one sweep: updaters, then reads and verdicts, then the sink."""
         for updater in self._updaters:
             updater(now)
-        for name, probe in self._probes.items():
-            self._series[name].record(now, probe.sample(now))
+        fired = []
+        for detector, read in self._watched:
+            deviation = detector.observe(now, float(read(now)))
+            if deviation is not None:
+                fired.append(deviation)
         self.samples += 1
-        for observer in self._observers:
-            observer(now, self)
+        for deviation in fired:
+            self._on_deviation(deviation)
 
     def start(self, sim, interval: float):
         """Begin sampling every ``interval`` of virtual time.

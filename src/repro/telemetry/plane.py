@@ -1,29 +1,25 @@
-"""The assembled telemetry plane: probes → series → detectors → alerts.
+"""The assembled telemetry plane: reads → detectors → alerts.
 
 :class:`TelemetryPlane` wires the three layers over a live ident++
-network (single-controller or cluster):
+network (single-controller or cluster).  It reads only the values its
+detectors judge, and maps the four failure signatures onto them:
 
-* per-shard probes — punt rate (windowed over ``packet_ins``), pending
-  depth, serial-queue depth, query-engine hit/negative/coalesce ratios,
-  push-plane resident ratio / subscription count / delta rate,
-  heartbeat gap;
-* per-switch probes — flow-table occupancy, FlowRemoved rate;
-* cluster rollups — aggregate punt rate, aggregate hit ratio, total
-  pending depth, failover count.
+* ``cluster.punt_rate`` (windowed over every shard's ``packet_ins``)
+  → spike → worm outbreak;
+* ``cluster.hit_ratio`` (query-engine hits over lookups, all shards)
+  → collapse → invalidation storm;
+* ``{shard}.pending_depth`` → growth → daemon brownout;
+* ``{shard}.heartbeat_gap`` (cluster only) → gap → shard loss.
 
-The default detector set maps the ISSUE's four failure signatures onto
-those series (punt-rate spike → worm, hit-ratio collapse →
-invalidation storm, pending-depth growth → daemon brownout,
-heartbeat gap → shard loss), and the alert router drives the
-auto-quarantine responder against the cluster coordinator's
-quarantine path — closing the paper's detect-and-react loop without
-any scripted ``mark_compromised``.
+The alert router drives the auto-quarantine responder against the
+cluster coordinator's quarantine path — closing the paper's
+detect-and-react loop without any scripted ``mark_compromised``.
 
 The plane is deliberately duck-typed against the network object (it
-reads ``cluster``, ``controllers``, ``switches``, ``topology``) so
-this package never imports from :mod:`repro.core` or
-:mod:`repro.cluster` — no import cycles; ``IdentPPNetwork.
-enable_telemetry()`` imports *us* locally instead.
+reads ``cluster``, ``controllers`` and ``topology``) so this package
+never imports from :mod:`repro.core` or :mod:`repro.cluster` — no
+import cycles; ``IdentPPNetwork.enable_telemetry()`` imports *us*
+locally instead.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from repro.netsim.statistics import RateCounter
 from repro.telemetry.alerting import KIND_QUARANTINE, AlertRouter, AutoQuarantineResponder
 from repro.telemetry.deviation import (
     CollapseDetector,
-    DeviationMonitor,
     GapDetector,
     GrowthDetector,
     SpikeDetector,
@@ -45,7 +40,7 @@ from repro.telemetry.pipeline import MetricsPipeline
 DEFAULT_INTERVAL = 0.05
 
 #: Heartbeat-gap bound as a multiple of the sampling interval: a live
-#: shard's gap series stays ~0; a halted shard's grows one interval per
+#: shard's gap stays ~0; a halted shard's grows one interval per
 #: sweep, crossing this after a handful of ticks.
 DEFAULT_GAP_MULTIPLE = 4.0
 
@@ -59,7 +54,7 @@ DEFAULT_SPIKE_MIN_RATE = 10.0
 #: Samples a detector sees before it may fire (spike, collapse, growth).
 SPIKE_WARMUP = 10
 
-#: Window (virtual seconds) of every windowed rate probe.
+#: Window (virtual seconds) of the cluster punt rate.
 RATE_WINDOW = 0.25
 
 #: Minimum gap (virtual seconds) between two alerts of one kind from one
@@ -72,7 +67,7 @@ ATTRIBUTION_WINDOW = 0.5
 
 
 class TelemetryPlane:
-    """Probes, detectors and alerting assembled over one network."""
+    """Reads, detectors and alerting assembled over one network."""
 
     def __init__(
         self,
@@ -87,19 +82,10 @@ class TelemetryPlane:
         self.network = network
         self.interval = interval
         self.cluster = getattr(network, "cluster", None)
-        self.pipeline = MetricsPipeline(f"{network.name}.telemetry")
-        self.monitor = DeviationMonitor()
         self.router = AlertRouter(cooldown=ALERT_COOLDOWN)
+        self.pipeline = MetricsPipeline(f"{network.name}.telemetry", self.router.on_deviation)
         self.responder: Optional[AutoQuarantineResponder] = None
-        self._last_seen: dict[str, float] = {}
-        self._rates: dict[str, RateCounter] = {}
-        self._ratios: dict[str, dict[str, float]] = {}
-        self._push: dict[str, dict[str, float]] = {}
-
-        self._wire_probes()
-        self._wire_detectors()
-        self.monitor.attach(self.pipeline)
-        self.router.attach(self.monitor)
+        self._wire()
         if auto_quarantine:
             self._wire_quarantine(fanout_threshold=fanout_threshold)
 
@@ -111,164 +97,74 @@ class TelemetryPlane:
         """Return the control plane's controllers (shards or the default)."""
         return dict(self.network.controllers)
 
-    def _rate(self, name: str) -> RateCounter:
-        counter = self._rates.get(name)
-        if counter is None:
-            counter = self._rates[name] = RateCounter(name, RATE_WINDOW)
-        return counter
-
-    def _wire_probes(self) -> None:
+    def _wire(self) -> None:
         pipe = self.pipeline
         controllers = self._controllers()
 
-        # --- per-shard probes -----------------------------------------
-        for name, controller in controllers.items():
-            punt_rate = self._rate(f"{name}.punt_rate")
-            pipe.add_updater(
-                lambda now, rc=punt_rate, c=controller: rc.observe_total(
-                    now, float(c.packet_ins)
-                )
-            )
-            pipe.probe(f"{name}.punt_rate", lambda now, rc=punt_rate: rc.rate(now))
-            pipe.probe(
-                f"{name}.pending_depth",
-                lambda now, c=controller: float(c.inflight_count()),
-            )
-            pipe.probe(
-                f"{name}.serial_depth",
-                lambda now, c=controller: float(c.serial_depth()),
-            )
-            # The three ratio probes share one telemetry_ratios() call
-            # per sweep (updaters run before probes), not one each.
-            pipe.add_updater(
-                lambda now, n=name, c=controller: self._ratios.__setitem__(
-                    n, c.query_engine.telemetry_ratios()
-                )
-            )
-            for ratio in ("hit_rate", "negative_hit_rate", "coalesce_rate"):
-                pipe.probe(
-                    f"{name}.{ratio}",
-                    lambda now, n=name, key=ratio: self._ratios[n][key],
-                )
-            # Push-plane probes: resident-hit share of all lookups,
-            # standing subscription count, and the delta arrival rate
-            # (windowed over the engine's deltas_applied total).  All
-            # three read one cached push_telemetry() call per sweep.
-            pipe.add_updater(
-                lambda now, n=name, c=controller: self._push.__setitem__(
-                    n, c.query_engine.push_telemetry()
-                )
-            )
-            pipe.probe(
-                f"{name}.resident_ratio",
-                lambda now, n=name: self._push[n]["resident_ratio"],
-            )
-            pipe.probe(
-                f"{name}.subscriptions",
-                lambda now, n=name: self._push[n]["subscriptions"],
-            )
-            delta_rate = self._rate(f"{name}.delta_rate")
-            pipe.add_updater(
-                lambda now, rc=delta_rate, n=name: rc.observe_total(
-                    now, self._push[n]["deltas_applied"]
-                )
-            )
-            pipe.probe(f"{name}.delta_rate", lambda now, rc=delta_rate: rc.rate(now))
-
-        # --- heartbeat tracking (cluster only) ------------------------
         if self.cluster is not None:
-            def _track_heartbeats(now: float) -> None:
+            last_seen: dict[str, float] = {}
+
+            def track_heartbeats(now: float) -> None:
+                # Every shard's clock starts at the first sweep, so a
+                # shard that is down from the start is reported lost.
                 for shard, controller in controllers.items():
-                    if not controller.halted:
-                        self._last_seen[shard] = now
+                    if not controller.halted or shard not in last_seen:
+                        last_seen[shard] = now
 
-            pipe.add_updater(_track_heartbeats)
-            for name in controllers:
-                pipe.probe(
-                    f"{name}.heartbeat_gap",
-                    lambda now, shard=name: now - self._last_seen.get(shard, now),
-                )
+            pipe.add_updater(track_heartbeats)
 
-        # --- per-switch probes ----------------------------------------
-        for name, switch in self.network.switches.items():
-            pipe.probe(
-                f"{name}.table_occupancy",
-                lambda now, sw=switch: float(len(sw.flow_table)),
-            )
-            removed_rate = self._rate(f"{name}.flow_removed_rate")
-            pipe.add_updater(
-                lambda now, rc=removed_rate, sw=switch: rc.observe_total(
-                    now, float(sw.flow_removed)
-                )
-            )
-            pipe.probe(
-                f"{name}.flow_removed_rate",
-                lambda now, rc=removed_rate: rc.rate(now),
-            )
-
-        # --- cluster rollups ------------------------------------------
         # One rollup per sweep (SRMCA-style push-up aggregation): the
-        # updater sums the shards' counts once, and the cluster.* probes
-        # read from that cached sweep.  A single controller is a cluster
-        # of one, so the detector wiring is identical either way.
-        self._rollup: dict[str, float] = {}
+        # updater sums the shards' counts once, and both cluster reads
+        # use that sweep's sums.  A single controller is a cluster of
+        # one, so the detector wiring is identical either way.
+        punt_rate = RateCounter("cluster.punt_rate", RATE_WINDOW)
+        hit_ratio = 0.0
 
-        def _fetch_rollup(now: float) -> None:
-            hits = lookups = 0
+        def fetch_rollup(now: float) -> None:
+            nonlocal hit_ratio
+            punts = hits = lookups = 0
             for controller in controllers.values():
                 engine = controller.query_engine
+                punts += controller.packet_ins
                 hits += engine.hits
                 lookups += engine.lookups()
-            self._rollup = {
-                "punts": float(sum(c.packet_ins for c in controllers.values())),
-                "pending": float(sum(c.inflight_count() for c in controllers.values())),
-                "hit_ratio": hits / lookups if lookups else 0.0,
-            }
+            punt_rate.observe_total(now, punts)
+            hit_ratio = hits / lookups if lookups else 0.0
 
-        pipe.add_updater(_fetch_rollup)
-        aggregate_punts = self._rate("cluster.punt_rate")
-        pipe.add_updater(
-            lambda now, rc=aggregate_punts: rc.observe_total(
-                now, self._rollup.get("punts", 0.0)
-            )
-        )
-        pipe.probe("cluster.punt_rate", lambda now, rc=aggregate_punts: rc.rate(now))
-        pipe.probe("cluster.hit_ratio", lambda now: self._rollup.get("hit_ratio", 0.0))
-        pipe.probe(
-            "cluster.pending_depth", lambda now: self._rollup.get("pending", 0.0)
-        )
-        if self.cluster is not None:
-            pipe.probe("cluster.failovers", lambda now: float(self.cluster.failovers))
+        pipe.add_updater(fetch_rollup)
 
-    def _wire_detectors(self) -> None:
         # Worm signature: the cluster-wide punt rate spikes when a
         # scanner sprays never-seen flows.  This is the detector the
         # auto-quarantine responder hangs off.  The absolute floor keeps
         # near-idle scenarios (baseline ~0, variance ~0) from reading
         # every scripted burst as an outbreak.
-        self.monitor.watch(
+        pipe.watch(
             SpikeDetector(
                 "cluster.punt_rate",
                 warmup=SPIKE_WARMUP,
                 min_streak=2,
                 min_value=DEFAULT_SPIKE_MIN_RATE,
-            )
+            ),
+            punt_rate.rate,
         )
         # Invalidation storm: the aggregate hit ratio collapses.
-        self.monitor.watch(
-            CollapseDetector("cluster.hit_ratio", warmup=SPIKE_WARMUP)
+        pipe.watch(
+            CollapseDetector("cluster.hit_ratio", warmup=SPIKE_WARMUP),
+            lambda now: hit_ratio,
         )
         # Daemon brownout: per-shard pending depth grows monotonically.
-        for name in self._controllers():
-            self.monitor.watch(
-                GrowthDetector(f"{name}.pending_depth", warmup=SPIKE_WARMUP)
+        for name, controller in controllers.items():
+            pipe.watch(
+                GrowthDetector(f"{name}.pending_depth", warmup=SPIKE_WARMUP),
+                lambda now, c=controller: c.inflight_count(),
             )
         # Shard loss: heartbeat gap exceeds its structural bound.
         if self.cluster is not None:
             max_gap = DEFAULT_GAP_MULTIPLE * self.interval
-            for name in self._controllers():
-                self.monitor.watch(
-                    GapDetector(f"{name}.heartbeat_gap", max_gap=max_gap)
+            for name in controllers:
+                pipe.watch(
+                    GapDetector(f"{name}.heartbeat_gap", max_gap=max_gap),
+                    lambda now, shard=name: now - last_seen[shard],
                 )
 
     def _wire_quarantine(self, *, fanout_threshold: int) -> None:

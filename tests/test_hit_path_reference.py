@@ -212,8 +212,7 @@ class World:
             ],
             "carried_bytes": [link.carried_bytes for link in self.links],
             "tables": [
-                (switch.flow_table.stats(), switch.flow_removed, switch.punts.value,
-                 switch.buffered_count())
+                (switch.flow_table.stats(), switch.punts.value, switch.buffered_count())
                 for switch in self.switches
             ],
         }

@@ -512,13 +512,17 @@ class TestLifecycleSweepsNetwork:
         # Power back on long after the timeouts: the recovery re-arms the
         # sweep, which reclaims the overdue entries and says so.
         net.run(duration=5.0)
-        notified_before = dead.flow_removed
+        expired_before = dead.flow_table.stats()["expirations"]
+        notices_before = dead.channel.to_controller_messages.value
         dead.recover()
         assert sweep_queued(controller.lifecycle)
         run_bounded(net, 2000)
         assert sim.pending() == 0
         assert len(dead.flow_table) == 0
-        assert dead.flow_removed == notified_before + held
+        assert dead.flow_table.stats()["expirations"] == expired_before + held
+        # One FlowRemoved per reclaimed entry, and nothing else, went up
+        # the channel.
+        assert dead.channel.to_controller_messages.value == notices_before + held
 
     def test_keep_state_pass_covers_its_reverse_until_revoked(self):
         # The controller holds no separate ``keep state`` table: the

@@ -4,8 +4,8 @@ Four layers, tested bottom-up:
 
 * the statistics primitive the plane samples with (RateCounter
   windows);
-* the pipeline (bounded ring series, virtual-time sampling that lets
-  the event queue drain);
+* the pipeline (one read per detector, updaters before reads,
+  virtual-time sampling that lets the event queue drain);
 * each deviation detector against synthetic series, and the alert
   router's cooldown dedup;
 * the quarantine path (controller, cache, coordinator replication) and
@@ -34,7 +34,6 @@ from repro.telemetry import (
     GrowthDetector,
     MetricsPipeline,
     SpikeDetector,
-    TimeSeries,
 )
 from repro.workloads.enterprise import build_linear_network
 from repro.workloads.invariants import check_containment, network_deliveries
@@ -92,41 +91,36 @@ class TestRateCounter:
 # ----------------------------------------------------------------------
 
 
-class TestTimeSeries:
-    def test_ring_buffer_drops_oldest(self):
-        ts = TimeSeries("s", capacity=3)
-        for i in range(5):
-            ts.record(float(i), float(i * 10))
-        assert len(ts) == 3
-        assert [value for _, value in ts] == [20.0, 30.0, 40.0]
-        assert ts.last() == (4.0, 40.0)
-
-
 class TestMetricsPipeline:
-    def test_duplicate_probe_name_rejected(self):
-        pipe = MetricsPipeline("t")
-        pipe.probe("a", lambda now: 1.0)
+    def test_duplicate_watched_name_rejected(self):
+        pipe = MetricsPipeline("t", lambda deviation: None)
+        pipe.watch(GapDetector("a", max_gap=1.0), lambda now: 1.0)
         with pytest.raises(ValueError):
-            pipe.probe("a", lambda now: 2.0)
+            pipe.watch(SpikeDetector("a"), lambda now: 2.0)
 
     def test_samples_on_virtual_time_and_queue_drains_after_stop(self):
         sim = Simulator()
-        pipe = MetricsPipeline("t")
+        pipe = MetricsPipeline("t", lambda deviation: None)
         ticks = []
-        pipe.probe("clock", lambda now: ticks.append(now) or now)
+        detector = SpikeDetector("clock", warmup=10)
+        pipe.watch(detector, lambda now: ticks.append(now) or now)
         pipe.start(sim, 0.1)
         sim.schedule(0.55, pipe.stop)
         sim.run()  # must terminate: the sampler stops renewing itself
         assert ticks == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
-        assert [value for _, value in pipe.series("clock")] == pytest.approx(ticks)
+        assert pipe.samples == 5
+        assert detector.baseline.samples == 5  # every read was judged
 
-    def test_updaters_run_before_probes(self):
-        pipe = MetricsPipeline("t")
+    def test_updaters_run_before_reads(self):
+        deviations = []
+        pipe = MetricsPipeline("t", deviations.append)
         state = {"v": 0.0}
         pipe.add_updater(lambda now: state.__setitem__("v", now * 2))
-        pipe.probe("doubled", lambda now: state["v"])
-        pipe.sample(3.0)
-        assert pipe.series("doubled").last() == (3.0, 6.0)
+        pipe.watch(GapDetector("doubled", max_gap=1.0), lambda now: state["v"])
+        pipe.sample(0.25)  # warmup: 0.5
+        pipe.sample(1.0)   # 2.0 > 1.0: first of the streak
+        pipe.sample(3.0)   # 6.0: the second fires
+        assert [(d.time, d.value) for d in deviations] == [(3.0, 6.0)]
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +226,51 @@ class TestRouterCooldown:
         router.on_deviation(Deviation(time=0.0, kind="gap", series="g",
                                       value=9.0, baseline=1.0, severity=3.0))
         assert seen == ["spike"]
+
+
+# ----------------------------------------------------------------------
+# The plane's reads
+# ----------------------------------------------------------------------
+
+
+class TestPlaneReads:
+    def test_a_fabric_plane_reads_only_its_detectors_values(self, monkeypatch):
+        reads = []
+        watch = MetricsPipeline.watch
+
+        def counting_watch(pipeline, detector, read):
+            def counted(now):
+                reads.append(detector.series)
+                return read(now)
+            watch(pipeline, detector, counted)
+
+        monkeypatch.setattr(MetricsPipeline, "watch", counting_watch)
+        net = IdentPPClusterNetwork("reads", shards=4)
+        net.add_spine_leaf_fabric(spines=2, leaves=4)
+        plane = net.enable_telemetry(auto_quarantine=False)
+        plane.pipeline.sample(0.05)
+        shards = sorted(net.controllers)
+        assert len(shards) == 4
+        assert sorted(reads) == sorted(
+            ["cluster.punt_rate", "cluster.hit_ratio"]
+            + [f"{shard}.pending_depth" for shard in shards]
+            + [f"{shard}.heartbeat_gap" for shard in shards]
+        )
+
+    def test_a_shard_down_before_the_first_sweep_is_reported_lost(self):
+        net = _small_cluster(shards=2)
+        victim, survivor = sorted(net.cluster.replicas)
+        net.cluster.kill(victim)
+        plane = net.enable_telemetry(interval=0.05, auto_quarantine=False)
+        plane.start()
+        net.run(1.0)  # 20 sweeps
+        plane.stop()
+        net.run()
+        gaps = plane.alerts("gap")
+        assert [alert.source for alert in gaps] == [f"{victim}.heartbeat_gap"] * len(gaps)
+        # The clock starts at the first sweep (t=0.05); the gap passes
+        # its 0.2 bound at t=0.30 and the second sweep past it fires.
+        assert gaps and gaps[0].time == pytest.approx(0.35)
 
 
 # ----------------------------------------------------------------------

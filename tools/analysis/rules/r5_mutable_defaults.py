@@ -11,9 +11,9 @@ process:
 * **Anonymous counters** — a ``Counter()`` or ``RateCounter()``
   constructed without a name counts fine but cannot say what it counts:
   its ``repr`` is its only identity, and it reads ``counter.name``.  The
-  telemetry plane keys each probe's ``RateCounter`` by that name
-  (``TelemetryPlane._rate``), and a rate counter's errors print it.
-  Every counter carries a name.
+  telemetry plane names its punt-rate ``RateCounter`` after the value
+  its spike detector judges (``cluster.punt_rate``), and a rate
+  counter's errors print it.  Every counter carries a name.
 * **Dataclass mutable defaults** — the same trap in dataclass clothing:
   ``field(default=[])`` or ``field(default_factory=list())`` evaluates
   the container once at class-definition time, so every instance shares
