@@ -6,16 +6,18 @@ perf trajectory to compare against::
 
     python benchmarks/run_benchmarks.py          # or: make bench
 
-Each benchmark reports operations per second; the JSON file maps
-benchmark name -> {ops_per_sec, iterations, seconds} under ``results``.
-A bench that times an easy and a hard case records on the hard case's
-entry how much more it costs (``policy_eval_compiled_2000.vs_10``), and
-the ``GATES`` rows judge those ratios.  The soak entries and their gates
-come from the ``SOAK`` tables of the soak modules
-(``repro.workloads.soak``), the same ones ``make soak_*`` walks — the
-paper's own experiments, E1–E12, among them (``results.paper_*``), the
-scenario matrix (``results.experiment_matrix``) and the determinism
-double run (``results.determinism_double_run``).
+Each benchmark reports operations per second, not gated; the JSON file
+maps benchmark name -> {ops_per_sec, iterations, seconds} under
+``results``.  A bench claiming that a hard case costs no more than an
+easy one also records each case's ``opcodes_per_op`` (``tools/counts.py``:
+the same on every host and run) and on the hard case's entry their
+ratio (``policy_eval_compiled_2000.opcodes_vs_10``), which ``GATES``
+judges.  The soak entries and their gates come from the ``SOAK`` tables
+of the soak modules (``repro.workloads.soak``), the same ones ``make
+soak_*`` walks — the paper's own experiments, E1–E12, among them
+(``results.paper_*``), the scenario matrix
+(``results.experiment_matrix``) and the determinism double run
+(``results.determinism_double_run``).
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import os
 import platform
 import sys
 import time
+from functools import partial
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from repro.core.cache import DecisionCache  # noqa: E402
 from repro.core.policy_engine import PolicyEngine  # noqa: E402
@@ -49,68 +53,43 @@ from repro.pf.parser import parse_ruleset  # noqa: E402
 from repro.workloads.generators import FlowGenerator, FlowTemplate  # noqa: E402
 from repro.workloads.paper_configs import figure2_control_files  # noqa: E402
 from repro.workloads.soak import SOAKS, Gate, failed_gates, load, recorded  # noqa: E402
+from tools.counts import count  # noqa: E402
 
 #: The soaks recorded here, in run order.  Each module's ``SOAK`` table
 #: names its ``results`` entries and gates them; ``make soak_<name>``
 #: walks the same table.  (``push`` re-runs a phase of ``queryload``.)
 BENCH_SOAKS = tuple(name for name in SOAKS if name != "push")
 
-#: One policy decision may cost at most this much more against a
-#: 2000-rule ruleset than against a 10-rule one.
-POLICY_EVAL_CEILING = 1.5
-
-#: Reloading a 1 001-rule file whose text has not moved may cost at most
-#: this share of loading it cold.  0.008 measured (~0.3 ms against ~38 ms:
-#: the file keeps its parse and its compile, what remains is the
-#: concatenation and a fresh index); 0.05 leaves 6x for timer noise, and
-#: a reload that compiled again would read ~0.2, one that parsed ~0.8.
-POLICY_RELOAD_UNCHANGED_CEILING = 0.05
-
-#: A punt's table work may cost at most this much more beside 4096
-#: resident entries than beside 128.
-FLOW_TABLE_CHURN_CEILING = 1.5
-
-#: One ident++ answer may cost at most this much more on a host holding
-#: 4096 connected sockets than on one holding 16.
-DAEMON_ANSWER_CEILING = 1.5
-
-#: A scheduled event may cost at most this much more when nine in ten
-#: are cancelled long before their time than when every one fires.
-EVENT_LOOP_CANCELLED_CEILING = 1.5
-
-#: A hop may cost at most this much more while a packet capture is
-#: running than with none (loose: two records and their ring per hop).
-PACKET_HOP_CAPTURE_CEILING = 1.6
-
-#: The gates on what no soak table covers, the micro-bench ratios, as
-#: data: where the value sits in ``results``, the comparison it must
-#: satisfy against the bound, the bound, and what to print when it does not.
+#: The gates on what no soak table covers, the micro-benches' count
+#: ratios, as data: where the value sits in ``results``, the comparison
+#: it must satisfy against the bound, the bound, and what to print when
+#: it does not.  A count is exact, so a size claim is an equality.  An
+#: opcode count cannot see work done in C, such as dead records riding
+#: the heap; the heap's length can.
 GATES = (
-    Gate("policy_eval_compiled_2000.vs_10", operator.le, POLICY_EVAL_CEILING,
-         f"a policy decision costs more than {POLICY_EVAL_CEILING:g}x as much against "
-         "2000 rules as against 10 (a decision walks the ruleset, not its candidates)"),
-    Gate("policy_reload_unchanged.vs_cold", operator.le, POLICY_RELOAD_UNCHANGED_CEILING,
-         f"reloading an unchanged 1 001-rule file costs more than "
-         f"{POLICY_RELOAD_UNCHANGED_CEILING:g} of loading it cold "
-         "(an unchanged control file is being parsed or compiled again)"),
-    Gate("policy_reload_unchanged.rules_compiled", operator.eq, 0,
-         "reloading an unchanged 1 001-rule file compiled {value} rules "
-         "(a control file's kept compile is not being reused)"),
-    Gate("flow_table_churn_4096.vs_128", operator.le, FLOW_TABLE_CHURN_CEILING,
-         f"flow-table churn costs more than {FLOW_TABLE_CHURN_CEILING:g}x as much "
-         "beside 4096 resident entries as beside 128 (an operation walks the table)"),
-    Gate("daemon_answer_sockets_4096.vs_16", operator.le, DAEMON_ANSWER_CEILING,
-         f"an ident++ answer costs more than {DAEMON_ANSWER_CEILING:g}x as much on a "
-         "host holding 4096 sockets as on one holding 16 (a lookup walks the socket table)"),
-    Gate("event_loop_90pct_cancelled.vs_clean", operator.le, EVENT_LOOP_CANCELLED_CEILING,
-         f"a scheduled event costs more than {EVENT_LOOP_CANCELLED_CEILING:g}x as much "
-         "with nine in ten cancelled as with all firing (dead records pile up in the heap)"),
-    Gate("packet_hop_captured.vs_off", operator.le, PACKET_HOP_CAPTURE_CEILING,
-         f"a hop costs more than {PACKET_HOP_CAPTURE_CEILING:g}x as much with a packet "
-         "capture running as with none"),
+    Gate("policy_eval_compiled_2000.opcodes_vs_10", operator.eq, 1, "a policy decision runs "
+         "{value:.4g}x the opcodes against 2000 rules as against 10 (it walks the ruleset)"),
+    Gate("policy_eval_compiled_2000.candidates_visited_vs_10", operator.eq, 1, "a policy "
+         "decision visits {value:.4g}x the candidates against 2000 rules as against 10"),
+    Gate("policy_eval_compiled_2000.rules_checked_vs_10", operator.eq, 1, "a policy decision "
+         "checks {value:.4g}x the rules against 2000 rules as against 10"),
+    Gate("policy_reload_unchanged.opcodes_vs_cold", operator.le, 0.05, "an unchanged reload "
+         "runs {value:.4g} of a cold load's opcodes (a kept parse or compile is not reused)"),
+    Gate("policy_reload_unchanged.rules_compiled", operator.eq, 0, "an unchanged reload "
+         "compiled {value} rules (a control file's kept compile is not being reused)"),
+    Gate("flow_table_churn_4096.opcodes_vs_128", operator.eq, 1, "a punt's flow-table work runs "
+         "{value:.4g}x the opcodes beside 4096 entries as beside 128 (it walks the table)"),
+    Gate("daemon_answer_sockets_4096.opcodes_vs_16", operator.eq, 1, "an ident++ answer runs "
+         "{value:.4g}x the opcodes beside 4096 sockets as beside 16 (it walks the sockets)"),
+    Gate("event_loop_90pct_cancelled.opcodes_vs_clean", operator.le, 1, "an event runs "
+         "{value:.4g}x the opcodes with nine in ten cancelled as with every one firing"),
+    Gate("event_loop_90pct_cancelled.pending_per_live", operator.le, 2, "the heap holds "
+         "{value:.4g} records per live event (dead records are not compacted away)"),
+    Gate("packet_hop_captured.opcodes_vs_off", operator.le, 1.25, "a hop runs {value:.4g}x "
+         "the opcodes with a capture running as with none (a per-record copy or lookup)"),
 )
 
-RESULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_results.json")
+RESULTS_PATH = os.path.join(ROOT, "BENCH_results.json")
 
 
 def _timeit(fn, *, min_seconds: float = 0.2, max_iterations: int = 200_000) -> dict:
@@ -133,16 +112,24 @@ def _timeit(fn, *, min_seconds: float = 0.2, max_iterations: int = 200_000) -> d
     }
 
 
-def _per_item(timing: dict, batch: int) -> dict:
-    """Report a batched iteration's throughput per item, not per batch."""
-    timing["ops_per_sec"] = round(timing["ops_per_sec"] * batch, 1)
-    timing["iterations"] = timing["iterations"] * batch
-    return timing
+def _measure(make_step, *, batch: int = 1, counted: int = 1) -> dict:
+    """Time a step ``make_step()`` builds, then record the opcodes ``repro``
+    runs over ``counted`` calls of a second one after its warm-up call;
+    both per item, each call ``batch`` items."""
+    entry = _timeit(make_step())
+    entry["ops_per_sec"] = round(entry["ops_per_sec"] * batch, 1)
+    entry["iterations"] *= batch
+    step = make_step()
+    step()
+    opcodes = count(lambda: [step() for _ in range(counted)]).opcodes
+    entry["opcodes_per_op"] = opcodes / (counted * batch)
+    return entry
 
 
-def _vs(easy: dict, hard: dict, digits: int = 2) -> float:
-    """Return how much more the ``hard`` case costs: the ``easy`` case's ops/s over its own."""
-    return round(easy["ops_per_sec"] / hard["ops_per_sec"], digits)
+def _record_ratio(results: dict, hard: str, easy: str, suffix: str, name: str = "opcodes") -> None:
+    """Record on the ``hard`` entry its ``name`` per op over the ``easy`` entry's."""
+    per_op = f"{name}_per_op"
+    results[hard][f"{name}_vs_{suffix}"] = results[hard][per_op] / results[easy][per_op]
 
 
 def _e10b_text(rule_count: int) -> str:
@@ -169,22 +156,24 @@ def bench_policy_evaluator(results: dict) -> None:
     flow = FlowSpec.tcp("192.168.0.10", "10.1.2.3", 40000, 1001)
     src = _src_doc()
     for size in (10, 100, 500, 2000):
+        # An evaluation leaves nothing behind that the next one reads, and
+        # every one visits the same rules: a count over however many the
+        # timed window ran is exact per evaluation.
         evaluator = _e10b_policy(size)
-        results[f"policy_eval_compiled_{size}"] = _timeit(
-            lambda: evaluator.evaluate(flow, src, None)
+        entry = results[f"policy_eval_compiled_{size}"] = _measure(
+            lambda: partial(evaluator.evaluate, flow, src, None)
         )
-    results["policy_eval_compiled_2000"]["vs_10"] = _vs(
-        results["policy_eval_compiled_10"], results["policy_eval_compiled_2000"]
-    )
-    # The index counters of the last, 2000-rule policy.  The timed window
-    # runs as many evaluations as the host manages, so the visit counts
-    # are kept per evaluation: the same on every host.
-    stats = evaluator.stats()
+        stats = evaluator.stats()
+        entry["candidates_visited_per_op"] = stats["candidates_visited"] / stats["evaluations"]
+        entry["rules_checked_per_op"] = stats["rules_checked"] / stats["evaluations"]
+    for name in ("opcodes", "candidates_visited", "rules_checked"):
+        _record_ratio(results, "policy_eval_compiled_2000", "policy_eval_compiled_10", "10", name)
+    # The index counters of the last, 2000-rule policy.
     results["policy_eval_index_stats"] = {
         "indexed_rules": stats["indexed_rules"],
         "scan_bucket_rules": stats["scan_bucket_rules"],
-        "candidates_visited_per_eval": stats["candidates_visited"] / stats["evaluations"],
-        "rules_checked_per_eval": stats["rules_checked"] / stats["evaluations"],
+        "candidates_visited_per_eval": entry["candidates_visited_per_op"],
+        "rules_checked_per_eval": entry["rules_checked_per_op"],
     }
 
 
@@ -211,13 +200,20 @@ def bench_policy_reload(results: dict) -> None:
         engine.add_control_file("00-hot.control", text)
         return engine.rebuild().compiled
 
-    cold = results["policy_reload_cold"] = _timeit(
-        lambda: reload(PolicyEngine(default_action="block"))
-    )
-    warm = PolicyEngine(default_action="block")
-    unchanged = results["policy_reload_unchanged"] = _timeit(lambda: reload(warm))
-    unchanged["rules_compiled"] = reload(warm).rules_compiled
-    unchanged["vs_cold"] = _vs(cold, unchanged, 3)
+    def cold():
+        return reload(PolicyEngine(default_action="block"))
+
+    def unchanged():
+        """A step reloading into one fresh engine: cold once, unchanged after."""
+        engine = PolicyEngine(default_action="block")
+        return lambda: reload(engine)
+
+    results["policy_reload_cold"] = _measure(lambda: cold)
+    entry = results["policy_reload_unchanged"] = _measure(unchanged)
+    step = unchanged()
+    step()
+    entry["rules_compiled"] = step().rules_compiled
+    _record_ratio(results, "policy_reload_unchanged", "policy_reload_cold", "cold")
 
 
 def bench_decision_cache(results: dict) -> None:
@@ -246,10 +242,8 @@ def bench_flow_table(results: dict) -> None:
     results["flow_table_lookup_repeat"] = _timeit(lambda: table.lookup(packet, now=0.0))
     results["packet_wire_size"] = _timeit(packet.wire_size)
     for resident in (128, 4096):
-        results[f"flow_table_churn_{resident}"] = _timeit(_flow_table_churn(resident))
-    results["flow_table_churn_4096"]["vs_128"] = _vs(
-        results["flow_table_churn_128"], results["flow_table_churn_4096"]
-    )
+        results[f"flow_table_churn_{resident}"] = _measure(lambda: _flow_table_churn(resident))
+    _record_ratio(results, "flow_table_churn_4096", "flow_table_churn_128", "128")
 
 
 def _flow_table_churn(resident: int):
@@ -284,10 +278,8 @@ def _flow_table_churn(resident: int):
 
 def bench_daemon_answer(results: dict) -> None:
     for sockets in (16, 4096):
-        results[f"daemon_answer_sockets_{sockets}"] = _timeit(_daemon_answer(sockets))
-    results["daemon_answer_sockets_4096"]["vs_16"] = _vs(
-        results["daemon_answer_sockets_16"], results["daemon_answer_sockets_4096"]
-    )
+        results[f"daemon_answer_sockets_{sockets}"] = _measure(lambda: _daemon_answer(sockets))
+    _record_ratio(results, "daemon_answer_sockets_4096", "daemon_answer_sockets_16", "16")
 
 
 def _daemon_answer(sockets: int):
@@ -315,23 +307,27 @@ def _daemon_answer(sockets: int):
     return iteration
 
 
-#: Events one event-loop iteration schedules; packets one hop iteration sends.
+#: Events one event-loop iteration schedules; packets one hop iteration
+#: sends; the iterations counted after the warm-up one.
 _LOOP_BATCH = 1000
 _HOP_BATCH = 200
+_COUNTED = 4
 
 
 def bench_event_loop(results: dict) -> None:
     """Scheduled events per second: all firing, and nine in ten cancelled."""
-    clean = results["event_loop_clean"] = _per_item(_timeit(_event_loop(0)), _LOOP_BATCH)
-    cancelled = results["event_loop_90pct_cancelled"] = _per_item(
-        _timeit(_event_loop(9)), _LOOP_BATCH
-    )
-    cancelled["vs_clean"] = _vs(clean, cancelled)
-    off = results["packet_hop"] = _per_item(_timeit(_packet_hops(capture=False)), 2 * _HOP_BATCH)
-    captured = results["packet_hop_captured"] = _per_item(
-        _timeit(_packet_hops(capture=True)), 2 * _HOP_BATCH
-    )
-    captured["vs_off"] = _vs(off, captured)
+    for tenths, name in ((0, "event_loop_clean"), (9, "event_loop_90pct_cancelled")):
+        results[name] = _measure(lambda: _event_loop(tenths), batch=_LOOP_BATCH, counted=_COUNTED)
+    # A fresh loop's first batch is as it is every time: all scheduled, nine
+    # in ten cancelled, and beside the live events whatever dead records stay.
+    live = _LOOP_BATCH // 10
+    results["event_loop_90pct_cancelled"]["pending_per_live"] = _event_loop(9)() / live
+    _record_ratio(results, "event_loop_90pct_cancelled", "event_loop_clean", "clean")
+    for capture, name in ((False, "packet_hop"), (True, "packet_hop_captured")):
+        results[name] = _measure(
+            lambda: _packet_hops(capture=capture), batch=2 * _HOP_BATCH, counted=_COUNTED
+        )
+    _record_ratio(results, "packet_hop_captured", "packet_hop", "off")
 
 
 def _event_loop(cancelled_tenths: int):
@@ -340,20 +336,23 @@ def _event_loop(cancelled_tenths: int):
     ``cancelled_tenths`` of every ten are armed whole seconds ahead and
     cancelled at once, the way a timeout that almost never fires is
     used.  Their records must not pile up in the heap, and dropping
-    them must not cost more than firing them would.
+    them must not cost more than firing them would.  An iteration
+    returns the heap's length with its whole batch scheduled.
     """
     sim = Simulator()
 
     def noop() -> None:
         pass
 
-    def iteration() -> None:
+    def iteration() -> int:
         for index in range(_LOOP_BATCH):
             if index % 10 < cancelled_tenths:
                 sim.schedule(5.0, noop, label="backstop").cancel()
             else:
                 sim.schedule(1e-3, noop, label="work")
+        pending = sim.pending()
         sim.run(until=sim.now + 1e-3)
+        return pending
 
     return iteration
 

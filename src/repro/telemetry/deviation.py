@@ -187,6 +187,10 @@ class SpikeDetector(Detector):
     min_ratio = 3.0
 
     def __init__(self, series: str, *, min_value: float = 1.0, **kwargs) -> None:
+        if min_value <= 0:
+            # The floor is what a flat-zero baseline's threshold rests on,
+            # and a sample's severity is its value over the threshold.
+            raise ValueError(f"detector on {series!r}: min_value must be > 0")
         super().__init__(series, **kwargs)
         self.min_value = min_value
 

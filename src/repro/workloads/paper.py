@@ -9,8 +9,8 @@ counts only, so an entry is exact for a seed and ``make bench`` records
 it under ``results.paper_*``.  What the paper expects is written once:
 as a violation where the step can name the case, as a :class:`Gate` row
 where it bounds a number.  E10's second half (evaluator cost against
-ruleset size) is host time and lives where host time is recorded:
-``results.policy_eval_compiled_*`` and its ``vs_10`` ratio.
+ruleset size) is a count of the micro-benches:
+``results.policy_eval_compiled_*`` and its ``opcodes_vs_10`` ratio.
 
     python -m repro.workloads.soak paper      # = make soak_paper
 """

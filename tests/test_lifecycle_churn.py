@@ -1,5 +1,7 @@
 """Flow-state lifecycle: bounded caches, fail-closed punts, expiry bookkeeping."""
 
+import math
+
 import pytest
 
 from repro.core import ExpiryHeap
@@ -130,6 +132,20 @@ class TestDecisionCacheLifecycle:
         cache.store(flow, "pass", "c1", 0.0)
         assert cache.expire(2.0) == 1
         assert len(cache) == 0
+
+    def test_a_decision_is_fresh_at_its_deadline_instant_and_swept_at_it(self):
+        # Flow entries and query-engine entries are dead at their deadline
+        # instant; a cached decision still hits at it, so a lookup and a
+        # sweep at that same instant disagree.
+        def stored_at_half() -> DecisionCache:
+            cache = DecisionCache(ttl=1.0)
+            cache.store(self.flow(), "pass", "c1", 0.5)
+            return cache
+
+        cache = stored_at_half()
+        assert cache.lookup(self.flow(), 1.5) is not None
+        assert cache.expire(1.5) == 1 and len(cache) == 0
+        assert stored_at_half().lookup(self.flow(), math.nextafter(1.5, math.inf)) is None
 
     def test_refreshed_entry_survives_stale_heap_record(self):
         cache = DecisionCache(ttl=1.0)

@@ -7,10 +7,6 @@ of same-instant punts with one mis-evaluating flow, and the counts of
 Python-level calls a forwarded packet and a punted flow make.
 """
 
-import sys
-from pathlib import Path
-
-import repro
 from repro.core.cache import DecisionCache
 from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPNetwork
@@ -24,6 +20,7 @@ from repro.openflow.flow_table import FlowTable
 from repro.openflow.match import Match
 from repro.workloads.generators import EPHEMERAL_BASE, FlowGenerator, FlowTemplate
 from tests.reference_flow_table import make_entry
+from tools.counts import count
 
 FLOW = FlowSpec.tcp("192.168.0.10", "192.168.1.1", 40000, 80)
 
@@ -237,33 +234,15 @@ class TestPoisonedBurst:
         assert len(net.host("server").delivered) == 2
 
 
-def _count_repro_calls(run) -> int:
-    """Return how many ``call`` events of ``repro``'s own functions ``run()`` makes."""
-    package = str(Path(repro.__file__).parent)
-    calls = 0
-
-    def profile(frame, event, _arg) -> None:
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def calls_per_forwarded_packet(*, connections=16, clients=4, waves=4) -> float:
     """Python-level calls inside ``repro`` per packet of an established session.
 
     Sessions from ``clients`` hosts cross edge and core switch to one
     server, every flow entry installed and every exact-match cache warm
-    (one untimed wave); ``sys.setprofile`` then counts the ``call``
-    events of ``repro``'s own functions over ``waves`` waves, each one
-    packet per session and a run of the simulator, the
-    ``fastpath_forward`` shape.  The count is the same on every host.
+    (one untimed wave); ``tools.counts.count`` then counts the calls of
+    ``repro``'s own functions over ``waves`` waves, each one packet per
+    session and a run of the simulator, the ``fastpath_forward`` shape.
+    The count is the same on every host.
     """
     forever = 3600.0
     config = ControllerConfig(idle_timeout=forever, hard_timeout=0.0, decision_ttl=forever)
@@ -294,7 +273,7 @@ def calls_per_forwarded_packet(*, connections=16, clients=4, waves=4) -> float:
 
     wave()
     delivered = len(server.delivered)
-    calls = _count_repro_calls(lambda: [wave() for _ in range(waves)])
+    calls = count(lambda: [wave() for _ in range(waves)]).calls
     packets = connections * waves
     assert len(server.delivered) - delivered == packets
     assert sum(switch.punts.value for switch in net.switches.values()) == connections
@@ -323,9 +302,9 @@ def calls_per_punt(*, flows=40, clients=4, waves=4) -> float:
     non-blocking inbox, pull identity plane with ``query_cache_ttl=0``
     (every punt queries both daemons), 50 vms flow entries under the
     sweeper, and each wave's sockets reaped two waves later.  Two
-    untimed waves warm the caches; ``sys.setprofile`` then counts the
-    ``call`` events of ``repro``'s own functions over ``waves`` waves,
-    each ``flows`` punts (every 10th to a blocked port) and a run of the
+    untimed waves warm the caches; ``tools.counts.count`` then counts
+    the calls of ``repro``'s own functions over ``waves`` waves, each
+    ``flows`` punts (every 10th to a blocked port) and a run of the
     simulator over its 100 vms slot.  The count is the same on every
     host.
     """
@@ -379,7 +358,7 @@ def calls_per_punt(*, flows=40, clients=4, waves=4) -> float:
     wave()
     wave()
     before = punts()
-    calls = _count_repro_calls(lambda: [wave() for _ in range(waves)])
+    calls = count(lambda: [wave() for _ in range(waves)]).calls
     punted = punts() - before
     assert punted == flows * waves
     assert net.controller.inflight_count() == 0

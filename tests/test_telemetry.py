@@ -170,6 +170,13 @@ class TestSpikeDetector:
         # The attack must not teach the detector that 100 is normal.
         assert det.baseline.mean < 20.0
 
+    def test_a_floor_that_is_not_positive_is_refused_by_name(self):
+        # On a flat-zero baseline the floor is the whole threshold, and a
+        # positive sample's severity is its value over the threshold.
+        for floor in (0.0, -1.0):
+            with pytest.raises(ValueError, match="'punts'.*min_value"):
+                SpikeDetector("punts", min_value=floor)
+
 
 class TestCollapseDetector:
     def test_fires_when_ratio_halves(self):
