@@ -338,9 +338,9 @@ class IdentPPController(Controller):
         self.pending_expired = 0
         self.repunts_adopted = 0
         self.installer = PathInstaller(self)
-        # Hosts quarantined through quarantine_host (telemetry-driven or
-        # administrative); the set makes re-quarantine a no-op.
-        self.quarantined_hosts: set[str] = set()
+        # Each host quarantine_host cut off (telemetry-driven or
+        # administrative) → the instant it did; re-quarantine is a no-op.
+        self.quarantined_hosts: dict[str, float] = {}
         self.lifecycle = LifecycleService(
             name=f"{name}.lifecycle", interval=self.config.lifecycle_interval
         )
@@ -836,7 +836,7 @@ class IdentPPController(Controller):
         ip = str(host_ip)
         if ip in self.quarantined_hosts:
             return False
-        self.quarantined_hosts.add(ip)
+        self.quarantined_hosts[ip] = self.sim.now
         self.policy.add_control_file(
             f"00-quarantine-{ip}.control",
             f"block quick from {ip} to any\nblock quick from any to {ip}\n",

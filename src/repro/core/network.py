@@ -362,11 +362,9 @@ class IdentPPNetwork:
         flow = FlowSpec.from_packet(packet)
         self.topology.run(until=self.topology.sim.now + 1.0)
         destination = self.topology.node_for_ip(dst_ip)
-        delivered = False
-        if isinstance(destination, EndHost):
-            delivered = flow.as_tuple() in {
-                FlowSpec.from_packet(p).as_tuple() for p in destination.delivered
-            }
+        delivered = isinstance(destination, EndHost) and any(
+            FlowSpec.from_packet(p) == flow for p in destination.delivered
+        )
         record = self._last_decision_for(flow)
         return FlowResult(
             flow=flow,

@@ -17,7 +17,7 @@ derived seeds on the virtual clock and returns its entry, a plain dict:
   re-deciding the same planned flows, all counted by one tally;
 * **invariants** — the applicable checkers from
   :mod:`repro.workloads.invariants` (fail-closed, zero-loss failover,
-  containment, cache coherence, bounded state), evaluated on every
+  delivery, cache coherence, bounded state), evaluated on every
   repeat.  A cell passes only if every applicable invariant passes in
   every repeat — the matrix asserts the paper's correctness story, it
   does not merely record numbers.
@@ -223,7 +223,6 @@ class CellContext:
     intents: list[FlowIntent] = field(default_factory=list)
     injected: list[tuple[FlowIntent, FlowSpec]] = field(default_factory=list, init=False)
     peaks: dict[str, int] = field(default_factory=dict, init=False)
-    quarantined_since: dict[str, float] = field(default_factory=dict, init=False)
 
     def hosts_in_role(self, role: str, prefix: str = "") -> list[HostPlan]:
         return [
@@ -602,13 +601,11 @@ def _arm_partition_heal(ctx: CellContext) -> None:
 
 
 def _arm_quarantine_race(ctx: CellContext) -> None:
+    plane = ctx.net.controller if ctx.net.cluster is None else ctx.net.cluster.coordinator
+
     def quarantine() -> None:
         for plan in ctx.hosts_in_role("infected"):
-            if ctx.net.cluster is not None:
-                ctx.net.cluster.coordinator.quarantine_host(plan.ip)
-            else:
-                ctx.net.controller.quarantine_host(plan.ip)
-            ctx.quarantined_since[plan.ip] = ctx.spec.duration * QUARANTINE_AT
+            plane.quarantine_host(plan.ip)
 
     ctx.schedule(QUARANTINE_AT, quarantine, label="experiment.quarantine")
 
@@ -629,7 +626,7 @@ class FailureRow:
 
     #: Schedules the failure on the repeat's simulator, hosts placed.
     arm: Callable[[CellContext], None]
-    #: The checkers it adds to every cell's fail-closed and bounded-state.
+    #: The checkers it adds to every cell's fail-closed, bounded-state and delivery.
     invariants: tuple[str, ...] = ()
     #: The axis values it runs on (``{"topology": "spine_leaf"}``).
     needs: Mapping[str, str] = field(default_factory=dict)
@@ -649,9 +646,7 @@ FAILURES: dict[str, FailureRow] = {
     "partition_heal": FailureRow(
         _arm_partition_heal, needs={"topology": "spine_leaf"}, blackout=(PARTITION_AT, HEAL_AT),
     ),
-    "quarantine_race": FailureRow(
-        _arm_quarantine_race, (invariants.CONTAINMENT,), needs={"traffic": "worm"},
-    ),
+    "quarantine_race": FailureRow(_arm_quarantine_race, needs={"traffic": "worm"}),
     "retenant": FailureRow(
         _arm_retenant, (invariants.CACHE_COHERENCE,), needs={"traffic": "retenant"}, paired=True,
     ),
@@ -786,7 +781,7 @@ def _coherence_probes(ctx: CellContext) -> list[invariants.CoherenceProbe]:
 
 def applicable_invariants(spec: ScenarioSpec) -> list[str]:
     """The invariant checkers a cell of this shape must run and pass."""
-    names = [invariants.FAIL_CLOSED, invariants.BOUNDED_STATE]
+    names = [invariants.FAIL_CLOSED, invariants.BOUNDED_STATE, invariants.DELIVERY]
     if CONTROLS[spec.control]:
         names.append(invariants.ZERO_LOSS)
     return names + list(FAILURES[spec.failure].invariants)
@@ -795,7 +790,7 @@ def applicable_invariants(spec: ScenarioSpec) -> list[str]:
 def _state_caps(ctx: CellContext) -> dict[str, float]:
     flows = len(ctx.injected)
     switches = len(ctx.net.switches)
-    quarantine_allowance = 4.0 * len(ctx.quarantined_since) * switches
+    quarantine_allowance = 4.0 * len(invariants.network_quarantines(ctx.net)) * switches
     return {
         "pending_peak": float(flows),
         "decision_cache_peak": 2.0 * flows + 8,
@@ -813,21 +808,19 @@ def _state_caps(ctx: CellContext) -> dict[str, float]:
     }
 
 
-def evaluate_invariants(ctx: CellContext) -> dict[str, invariants.InvariantResult]:
-    """Run every applicable checker against one finished repeat."""
+def evaluate_invariants(ctx: CellContext, deliveries: list) -> dict[str, invariants.InvariantResult]:
+    """Run every applicable checker against one finished repeat and its deliveries."""
     records = invariants.network_audit_records(ctx.net)
     final = invariants.network_flow_state(ctx.net)
-    accounted_flows = [
-        flow for intent, flow in ctx.injected if intent.expect_verdict
-    ]
+    accounted_flows = [flow for intent, flow in ctx.injected if intent.expect_verdict]
     drained = {"pending": final["pending"], "buffered": final["buffered"]}
     checks = {
         invariants.FAIL_CLOSED: lambda: invariants.check_fail_closed(
             accounted_flows, records, **drained),
         invariants.ZERO_LOSS: lambda: invariants.check_zero_loss(
             accounted_flows, records, **drained),
-        invariants.CONTAINMENT: lambda: invariants.check_containment(
-            invariants.network_deliveries(ctx.net), ctx.quarantined_since, grace=0.1),
+        invariants.DELIVERY: lambda: invariants.check_delivery(
+            deliveries, records, invariants.network_quarantines(ctx.net), grace=0.1),
         invariants.CACHE_COHERENCE: lambda: invariants.check_cache_coherence(
             _coherence_probes(ctx)),
         invariants.BOUNDED_STATE: lambda: invariants.check_bounded_state(
@@ -863,17 +856,10 @@ def _tally(outcomes: Iterable[tuple[FlowIntent, bool, bool]]) -> dict[str, float
     return stats
 
 
-def _identpp_outcomes(ctx: CellContext) -> list[tuple[FlowIntent, bool, bool]]:
+def _identpp_outcomes(ctx: CellContext, deliveries: list) -> list[tuple[FlowIntent, bool, bool]]:
     """Each injected flow once: delivered or not, and whether that is a verdict."""
-    delivered = {
-        FlowSpec.from_packet(packet).as_tuple()
-        for host in ctx.net.hosts.values()
-        for packet in host.delivered
-    }
-    return [
-        (intent, flow.as_tuple() in delivered, intent.judged)
-        for intent, flow in ctx.injected
-    ]
+    delivered = {flow for _when, flow in deliveries}
+    return [(intent, flow in delivered, intent.judged) for intent, flow in ctx.injected]
 
 
 # ======================================================================
@@ -903,7 +889,8 @@ def run_cell(spec: ScenarioSpec) -> dict:
     for seed in range(spec.seed, spec.seed + MATRIX_REPEATS):
         ctx = _run_once(spec, seed)
         digests.append(audit_digest(invariants.network_audit_records(ctx.net)))
-        for name, result in evaluate_invariants(ctx).items():
+        deliveries = invariants.network_deliveries(ctx.net)
+        for name, result in evaluate_invariants(ctx, deliveries).items():
             if name not in merged:
                 merged[name] = invariants.InvariantResult(name, details=result.details)
             merged[name].violations.extend(
@@ -918,7 +905,7 @@ def run_cell(spec: ScenarioSpec) -> dict:
                 )
                 for arch, policy in build_baselines(spec.policy, ctx.plans).items()
             }
-        identpp += _identpp_outcomes(ctx)
+        identpp += _identpp_outcomes(ctx, deliveries)
     architectures[ARCH_IDENTPP] = _tally(identpp)
     return {
         "cell": spec.name,

@@ -1,28 +1,30 @@
 """Reusable cross-scenario invariant checkers.
 
 Every workload in this package asserts some slice of the paper's
-correctness story — flows fail closed, failover loses nothing,
-quarantined hosts stay contained, caches converge after invalidation,
-state stays bounded.  Before this module each workload (and each test
-suite) carried its own ad-hoc copy of those assertions, so the checks
-could drift apart.  This module is the single home: the experiment
-harness (:mod:`repro.workloads.experiment`) evaluates these checkers on
-every matrix cell, and the pytest suites import the very same functions,
-so scenario knowledge cannot fork.
+correctness story — flows fail closed, failover loses nothing, the
+datapath delivers only what the audit passed and no quarantine cut off,
+caches converge, state stays bounded.  Before this module each workload
+(and each test suite) carried its own ad-hoc copy of those assertions,
+so the checks could drift apart.  This module is the single home: the
+experiment harness (:mod:`repro.workloads.experiment`) evaluates these
+checkers on every matrix cell, and the pytest suites import the very
+same functions, so scenario knowledge cannot fork.
 
 Checkers are pure data-in / :class:`InvariantResult`-out.  They take
-plain values (flow specs, audit records, ``(time, src, dst)`` delivery
-triples, size dictionaries) rather than live network objects, so tests
-can feed synthetic passing *and* deliberately violated inputs.  The
-``network_*`` helpers at the bottom scrape those plain values out of a
-live :class:`~repro.core.network.IdentPPNetwork` for callers that have
-one.
+plain values (flow specs, audit records, ``(time, flow)`` deliveries,
+quarantine instants, size dictionaries) rather than live network
+objects, so tests can feed synthetic passing *and* deliberately violated
+inputs.  The ``network_*`` helpers at the bottom scrape those plain
+values out of a live :class:`~repro.core.network.IdentPPNetwork` for
+callers that have one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Mapping, Optional
+from operator import itemgetter
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.audit import AuditTrail
 from repro.identpp.flowspec import FlowSpec
@@ -31,11 +33,9 @@ from repro.netsim.addresses import IPv4Address
 #: Canonical invariant names, as reported in matrix cells and benchmarks.
 FAIL_CLOSED = "fail_closed"
 ZERO_LOSS = "zero_loss"
-CONTAINMENT = "containment"
+DELIVERY = "delivery"
 CACHE_COHERENCE = "cache_coherence"
 BOUNDED_STATE = "bounded_state"
-
-ALL_INVARIANTS = (FAIL_CLOSED, ZERO_LOSS, CONTAINMENT, CACHE_COHERENCE, BOUNDED_STATE)
 
 
 @dataclass
@@ -49,9 +49,6 @@ class InvariantResult:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.passed
 
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly shape, used by the benchmark report."""
@@ -182,38 +179,49 @@ def check_zero_loss(
     return result
 
 
-def check_containment(
-    deliveries: Iterable[tuple],
-    quarantined_since: Mapping,
+def check_delivery(
+    deliveries: Sequence[tuple],
+    records,
+    quarantined: Mapping[str, float],
     *,
-    grace: float = 0.0,
+    grace: float,
 ) -> InvariantResult:
-    """Quarantined hosts pass no datapath traffic.
-
-    ``deliveries`` is an iterable of ``(time, src_ip, dst_ip)`` triples
-    (see :func:`network_deliveries`); ``quarantined_since`` maps a host
-    address to the virtual time its quarantine took effect.  Any packet
-    a quarantined source lands *after* its quarantine time (plus
-    ``grace`` for control-plane propagation) is a containment breach.
-    Traffic delivered before quarantine is expected — that is what
-    triggered the quarantine.
+    """The datapath does what the audit says: a ``(time, flow)`` delivery
+    is a violation when its flow's latest verdict at or before it in
+    ``records`` (time order) is missing or not ``pass``, or when either
+    end was quarantined (host → instant) before the delivery less
+    ``grace``.  Each violation names the flow, the delivery time and the
+    flow's verdict history.  A ``keep state`` reply has no verdict of its
+    own; no cell delivers one (the sessions workload, ROADMAP item 13).
     """
-    result = InvariantResult(CONTAINMENT)
-    since = {str(ip): when for ip, when in quarantined_since.items()}
-    deliveries = list(deliveries)
-    breaches = 0
-    for when, src_ip, dst_ip in deliveries:
-        cutoff = since.get(str(src_ip))
-        if cutoff is not None and when > cutoff + grace:
-            breaches += 1
-            result.violations.append(
-                f"quarantined host {src_ip} delivered to {dst_ip} at t={when:.3f}"
-                f" (quarantined since t={cutoff:.3f})"
+    result = InvariantResult(DELIVERY)
+    history: dict = {}
+    for record in records:
+        history.setdefault(record.flow, []).append((record.time, record.action))
+    without_pass = after_quarantine = 0
+    for when, flow in deliveries:
+        verdicts = history.get(flow, [])
+        behind = bisect_right(verdicts, when, key=itemgetter(0))
+        faults = []
+        if not behind or verdicts[behind - 1][1] != "pass":
+            faults.append("no pass verdict behind it")
+            without_pass += 1
+        for end, ip in (("source", flow.src_ip), ("destination", flow.dst_ip)):
+            cutoff = quarantined.get(str(ip))
+            if cutoff is not None and when > cutoff + grace:
+                faults.append(f"its {end} {ip} was quarantined at t={cutoff:.3f}")
+                after_quarantine += 1
+        if faults:
+            trail = ", ".join(f"{action}@{at:.3f}" for at, action in verdicts)
+            result.violations.extend(
+                f"flow {flow} delivered at t={when:.3f}: {fault} (verdicts: [{trail}])"
+                for fault in faults
             )
     result.details.update(
-        quarantined=len(since),
         deliveries=len(deliveries),
-        breaches=breaches,
+        without_pass=without_pass,
+        quarantined=len(quarantined),
+        after_quarantine=after_quarantine,
         grace=grace,
     )
     return result
@@ -321,18 +329,25 @@ def network_flow_state(net) -> dict[str, int]:
     }
 
 
-def network_deliveries(net) -> list[tuple[float, str, str]]:
-    """Return every datapath delivery as ``(time, src_ip, dst_ip)``.
-
-    Walks each end-host's delivered packets (with their parallel
-    timestamp list) — the input shape :func:`check_containment` takes.
-    """
-    deliveries: list[tuple[float, str, str]] = []
-    for host in net.hosts.values():
-        for packet, when in zip(host.delivered, host.delivered_times):
-            deliveries.append((when, str(packet.ip_src), str(packet.ip_dst)))
-    deliveries.sort()
+def network_deliveries(net) -> list[tuple[float, FlowSpec]]:
+    """Every datapath delivery as ``(time, flow)``, in time order (a tie in host order)."""
+    deliveries = [
+        (when, FlowSpec.from_packet(packet))
+        for host in net.hosts.values()
+        for packet, when in zip(host.delivered, host.delivered_times)
+    ]
+    deliveries.sort(key=itemgetter(0))
     return deliveries
+
+
+def network_quarantines(net) -> dict[str, float]:
+    """Each quarantined host's earliest instant across the control plane
+    (a crashed shard's later resync does not move the cutoff)."""
+    since: dict[str, float] = {}
+    for controller in net.controllers.values():
+        for ip, when in controller.quarantined_hosts.items():
+            since[ip] = min(when, since.get(ip, when))
+    return since
 
 
 def network_audit_records(net):

@@ -49,12 +49,13 @@ COMMITTED_MATRIX = json.loads(
 
 @dataclass(frozen=True)
 class FakeRecord:
-    """Just enough of an audit record for the checkers: flow + origin."""
+    """Just enough of an audit record for the checkers: flow, origin, verdict."""
 
     flow: str
     cached: bool = False
     rule_origin: str = "rule"
     time: float = 0.0
+    action: str = "pass"
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +107,7 @@ class TestScenarioSpec:
             ethane=(EthaneRule("pass", src_group="guests"),),
         ))
         monkeypatch.setitem(experiment.FAILURES, "blink", experiment.FailureRow(
-            lambda ctx: armed.append(ctx.spec.name), (invariants.CONTAINMENT,),
+            lambda ctx: armed.append(ctx.spec.name), (invariants.ZERO_LOSS,),
             needs={"traffic": "app_mix"}, paired=True,
         ))
         spec = ScenarioSpec(name="planted", topology="single", policy="planted",
@@ -120,7 +121,8 @@ class TestScenarioSpec:
         cell = run_cell(spec)
         assert armed == ["planted"] * experiment.MATRIX_REPEATS
         assert list(cell["invariants"]) == [
-            invariants.FAIL_CLOSED, invariants.BOUNDED_STATE, invariants.CONTAINMENT,
+            invariants.FAIL_CLOSED, invariants.BOUNDED_STATE, invariants.DELIVERY,
+            invariants.ZERO_LOSS,
         ]
         assert cell["passed"], cell["invariants"]
         counts = cell["architectures"]
@@ -226,25 +228,45 @@ class TestZeroLossChecker:
         assert invariants.check_zero_loss(["f1"], records).passed
 
 
-class TestContainmentChecker:
-    def test_pre_quarantine_traffic_is_expected(self):
-        deliveries = [(1.0, "10.0.0.1", "10.0.1.1")]
-        result = invariants.check_containment(deliveries, {"10.0.0.1": 2.0})
+class TestDeliveryChecker:
+    FLOW = FlowSpec.tcp("10.0.0.1", "10.0.1.1", 40000, 80)
+
+    def judge(self, when, actions, quarantined=None, grace=0.0):
+        records = [FakeRecord(self.FLOW, time=at, action=action) for at, action in actions]
+        return invariants.check_delivery([(when, self.FLOW)], records, quarantined or {},
+                                         grace=grace)
+
+    def test_a_pass_behind_the_delivery_is_expected(self):
+        result = self.judge(1.0, [(0.5, "pass")])
         assert result.passed
-        assert result.details["breaches"] == 0
+        assert result.details["deliveries"] == 1 and result.details["without_pass"] == 0
 
-    def test_post_quarantine_delivery_is_a_breach(self):
-        deliveries = [(3.0, "10.0.0.1", "10.0.1.1")]
-        result = invariants.check_containment(deliveries, {"10.0.0.1": 2.0})
-        assert not result.passed
-        assert "quarantined host 10.0.0.1" in result.violations[0]
+    def test_a_delivery_with_no_verdict_is_a_violation(self):
+        result = self.judge(1.0, [(1.5, "pass")])
+        assert result.violations == [
+            f"flow {self.FLOW} delivered at t=1.000: no pass verdict behind it"
+            " (verdicts: [pass@1.500])"
+        ]
 
-    def test_grace_window_tolerates_propagation(self):
-        deliveries = [(2.05, "10.0.0.1", "10.0.1.1")]
-        assert not invariants.check_containment(deliveries, {"10.0.0.1": 2.0})
-        assert invariants.check_containment(
-            deliveries, {"10.0.0.1": 2.0}, grace=0.1
-        ).passed
+    def test_a_delivery_whose_latest_verdict_is_block_is_a_violation(self):
+        assert self.judge(1.0, [(0.5, "pass"), (1.0, "block")]).details["without_pass"] == 1
+        assert self.judge(1.0, [(0.5, "block"), (1.0, "pass")]).passed
+
+    def test_pre_quarantine_traffic_is_expected(self):
+        assert self.judge(1.0, [(0.5, "pass")], {"10.0.0.1": 2.0}).passed
+
+    def test_post_quarantine_delivery_is_a_breach_past_the_grace(self):
+        result = self.judge(2.05, [(0.5, "pass")], {"10.0.0.1": 2.0})
+        assert result.violations == [
+            f"flow {self.FLOW} delivered at t=2.050: its source 10.0.0.1 was quarantined"
+            " at t=2.000 (verdicts: [pass@0.500])"
+        ]
+        assert self.judge(2.05, [(0.5, "pass")], {"10.0.0.1": 2.0}, grace=0.1).passed
+
+    def test_a_quarantined_destination_is_a_breach_too(self):
+        result = self.judge(3.0, [(0.5, "pass")], {"10.0.1.1": 2.0}, grace=0.1)
+        assert result.details["after_quarantine"] == 1
+        assert "its destination 10.0.1.1 was quarantined at t=2.000" in result.violations[0]
 
 
 class TestCacheCoherenceChecker:

@@ -36,7 +36,12 @@ from repro.telemetry import (
     SpikeDetector,
 )
 from repro.workloads.enterprise import build_linear_network
-from repro.workloads.invariants import check_containment, network_deliveries
+from repro.workloads.invariants import (
+    check_delivery,
+    network_audit_records,
+    network_deliveries,
+    network_quarantines,
+)
 from repro.workloads.telemetry import conficker_detection
 
 
@@ -309,12 +314,18 @@ def _small_cluster(shards=2, clients=3):
     return net
 
 
+def _delivery(net):
+    """The delivery invariant over the network's own deliveries, audit and quarantines."""
+    return check_delivery(
+        network_deliveries(net), network_audit_records(net), network_quarantines(net), grace=0.0,
+    )
+
+
 class TestQuarantineMechanics:
     def test_controller_quarantine_blocks_host_and_is_idempotent(self):
         net = _small_cluster(shards=1)
         assert net.send_flow("h0", "http", "alice", "192.168.1.1", 80).delivered
         controller = next(iter(net.controllers.values()))
-        quarantined_at = net.topology.sim.now
         assert controller.quarantine_host("192.168.0.10") is True
         assert controller.quarantine_host("192.168.0.10") is False  # idempotent
         assert "192.168.0.10" in controller.quarantined_hosts
@@ -325,13 +336,11 @@ class TestQuarantineMechanics:
         # before it ever punts, so no new decision is audited.
         assert result.decision_action is None
         assert net.send_flow("h1", "http", "alice", "192.168.1.1", 80).delivered
-        # The shared containment invariant sees the same story: h0's
+        # The shared delivery invariant sees the same story: h0's
         # pre-quarantine delivery is expected, nothing lands after.
-        containment = check_containment(
-            network_deliveries(net), {"192.168.0.10": quarantined_at}
-        )
-        assert containment.passed, containment.violations
-        assert containment.details["deliveries"] > 0
+        delivery = _delivery(net)
+        assert delivery.passed, delivery.violations
+        assert delivery.details["deliveries"] > 0 and delivery.details["quarantined"] == 1
 
     def test_cookies_for_host_finds_both_directions(self):
         net = _small_cluster(shards=1)
@@ -345,17 +354,14 @@ class TestQuarantineMechanics:
     def test_coordinator_propagates_to_all_live_shards(self):
         net = _small_cluster(shards=2)
         net.send_flow("h0", "http", "alice", "192.168.1.1", 80)
-        quarantined_at = net.topology.sim.now
         net.cluster.coordinator.quarantine_host("192.168.0.10")
         for controller in net.cluster.replicas.values():
             assert "192.168.0.10" in controller.quarantined_hosts
         # And the replicated quarantine actually contains the host.
         net.run(0.5)
         net.send_flow("h0", "http", "alice", "192.168.1.1", 80)
-        containment = check_containment(
-            network_deliveries(net), {"192.168.0.10": quarantined_at}
-        )
-        assert containment.passed, containment.violations
+        delivery = _delivery(net)
+        assert delivery.passed, delivery.violations
 
     def test_crashed_shard_learns_quarantine_on_resync(self):
         net = _small_cluster(shards=2)
@@ -363,9 +369,13 @@ class TestQuarantineMechanics:
         victim = next(iter(net.cluster.replicas))
         net.cluster.kill(victim)
         net.cluster.coordinator.quarantine_host("192.168.0.10")
+        quarantined_at = net.topology.sim.now
         assert "192.168.0.10" not in net.cluster.replicas[victim].quarantined_hosts
+        net.run(0.5)
         net.cluster.restore(victim)
-        assert "192.168.0.10" in net.cluster.replicas[victim].quarantined_hosts
+        assert net.cluster.replicas[victim].quarantined_hosts == {"192.168.0.10": quarantined_at + 0.5}
+        # The cutoff is the earliest instant: the late resync does not move it.
+        assert network_quarantines(net) == {"192.168.0.10": quarantined_at}
 
 
 # ----------------------------------------------------------------------
