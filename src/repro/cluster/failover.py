@@ -19,9 +19,9 @@ consecutive missed heartbeats (a halted replica answers none), and
 after :data:`DEFAULT_MISS_THRESHOLD` misses declares the shard dead —
 marking its ring arc over to the successors and re-punting every
 orphaned flow to the shard that now owns it.  Adopted flows run the
-normal punt pipeline on the successor, including PR 2's fail-closed pending deadline, so even a
-decision lost *twice* ends as an audited drop rather than a stranded
-buffer.
+normal punt pipeline on the successor, including its fail-closed
+pending deadline, so even a decision lost *twice* ends as an audited
+drop rather than a stranded buffer.
 """
 
 from __future__ import annotations

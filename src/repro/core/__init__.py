@@ -5,8 +5,10 @@ This package ties the substrates together into the system of §3:
 * :mod:`repro.core.policy_engine` — loads the ``.control`` files, builds
   the ``@src``/``@dst`` dictionaries from ident++ responses and runs the
   PF+=2 evaluator;
-* :mod:`repro.core.controller` — the OpenFlow controller that, on a
-  table miss, queries both ends of the flow and decides (Figure 1);
+* :mod:`repro.core.controller` — the OpenFlow controller's punt pipeline:
+  on a table miss it queries both ends of the flow and decides (Figure 1);
+* :mod:`repro.core.controller_base` — its base: the config, the wiring
+  and the administrator's verbs (revoke, quarantine);
 * :mod:`repro.core.installer` — installs the verdict's flow entries
   along the path, releases the buffered packet and unwinds the path
   when one hop's entry goes;

@@ -18,9 +18,9 @@ failure classes silently break that promise:
   freely.  The :func:`shadow_replay` helper is the virtual-time
   analogue of a race detector: it re-runs the scenario with same-instant
   ties served in the opposite order and flags state divergence.
-* **Stale continuations** — a continuation firing for a
-  :class:`~repro.core.controller.DecisionTask` whose generation token no
-  longer matches (the punt was failed closed, exported, or re-punted).
+* **Stale continuations** — a continuation firing for a retired
+  :class:`~repro.core.controller.DecisionTask` (the punt was failed
+  closed or exported; a re-punt runs a fresh task).
   The decision core *discards* these by design; with the sanitizer
   attached the discard is also *reported*, so a scenario that quietly
   races its own deadline becomes visible instead of just slow.

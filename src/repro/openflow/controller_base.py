@@ -3,9 +3,10 @@
 The OpenFlow mechanics of a controller: owning control channels to a
 set of switches, receiving ``packet_in`` / ``flow_removed`` messages and
 answering with ``flow_mod`` / ``packet_out``.  The one subclass is the
-ident++ controller (:mod:`repro.core.controller`), which every
-architecture runs on: a baseline of :mod:`repro.baselines` is a decider
-in its ``policy`` slot, not a controller of its own.
+ident++ controller (:mod:`repro.core.controller_base` and its punt
+pipeline, :mod:`repro.core.controller`), which every architecture runs
+on: a baseline of :mod:`repro.baselines` is a decider in its ``policy``
+slot, not a controller of its own.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ under ``Simulator(sanitize=True)``, and the runs must produce identical
 event-trace hashes (see
 :class:`repro.netsim.sanitizer.EventTraceHasher`), identical event
 counts and identical audit digests (:func:`repro.core.audit.audit_digest`,
-one canonical line per decision).  Any wall-clock read, module-global
+one canonical line per decision).  Each run also judges its datapath
+against its audit (:func:`repro.workloads.invariants.check_delivery`):
+a delivered packet with no ``pass`` verdict behind it fails the soak.  Any wall-clock read, module-global
 RNG draw or iteration-order leak breaks the hash equality and fails
 ``make determinism`` and ``make bench``; tier-1 pins both hashes and
 both digests to ``BENCH_results.json``, so a change that moves an event
@@ -29,6 +31,7 @@ from typing import Callable
 
 from repro.core.audit import audit_digest
 from repro.core.controller import ControllerConfig
+from repro.workloads import invariants
 from repro.workloads.decision_core import DECISION_POLICY
 from repro.workloads.generators import FlowGenerator, FlowTemplate
 from repro.workloads.queryload import QUERYLOAD_POLICY
@@ -99,12 +102,17 @@ def _drive(
     assert sanitizer is not None
     records = net.controller.audit.records()
     count, _ = decided(records)
+    delivery = invariants.check_delivery(
+        invariants.network_deliveries(net), records, invariants.network_quarantines(net),
+        grace=invariants.DELIVERY_GRACE,
+    )
     return {
         "trace_hash": sanitizer.trace_hash,
         "audit_digest": audit_digest(records),
         "events": sim.events_processed,
         "decided": count,
         "max_same_instant": sanitizer.max_same_instant,
+        "delivery_violations": len(delivery.violations),
     }
 
 
@@ -163,6 +171,9 @@ def double_run() -> dict:
         }
     entry["seed"] = seed
     entry["all_identical"] = all(entry[name]["identical"] for name in SCENARIOS)
+    entry["delivery_violations"] = sum(
+        entry[name][run]["delivery_violations"] for name in SCENARIOS for run in ("first", "second")
+    )
     return entry
 
 
@@ -172,6 +183,10 @@ SOAK = Soak(
         Gate("determinism_double_run.all_identical", operator.eq, True,
              "determinism_double_run.all_identical is {value}: a double run's event trace, "
              "event count or audit diverged — the simulation is not deterministic"),
+        Gate("determinism_double_run.delivery_violations", operator.eq, 0,
+             "determinism_double_run.delivery_violations is {value}: a delivered packet "
+             "has no pass verdict behind it, or its end was quarantined"),
     ),
-    ok="determinism ok: every bench scenario double-ran to one trace hash and one audit digest",
+    ok="determinism ok: every bench scenario double-ran to one trace hash and one audit "
+       "digest, and delivered no packet without a pass verdict",
 )

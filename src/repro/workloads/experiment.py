@@ -820,7 +820,8 @@ def evaluate_invariants(ctx: CellContext, deliveries: list) -> dict[str, invaria
         invariants.ZERO_LOSS: lambda: invariants.check_zero_loss(
             accounted_flows, records, **drained),
         invariants.DELIVERY: lambda: invariants.check_delivery(
-            deliveries, records, invariants.network_quarantines(ctx.net), grace=0.1),
+            deliveries, records, invariants.network_quarantines(ctx.net),
+            grace=invariants.DELIVERY_GRACE),
         invariants.CACHE_COHERENCE: lambda: invariants.check_cache_coherence(
             _coherence_probes(ctx)),
         invariants.BOUNDED_STATE: lambda: invariants.check_bounded_state(

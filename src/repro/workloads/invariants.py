@@ -37,6 +37,9 @@ DELIVERY = "delivery"
 CACHE_COHERENCE = "cache_coherence"
 BOUNDED_STATE = "bounded_state"
 
+#: Seconds a delivery may trail its end's quarantine (packets already on the wire).
+DELIVERY_GRACE = 0.1
+
 
 @dataclass
 class InvariantResult:

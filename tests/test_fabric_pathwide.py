@@ -469,7 +469,7 @@ class TestClusterFabric:
         net.run()
         record = [r for r in net.cluster.audit_records() if not r.cached][0]
         owner = net.cluster.shard_map.owner(record.flow)
-        # Tie the decision to the grant (what _finish_decision does for
+        # Tie the decision to the grant (what _resolve does for
         # delegated rules), then re-home its unwind duty via failover.
         net.cluster.replicas[owner].delegations.record_use("secur", record.cookie)
         net.cluster.kill(owner)

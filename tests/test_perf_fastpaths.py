@@ -4,9 +4,11 @@ Covers the decision-cache reverse/cookie indexes, the flow-table
 exact-match cache, Packet.wire_size caching, the policy engine's
 @pubkeys epoch caching, the flow generator's port allocator, a burst
 of same-instant punts with one mis-evaluating flow, and the counts of
-Python-level calls a forwarded packet and a punted flow make.
+Python-level calls a forwarded packet and a punted flow make, in total
+and per layer (``perf/tracing.py``'s module -> layer rule).
 """
 
+from perf.tracing import _layer_of_module
 from repro.core.cache import DecisionCache
 from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPNetwork
@@ -20,7 +22,7 @@ from repro.openflow.flow_table import FlowTable
 from repro.openflow.match import Match
 from repro.workloads.generators import EPHEMERAL_BASE, FlowGenerator, FlowTemplate
 from tests.reference_flow_table import make_entry
-from tools.counts import count
+from tools.counts import Counts, count
 
 FLOW = FlowSpec.tcp("192.168.0.10", "192.168.1.1", 40000, 80)
 
@@ -234,8 +236,29 @@ class TestPoisonedBurst:
         assert len(net.host("server").delivered) == 2
 
 
-def calls_per_forwarded_packet(*, connections=16, clients=4, waves=4) -> float:
-    """Python-level calls inside ``repro`` per packet of an established session.
+def calls_by_layer(counts: Counts, per: int) -> dict[str, float]:
+    """Return ``counts``' calls per ``per`` by layer, each module in its
+    ``perf/tracing.py`` layer; a layer with no call is absent."""
+    layers: dict[str, int] = {}
+    for module, (calls, _opcodes) in counts.by_module.items():
+        layer = _layer_of_module(module)
+        layers[layer] = layers.get(layer, 0) + calls
+    return {layer: calls / per for layer, calls in sorted(layers.items())}
+
+
+def over_ceiling(layers: dict[str, float], ceilings: dict[str, float]) -> dict[str, float]:
+    """Return the layers whose calls exceed their ceiling (a layer with none: 0)."""
+    return {layer: calls for layer, calls in layers.items() if calls > ceilings.get(layer, 0)}
+
+
+def calls_per_forwarded_packet(**sizes) -> float:
+    """Python-level calls inside ``repro`` per packet of an established session."""
+    counts, packets = forwarded_packet_counts(**sizes)
+    return counts.calls / packets
+
+
+def forwarded_packet_counts(*, connections=16, clients=4, waves=4) -> tuple[Counts, int]:
+    """What ``repro`` runs for the packets of established sessions, and how many.
 
     Sessions from ``clients`` hosts cross edge and core switch to one
     server, every flow entry installed and every exact-match cache warm
@@ -273,11 +296,11 @@ def calls_per_forwarded_packet(*, connections=16, clients=4, waves=4) -> float:
 
     wave()
     delivered = len(server.delivered)
-    calls = count(lambda: [wave() for _ in range(waves)]).calls
+    counts = count(lambda: [wave() for _ in range(waves)])
     packets = connections * waves
     assert len(server.delivered) - delivered == packets
     assert sum(switch.punts.value for switch in net.switches.values()) == connections
-    return calls / packets
+    return counts, packets
 
 
 class TestHitPathCalls:
@@ -286,16 +309,37 @@ class TestHitPathCalls:
     #: two default-factory lambdas and built a metadata dict; 25.6 while
     #: the simulator's clock was a property; 22.5 since.
     CEILING = 23
+    #: Each layer's exact calls per forwarded packet (layers as
+    #: perf/tracing.py groups modules): a PR that makes a layer heavier
+    #: says so here.
+    LAYER_CEILINGS = {
+        "core.controller": 0.0625,
+        "hosts": 4.0,
+        "netsim.events": 5.375,
+        "netsim.links": 5.0625,
+        "netsim.packet": 4.0,
+        "openflow.flow_table": 2.0,
+        "openflow.switch": 2.0,
+    }
 
     def test_a_forwarded_packet_makes_at_most_23_calls(self):
         assert calls_per_forwarded_packet() <= self.CEILING
+
+    def test_no_layer_makes_more_calls_per_packet_than_its_ceiling(self):
+        assert over_ceiling(calls_by_layer(*forwarded_packet_counts()), self.LAYER_CEILINGS) == {}
 
     def test_the_count_repeats_exactly(self):
         assert calls_per_forwarded_packet(waves=2) == calls_per_forwarded_packet(waves=2)
 
 
-def calls_per_punt(*, flows=40, clients=4, waves=4) -> float:
-    """Python-level calls inside ``repro`` per punted flow, the ``punt_unique`` shape.
+def calls_per_punt(**sizes) -> float:
+    """Python-level calls inside ``repro`` per punted flow, the ``punt_unique`` shape."""
+    counts, punted = punt_counts(**sizes)
+    return counts.calls / punted
+
+
+def punt_counts(*, flows=40, clients=4, waves=4) -> tuple[Counts, int]:
+    """What ``repro`` runs for punted flows in the ``punt_unique`` shape, and how many.
 
     Clients on an edge switch open fresh web flows to a server behind a
     core switch: async decision core, serialized policy eval,
@@ -358,11 +402,11 @@ def calls_per_punt(*, flows=40, clients=4, waves=4) -> float:
     wave()
     wave()
     before = punts()
-    calls = count(lambda: [wave() for _ in range(waves)]).calls
+    counts = count(lambda: [wave() for _ in range(waves)])
     punted = punts() - before
     assert punted == flows * waves
     assert net.controller.inflight_count() == 0
-    return calls / punted
+    return counts, punted
 
 
 class TestPuntCalls:
@@ -375,11 +419,37 @@ class TestPuntCalls:
     #: document section by section, every query resolved its host and
     #: round trip, every decision derived its verdict's text, origin and
     #: delegation from the rule, and every install normalised its match
-    #: and entry again; 185.35 since.
-    CEILING = 186
+    #: and entry again; 185.35 while three staleness checks per punt
+    #: looked the task up in the pending table again (a FlowSpec hash
+    #: each); 179.35 since.
+    CEILING = 180
+    #: Each layer's exact calls per punt: a PR that claims a layer's gain
+    #: shows its row fall, one that makes a layer heavier says so here.
+    LAYER_CEILINGS = {
+        "core.cache": 4.0,
+        "core.controller": 26.9,
+        "core.lifecycle": 2.0,
+        "core.policy_engine": 2.0,
+        "hosts": 19.9,
+        "identpp.client": 5.0,
+        "identpp.daemon": 5.75,
+        "identpp.engine": 2.0,
+        "identpp.wire": 16.0,
+        "netsim.events": 31.2,
+        "netsim.links": 9.625,
+        "netsim.packet": 7.8,
+        "openflow.channel": 4.8,
+        "openflow.flow_table": 19.175,
+        "openflow.switch": 14.5,
+        "pf.compiler": 6.7,
+        "pf.evaluator": 2.0,
+    }
 
-    def test_a_punt_makes_at_most_186_calls(self):
+    def test_a_punt_makes_at_most_180_calls(self):
         assert calls_per_punt() <= self.CEILING
+
+    def test_no_layer_makes_more_calls_per_punt_than_its_ceiling(self):
+        assert over_ceiling(calls_by_layer(*punt_counts()), self.LAYER_CEILINGS) == {}
 
     def test_the_count_repeats_exactly(self):
         assert calls_per_punt(waves=2) == calls_per_punt(waves=2)

@@ -11,7 +11,7 @@ committed seed is pinned to ``BENCH_results.json`` by
 
 import pytest
 
-from repro.core.controller import ControllerConfig
+from repro.core.controller import ControllerConfig, IdentPPController
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.netsim.events import Simulator
 from repro.netsim.sanitizer import (
@@ -21,6 +21,7 @@ from repro.netsim.sanitizer import (
     callback_name,
     shadow_replay,
 )
+from repro.openflow.actions import FloodAction
 from repro.workloads.determinism import decision_core_scenario, queryload_scenario
 
 
@@ -215,6 +216,24 @@ class TestDeterminismRegression:
         assert first["events"] == second["events"]
         assert first["decided"] == second["decided"]
         assert first["decided"] > 0
+
+    def test_a_packet_released_with_no_verdict_is_a_delivery_violation(self, monkeypatch):
+        assert decision_core_scenario(11, flows=30)["delivery_violations"] == 0
+        decide = IdentPPController.on_packet_in
+
+        def bypass(self, message):
+            # The ident++ port's old datapath exemption (flooded, never
+            # audited), planted on the web port these flows use.
+            if message.packet.tp_dst == 80:
+                self.send_packet_out(message.switch, actions=[FloodAction()],
+                                     buffer_id=message.buffer_id, in_port=message.in_port)
+                return
+            decide(self, message)
+
+        monkeypatch.setattr(IdentPPController, "on_packet_in", bypass)
+        planted = decision_core_scenario(11, flows=30)
+        assert planted["decided"] == 0
+        assert planted["delivery_violations"] == 30
 
     def test_different_seeds_change_the_trace(self):
         assert (

@@ -106,6 +106,7 @@ class TestGates:
             (decision_core.SOAK, "soak_async_decisions.events_per_decision", 8.0, 8.001),
             (decision_core.SOAK, "soak_async_decisions.msgs_per_decision", 5.1, 5.101),
             (determinism.SOAK, "determinism_double_run.all_identical", True, False),
+            (determinism.SOAK, "determinism_double_run.delivery_violations", 0, 1),
         ],
     )
     def test_a_value_on_the_bound_passes_and_one_step_past_fails(

@@ -97,10 +97,6 @@ ACCEPTED: tuple[Row, ...] = (
         "a capture's drop count, as pcap reports one: records the ring evicted",
         "tests/test_packet_capture.py::TestRing::test_overflow_evicts_oldest_first_and_counts_it"),
     # reach: a fault path
-    Row("reach", "IdentPPController._pending_deadline_fired", "fault",
-        "the fail-closed backstop for a punt whose answers never came: it fires only when a "
-        "decision is lost, which no green run does",
-        "tests/test_lifecycle_churn.py::TestFailClosedPuntPipeline::test_lost_decision_hits_pending_deadline"),
     Row("reach", "FlowTable._evict_lru", "fault",
         "a switch table at capacity; every workload sizes its tables to fit",
         "tests/test_openflow_match_table.py::TestFlowTable::test_lru_eviction_at_capacity"),
