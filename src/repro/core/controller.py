@@ -49,7 +49,7 @@ from repro.openflow.switch import OpenFlowSwitch
 from repro.pf.compiler import VerdictShape
 from repro.pf.evaluator import Verdict
 
-__all__ = ["ControllerConfig", "DecisionTask", "IdentPPController", "SerialDecisionQueue"]
+__all__ = ["ControllerConfig", "DecisionTask", "IdentPPController"]
 
 #: What a flow that fails closed is resolved as: an audited drop from ``error``.
 FAILED_CLOSED = PolicyDecision(None, Verdict("block", shape=VerdictShape(
@@ -61,14 +61,25 @@ class DecisionTask:
     """One punted flow's trip through the continuation-scheduled pipeline.
 
     The task is the flow's whole pending state, and ``controller._pending``
-    maps each undecided flow to it.  A punt advances through schedulable
-    stages, each entered by its own event:
+    maps each undecided flow to it.  Each ``stage`` is entered on one
+    event and run by one :class:`IdentPPController` method:
 
-    * ``wait`` — (serial core only) queued for the loop, queries not
-      yet dispatched;
-    * ``query`` — endpoint queries dispatched, answers in flight;
-    * ``queued`` — answers in, waiting for the serialized eval loop;
-    * ``eval`` — occupying the policy-eval stage.
+    ==========  ===========================================  ======================
+    stage       entered on                                   run by
+    ==========  ===========================================  ======================
+    ``wait``    the PacketIn (serial core): queued for the   ``_submit``
+                loop, queries not yet dispatched
+    ``query``   the PacketIn, or the loop freeing for a      ``_dispatch_queries``
+                ``wait`` task
+    ``queued``  the later answer (``serialize_decisions``):  ``_answers_ready``,
+                answers in, waiting for the loop             then ``_submit``
+    ``eval``    the later answer, or the loop freeing for    ``_enter_eval``
+                a ``queued`` task: the policy-eval slot
+    (decided)   the eval-slot event, ``{name}:decide``       ``_decide``
+    ==========  ===========================================  ======================
+
+    The loop frees when a submit finds it idle, when the task holding it
+    is decided, and at ``resume``; ``_serve_next`` then takes the next task.
 
     The task object is also the punt's generation token: a continuation
     whose task is ``retired`` (the deadline failed the punt closed, a
@@ -89,101 +100,6 @@ class DecisionTask:
     deadline: Optional[float] = None
     #: Set when ``_pop_pending`` takes the task out of ``_pending``.
     retired: bool = False
-
-    def documents(self) -> tuple:
-        """Return the ``(@src, @dst)`` response documents the policy evaluates.
-
-        Empty when nobody was asked: the decider reads no end-host.
-        """
-        if not self.outcomes:
-            return ()
-        src, dst = self.outcomes
-        return src.document, dst.document
-
-
-class SerialDecisionQueue:
-    """The controller's serialized stage as a real event-scheduled queue.
-
-    Tasks wait on a FIFO and occupy the loop one at a time, each service
-    ending with a scheduled completion event, so queueing delay emerges
-    from the event timeline: tasks are served in *ready* order, and a
-    superseded punt occupies no slot.
-
-    *When* a task joins decides what the loop serializes.  The async
-    core submits it once its answers are in, so only the eval holds the
-    loop; the serial core submits it at the punt (stage ``wait``), so
-    the loop is held across the query round-trips too — the same
-    pipeline at concurrency 1.
-    """
-
-    def __init__(self, controller: "IdentPPController") -> None:
-        self._controller = controller
-        self._queue: deque[DecisionTask] = deque()
-        self._current: Optional[DecisionTask] = None
-        self._event: Optional[Event] = None
-        self.max_depth = 0
-
-    def holds(self, task: DecisionTask) -> bool:
-        """Return whether ``task`` is the one occupying the loop."""
-        return self._current is task
-
-    def depth(self) -> int:
-        """Return queued plus in-service tasks."""
-        return len(self._queue) + (1 if self._current is not None else 0)
-
-    def submit(self, task: DecisionTask) -> None:
-        """Append a task and start serving if the loop is idle."""
-        self._queue.append(task)
-        depth = len(self._queue) + (self._current is not None)
-        if depth > self.max_depth:
-            self.max_depth = depth
-        if self._current is None:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        controller = self._controller
-        while self._queue:
-            if controller.halted:
-                # The loop froze with the process; restart() resumes it.
-                return
-            task = self._queue.popleft()
-            if task.retired:
-                # Resolved while queued (deadline fired, failover
-                # exported the flow): skip without occupying the loop —
-                # a real queue serves no phantom work.
-                controller._discard_stale(task, "serial queue")
-                continue
-            self._current = task
-            if task.stage == "wait":
-                # Serial core: the loop blocks on the round-trips;
-                # _answers_ready hands the task back to evaluate().
-                controller._dispatch_queries(task)
-            else:
-                self.evaluate(task)
-            return
-
-    def evaluate(self, task: DecisionTask) -> None:
-        """Occupy the loop for the policy evaluation of the task holding it."""
-        self._event = self._controller._enter_eval(task, self._finish)
-
-    def _finish(self, task: DecisionTask) -> None:
-        self._current = None
-        self._event = None
-        self._controller._decide(task)
-        self._start_next()
-
-    def restart(self) -> None:
-        """Resume service after a halt froze the loop (frozen work replays)."""
-        if self._current is None:
-            self._start_next()
-
-    def reset(self) -> None:
-        """Drop all queued work (a failover handed the flows elsewhere)."""
-        self._queue.clear()
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-        self._current = None
 
 
 class IdentPPController(IdentPPControllerBase):
@@ -206,8 +122,13 @@ class IdentPPController(IdentPPControllerBase):
         self._deadline_event: Optional[Event] = None
         self._cookie_counter = itertools.count(1)
         # The serialized stage (policy eval, plus the query round-trips
-        # under the serial core) as a real event-scheduled queue.
-        self._serial = SerialDecisionQueue(self)
+        # under the serial core) as a real event-scheduled queue: tasks
+        # wait in ready order and hold the loop one at a time, so
+        # queueing delay emerges from the timeline.
+        self._waiting: deque[DecisionTask] = deque()
+        self._serving: Optional[DecisionTask] = None
+        self._serving_event: Optional[Event] = None
+        self._serial_peak = 0
         self.policy_errors = 0
         self.pending_expired = 0
         self.repunts_adopted = 0
@@ -265,7 +186,7 @@ class IdentPPController(IdentPPControllerBase):
             # go out and holds it through eval, so daemon latency sums
             # across concurrent punts.
             task.stage = "wait"
-            self._serial.submit(task)
+            self._submit(task)
         else:
             self._dispatch_queries(task)
 
@@ -329,12 +250,12 @@ class IdentPPController(IdentPPControllerBase):
         discards itself; a halted controller leaves it for ``export_pending``.
         """
         task.outcomes = outcomes
-        if self._serial.holds(task):
+        if task is self._serving:
             # Serial core: the loop waited on these answers.  It pays
-            # the eval and is released by the completion event whatever
-            # became of the punt meanwhile — a halted or superseded
-            # task must not wedge the loop it occupies.
-            self._serial.evaluate(task)
+            # the eval and is released by _decide whatever became of the
+            # punt meanwhile — a halted or superseded task must not
+            # wedge the loop it occupies.
+            self._serving_event = self._enter_eval(task)
             return
         if self.halted:
             # The crash froze this decision mid-flight; the flow stays
@@ -344,16 +265,54 @@ class IdentPPController(IdentPPControllerBase):
             return self._discard_stale(task, "answer arrival")
         if self.config.serialize_decisions:
             task.stage = "queued"
-            self._serial.submit(task)
+            self._submit(task)
             return
-        self._enter_eval(task, self._decide)
+        self._enter_eval(task)
 
-    def _enter_eval(self, task: DecisionTask, done) -> Optional[Event]:
-        """Start the task's policy-eval slot; ``done(task)`` runs when it elapses."""
+    def _enter_eval(self, task: DecisionTask) -> Event:
+        """Start the task's policy-eval slot; :meth:`_decide` runs when it elapses."""
         task.stage = "eval"
         return self.sim.schedule(
-            self.config.policy_eval_delay, done, task, label=self._decide_label
+            self.config.policy_eval_delay, self._decide, task, label=self._decide_label
         )
+
+    def _submit(self, task: DecisionTask) -> None:
+        """Queue a task for the serialized loop and serve it at once if the loop is idle.
+
+        *When* a task joins decides what the loop serializes: the async
+        core submits it once its answers are in, so only the eval holds
+        the loop; the serial core submits it at the punt, so the loop is
+        held across the query round-trips too.
+        """
+        self._waiting.append(task)
+        depth = len(self._waiting) + (self._serving is not None)
+        if depth > self._serial_peak:
+            self._serial_peak = depth
+        if self._serving is None:
+            self._serve_next()
+
+    def _serve_next(self) -> None:
+        """Give the idle loop to the next waiting task that is still pending."""
+        waiting = self._waiting
+        while waiting:
+            if self.halted:
+                # The loop froze with the process; resume() restarts it.
+                return
+            task = waiting.popleft()
+            if task.retired:
+                # Resolved while queued (deadline fired, failover
+                # exported the flow): skip without occupying the loop —
+                # a real queue serves no phantom work.
+                self._discard_stale(task, "serial queue")
+                continue
+            self._serving = task
+            if task.stage == "wait":
+                # Serial core: the loop blocks on the round-trips;
+                # _answers_ready starts the task's eval slot.
+                self._dispatch_queries(task)
+            else:
+                self._serving_event = self._enter_eval(task)
+            return
 
     def _discard_stale(self, task: DecisionTask, where: str) -> None:
         """A continuation of a retired task discards itself — reported when sanitized.
@@ -375,39 +334,50 @@ class IdentPPController(IdentPPControllerBase):
     def _decide(self, task: DecisionTask) -> None:
         """Continuation: the task's eval slot elapsed; evaluate the policy and act.
 
-        The one tail of the pipeline, entered by the eval-slot event
-        itself or, under the serialized loop, by the completion event
-        that releases the loop.
+        The one tail of the pipeline, entered by the eval-slot event.  A
+        task holding the serialized loop releases it first, and the next
+        waiting task is served once this one is decided.
         """
+        held = task is self._serving
+        if held:
+            self._serving = self._serving_event = None
         if self.halted:
             # The crash froze this decision mid-flight; the flow stays in
-            # ``_pending`` for the failover monitor to export.
+            # ``_pending`` for the failover monitor to export, and the
+            # loop stays frozen until resume().
             return
         if task.retired:
             # A deadline or a failover export resolved the flow first —
             # deciding it again would double-program the datapath.
-            return self._discard_stale(task, "eval completion")
-        setup_time = self.sim.now - task.arrival
-        try:
-            decision = self.policy.decide(task.flow, *task.documents())
-        except PFError as error:
-            # A mis-evaluating flow fails *closed* — buffered packets are
-            # dropped and the error is audited — rather than re-raising,
-            # which would leak its pending entry and blackhole the flow.
-            # The block is cached with the normal TTL so a chatty
-            # erroring flow does not re-trigger the failure on every
-            # packet, yet gets re-evaluated once the policy is fixed.
-            self.policy_errors += 1
-            self._resolve(
-                task.flow, FAILED_CLOSED, setup_time, cached_as=f"error: {error}",
-                note=f"policy evaluation failed: {error}",
-            )
+            self._discard_stale(task, "eval completion")
         else:
-            self._resolve(
-                task.flow, decision, setup_time, cached_as=decision.rule_text,
-                query_latency=QueryClient.combined_latency(task.outcomes),
-            )
-        self.lifecycle.kick()
+            setup_time = self.sim.now - task.arrival
+            # The ``(@src, @dst)`` documents; none when nobody was asked.
+            outcomes = task.outcomes
+            documents = (outcomes[0].document, outcomes[1].document) if outcomes else ()
+            try:
+                decision = self.policy.decide(task.flow, *documents)
+            except PFError as error:
+                # A mis-evaluating flow fails *closed* — buffered packets
+                # are dropped and the error is audited — rather than
+                # re-raising, which would leak its pending entry and
+                # blackhole the flow.  The block is cached with the
+                # normal TTL so a chatty erroring flow does not
+                # re-trigger the failure on every packet, yet gets
+                # re-evaluated once the policy is fixed.
+                self.policy_errors += 1
+                self._resolve(
+                    task.flow, FAILED_CLOSED, setup_time, cached_as=f"error: {error}",
+                    note=f"policy evaluation failed: {error}",
+                )
+            else:
+                self._resolve(
+                    task.flow, decision, setup_time, cached_as=decision.rule_text,
+                    query_latency=QueryClient.combined_latency(outcomes),
+                )
+            self.lifecycle.kick()
+        if held:
+            self._serve_next()
 
     def _resolve(
         self, flow: FlowSpec, decision: PolicyDecision, setup_time: float, *,
@@ -506,7 +476,10 @@ class IdentPPController(IdentPPControllerBase):
         exported = [(flow, self._pop_pending(flow)) for flow in list(self._pending)]
         # The handed-off work no longer occupies this decision loop; a
         # restored shard must not serialize new punts behind it.
-        self._serial.reset()
+        self._waiting.clear()
+        if self._serving_event is not None:
+            self._serving_event.cancel()
+        self._serving = self._serving_event = None
         return exported
 
     def inflight_count(self) -> int:
@@ -514,8 +487,8 @@ class IdentPPController(IdentPPControllerBase):
         return len(self._pending)
 
     def serial_depth(self) -> int:
-        """Return the serial decision queue's depth (the decision-core soak's peak)."""
-        return self._serial.depth()
+        """Return the serialized loop's queued plus in-service tasks."""
+        return len(self._waiting) + (self._serving is not None)
 
     def resume(self) -> None:
         """Revive a halted controller without stranding its frozen flows.
@@ -528,7 +501,8 @@ class IdentPPController(IdentPPControllerBase):
         # The serial loop froze with the process; restart it so the
         # still-queued (non-superseded) work and revived punts are
         # served again instead of stalling behind a dead service slot.
-        self._serial.restart()
+        if self._serving is None:
+            self._serve_next()
         for task in self._pending.values():
             self._cover(task)
         for message in self.take_halted_messages():
@@ -551,4 +525,4 @@ class IdentPPController(IdentPPControllerBase):
 
     def summary(self) -> dict[str, object]:
         """Return the serial loop's deepest queue (the wall-clock benchmark reads it)."""
-        return {"serial_queue": {"max_depth": self._serial.max_depth}}
+        return {"serial_queue": {"max_depth": self._serial_peak}}

@@ -50,12 +50,13 @@ class ControllerConfig:
     * ``state_timeout`` — inert (``perf/`` sets it): a ``keep state`` pass
       lives in the decision cache and the flow tables, no third table.
     * ``serialize_decisions`` — model the controller's *policy-eval*
-      stage as one serial loop
-      (:class:`~repro.core.controller.SerialDecisionQueue`): each
+      stage as one serial loop, the controller's own FIFO
+      (``IdentPPController._submit`` / ``_serve_next``): each
       evaluation occupies it for ``policy_eval_delay``, so concurrent
       punts queue instead of overlapping — what makes one controller a
       measurable chokepoint and sharding a measurable win.  The flag
-      moves *when* the event that decides a punt fires, not what it does.
+      moves *when* the eval-slot event that runs ``_decide`` fires,
+      not what it does.
 
     The decision-core knobs pick how punts traverse the pipeline:
 

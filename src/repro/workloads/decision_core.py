@@ -21,7 +21,8 @@ run by ``make soak_async`` and recorded in ``BENCH_results.json``:
   flow entries aging out underneath the lifecycle sweeper.  In-flight decision state (the continuation
   tasks parked between query dispatch and eval) must stay bounded by
   the arrival rate — a leaked continuation or an unretired task shows
-  up as monotonic growth and fails the gate.
+  up as monotonic growth and fails the gate.  Every delivery of the run
+  is judged against the audit (``invariants.check_delivery``).
 
 Run standalone::
 
@@ -35,6 +36,7 @@ import operator
 
 from repro.core.controller import ControllerConfig
 from repro.core.network import IdentPPNetwork
+from repro.workloads import invariants
 from repro.workloads.soak import (
     Gate,
     Soak,
@@ -235,7 +237,8 @@ def async_churn_soak() -> dict:
         sim.schedule(wave * WAVE_INTERVAL, inject, wave)
     net.run()
     flows = WAVES * WAVE_SIZE
-    count, _ = decided(controller.audit.records())
+    records = controller.audit.records()
+    count, _ = decided(records)
     final_inflight = controller.inflight_count()
     pending_expired = controller.pending_expired
 
@@ -259,6 +262,10 @@ def async_churn_soak() -> dict:
         for channel in controller.channels.values()
     )
     (objects_before, decided_before), (objects_after, decided_after) = tracked
+    delivery = invariants.check_delivery(
+        invariants.network_deliveries(net), records, invariants.network_quarantines(net),
+        grace=invariants.DELIVERY_GRACE,
+    )
     return {
         "flows": flows,
         "events": events,
@@ -273,8 +280,7 @@ def async_churn_soak() -> dict:
         "peak_serial_depth": peak["serial_depth"],
         "final_inflight": final_inflight,
         "pending_expired": pending_expired,
-        # Enough flows decided, in-flight state bounded, everything drained.
-        "bounded": not violations,
+        "delivery_violations": len(delivery.violations),
         "violations": violations,
     }
 
@@ -307,6 +313,10 @@ SOAK = Soak(
         Gate("soak_async_decisions.gc_tracked_per_decided_punt", operator.le, GC_TRACKED_CEILING,
              "a decided punt of the async soak left {value} objects for the garbage "
              f"collector to track (ceiling {GC_TRACKED_CEILING:g})"),
+        Gate("soak_async_decisions.delivery_violations", operator.eq, 0,
+             "soak_async_decisions.delivery_violations is {value}: a delivered packet "
+             "has no pass verdict behind it, or its end was quarantined"),
     ),
-    ok="soak ok: query latency overlaps, in-flight state bounded",
+    ok="soak ok: query latency overlaps, in-flight state bounded, every delivery "
+       "has a pass verdict behind it",
 )

@@ -228,9 +228,6 @@ def fabric_scale() -> dict:
         "fabric_decided_per_vsec": round(fabric_tput, 1),
         # Single-switch throughput over fabric throughput.
         "slowdown_vs_single_switch": round(ratio(baseline_tput, fabric_tput), 2),
-        # True when every check above held; the slowdown ceiling is the
-        # table's gate.
-        "gates_ok": not violations,
         "violations": violations,
         # Headline ops/s: decided-flows per simulated second on the 4-leaf fabric.
         "ops_per_sec": round(fabric_tput, 1),

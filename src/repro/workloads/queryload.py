@@ -434,9 +434,6 @@ def query_cache() -> dict:
             "zero_query_ok": push["steady_queries"] == 0 and push["subscriptions"] >= 1,
             "convergence_ok": push["convergence"] < pull["convergence"],
         },
-        # True when every check above held; the speedup floor is the
-        # table's gate.
-        "gates_ok": not violations,
         "violations": violations,
         # Headline ops/s: cached decided-flows per simulated second.
         "ops_per_sec": cached_per_vsec,

@@ -198,8 +198,6 @@ def conficker_detection(clients: int = CLIENTS, settle: float = 2.0) -> dict:
         "infected_contained": contained,
         "clean_unaffected": unaffected,
         "telemetry_samples": plane.pipeline.samples,
-        # True when the outbreak was detected and contained cleanly.
-        "detected": not violations,
         "violations": violations,
     }
 
@@ -305,7 +303,6 @@ def telemetry_overhead() -> dict:
         "ab_delta_pct": round(ratio(sampled - baseline, baseline) * 100.0, 2),
         "samples": samples,
         "decided": decided_base,
-        "within_budget": not violations,
         "violations": violations,
     }
 

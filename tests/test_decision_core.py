@@ -102,8 +102,8 @@ class TestSerialQueueClosedForm:
         for earlier, later in zip(times, times[1:]):
             assert later - earlier == pytest.approx(eval_delay)
         assert len(net.controller.audit) == len(flows)
-        assert net.controller._serial.max_depth >= len(flows) - 1
-        assert net.controller._serial.depth() == 0
+        assert net.controller.summary()["serial_queue"]["max_depth"] >= len(flows) - 1
+        assert net.controller.serial_depth() == 0
         assert net.controller.inflight_count() == 0
 
     def test_unserialized_burst_overlaps_completely(self):
@@ -387,6 +387,6 @@ class TestMidQueryKillFailover:
         successor = net.cluster.shard_map.owner(flow)
         records = net.cluster.replicas[successor].audit.records()
         assert [r.action for r in records] == ["pass"]
-        assert net.cluster.replicas[successor]._serial.depth() == 0
+        assert net.cluster.replicas[successor].serial_depth() == 0
         assert len(net.host("server").delivered) == 1
         assert net.cluster.pending_total() == 0

@@ -421,13 +421,16 @@ class TestPuntCalls:
     #: delegation from the rule, and every install normalised its match
     #: and entry again; 185.35 while three staleness checks per punt
     #: looked the task up in the pending table again (a FlowSpec hash
-    #: each); 179.35 since.
-    CEILING = 180
+    #: each); 179.35 while the serialized stage was a helper object
+    #: whose holds(), evaluate() and completion callback ran on every
+    #: punt, and the decision read its documents through a method;
+    #: 175.35 since.
+    CEILING = 175.35
     #: Each layer's exact calls per punt: a PR that claims a layer's gain
     #: shows its row fall, one that makes a layer heavier says so here.
     LAYER_CEILINGS = {
         "core.cache": 4.0,
-        "core.controller": 26.9,
+        "core.controller": 22.9,
         "core.lifecycle": 2.0,
         "core.policy_engine": 2.0,
         "hosts": 19.9,
@@ -445,7 +448,7 @@ class TestPuntCalls:
         "pf.evaluator": 2.0,
     }
 
-    def test_a_punt_makes_at_most_180_calls(self):
+    def test_a_punt_makes_at_most_175_35_calls(self):
         assert calls_per_punt() <= self.CEILING
 
     def test_no_layer_makes_more_calls_per_punt_than_its_ceiling(self):

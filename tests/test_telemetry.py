@@ -536,7 +536,7 @@ class TestEndToEnd:
         # is one of the violations.
         assert not [v for v in report["violations"] if "control run" in v]
         assert report["infected_contained"] and report["clean_unaffected"]
-        assert report["detected"], report["violations"]
+        assert not report["violations"], report["violations"]
 
     def test_clean_workload_raises_no_alerts(self):
         net = build_linear_network(switch_count=2)
