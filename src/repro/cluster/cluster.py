@@ -234,14 +234,15 @@ class ControllerCluster:
         # re-home is also committed to the coordinator's replay log, so
         # a shard revived later re-registers interest in the hosts it
         # owns instead of rebuilding residency from cold punt history.
-        push_records = dead.query_engine.export_push_state()
+        dead_plane = dead.query_engine.push_plane
+        push_records = dead_plane.export() if dead_plane is not None else []
         if push_records:
             by_successor: dict[str, list] = {}
             for record in push_records:
                 owner = self.shard_map.owner_of_key(identity_key(record["host_ip"]))
                 by_successor.setdefault(owner, []).append(record)
             for owner, records in by_successor.items():
-                self.replicas[owner].query_engine.adopt_push_state(records)
+                self.replicas[owner].query_engine.push_plane.adopt(records)
             self.coordinator.rehome_subscriptions(
                 [record["host_ip"] for record in push_records], origin_shard=shard
             )

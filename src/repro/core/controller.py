@@ -178,8 +178,9 @@ class IdentPPController(IdentPPControllerBase):
         # buffered packets instead of stranding the flow forever.
         self._cover(task)
         self.lifecycle.kick()
-        if self.policy.reads_end_hosts:
-            self.query_engine.note_punt(flow.dst_ip, from_node=message.switch, now=arrival)
+        plane = self.query_engine.push_plane
+        if plane is not None and self.policy.reads_end_hosts:
+            plane.note_punt(flow.dst_ip, from_node=message.switch)
 
         if self.config.decision_core == "serial":
             # Concurrency 1: the punt takes the loop before its queries

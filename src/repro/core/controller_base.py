@@ -24,6 +24,7 @@ from repro.core.policy_engine import PolicyEngine
 from repro.exceptions import ControllerError
 from repro.identpp.client import QueryClient, QueryInterceptor
 from repro.identpp.engine import QueryEngine
+from repro.identpp.engine_push import PushPlane
 from repro.identpp.wire import IdentQuery, IdentResponse
 from repro.netsim.topology import Topology
 from repro.openflow.actions import DropAction
@@ -152,9 +153,6 @@ class IdentPPControllerBase(Controller):
             self.query_client,
             ttl=self.config.query_cache_ttl,
             name=f"{name}.query-engine",
-            push=self.config.identity_plane == "push",
-            push_idle_demote=self.config.push_idle_demote,
-            push_promote_punts=self.config.push_promote_punts,
         )
         self.cache = DecisionCache(ttl=self.config.decision_ttl)
         self.audit = AuditLog(name=f"{name}.audit")
@@ -178,13 +176,16 @@ class IdentPPControllerBase(Controller):
             self.query_engine.next_expiry,
         )
         if self.config.identity_plane == "push":
+            plane = PushPlane(
+                self.query_engine,
+                idle_demote=self.config.push_idle_demote,
+                promote_punts=self.config.push_promote_punts,
+            )
             # Standing subscriptions idle out like the other per-flow
             # state; the sweeper demotes them back to the pull plane.
             self.lifecycle.register(
-                "subscriptions",
-                self.query_engine.demote_idle,
-                self.query_engine.subscription_count,
-                self.query_engine.next_demotion,
+                "subscriptions", plane.demote_idle, plane.subscriptions.__len__,
+                plane.next_demotion,
             )
         self.attach(topology.sim)
 

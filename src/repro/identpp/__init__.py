@@ -21,7 +21,8 @@ controller:
   hooks for on-path interception,
 * :mod:`repro.identpp.engine` — the caching/coalescing query engine a
   controller puts in front of its client (endpoint response cache,
-  in-flight coalescing, negative cache for daemon-less hosts).
+  in-flight coalescing, negative cache for daemon-less hosts),
+* :mod:`repro.identpp.engine_push` — the engine's push plane.
 """
 
 from repro.identpp.client import QueryClient, QueryOutcome

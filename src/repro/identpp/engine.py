@@ -50,23 +50,9 @@ through to the client), which is the default wiring so existing
 scenario timelines are unchanged; benchmarks and production configs
 opt in via ``ControllerConfig.query_cache_ttl``.
 
-**The push identity plane** (``push=True``) inverts the dataflow for
-*subscribed* hosts: instead of pulling on every miss and aging answers
-out by TTL, the engine registers standing interest with the host's
-daemon (wire-v2 SUBSCRIBE, capability-negotiated — a legacy daemon
-refuses and the pull path above applies untouched) once
-:meth:`QueryEngine.note_punt` has counted ``push_promote_punts`` punts
-toward it.  Pull versus push is then only the **expiry policy** an entry
-is stored under: a subscribed host's shareable destination answers are
-*resident* — ``expires_at`` is :data:`UNTIL_DELTA`, so they carry no
-deadline, and punts on them are served with **zero** daemon round-trips.
-A daemon change reaches the engine once, as its delta, and
-:meth:`QueryEngine._on_delta` handles it for pull and push alike: it
-drops the host's TTL entries and, when the host is subscribed,
-proactively *re-primes* each resident answer off the punt path — so the
-first post-change punt pays nothing, where the TTL policy charges it a
-full round trip.  A different daemon for a host means forget the host
-first: the replaced daemon's last notice makes the engine do so.
+**The push identity plane** (:mod:`repro.identpp.engine_push`) is
+:attr:`QueryEngine.push_plane`, ``None`` on the pull plane; its
+subscribed hosts' answers are stored here under :data:`UNTIL_DELTA`.
 """
 
 from __future__ import annotations
@@ -85,22 +71,13 @@ from repro.identpp.client import (
 from repro.identpp.daemon import DAEMON_REPLACED
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import (
-    CAP_SUBSCRIBE,
     DEFAULT_QUERY_KEYS,
     IdentDelta,
     IdentQuery,
-    IdentSubscribe,
     ROLE_DESTINATION,
     ROLE_SOURCE,
 )
 from repro.netsim.events import ExpiryHeap, Future
-
-#: Default TTL benchmarks/workloads use when they enable the engine.
-DEFAULT_QUERY_CACHE_TTL = 30.0
-
-#: Default idle window after which a subscribed host is demoted back to
-#: the pull plane by the lifecycle sweeper.
-DEFAULT_PUSH_IDLE_DEMOTE = 30.0
 
 #: ``expires_at`` of an entry stored under the until-delta policy: a
 #: subscribed host's resident answer has no deadline at all.
@@ -147,21 +124,6 @@ class CacheEntry:
         return self.expires_at == UNTIL_DELTA
 
 
-@dataclass
-class PushSubscription:
-    """One standing subscription: host and delta position.
-
-    ``serial`` is the last delta serial applied; a gap against the
-    daemon's serial after failover means deltas were missed.
-    """
-
-    host_ip: str
-    serial: int
-    subscribed_at: float
-    last_hit: float
-    from_node: object = None
-
-
 class QueryEngine:
     """Caching, coalescing front-end for one controller's ident++ queries."""
 
@@ -171,20 +133,16 @@ class QueryEngine:
         *,
         ttl: float = 0.0,
         name: str = "query-engine",
-        push: bool = False,
-        push_idle_demote: float = DEFAULT_PUSH_IDLE_DEMOTE,
-        push_promote_punts: int = 3,
     ) -> None:
         self.client = client
         self.name = name
         #: Lifetime of a pulled answer — and of a remembered timeout.
         self.ttl = ttl
-        #: The push identity plane: subscribe-and-push for hot hosts.
-        self.push = push
-        #: Whether the engine does anything beyond pass-through.
-        self.enabled = ttl > 0.0 or push
-        self.push_idle_demote = push_idle_demote
-        self.push_promote_punts = push_promote_punts
+        #: The push identity plane, attached by constructing a
+        #: :class:`~repro.identpp.engine_push.PushPlane`; ``None`` on pull.
+        self.push_plane = None
+        #: Whether the engine does more than pass through (a plane turns it on).
+        self.enabled = ttl > 0.0
         #: The one answer store.  Pull versus push is the expiry policy
         #: an entry carries (TTL deadline | :data:`UNTIL_DELTA`), not a
         #: second table, so a lookup is one ``dict.get``.
@@ -204,18 +162,12 @@ class QueryEngine:
         # hooked for exactly as long as the engine holds an entry or a
         # subscription for the host.
         self._daemons: dict[str, object] = {}
-        #: Standing subscriptions by host IP.
-        self._subs: dict[str, PushSubscription] = {}
-        # Punts per not-yet-subscribed destination (promotion tally).
-        self._punts: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         self.coalesced = 0
         self.negative_hits = 0
         self.invalidated_entries = 0
         self.resident_hits = 0
-        self.deltas_applied = 0
-        self.duplicate_deltas = 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -400,7 +352,7 @@ class QueryEngine:
                 # Subscribed host: the authoritative answer cost zero
                 # round trips; the hit also refreshes its idle clock.
                 self.resident_hits += 1
-                sub = self._subs.get(entry.host_ip)
+                sub = self.push_plane.subscriptions.get(entry.host_ip)
                 if sub is not None:
                     sub.last_hit = now
         if entry is not None and entry.ready_at <= now:
@@ -506,7 +458,8 @@ class QueryEngine:
                 return None
             expires_at = ready_at + self.ttl
         else:
-            if self.ttl <= 0.0 and not self.push:
+            plane = self.push_plane
+            if self.ttl <= 0.0 and plane is None:
                 return None
             daemon = getattr(
                 self.client.topology.node_for_ip(outcome.query.target_ip),
@@ -521,7 +474,7 @@ class QueryEngine:
                 or daemon is None
                 or not daemon.answer_is_shareable(outcome.query)
             )
-            if self.push and not flow_scoped and host_ip in self._subs:
+            if plane is not None and not flow_scoped and host_ip in plane.subscriptions:
                 # Subscribed host: the fresh shareable answer is resident
                 # — authoritative until the daemon pushes a delta.
                 expires_at = UNTIL_DELTA
@@ -606,125 +559,46 @@ class QueryEngine:
         must reach us, and once neither does the daemon must not keep a
         reference to this engine (nor we to the daemon).
         """
-        if host_ip in self._by_host or host_ip in self._subs:
+        plane = self.push_plane
+        if host_ip in self._by_host or (plane is not None and host_ip in plane.subscriptions):
             return
         daemon = self._daemons.pop(host_ip, None)
         if daemon is not None:
             daemon.remove_invalidation_listener(self._on_delta)
 
     # ------------------------------------------------------------------
-    # Push plane: standing subscriptions + the until-delta policy
+    # The push plane's hooks into the store
     # ------------------------------------------------------------------
 
-    def note_punt(self, host_ip, *, from_node=None, now: Optional[float] = None) -> None:
-        """Tally one punt toward a destination; subscribe it when hot.
+    def subscribe_host(self, host_ip, *, from_node=None) -> bool:
+        """Open (or confirm) a host's subscription on the push plane; a pull engine refuses."""
+        plane = self.push_plane
+        return plane is not None and plane.subscribe_host(host_ip, from_node=from_node)
 
-        A destination punted :attr:`push_promote_punts` times earns a
-        standing subscription.  A refused subscription (no daemon, or a
-        legacy one) leaves the tally in place, so each later punt asks
-        again and a daemon upgrade is noticed on the next one.
+    def _make_resident(self, host_ip: str, now: float) -> None:
+        """Make a newly subscribed host's live shareable answers resident in place.
+
+        Any daemon event since their fill would have dropped them, so
+        they are still authoritative (their old heap record goes stale).
+        A flash crowd's hot answer fills on the punt *before* the one
+        that promotes it; without this the next wave pays a round trip.
         """
-        if not self.push:
-            return
-        ip = str(host_ip)
-        if ip in self._subs:
-            return
-        count = self._punts.get(ip, 0) + 1
-        self._punts[ip] = count
-        if count >= self.push_promote_punts and self.subscribe_host(
-            ip, from_node=from_node, now=now
-        ):
-            del self._punts[ip]
-
-    def subscribe_host(
-        self, host_ip, *, from_node=None, now: Optional[float] = None
-    ) -> bool:
-        """Open (or confirm) a standing subscription on one host's daemon.
-
-        Returns ``True`` when the host is subscribed after the call.
-        Refusals — push plane off, no daemon on the host, or a legacy
-        wire-v1 daemon — return ``False`` and change nothing, so asking
-        again gets the same answer until the daemon changes.  The table
-        holds at most one subscription per host, and idle ones are
-        demoted after :attr:`push_idle_demote`.
-        """
-        if not self.push:
-            return False
-        ip = str(host_ip)
-        daemon = getattr(self.client.topology.node_for_ip(ip), "identpp_daemon", None)
-        if daemon is None:
-            return False
-        if ip in self._subs:
-            return True
-        ack = daemon.subscribe(
-            IdentSubscribe(host_ip=ip, subscriber=self.name, keys=DEFAULT_QUERY_KEYS)
-        )
-        if not ack.accepted or CAP_SUBSCRIBE not in ack.capabilities:
-            return False
-        now = self._now(now)
-        self._subs[ip] = PushSubscription(
-            host_ip=ip,
-            serial=ack.serial,
-            subscribed_at=now,
-            last_hit=now,
-            from_node=from_node,
-        )
-        self._hook(ip, daemon)
-        # Shareable answers fetched just before the promotion are still
-        # authoritative — any daemon event since their fill would have
-        # dropped them through :meth:`_on_delta` — so their expiry
-        # policy is upgraded in place (the old deadline record in the
-        # heap goes stale).  The flash-crowd case depends on this: the
-        # hot answer usually fills on the punt *before* the one that
-        # trips the promotion threshold, and without the upgrade the
-        # first steady-state wave would pay one more TTL round-trip.
-        for key in self._by_host.get(ip, ()):
+        for key in self._by_host.get(host_ip, ()):
             entry = self._entries[key]
             if entry.negative or entry.flow_scoped:
                 continue
             if now < entry.expires_at < UNTIL_DELTA:
                 entry.expires_at = UNTIL_DELTA
                 self._until_delta += 1
-        return True
-
-    def unsubscribe_host(self, host_ip) -> bool:
-        """Close a standing subscription and drop its resident answers.
-
-        The daemon-side subscription is always cancelled, and when the
-        host has no TTL entries left either, the listener is
-        unregistered too — a demoted host strands nothing on its daemon
-        (the stale-subscription leak fix).  The host's promotion tally
-        starts again from zero.  Returns ``True`` when a subscription
-        existed.
-        """
-        ip = str(host_ip)
-        if self._close_subscription(ip) is None:
-            return False
-        self._punts.pop(ip, None)
-        return True
-
-    def _close_subscription(self, host_ip: str) -> Optional[PushSubscription]:
-        """Cancel one host's subscription and end the residency of its answers."""
-        sub = self._subs.pop(host_ip, None)
-        if sub is None:
-            return None
-        self._daemons[host_ip].unsubscribe(self.name)
-        for entry in self._held_until_delta(host_ip):
-            self._discard(entry.key)
-        self._release_host(host_ip)
-        return sub
 
     def _on_delta(self, delta: IdentDelta) -> None:
         """Handle one daemon notice — the one way a change reaches the engine.
 
         A replaced daemon's last notice forgets the host
         (:meth:`invalidate_host`).  Any other drops the host's TTL
-        entries, cached or in flight; then, if the host is subscribed,
-        the delta's serial is applied and every resident answer is
-        re-primed off the punt path.  A serial at or below the
-        subscription's last applied one is a duplicate (e.g. re-delivered
-        around a failover re-home) and is dropped — the refresh it would
-        trigger already happened.
+        entries, cached or in flight, and goes on to the push plane,
+        which applies its serial and re-primes the host's resident
+        answers off the punt path.
         """
         ip = delta.host_ip
         if delta.reason == DAEMON_REPLACED:
@@ -736,21 +610,10 @@ class QueryEngine:
                 self._discard(key)
                 removed += 1
         self.invalidated_entries += removed
-        sub = self._subs.get(ip)
-        if sub is None:
-            return
-        if delta.serial <= sub.serial:
-            self.duplicate_deltas += 1
-            return
-        sub.serial = delta.serial
-        self.deltas_applied += 1
-        now = self._now(None)
-        for entry in self._held_until_delta(ip):
-            self._reprime(sub, entry, now)
+        if self.push_plane is not None:
+            self.push_plane.apply_delta(delta)
 
-    def _reprime(
-        self, sub: PushSubscription, entry: CacheEntry, now: float
-    ) -> None:
+    def _reprime(self, entry: CacheEntry, now: float, from_node) -> None:
         """Replace one resident answer off the punt path.
 
         The re-query is issued the instant the delta arrives, so by the
@@ -762,7 +625,7 @@ class QueryEngine:
         ends residency for that key; the pull path takes over.
         """
         query = entry.outcome.query
-        outcome = self.client.query(query.flow, query.target_role, from_node=sub.from_node)
+        outcome = self.client.query(query.flow, query.target_role, from_node=from_node)
         daemon = getattr(
             self.client.topology.node_for_ip(entry.host_ip), "identpp_daemon", None
         )
@@ -784,91 +647,6 @@ class QueryEngine:
             )
         )
 
-    def demote_idle(self, now: float) -> int:
-        """Demote subscriptions idle past ``push_idle_demote`` (sweep hook)."""
-        if not self.push:
-            return 0
-        idle = [
-            ip
-            for ip, sub in self._subs.items()
-            if now - max(sub.last_hit, sub.subscribed_at) >= self.push_idle_demote
-        ]
-        for ip in idle:
-            self.unsubscribe_host(ip)
-        return len(idle)
-
-    def next_demotion(self) -> Optional[float]:
-        """Return the earliest instant a subscription can go idle-demoted."""
-        if not self._subs:
-            return None
-        return min(
-            max(sub.last_hit, sub.subscribed_at) + self.push_idle_demote
-            for sub in self._subs.values()
-        )
-
-    # ------------------------------------------------------------------
-    # Push plane: failover hand-off
-    # ------------------------------------------------------------------
-
-    def export_push_state(self) -> list[dict]:
-        """Tear down every subscription for failover hand-off.
-
-        Returns one record per subscription — host, last applied delta
-        serial, the querying node and the resident entries — in the
-        shape :meth:`adopt_push_state` consumes on the successor shard.
-        The dying engine's subscriptions are all cancelled daemon-side;
-        its listener on a host's daemon goes with them unless TTL entries
-        for the host stay behind — those must keep hearing the daemon's
-        deltas, or a revived shard would serve them stale.
-        """
-        records: list[dict] = []
-        for ip in list(self._subs):
-            entries = self._held_until_delta(ip)
-            sub = self._close_subscription(ip)
-            records.append(
-                {
-                    "host_ip": ip,
-                    "serial": sub.serial,
-                    "from_node": sub.from_node,
-                    "entries": entries,
-                }
-            )
-        return records
-
-    def adopt_push_state(self, records, *, now: Optional[float] = None) -> int:
-        """Re-home exported subscriptions onto this engine (failover).
-
-        For each record the successor opens its *own* subscription, then
-        compares delta serials: if the daemon published nothing since
-        the dead shard's last applied delta, the exported resident
-        answers install verbatim (no deltas were lost, and the serial
-        guard in :meth:`_on_delta` rejects any replayed ones); if the
-        serials diverged, the answers are conservatively re-primed
-        through :meth:`_reprime`, so the successor is resident
-        — or resident-in-flight — before the re-punted backlog arrives.
-        Returns how many subscriptions were adopted.
-        """
-        if not self.push:
-            return 0
-        now = self._now(now)
-        adopted = 0
-        for record in records:
-            ip = str(record["host_ip"])
-            if not self.subscribe_host(ip, from_node=record.get("from_node"), now=now):
-                continue
-            adopted += 1
-            sub = self._subs[ip]
-            fresh = sub.serial == record["serial"]
-            for entry in record["entries"]:
-                # The dead engine's parked continuations must not
-                # transfer: its futures belong to decision tasks that
-                # were exported separately (or died with the shard).
-                entry.waiters = []
-                self._store(entry)
-                if not fresh:
-                    self._reprime(sub, entry, now)
-        return adopted
-
     # ------------------------------------------------------------------
     # Invalidation + expiry
     # ------------------------------------------------------------------
@@ -884,7 +662,8 @@ class QueryEngine:
         (cached or in flight) were removed.
         """
         ip = str(host_ip)
-        self.unsubscribe_host(ip)
+        if self.push_plane is not None:
+            self.push_plane.unsubscribe_host(ip)
         removed = 0
         for key in list(self._by_host.get(ip, ())):
             self._discard(key)
@@ -926,17 +705,10 @@ class QueryEngine:
         """Return how many queries were requested through the engine."""
         return self.hits + self.misses + self.coalesced + self.negative_hits
 
-    def subscription_count(self) -> int:
-        """Return how many standing push subscriptions are open."""
-        return len(self._subs)
-
-    def is_subscribed(self, host_ip) -> bool:
-        """Return whether ``host_ip`` has a standing push subscription."""
-        return str(host_ip) in self._subs
-
     def stats(self) -> dict[str, object]:
         """Return the counts the benchmarks read."""
         total = self.lookups()
+        plane = self.push_plane
 
         def rate(count: int) -> float:
             return count / total if total else 0.0
@@ -951,8 +723,8 @@ class QueryEngine:
             "coalesce_rate": rate(self.coalesced),
             "invalidated_entries": self.invalidated_entries,
             "resident_hits": self.resident_hits,
-            "deltas_applied": self.deltas_applied,
-            "duplicate_deltas": self.duplicate_deltas,
+            "deltas_applied": plane.deltas_applied if plane is not None else 0,
+            "duplicate_deltas": plane.duplicate_deltas if plane is not None else 0,
         }
 
     def __repr__(self) -> str:

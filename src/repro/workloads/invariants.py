@@ -326,7 +326,8 @@ def network_flow_state(net) -> dict[str, int]:
         "state_table": 0,
         "flow_table": sum(len(s.flow_table) for s in net.switches.values()),
         "subscriptions": sum(
-            c.query_engine.subscription_count() for c in controllers
+            len(c.query_engine.push_plane.subscriptions)
+            for c in controllers if c.query_engine.push_plane is not None
         ),
         "packet_trace": len(net.topology.trace),
     }

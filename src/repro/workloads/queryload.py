@@ -322,7 +322,7 @@ def flash_crowd() -> dict:
         out[plane] = {
             "steady_queries": steady_queries,
             "convergence": probe.time - probe_at,
-            "subscriptions": engine.subscription_count(),
+            "subscriptions": len(engine.push_plane.subscriptions) if plane == "push" else 0,
             "resident_hits": int(stats.get("resident_hits", 0)),
             "deltas_applied": int(stats.get("deltas_applied", 0)),
             "duplicate_deltas": int(stats.get("duplicate_deltas", 0)),

@@ -9,8 +9,9 @@ which makes the intended behaviour easy to read off the code.
 beside the real class with the same operations and require the same
 answers in the same order.
 
-``ReferenceDaemon`` and ``ReferenceQueryEngine`` are the identity plane
-as it stood while a daemon change reached an engine twice: once as a
+``ReferenceDaemon``, ``ReferenceQueryEngine`` and ``ReferencePushPlane``
+are the identity plane as it stood while a daemon change reached an
+engine twice: once as a
 reason string through the invalidation listener, once as an
 ``IdentDelta`` through a per-subscriber delivery callable, with the
 promotion tally kept beside the engine (where the controller kept it)
@@ -29,7 +30,8 @@ from repro.exceptions import SocketError
 from repro.hosts.processes import Process
 from repro.hosts.sockets import EPHEMERAL_PORT_BASE, PRIVILEGED_PORT_LIMIT, Socket
 from repro.identpp.daemon import SOCKET_TABLE_CHANGED, IdentPPDaemon
-from repro.identpp.engine import UNTIL_DELTA, PushSubscription, QueryEngine
+from repro.identpp.engine import UNTIL_DELTA, QueryEngine
+from repro.identpp.engine_push import PushPlane, PushSubscription
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
     DEFAULT_QUERY_KEYS,
@@ -256,38 +258,21 @@ class _Subscription(PushSubscription):
 
 
 class ReferenceQueryEngine(QueryEngine):
-    """The engine that heard every change twice and kept a refusal memo.
+    """The engine that heard every change twice.
 
     Per-host listener closures (host IP → (daemon, closure)) call
     :meth:`invalidate_host`, which spares a subscribed host's resident
-    answers because the delta sink (:meth:`_on_delta`) re-primes them.
-    :meth:`note_punt` is the controller's promotion tally as it stood.
+    answers because the delta sink (its plane's ``apply_delta``)
+    re-primes them.  Built with a :class:`ReferencePushPlane`.
     """
 
     def __init__(self, client, **kwargs) -> None:
         super().__init__(client, **kwargs)
         self._subscribed: dict[str, tuple[object, Callable[[str], None]]] = {}
-        self._push_refused: dict[str, object] = {}
-        self._push_punt_counts: dict[str, int] = {}
-        self.on_demote: Optional[Callable[[str], None]] = (
-            lambda ip: self._push_punt_counts.pop(ip, None)
-        )
-
-    def note_punt(self, host_ip, *, from_node=None, now=None) -> None:
-        if not self.push:
-            return
-        ip = str(host_ip)
-        if self.is_subscribed(ip):
-            return
-        count = self._push_punt_counts.get(ip, 0) + 1
-        self._push_punt_counts[ip] = count
-        if count >= self.push_promote_punts:
-            if self.subscribe_host(ip, from_node=from_node, now=now):
-                del self._push_punt_counts[ip]
 
     def quarantine(self, host_ip) -> None:
         """What ``Controller.quarantine_host`` asked of the engine: two calls."""
-        self.unsubscribe_host(host_ip)
+        self.push_plane.unsubscribe_host(host_ip)
         self.invalidate_host(host_ip, reason="quarantine")
 
     def _hook(self, host_ip: str, daemon) -> None:
@@ -304,22 +289,59 @@ class ReferenceQueryEngine(QueryEngine):
         daemon.add_invalidation_listener(listener)
 
     def _release_host(self, host_ip: str) -> None:
-        if host_ip in self._by_host or host_ip in self._subs:
+        if host_ip in self._by_host or host_ip in self.push_plane.subscriptions:
             return
         record = self._subscribed.pop(host_ip, None)
         if record is not None:
             daemon, listener = record
             daemon.remove_invalidation_listener(listener)
 
-    def subscribe_host(self, host_ip, *, from_node=None, now=None) -> bool:
-        if not self.push:
-            return False
+    def invalidate_host(self, host_ip, reason: str = "") -> int:
         ip = str(host_ip)
-        daemon = getattr(self.client.topology.node_for_ip(ip), "identpp_daemon", None)
+        subscribed = ip in self.push_plane.subscriptions
+        removed = 0
+        for key in list(self._by_host.get(ip, ())):
+            if subscribed and self._entries[key].resident:
+                continue
+            self._discard(key)
+            removed += 1
+        self.invalidated_entries += removed
+        return removed
+
+
+class ReferencePushPlane(PushPlane):
+    """The push side as it stood: a refusal memo, a per-subscription delta sink.
+
+    :meth:`note_punt` is the controller's promotion tally as it stood,
+    reset through an ``on_demote`` hook.
+    """
+
+    def __init__(self, engine, **kwargs) -> None:
+        super().__init__(engine, **kwargs)
+        self._push_refused: dict[str, object] = {}
+        self._push_punt_counts: dict[str, int] = {}
+        self.on_demote: Optional[Callable[[str], None]] = (
+            lambda ip: self._push_punt_counts.pop(ip, None)
+        )
+
+    def note_punt(self, host_ip, *, from_node=None) -> None:
+        ip = str(host_ip)
+        if ip in self.subscriptions:
+            return
+        count = self._push_punt_counts.get(ip, 0) + 1
+        self._push_punt_counts[ip] = count
+        if count >= self.promote_punts:
+            if self.subscribe_host(ip, from_node=from_node):
+                del self._push_punt_counts[ip]
+
+    def subscribe_host(self, host_ip, *, from_node=None) -> bool:
+        engine = self.engine
+        ip = str(host_ip)
+        daemon = getattr(engine.client.topology.node_for_ip(ip), "identpp_daemon", None)
         if daemon is None:
             return False
-        now = self._now(now)
-        existing = self._subs.get(ip)
+        now = engine._now(None)
+        existing = self.subscriptions.get(ip)
         if existing is not None:
             if existing.daemon is daemon:
                 return True
@@ -327,24 +349,23 @@ class ReferenceQueryEngine(QueryEngine):
         if self._push_refused.get(ip) is daemon:
             return False
         ack = daemon.subscribe(
-            IdentSubscribe(host_ip=ip, subscriber=self.name, keys=DEFAULT_QUERY_KEYS),
-            self._on_delta,
+            IdentSubscribe(host_ip=ip, subscriber=engine.name, keys=DEFAULT_QUERY_KEYS),
+            self.apply_delta,
         )
         if not ack.accepted or CAP_SUBSCRIBE not in ack.capabilities:
             self._push_refused[ip] = daemon
             return False
-        self._subs[ip] = _Subscription(
-            host_ip=ip, daemon=daemon, serial=ack.serial, subscribed_at=now,
-            last_hit=now, from_node=from_node,
+        self.subscriptions[ip] = _Subscription(
+            host_ip=ip, daemon=daemon, serial=ack.serial, last_hit=now, from_node=from_node,
         )
-        self._hook(ip, daemon)
-        for key in self._by_host.get(ip, ()):
-            entry = self._entries[key]
+        engine._hook(ip, daemon)
+        for key in engine._by_host.get(ip, ()):
+            entry = engine._entries[key]
             if entry.negative or entry.flow_scoped:
                 continue
             if now < entry.expires_at < UNTIL_DELTA:
                 entry.expires_at = UNTIL_DELTA
-                self._until_delta += 1
+                engine._until_delta += 1
         return True
 
     def unsubscribe_host(self, host_ip) -> bool:
@@ -356,17 +377,18 @@ class ReferenceQueryEngine(QueryEngine):
         return True
 
     def _close_subscription(self, host_ip: str):
-        sub = self._subs.pop(host_ip, None)
+        sub = self.subscriptions.pop(host_ip, None)
         if sub is None:
             return None
-        sub.daemon.unsubscribe(self.name)
-        for entry in self._held_until_delta(host_ip):
-            self._discard(entry.key)
-        self._release_host(host_ip)
+        engine = self.engine
+        sub.daemon.unsubscribe(engine.name)
+        for entry in engine._held_until_delta(host_ip):
+            engine._discard(entry.key)
+        engine._release_host(host_ip)
         return sub
 
-    def _on_delta(self, delta: IdentDelta) -> None:
-        sub = self._subs.get(str(delta.host_ip))
+    def apply_delta(self, delta: IdentDelta) -> None:
+        sub = self.subscriptions.get(str(delta.host_ip))
         if sub is None:
             return
         if delta.serial <= sub.serial:
@@ -374,18 +396,7 @@ class ReferenceQueryEngine(QueryEngine):
             return
         sub.serial = delta.serial
         self.deltas_applied += 1
-        now = self._now(None)
-        for entry in self._held_until_delta(sub.host_ip):
-            self._reprime(sub, entry, now)
-
-    def invalidate_host(self, host_ip, reason: str = "") -> int:
-        ip = str(host_ip)
-        subscribed = ip in self._subs
-        removed = 0
-        for key in list(self._by_host.get(ip, ())):
-            if subscribed and self._entries[key].resident:
-                continue
-            self._discard(key)
-            removed += 1
-        self.invalidated_entries += removed
-        return removed
+        engine = self.engine
+        now = engine._now(None)
+        for entry in engine._held_until_delta(sub.host_ip):
+            engine._reprime(entry, now, sub.from_node)

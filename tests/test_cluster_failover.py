@@ -379,7 +379,7 @@ class TestPushSubscriptionRehoming:
         return [
             name
             for name, controller in net.cluster.replicas.items()
-            if controller.query_engine.is_subscribed(self.SERVER_IP)
+            if self.SERVER_IP in controller.query_engine.push_plane.subscriptions
         ]
 
     def test_kill_mid_delta_stream_rehomes_without_lost_or_duplicate_deltas(self):
@@ -419,17 +419,17 @@ class TestPushSubscriptionRehoming:
         successor = net.cluster.shard_map.owner_of_key(identity_key(self.SERVER_IP))
         assert successor != victim
         engine = net.cluster.replicas[successor].query_engine
-        assert engine.is_subscribed(self.SERVER_IP)
+        assert self.SERVER_IP in engine.push_plane.subscriptions
         # No lost deltas: the adopted subscription's serial caught up
         # with everything the daemon published, including the deltas
         # that landed after the kill.
-        assert engine._subs[self.SERVER_IP].serial == daemon.delta_serial
+        assert engine.push_plane.subscriptions[self.SERVER_IP].serial == daemon.delta_serial
         # No duplicate deltas were applied anywhere in the cluster.
         for controller in net.cluster.replicas.values():
-            assert controller.query_engine.duplicate_deltas == 0
+            assert controller.query_engine.push_plane.duplicate_deltas == 0
         # The corpse is fully torn down daemon-side: only live shards
         # are still subscribed.
-        assert net.cluster.replicas[victim].query_engine.subscription_count() == 0
+        assert net.cluster.replicas[victim].query_engine.push_plane.subscriptions == {}
         live_subscribed = self._subscribed_shards(net)
         assert victim not in live_subscribed
         assert daemon.subscriber_count() == len(live_subscribed)
@@ -473,7 +473,7 @@ class TestPushSubscriptionRehoming:
         net.run()
         assert daemon.subscriber_count() == 0
         for controller in net.cluster.replicas.values():
-            assert controller.query_engine.subscription_count() == 0
+            assert controller.query_engine.push_plane.subscriptions == {}
         assert_zero_loss(net, flows)
 
     def test_fresh_adoption_installs_resident_entries_without_requery(self):
@@ -493,7 +493,7 @@ class TestPushSubscriptionRehoming:
         assert subscribed
         victim = subscribed[0]
         victim_engine = net.cluster.replicas[victim].query_engine
-        exported_serial = victim_engine._subs[self.SERVER_IP].serial
+        exported_serial = victim_engine.push_plane.subscriptions[self.SERVER_IP].serial
         answered_before = int(daemon.queries_answered.value)
 
         net.start_monitoring()
@@ -504,8 +504,8 @@ class TestPushSubscriptionRehoming:
 
         successor = net.cluster.shard_map.owner_of_key(identity_key(self.SERVER_IP))
         engine = net.cluster.replicas[successor].query_engine
-        assert engine.is_subscribed(self.SERVER_IP)
-        assert engine._subs[self.SERVER_IP].serial == exported_serial
+        assert self.SERVER_IP in engine.push_plane.subscriptions
+        assert engine.push_plane.subscriptions[self.SERVER_IP].serial == exported_serial
         # Adoption was free: no refresh round-trips hit the daemon.
         assert int(daemon.queries_answered.value) == answered_before
         net.run()
@@ -554,7 +554,7 @@ class TestPushSubscriptionRehoming:
         client.transmit(flow_owned_by_victim(client, "http", "alice", self.SERVER_IP, 80))
         net.run(0.5)
         engine = net.cluster.replicas[victim].query_engine
-        assert engine.is_subscribed(self.SERVER_IP)
+        assert self.SERVER_IP in engine.push_plane.subscriptions
         # ...and a flow *from* the server leaves a flow-scoped TTL entry
         # keyed on the subscribed host (blocked: the fact is not set yet).
         packet = flow_owned_by_victim(server, "http", "root", client_ip, 8080)
@@ -569,9 +569,9 @@ class TestPushSubscriptionRehoming:
         net.run(1.0)
         net.stop_monitoring()
         assert net.cluster.failovers == 1
-        assert not engine.is_subscribed(self.SERVER_IP)
+        assert self.SERVER_IP not in engine.push_plane.subscriptions
         net.cluster.restore(victim)
-        assert not engine.is_subscribed(self.SERVER_IP)
+        assert self.SERVER_IP not in engine.push_plane.subscriptions
 
         patch_host(daemon)
         server.transmit(packet)

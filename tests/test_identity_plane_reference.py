@@ -22,11 +22,12 @@ from repro.hosts.endhost import EndHost
 from repro.identpp.client import QueryClient
 from repro.identpp.daemon import IdentPPDaemon
 from repro.identpp.engine import QueryEngine
+from repro.identpp.engine_push import PushPlane
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import ROLE_DESTINATION, ROLE_SOURCE
 from repro.netsim.nodes import Node
 from repro.netsim.topology import Topology
-from tests.reference_identity import ReferenceDaemon, ReferenceQueryEngine
+from tests.reference_identity import ReferenceDaemon, ReferencePushPlane, ReferenceQueryEngine
 
 HOSTS = (("client", "192.168.0.10", "sshd", 22), ("server", "192.168.1.1", "httpd", 80))
 CONFIG = "@app /usr/sbin/sshd {\nversion : 999\n}\n"
@@ -38,6 +39,7 @@ class World:
     def __init__(self, reference: bool, *, ttl, promote, idle, legacy_client) -> None:
         daemon_cls = ReferenceDaemon if reference else IdentPPDaemon
         engine_cls = ReferenceQueryEngine if reference else QueryEngine
+        plane_cls = ReferencePushPlane if reference else PushPlane
         self.topo = Topology("identity-plane")
         self.switch = self.topo.add_node(Node("mid"))
         self.hosts, self.daemons, self.sockets = [], [], []
@@ -54,12 +56,10 @@ class World:
             self.topo.register_ip(host.ip, host)
             self.hosts.append(host)
         self.engines = [
-            engine_cls(
-                QueryClient(self.topo), ttl=ttl, name=f"eng{index}", push=True,
-                push_idle_demote=idle, push_promote_punts=promote,
-            )
-            for index in range(2)
+            engine_cls(QueryClient(self.topo), ttl=ttl, name=f"eng{index}") for index in range(2)
         ]
+        for engine in self.engines:
+            plane_cls(engine, idle_demote=idle, promote_punts=promote)
         self.reference = reference
         self.futures = []
 
@@ -74,7 +74,7 @@ class World:
         if kind == "punt":
             index, towards, sport = args
             engine, flow = self.engines[index], self.flow(towards, sport)
-            engine.note_punt(flow.dst_ip, from_node=self.switch, now=now)
+            engine.push_plane.note_punt(flow.dst_ip, from_node=self.switch)
             self.futures.extend(
                 engine.query_async(flow, role, from_node=self.switch)
                 for role in (ROLE_SOURCE, ROLE_DESTINATION)
@@ -103,13 +103,11 @@ class World:
         elif kind == "config":
             self.daemons[args[0]].load_system_config(CONFIG)
         elif kind == "subscribe":
-            self.engines[args[0]].subscribe_host(
-                self.hosts[args[1]].ip, from_node=self.switch, now=now
-            )
+            self.engines[args[0]].subscribe_host(self.hosts[args[1]].ip, from_node=self.switch)
         elif kind == "unsubscribe":
-            self.engines[args[0]].unsubscribe_host(self.hosts[args[1]].ip)
+            self.engines[args[0]].push_plane.unsubscribe_host(self.hosts[args[1]].ip)
         elif kind == "demote":
-            self.engines[args[0]].demote_idle(now)
+            self.engines[args[0]].push_plane.demote_idle(now)
         elif kind == "expire":
             self.engines[args[0]].expire(now)
         elif kind == "quarantine":
@@ -119,8 +117,8 @@ class World:
             else:
                 engine.invalidate_host(ip, reason="quarantine")
         elif kind == "handoff":
-            records = self.engines[args[0]].export_push_state()
-            self.engines[1 - args[0]].adopt_push_state(records, now=now)
+            records = self.engines[args[0]].push_plane.export()
+            self.engines[1 - args[0]].push_plane.adopt(records)
 
     def observed(self) -> dict:
         def served(future):
@@ -137,7 +135,7 @@ class World:
                 (
                     engine.stats(),
                     {key for key, entry in engine._entries.items() if entry.resident},
-                    sorted(engine._subs),
+                    sorted(engine.push_plane.subscriptions),
                 )
                 for engine in self.engines
             ],

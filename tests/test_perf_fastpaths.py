@@ -246,9 +246,14 @@ def calls_by_layer(counts: Counts, per: int) -> dict[str, float]:
     return {layer: calls / per for layer, calls in sorted(layers.items())}
 
 
-def over_ceiling(layers: dict[str, float], ceilings: dict[str, float]) -> dict[str, float]:
-    """Return the layers whose calls exceed their ceiling (a layer with none: 0)."""
-    return {layer: calls for layer, calls in layers.items() if calls > ceilings.get(layer, 0)}
+def moved_layers(layers: dict[str, float], pins: dict[str, float]) -> dict[str, tuple]:
+    """Return ``{layer: (pinned, measured)}`` for each layer whose calls
+    differ from its pin, up or down (a layer absent on one side: 0)."""
+    return {
+        layer: (pins.get(layer, 0), layers.get(layer, 0))
+        for layer in sorted(set(layers) | set(pins))
+        if layers.get(layer, 0) != pins.get(layer, 0)
+    }
 
 
 def calls_per_forwarded_packet(**sizes) -> float:
@@ -308,11 +313,11 @@ class TestHitPathCalls:
     #: _apply_actions, Port.send and Link.transmit, and every packet ran
     #: two default-factory lambdas and built a metadata dict; 25.6 while
     #: the simulator's clock was a property; 22.5 since.
-    CEILING = 23
+    CALLS = 22.5
     #: Each layer's exact calls per forwarded packet (layers as
-    #: perf/tracing.py groups modules): a PR that makes a layer heavier
-    #: says so here.
-    LAYER_CEILINGS = {
+    #: perf/tracing.py groups modules): a change that moves a layer's
+    #: calls, up or down, re-pins its row here.
+    LAYER_CALLS = {
         "core.controller": 0.0625,
         "hosts": 4.0,
         "netsim.events": 5.375,
@@ -322,11 +327,12 @@ class TestHitPathCalls:
         "openflow.switch": 2.0,
     }
 
-    def test_a_forwarded_packet_makes_at_most_23_calls(self):
-        assert calls_per_forwarded_packet() <= self.CEILING
+    def test_a_forwarded_packet_makes_exactly_22_5_calls(self):
+        assert calls_per_forwarded_packet() == self.CALLS
 
-    def test_no_layer_makes_more_calls_per_packet_than_its_ceiling(self):
-        assert over_ceiling(calls_by_layer(*forwarded_packet_counts()), self.LAYER_CEILINGS) == {}
+    def test_every_layer_makes_exactly_its_pinned_calls_per_packet(self):
+        moved = moved_layers(calls_by_layer(*forwarded_packet_counts()), self.LAYER_CALLS)
+        assert moved == {}, f"layer: (pinned, measured) calls per packet: {moved}"
 
     def test_the_count_repeats_exactly(self):
         assert calls_per_forwarded_packet(waves=2) == calls_per_forwarded_packet(waves=2)
@@ -424,11 +430,12 @@ class TestPuntCalls:
     #: each); 179.35 while the serialized stage was a helper object
     #: whose holds(), evaluate() and completion callback ran on every
     #: punt, and the decision read its documents through a method;
-    #: 175.35 since.
-    CEILING = 175.35
-    #: Each layer's exact calls per punt: a PR that claims a layer's gain
-    #: shows its row fall, one that makes a layer heavier says so here.
-    LAYER_CEILINGS = {
+    #: 175.35 while every pull punt also called the engine's push
+    #: promotion tally, which returned at once; 174.35 since.
+    CALLS = 174.35
+    #: Each layer's exact calls per punt: a change that moves a layer's
+    #: calls, up or down, re-pins its row here.
+    LAYER_CALLS = {
         "core.cache": 4.0,
         "core.controller": 22.9,
         "core.lifecycle": 2.0,
@@ -436,7 +443,7 @@ class TestPuntCalls:
         "hosts": 19.9,
         "identpp.client": 5.0,
         "identpp.daemon": 5.75,
-        "identpp.engine": 2.0,
+        "identpp.engine": 1.0,
         "identpp.wire": 16.0,
         "netsim.events": 31.2,
         "netsim.links": 9.625,
@@ -448,11 +455,12 @@ class TestPuntCalls:
         "pf.evaluator": 2.0,
     }
 
-    def test_a_punt_makes_at_most_175_35_calls(self):
-        assert calls_per_punt() <= self.CEILING
+    def test_a_punt_makes_exactly_174_35_calls(self):
+        assert calls_per_punt() == self.CALLS
 
-    def test_no_layer_makes_more_calls_per_punt_than_its_ceiling(self):
-        assert over_ceiling(calls_by_layer(*punt_counts()), self.LAYER_CEILINGS) == {}
+    def test_every_layer_makes_exactly_its_pinned_calls_per_punt(self):
+        moved = moved_layers(calls_by_layer(*punt_counts()), self.LAYER_CALLS)
+        assert moved == {}, f"layer: (pinned, measured) calls per punt: {moved}"
 
     def test_the_count_repeats_exactly(self):
         assert calls_per_punt(waves=2) == calls_per_punt(waves=2)

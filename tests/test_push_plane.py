@@ -16,6 +16,7 @@ from repro.exceptions import ControllerError, WireFormatError
 from repro.identpp.client import QueryClient
 from repro.identpp.daemon import IdentPPDaemon
 from repro.identpp.engine import QueryEngine
+from repro.identpp.engine_push import PushPlane
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
@@ -177,8 +178,16 @@ class TestDaemonPush:
 # ----------------------------------------------------------------------
 
 
-def make_engine(topo, *, ttl=5.0, push=True, **kwargs):
-    return QueryEngine(QueryClient(topo), ttl=ttl, name="eng", push=push, **kwargs)
+def make_engine(topo, *, ttl=5.0, push=True, idle_demote=30.0, promote_punts=3):
+    engine = QueryEngine(QueryClient(topo), ttl=ttl, name="eng")
+    if push:
+        PushPlane(engine, idle_demote=idle_demote, promote_punts=promote_punts)
+    return engine
+
+
+def subscribed(engine, host_ip) -> bool:
+    """Whether the engine's push plane holds a subscription for ``host_ip``."""
+    return str(host_ip) in engine.push_plane.subscriptions
 
 
 def patch_host(daemon):
@@ -252,7 +261,7 @@ class TestEnginePush:
         engine = make_engine(topo3)
         assert engine.subscribe_host(server3.ip) is False
         assert engine.subscribe_host(server3.ip) is False
-        assert engine.subscription_count() == 0
+        assert engine.push_plane.subscriptions == {}
         assert legacy.subscriber_count() == 0
         assert legacy._invalidation_listeners == []
 
@@ -274,7 +283,7 @@ class TestEnginePush:
         assert mid.response.document.latest("os-patch") == "MS08-067"
         assert engine.resident_hits == 0
         topo.sim.run(until=topo.sim.now + 1.0)
-        sub = engine._subs[str(server.ip)]
+        sub = engine.push_plane.subscriptions[str(server.ip)]
         assert sub.serial == daemon.delta_serial
         assert resident(engine) == 1
         # The refreshed resident answer carries the new fact — punts
@@ -283,34 +292,34 @@ class TestEnginePush:
         assert outcome.response.document.latest("os-patch") == "MS08-067"
 
         # A replayed delta (serial already applied) is a no-op.
-        applied_before = engine.deltas_applied
+        applied_before = engine.push_plane.deltas_applied
         engine._on_delta(IdentDelta(host_ip=server.ip, serial=sub.serial))
-        assert engine.duplicate_deltas == 1
-        assert engine.deltas_applied == applied_before
+        assert engine.push_plane.duplicate_deltas == 1
+        assert engine.push_plane.deltas_applied == applied_before
 
     def test_unsubscribe_unregisters_everything_daemon_side(self):
         # The stale-subscription leak fix: a demoted host strands
         # neither a subscription nor a listener.
         topo, switch, _, server, daemon = build_world()
-        engine = make_engine(topo, ttl=0.0, push_promote_punts=2)
-        engine.note_punt(server.ip, from_node=switch)  # tally 1 of 2
+        engine = make_engine(topo, ttl=0.0, promote_punts=2)
+        engine.push_plane.note_punt(server.ip, from_node=switch)  # tally 1 of 2
         assert engine.subscribe_host(server.ip) is True
         engine.query(flow_to_server(), "dst", from_node=switch)
         assert daemon.subscriber_count() == 1
         assert len(daemon._invalidation_listeners) == 1
 
-        assert engine.unsubscribe_host(server.ip) is True
+        assert engine.push_plane.unsubscribe_host(server.ip) is True
         assert daemon.subscriber_count() == 0
         assert len(daemon._invalidation_listeners) == 0
         assert resident(engine) == 0
-        assert engine.unsubscribe_host(server.ip) is False
-        # The engine reset the promotion tally itself: one punt is not
+        assert engine.push_plane.unsubscribe_host(server.ip) is False
+        # The plane reset the promotion tally itself: one punt is not
         # enough to re-earn residency, the threshold's second one is.
-        engine.note_punt(server.ip, from_node=switch)
-        assert not engine.is_subscribed(server.ip)
-        engine.note_punt(server.ip, from_node=switch)
-        assert engine.is_subscribed(server.ip)
-        assert engine.unsubscribe_host(server.ip) is True
+        engine.push_plane.note_punt(server.ip, from_node=switch)
+        assert not subscribed(engine, server.ip)
+        engine.push_plane.note_punt(server.ip, from_node=switch)
+        assert subscribed(engine, server.ip)
+        assert engine.push_plane.unsubscribe_host(server.ip) is True
 
         # The same holds when a host's last TTL entry leaves by expiry:
         # through the sweep...
@@ -331,12 +340,27 @@ class TestEnginePush:
 
     def test_idle_demotion_sweeps_only_idle_subscriptions(self):
         topo, switch, _, server, daemon = build_world()
-        engine = make_engine(topo, push_idle_demote=2.0)
-        assert engine.subscribe_host(server.ip, now=0.0) is True
-        assert engine.demote_idle(1.0) == 0
-        assert engine.demote_idle(3.0) == 1
-        assert not engine.is_subscribed(server.ip)
+        engine = make_engine(topo, idle_demote=2.0)
+        assert topo.sim.now == 0.0
+        assert engine.subscribe_host(server.ip) is True
+        assert engine.push_plane.demote_idle(1.0) == 0
+        assert engine.push_plane.demote_idle(3.0) == 1
+        assert not subscribed(engine, server.ip)
         assert daemon.subscriber_count() == 0
+
+    def test_a_resident_hit_restarts_the_idle_clock(self):
+        topo, switch, _, server, _ = build_world()
+        engine = make_engine(topo, idle_demote=2.0)
+        plane = engine.push_plane
+        assert engine.subscribe_host(server.ip) is True  # at t=0
+        assert plane.next_demotion() == 2.0
+        engine.query(flow_to_server(), "dst", from_node=switch)
+        topo.sim.run(until=1.5)
+        hit = engine.query(flow_to_server(41000), "dst", from_node=switch)
+        assert hit.cached and engine.resident_hits == 1
+        assert plane.next_demotion() == 3.5
+        assert plane.demote_idle(3.4) == 0 and subscribed(engine, server.ip)
+        assert plane.demote_idle(3.5) == 1 and not subscribed(engine, server.ip)
 
     def test_pull_and_push_engines_see_one_delta_per_change(self):
         topo, switch, _, server, daemon = build_world()
@@ -357,7 +381,7 @@ class TestEnginePush:
             serials.append(daemon.delta_serial)
             topo.sim.run(until=topo.sim.now + 1.0)
         assert seen == {"pull": serials, "push": serials}
-        assert push.deltas_applied == 2 and push.duplicate_deltas == 0
+        assert push.push_plane.deltas_applied == 2 and push.push_plane.duplicate_deltas == 0
         assert pull.invalidated_entries == 2
 
     def test_invalidate_host_forgets_a_subscribed_host_in_one_call(self):
@@ -371,7 +395,7 @@ class TestEnginePush:
         assert resident(engine) == 1 and len(engine) == 1
 
         assert engine.invalidate_host(server.ip, "quarantine") == 1
-        assert not engine.is_subscribed(server.ip)
+        assert not subscribed(engine, server.ip)
         assert resident(engine) == 0 and len(engine) == 0
         assert daemon.subscriber_count() == 0
         assert daemon._invalidation_listeners == []
@@ -386,7 +410,7 @@ class TestEnginePush:
         new_daemon = IdentPPDaemon(server)  # upgrade: replaces the old object
         # The old daemon's last notice made the engine forget the host:
         # its answers, its subscription and its listener are gone.
-        assert not engine.is_subscribed(server.ip)
+        assert not subscribed(engine, server.ip)
         assert resident(engine) == 0
         assert old_daemon.subscriber_count() == 0
         assert old_daemon._invalidation_listeners == []
@@ -399,16 +423,16 @@ class TestEnginePush:
         assert first.subscribe_host(server.ip) is True
         first.query(flow_to_server(), "dst", from_node=switch)
 
-        records = first.export_push_state()
+        records = first.push_plane.export()
         assert [r["host_ip"] for r in records] == [server.ip]
         assert records[0]["entries"]
         # The dying engine is fully torn down.
-        assert first.subscription_count() == 0
+        assert first.push_plane.subscriptions == {}
         assert daemon.subscriber_count() == 0
 
         second = make_engine(topo)
-        assert second.adopt_push_state(records) == 1
-        assert second.is_subscribed(server.ip)
+        assert second.push_plane.adopt(records) == 1
+        assert subscribed(second, server.ip)
         assert resident(second) == 1
         # Verbatim install: adoption cost zero daemon round trips.
         answered = int(daemon.queries_answered.value)
@@ -421,19 +445,19 @@ class TestEnginePush:
         assert first.subscribe_host(server.ip) is True
         first.query(flow_to_server(), "dst", from_node=switch)
         topo.sim.run(until=topo.sim.now + 1.0)
-        records = first.export_push_state()
+        records = first.push_plane.export()
 
         # A delta lands in the hand-off gap: the exported serial is stale.
         patch_host(daemon)
 
         second = make_engine(topo)
-        assert second.adopt_push_state(records) == 1
+        assert second.push_plane.adopt(records) == 1
         topo.sim.run(until=topo.sim.now + 1.0)
         # The successor re-primed through a refresh, so its resident
         # answer reflects the delta it never saw.
         outcome = second.query(flow_to_server(41000), "dst", from_node=switch)
         assert outcome.response.document.latest("os-patch") == "MS08-067"
-        assert second._subs[str(server.ip)].serial == daemon.delta_serial
+        assert second.push_plane.subscriptions[str(server.ip)].serial == daemon.delta_serial
 
     def test_export_keeps_hearing_the_daemon_for_ttl_entries_left_behind(self):
         # Cache coherence across failover: exporting the subscription
@@ -450,7 +474,7 @@ class TestEnginePush:
         first = engine.query(reverse, "src", from_node=switch)
         assert first.succeeded() and len(engine) == 1
 
-        records = engine.export_push_state()
+        records = engine.push_plane.export()
         assert [r["host_ip"] for r in records] == [server.ip]
         assert daemon.subscriber_count() == 0
         assert len(daemon._invalidation_listeners) == 1  # the TTL entry's
@@ -499,7 +523,7 @@ class TestControllerPlaneSwitch:
         for _ in range(6):
             client.open_flow("http", "alice", SERVER_IP, 80)
         net.run()
-        assert net.controller.query_engine.subscription_count() == 0
+        assert net.controller.query_engine.push_plane is None
         assert net.daemon("server").subscriber_count() == 0
         assert network_flow_state(net)["subscriptions"] == 0
 
@@ -509,13 +533,13 @@ class TestControllerPlaneSwitch:
         client.open_flow("http", "alice", SERVER_IP, 80)
         net.run()
         engine = net.controller.query_engine
-        assert not engine.is_subscribed(SERVER_IP)  # 1 punt < threshold 2
+        assert not subscribed(engine, SERVER_IP)  # 1 punt < threshold 2
         client.open_flow("http", "alice", SERVER_IP, 80)
         net.run()
-        assert engine.is_subscribed(SERVER_IP)
+        assert subscribed(engine, SERVER_IP)
         assert net.daemon("server").subscriber_count() == 1
         # Only destinations are promoted — the client end keeps pulling.
-        assert not engine.is_subscribed("192.168.0.10")
+        assert not subscribed(engine, "192.168.0.10")
 
     def test_steady_state_punts_issue_zero_daemon_queries(self):
         net = build_net()
@@ -524,7 +548,7 @@ class TestControllerPlaneSwitch:
         for _ in range(2):
             client.open_flow("http", "alice", SERVER_IP, 80)
         net.run()
-        assert net.controller.query_engine.is_subscribed(SERVER_IP)
+        assert subscribed(net.controller.query_engine, SERVER_IP)
 
         answered = int(daemon.queries_answered.value)
         for _ in range(5):
@@ -545,10 +569,10 @@ class TestControllerPlaneSwitch:
             client.open_flow("http", "alice", SERVER_IP, 80)
         net.run()
         engine = net.controller.query_engine
-        assert engine.is_subscribed(SERVER_IP)
+        assert subscribed(engine, SERVER_IP)
 
         net.controller.quarantine_host(SERVER_IP)
-        assert not engine.is_subscribed(SERVER_IP)
+        assert not subscribed(engine, SERVER_IP)
         assert net.daemon("server").subscriber_count() == 0
         assert resident(engine) == 0
 
@@ -560,10 +584,10 @@ class TestControllerPlaneSwitch:
             client.open_flow("http", "alice", SERVER_IP, 80)
         net.run(0.1)
         engine = net.controller.query_engine
-        assert engine.is_subscribed(SERVER_IP)
+        assert subscribed(engine, SERVER_IP)
 
         net.run()  # drain: the sweeper demotes the idle subscription
-        assert not engine.is_subscribed(SERVER_IP)
+        assert not subscribed(engine, SERVER_IP)
         assert daemon.subscriber_count() == 0
         assert len(daemon._invalidation_listeners) == 0
         assert network_flow_state(net)["subscriptions"] == 0
@@ -571,11 +595,11 @@ class TestControllerPlaneSwitch:
         # fresh punt history, so one punt is not enough...
         client.open_flow("http", "alice", SERVER_IP, 80)
         net.run(0.1)
-        assert not engine.is_subscribed(SERVER_IP)
+        assert not subscribed(engine, SERVER_IP)
         # ...but the threshold re-promotes.
         client.open_flow("http", "alice", SERVER_IP, 80)
         net.run(0.1)
-        assert engine.is_subscribed(SERVER_IP)
+        assert subscribed(engine, SERVER_IP)
 
     def test_replaced_daemon_answers_are_not_served(self):
         # A resident answer never re-checks the daemon, so the replaced
@@ -592,7 +616,7 @@ class TestControllerPlaneSwitch:
         for _ in range(2):
             client.open_flow("http", "alice", SERVER_IP, 80)
             net.run()
-        assert engine.is_subscribed(SERVER_IP) and engine.resident_hits == 1
+        assert subscribed(engine, SERVER_IP) and engine.resident_hits == 1
         assert [record.action for record in audit.records()] == ["pass", "pass"]
 
         replacement = IdentPPDaemon(net.host("server"))  # no patch fact
@@ -601,5 +625,5 @@ class TestControllerPlaneSwitch:
         assert audit.records()[-1].action == "block"
         assert engine.resident_hits == 1
         # The new daemon's answer earned residency again.
-        assert engine.is_subscribed(SERVER_IP)
+        assert subscribed(engine, SERVER_IP)
         assert replacement.subscriber_count() == 1

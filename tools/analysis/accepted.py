@@ -44,9 +44,6 @@ ACCEPTED: tuple[Row, ...] = (
     Row("R13", "QueryEngine.query_both_ends_async", "seam",
         "an explicit now= clock for the engine tests; the controller asks at sim.now",
         "tests/test_dispatch_reference.py::test_a_pass_through_punt_fires_one_answer_event_where_two_fired"),
-    Row("R13", "QueryEngine.adopt_push_state", "seam",
-        "an explicit now= clock for the failover tests; a cluster adopts at sim.now",
-        "tests/test_identity_plane_reference.py::test_one_channel_serves_what_two_fan_outs_served"),
     Row("R13", "QueryClient.query_both_ends", "seam",
         "the client's pair query the engine tests compare the engine with; perf/tracing.py pins "
         "it",
@@ -172,10 +169,6 @@ ACCEPTED: tuple[Row, ...] = (
         "the key of an all-wildcard OpenFlow entry; no workload installs one",
         "tests/test_openflow_match_table.py::TestFlowTable::test_priority_wins"),
     # R16 (and reach): a reading
-    Row("R16", "QueryEngine.is_subscribed", "reading",
-        "a side-effect-free reading of the push subscriptions that the push-plane and failover "
-        "tests assert on; no other public name gives it",
-        "tests/test_push_plane.py::TestEnginePush::test_unsubscribe_unregisters_everything_daemon_side"),
     Row("R16", "IdentPPDaemon.subscriber_count", "reading",
         "a side-effect-free reading of the daemon's subscribers that the push-plane and failover "
         "tests assert on; no other public name gives it",
