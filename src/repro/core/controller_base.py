@@ -172,8 +172,8 @@ class IdentPPControllerBase(Controller):
         )
         # Cached endpoint answers age out with the other per-flow state.
         self.lifecycle.register(
-            "queries", self.query_engine.expire, self.query_engine.expirable_count,
-            self.query_engine.next_expiry,
+            "queries", self.query_engine.expire, self.query_engine.store.__len__,
+            self.query_engine.store.next_deadline,
         )
         if self.config.identity_plane == "push":
             plane = PushPlane(

@@ -20,8 +20,10 @@ controller:
 * :mod:`repro.identpp.client` — the query client controllers use, with
   hooks for on-path interception,
 * :mod:`repro.identpp.engine` — the caching/coalescing query engine a
-  controller puts in front of its client (endpoint response cache,
-  in-flight coalescing, negative cache for daemon-less hosts),
+  controller puts in front of its client (lookups, in-flight
+  coalescing, the negative cache, daemon hooks and invalidation),
+* :mod:`repro.identpp.engine_store` — the engine's one answer store
+  (entries by key, per-host index, TTL deadlines),
 * :mod:`repro.identpp.engine_push` — the engine's push plane.
 """
 

@@ -45,19 +45,17 @@ Two correctness guards bound what the cache may share:
   attributed to another.  Only a listener's flow-independent answer
   (the hot-server case) is shared across flows.
 
-A TTL of ``0`` disables the engine entirely (every call passes straight
-through to the client), which is the default wiring so existing
-scenario timelines are unchanged; benchmarks and production configs
-opt in via ``ControllerConfig.query_cache_ttl``.
-
-**The push identity plane** (:mod:`repro.identpp.engine_push`) is
-:attr:`QueryEngine.push_plane`, ``None`` on the pull plane; its
-subscribed hosts' answers are stored here under :data:`UNTIL_DELTA`.
+On the pull plane a TTL of ``0`` (the default wiring, so scenario
+timelines are unchanged) turns the engine off: every call passes
+straight through to the client.  ``ControllerConfig.query_cache_ttl``
+opts in, and a push plane (:mod:`repro.identpp.engine_push`,
+:attr:`QueryEngine.push_plane`, ``None`` on pull) turns the engine on
+at any TTL.  The answers live in :attr:`QueryEngine.store`
+(:mod:`repro.identpp.engine_store`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.identpp.client import (
@@ -69,6 +67,7 @@ from repro.identpp.client import (
     per_role_interceptors,
 )
 from repro.identpp.daemon import DAEMON_REPLACED
+from repro.identpp.engine_store import UNTIL_DELTA, AnswerStore, CacheEntry
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import (
     DEFAULT_QUERY_KEYS,
@@ -77,51 +76,7 @@ from repro.identpp.wire import (
     ROLE_DESTINATION,
     ROLE_SOURCE,
 )
-from repro.netsim.events import ExpiryHeap, Future
-
-#: ``expires_at`` of an entry stored under the until-delta policy: a
-#: subscribed host's resident answer has no deadline at all.
-UNTIL_DELTA = float("inf")
-
-
-@dataclass
-class CacheEntry:
-    """One cached endpoint answer (positive or negative).
-
-    ``ready_at`` is when the underlying query completes: before it the
-    entry is *in flight* (lookups coalesce onto it, charged the
-    remaining wait), after it the entry is a plain cache hit until
-    ``expires_at`` — a TTL deadline, or :data:`UNTIL_DELTA` for a
-    subscribed host's *resident* answer, which only a pushed delta,
-    a demotion or a failover export ever removes.
-    """
-
-    key: tuple
-    host_ip: str
-    outcome: QueryOutcome
-    ready_at: float
-    expires_at: float
-    negative: bool = False
-    #: Flow-scoped entries answer only re-punts of the exact flow that
-    #: filled them (source-side answers, and destination answers the
-    #: daemon marked not shareable) — a different flow must query fresh.
-    flow_scoped: bool = False
-    #: Negative entries for *unreachable* hosts are keyed on the
-    #: topology epoch: any connectivity change may have restored a path,
-    #: so the entry must be re-proven.
-    unreachable: bool = False
-    topology_epoch: int = -1
-    #: Continuations parked on an in-flight entry by the async query
-    #: path: ``(future, prepared outcome)`` pairs completed together by
-    #: one arrival event when the underlying answer lands at
-    #: ``ready_at`` — N coalesced punts cost one event, not N timers.
-    #: Non-empty exactly while that shared event is pending.
-    waiters: list = field(default_factory=list)
-
-    @property
-    def resident(self) -> bool:
-        """Return whether the entry is held until-delta rather than by TTL."""
-        return self.expires_at == UNTIL_DELTA
+from repro.netsim.events import Future
 
 
 class QueryEngine:
@@ -143,24 +98,11 @@ class QueryEngine:
         self.push_plane = None
         #: Whether the engine does more than pass through (a plane turns it on).
         self.enabled = ttl > 0.0
-        #: The one answer store.  Pull versus push is the expiry policy
-        #: an entry carries (TTL deadline | :data:`UNTIL_DELTA`), not a
-        #: second table, so a lookup is one ``dict.get``.
-        self._entries: dict[tuple, CacheEntry] = {}
-        # Host IP -> the keys of its entries, in fill order (a dict, not
-        # a set: delta refreshes walk it, and their order reaches the
-        # event stream).  Makes per-host invalidation, promotion and
-        # export cost O(that host's entries), and tells the one removal
-        # path when the host's last entry left.
-        self._by_host: dict[str, dict[tuple, None]] = {}
-        # How many entries are resident; the rest carry a deadline in
-        # ``_expiry`` (pushed with the deadline itself as the token, so
-        # a promoted, refreshed or replaced entry's old record is stale).
-        self._until_delta = 0
-        self._expiry = ExpiryHeap()
-        # Host IP → the daemon carrying ``_on_delta`` as a listener,
-        # hooked for exactly as long as the engine holds an entry or a
-        # subscription for the host.
+        #: The one answer store, pull and push alike; a host's last
+        #: entry leaving it may release the host's daemon.
+        self.store = AnswerStore(self._release_host)
+        # Host IP → the daemon carrying ``_on_delta`` as a listener, hooked
+        # exactly while the engine holds an entry or a subscription for it.
         self._daemons: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
@@ -189,9 +131,9 @@ class QueryEngine:
         Queries carrying interceptors bypass the cache: interception is
         a per-query decision (§3.4) a warm entry must not pre-empt.
         """
-        if self._bypasses_cache(interceptors):
+        if interceptors or not self.enabled:
             return self.client.query(flow, role, from_node=from_node, interceptors=interceptors)
-        return self._lookup(flow, role, from_node, self._now(now))[0]
+        return self._lookup(flow, role, from_node, self.now() if now is None else now)[0]
 
     def query_async(
         self,
@@ -220,11 +162,12 @@ class QueryEngine:
         This is what lets the controller overlap thousands of in-flight
         round-trips instead of charging each as one opaque delay.
         """
-        if self._bypasses_cache(interceptors):
+        if interceptors or not self.enabled:
             return self.client.query_async(
                 flow, role, from_node=from_node, interceptors=interceptors
             )
-        now = self._now(now)
+        if now is None:
+            now = self.now()
         outcome, in_flight = self._lookup(flow, role, from_node, now)
         future = Future()
         sim = self.client.topology.sim
@@ -268,7 +211,6 @@ class QueryEngine:
         *args,
         from_node=None,
         interceptors: Sequence[QueryInterceptor] = (),
-        now: Optional[float] = None,
     ) -> None:
         """Dispatch both endpoint queries; ``answered(*args, outcomes)`` runs once both are in.
 
@@ -300,7 +242,7 @@ class QueryEngine:
                     latency, answered, *args, outcomes, label=BOTH_ANSWERS_LABEL
                 )
             return
-        src, dst = self._both_ends(self.query_async, flow, from_node, interceptors, now)
+        src, dst = self._both_ends(self.query_async, flow, from_node, interceptors, None)
         src.add_done_callback(
             lambda _: dst.add_done_callback(
                 lambda _: answered(*args, (src.result(), dst.result()))
@@ -318,10 +260,6 @@ class QueryEngine:
             ),
         )
 
-    def _bypasses_cache(self, interceptors: Sequence[QueryInterceptor]) -> bool:
-        """Return whether a query passes straight through to the client."""
-        return not self.enabled or bool(interceptors)
-
     def _lookup(
         self, flow: FlowSpec, role: str, from_node, now: float
     ) -> tuple[QueryOutcome, Optional[CacheEntry]]:
@@ -333,9 +271,9 @@ class QueryEngine:
         whose arrival it waits on.
         """
         key = self._key(flow, role)
-        entry = self._entries.get(key)
+        entry = self.store.get(key)
         if entry is not None and not self._valid(entry, now):
-            self._discard(key)
+            self.store.discard(key)
             entry = None
         if entry is not None and entry.flow_scoped and entry.outcome.query.flow != flow:
             # Another flow's flow-scoped answer: this flow must query
@@ -375,9 +313,8 @@ class QueryEngine:
     # Cache mechanics
     # ------------------------------------------------------------------
 
-    def _now(self, now: Optional[float]) -> float:
-        if now is not None:
-            return now
+    def now(self) -> float:
+        """Return the topology simulator's clock (0.0 with no simulator)."""
         sim = self.client.topology.sim
         return sim.now if sim is not None else 0.0
 
@@ -411,13 +348,7 @@ class QueryEngine:
                 return False
         return True
 
-    def _serve(
-        self,
-        entry: CacheEntry,
-        flow: FlowSpec,
-        role: str,
-        now: float,
-    ) -> QueryOutcome:
+    def _serve(self, entry: CacheEntry, flow: FlowSpec, role: str, now: float) -> QueryOutcome:
         """Build the outcome a cached (or in-flight) entry answers with."""
         # While the underlying query is still outstanding the lookup
         # coalesces onto it: this punt waits only for the remainder, and
@@ -482,7 +413,7 @@ class QueryEngine:
                 expires_at = ready_at + self.ttl
             else:
                 return None
-        entry = self._store(
+        entry = self.store.put(
             CacheEntry(
                 key=key,
                 host_ip=host_ip,
@@ -496,52 +427,14 @@ class QueryEngine:
             )
         )
         if daemon is not None:
-            self._hook(host_ip, daemon)
+            self.hook(host_ip, daemon)
         return entry
 
-    def _store(self, entry: CacheEntry) -> CacheEntry:
-        """The one insertion path; an entry under the same key is replaced."""
-        replaced = self._entries.get(entry.key)
-        if replaced is not None and replaced.resident:
-            self._until_delta -= 1
-        self._entries[entry.key] = entry
-        self._by_host.setdefault(entry.host_ip, {})[entry.key] = None
-        if entry.resident:
-            self._until_delta += 1
-        else:
-            self._expiry.push(entry.expires_at, entry.key, entry.expires_at)
-        return entry
+    # ------------------------------------------------------------------
+    # Daemon hooks and the push plane
+    # ------------------------------------------------------------------
 
-    def _discard(self, key: tuple) -> None:
-        """The one removal path: expiry, invalidation, demotion and export.
-
-        Dropping a host's last entry also drops the engine's hold on
-        that host's daemon (see :meth:`_release_host`).
-        """
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        if entry.resident:
-            self._until_delta -= 1
-        keys = self._by_host[entry.host_ip]
-        del keys[key]
-        if not keys:
-            del self._by_host[entry.host_ip]
-            self._release_host(entry.host_ip)
-
-    def _deadline_live(self, key: tuple, due: float) -> bool:
-        """Return whether a heap record still names its entry's deadline."""
-        entry = self._entries.get(key)
-        return entry is not None and entry.expires_at == due
-
-    def _held_until_delta(self, host_ip: str) -> list[CacheEntry]:
-        """Return one host's resident entries, in fill order."""
-        entries = self._entries
-        return [
-            entries[key] for key in self._by_host.get(host_ip, ()) if entries[key].resident
-        ]
-
-    def _hook(self, host_ip: str, daemon) -> None:
+    def hook(self, host_ip: str, daemon) -> None:
         """Register :meth:`_on_delta` on the daemon answering for a host.
 
         The map never holds a replaced daemon: its last notice made the
@@ -560,36 +453,22 @@ class QueryEngine:
         reference to this engine (nor we to the daemon).
         """
         plane = self.push_plane
-        if host_ip in self._by_host or (plane is not None and host_ip in plane.subscriptions):
+        if self.store.holds(host_ip) or (plane is not None and host_ip in plane.subscriptions):
             return
         daemon = self._daemons.pop(host_ip, None)
         if daemon is not None:
             daemon.remove_invalidation_listener(self._on_delta)
 
-    # ------------------------------------------------------------------
-    # The push plane's hooks into the store
-    # ------------------------------------------------------------------
+    def end_residency(self, host_ip: str) -> None:
+        """Cancel a closed subscription daemon-side and drop the host's resident answers."""
+        self._daemons[host_ip].unsubscribe(self.name)
+        self.store.drop(host_ip, resident=True)
+        self._release_host(host_ip)
 
     def subscribe_host(self, host_ip, *, from_node=None) -> bool:
         """Open (or confirm) a host's subscription on the push plane; a pull engine refuses."""
         plane = self.push_plane
         return plane is not None and plane.subscribe_host(host_ip, from_node=from_node)
-
-    def _make_resident(self, host_ip: str, now: float) -> None:
-        """Make a newly subscribed host's live shareable answers resident in place.
-
-        Any daemon event since their fill would have dropped them, so
-        they are still authoritative (their old heap record goes stale).
-        A flash crowd's hot answer fills on the punt *before* the one
-        that promotes it; without this the next wave pays a round trip.
-        """
-        for key in self._by_host.get(host_ip, ()):
-            entry = self._entries[key]
-            if entry.negative or entry.flow_scoped:
-                continue
-            if now < entry.expires_at < UNTIL_DELTA:
-                entry.expires_at = UNTIL_DELTA
-                self._until_delta += 1
 
     def _on_delta(self, delta: IdentDelta) -> None:
         """Handle one daemon notice — the one way a change reaches the engine.
@@ -604,16 +483,11 @@ class QueryEngine:
         if delta.reason == DAEMON_REPLACED:
             self.invalidate_host(ip, delta.reason)
             return
-        removed = 0
-        for key in list(self._by_host.get(ip, ())):
-            if not self._entries[key].resident:
-                self._discard(key)
-                removed += 1
-        self.invalidated_entries += removed
+        self.invalidated_entries += self.store.drop(ip, resident=False)
         if self.push_plane is not None:
             self.push_plane.apply_delta(delta)
 
-    def _reprime(self, entry: CacheEntry, now: float, from_node) -> None:
+    def reprime(self, entry: CacheEntry, now: float, from_node) -> None:
         """Replace one resident answer off the punt path.
 
         The re-query is issued the instant the delta arrives, so by the
@@ -621,31 +495,16 @@ class QueryEngine:
         (zero wait) or still in flight (the punt coalesces onto the
         remainder) — this is what makes push convergence beat the TTL
         plane, whose first post-change punt pays the full round trip.
-        An answer that stopped being shareable (or a vanished daemon)
-        ends residency for that key; the pull path takes over.
+        The answer is filed as a punt's would be; one that no longer
+        earns residency (a timeout, an interception, an answer that
+        stopped being shareable, a vanished daemon) is discarded at
+        once, leaving a stale heap record, and pull takes over.
         """
         query = entry.outcome.query
         outcome = self.client.query(query.flow, query.target_role, from_node=from_node)
-        daemon = getattr(
-            self.client.topology.node_for_ip(entry.host_ip), "identpp_daemon", None
-        )
-        if (
-            outcome.timed_out
-            or outcome.intercepted
-            or daemon is None
-            or not daemon.answer_is_shareable(outcome.query)
-        ):
-            self._discard(entry.key)
-            return
-        self._store(
-            CacheEntry(
-                key=entry.key,
-                host_ip=entry.host_ip,
-                outcome=outcome,
-                ready_at=now + outcome.latency,
-                expires_at=UNTIL_DELTA,
-            )
-        )
+        fresh = self._fill(entry.key, outcome, now)
+        if fresh is None or not fresh.resident:
+            self.store.discard(entry.key)
 
     # ------------------------------------------------------------------
     # Invalidation + expiry
@@ -664,42 +523,18 @@ class QueryEngine:
         ip = str(host_ip)
         if self.push_plane is not None:
             self.push_plane.unsubscribe_host(ip)
-        removed = 0
-        for key in list(self._by_host.get(ip, ())):
-            self._discard(key)
-            removed += 1
+        # Only TTL entries are left: resident ones went with the subscription.
+        removed = self.store.drop(ip, resident=False)
         self.invalidated_entries += removed
         return removed
 
     def expire(self, now: float) -> int:
-        """Reclaim entries past their TTL (lifecycle-sweep hook).
-
-        Heap-driven: costs ``O(expired log n)``, not a full scan.
-        Popped deadlines whose entry was already invalidated, promoted,
-        refreshed or lookup-expired are skipped (lazy invalidation).
-        """
-        removed = 0
-        for key, due in self._expiry.pop_due(now):
-            if self._deadline_live(key, due):
-                self._discard(key)
-                removed += 1
-        return removed
-
-    def expirable_count(self) -> int:
-        """Return how many entries a sweep could ever reclaim."""
-        return len(self)
-
-    def next_expiry(self) -> Optional[float]:
-        """Return the earliest live entry deadline (lifecycle scheduling hook)."""
-        return self._expiry.next_due(self._deadline_live)
+        """Reclaim entries past their TTL (lifecycle-sweep hook; see :meth:`AnswerStore.sweep`)."""
+        return self.store.sweep(now)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Return how many entries carry a TTL deadline (resident ones excluded)."""
-        return len(self._entries) - self._until_delta
 
     def lookups(self) -> int:
         """Return how many queries were requested through the engine."""
@@ -728,7 +563,4 @@ class QueryEngine:
         }
 
     def __repr__(self) -> str:
-        return (
-            f"QueryEngine({self.name!r}, ttl={self.ttl}, "
-            f"entries={len(self)})"
-        )
+        return f"QueryEngine({self.name!r}, ttl={self.ttl}, entries={len(self.store)})"

@@ -5,13 +5,14 @@ daemon (wire-v2 SUBSCRIBE; a legacy daemon refuses and pull applies)
 once :meth:`PushPlane.note_punt` has counted ``promote_punts`` punts
 toward it.  Pull versus push is then only the **expiry policy** of an
 entry in the engine's one store: a subscribed host's shareable answers
-are *resident* (:data:`~repro.identpp.engine.UNTIL_DELTA`), served with
+are *resident* (:data:`~repro.identpp.engine_store.UNTIL_DELTA`), served with
 **zero** daemon round-trips.  A daemon change reaches the engine once,
 as its delta; the engine drops the host's TTL entries and hands it to
 :meth:`PushPlane.apply_delta`, which applies its serial and *re-primes*
 each resident answer off the punt path, so the first post-change punt
-pays nothing.  The plane works on the store through the engine's own
-helpers; a pull engine holds no plane.
+pays nothing.  The plane works through the public verbs of the engine
+and of its :class:`~repro.identpp.engine_store.AnswerStore`; a pull
+engine holds no plane.
 """
 
 from __future__ import annotations
@@ -94,12 +95,14 @@ class PushPlane:
         )
         if not ack.accepted or CAP_SUBSCRIBE not in ack.capabilities:
             return False
-        now = engine._now(None)
+        now = engine.now()
         self.subscriptions[ip] = PushSubscription(
             host_ip=ip, serial=ack.serial, last_hit=now, from_node=from_node
         )
-        engine._hook(ip, daemon)
-        engine._make_resident(ip, now)
+        engine.hook(ip, daemon)
+        # A flash crowd's hot answer fills on the punt *before* the one
+        # that promotes it; without this the next wave pays a round trip.
+        engine.store.promote(ip, now)
         return True
 
     def unsubscribe_host(self, host_ip) -> bool:
@@ -123,20 +126,16 @@ class PushPlane:
         sub = self.subscriptions.pop(host_ip, None)
         if sub is None:
             return None
-        engine = self.engine
-        engine._daemons[host_ip].unsubscribe(engine.name)
-        for entry in engine._held_until_delta(host_ip):
-            engine._discard(entry.key)
-        engine._release_host(host_ip)
+        self.engine.end_residency(host_ip)
         return sub
 
     def apply_delta(self, delta: IdentDelta) -> None:
         """Apply one delta's serial and re-prime the host's resident answers.
 
-        The engine has already dropped the host's TTL entries.  A serial
-        at or below the subscription's last applied one is a duplicate
-        (e.g. re-delivered around a failover re-home) and is dropped —
-        the refresh it would trigger already happened.
+        The engine has already dropped the host's TTL entries, so every
+        entry left is resident.  A serial at or below the last applied
+        one is a duplicate (e.g. re-delivered around a failover re-home)
+        and is dropped: the refresh it would trigger already happened.
         """
         sub = self.subscriptions.get(delta.host_ip)
         if sub is None:
@@ -147,9 +146,9 @@ class PushPlane:
         sub.serial = delta.serial
         self.deltas_applied += 1
         engine = self.engine
-        now = engine._now(None)
-        for entry in engine._held_until_delta(delta.host_ip):
-            engine._reprime(entry, now, sub.from_node)
+        now = engine.now()
+        for entry in engine.store.entries(delta.host_ip):
+            engine.reprime(entry, now, sub.from_node)
 
     def demote_idle(self, now: float) -> int:
         """Demote subscriptions idle past :attr:`idle_demote` (sweep hook)."""
@@ -181,7 +180,7 @@ class PushPlane:
         """
         records: list[dict] = []
         for ip in list(self.subscriptions):
-            entries = self.engine._held_until_delta(ip)
+            entries = [entry for entry in self.engine.store.entries(ip) if entry.resident]
             sub = self._close_subscription(ip)
             records.append({
                 "host_ip": ip, "serial": sub.serial, "from_node": sub.from_node,
@@ -203,7 +202,7 @@ class PushPlane:
         adopted.
         """
         engine = self.engine
-        now = engine._now(None)
+        now = engine.now()
         adopted = 0
         for record in records:
             ip = str(record["host_ip"])
@@ -217,7 +216,7 @@ class PushPlane:
                 # transfer: its futures belong to decision tasks that
                 # were exported separately (or died with the shard).
                 entry.waiters = []
-                engine._store(entry)
+                engine.store.put(entry)
                 if not fresh:
-                    engine._reprime(entry, now, sub.from_node)
+                    engine.reprime(entry, now, sub.from_node)
         return adopted

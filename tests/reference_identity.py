@@ -30,8 +30,9 @@ from repro.exceptions import SocketError
 from repro.hosts.processes import Process
 from repro.hosts.sockets import EPHEMERAL_PORT_BASE, PRIVILEGED_PORT_LIMIT, Socket
 from repro.identpp.daemon import SOCKET_TABLE_CHANGED, IdentPPDaemon
-from repro.identpp.engine import UNTIL_DELTA, QueryEngine
+from repro.identpp.engine import QueryEngine
 from repro.identpp.engine_push import PushPlane, PushSubscription
+from repro.identpp.engine_store import UNTIL_DELTA
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
     DEFAULT_QUERY_KEYS,
@@ -275,7 +276,7 @@ class ReferenceQueryEngine(QueryEngine):
         self.push_plane.unsubscribe_host(host_ip)
         self.invalidate_host(host_ip, reason="quarantine")
 
-    def _hook(self, host_ip: str, daemon) -> None:
+    def hook(self, host_ip: str, daemon) -> None:
         current = self._subscribed.get(host_ip)
         if current is not None and current[0] is daemon:
             return
@@ -289,7 +290,7 @@ class ReferenceQueryEngine(QueryEngine):
         daemon.add_invalidation_listener(listener)
 
     def _release_host(self, host_ip: str) -> None:
-        if host_ip in self._by_host or host_ip in self.push_plane.subscriptions:
+        if self.store.holds(host_ip) or host_ip in self.push_plane.subscriptions:
             return
         record = self._subscribed.pop(host_ip, None)
         if record is not None:
@@ -300,10 +301,10 @@ class ReferenceQueryEngine(QueryEngine):
         ip = str(host_ip)
         subscribed = ip in self.push_plane.subscriptions
         removed = 0
-        for key in list(self._by_host.get(ip, ())):
-            if subscribed and self._entries[key].resident:
+        for entry in self.store.entries(ip):
+            if subscribed and entry.resident:
                 continue
-            self._discard(key)
+            self.store.discard(entry.key)
             removed += 1
         self.invalidated_entries += removed
         return removed
@@ -340,7 +341,7 @@ class ReferencePushPlane(PushPlane):
         daemon = getattr(engine.client.topology.node_for_ip(ip), "identpp_daemon", None)
         if daemon is None:
             return False
-        now = engine._now(None)
+        now = engine.now()
         existing = self.subscriptions.get(ip)
         if existing is not None:
             if existing.daemon is daemon:
@@ -358,14 +359,19 @@ class ReferencePushPlane(PushPlane):
         self.subscriptions[ip] = _Subscription(
             host_ip=ip, daemon=daemon, serial=ack.serial, last_hit=now, from_node=from_node,
         )
-        engine._hook(ip, daemon)
-        for key in engine._by_host.get(ip, ()):
-            entry = engine._entries[key]
-            if entry.negative or entry.flow_scoped:
-                continue
-            if now < entry.expires_at < UNTIL_DELTA:
-                entry.expires_at = UNTIL_DELTA
-                engine._until_delta += 1
+        engine.hook(ip, daemon)
+        # Promotion's rule as it stood: live, positive, shareable TTL
+        # entries turn resident in place.  The store alone keeps the
+        # resident count, so its ``promote`` does the upgrade and must
+        # upgrade exactly the entries this rule picks.
+        expected = [
+            entry.key for entry in engine.store.entries(ip)
+            if entry.resident
+            or not (entry.negative or entry.flow_scoped) and now < entry.expires_at < UNTIL_DELTA
+        ]
+        engine.store.promote(ip, now)
+        promoted = [entry.key for entry in engine.store.entries(ip) if entry.resident]
+        assert promoted == expected, (promoted, expected)
         return True
 
     def unsubscribe_host(self, host_ip) -> bool:
@@ -382,8 +388,9 @@ class ReferencePushPlane(PushPlane):
             return None
         engine = self.engine
         sub.daemon.unsubscribe(engine.name)
-        for entry in engine._held_until_delta(host_ip):
-            engine._discard(entry.key)
+        for entry in engine.store.entries(host_ip):
+            if entry.resident:
+                engine.store.discard(entry.key)
         engine._release_host(host_ip)
         return sub
 
@@ -397,6 +404,7 @@ class ReferencePushPlane(PushPlane):
         sub.serial = delta.serial
         self.deltas_applied += 1
         engine = self.engine
-        now = engine._now(None)
-        for entry in engine._held_until_delta(sub.host_ip):
-            engine._reprime(entry, now, sub.from_node)
+        now = engine.now()
+        for entry in engine.store.entries(sub.host_ip):
+            if entry.resident:
+                engine.reprime(entry, now, sub.from_node)

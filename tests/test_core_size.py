@@ -1,18 +1,29 @@
-"""No file of :mod:`repro.core` is over 600 lines.
+"""No file of :mod:`repro` is over 600 lines, but the one named here.
 
 The controller's punt pipeline and its base class (config, wiring,
-admin verbs) stay apart so neither grows back into one file.  The
-ceiling may only come down.
+admin verbs) stay apart, and the query engine, its answer store and its
+push plane stay three modules, so none grows back into one file.  The
+ceiling may only come down, and the exception list only shrink: it must
+name exactly the files over the ceiling, so the test fails both when a
+file grows past it and when a listed file is shrunk under it (its
+exception then goes).
 """
 
 from pathlib import Path
 
-import repro.core
+import repro
 
 CEILING = 600
+#: The files over the ceiling, relative to the package.  The scenario
+#: matrix's registries and runner are still one module.
+OVER_CEILING = {"workloads/experiment.py"}
 
 
-def test_no_core_file_is_over_600_lines():
-    core = Path(repro.core.__file__).parent
-    sizes = {path.name: len(path.read_text().splitlines()) for path in sorted(core.glob("*.py"))}
-    assert {name: lines for name, lines in sizes.items() if lines > CEILING} == {}
+def test_no_repro_file_but_the_listed_ones_is_over_600_lines():
+    package = Path(repro.__file__).parent
+    over = {
+        path.relative_to(package).as_posix()
+        for path in sorted(package.rglob("*.py"))
+        if len(path.read_text().splitlines()) > CEILING
+    }
+    assert over == OVER_CEILING

@@ -281,6 +281,26 @@ class TestCacheCoherenceChecker:
         assert "stale cached identity" in result.violations[0]
 
 
+RETENANT_CELLS = [spec for spec in default_matrix() if spec.traffic == "retenant"]
+
+
+@pytest.mark.parametrize("spec", RETENANT_CELLS, ids=lambda spec: spec.control)
+def test_retenant_cells_stay_coherent_on_the_push_plane(spec):
+    """The committed re-tenant cells, run with resident answers: every
+    verdict meets the identity after the change, and the cells really
+    served resident hits and applied pushed deltas (no matrix row, so
+    no committed digest moves)."""
+    spec = replace(spec, identity_plane="push")
+    ctx = experiment._run_once(spec, spec.seed)
+    results = experiment.evaluate_invariants(ctx, invariants.network_deliveries(ctx.net))
+    coherence = results[invariants.CACHE_COHERENCE]
+    assert coherence.passed, coherence.violations
+    assert coherence.details["probes"] > 0
+    stats = [controller.query_engine.stats() for controller in ctx.net.controllers.values()]
+    assert sum(entry["deltas_applied"] for entry in stats) >= 1
+    assert sum(entry["resident_hits"] for entry in stats) >= 1
+
+
 class TestBoundedStateChecker:
     def test_peaks_within_caps_pass(self):
         result = invariants.check_bounded_state(

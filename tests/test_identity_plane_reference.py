@@ -134,7 +134,11 @@ class World:
             "engines": [
                 (
                     engine.stats(),
-                    {key for key, entry in engine._entries.items() if entry.resident},
+                    {
+                        entry.key for host in self.hosts
+                        for entry in engine.store.entries(str(host.ip)) if entry.resident
+                    },
+                    len(engine.store),
                     sorted(engine.push_plane.subscriptions),
                 )
                 for engine in self.engines

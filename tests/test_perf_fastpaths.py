@@ -8,6 +8,8 @@ Python-level calls a forwarded packet and a punted flow make, in total
 and per layer (``perf/tracing.py``'s module -> layer rule).
 """
 
+import pytest
+
 from perf.tracing import _layer_of_module
 from repro.core.cache import DecisionCache
 from repro.core.controller import ControllerConfig
@@ -338,25 +340,28 @@ class TestHitPathCalls:
         assert calls_per_forwarded_packet(waves=2) == calls_per_forwarded_packet(waves=2)
 
 
-def calls_per_punt(**sizes) -> float:
+def calls_per_punt(**options) -> float:
     """Python-level calls inside ``repro`` per punted flow, the ``punt_unique`` shape."""
-    counts, punted = punt_counts(**sizes)
+    counts, punted = punt_counts(**options)
     return counts.calls / punted
 
 
-def punt_counts(*, flows=40, clients=4, waves=4) -> tuple[Counts, int]:
+def punt_counts(
+    *, flows=40, clients=4, waves=4, query_cache_ttl=0.0, identity_plane="pull"
+) -> tuple[Counts, int]:
     """What ``repro`` runs for punted flows in the ``punt_unique`` shape, and how many.
 
     Clients on an edge switch open fresh web flows to a server behind a
     core switch: async decision core, serialized policy eval,
-    non-blocking inbox, pull identity plane with ``query_cache_ttl=0``
-    (every punt queries both daemons), 50 vms flow entries under the
-    sweeper, and each wave's sockets reaped two waves later.  Two
-    untimed waves warm the caches; ``tools.counts.count`` then counts
-    the calls of ``repro``'s own functions over ``waves`` waves, each
-    ``flows`` punts (every 10th to a blocked port) and a run of the
-    simulator over its 100 vms slot.  The count is the same on every
-    host.
+    non-blocking inbox, by default the pull identity plane with
+    ``query_cache_ttl=0`` (every punt queries both daemons; the other
+    planes are ``query_cache_ttl`` / ``identity_plane``), 50 vms flow
+    entries under the sweeper, and each wave's sockets reaped two waves
+    later.  Two untimed waves warm the caches; ``tools.counts.count``
+    then counts the calls of ``repro``'s own functions over ``waves``
+    waves, each ``flows`` punts (every 10th to a blocked port) and a run
+    of the simulator over its 100 vms slot.  The count is the same on
+    every host.
     """
     config = ControllerConfig(
         decision_core="async",
@@ -367,8 +372,8 @@ def punt_counts(*, flows=40, clients=4, waves=4) -> tuple[Counts, int]:
         hard_timeout=0.05,
         lifecycle_interval=0.05,
         decision_ttl=1.0,
-        query_cache_ttl=0.0,
-        identity_plane="pull",
+        query_cache_ttl=query_cache_ttl,
+        identity_plane=identity_plane,
     )
     net = IdentPPNetwork("punt-calls", controller_config=config, policy_default_action="block")
     edge, core = net.add_switch("sw-edge"), net.add_switch("sw-core")
@@ -455,12 +460,53 @@ class TestPuntCalls:
         "pf.evaluator": 2.0,
     }
 
-    def test_a_punt_makes_exactly_174_35_calls(self):
-        assert calls_per_punt() == self.CALLS
+    #: The same punts with the query engine on: a 2 s answer TTL and
+    #: the push plane, so the store, the promotion tally and resident
+    #: hits run.
+    ENGINE_ON = {"query_cache_ttl": 2.0, "identity_plane": "push"}
+    #: 208.15 when first pinned, while the query engine was one module
+    #: whose store insertions and removals read each entry's ``resident``
+    #: property (2.5 calls) and both endpoint queries asked a
+    #: ``_bypasses_cache`` helper (2.0); 203.8 since the answer store
+    #: compares ``expires_at`` itself and the queries test the bypass
+    #: inline (the store's ``drop`` and ``holds`` add 0.075 each on the
+    #: delta path).
+    ENGINE_ON_CALLS = 203.8
+    ENGINE_ON_LAYER_CALLS = {
+        "core.cache": 4.0,
+        "core.controller": 22.9,
+        "core.lifecycle": 2.0,
+        "core.policy_engine": 2.0,
+        "hosts": 17.9,
+        "identpp.client": 5.0,
+        "identpp.daemon": 3.925,
+        "identpp.engine": 21.125,
+        "identpp.wire": 16.075,
+        "netsim.events": 40.2,
+        "netsim.links": 13.7,
+        "netsim.packet": 7.8,
+        "openflow.channel": 4.8,
+        "openflow.flow_table": 19.175,
+        "openflow.switch": 14.5,
+        "pf.compiler": 6.7,
+        "pf.evaluator": 2.0,
+    }
 
-    def test_every_layer_makes_exactly_its_pinned_calls_per_punt(self):
-        moved = moved_layers(calls_by_layer(*punt_counts()), self.LAYER_CALLS)
+    PLANES = pytest.mark.parametrize(
+        "options, calls, layer_calls",
+        [({}, CALLS, LAYER_CALLS), (ENGINE_ON, ENGINE_ON_CALLS, ENGINE_ON_LAYER_CALLS)],
+        ids=["engine-off", "engine-on"],
+    )
+
+    @PLANES
+    def test_a_punt_makes_exactly_its_pinned_calls(self, options, calls, layer_calls):
+        assert calls_per_punt(**options) == calls
+
+    @PLANES
+    def test_every_layer_makes_exactly_its_pinned_calls_per_punt(self, options, calls, layer_calls):
+        moved = moved_layers(calls_by_layer(*punt_counts(**options)), layer_calls)
         assert moved == {}, f"layer: (pinned, measured) calls per punt: {moved}"
 
-    def test_the_count_repeats_exactly(self):
-        assert calls_per_punt(waves=2) == calls_per_punt(waves=2)
+    @PLANES
+    def test_the_count_repeats_exactly(self, options, calls, layer_calls):
+        assert calls_per_punt(waves=2, **options) == calls_per_punt(waves=2, **options)

@@ -35,6 +35,8 @@ from tests.test_query_engine import both_entry_points, build_world, flow_to_serv
 POLICY = {"00.control": "block all\npass from any to any port 80 keep state\n"}
 
 SERVER_IP = "192.168.1.1"
+#: Every host IP of both test worlds (``build_world`` and ``build_net``).
+WORLD_IPS = ("192.168.0.10", SERVER_IP)
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +212,8 @@ def count_deltas(engine):
 
 
 def resident(engine: QueryEngine) -> int:
-    """How many of the engine's answers are held until the next delta."""
-    return engine._until_delta
+    """How many of the engine's answers, over every host, are held until the next delta."""
+    return sum(entry.resident for ip in WORLD_IPS for entry in engine.store.entries(ip))
 
 
 class TestEnginePush:
@@ -224,10 +226,11 @@ class TestEnginePush:
         engine = make_engine(topo)
         ask(engine, flow_to_server(), "dst", from_node=switch)
         assert int(daemon.queries_answered.value) == 1
-        assert resident(engine) == 0
+        assert resident(engine) == 0 and len(engine.store) == 1
 
         assert engine.subscribe_host(server.ip) is True
-        assert resident(engine) == 1
+        # Upgraded in place: the TTL count loses what residency gains.
+        assert resident(engine) == 1 and len(engine.store) == 0
 
         topo.sim.run(until=topo.sim.now + 1.0)  # let the fill's round trip land
         outcome = ask(engine, flow_to_server(41000), "dst", from_node=switch)
@@ -272,7 +275,7 @@ class TestEnginePush:
         assert engine.subscribe_host(server.ip) is True
         ask(engine, flow_to_server(), "dst", from_node=switch)
         topo.sim.run(until=topo.sim.now + 1.0)  # let the fill's round trip land
-        assert resident(engine) == 1
+        assert resident(engine) == 1 and len(engine.store) == 0
 
         patch_host(daemon)
         # A punt landing mid-refresh coalesces onto the re-prime the
@@ -285,7 +288,7 @@ class TestEnginePush:
         topo.sim.run(until=topo.sim.now + 1.0)
         sub = engine.push_plane.subscriptions[str(server.ip)]
         assert sub.serial == daemon.delta_serial
-        assert resident(engine) == 1
+        assert resident(engine) == 1 and len(engine.store) == 0
         # The refreshed resident answer carries the new fact — punts
         # converge without a daemon round trip on the punt path.
         outcome = ask(engine, flow_to_server(41000), "dst", from_node=switch)
@@ -311,7 +314,7 @@ class TestEnginePush:
         assert engine.push_plane.unsubscribe_host(server.ip) is True
         assert daemon.subscriber_count() == 0
         assert len(daemon._invalidation_listeners) == 0
-        assert resident(engine) == 0
+        assert resident(engine) == 0 and len(engine.store) == 0
         assert engine.push_plane.unsubscribe_host(server.ip) is False
         # The plane reset the promotion tally itself: one punt is not
         # enough to re-earn residency, the threshold's second one is.
@@ -333,7 +336,7 @@ class TestEnginePush:
         # hooks a fresh listener; invalidating it unhooks again).
         pull.query(flow_to_server(), "dst", from_node=switch, now=200.0)
         pull.query(flow_to_server(41000), "dst", from_node=switch, now=300.0)
-        assert len(pull) == 1
+        assert len(pull.store) == 1
         assert len(daemon._invalidation_listeners) == 1
         assert pull.invalidate_host(server.ip) == 1
         assert len(daemon._invalidation_listeners) == 0
@@ -392,11 +395,11 @@ class TestEnginePush:
         # A flow-scoped TTL entry for the same host: it is the source here.
         reverse = FlowSpec.tcp(server.ip, client.ip, 80, 40000)
         engine.query(reverse, "src", from_node=switch)
-        assert resident(engine) == 1 and len(engine) == 1
+        assert resident(engine) == 1 and len(engine.store) == 1
 
         assert engine.invalidate_host(server.ip, "quarantine") == 1
         assert not subscribed(engine, server.ip)
-        assert resident(engine) == 0 and len(engine) == 0
+        assert resident(engine) == 0 and len(engine.store) == 0
         assert daemon.subscriber_count() == 0
         assert daemon._invalidation_listeners == []
 
@@ -411,7 +414,7 @@ class TestEnginePush:
         # The old daemon's last notice made the engine forget the host:
         # its answers, its subscription and its listener are gone.
         assert not subscribed(engine, server.ip)
-        assert resident(engine) == 0
+        assert resident(engine) == 0 and len(engine.store) == 0
         assert old_daemon.subscriber_count() == 0
         assert old_daemon._invalidation_listeners == []
         assert engine.subscribe_host(server.ip) is True
@@ -472,7 +475,7 @@ class TestEnginePush:
         # resident.
         reverse = FlowSpec.tcp(server.ip, client.ip, 80, 40000)
         first = engine.query(reverse, "src", from_node=switch)
-        assert first.succeeded() and len(engine) == 1
+        assert first.succeeded() and len(engine.store) == 1
 
         records = engine.push_plane.export()
         assert [r["host_ip"] for r in records] == [server.ip]
@@ -574,7 +577,7 @@ class TestControllerPlaneSwitch:
         net.controller.quarantine_host(SERVER_IP)
         assert not subscribed(engine, SERVER_IP)
         assert net.daemon("server").subscriber_count() == 0
-        assert resident(engine) == 0
+        assert resident(engine) == 0 and len(engine.store) == 0
 
     def test_lifecycle_drain_demotes_and_punt_history_resets(self):
         net = build_net(lifecycle_interval=0.1, push_idle_demote=0.5)

@@ -259,7 +259,7 @@ class TestEngineCache:
             interceptors=[interceptor], now=0.0,
         )
         assert first.intercepted
-        assert len(engine) == 0
+        assert len(engine.store) == 0
         # Without the interceptor the daemon is asked fresh.
         second = ask(engine, flow_to_server(40001), "dst", from_node=switch, now=0.0)
         assert not second.cached and second.answered_by == "server"
@@ -271,7 +271,7 @@ class TestEngineCache:
         topo, switch, _, _, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=100.0)
         ask(engine, flow_to_server(40000), "dst", from_node=switch, now=0.0)
-        assert len(engine) == 1
+        assert len(engine.store) == 1
         outcome = ask(
             engine, flow_to_server(41000), "dst", from_node=switch,
             interceptors=[NamedInterceptor("edge")], now=1.0,
@@ -359,7 +359,7 @@ class TestEngineNegativeCache:
         topo, switch, _, server, _ = build_world(server_daemon=False, serve=None)
         engine = QueryEngine(QueryClient(topo), ttl=100.0)
         engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
-        assert len(engine) == 1
+        assert len(engine.store) == 1
         IdentPPDaemon(server)
         revived = engine.query(flow_to_server(41000), "dst", from_node=switch, now=1.0)
         assert revived.succeeded() and not revived.cached
@@ -393,11 +393,11 @@ class TestEngineInvalidation:
         topo, switch, client_host, server, daemon = build_world()
         engine = QueryEngine(QueryClient(topo), ttl=1000.0)
         outcome = engine.query(flow_to_server(40000), "dst", from_node=switch, now=0.0)
-        assert outcome.succeeded() and len(engine) == 1
+        assert outcome.succeeded() and len(engine.store) == 1
         return engine, switch, server, daemon
 
     def assert_requeries(self, engine, switch, daemon):
-        assert len(engine) == 0
+        assert len(engine.store) == 0
         fresh = engine.query(flow_to_server(49000), "dst", from_node=switch, now=500.0)
         assert not fresh.cached
         assert int(daemon.queries_answered.value) == 2
@@ -438,14 +438,14 @@ class TestEngineInvalidation:
         cached = engine.query(flow_to_server(40001), "dst", from_node=switch, now=400.0)
         assert cached.cached and cached.document.latest("groupID") == "root"
         server.users.add_to_group("root", "wheel")
-        assert len(engine) == 0
+        assert len(engine.store) == 0
         fresh = engine.query(flow_to_server(49000), "dst", from_node=switch, now=500.0)
         assert not fresh.cached
         assert int(daemon.queries_answered.value) == 2
         assert fresh.document.latest("groupID") == "root wheel"
         # Re-adding a member changes nothing and tells nobody.
         server.users.add_to_group("root", "wheel")
-        assert len(engine) == 1
+        assert len(engine.store) == 1
 
     def test_invalidation_is_per_host(self):
         topo, switch, client_host, server, server_daemon = build_world()
@@ -456,22 +456,21 @@ class TestEngineInvalidation:
         flow = FlowSpec.from_packet(packet)
         engine.query(flow, "src", from_node=switch, now=0.0)
         engine.query(flow, "dst", from_node=switch, now=0.0)
-        assert len(engine) == 2
+        assert len(engine.store) == 2
         # The *server's* state changes; the client's cached answer stays.
         server_daemon.runtime.publish_for_flow(flow, {"k": "v"})
-        assert len(engine) == 1
-        (entry,) = engine._entries.values()
-        assert entry.host_ip == "192.168.0.10"
+        assert len(engine.store) == 1
+        assert engine.store.holds("192.168.0.10") and not engine.store.holds("192.168.1.1")
 
     def test_explicit_invalidate_and_expire(self):
         engine, switch, _, daemon = self.warm()
         assert engine.invalidate_host("192.168.1.1", "admin") == 1
-        assert len(engine) == 0
+        assert len(engine.store) == 0
         engine.query(flow_to_server(41000), "dst", from_node=switch, now=0.0)
-        assert engine.expirable_count() == 1
-        assert engine.next_expiry() is not None
+        assert len(engine.store) == 1
+        assert engine.store.next_deadline() is not None
         assert engine.expire(now=5000.0) == 1
-        assert engine.expirable_count() == 0 and engine.next_expiry() is None
+        assert len(engine.store) == 0 and engine.store.next_deadline() is None
 
 
 # ----------------------------------------------------------------------
@@ -578,4 +577,4 @@ class TestClusterIntegration:
         # Shard caches are isolated: invalidating through one engine
         # leaves the other's entries alone.
         engines[0].invalidate_host("192.168.1.1")
-        assert any(len(e) > 0 for e in engines[1:])
+        assert any(len(e.store) > 0 for e in engines[1:])

@@ -41,9 +41,6 @@ ACCEPTED: tuple[Row, ...] = (
         "the engine's synchronous pair query: the tests' explicit now= clock, and the from_node / "
         "interceptors QueryClient.query takes; perf/tracing.py pins it",
         "tests/test_reach.py::test_every_traced_layer_keeps_a_name_that_resolves"),
-    Row("R13", "QueryEngine.query_both_ends_async", "seam",
-        "an explicit now= clock for the engine tests; the controller asks at sim.now",
-        "tests/test_dispatch_reference.py::test_a_pass_through_punt_fires_one_answer_event_where_two_fired"),
     Row("R13", "QueryClient.query_both_ends", "seam",
         "the client's pair query the engine tests compare the engine with; perf/tracing.py pins "
         "it",
