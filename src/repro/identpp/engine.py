@@ -242,7 +242,10 @@ class QueryEngine:
                     latency, answered, *args, outcomes, label=BOTH_ANSWERS_LABEL
                 )
             return
-        src, dst = self._both_ends(self.query_async, flow, from_node, interceptors, None)
+        # The async path schedules on the simulator, so it has one: read
+        # its clock once for both ends.
+        now = self.client.topology.sim.now
+        src, dst = self._both_ends(self.query_async, flow, from_node, interceptors, now)
         src.add_done_callback(
             lambda _: dst.add_done_callback(
                 lambda _: answered(*args, (src.result(), dst.result()))
@@ -426,7 +429,7 @@ class QueryEngine:
                 topology_epoch=self.client.topology.mutation_epoch,
             )
         )
-        if daemon is not None:
+        if daemon is not None and host_ip not in self._daemons:
             self.hook(host_ip, daemon)
         return entry
 

@@ -9,74 +9,56 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from functools import total_ordering
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
 from repro.exceptions import SimulationError
 from repro.netsim.sanitizer import SimulationSanitizer
 
 
-@total_ordering
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback, and the simulator's heap record for it.
 
-    Events compare by ``(time, seq)``; the callback and its arguments are
-    excluded from the ordering.  While the event sits in a simulator's
-    queue it remembers that simulator, so :meth:`cancel` can tell the
-    queue it now holds one more dead record.  ``riders`` holds the items
-    of later deliveries that share this event (:meth:`Simulator.deliver`);
-    each is handed to ``callback`` alone, in arrival order, after the
-    event's own call.
+    One list per event, ``[time, tie_key, callback, args, label, riders,
+    sim, seq]``: the heap orders records by their unique ``(time,
+    tie_key)`` prefix, so it never compares a callback.  ``seq`` is the
+    schedule sequence number, and ``tie_key`` is ``seq`` negated under
+    ``perturb_ties``.  ``sim`` is the simulator while the record is
+    queued and ``None`` once it fired or was cancelled.  ``riders``
+    holds the items of later deliveries that share this event
+    (:meth:`Simulator.deliver`), each handed to ``callback`` alone, in
+    arrival order, after the event's own call.  Cancelling clears the
+    callback slot.
+
+    The attributes are read-only views of the slots; the simulator reads
+    the slots themselves.
     """
 
-    __slots__ = (
-        "time", "seq", "callback", "args", "kwargs", "cancelled", "label", "riders", "_sim",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
-        cancelled: bool = False,
-        label: str = "",
-        _sim: "Optional[Simulator]" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.kwargs = {} if kwargs is None else kwargs
-        self.cancelled = cancelled
-        self.label = label
-        self.riders: Optional[list] = None
-        self._sim = _sim
+    time = property(itemgetter(0))
+    callback = property(itemgetter(2))
+    args = property(itemgetter(3))
+    label = property(itemgetter(4))
+    riders = property(itemgetter(5))
+    seq = property(itemgetter(7))
+
+    @property
+    def cancelled(self) -> bool:
+        """Return ``True`` once :meth:`cancel` ran."""
+        return self[2] is None
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Cancelling twice is harmless."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
+        """Prevent the event from firing.  Cancelling twice, or after it fired, is harmless."""
+        self[2] = None
+        sim = self[6]
         if sim is not None:
-            self._sim = None
+            self[6] = None
             sim._note_cancelled()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
-        state = ", cancelled" if self.cancelled else ""
-        return f"Event(time={self.time!r}, seq={self.seq}, label={self.label!r}{state})"
+        state = ", cancelled" if self[2] is None else ""
+        return f"Event(time={self[0]!r}, seq={self[7]}, label={self[4]!r}{state})"
 
 
 class Future:
@@ -162,8 +144,12 @@ class RepeatingEvent:
 
     @property
     def scheduled(self) -> bool:
-        """Return ``True`` while a next firing is queued."""
-        return self._event is not None and not self._event.cancelled
+        """Return ``True`` while a next firing is queued.
+
+        :meth:`_fire` and :meth:`cancel` drop the record they end, and
+        nothing else holds it, so a held record is a queued one.
+        """
+        return self._event is not None
 
     def start(self) -> "RepeatingEvent":
         """Queue the next firing (idempotent while already scheduled)."""
@@ -280,12 +266,11 @@ class Simulator:
         #: a property: the clock is read on every hop and every punt
         #: stage, and only :meth:`_drain` (and :meth:`reset`) write it.
         self.now = 0.0
-        # Heap of (time, tie_key, event) records, one per scheduled
-        # event: the explicit tie key lets the sanitizer's shadow replay
-        # flip same-instant service order without touching Event's own
-        # (time, seq) ordering contract, and keeps heap comparisons on
-        # floats and ints (an Event is never compared by the heap).
-        self._queue: list[tuple[float, int, Event]] = []
+        # Heap of Event records, ordered by their (time, tie_key)
+        # prefix: the tie key lets the sanitizer's shadow replay flip
+        # same-instant service order, and keeps heap comparisons on
+        # floats and ints.
+        self._queue: list[Event] = []
         # Cancelled events whose record is still in the heap.
         self._dead = 0
         # The event scheduled last and, when deliver() scheduled it, the
@@ -337,9 +322,8 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         label: str = "",
-        **kwargs: Any,
     ) -> Event:
-        """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds from now.
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Returns the :class:`Event`, which the caller may :meth:`Event.cancel`.
         A delay that is not ``>= 0`` (negative, or NaN) raises
@@ -349,10 +333,11 @@ class Simulator:
         """
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
         seq = next(self._seq)
-        event = Event(time, seq, callback, args, kwargs, False, label, self)
-        heapq.heappush(self._queue, (time, self._tie_sign * seq, event))
+        event = Event(
+            (self.now + delay, self._tie_sign * seq, callback, args, label, None, self, seq)
+        )
+        heapq.heappush(self._queue, event)
         self._newest = event
         self._newest_lane = None
         return event
@@ -384,12 +369,12 @@ class Simulator:
         if (
             self._newest_lane is lane
             and newest is not None
-            and newest._sim is not None
-            and newest.time == self.now + delay
+            and newest[6] is not None
+            and newest[0] == self.now + delay
         ):
-            riders = newest.riders
+            riders = newest[5]
             if riders is None:
-                newest.riders = [item]
+                newest[5] = [item]
             else:
                 riders.append(item)
             return newest
@@ -403,10 +388,9 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         label: str = "",
-        **kwargs: Any,
     ) -> Event:
         """Schedule a callback at an absolute simulated time."""
-        return self.schedule(when - self.now, callback, *args, label=label, **kwargs)
+        return self.schedule(when - self.now, callback, *args, label=label)
 
     def schedule_repeating(
         self,
@@ -468,11 +452,13 @@ class Simulator:
         while queue:
             if max_events is not None and processed >= max_events:
                 break
-            time, _, head = queue[0]
-            if head.cancelled:
+            head = queue[0]
+            callback = head[2]
+            if callback is None:
                 pop(queue)
                 self._dead -= 1
                 continue
+            time = head[0]
             if until is not None and time > until:
                 if self.now < until:
                     self.now = until
@@ -481,25 +467,21 @@ class Simulator:
             if time < self.now:
                 raise SimulationError("event queue corrupted: time went backwards")
             event = head
-            event._sim = None
+            event[6] = None
             self.now = time
             self._events_processed += 1
             processed += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_event(event)
-            if event.kwargs:
-                event.callback(*event.args, **event.kwargs)
-            else:
-                event.callback(*event.args)
-            riders = event.riders
+            callback(*event[3])
+            riders = event[5]
             if riders is not None:
-                callback = event.callback
                 for item in riders:
                     callback(item)
         if until is not None and not queue and self.now < until:
             self.now = until
         newest = self._newest
-        if newest is not None and newest._sim is None:
+        if newest is not None and newest[6] is None:
             # Fired or cancelled: nothing can ride it, so hold nothing it carried.
             self._newest = None
         return processed, event
@@ -518,6 +500,6 @@ class Simulator:
         self._dead += 1
         queue = self._queue
         if 2 * self._dead > len(queue):
-            queue[:] = [record for record in queue if not record[2].cancelled]
+            queue[:] = [record for record in queue if record[2] is not None]
             heapq.heapify(queue)
             self._dead = 0

@@ -402,7 +402,7 @@ class TestOneDeadlinePerController:
         net.run(duration=0.1)
         assert net.controller.inflight_count() == 0 and net.controller.pending_expired == 0
         assert net.controller._deadline_event is None
-        assert all(event.cancelled for _, _, event in sim._queue)
+        assert all(event.cancelled for event in sim._queue)
         # An unbounded run must end at the last real event, not 5 vs later.
         now = sim.now
         net.run()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.netsim.events import Event, Future, Simulator
+from repro.netsim.events import Future, Simulator
 
 
 
@@ -78,12 +78,17 @@ class TestScheduling:
         sim.run()
         assert sim.now == 1.5
 
-    def test_kwargs_passed_to_callback(self):
+    def test_args_passed_to_callback_and_no_keyword_but_label(self):
         sim = Simulator()
-        received = {}
-        sim.schedule(0.0, lambda **kw: received.update(kw), value=42)
+        received = []
+        sim.schedule(0.0, lambda *args: received.append(args), 4, 2, label="args")
         sim.run()
-        assert received == {"value": 42}
+        assert received == [(4, 2)]
+        with pytest.raises(TypeError):
+            sim.schedule(0.0, print, value=42)
+        with pytest.raises(TypeError):
+            sim.schedule_at(0.0, print, value=42)
+        assert sim.pending() == 0
 
 
 class TestCancellation:
@@ -158,32 +163,45 @@ class TestCompaction:
 
 
 class TestEventOrdering:
-    def test_events_order_by_time_then_sequence(self):
-        def callback():
-            return None
+    def test_records_order_by_time_then_schedule_order_never_by_callback(self):
+        sim = Simulator()
+        # Lambdas do not compare: reaching a callback would raise.
+        late, early = sim.schedule(1.0, lambda: None), sim.schedule(0.5, lambda: None)
+        tie_first, tie_second = sim.schedule(1.0, lambda: None), sim.schedule(1.0, lambda: None)
+        assert early < late < tie_first < tie_second
+        assert sorted([tie_second, tie_first, late, early]) == [early, late, tie_first, tie_second]
+        assert [event.seq for event in (late, early, tie_first, tie_second)] == [0, 1, 2, 3]
 
-        early, tie_first, tie_second = Event(0.5, 9, callback), Event(1.0, 2, callback), Event(1.0, 3, callback)
-        assert early < tie_first < tie_second
-        assert tie_second > tie_first >= early
-        assert sorted([tie_second, early, tie_first]) == [early, tie_first, tie_second]
-        # The callback, arguments and label take no part in the ordering.
-        assert Event(1.0, 2, print, ("x",), {"y": 1}, label="other") == tie_first
-
-    def test_event_keeps_its_seven_fields_and_constructor(self):
-        event = Event(time=1.5, seq=4, callback=print, args=(1,), kwargs={"k": 2}, label="l")
-        assert (event.time, event.seq, event.callback, event.args, event.kwargs,
-                event.cancelled, event.label) == (1.5, 4, print, (1,), {"k": 2}, False, "l")
-        assert Event(0.0, 0, print).kwargs == {}
-        event.cancel()
-        assert event.cancelled
+    def test_record_fields_are_read_only_views(self):
+        event = Simulator().schedule(0.5, print)
+        with pytest.raises(AttributeError):
+            event.time = 3.0
         with pytest.raises(AttributeError):
             event.extra = 1  # slotted
+        with pytest.raises(TypeError):
+            hash(event)
+        assert not event.cancelled
+        event.cancel()
+        assert event.cancelled and event.callback is None
 
     def test_scheduled_event_carries_what_was_scheduled(self):
         sim = simulator_at(2.0)
-        event = sim.schedule(0.5, print, "a", label="hello", end="")
-        assert (event.time, event.args, event.kwargs, event.label) == (2.5, ("a",), {"end": ""}, "hello")
+        event = sim.schedule(0.5, print, "a", label="hello")
+        assert (event.time, event.callback, event.args, event.label, event.riders) == (
+            2.5, print, ("a",), "hello", None
+        )
         assert sim.schedule(0.5, print).seq == event.seq + 1
+
+    @pytest.mark.parametrize("perturb_ties", [False, True])
+    def test_schedule_returns_the_one_record_the_heap_holds(self, perturb_ties):
+        sim = Simulator(perturb_ties=perturb_ties)
+        events = [sim.schedule(0.0, lambda: None) for _ in range(3)]
+        assert sorted(map(id, sim._queue)) == sorted(map(id, events))
+        fired = sim.step()
+        assert fired is (events[-1] if perturb_ties else events[0])
+        # A fired record is no dead heap record: cancelling it counts nothing.
+        fired.cancel()
+        assert fired.cancelled and (sim._dead, sim.pending()) == (0, 2)
 
 
 class TestRunLimits:

@@ -5,8 +5,11 @@ exact-match cache, Packet.wire_size caching, the policy engine's
 @pubkeys epoch caching, the flow generator's port allocator, a burst
 of same-instant punts with one mis-evaluating flow, and the counts of
 Python-level calls a forwarded packet and a punted flow make, in total
-and per layer (``perf/tracing.py``'s module -> layer rule).
+and per layer (``perf/tracing.py``'s module -> layer rule), and the
+event loop's opcodes for each, per interpreter.
 """
+
+import sys
 
 import pytest
 
@@ -248,6 +251,27 @@ def calls_by_layer(counts: Counts, per: int) -> dict[str, float]:
     return {layer: calls / per for layer, calls in sorted(layers.items())}
 
 
+def layer_opcodes(counts: Counts, per: int, layer: str) -> float:
+    """Return the opcodes per ``per`` that ``counts`` ran in one layer."""
+    return sum(
+        opcodes
+        for module, (_calls, opcodes) in counts.by_module.items()
+        if _layer_of_module(module) == layer
+    ) / per
+
+
+def pin_for_this_interpreter(pins: dict[tuple[int, int], float]) -> float:
+    """Return the pin of the running CPython minor version.
+
+    Opcode counts differ by interpreter, so each has its own row; one
+    with no row skips.
+    """
+    version = sys.version_info[:2]
+    if version not in pins:
+        pytest.skip(f"no opcode pin for Python {version[0]}.{version[1]}")
+    return pins[version]
+
+
 def moved_layers(layers: dict[str, float], pins: dict[str, float]) -> dict[str, tuple]:
     """Return ``{layer: (pinned, measured)}`` for each layer whose calls
     differ from its pin, up or down (a layer absent on one side: 0)."""
@@ -314,23 +338,33 @@ class TestHitPathCalls:
     #: 43.6 while every hit entered lazy expiry and went through
     #: _apply_actions, Port.send and Link.transmit, and every packet ran
     #: two default-factory lambdas and built a metadata dict; 25.6 while
-    #: the simulator's clock was a property; 22.5 since.
-    CALLS = 22.5
+    #: the simulator's clock was a property; 22.5 while each event was an
+    #: Event object built by its own __init__ and wrapped in a heap tuple;
+    #: 21.375 since.
+    CALLS = 21.375
     #: Each layer's exact calls per forwarded packet (layers as
     #: perf/tracing.py groups modules): a change that moves a layer's
     #: calls, up or down, re-pins its row here.
     LAYER_CALLS = {
         "core.controller": 0.0625,
         "hosts": 4.0,
-        "netsim.events": 5.375,
+        "netsim.events": 4.25,
         "netsim.links": 5.0625,
         "netsim.packet": 4.0,
         "openflow.flow_table": 2.0,
         "openflow.switch": 2.0,
     }
 
-    def test_a_forwarded_packet_makes_exactly_22_5_calls(self):
+    #: The event loop's exact opcodes per forwarded packet, by
+    #: interpreter (277.25 on 3.11 for the Event object in a heap tuple).
+    EVENTS_OPCODES = {(3, 10): 256.0625, (3, 11): 246.6875, (3, 12): 238.3125}
+
+    def test_a_forwarded_packet_makes_exactly_its_pinned_calls(self):
         assert calls_per_forwarded_packet() == self.CALLS
+
+    def test_the_event_loop_runs_exactly_its_pinned_opcodes_per_packet(self):
+        pin = pin_for_this_interpreter(self.EVENTS_OPCODES)
+        assert layer_opcodes(*forwarded_packet_counts(), "netsim.events") == pin
 
     def test_every_layer_makes_exactly_its_pinned_calls_per_packet(self):
         moved = moved_layers(calls_by_layer(*forwarded_packet_counts()), self.LAYER_CALLS)
@@ -436,8 +470,10 @@ class TestPuntCalls:
     #: whose holds(), evaluate() and completion callback ran on every
     #: punt, and the decision read its documents through a method;
     #: 175.35 while every pull punt also called the engine's push
-    #: promotion tally, which returned at once; 174.35 since.
-    CALLS = 174.35
+    #: promotion tally, which returned at once; 174.35 while each event
+    #: was an Event object built by its own __init__ and wrapped in a
+    #: heap tuple; 167.525 since.
+    CALLS = 167.525
     #: Each layer's exact calls per punt: a change that moves a layer's
     #: calls, up or down, re-pins its row here.
     LAYER_CALLS = {
@@ -450,7 +486,7 @@ class TestPuntCalls:
         "identpp.daemon": 5.75,
         "identpp.engine": 1.0,
         "identpp.wire": 16.0,
-        "netsim.events": 31.2,
+        "netsim.events": 24.375,
         "netsim.links": 9.625,
         "netsim.packet": 7.8,
         "openflow.channel": 4.8,
@@ -470,8 +506,11 @@ class TestPuntCalls:
     #: ``_bypasses_cache`` helper (2.0); 203.8 since the answer store
     #: compares ``expires_at`` itself and the queries test the bypass
     #: inline (the store's ``drop`` and ``holds`` add 0.075 each on the
-    #: delta path).
-    ENGINE_ON_CALLS = 203.8
+    #: delta path); 194.075 since each event is one heap record (6.825
+    #: calls), a fill calls ``hook`` only for a host not yet hooked
+    #: (0.9) and both endpoint queries share one clock reading, taken
+    #: without a call (2.0).
+    ENGINE_ON_CALLS = 194.075
     ENGINE_ON_LAYER_CALLS = {
         "core.cache": 4.0,
         "core.controller": 22.9,
@@ -480,9 +519,9 @@ class TestPuntCalls:
         "hosts": 17.9,
         "identpp.client": 5.0,
         "identpp.daemon": 3.925,
-        "identpp.engine": 21.125,
+        "identpp.engine": 18.225,
         "identpp.wire": 16.075,
-        "netsim.events": 40.2,
+        "netsim.events": 33.375,
         "netsim.links": 13.7,
         "netsim.packet": 7.8,
         "openflow.channel": 4.8,
@@ -492,21 +531,41 @@ class TestPuntCalls:
         "pf.evaluator": 2.0,
     }
 
+    #: The event loop's exact opcodes per punt on each plane, by
+    #: interpreter (1389.06875 and 1517.06875 on 3.11 for the Event
+    #: object in a heap tuple).
+    EVENTS_OPCODES = {(3, 10): 1192.35625, (3, 11): 1169.3, (3, 12): 1126.475}
+    ENGINE_ON_EVENTS_OPCODES = {(3, 10): 1313.35625, (3, 11): 1297.3, (3, 12): 1242.475}
+
     PLANES = pytest.mark.parametrize(
-        "options, calls, layer_calls",
-        [({}, CALLS, LAYER_CALLS), (ENGINE_ON, ENGINE_ON_CALLS, ENGINE_ON_LAYER_CALLS)],
+        "options, calls, layer_calls, events_opcodes",
+        [
+            ({}, CALLS, LAYER_CALLS, EVENTS_OPCODES),
+            (ENGINE_ON, ENGINE_ON_CALLS, ENGINE_ON_LAYER_CALLS, ENGINE_ON_EVENTS_OPCODES),
+        ],
         ids=["engine-off", "engine-on"],
     )
 
     @PLANES
-    def test_a_punt_makes_exactly_its_pinned_calls(self, options, calls, layer_calls):
+    def test_a_punt_makes_exactly_its_pinned_calls(
+        self, options, calls, layer_calls, events_opcodes
+    ):
         assert calls_per_punt(**options) == calls
 
     @PLANES
-    def test_every_layer_makes_exactly_its_pinned_calls_per_punt(self, options, calls, layer_calls):
+    def test_every_layer_makes_exactly_its_pinned_calls_per_punt(
+        self, options, calls, layer_calls, events_opcodes
+    ):
         moved = moved_layers(calls_by_layer(*punt_counts(**options)), layer_calls)
         assert moved == {}, f"layer: (pinned, measured) calls per punt: {moved}"
 
     @PLANES
-    def test_the_count_repeats_exactly(self, options, calls, layer_calls):
+    def test_the_event_loop_runs_exactly_its_pinned_opcodes_per_punt(
+        self, options, calls, layer_calls, events_opcodes
+    ):
+        pin = pin_for_this_interpreter(events_opcodes)
+        assert layer_opcodes(*punt_counts(**options), "netsim.events") == pin
+
+    @PLANES
+    def test_the_count_repeats_exactly(self, options, calls, layer_calls, events_opcodes):
         assert calls_per_punt(waves=2, **options) == calls_per_punt(waves=2, **options)

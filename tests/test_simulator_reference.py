@@ -28,8 +28,8 @@ class _World:
         self.handles = []
         self.fired = []
 
-    def act(self, label, program=(), **kwargs):
-        self.fired.append((self.sim.now, label, "act", sorted(kwargs.items())))
+    def act(self, label, program=(), *extra):
+        self.fired.append((self.sim.now, label, "act", extra))
         self.execute(program)
 
     def execute(self, program):
@@ -71,7 +71,7 @@ _ops = st.one_of(
     st.tuples(st.just("schedule"), _delays, _labels, st.lists(_leaves, max_size=2).map(tuple)),
 )
 _programs = st.lists(_ops, max_size=3).map(tuple)
-_kwargs = st.dictionaries(st.sampled_from(["x", "y"]), st.integers(0, 3), max_size=2)
+_extra = st.lists(st.integers(0, 3), max_size=2)
 
 
 def _describe(result):
@@ -101,10 +101,10 @@ class SimulatorDifferential(RuleBasedStateMachine):
         world.handles.append(handle)
         return handle
 
-    @rule(delay=_delays, label=_labels, program=_programs, kwargs=_kwargs)
-    def schedule(self, delay, label, program, kwargs):
+    @rule(delay=_delays, label=_labels, program=_programs, extra=_extra)
+    def schedule(self, delay, label, program, extra):
         self.both(lambda w: self.keep(w, w.sim.schedule(
-            delay, w.act, label, program, label=label, **kwargs
+            delay, w.act, label, program, *extra, label=label
         )))
 
     @rule(offset=_delays, label=_labels, program=_programs)
