@@ -61,11 +61,12 @@ from tools.counts import count  # noqa: E402
 BENCH_SOAKS = tuple(name for name in SOAKS if name != "push")
 
 #: The gates on what no soak table covers, the micro-benches' count
-#: ratios, as data: where the value sits in ``results``, the comparison
-#: it must satisfy against the bound, the bound, and what to print when
-#: it does not.  A count is exact, so a size claim is an equality.  An
-#: opcode count cannot see work done in C, such as dead records riding
-#: the heap; the heap's length can.
+#: ratios (and what a capture adds to a hop's count), as data: where the
+#: value sits in ``results``, the comparison it must satisfy against the
+#: bound, the bound, and what to print when it does not.  A count is
+#: exact, so a size claim is an equality.  An opcode count cannot see
+#: work done in C, such as dead records riding the heap; the heap's
+#: length can.
 GATES = (
     Gate("policy_eval_compiled_2000.opcodes_vs_10", operator.eq, 1, "a policy decision runs "
          "{value:.4g}x the opcodes against 2000 rules as against 10 (it walks the ruleset)"),
@@ -85,8 +86,8 @@ GATES = (
          "{value:.4g}x the opcodes with nine in ten cancelled as with every one firing"),
     Gate("event_loop_90pct_cancelled.pending_per_live", operator.le, 2, "the heap holds "
          "{value:.4g} records per live event (dead records are not compacted away)"),
-    Gate("packet_hop_captured.opcodes_vs_off", operator.le, 1.25, "a hop runs {value:.4g}x "
-         "the opcodes with a capture running as with none (a per-record copy or lookup)"),
+    Gate("packet_hop_captured.opcodes_over_off", operator.le, 68, "a hop runs {value:.4g} "
+         "opcodes more with a capture running than with none (a per-record copy or lookup)"),
 )
 
 RESULTS_PATH = os.path.join(ROOT, "BENCH_results.json")
@@ -327,7 +328,10 @@ def bench_event_loop(results: dict) -> None:
         results[name] = _measure(
             lambda: _packet_hops(capture=capture), batch=2 * _HOP_BATCH, counted=_COUNTED
         )
-    _record_ratio(results, "packet_hop_captured", "packet_hop", "off")
+    # The capture's own cost, so a cheaper ordinary hop cannot move it.
+    captured = results["packet_hop_captured"]
+    plain = results["packet_hop"]["opcodes_per_op"]
+    captured["opcodes_over_off"] = captured["opcodes_per_op"] - plain
 
 
 def _event_loop(cancelled_tenths: int):

@@ -29,8 +29,8 @@
   (outbreak detection, sampling overhead),
   :mod:`~repro.workloads.paper` (the paper's own claims, E1–E12: ``make
   soak_paper``), :mod:`~repro.workloads.experiment` (the 30-cell
-  scenario matrix, cells as ``ScenarioSpec`` data: ``make
-  soak_matrix``) and :mod:`~repro.workloads.determinism` (the bench
+  scenario matrix, cells as ``ScenarioSpec`` data over the axis rows of
+  :mod:`~repro.workloads.axes`: ``make soak_matrix``) and :mod:`~repro.workloads.determinism` (the bench
   scenarios double-run: ``make determinism``).
 
 The soak modules and the kit are deliberately *not* imported here: the

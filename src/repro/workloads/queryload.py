@@ -65,6 +65,7 @@ from repro.workloads.soak import (
     ratio,
     timed,
     uncached,
+    web_listener,
 )
 
 #: Web traffic must prove the server really is httpd (a dst-side
@@ -132,14 +133,6 @@ def _net(
     return net
 
 
-def _httpd_socket(server):
-    """Return ``server``'s socket listening on port 80."""
-    return next(
-        socket for socket in server.sockets.sockets()
-        if socket.is_listening and socket.local_port == 80
-    )
-
-
 # ----------------------------------------------------------------------
 # Phases
 # ----------------------------------------------------------------------
@@ -200,7 +193,7 @@ def _invalidation_phase() -> dict:
     daemon.serialize = False  # latency is irrelevant here
     server = net.host("server0")
     answered = daemon.queries_answered
-    httpd_socket = _httpd_socket(server)
+    httpd_socket = web_listener(server)
     result: dict = {}
 
     first = net.send_flow("client0", "http", "alice", "192.168.1.1", 80)
@@ -304,7 +297,7 @@ def flash_crowd() -> dict:
 
         # Identity change: publish new runtime keys for httpd, then
         # punt one probe flow and time its verdict.
-        httpd_process = _httpd_socket(net.host("server0")).process
+        httpd_process = web_listener(net.host("server0")).process
         t_pub = sim.now + 0.05
         sim.schedule_at(t_pub, daemon.runtime.publish_for_process,
                         httpd_process, {"patched": "yes"},

@@ -11,8 +11,8 @@ same tables for its ``results`` entries and their gates, so ``make
 bench`` and ``make soak_*`` cannot judge one number two ways.
 
 This module holds only what the soaks share: the canonical bench
-network, the flash-crowd injector, the decided-flows count, and the
-runner::
+network, the flash-crowd injector, a server's web listener, the
+decided-flows count, and the runner::
 
     python -m repro.workloads.soak cluster      # = make soak_cluster
 """
@@ -151,6 +151,14 @@ def open_web_flows(
             (client, *client.open_flow("http", "alice", f"192.168.1.{1 + index % servers}", 80))
         )
     return opened
+
+
+def web_listener(server):
+    """Return ``server``'s socket listening on port 80."""
+    return next(
+        socket for socket in server.sockets.sockets()
+        if socket.is_listening and socket.local_port == 80
+    )
 
 
 def uncached(records) -> list:

@@ -4,9 +4,11 @@ This is ``repro.netsim.events.Event`` and the scheduling half of
 ``Simulator`` as they stood before the loop was rebuilt: a dataclass
 event, a ``run`` that peeks the heap and then calls ``step`` for every
 event, and cancelled records that stay in the heap until their time
-comes.  ``tests/test_simulator_reference.py`` drives it and the real
-simulator with the same operations and requires the same firings.  It is
-not importable from ``src/`` and nothing outside the tests may use it.
+comes.  Its repeating event is its own too, so the product's
+``RepeatingEvent`` is checked against it rather than run by both.
+``tests/test_simulator_reference.py`` drives it and the real simulator
+with the same operations and requires the same firings.  It is not
+importable from ``src/`` and nothing outside the tests may use it.
 
 Two behaviours of the original are *not* part of the contract, and the
 differential test stays clear of them: ``run(until=t)`` with ``t`` before
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.exceptions import SimulationError
-from repro.netsim.events import RepeatingEvent
 from repro.netsim.sanitizer import SimulationSanitizer
 
 
@@ -43,6 +44,51 @@ class ReferenceEvent:
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling twice is harmless."""
         self.cancelled = True
+
+
+class ReferenceRepeatingEvent:
+    """``RepeatingEvent`` over :class:`ReferenceEvent`: a callback fired every
+    ``interval`` until it returns falsy or the cycle is cancelled."""
+
+    def __init__(self, sim, interval: float, callback: Callable[[], object], *,
+                 label: str = "") -> None:
+        if interval <= 0:
+            raise SimulationError(f"repeating interval must be positive (got {interval})")
+        self.sim = sim
+        self.interval = interval
+        self.callback = callback
+        self.label = label
+        self._event: Optional[ReferenceEvent] = None
+        self._cancelled = False
+
+    @property
+    def scheduled(self) -> bool:
+        """``True`` while a next firing is queued and not cancelled."""
+        return self._event is not None and not self._event.cancelled
+
+    def start(self) -> "ReferenceRepeatingEvent":
+        if not self.scheduled:
+            self._cancelled = False
+            self._event = self.sim.schedule(self.interval, self._fire, label=self.label)
+        return self
+
+    def cancel(self) -> None:
+        """Stop the cycle, also from inside the callback (its return is then ignored)."""
+        self._cancelled = True
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _fire(self) -> None:
+        self._event = None
+        self._cancelled = False
+        if self.callback() and not self._cancelled:
+            self.start()
+
+
+# The sanitizer folds each fired callback's qualified name into the trace
+# hash; the oracle's firings carry the name the product's do.
+ReferenceRepeatingEvent._fire.__qualname__ = "RepeatingEvent._fire"
 
 
 class ReferenceSimulator:
@@ -113,8 +159,8 @@ class ReferenceSimulator:
         callback: Callable[[], object],
         *,
         label: str = "",
-    ) -> RepeatingEvent:
-        return RepeatingEvent(self, interval, callback, label=label).start()
+    ) -> ReferenceRepeatingEvent:
+        return ReferenceRepeatingEvent(self, interval, callback, label=label).start()
 
     def step(self) -> Optional[ReferenceEvent]:
         while self._queue:

@@ -23,15 +23,12 @@ from repro.baselines.ethane import EthaneRule
 from repro.baselines.vanilla_firewall import FirewallRule
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.events import Simulator
-from repro.workloads import experiment, invariants
+from repro.workloads import axes, experiment, invariants
 from repro.workloads.experiment import (
-    ARCH_DISTRIBUTED,
-    ARCH_ETHANE,
     ARCH_IDENTPP,
-    ARCH_VANILLA,
-    BASELINE_ARCHITECTURES,
     ScenarioSpec,
     applicable_invariants,
+    build_baselines,
     default_matrix,
     expand_grid,
     experiment_matrix,
@@ -71,23 +68,33 @@ class TestScenarioSpec:
         spec = ScenarioSpec(daemon_fraction=0.1)
         assert spec.cell_id().endswith("/daemons10%")
 
+    @pytest.mark.parametrize("fraction, fleet, daemons", [
+        (0.0, 4, 0), (0.1, 10, 1), (0.5, 4, 2), (1.0, 4, 4),
+    ])
+    def test_daemon_fraction_sets_how_many_clients_run_a_daemon(self, fraction, fleet, daemons):
+        spec = ScenarioSpec(topology="single", daemon_fraction=fraction, clients=fleet,
+                            servers=1, flows=2, duration=2.0)
+        ctx = experiment._run_once(spec, spec.seed)
+        clients = {plan.name for plan in ctx.plans.values() if plan.role == "client"}
+        assert sorted(clients & set(ctx.net.daemons)) == [f"c{i}" for i in range(daemons)]
+
     def test_unknown_axis_value_rejected(self):
         with pytest.raises(ValueError, match="unknown topology"):
             ScenarioSpec(topology="moebius_strip").validate()
 
     # What a failure needs is its row's: validate() reads it off FAILURES.
     def test_kill_shard_requires_a_cluster(self):
-        assert experiment.FAILURES["kill_shard"].cluster
+        assert axes.FAILURES["kill_shard"].cluster
         with pytest.raises(ValueError, match="cluster"):
             ScenarioSpec(failure="kill_shard", control="single").validate()
 
     def test_partition_heal_requires_spine_leaf(self):
-        assert experiment.FAILURES["partition_heal"].needs == {"topology": "spine_leaf"}
+        assert axes.FAILURES["partition_heal"].needs == {"topology": "spine_leaf"}
         with pytest.raises(ValueError, match="spine_leaf"):
             ScenarioSpec(failure="partition_heal", topology="edge_core").validate()
 
     def test_retenant_failure_and_traffic_pair_up(self):
-        row = experiment.FAILURES["retenant"]
+        row = axes.FAILURES["retenant"]
         assert row.paired and row.needs == {"traffic": "retenant"}
         with pytest.raises(ValueError, match="retenant"):
             ScenarioSpec(failure="retenant", traffic="web_burst").validate()
@@ -95,18 +102,18 @@ class TestScenarioSpec:
             ScenarioSpec(traffic="retenant", failure="none").validate()
 
     def test_quarantine_race_needs_worm_traffic(self):
-        assert experiment.FAILURES["quarantine_race"].needs == {"traffic": "worm"}
+        assert axes.FAILURES["quarantine_race"].needs == {"traffic": "worm"}
         with pytest.raises(ValueError, match="worm"):
             ScenarioSpec(failure="quarantine_race", control="cluster2").validate()
 
     def test_a_planted_policy_and_failure_row_are_all_a_cell_runs_on(self, monkeypatch):
         armed = []
-        monkeypatch.setitem(experiment.POLICIES, "planted", experiment.PolicyRow(
+        monkeypatch.setitem(axes.POLICIES, "planted", axes.PolicyRow(
             {"00-planted.control": "block all\n"},
             firewall=(FirewallRule("block"),),
             ethane=(EthaneRule("pass", src_group="guests"),),
         ))
-        monkeypatch.setitem(experiment.FAILURES, "blink", experiment.FailureRow(
+        monkeypatch.setitem(axes.FAILURES, "blink", axes.FailureRow(
             lambda ctx: armed.append(ctx.spec.name), (invariants.ZERO_LOSS,),
             needs={"traffic": "app_mix"}, paired=True,
         ))
@@ -128,7 +135,7 @@ class TestScenarioSpec:
         counts = cell["architectures"]
         # Each baseline decides by the row's own approximation, which
         # blocks both port-80 flows; any committed row's passes them.
-        for arch in (ARCH_VANILLA, ARCH_DISTRIBUTED, ARCH_ETHANE):
+        for arch in ("vanilla", "distributed", "ethane"):
             assert (counts[arch]["allowed"], counts[arch]["blocked"]) == (0, 2)
         assert counts[ARCH_IDENTPP]["allowed"] == 0
 
@@ -354,7 +361,7 @@ class TestRunCell:
         judged_two = two_counts["allowed"] + two_counts["blocked"]
         assert judged_two == 2 * judged_one
         # Baselines are evaluated once per cell, not per repeat.
-        for arch in BASELINE_ARCHITECTURES:
+        for arch in build_baselines(SMALL.policy, {}):
             assert two["architectures"][arch] == one["architectures"][arch]
 
     def test_repeats_thread_distinct_seeds(self, trace_hashes):
@@ -385,7 +392,7 @@ class TestEndToEndMatrix:
             assert set(cell["invariants"]) == set(applicable_invariants(spec))
             assert all(entry["passed"] for entry in cell["invariants"].values())
             # ...and ident++ and all four baselines are compared.
-            assert set(cell["architectures"]) == {ARCH_IDENTPP, *BASELINE_ARCHITECTURES}
+            assert set(cell["architectures"]) == {ARCH_IDENTPP, *build_baselines(spec.policy, {})}
         # The sanitizer hashed every repeat of every cell.
         assert len(trace_hashes) == 4 * experiment.MATRIX_REPEATS
 

@@ -13,7 +13,10 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from repro.netsim.events import RepeatingEvent, Simulator
-from tests.reference_simulator import ReferenceSimulator
+from tests.reference_simulator import ReferenceRepeatingEvent, ReferenceSimulator
+
+#: Each world's repeating event: the product's, and the oracle's own.
+_REPEATING = (RepeatingEvent, ReferenceRepeatingEvent)
 
 
 class _World:
@@ -152,7 +155,7 @@ class SimulatorDifferential(RuleBasedStateMachine):
     def restart_repeating(self, pick):
         for world in self.worlds:
             handle = world.handles[pick % len(world.handles)]
-            if isinstance(handle, RepeatingEvent):
+            if isinstance(handle, _REPEATING):
                 handle.start()
 
     @rule()
@@ -176,6 +179,7 @@ class SimulatorDifferential(RuleBasedStateMachine):
         assert real.sim.now == reference.sim.now
         assert real.sim.events_processed == reference.sim.events_processed
         assert real.sim.sanitizer.summary() == reference.sim.sanitizer.summary()
+        assert real.sim.sanitizer.trace_hash == reference.sim.sanitizer.trace_hash
         assert [_describe_handle(h) for h in real.handles] == [
             _describe_handle(h) for h in reference.handles
         ]
@@ -184,7 +188,7 @@ class SimulatorDifferential(RuleBasedStateMachine):
 
 
 def _describe_handle(handle):
-    if isinstance(handle, RepeatingEvent):
+    if isinstance(handle, _REPEATING):
         return ("repeating", handle.scheduled)
     return _describe(handle)
 
