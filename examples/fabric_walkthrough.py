@@ -12,7 +12,7 @@ Run with::
     python examples/fabric_walkthrough.py
 """
 
-from repro import HostSpec, IdentPPNetwork
+from repro.core.network import HostSpec, IdentPPNetwork
 
 
 def print_flow_tables(net, title):

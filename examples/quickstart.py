@@ -10,7 +10,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import HostSpec, IdentPPNetwork
+from repro.core.network import HostSpec, IdentPPNetwork
 
 
 def main() -> None:

@@ -9,14 +9,15 @@ The package is organised bottom-up:
   query/response protocol and daemon) and :mod:`repro.pf` (the PF+=2
   policy language);
 * the contribution — :mod:`repro.core` (the ident++ controller,
-  delegation, interception, audit) with :class:`repro.core.IdentPPNetwork`
-  as the one-stop scenario builder;
+  delegation, interception, audit) with
+  :class:`repro.core.network.IdentPPNetwork` as the one-stop scenario
+  builder;
 * comparisons and experiments — :mod:`repro.baselines`,
   :mod:`repro.security`, :mod:`repro.workloads`, :mod:`repro.analysis`.
 
 Quickstart::
 
-    from repro import IdentPPNetwork, HostSpec
+    from repro.core.network import HostSpec, IdentPPNetwork
 
     net = IdentPPNetwork("demo")
     sw = net.add_switch("sw1")
@@ -26,28 +27,3 @@ Quickstart::
     net.set_policy({"00-policy.control": "block all\\npass all with eq(@src[name], http) keep state\\n"})
     print(net.send_flow("client", "http", "alice", "192.168.1.1", 80))
 """
-
-from repro.core.controller import ControllerConfig, IdentPPController
-from repro.core.network import FlowResult, HostSpec, IdentPPNetwork
-from repro.core.policy_engine import PolicyEngine
-from repro.identpp.flowspec import FlowSpec
-from repro.identpp.keyvalue import KeyValueSection, ResponseDocument
-from repro.pf.parser import parse_ruleset
-from repro.pf.evaluator import PolicyEvaluator
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "ControllerConfig",
-    "IdentPPController",
-    "FlowResult",
-    "HostSpec",
-    "IdentPPNetwork",
-    "PolicyEngine",
-    "FlowSpec",
-    "KeyValueSection",
-    "ResponseDocument",
-    "parse_ruleset",
-    "PolicyEvaluator",
-    "__version__",
-]

@@ -13,28 +13,13 @@
 * **VLAN/VPN partitioning** — ahead-of-time assignment of machines to
   segments (:mod:`repro.baselines.vlan`).
 
-Each baseline implements the same small :class:`BaselinePolicy`
-interface, ``decide(flow)``, so the security matrix (experiment E9) and
-the latency comparison (E10) can drive them uniformly.  A baseline is
-given the flow and nothing else; what its architecture knows beyond it
+Each baseline implements the same small
+:class:`~repro.baselines.base.BaselinePolicy` interface,
+``decide(flow)``, so the security matrix (experiment E9) and the
+latency comparison (E10) can drive them uniformly.  A baseline is given
+the flow and nothing else; what its architecture knows beyond it
 (Ethane's user bindings, a VLAN's segment map) it holds itself.  Where
-a datapath is needed, :class:`BaselineDecider` mounts one as the decider
-of the ident++ controller, which then asks no end-host.
+a datapath is needed, :class:`~repro.baselines.base.BaselineDecider`
+mounts one as the decider of the ident++ controller, which then asks no
+end-host.
 """
-
-from repro.baselines.base import BaselineDecider, BaselinePolicy
-from repro.baselines.distributed_firewall import DistributedFirewall
-from repro.baselines.ethane import EthanePolicy, HostBinding
-from repro.baselines.vanilla_firewall import FirewallRule, VanillaFirewall
-from repro.baselines.vlan import VLANSegmentation
-
-__all__ = [
-    "BaselineDecider",
-    "BaselinePolicy",
-    "DistributedFirewall",
-    "EthanePolicy",
-    "HostBinding",
-    "FirewallRule",
-    "VanillaFirewall",
-    "VLANSegmentation",
-]

@@ -12,17 +12,3 @@
 * :mod:`repro.cluster.coordinator` — cluster-wide propagation of policy
   reloads and delegation grants/revocations, with origin-shard audit.
 """
-
-from repro.cluster.cluster import ControllerCluster
-from repro.cluster.coordinator import ClusterChangeRecord, ClusterCoordinator
-from repro.cluster.failover import FailoverMonitor
-from repro.cluster.shard_map import ShardMap, flow_key
-
-__all__ = [
-    "ControllerCluster",
-    "ClusterChangeRecord",
-    "ClusterCoordinator",
-    "FailoverMonitor",
-    "ShardMap",
-    "flow_key",
-]

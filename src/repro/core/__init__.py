@@ -25,33 +25,3 @@ This package ties the substrates together into the system of §3:
   ident++-protected OpenFlow network (topology + switches + hosts +
   daemons + controller) in a few lines.
 """
-
-from repro.core.audit import AuditLog, DecisionRecord
-from repro.core.cache import CachedDecision, DecisionCache
-from repro.core.controller import ControllerConfig, IdentPPController
-from repro.core.delegation import DelegationGrant, DelegationManager
-from repro.core.interception import AugmentationRule, InterceptionPolicy, StaticAnswer
-from repro.core.lifecycle import LifecycleService
-from repro.core.network import HostSpec, IdentPPNetwork
-from repro.core.policy_engine import PolicyDecision, PolicyEngine
-from repro.netsim.events import ExpiryHeap
-
-__all__ = [
-    "AuditLog",
-    "DecisionRecord",
-    "CachedDecision",
-    "DecisionCache",
-    "ControllerConfig",
-    "IdentPPController",
-    "DelegationGrant",
-    "DelegationManager",
-    "AugmentationRule",
-    "InterceptionPolicy",
-    "StaticAnswer",
-    "ExpiryHeap",
-    "LifecycleService",
-    "HostSpec",
-    "IdentPPNetwork",
-    "PolicyDecision",
-    "PolicyEngine",
-]

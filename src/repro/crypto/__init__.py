@@ -12,25 +12,3 @@ signed data, the signature or the key makes verification fail.
 This code is a *simulation substrate*, not production cryptography — see
 DESIGN.md §2 for the substitution rationale.
 """
-
-from repro.crypto.hashing import executable_hash, sha256_hex
-from repro.crypto.keystore import KeyStore
-from repro.crypto.rsa import RSAKeyPair, RSAPrivateKey, RSAPublicKey, generate_keypair
-from repro.crypto.signatures import (
-    Signer,
-    canonical_message,
-    verify_values,
-)
-
-__all__ = [
-    "executable_hash",
-    "sha256_hex",
-    "KeyStore",
-    "RSAKeyPair",
-    "RSAPrivateKey",
-    "RSAPublicKey",
-    "generate_keypair",
-    "Signer",
-    "canonical_message",
-    "verify_values",
-]

@@ -14,22 +14,3 @@ models the parts of an operating system needed for that to work:
   them together and lets applications open connections and listen on
   ports.
 """
-
-from repro.hosts.applications import Application, ApplicationRegistry
-from repro.hosts.endhost import EndHost
-from repro.hosts.processes import Process, ProcessTable
-from repro.hosts.sockets import Socket, SocketTable
-from repro.hosts.users import Group, User, UserDatabase
-
-__all__ = [
-    "Application",
-    "ApplicationRegistry",
-    "EndHost",
-    "Process",
-    "ProcessTable",
-    "Socket",
-    "SocketTable",
-    "Group",
-    "User",
-    "UserDatabase",
-]

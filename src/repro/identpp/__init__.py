@@ -26,36 +26,3 @@ controller:
   (entries by key, per-host index, TTL deadlines),
 * :mod:`repro.identpp.engine_push` — the engine's push plane.
 """
-
-from repro.identpp.client import QueryClient, QueryOutcome
-from repro.identpp.daemon import IdentPPDaemon, RuntimeKeyRegistry
-from repro.identpp.engine import QueryEngine
-from repro.identpp.daemon_config import AppConfig, DaemonConfig, parse_daemon_config
-from repro.identpp.flowspec import FlowSpec
-from repro.identpp.keyvalue import KeyValueSection, ResponseDocument
-from repro.identpp.wire import (
-    IDENT_PP_PORT,
-    IdentQuery,
-    IdentResponse,
-    parse_query_payload,
-    parse_response_payload,
-)
-
-__all__ = [
-    "QueryClient",
-    "QueryEngine",
-    "QueryOutcome",
-    "IdentPPDaemon",
-    "RuntimeKeyRegistry",
-    "AppConfig",
-    "DaemonConfig",
-    "parse_daemon_config",
-    "FlowSpec",
-    "KeyValueSection",
-    "ResponseDocument",
-    "IDENT_PP_PORT",
-    "IdentQuery",
-    "IdentResponse",
-    "parse_query_payload",
-    "parse_response_payload",
-]

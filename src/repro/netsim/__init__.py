@@ -22,65 +22,3 @@ Everything above this package (OpenFlow switches, end-hosts, the ident++
 controller) plugs into the simulator by subclassing
 :class:`~repro.netsim.nodes.Node`.
 """
-
-from repro.netsim.addresses import (
-    BROADCAST_MAC,
-    IPv4Address,
-    IPv4Network,
-    MACAddress,
-)
-from repro.netsim.events import Event, Simulator
-from repro.netsim.fabrics import (
-    SpineLeafFabric,
-    build_spine_leaf,
-)
-from repro.netsim.links import Link
-from repro.netsim.nodes import Node, Port
-from repro.netsim.sanitizer import (
-    EventTraceHasher,
-    SanitizerReport,
-    ShadowReplayReport,
-    SimulationSanitizer,
-    shadow_replay,
-)
-from repro.netsim.packet import (
-    ETH_TYPE_ARP,
-    ETH_TYPE_IP,
-    IP_PROTO_ICMP,
-    IP_PROTO_TCP,
-    IP_PROTO_UDP,
-    Packet,
-)
-from repro.netsim.statistics import Counter, RateCounter
-from repro.netsim.topology import Topology
-from repro.netsim.trace import PacketTrace, TraceRecord
-
-__all__ = [
-    "BROADCAST_MAC",
-    "IPv4Address",
-    "IPv4Network",
-    "MACAddress",
-    "Event",
-    "Simulator",
-    "SpineLeafFabric",
-    "build_spine_leaf",
-    "Link",
-    "Node",
-    "Port",
-    "ETH_TYPE_ARP",
-    "ETH_TYPE_IP",
-    "IP_PROTO_ICMP",
-    "IP_PROTO_TCP",
-    "IP_PROTO_UDP",
-    "Packet",
-    "Counter",
-    "EventTraceHasher",
-    "RateCounter",
-    "SanitizerReport",
-    "ShadowReplayReport",
-    "SimulationSanitizer",
-    "shadow_replay",
-    "Topology",
-    "PacketTrace",
-    "TraceRecord",
-]

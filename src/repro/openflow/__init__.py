@@ -20,40 +20,3 @@ This package models exactly that abstraction:
 * :mod:`repro.openflow.controller_base` — the base class the ident++
   controller and the baseline controllers build on.
 """
-
-from repro.openflow.actions import (
-    Action,
-    ControllerAction,
-    DropAction,
-    FloodAction,
-    OutputAction,
-)
-from repro.openflow.channel import ControllerChannel
-from repro.openflow.controller_base import Controller
-from repro.openflow.flow_table import FlowEntry, FlowTable
-from repro.openflow.match import Match
-from repro.openflow.messages import (
-    FlowMod,
-    FlowRemoved,
-    PacketIn,
-    PacketOut,
-)
-from repro.openflow.switch import OpenFlowSwitch
-
-__all__ = [
-    "Action",
-    "ControllerAction",
-    "DropAction",
-    "FloodAction",
-    "OutputAction",
-    "ControllerChannel",
-    "Controller",
-    "FlowEntry",
-    "FlowTable",
-    "Match",
-    "FlowMod",
-    "FlowRemoved",
-    "PacketIn",
-    "PacketOut",
-    "OpenFlowSwitch",
-]

@@ -30,50 +30,3 @@ architecture" section of the repository README for how the pieces fit.
 Every rule listed in Figures 2, 4, 5, 6, 7 and 8 of the paper parses and
 evaluates with this package; the figure benchmarks assert exactly that.
 """
-
-from repro.pf.ast_nodes import (
-    ACTION_BLOCK,
-    ACTION_PASS,
-    DictDef,
-    EndpointSpec,
-    FuncCall,
-    MacroDef,
-    Rule,
-    Ruleset,
-    TableDef,
-)
-from repro.pf.compiler import CompiledPolicy, CompiledRule, RuleIndex
-from repro.pf.evaluator import EvalContext, PolicyEvaluator, Verdict
-from repro.pf.functions import FunctionRegistry, default_registry
-from repro.pf.lexer import Token, tokenize
-from repro.pf.parser import parse_ruleset, parse_rules_text
-from repro.pf.ruleset import ControlFile, RulesetLoader
-from repro.pf.tables import AddressTable, TableSet
-
-__all__ = [
-    "ACTION_BLOCK",
-    "ACTION_PASS",
-    "DictDef",
-    "EndpointSpec",
-    "FuncCall",
-    "MacroDef",
-    "Rule",
-    "Ruleset",
-    "TableDef",
-    "CompiledPolicy",
-    "CompiledRule",
-    "RuleIndex",
-    "EvalContext",
-    "PolicyEvaluator",
-    "Verdict",
-    "FunctionRegistry",
-    "default_registry",
-    "Token",
-    "tokenize",
-    "parse_ruleset",
-    "parse_rules_text",
-    "ControlFile",
-    "RulesetLoader",
-    "AddressTable",
-    "TableSet",
-]

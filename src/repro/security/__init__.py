@@ -24,24 +24,3 @@ through that switch), ``host.mark_compromised()`` plus
 ``daemon.spoof_responses(pairs)`` (§5.3: false ident++ answers, but no
 user's private key).
 """
-
-from repro.security.analysis import AttackProbe, ImpactResult, SecurityMatrix, impact_of_compromise
-from repro.security.threat_model import (
-    COMPONENT_CONTROLLER,
-    COMPONENT_END_HOST,
-    COMPONENT_SWITCH,
-    COMPONENT_USER_APPLICATION,
-    CompromiseScenario,
-)
-
-__all__ = [
-    "AttackProbe",
-    "ImpactResult",
-    "SecurityMatrix",
-    "impact_of_compromise",
-    "COMPONENT_CONTROLLER",
-    "COMPONENT_END_HOST",
-    "COMPONENT_SWITCH",
-    "COMPONENT_USER_APPLICATION",
-    "CompromiseScenario",
-]

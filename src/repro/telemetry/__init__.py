@@ -19,51 +19,3 @@ pipeline/deviation/alerting split):
 three over an :class:`~repro.core.network.IdentPPNetwork`; use
 ``network.enable_telemetry()`` for the one-liner.
 """
-
-from repro.telemetry.alerting import (
-    KIND_QUARANTINE,
-    Alert,
-    AlertRouter,
-    AutoQuarantineResponder,
-)
-from repro.telemetry.deviation import (
-    KIND_COLLAPSE,
-    KIND_GAP,
-    KIND_GROWTH,
-    KIND_SPIKE,
-    CollapseDetector,
-    Detector,
-    Deviation,
-    EwmaBaseline,
-    GapDetector,
-    GrowthDetector,
-    SpikeDetector,
-)
-from repro.telemetry.pipeline import MetricsPipeline
-from repro.telemetry.plane import (
-    DEFAULT_INTERVAL,
-    DEFAULT_SPIKE_MIN_RATE,
-    TelemetryPlane,
-)
-
-__all__ = [
-    "Alert",
-    "AlertRouter",
-    "AutoQuarantineResponder",
-    "CollapseDetector",
-    "DEFAULT_INTERVAL",
-    "DEFAULT_SPIKE_MIN_RATE",
-    "Detector",
-    "Deviation",
-    "EwmaBaseline",
-    "GapDetector",
-    "GrowthDetector",
-    "KIND_COLLAPSE",
-    "KIND_GAP",
-    "KIND_GROWTH",
-    "KIND_QUARANTINE",
-    "KIND_SPIKE",
-    "MetricsPipeline",
-    "SpikeDetector",
-    "TelemetryPlane",
-]

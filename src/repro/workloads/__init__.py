@@ -32,27 +32,4 @@
   scenario matrix, cells as ``ScenarioSpec`` data over the axis rows of
   :mod:`~repro.workloads.axes`: ``make soak_matrix``) and :mod:`~repro.workloads.determinism` (the bench
   scenarios double-run: ``make determinism``).
-
-The soak modules and the kit are deliberately *not* imported here: the
-kit runs standalone via ``python -m``, and an eager package import
-would make the interpreter execute it twice (the ``found in
-sys.modules after import of package`` RuntimeWarning).  Import them by
-module path.
 """
-
-from repro.workloads.generators import FlowGenerator, FlowTemplate, zipf_weights
-from repro.workloads.enterprise import (
-    build_branch_network,
-    build_linear_network,
-)
-from repro.workloads import paper_configs, scenarios
-
-__all__ = [
-    "FlowGenerator",
-    "FlowTemplate",
-    "zipf_weights",
-    "build_branch_network",
-    "build_linear_network",
-    "paper_configs",
-    "scenarios",
-]

@@ -35,7 +35,6 @@ class ReferenceEvent:
     seq: int
     callback: Callable[..., None] = field(compare=False)
     args: tuple = field(compare=False, default=())
-    kwargs: dict = field(compare=False, default_factory=dict)
     cancelled: bool = field(compare=False, default=False)
     label: str = field(compare=False, default="")
     #: Always ``None``: one event per delivery (the sanitizer reads it).
@@ -128,7 +127,6 @@ class ReferenceSimulator:
         callback: Callable[..., None],
         *args: Any,
         label: str = "",
-        **kwargs: Any,
     ) -> ReferenceEvent:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -137,7 +135,6 @@ class ReferenceSimulator:
             seq=next(self._seq),
             callback=callback,
             args=args,
-            kwargs=kwargs,
             label=label,
         )
         heapq.heappush(self._queue, (event.time, self._tie_sign * event.seq, event))
@@ -149,9 +146,8 @@ class ReferenceSimulator:
         callback: Callable[..., None],
         *args: Any,
         label: str = "",
-        **kwargs: Any,
     ) -> ReferenceEvent:
-        return self.schedule(when - self._now, callback, *args, label=label, **kwargs)
+        return self.schedule(when - self._now, callback, *args, label=label)
 
     def schedule_repeating(
         self,
@@ -173,7 +169,7 @@ class ReferenceSimulator:
             self._events_processed += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_event(event)
-            event.callback(*event.args, **event.kwargs)
+            event.callback(*event.args)
             return event
         return None
 

@@ -4,13 +4,12 @@ import math
 
 import pytest
 
-from repro.core import ExpiryHeap
 from repro.core.cache import DecisionCache
 from repro.core.controller import ControllerConfig
 from repro.core.lifecycle import LifecycleService
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec
-from repro.netsim.events import Simulator
+from repro.netsim.events import ExpiryHeap, Simulator
 from repro.workloads.invariants import check_bounded_state, network_flow_state
 
 

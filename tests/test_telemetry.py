@@ -25,16 +25,15 @@ from repro.core.network import HostSpec, IdentPPClusterNetwork
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.events import Simulator
 from repro.netsim.statistics import RateCounter
-from repro.telemetry import (
-    AlertRouter,
-    AutoQuarantineResponder,
+from repro.telemetry.alerting import AlertRouter, AutoQuarantineResponder
+from repro.telemetry.deviation import (
     CollapseDetector,
     Deviation,
     GapDetector,
     GrowthDetector,
-    MetricsPipeline,
     SpikeDetector,
 )
+from repro.telemetry.pipeline import MetricsPipeline
 from repro.workloads.enterprise import build_linear_network
 from repro.workloads.invariants import (
     check_delivery,

@@ -24,16 +24,9 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.events import Simulator
-from repro.telemetry import (
-    KIND_QUARANTINE,
-    Alert,
-    AlertRouter,
-    CollapseDetector,
-    GapDetector,
-    GrowthDetector,
-    MetricsPipeline,
-    SpikeDetector,
-)
+from repro.telemetry.alerting import KIND_QUARANTINE, Alert, AlertRouter
+from repro.telemetry.deviation import CollapseDetector, GapDetector, GrowthDetector, SpikeDetector
+from repro.telemetry.pipeline import MetricsPipeline
 from tests.reference_telemetry import DeviationMonitor
 from tests.reference_telemetry import MetricsPipeline as ReferencePipeline
 

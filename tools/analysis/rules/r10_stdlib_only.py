@@ -1,9 +1,10 @@
 """R10 — the product imports the standard library and itself, nothing else.
 
-``src/repro`` declares no dependency (``setup.py`` is a bare ``setup()``,
-there is no requirements file) and five of the six CI jobs install
-nothing before they import it, so an ``import`` of anything outside the
-standard library is an ``ImportError`` on a clean machine.  It is also a
+``src/repro`` declares no dependency (there is no packaging metadata
+and no requirements file: it runs from the checkout with
+``PYTHONPATH=src``) and five of the six CI jobs install nothing before
+they import it, so an ``import`` of anything outside the standard
+library is an ``ImportError`` on a clean machine.  It is also a
 cost every process pays whether or not the run uses it: the one
 third-party import the product ever had — networkx, holding an adjacency
 dict for ``Topology`` — loaded 370 modules, 16 MB of resident memory and

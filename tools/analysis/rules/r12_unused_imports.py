@@ -8,9 +8,10 @@ each left behind when the code that used it was deleted or moved.
 A module-level ``import`` / ``from … import`` (also one inside a
 module-level ``if`` or ``try``) must bind a name the module reads: in
 code, or in a string that names it — a quoted forward reference
-(``"Link"``, ``Optional["EvalContext"]``) or an ``__all__`` entry.  Any
-import in an ``__init__.py`` (a package re-exports) and ``from
-__future__`` count as read.
+(``"Link"``, ``Optional["EvalContext"]``) or an ``__all__`` entry.  A
+``from __future__`` import counts as read.  A package's ``__init__.py``
+gets no pass: it holds only its docstring, so each name is imported
+from the module that defines it.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ class UnusedImportsRule:
     title = "no unused top-level import"
 
     def check(self, module: ParsedModule) -> list[Violation]:
-        if module.path.name == "__init__.py":
-            return []
         bindings = [
             (alias.lineno, alias.asname or alias.name.partition(".")[0])
             for statement in _top_level_imports(module.tree)
