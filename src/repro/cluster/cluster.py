@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.failover import FailoverMonitor
-from repro.cluster.shard_map import ShardMap, flow_key
+from repro.cluster.shard_map import ShardMap, flow_key, identity_key
 from repro.core.audit import AuditTrail
 from repro.core.controller import ControllerConfig, IdentPPController
 from repro.core.policy_engine import PolicyEngine
@@ -39,16 +39,6 @@ from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
 from repro.openflow.messages import FlowRemoved, PacketIn
 from repro.openflow.switch import OpenFlowSwitch
-
-
-def identity_key(host_ip) -> str:
-    """Return the ring key for host-level (push subscription) ownership.
-
-    Subscriptions are per *host*, not per flow, so failover re-homing
-    hashes them under their own namespace — every replica resolves the
-    same host to the same live successor.
-    """
-    return f"identity:{host_ip}"
 
 
 class ControllerCluster:

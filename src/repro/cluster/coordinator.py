@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.cluster.shard_map import identity_key
 from repro.core.controller import IdentPPController
 from repro.exceptions import DelegationError, PolicyError
 from repro.pf.evaluator import PolicyEvaluator
@@ -229,8 +230,6 @@ class ClusterCoordinator:
         ownership at apply time, so replays always subscribe the
         current owner, never a snapshot of the ring at failover time.
         """
-        from repro.cluster.cluster import identity_key
-
         hosts = tuple(sorted({str(ip) for ip in host_ips}))
 
         def apply(controller: IdentPPController) -> int:

@@ -57,6 +57,16 @@ def flow_key(flow: FlowSpec) -> str:
     return f"{first[0]}:{first[1]}|{second[0]}:{second[1]}|{flow.proto}"
 
 
+def identity_key(host_ip) -> str:
+    """Return the ring key for host-level (push subscription) ownership.
+
+    Subscriptions are per *host*, not per flow, so failover re-homing
+    hashes them under their own namespace — every replica resolves the
+    same host to the same live successor.
+    """
+    return f"identity:{host_ip}"
+
+
 class ShardMap:
     """A consistent-hash ring over named controller shards."""
 

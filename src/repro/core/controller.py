@@ -173,9 +173,9 @@ class IdentPPController(IdentPPControllerBase):
             return
         task = DecisionTask(flow, arrival, message.switch, [message])
         self._pending[flow] = task
-        # Fail-closed backstop: if the decision is lost (an exception
-        # mid-pipeline, a dropped event), the deadline drops the
-        # buffered packets instead of stranding the flow forever.
+        # Fail-closed backstop: if the decision is lost (a dropped event
+        # or a lost answer), the deadline drops the buffered packets
+        # instead of stranding the flow forever.
         self._cover(task)
         self.lifecycle.kick()
         plane = self.query_engine.push_plane

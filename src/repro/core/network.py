@@ -125,48 +125,6 @@ class IdentPPNetwork:
         self.controllers[name] = controller
         return controller
 
-    def add_cluster(
-        self,
-        *,
-        shards: int = 2,
-        config: Optional[ControllerConfig] = None,
-        policy_default_action: str = "pass",
-    ) -> ControllerCluster:
-        """Front the network with a sharded controller cluster.
-
-        Must run before any switch is added: switches are registered
-        with their controllers at creation time.  Subsequent
-        :meth:`add_switch` calls (without an explicit ``controller``)
-        register with every shard, and :meth:`set_policy` propagates
-        through the cluster coordinator.
-        """
-        if self.cluster is not None:
-            raise TopologyError(f"network {self.name} already has a cluster")
-        if self.controller is not None:
-            # Mixing a cluster with the eagerly-created default controller
-            # would leave a dead unsharded controller in summaries and a
-            # net.controller that silently handles nothing.
-            raise TopologyError(
-                f"network {self.name} already has a default controller; "
-                "build with create_default_controller=False (or use "
-                "IdentPPClusterNetwork)"
-            )
-        if self.switches:
-            raise TopologyError(
-                "add_cluster must be called before switches are added "
-                f"(network {self.name} already has {len(self.switches)})"
-            )
-        cluster = ControllerCluster(
-            f"{self.name}.cluster",
-            self.topology,
-            shards=shards,
-            config=config,
-            policy_default_action=policy_default_action,
-        )
-        self.cluster = cluster
-        self.controllers.update(cluster.replicas)
-        return cluster
-
     def add_switch(
         self,
         name: str,
@@ -328,8 +286,8 @@ class IdentPPNetwork:
         event queue can drain).  Keyword arguments are forwarded to
         :class:`~repro.telemetry.plane.TelemetryPlane`.
         """
-        # Local import: the telemetry package is duck-typed over this
-        # network object and must stay importable without repro.core.
+        # Local import: a network that never samples does not load the
+        # telemetry package.
         from repro.telemetry.plane import TelemetryPlane
 
         if self.telemetry is not None:
@@ -387,9 +345,12 @@ class IdentPPClusterNetwork(IdentPPNetwork):
     Same builder API as :class:`IdentPPNetwork`, but instead of one
     default controller the control plane is a
     :class:`~repro.cluster.cluster.ControllerCluster` of ``shards``
-    replicas: switches punt each flow to its consistent-hash owner,
-    policy is set cluster-wide, and the failover monitor (started with
-    :meth:`start_monitoring`) re-homes flows around a killed replica::
+    replicas, built before any switch: switches punt each flow to its
+    consistent-hash owner (a switch added without an explicit
+    ``controller`` registers with every shard), policy is set
+    cluster-wide through the coordinator, and the failover monitor
+    (started with :meth:`start_monitoring`) re-homes flows around a
+    killed replica::
 
         net = IdentPPClusterNetwork("demo", shards=4)
         sw = net.add_switch("sw1")
@@ -409,16 +370,15 @@ class IdentPPClusterNetwork(IdentPPNetwork):
         controller_config: Optional[ControllerConfig] = None,
         policy_default_action: str = "pass",
     ) -> None:
-        super().__init__(
-            name,
-            policy_default_action=policy_default_action,
-            create_default_controller=False,
-        )
-        self.add_cluster(
+        super().__init__(name, create_default_controller=False)
+        self.cluster = ControllerCluster(
+            f"{name}.cluster",
+            self.topology,
             shards=shards,
             config=controller_config,
             policy_default_action=policy_default_action,
         )
+        self.controllers.update(self.cluster.replicas)
 
     def start_monitoring(self) -> None:
         """Arm the failover monitor (heartbeat polling begins)."""

@@ -16,10 +16,11 @@ cluster coordinator's quarantine path — closing the paper's
 detect-and-react loop without any scripted ``mark_compromised``.
 
 The plane is deliberately duck-typed against the network object (it
-reads ``cluster``, ``controllers`` and ``topology``) so this package
-never imports from :mod:`repro.core` or :mod:`repro.cluster` — no
-import cycles; ``IdentPPNetwork.enable_telemetry()`` imports *us*
-locally instead.
+reads ``cluster``, ``controllers`` and ``topology``), so this package
+imports no :mod:`repro.core` or :mod:`repro.cluster` module: its row
+of the layer table (``LAYERS`` in ``tools/analysis/rules/r10_layers.py``,
+checked by lint R10) lists only :mod:`repro.netsim`, and
+:mod:`repro.core.network`, the row above it, imports *us*.
 """
 
 from __future__ import annotations

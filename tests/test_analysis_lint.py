@@ -28,6 +28,9 @@ from tools.analysis.core import ParsedModule, Program, analyze_program, is_progr
 from tools.analysis.rules import ALL_RULES, rules_by_id
 
 FIXTURES = REPO_ROOT / "tools" / "analysis" / "fixtures"
+#: Where a program rule's fixture is planted: a module of ``src/repro``
+#: whose row of R10's layer table may import what the fixtures import.
+PLANTED = "src/repro/netsim/"
 RULE_IDS = [rule.rule_id for rule in ALL_RULES]
 PROGRAM_RULE_IDS = [rule.rule_id for rule in ALL_RULES if is_program_rule(rule)]
 
@@ -40,7 +43,7 @@ def lint_fixture(name: str):
     """
     path = FIXTURES / name
     program_rule = name.partition("_")[0].upper() in PROGRAM_RULE_IDS
-    rel_path = f"src/repro/{name}" if program_rule else path.relative_to(REPO_ROOT).as_posix()
+    rel_path = PLANTED + name if program_rule else path.relative_to(REPO_ROOT).as_posix()
     return analyze_source(path.read_text(), ALL_RULES, rel_path=rel_path)
 
 
@@ -61,7 +64,7 @@ def planted_heads(rule_id: str) -> list[str]:
 @functools.cache
 def planted_judged(rule_id: str) -> set[str]:
     """Every name the rule judged in its bad fixture, read as ``src/repro``."""
-    rel_path = f"src/repro/{rule_id.lower()}_bad.py"
+    rel_path = f"{PLANTED}{rule_id.lower()}_bad.py"
     source = (FIXTURES / f"{rule_id.lower()}_bad.py").read_text()
     program = Program({rel_path: module(source, rel_path)})
     return rules_by_id()[rule_id].check_program(program).judged
@@ -183,21 +186,51 @@ class TestRuleSemantics:
         probe = "def p(i):\n    return Probe(label=f'{i.src}->{i.dst}')\n"
         assert analyze_source(probe, rules, rel_path="src/repro/workloads/experiment.py") == []
 
-    def test_r10_standard_library_and_first_party_only(self):
+    def test_r10_judges_every_import_against_the_layer_table(self):
         rules = [rules_by_id()["R10"]]
-        # What `Topology` did until it kept its own adjacency.
+        controller, links = "src/repro/core/controller.py", "src/repro/netsim/links.py"
+        # A third-party package is in no row: what `Topology` did until it
+        # kept its own adjacency.
         assert analyze_source("import networkx as nx\n", rules, rel_path="src/repro/netsim/topology.py")
-        assert analyze_source("from numpy.linalg import norm\n", rules, rel_path="src/repro/x.py")
+        assert analyze_source("from numpy.linalg import norm\n", rules, rel_path=controller)
         assert len(analyze_source("import os, yaml, attr\n", rules, rel_path="tools/x.py")) == 2
         guarded = "try:\n    import yaml\nexcept ImportError:\n    yaml = None\n"
-        assert analyze_source(guarded, rules, rel_path="src/repro/x.py")
+        assert analyze_source(guarded, rules, rel_path=controller)
+        # An upward import names the module, the line and the row.
+        upward = analyze_source("\nimport repro.openflow.switch\n", rules, rel_path=links)
+        assert [str(v) for v in upward] == [
+            "src/repro/netsim/links.py:2: R10 `repro.netsim.links` imports "
+            "`repro.openflow.switch`: row `repro.netsim` of LAYERS does not list `repro.openflow`"
+        ]
+        # A local, type-checking or relative import is an edge like any other.
+        for hidden in (
+            "def f():\n    import repro.openflow.switch\n",
+            "if TYPE_CHECKING:\n    from repro.openflow.switch import OpenFlowSwitch\n",
+            "from ..openflow import switch\n",
+        ):
+            assert analyze_source(hidden, rules, rel_path=links), hidden
+        # The benchmark harness is no layer of the product.
+        harness = analyze_source("from perf.harness import run_repeat\n", rules, rel_path=controller)
+        assert [str(v) for v in harness] == [
+            "src/repro/core/controller.py:1: R10 `repro.core.controller` imports `perf.harness`: "
+            "row `repro.core` of LAYERS does not list `perf`"
+        ]
+        # The controller imports no cluster, end host or telemetry module;
+        # the builder, the row above them, does.
+        for name in ("repro.cluster.cluster", "repro.hosts.endhost", "repro.telemetry.plane"):
+            assert analyze_source(f"import {name}\n", rules, rel_path=controller), name
+            assert analyze_source(f"import {name}\n", rules, rel_path="src/repro/core/network.py") == []
+        # `from a import b` is `a.b` when that is another row.
+        assert analyze_source("from repro.core import network\n", rules, rel_path="src/repro/cluster/x.py")
+        # A module in no row may import only the standard library.
+        assert analyze_source("import repro.netsim.events\n", rules, rel_path="tests/x.py")
         for clean in (
             "import os.path\n", "from collections import deque\n", "from repro.pf import ruleset\n",
-            "from tools.analysis.core import Violation\n", "from perf.harness import run_repeat\n",
-            "from . import events\n",
-            "from .events import Simulator\n", "from __future__ import annotations\n",
+            "from repro.netsim.addresses import IPv4Address\n", "from . import controller_base\n",
+            "from .audit import AuditLog\n", "from __future__ import annotations\n",
         ):
-            assert analyze_source(clean, rules, rel_path="src/repro/x.py") == []
+            assert analyze_source(clean, rules, rel_path=controller) == [], clean
+        assert analyze_source("from . import links\n", rules, rel_path="src/repro/netsim/__init__.py") == []
 
     def test_r11_python_floor(self):
         rules = [rules_by_id()["R11"]]
@@ -462,7 +495,7 @@ class TestSuppression:
         for line in {v.line for v in found}:
             source[line - 1] += f"  # lint: disable={rule_id}"
         planted = "\n".join(source) + "\n"
-        rel_path = f"src/repro/{rule_id.lower()}_bad.py"
+        rel_path = f"{PLANTED}{rule_id.lower()}_bad.py"
         assert analyze_source(planted, ALL_RULES, rel_path=rel_path) == found
 
 

@@ -1,6 +1,6 @@
 """Tests for heartbeat failure detection, re-homing and re-punting."""
 
-from repro.cluster.cluster import identity_key
+from repro.cluster.shard_map import identity_key
 from repro.core.controller import ControllerConfig
 from repro.core.network import HostSpec, IdentPPClusterNetwork, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec

@@ -102,20 +102,6 @@ class TestClusterBuilders:
         with pytest.raises(TopologyError):
             net.add_switch("sw")
 
-    def test_add_cluster_on_a_default_controller_network_rejected(self):
-        # A cluster must not coexist with the eagerly-created default
-        # controller (it would linger dead and unsharded in summaries).
-        net = IdentPPNetwork("mixed")
-        with pytest.raises(TopologyError):
-            net.add_cluster(shards=2)
-
-    def test_add_cluster_after_switches_rejected(self):
-        net = IdentPPNetwork("late", create_default_controller=False)
-        controller = net.add_controller("solo")
-        net.add_switch("sw", controller=controller)
-        with pytest.raises(TopologyError):
-            net.add_cluster(shards=2)
-
     def test_single_controller_networks_unchanged(self):
         net = IdentPPNetwork("classic")
         net.add_switch("sw")
@@ -264,8 +250,3 @@ class TestClusterEdges:
     def test_zero_shards_rejected(self):
         with pytest.raises(TopologyError):
             IdentPPClusterNetwork("broken", shards=0)
-
-    def test_duplicate_cluster_rejected(self):
-        net = IdentPPClusterNetwork("dup", shards=2)
-        with pytest.raises(TopologyError):
-            net.add_cluster(shards=2)

@@ -1,8 +1,14 @@
-"""R10 fixture (bad): third-party imports in product code."""
+"""R10 fixture (bad): third-party packages, and rows the fixtures' row does not list."""
 
 import networkx as nx
 import os, numpy.linalg
 from scipy.sparse import csgraph
+from typing import TYPE_CHECKING
+
+from perf.harness import run_repeat
+
+if TYPE_CHECKING:
+    from repro.core.controller import IdentPPController
 
 
 def diameter(graph):
@@ -11,4 +17,10 @@ def diameter(graph):
         import yaml
     except ImportError:
         yaml = None
-    return nx.diameter(graph), numpy.linalg, csgraph, os, yaml
+    # A local import is an edge of the same graph.
+    from repro.workloads import soak
+    return nx.diameter(graph), numpy.linalg, csgraph, os, yaml, soak, run_repeat
+
+
+def owner(controller: "IdentPPController") -> str:
+    return controller.name

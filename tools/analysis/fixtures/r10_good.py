@@ -1,4 +1,5 @@
-"""R10 fixture (good): the standard library, the repo's own packages, relative imports."""
+"""R10 fixture (good): the standard library, the rows its row lists
+(type-checking imports too), and its own row through relative imports."""
 
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from tools.analysis.rules.r5_mutable_defaults import MutableDefaultsRule
 from tools.analysis.rules.r7_engine_facade import EngineFacadeRule
 from tools.analysis.rules.r8_identity_index import IdentityIndexRule
 from tools.analysis.rules.r9_event_queue import EventQueueRule
-from tools.analysis.rules.r10_stdlib_only import StdlibOnlyRule
+from tools.analysis.rules.r10_layers import LayerRule
 from tools.analysis.rules.r11_python_floor import PythonFloorRule
 from tools.analysis.rules.r12_unused_imports import UnusedImportsRule
 from tools.analysis.rules.r13_second_values import SecondValuesRule
@@ -31,7 +31,7 @@ ALL_RULES = (
     EngineFacadeRule(),
     IdentityIndexRule(),
     EventQueueRule(),
-    StdlibOnlyRule(),
+    LayerRule(),
     PythonFloorRule(),
     UnusedImportsRule(),
     SecondValuesRule(),
@@ -57,7 +57,7 @@ __all__ = [
     "EngineFacadeRule",
     "IdentityIndexRule",
     "EventQueueRule",
-    "StdlibOnlyRule",
+    "LayerRule",
     "PythonFloorRule",
     "UnusedImportsRule",
     "SecondValuesRule",

@@ -27,6 +27,11 @@ The CI workflow's ``soak`` job runs one job per name of its matrix's
 ``soak: [...]`` list, which must name exactly the soaks of
 ``repro.workloads.soak.SOAKS``: a soak missing there runs in no CI job.
 
+The "Package dependency order" table of ``docs/ARCHITECTURE.md``, between
+its two ``LAYERS`` marker comments, must be exactly what
+:func:`render_layers` makes of lint R10's ``LAYERS``; on a difference the
+check prints the block to paste.
+
 Run directly or via ``make docs_check``; CI runs it in the docs job so
 documentation cannot drift from the tree it describes.
 """
@@ -54,6 +59,13 @@ RULES_DOC = "docs/ANALYSIS.md"
 #: The CI workflow, and its ``soak`` job's matrix list.
 CI_WORKFLOW = ".github/workflows/ci.yml"
 CI_SOAKS_RE = re.compile(r"^\s*soak: \[([^\]]*)\]", re.MULTILINE)
+
+#: Where the layer table is rendered, and the comments around it.
+LAYERS_DOC = "docs/ARCHITECTURE.md"
+LAYERS_BEGIN = (
+    "<!-- LAYERS: rendered from tools/analysis/rules/r10_layers.py by tools/check_docs.py -->"
+)
+LAYERS_END = "<!-- /LAYERS -->"
 
 #: Headings (exact markdown lines) each doc must keep carrying.
 REQUIRED_SECTIONS: dict[str, list[str]] = {
@@ -205,6 +217,27 @@ def check_ci_soaks(workflow: str) -> list[str]:
     ]
 
 
+def render_layers() -> str:
+    """The layer table as markdown, one line per row of ``LAYERS``, markers included."""
+    from tools.analysis.rules.r10_layers import LAYERS
+
+    header = "| Row | May import, besides itself and the standard library |"
+    lines = [LAYERS_BEGIN, header, "|---|---|"]
+    for row, allowed in LAYERS.items():
+        listed = ", ".join(f"`{name}`" for name in allowed) or "—"
+        lines.append(f"| `{row}` | {listed} |")
+    return "\n".join([*lines, LAYERS_END])
+
+
+def check_layers(text: str) -> list[str]:
+    """Return a problem (with the block to paste) unless the doc text holds
+    the layer table exactly as :func:`render_layers` makes it."""
+    expected = render_layers()
+    if expected in text:
+        return []
+    return [f"{LAYERS_DOC}: the layer table differs from LAYERS; paste this block:\n{expected}"]
+
+
 def iter_doc_files() -> list[Path]:
     """Return every markdown file the checker covers."""
     files = [REPO_ROOT / name for name in DOC_FILES if (REPO_ROOT / name).exists()]
@@ -245,18 +278,21 @@ def main() -> int:
     problems.extend(check_required_sections())
     problems.extend(check_benchmark_entries())
     problems.extend(check_ci_soaks((REPO_ROOT / CI_WORKFLOW).read_text(encoding="utf-8")))
+    problems.extend(check_layers((REPO_ROOT / LAYERS_DOC).read_text(encoding="utf-8")))
     for problem in problems:
         print(problem)
     checked = len(files)
     if problems:
         print(
             f"docs check FAILED: {len(problems)} problems "
-            f"(broken links / missing sections / benchmark entries / CI soaks) in {checked} files"
+            f"(broken links / missing sections / benchmark entries / CI soaks / layer table) "
+            f"in {checked} files"
         )
         return 1
     print(
         f"docs check ok: all relative links resolve, required sections present, "
-        f"benchmark entries match BENCH_results.json and CI runs every soak, "
+        f"benchmark entries match BENCH_results.json, CI runs every soak and "
+        f"the layer table matches LAYERS, "
         f"across {checked} files"
     )
     return 0
