@@ -16,6 +16,7 @@ import hashlib
 import heapq
 import math
 import operator
+import re
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -97,9 +98,10 @@ _ACTION, _DELEGATED, _CACHED = 0, 3, 5
 #: its deadline failed closed.  A real setup time may be 0.0.
 UNTIMED = math.nan
 
-#: The digits of a cookie's ``-N`` tail that a column holds: canonical
-#: decimal (what ``str(int)`` writes) that fits the column.
-_MAX_COOKIE_DIGITS = 19
+#: A cookie whose ``-N`` tail (after its last ``-``) a column holds:
+#: canonical decimal (what ``str(int)`` writes) that fits the column,
+#: at most 19 digits.
+_COLUMN_COOKIE = re.compile(r"(.*)-(0|[1-9][0-9]{0,18})", re.DOTALL)
 
 
 class AuditLog:
@@ -169,11 +171,9 @@ class AuditLog:
         if verdict_id is None:
             verdict_id = self._verdict_ids[verdict] = len(self._verdicts)
             self._verdicts.append(verdict)
-        prefix, dash, digits = cookie.rpartition("-")
-        if (
-            dash and digits.isdigit() and digits.isascii()
-            and len(digits) <= _MAX_COOKIE_DIGITS and (digits[0] != "0" or digits == "0")
-        ):
+        parsed = _COLUMN_COOKIE.fullmatch(cookie)
+        if parsed is not None:
+            prefix, digits = parsed.groups()
             prefix_id = self._prefix_ids.get(prefix)
             if prefix_id is None:
                 prefix_id = self._prefix_ids[prefix] = len(self._prefixes)

@@ -83,7 +83,8 @@ class DecisionCache:
         """Cache a decision (a ``keep state`` pass also answers the reverse flow)."""
         decision = CachedDecision(flow, action, cookie, now, keep_state, rule_text)
         previous = self._decisions.pop(flow, None)
-        self._drop_entry_bookkeeping(previous)
+        if previous is not None:
+            self._drop_entry_bookkeeping(previous)
         self._decisions[flow] = decision
         self._by_cookie.setdefault(cookie, set()).add(flow)
         if self.ttl:
@@ -91,8 +92,10 @@ class DecisionCache:
             # stays bounded by the TTL window even when nothing ever
             # calls expire() (lifecycle sweeps disabled).  Runs before
             # the push, so the fresh record cannot be considered.
-            self.expire(now)
-            self._expiry.push(now + self.ttl, flow, cookie)
+            expiry = self._expiry
+            if expiry and expiry[0][0] <= now:
+                self.expire(now)
+            expiry.push(now + self.ttl, flow, cookie)
         if keep_state and action == "pass":
             self._reverse_candidates += 1
         return decision
@@ -214,10 +217,8 @@ class DecisionCache:
         self._drop_entry_bookkeeping(decision)
         self.expirations += 1
 
-    def _drop_entry_bookkeeping(self, decision: Optional[CachedDecision]) -> None:
+    def _drop_entry_bookkeeping(self, decision: CachedDecision) -> None:
         """Unwind the counters/index for an entry leaving the cache."""
-        if decision is None:
-            return
         if decision.keep_state and decision.is_pass:
             self._reverse_candidates -= 1
         flows = self._by_cookie.get(decision.cookie)

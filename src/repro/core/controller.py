@@ -139,7 +139,7 @@ class IdentPPController(IdentPPControllerBase):
 
     def on_packet_in(self, message: PacketIn) -> None:
         packet = message.packet
-        if self.compromised or not packet.is_ip():
+        if self.compromised or not packet.carries_ip:
             # §5.1: a compromised controller disables all protection and
             # forwards everything unaudited.  Non-IP traffic (ARP and
             # friends do not exist in this model) is released the same

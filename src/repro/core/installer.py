@@ -244,7 +244,8 @@ class PathInstaller:
         """
         controller = self._controller
         plan = self._hop_plan(flow)
-        carried: set[int] = set()
+        # The buffer ids a forward FlowMod releases.
+        carried: list[int] = []
         if plan:
             config = controller.config
             idle_timeout = config.idle_timeout
@@ -257,19 +258,20 @@ class PathInstaller:
             reverse_match = Match.from_five_tuple(
                 flow.dst_ip, flow.src_ip, flow.proto, flow.dst_port, flow.src_port
             ) if keep_state else None
-            # Switch name -> its first buffered punt.
-            waiting = {}
-            for message in reversed(pending):
-                waiting[message.switch.name] = message
             for switch, forward, reverse in plan:
                 if forward is not None:
-                    message = waiting.get(switch.name)
-                    if message is not None:
-                        carried.add(message.buffer_id)
+                    # The hop's first buffered punt rides its FlowMod.
+                    buffer_id = None
+                    name = switch.name
+                    for message in pending:
+                        if message.switch.name == name:
+                            buffer_id = message.buffer_id
+                            carried.append(buffer_id)
+                            break
                     install_flow(
                         switch, match, forward, priority=FLOW_PRIORITY,
                         idle_timeout=idle_timeout, hard_timeout=hard_timeout, cookie=cookie,
-                        buffer_id=None if message is None else message.buffer_id,
+                        buffer_id=buffer_id,
                     )
                 if keep_state and reverse is not None:
                     install_flow(

@@ -98,7 +98,7 @@ class LifecycleService:
     def kick(self) -> None:
         """Ensure a sweep is queued (no-op when disabled or already queued)."""
         ticker = self._ticker
-        if not self.interval > 0 or self._sim is None or (ticker is not None and ticker.scheduled):
+        if ticker is not None and ticker.scheduled or not self.interval > 0 or self._sim is None:
             return
         if ticker is None:
             # Formatted once per ticker: the repeating event keeps it.

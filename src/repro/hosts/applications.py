@@ -88,17 +88,13 @@ class ApplicationRegistry:
         self._by_name[app.name] = app
         return app
 
-    def by_path(self, path: str) -> Optional[Application]:
-        """Return the application installed at ``path``, or ``None``."""
-        return self._by_path.get(path)
-
     def by_name(self, name: str) -> Optional[Application]:
         """Return the application with short name ``name``, or ``None``."""
         return self._by_name.get(name)
 
     def require(self, name_or_path: str) -> Application:
         """Return an installed application by name or path, raising if absent."""
-        app = self.by_path(name_or_path) or self.by_name(name_or_path)
+        app = self._by_path.get(name_or_path) or self._by_name.get(name_or_path)
         if app is None:
             raise HostError(f"application not installed: {name_or_path}")
         return app

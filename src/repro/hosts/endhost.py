@@ -154,8 +154,11 @@ class EndHost(Node):
     def transmit(self, packet: Packet) -> bool:
         """Send a packet out of the host's (first wired) uplink port."""
         for port in self._ports.values():
-            if port.link is not None:
-                return port.send(packet)
+            link = port.link
+            if link is not None:
+                # Port.send, inline.
+                link.transmit(packet, port)
+                return True
         return False
 
     # ------------------------------------------------------------------
@@ -171,7 +174,7 @@ class EndHost(Node):
         forward).
         """
         # Addresses are ints: C's comparison, not IPv4Address.__ne__.
-        if not packet.is_ip() or int.__ne__(packet.ip_dst, self.ip):
+        if not packet.carries_ip or int.__ne__(packet.ip_dst, self.ip):
             return
         sim = self.sim
         self.delivered.append(packet)

@@ -80,16 +80,17 @@ class SocketTable:
         # epoch is cheap to compare, the listeners let the ident++
         # daemon push invalidations to controller-side endpoint caches.
         self.epoch = 0
-        self._change_listeners: list[Callable[[], None]] = []
+        # A tuple, replaced on a registration: a change walks it uncopied.
+        self._change_listeners: tuple[Callable[[], None], ...] = ()
 
     def add_change_listener(self, listener: Callable[[], None]) -> None:
         """Register a callback fired after every socket open/close."""
         if listener not in self._change_listeners:
-            self._change_listeners.append(listener)
+            self._change_listeners += (listener,)
 
     def _changed(self) -> None:
         self.epoch += 1
-        for listener in list(self._change_listeners):
+        for listener in self._change_listeners:
             listener()
 
     # ------------------------------------------------------------------
@@ -205,9 +206,9 @@ class SocketTable:
             local_ip, local_port, remote_ip, remote_port = ip_dst, tp_dst, ip_src, tp_src
         else:
             local_ip, local_port, remote_ip, remote_port = ip_src, tp_src, ip_dst, tp_dst
-        if not isinstance(local_ip, IPv4Address):
+        if local_ip.__class__ is not IPv4Address:
             local_ip = IPv4Address(local_ip)
-        if not isinstance(remote_ip, IPv4Address):
+        if remote_ip.__class__ is not IPv4Address:
             remote_ip = IPv4Address(remote_ip)
         # Every socket in the table is bound to the host's own address
         # (both are IPv4Address ints: C's comparison, not IPv4Address.__ne__).

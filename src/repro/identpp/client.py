@@ -29,7 +29,7 @@ from typing import Optional, Protocol, Sequence
 from repro.exceptions import TopologyError
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import ResponseDocument
-from repro.identpp.wire import DEFAULT_QUERY_KEYS, IdentQuery, IdentResponse, ROLE_DESTINATION, ROLE_SOURCE
+from repro.identpp.wire import IdentQuery, IdentResponse, ROLE_DESTINATION, ROLE_SOURCE
 from repro.netsim.events import Future
 from repro.netsim.nodes import Node
 from repro.netsim.topology import Topology
@@ -141,7 +141,7 @@ class QueryClient:
         from_node: Optional[Node] = None,
         interceptors: Sequence[QueryInterceptor] = (),
     ) -> QueryOutcome:
-        """Query one end of ``flow`` for :data:`DEFAULT_QUERY_KEYS`.
+        """Query one end of ``flow`` for :data:`~repro.identpp.wire.DEFAULT_QUERY_KEYS`.
 
         Args:
             flow: The flow being decided.
@@ -152,7 +152,7 @@ class QueryClient:
             interceptors: On-path controllers, ordered from the querier
                 toward the target host.
         """
-        query = IdentQuery(flow, role, DEFAULT_QUERY_KEYS)
+        query = IdentQuery(flow, role)
         self.queries_sent += 1
 
         # Give each on-path controller the chance to answer outright.
@@ -178,7 +178,7 @@ class QueryClient:
             route = self._route(*target)
         host, round_trip = route
         # The daemon is read per query: a host may replace its daemon.
-        daemon = getattr(host, "identpp_daemon", None) if host is not None else None
+        daemon = getattr(host, "identpp_daemon", None)  # None for an unknown address
         if daemon is None:
             self.queries_timed_out += 1
             return QueryOutcome(

@@ -8,41 +8,50 @@ can key decision caches and pending-query tables on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.packet import Packet, proto_name, proto_number
 
 
-@dataclass(frozen=True, slots=True)
-class FlowSpec:
-    """An ident++ flow: ``(src ip, dst ip, ip protocol, src port, dst port)``."""
+class FlowSpec(tuple):
+    """An ident++ flow: ``(src ip, dst ip, ip protocol, src port, dst port)``.
 
-    src_ip: IPv4Address
-    dst_ip: IPv4Address
-    proto: int
-    src_port: int
-    dst_port: int
-    _hash: int = field(init=False, compare=False, repr=False)
+    The flow *is* that tuple: it keys the pending table, the answer
+    store, the decision cache and the audit ledger, and a tuple hashes
+    and compares in C, with no Python frame per probe.  Each field is
+    also a read-only attribute.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    src_ip = property(itemgetter(0), doc="The source address, an :class:`IPv4Address`.")
+    dst_ip = property(itemgetter(1), doc="The destination address, an :class:`IPv4Address`.")
+    proto = property(itemgetter(2), doc="The IP protocol number.")
+    src_port = property(itemgetter(3), doc="The source port.")
+    dst_port = property(itemgetter(4), doc="The destination port.")
+
+    def __new__(
+        cls, src_ip: IPv4Address, dst_ip: IPv4Address, proto: int, src_port: int, dst_port: int
+    ) -> "FlowSpec":
         # Fields that already have their final type (a flow read off a
         # packet, a reversed flow) are kept as they are.
-        if type(self.src_ip) is not IPv4Address:
-            object.__setattr__(self, "src_ip", IPv4Address(self.src_ip))
-        if type(self.dst_ip) is not IPv4Address:
-            object.__setattr__(self, "dst_ip", IPv4Address(self.dst_ip))
-        if type(self.proto) is not int:
-            object.__setattr__(self, "proto", proto_number(self.proto))
-        # A flow keys the pending table, the answer store, the decision
-        # cache and the audit ledger: hash the 5-tuple once, not per probe.
-        object.__setattr__(
-            self, "_hash",
-            hash((self.src_ip, self.dst_ip, self.proto, self.src_port, self.dst_port)),
-        )
+        if src_ip.__class__ is not IPv4Address:
+            src_ip = IPv4Address(src_ip)
+        if dst_ip.__class__ is not IPv4Address:
+            dst_ip = IPv4Address(dst_ip)
+        if proto.__class__ is not int:
+            proto = proto_number(proto)
+        return tuple.__new__(cls, (src_ip, dst_ip, proto, src_port, dst_port))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"FlowSpec(src_ip={self[0]!r}, dst_ip={self[1]!r}, proto={self[2]!r}, "
+            f"src_port={self[3]!r}, dst_port={self[4]!r})"
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -78,7 +87,7 @@ class FlowSpec:
 
     def as_tuple(self) -> tuple:
         """Return the plain tuple ``(src_ip, dst_ip, proto, src_port, dst_port)``."""
-        return (self.src_ip, self.dst_ip, self.proto, self.src_port, self.dst_port)
+        return tuple(self)
 
     def __str__(self) -> str:
         return (

@@ -33,7 +33,7 @@ flow: punted, decided against policy and audited like any other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.exceptions import PacketError, WireFormatError
 from repro.identpp.flowspec import FlowSpec
@@ -94,7 +94,7 @@ def _parse_first_line(line: str) -> tuple[int, int, int]:
     return proto, src_port, dst_port
 
 
-@dataclass
+@dataclass(init=False)
 class IdentQuery:
     """An ident++ query about one flow, aimed at one of its endpoints.
 
@@ -107,13 +107,17 @@ class IdentQuery:
 
     flow: FlowSpec
     target_role: str = ROLE_SOURCE
-    keys: tuple[str, ...] = field(default_factory=lambda: tuple(DEFAULT_QUERY_KEYS))
+    keys: tuple[str, ...] = DEFAULT_QUERY_KEYS
 
-    def __post_init__(self) -> None:
-        if self.target_role not in (ROLE_SOURCE, ROLE_DESTINATION):
-            raise WireFormatError(f"unknown ident++ query target role: {self.target_role!r}")
-        if self.keys.__class__ is not tuple:
-            self.keys = tuple(self.keys)
+    def __init__(
+        self, flow: FlowSpec, target_role: str = ROLE_SOURCE,
+        keys: Sequence[str] = DEFAULT_QUERY_KEYS,
+    ) -> None:
+        if target_role not in (ROLE_SOURCE, ROLE_DESTINATION):
+            raise WireFormatError(f"unknown ident++ query target role: {target_role!r}")
+        self.flow = flow
+        self.target_role = target_role
+        self.keys = tuple(keys)  # a tuple is kept as it is
 
     @property
     def target_ip(self):
@@ -341,7 +345,7 @@ def parse_query_payload(
 
 def parse_query_packet(packet: Packet) -> IdentQuery:
     """Parse a query directly from a packet (role read from packet metadata)."""
-    if not packet.is_ip() or packet.ip_proto != IP_PROTO_TCP or packet.tp_dst != IDENT_PP_PORT:
+    if not packet.carries_ip or packet.ip_proto != IP_PROTO_TCP or packet.tp_dst != IDENT_PP_PORT:
         raise WireFormatError("packet is not an ident++ query (wrong protocol/port)")
     metadata = packet.metadata
     role = ROLE_SOURCE if metadata is None else metadata.get("role", ROLE_SOURCE)

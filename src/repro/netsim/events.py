@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.exceptions import SimulationError
 from repro.netsim.sanitizer import SimulationSanitizer
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class Event(list):
@@ -140,22 +144,18 @@ class RepeatingEvent:
         self.callback = callback
         self.label = label
         self._event: Optional[Event] = None
+        #: ``True`` while a next firing is queued: set with the record
+        #: :meth:`start` queues, cleared when :meth:`_fire` or
+        #: :meth:`cancel` drops it (nothing else holds it).
+        self.scheduled = False
         self._cancelled = False
-
-    @property
-    def scheduled(self) -> bool:
-        """Return ``True`` while a next firing is queued.
-
-        :meth:`_fire` and :meth:`cancel` drop the record they end, and
-        nothing else holds it, so a held record is a queued one.
-        """
-        return self._event is not None
 
     def start(self) -> "RepeatingEvent":
         """Queue the next firing (idempotent while already scheduled)."""
         if not self.scheduled:
             self._cancelled = False
             self._event = self.sim.schedule(self.interval, self._fire, label=self.label)
+            self.scheduled = True
         return self
 
     def cancel(self) -> None:
@@ -170,41 +170,46 @@ class RepeatingEvent:
         if self._event is not None:
             self._event.cancel()
             self._event = None
+            self.scheduled = False
 
     def _fire(self) -> None:
         self._event = None
+        self.scheduled = False
         self._cancelled = False
         if self.callback() and not self._cancelled:
             self.start()
 
 
-class ExpiryHeap:
+class ExpiryHeap(list):
     """A min-heap of ``(due, key, token)`` deadlines with lazy invalidation.
 
     Owners push a deadline whenever they (re)insert an entry; a refreshed
     or replaced entry simply pushes a new deadline and leaves the old one
-    in the heap.  :meth:`pop_due` therefore yields *candidates*: the
+    in the heap.  :meth:`pop_due` therefore returns *candidates*: the
     owner must check the entry is still the one the deadline was pushed
     for (the ``token``, typically the decision cookie) before evicting.
+
+    The heap is the list itself, of ``(due, seq, (key, token))`` records:
+    ``len()`` counts the records and ``heap[0][0]`` is the earliest due.
     """
 
-    __slots__ = ("_heap", "_seq")
+    __slots__ = ("_seq",)
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, tuple[object, object]]] = []
+        super().__init__()
         # Insertion-order tiebreaker keeps equal-deadline pops deterministic.
         self._seq = itertools.count()
 
     def push(self, due: float, key: object, token: object = None) -> None:
         """Register that ``key`` (qualified by ``token``) expires at ``due``."""
-        heapq.heappush(self._heap, (due, next(self._seq), (key, token)))
+        _heappush(self, (due, next(self._seq), (key, token)))
 
-    def pop_due(self, now: float) -> Iterator[tuple[object, object]]:
-        """Yield and remove every ``(key, token)`` whose deadline has passed."""
-        heap = self._heap
-        while heap and heap[0][0] <= now:
-            _, _, payload = heapq.heappop(heap)
-            yield payload
+    def pop_due(self, now: float) -> list[tuple[object, object]]:
+        """Remove and return every ``(key, token)`` whose deadline has passed, earliest first."""
+        due = []
+        while self and self[0][0] <= now:
+            due.append(_heappop(self)[2])
+        return due
 
     def next_due(
         self, is_live: Optional[Callable[[object, object], bool]] = None
@@ -216,11 +221,10 @@ class ExpiryHeap:
         ``is_live(key, token)`` is false are discarded first, so the
         answer is the earliest deadline of an entry that still exists.
         """
-        heap = self._heap
         if is_live is not None:
-            while heap and not is_live(*heap[0][2]):
-                heapq.heappop(heap)
-        return heap[0][0] if heap else None
+            while self and not is_live(*self[0][2]):
+                _heappop(self)
+        return self[0][0] if self else None
 
     def retain(self, is_live: Callable[[object, object], bool]) -> None:
         """Drop every record whose ``is_live(key, token)`` is false.
@@ -230,11 +234,8 @@ class ExpiryHeap:
         are due calls this once dead records outnumber live ones, so the
         heap stays proportional to what it tracks (O(n), amortised).
         """
-        self._heap[:] = [record for record in self._heap if is_live(*record[2])]
-        heapq.heapify(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
+        self[:] = [record for record in self if is_live(*record[2])]
+        heapq.heapify(self)
 
 
 class Simulator:
@@ -337,7 +338,7 @@ class Simulator:
         event = Event(
             (self.now + delay, self._tie_sign * seq, callback, args, label, None, self, seq)
         )
-        heapq.heappush(self._queue, event)
+        _heappush(self._queue, event)
         self._newest = event
         self._newest_lane = None
         return event
@@ -365,20 +366,24 @@ class Simulator:
         reordering, is entitled to.  Returns the event that carries
         ``item``.
         """
-        newest = self._newest
-        if (
-            self._newest_lane is lane
-            and newest is not None
-            and newest[6] is not None
-            and newest[0] == self.now + delay
-        ):
-            riders = newest[5]
-            if riders is None:
-                newest[5] = [item]
-            else:
-                riders.append(item)
-            return newest
-        event = self.schedule(delay, callback, item, label=label)
+        when = self.now + delay
+        # A lane is never None, so the newest event is set when its lane matches.
+        if self._newest_lane is lane:
+            newest = self._newest
+            if newest[6] is not None and newest[0] == when:
+                riders = newest[5]
+                if riders is None:
+                    newest[5] = [item]
+                else:
+                    riders.append(item)
+                return newest
+        # schedule(), inline: one frame per delivery.
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        seq = next(self._seq)
+        event = Event((when, self._tie_sign * seq, callback, (item,), label, None, self, seq))
+        _heappush(self._queue, event)
+        self._newest = event
         self._newest_lane = lane
         return event
 
@@ -417,7 +422,17 @@ class Simulator:
         Returns ``None`` when the queue is empty.  Cancelled events are
         skipped silently.
         """
-        return self._drain(None, 1)[1]
+        queue = self._queue
+        event = None
+        while queue:
+            head = _heappop(queue)
+            if head[2] is not None:
+                event = head
+                self._fire(event)
+                break
+            self._dead -= 1
+        self._forget_fired_newest()
+        return event
 
     def run(self, until: float | None = None) -> int:
         """Run until the queue drains or ``until`` seconds of simulated time.
@@ -431,60 +446,71 @@ class Simulator:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
         try:
-            return self._drain(until, None)[0]
+            return self._drain(until)
         finally:
             self._running = False
 
-    def _drain(
-        self, until: float | None, max_events: int | None
-    ) -> tuple[int, Optional[Event]]:
-        """Fire events in order; return how many fired and the last one.
+    def _fire(self, event: Event) -> None:
+        """Fire one live event just popped off the heap."""
+        if event[0] < self.now:
+            raise SimulationError("event queue corrupted: time went backwards")
+        event[6] = None
+        self.now = event[0]
+        self._events_processed += 1
+        if self.sanitizer is not None:
+            self.sanitizer.on_event(event)
+        callback = event[2]
+        callback(*event[3])
+        riders = event[5]
+        if riders is not None:
+            for item in riders:
+                callback(item)
 
-        The one event loop: each heap record is looked at once at the
-        head and popped once.  Stops after ``max_events``, at the first
-        live event later than ``until``, or at an empty queue; in the
-        last two cases the clock moves up to ``until`` (never back).
+    def _drain(self, until: float | None) -> int:
+        """Fire events in order; return how many fired.
+
+        The one event loop: each heap record is popped once, and fired
+        as :meth:`_fire` does (inline here).  Stops at the first live
+        event later than ``until`` (pushed back) or at an empty queue;
+        either way the clock moves up to ``until`` (never back).
         """
         queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        event = None
+        horizon = math.inf if until is None else until
+        sanitizer = self.sanitizer
+        fired = self._events_processed
         while queue:
-            if max_events is not None and processed >= max_events:
-                break
-            head = queue[0]
+            head = _heappop(queue)
             callback = head[2]
             if callback is None:
-                pop(queue)
                 self._dead -= 1
                 continue
             time = head[0]
-            if until is not None and time > until:
-                if self.now < until:
-                    self.now = until
+            if time > horizon:
+                _heappush(queue, head)
                 break
-            pop(queue)
             if time < self.now:
                 raise SimulationError("event queue corrupted: time went backwards")
-            event = head
-            event[6] = None
+            head[6] = None
             self.now = time
             self._events_processed += 1
-            processed += 1
-            if self.sanitizer is not None:
-                self.sanitizer.on_event(event)
-            callback(*event[3])
-            riders = event[5]
+            if sanitizer is not None:
+                sanitizer.on_event(head)
+            callback(*head[3])
+            riders = head[5]
             if riders is not None:
                 for item in riders:
                     callback(item)
-        if until is not None and not queue and self.now < until:
+        if until is not None and self.now < until:
             self.now = until
+        self._forget_fired_newest()
+        return self._events_processed - fired
+
+    def _forget_fired_newest(self) -> None:
+        """Once the newest event fired or was cancelled, nothing can ride it:
+        hold nothing it carried."""
         newest = self._newest
         if newest is not None and newest[6] is None:
-            # Fired or cancelled: nothing can ride it, so hold nothing it carried.
-            self._newest = None
-        return processed, event
+            self._newest = self._newest_lane = None
 
     def _note_cancelled(self) -> None:
         """Count one more dead record; compact once they outnumber live ones.

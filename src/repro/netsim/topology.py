@@ -76,7 +76,7 @@ class Topology:
 
     def node_for_ip(self, address: IPv4Address | str) -> Optional[Node]:
         """Return the node owning ``address``, or ``None``."""
-        if not isinstance(address, IPv4Address):
+        if address.__class__ is not IPv4Address:
             address = IPv4Address(address)
         return self._ip_to_node.get(address)
 

@@ -140,14 +140,19 @@ class Controller:
                 # The process died between arrival and dispatch; the
                 # backlog belongs to the failover handoff.
                 self._halted_inbox.append(message)
-                continue
-            self._dispatch(message)
+            elif message.__class__ is PacketIn:
+                # _dispatch, inline for the punt.
+                self.packet_ins += 1
+                self.on_packet_in(message)
+            else:
+                self._dispatch(message)
 
     def _dispatch(self, message: ControlMessage) -> None:
-        if isinstance(message, PacketIn):
+        kind = message.__class__
+        if kind is PacketIn:
             self.packet_ins += 1
             self.on_packet_in(message)
-        elif isinstance(message, FlowRemoved):
+        elif kind is FlowRemoved:
             self.on_flow_removed(message)
         else:
             raise OpenFlowError(f"controller {self.name} cannot handle {type(message).__name__}")
@@ -181,7 +186,7 @@ class Controller:
             cookie, buffer_id,
         )
         (
-            self.channels.get(switch if isinstance(switch, str) else switch.name)
+            self.channels.get(getattr(switch, "name", switch))
             or self.channel_for(switch)
         ).send_to_switch(message)
         return message
@@ -195,7 +200,7 @@ class Controller:
         """
         message = FlowMod(match=_ANY, command=FlowModCommand.DELETE, cookie=cookie)
         (
-            self.channels.get(switch if isinstance(switch, str) else switch.name)
+            self.channels.get(getattr(switch, "name", switch))
             or self.channel_for(switch)
         ).send_to_switch(message)
         return message
@@ -211,7 +216,7 @@ class Controller:
         """Release a buffered packet on ``switch``."""
         message = PacketOut(actions=tuple(actions), buffer_id=buffer_id, in_port=in_port)
         (
-            self.channels.get(switch if isinstance(switch, str) else switch.name)
+            self.channels.get(getattr(switch, "name", switch))
             or self.channel_for(switch)
         ).send_to_switch(message)
         return message

@@ -22,17 +22,14 @@ from repro.openflow.match import Match
 if TYPE_CHECKING:  # pragma: no cover
     from repro.openflow.switch import OpenFlowSwitch
 
-# Bound ``__next__`` of the two id streams: a default factory that is
+# Bound ``__next__`` of the buffer id stream: a default factory that is
 # a C call, not a Python lambda per message.
 _next_buffer_id = itertools.count(1).__next__
-_next_xid = itertools.count(1).__next__
 
 
 @dataclass
 class ControlMessage:
     """Base class for all control-channel messages."""
-
-    xid: int = field(default_factory=_next_xid, init=False)
 
 
 @dataclass

@@ -128,22 +128,19 @@ class OpenFlowSwitch(Node):
             # A dead switch's control socket is gone; messages addressed
             # to it (flow mods, path unwind deletes) simply vanish.
             return
-        if isinstance(message, FlowMod):
-            self._handle_flow_mod(message)
-        elif isinstance(message, PacketOut):
+        kind = message.__class__
+        if kind is PacketOut:
             self._handle_packet_out(message)
-        else:
-            raise OpenFlowError(f"switch {self.name} cannot handle {type(message).__name__}")
-
-    def _handle_flow_mod(self, message: FlowMod) -> None:
+            return
+        if kind is not FlowMod:
+            raise OpenFlowError(f"switch {self.name} cannot handle {kind.__name__}")
         command = message.command
         if command in FlowModCommand.DELETES:
-            strict = command == FlowModCommand.DELETE_STRICT
             # A cookie on a delete scopes it to that decision's entries
             # (OpenFlow 1.1+ cookie filter) — how the controller unwinds
             # one flow's path without touching co-resident entries.
             self.flow_table.remove(
-                message.match, strict=strict,
+                message.match, strict=command == FlowModCommand.DELETE_STRICT,
                 cookie=message.cookie if message.cookie else None,
             )
             return
@@ -232,7 +229,7 @@ class OpenFlowSwitch(Node):
         if now >= table.expire_from:
             for expired in table.expire(now):
                 self._notify_removed(expired)
-        entry = table.lookup(packet, in_port.number, now=now)
+        entry = table.lookup(packet, in_port.number, now)
         if entry is None:
             self._handle_table_miss(packet, in_port, now)
             return
@@ -282,7 +279,9 @@ class OpenFlowSwitch(Node):
             message = PacketIn(self, packet, in_port.number)
             self._buffered[message.buffer_id] = (packet, in_port.number)
             self.punts.value += 1
-            self._record(now, "punt", packet, channel.controller.name)
+            trace = self.trace
+            if trace is not None and trace.enabled:
+                trace.record(now, self.name, "punt", packet, channel.controller.name)
             channel.send_to_controller(message)
             return
         if self.fail_mode == "open":
@@ -312,7 +311,10 @@ class OpenFlowSwitch(Node):
                 if trace is not None:
                     trace.record(now, self.name, "forward", packet, f"port {action.port}")
                 # A Port is always true; an unknown number raises PortError.
-                (ports.get(action.port) or self.port(action.port)).send(packet)
+                # Port.send, inline: an un-wired port drops the packet.
+                port = ports.get(action.port) or self.port(action.port)
+                if port.link is not None:
+                    port.link.transmit(packet, port)
             elif kind is DropAction:
                 continue
             elif kind is FloodAction:

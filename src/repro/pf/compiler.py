@@ -182,7 +182,7 @@ def _compile_address(spec: object, macros: dict[str, str], tables: "TableSet") -
 class _CompiledEndpoint:
     """A ``from``/``to`` clause compiled to port + pre-parsed address checks."""
 
-    __slots__ = ("port", "matcher", "negated", "octets", "defect")
+    __slots__ = ("port", "matcher", "negated", "octets", "defect", "total")
 
     def __init__(self, endpoint: EndpointSpec, macros: dict[str, str], tables: "TableSet") -> None:
         self.port = endpoint.port
@@ -193,6 +193,9 @@ class _CompiledEndpoint:
         # the prefix), so only un-negated endpoints keep their octet set.
         self.octets = compiled.octets if not endpoint.negated else None
         self.defect = compiled.defect
+        #: ``True`` when every address and port matches (``any``, no
+        #: port, not negated): a rule skips the call to :meth:`matches`.
+        self.total = self.port is None and self.matcher is None and not self.negated
 
     def matches(self, address_int: int, port: int, context: "EvalContext") -> bool:
         if self.port is not None and self.port != port:
@@ -371,9 +374,10 @@ class CompiledRule:
         flow = context.flow
         if flow is not None:
             # An IPv4Address is an int: the matchers mask it in C.
-            if not self.src.matches(flow.src_ip, flow.src_port, context):
+            src, dst = self.src, self.dst
+            if not src.total and not src.matches(flow.src_ip, flow.src_port, context):
                 return False
-            if not self.dst.matches(flow.dst_ip, flow.dst_port, context):
+            if not dst.total and not dst.matches(flow.dst_ip, flow.dst_port, context):
                 return False
         elif not self.address_free:
             return False

@@ -111,7 +111,7 @@ class TestApplications:
         app = Application(name="skype", path="/usr/bin/skype")
         registry.install(app)
         assert registry.by_name("skype") is app
-        assert registry.by_path("/usr/bin/skype") is app
+        assert registry.require("/usr/bin/skype") is app
         assert registry.require("skype") is app
         assert "skype" in registry
 
@@ -130,7 +130,7 @@ class TestApplications:
         registry = ApplicationRegistry()
         app = registry.install(Application(name="skype", path="/usr/bin/skype"))
         upgrade = registry.install(dataclasses.replace(app, version="211"))
-        assert registry.by_path("/usr/bin/skype") is upgrade
+        assert registry.require("/usr/bin/skype") is upgrade
         assert registry.require("skype") is upgrade
         assert len(registry) == 1
 

@@ -4,12 +4,15 @@ Covers the decision-cache reverse/cookie indexes, the flow-table
 exact-match cache, Packet.wire_size caching, the policy engine's
 @pubkeys epoch caching, the flow generator's port allocator, a burst
 of same-instant punts with one mis-evaluating flow, and the counts of
-Python-level calls a forwarded packet and a punted flow make, in total
-and per layer (``perf/tracing.py``'s module -> layer rule), and the
-event loop's opcodes for each, per interpreter.
+Python-level calls and opcodes a forwarded packet and a punted flow
+run, in total and per layer (``perf/tracing.py``'s module -> layer
+rule), the opcodes per interpreter, and the count itself: the code
+``dataclasses`` writes is counted under its class's module.
 """
 
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.netsim.packet import Packet
 from repro.openflow.actions import OutputAction
 from repro.openflow.flow_table import FlowTable
 from repro.openflow.match import Match
+from repro.openflow.messages import FlowMod
 from repro.workloads.generators import EPHEMERAL_BASE, FlowGenerator, FlowTemplate
 from tests.reference_flow_table import make_entry
 from tools.counts import Counts, count
@@ -241,30 +245,22 @@ class TestPoisonedBurst:
         assert len(net.host("server").delivered) == 2
 
 
-def calls_by_layer(counts: Counts, per: int) -> dict[str, float]:
-    """Return ``counts``' calls per ``per`` by layer, each module in its
-    ``perf/tracing.py`` layer; a layer with no call is absent."""
+def by_layer(counts: Counts, per: int, *, opcodes: bool = False) -> dict[str, float]:
+    """Return ``counts``' calls (or opcodes) per ``per`` by layer, each
+    module in its ``perf/tracing.py`` layer; a layer with none is absent."""
     layers: dict[str, int] = {}
-    for module, (calls, _opcodes) in counts.by_module.items():
+    for module, tally in counts.by_module.items():
         layer = _layer_of_module(module)
-        layers[layer] = layers.get(layer, 0) + calls
-    return {layer: calls / per for layer, calls in sorted(layers.items())}
+        layers[layer] = layers.get(layer, 0) + tally[opcodes]
+    return {layer: total / per for layer, total in sorted(layers.items()) if total}
 
 
-def layer_opcodes(counts: Counts, per: int, layer: str) -> float:
-    """Return the opcodes per ``per`` that ``counts`` ran in one layer."""
-    return sum(
-        opcodes
-        for module, (_calls, opcodes) in counts.by_module.items()
-        if _layer_of_module(module) == layer
-    ) / per
-
-
-def pin_for_this_interpreter(pins: dict[tuple[int, int], float]) -> float:
+def pin_for_this_interpreter(pins: dict[tuple[int, int], object]):
     """Return the pin of the running CPython minor version.
 
     Opcode counts differ by interpreter, so each has its own row; one
-    with no row skips.
+    with no row skips (``TestPinTables`` holds a row for every
+    interpreter CI runs).
     """
     version = sys.version_info[:2]
     if version not in pins:
@@ -273,13 +269,19 @@ def pin_for_this_interpreter(pins: dict[tuple[int, int], float]) -> float:
 
 
 def moved_layers(layers: dict[str, float], pins: dict[str, float]) -> dict[str, tuple]:
-    """Return ``{layer: (pinned, measured)}`` for each layer whose calls
-    differ from its pin, up or down (a layer absent on one side: 0)."""
+    """Return ``{layer: (pinned, measured)}`` for each layer whose count
+    differs from its pin, up or down (a layer absent on one side: 0)."""
     return {
         layer: (pins.get(layer, 0), layers.get(layer, 0))
         for layer in sorted(set(layers) | set(pins))
         if layers.get(layer, 0) != pins.get(layer, 0)
     }
+
+
+def assert_layers_pinned(layers: dict[str, float], pins: dict[str, float], what: str) -> None:
+    """Fail on every layer that moved either way, naming it and both values."""
+    moved = moved_layers(layers, pins)
+    assert moved == {}, f"layer: (pinned, measured) {what}: {moved}"
 
 
 def calls_per_forwarded_packet(**sizes) -> float:
@@ -340,35 +342,73 @@ class TestHitPathCalls:
     #: two default-factory lambdas and built a metadata dict; 25.6 while
     #: the simulator's clock was a property; 22.5 while each event was an
     #: Event object built by its own __init__ and wrapped in a heap tuple;
-    #: 21.375 since.
-    CALLS = 21.375
+    #: 21.375 while the count missed the ``__init__`` that ``dataclasses``
+    #: writes (22.375 counted whole); 22.375 while each packet ran that
+    #: ``__init__``, a ``__post_init__`` and ``is_ip()`` twice, each
+    #: delivery entered ``schedule`` and a host's send went through
+    #: ``Port.send``.
+    CALLS = 17.3125
     #: Each layer's exact calls per forwarded packet (layers as
     #: perf/tracing.py groups modules): a change that moves a layer's
     #: calls, up or down, re-pins its row here.
     LAYER_CALLS = {
         "core.controller": 0.0625,
         "hosts": 4.0,
-        "netsim.events": 4.25,
-        "netsim.links": 5.0625,
-        "netsim.packet": 4.0,
+        "netsim.events": 3.1875,
+        "netsim.links": 4.0625,
+        "netsim.packet": 2.0,
         "openflow.flow_table": 2.0,
         "openflow.switch": 2.0,
     }
-
-    #: The event loop's exact opcodes per forwarded packet, by
-    #: interpreter (277.25 on 3.11 for the Event object in a heap tuple).
-    EVENTS_OPCODES = {(3, 10): 256.0625, (3, 11): 246.6875, (3, 12): 238.3125}
+    #: The exact opcodes per forwarded packet, whole and by layer, by
+    #: interpreter (1083.125 on 3.11, the event loop 246.6875 of them,
+    #: before the cut above).
+    OPCODES = {(3, 10): 1035.125, (3, 11): 995.6875, (3, 12): 964.1875}
+    LAYER_OPCODES = {
+        (3, 10): {
+            "core.controller": 1.0,
+            "hosts": 88.0,
+            "netsim.events": 214.6875,
+            "netsim.links": 102.4375,
+            "netsim.packet": 180.0,
+            "openflow.flow_table": 136.0,
+            "openflow.switch": 313.0,
+        },
+        (3, 11): {
+            "core.controller": 0.9375,
+            "hosts": 92.0,
+            "netsim.events": 211.25,
+            "netsim.links": 99.5,
+            "netsim.packet": 175.0,
+            "openflow.flow_table": 132.0,
+            "openflow.switch": 285.0,
+        },
+        (3, 12): {
+            "core.controller": 0.875,
+            "hosts": 82.0,
+            "netsim.events": 203.875,
+            "netsim.links": 91.4375,
+            "netsim.packet": 173.0,
+            "openflow.flow_table": 130.0,
+            "openflow.switch": 283.0,
+        },
+    }
 
     def test_a_forwarded_packet_makes_exactly_its_pinned_calls(self):
         assert calls_per_forwarded_packet() == self.CALLS
 
-    def test_the_event_loop_runs_exactly_its_pinned_opcodes_per_packet(self):
-        pin = pin_for_this_interpreter(self.EVENTS_OPCODES)
-        assert layer_opcodes(*forwarded_packet_counts(), "netsim.events") == pin
+    def test_a_forwarded_packet_runs_exactly_its_pinned_opcodes(self):
+        counts, packets = forwarded_packet_counts()
+        assert counts.opcodes / packets == pin_for_this_interpreter(self.OPCODES)
 
     def test_every_layer_makes_exactly_its_pinned_calls_per_packet(self):
-        moved = moved_layers(calls_by_layer(*forwarded_packet_counts()), self.LAYER_CALLS)
-        assert moved == {}, f"layer: (pinned, measured) calls per packet: {moved}"
+        layers = by_layer(*forwarded_packet_counts())
+        assert_layers_pinned(layers, self.LAYER_CALLS, "calls per packet")
+
+    def test_every_layer_runs_exactly_its_pinned_opcodes_per_packet(self):
+        pins = pin_for_this_interpreter(self.LAYER_OPCODES)
+        layers = by_layer(*forwarded_packet_counts(), opcodes=True)
+        assert_layers_pinned(layers, pins, "opcodes per packet")
 
     def test_the_count_repeats_exactly(self):
         assert calls_per_forwarded_packet(waves=2) == calls_per_forwarded_packet(waves=2)
@@ -472,28 +512,103 @@ class TestPuntCalls:
     #: 175.35 while every pull punt also called the engine's push
     #: promotion tally, which returned at once; 174.35 while each event
     #: was an Event object built by its own __init__ and wrapped in a
-    #: heap tuple; 167.525 since.
-    CALLS = 167.525
+    #: heap tuple; 167.525 while the count missed the code ``dataclasses``
+    #: writes (189.225 counted whole: FlowMod 2.8 calls, QueryOutcome
+    #: 2.0, FlowEntry 1.9, IdentQuery 2.0, and Packet, FlowSpec, Verdict,
+    #: PacketIn, DecisionTask and more once each); 189.225 while every
+    #: flow key hashed through a Python ``__hash__`` (7 calls), every
+    #: delivery entered ``schedule`` (4.75), the flow table filed an
+    #: entry through ``_link``, ``_home`` and ``_deadline`` and its
+    #: deadline heap through ``ExpiryHeap`` (9.6), a packet, flow,
+    #: query and entry each ran a generated ``__init__`` and a
+    #: ``__post_init__`` (6.8), ``is_ip()`` ran per reading (4.8), an
+    #: endpoint that matches anything was still asked (2.9), a flow mod
+    #: took a second frame on the switch (2.8) and a sent packet one in
+    #: ``Port.send`` (1.9).
+    CALLS = 135.7
     #: Each layer's exact calls per punt: a change that moves a layer's
     #: calls, up or down, re-pins its row here.
     LAYER_CALLS = {
-        "core.cache": 4.0,
-        "core.controller": 22.9,
+        "core.cache": 3.0,
+        "core.controller": 28.7,
         "core.lifecycle": 2.0,
         "core.policy_engine": 2.0,
-        "hosts": 19.9,
-        "identpp.client": 5.0,
+        "hosts": 17.9,
+        "identpp.client": 7.0,
         "identpp.daemon": 5.75,
         "identpp.engine": 1.0,
-        "identpp.wire": 16.0,
-        "netsim.events": 24.375,
-        "netsim.links": 9.625,
-        "netsim.packet": 7.8,
+        "identpp.wire": 11.0,
+        "netsim.events": 12.75,
+        "netsim.links": 7.725,
+        "netsim.packet": 2.0,
         "openflow.channel": 4.8,
-        "openflow.flow_table": 19.175,
-        "openflow.switch": 14.5,
-        "pf.compiler": 6.7,
-        "pf.evaluator": 2.0,
+        "openflow.flow_table": 11.575,
+        "openflow.switch": 10.7,
+        "pf.compiler": 3.8,
+        "pf.evaluator": 4.0,
+    }
+    #: The exact opcodes per punt, whole and by layer, by interpreter
+    #: (7071.65 on 3.11, counted whole, before the cut above; the event
+    #: loop 1169.3 of them).
+    OPCODES = {(3, 10): 6175.825, (3, 11): 6211.45, (3, 12): 5851.175}
+    LAYER_OPCODES = {
+        (3, 10): {
+            "core.cache": 108.0,
+            "core.controller": 1215.675,
+            "core.lifecycle": 24.0,
+            "core.policy_engine": 137.0,
+            "hosts": 479.5,
+            "identpp.client": 276.0,
+            "identpp.daemon": 349.9,
+            "identpp.engine": 58.0,
+            "identpp.wire": 217.3,
+            "netsim.events": 937.525,
+            "netsim.links": 207.275,
+            "netsim.packet": 188.0,
+            "openflow.channel": 182.4,
+            "openflow.flow_table": 899.45,
+            "openflow.switch": 559.3,
+            "pf.compiler": 99.2,
+            "pf.evaluator": 237.3,
+        },
+        (3, 11): {
+            "core.cache": 111.0,
+            "core.controller": 1259.225,
+            "core.lifecycle": 20.0,
+            "core.policy_engine": 137.0,
+            "hosts": 514.45,
+            "identpp.client": 272.0,
+            "identpp.daemon": 341.8,
+            "identpp.engine": 62.0,
+            "identpp.wire": 218.3,
+            "netsim.events": 937.25,
+            "netsim.links": 199.8,
+            "netsim.packet": 184.0,
+            "openflow.channel": 187.2,
+            "openflow.flow_table": 909.375,
+            "openflow.switch": 534.85,
+            "pf.compiler": 90.9,
+            "pf.evaluator": 232.3,
+        },
+        (3, 12): {
+            "core.cache": 102.0,
+            "core.controller": 1159.575,
+            "core.lifecycle": 18.0,
+            "core.policy_engine": 134.0,
+            "hosts": 469.8,
+            "identpp.client": 258.0,
+            "identpp.daemon": 324.25,
+            "identpp.engine": 58.0,
+            "identpp.wire": 205.3,
+            "netsim.events": 900.2,
+            "netsim.links": 187.275,
+            "netsim.packet": 181.0,
+            "openflow.channel": 182.4,
+            "openflow.flow_table": 854.975,
+            "openflow.switch": 508.6,
+            "pf.compiler": 84.3,
+            "pf.evaluator": 223.5,
+        },
     }
 
     #: The same punts with the query engine on: a 2 s answer TTL and
@@ -506,66 +621,178 @@ class TestPuntCalls:
     #: ``_bypasses_cache`` helper (2.0); 203.8 since the answer store
     #: compares ``expires_at`` itself and the queries test the bypass
     #: inline (the store's ``drop`` and ``holds`` add 0.075 each on the
-    #: delta path); 194.075 since each event is one heap record (6.825
-    #: calls), a fill calls ``hook`` only for a host not yet hooked
-    #: (0.9) and both endpoint queries share one clock reading, taken
-    #: without a call (2.0).
-    ENGINE_ON_CALLS = 194.075
+    #: delta path); 194.075 while the count missed the code
+    #: ``dataclasses`` writes (215.85 counted whole); 215.85 before the
+    #: cut described under ``CALLS``.
+    ENGINE_ON_CALLS = 163.325
     ENGINE_ON_LAYER_CALLS = {
-        "core.cache": 4.0,
-        "core.controller": 22.9,
+        "core.cache": 3.0,
+        "core.controller": 28.7,
         "core.lifecycle": 2.0,
         "core.policy_engine": 2.0,
-        "hosts": 17.9,
-        "identpp.client": 5.0,
+        "hosts": 16.9,
+        "identpp.client": 7.0,
         "identpp.daemon": 3.925,
-        "identpp.engine": 18.225,
-        "identpp.wire": 16.075,
-        "netsim.events": 33.375,
-        "netsim.links": 13.7,
-        "netsim.packet": 7.8,
+        "identpp.engine": 19.225,
+        "identpp.wire": 10.15,
+        "netsim.events": 21.75,
+        "netsim.links": 11.8,
+        "netsim.packet": 2.0,
         "openflow.channel": 4.8,
-        "openflow.flow_table": 19.175,
-        "openflow.switch": 14.5,
-        "pf.compiler": 6.7,
-        "pf.evaluator": 2.0,
+        "openflow.flow_table": 11.575,
+        "openflow.switch": 10.7,
+        "pf.compiler": 3.8,
+        "pf.evaluator": 4.0,
+    }
+    #: 7593.775 on 3.11, counted whole, before the cut.
+    ENGINE_ON_OPCODES = {(3, 10): 6694.85, (3, 11): 6751.575, (3, 12): 6340.45}
+    ENGINE_ON_LAYER_OPCODES = {
+        (3, 10): {
+            "core.cache": 108.0,
+            "core.controller": 1228.675,
+            "core.lifecycle": 24.0,
+            "core.policy_engine": 137.0,
+            "hosts": 418.7,
+            "identpp.client": 200.0,
+            "identpp.daemon": 193.925,
+            "identpp.engine": 707.2,
+            "identpp.wire": 203.075,
+            "netsim.events": 1056.525,
+            "netsim.links": 252.1,
+            "netsim.packet": 188.0,
+            "openflow.channel": 182.4,
+            "openflow.flow_table": 899.45,
+            "openflow.switch": 559.3,
+            "pf.compiler": 99.2,
+            "pf.evaluator": 237.3,
+        },
+        (3, 11): {
+            "core.cache": 111.0,
+            "core.controller": 1273.225,
+            "core.lifecycle": 20.0,
+            "core.policy_engine": 137.0,
+            "hosts": 449.75,
+            "identpp.client": 200.0,
+            "identpp.daemon": 190.4,
+            "identpp.engine": 721.475,
+            "identpp.wire": 204.3,
+            "netsim.events": 1063.25,
+            "netsim.links": 242.55,
+            "netsim.packet": 184.0,
+            "openflow.channel": 187.2,
+            "openflow.flow_table": 909.375,
+            "openflow.switch": 534.85,
+            "pf.compiler": 90.9,
+            "pf.evaluator": 232.3,
+        },
+        (3, 12): {
+            "core.cache": 102.0,
+            "core.controller": 1172.575,
+            "core.lifecycle": 18.0,
+            "core.policy_engine": 134.0,
+            "hosts": 407.0,
+            "identpp.client": 188.0,
+            "identpp.daemon": 180.0,
+            "identpp.engine": 672.025,
+            "identpp.wire": 191.925,
+            "netsim.events": 1014.2,
+            "netsim.links": 225.95,
+            "netsim.packet": 181.0,
+            "openflow.channel": 182.4,
+            "openflow.flow_table": 854.975,
+            "openflow.switch": 508.6,
+            "pf.compiler": 84.3,
+            "pf.evaluator": 223.5,
+        },
     }
 
-    #: The event loop's exact opcodes per punt on each plane, by
-    #: interpreter (1389.06875 and 1517.06875 on 3.11 for the Event
-    #: object in a heap tuple).
-    EVENTS_OPCODES = {(3, 10): 1192.35625, (3, 11): 1169.3, (3, 12): 1126.475}
-    ENGINE_ON_EVENTS_OPCODES = {(3, 10): 1313.35625, (3, 11): 1297.3, (3, 12): 1242.475}
-
     PLANES = pytest.mark.parametrize(
-        "options, calls, layer_calls, events_opcodes",
+        "options, calls, layer_calls, opcodes, layer_opcodes",
         [
-            ({}, CALLS, LAYER_CALLS, EVENTS_OPCODES),
-            (ENGINE_ON, ENGINE_ON_CALLS, ENGINE_ON_LAYER_CALLS, ENGINE_ON_EVENTS_OPCODES),
+            ({}, CALLS, LAYER_CALLS, OPCODES, LAYER_OPCODES),
+            (
+                ENGINE_ON, ENGINE_ON_CALLS, ENGINE_ON_LAYER_CALLS,
+                ENGINE_ON_OPCODES, ENGINE_ON_LAYER_OPCODES,
+            ),
         ],
         ids=["engine-off", "engine-on"],
     )
 
     @PLANES
     def test_a_punt_makes_exactly_its_pinned_calls(
-        self, options, calls, layer_calls, events_opcodes
+        self, options, calls, layer_calls, opcodes, layer_opcodes
     ):
         assert calls_per_punt(**options) == calls
 
     @PLANES
+    def test_a_punt_runs_exactly_its_pinned_opcodes(
+        self, options, calls, layer_calls, opcodes, layer_opcodes
+    ):
+        counts, punted = punt_counts(**options)
+        assert counts.opcodes / punted == pin_for_this_interpreter(opcodes)
+
+    @PLANES
     def test_every_layer_makes_exactly_its_pinned_calls_per_punt(
-        self, options, calls, layer_calls, events_opcodes
+        self, options, calls, layer_calls, opcodes, layer_opcodes
     ):
-        moved = moved_layers(calls_by_layer(*punt_counts(**options)), layer_calls)
-        assert moved == {}, f"layer: (pinned, measured) calls per punt: {moved}"
+        layers = by_layer(*punt_counts(**options))
+        assert_layers_pinned(layers, layer_calls, "calls per punt")
 
     @PLANES
-    def test_the_event_loop_runs_exactly_its_pinned_opcodes_per_punt(
-        self, options, calls, layer_calls, events_opcodes
+    def test_every_layer_runs_exactly_its_pinned_opcodes_per_punt(
+        self, options, calls, layer_calls, opcodes, layer_opcodes
     ):
-        pin = pin_for_this_interpreter(events_opcodes)
-        assert layer_opcodes(*punt_counts(**options), "netsim.events") == pin
+        pins = pin_for_this_interpreter(layer_opcodes)
+        layers = by_layer(*punt_counts(**options), opcodes=True)
+        assert_layers_pinned(layers, pins, "opcodes per punt")
 
     @PLANES
-    def test_the_count_repeats_exactly(self, options, calls, layer_calls, events_opcodes):
+    def test_the_count_repeats_exactly(self, options, calls, layer_calls, opcodes, layer_opcodes):
         assert calls_per_punt(waves=2, **options) == calls_per_punt(waves=2, **options)
+
+
+#: Every table above keyed by interpreter version.
+PER_INTERPRETER = {
+    f"{owner.__name__}.{name}": table
+    for owner in (TestHitPathCalls, TestPuntCalls)
+    for name, table in vars(owner).items()
+    if name.isupper() and name.endswith("OPCODES")
+}
+
+
+class TestPinTables:
+    def test_every_table_has_a_row_for_each_interpreter_ci_runs_and_3_11(self):
+        workflow = (Path(__file__).parent.parent / ".github/workflows/ci.yml").read_text()
+        listed = re.search(r"python-version: \[([^\]]*)\]", workflow).group(1)
+        versions = {tuple(map(int, v.strip(' "').split("."))) for v in listed.split(",")}
+        assert versions and (3, 11) not in versions, versions
+        for name, table in PER_INTERPRETER.items():
+            missing = (versions | {(3, 11)}) - set(table)
+            assert not missing, f"{name} has no row for {sorted(missing)}"
+
+    def test_a_planted_drop_and_a_planted_rise_each_fail_naming_the_layer_and_both_values(self):
+        pins = TestPuntCalls.LAYER_OPCODES[(3, 11)]
+        pinned = pins["openflow.flow_table"]
+        for planted in (pinned - 1, pinned + 0.025):
+            measured = {**pins, "openflow.flow_table": planted}
+            assert moved_layers(measured, pins) == {"openflow.flow_table": (pinned, planted)}
+            with pytest.raises(AssertionError) as failure:
+                assert_layers_pinned(measured, pins, "opcodes per punt")
+            message = str(failure.value)
+            assert "'openflow.flow_table': " f"({pinned!r}, {planted!r})" in message
+        assert_layers_pinned(dict(pins), pins, "opcodes per punt")
+
+    def test_a_layer_that_appears_or_vanishes_moves_from_or_to_zero(self):
+        pins = {"hosts": 4.0}
+        assert moved_layers({"hosts": 4.0, "cluster": 1.0}, pins) == {"cluster": (0, 1.0)}
+        assert moved_layers({}, pins) == {"hosts": (4.0, 0)}
+
+
+class TestWholeCount:
+    def test_a_dataclass_init_is_counted_under_its_class_module(self):
+        match = Match()
+        counts = count(lambda: FlowMod(match))
+        # FlowMod's __init__ is generated code (co_filename "<string>").
+        assert counts.calls == 1
+        assert set(counts.by_module) == {"repro.openflow.messages"}
+        assert counts.by_module["repro.openflow.messages"] == (1, counts.opcodes)

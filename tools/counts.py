@@ -7,10 +7,15 @@
 A count does not depend on the host or its load, so a claim of the form
 "this costs no more at size N than at size n" reads as an exact
 equality or ratio of two counts where a wall-clock window estimates it
-with tens of percent of noise.  Only frames whose code lives in the
-``repro`` package are counted: the step's own glue is not.  Beside the
-totals, ``by_module`` tallies each counted module's own frames, so a
-step's work splits by file (and by whatever layers the files make up).
+with tens of percent of noise.  Counted are the frames of code that
+lives in the ``repro`` package, and the frames of code generated at run
+time for a ``repro`` module: the ``__init__``, ``__eq__`` and
+``__hash__`` that ``dataclasses`` writes have no file (their
+``co_filename`` is ``<string>``) and run with their class's module as
+their globals, so they are filed under that module.  The step's own glue
+is not counted.  Beside the totals, ``by_module`` tallies each counted
+module's own frames, so a step's work splits by module (and by whatever
+layers the modules make up).
 
 An opcode count cannot see work done in C (``list.remove``, ``x in
 list``, a heap that keeps growing): a claim about such work reads the
@@ -38,24 +43,32 @@ class Counts(NamedTuple):
     by_module: dict[str, tuple[int, int]]
 
 
-def _module(filename: str) -> str:
-    """Return the dotted module name of a file under :data:`PACKAGE`."""
+def _module(filename: str) -> Optional[str]:
+    """Return the dotted module name of a file under :data:`PACKAGE`
+    (``None`` for any other file)."""
+    if not filename.startswith(PACKAGE):
+        return None
     path = Path(filename).relative_to(Path(PACKAGE).parent).with_suffix("")
     parts = path.parts[:-1] if path.name == "__init__" else path.parts
     return ".".join(parts)
 
 
-def _traced(
-    step: Callable[[], object], counted: Callable[[str], bool]
-) -> dict[str, list[int]]:
-    """Run ``step`` under ``sys.settrace``; return each file's ``[calls, opcodes]``
-    over the frames ``counted`` accepts."""
-    # Filename -> its tally and the local tracer that bumps it, or None
-    # for a file ``counted`` refused.
-    files: dict[str, Optional[tuple[list[int], Callable]]] = {}
+def _traced(step: Callable[[], object], counted: Callable[[str], bool]) -> dict[str, list[int]]:
+    """Run ``step`` under ``sys.settrace``; return each module's ``[calls, opcodes]``
+    over the frames whose module ``counted`` accepts.
 
-    def tally_for(filename: str) -> Optional[tuple[list[int], Callable]]:
-        if not counted(filename):
+    A frame's module is its file's (:func:`_module`) for a file under
+    :data:`PACKAGE`, else the ``__name__`` of its globals: generated code
+    (``<string>``) runs with its class's module as globals.
+    """
+    # Module -> its tally and the local tracer that bumps it, or None for
+    # a module ``counted`` refused.
+    modules: dict[str, Optional[tuple[list[int], Callable]]] = {}
+    # Filename -> its module, or None for a file outside the package.
+    files: dict[str, Optional[str]] = {}
+
+    def tally_for(module: str) -> Optional[tuple[list[int], Callable]]:
+        if not counted(module):
             return None
         tally = [0, 0]
 
@@ -68,9 +81,15 @@ def _traced(
 
     def call(frame, _event, _arg):
         filename = frame.f_code.co_filename
-        if filename not in files:
-            files[filename] = tally_for(filename)
-        entry = files[filename]
+        if filename in files:
+            module = files[filename]
+        else:
+            module = files[filename] = _module(filename)
+        if module is None:
+            module = frame.f_globals.get("__name__", "")
+        if module not in modules:
+            modules[module] = tally_for(module)
+        entry = modules[module]
         if entry is None:
             return None
         entry[0][0] += 1
@@ -84,22 +103,23 @@ def _traced(
         step()
     finally:
         sys.settrace(previous)
-    return {filename: entry[0] for filename, entry in files.items() if entry is not None}
+    return {module: entry[0] for module, entry in modules.items() if entry is not None}
 
 
 def _warm_up() -> None:
     """Trace one throwaway frame: on 3.12.1 a process's first opcode-traced
     session counts every call but not one opcode."""
-    _traced(lambda: None, lambda _filename: True)
+    _traced(lambda: None, lambda _module: True)
 
 
 def count(step: Callable[[], object]) -> Counts:
-    """Return the calls and opcodes ``repro``'s own frames run during ``step()``."""
-    tallies = _traced(step, lambda filename: filename.startswith(PACKAGE))
+    """Return the calls and opcodes ``repro``'s own frames run during ``step()``,
+    dataclass-generated code of ``repro``'s classes included."""
+    tallies = _traced(step, lambda module: module.partition(".")[0] == "repro")
     counts = Counts(
         sum(calls for calls, _ in tallies.values()),
         sum(opcodes for _, opcodes in tallies.values()),
-        {_module(filename): (calls, opcodes) for filename, (calls, opcodes) in tallies.items()},
+        {module: (calls, opcodes) for module, (calls, opcodes) in tallies.items()},
     )
     if counts.calls and not counts.opcodes:
         raise RuntimeError(f"{counts.calls} calls counted but no opcode: opcode tracing is off")
