@@ -111,7 +111,7 @@ class ControllerCluster:
         failover re-homing both go through here, so they cannot
         disagree on ownership.
         """
-        if packet.is_ip():
+        if packet.carries_ip:
             return flow_key(FlowSpec.from_packet(packet))
         return f"{self.name}:non-ip"
 

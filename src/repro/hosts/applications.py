@@ -11,7 +11,7 @@ the daemon resolves a process to its configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.exceptions import HostError
 from repro.crypto.hashing import executable_hash
@@ -87,10 +87,6 @@ class ApplicationRegistry:
         self._by_path[app.path] = app
         self._by_name[app.name] = app
         return app
-
-    def by_name(self, name: str) -> Optional[Application]:
-        """Return the application with short name ``name``, or ``None``."""
-        return self._by_name.get(name)
 
     def require(self, name_or_path: str) -> Application:
         """Return an installed application by name or path, raising if absent."""

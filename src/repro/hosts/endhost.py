@@ -154,11 +154,8 @@ class EndHost(Node):
     def transmit(self, packet: Packet) -> bool:
         """Send a packet out of the host's (first wired) uplink port."""
         for port in self._ports.values():
-            link = port.link
-            if link is not None:
-                # Port.send, inline.
-                link.transmit(packet, port)
-                return True
+            if port.link is not None:
+                return port.send(packet)
         return False
 
     # ------------------------------------------------------------------

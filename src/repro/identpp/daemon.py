@@ -45,6 +45,7 @@ from repro.identpp.keyvalue import AnswerTemplate, KeyValueSection
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
     ROLE_DESTINATION,
+    ROLE_SOURCE,
     WIRE_VERSION_PULL,
     WIRE_VERSION_PUSH,
     IdentDelta,
@@ -303,13 +304,12 @@ class IdentPPDaemon:
         run-time pairs, when any were published, follow as a section of
         their own.
         """
-        flow, host = query.flow, self.host
-        as_destination = query.target_role == ROLE_DESTINATION
-        expected_ip = flow.dst_ip if as_destination else flow.src_ip
+        flow = query.flow
+        expected_ip = flow.src_ip if query.target_role == ROLE_SOURCE else flow.dst_ip
         # Both are IPv4Address ints: C's comparison, not IPv4Address.__ne__.
-        if int.__ne__(expected_ip, host.ip):
+        if int.__ne__(expected_ip, self.host.ip):
             raise QueryError(
-                f"daemon on {host.name} ({host.ip}) queried as {query.target_role} "
+                f"daemon on {self.host.name} ({self.host.ip}) queried as {query.target_role} "
                 f"of flow {flow}, which names {expected_ip}"
             )
         self.queries_answered.value += 1
@@ -317,15 +317,13 @@ class IdentPPDaemon:
         if spoofed is not None:
             key, built_from, process = _SPOOFED, tuple(spoofed.items()), None
         else:
-            # SocketTable.process_for_flow, inline: one frame fewer per answer.
-            socket = host.sockets.lookup_flow(
+            process = self.host.sockets.process_for_flow(
                 flow.src_ip, flow.dst_ip, flow.proto, flow.src_port, flow.dst_port,
-                as_destination=as_destination,
+                as_destination=query.target_role == ROLE_DESTINATION,
             )
-            if socket is None:
-                key, built_from, process = None, (), None
+            if process is None:
+                key, built_from = None, ()
             else:
-                process = socket.process
                 user, app = process.user, process.application
                 key = (user.name, app.path)
                 built_from = (
@@ -347,9 +345,9 @@ class IdentPPDaemon:
             runtime_pairs = runtime.pairs_for(flow, process)
             if runtime_pairs:
                 document.add_section(
-                    KeyValueSection.from_dict(runtime_pairs, source=f"{host.name}:runtime")
+                    KeyValueSection.from_dict(runtime_pairs, source=f"{self.host.name}:runtime")
                 )
-        return IdentResponse(flow, document, host.name)
+        return IdentResponse(flow, document, self.host.name)
 
     def answer_is_shareable(self, query: IdentQuery) -> bool:
         """Return whether the answer depends only on (host, role, proto, port).

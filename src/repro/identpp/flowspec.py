@@ -17,10 +17,10 @@ from repro.netsim.packet import Packet, proto_name, proto_number
 class FlowSpec(tuple):
     """An ident++ flow: ``(src ip, dst ip, ip protocol, src port, dst port)``.
 
-    The flow *is* that tuple: it keys the pending table, the answer
-    store, the decision cache and the audit ledger, and a tuple hashes
-    and compares in C, with no Python frame per probe.  Each field is
-    also a read-only attribute.
+    The flow *is* that tuple (it equals and hashes as :meth:`as_tuple`):
+    it keys the pending table, the answer store, the decision cache and
+    the audit ledger, and a tuple hashes and compares in C, with no
+    Python frame per probe.  Each field is a read-only attribute.
     """
 
     __slots__ = ()
@@ -73,13 +73,8 @@ class FlowSpec(tuple):
 
     def reversed(self) -> "FlowSpec":
         """Return the flow in the opposite direction (for return traffic)."""
-        return FlowSpec(
-            src_ip=self.dst_ip,
-            dst_ip=self.src_ip,
-            proto=self.proto,
-            src_port=self.dst_port,
-            dst_port=self.src_port,
-        )
+        src_ip, dst_ip, proto, src_port, dst_port = self
+        return tuple.__new__(FlowSpec, (dst_ip, src_ip, proto, dst_port, src_port))
 
     def proto_name(self) -> str:
         """Return the protocol name (``tcp``/``udp``/...)."""

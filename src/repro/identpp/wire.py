@@ -33,7 +33,7 @@ flow: punted, decided against policy and audited like any other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.exceptions import PacketError, WireFormatError
 from repro.identpp.flowspec import FlowSpec
@@ -94,7 +94,7 @@ def _parse_first_line(line: str) -> tuple[int, int, int]:
     return proto, src_port, dst_port
 
 
-@dataclass(init=False)
+@dataclass
 class IdentQuery:
     """An ident++ query about one flow, aimed at one of its endpoints.
 
@@ -109,15 +109,11 @@ class IdentQuery:
     target_role: str = ROLE_SOURCE
     keys: tuple[str, ...] = DEFAULT_QUERY_KEYS
 
-    def __init__(
-        self, flow: FlowSpec, target_role: str = ROLE_SOURCE,
-        keys: Sequence[str] = DEFAULT_QUERY_KEYS,
-    ) -> None:
-        if target_role not in (ROLE_SOURCE, ROLE_DESTINATION):
-            raise WireFormatError(f"unknown ident++ query target role: {target_role!r}")
-        self.flow = flow
-        self.target_role = target_role
-        self.keys = tuple(keys)  # a tuple is kept as it is
+    def __post_init__(self) -> None:
+        if self.target_role not in (ROLE_SOURCE, ROLE_DESTINATION):
+            raise WireFormatError(f"unknown ident++ query target role: {self.target_role!r}")
+        if self.keys.__class__ is not tuple:
+            self.keys = tuple(self.keys)
 
     @property
     def target_ip(self):

@@ -366,24 +366,17 @@ class Simulator:
         reordering, is entitled to.  Returns the event that carries
         ``item``.
         """
-        when = self.now + delay
         # A lane is never None, so the newest event is set when its lane matches.
         if self._newest_lane is lane:
             newest = self._newest
-            if newest[6] is not None and newest[0] == when:
+            if newest[6] is not None and newest[0] == self.now + delay:
                 riders = newest[5]
                 if riders is None:
                     newest[5] = [item]
                 else:
                     riders.append(item)
                 return newest
-        # schedule(), inline: one frame per delivery.
-        if not delay >= 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        seq = next(self._seq)
-        event = Event((when, self._tie_sign * seq, callback, (item,), label, None, self, seq))
-        _heappush(self._queue, event)
-        self._newest = event
+        event = self.schedule(delay, callback, item, label=label)
         self._newest_lane = lane
         return event
 
@@ -422,17 +415,7 @@ class Simulator:
         Returns ``None`` when the queue is empty.  Cancelled events are
         skipped silently.
         """
-        queue = self._queue
-        event = None
-        while queue:
-            head = _heappop(queue)
-            if head[2] is not None:
-                event = head
-                self._fire(event)
-                break
-            self._dead -= 1
-        self._forget_fired_newest()
-        return event
+        return self._drain(None, once=True)[1]
 
     def run(self, until: float | None = None) -> int:
         """Run until the queue drains or ``until`` seconds of simulated time.
@@ -446,38 +429,22 @@ class Simulator:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
         try:
-            return self._drain(until)
+            return self._drain(until)[0]
         finally:
             self._running = False
 
-    def _fire(self, event: Event) -> None:
-        """Fire one live event just popped off the heap."""
-        if event[0] < self.now:
-            raise SimulationError("event queue corrupted: time went backwards")
-        event[6] = None
-        self.now = event[0]
-        self._events_processed += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_event(event)
-        callback = event[2]
-        callback(*event[3])
-        riders = event[5]
-        if riders is not None:
-            for item in riders:
-                callback(item)
+    def _drain(self, until: float | None, once: bool = False) -> tuple[int, Optional[Event]]:
+        """Fire events in order; return how many fired and the last one (``once``).
 
-    def _drain(self, until: float | None) -> int:
-        """Fire events in order; return how many fired.
-
-        The one event loop: each heap record is popped once, and fired
-        as :meth:`_fire` does (inline here).  Stops at the first live
-        event later than ``until`` (pushed back) or at an empty queue;
-        either way the clock moves up to ``until`` (never back).
+        The one event loop: each heap record is popped once.  Stops after
+        the first live event when ``once``, at the first live event later
+        than ``until`` (pushed back) or at an empty queue; in the last two
+        cases the clock moves up to ``until`` (never back).
         """
         queue = self._queue
         horizon = math.inf if until is None else until
-        sanitizer = self.sanitizer
         fired = self._events_processed
+        event = None
         while queue:
             head = _heappop(queue)
             callback = head[2]
@@ -493,24 +460,23 @@ class Simulator:
             head[6] = None
             self.now = time
             self._events_processed += 1
-            if sanitizer is not None:
-                sanitizer.on_event(head)
+            if self.sanitizer is not None:
+                self.sanitizer.on_event(head)
             callback(*head[3])
             riders = head[5]
             if riders is not None:
                 for item in riders:
                     callback(item)
+            if once:
+                event = head
+                break
         if until is not None and self.now < until:
             self.now = until
-        self._forget_fired_newest()
-        return self._events_processed - fired
-
-    def _forget_fired_newest(self) -> None:
-        """Once the newest event fired or was cancelled, nothing can ride it:
-        hold nothing it carried."""
         newest = self._newest
         if newest is not None and newest[6] is None:
+            # Fired or cancelled: nothing can ride it, so hold nothing it carried.
             self._newest = self._newest_lane = None
+        return self._events_processed - fired, event
 
     def _note_cancelled(self) -> None:
         """Count one more dead record; compact once they outnumber live ones.
@@ -524,8 +490,7 @@ class Simulator:
         is untouched, so service order is too.
         """
         self._dead += 1
-        queue = self._queue
-        if 2 * self._dead > len(queue):
-            queue[:] = [record for record in queue if record[2] is not None]
-            heapq.heapify(queue)
+        if 2 * self._dead > len(self._queue):
+            self._queue[:] = [record for record in self._queue if record[2] is not None]
+            heapq.heapify(self._queue)
             self._dead = 0

@@ -69,11 +69,7 @@ class _WeakReferenceable:
     __slots__ = ("__weakref__",)
 
 
-#: The source MAC of a packet built without one.
-_NO_MAC = MACAddress(0)
-
-
-@dataclass(slots=True, init=False)
+@dataclass(slots=True)
 class Packet(_WeakReferenceable):
     """A network packet in the simulator.
 
@@ -99,12 +95,11 @@ class Packet(_WeakReferenceable):
             ``None`` until someone tags the packet: an ident++ query
             carries its target role here.  A forwarded packet allocates
             no dictionary.
-        carries_ip: ``True`` if the packet carries an IPv4 payload
-            (IPv4 EtherType and both addresses), worked out once when
-            the packet is built: its headers never change after that.
+        carries_ip: Whether the packet carries an IPv4 payload (IPv4
+            EtherType, both addresses), set once: headers never change.
     """
 
-    eth_src: MACAddress = _NO_MAC
+    eth_src: MACAddress = MACAddress(0)
     eth_dst: MACAddress = BROADCAST_MAC
     eth_type: int = ETH_TYPE_IP
     vlan_id: int = 0
@@ -122,50 +117,28 @@ class Packet(_WeakReferenceable):
     _wire_size: Optional[int] = field(default=None, init=False, compare=False, repr=False)
     carries_ip: bool = field(default=False, init=False, compare=False, repr=False)
 
-    def __init__(
-        self,
-        eth_src: MACAddress | str | int = _NO_MAC,
-        eth_dst: MACAddress | str | int = BROADCAST_MAC,
-        eth_type: int = ETH_TYPE_IP,
-        vlan_id: int = 0,
-        ip_src: Optional[IPv4Address | str] = None,
-        ip_dst: Optional[IPv4Address | str] = None,
-        ip_proto: int | str = IP_PROTO_TCP,
-        tp_src: int = 0,
-        tp_dst: int = 0,
-        payload: Any = b"",
-        payload_size: Optional[int] = None,
-        metadata: Optional[dict[str, Any]] = None,
-        packet_id: Optional[int] = None,
-    ) -> None:
+    def __post_init__(self) -> None:
         # Address objects are immutable values: one that already has the
         # right type is kept, not copied (a host stamps its own MAC and
         # IP on every packet it sends).
-        self.eth_src = eth_src if eth_src.__class__ is MACAddress else MACAddress(eth_src)
-        self.eth_dst = eth_dst if eth_dst.__class__ is MACAddress else MACAddress(eth_dst)
-        self.eth_type = eth_type
-        self.vlan_id = vlan_id
+        if self.eth_src.__class__ is not MACAddress:
+            self.eth_src = MACAddress(self.eth_src)
+        if self.eth_dst.__class__ is not MACAddress:
+            self.eth_dst = MACAddress(self.eth_dst)
+        ip_src, ip_dst = self.ip_src, self.ip_dst
         if ip_src is not None and ip_src.__class__ is not IPv4Address:
-            ip_src = IPv4Address(ip_src)
+            self.ip_src = IPv4Address(ip_src)
         if ip_dst is not None and ip_dst.__class__ is not IPv4Address:
-            ip_dst = IPv4Address(ip_dst)
-        self.ip_src = ip_src
-        self.ip_dst = ip_dst
-        self.ip_proto = proto_number(ip_proto) if isinstance(ip_proto, str) else ip_proto
-        self.tp_src = tp_src
-        self.tp_dst = tp_dst
-        self.payload = payload
-        self.payload_size = payload_size
-        self.metadata = metadata
-        self.packet_id = _packet_ids.__next__() if packet_id is None else packet_id
-        self._wire_size = None
-        self.carries_ip = eth_type == ETH_TYPE_IP and ip_src is not None and ip_dst is not None
-        if not 0 <= int(tp_src) <= 0xFFFF:
-            raise PacketError(f"tp_src out of range: {tp_src}")
-        if not 0 <= int(tp_dst) <= 0xFFFF:
-            raise PacketError(f"tp_dst out of range: {tp_dst}")
-        if not 0 <= vlan_id <= 0xFFF:
-            raise PacketError(f"vlan_id out of range: {vlan_id}")
+            self.ip_dst = IPv4Address(ip_dst)
+        if isinstance(self.ip_proto, str):
+            self.ip_proto = proto_number(self.ip_proto)
+        self.carries_ip = self.eth_type == ETH_TYPE_IP and ip_src is not None and ip_dst is not None
+        if not 0 <= int(self.tp_src) <= 0xFFFF:
+            raise PacketError(f"tp_src out of range: {self.tp_src}")
+        if not 0 <= int(self.tp_dst) <= 0xFFFF:
+            raise PacketError(f"tp_dst out of range: {self.tp_dst}")
+        if not 0 <= self.vlan_id <= 0xFFF:
+            raise PacketError(f"vlan_id out of range: {self.vlan_id}")
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -196,10 +169,6 @@ class Packet(_WeakReferenceable):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def is_ip(self) -> bool:
-        """Return ``True`` if the packet carries an IPv4 payload (:attr:`carries_ip`)."""
-        return self.carries_ip
 
     def five_tuple(self) -> tuple:
         """Return the ident++ 5-tuple ``(ip_src, ip_dst, ip_proto, tp_src, tp_dst)``."""
@@ -236,8 +205,6 @@ class Packet(_WeakReferenceable):
                 size += _UDP_HEADER_LEN
         if self.payload_size is not None:
             size += self.payload_size
-        elif self.payload.__class__ is bytes:
-            size += len(self.payload)
         else:
             size += len(self.payload_bytes())
         size = max(size, 64)

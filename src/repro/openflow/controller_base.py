@@ -140,12 +140,8 @@ class Controller:
                 # The process died between arrival and dispatch; the
                 # backlog belongs to the failover handoff.
                 self._halted_inbox.append(message)
-            elif message.__class__ is PacketIn:
-                # _dispatch, inline for the punt.
-                self.packet_ins += 1
-                self.on_packet_in(message)
-            else:
-                self._dispatch(message)
+                continue
+            self._dispatch(message)
 
     def _dispatch(self, message: ControlMessage) -> None:
         kind = message.__class__

@@ -25,7 +25,7 @@ from repro.openflow.match import Match
 DEFAULT_PRIORITY = 100
 
 
-@dataclass(init=False)
+@dataclass
 class FlowEntry:
     """One cached forwarding/drop decision.
 
@@ -53,28 +53,10 @@ class FlowEntry:
     last_used_at: float = 0.0
     sequence: int = field(default=0, compare=False)
 
-    def __init__(
-        self,
-        match: Match,
-        actions: Sequence[Action] = (),
-        priority: int = DEFAULT_PRIORITY,
-        idle_timeout: float = 0.0,
-        hard_timeout: float = 0.0,
-        cookie: str = "",
-        installed_at: float = 0.0,
-        last_used_at: float = 0.0,
-        sequence: int = 0,
-    ) -> None:
-        self.match = match
-        self.actions = tuple(actions)  # a tuple is kept as it is
-        self.priority = priority
-        self.idle_timeout = idle_timeout
-        self.hard_timeout = hard_timeout
-        self.cookie = cookie
-        self.installed_at = installed_at
-        self.last_used_at = last_used_at
-        self.sequence = sequence
-        if idle_timeout < 0 or hard_timeout < 0:
+    def __post_init__(self) -> None:
+        if not isinstance(self.actions, tuple):
+            self.actions = tuple(self.actions)
+        if self.idle_timeout < 0 or self.hard_timeout < 0:
             raise FlowTableError("timeouts must be non-negative")
 
     def is_expired(self, now: float) -> bool:
@@ -173,8 +155,7 @@ class FlowTable:
         #: controller's path unwinder hears about evictions exactly like
         #: timeouts (OpenFlow's OFPFF_SEND_FLOW_REM semantics).
         self.evict_listener: Optional[Callable[[FlowEntry], None]] = None
-        # Installation sequence numbers, from 1.
-        self._sequences = itertools.count(1)
+        self._sequences = itertools.count(1)  # installation order, from 1
         # sequence -> entry; sequences only grow, so this is also the
         # table in installation order.
         self._by_sequence: dict[int, FlowEntry] = {}
@@ -212,56 +193,24 @@ class FlowTable:
         used entry is evicted.
         """
         match = entry.match
-        if match.has_prefix:
-            buckets, key = self._prefixed, match
-        else:
-            shape = self._shapes.get(match.shape)
-            if shape is None:
-                shape = self._shapes[match.shape] = (_masked_key_getter(match.shape), {})
-            key_of, buckets = shape
-            key = key_of(match.field_values)
-        bucket = buckets.get(key)
-        if bucket is not None or self.capacity is not None:
-            # Replacing an entry, or evicting one, may empty this bucket.
-            for existing in bucket or ():
-                if existing.priority == entry.priority:
-                    self._unlink(existing)
-                    break
-            if self.capacity is not None and len(self._by_sequence) >= self.capacity:
-                self._evict_lru()
-            if not buckets and not match.has_prefix:
-                # Taking an entry out dropped the shape this one goes under.
-                self._shapes[match.shape] = shape
-            bucket = buckets.get(key)
+        buckets, key = self._home(match, create=True)
+        moved = False
+        for existing in buckets.get(key, ()):
+            if existing.priority == entry.priority:
+                self._unlink(existing)
+                moved = True
+                break
+        if self.capacity is not None and len(self._by_sequence) >= self.capacity:
+            self._evict_lru()
+            moved = True
+        if moved:
+            # Taking an entry out may have dropped the shape this one goes under.
+            buckets, key = self._home(match, create=True)
         self._exact_cache.clear()
-        sequence = entry.sequence = next(self._sequences)
-        entry.installed_at = entry.last_used_at = now
-        self._by_sequence[sequence] = entry
-        cookie = entry.cookie
-        scoped = self._by_cookie.get(cookie)
-        if scoped is None:
-            self._by_cookie[cookie] = {sequence: entry}
-        else:
-            scoped[sequence] = entry
-        if bucket is None:
-            buckets[key] = [entry]
-        else:
-            bucket.append(entry)
-        hard, idle = entry.hard_timeout, entry.idle_timeout
-        if hard or idle:
-            # _deadline(entry), with both of its clocks at ``now``.
-            due = now + (min(hard, idle) if hard and idle else hard or idle)
-            self._expirable += 1
-            deadlines = self._deadlines
-            deadlines.push(due, sequence, due)
-            if len(deadlines) > 2 * self._expirable + self.STALE_DEADLINE_SLACK:
-                deadlines.retain(lambda sequence, _due: sequence in self._by_sequence)
-                self._track_earliest()
-            else:
-                # The new record can only lower the earliest deadline.
-                expire_from = (due - _AHEAD_MARGIN) / _AHEAD
-                if expire_from < self.expire_from:
-                    self.expire_from = expire_from
+        entry.sequence = next(self._sequences)
+        entry.installed_at = now
+        entry.last_used_at = now
+        self._link(entry, buckets, key)
         return entry
 
     def remove(
@@ -304,23 +253,46 @@ class FlowTable:
             self._discard(victims)
         return len(victims)
 
+    def _link(self, entry: FlowEntry, buckets: dict, key: object) -> None:
+        """File a freshly sequenced entry under every index (``buckets[key]``: its bucket)."""
+        sequence = entry.sequence
+        self._by_sequence[sequence] = entry
+        scoped = self._by_cookie.get(entry.cookie)
+        if scoped is None:
+            scoped = self._by_cookie[entry.cookie] = {}
+        scoped[sequence] = entry
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [entry]
+        else:
+            bucket.append(entry)
+        due = _deadline(entry)
+        if due is not None:
+            self._expirable += 1
+            deadlines = self._deadlines
+            deadlines.push(due, sequence, due)
+            if len(deadlines) > 2 * self._expirable + self.STALE_DEADLINE_SLACK:
+                deadlines.retain(lambda sequence, _due: sequence in self._by_sequence)
+                self._track_earliest()
+            else:
+                # The new record can only lower the earliest deadline.
+                expire_from = (due - _AHEAD_MARGIN) / _AHEAD
+                if expire_from < self.expire_from:
+                    self.expire_from = expire_from
+
     def _unlink(self, entry: FlowEntry) -> None:
         """Take ``entry`` (this object, not an equal one) out of every index.
 
         Its deadline record stays behind and is skipped once it surfaces:
         no later entry can carry the same sequence.
         """
-        sequence, match, cookie = entry.sequence, entry.match, entry.cookie
+        sequence, match = entry.sequence, entry.match
         del self._by_sequence[sequence]
-        scoped = self._by_cookie.pop(cookie)
+        scoped = self._by_cookie[entry.cookie]
         del scoped[sequence]
-        if scoped:
-            self._by_cookie[cookie] = scoped
-        if match.has_prefix:
-            buckets, key = self._prefixed, match
-        else:
-            key_of, buckets = self._shapes[match.shape]
-            key = key_of(match.field_values)
+        if not scoped:
+            del self._by_cookie[entry.cookie]
+        buckets, key = self._home(match)
         bucket = buckets.pop(key)
         if len(bucket) > 1:
             buckets[key] = [e for e in bucket if e is not entry]
@@ -335,13 +307,15 @@ class FlowTable:
             self._unlink(entry)
         self._exact_cache.clear()
 
-    def _home(self, match: Match) -> tuple[dict, object]:
-        """Return the mapping that would hold ``match``'s bucket, and its key there."""
+    def _home(self, match: Match, *, create: bool = False) -> tuple[dict, object]:
+        """Return the mapping that holds ``match``'s bucket, and its key there."""
         if match.has_prefix:
             return self._prefixed, match
         shape = self._shapes.get(match.shape)
         if shape is None:
-            return {}, None  # no entry has this shape: nowhere
+            if not create:
+                return {}, None  # no entry has this shape: nowhere
+            shape = self._shapes[match.shape] = (_masked_key_getter(match.shape), {})
         key_of, buckets = shape
         return buckets, key_of(match.field_values)
 
@@ -513,10 +487,8 @@ class FlowTable:
 
     def _track_earliest(self) -> None:
         """Set :attr:`expire_from` from the earliest deadline record."""
-        deadlines = self._deadlines
-        self.expire_from = (
-            (deadlines[0][0] - _AHEAD_MARGIN) / _AHEAD if deadlines else math.inf
-        )
+        due = self._deadlines.next_due()
+        self.expire_from = math.inf if due is None else (due - _AHEAD_MARGIN) / _AHEAD
 
     def _settle_deadline(self, sequence: int, due: float) -> bool:
         """Tell ``next_due`` whether a record is its entry's current deadline.

@@ -130,11 +130,11 @@ class Match:
             return False
         if not _ip_field_matches(self.nw_dst, packet.ip_dst):
             return False
-        if self.nw_proto is not None and (not packet.is_ip() or self.nw_proto != packet.ip_proto):
+        if self.nw_proto is not None and (not packet.carries_ip or self.nw_proto != packet.ip_proto):
             return False
-        if self.tp_src is not None and (not packet.is_ip() or self.tp_src != packet.tp_src):
+        if self.tp_src is not None and (not packet.carries_ip or self.tp_src != packet.tp_src):
             return False
-        if self.tp_dst is not None and (not packet.is_ip() or self.tp_dst != packet.tp_dst):
+        if self.tp_dst is not None and (not packet.carries_ip or self.tp_dst != packet.tp_dst):
             return False
         return True
 

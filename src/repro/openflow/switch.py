@@ -279,9 +279,7 @@ class OpenFlowSwitch(Node):
             message = PacketIn(self, packet, in_port.number)
             self._buffered[message.buffer_id] = (packet, in_port.number)
             self.punts.value += 1
-            trace = self.trace
-            if trace is not None and trace.enabled:
-                trace.record(now, self.name, "punt", packet, channel.controller.name)
+            self._record(now, "punt", packet, channel.controller.name)
             channel.send_to_controller(message)
             return
         if self.fail_mode == "open":
@@ -311,10 +309,7 @@ class OpenFlowSwitch(Node):
                 if trace is not None:
                     trace.record(now, self.name, "forward", packet, f"port {action.port}")
                 # A Port is always true; an unknown number raises PortError.
-                # Port.send, inline: an un-wired port drops the packet.
-                port = ports.get(action.port) or self.port(action.port)
-                if port.link is not None:
-                    port.link.transmit(packet, port)
+                (ports.get(action.port) or self.port(action.port)).send(packet)
             elif kind is DropAction:
                 continue
             elif kind is FloodAction:

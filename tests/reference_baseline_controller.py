@@ -53,7 +53,7 @@ class ReferenceBaselineController(Controller):
 
     def on_packet_in(self, message: PacketIn) -> None:
         packet = message.packet
-        if not packet.is_ip():
+        if not packet.carries_ip:
             self.send_packet_out(
                 message.switch, actions=[FloodAction()], buffer_id=message.buffer_id,
                 in_port=message.in_port,

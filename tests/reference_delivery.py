@@ -210,7 +210,7 @@ def transmit_shared(self: Link, packet: Packet, from_port: Port) -> None:
 
 def host_receive(self: EndHost, packet: Packet, in_port: Port) -> None:
     """Deliver a packet addressed to this host."""
-    if not packet.is_ip() or packet.ip_dst != self.ip:
+    if not packet.carries_ip or packet.ip_dst != self.ip:
         return
     sim = self.sim
     self.delivered.append(packet)

@@ -110,7 +110,6 @@ class TestApplications:
         registry = ApplicationRegistry()
         app = Application(name="skype", path="/usr/bin/skype")
         registry.install(app)
-        assert registry.by_name("skype") is app
         assert registry.require("/usr/bin/skype") is app
         assert registry.require("skype") is app
         assert "skype" in registry

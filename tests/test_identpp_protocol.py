@@ -1,5 +1,7 @@
 """Tests for the ident++ protocol: flow specs, key/value documents, wire format."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
@@ -48,6 +50,19 @@ class TestFlowSpec:
 
     def test_string_form(self):
         assert str(FlowSpec.tcp("1.1.1.1", "2.2.2.2", 1, 2)) == "tcp 1.1.1.1:1 -> 2.2.2.2:2"
+
+    def test_a_flow_is_its_five_tuple(self):
+        # A flow is a tuple: it equals and hashes as its plain 5-tuple,
+        # so a store keyed by flows answers the same key either way.
+        flow = FlowSpec.tcp("10.0.0.1", "10.0.0.2", 1234, 80)
+        plain = flow.as_tuple()
+        assert type(plain) is tuple and flow == plain and hash(flow) == hash(plain)
+        assert {plain: "pending"}[flow] == "pending"
+        assert repr(flow).startswith("FlowSpec(src_ip=")
+        with pytest.raises(AttributeError):
+            flow.src_port = 1
+        copied = pickle.loads(pickle.dumps(flow))
+        assert type(copied) is FlowSpec and copied == flow
 
 
 class TestKeyValueSections:

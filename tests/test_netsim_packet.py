@@ -33,7 +33,7 @@ class TestProtocolNames:
 class TestPacketConstruction:
     def test_tcp_constructor(self):
         packet = Packet.tcp("10.0.0.1", "10.0.0.2", 1234, 80, payload="hello")
-        assert packet.is_ip() and packet.ip_proto == IP_PROTO_TCP
+        assert packet.carries_ip and packet.ip_proto == IP_PROTO_TCP
         assert packet.five_tuple()[2] == IP_PROTO_TCP
 
     def test_proto_accepts_name(self):
@@ -53,7 +53,7 @@ class TestPacketConstruction:
 
     def test_non_ip_packet(self):
         packet = Packet(eth_type=0x0806)
-        assert not packet.is_ip()
+        assert not packet.carries_ip
         assert "eth" in str(packet)
 
 

@@ -28,7 +28,7 @@ def tcp_packet(src="10.0.0.1", dst="10.0.0.2", sport=1234, dport=80):
 
 def exact_match(packet, in_port=None):
     """The match with every field of ``packet`` (and ``in_port``) constrained."""
-    ip = packet.is_ip()
+    ip = packet.carries_ip
     return Match(
         in_port=in_port, dl_src=packet.eth_src, dl_dst=packet.eth_dst,
         dl_type=packet.eth_type, vlan_id=packet.vlan_id,

@@ -343,52 +343,51 @@ class TestHitPathCalls:
     #: the simulator's clock was a property; 22.5 while each event was an
     #: Event object built by its own __init__ and wrapped in a heap tuple;
     #: 21.375 while the count missed the ``__init__`` that ``dataclasses``
-    #: writes (22.375 counted whole); 22.375 while each packet ran that
-    #: ``__init__``, a ``__post_init__`` and ``is_ip()`` twice, each
-    #: delivery entered ``schedule`` and a host's send went through
-    #: ``Port.send``.
-    CALLS = 17.3125
+    #: writes (22.375 counted whole); 22.375 while the switch and the
+    #: host each asked ``Packet.is_ip()`` (a frame) what the packet
+    #: now works out once when it is built.
+    CALLS = 20.375
     #: Each layer's exact calls per forwarded packet (layers as
     #: perf/tracing.py groups modules): a change that moves a layer's
     #: calls, up or down, re-pins its row here.
     LAYER_CALLS = {
         "core.controller": 0.0625,
         "hosts": 4.0,
-        "netsim.events": 3.1875,
-        "netsim.links": 4.0625,
-        "netsim.packet": 2.0,
+        "netsim.events": 4.25,
+        "netsim.links": 5.0625,
+        "netsim.packet": 3.0,
         "openflow.flow_table": 2.0,
         "openflow.switch": 2.0,
     }
     #: The exact opcodes per forwarded packet, whole and by layer, by
     #: interpreter (1083.125 on 3.11, the event loop 246.6875 of them,
     #: before the cut above).
-    OPCODES = {(3, 10): 1035.125, (3, 11): 995.6875, (3, 12): 964.1875}
+    OPCODES = {(3, 10): 1077.9375, (3, 11): 1041.5625, (3, 12): 1006.0625}
     LAYER_OPCODES = {
         (3, 10): {
             "core.controller": 1.0,
-            "hosts": 88.0,
-            "netsim.events": 214.6875,
-            "netsim.links": 102.4375,
-            "netsim.packet": 180.0,
+            "hosts": 84.0,
+            "netsim.events": 226.5,
+            "netsim.links": 117.4375,
+            "netsim.packet": 200.0,
             "openflow.flow_table": 136.0,
             "openflow.switch": 313.0,
         },
         (3, 11): {
             "core.controller": 0.9375,
-            "hosts": 92.0,
-            "netsim.events": 211.25,
-            "netsim.links": 99.5,
-            "netsim.packet": 175.0,
+            "hosts": 88.0,
+            "netsim.events": 224.125,
+            "netsim.links": 113.5,
+            "netsim.packet": 198.0,
             "openflow.flow_table": 132.0,
             "openflow.switch": 285.0,
         },
         (3, 12): {
             "core.controller": 0.875,
-            "hosts": 82.0,
-            "netsim.events": 203.875,
-            "netsim.links": 91.4375,
-            "netsim.packet": 173.0,
+            "hosts": 79.0,
+            "netsim.events": 215.75,
+            "netsim.links": 103.4375,
+            "netsim.packet": 194.0,
             "openflow.flow_table": 130.0,
             "openflow.switch": 283.0,
         },
@@ -516,96 +515,96 @@ class TestPuntCalls:
     #: writes (189.225 counted whole: FlowMod 2.8 calls, QueryOutcome
     #: 2.0, FlowEntry 1.9, IdentQuery 2.0, and Packet, FlowSpec, Verdict,
     #: PacketIn, DecisionTask and more once each); 189.225 while every
-    #: flow key hashed through a Python ``__hash__`` (7 calls), every
-    #: delivery entered ``schedule`` (4.75), the flow table filed an
-    #: entry through ``_link``, ``_home`` and ``_deadline`` and its
-    #: deadline heap through ``ExpiryHeap`` (9.6), a packet, flow,
-    #: query and entry each ran a generated ``__init__`` and a
-    #: ``__post_init__`` (6.8), ``is_ip()`` ran per reading (4.8), an
+    #: flow key hashed through a Python ``__hash__`` and a flow was built
+    #: by a generated ``__init__`` and a ``__post_init__`` (8 calls),
+    #: ``is_ip()`` ran per reading (4.8), the deadline heaps popped
+    #: through a generator and counted through ``__len__`` (4.8), an
     #: endpoint that matches anything was still asked (2.9), a flow mod
-    #: took a second frame on the switch (2.8) and a sent packet one in
-    #: ``Port.send`` (1.9).
-    CALLS = 135.7
+    #: took a second frame on the switch (2.8), ``RepeatingEvent.scheduled``
+    #: was a property (2.0), the decision cache swept and unwound with
+    #: nothing to do (2.0) and an application was looked up through
+    #: ``by_path`` and ``by_name`` (2.0).
+    CALLS = 159.875
     #: Each layer's exact calls per punt: a change that moves a layer's
     #: calls, up or down, re-pins its row here.
     LAYER_CALLS = {
         "core.cache": 3.0,
-        "core.controller": 28.7,
+        "core.controller": 29.7,
         "core.lifecycle": 2.0,
         "core.policy_engine": 2.0,
-        "hosts": 17.9,
+        "hosts": 19.9,
         "identpp.client": 7.0,
         "identpp.daemon": 5.75,
         "identpp.engine": 1.0,
-        "identpp.wire": 11.0,
-        "netsim.events": 12.75,
-        "netsim.links": 7.725,
-        "netsim.packet": 2.0,
+        "identpp.wire": 13.0,
+        "netsim.events": 17.525,
+        "netsim.links": 9.625,
+        "netsim.packet": 4.0,
         "openflow.channel": 4.8,
-        "openflow.flow_table": 11.575,
-        "openflow.switch": 10.7,
+        "openflow.flow_table": 21.075,
+        "openflow.switch": 11.7,
         "pf.compiler": 3.8,
         "pf.evaluator": 4.0,
     }
     #: The exact opcodes per punt, whole and by layer, by interpreter
     #: (7071.65 on 3.11, counted whole, before the cut above; the event
     #: loop 1169.3 of them).
-    OPCODES = {(3, 10): 6175.825, (3, 11): 6211.45, (3, 12): 5851.175}
+    OPCODES = {(3, 10): 6494.65625, (3, 11): 6549.38125, (3, 12): 6154.33125}
     LAYER_OPCODES = {
         (3, 10): {
             "core.cache": 108.0,
-            "core.controller": 1215.675,
+            "core.controller": 1218.675,
             "core.lifecycle": 24.0,
             "core.policy_engine": 137.0,
-            "hosts": 479.5,
+            "hosts": 511.4,
             "identpp.client": 276.0,
-            "identpp.daemon": 349.9,
+            "identpp.daemon": 344.1,
             "identpp.engine": 58.0,
-            "identpp.wire": 217.3,
-            "netsim.events": 937.525,
-            "netsim.links": 207.275,
-            "netsim.packet": 188.0,
+            "identpp.wire": 239.3,
+            "netsim.events": 1005.05625,
+            "netsim.links": 235.775,
+            "netsim.packet": 211.0,
             "openflow.channel": 182.4,
-            "openflow.flow_table": 899.45,
-            "openflow.switch": 559.3,
+            "openflow.flow_table": 1044.25,
+            "openflow.switch": 563.2,
             "pf.compiler": 99.2,
             "pf.evaluator": 237.3,
         },
         (3, 11): {
             "core.cache": 111.0,
-            "core.controller": 1259.225,
+            "core.controller": 1263.225,
             "core.lifecycle": 20.0,
             "core.policy_engine": 137.0,
-            "hosts": 514.45,
+            "hosts": 546.25,
             "identpp.client": 272.0,
-            "identpp.daemon": 341.8,
+            "identpp.daemon": 338.0,
             "identpp.engine": 62.0,
-            "identpp.wire": 218.3,
-            "netsim.events": 937.25,
-            "netsim.links": 199.8,
-            "netsim.packet": 184.0,
+            "identpp.wire": 240.3,
+            "netsim.events": 1009.43125,
+            "netsim.links": 226.4,
+            "netsim.packet": 212.0,
             "openflow.channel": 187.2,
-            "openflow.flow_table": 909.375,
-            "openflow.switch": 534.85,
+            "openflow.flow_table": 1059.825,
+            "openflow.switch": 541.55,
             "pf.compiler": 90.9,
             "pf.evaluator": 232.3,
         },
         (3, 12): {
             "core.cache": 102.0,
-            "core.controller": 1159.575,
+            "core.controller": 1161.575,
             "core.lifecycle": 18.0,
             "core.policy_engine": 134.0,
-            "hosts": 469.8,
+            "hosts": 498.7,
             "identpp.client": 258.0,
-            "identpp.daemon": 324.25,
+            "identpp.daemon": 320.45,
             "identpp.engine": 58.0,
-            "identpp.wire": 205.3,
-            "netsim.events": 900.2,
-            "netsim.links": 187.275,
-            "netsim.packet": 181.0,
+            "identpp.wire": 225.3,
+            "netsim.events": 967.65625,
+            "netsim.links": 210.075,
+            "netsim.packet": 205.0,
             "openflow.channel": 182.4,
-            "openflow.flow_table": 854.975,
-            "openflow.switch": 508.6,
+            "openflow.flow_table": 992.075,
+            "openflow.switch": 513.3,
             "pf.compiler": 84.3,
             "pf.evaluator": 223.5,
         },
@@ -624,83 +623,83 @@ class TestPuntCalls:
     #: delta path); 194.075 while the count missed the code
     #: ``dataclasses`` writes (215.85 counted whole); 215.85 before the
     #: cut described under ``CALLS``.
-    ENGINE_ON_CALLS = 163.325
+    ENGINE_ON_CALLS = 186.5
     ENGINE_ON_LAYER_CALLS = {
         "core.cache": 3.0,
-        "core.controller": 28.7,
+        "core.controller": 29.7,
         "core.lifecycle": 2.0,
         "core.policy_engine": 2.0,
-        "hosts": 16.9,
+        "hosts": 17.9,
         "identpp.client": 7.0,
         "identpp.daemon": 3.925,
         "identpp.engine": 19.225,
-        "identpp.wire": 10.15,
-        "netsim.events": 21.75,
-        "netsim.links": 11.8,
-        "netsim.packet": 2.0,
+        "identpp.wire": 12.15,
+        "netsim.events": 26.525,
+        "netsim.links": 13.7,
+        "netsim.packet": 4.0,
         "openflow.channel": 4.8,
-        "openflow.flow_table": 11.575,
-        "openflow.switch": 10.7,
+        "openflow.flow_table": 21.075,
+        "openflow.switch": 11.7,
         "pf.compiler": 3.8,
         "pf.evaluator": 4.0,
     }
     #: 7593.775 on 3.11, counted whole, before the cut.
-    ENGINE_ON_OPCODES = {(3, 10): 6694.85, (3, 11): 6751.575, (3, 12): 6340.45}
+    ENGINE_ON_OPCODES = {(3, 10): 6999.58125, (3, 11): 7074.50625, (3, 12): 6630.50625}
     ENGINE_ON_LAYER_OPCODES = {
         (3, 10): {
             "core.cache": 108.0,
-            "core.controller": 1228.675,
+            "core.controller": 1231.675,
             "core.lifecycle": 24.0,
             "core.policy_engine": 137.0,
-            "hosts": 418.7,
+            "hosts": 432.7,
             "identpp.client": 200.0,
-            "identpp.daemon": 193.925,
+            "identpp.daemon": 191.925,
             "identpp.engine": 707.2,
-            "identpp.wire": 203.075,
-            "netsim.events": 1056.525,
-            "netsim.links": 252.1,
-            "netsim.packet": 188.0,
+            "identpp.wire": 225.075,
+            "netsim.events": 1124.05625,
+            "netsim.links": 280.6,
+            "netsim.packet": 211.0,
             "openflow.channel": 182.4,
-            "openflow.flow_table": 899.45,
-            "openflow.switch": 559.3,
+            "openflow.flow_table": 1044.25,
+            "openflow.switch": 563.2,
             "pf.compiler": 99.2,
             "pf.evaluator": 237.3,
         },
         (3, 11): {
             "core.cache": 111.0,
-            "core.controller": 1273.225,
+            "core.controller": 1277.225,
             "core.lifecycle": 20.0,
             "core.policy_engine": 137.0,
-            "hosts": 449.75,
+            "hosts": 463.75,
             "identpp.client": 200.0,
-            "identpp.daemon": 190.4,
+            "identpp.daemon": 189.4,
             "identpp.engine": 721.475,
-            "identpp.wire": 204.3,
-            "netsim.events": 1063.25,
-            "netsim.links": 242.55,
-            "netsim.packet": 184.0,
+            "identpp.wire": 226.3,
+            "netsim.events": 1135.43125,
+            "netsim.links": 269.15,
+            "netsim.packet": 212.0,
             "openflow.channel": 187.2,
-            "openflow.flow_table": 909.375,
-            "openflow.switch": 534.85,
+            "openflow.flow_table": 1059.825,
+            "openflow.switch": 541.55,
             "pf.compiler": 90.9,
             "pf.evaluator": 232.3,
         },
         (3, 12): {
             "core.cache": 102.0,
-            "core.controller": 1172.575,
+            "core.controller": 1174.575,
             "core.lifecycle": 18.0,
             "core.policy_engine": 134.0,
-            "hosts": 407.0,
+            "hosts": 420.0,
             "identpp.client": 188.0,
-            "identpp.daemon": 180.0,
+            "identpp.daemon": 179.0,
             "identpp.engine": 672.025,
-            "identpp.wire": 191.925,
-            "netsim.events": 1014.2,
-            "netsim.links": 225.95,
-            "netsim.packet": 181.0,
+            "identpp.wire": 211.925,
+            "netsim.events": 1081.65625,
+            "netsim.links": 248.75,
+            "netsim.packet": 205.0,
             "openflow.channel": 182.4,
-            "openflow.flow_table": 854.975,
-            "openflow.switch": 508.6,
+            "openflow.flow_table": 992.075,
+            "openflow.switch": 513.3,
             "pf.compiler": 84.3,
             "pf.evaluator": 223.5,
         },
