@@ -764,7 +764,7 @@ class TestPinTables:
         workflow = (Path(__file__).parent.parent / ".github/workflows/ci.yml").read_text()
         listed = re.search(r"python-version: \[([^\]]*)\]", workflow).group(1)
         versions = {tuple(map(int, v.strip(' "').split("."))) for v in listed.split(",")}
-        assert versions and (3, 11) not in versions, versions
+        assert versions, listed
         for name, table in PER_INTERPRETER.items():
             missing = (versions | {(3, 11)}) - set(table)
             assert not missing, f"{name} has no row for {sorted(missing)}"
