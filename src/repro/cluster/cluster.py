@@ -17,10 +17,9 @@ every new flow punts to one decision loop.  :class:`ControllerCluster` fronts N
   one call, so a ``revoke_delegation`` issued on any shard takes effect
   cluster-wide, with the originating shard audited ("override, audit,
   and revoke the delegation when necessary", §7);
-* multi-hop path installs (flow entries "along the path", §3.4) are
-  owned by each flow's shard; a failover re-homes both the dead
-  shard's pending punts and its path-unwinding duty, so a
-  ``FlowRemoved`` from any hop still tears the whole path down.
+* the replicas share one path-install registry (flow entries "along
+  the path", §3.4): whichever replica a hop's ``FlowRemoved`` reaches
+  tears the whole path down, so a dead owner strands no unwind.
 """
 
 from __future__ import annotations
@@ -32,12 +31,13 @@ from repro.cluster.failover import FailoverMonitor
 from repro.cluster.shard_map import ShardMap, flow_key, identity_key
 from repro.core.audit import AuditTrail
 from repro.core.controller import ControllerConfig, IdentPPController
+from repro.core.installer import PathInstall, PathInstaller
 from repro.core.policy_engine import PolicyEngine
 from repro.exceptions import TopologyError
 from repro.identpp.flowspec import FlowSpec
 from repro.netsim.packet import Packet
 from repro.netsim.topology import Topology
-from repro.openflow.messages import FlowRemoved, PacketIn
+from repro.openflow.messages import PacketIn
 from repro.openflow.switch import OpenFlowSwitch
 
 
@@ -59,14 +59,18 @@ class ControllerCluster:
         self.topology = topology
         self.config = config if config is not None else ControllerConfig()
         self.replicas: dict[str, IdentPPController] = {}
+        # One path registry per control plane: the replica a hop's
+        # FlowRemoved reaches pops the cookie and unwinds on its channels.
+        self.path_installs: dict[str, PathInstall] = {}
         for index in range(shards):
             shard_name = f"{name}.shard{index}"
             engine = PolicyEngine(
                 default_action=policy_default_action, name=f"{shard_name}.policy"
             )
-            self.replicas[shard_name] = IdentPPController(
+            replica = self.replicas[shard_name] = IdentPPController(
                 shard_name, topology, engine, config=self.config
             )
+            replica.installer = PathInstaller(replica, self.path_installs)
         self.shard_map = ShardMap(self.replicas)
         self.coordinator = ClusterCoordinator(self)
         self.monitor = FailoverMonitor(self)
@@ -145,9 +149,10 @@ class ControllerCluster:
     def restore(self, shard: str) -> None:
         """Bring a crashed replica back into the ring.
 
-        Channels reconnect before the replica resumes so the punts it
-        replays from its halted inbox (and any deadline it fails closed)
-        can reach the switches again.
+        Channels reconnect before the replica resumes so what it replays
+        from its halted inbox (punts, a FlowRemoved whose path it then
+        unwinds) and any deadline it fails closed can reach the switches
+        again.
         """
         controller = self.replica(shard)
         for channel in controller.channels.values():
@@ -157,36 +162,7 @@ class ControllerCluster:
         # halted inbox must be decided under the policy/delegation state
         # the corpse missed, not the stale pre-crash one.
         self.coordinator.resync(shard)
-        # With the owner's channels back up, switches route FlowRemoved
-        # for its cookies to it again — so it reclaims the path installs
-        # a failover handed to the fallback replica.  Reclaim *before*
-        # replaying the backlog: a FlowRemoved frozen in the inbox must
-        # find the registry it is meant to unwind.
-        reclaimed: list = []
-        for name, replica in self.replicas.items():
-            if name != shard:
-                reclaimed.extend(replica.installer.export(prefix=f"{shard}:"))
-        if reclaimed:
-            controller.installer.adopt(reclaimed)
-        # Drain the backlog here rather than letting resume() replay it
-        # blindly: while halted-but-connected this replica may have been
-        # handed FlowRemoved for *other* shards' cookies (switch fallback
-        # routing picks the first connected channel) whose registry lives
-        # on the replica that adopted them — route each to its holder.
-        backlog = controller.take_halted_messages()
         controller.resume()
-        for message in backlog:
-            if isinstance(message, FlowRemoved):
-                holder = next(
-                    (
-                        c for c in self.replicas.values()
-                        if message.cookie in c.installer
-                    ),
-                    controller,
-                )
-                holder.handle_message(message)
-            else:
-                controller.handle_message(message)
         self.monitor.note_revived(shard)
 
     def fail_over(self, shard: str) -> int:
@@ -207,16 +183,6 @@ class ControllerCluster:
         if self.shard_map.is_live(shard):
             self.shard_map.mark_dead(shard)
         self.failovers += 1
-        # Re-home the corpse's multi-hop path installs: a dead shard can
-        # never hear the FlowRemoved that should unwind them.  They go to
-        # the replica a switch's FlowRemoved fallback routing will pick
-        # (first connected channel in sorted name order), so the adopter
-        # is the shard that will actually receive those messages.  With
-        # no adopter (total outage) the registry stays on the corpse —
-        # restore() revives it with its unwind duty intact.
-        adopter = self._flow_removed_fallback()
-        if adopter is not None:
-            adopter.installer.adopt(dead.installer.export())
         # Re-home the corpse's standing subscriptions *before* its
         # punts: each successor must be resident (or resident-in-flight)
         # by the time the re-punted backlog arrives, or the backlog pays
@@ -246,40 +212,19 @@ class ControllerCluster:
                 repunted_keys.add(flow_key(flow))
         for message in dead.take_halted_messages():
             # The dead process's socket backlog: punts re-home to their
-            # owners; FlowRemoved notices go to the path adopter (they may
-            # be the very trigger for an adopted install's unwind).
+            # owners; a FlowRemoved goes to any running replica, which
+            # unwinds its path from the shared registry (with none
+            # running it stays in the corpse's inbox for restore()).
             if isinstance(message, PacketIn):
                 key = self._routing_key(message.packet)
                 self.replicas[self.shard_map.owner_of_key(key)].adopt_punt(message)
                 self.repunted_messages += 1
                 repunted_keys.add(key)
-            elif isinstance(message, FlowRemoved):
-                fallback = self._flow_removed_fallback()
-                if fallback is not None:
-                    fallback.handle_message(message)
+            else:
+                receiver = next((c for c in self.replicas.values() if not c.halted), dead)
+                receiver.handle_message(message)
         self.repunted_flows += len(repunted_keys)
         return len(repunted_keys)
-
-    def _flow_removed_fallback(self) -> Optional[IdentPPController]:
-        """Return the replica that receives FlowRemoved for dead owners.
-
-        Mirrors :meth:`OpenFlowSwitch._owner_channel`'s fallback: when a
-        cookie's owning channel is down, the switch delivers the notice
-        to the first *connected* channel in sorted controller-name
-        order.  Path-install adoption must land on the same replica or
-        the unwind never fires — so the predicate here is channel
-        connectivity, same as the switch's, with halted replicas
-        additionally skipped (a notice delivered to a halted-but-still-
-        connected replica lands in its halted inbox, and the next
-        fail_over forwards it back here).
-        """
-        for name in sorted(self.replicas):
-            controller = self.replicas[name]
-            if controller.halted:
-                continue
-            if any(channel.connected for channel in controller.channels.values()):
-                return controller
-        return None
 
     # ------------------------------------------------------------------
     # Cluster-wide configuration (delegated to the coordinator)

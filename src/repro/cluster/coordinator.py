@@ -164,24 +164,17 @@ class ClusterCoordinator:
                 f"no replica holds an active grant for principal {principal!r}"
             )
 
-        # Gather every replica's decision cookies for the grant before
-        # revoking: a failover may have re-homed a cookie's path-install
-        # registry to a replica other than the one that decided it, and
-        # the (silent) entry removal below means no FlowRemoved will
-        # ever clean that registry up.
-        revoked_cookies = frozenset(
-            cookie
-            for c in self.cluster.replicas.values()
-            for cookie in c.delegations.decisions_for(principal)
-        )
+        # The revocation deletes each decision's entries silently, so no
+        # FlowRemoved will pop its cookie from the shared path registry:
+        # discard it there once, a crashed decider's cookies too.
+        for c in self.cluster.replicas.values():
+            for cookie in c.delegations.decisions_for(principal):
+                c.installer.discard(cookie)
 
         def apply(controller: IdentPPController) -> int:
-            removed = 0
             if controller.delegations.is_active(principal):
-                removed = controller.revoke_delegation(principal)
-            for cookie in revoked_cookies:
-                controller.installer.discard(cookie)
-            return removed
+                return controller.revoke_delegation(principal)
+            return 0
 
         return self._propagate(
             "revocation", origin_shard, f"principal={principal}", apply

@@ -5,10 +5,10 @@ reverse path for ``keep state``) and the buffered punts are released; a
 *block* caches the drop at the flow's **first** enforcement hop only.
 Multi-hop installs are registered per decision cookie, so a
 ``FlowRemoved`` from *any* hop unwinds the rest and one flow's path
-state lives and dies as a unit; a failover hands the registry to
-another replica.  Every message goes out through the owning
-controller's ``install_flow``, ``send_packet_out`` and
-``remove_flows_by_cookie``.
+state lives and dies as a unit; a cluster's replicas share one
+registry, so the replica that hears the notice unwinds.  Every message
+goes out through the owning controller's ``install_flow``,
+``send_packet_out`` and ``remove_flows_by_cookie``.
 """
 
 from __future__ import annotations
@@ -43,15 +43,15 @@ class PathInstall:
     """The datapath footprint of one multi-hop decision (§3.4).
 
     Records which switches hold flow entries for a decision cookie, so
-    a ``FlowRemoved`` from any one hop can unwind the others and a
-    failover can re-home the unwinding duty to a live replica.
+    a ``FlowRemoved`` from any one hop can unwind the others, whichever
+    replica of the control plane it reaches.
     """
 
     flow: FlowSpec
     switches: tuple[str, ...]
     #: How many entries the decision put on each of ``switches``; empty
-    #: when unknown (a re-installed cookie, an install adopted without
-    #: counts), which makes the unwind delete on every hop.
+    #: when unknown (a re-installed cookie), which makes the unwind
+    #: delete on every hop.
     entries: tuple[int, ...] = ()
 
 
@@ -99,13 +99,19 @@ class PathInstaller:
 
     The registry maps a decision cookie to the :class:`PathInstall` of a
     decision whose entries span more than one switch; ``cookie in
-    installer`` and ``len(installer)`` read it.  ``unwinds`` counts the
-    paths a ``FlowRemoved`` tore down.
+    installer`` and ``len(installer)`` read it.  A cluster passes every
+    replica's installer the same ``installs`` map; a lone controller
+    keeps its own.  ``unwinds`` counts the paths this controller's
+    ``FlowRemoved`` handling tore down.
     """
 
-    def __init__(self, controller: "IdentPPController") -> None:
+    def __init__(
+        self,
+        controller: "IdentPPController",
+        installs: Optional[dict[str, PathInstall]] = None,
+    ) -> None:
         self._controller = controller
-        self._installs: dict[str, PathInstall] = {}
+        self._installs = {} if installs is None else installs
         self.unwinds = 0
         # (source node, destination node) -> the HopPlan of the path
         # between them (see _hop_plan); valid for one topology mutation
@@ -340,47 +346,19 @@ class PathInstaller:
                 controller.remove_flows_by_cookie(name, cookie)
 
     # ------------------------------------------------------------------
-    # The registry's verbs (failover, restore, revocation)
+    # Revocation
     # ------------------------------------------------------------------
 
-    def export(self, prefix: str = "") -> list[tuple[str, PathInstall]]:
-        """Hand over the registered installs whose cookie starts with ``prefix``.
-
-        The failover drains the whole registry (the default); a restore
-        reclaims exactly the revived shard's own decisions by their
-        cookie prefix.  Exported installs are removed here — exactly one
-        controller must own each unwind.
-        """
-        items = sorted(
-            (cookie, install)
-            for cookie, install in self._installs.items()
-            if cookie.startswith(prefix)
-        )
-        for cookie, _ in items:
-            del self._installs[cookie]
-        return items
-
-    def adopt(self, items: Sequence[tuple[str, PathInstall]]) -> None:
-        """Take over unwinding duty for another replica's multi-hop installs.
-
-        Used by the cluster failover (a dead shard cannot hear
-        ``FlowRemoved``) and by restore (the revived owner reclaims its
-        own cookies).
-        """
-        for cookie, install in items:
-            self._installs[cookie] = install
-
-    def discard(self, cookie: str) -> bool:
+    def discard(self, cookie: str) -> None:
         """Forget a cookie's registry entry without touching switches.
 
         The decision's entries are already gone from every switch
         (revocation deletes them silently, so no ``FlowRemoved`` will
-        ever arrive): a later ``FlowRemoved`` must not re-tear the path,
-        and any *other* replica holding unwind duty for the cookie — a
-        failover adopter, or the owner on resync replay — must drop the
-        stale entry or it leaks forever.
+        ever pop the cookie): the entry would leak, and a stray later
+        ``FlowRemoved`` must not re-tear the path.  One call clears it
+        for every replica that shares the registry.
         """
-        return self._installs.pop(cookie, None) is not None
+        self._installs.pop(cookie, None)
 
     def __contains__(self, cookie: object) -> bool:
         return cookie in self._installs

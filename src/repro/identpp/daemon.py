@@ -44,6 +44,7 @@ from repro.identpp.flowspec import FlowSpec
 from repro.identpp.keyvalue import AnswerTemplate, KeyValueSection
 from repro.identpp.wire import (
     CAP_SUBSCRIBE,
+    DAEMON_REPLACED,
     ROLE_DESTINATION,
     ROLE_SOURCE,
     WIRE_VERSION_PULL,
@@ -65,10 +66,6 @@ SOCKET_TABLE_CHANGED = "socket-table"
 
 #: The memo key of a spoofed answer's template (no identity's key is a 1-tuple).
 _SPOOFED = ("spoofed",)
-
-#: Reason of the last notice a daemon sends when another replaces it on
-#: its host: whatever it said no longer speaks for the host.
-DAEMON_REPLACED = "daemon-replaced"
 
 
 class RuntimeKeyRegistry:

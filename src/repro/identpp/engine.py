@@ -66,10 +66,10 @@ from repro.identpp.client import (
     QueryOutcome,
     per_role_interceptors,
 )
-from repro.identpp.daemon import DAEMON_REPLACED
 from repro.identpp.engine_store import UNTIL_DELTA, AnswerStore, CacheEntry
 from repro.identpp.flowspec import FlowSpec
 from repro.identpp.wire import (
+    DAEMON_REPLACED,
     DEFAULT_QUERY_KEYS,
     IdentDelta,
     IdentQuery,

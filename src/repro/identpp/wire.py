@@ -204,6 +204,12 @@ class IdentSubscribeAck:
         return "\n".join(lines)
 
 
+#: The :class:`IdentDelta` reason of the last notice a daemon sends when
+#: another replaces it on its host: whatever it said no longer speaks
+#: for the host.
+DAEMON_REPLACED = "daemon-replaced"
+
+
 @dataclass
 class IdentDelta:
     """One pushed identity change: (host, key-set), serial-numbered.

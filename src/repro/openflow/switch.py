@@ -354,8 +354,8 @@ class OpenFlowSwitch(Node):
         is everything before the *last* ``:``, since a controller name
         may hold one itself (a cluster named ``lab:1``).  With multiple
         channels the removal notice goes back to the installer when its
-        channel is up, else to any connected channel (a successor can at
-        least observe the expiry).
+        channel is up, else to the first connected one: a cluster's
+        replicas share one path registry, so any of them can unwind.
         """
         if cookie and len(self.channels) > 1:
             owner_name, colon, _ = cookie.rpartition(":")

@@ -111,7 +111,7 @@ def _path_install() -> dict:
             record.cookie.startswith(net.cluster.shard_map.owner(record.flow) + ":")
             for record in records
         ),
-        "path_installs_tracked": sum(len(c.installer) for c in net.cluster.replicas.values()),
+        "path_installs_tracked": len(net.cluster.path_installs),
     }
 
 

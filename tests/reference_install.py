@@ -5,15 +5,13 @@ This is the install / release / unwind slice of
 every decision resolves its path, both egress ports and both direction
 matches afresh, every buffered punt is released with its own PacketOut
 after all FlowMods went out, and the first ``FlowRemoved`` of a cookie
-deletes on *every* registered hop, the reporter included.  Its registry
-export keeps the two branches it had before they became one prefix
-filter: no prefix drains everything, a prefix takes the cookies that
-start with it.  It does strictly more work than the real installer for
-the same outcome, which makes it easy to read the outcome off the code.
+deletes on *every* registered hop, the reporter included.  It does
+strictly more work than the real installer for the same outcome, which
+makes it easy to read the outcome off the code.
 ``tests/test_install_reference.py`` drives it and the real controller
 through the same punts and requires the same flow entries, released
-packets, unwound tables, exported registries and audit records.  It is
-not importable from ``src/`` and nothing outside the tests may use it.
+packets, unwound tables, registries and audit records.  It is not
+importable from ``src/`` and nothing outside the tests may use it.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from repro.openflow.switch import OpenFlowSwitch
 def use_reference_installer(controller: IdentPPController) -> IdentPPController:
     """Swap ``controller``'s installer for the reference one (this instance only)."""
     installer = controller.installer
-    for function in (_install_path, _first_enforcement_hop, on_flow_removed, export):
+    for function in (_install_path, _first_enforcement_hop, on_flow_removed):
         setattr(installer, function.__name__, types.MethodType(function, installer))
     return controller
 
@@ -140,19 +138,3 @@ def on_flow_removed(self: PathInstaller, message: FlowRemoved) -> None:
         channel = controller.channels.get(name)
         if channel is not None and channel.connected:
             controller.remove_flows_by_cookie(name, message.cookie)
-
-
-def export(self: PathInstaller, prefix: Optional[str] = None) -> list[tuple[str, PathInstall]]:
-    """Hand over the registry: all of it without ``prefix``, else the cookies it starts."""
-    if prefix is None:
-        items = sorted(self._installs.items())
-        self._installs.clear()
-        return items
-    items = sorted(
-        (cookie, install)
-        for cookie, install in self._installs.items()
-        if cookie.startswith(prefix)
-    )
-    for cookie, _ in items:
-        del self._installs[cookie]
-    return items

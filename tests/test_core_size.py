@@ -53,6 +53,17 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+def import_probe(*modules: str) -> list[str]:
+    """Import ``modules`` in a fresh interpreter; return every module that loaded."""
+    probe = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *modules],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert probe.returncode == 0, probe.stderr
+    return json.loads(probe.stdout)
+
+
 def reached(row: str) -> set[str]:
     """The rows a row's modules may load: itself and what its rows list, transitively."""
     seen, todo = set(), [row]
@@ -109,12 +120,7 @@ def test_the_architecture_doc_holds_the_table_and_a_hand_edit_fails_the_docs_che
 
 @pytest.mark.parametrize("row", sorted(row for row in MODULES_BY_ROW if row))
 def test_importing_a_row_loads_only_the_rows_it_reaches(row):
-    probe = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, *MODULES_BY_ROW[row]],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-    )
-    assert probe.returncode == 0, probe.stderr
+    loaded = import_probe(*MODULES_BY_ROW[row])
     # The root package (a docstring) loads with any module under it.
     may_load = reached(row) | {"repro"}
 
@@ -124,4 +130,14 @@ def test_importing_a_row_loads_only_the_rows_it_reaches(row):
             return name.partition(".")[0] not in sys.stdlib_module_names
         return loaded_row not in may_load
 
-    assert [name for name in json.loads(probe.stdout) if stray(name)] == []
+    assert [name for name in loaded if stray(name)] == []
+
+
+def test_the_controller_loads_no_end_host_module():
+    # The controller reaches end hosts over the ident++ wire only: a
+    # name it takes from ``identpp/daemon.py`` pulls in the whole
+    # end-host package.  52 is today's closure; the ceiling may only
+    # come down.
+    loaded = [name for name in import_probe("repro.core.controller") if name.startswith("repro")]
+    assert [name for name in loaded if name.startswith("repro.hosts")] == []
+    assert len(loaded) <= 52

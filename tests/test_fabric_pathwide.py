@@ -4,8 +4,7 @@ Covers the netsim spine-leaf fabric builder, the
 deterministic path tie-break and topology edge cases, multi-hop flow
 install with exactly one punt, drop-at-first-hop denials,
 FlowRemoved-driven path unwinding, the failed-switch fail-closed
-semantics, and the cluster's re-homing of path-install state across a
-shard failover.
+semantics, and the cluster's path unwinding around a shard failure.
 """
 
 import pytest
@@ -393,45 +392,58 @@ class TestClusterFabric:
         assert len(hops) == 3
         assert len(net.cluster.replicas[owner].installer) == 1
 
-    def test_failover_rehomes_path_unwinding(self):
-        net, fabric = self.make_cluster_net()
+    def decide(self, net):
+        """Open one passed flow; return its audit record and owning shard."""
         net.host("client0").open_flow("http", "alice", "192.168.1.1", 80)
         net.run()
         record = [r for r in net.cluster.audit_records() if not r.cached][0]
-        owner = net.cluster.shard_map.owner(record.flow)
-        net.cluster.kill(owner)
-        net.cluster.fail_over(owner)
-        adopter = net.cluster._flow_removed_fallback()
-        assert adopter is not None and adopter.name != owner
-        assert len(adopter.installer) == 1
-        # An expiry on any hop now reaches the adopter, which unwinds.
+        return record, net.cluster.shard_map.owner(record.flow)
+
+    @staticmethod
+    def expire_ingress_entry(net, fabric):
+        """Idle the path out and sweep the ingress leaf only: one hop reports."""
         sim = net.topology.sim
         sim.schedule_at(sim.now + 61.0, lambda: None)
         net.run()
-        fabric.leaves[0].sweep_expired(sim.now)
+        assert fabric.leaves[0].sweep_expired(sim.now) > 0
         net.run()
-        assert entries_with_cookie(net, record.cookie) == {}
-        assert adopter.installer.unwinds == 1
 
-    def test_total_outage_keeps_unwind_duty_on_the_corpse(self):
+    @staticmethod
+    def assert_unwound_once(net, cookie):
+        """Every hop lost the cookie, the cluster unwound once and forgot it."""
+        assert entries_with_cookie(net, cookie) == {}
+        assert sum(r.installer.unwinds for r in net.cluster.replicas.values()) == 1
+        assert cookie not in net.cluster.path_installs
+
+    def test_an_expiry_before_fail_over_still_unwinds_the_path(self):
+        # The owner is dead but not failed over yet: the hop's FlowRemoved
+        # reaches the other replica, which must unwind the whole path.
         net, fabric = self.make_cluster_net()
-        net.host("client0").open_flow("http", "alice", "192.168.1.1", 80)
+        record, owner = self.decide(net)
+        net.cluster.kill(owner)
+        self.expire_ingress_entry(net, fabric)
+        assert entries_with_cookie(net, record.cookie) == {}
+        net.cluster.fail_over(owner)
         net.run()
-        record = [r for r in net.cluster.audit_records() if not r.cached][0]
-        owner = net.cluster.shard_map.owner(record.flow)
+        self.assert_unwound_once(net, record.cookie)
+
+    def test_an_expiry_after_fail_over_unwinds_the_path(self):
+        net, fabric = self.make_cluster_net()
+        record, owner = self.decide(net)
+        net.cluster.kill(owner)
+        net.cluster.fail_over(owner)
+        self.expire_ingress_entry(net, fabric)
+        self.assert_unwound_once(net, record.cookie)
+
+    def test_an_expiry_after_a_total_outage_and_restore_unwinds_the_path(self):
+        net, fabric = self.make_cluster_net()
+        record, owner = self.decide(net)
         for shard in net.cluster.shard_map.shards():
             net.cluster.kill(shard)
         net.cluster.fail_over(owner)
-        # Nobody could adopt: the registry must survive on the corpse.
-        assert len(net.cluster.replicas[owner].installer) == 1
         net.cluster.restore(owner)
-        sim = net.topology.sim
-        sim.schedule_at(sim.now + 61.0, lambda: None)
-        net.run()
-        fabric.leaves[0].sweep_expired(sim.now)
-        net.run()
-        assert entries_with_cookie(net, record.cookie) == {}
-        assert net.cluster.replicas[owner].installer.unwinds == 1
+        self.expire_ingress_entry(net, fabric)
+        self.assert_unwound_once(net, record.cookie)
 
     @pytest.mark.parametrize("name", ["lab", "lab:1"])
     def test_flow_removed_reaches_the_owner_whatever_the_cluster_name(self, name):
@@ -462,42 +474,29 @@ class TestClusterFabric:
         assert sum(r.installer.unwinds for r in net.cluster.replicas.values()) == 40
         assert all(len(switch.flow_table) == 0 for switch in net.switches.values())
 
-    def test_cluster_revocation_purges_adopted_path_registry(self):
+    def test_cluster_revocation_of_a_crashed_deciders_path_clears_the_registry(self):
         net, fabric = self.make_cluster_net()
         net.cluster.grant_delegation("secur", "beefcafe" * 8)
-        net.host("client0").open_flow("http", "alice", "192.168.1.1", 80)
-        net.run()
-        record = [r for r in net.cluster.audit_records() if not r.cached][0]
-        owner = net.cluster.shard_map.owner(record.flow)
+        record, owner = self.decide(net)
         # Tie the decision to the grant (what _resolve does for
-        # delegated rules), then re-home its unwind duty via failover.
+        # delegated rules), then crash its decider.
         net.cluster.replicas[owner].delegations.record_use("secur", record.cookie)
         net.cluster.kill(owner)
         net.cluster.fail_over(owner)
-        adopter = net.cluster._flow_removed_fallback()
-        assert record.cookie in adopter.installer
         net.cluster.revoke_delegation("secur")
-        # The revocation removed the entries silently everywhere; the
-        # adopter's registry entry must not outlive them.
-        assert record.cookie not in adopter.installer
+        # The entries go silently (the decider deletes them at its
+        # resync): no FlowRemoved will ever pop the cookie.
+        assert record.cookie not in net.cluster.path_installs
         net.cluster.restore(owner)
-        assert record.cookie not in net.cluster.replicas[owner].installer
         assert entries_with_cookie(net, record.cookie) == {}
+        assert record.cookie not in net.cluster.path_installs
+        assert sum(r.installer.unwinds for r in net.cluster.replicas.values()) == 0
 
-    def test_restore_reclaims_path_installs(self):
+    def test_an_expiry_after_restore_unwinds_the_path(self):
         net, fabric = self.make_cluster_net()
-        net.host("client0").open_flow("http", "alice", "192.168.1.1", 80)
-        net.run()
-        record = [r for r in net.cluster.audit_records() if not r.cached][0]
-        owner = net.cluster.shard_map.owner(record.flow)
+        record, owner = self.decide(net)
         net.cluster.kill(owner)
         net.cluster.fail_over(owner)
         net.cluster.restore(owner)
-        restored = net.cluster.replicas[owner]
-        assert len(restored.installer) == 1
-        others = sum(
-            len(c.installer)
-            for name, c in net.cluster.replicas.items()
-            if name != owner
-        )
-        assert others == 0
+        self.expire_ingress_entry(net, fabric)
+        self.assert_unwound_once(net, record.cookie)

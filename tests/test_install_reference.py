@@ -4,12 +4,11 @@
 hop plan: it resolves everything per decision, releases every punt with
 its own PacketOut and unwinds by deleting on every hop.  The real one
 plans once per endpoint pair, lets the FlowMod carry the buffer and
-skips the reporting hop when it held a single entry; its registry export
-is one prefix filter where the reference has two branches.  Both are
-driven through the same punts here and must leave the same *outcome*:
-the same entries on every switch, the same packets released at the same
-instants, the same registry handed over, the same tables after an unwind
-and the same audit records.  The messages that get them there are
+skips the reporting hop when it held a single entry.  Both are driven
+through the same punts here and must leave the same *outcome*: the same
+entries on every switch, the same packets released at the same instants,
+the same registry, the same tables after an unwind and the same audit
+records.  The messages that get them there are
 allowed to differ.
 """
 
@@ -20,10 +19,8 @@ from typing import Optional
 from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import ControllerConfig
-from repro.core.installer import PathInstall
 from repro.core.network import HostSpec, IdentPPNetwork
 from repro.identpp.flowspec import FlowSpec
-from repro.openflow.messages import FlowRemoved
 from tests.reference_install import use_reference_installer
 
 SERVER_IP = "192.168.1.1"
@@ -145,10 +142,6 @@ class Scenario:
     #: Switch pair linked after the first decision (index modulo the count
     #: of unlinked pairs): a shortcut that may reroute later decisions.
     shortcut: Optional[int]
-    #: Whether the registry is then exported and adopted back, and how:
-    #: ``"all"`` drains it, ``"own"`` takes the controller's own cookie
-    #: prefix (a foreign install planted beside them must stay behind).
-    handover: Optional[str]
     #: Which hop of the last pass decision reports one entry gone, which of
     #: its entries that is, and whether a decision-cache hit re-installs the
     #: cookie while that FlowRemoved is still in flight.
@@ -168,7 +161,6 @@ scenarios = st.builds(
     keep_state=st.booleans(),
     decisions=st.lists(decisions, min_size=1, max_size=3).map(tuple),
     shortcut=st.none() | st.integers(0, 5),
-    handover=st.sampled_from([None, "all", "own"]),
     reporter=st.integers(0, 2),
     entry=st.integers(0, 1),
     reinstall=st.booleans(),
@@ -196,18 +188,6 @@ def play(scenario: Scenario, *, reference: bool) -> list:
         if decision.port == WEB_PORT:
             last_pass = packet
         observed.append((tables(net), sorted(installer._installs)))
-
-    if scenario.handover is not None:
-        foreign = PathInstall(
-            flow=FlowSpec.tcp("10.9.9.9", SERVER_IP, 1, WEB_PORT), switches=tuple(names)
-        )
-        installer.adopt([("elsewhere:decision-1", foreign)])
-        prefix = f"{controller.name}:" if scenario.handover == "own" else None
-        items = installer.export() if prefix is None else installer.export(prefix=prefix)
-        # The reference registers no entry counts, so they are not compared.
-        observed.append([(cookie, i.flow, i.switches) for cookie, i in items])
-        observed.append(("elsewhere:decision-1" in installer, len(installer)))
-        installer.adopt(items)
 
     cookie = None
     if last_pass is not None:
@@ -368,42 +348,6 @@ class TestUnwindOnlyWhereEntriesRemain:
         net.run(duration=SETTLE)
         install = net.controller.installer._installs[cookie]
         assert install.switches == ("s1", "s2", "s3") and install.entries == ()
-
-
-class TestCountsCrossAFailover:
-    def decided_then_joined_by_an_adopter(self):
-        net = build("line", keep_state=False)
-        cookie, _ = decide(net)
-        # Registered last: a switch punts to the channel it attached last.
-        adopter = net.add_controller("adopter")
-        for switch in net.switches.values():
-            adopter.register_switch(switch)
-        return net, cookie, adopter
-
-    @staticmethod
-    def s2_reports_to(adopter, net, cookie):
-        s2 = net.switches["s2"]
-        gone = s2.flow_table.find(lambda e: e.cookie == cookie)[0]
-        adopter.on_flow_removed(FlowRemoved(switch=s2, match=gone.match, cookie=cookie))
-        return sent_to_switches(adopter)
-
-    def test_export_and_adopt_carry_the_counts(self):
-        net, cookie, adopter = self.decided_then_joined_by_an_adopter()
-        exported = net.controller.installer.export()
-        assert [(c, i.entries) for c, i in exported] == [(cookie, (1, 1, 1))]
-        assert len(net.controller.installer) == 0
-        adopter.installer.adopt(exported)
-        sent = self.s2_reports_to(adopter, net, cookie)
-        assert sent == {"s1": 1, "s2": 0, "s3": 1, "s-off": 0}
-
-    def test_an_install_adopted_without_counts_deletes_everywhere(self):
-        net, cookie, adopter = self.decided_then_joined_by_an_adopter()
-        flow = net.controller.installer._installs[cookie].flow
-        adopter.installer.adopt(
-            [(cookie, PathInstall(flow=flow, switches=("s1", "s2", "s3")))]
-        )
-        sent = self.s2_reports_to(adopter, net, cookie)
-        assert sent == {"s1": 1, "s2": 1, "s3": 1, "s-off": 0}
 
 
 class TestPlanInvalidation:
