@@ -11,7 +11,7 @@ bench:
 	$(PYTHON) benchmarks/run_benchmarks.py
 
 # Every soak runs through the one entry point: soak_churn, soak_cluster,
-# soak_fabric, soak_queryload, soak_push, soak_decision_core,
+# soak_fabric, soak_queryload, soak_decision_core,
 # soak_telemetry, soak_paper — the paper's E1-E12 —, soak_matrix — the
 # 30-cell scenario matrix — and soak_determinism — the bench scenarios
 # double-run — (the names of repro.workloads.soak.SOAKS).

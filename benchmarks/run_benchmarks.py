@@ -55,11 +55,6 @@ from repro.workloads.paper_configs import figure2_control_files  # noqa: E402
 from repro.workloads.soak import SOAKS, Gate, failed_gates, load, recorded  # noqa: E402
 from tools.counts import count  # noqa: E402
 
-#: The soaks recorded here, in run order.  Each module's ``SOAK`` table
-#: names its ``results`` entries and gates them; ``make soak_<name>``
-#: walks the same table.  (``push`` re-runs a phase of ``queryload``.)
-BENCH_SOAKS = tuple(name for name in SOAKS if name != "push")
-
 #: The gates on what no soak table covers, the micro-benches' count
 #: ratios (and what a capture adds to a hop's count), as data: where the
 #: value sits in ``results``, the comparison it must satisfy against the
@@ -416,9 +411,11 @@ def bench_flow_generator(results: dict) -> None:
 
 
 def bench_soaks(results: dict) -> list:
-    """Run every step of every soak table; return the tables' gates."""
+    """Run every step of every soak table, in ``SOAKS`` order; return the
+    tables' gates.  Each module's ``SOAK`` table names its ``results``
+    entries and gates them; ``make soak_<name>`` walks the same table."""
     gates = []
-    for name in BENCH_SOAKS:
+    for name in SOAKS:
         soak = load(name)
         print(f"running {name} soak ...")
         for entry, step in soak.steps:

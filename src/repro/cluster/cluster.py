@@ -119,10 +119,6 @@ class ControllerCluster:
             return flow_key(FlowSpec.from_packet(packet))
         return f"{self.name}:non-ip"
 
-    def controller_for(self, flow: FlowSpec) -> IdentPPController:
-        """Return the live replica that owns ``flow``."""
-        return self.replicas[self.shard_map.owner(flow)]
-
     def replica(self, name: str) -> IdentPPController:
         """Return a replica by shard name."""
         try:
@@ -168,7 +164,7 @@ class ControllerCluster:
     def fail_over(self, shard: str) -> int:
         """Re-home a dead shard's ring arc and re-punt its orphaned flows.
 
-        Exports the dead replica's pending table and halted message
+        Exports the dead replica's pending table and halted inbox as one
         backlog, then delivers every orphaned PacketIn to the shard that
         now owns its flow.  Returns how many flows were re-punted.
 
@@ -203,18 +199,12 @@ class ControllerCluster:
                 [record["host_ip"] for record in push_records], origin_shard=shard
             )
         repunted_keys: set[str] = set()
-        for flow, messages in dead.export_pending():
-            successor = self.controller_for(flow)
-            for message in messages:
-                successor.adopt_punt(message)
-                self.repunted_messages += 1
-            if messages:
-                repunted_keys.add(flow_key(flow))
-        for message in dead.take_halted_messages():
-            # The dead process's socket backlog: punts re-home to their
-            # owners; a FlowRemoved goes to any running replica, which
-            # unwinds its path from the shared registry (with none
-            # running it stays in the corpse's inbox for restore()).
+        for message in dead.export_pending() + dead.take_halted_messages():
+            # The dead process's frozen punts, then its socket backlog:
+            # punts re-home to their owners; a FlowRemoved goes to any
+            # running replica, which unwinds its path from the shared
+            # registry (with none running it stays in the corpse's inbox
+            # for restore()).
             if isinstance(message, PacketIn):
                 key = self._routing_key(message.packet)
                 self.replicas[self.shard_map.owner_of_key(key)].adopt_punt(message)

@@ -13,7 +13,9 @@ trail whose entries name the **originating shard** and the replicas the
 change reached.  Crashed (halted) replicas cannot observe changes — the
 coordinator records how far each replica has applied and replays the
 missed changes when :meth:`resync` runs on restore, so a revived shard
-never enforces a revoked grant or stale rules.
+never enforces a revoked grant or stale rules.  A revocation's teardown
+does not wait for them: any replica can undo any replica's decision,
+so the live ones remove a crashed decider's flow entries too.
 
 Policy reloads are validated before any replica is touched: the merged
 ruleset is parsed and compiled against a scratch evaluator, and a rule
@@ -147,34 +149,27 @@ class ClusterCoordinator:
     ) -> ClusterChangeRecord:
         """Revoke a grant cluster-wide, tearing down reliant state everywhere.
 
-        Each live replica that holds the grant revokes it and removes
-        the flow entries / cache lines its own decisions created (the
-        per-replica :meth:`~repro.core.controller.IdentPPController.revoke_delegation`);
-        crashed replicas pick the revocation up at :meth:`resync` — the
-        revocation is recorded even during a total outage, so no shard
-        can be revived still enforcing it.  Raises
-        :class:`~repro.exceptions.DelegationError` only when no replica,
-        live or crashed, knows the principal.
+        The decisions that relied on the grant are every replica's, a
+        crashed decider's included: each live replica revokes its grant
+        and runs :meth:`~repro.core.controller.IdentPPController.revoke_decision`
+        on all of them, so the first removes their flow entries on every
+        switch and each drops its own cache lines.  A crashed replica
+        replays the same apply at :meth:`resync` — the revocation is
+        recorded even during a total outage, so no shard can be revived
+        still enforcing it.  Raises :class:`~repro.exceptions.DelegationError`
+        only when no replica, live or crashed, knows the principal.
         """
-        if not any(
-            c.delegations.is_active(principal)
-            for c in self.cluster.replicas.values()
-        ):
+        replicas = self.cluster.replicas.values()
+        if not any(c.delegations.is_active(principal) for c in replicas):
             raise DelegationError(
                 f"no replica holds an active grant for principal {principal!r}"
             )
-
-        # The revocation deletes each decision's entries silently, so no
-        # FlowRemoved will pop its cookie from the shared path registry:
-        # discard it there once, a crashed decider's cookies too.
-        for c in self.cluster.replicas.values():
-            for cookie in c.delegations.decisions_for(principal):
-                c.installer.discard(cookie)
+        cookies = [cookie for c in replicas for cookie in c.delegations.decisions_for(principal)]
 
         def apply(controller: IdentPPController) -> int:
             if controller.delegations.is_active(principal):
-                return controller.revoke_delegation(principal)
-            return 0
+                controller.delegations.revoke(principal, now=controller.now)
+            return sum(controller.revoke_decision(cookie) for cookie in cookies)
 
         return self._propagate(
             "revocation", origin_shard, f"principal={principal}", apply

@@ -464,17 +464,18 @@ class IdentPPController(IdentPPControllerBase):
 
     # Cluster hooks: the pending table's handoff and its readings.
 
-    def export_pending(self) -> list[tuple[FlowSpec, list[PacketIn]]]:
+    def export_pending(self) -> list[PacketIn]:
         """Hand over every in-flight punted flow (failover handoff).
 
-        Pops the whole pending table and returns ``(flow, punts)`` pairs
-        in arrival order so a successor can adopt them.  Flows frozen
+        Pops the whole pending table and returns its frozen punts in
+        arrival order (a flow's punts together, flows in the order they
+        first punted) so a successor can adopt them.  Flows frozen
         *mid-decision* (answers on the wire, or queued for the serial
         loop) export too: their orphaned continuations find the task
         retired and discard themselves, and the successor re-runs the
         pipeline from the punt.
         """
-        exported = [(flow, self._pop_pending(flow)) for flow in list(self._pending)]
+        exported = [punt for flow in list(self._pending) for punt in self._pop_pending(flow)]
         # The handed-off work no longer occupies this decision loop; a
         # restored shard must not serialize new punts behind it.
         self._waiting.clear()

@@ -341,34 +341,18 @@ class OpenFlowSwitch(Node):
             trace.record(now, self.name, "drop", packet)
 
     def _notify_removed(self, entry: FlowEntry, *, reason: str = "idle_timeout") -> None:
+        """Tell the control plane a hop lost ``entry``.
+
+        The notice goes on the first connected channel, in attach order:
+        a cluster's replicas share one path registry, so whichever
+        replica receives it can unwind the path.
+        """
         if self.failed:
             return
-        channel = self._owner_channel(entry.cookie)
-        if channel is not None:
-            channel.send_to_controller(FlowRemoved(self, entry.match, entry.cookie, reason))
-
-    def _owner_channel(self, cookie: str) -> Optional[ControllerChannel]:
-        """Return the channel of the controller that installed ``cookie``.
-
-        Decision cookies are ``<controller name>:decision-N``; the owner
-        is everything before the *last* ``:``, since a controller name
-        may hold one itself (a cluster named ``lab:1``).  With multiple
-        channels the removal notice goes back to the installer when its
-        channel is up, else to the first connected one: a cluster's
-        replicas share one path registry, so any of them can unwind.
-        """
-        if cookie and len(self.channels) > 1:
-            owner_name, colon, _ = cookie.rpartition(":")
-            owner = self.channels.get(owner_name if colon else cookie)
-            if owner is not None and owner.connected:
-                return owner
-            for name in sorted(self.channels):
-                if self.channels[name].connected:
-                    return self.channels[name]
-            return None
-        if self.channel is not None and self.channel.connected:
-            return self.channel
-        return None
+        for channel in self.channels.values():
+            if channel.connected:
+                channel.send_to_controller(FlowRemoved(self, entry.match, entry.cookie, reason))
+                return
 
     # ------------------------------------------------------------------
     # Security harness hooks

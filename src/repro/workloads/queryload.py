@@ -47,7 +47,6 @@ it and gates it, run by ``make soak_queries`` and recorded in
 Run standalone::
 
     python -m repro.workloads.soak queryload     # every phase
-    python -m repro.workloads.soak push          # flash-crowd gate only
 """
 
 from __future__ import annotations
@@ -442,16 +441,5 @@ SOAK = Soak(
     ok=(
         "query soak ok: caching/coalescing carries the hot-server load, "
         "invalidation keeps it honest"
-    ),
-)
-
-#: ``make soak_push``: the flash-crowd phase alone.  Every check it
-#: makes is a violation it lists, so the table needs no gate row.
-SOAK_PUSH = Soak(
-    steps=(("push_plane_flash_crowd", flash_crowd),),
-    gates=(),
-    ok=(
-        "push soak ok: steady-state punts issue zero daemon queries and "
-        "delta-driven convergence beats the TTL path"
     ),
 )

@@ -37,7 +37,6 @@ SOAKS = {
     "cluster": "repro.workloads.cluster:SOAK",
     "fabric": "repro.workloads.fabric:SOAK",
     "queryload": "repro.workloads.queryload:SOAK",
-    "push": "repro.workloads.queryload:SOAK_PUSH",
     "decision_core": "repro.workloads.decision_core:SOAK",
     "telemetry": "repro.workloads.telemetry:SOAK",
     "paper": "repro.workloads.paper:SOAK",

@@ -446,10 +446,10 @@ class TestClusterFabric:
         self.assert_unwound_once(net, record.cookie)
 
     @pytest.mark.parametrize("name", ["lab", "lab:1"])
-    def test_flow_removed_reaches_the_owner_whatever_the_cluster_name(self, name):
-        # The owner is the cookie up to its last ':'; a cluster name
-        # holding one used to send every FlowRemoved to the first shard,
-        # leaving the other shard's path registry to grow for good.
+    def test_every_expired_path_unwinds_whatever_the_cluster_name(self, name):
+        # A cookie starts with its decider's name, which may hold a ':'
+        # of its own: whichever shard an expiry reaches, every path
+        # unwinds once and the shared registry ends empty.
         net = IdentPPClusterNetwork(
             name,
             shards=2,
@@ -483,9 +483,11 @@ class TestClusterFabric:
         net.cluster.replicas[owner].delegations.record_use("secur", record.cookie)
         net.cluster.kill(owner)
         net.cluster.fail_over(owner)
-        net.cluster.revoke_delegation("secur")
-        # The entries go silently (the decider deletes them at its
-        # resync): no FlowRemoved will ever pop the cookie.
+        change = net.cluster.revoke_delegation("secur")
+        # A live replica deletes the dead decider's entries on every hop
+        # at once, silently: no FlowRemoved will ever pop the cookie.
+        assert entries_with_cookie(net, record.cookie) == {}
+        assert change.removed_entries == 6  # forward and reverse on 3 hops
         assert record.cookie not in net.cluster.path_installs
         net.cluster.restore(owner)
         assert entries_with_cookie(net, record.cookie) == {}

@@ -434,7 +434,8 @@ class TestOneDeadlinePerController:
         flows = self.open_wave(net, 2)
         net.run(duration=0.1)
         controller.halt()
-        assert [flow for flow, _ in controller.export_pending()] == flows
+        exported = controller.export_pending()
+        assert [FlowSpec.from_packet(punt.packet) for punt in exported] == flows
         assert controller._deadline_event is None
         net.run()
         assert controller.pending_expired == 0

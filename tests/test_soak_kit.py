@@ -257,9 +257,9 @@ class TestEntryPoint:
         )
 
     def test_a_known_soak_exits_zero(self):
-        done = self._run("push")
+        done = self._run("paper")
         assert done.returncode == 0, done.stdout + done.stderr
-        assert queryload.SOAK_PUSH.ok in done.stdout
+        assert paper.SOAK.ok in done.stdout
 
     def test_an_unknown_name_lists_the_known_soaks(self):
         done = self._run("no-such-soak")
